@@ -24,7 +24,7 @@
 //
 // Runtimes are configured with functional options (cascade.WithDevice,
 // cascade.WithParallelism, cascade.DisableOpenLoop, …); an Options
-// struct literal works too, via NewWithOptions. Stats returns a stable
+// struct literal works too, via WithOptions. Stats returns a stable
 // snapshot of the runtime's status, and EvalCtx/RunTicksCtx accept a
 // context for cancellation — cancelling aborts in-flight background
 // compilations.
@@ -58,7 +58,7 @@ type (
 	// Runtime executes one Cascade program (paper §3.4).
 	Runtime = runtime.Runtime
 	// Options configures a Runtime; construct one directly for
-	// NewWithOptions or let the functional options fill one in.
+	// WithOptions or let the functional options fill one in.
 	Options = runtime.Options
 	// Features holds the ablation and mode switches (zero value = full JIT).
 	Features = runtime.Features
@@ -260,13 +260,6 @@ const DefaultPrelude = runtime.DefaultPrelude
 // device, the default toolchain model, the default time model, and one
 // scheduler lane per CPU.
 func New(opts ...Option) *Runtime { return runtime.New(buildOptions(opts)) }
-
-// NewWithOptions creates a runtime from an Options struct literal.
-//
-// Deprecated: it is exactly New(WithOptions(o)) — there is one
-// options-resolution path, and the functional form composes with the
-// other options. New code should call New directly.
-func NewWithOptions(o Options) *Runtime { return New(WithOptions(o)) }
 
 // Serve boots a hypervisor: one shared device and toolchain,
 // virtualized across the tenant sessions opened with hv.NewSession.

@@ -113,52 +113,6 @@ func TestOptionConformance(t *testing.T) {
 	if got := buildOptions([]Option{WithOptions(want)}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("WithOptions: %+v", got)
 	}
-
-	// And the two construction paths behave identically.
-	a := New(WithOptions(want))
-	b := NewWithOptions(want)
-	if a.Parallelism() != b.Parallelism() || a.Phase() != b.Phase() {
-		t.Fatal("construction paths diverge")
-	}
-}
-
-// TestNewWithOptionsAlias pins the collapse of the construction
-// triplet: NewWithOptions(o) is exactly New(WithOptions(o)) — one
-// options-resolution path — so both runtimes behave identically.
-func TestNewWithOptionsAlias(t *testing.T) {
-	// Each runtime gets its own fresh (but identically configured)
-	// device/toolchain stack so neither perturbs the other's compile
-	// cache or fabric.
-	build := func() Options {
-		o := buildOptions(fastOptions())
-		o.View = &BufView{Quiet: true}
-		o.Parallelism = 2
-		o.Features = Features{DisableOpenLoop: true}
-		return o
-	}
-	// The functional path resolves a struct literal unchanged...
-	lit := build()
-	if got := buildOptions([]Option{WithOptions(lit)}); !reflect.DeepEqual(got, lit) {
-		t.Fatalf("WithOptions mutates the literal:\n got %+v\nwant %+v", got, lit)
-	}
-	// ...and the two constructors drive identical executions.
-	prog := `
-        reg [7:0] cnt = 1;
-        always @(posedge clk.val) cnt <= cnt + 3;
-        assign led.val = cnt;
-    `
-	run := func(rt *Runtime) (uint64, Phase, uint64) {
-		rt.MustEval(DefaultPrelude)
-		rt.MustEval(prog)
-		rt.RunTicks(200)
-		return rt.World().Led("main.led"), rt.Phase(), rt.VirtualNow()
-	}
-	aLed, aPhase, aNow := run(New(WithOptions(build())))
-	bLed, bPhase, bNow := run(NewWithOptions(build()))
-	if aLed != bLed || aPhase != bPhase || aNow != bNow {
-		t.Fatalf("construction paths diverge: led %d/%d phase %v/%v vnow %d/%d",
-			aLed, bLed, aPhase, bPhase, aNow, bNow)
-	}
 }
 
 // TestFacadeOptionPermutations checks order-independence of the three

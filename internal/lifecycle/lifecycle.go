@@ -1,0 +1,329 @@
+// Package lifecycle is the one implementation of the paper's Figure 9
+// engine move: quiesce at a step boundary, read the engine's state,
+// build the target, write the state, swap. Promotion, eviction,
+// failover and tear-down are that move parameterised by cause. Both
+// owners of engines — the runtime's scheduler and the daemon host —
+// keep one Placement per subprogram and call its transitions; neither
+// builds, seeds or retires an engine itself. What stays with the owner
+// is everything that differs between them: virtual-clock billing,
+// reporting, and how a new engine reaches the dispatch path (the Swap
+// callback).
+package lifecycle
+
+import (
+	"errors"
+
+	"cascade/internal/elab"
+	"cascade/internal/engine"
+	"cascade/internal/engine/hweng"
+	"cascade/internal/engine/sweng"
+	"cascade/internal/fault"
+	"cascade/internal/fpga"
+	"cascade/internal/njit"
+	"cascade/internal/sim"
+	"cascade/internal/toolchain"
+)
+
+// Tier is the execution rung an engine occupies.
+type Tier int
+
+// Tiers, lowest rung first. Unplaced means the owner holds no
+// in-process engine for the subprogram: not yet built, torn down, or
+// hosted on a daemon.
+const (
+	Unplaced Tier = iota
+	Interpreter
+	Native
+	Fabric
+)
+
+// String names the rung as runtime.EngineStat.Tier reports it ("" for
+// Unplaced).
+func (t Tier) String() string {
+	switch t {
+	case Interpreter:
+		return "interpreter"
+	case Native:
+		return "native"
+	case Fabric:
+		return "fabric"
+	}
+	return ""
+}
+
+// Cause says why a transition ran.
+type Cause int
+
+// Causes.
+const (
+	// Restart: the program was (re)integrated. Engines of the superseded
+	// version are torn down; engines of the new one start on the
+	// interpreter, their initial-block output kept.
+	Restart Cause = iota
+	// JobLanded: the background compile for a higher tier finished.
+	JobLanded
+	// FaultLatched: the engine latched a region or bus fault and falls
+	// back to the interpreter with its state intact.
+	FaultLatched
+	// TransientFault: programming the fabric failed transiently; the
+	// engine stays where it is and the compile is resubmitted.
+	TransientFault
+	// Shed: the toolchain shed the job under load, or its farm shard was
+	// unreachable; the engine stays where it is and the compile is
+	// resubmitted.
+	Shed
+	// BreakerTrip: the daemon hosting the engine is gone; an interpreter
+	// is re-seeded locally from the last committed state.
+	BreakerTrip
+)
+
+// legal is the transition table: every (from, to, cause) move an engine
+// may make. TransientFault and Shed move no engine and have no rows.
+var legal = [...]struct {
+	from, to Tier
+	cause    Cause
+}{
+	{Unplaced, Interpreter, Restart},
+	{Unplaced, Interpreter, BreakerTrip},
+	{Interpreter, Native, JobLanded},
+	{Interpreter, Fabric, JobLanded},
+	{Native, Fabric, JobLanded},
+	{Native, Interpreter, FaultLatched},
+	{Fabric, Interpreter, FaultLatched},
+	{Unplaced, Unplaced, Restart},
+	{Interpreter, Unplaced, Restart},
+	{Native, Unplaced, Restart},
+	{Fabric, Unplaced, Restart},
+}
+
+// Legal reports whether the table allows the move.
+func Legal(from, to Tier, cause Cause) bool {
+	for _, m := range legal {
+		if m.from == from && m.to == to && m.cause == cause {
+			return true
+		}
+	}
+	return false
+}
+
+// ErrIllegal is a refused transition's Err; the engine was not touched.
+var ErrIllegal = errors.New("lifecycle: illegal transition")
+
+// Config is what an owner knows about a subprogram when it is spawned:
+// the flags every engine built for it is constructed with, and the
+// owner's side of a transition.
+type Config struct {
+	Path string
+	Flat *elab.Flat
+	IO   engine.IOHandler
+	Now  func() uint64 // $time feed
+
+	Eager      bool            // interpreter: naive eager re-evaluation
+	NativeMode bool            // fabric: compiled as written, no ABI wrapper (paper §4.5)
+	Device     *fpga.Device    // the fabric promotions land on
+	Injector   *fault.Injector // native tier's region-fault source (may be nil)
+
+	// Compile starts a background compile of Flat for the target tier
+	// (Native or Fabric) at virtual time now. Nil pins the engine on the
+	// rung it is on.
+	Compile func(p *Placement, t Tier, now uint64) *toolchain.Job
+	// Swap installs a built and seeded engine on the owner's dispatch
+	// path. Nil when the owner dispatches through Engine().
+	Swap func(p *Placement, e engine.Engine)
+	// Discard drops the output a rebuilt interpreter's initial blocks
+	// emitted at construction: the user saw it when the program first
+	// integrated, and the handed-over state overwrites their variable
+	// effects.
+	Discard func(p *Placement)
+}
+
+// Placement is one subprogram's lifecycle record: where it executes
+// now, what it was spawned with, and which compiles are in flight for
+// it. Owners drive it only between time steps, from one goroutine.
+type Placement struct {
+	Config
+	eng  engine.Engine
+	tier Tier
+	jobs [Fabric + 1]*toolchain.Job // pending compile per target tier
+}
+
+// New returns the record for a subprogram, Unplaced.
+func New(cfg Config) *Placement { return &Placement{Config: cfg} }
+
+// Engine returns the current in-process engine (nil while Unplaced).
+func (p *Placement) Engine() engine.Engine { return p.eng }
+
+// Tier returns the rung the engine occupies.
+func (p *Placement) Tier() Tier { return p.tier }
+
+// Fabric returns the concrete hardware engine while the placement is on
+// the fabric (forwarding and open-loop bursts need it), else nil.
+func (p *Placement) Fabric() *hweng.Engine {
+	hw, _ := p.eng.(*hweng.Engine)
+	return hw
+}
+
+// Fault returns the fault the current engine latched, if any.
+func (p *Placement) Fault() error {
+	if f, ok := p.eng.(interface{ Fault() error }); ok {
+		return f.Fault()
+	}
+	return nil
+}
+
+// Pending returns the compile in flight for target tier t, or nil.
+func (p *Placement) Pending(t Tier) *toolchain.Job { return p.jobs[t] }
+
+// Submit starts a compile for target tier t unless one is already in
+// flight (or the placement is pinned); it reports whether it did.
+func (p *Placement) Submit(t Tier, now uint64) bool {
+	if p.Compile == nil || p.jobs[t] != nil {
+		return false
+	}
+	p.jobs[t] = p.Compile(p, t, now)
+	return true
+}
+
+// Transition reports one serviced lifecycle event for the owner to bill
+// and report. A move that did not happen has From == To and, unless it
+// was a resubmit, Err set.
+type Transition struct {
+	From, To Tier
+	Cause    Cause
+	// Result is the compile artifact a JobLanded transition consumed.
+	Result *toolchain.Result
+	// StateVars is the number of state elements compiled into a rebuilt
+	// software engine (elaborated variables for the interpreter, netlist
+	// slots for the native tier); 0 for fabric targets, whose handoff is
+	// metered by the engine itself.
+	StateVars int
+	// Fabric is the hardware engine party to the move — the target of a
+	// promotion, the source of an eviction — whose bus meter
+	// (MsgsDelta) holds the handoff's traffic. Nil otherwise.
+	Fabric *hweng.Engine
+	Err    error
+}
+
+// Start builds the subprogram's first engine, an interpreter, seeding
+// it when seed is non-nil. Initial-block output is kept.
+func (p *Placement) Start(seed *sim.State) Transition {
+	return p.move(Interpreter, Restart, nil, seed)
+}
+
+// Promote services the compile pending for target tier t at virtual
+// time now. It reports false when there is nothing to act on: no job,
+// not ready yet, cancelled, the engine has a latched fault to demote
+// first, or the artifact is stale because the engine already reached t
+// or beyond (the job is dropped; the artifact stays cached).
+func (p *Placement) Promote(t Tier, now uint64) (Transition, bool) {
+	job := p.jobs[t]
+	if job == nil || p.Fault() != nil {
+		return Transition{}, false
+	}
+	if job.Canceled() {
+		p.jobs[t] = nil
+		return Transition{}, false
+	}
+	if !job.Ready(now) {
+		return Transition{}, false
+	}
+	p.jobs[t] = nil
+	res := job.Result()
+	if res.Err != nil {
+		tr := Transition{From: p.tier, To: p.tier, Cause: JobLanded, Err: res.Err}
+		// A shed or a farm outage is a backoff signal, not a verdict on
+		// the design: resubmit now that the virtual clock has moved on.
+		if errors.Is(res.Err, toolchain.ErrOverloaded) || errors.Is(res.Err, toolchain.ErrShardUnavailable) {
+			tr.Cause = Shed
+			p.Submit(t, now)
+		}
+		return tr, true
+	}
+	if !Legal(p.tier, t, JobLanded) {
+		return Transition{}, false
+	}
+	tr := p.move(t, JobLanded, res, nil)
+	// A bitstream lost on the way to the fabric is not fatal: the
+	// bitstream cache makes the retry nearly free. Permanent errors (no
+	// room) leave the engine in software for good.
+	if tr.Err != nil && fault.IsTransient(tr.Err) {
+		tr.Cause = TransientFault
+		p.Submit(t, now)
+	}
+	return tr, true
+}
+
+// Demote rebuilds the subprogram on the interpreter: from a faulted
+// native or fabric engine, carrying its state (FaultLatched; seed is
+// ignored), or from nothing, seeded with the last committed state of an
+// engine whose daemon is gone (BreakerTrip). Resubmitting the lost
+// tier's compile is the owner's call (Submit), after it has billed the
+// move.
+func (p *Placement) Demote(cause Cause, seed *sim.State) Transition {
+	return p.move(Interpreter, cause, nil, seed)
+}
+
+// Teardown retires the placement: pending compiles are cancelled
+// (finished flows stay in the toolchain's cache), the engine is ended
+// and its fabric region released.
+func (p *Placement) Teardown() Transition {
+	for t, j := range p.jobs {
+		if j != nil {
+			j.Cancel()
+			p.jobs[t] = nil
+		}
+	}
+	return p.move(Unplaced, Restart, nil, nil)
+}
+
+// move is the transition primitive. It refuses moves the table does not
+// list without touching the engine; otherwise it builds the target,
+// hands the source's state (or seed) over, retires the source and gives
+// the target to the owner.
+func (p *Placement) move(to Tier, cause Cause, res *toolchain.Result, seed *sim.State) Transition {
+	tr := Transition{From: p.tier, To: p.tier, Cause: cause, Result: res}
+	if !Legal(p.tier, to, cause) {
+		tr.Err = ErrIllegal
+		return tr
+	}
+	var dst engine.Engine
+	switch to {
+	case Interpreter:
+		dst = sweng.New(p.Flat, p.IO, p.Now, p.Eager)
+		if cause != Restart && p.Discard != nil {
+			p.Discard(p)
+		}
+		tr.StateVars = len(p.Flat.Vars)
+	case Native:
+		dst = njit.New(p.Path, res.Prog, p.IO, p.Injector, p.Now)
+		tr.StateVars = len(res.Prog.Slots)
+	case Fabric:
+		hw, err := hweng.New(p.Path, res.Prog, p.Device, res.AreaLEs, p.IO, p.NativeMode, p.Now)
+		if err != nil {
+			tr.Err = err
+			return tr
+		}
+		dst, tr.Fabric = hw, hw
+	}
+	src := p.eng
+	if src != nil {
+		if dst != nil {
+			// State is readable even from a faulted engine: the ABI
+			// wrapper's shadow registers exist for exactly this.
+			seed = src.GetState()
+		}
+		src.End()
+		if hw := p.Fabric(); hw != nil {
+			hw.Release()
+			tr.Fabric = hw
+		}
+	}
+	if dst != nil && seed != nil {
+		dst.SetState(seed)
+	}
+	p.eng, p.tier, tr.To = dst, to, to
+	if dst != nil && p.Swap != nil {
+		p.Swap(p, dst)
+	}
+	return tr
+}

@@ -1,0 +1,354 @@
+package lifecycle
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"testing"
+
+	"cascade/internal/bits"
+	"cascade/internal/elab"
+	"cascade/internal/engine"
+	"cascade/internal/fault"
+	"cascade/internal/fpga"
+	"cascade/internal/sim"
+	"cascade/internal/toolchain"
+	"cascade/internal/verilog"
+	"cascade/internal/workloads/nw"
+	"cascade/internal/workloads/pow"
+	"cascade/internal/workloads/regexgen"
+)
+
+// nullIO swallows system-task output.
+type nullIO struct{}
+
+func (nullIO) Display(string, bool) {}
+func (nullIO) Finish(int)           {}
+
+// rig is one placement over a real toolchain and device, recording what
+// the owner callbacks saw.
+type rig struct {
+	p        *Placement
+	dev      *fpga.Device
+	swapped  engine.Engine // last engine handed to Swap
+	discards int
+}
+
+// never is a virtual time no compile is still running at.
+const never = 1 << 62
+
+func newRig(t *testing.T, src string, inj *fault.Injector) *rig {
+	t.Helper()
+	return newRigOpts(t, src, inj, toolchain.DefaultOptions())
+}
+
+func newRigOpts(t *testing.T, src string, inj *fault.Injector, opts toolchain.Options) *rig {
+	t.Helper()
+	st, errs := verilog.ParseSourceText(src)
+	if errs != nil {
+		t.Fatalf("parse: %v", errs)
+	}
+	flat, err := elab.Elaborate(st.Modules[0], "dut", nil)
+	if err != nil {
+		t.Fatalf("elaborate: %v", err)
+	}
+	r := &rig{dev: fpga.NewCycloneV()}
+	tc := toolchain.New(r.dev, opts)
+	r.p = New(Config{
+		Path:     "dut",
+		Flat:     flat,
+		IO:       nullIO{},
+		Device:   r.dev,
+		Injector: inj,
+		Compile: func(p *Placement, tier Tier, now uint64) *toolchain.Job {
+			if tier == Native {
+				return tc.SubmitNative(context.Background(), p.Flat, now)
+			}
+			return tc.Submit(context.Background(), p.Flat, true, now)
+		},
+		Swap:    func(_ *Placement, e engine.Engine) { r.swapped = e },
+		Discard: func(*Placement) { r.discards++ },
+	})
+	return r
+}
+
+// run drives the current engine through n clock ticks of random input.
+func (r *rig) run(rnd *rand.Rand, n int) {
+	e := r.p.Engine()
+	for i := 0; i < 2*n; i++ {
+		for _, v := range r.p.Flat.Inputs {
+			val := bits.FromUint64(v.Width, rnd.Uint64())
+			if v.Name == "clk" {
+				val = bits.FromUint64(1, uint64(i%2))
+			}
+			e.Read(engine.Event{Var: v.Name, Val: val})
+		}
+		for e.ThereAreEvals() || e.ThereAreUpdates() {
+			e.Evaluate()
+			if e.ThereAreUpdates() {
+				e.Update()
+			}
+		}
+		e.EndStep()
+		e.DrainWrites()
+	}
+}
+
+// reach walks the placement from Unplaced up to tier along legal moves,
+// running a little on every rung so each handoff carries live state.
+func (r *rig) reach(t *testing.T, rnd *rand.Rand, tier Tier) {
+	t.Helper()
+	if tier == Unplaced {
+		return
+	}
+	if tr := r.p.Start(nil); tr.Err != nil {
+		t.Fatalf("start: %v", tr.Err)
+	}
+	r.run(rnd, 20)
+	if tier == Interpreter {
+		return
+	}
+	r.p.Submit(tier, 0)
+	if tr, ok := r.p.Promote(tier, never); !ok || tr.Err != nil {
+		t.Fatalf("promote to %v: ok=%v err=%v", tier, ok, tr.Err)
+	}
+	r.run(rnd, 20)
+}
+
+func sig(e engine.Engine) string { return e.GetState().Signature() }
+
+func workloads(t *testing.T) map[string]string {
+	rx, _, err := regexgen.Generate("(ab|cd)+e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]string{
+		"pow":         pow.Generate(pow.DefaultConfig()),
+		"regexstream": rx,
+		"nw":          nw.Generate(nw.DefaultConfig()),
+	}
+}
+
+// TestLegalMovesPreserveState: every move in the table hands the
+// engine's state over exactly, retires the source (a fabric source's
+// region is released), and gives the owner the new engine.
+func TestLegalMovesPreserveState(t *testing.T) {
+	for name, src := range workloads(t) {
+		for _, m := range legal {
+			t.Run(name+"/"+m.from.String()+"->"+m.to.String(), func(t *testing.T) {
+				rnd := rand.New(rand.NewSource(7))
+				r := newRig(t, src, nil)
+				r.reach(t, rnd, m.from)
+				p, source := r.p, r.p.Engine()
+				var want string
+				var seed *sim.State
+				if source != nil {
+					want = sig(source)
+				} else if m.to != Unplaced {
+					// Nothing to carry over: seed with a state worth carrying.
+					donor := newRig(t, src, nil)
+					donor.reach(t, rnd, Interpreter)
+					seed, want = donor.p.Engine().GetState(), sig(donor.p.Engine())
+				}
+				var tr Transition
+				switch m.cause {
+				case JobLanded:
+					p.Submit(m.to, 0)
+					var ok bool
+					if tr, ok = p.Promote(m.to, never); !ok {
+						t.Fatal("promote found nothing to act on")
+					}
+					if tr.Result == nil || p.Pending(m.to) != nil {
+						t.Fatalf("landed job not consumed: result=%v pending=%v", tr.Result, p.Pending(m.to))
+					}
+				case FaultLatched, BreakerTrip:
+					tr = p.Demote(m.cause, seed)
+					if r.discards != 1 {
+						t.Fatalf("rebuilt interpreter's initial output discarded %d times, want once", r.discards)
+					}
+				case Restart:
+					if m.to == Unplaced {
+						p.Submit(Fabric, 0)
+						tr = p.Teardown()
+						if p.Pending(Fabric) != nil {
+							t.Fatal("teardown left a compile pending")
+						}
+					} else {
+						tr = p.Start(seed)
+					}
+				}
+				if tr.Err != nil || tr.From != m.from || tr.To != m.to || tr.Cause != m.cause {
+					t.Fatalf("transition %+v, want %v->%v cause %v", tr, m.from, m.to, m.cause)
+				}
+				if p.Tier() != m.to {
+					t.Fatalf("tier %v after move, want %v", p.Tier(), m.to)
+				}
+				if m.from == Fabric && r.dev.Used() != 0 {
+					t.Fatalf("fabric source left %d LEs placed", r.dev.Used())
+				}
+				if m.to == Unplaced {
+					if p.Engine() != nil {
+						t.Fatal("torn-down placement still holds an engine")
+					}
+					return
+				}
+				if p.Engine() == source || r.swapped != p.Engine() {
+					t.Fatal("owner was not handed the new engine")
+				}
+				if (tr.Fabric != nil) != (m.from == Fabric || m.to == Fabric) {
+					t.Fatalf("Transition.Fabric = %v on %v->%v", tr.Fabric, m.from, m.to)
+				}
+				if got := sig(p.Engine()); got != want {
+					t.Fatalf("state changed across the move:\nwant %s\ngot  %s", want, got)
+				}
+				// The moved engine runs on from that state.
+				r.run(rnd, 5)
+			})
+		}
+	}
+}
+
+// TestIllegalMovesRefused: every (from, to, cause) not in the table is
+// refused with ErrIllegal, the engine, its state and any pending compile
+// untouched.
+func TestIllegalMovesRefused(t *testing.T) {
+	src := workloads(t)["regexstream"]
+	tiers := []Tier{Unplaced, Interpreter, Native, Fabric}
+	causes := []Cause{Restart, JobLanded, FaultLatched, TransientFault, Shed, BreakerTrip}
+	for _, from := range tiers {
+		rnd := rand.New(rand.NewSource(11))
+		r := newRig(t, src, nil)
+		r.reach(t, rnd, from)
+		p, e := r.p, r.p.Engine()
+		var want string
+		if e != nil {
+			want = sig(e)
+		}
+		refused := 0
+		for _, to := range tiers {
+			for _, cause := range causes {
+				if Legal(from, to, cause) {
+					continue
+				}
+				refused++
+				tr := p.move(to, cause, nil, nil)
+				if tr.Err != ErrIllegal || tr.From != from || tr.To != from {
+					t.Errorf("%v->%v cause %d: %+v, want ErrIllegal in place", from, to, cause, tr)
+				}
+				if p.Engine() != e || p.Tier() != from || (e != nil && sig(e) != want) {
+					t.Fatalf("%v->%v cause %d touched the engine", from, to, cause)
+				}
+			}
+		}
+		if refused == 0 {
+			t.Fatalf("no illegal move out of %v exercised", from)
+		}
+	}
+}
+
+// TestPromoteRefusals covers the refusals owners can actually provoke
+// through Promote: a native artifact landing after the fabric already
+// took the engine (fabric -> native, and promoting past a newer tier),
+// and any promotion of an engine with a latched fault.
+func TestPromoteRefusals(t *testing.T) {
+	src := workloads(t)["regexstream"]
+	t.Run("stale native artifact", func(t *testing.T) {
+		rnd := rand.New(rand.NewSource(3))
+		r := newRig(t, src, nil)
+		r.reach(t, rnd, Fabric)
+		p, e, want := r.p, r.p.Engine(), sig(r.p.Engine())
+		p.Submit(Native, 0)
+		if tr, ok := p.Promote(Native, never); ok {
+			t.Fatalf("stale native artifact acted on: %+v", tr)
+		}
+		if p.Engine() != e || p.Tier() != Fabric || sig(e) != want {
+			t.Fatal("stale native artifact touched the fabric engine")
+		}
+		if p.Pending(Native) != nil {
+			t.Fatal("stale job left pending")
+		}
+	})
+	t.Run("latched fault", func(t *testing.T) {
+		rnd := rand.New(rand.NewSource(5))
+		// The native engine's first region-integrity trial faults; the
+		// device is not wired to the injector, so placement would succeed.
+		r := newRig(t, src, fault.New(fault.Config{Seed: 1, RegionFault: 1, MaxRegionFaults: 1}))
+		r.reach(t, rnd, Native)
+		p, e := r.p, r.p.Engine()
+		if p.Fault() == nil {
+			t.Fatal("native engine latched no fault")
+		}
+		want := sig(e)
+		p.Submit(Fabric, 0)
+		if tr, ok := p.Promote(Fabric, never); ok {
+			t.Fatalf("faulted engine promoted: %+v", tr)
+		}
+		if p.Engine() != e || p.Tier() != Native || sig(e) != want || r.dev.Used() != 0 {
+			t.Fatal("refused promotion touched the faulted engine or the fabric")
+		}
+		if p.Pending(Fabric) == nil {
+			t.Fatal("refused promotion consumed the job")
+		}
+		// The demotion the fault calls for carries the state down, and the
+		// fabric compile then lands on the healthy interpreter.
+		if tr := p.Demote(FaultLatched, nil); tr.Err != nil || sig(p.Engine()) != want {
+			t.Fatalf("demotion after fault: %+v", tr)
+		}
+		if tr, ok := p.Promote(Fabric, never); !ok || tr.Err != nil || sig(p.Engine()) != want {
+			t.Fatalf("promotion after demotion: ok=%v %+v", ok, tr)
+		}
+	})
+}
+
+// TestPromoteResubmits: a transient programming fault and a shed job
+// both leave the engine where it is with a fresh compile in flight; a
+// permanent failure (no room) leaves it there with none.
+func TestPromoteResubmits(t *testing.T) {
+	src := workloads(t)["regexstream"]
+	rnd := rand.New(rand.NewSource(9))
+	t.Run("transient programming fault", func(t *testing.T) {
+		r := newRig(t, src, nil)
+		r.dev.SetFaults(fault.New(fault.Config{Seed: 1, RegionFault: 1, MaxRegionFaults: 1}))
+		r.reach(t, rnd, Interpreter)
+		p, e := r.p, r.p.Engine()
+		p.Submit(Fabric, 0)
+		tr, ok := p.Promote(Fabric, never)
+		if !ok || tr.Cause != TransientFault || !fault.IsTransient(tr.Err) || tr.To != Interpreter {
+			t.Fatalf("first programming attempt: ok=%v %+v", ok, tr)
+		}
+		if p.Engine() != e || p.Pending(Fabric) == nil {
+			t.Fatal("transient fault must keep the engine and resubmit")
+		}
+		// The retry was submitted at never; give it time to land too.
+		if tr, ok := p.Promote(Fabric, 2*never); !ok || tr.Err != nil || p.Tier() != Fabric {
+			t.Fatalf("retry: ok=%v %+v", ok, tr)
+		}
+	})
+	t.Run("shed", func(t *testing.T) {
+		opts := toolchain.DefaultOptions()
+		opts.MaxQueue = 1
+		r := newRigOpts(t, src, nil, opts)
+		r.reach(t, rnd, Interpreter)
+		p, e := r.p, r.p.Engine()
+		p.Submit(Fabric, 0)
+		p.Submit(Native, 0) // over the admission bound: shed
+		tr, ok := p.Promote(Native, never)
+		if !ok || tr.Cause != Shed || !errors.Is(tr.Err, toolchain.ErrOverloaded) || tr.To != Interpreter {
+			t.Fatalf("shed job: ok=%v %+v", ok, tr)
+		}
+		if p.Engine() != e || p.Pending(Native) == nil {
+			t.Fatal("a shed must keep the engine and resubmit")
+		}
+	})
+	t.Run("no room", func(t *testing.T) {
+		r := newRig(t, src, nil)
+		r.dev.Place("squatter", r.dev.Capacity())
+		r.reach(t, rnd, Interpreter)
+		p := r.p
+		p.Submit(Fabric, 0)
+		tr, ok := p.Promote(Fabric, never)
+		if !ok || tr.Cause != JobLanded || tr.Err == nil || p.Tier() != Interpreter || p.Pending(Fabric) != nil {
+			t.Fatalf("no-fit promotion: ok=%v %+v pending=%v", ok, tr, p.Pending(Fabric))
+		}
+	})
+}

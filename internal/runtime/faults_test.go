@@ -9,6 +9,7 @@ import (
 
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
+	"cascade/internal/lifecycle"
 	"cascade/internal/sim"
 	"cascade/internal/toolchain"
 )
@@ -202,9 +203,7 @@ func TestDeviceCapacityAcrossEvalCycles(t *testing.T) {
 			t.Fatalf("eval: %v", err)
 		}
 		cancel()
-		for _, j := range r.jobs {
-			j.Cancel()
-		}
+		r.eachJob(func(_ *lifecycle.Placement, _ lifecycle.Tier, j *toolchain.Job) { j.Cancel() })
 		r.RunTicks(200)
 		if dev.Used() != 0 {
 			t.Fatalf("cancel cycle %d: %d LEs placed by a cancelled compile", i, dev.Used())

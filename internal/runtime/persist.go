@@ -257,9 +257,7 @@ func Open(opts Options) (*Runtime, *RecoveryInfo, error) {
 					store.Close()
 					return nil, nil, fmt.Errorf("runtime: replay advance (journal seq %d): %w", rec.Seq, err)
 				}
-				for r.Steps() < target && !r.Finished() {
-					r.Step()
-				}
+				r.replayTo(target)
 				r.syncVirtualTime(vnow)
 			default:
 				store.Close()
@@ -442,6 +440,20 @@ func (r *Runtime) reportPersistError(err error) {
 	if first {
 		r.opts.View.Error(fmt.Errorf("persistence disabled after disk error: %w", err))
 	}
+}
+
+// replayTo re-executes journaled steps up to, and never past, target: a
+// bitstream served from a warm cache can put the replaying runtime in
+// the open-loop phase earlier than the crashed process reached it, and
+// an unclamped burst would overshoot the journal's last step.
+func (r *Runtime) replayTo(target uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.stepCeil = target
+	for r.steps < target && !r.finished {
+		r.step()
+	}
+	r.stepCeil = 0
 }
 
 // syncVirtualTime rolls the virtual clock forward to at least target

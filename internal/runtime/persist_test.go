@@ -9,6 +9,7 @@ import (
 
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
+	"cascade/internal/toolchain"
 )
 
 // persistTestOptions builds Options for a persisted runtime: fast
@@ -168,6 +169,81 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 	if view.Output() != wantOut[:info2.OutputBytesAtCheckpoint]+view2.Output() {
 		t.Fatalf("post-recovery output diverged")
+	}
+}
+
+// TestRecoveryStopsAtLastJournaledStep: the crashed process journaled its
+// steps in software (its compile was minutes of virtual time away); the
+// recovering one finds the bitstream in a warm, zero-latency disk store,
+// so it reaches the open-loop phase while still replaying. Replay must
+// nevertheless stop on the journal's last step — an unclamped burst ran
+// past it — and the two processes' output must splice into that of an
+// uninterrupted run.
+func TestRecoveryStopsAtLastJournaledStep(t *testing.T) {
+	bits, dir := t.TempDir(), t.TempDir()
+	warm := toolchain.DefaultOptions()
+	warm.Scale, warm.BasePs, warm.CacheHitPs, warm.CacheDir = 1e9, 1, 1, bits
+	options := func(tc toolchain.Options, persist bool) (Options, *BufView) {
+		view := &BufView{Quiet: true}
+		dev := fpga.NewCycloneV()
+		o := Options{Device: dev, Toolchain: toolchain.New(dev, tc), View: view, Parallelism: 1}
+		if persist {
+			o.Persist = &PersistOptions{Dir: dir, EverySteps: 128, SyncEveryRecord: true}
+		}
+		return o, view
+	}
+	program := func(r *Runtime) {
+		r.MustEval(DefaultPrelude)
+		r.MustEval(persistProgA)
+	}
+
+	// Warm the store: a throwaway process takes the design to hardware.
+	o, _ := options(warm, false)
+	w := New(o)
+	program(w)
+	if !w.WaitForPhase(PhaseOpenLoop, 1000) {
+		t.Fatalf("warm-up never reached open loop: %v", w.Phase())
+	}
+
+	// The crashed process: full-latency compile, no disk store.
+	o, view1 := options(toolchain.DefaultOptions(), true)
+	r1, _, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	program(r1)
+	r1.RunTicks(150)
+	if r1.Phase() != PhaseInlined {
+		t.Fatalf("crashed process should still be in software, is in %v", r1.Phase())
+	}
+	killedAt := r1.Steps()
+
+	// Recovery over the warm store.
+	o, view2 := options(warm, true)
+	r2, info, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.ClosePersistence()
+	if r2.Phase() != PhaseOpenLoop {
+		t.Fatalf("recovery should replay into open loop (else this test checks nothing), is in %v", r2.Phase())
+	}
+	if !info.Recovered || info.ResumedSteps != killedAt {
+		t.Fatalf("resumed at step %d, last journaled step is %d", info.ResumedSteps, killedAt)
+	}
+	r2.RunTicks(100)
+
+	o, ref := options(warm, false)
+	o.Features.DisableJIT = true
+	u := New(o)
+	program(u)
+	for u.Steps() < r2.Steps() {
+		u.Step()
+	}
+	// The recovered view re-emits what replay re-executed, so it continues
+	// the crashed process's stream from the checkpoint's output offset.
+	if got := view1.Output()[:info.OutputBytesAtCheckpoint] + view2.Output(); got != ref.Output() {
+		t.Fatalf("recovered output diverged from an uninterrupted run:\nref %q\ngot %q", ref.Output(), got)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -26,12 +27,10 @@ import (
 	"cascade/internal/bits"
 	"cascade/internal/elab"
 	"cascade/internal/engine"
-	"cascade/internal/engine/hweng"
-	"cascade/internal/engine/sweng"
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
 	"cascade/internal/ir"
-	"cascade/internal/njit"
+	"cascade/internal/lifecycle"
 	"cascade/internal/obsv"
 	"cascade/internal/sim"
 	"cascade/internal/stdlib"
@@ -303,13 +302,10 @@ type Runtime struct {
 	// scheduler dispatches every ABI call through the message protocol,
 	// and the client decides whether that means a direct in-process call
 	// (Local transport, zero-copy) or a TCP round-trip to a daemon. The
-	// bare in-process engine, where one exists, is reachable through
-	// Client.Underlying for the operations that genuinely need it (hot
-	// swaps, forwarding, open-loop bursts).
+	// bare in-process engine behind a user subprogram's client belongs to
+	// its lifecycle record (place), which performs every hot swap.
 	engines    map[string]*transport.Client
-	lanes      map[string]*laneIO    // per-engine buffered IO handlers
 	elabs      map[string]*elab.Flat // flatDesign elaborations
-	execElabs  map[string]*elab.Flat // executing-design elaborations
 	stdEngines map[string]engine.Engine
 	sched      []string             // scheduled engine paths, in order
 	routesFrom map[string][]ir.Wire // producer "path\x00var" -> wires
@@ -330,23 +326,27 @@ type Runtime struct {
 
 	// sup is the self-healing supervisor for the daemon connection (nil:
 	// supervision disabled). committed holds each remote engine's last
-	// end-of-step state snapshot — the failover seed; failedOver marks
-	// engines currently re-seeded locally, awaiting re-host; supFails
+	// end-of-step state snapshot — the failover seed (an engine currently
+	// re-seeded locally, awaiting re-host, is one whose lifecycle record
+	// holds an in-process engine although Options.Remote is set); supFails
 	// counts the round-trip failures the current step latched against
 	// the breaker (fed by flushTransportErrs, drained by
 	// serviceSupervision, both controller-only).
-	sup        *supervise.Supervisor
-	committed  map[string]*sim.State
-	failedOver map[string]bool
-	supFails   int
+	sup       *supervise.Supervisor
+	committed map[string]*sim.State
+	supFails  int
 	// supRestart marks that a latched failure carried the daemon-restart
 	// sentinel: the remote is reachable but its state is journal-stale,
 	// so the breaker is force-tripped regardless of threshold.
 	supRestart bool
 
-	jobs      map[string]*toolchain.Job
-	njobs     map[string]*toolchain.Job // native-tier compilations (Features.NativeTier)
-	evalCtx   context.Context           // context the current program version was eval'd under
+	// place holds one lifecycle record per user subprogram of the
+	// executing design — its elaboration, current engine and tier, and
+	// pending compiles; placed lists the same paths sorted, the order the
+	// service pass visits them in.
+	place     map[string]*lifecycle.Placement
+	placed    []string
+	evalCtx   context.Context // context the current program version was eval'd under
 	phase     Phase
 	clockPath string // stdlib Clock subprogram path ("" if none)
 	clockVar  string // user engine input carrying the clock
@@ -372,6 +372,9 @@ type Runtime struct {
 	displayQ  []string
 	olIters   int
 	olWallCap int // wall-clock-adaptive burst bound (paper §4.4)
+	// stepCeil, when nonzero, is the step journal replay must not run
+	// past: open-loop bursts are clamped to end on it.
+	stepCeil  uint64
 	areaLEs   int
 	startupPs uint64 // virtual time at which execution first began
 	everBuilt bool
@@ -450,16 +453,13 @@ func New(opts Options) *Runtime {
 		par:        par,
 		prog:       ir.NewProgram(),
 		engines:    map[string]*transport.Client{},
-		lanes:      map[string]*laneIO{},
 		elabs:      map[string]*elab.Flat{},
 		stdEngines: map[string]engine.Engine{},
 		routesFrom: map[string][]ir.Wire{},
 		groupOf:    map[string]string{},
-		jobs:       map[string]*toolchain.Job{},
-		njobs:      map[string]*toolchain.Job{},
+		place:      map[string]*lifecycle.Placement{},
 		xstats:     map[string]transport.Stats{},
 		committed:  map[string]*sim.State{},
-		failedOver: map[string]bool{},
 		olIters:    64,
 		olWallCap:  1 << 14, // ramps up while bursts stay cheap
 	}
@@ -487,17 +487,98 @@ func (r *Runtime) Observer() *obsv.Observer { return r.opts.Observer }
 // sites.
 func (r *Runtime) obs() *obsv.Observer { return r.opts.Observer }
 
-// submitCompile starts a background compilation of f under this
-// runtime's tenant scope (the default tenant when Options.Tenant is "").
-func (r *Runtime) submitCompile(ctx context.Context, f *elab.Flat) *toolchain.Job {
-	return r.opts.Toolchain.SubmitTenant(ctx, r.opts.Tenant, f, !r.opts.Features.Native, r.vclk.Now())
+// compile is the placements' Compile callback: it starts a background
+// compilation for the target tier — the fabric flow, or the native
+// tier's closure-threaded Go, ready long before it — under this
+// runtime's tenant scope (the default tenant when Options.Tenant is ""),
+// bound to the context the current program version was eval'd under.
+func (r *Runtime) compile(p *lifecycle.Placement, t lifecycle.Tier, now uint64) *toolchain.Job {
+	ctx := r.evalCtx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if t == lifecycle.Native {
+		return r.opts.Toolchain.SubmitNativeTenant(ctx, r.opts.Tenant, p.Flat, now)
+	}
+	return r.opts.Toolchain.SubmitTenant(ctx, r.opts.Tenant, p.Flat, !r.opts.Features.Native, now)
 }
 
-// submitNativeCompile starts a background native-tier compilation of f
-// (closure-threaded Go, ready long before the fabric flow) under this
-// runtime's tenant scope.
-func (r *Runtime) submitNativeCompile(ctx context.Context, f *elab.Flat) *toolchain.Job {
-	return r.opts.Toolchain.SubmitNativeTenant(ctx, r.opts.Tenant, f, r.vclk.Now())
+// swapEngine is the placements' Swap callback. A hot swap happens
+// inside the path's Local client, so its transport stats and the
+// scheduler's dispatch route are untouched; a path with no Local client
+// yet (a fresh build, or a failover taking over from a retired remote
+// client) gets one.
+func (r *Runtime) swapEngine(p *lifecycle.Placement, e engine.Engine) {
+	if c := r.engines[p.Path]; c != nil && !c.Remote() {
+		c.SwapLocal(e)
+		return
+	}
+	r.engines[p.Path] = r.wrapLocal(p.Path, e)
+}
+
+// newPlacement registers the lifecycle record for one user subprogram
+// of the executing design.
+func (r *Runtime) newPlacement(path string, f *elab.Flat) *lifecycle.Placement {
+	cfg := lifecycle.Config{
+		Path:       path,
+		Flat:       f,
+		IO:         &laneIO{},
+		Now:        r.now,
+		Eager:      r.opts.Features.EagerSim,
+		NativeMode: r.opts.Features.Native,
+		Device:     r.opts.Device,
+		Injector:   r.opts.Injector,
+		Swap:       r.swapEngine,
+		Discard:    r.discardLane,
+	}
+	if !r.opts.Features.DisableJIT {
+		cfg.Compile = r.compile
+	}
+	p := lifecycle.New(cfg)
+	r.place[path] = p
+	r.placed = append(r.placed, path)
+	sort.Strings(r.placed)
+	return p
+}
+
+// eachJob visits every pending compile in service order: native targets
+// first, then fabric, each in sorted path order — never map order,
+// because with admission control on, observing a job ready frees its
+// in-flight slot and a shed job's resubmit consumes one, so the visit
+// order decides which engine wins the slot and must not vary run to run.
+func (r *Runtime) eachJob(visit func(*lifecycle.Placement, lifecycle.Tier, *toolchain.Job)) {
+	for _, t := range [...]lifecycle.Tier{lifecycle.Native, lifecycle.Fabric} {
+		for _, path := range r.placed {
+			if p := r.place[path]; p.Pending(t) != nil {
+				visit(p, t, p.Pending(t))
+			}
+		}
+	}
+}
+
+// teardown retires every engine of the executing design: lifecycle
+// records cancel their now-obsolete compiles (finished flows stay in
+// the toolchain's bitstream cache), end their in-process engine and
+// release its fabric; remote engines are ended over the protocol, which
+// frees the daemon-side instance; the persistent stdlib peripherals are
+// only unwrapped. Each client's transport counters are banked for its
+// successor.
+func (r *Runtime) teardown() {
+	for path, c := range r.engines {
+		if c.Remote() {
+			c.End()
+		}
+		r.retireClient(path, c)
+	}
+	for _, path := range r.placed {
+		r.place[path].Teardown()
+	}
+	r.engines = map[string]*transport.Client{}
+	r.place = map[string]*lifecycle.Placement{}
+	r.placed = nil
+	r.sched = nil
+	r.groupOf = map[string]string{}
+	r.areaLEs = 0
 }
 
 // setPhase transitions the JIT phase, tracing the transition and
@@ -591,50 +672,34 @@ func (l *laneIO) Finish(code int) {
 	l.mu.Unlock()
 }
 
-// lane returns (creating if needed) the IO lane for an engine path.
-func (r *Runtime) lane(path string) *laneIO {
-	l, ok := r.lanes[path]
-	if !ok {
-		l = &laneIO{}
-		r.lanes[path] = l
-	}
-	return l
+// take removes and returns the lane's buffered output.
+func (l *laneIO) take() (displays []string, finished bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	displays, finished = l.displays, l.finished
+	l.displays, l.finished = nil, false
+	return displays, finished
 }
 
 // drainLane moves an engine's buffered system-task output onto the
-// runtime's interrupt queue. Controller goroutine only.
+// runtime's interrupt queue. Only user subprograms have lanes (held by
+// their lifecycle records); stdlib peripherals emit nothing. Controller
+// goroutine only.
 func (r *Runtime) drainLane(path string) {
-	l, ok := r.lanes[path]
-	if !ok {
+	p := r.place[path]
+	if p == nil {
 		return
 	}
-	l.mu.Lock()
-	displays := l.displays
-	l.displays = nil
-	fin := l.finished
-	l.finished = false
-	l.mu.Unlock()
+	displays, fin := p.IO.(*laneIO).take()
 	r.displayQ = append(r.displayQ, displays...)
 	if fin {
 		r.finished = true
 	}
 }
 
-// discardLane drops an engine's buffered, not-yet-drained output.
-// Eviction uses it: constructing the replacement software engine re-runs
-// initial blocks whose display output the user already saw when the
-// program first integrated (and whose variable effects the restored
-// state overwrites).
-func (r *Runtime) discardLane(path string) {
-	l, ok := r.lanes[path]
-	if !ok {
-		return
-	}
-	l.mu.Lock()
-	l.displays = nil
-	l.finished = false
-	l.mu.Unlock()
-}
+// discardLane drops an engine's buffered, not-yet-drained output (the
+// placements' Discard callback).
+func (r *Runtime) discardLane(p *lifecycle.Placement) { p.IO.(*laneIO).take() }
 
 func (r *Runtime) flushDisplays() {
 	for _, t := range r.displayQ {
@@ -698,24 +763,6 @@ func (r *Runtime) flushTransportErrs() {
 	}
 }
 
-// asSW returns the in-process software engine behind a client, or nil.
-func asSW(c *transport.Client) *sweng.Engine {
-	sw, _ := c.Underlying().(*sweng.Engine)
-	return sw
-}
-
-// asHW returns the in-process hardware engine behind a client, or nil
-// (remote engines report Hardware without exposing one).
-func asNative(c *transport.Client) *njit.Engine {
-	ne, _ := c.Underlying().(*njit.Engine)
-	return ne
-}
-
-func asHW(c *transport.Client) *hweng.Engine {
-	hw, _ := c.Underlying().(*hweng.Engine)
-	return hw
-}
-
 // spawnRemote instantiates one user subprogram on the remote daemon: the
 // module is printed back to Verilog, shipped with its parameter bindings
 // over the shared TCP transport, and re-elaborated on the far side. The
@@ -756,7 +803,7 @@ func (r *Runtime) spawnRemote(path string, mod *verilog.Module, params map[strin
 		JIT:     !r.opts.Features.DisableJIT,
 		Session: r.remoteSess,
 	}
-	c, err := transport.Spawn(r.remoteT, spec, r.lane(path), r.now,
+	c, err := transport.Spawn(r.remoteT, spec, r.place[path].IO, r.now,
 		func() uint64 { return r.vclk.Now() }, r.noteTransportErr)
 	if err != nil {
 		return nil, fmt.Errorf("remote engine %s: %w", path, err)
@@ -939,37 +986,8 @@ func mergeStates(saved map[string]*sim.State) *sim.State {
 // bound to ctx.
 func (r *Runtime) restart(ctx context.Context, saved map[string]*sim.State) error {
 	r.evalCtx = ctx // evictions resubmit compiles under the same context
-	// Tear down engines: release in-process hardware, End everything
-	// but the persistent stdlib peripherals (for remote engines End is a
-	// protocol round-trip that frees the daemon-side instance), and bank
-	// each client's transport counters for its successor.
-	for path, c := range r.engines {
-		if hw := asHW(c); hw != nil {
-			hw.Release()
-		}
-		if _, std := r.stdEngines[path]; !std {
-			c.End()
-		}
-		r.retireClient(path, c)
-	}
-	// Compilations for the superseded program version are obsolete: the
-	// toolchain drops them (finished flows stay in its bitstream cache).
-	for _, j := range r.jobs {
-		j.Cancel()
-	}
-	r.jobs = map[string]*toolchain.Job{}
-	for _, j := range r.njobs {
-		j.Cancel()
-	}
-	r.njobs = map[string]*toolchain.Job{}
-	r.engines = map[string]*transport.Client{}
-	r.lanes = map[string]*laneIO{}
-	r.execElabs = map[string]*elab.Flat{}
+	r.teardown()
 	r.committed = map[string]*sim.State{}
-	r.failedOver = map[string]bool{}
-	r.sched = nil
-	r.groupOf = map[string]string{}
-	r.areaLEs = 0
 	evalStart := r.vclk.Now()
 
 	// Choose the executing design: inlined unless disabled.
@@ -1027,44 +1045,33 @@ func (r *Runtime) restart(ctx context.Context, saved map[string]*sim.State) erro
 				return err
 			}
 		}
-		var c *transport.Client
+		p := r.newPlacement(s.Path, f)
+		seed := saved[s.Path]
+		if r.inlined {
+			seed = mergeStates(saved)
+		}
 		// A tripped breaker keeps new engines local: the daemon is
 		// presumed dead, so a re-integration mid-outage builds failed-over
 		// software engines and lets recovery re-host them later. A nil
 		// supervisor always reports Closed, preserving the plain remote
 		// path.
 		if r.opts.Remote != nil && r.sup.State() == supervise.Closed {
-			var err error
-			c, err = r.spawnRemote(s.Path, s.Module, s.Params)
+			c, err := r.spawnRemote(s.Path, s.Module, s.Params)
 			if err != nil {
 				return err
 			}
-			if r.inlined {
-				st := mergeStates(saved)
-				c.SetState(st)
-				r.committed[s.Path] = st
-			} else if st, ok := saved[s.Path]; ok {
-				c.SetState(st)
-				r.committed[s.Path] = st
+			if seed != nil {
+				c.SetState(seed)
+				r.committed[s.Path] = seed
 			}
+			r.engines[s.Path] = c
 		} else {
-			e := sweng.New(f, r.lane(s.Path), r.now, r.opts.Features.EagerSim)
-			if r.inlined {
-				e.SetState(mergeStates(saved))
-			} else if st, ok := saved[s.Path]; ok {
-				e.SetState(st)
-			}
-			c = r.wrapLocal(s.Path, e)
-			if r.opts.Remote != nil {
-				r.failedOver[s.Path] = true
-				if r.opts.Features.NativeTier && !r.opts.Features.DisableJIT {
-					r.njobs[s.Path] = r.submitNativeCompile(ctx, f)
-				}
+			p.Start(seed)
+			if r.opts.Remote != nil && r.opts.Features.NativeTier {
+				p.Submit(lifecycle.Native, r.vclk.Now())
 			}
 		}
 		r.drainLane(s.Path) // initial-block output emitted at construction
-		r.engines[s.Path] = c
-		r.elabsExec()[s.Path] = f
 		r.sched = append(r.sched, s.Path)
 		// Creating a software engine is fast but not free.
 		r.vclk.AdvanceOverhead(uint64(len(f.Vars)+1) * r.opts.Model.DispatchPs / 4)
@@ -1072,13 +1079,13 @@ func (r *Runtime) restart(ctx context.Context, saved map[string]*sim.State) erro
 		// Kick off background hardware compilation (Figure 9.2 -> 9.3).
 		// Remote engines compile on the daemon's toolchain (the spawn
 		// request carries the JIT flag), not the runtime's.
-		if !r.opts.Features.DisableJIT && r.opts.Remote == nil {
-			r.jobs[s.Path] = r.submitCompile(ctx, f)
+		if r.opts.Remote == nil {
+			p.Submit(lifecycle.Fabric, r.vclk.Now())
 			// The native tier compiles in parallel with the fabric flow:
 			// a cheap intermediate artifact that replaces the interpreter
 			// within virtual milliseconds (Figure 9's ladder grows a rung).
 			if r.opts.Features.NativeTier {
-				r.njobs[s.Path] = r.submitNativeCompile(ctx, f)
+				p.Submit(lifecycle.Native, r.vclk.Now())
 			}
 		}
 	}
@@ -1103,11 +1110,7 @@ func (r *Runtime) restart(ctx context.Context, saved map[string]*sim.State) erro
 	if r.phase == PhaseEmpty {
 		r.startupPs = r.vclk.Now() - evalStart
 	}
-	if r.inlined {
-		r.setPhase(PhaseInlined)
-	} else {
-		r.setPhase(PhaseSoftware)
-	}
+	r.setSoftwarePhase()
 	return nil
 }
 
@@ -1136,27 +1139,15 @@ func (r *Runtime) ProgramSource() string {
 func (r *Runtime) CompileReadyAt() (uint64, bool) {
 	var latest uint64
 	found := false
-	for _, jobs := range []map[string]*toolchain.Job{r.jobs, r.njobs} {
-		for _, j := range jobs {
-			at, ok := j.ReadyAt()
-			if !ok {
-				continue
-			}
+	r.eachJob(func(_ *lifecycle.Placement, _ lifecycle.Tier, j *toolchain.Job) {
+		if at, ok := j.ReadyAt(); ok {
 			if at > latest {
 				latest = at
 			}
 			found = true
 		}
-	}
+	})
 	return latest, found
-}
-
-// elabsExec returns the elaboration table for the executing design.
-func (r *Runtime) elabsExec() map[string]*elab.Flat {
-	if r.execElabs == nil {
-		r.execElabs = map[string]*elab.Flat{}
-	}
-	return r.execElabs
 }
 
 func (r *Runtime) rebuildRoutes() {

@@ -4,16 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"cascade/internal/engine"
 	"cascade/internal/engine/hweng"
-	"cascade/internal/engine/sweng"
-	"cascade/internal/fault"
 	"cascade/internal/ir"
-	"cascade/internal/njit"
+	"cascade/internal/lifecycle"
 	"cascade/internal/obsv"
 	"cascade/internal/stdlib"
 	"cascade/internal/toolchain"
@@ -265,83 +262,118 @@ func (r *Runtime) serviceJIT() {
 	if r.opts.Features.DisableJIT {
 		return
 	}
-	r.serviceNativeTier()
-	// Hot swap any finished compilations. Jobs are visited in sorted
-	// path order, not map order: with admission control on, observing a
-	// job ready frees its in-flight slot and a shed job's resubmit
-	// consumes one, so the visit order decides which engine wins the
-	// slot — it must not vary run to run.
-	for _, path := range sortedJobPaths(r.jobs) {
-		job := r.jobs[path]
-		if job.Canceled() {
-			// Aborted (context cancelled): the program stays where it
-			// is; drop the job so phase accounting doesn't wait on it.
-			delete(r.jobs, path)
-			continue
-		}
-		if !job.Ready(r.vclk.Now()) {
-			continue
-		}
-		delete(r.jobs, path)
-		res := job.Result()
-		if res.Err != nil {
-			// An admission-control shed is a backoff signal, not a verdict
-			// on the design: resubmit now that the virtual clock has moved
-			// past the shed point (in-flight work keeps draining, so the
-			// retry is eventually admitted).
-			if errors.Is(res.Err, toolchain.ErrOverloaded) || errors.Is(res.Err, toolchain.ErrShardUnavailable) {
-				if f := r.elabsExec()[path]; f != nil {
-					r.jobs[path] = r.submitCompile(r.jobCtx(), f)
-					msg := "compile shed under load: resubmitted"
-					if errors.Is(res.Err, toolchain.ErrShardUnavailable) {
-						msg = "compile farm unreachable: resubmitted"
-					}
-					r.obs().Emit(obsv.EvRecovery, path, msg)
-				}
-				continue
+	// Hot swap any finished compilations.
+	r.eachJob(func(p *lifecycle.Placement, t lifecycle.Tier, _ *toolchain.Job) { r.promote(p, t) })
+
+	// Phase transitions once every user engine is in hardware. Location
+	// is read from the clients, so it covers remote engines the daemon
+	// promoted onto its own fabric as well as in-process hardware.
+	if len(r.placed) == 0 || r.pending(lifecycle.Fabric) != 0 {
+		return
+	}
+	for _, path := range r.placed {
+		if r.engines[path].Loc() != engine.Hardware {
+			// A remote host evicts faulted engines on its own; the phase
+			// retreats here, when the reply envelopes show the move, and
+			// climbs again as the daemon recompiles. (Local evictions
+			// retreat the phase in demote directly.)
+			if r.phase == PhaseHardware || r.phase == PhaseNative {
+				r.setSoftwarePhase()
 			}
-			r.opts.View.Error(res.Err)
-			continue
+			return
 		}
-		c := r.engines[path]
-		// The fabric swap's source is whichever software rung currently
-		// holds the engine: the interpreter, or the native tier if it
-		// got there first (the common case with Features.NativeTier).
-		var old engine.Engine
-		if sw := asSW(c); sw != nil {
-			old = sw
-		} else if ne := asNative(c); ne != nil {
-			old = ne
+	}
+	if r.phase == PhaseInlined || r.phase == PhaseSoftware {
+		if r.opts.Features.Native {
+			r.setPhase(PhaseNative)
 		} else {
-			continue
+			r.setPhase(PhaseHardware)
 		}
-		hw, err := hweng.New(path, res.Prog, r.opts.Device, res.AreaLEs, r.lane(path), r.opts.Features.Native, r.now)
-		if err != nil {
-			r.opts.View.Error(err)
-			// A transient programming fault (a bitstream lost on the way
-			// to the fabric) is not fatal: resubmit the compile — the
-			// bitstream cache makes the retry nearly free — and keep
-			// executing in software meanwhile. Permanent errors are
-			// reported once and the engine stays in software.
-			if fault.IsTransient(err) {
-				if f := r.elabsExec()[path]; f != nil {
-					r.jobs[path] = r.submitCompile(r.jobCtx(), f)
-					r.obs().Emit(obsv.EvRecovery, path, "transient programming fault: compile resubmitted")
-				}
-			}
-			continue
+	}
+	// ABI forwarding needs a single user engine (inlined designs) living
+	// in this process: the forwarder absorbs stdlib engine objects, which
+	// cannot cross the wire. Remote engines stay in lock-step hardware.
+	if (r.phase == PhaseHardware || r.phase == PhaseNative) && len(r.placed) == 1 &&
+		!r.opts.Features.DisableForwarding {
+		if hw := r.place[r.placed[0]].Fabric(); hw != nil {
+			r.forwardStdlib(hw)
 		}
-		// Inherit state and control (between steps: always safe). The
-		// swap happens inside the client, so the path's transport stats
-		// and the scheduler's dispatch route are untouched.
-		hw.SetState(old.GetState())
-		r.vclk.AdvanceComm(hw.MsgsDelta(), &r.opts.Model)
-		old.End()
-		c.SwapLocal(hw)
+	}
+	// Open loop needs everything in one engine plus a known clock.
+	if r.phase == PhaseForwarded && !r.opts.Features.DisableOpenLoop &&
+		len(r.sched) == 1 && r.clockVar != "" {
+		r.setPhase(PhaseOpenLoop)
+		r.opts.View.Info("entering open-loop scheduling on %s", r.clockVar)
+	}
+}
+
+// pending counts the compiles in flight for target tier t.
+func (r *Runtime) pending(t lifecycle.Tier) int {
+	n := 0
+	for _, path := range r.placed {
+		if r.place[path].Pending(t) != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// setSoftwarePhase puts the JIT phase at software execution: where a
+// program version starts, and where a fabric eviction retreats to.
+func (r *Runtime) setSoftwarePhase() {
+	if r.inlined {
+		r.setPhase(PhaseInlined)
+	} else {
+		r.setPhase(PhaseSoftware)
+	}
+}
+
+// promote services one pending compile: the lifecycle record hot-swaps
+// the engine up to tier t (state handoff between steps), and the
+// outcome is billed and reported here. The native rung replaces the
+// interpreter with compiled closure-threaded Go (internal/njit) long
+// before the fabric flow delivers a bitstream, and bills no bus traffic
+// — both engines share the heap; the fabric swap takes over from
+// whichever software rung holds the engine, and its state transfer
+// crosses the bus.
+func (r *Runtime) promote(p *lifecycle.Placement, t lifecycle.Tier) {
+	tr, ok := p.Promote(t, r.vclk.Now())
+	if !ok {
+		return
+	}
+	path, res := p.Path, tr.Result
+	switch {
+	case tr.Cause == lifecycle.Shed:
+		msg := "compile shed under load: resubmitted"
+		if t == lifecycle.Native {
+			msg = "native compile shed under load: resubmitted"
+		} else if errors.Is(tr.Err, toolchain.ErrShardUnavailable) {
+			msg = "compile farm unreachable: resubmitted"
+		}
+		r.obs().Emit(obsv.EvRecovery, path, msg)
+	case tr.Err != nil:
+		// Permanent errors are reported once and the engine stays where
+		// it is; a transient programming fault keeps executing in
+		// software while the resubmitted compile retries.
+		r.opts.View.Error(tr.Err)
+		if tr.Cause == lifecycle.TransientFault {
+			r.obs().Emit(obsv.EvRecovery, path, "transient programming fault: compile resubmitted")
+		}
+	case tr.To == lifecycle.Native:
+		// Compiling-in the state costs a pass over the slots, not bus
+		// round-trips.
+		r.vclk.AdvanceOverhead(uint64(tr.StateVars+1) * r.opts.Model.DispatchPs / 4)
+		if o := r.opts.Observer; o != nil {
+			o.Emit(obsv.EvHotSwap, path, fmt.Sprintf("sw->native cacheHit=%v", res.CacheHit))
+			o.Promotions.Inc()
+		}
+		r.opts.View.Info("engine %s promoted to native code (%d cells compiled)", path, res.RawAreaLEs)
+	default:
+		r.vclk.AdvanceComm(tr.Fabric.MsgsDelta(), &r.opts.Model)
 		r.areaLEs += res.AreaLEs
 		if o := r.opts.Observer; o != nil {
 			from := "sw"
-			if _, wasNative := old.(*njit.Engine); wasNative {
+			if tr.From == lifecycle.Native {
 				from = "native"
 			}
 			o.Emit(obsv.EvHotSwap, path, fmt.Sprintf("%s->hw area=%dLEs cacheHit=%v", from, res.AreaLEs, res.CacheHit))
@@ -356,290 +388,102 @@ func (r *Runtime) serviceJIT() {
 				path, res.AreaLEs, res.Stats.CritPath)
 		}
 	}
-
-	// Phase transitions once every user engine is in hardware. Location
-	// is read from the clients, so it covers remote engines the daemon
-	// promoted onto its own fabric as well as in-process hardware.
-	if len(r.jobs) != 0 {
-		return
-	}
-	allHW := true
-	var userHW *hweng.Engine
-	users := 0
-	for _, s := range r.design.UserSubs() {
-		users++
-		c := r.engines[s.Path]
-		if c.Loc() != engine.Hardware {
-			allHW = false
-			break
-		}
-		userHW = asHW(c)
-	}
-	if users == 0 {
-		return
-	}
-	if !allHW {
-		// A remote host evicts faulted engines on its own; the phase
-		// retreats here, when the reply envelopes show the move, and
-		// climbs again as the daemon recompiles. (Local evictions retreat
-		// the phase in evict directly.)
-		if r.phase == PhaseHardware || r.phase == PhaseNative {
-			if r.inlined {
-				r.setPhase(PhaseInlined)
-			} else {
-				r.setPhase(PhaseSoftware)
-			}
-		}
-		return
-	}
-	if r.phase == PhaseInlined || r.phase == PhaseSoftware {
-		if r.opts.Features.Native {
-			r.setPhase(PhaseNative)
-		} else {
-			r.setPhase(PhaseHardware)
-		}
-	}
-	// ABI forwarding needs a single user engine (inlined designs) living
-	// in this process: the forwarder absorbs stdlib engine objects, which
-	// cannot cross the wire. Remote engines stay in lock-step hardware.
-	if (r.phase == PhaseHardware || r.phase == PhaseNative) && users == 1 &&
-		userHW != nil && !r.opts.Features.DisableForwarding {
-		r.forwardStdlib(userHW)
-	}
-	// Open loop needs everything in one engine plus a known clock.
-	if r.phase == PhaseForwarded && !r.opts.Features.DisableOpenLoop &&
-		len(r.sched) == 1 && r.clockVar != "" {
-		r.setPhase(PhaseOpenLoop)
-		r.opts.View.Info("entering open-loop scheduling on %s", r.clockVar)
-	}
-}
-
-// serviceNativeTier hot-swaps finished native-tier compilations
-// (Features.NativeTier): the interpreter is replaced by a compiled
-// closure-threaded evaluator (internal/njit) long before the fabric
-// flow delivers a bitstream. The swap mirrors the fabric promotion —
-// state handoff between steps, inside the client, so dispatch routes
-// and transport counters are untouched — but bills no bus traffic:
-// both engines share the heap. The fabric swap later takes over from
-// the native engine the same way it would from the interpreter.
-// sortedJobPaths snapshots a job map's keys in sorted order, so the
-// service passes visit jobs deterministically (Go map order varies per
-// run, and under admission control visit order decides who gets the
-// freed in-flight slot).
-func sortedJobPaths(m map[string]*toolchain.Job) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	paths := make([]string, 0, len(m))
-	for p := range m {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
-}
-
-func (r *Runtime) serviceNativeTier() {
-	for _, path := range sortedJobPaths(r.njobs) {
-		job := r.njobs[path]
-		if job.Canceled() {
-			delete(r.njobs, path)
-			continue
-		}
-		if !job.Ready(r.vclk.Now()) {
-			continue
-		}
-		delete(r.njobs, path)
-		res := job.Result()
-		if res.Err != nil {
-			// Shed under load: back off one service pass and resubmit,
-			// exactly as the fabric flow does.
-			if errors.Is(res.Err, toolchain.ErrOverloaded) || errors.Is(res.Err, toolchain.ErrShardUnavailable) {
-				if f := r.elabsExec()[path]; f != nil {
-					r.njobs[path] = r.submitNativeCompile(r.jobCtx(), f)
-					r.obs().Emit(obsv.EvRecovery, path, "native compile shed under load: resubmitted")
-				}
-				continue
-			}
-			r.opts.View.Error(res.Err)
-			continue
-		}
-		c := r.engines[path]
-		old := asSW(c)
-		if old == nil {
-			// Already promoted past the interpreter — a warm bitstream
-			// cache can deliver the fabric first. The artifact stays
-			// cached; nothing to swap.
-			continue
-		}
-		ne := njit.New(path, res.Prog, r.lane(path), r.opts.Injector, r.now)
-		ne.SetState(old.GetState())
-		old.End()
-		c.SwapLocal(ne)
-		// Compiling-in the state costs a pass over the slots, not bus
-		// round-trips.
-		r.vclk.AdvanceOverhead(uint64(len(res.Prog.Slots)+1) * r.opts.Model.DispatchPs / 4)
-		if o := r.opts.Observer; o != nil {
-			o.Emit(obsv.EvHotSwap, path, fmt.Sprintf("sw->native cacheHit=%v", res.CacheHit))
-			o.Promotions.Inc()
-		}
-		r.opts.View.Info("engine %s promoted to native code (%d cells compiled)", path, res.RawAreaLEs)
-	}
-}
-
-// jobCtx is the context background compilations are bound to: the one
-// the current program version was eval'd under.
-func (r *Runtime) jobCtx() context.Context {
-	if r.evalCtx != nil {
-		return r.evalCtx
-	}
-	return context.Background()
 }
 
 // serviceFaults runs between time steps, after costs settle: any
-// hardware engine that latched an injected fault during the step is
-// evicted back to a software engine — the reverse hot-swap. Execution
-// degrades gracefully (the program keeps running, slower) instead of
-// dying with the fabric.
+// fabric or native-tier engine that latched an injected fault during
+// the step is demoted back to the interpreter — the reverse hot-swap.
+// Execution degrades gracefully (the program keeps running, slower)
+// instead of dying with the fabric.
 func (r *Runtime) serviceFaults() {
 	if r.opts.Injector == nil {
 		return
 	}
-	var faulted []string
-	for _, path := range r.sched {
-		if hw := asHW(r.engines[path]); hw != nil && hw.Fault() != nil {
-			faulted = append(faulted, path)
+	for _, t := range [...]lifecycle.Tier{lifecycle.Fabric, lifecycle.Native} {
+		// Collected first: demoting a forwarded engine rewrites r.sched.
+		var faulted []*lifecycle.Placement
+		for _, path := range r.sched {
+			if p := r.place[path]; p != nil && p.Tier() == t && p.Fault() != nil {
+				faulted = append(faulted, p)
+			}
 		}
-	}
-	for _, path := range faulted {
-		if hw := asHW(r.engines[path]); hw != nil {
-			r.evict(path, hw)
-		}
-	}
-	// The native tier degrades the same way: a latched region fault
-	// against the compiled code cache demotes the engine back to the
-	// interpreter between steps.
-	var nfaulted []string
-	for _, path := range r.sched {
-		if ne := asNative(r.engines[path]); ne != nil && ne.Fault() != nil {
-			nfaulted = append(nfaulted, path)
-		}
-	}
-	for _, path := range nfaulted {
-		if ne := asNative(r.engines[path]); ne != nil {
-			r.evictNative(path, ne)
+		for _, p := range faulted {
+			r.demote(p)
 		}
 	}
 }
 
-// evict performs the hardware→software reverse hot-swap for one faulted
-// engine. Like the forward swap it runs between steps, where state
-// movement cannot disturb program semantics: the engine's state is read
-// out through the ABI's shadow registers (GetState survives bus and
-// region faults by design — that is what the wrapper's state access
-// exists for), a fresh software engine inherits it, the fabric region
-// is released, and the compile is resubmitted so the JIT can climb back
-// to hardware — served from the bitstream cache, re-promotion is cheap.
-func (r *Runtime) evict(path string, hw *hweng.Engine) {
-	model := &r.opts.Model
-	r.hwFaults++
-	r.obs().Emit(obsv.EvFault, path, fmt.Sprintf("hardware fault latched: %v", hw.Fault()))
-	r.opts.View.Info("hardware fault on %s (%v): degrading to software", path, hw.Fault())
-
-	// A forwarded (or open-loop) engine first hands its absorbed stdlib
-	// components back to the runtime's schedule.
-	if r.phase == PhaseForwarded || r.phase == PhaseOpenLoop {
-		r.unforward(hw)
-	}
-
-	// Pull state out of the fabric (billed as bus reads) and release
-	// the region.
-	st := hw.GetState()
-	r.vclk.AdvanceComm(hw.MsgsDelta(), model)
-	hw.Release()
-	r.areaLEs -= hw.AreaLEs()
-
-	f := r.elabsExec()[path]
-	if f == nil {
-		// No elaboration to rebuild from (cannot happen for engines the
-		// runtime itself promoted); report and keep the schedule alive.
-		r.opts.View.Error(fmt.Errorf("runtime: cannot evict %s: no elaboration", path))
-		return
-	}
-	sw := sweng.New(f, r.lane(path), r.now, r.opts.Features.EagerSim)
-	// Constructing a software engine re-runs initial blocks; the user
-	// saw that output when the program first integrated, and the
-	// restored state overwrites their variable effects — discard it.
-	r.discardLane(path)
-	sw.SetState(st)
-	r.engines[path].SwapLocal(sw)
-	r.evictions++
-	r.vclk.AdvanceOverhead(uint64(len(f.Vars)+1) * model.DispatchPs / 4)
-	if o := r.opts.Observer; o != nil {
-		o.Emit(obsv.EvEviction, path, fmt.Sprintf("hw->sw area=%dLEs released", hw.AreaLEs()))
-		o.Evictions.Inc()
-		o.AreaLEs.Set(int64(r.areaLEs))
-	}
-
-	// The JIT retreats one phase and climbs again.
-	if r.inlined {
-		r.setPhase(PhaseInlined)
+// demote performs the reverse hot-swap for one faulted engine, fabric
+// or native tier, back to the interpreter. Like the forward swap it
+// runs between steps, where state movement cannot disturb program
+// semantics: the lifecycle record reads the engine's state out (for the
+// fabric through the ABI's shadow registers, which survive bus and
+// region faults by design, billed as bus reads; for the native tier
+// heap to heap), a fresh software engine inherits it, the fabric region
+// is released, and the lost tier's compile is resubmitted so the JIT
+// can climb back — served from the cache, re-promotion is cheap. A
+// fabric eviction retreats the JIT phase; a native demotion does not —
+// the native tier lives inside the software phase.
+func (r *Runtime) demote(p *lifecycle.Placement) {
+	path, from, flt := p.Path, p.Tier(), p.Fault()
+	if from == lifecycle.Fabric {
+		r.hwFaults++
+		r.obs().Emit(obsv.EvFault, path, fmt.Sprintf("hardware fault latched: %v", flt))
+		r.opts.View.Info("hardware fault on %s (%v): degrading to software", path, flt)
+		// A forwarded (or open-loop) engine first hands its absorbed
+		// stdlib components back to the runtime's schedule.
+		if r.phase == PhaseForwarded || r.phase == PhaseOpenLoop {
+			r.unforward(path)
+		}
 	} else {
-		r.setPhase(PhaseSoftware)
+		r.nativeFaults++
+		r.obs().Emit(obsv.EvFault, path, fmt.Sprintf("native-tier fault latched: %v", flt))
+		r.opts.View.Info("native code fault on %s (%v): degrading to interpreter", path, flt)
 	}
-	if !r.opts.Features.DisableJIT {
-		if _, pending := r.jobs[path]; !pending {
-			r.jobs[path] = r.submitCompile(r.jobCtx(), f)
+	tr := p.Demote(lifecycle.FaultLatched, nil)
+	r.billRebuild(tr)
+	if hw := tr.Fabric; hw != nil {
+		r.areaLEs -= hw.AreaLEs()
+		r.evictions++
+		if o := r.opts.Observer; o != nil {
+			o.Emit(obsv.EvEviction, path, fmt.Sprintf("hw->sw area=%dLEs released", hw.AreaLEs()))
+			o.Evictions.Inc()
+			o.AreaLEs.Set(int64(r.areaLEs))
+		}
+		// The JIT retreats one phase and climbs again.
+		r.setSoftwarePhase()
+		if p.Submit(from, r.vclk.Now()) {
 			r.obs().Emit(obsv.EvRecovery, path, "eviction: compile resubmitted (bitstream cache warm)")
 		}
-	}
-	r.opts.View.Info("engine %s moved to software (%d LEs released), recompiling", path, hw.AreaLEs())
-}
-
-// evictNative performs the native→interpreter reverse hot-swap for one
-// faulted native-tier engine: state is read out (heap to heap, no bus),
-// a fresh software engine inherits it, and the native compile is
-// resubmitted — a cache hit, so the tier climbs back almost instantly
-// unless the fault schedule keeps firing. The JIT phase is untouched:
-// the native tier lives inside the software phase.
-func (r *Runtime) evictNative(path string, ne *njit.Engine) {
-	model := &r.opts.Model
-	r.nativeFaults++
-	r.obs().Emit(obsv.EvFault, path, fmt.Sprintf("native-tier fault latched: %v", ne.Fault()))
-	r.opts.View.Info("native code fault on %s (%v): degrading to interpreter", path, ne.Fault())
-
-	st := ne.GetState()
-	f := r.elabsExec()[path]
-	if f == nil {
-		r.opts.View.Error(fmt.Errorf("runtime: cannot demote %s: no elaboration", path))
+		r.opts.View.Info("engine %s moved to software (%d LEs released), recompiling", path, hw.AreaLEs())
 		return
 	}
-	sw := sweng.New(f, r.lane(path), r.now, r.opts.Features.EagerSim)
-	// Constructing a software engine re-runs initial blocks; the user
-	// saw that output when the program first integrated, and the
-	// restored state overwrites their variable effects — discard it.
-	r.discardLane(path)
-	sw.SetState(st)
-	r.engines[path].SwapLocal(sw)
 	r.demotions++
-	r.vclk.AdvanceOverhead(uint64(len(f.Vars)+1) * model.DispatchPs / 4)
 	if o := r.opts.Observer; o != nil {
 		o.Emit(obsv.EvEviction, path, "native->sw code cache released")
 		o.Evictions.Inc()
 	}
-	if !r.opts.Features.DisableJIT {
-		if _, pending := r.njobs[path]; !pending {
-			r.njobs[path] = r.submitNativeCompile(r.jobCtx(), f)
-			r.obs().Emit(obsv.EvRecovery, path, "demotion: native compile resubmitted (tier cache warm)")
-		}
+	if p.Submit(from, r.vclk.Now()) {
+		r.obs().Emit(obsv.EvRecovery, path, "demotion: native compile resubmitted (tier cache warm)")
 	}
 	r.opts.View.Info("engine %s moved to interpreter, recompiling native tier", path)
+}
+
+// billRebuild charges a transition that rebuilt the subprogram on the
+// interpreter: state pulled out of the fabric crossed the bus, and
+// constructing a software engine is fast but not free.
+func (r *Runtime) billRebuild(tr lifecycle.Transition) {
+	if tr.Fabric != nil {
+		r.vclk.AdvanceComm(tr.Fabric.MsgsDelta(), &r.opts.Model)
+	}
+	r.vclk.AdvanceOverhead(uint64(tr.StateVars+1) * r.opts.Model.DispatchPs / 4)
 }
 
 // unforward reverses forwardStdlib: absorbed stdlib engines return to
 // the runtime's schedule and routing table (the engine objects
 // themselves persisted in stdEngines, state intact), exactly as restart
 // would lay them out.
-func (r *Runtime) unforward(hw *hweng.Engine) {
+func (r *Runtime) unforward(owner string) {
 	r.sched = nil
 	for _, s := range r.design.StdSubs() {
 		e, ok := r.stdEngines[s.Path]
@@ -655,7 +499,7 @@ func (r *Runtime) unforward(hw *hweng.Engine) {
 	}
 	// Group-internal wires return from the forwarder to the runtime.
 	r.rebuildRoutes()
-	r.opts.View.Info("stdlib components unforwarded from %s", hw.Name())
+	r.opts.View.Info("stdlib components unforwarded from %s", owner)
 }
 
 // forwardStdlib absorbs stdlib engines into the user hardware engine
@@ -703,21 +547,21 @@ func (r *Runtime) forwardStdlib(hw *hweng.Engine) {
 // openLoopBurst runs one adaptively-sized burst of scheduler iterations
 // inside the hardware engine (Figure 9.5).
 func (r *Runtime) openLoopBurst() {
-	c, ok := r.engines[ir.RootPath]
-	if !ok {
+	p := r.place[ir.RootPath]
+	if p == nil || p.Fabric() == nil {
 		r.setPhase(PhaseForwarded)
 		return
 	}
-	hw := asHW(c)
-	if hw == nil {
-		r.setPhase(PhaseForwarded)
-		return
-	}
+	hw := p.Fabric()
 	model := &r.opts.Model
 	r.vclk.AdvanceComm(1, model) // the open_loop request
 	iters := r.olIters
 	if iters > r.olWallCap {
 		iters = r.olWallCap
+	}
+	// Journal replay must stop exactly at the journaled step.
+	if r.stepCeil > 0 && uint64(iters) > r.stepCeil-r.steps {
+		iters = int(r.stepCeil - r.steps)
 	}
 	// Wall time is read through the observer's clock, never time.Now
 	// directly: burst sizing is the one place host wall time influences
@@ -747,7 +591,7 @@ func (r *Runtime) openLoopBurst() {
 		// A fault latched mid-burst: the reverse hot-swap, exactly as in
 		// the lock-step phases (serviceFaults does not see open-loop
 		// steps, which return before it runs).
-		r.evict(hw.Name(), hw)
+		r.demote(p)
 		return
 	}
 	if done == 0 {
@@ -882,17 +726,15 @@ func (r *Runtime) Idle(ps uint64) {
 func (r *Runtime) earliestReady(now, end uint64) (uint64, bool) {
 	var best uint64
 	found := false
-	for _, jobs := range []map[string]*toolchain.Job{r.jobs, r.njobs} {
-		for _, j := range jobs {
-			at, ok := j.ReadyAt()
-			if !ok || at <= now || at >= end {
-				continue
-			}
-			if !found || at < best {
-				best = at
-			}
-			found = true
+	r.eachJob(func(_ *lifecycle.Placement, _ lifecycle.Tier, j *toolchain.Job) {
+		at, ok := j.ReadyAt()
+		if !ok || at <= now || at >= end {
+			return
 		}
-	}
+		if !found || at < best {
+			best = at
+		}
+		found = true
+	})
 	return best, found
 }

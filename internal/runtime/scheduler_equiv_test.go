@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"cascade/internal/fault"
+	"cascade/internal/lifecycle"
 	"cascade/internal/sim"
+	"cascade/internal/toolchain"
 )
 
 // genEquivProgram emits a random multi-module program: K independent
@@ -95,6 +98,27 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
+// TestServicePassAllocFree: the inter-step service pass runs every step,
+// so with no compile pending and no fault latched it must not allocate —
+// in software while the JIT is pinned, and in lock-step hardware with an
+// (idle) fault injector wired.
+func TestServicePassAllocFree(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"software": {Features: Features{DisableJIT: true}},
+		"hardware": {Features: Features{DisableForwarding: true}, Injector: fault.New(fault.Config{})},
+	} {
+		r := newTestRuntime(t, opts)
+		r.MustEval(figure3)
+		r.RunTicks(200)
+		if name == "hardware" && r.Phase() != PhaseHardware {
+			t.Fatalf("phase %v, want lock-step hardware", r.Phase())
+		}
+		if n := testing.AllocsPerRun(100, func() { r.serviceFaults(); r.serviceJIT() }); n != 0 {
+			t.Errorf("%s: service pass allocates %.0f times per step", name, n)
+		}
+	}
+}
+
 // TestServiceJITDropsCanceledJobs checks the runtime side of compile
 // cancellation: a job cancelled after submission (re-eval, context
 // cancellation) must be removed from the pending set and the program
@@ -109,15 +133,13 @@ func TestServiceJITDropsCanceledJobs(t *testing.T) {
 	// Cancel is unconditional (a context abort only wins the race when
 	// the worker has not started), so cancel the jobs directly too:
 	// deterministic regardless of goroutine scheduling.
-	for _, j := range r.jobs {
-		j.Cancel()
-	}
+	r.eachJob(func(_ *lifecycle.Placement, _ lifecycle.Tier, j *toolchain.Job) { j.Cancel() })
 	r.RunTicks(500)
 	if r.Phase() != PhaseInlined {
 		t.Fatalf("cancelled compile must pin the program in software, got %v", r.Phase())
 	}
-	if len(r.jobs) != 0 {
-		t.Fatalf("serviceJIT left %d cancelled jobs pending", len(r.jobs))
+	if n := r.pending(lifecycle.Fabric); n != 0 {
+		t.Fatalf("serviceJIT left %d cancelled jobs pending", n)
 	}
 	if _, pending := r.CompileReadyAt(); pending {
 		t.Fatal("CompileReadyAt still reports a pending compile")

@@ -13,8 +13,6 @@ import (
 	"cascade/internal/persist"
 	"cascade/internal/sim"
 	"cascade/internal/stdlib"
-	"cascade/internal/toolchain"
-	"cascade/internal/transport"
 	"cascade/internal/vclock"
 	"cascade/internal/verilog"
 )
@@ -159,31 +157,10 @@ func (r *Runtime) Restore(snap *Snapshot) error {
 // engines torn down, background compilations cancelled, program and
 // counters cleared. Callers hold r.mu.
 func (r *Runtime) resetFreshLocked() {
-	for _, j := range r.jobs {
-		j.Cancel()
-	}
-	r.jobs = map[string]*toolchain.Job{}
-	for _, j := range r.njobs {
-		j.Cancel()
-	}
-	r.njobs = map[string]*toolchain.Job{}
-	for path, c := range r.engines {
-		if hw := asHW(c); hw != nil {
-			hw.Release()
-		}
-		if _, std := r.stdEngines[path]; !std {
-			c.End()
-		}
-		r.retireClient(path, c)
-	}
-	r.engines = map[string]*transport.Client{}
+	r.teardown()
 	r.stdEngines = map[string]engine.Engine{}
-	r.lanes = map[string]*laneIO{}
 	r.elabs = map[string]*elab.Flat{}
-	r.execElabs = nil
-	r.sched = nil
 	r.routesFrom = map[string][]ir.Wire{}
-	r.groupOf = map[string]string{}
 	r.prog = ir.NewProgram()
 	r.flatDesign, r.design = nil, nil
 	r.inlined = false
@@ -191,7 +168,6 @@ func (r *Runtime) resetFreshLocked() {
 	r.steps, r.ticks = 0, 0
 	r.finished = false
 	r.displayQ = nil
-	r.areaLEs = 0
 	r.everBuilt = false
 	r.constructDisplays = 0
 	r.clockPath, r.clockVar = "", ""

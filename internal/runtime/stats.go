@@ -3,10 +3,8 @@ package runtime
 import (
 	"fmt"
 
-	"cascade/internal/engine/hweng"
-	"cascade/internal/engine/sweng"
 	"cascade/internal/fault"
-	"cascade/internal/njit"
+	"cascade/internal/lifecycle"
 	"cascade/internal/supervise"
 	"cascade/internal/toolchain"
 	"cascade/internal/transport"
@@ -114,10 +112,10 @@ func (r *Runtime) Stats() Stats {
 		Parallelism:     r.par,
 		Finished:        r.finished,
 		Compile:         r.opts.Toolchain.StatsFor(r.opts.Tenant),
-		PendingCompiles: len(r.jobs),
+		PendingCompiles: r.pending(lifecycle.Fabric),
 		HWFaults:        r.hwFaults,
 		Evictions:       r.evictions,
-		PendingNative:   len(r.njobs),
+		PendingNative:   r.pending(lifecycle.Native),
 		NativeFaults:    r.nativeFaults,
 		Demotions:       r.demotions,
 		Faults:          r.opts.Injector.Stats(),
@@ -143,8 +141,11 @@ func (r *Runtime) Stats() Stats {
 			Path:      path,
 			Location:  c.Loc().String(),
 			Transport: c.TransportKind(),
-			Tier:      engineTier(c),
 			Xport:     c.Stats(),
+		}
+		// Remote engines and stdlib peripherals have no in-process rung.
+		if p := r.place[path]; p != nil {
+			es.Tier = p.Tier().String()
 		}
 		st.Engines = append(st.Engines, es)
 		st.Xport.Add(es.Xport)
@@ -155,20 +156,6 @@ func (r *Runtime) Stats() Stats {
 		st.Xport.Add(s)
 	}
 	return st
-}
-
-// engineTier names the execution rung an in-process client currently
-// dispatches to ("" for remote engines and stdlib peripherals).
-func engineTier(c *transport.Client) string {
-	switch c.Underlying().(type) {
-	case *sweng.Engine:
-		return "interpreter"
-	case *njit.Engine:
-		return "native"
-	case *hweng.Engine:
-		return "fabric"
-	}
-	return ""
 }
 
 // Summary renders the snapshot as one status line (the REPL's :stats).

@@ -1,11 +1,10 @@
 package runtime
 
 import (
-	"fmt"
 	"strings"
 
 	"cascade/internal/bits"
-	"cascade/internal/engine/sweng"
+	"cascade/internal/lifecycle"
 	"cascade/internal/obsv"
 	"cascade/internal/proto"
 	"cascade/internal/supervise"
@@ -164,28 +163,14 @@ func (r *Runtime) failoverRemote() {
 		if c == nil || !c.Remote() {
 			continue
 		}
-		f := r.elabsExec()[s.Path]
-		if f == nil {
-			r.opts.View.Error(fmt.Errorf("runtime: cannot fail over %s: no elaboration", s.Path))
-			continue
-		}
+		p := r.place[s.Path]
 		r.retireClient(s.Path, c)
-		sw := sweng.New(f, r.lane(s.Path), r.now, r.opts.Features.EagerSim)
-		// Construction re-runs initial blocks; the user saw that output
-		// when the program integrated, and the committed state overwrites
-		// their variable effects.
-		r.discardLane(s.Path)
-		if st := r.committed[s.Path]; st != nil {
-			sw.SetState(st)
-		}
-		r.engines[s.Path] = r.wrapLocal(s.Path, sw)
-		r.failedOver[s.Path] = true
-		r.vclk.AdvanceOverhead(uint64(len(f.Vars)+1) * r.opts.Model.DispatchPs / 4)
+		r.billRebuild(p.Demote(lifecycle.BreakerTrip, r.committed[s.Path]))
 		if o := r.obs(); o != nil {
 			o.Emit(obsv.EvFailover, s.Path, "re-seeded locally from last committed state")
 		}
-		if r.opts.Features.NativeTier && !r.opts.Features.DisableJIT {
-			r.njobs[s.Path] = r.submitNativeCompile(r.jobCtx(), f)
+		if r.opts.Features.NativeTier {
+			p.Submit(lifecycle.Native, r.vclk.Now())
 		}
 		n++
 	}
@@ -206,17 +191,11 @@ func (r *Runtime) failoverRemote() {
 // local and the next recovery retries (the failure also counts against
 // the breaker through the usual error path).
 func (r *Runtime) rehostRemote() {
-	if len(r.failedOver) == 0 {
-		return
-	}
 	n := 0
 	for _, s := range r.design.UserSubs() {
-		if !r.failedOver[s.Path] {
-			continue
-		}
-		c := r.engines[s.Path]
-		if c == nil {
-			continue
+		p, c := r.place[s.Path], r.engines[s.Path]
+		if c == nil || p.Tier() == lifecycle.Unplaced {
+			continue // still hosted remotely: never failed over
 		}
 		st := c.GetState()
 		nc, err := r.spawnRemoteRebind(s.Path, s.Module, s.Params)
@@ -229,15 +208,10 @@ func (r *Runtime) rehostRemote() {
 			r.opts.View.Info("re-host of %s failed mid-handoff; staying local", s.Path)
 			break
 		}
-		if j, ok := r.njobs[s.Path]; ok {
-			j.Cancel()
-			delete(r.njobs, s.Path)
-		}
 		r.retireClient(s.Path, c)
-		c.End()
+		p.Teardown()
 		r.engines[s.Path] = nc
 		r.committed[s.Path] = st
-		delete(r.failedOver, s.Path)
 		if o := r.obs(); o != nil {
 			o.Emit(obsv.EvRehost, s.Path, "re-hosted on "+r.opts.Remote.Addr)
 		}

@@ -162,11 +162,6 @@ func CloseSession(t Transport, id uint32, vnow uint64) error {
 	return nil
 }
 
-// Underlying returns the in-process engine behind a Local client (nil
-// for remote clients). The runtime uses it where it genuinely needs the
-// concrete engine — hot swaps, forwarding, open-loop bursts.
-func (c *Client) Underlying() engine.Engine { return c.local }
-
 // SwapLocal replaces the engine behind a Local client in place (the
 // JIT's hot swap), preserving the client's cumulative transport stats.
 // It panics on remote clients — remote promotion is the host's job.

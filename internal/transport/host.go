@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -11,10 +10,9 @@ import (
 
 	"cascade/internal/elab"
 	"cascade/internal/engine"
-	"cascade/internal/engine/hweng"
-	"cascade/internal/engine/sweng"
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
+	"cascade/internal/lifecycle"
 	"cascade/internal/obsv"
 	"cascade/internal/persist"
 	"cascade/internal/proto"
@@ -109,22 +107,17 @@ type hostSession struct {
 	dev    *fpga.Device
 }
 
-// hosted is one engine and its host-side bookkeeping.
+// hosted is one engine and its host-side bookkeeping. The lifecycle
+// record p holds the engine itself, its elaboration and the pending
+// background promotion; its Device and Compile callback carry the
+// session binding — promotions land on the owning session's region-sized
+// device (the whole host fabric when sessionless) and compiles are
+// scoped to the session's tenant on the shared toolchain.
 type hosted struct {
-	mu   sync.Mutex
-	e    engine.Engine
-	io   *bufIO
-	now  atomic.Uint64 // $time feed, updated from request headers
-	flat *elab.Flat
-	job  *toolchain.Job // pending background promotion
-	path string
-	area int
-
-	// Session binding: promotions land on dev (the owning session's
-	// region-sized device, or the whole host fabric when sessionless) and
-	// compiles are scoped to tenant on the shared toolchain.
-	dev     *fpga.Device
-	tenant  string
+	mu      sync.Mutex
+	p       *lifecycle.Placement
+	io      *bufIO
+	now     atomic.Uint64 // $time feed, updated from request headers
 	session uint32
 }
 
@@ -245,7 +238,7 @@ func (h *Host) Handle(req *proto.Request, rep *proto.Reply) {
 	hd.mu.Lock()
 	defer hd.mu.Unlock()
 	hd.now.Store(req.Now)
-	e := hd.e
+	e := hd.p.Engine()
 	switch req.Kind {
 	case proto.KindRead:
 		e.Read(engine.Event{Var: req.Var, Val: req.Val})
@@ -270,10 +263,7 @@ func (h *Host) Handle(req *proto.Request, rep *proto.Reply) {
 		e.EndStep()
 		h.serviceJIT(hd, req.VNow)
 	case proto.KindEnd:
-		e.End()
-		if hw, ok := hd.e.(*hweng.Engine); ok {
-			hw.Release()
-		}
+		hd.p.Teardown()
 		h.mu.Lock()
 		delete(h.engines, req.Engine)
 		h.mu.Unlock()
@@ -282,13 +272,18 @@ func (h *Host) Handle(req *proto.Request, rep *proto.Reply) {
 		rep.Err = fmt.Sprintf("unsupported request kind %d", req.Kind)
 		return
 	}
-	h.finishReply(hd, rep)
+	// EndStep may have moved the engine to another rung; End left none,
+	// and its reply describes the engine that was.
+	if cur := hd.p.Engine(); cur != nil {
+		e = cur
+	}
+	h.finishReply(hd, e, rep)
 }
 
 // finishReply stamps the envelope: location, metered work, buffered IO.
-func (h *Host) finishReply(hd *hosted, rep *proto.Reply) {
-	rep.Loc = hd.e.Loc()
-	if ur, ok := hd.e.(engine.UsageReporter); ok {
+func (h *Host) finishReply(hd *hosted, e engine.Engine, rep *proto.Reply) {
+	rep.Loc = e.Loc()
+	if ur, ok := e.(engine.UsageReporter); ok {
 		rep.Usage = ur.UsageDelta()
 	}
 	rep.IO = hd.io.drain()
@@ -314,8 +309,8 @@ func (h *Host) spawn(req *proto.Request, rep *proto.Reply, forced uint32) {
 		rep.Err = fmt.Sprintf("elaborate %s: %v", req.Path, err)
 		return
 	}
-	hd := &hosted{io: &bufIO{}, flat: flat, path: req.Path,
-		dev: h.opts.Device, session: req.Session}
+	hd := &hosted{io: &bufIO{}, session: req.Session}
+	dev, tenant := h.opts.Device, ""
 	if req.Session != 0 {
 		h.mu.Lock()
 		sess := h.sessions[req.Session]
@@ -324,15 +319,28 @@ func (h *Host) spawn(req *proto.Request, rep *proto.Reply, forced uint32) {
 			rep.Err = fmt.Sprintf("unknown session %d", req.Session)
 			return
 		}
-		hd.dev = sess.dev
-		hd.tenant = sess.tenant
+		dev, tenant = sess.dev, sess.tenant
 	}
 	hd.now.Store(req.Now)
-	nowFn := func() uint64 { return hd.now.Load() }
-	hd.e = sweng.New(flat, hd.io, nowFn, req.Eager)
-	if req.JIT && !h.opts.DisableJIT {
-		hd.job = h.opts.Toolchain.SubmitTenant(context.Background(), hd.tenant, flat, true, req.VNow)
+	cfg := lifecycle.Config{
+		Path:   req.Path,
+		Flat:   flat,
+		IO:     hd.io,
+		Now:    func() uint64 { return hd.now.Load() },
+		Eager:  req.Eager,
+		Device: dev,
+		// The runtime side saw a rebuilt engine's initial-block output
+		// when the engine first spawned.
+		Discard: func(*lifecycle.Placement) { hd.io.drain() },
 	}
+	if req.JIT && !h.opts.DisableJIT {
+		cfg.Compile = func(p *lifecycle.Placement, _ lifecycle.Tier, vnow uint64) *toolchain.Job {
+			return h.opts.Toolchain.SubmitTenant(context.Background(), tenant, p.Flat, true, vnow)
+		}
+	}
+	hd.p = lifecycle.New(cfg)
+	hd.p.Start(nil)
+	hd.p.Submit(lifecycle.Fabric, req.VNow)
 	h.mu.Lock()
 	var id uint32
 	if forced != 0 {
@@ -350,7 +358,7 @@ func (h *Host) spawn(req *proto.Request, rep *proto.Reply, forced uint32) {
 		fmt.Sprintf("hosted engine %d jit=%v", id, req.JIT && !h.opts.DisableJIT))
 	rep.Engine = id
 	h.journalReq(req, id)
-	h.finishReply(hd, rep)
+	h.finishReply(hd, hd.p.Engine(), rep)
 }
 
 // sessionOpen carves a tenant session out of the host: a fabric region
@@ -423,10 +431,7 @@ func (h *Host) sessionClose(req *proto.Request, rep *proto.Reply) {
 	h.mu.Unlock()
 	for _, hd := range owned {
 		hd.mu.Lock()
-		hd.e.End()
-		if hw, ok := hd.e.(*hweng.Engine); ok {
-			hw.Release()
-		}
+		hd.p.Teardown()
 		hd.mu.Unlock()
 	}
 	h.opts.Device.Release("session:" + sess.tenant)
@@ -584,59 +589,25 @@ func (h *Host) CloseJournal() error {
 }
 
 // serviceJIT runs the host-side slice of the Figure-9 state machine for
-// one engine at a step boundary: promote a finished compilation onto
-// the host's fabric, or evict a faulted hardware engine back to
-// software (resubmitting the compile). Callers hold hd.mu.
+// one engine at a step boundary, through its lifecycle record: evict a
+// faulted hardware engine back to software (resubmitting the compile),
+// or promote a finished compilation onto the host's fabric. A compile
+// that failed or found no fabric room leaves the engine in software — a
+// hosted engine never kills the run. Callers hold hd.mu.
 func (h *Host) serviceJIT(hd *hosted, vnow uint64) {
-	if hw, ok := hd.e.(*hweng.Engine); ok && hw.Fault() != nil {
-		if o := h.opts.Observer; o != nil {
-			o.EmitAt(vnow, obsv.EvEviction, hd.path, fmt.Sprintf("host hw->sw: %v", hw.Fault()))
+	p, o := hd.p, h.opts.Observer
+	if flt := p.Fault(); flt != nil {
+		if o != nil {
+			o.EmitAt(vnow, obsv.EvEviction, p.Path, fmt.Sprintf("host hw->sw: %v", flt))
 			o.Evictions.Inc()
 		}
-		st := hw.GetState()
-		hw.Release()
-		sw := sweng.New(hd.flat, hd.io, func() uint64 { return hd.now.Load() }, false)
-		// Initial blocks re-ran at construction; the runtime side saw
-		// that output when the engine first spawned, so drop it.
-		hd.io.drain()
-		sw.SetState(st)
-		hd.e = sw
-		if hd.job == nil {
-			hd.job = h.opts.Toolchain.SubmitTenant(context.Background(), hd.tenant, hd.flat, true, vnow)
-		}
+		p.Demote(lifecycle.FaultLatched, nil)
+		p.Submit(lifecycle.Fabric, vnow)
 		return
 	}
-	job := hd.job
-	if job == nil || !job.Ready(vnow) {
-		return
-	}
-	hd.job = nil
-	res := job.Result()
-	if res.Err != nil {
-		if errors.Is(res.Err, toolchain.ErrOverloaded) || errors.Is(res.Err, toolchain.ErrShardUnavailable) {
-			// Load-shed or farm outage, not a verdict on the design:
-			// resubmit now and let the next step boundary re-check
-			// readiness — a per-step virtual backoff until the queue
-			// drains (or a shard comes back).
-			hd.job = h.opts.Toolchain.SubmitTenant(context.Background(), hd.tenant, hd.flat, true, vnow)
-		}
-		return // stay in software; a hosted engine never kills the run
-	}
-	sw, ok := hd.e.(*sweng.Engine)
-	if !ok {
-		return
-	}
-	nowFn := func() uint64 { return hd.now.Load() }
-	hw, err := hweng.New(hd.path, res.Prog, hd.dev, res.AreaLEs, hd.io, false, nowFn)
-	if err != nil {
-		return // no fabric room (or a placement fault): stay in software
-	}
-	hw.SetState(sw.GetState())
-	sw.End()
-	hd.e = hw
-	hd.area = res.AreaLEs
-	if o := h.opts.Observer; o != nil {
-		o.EmitAt(vnow, obsv.EvHotSwap, hd.path, fmt.Sprintf("host sw->hw area=%dLEs", res.AreaLEs))
+	tr, ok := p.Promote(lifecycle.Fabric, vnow)
+	if ok && tr.Err == nil && o != nil {
+		o.EmitAt(vnow, obsv.EvHotSwap, p.Path, fmt.Sprintf("host sw->hw area=%dLEs", tr.Result.AreaLEs))
 		o.Promotions.Inc()
 	}
 }

@@ -1,0 +1,103 @@
+package transport
+
+import (
+	"testing"
+
+	"cascade/internal/engine"
+	"cascade/internal/fault"
+	"cascade/internal/fpga"
+	"cascade/internal/toolchain"
+)
+
+// faultyHost starts a loopback host whose fabric and toolchain share
+// the given fault schedule. The toolchain keeps its default latencies:
+// even a cache hit takes virtual time, so a test that holds the JIT
+// clock still holds a resubmitted compile off.
+func faultyHost(t *testing.T, cfg fault.Config) *TCP {
+	t.Helper()
+	dev := fpga.NewCycloneV()
+	_, addr := loopbackHost(t, HostOptions{Device: dev,
+		Toolchain: toolchain.New(dev, toolchain.DefaultOptions()), Injector: fault.New(cfg)})
+	tcpT, err := DialTCP(addr, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tcpT.Close() })
+	return tcpT
+}
+
+// stepUntil runs scheduler steps, advancing the host's JIT clock by
+// vstep each, until the engine reports loc.
+func stepUntil(t *testing.T, c *Client, vnow *uint64, vstep uint64, loc engine.Location) {
+	t.Helper()
+	for i := 0; c.Loc() != loc; i++ {
+		if i == 400 {
+			t.Fatalf("hosted engine never reached %v", loc)
+		}
+		*vnow += vstep
+		stepOnce(c, uint64(i%2))
+	}
+}
+
+// TestHostRetriesTransientProgrammingFault: a bitstream lost on the way
+// to the host's fabric is a transient fault, so the host resubmits the
+// compile and promotes on the retry, as the runtime's own ladder does.
+// (The host used to drop the job and strand the engine in software.)
+func TestHostRetriesTransientProgrammingFault(t *testing.T) {
+	tcpT := faultyHost(t, fault.Config{Seed: 1, RegionFault: 1, MaxRegionFaults: 1})
+	var vnow uint64
+	rec := &recorder{}
+	c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, JIT: true}, rec,
+		nil, func() uint64 { return vnow }, rec.onErr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepUntil(t, c, &vnow, 1<<50, engine.Hardware)
+}
+
+// TestHostEvictionKeepsEagerFlag: an engine spawned with the eager
+// ablation must still be eager after the host evicts it from a faulted
+// fabric region. (The host used to rebuild it lazy.) Eagerness is
+// observed through the protocol as interpreter work: from the same
+// state and inputs, the evicted engine must bill exactly what a
+// never-promoted eager engine bills — and not what a lazy one does.
+func TestHostEvictionKeepsEagerFlag(t *testing.T) {
+	tcpT := faultyHost(t, fault.Config{Seed: 1, BusError: 1, MaxBusFaults: 1})
+	var vnow uint64
+	rec := &recorder{}
+	spawn := func(eager, jit bool) *Client {
+		c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, Eager: eager, JIT: jit}, rec,
+			nil, func() uint64 { return vnow }, rec.onErr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c := spawn(true, true)
+	stepUntil(t, c, &vnow, 1<<50, engine.Hardware)
+	// The first bus transaction latches a fault; the next step boundary
+	// evicts. Holding the JIT clock still keeps the resubmitted compile
+	// from landing, so the engine stays in software to be measured.
+	stepUntil(t, c, &vnow, 0, engine.Software)
+	drive(c, 1) // leave the clock input high, as drive leaves the references'
+	st := c.GetState()
+	ops := func(c *Client) uint64 {
+		c.SetState(st)
+		c.UsageDelta()
+		drive(c, 5)
+		return c.UsageDelta().Ops
+	}
+	eagerRef, lazyRef := spawn(true, false), spawn(false, false)
+	drive(eagerRef, 1)
+	drive(lazyRef, 1)
+	got, eager, lazy := ops(c), ops(eagerRef), ops(lazyRef)
+	if c.Loc() != engine.Software {
+		t.Fatal("engine re-promoted mid-measurement")
+	}
+	if eager == lazy {
+		t.Fatalf("test cannot tell eager from lazy: both bill %d ops", eager)
+	}
+	if got != eager {
+		t.Fatalf("evicted engine bills %d ops over 5 ticks; an eager engine bills %d, a lazy one %d", got, eager, lazy)
+	}
+}

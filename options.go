@@ -5,8 +5,7 @@ import "cascade/internal/obsv"
 // Option configures a Runtime at construction (cascade.New). Options
 // compose left to right; everything left unset gets a paper-calibrated
 // default. The same knobs remain reachable through an Options struct
-// literal and NewWithOptions — the two construction paths yield
-// identical runtimes.
+// literal passed as WithOptions, which composes with the other options.
 type Option func(*Options)
 
 // buildOptions folds a list of functional options into an Options value.

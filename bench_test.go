@@ -16,9 +16,12 @@ import (
 
 	"cascade/internal/bench"
 	"cascade/internal/elab"
+	"cascade/internal/engine/hweng"
 	"cascade/internal/fpga"
+	"cascade/internal/ir"
 	"cascade/internal/netlist"
 	"cascade/internal/runtime"
+	"cascade/internal/stdlib"
 	"cascade/internal/toolchain"
 	"cascade/internal/userstudy"
 	"cascade/internal/vclock"
@@ -158,6 +161,85 @@ func BenchmarkFig12_Timeline(b *testing.B) {
 		}
 		b.ReportMetric(f.CascadeOpenIOs, "IO/s")
 	}
+}
+
+// --- The fabric model on its own --------------------------------------------
+
+// benchHWEngOpenLoop measures hweng.OpenLoop with no runtime around it:
+// the inlined root on the fabric model with every stdlib component
+// forwarded into it, as Runtime.forwardStdlib leaves it, run in 64-tick
+// bursts. One op is one clock tick; allocs/op is the group data plane's.
+func benchHWEngOpenLoop(b *testing.B, prog string, feed int) {
+	mods, items, errs := verilog.ParseProgramFragment(runtime.DefaultPrelude + prog)
+	if len(errs) > 0 {
+		b.Fatal(errs[0])
+	}
+	p := ir.NewProgram()
+	for _, m := range mods {
+		if err := p.DeclareModule(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	p.AddRootItems(items...)
+	d, err := ir.Build(p, stdlib.Registry())
+	if err == nil {
+		d, err = ir.Inline(d)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	flat, err := elab.Elaborate(d.Sub(ir.RootPath).Module, ir.RootPath, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nl, err := netlist.Compile(flat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hw, err := hweng.New(ir.RootPath, nl, fpga.NewCycloneV(), 1, nil, false, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	world := stdlib.NewWorld()
+	for _, s := range d.StdSubs() {
+		e, err := stdlib.New(s.Path, s.StdType, s.Params, world)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hw.Forward(s.Path, e)
+		if s.StdType == "FIFO" {
+			world.Stream(s.Path).PushBytes(make([]byte, feed))
+		}
+	}
+	local := func(sub string) string {
+		if sub == ir.RootPath {
+			return ""
+		}
+		return sub
+	}
+	clk := ""
+	for _, w := range d.Wires {
+		hw.ForwardWire(local(w.From.Sub), w.From.Port, local(w.To.Sub), w.To.Port)
+		if d.Sub(w.From.Sub).StdType == "Clock" && w.To.Sub == ir.RootPath {
+			clk = w.To.Port
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n += 64 {
+		for todo := 128; todo > 0; {
+			done := hw.OpenLoop(clk, todo) // returns early on a $display
+			if done == 0 {
+				b.Fatal("open loop made no progress")
+			}
+			todo -= done
+		}
+	}
+}
+
+func BenchmarkHWEng_OpenLoop(b *testing.B) {
+	b.Run("pow", func(b *testing.B) { benchHWEngOpenLoop(b, powProg(), 0) })
+	b.Run("regexstream", func(b *testing.B) { benchHWEngOpenLoop(b, regexProg(b), b.N+64) })
 }
 
 // --- Figure 13 and Table 1 ------------------------------------------------

@@ -35,7 +35,37 @@ var (
 	_ engine.Engine     = (*stdlib.GPIO)(nil)
 	_ engine.Engine     = (*stdlib.Memory)(nil)
 	_ engine.Engine     = (*stdlib.FIFO)(nil)
+
+	_ engine.WriteVisitor = (*stdlib.Clock)(nil)
+	_ engine.WriteVisitor = (*stdlib.FIFO)(nil)
 )
+
+// TestOutputsTracksByValue: the tracker every engine's DrainWrites shares
+// reports an output the first time it sees it (the first drain broadcasts
+// everything), then only when its value differs from the one last
+// reported, and keeps its own copy, so a borrowed or reused vector works.
+func TestOutputsTracksByValue(t *testing.T) {
+	o := engine.NewOutputs(2)
+	cur := bits.FromUint64(8, 5)
+	wide := bits.FromUint64(96, 7)
+	if !o.Changed(0, cur) || !o.Changed(1, wide) {
+		t.Fatal("first sight of an output must report a change")
+	}
+	if o.Changed(0, cur) || o.Changed(1, wide) {
+		t.Fatal("an unchanged value reported as changed")
+	}
+	cur.SetUint64(6) // the caller reuses its vector
+	if !o.Changed(0, cur) {
+		t.Fatal("a new value in a reused vector went unnoticed: the tracker aliases its input")
+	}
+	wide.SetBit(80, 1) // beyond the first word
+	if !o.Changed(1, wide) || o.Changed(1, wide) {
+		t.Fatal("wide values must compare on every word")
+	}
+	if got := testing.AllocsPerRun(100, func() { o.Changed(0, cur); o.Changed(1, wide) }); got != 0 {
+		t.Fatalf("steady-state comparison allocates: %v", got)
+	}
+}
 
 // TestLocations checks the location taxonomy the scheduler's billing
 // depends on.

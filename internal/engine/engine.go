@@ -118,6 +118,15 @@ type OpenLooper interface {
 	OpenLoop(clk string, steps int) int
 }
 
+// WriteVisitor is the optional in-place form of DrainWrites, for a
+// forwarder's group-internal data plane, where no event outlives its
+// delivery: VisitWrites calls fn for each output changed since the
+// previous drain, lending the live value — fn must neither retain nor
+// mutate it. Engines without it are drained through DrainWrites.
+type WriteVisitor interface {
+	VisitWrites(fn func(name string, val *bits.Vector))
+}
+
 // Forwarder is the optional ABI-forwarding capability (paper §4.3): an
 // engine that has absorbed standard-library components answers the
 // runtime's requests on their behalf.

@@ -14,42 +14,69 @@
 package hweng
 
 import (
+	"cascade/internal/bits"
 	"cascade/internal/elab"
 	"cascade/internal/engine"
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
 	"cascade/internal/netlist"
+	"cascade/internal/njit"
 	"cascade/internal/sim"
 )
 
-// route is a data-plane wire inside the forward group. Engine names are
-// instance paths; "" denotes the user-logic machine itself.
-type route struct {
-	fromName, fromVar string
-	toName, toVar     string
+// dest is the consuming end of a data-plane wire inside the forward
+// group: a user-logic input, or (v nil) a port of a forwarded component.
+type dest struct {
+	v    *elab.Var
+	in   *member
+	port string
+}
+
+// member is a forwarded component and the group-internal consumers of
+// its outputs.
+type member struct {
+	e    *Engine
+	name string
+	eng  engine.Engine
+	vis  engine.WriteVisitor                 // eng's in-place drain, nil if it has none
+	sink func(name string, val *bits.Vector) // deliver, bound once: a method value per drain would allocate
+	outs []fanout
+}
+
+type fanout struct {
+	from string
+	to   []dest
 }
 
 // Engine is a hardware engine.
 type Engine struct {
 	name string
 	flat *elab.Flat
-	m    *netlist.Machine
-	dev  *fpga.Device
-	io   engine.IOHandler
+	// The fabric model executes on the compiled evaluator: ev runs the
+	// program over m's state, and m keeps the parts that are not
+	// evaluation (state access, inputs, monitors, captured system tasks).
+	m   *netlist.Machine
+	ev  *njit.Eval
+	dev *fpga.Device
+	io  engine.IOHandler
 
 	// Native engines carry no ABI wrapper (paper §4.5): full fabric
 	// speed, no state access, no system tasks.
 	native bool
 
-	inner  map[string]engine.Engine // forwarded components
-	order  []string
-	routes []route
+	// The forward group, and the group-internal wires out of the user
+	// logic by output position (those out of a component are its outs).
+	group []*member
+	wires [][]dest
 
 	// Separate change-tracking for the runtime-facing data plane
 	// (DrainWrites) and the group-internal routing (drainGroup): an
 	// internal delivery must not hide a change from the runtime.
-	lastOut  map[string]uint64SliceKey
-	lastInt  map[string]uint64SliceKey
+	lastOut engine.Outputs
+	lastInt engine.Outputs
+	// stale: the user logic's outputs may have moved since drainGroup
+	// last compared them (only evaluation, update and SetState move them).
+	stale    bool
 	finished bool
 
 	// Fault handling: the engine consults the device's injector on
@@ -63,14 +90,10 @@ type Engine struct {
 	fault   error
 	areaLEs int
 
-	// Perf counters, drained by the runtime's virtual clock.
+	// Perf counters, drained by the runtime's virtual clock. Billing is
+	// counted here, never taken from the executor.
 	cycles uint64 // fabric cycles consumed
 	msgs   uint64 // MMIO transactions
-}
-
-// uint64SliceKey stores a compact signature of an output value.
-type uint64SliceKey struct {
-	sig string
 }
 
 // New places a compiled program on the device and returns its engine.
@@ -78,21 +101,23 @@ func New(name string, prog *netlist.Program, dev *fpga.Device, areaLEs int, io e
 	if err := dev.Place(name, areaLEs); err != nil {
 		return nil, err
 	}
-	e := &Engine{
+	m := netlist.NewMachine(prog)
+	m.NowFn = now
+	return &Engine{
 		name:    name,
 		flat:    prog.Flat,
-		m:       netlist.NewMachine(prog),
+		m:       m,
+		ev:      njit.Compile(m),
 		dev:     dev,
 		io:      io,
 		native:  native,
 		flt:     dev.Faults(),
 		areaLEs: areaLEs,
-		inner:   map[string]engine.Engine{},
-		lastOut: map[string]uint64SliceKey{},
-		lastInt: map[string]uint64SliceKey{},
-	}
-	e.m.NowFn = now
-	return e, nil
+		wires:   make([][]dest, len(prog.Flat.Outputs)),
+		lastOut: engine.NewOutputs(len(prog.Flat.Outputs)),
+		lastInt: engine.NewOutputs(len(prog.Flat.Outputs)),
+		stale:   true,
+	}, nil
 }
 
 // Release frees the engine's fabric region.
@@ -108,21 +133,15 @@ func (e *Engine) Fault() error { return e.fault }
 
 // checkBus runs one bus-fault trial, latching the first hit.
 func (e *Engine) checkBus() {
-	if e.fault != nil {
-		return
-	}
-	if err := e.flt.Bus(e.name); err != nil {
-		e.fault = err
+	if e.fault == nil {
+		e.fault = e.flt.Bus(e.name)
 	}
 }
 
 // checkRegion runs one region-integrity trial, latching the first hit.
 func (e *Engine) checkRegion() {
-	if e.fault != nil {
-		return
-	}
-	if err := e.flt.Region(e.name); err != nil {
-		e.fault = err
+	if e.fault == nil {
+		e.fault = e.flt.Region(e.name)
 	}
 }
 
@@ -165,12 +184,9 @@ func (e *Engine) bill() {
 	e.checkBus()
 }
 
-// GetState implements engine.Engine. Reading state out of the fabric
-// costs one bus read per 32-bit word (the ABI's address-mapped access,
-// Figure 10 lines 49–53).
-func (e *Engine) GetState() *sim.State {
-	st := e.m.GetState()
-	words := uint64(0)
+// stateWords counts the 32-bit bus words a state snapshot occupies (the
+// ABI's address-mapped access, Figure 10 lines 49–53).
+func stateWords(st *sim.State) (words uint64) {
 	for _, v := range st.Scalars {
 		words += uint64((v.Width() + 31) / 32)
 	}
@@ -179,25 +195,29 @@ func (e *Engine) GetState() *sim.State {
 			words += uint64((v.Width() + 31) / 32)
 		}
 	}
+	return words
+}
+
+// GetState implements engine.Engine. Reading state out of the fabric
+// costs one bus read per 32-bit word.
+func (e *Engine) GetState() *sim.State {
+	st := e.m.GetState()
+	words := stateWords(st)
 	e.msgs += words
 	e.dev.CountRead(words)
 	return st
 }
 
 // SetState implements engine.Engine (bus writes, symmetric to GetState).
+// Replacing the state wholesale invalidates the compiled evaluator's
+// sensitivity bookkeeping, as in njit.Engine.
 func (e *Engine) SetState(st *sim.State) {
-	words := uint64(0)
-	for _, v := range st.Scalars {
-		words += uint64((v.Width() + 31) / 32)
-	}
-	for _, ws := range st.Arrays {
-		for _, v := range ws {
-			words += uint64((v.Width() + 31) / 32)
-		}
-	}
+	words := stateWords(st)
 	e.msgs += words
 	e.dev.CountWrite(words)
 	e.m.SetState(st)
+	e.ev.InvalidateAll()
+	e.stale = true
 }
 
 // Read implements engine.Engine: one bus write per input event.
@@ -214,12 +234,9 @@ func (e *Engine) Read(ev engine.Event) {
 // DrainWrites implements engine.Engine: one bus read per changed output.
 func (e *Engine) DrainWrites() []engine.Event {
 	var evs []engine.Event
-	for _, v := range e.flat.Outputs {
-		cur := e.m.ReadVar(v)
-		sig := cur.String()
-		if last, seen := e.lastOut[v.Name]; !seen || last.sig != sig {
-			e.lastOut[v.Name] = uint64SliceKey{sig: sig}
-			evs = append(evs, engine.Event{Var: v.Name, Val: cur})
+	for i, v := range e.flat.Outputs {
+		if cur := e.m.PeekVar(v); e.lastOut.Changed(i, cur) {
+			evs = append(evs, engine.Event{Var: v.Name, Val: cur.Clone()})
 			e.msgs++
 			e.dev.CountRead(1)
 		}
@@ -231,11 +248,11 @@ func (e *Engine) DrainWrites() []engine.Event {
 // components as well (ABI forwarding, paper §4.3).
 func (e *Engine) ThereAreEvals() bool {
 	e.bill()
-	if e.m.HasActive() {
+	if e.ev.HasActive() {
 		return true
 	}
-	for _, name := range e.order {
-		if e.inner[name].ThereAreEvals() {
+	for _, g := range e.group {
+		if g.eng.ThereAreEvals() {
 			return true
 		}
 	}
@@ -247,28 +264,37 @@ func (e *Engine) ThereAreEvals() bool {
 func (e *Engine) Evaluate() {
 	e.bill()
 	e.cycles++
-	if e.m.HasActive() {
-		e.m.Evaluate()
+	e.evalGroup()
+	e.drainMachineEvents()
+}
+
+// evalGroup runs one evaluation batch across the user logic and the
+// forwarded components, routing data internally, and reports whether
+// anything ran.
+func (e *Engine) evalGroup() (ran bool) {
+	if e.ev.HasActive() {
+		e.ev.Evaluate()
+		ran, e.stale = true, true
 	}
 	e.drainGroup()
-	for _, name := range e.order {
-		in := e.inner[name]
-		if in.ThereAreEvals() {
-			in.Evaluate()
+	for _, g := range e.group {
+		if g.eng.ThereAreEvals() {
+			g.eng.Evaluate()
+			ran = true
 		}
 	}
 	e.drainGroup()
-	e.drainMachineEvents()
+	return ran
 }
 
 // ThereAreUpdates implements engine.Engine.
 func (e *Engine) ThereAreUpdates() bool {
 	e.bill()
-	if e.m.HasUpdates() {
+	if e.ev.HasUpdates() {
 		return true
 	}
-	for _, name := range e.order {
-		if e.inner[name].ThereAreUpdates() {
+	for _, g := range e.group {
+		if g.eng.ThereAreUpdates() {
 			return true
 		}
 	}
@@ -280,16 +306,24 @@ func (e *Engine) ThereAreUpdates() bool {
 func (e *Engine) Update() {
 	e.bill()
 	e.cycles++
-	if e.m.HasUpdates() {
-		e.m.Update()
+	e.updateGroup()
+}
+
+// updateGroup commits one update batch across the group and reports
+// whether anything was committed.
+func (e *Engine) updateGroup() (ran bool) {
+	if e.ev.HasUpdates() {
+		e.ev.Update()
+		ran, e.stale = true, true
 	}
-	for _, name := range e.order {
-		in := e.inner[name]
-		if in.ThereAreUpdates() {
-			in.Update()
+	for _, g := range e.group {
+		if g.eng.ThereAreUpdates() {
+			g.eng.Update()
+			ran = true
 		}
 	}
 	e.drainGroup()
+	return ran
 }
 
 // EndStep implements engine.Engine. The step boundary is also where the
@@ -297,92 +331,130 @@ func (e *Engine) Update() {
 func (e *Engine) EndStep() {
 	e.m.EndStep()
 	e.drainMachineEvents()
-	for _, name := range e.order {
-		e.inner[name].EndStep()
+	for _, g := range e.group {
+		g.eng.EndStep()
 	}
 	e.checkRegion()
 }
 
 // End implements engine.Engine.
 func (e *Engine) End() {
-	for _, name := range e.order {
-		e.inner[name].End()
+	for _, g := range e.group {
+		g.eng.End()
 	}
 }
 
 // Forward implements engine.Forwarder.
 func (e *Engine) Forward(name string, inner engine.Engine) {
-	if _, dup := e.inner[name]; !dup {
-		e.order = append(e.order, name)
+	g := e.member(name)
+	if g == nil {
+		g = &member{e: e, name: name}
+		g.sink = g.deliver
+		e.group = append(e.group, g)
 	}
-	e.inner[name] = inner
+	g.eng = inner
+	g.vis, _ = inner.(engine.WriteVisitor)
 }
 
-// ForwardWire implements engine.Forwarder: registers a data-plane route
-// internal to the forward group, used during open-loop execution.
+// ForwardWire registers a data-plane route internal to the forward
+// group, used during open-loop execution. Engine names are instance
+// paths, "" the user logic itself; both ends are resolved here, once, so
+// a wire naming a component that has not been forwarded yet (or a
+// variable the user logic lacks) carries nothing.
 func (e *Engine) ForwardWire(fromName, fromVar, toName, toVar string) {
-	e.routes = append(e.routes, route{fromName, fromVar, toName, toVar})
-}
-
-// Inner returns the forwarded component with the given path (nil if not
-// forwarded here).
-func (e *Engine) Inner(name string) engine.Engine { return e.inner[name] }
-
-// drainMachineEvents forwards captured $display/$finish side effects to
-// the runtime's IO handler.
-func (e *Engine) drainMachineEvents() bool {
-	evs := e.m.DrainEvents()
-	for _, ev := range evs {
-		if ev.Finish {
-			e.finished = true
-			if e.io != nil {
-				e.io.Finish(0)
-			}
-			continue
-		}
-		if e.io != nil {
-			e.io.Display(ev.Text, ev.Newline)
-		}
+	d := dest{port: toVar}
+	if toName == "" {
+		d.v = e.flat.VarNamed(toVar)
+	} else {
+		d.in = e.member(toName)
 	}
-	return len(evs) > 0
-}
-
-// deliver routes an event within the forward group.
-func (e *Engine) deliver(fromName, fromVar string, ev engine.Event) {
-	for _, r := range e.routes {
-		if r.fromName != fromName || r.fromVar != fromVar {
-			continue
-		}
-		if r.toName == "" {
-			if v := e.flat.VarNamed(r.toVar); v != nil {
-				e.m.SetInput(v, ev.Val)
-			}
-			continue
-		}
-		if in, ok := e.inner[r.toName]; ok {
-			in.Read(engine.Event{Var: r.toVar, Val: ev.Val})
-		}
-	}
-}
-
-// drainGroup broadcasts pending output changes inside the group. It is a
-// no-op until components have been forwarded, so it never interferes with
-// the runtime-facing DrainWrites tracking.
-func (e *Engine) drainGroup() {
-	if len(e.routes) == 0 && len(e.order) == 0 {
+	if d.v == nil && d.in == nil {
 		return
 	}
-	for _, v := range e.flat.Outputs {
-		cur := e.m.ReadVar(v)
-		sig := cur.String()
-		if last, seen := e.lastInt[v.Name]; !seen || last.sig != sig {
-			e.lastInt[v.Name] = uint64SliceKey{sig: sig}
-			e.deliver("", v.Name, engine.Event{Var: v.Name, Val: cur})
+	e.stale = true // the new wire's first delivery
+	if g := e.member(fromName); g != nil {
+		g.wire(fromVar, d)
+	} else if fromName == "" {
+		for i, v := range e.flat.Outputs {
+			if v.Name == fromVar {
+				e.wires[i] = append(e.wires[i], d)
+			}
 		}
 	}
-	for _, name := range e.order {
-		for _, ev := range e.inner[name].DrainWrites() {
-			e.deliver(name, ev.Var, ev)
+}
+
+func (e *Engine) member(name string) *member {
+	for _, g := range e.group {
+		if g.name == name {
+			return g
+		}
+	}
+	return nil
+}
+
+func (g *member) wire(from string, d dest) {
+	for i := range g.outs {
+		if g.outs[i].from == from {
+			g.outs[i].to = append(g.outs[i].to, d)
+			return
+		}
+	}
+	g.outs = append(g.outs, fanout{from, []dest{d}})
+}
+
+// drainMachineEvents forwards captured $display/$finish side effects to
+// the runtime's IO handler and reports whether there were any.
+func (e *Engine) drainMachineEvents() bool {
+	n, fin := e.ev.FlushTasks(e.io)
+	e.finished = e.finished || fin
+	return n > 0
+}
+
+// send delivers one changed value, borrowed, to its destinations.
+func (e *Engine) send(to []dest, val *bits.Vector) {
+	for _, d := range to {
+		if d.v != nil {
+			e.m.SetInput(d.v, val)
+		} else {
+			d.in.eng.Read(engine.Event{Var: d.port, Val: val})
+		}
+	}
+}
+
+// deliver is the member's sink: one of its outputs changed.
+func (g *member) deliver(name string, val *bits.Vector) {
+	for i := range g.outs {
+		if g.outs[i].from == name {
+			g.e.send(g.outs[i].to, val)
+			return
+		}
+	}
+}
+
+// drainGroup broadcasts pending output changes inside the group: the
+// user logic's wired outputs that changed value, then every component's
+// pending writes. Nothing here allocates or bills; with no group it
+// touches nothing, so it never interferes with the runtime-facing
+// DrainWrites tracking.
+func (e *Engine) drainGroup() {
+	if e.stale {
+		e.stale = false
+		for i, to := range e.wires {
+			if len(to) == 0 {
+				continue
+			}
+			if cur := e.m.PeekVar(e.flat.Outputs[i]); e.lastInt.Changed(i, cur) {
+				e.send(to, cur)
+			}
+		}
+	}
+	for _, g := range e.group {
+		if g.vis != nil {
+			g.vis.VisitWrites(g.sink)
+			continue
+		}
+		for _, ev := range g.eng.DrainWrites() {
+			g.sink(ev.Var, ev.Val)
 		}
 	}
 }
@@ -407,21 +479,19 @@ func (e *Engine) OpenLoop(clk string, steps int) int {
 		// end the step for the whole group (the Clock re-arms here).
 		e.settleGroup()
 		e.m.EndStep()
-		for _, name := range e.order {
-			e.inner[name].EndStep()
+		for _, g := range e.group {
+			g.eng.EndStep()
 		}
 		e.drainGroup()
 		done++
-		if e.native {
-			// Native designs spend one fabric cycle per tick.
-			if done%2 == 0 {
+		if done%2 == 0 {
+			// Native designs spend one fabric cycle per tick. The ABI
+			// wrapper's latch commit + clock toggle + task check cost ~3
+			// (Figure 10), the source of the paper's ~2.9x open-loop gap
+			// to native.
+			if e.native {
 				e.cycles++
-			}
-		} else {
-			// ABI wrapper overhead: latch commit + clock toggle + task
-			// check cost ~3 cycles per tick (Figure 10), the source of
-			// the paper's ~2.9x open-loop gap to native.
-			if done%2 == 0 {
+			} else {
 				e.cycles += 3
 			}
 		}
@@ -433,41 +503,13 @@ func (e *Engine) OpenLoop(clk string, steps int) int {
 }
 
 // settleGroup runs the evaluate/update fixpoint across the machine and
-// forwarded components, routing data internally.
+// forwarded components.
 func (e *Engine) settleGroup() {
 	for {
-		progress := true
-		for progress {
-			progress = false
-			if e.m.HasActive() {
-				e.m.Evaluate()
-				progress = true
-			}
-			e.drainGroup()
-			for _, name := range e.order {
-				in := e.inner[name]
-				if in.ThereAreEvals() {
-					in.Evaluate()
-					progress = true
-				}
-			}
-			e.drainGroup()
+		for e.evalGroup() {
 		}
-		updated := false
-		if e.m.HasUpdates() {
-			e.m.Update()
-			updated = true
-		}
-		for _, name := range e.order {
-			in := e.inner[name]
-			if in.ThereAreUpdates() {
-				in.Update()
-				updated = true
-			}
-		}
-		if !updated {
+		if !e.updateGroup() {
 			return
 		}
-		e.drainGroup()
 	}
 }

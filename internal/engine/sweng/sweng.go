@@ -7,7 +7,6 @@
 package sweng
 
 import (
-	"cascade/internal/bits"
 	"cascade/internal/elab"
 	"cascade/internal/engine"
 	"cascade/internal/sim"
@@ -20,7 +19,7 @@ type Engine struct {
 	s    *sim.Simulator
 	io   engine.IOHandler
 
-	lastOut map[string]*bits.Vector
+	outs    engine.Outputs
 	lastOps uint64
 }
 
@@ -29,10 +28,10 @@ type Engine struct {
 // eager selects the naive re-evaluation strategy (baseline/ablation).
 func New(flat *elab.Flat, io engine.IOHandler, now func() uint64, eager bool) *Engine {
 	e := &Engine{
-		name:    flat.Name,
-		flat:    flat,
-		io:      io,
-		lastOut: map[string]*bits.Vector{},
+		name: flat.Name,
+		flat: flat,
+		io:   io,
+		outs: engine.NewOutputs(len(flat.Outputs)),
 	}
 	e.s = sim.New(flat, sim.Options{
 		Display: func(text string) {
@@ -79,12 +78,9 @@ func (e *Engine) Read(ev engine.Event) {
 // value changed since the last drain.
 func (e *Engine) DrainWrites() []engine.Event {
 	var evs []engine.Event
-	for _, v := range e.flat.Outputs {
-		cur := e.s.Value(v.Name)
-		last, seen := e.lastOut[v.Name]
-		if !seen || !last.Equal(cur) {
-			e.lastOut[v.Name] = cur
-			evs = append(evs, engine.Event{Var: v.Name, Val: cur.Clone()})
+	for i, v := range e.flat.Outputs {
+		if cur := e.s.Value(v.Name); e.outs.Changed(i, cur) {
+			evs = append(evs, engine.Event{Var: v.Name, Val: cur})
 		}
 	}
 	return evs

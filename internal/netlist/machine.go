@@ -142,7 +142,12 @@ func (m *Machine) DrainEvents() []DisplayEvent {
 // HasEvents reports whether undrained events exist.
 func (m *Machine) HasEvents() bool { return len(m.events) > 0 }
 
-func mask(w int) uint64 {
+// Mask, B2U and PowMod are the narrow-lane arithmetic helpers; they are
+// exported so a compiled backend computes with the interpreter's own
+// definitions.
+
+// Mask returns the low-w-bits mask of a 64-bit lane.
+func Mask(w int) uint64 {
 	if w >= 64 {
 		return ^uint64(0)
 	}
@@ -182,7 +187,7 @@ func (m *Machine) setSlotRaw(i int, v *bv.Vector) {
 		m.wide[i].CopyFrom(v)
 		return
 	}
-	m.u64[i] = v.Uint64() & mask(m.prog.Slots[i].Width)
+	m.u64[i] = v.Uint64() & Mask(m.prog.Slots[i].Width)
 }
 
 // writeVarSlot stores into a variable-backed slot with change detection,
@@ -203,7 +208,7 @@ func (m *Machine) writeVarSlot(i int, newU uint64, newW *bv.Vector, isWide bool)
 		}
 		newU = v.Uint64()
 	}
-	newU &= mask(m.prog.Slots[i].Width)
+	newU &= Mask(m.prog.Slots[i].Width)
 	old := m.u64[i]
 	if old == newU {
 		return false
@@ -237,6 +242,13 @@ func (m *Machine) SetInput(v *elab.Var, val *bv.Vector) {
 // owned by the caller.
 func (m *Machine) ReadVar(v *elab.Var) *bv.Vector {
 	return m.slotVecOwned(m.prog.VarSlot[v.Index])
+}
+
+// PeekVar is ReadVar without the copy: the result is borrowed under
+// slotVec's rules (valid until the variable is next read, never to be
+// mutated), for callers that only compare or copy it.
+func (m *Machine) PeekVar(v *elab.Var) *bv.Vector {
+	return m.slotVec(m.prog.VarSlot[v.Index])
 }
 
 // HasActive reports pending evaluation work (there_are_evals).
@@ -306,7 +318,7 @@ func (m *Machine) commitMem(p mPending) {
 	if mi.Wide {
 		m.memW[p.mem][p.word].CopyFrom(p.w)
 	} else {
-		m.mem64[p.mem][p.word] = p.u & mask(mi.Width)
+		m.mem64[p.mem][p.word] = p.u & Mask(mi.Width)
 	}
 	m.combDirty = true
 	if m.ChangeHook != nil {
@@ -369,7 +381,7 @@ func (m *Machine) SetState(st *sim.State) {
 				if m.prog.Mems[idx].Wide {
 					m.memW[idx][j].CopyFrom(words[j])
 				} else {
-					m.mem64[idx][j] = words[j].Uint64() & mask(v.Width)
+					m.mem64[idx][j] = words[j].Uint64() & Mask(v.Width)
 				}
 			}
 			continue
@@ -382,7 +394,7 @@ func (m *Machine) SetState(st *sim.State) {
 		if m.wide[slot] != nil {
 			m.wide[slot].CopyFrom(val)
 		} else {
-			m.u64[slot] = val.Uint64() & mask(v.Width)
+			m.u64[slot] = val.Uint64() & Mask(v.Width)
 		}
 	}
 	// State loads happen only between time steps: no sequential process
@@ -423,31 +435,31 @@ func (m *Machine) exec(pc int) {
 				continue
 			}
 		case OpConst:
-			m.u64[op.Dst] = op.Const.Uint64() & mask(op.Width)
+			m.u64[op.Dst] = op.Const.Uint64() & Mask(op.Width)
 		case OpMove:
-			m.u64[op.Dst] = m.u64[op.Srcs[0]] & mask(op.Width)
+			m.u64[op.Dst] = m.u64[op.Srcs[0]] & Mask(op.Width)
 		case OpAdd:
-			m.u64[op.Dst] = (m.u64[op.Srcs[0]] + m.u64[op.Srcs[1]]) & mask(op.Width)
+			m.u64[op.Dst] = (m.u64[op.Srcs[0]] + m.u64[op.Srcs[1]]) & Mask(op.Width)
 		case OpSub:
-			m.u64[op.Dst] = (m.u64[op.Srcs[0]] - m.u64[op.Srcs[1]]) & mask(op.Width)
+			m.u64[op.Dst] = (m.u64[op.Srcs[0]] - m.u64[op.Srcs[1]]) & Mask(op.Width)
 		case OpMul:
-			m.u64[op.Dst] = (m.u64[op.Srcs[0]] * m.u64[op.Srcs[1]]) & mask(op.Width)
+			m.u64[op.Dst] = (m.u64[op.Srcs[0]] * m.u64[op.Srcs[1]]) & Mask(op.Width)
 		case OpDiv:
 			d := m.u64[op.Srcs[1]]
 			if d == 0 {
 				m.u64[op.Dst] = 0
 			} else {
-				m.u64[op.Dst] = (m.u64[op.Srcs[0]] / d) & mask(op.Width)
+				m.u64[op.Dst] = (m.u64[op.Srcs[0]] / d) & Mask(op.Width)
 			}
 		case OpMod:
 			d := m.u64[op.Srcs[1]]
 			if d == 0 {
 				m.u64[op.Dst] = 0
 			} else {
-				m.u64[op.Dst] = (m.u64[op.Srcs[0]] % d) & mask(op.Width)
+				m.u64[op.Dst] = (m.u64[op.Srcs[0]] % d) & Mask(op.Width)
 			}
 		case OpPow:
-			m.u64[op.Dst] = powMod(m.u64[op.Srcs[0]], m.u64[op.Srcs[1]]) & mask(op.Width)
+			m.u64[op.Dst] = PowMod(m.u64[op.Srcs[0]], m.u64[op.Srcs[1]]) & Mask(op.Width)
 		case OpAnd:
 			m.u64[op.Dst] = m.u64[op.Srcs[0]] & m.u64[op.Srcs[1]]
 		case OpOr:
@@ -455,59 +467,59 @@ func (m *Machine) exec(pc int) {
 		case OpXor:
 			m.u64[op.Dst] = m.u64[op.Srcs[0]] ^ m.u64[op.Srcs[1]]
 		case OpXnor:
-			m.u64[op.Dst] = ^(m.u64[op.Srcs[0]] ^ m.u64[op.Srcs[1]]) & mask(op.Width)
+			m.u64[op.Dst] = ^(m.u64[op.Srcs[0]] ^ m.u64[op.Srcs[1]]) & Mask(op.Width)
 		case OpNot:
-			m.u64[op.Dst] = ^m.u64[op.Srcs[0]] & mask(op.Width)
+			m.u64[op.Dst] = ^m.u64[op.Srcs[0]] & Mask(op.Width)
 		case OpNeg:
-			m.u64[op.Dst] = (-m.u64[op.Srcs[0]]) & mask(op.Width)
+			m.u64[op.Dst] = (-m.u64[op.Srcs[0]]) & Mask(op.Width)
 		case OpLogNot:
-			m.u64[op.Dst] = b2u(m.u64[op.Srcs[0]] == 0)
+			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] == 0)
 		case OpRedAnd:
 			w := m.prog.Slots[op.Srcs[0]].Width
-			m.u64[op.Dst] = b2u(m.u64[op.Srcs[0]] == mask(w))
+			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] == Mask(w))
 		case OpRedOr:
-			m.u64[op.Dst] = b2u(m.u64[op.Srcs[0]] != 0)
+			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] != 0)
 		case OpRedXor:
 			m.u64[op.Dst] = uint64(bits.OnesCount64(m.u64[op.Srcs[0]]) & 1)
 		case OpRedNand:
 			w := m.prog.Slots[op.Srcs[0]].Width
-			m.u64[op.Dst] = b2u(m.u64[op.Srcs[0]] != mask(w))
+			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] != Mask(w))
 		case OpRedNor:
-			m.u64[op.Dst] = b2u(m.u64[op.Srcs[0]] == 0)
+			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] == 0)
 		case OpRedXnor:
 			m.u64[op.Dst] = uint64(^bits.OnesCount64(m.u64[op.Srcs[0]]) & 1)
 		case OpEq:
-			m.u64[op.Dst] = b2u(m.u64[op.Srcs[0]] == m.u64[op.Srcs[1]])
+			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] == m.u64[op.Srcs[1]])
 		case OpNe:
-			m.u64[op.Dst] = b2u(m.u64[op.Srcs[0]] != m.u64[op.Srcs[1]])
+			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] != m.u64[op.Srcs[1]])
 		case OpLt:
-			m.u64[op.Dst] = b2u(m.u64[op.Srcs[0]] < m.u64[op.Srcs[1]])
+			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] < m.u64[op.Srcs[1]])
 		case OpLe:
-			m.u64[op.Dst] = b2u(m.u64[op.Srcs[0]] <= m.u64[op.Srcs[1]])
+			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] <= m.u64[op.Srcs[1]])
 		case OpGt:
-			m.u64[op.Dst] = b2u(m.u64[op.Srcs[0]] > m.u64[op.Srcs[1]])
+			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] > m.u64[op.Srcs[1]])
 		case OpGe:
-			m.u64[op.Dst] = b2u(m.u64[op.Srcs[0]] >= m.u64[op.Srcs[1]])
+			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] >= m.u64[op.Srcs[1]])
 		case OpLogAnd:
-			m.u64[op.Dst] = b2u(m.u64[op.Srcs[0]] != 0 && m.u64[op.Srcs[1]] != 0)
+			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] != 0 && m.u64[op.Srcs[1]] != 0)
 		case OpLogOr:
-			m.u64[op.Dst] = b2u(m.u64[op.Srcs[0]] != 0 || m.u64[op.Srcs[1]] != 0)
+			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] != 0 || m.u64[op.Srcs[1]] != 0)
 		case OpShl:
 			sh := m.u64[op.Srcs[1]]
 			if sh >= 64 {
 				m.u64[op.Dst] = 0
 			} else {
-				m.u64[op.Dst] = (m.u64[op.Srcs[0]] << sh) & mask(op.Width)
+				m.u64[op.Dst] = (m.u64[op.Srcs[0]] << sh) & Mask(op.Width)
 			}
 		case OpShr:
 			sh := m.u64[op.Srcs[1]]
 			if sh >= 64 {
 				m.u64[op.Dst] = 0
 			} else {
-				m.u64[op.Dst] = (m.u64[op.Srcs[0]] & mask(op.Width)) >> sh
+				m.u64[op.Dst] = (m.u64[op.Srcs[0]] & Mask(op.Width)) >> sh
 			}
 		case OpSlice:
-			m.u64[op.Dst] = (m.u64[op.Srcs[0]] >> op.Lo) & mask(op.Width)
+			m.u64[op.Dst] = (m.u64[op.Srcs[0]] >> op.Lo) & Mask(op.Width)
 		case OpBitSel:
 			idx := m.u64[op.Srcs[1]]
 			if idx >= uint64(m.prog.Slots[op.Srcs[0]].Width) {
@@ -519,22 +531,22 @@ func (m *Machine) exec(pc int) {
 			var acc uint64
 			for _, s := range op.Srcs {
 				w := m.prog.Slots[s].Width
-				acc = acc<<w | (m.u64[s] & mask(w))
+				acc = acc<<w | (m.u64[s] & Mask(w))
 			}
-			m.u64[op.Dst] = acc & mask(op.Width)
+			m.u64[op.Dst] = acc & Mask(op.Width)
 		case OpRepl:
 			w := m.prog.Slots[op.Srcs[0]].Width
-			v := m.u64[op.Srcs[0]] & mask(w)
+			v := m.u64[op.Srcs[0]] & Mask(w)
 			var acc uint64
 			for i := 0; i < op.N; i++ {
 				acc = acc<<w | v
 			}
-			m.u64[op.Dst] = acc & mask(op.Width)
+			m.u64[op.Dst] = acc & Mask(op.Width)
 		case OpMux:
 			if m.u64[op.Srcs[0]] != 0 {
-				m.u64[op.Dst] = m.u64[op.Srcs[1]] & mask(op.Width)
+				m.u64[op.Dst] = m.u64[op.Srcs[1]] & Mask(op.Width)
 			} else {
-				m.u64[op.Dst] = m.u64[op.Srcs[2]] & mask(op.Width)
+				m.u64[op.Dst] = m.u64[op.Srcs[2]] & Mask(op.Width)
 			}
 		case OpTime:
 			if m.NowFn != nil {
@@ -568,8 +580,8 @@ func (m *Machine) exec(pc int) {
 			mi := m.prog.Mems[op.Aux]
 			addr := m.u64[op.Srcs[1]]
 			if addr < uint64(mi.Words) {
-				if m.mem64[op.Aux][addr] != m.u64[op.Srcs[0]]&mask(mi.Width) {
-					m.mem64[op.Aux][addr] = m.u64[op.Srcs[0]] & mask(mi.Width)
+				if m.mem64[op.Aux][addr] != m.u64[op.Srcs[0]]&Mask(mi.Width) {
+					m.mem64[op.Aux][addr] = m.u64[op.Srcs[0]] & Mask(mi.Width)
 					m.combDirty = true
 					if m.ChangeHook != nil {
 						m.ChangeHook(-1 - op.Aux)
@@ -799,15 +811,16 @@ func (m *Machine) display(op *Op) {
 	})
 }
 
-func b2u(b bool) uint64 {
+// B2U converts a comparison result to a lane value.
+func B2U(b bool) uint64 {
 	if b {
 		return 1
 	}
 	return 0
 }
 
-// powMod computes x**y mod 2^64 by binary exponentiation.
-func powMod(x, y uint64) uint64 {
+// PowMod computes x**y mod 2^64 by binary exponentiation.
+func PowMod(x, y uint64) uint64 {
 	var r uint64 = 1
 	for y > 0 {
 		if y&1 != 0 {

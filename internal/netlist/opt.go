@@ -54,18 +54,22 @@ func Optimize(p *Program) *Program {
 	// kept instruction at or after i (entry points and jump targets land
 	// on the next live instruction).
 	pcMap := make([]int, n+1)
-	var code []Op
-	kept := 0
-	for i := 0; i < n; i++ {
-		if liveOp[i] {
-			pcMap[i] = kept
-			code = append(code, p.Code[i])
-			kept++
-		} else {
-			pcMap[i] = kept // next kept instruction
+	live := 0
+	for _, l := range liveOp {
+		if l {
+			live++
 		}
 	}
-	pcMap[n] = kept
+	// Sized exactly: the program lives as long as the bitstream cache, and
+	// append's growth slack on ~100-byte Ops was its largest retained block.
+	code := make([]Op, 0, live)
+	for i := 0; i < n; i++ {
+		pcMap[i] = len(code) // the next kept instruction, when i is dropped
+		if liveOp[i] {
+			code = append(code, p.Code[i])
+		}
+	}
+	pcMap[n] = live
 	for i := range code {
 		switch code[i].Kind {
 		case OpJump, OpJz:

@@ -41,6 +41,11 @@ endmodule`)
 	if len(opt.Code) > len(raw.Code) {
 		t.Fatalf("optimizer grew code: %d -> %d", len(raw.Code), len(opt.Code))
 	}
+	// The optimized program outlives the flow in the bitstream cache: no
+	// append slack on its ~100-byte instructions.
+	if cap(opt.Code) != len(opt.Code) {
+		t.Fatalf("optimized code holds %d instructions in room for %d", len(opt.Code), cap(opt.Code))
+	}
 }
 
 func TestOptimizePreservesBehaviourOnRandomPrograms(t *testing.T) {

@@ -30,7 +30,7 @@ type Engine struct {
 	flt    *fault.Injector
 	flterr error
 
-	lastOut  map[string]string
+	outs     engine.Outputs
 	finished bool
 	lastMOps uint64
 }
@@ -41,13 +41,13 @@ func New(name string, prog *netlist.Program, io engine.IOHandler, flt *fault.Inj
 	m := netlist.NewMachine(prog)
 	m.NowFn = now
 	return &Engine{
-		name:    name,
-		flat:    prog.Flat,
-		m:       m,
-		ev:      Compile(m),
-		io:      io,
-		flt:     flt,
-		lastOut: map[string]string{},
+		name: name,
+		flat: prog.Flat,
+		m:    m,
+		ev:   Compile(m),
+		io:   io,
+		flt:  flt,
+		outs: engine.NewOutputs(len(prog.Flat.Outputs)),
 	}
 }
 
@@ -69,11 +69,8 @@ func (e *Engine) Finished() bool { return e.finished }
 func (e *Engine) Fault() error { return e.flterr }
 
 func (e *Engine) checkRegion() {
-	if e.flterr != nil {
-		return
-	}
-	if err := e.flt.Region("native:" + e.name); err != nil {
-		e.flterr = err
+	if e.flterr == nil {
+		e.flterr = e.flt.Region("native:" + e.name)
 	}
 }
 
@@ -97,12 +94,9 @@ func (e *Engine) Read(ev engine.Event) {
 // DrainWrites implements engine.Engine: change-tracked output events.
 func (e *Engine) DrainWrites() []engine.Event {
 	var evs []engine.Event
-	for _, v := range e.flat.Outputs {
-		cur := e.m.ReadVar(v)
-		sig := cur.String()
-		if last, seen := e.lastOut[v.Name]; !seen || last != sig {
-			e.lastOut[v.Name] = sig
-			evs = append(evs, engine.Event{Var: v.Name, Val: cur})
+	for i, v := range e.flat.Outputs {
+		if cur := e.m.PeekVar(v); e.outs.Changed(i, cur) {
+			evs = append(evs, engine.Event{Var: v.Name, Val: cur.Clone()})
 		}
 	}
 	return evs
@@ -149,16 +143,7 @@ func (e *Engine) UsageDelta() engine.Usage {
 }
 
 func (e *Engine) drainMachineEvents() {
-	for _, ev := range e.m.DrainEvents() {
-		if ev.Finish {
-			e.finished = true
-			if e.io != nil {
-				e.io.Finish(0)
-			}
-			continue
-		}
-		if e.io != nil {
-			e.io.Display(ev.Text, ev.Newline)
-		}
+	if _, fin := e.ev.FlushTasks(e.io); fin {
+		e.finished = true
 	}
 }

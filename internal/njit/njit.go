@@ -15,6 +15,7 @@ package njit
 import (
 	mbits "math/bits"
 
+	"cascade/internal/engine"
 	"cascade/internal/netlist"
 )
 
@@ -62,23 +63,74 @@ type Eval struct {
 	combDirty  *bool
 	seqPending *bool
 
-	// pos/neg list the sequential processes watching each slot for an
-	// edge, inlined from the machine's edge-watch map.
-	pos, neg [][]int
+	// edges lists the sequential processes watching each slot for an
+	// edge, inlined from the machine's edge-watch map: row 2*slot+1 holds
+	// the posedge watchers, row 2*slot the negedge ones.
+	edges rel
 
-	// Fast non-blocking commit buffer. A slot is nbOK when every
+	// Fast non-blocking commit buffer. A slot qualifies when every
 	// non-blocking write to it anywhere in the program is a narrow
 	// full-slot OpWriteNB: such slots never appear in the machine's
 	// pending queue, so their writes can be coalesced into a dense
-	// last-write-wins shadow word instead of an appended pending record.
-	// Commit order relative to the machine queue is unobservable — the
-	// two buffers cover disjoint slots, and update-phase commits don't
-	// run processes in between.
-	nbOK    []bool
+	// last-write-wins shadow word (masked to the slot width when it is
+	// written) instead of an appended pending record. Commit order
+	// relative to the machine queue is unobservable — the two buffers
+	// cover disjoint slots, and update-phase commits don't run processes
+	// in between.
 	nbOn    []bool
 	nbVal   []uint64
-	nbMask  []uint64
 	nbDirty []int
+
+	// Sensitivity lists: the comb units whose reachable code reads each
+	// variable slot / memory. Changes mark only the reading units, so a
+	// clock toggle that feeds nothing but edge detectors costs no
+	// combinational pass at all. allDirty falls back to a full pass
+	// after wholesale state replacement.
+	slotUnits rel
+	memUnits  rel
+	combMark  []bool
+	combAny   bool
+	allDirty  bool
+
+	comb []proc
+	seq  []proc
+
+	nativeOps uint64
+}
+
+// rel is a compressed slot -> index-list relation (CSR). The dense
+// [][]int it replaces cost a 24-byte header per slot, nearly all empty,
+// for as long as the engine lives.
+type rel struct {
+	off  []uint32 // row i is list[off[i]:off[i+1]]
+	list []int32
+}
+
+func packRel(rows [][]int) rel {
+	r := rel{off: make([]uint32, len(rows)+1)}
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	r.list = make([]int32, 0, n)
+	for i, row := range rows {
+		for _, v := range row {
+			r.list = append(r.list, int32(v))
+		}
+		r.off[i+1] = uint32(len(r.list))
+	}
+	return r
+}
+
+func (r rel) row(i int) []int32 { return r.list[r.off[i]:r.off[i+1]] }
+
+// compiler is the state only compilation needs; nothing in the compiled
+// closures references it, so it is garbage once Compile returns.
+type compiler struct {
+	e *Eval
+
+	// nbOK marks the slots eligible for the fast non-blocking buffer.
+	nbOK []bool
 
 	// Whole-program def/use counts, driving two compile-time rewrites:
 	// constant hoisting (a single-writer OpConst temp is materialized
@@ -89,22 +141,6 @@ type Eval struct {
 	reads  []int
 	// constSlot marks lanes holding a hoisted compile-time constant.
 	constSlot []bool
-
-	// Sensitivity lists: the comb units whose reachable code reads each
-	// variable slot / memory. Changes mark only the reading units, so a
-	// clock toggle that feeds nothing but edge detectors costs no
-	// combinational pass at all. allDirty falls back to a full pass
-	// after wholesale state replacement.
-	slotUnits [][]int
-	memUnits  [][]int
-	combMark  []bool
-	combAny   bool
-	allDirty  bool
-
-	comb []proc
-	seq  []proc
-
-	nativeOps uint64
 }
 
 // Compile builds the native evaluator for m's program, sharing m's
@@ -120,44 +156,43 @@ func Compile(m *netlist.Machine) *Eval {
 		seqTrig:    h.SeqTrig,
 		combDirty:  h.CombDirty,
 		seqPending: h.SeqPending,
-		pos:        make([][]int, len(p.Slots)),
-		neg:        make([][]int, len(p.Slots)),
+		nbOn:       make([]bool, len(p.Slots)),
+		nbVal:      make([]uint64, len(p.Slots)),
+		combMark:   make([]bool, len(p.Comb)),
+		allDirty:   true,
 	}
-	for i := range p.Slots {
-		e.pos[i], e.neg[i] = m.EdgeHooksFor(i)
+	c := &compiler{
+		e:         e,
+		nbOK:      make([]bool, len(p.Slots)),
+		writes:    make([]int, len(p.Slots)),
+		reads:     make([]int, len(p.Slots)),
+		constSlot: make([]bool, len(p.Slots)),
 	}
-	e.nbOK = make([]bool, len(p.Slots))
-	e.nbOn = make([]bool, len(p.Slots))
-	e.nbVal = make([]uint64, len(p.Slots))
-	e.nbMask = make([]uint64, len(p.Slots))
+	edges := make([][]int, 2*len(p.Slots))
 	for i, s := range p.Slots {
-		e.nbOK[i] = !s.Wide
-		e.nbMask[i] = mask(s.Width)
+		edges[2*i+1], edges[2*i] = m.EdgeHooksFor(i)
+		c.nbOK[i] = !s.Wide
 	}
-	e.writes = make([]int, len(p.Slots))
-	e.reads = make([]int, len(p.Slots))
-	e.constSlot = make([]bool, len(p.Slots))
+	e.edges = packRel(edges)
 	for i := range p.Code {
 		op := &p.Code[i]
 		switch op.Kind {
 		case netlist.OpWriteNB:
 			if op.Wide {
-				e.nbOK[op.Dst] = false
+				c.nbOK[op.Dst] = false
 			}
 		case netlist.OpWriteRngNB, netlist.OpWriteBitNB:
-			e.nbOK[op.Dst] = false
+			c.nbOK[op.Dst] = false
 		}
 		for _, s := range op.Srcs {
-			e.reads[s]++
+			c.reads[s]++
 		}
 		if opWritesDst(op.Kind) {
-			e.writes[op.Dst]++
+			c.writes[op.Dst]++
 		}
 	}
-	e.slotUnits = make([][]int, len(p.Slots))
-	e.memUnits = make([][]int, len(p.Mems))
-	e.combMark = make([]bool, len(p.Comb))
-	e.allDirty = true
+	slotUnits := make([][]int, len(p.Slots))
+	memUnits := make([][]int, len(p.Mems))
 	addUnit := func(list []int, ui int) []int {
 		if n := len(list); n > 0 && list[n-1] == ui {
 			return list
@@ -165,41 +200,24 @@ func Compile(m *netlist.Machine) *Eval {
 		return append(list, ui)
 	}
 	for ui, cu := range p.Comb {
-		seen := map[int]bool{}
-		stack := []int{cu.Entry}
-		for len(stack) > 0 {
-			pc := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[pc] {
-				continue
-			}
-			seen[pc] = true
-			op := &p.Code[pc]
+		reach(p.Code, cu.Entry, func(_ int, op *netlist.Op) {
 			for _, src := range op.Srcs {
-				e.slotUnits[src] = addUnit(e.slotUnits[src], ui)
+				slotUnits[src] = addUnit(slotUnits[src], ui)
 			}
 			if op.Kind == netlist.OpMemRead {
-				e.memUnits[op.Aux] = addUnit(e.memUnits[op.Aux], ui)
+				memUnits[op.Aux] = addUnit(memUnits[op.Aux], ui)
 			}
-			switch op.Kind {
-			case netlist.OpHalt:
-			case netlist.OpJump:
-				stack = append(stack, op.Target)
-			case netlist.OpJz:
-				stack = append(stack, op.Target, pc+1)
-			default:
-				stack = append(stack, pc+1)
-			}
-		}
+		})
 	}
+	e.slotUnits, e.memUnits = packRel(slotUnits), packRel(memUnits)
 	m.ChangeHook = e.onChange
 	e.comb = make([]proc, len(p.Comb))
 	for i, cu := range p.Comb {
-		e.comb[i] = e.compileProc(cu.Entry)
+		e.comb[i] = c.compileProc(cu.Entry)
 	}
 	e.seq = make([]proc, len(p.Seq))
 	for i, sp := range p.Seq {
-		e.seq[i] = e.compileProc(sp.Entry)
+		e.seq[i] = c.compileProc(sp.Entry)
 	}
 	return e
 }
@@ -208,13 +226,13 @@ func Compile(m *netlist.Machine) *Eval {
 // the comb units that read the changed slot or memory.
 func (e *Eval) onChange(slot int) {
 	if slot >= 0 {
-		e.markUnits(e.slotUnits[slot])
+		e.markUnits(e.slotUnits.row(slot))
 	} else {
-		e.markUnits(e.memUnits[-1-slot])
+		e.markUnits(e.memUnits.row(-1 - slot))
 	}
 }
 
-func (e *Eval) markUnits(units []int) {
+func (e *Eval) markUnits(units []int32) {
 	for _, ui := range units {
 		if !e.combMark[ui] {
 			e.combMark[ui] = true
@@ -229,9 +247,6 @@ func (e *Eval) InvalidateAll() {
 	e.allDirty = true
 	*e.combDirty = true
 }
-
-// Machine returns the wrapped interpreter machine (shared state).
-func (e *Eval) Machine() *netlist.Machine { return e.m }
 
 // HasActive reports pending evaluation work (there_are_evals).
 func (e *Eval) HasActive() bool { return *e.combDirty || *e.seqPending }
@@ -290,9 +305,28 @@ func (e *Eval) Update() {
 	}
 	for _, d := range e.nbDirty {
 		e.nbOn[d] = false
-		e.writeSlot(d, e.nbVal[d]&e.nbMask[d])
+		e.writeSlot(d, e.nbVal[d])
 	}
 	e.nbDirty = e.nbDirty[:0]
+}
+
+// FlushTasks forwards the machine's captured $display/$finish side
+// effects to io, in order, and reports how many there were and whether
+// one of them was $finish.
+func (e *Eval) FlushTasks(io engine.IOHandler) (n int, finish bool) {
+	evs := e.m.DrainEvents()
+	for _, ev := range evs {
+		switch {
+		case ev.Finish:
+			finish = true
+			if io != nil {
+				io.Finish(0)
+			}
+		case io != nil:
+			io.Display(ev.Text, ev.Newline)
+		}
+	}
+	return len(evs), finish
 }
 
 // NativeOpsDelta returns compiled instructions executed since the last
@@ -303,42 +337,15 @@ func (e *Eval) NativeOpsDelta() uint64 {
 	return d
 }
 
-func mask(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << w) - 1
-}
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// powMod computes x**y mod 2^64 by binary exponentiation (the
-// interpreter's narrow power semantics).
-func powMod(x, y uint64) uint64 {
-	var r uint64 = 1
-	for y > 0 {
-		if y&1 != 0 {
-			r *= x
-		}
-		x *= x
-		y >>= 1
-	}
-	return r
-}
-
 // builder compiles one process body into basic blocks.
 type builder struct {
-	e      *Eval
+	c      *compiler
 	code   []netlist.Op
 	leader map[int]bool
 	idx    map[int]int
 	blocks []block
 	metas  []eqMeta
+	refs   []int // references to each block as a successor (or the entry)
 	todo   []int
 }
 
@@ -350,10 +357,10 @@ type eqMeta struct {
 	eqT, neT int // successor block on equal / not-equal
 }
 
-func (e *Eval) compileProc(entry int) proc {
+func (c *compiler) compileProc(entry int) proc {
 	b := &builder{
-		e:      e,
-		code:   e.prog.Code,
+		c:      c,
+		code:   c.e.prog.Code,
 		leader: map[int]bool{},
 		idx:    map[int]int{},
 	}
@@ -404,10 +411,8 @@ func (b *builder) finalize() proc {
 	return pr
 }
 
-// scanLeaders walks the code reachable from entry and marks every jump
-// target (and Jz fallthrough) as a block leader, so a later branch into
-// the middle of a straight-line run splits it correctly.
-func (b *builder) scanLeaders(entry int) {
+// reach visits every instruction reachable from entry, once each.
+func reach(code []netlist.Op, entry int, visit func(pc int, op *netlist.Op)) {
 	seen := map[int]bool{}
 	stack := []int{entry}
 	for len(stack) > 0 {
@@ -417,15 +422,13 @@ func (b *builder) scanLeaders(entry int) {
 			continue
 		}
 		seen[pc] = true
-		op := &b.code[pc]
+		op := &code[pc]
+		visit(pc, op)
 		switch op.Kind {
 		case netlist.OpHalt:
 		case netlist.OpJump:
-			b.leader[op.Target] = true
 			stack = append(stack, op.Target)
 		case netlist.OpJz:
-			b.leader[op.Target] = true
-			b.leader[pc+1] = true
 			stack = append(stack, op.Target, pc+1)
 		default:
 			stack = append(stack, pc+1)
@@ -433,17 +436,34 @@ func (b *builder) scanLeaders(entry int) {
 	}
 }
 
+// scanLeaders marks every jump target (and Jz fallthrough) reachable
+// from entry as a block leader, so a later branch into the middle of a
+// straight-line run splits it correctly.
+func (b *builder) scanLeaders(entry int) {
+	reach(b.code, entry, func(pc int, op *netlist.Op) {
+		switch op.Kind {
+		case netlist.OpJump:
+			b.leader[op.Target] = true
+		case netlist.OpJz:
+			b.leader[op.Target] = true
+			b.leader[pc+1] = true
+		}
+	})
+}
+
 // blockAt returns the block index for the leader at pc, scheduling it
 // for compilation on first sight. Indices are stable across appends, so
 // terminator closures can capture them before the block is filled.
 func (b *builder) blockAt(pc int) int {
 	if i, ok := b.idx[pc]; ok {
+		b.refs[i]++
 		return i
 	}
 	i := len(b.blocks)
 	b.idx[pc] = i
 	b.blocks = append(b.blocks, block{})
 	b.metas = append(b.metas, eqMeta{})
+	b.refs = append(b.refs, 1)
 	b.todo = append(b.todo, pc)
 	return i
 }
@@ -467,13 +487,13 @@ func (b *builder) fill(pc int) {
 			b.blocks[bi].next = func() int { return t }
 		case netlist.OpJz:
 			var next func() int
-			if prev != nil && b.e.canFuseJz(prev, op) {
+			if prev != nil && b.c.canFuseJz(prev, op) {
 				tt, ff := b.blockAt(op.Target), b.blockAt(cur+1)
 				// A LogNot between a comparison and its branch inverts
 				// the sense: fold all three by swapping the targets.
 				if prev.Kind == netlist.OpLogNot && prev2 != nil &&
-					b.e.canFuseCmpInto(prev2, prev) {
-					if next = b.e.fuseJz(prev2, ff, tt); next != nil {
+					b.c.canFuseCmpInto(prev2, prev) {
+					if next = b.c.e.fuseJz(prev2, ff, tt); next != nil {
 						ops = ops[:len(ops)-2]
 						if prev2.Kind == netlist.OpEq {
 							b.metas[bi] = eqMeta{valid: true, a: prev2.Srcs[0], b: prev2.Srcs[1], eqT: tt, neT: ff}
@@ -481,7 +501,7 @@ func (b *builder) fill(pc int) {
 					}
 				}
 				if next == nil {
-					if next = b.e.fuseJz(prev, tt, ff); next != nil {
+					if next = b.c.e.fuseJz(prev, tt, ff); next != nil {
 						ops = ops[:len(ops)-1]
 						if prev.Kind == netlist.OpEq {
 							b.metas[bi] = eqMeta{valid: true, a: prev.Srcs[0], b: prev.Srcs[1], eqT: ff, neT: tt}
@@ -494,7 +514,7 @@ func (b *builder) fill(pc int) {
 			}
 			b.blocks[bi].next = next
 		default:
-			if fn := b.e.compileOp(op); fn != nil {
+			if fn := b.c.compileOp(op); fn != nil {
 				ops = append(ops, fn)
 				prev2, prev = prev, op
 			} else {
@@ -515,15 +535,19 @@ func (b *builder) fill(pc int) {
 	}
 }
 
-// splitOperands resolves a fused equality test into (variable lane,
+// arm resolves block bi's fused equality test into (variable lane,
 // constant value) when exactly one side is a hoisted constant.
-func (b *builder) splitOperands(m eqMeta) (x int, cval uint64, ok bool) {
-	ca, cb := b.e.constSlot[m.a], b.e.constSlot[m.b]
+func (b *builder) arm(bi int) (x int, cval uint64, ok bool) {
+	m := b.metas[bi]
+	if !m.valid {
+		return 0, 0, false
+	}
+	ca, cb := b.c.constSlot[m.a], b.c.constSlot[m.b]
 	switch {
 	case ca && !cb:
-		return m.b, b.e.u64[m.a], true
+		return m.b, b.c.e.u64[m.a], true
 	case cb && !ca:
-		return m.a, b.e.u64[m.b], true
+		return m.a, b.c.e.u64[m.b], true
 	}
 	return 0, 0, false
 }
@@ -531,40 +555,44 @@ func (b *builder) splitOperands(m eqMeta) (x int, cval uint64, ok bool) {
 // rewriteSwitches turns chains of fused constant-equality tests over
 // one lane — the netlist lowering of a case statement — into a single
 // jump-table dispatch, so a DFA transition costs one indexed load
-// instead of a walk over every arm.
+// instead of a walk over every arm. Only a chain's head gets a table:
+// a later arm entered from nowhere but its predecessor is never
+// dispatched on once the head jumps past it, and a table per arm would
+// retain k suffix tables for a k-arm case.
 func (b *builder) rewriteSwitches() {
+	covered := make([]bool, len(b.blocks))
 	for bi := range b.blocks {
-		if !b.metas[bi].valid {
-			continue
+		if x, _, ok := b.arm(bi); ok {
+			nx := b.metas[bi].neT
+			if xs, _, okn := b.arm(nx); okn && xs == x && b.refs[nx] == 1 && len(b.blocks[nx].ops) == 0 {
+				covered[nx] = true
+			}
 		}
-		x, _, ok := b.splitOperands(b.metas[bi])
-		if !ok {
+	}
+	for bi := range b.blocks {
+		x, _, ok := b.arm(bi)
+		if !ok || covered[bi] {
 			continue
 		}
 		cases := map[uint64]int{}
 		visited := map[int]bool{}
 		cur := bi
-		for {
-			m := b.metas[cur]
-			usable := m.valid && !visited[cur] && (cur == bi || len(b.blocks[cur].ops) == 0)
-			if usable {
-				xs, cv, okc := b.splitOperands(m)
-				if okc && xs == x {
-					visited[cur] = true
-					if _, dup := cases[cv]; !dup {
-						cases[cv] = m.eqT // first matching arm wins
-					}
-					cur = m.neT
-					continue
-				}
+		for !visited[cur] && (cur == bi || len(b.blocks[cur].ops) == 0) {
+			xs, cv, okc := b.arm(cur)
+			if !okc || xs != x {
+				break
 			}
-			break
+			visited[cur] = true
+			if _, dup := cases[cv]; !dup {
+				cases[cv] = b.metas[cur].eqT // first matching arm wins
+			}
+			cur = b.metas[cur].neT
 		}
 		def := cur // the block the chain falls through to when no arm hits
 		if len(cases) < 4 {
 			continue
 		}
-		u := b.e.u64
+		u := b.c.e.u64
 		var maxv uint64
 		for v := range cases {
 			if v > maxv {
@@ -572,16 +600,16 @@ func (b *builder) rewriteSwitches() {
 			}
 		}
 		if maxv <= 4096 {
-			tbl := make([]int, maxv+1)
+			tbl := make([]int32, maxv+1)
 			for i := range tbl {
-				tbl[i] = def
+				tbl[i] = int32(def)
 			}
 			for v, t := range cases {
-				tbl[v] = t
+				tbl[v] = int32(t)
 			}
 			b.blocks[bi].next = func() int {
 				if v := u[x]; v < uint64(len(tbl)) {
-					return tbl[v]
+					return int(tbl[v])
 				}
 				return def
 			}
@@ -614,29 +642,17 @@ func opWritesDst(k netlist.OpKind) bool {
 // canFuseJz reports whether prev is a narrow comparison whose only
 // consumer is the Jz that immediately follows it, so the pair can
 // become a single fused conditional terminator.
-func (e *Eval) canFuseJz(prev, jz *netlist.Op) bool {
-	if prev.Wide || jz.Wide || jz.Srcs[0] != prev.Dst {
-		return false
-	}
-	if e.reads[prev.Dst] != 1 || e.writes[prev.Dst] != 1 {
-		return false
-	}
-	switch prev.Kind {
-	case netlist.OpEq, netlist.OpNe, netlist.OpLt, netlist.OpLe,
-		netlist.OpGt, netlist.OpGe, netlist.OpLogNot, netlist.OpLogAnd,
-		netlist.OpLogOr, netlist.OpRedOr, netlist.OpRedNor:
-		return true
-	}
-	return false
+func (c *compiler) canFuseJz(prev, jz *netlist.Op) bool {
+	return !jz.Wide && c.canFuseCmpInto(prev, jz)
 }
 
 // canFuseCmpInto reports whether cmp is a narrow comparison consumed
-// only by the LogNot that immediately follows it.
-func (e *Eval) canFuseCmpInto(cmp, lnot *netlist.Op) bool {
-	if cmp.Wide || lnot.Srcs[0] != cmp.Dst {
+// only by the instruction that immediately follows it.
+func (c *compiler) canFuseCmpInto(cmp, next *netlist.Op) bool {
+	if cmp.Wide || next.Srcs[0] != cmp.Dst {
 		return false
 	}
-	if e.reads[cmp.Dst] != 1 || e.writes[cmp.Dst] != 1 {
+	if c.reads[cmp.Dst] != 1 || c.writes[cmp.Dst] != 1 {
 		return false
 	}
 	switch cmp.Kind {
@@ -736,7 +752,7 @@ func (e *Eval) fuseJz(cmp *netlist.Op, t, f int) func() int {
 // indices resolved at compile time.
 func (b *builder) jz(op *netlist.Op, t, f int) func() int {
 	if op.Wide {
-		m := b.e.m
+		m := b.c.e.m
 		return func() int {
 			if m.ExecSlowOp(op) {
 				return t
@@ -744,7 +760,7 @@ func (b *builder) jz(op *netlist.Op, t, f int) func() int {
 			return f
 		}
 	}
-	u := b.e.u64
+	u := b.c.e.u64
 	s := op.Srcs[0]
 	return func() int {
 		if u[s] == 0 {
@@ -764,18 +780,12 @@ func (e *Eval) writeSlot(d int, nv uint64) {
 		return
 	}
 	e.u64[d] = nv
-	if units := e.slotUnits[d]; len(units) != 0 {
+	if units := e.slotUnits.row(d); len(units) != 0 {
 		e.markUnits(units)
 		*e.combDirty = true
 	}
 	if old&1 != nv&1 {
-		var procs []int
-		if nv&1 == 1 {
-			procs = e.pos[d]
-		} else {
-			procs = e.neg[d]
-		}
-		for _, p := range procs {
+		for _, p := range e.edges.row(2*d + int(nv&1)) {
 			e.seqTrig[p] = true
 			*e.seqPending = true
 		}
@@ -786,7 +796,8 @@ func (e *Eval) writeSlot(d int, nv uint64) {
 // fuse direct word-lane arithmetic with precomputed masks; anything
 // wide (or rare enough not to be worth fusing) falls back to the
 // interpreter's universal slow path.
-func (e *Eval) compileOp(op *netlist.Op) func() {
+func (c *compiler) compileOp(op *netlist.Op) func() {
+	e := c.e
 	m := e.m
 	if op.Wide {
 		return func() { m.ExecSlowOp(op) }
@@ -794,7 +805,7 @@ func (e *Eval) compileOp(op *netlist.Op) func() {
 	u := e.u64
 	slots := e.prog.Slots
 	d := op.Dst
-	mk := mask(op.Width)
+	mk := netlist.Mask(op.Width)
 	var s0, s1 int
 	if len(op.Srcs) > 0 {
 		s0 = op.Srcs[0]
@@ -804,15 +815,15 @@ func (e *Eval) compileOp(op *netlist.Op) func() {
 	}
 	switch op.Kind {
 	case netlist.OpConst:
-		c := op.Const.Uint64() & mk
-		if e.writes[d] == 1 && slots[d].Var == nil {
+		cv := op.Const.Uint64() & mk
+		if c.writes[d] == 1 && slots[d].Var == nil {
 			// Single-writer constant temp: materialize once now; the
 			// lane can never hold anything else at runtime.
-			u[d] = c
-			e.constSlot[d] = true
+			u[d] = cv
+			c.constSlot[d] = true
 			return nil
 		}
-		return func() { u[d] = c }
+		return func() { u[d] = cv }
 	case netlist.OpMove:
 		return func() { u[d] = u[s0] & mk }
 	case netlist.OpAdd:
@@ -838,7 +849,7 @@ func (e *Eval) compileOp(op *netlist.Op) func() {
 			}
 		}
 	case netlist.OpPow:
-		return func() { u[d] = powMod(u[s0], u[s1]) & mk }
+		return func() { u[d] = netlist.PowMod(u[s0], u[s1]) & mk }
 	case netlist.OpAnd:
 		return func() { u[d] = u[s0] & u[s1] }
 	case netlist.OpOr:
@@ -852,37 +863,37 @@ func (e *Eval) compileOp(op *netlist.Op) func() {
 	case netlist.OpNeg:
 		return func() { u[d] = (-u[s0]) & mk }
 	case netlist.OpLogNot:
-		return func() { u[d] = b2u(u[s0] == 0) }
+		return func() { u[d] = netlist.B2U(u[s0] == 0) }
 	case netlist.OpRedAnd:
-		full := mask(slots[s0].Width)
-		return func() { u[d] = b2u(u[s0] == full) }
+		full := netlist.Mask(slots[s0].Width)
+		return func() { u[d] = netlist.B2U(u[s0] == full) }
 	case netlist.OpRedOr:
-		return func() { u[d] = b2u(u[s0] != 0) }
+		return func() { u[d] = netlist.B2U(u[s0] != 0) }
 	case netlist.OpRedXor:
 		return func() { u[d] = uint64(mbits.OnesCount64(u[s0]) & 1) }
 	case netlist.OpRedNand:
-		full := mask(slots[s0].Width)
-		return func() { u[d] = b2u(u[s0] != full) }
+		full := netlist.Mask(slots[s0].Width)
+		return func() { u[d] = netlist.B2U(u[s0] != full) }
 	case netlist.OpRedNor:
-		return func() { u[d] = b2u(u[s0] == 0) }
+		return func() { u[d] = netlist.B2U(u[s0] == 0) }
 	case netlist.OpRedXnor:
 		return func() { u[d] = uint64(^mbits.OnesCount64(u[s0]) & 1) }
 	case netlist.OpEq:
-		return func() { u[d] = b2u(u[s0] == u[s1]) }
+		return func() { u[d] = netlist.B2U(u[s0] == u[s1]) }
 	case netlist.OpNe:
-		return func() { u[d] = b2u(u[s0] != u[s1]) }
+		return func() { u[d] = netlist.B2U(u[s0] != u[s1]) }
 	case netlist.OpLt:
-		return func() { u[d] = b2u(u[s0] < u[s1]) }
+		return func() { u[d] = netlist.B2U(u[s0] < u[s1]) }
 	case netlist.OpLe:
-		return func() { u[d] = b2u(u[s0] <= u[s1]) }
+		return func() { u[d] = netlist.B2U(u[s0] <= u[s1]) }
 	case netlist.OpGt:
-		return func() { u[d] = b2u(u[s0] > u[s1]) }
+		return func() { u[d] = netlist.B2U(u[s0] > u[s1]) }
 	case netlist.OpGe:
-		return func() { u[d] = b2u(u[s0] >= u[s1]) }
+		return func() { u[d] = netlist.B2U(u[s0] >= u[s1]) }
 	case netlist.OpLogAnd:
-		return func() { u[d] = b2u(u[s0] != 0 && u[s1] != 0) }
+		return func() { u[d] = netlist.B2U(u[s0] != 0 && u[s1] != 0) }
 	case netlist.OpLogOr:
-		return func() { u[d] = b2u(u[s0] != 0 || u[s1] != 0) }
+		return func() { u[d] = netlist.B2U(u[s0] != 0 || u[s1] != 0) }
 	case netlist.OpShl:
 		return func() {
 			if sh := u[s1]; sh >= 64 {
@@ -917,7 +928,7 @@ func (e *Eval) compileOp(op *netlist.Op) func() {
 		ms := make([]uint64, len(srcs))
 		for i, s := range srcs {
 			ws[i] = slots[s].Width
-			ms[i] = mask(ws[i])
+			ms[i] = netlist.Mask(ws[i])
 		}
 		if len(srcs) == 2 {
 			a, bb := srcs[0], srcs[1]
@@ -933,7 +944,7 @@ func (e *Eval) compileOp(op *netlist.Op) func() {
 		}
 	case netlist.OpRepl:
 		w := slots[s0].Width
-		wm := mask(w)
+		wm := netlist.Mask(w)
 		cnt := op.N
 		return func() {
 			v := u[s0] & wm
@@ -971,7 +982,7 @@ func (e *Eval) compileOp(op *netlist.Op) func() {
 			}
 		}
 	case netlist.OpWrite:
-		dm := mask(slots[d].Width)
+		dm := netlist.Mask(slots[d].Width)
 		return func() { e.writeSlot(d, u[s0]&dm) }
 	case netlist.OpWriteRng:
 		w := slots[d].Width
@@ -982,12 +993,12 @@ func (e *Eval) compileOp(op *netlist.Op) func() {
 		if lo >= w || hi < lo {
 			return func() {}
 		}
-		field := mask(hi-lo+1) << lo
+		field := netlist.Mask(hi-lo+1) << lo
 		srcW := op.Width
 		if srcW > hi-lo+1 {
 			srcW = hi - lo + 1
 		}
-		sm := mask(srcW)
+		sm := netlist.Mask(srcW)
 		return func() {
 			nv := (u[d] &^ field) | ((u[s0] & sm) << lo)
 			e.writeSlot(d, nv)
@@ -1003,7 +1014,7 @@ func (e *Eval) compileOp(op *netlist.Op) func() {
 	case netlist.OpMemWrite:
 		arr := e.m.Hooks().Mem64[op.Aux]
 		bound := uint64(e.prog.Mems[op.Aux].Words)
-		memMask := mask(e.prog.Mems[op.Aux].Width)
+		memMask := netlist.Mask(e.prog.Mems[op.Aux].Width)
 		dirty := e.combDirty
 		aux := op.Aux
 		return func() {
@@ -1014,21 +1025,22 @@ func (e *Eval) compileOp(op *netlist.Op) func() {
 			nv := u[s0] & memMask
 			if arr[addr] != nv {
 				arr[addr] = nv
-				if units := e.memUnits[aux]; len(units) != 0 {
+				if units := e.memUnits.row(aux); len(units) != 0 {
 					e.markUnits(units)
 					*dirty = true
 				}
 			}
 		}
 	case netlist.OpWriteNB:
-		if e.nbOK[d] {
+		if c.nbOK[d] {
 			on, val := e.nbOn, e.nbVal
+			dm := netlist.Mask(slots[d].Width)
 			return func() {
 				if !on[d] {
 					on[d] = true
 					e.nbDirty = append(e.nbDirty, d)
 				}
-				val[d] = u[s0]
+				val[d] = u[s0] & dm
 			}
 		}
 		return func() { m.PendWriteNB(d, u[s0]) }

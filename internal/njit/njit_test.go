@@ -3,6 +3,7 @@ package njit
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -473,6 +474,31 @@ func TestNativeWorkloadEquivalence(t *testing.T) {
 			}
 			d.check(t, tc.name+" final")
 		})
+	}
+}
+
+// TestCompiledFormRetainedBudget: every fabric engine and every native
+// engine keeps one Eval alive for as long as it runs, so what Compile
+// retains — closures, jump tables, the CSR relations; not the builder
+// scaffolding or the def/use counts — is budgeted. The miner's is ~41 KB;
+// a jump table per case arm, or dense per-slot lists, cost it 111 KB.
+func TestCompiledFormRetainedBudget(t *testing.T) {
+	prog, _ := compileProg(t, pow.Generate(pow.DefaultConfig()))
+	m := netlist.NewMachine(prog)
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the first may only queue what finalizers still held
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	ev := Compile(m)
+	retained := int64(heap()) - int64(before)
+	runtime.KeepAlive(ev)
+	t.Logf("njit.Compile retains %d bytes for %d ops over %d slots", retained, len(prog.Code), len(prog.Slots))
+	if retained > 64<<10 {
+		t.Fatalf("compiled form retains %d bytes, budget 64 KB", retained)
 	}
 }
 

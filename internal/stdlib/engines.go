@@ -9,33 +9,37 @@ import (
 )
 
 // base provides the output-broadcast plumbing shared by all stdlib
-// engines.
+// engines. Outputs are addressed by declaration index; bit i of dirty
+// says output i changed since the last drain, so a quiescent component
+// drains in one branch.
 type base struct {
-	path string
-	outs map[string]*bits.Vector
-	dirt map[string]bool
-	ord  []string
+	path  string
+	outs  []output
+	dirty uint64
 }
 
-func newBase(path string) base {
-	return base{path: path, outs: map[string]*bits.Vector{}, dirt: map[string]bool{}}
+type output struct {
+	name string
+	val  *bits.Vector
 }
 
+func newBase(path string) base { return base{path: path} }
+
+// addOut declares the next output, dirty for the initial broadcast.
 func (b *base) addOut(name string, width int) {
-	b.outs[name] = bits.New(width)
-	b.dirt[name] = true // initial broadcast
-	b.ord = append(b.ord, name)
+	b.dirty |= 1 << len(b.outs)
+	b.outs = append(b.outs, output{name, bits.New(width)})
 }
 
-func (b *base) setOut(name string, v *bits.Vector) {
-	if b.outs[name].CopyFrom(v) {
-		b.dirt[name] = true
+func (b *base) mark(i int, changed bool) {
+	if changed {
+		b.dirty |= 1 << i
 	}
 }
 
-func (b *base) setOutU(name string, v uint64) {
-	b.setOut(name, bits.FromUint64(b.outs[name].Width(), v))
-}
+func (b *base) setOut(i int, v *bits.Vector) { b.mark(i, b.outs[i].val.CopyFrom(v)) }
+
+func (b *base) setOutU(i int, v uint64) { b.mark(i, b.outs[i].val.SetUint64(v)) }
 
 // Name returns the engine's instance path.
 func (b *base) Name() string { return b.path }
@@ -44,15 +48,26 @@ func (b *base) Name() string { return b.path }
 // on the fabric as soon as they are instantiated (paper §4.3).
 func (b *base) Loc() engine.Location { return engine.Hardware }
 
-// DrainWrites emits changed outputs.
-func (b *base) DrainWrites() []engine.Event {
-	var evs []engine.Event
-	for _, name := range b.ord {
-		if b.dirt[name] {
-			b.dirt[name] = false
-			evs = append(evs, engine.Event{Var: name, Val: b.outs[name].Clone()})
+// VisitWrites implements engine.WriteVisitor.
+func (b *base) VisitWrites(fn func(name string, val *bits.Vector)) {
+	dirty := b.dirty
+	b.dirty = 0
+	for i := 0; dirty != 0; i, dirty = i+1, dirty>>1 {
+		if dirty&1 != 0 {
+			fn(b.outs[i].name, b.outs[i].val)
 		}
 	}
+}
+
+// DrainWrites emits changed outputs.
+func (b *base) DrainWrites() []engine.Event {
+	if b.dirty == 0 {
+		return nil
+	}
+	var evs []engine.Event
+	b.VisitWrites(func(name string, val *bits.Vector) {
+		evs = append(evs, engine.Event{Var: name, Val: val.Clone()})
+	})
 	return evs
 }
 
@@ -67,19 +82,19 @@ func (b *base) End()                  {}
 
 func (b *base) GetState() *sim.State {
 	st := &sim.State{Scalars: map[string]*bits.Vector{}, Arrays: map[string][]*bits.Vector{}}
-	for name, v := range b.outs {
-		st.Scalars[name] = v.Clone()
+	for _, o := range b.outs {
+		st.Scalars[o.name] = o.val.Clone()
 	}
 	return st
 }
 
 func (b *base) SetState(st *sim.State) {
-	for name, v := range st.Scalars {
-		if cur, ok := b.outs[name]; ok {
-			cur.CopyFrom(v)
+	for i, o := range b.outs {
+		if v, ok := st.Scalars[o.name]; ok {
+			o.val.CopyFrom(v)
 			// A restored output must be re-broadcast: the consumers may
 			// have seen a different value in the meantime.
-			b.dirt[name] = true
+			b.mark(i, true)
 		}
 	}
 }
@@ -108,14 +123,14 @@ func (c *Clock) Update() {
 		return
 	}
 	c.armed = false
-	c.setOutU("val", c.outs["val"].Uint64()^1)
+	c.setOutU(0, c.Val()^1)
 }
 
 // EndStep re-queues the tick.
 func (c *Clock) EndStep() { c.armed = true }
 
 // Val returns the current clock value.
-func (c *Clock) Val() uint64 { return c.outs["val"].Uint64() }
+func (c *Clock) Val() uint64 { return c.outs[0].val.Uint64() }
 
 // Pad is a bank of N push buttons driven from the World.
 type Pad struct {
@@ -132,7 +147,7 @@ func NewPad(path string, width int, w *World) *Pad {
 }
 
 // EndStep samples the physical buttons between time steps.
-func (p *Pad) EndStep() { p.setOutU("val", p.world.Pad(p.path)) }
+func (p *Pad) EndStep() { p.setOutU(0, p.world.Pad(p.path)) }
 
 // Reset is a one-bit reset line driven from the World.
 type Reset struct {
@@ -149,11 +164,7 @@ func NewReset(path string, w *World) *Reset {
 
 // EndStep samples the reset line.
 func (r *Reset) EndStep() {
-	v := uint64(0)
-	if r.world.reset(r.path) {
-		v = 1
-	}
-	r.setOutU("val", v)
+	r.setOutU(0, b2u(r.world.reset(r.path)))
 }
 
 // Led is a bank of N LEDs whose value is observable on the World.
@@ -219,7 +230,7 @@ func (g *GPIO) Read(ev engine.Event) {
 }
 
 // EndStep samples the host-driven input pins.
-func (g *GPIO) EndStep() { g.setOutU("in", g.world.gpioInVal(g.path)) }
+func (g *GPIO) EndStep() { g.setOutU(0, g.world.gpioInVal(g.path)) }
 
 // GetState exposes both directions.
 func (g *GPIO) GetState() *sim.State {
@@ -291,9 +302,9 @@ func (m *Memory) ThereAreEvals() bool { return m.evalPending }
 func (m *Memory) Evaluate() {
 	m.evalPending = false
 	if int(m.raddr) < len(m.words) {
-		m.setOut("rdata", m.words[m.raddr])
+		m.setOut(0, m.words[m.raddr])
 	} else {
-		m.setOutU("rdata", 0)
+		m.setOutU(0, 0)
 	}
 }
 
@@ -388,24 +399,31 @@ func (m *Memory) SetState(st *sim.State) {
 type FIFO struct {
 	base
 	width, depth int
-	q            []*bits.Vector
+	q            []uint64 // host words are at most 64 bits wide
 	rreq, wreq   bool
 	wdata        *bits.Vector
 	phase        int
 	latched      bool // per-step one-shot
 	popSampled   bool
 	pushSampled  *bits.Vector // captured wdata, nil if none
-	world        *World
+	stream       *Stream
 	transfers    uint64 // words moved across the host boundary
 }
 
+// FIFO output indices, in declaration order.
+const (
+	fifoRdata = iota
+	fifoEmpty
+	fifoFull
+)
+
 // NewFIFO returns a FIFO engine.
 func NewFIFO(path string, width, depth int, w *World) *FIFO {
-	f := &FIFO{base: newBase(path), width: width, depth: depth, wdata: bits.New(width), world: w}
+	f := &FIFO{base: newBase(path), width: width, depth: depth, wdata: bits.New(width), stream: w.Stream(path)}
 	f.addOut("rdata", width)
 	f.addOut("empty", 1)
 	f.addOut("full", 1)
-	f.setOutU("empty", 1)
+	f.setOutU(fifoEmpty, 1)
 	return f
 }
 
@@ -455,7 +473,7 @@ func (f *FIFO) Update() {
 		f.popSampled = false
 	}
 	if f.pushSampled != nil {
-		f.world.Stream(f.path).put(f.pushSampled.Uint64())
+		f.stream.put(f.pushSampled.Uint64())
 		f.transfers++
 		f.pushSampled = nil
 	}
@@ -468,26 +486,19 @@ func (f *FIFO) EndStep() {
 	f.phase++
 	f.latched = false
 	if room := f.depth - len(f.q); room > 0 {
-		for _, w := range f.world.Stream(f.path).take(room) {
-			f.q = append(f.q, bits.FromUint64(f.width, w))
-			f.transfers++
-		}
+		had := len(f.q)
+		f.q = f.stream.take(f.q, room)
+		f.transfers += uint64(len(f.q) - had)
 	}
 	f.refreshOutputs()
 }
 
 func (f *FIFO) refreshOutputs() {
 	if len(f.q) > 0 {
-		f.setOut("rdata", f.q[0])
-		f.setOutU("empty", 0)
-	} else {
-		f.setOutU("empty", 1)
+		f.setOutU(fifoRdata, f.q[0])
 	}
-	if len(f.q) >= f.depth {
-		f.setOutU("full", 1)
-	} else {
-		f.setOutU("full", 0)
-	}
+	f.setOutU(fifoEmpty, b2u(len(f.q) == 0))
+	f.setOutU(fifoFull, b2u(len(f.q) >= f.depth))
 }
 
 // Depth returns the device-side queue length (tests).
@@ -508,7 +519,7 @@ func (f *FIFO) GetState() *sim.State {
 	st := f.base.GetState()
 	words := make([]*bits.Vector, len(f.q))
 	for i, w := range f.q {
-		words[i] = w.Clone()
+		words[i] = bits.FromUint64(f.width, w)
 	}
 	st.Arrays = map[string][]*bits.Vector{"q": words}
 	st.Scalars["_phase"] = bits.FromUint64(8, uint64(f.phase&1))
@@ -527,7 +538,7 @@ func (f *FIFO) SetState(st *sim.State) {
 	if words, ok := st.Arrays["q"]; ok {
 		f.q = nil
 		for _, w := range words {
-			f.q = append(f.q, w.Clone())
+			f.q = append(f.q, w.Uint64())
 		}
 	}
 	if v, ok := st.Scalars["_phase"]; ok {
@@ -542,6 +553,13 @@ func (f *FIFO) SetState(st *sim.State) {
 		f.pushSampled = v.Clone().Resize(f.width)
 	}
 	f.refreshOutputs()
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // New constructs a stdlib engine by type name with resolved parameters.

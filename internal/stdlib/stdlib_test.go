@@ -80,6 +80,25 @@ func TestClockUpdatesOnlyWhenArmed(t *testing.T) {
 	}
 }
 
+// TestQuiescentDrainAllocFree: a component whose outputs did not move
+// answers either drain without allocating, however often it is asked —
+// inside a forward group that is several times per scheduler iteration.
+func TestQuiescentDrainAllocFree(t *testing.T) {
+	f := NewFIFO("f", 8, 4, NewWorld())
+	if got := len(f.DrainWrites()); got != 3 {
+		t.Fatalf("first drain broadcast %d outputs, want 3", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		f.EndStep() // nothing queued by the host: outputs keep their values
+		if evs := f.DrainWrites(); evs != nil {
+			t.Fatalf("quiescent drain returned %v", evs)
+		}
+		f.VisitWrites(func(string, *bits.Vector) { t.Fatal("quiescent visit") })
+	}); got != 0 {
+		t.Fatalf("quiescent drain allocates: %v per call", got)
+	}
+}
+
 func TestPadSamplesWorldBetweenSteps(t *testing.T) {
 	w := NewWorld()
 	p := NewPad("main.pad", 4, w)

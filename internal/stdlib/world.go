@@ -275,17 +275,17 @@ func (s *Stream) PendingIn() int {
 	return len(s.in)
 }
 
-// take removes up to n words from the host-to-device queue.
-func (s *Stream) take(n int) []uint64 {
+// take moves up to n words from the host-to-device queue onto q.
+func (s *Stream) take(q []uint64, n int) []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if n > len(s.in) {
 		n = len(s.in)
 	}
-	out := append([]uint64{}, s.in[:n]...)
+	q = append(q, s.in[:n]...)
 	s.in = s.in[n:]
 	s.Consumed += uint64(n)
-	return out
+	return q
 }
 
 // put appends device-to-host words.

@@ -80,6 +80,18 @@ type Job struct {
 	pubKey    string  // cache key to publish on first observed readiness ("" means none)
 	be        Backend // the backend that served the flow
 	abort     context.CancelFunc
+
+	// flow holds the counters of the flow itself (synthesis, fault
+	// retries, cache outcome). The flow runs on a worker whenever the
+	// host gets to it, so its counters stay here until a point the
+	// owner's timeline orders, and are banked into the stats mirror
+	// then: when the owner first observes the flow's end (Wait, ReadyAt,
+	// Result, Ready), or, for a job cancelled before that — whose flow
+	// still completes to the cache — when the owner next observes any of
+	// its jobs. Stats read between two such points never depend on how
+	// far the workers got.
+	flow   Stats
+	banked bool
 }
 
 // State returns the job's lifecycle state.
@@ -115,6 +127,35 @@ func (j *Job) setRoute(exec, home int, order []int, live []bool) {
 // the farm lock by settle application, and by the job's own worker
 // goroutine after its route committed.
 func (j *Job) routedShard() int { return j.farmShard }
+
+// count records one of the flow's counters (see Job.flow).
+func (j *Job) count(fn func(*Stats)) {
+	j.mu.Lock()
+	fn(&j.flow)
+	j.mu.Unlock()
+}
+
+// observe blocks until the flow has ended and banks its counters, after
+// those of every job of the same owner cancelled before this point.
+func (j *Job) observe() {
+	<-j.done
+	for _, d := range j.view.takeDiscarded() {
+		<-d.done
+		d.bank()
+	}
+	j.bank()
+}
+
+// bank adds the ended flow's counters to the stats mirror, once.
+func (j *Job) bank() {
+	j.mu.Lock()
+	flow, banked := j.flow, j.banked
+	j.banked = true
+	j.mu.Unlock()
+	if !banked {
+		j.view.bump(func(s *Stats) { s.add(flow) })
+	}
+}
 
 func (j *Job) setState(s JobState) {
 	j.mu.Lock()
@@ -185,7 +226,7 @@ func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 			// shard down (ErrShardUnavailable): shed the submission like
 			// admission control does — instant in virtual terms, callers
 			// back off and resubmit.
-			j.view.bump(func(s *Stats) { s.Shed++ })
+			j.count(func(s *Stats) { s.Shed++ })
 			j.complete(&Result{Err: err, DurationPs: t.hitLatency()}, "")
 			return
 		}
@@ -223,7 +264,7 @@ func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 		}
 		if fault.IsTransient(err) && attempt < t.opts.MaxRetries {
 			backoff += t.backoffPs(attempt)
-			j.view.bump(func(s *Stats) {
+			j.count(func(s *Stats) {
 				s.Retried++
 				s.TransientFaults++
 			})
@@ -234,7 +275,7 @@ func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 			continue
 		}
 		transient := fault.IsTransient(err)
-		j.view.bump(func(s *Stats) {
+		j.count(func(s *Stats) {
 			if transient {
 				s.TransientFaults++
 			} else {
@@ -279,19 +320,19 @@ func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 	j.complete(res, key)
 }
 
-// classify banks a served flow's cache outcome into the tenant's stats
-// mirror and the observability hub, attributing the hit source.
+// classify records a served flow's cache outcome in the flow's counters
+// and the observability hub, attributing the hit source.
 func (j *Job) classify(res *Result) {
 	switch res.HitSource {
 	case HitJoined:
-		j.view.bump(func(s *Stats) { s.Joined++ })
+		j.count(func(s *Stats) { s.Joined++ })
 		if obs := j.view.observer(); obs != nil {
 			obs.CacheHits.Inc()
 			obs.EmitAt(j.submitPs, obsv.EvCacheHit, j.name, "joined in-flight flow")
 		}
 	case HitMemory, HitDisk, HitPeer:
 		src := res.HitSource
-		j.view.bump(func(s *Stats) {
+		j.count(func(s *Stats) {
 			s.CacheHits++
 			switch src {
 			case HitDisk:
@@ -312,7 +353,7 @@ func (j *Job) classify(res *Result) {
 			obs.EmitAt(j.submitPs, obsv.EvCacheHit, j.name, detail)
 		}
 	default:
-		j.view.bump(func(s *Stats) { s.CacheMisses++ })
+		j.count(func(s *Stats) { s.CacheMisses++ })
 		if obs := j.view.observer(); obs != nil {
 			detail := "place-and-route"
 			if j.native {
@@ -326,12 +367,12 @@ func (j *Job) classify(res *Result) {
 
 // synth is the job-service path through synthesis: the global
 // synthesized-flow count still ticks (Compiles observes real synthesis
-// runs machine-wide), but the stats mirror is the submitting tenant's.
+// runs machine-wide), but the counter is the flow's.
 func (j *Job) synth(f *elab.Flat) (*netlist.Program, error) {
 	j.t.mu.Lock()
 	j.t.compiles++
 	j.t.mu.Unlock()
-	j.view.bump(func(s *Stats) { s.Synthesized++ })
+	j.count(func(s *Stats) { s.Synthesized++ })
 	return netlist.Compile(f)
 }
 
@@ -342,7 +383,7 @@ func (j *Job) synth(f *elab.Flat) (*netlist.Program, error) {
 // sessions diverge in :stats.
 func (j *Job) markCanceled() {
 	j.mu.Lock()
-	already := j.canceled
+	already, banked := j.canceled, j.banked
 	j.canceled = true
 	j.state = JobCanceled
 	j.mu.Unlock()
@@ -350,6 +391,9 @@ func (j *Job) markCanceled() {
 		return
 	}
 	j.view.bump(func(s *Stats) { s.Canceled++ })
+	if !banked {
+		j.view.discard(j)
+	}
 	j.settle()
 }
 
@@ -429,7 +473,7 @@ func (j *Job) Cancel() {
 
 // Wait blocks until the job has left the worker pool (compiled,
 // cancelled, or failed).
-func (j *Job) Wait() { <-j.done }
+func (j *Job) Wait() { j.observe() }
 
 // Canceled reports whether the job was cancelled.
 func (j *Job) Canceled() bool {
@@ -442,7 +486,7 @@ func (j *Job) Canceled() bool {
 // virtual time at which the job finishes; ok is false for cancelled
 // jobs.
 func (j *Job) ReadyAt() (ps uint64, ok bool) {
-	<-j.done
+	j.observe()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.canceled || j.res == nil {
@@ -454,7 +498,7 @@ func (j *Job) ReadyAt() (ps uint64, ok bool) {
 // Result blocks until the job completes and returns its result (nil for
 // cancelled jobs).
 func (j *Job) Result() *Result {
-	<-j.done
+	j.observe()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.canceled {
@@ -472,7 +516,7 @@ func (j *Job) Result() *Result {
 // on any clock (the mechanism behind restoring a Snapshot onto a
 // same-shape device without re-running place-and-route).
 func (j *Job) Ready(nowPs uint64) bool {
-	<-j.done
+	j.observe()
 	j.mu.Lock()
 	if j.canceled || j.res == nil || nowPs < j.readyAtPs {
 		j.mu.Unlock()

@@ -41,6 +41,8 @@ type tenant struct {
 	faults *fault.Injector
 	obs    *obsv.Observer
 	stats  Stats
+	// discarded: cancelled jobs whose flows are not banked yet (Job.flow).
+	discarded []*Job
 }
 
 // jobView resolves where one job's faults, observer, device, stats, and
@@ -100,16 +102,40 @@ func (v jobView) observer() *obsv.Observer {
 	return v.t.obs
 }
 
-// bump applies a counter mutation to the job's stats mirror: the
-// tenant's, or the toolchain's global counters for the default tenant.
+// ledger returns the job's stats mirror and its queue of cancelled jobs
+// awaiting banking: the tenant's, or the toolchain's own for the default
+// tenant. Callers hold t.mu.
+func (v jobView) ledger() (*Stats, *[]*Job) {
+	if v.tn != nil {
+		return &v.tn.stats, &v.tn.discarded
+	}
+	return &v.t.stats, &v.t.discarded
+}
+
+// bump applies a counter mutation to the job's stats mirror.
 func (v jobView) bump(fn func(*Stats)) {
 	v.t.mu.Lock()
-	if v.tn != nil {
-		fn(&v.tn.stats)
-	} else {
-		fn(&v.t.stats)
-	}
+	s, _ := v.ledger()
+	fn(s)
 	v.t.mu.Unlock()
+}
+
+// discard queues a cancelled job for banking at the owner's next
+// observation; takeDiscarded hands the queue over.
+func (v jobView) discard(j *Job) {
+	v.t.mu.Lock()
+	_, q := v.ledger()
+	*q = append(*q, j)
+	v.t.mu.Unlock()
+}
+
+func (v jobView) takeDiscarded() []*Job {
+	v.t.mu.Lock()
+	_, q := v.ledger()
+	js := *q
+	*q = nil
+	v.t.mu.Unlock()
+	return js
 }
 
 // cacheKey namespaces a content-addressed key per tenant. The default

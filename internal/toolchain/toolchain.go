@@ -159,6 +159,20 @@ type Stats struct {
 	PeerHits int
 }
 
+// add accumulates a flow's counters into s.
+func (s *Stats) add(o Stats) {
+	s.Synthesized += o.Synthesized
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.Joined += o.Joined
+	s.Retried += o.Retried
+	s.TransientFaults += o.TransientFaults
+	s.PermanentFaults += o.PermanentFaults
+	s.Shed += o.Shed
+	s.DiskHits += o.DiskHits
+	s.PeerHits += o.PeerHits
+}
+
 // Toolchain is a blackbox compiler bound to a device, fronted by a
 // background job service with a bitstream cache.
 type Toolchain struct {
@@ -176,9 +190,12 @@ type Toolchain struct {
 	obs      *obsv.Observer
 	compiles int
 	stats    Stats
-	sem      chan struct{}
-	tenants  map[string]*tenant
-	inflight int // submissions not yet observed ready/cancelled (MaxQueue > 0)
+	// discarded: the default tenant's cancelled jobs whose flows are not
+	// banked yet (Job.flow).
+	discarded []*Job
+	sem       chan struct{}
+	tenants   map[string]*tenant
+	inflight  int // submissions not yet observed ready/cancelled (MaxQueue > 0)
 }
 
 // ErrOverloaded reports that the job service shed a submission under

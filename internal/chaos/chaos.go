@@ -90,7 +90,7 @@ func (c Config) Schedule() Schedule {
 	if c.DaemonOutages <= 0 {
 		return s
 	}
-	r := rng{state: c.Seed ^ 0xc4a5cade} // offset so Fault and outages decorrelate
+	r := rng{fault.SplitMix(c.Seed ^ 0xc4a5cade)} // offset so Fault and outages decorrelate
 	// One outage per equal window of the horizon: non-overlap by
 	// construction, and kills spread across the run instead of
 	// clustering wherever the raw draws land.
@@ -133,23 +133,14 @@ func (s Schedule) String() string {
 	return b.String()
 }
 
-// rng is splitmix64: tiny, seedable, and stable across platforms —
-// the same generator internal/fault hashes with, reused here so the
-// schedule never depends on math/rand's version-varying streams.
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// rng draws from the tree's one splitmix64 stream (fault.SplitMix), so
+// the schedule never depends on math/rand's version-varying streams.
+type rng struct{ fault.SplitMix }
 
 // intn returns a draw in [0, n).
 func (r *rng) intn(n uint64) uint64 {
 	if n == 0 {
 		return 0
 	}
-	return r.next() % n
+	return r.Next() % n
 }

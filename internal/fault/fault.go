@@ -296,21 +296,35 @@ func (in *Injector) check(op Op, siteName string, pTransient, pPermanent float64
 func (in *Injector) roll(op Op, siteName string, trial uint64) float64 {
 	h := in.cfg.Seed
 	h = mix(h ^ (uint64(op) + 1))
-	h = mix(h ^ hashString(siteName))
+	h = mix(h ^ HashString(siteName))
 	h = mix(h ^ trial)
 	return float64(h>>11) / float64(uint64(1)<<53)
 }
 
-// mix is the splitmix64 finalizer.
-func mix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
+// SplitMix is a splitmix64 stream: tiny, seedable, and stable across
+// platforms and Go versions. Every seeded schedule in the tree (fault
+// rolls here, internal/chaos outages, the compile farm's shard outages
+// and rendezvous weights) draws from it, so none depends on math/rand's
+// version-varying streams.
+type SplitMix uint64
+
+// Next advances the stream and returns its next draw.
+func (s *SplitMix) Next() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
-// hashString is FNV-1a.
-func hashString(s string) uint64 {
+// mix is one splitmix64 round over z.
+func mix(z uint64) uint64 {
+	s := SplitMix(z)
+	return s.Next()
+}
+
+// HashString is FNV-1a.
+func HashString(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

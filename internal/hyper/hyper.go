@@ -17,10 +17,11 @@
 //   - each session's Runtime owns a *private* device sized to its
 //     region quota, so placement, fit, and timing decisions never see
 //     another tenant;
-//   - the shared Toolchain scopes faults, observers, stats, and cache
-//     keys per tenant (toolchain.SubmitTenant) — a neighbour's warmed
-//     cache or seeded fault schedule cannot alter a tenant's compile
-//     timeline;
+//   - every submitter of the shared Toolchain is a tenant record
+//     (toolchain.Toolchain.SubmitTenant; internal/toolchain/tenant.go)
+//     holding its own faults, observer, stats, and cache-key namespace —
+//     a neighbour's warmed cache or seeded fault schedule cannot alter a
+//     tenant's compile timeline;
 //   - job readiness is purely virtual (readyAt = submit + duration), so
 //     fair-share queueing delays only wall time;
 //   - losing residency parks the session between quanta without

@@ -62,7 +62,7 @@ func newRigOpts(t *testing.T, src string, inj *fault.Injector, opts toolchain.Op
 		Injector: inj,
 		Compile: func(p *Placement, tier Tier, now uint64) *toolchain.Job {
 			if tier == Native {
-				return tc.SubmitNative(context.Background(), p.Flat, now)
+				return tc.SubmitNativeTenant(context.Background(), "", p.Flat, now)
 			}
 			return tc.Submit(context.Background(), p.Flat, true, now)
 		},

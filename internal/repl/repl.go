@@ -41,6 +41,19 @@ type REPL struct {
 	wg   sync.WaitGroup
 }
 
+// lockedWriter serialises writes to the REPL's output: the prompt loop
+// and the background scheduler (through view) share the one stream.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
+}
+
 // view adapts the REPL's writer to the runtime's view interface.
 type view struct {
 	out io.Writer
@@ -53,6 +66,7 @@ func (v *view) Error(err error)            { fmt.Fprintf(v.out, "[cascade] error
 // New builds a REPL over a runtime configured with opts; the runtime's
 // view is pointed at out. The standard prelude is evaluated.
 func New(opts runtime.Options, out io.Writer) (*REPL, error) {
+	out = &lockedWriter{w: out}
 	opts.View = &view{out: out}
 	rt := runtime.New(opts)
 	if err := rt.Eval(runtime.DefaultPrelude); err != nil {
@@ -68,6 +82,7 @@ func New(opts runtime.Options, out io.Writer) (*REPL, error) {
 // against the other tenants. The standard prelude is evaluated.
 // Closing the REPL closes the session.
 func NewSession(hv *hyper.Hypervisor, out io.Writer, opts ...hyper.SessionOption) (*REPL, error) {
+	out = &lockedWriter{w: out}
 	opts = append(opts, hyper.WithView(&view{out: out}))
 	sess, err := hv.NewSession(opts...)
 	if err != nil {
@@ -88,6 +103,7 @@ func (r *REPL) Session() *hyper.Session { return r.sess }
 // standard prelude: the migrated program continues under interactive
 // control (the -restore flag of cmd/cascade).
 func NewRestored(opts runtime.Options, snap *runtime.Snapshot, out io.Writer) (*REPL, error) {
+	out = &lockedWriter{w: out}
 	opts.View = &view{out: out}
 	rt := runtime.New(opts)
 	if err := rt.Restore(snap); err != nil {
@@ -103,6 +119,7 @@ func NewRestored(opts runtime.Options, snap *runtime.Snapshot, out io.Writer) (*
 // standard prelude is evaluated as usual; on recovery the program is
 // already mid-execution and resumes where the journal left off.
 func Open(opts runtime.Options, out io.Writer) (*REPL, *runtime.RecoveryInfo, error) {
+	out = &lockedWriter{w: out}
 	opts.View = &view{out: out}
 	rt, info, err := runtime.Open(opts)
 	if err != nil {
@@ -320,7 +337,9 @@ func (r *REPL) command(line string) bool {
 			fmt.Fprintln(r.out, "not serving a hypervisor (single-tenant runtime)")
 			break
 		}
+		r.mu.Lock() // SessionInfos reads this session's runtime counters
 		infos := r.hv.SessionInfos()
+		r.mu.Unlock()
 		if len(infos) == 0 {
 			fmt.Fprintln(r.out, "no live sessions")
 			break
@@ -411,6 +430,14 @@ func (r *REPL) command(line string) bool {
 		}
 		r.mu.Lock()
 		err = r.rt.Restore(snap)
+		if err == nil && r.rt.PersistDir() != "" {
+			// The journal describes the replaced program; cut a fresh
+			// checkpoint so a crash recovers the loaded one.
+			if cerr := r.rt.Checkpoint(); cerr != nil {
+				fmt.Fprintf(r.out, "warning: checkpoint after load failed: %v\n", cerr)
+			}
+		}
+		ticks, phase := r.rt.Ticks(), r.rt.Phase()
 		r.mu.Unlock()
 		if err != nil {
 			// Restore validates before mutating: the running program
@@ -418,15 +445,7 @@ func (r *REPL) command(line string) bool {
 			fmt.Fprintf(r.out, "load failed (program unchanged): %v\n", err)
 			break
 		}
-		if r.rt.PersistDir() != "" {
-			// The journal describes the replaced program; cut a fresh
-			// checkpoint so a crash recovers the loaded one.
-			if err := r.rt.Checkpoint(); err != nil {
-				fmt.Fprintf(r.out, "warning: checkpoint after load failed: %v\n", err)
-			}
-		}
-		fmt.Fprintf(r.out, "snapshot loaded from %s: ticks=%d phase=%v\n",
-			fields[1], r.rt.Ticks(), r.rt.Phase())
+		fmt.Fprintf(r.out, "snapshot loaded from %s: ticks=%d phase=%v\n", fields[1], ticks, phase)
 	case ":trace":
 		o := r.rt.Observer()
 		if !o.Enabled() {
@@ -465,8 +484,9 @@ func (r *REPL) command(line string) bool {
 		}
 		r.mu.Lock()
 		r.runTicks(context.Background(), n)
+		ticks := r.rt.Ticks()
 		r.mu.Unlock()
-		fmt.Fprintf(r.out, "ticks=%d\n", r.rt.Ticks())
+		fmt.Fprintf(r.out, "ticks=%d\n", ticks)
 	default:
 		fmt.Fprintf(r.out, "unknown command %s (:help)\n", fields[0])
 	}

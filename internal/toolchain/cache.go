@@ -2,13 +2,14 @@ package toolchain
 
 import "sync"
 
-// The bitstream cache is layered (DESIGN.md "Compile backends & the
+// The bitstream cache is layered (DESIGN.md "The compile flow & the
 // farm"): the memory tier is a join cache over full Results — it also
-// mediates "join an in-flight flow" semantics, so it lives inside each
-// backend as an entryCache — while the durable tiers behind it (disk
-// store, peer fetch on a compile farm) exchange only the verified flow
-// outcome (BitMeta) and are consulted in order through the CacheTier
-// interface once a miss has already paid for synthesis.
+// mediates "join an in-flight flow" semantics — while the durable tiers
+// behind it (disk store, peer fetch between compile workers) exchange
+// only the verified flow outcome (BitMeta) and are consulted in order
+// through the CacheTier interface once a miss has already paid for
+// synthesis. One stack holds both, and stack.serve is the only code that
+// orders them.
 
 // Hit sources, carried in Result.HitSource. The empty string means the
 // flow paid for the back half (place-and-route or native codegen).
@@ -35,20 +36,22 @@ type BitMeta struct {
 // consulted in order after the memory tier misses; the first hit wins
 // and is served at cache-hit latency. Store records a freshly built
 // bitstream; tiers are accelerators — their failures never fail a flow.
+// Both count what they did (DiskWrites, DiskCorrupt) into the calling
+// flow's counters, never into a shared ledger.
 type CacheTier interface {
 	// Name identifies the tier ("disk", "peer") for hit attribution.
 	Name() string
 	// Lookup returns the recorded outcome for key, if the tier holds a
 	// verified entry.
-	Lookup(key string) (BitMeta, bool)
+	Lookup(key string, flow *Stats) (BitMeta, bool)
 	// Store durably records a successful outcome.
-	Store(meta BitMeta)
+	Store(meta BitMeta, flow *Stats)
 }
 
 // lookupTiers consults a tier chain in order; the first hit wins.
-func lookupTiers(tiers []CacheTier, key string) (BitMeta, string, bool) {
+func lookupTiers(tiers []CacheTier, key string, flow *Stats) (BitMeta, string, bool) {
 	for _, tier := range tiers {
-		if meta, ok := tier.Lookup(key); ok {
+		if meta, ok := tier.Lookup(key, flow); ok {
 			return meta, tier.Name(), true
 		}
 	}
@@ -56,9 +59,9 @@ func lookupTiers(tiers []CacheTier, key string) (BitMeta, string, bool) {
 }
 
 // storeTiers records a successful outcome into every tier.
-func storeTiers(tiers []CacheTier, meta BitMeta) {
+func storeTiers(tiers []CacheTier, meta BitMeta, flow *Stats) {
 	for _, tier := range tiers {
-		tier.Store(meta)
+		tier.Store(meta, flow)
 	}
 }
 
@@ -84,8 +87,7 @@ type cacheEntry struct {
 }
 
 // entryCache is the memory tier: full Results keyed by content hash,
-// with join-in-flight semantics. Each backend (and each farm shard)
-// owns one.
+// with join-in-flight semantics. Each stack owns one.
 type entryCache struct {
 	mu sync.Mutex
 	m  map[string]*cacheEntry
@@ -170,23 +172,82 @@ func (c *entryCache) clear() {
 	c.mu.Unlock()
 }
 
-// diskTier adapts the on-disk bitstream store (diskcache.go) to the
-// CacheTier interface.
-type diskTier struct {
-	t   *Toolchain
-	dir string
+// stack is one cache stack: the memory join cache in front of a durable
+// tier chain. The toolchain owns one, each in-process farm shard owns
+// one (sharing the toolchain's disk store), and a Worker wraps one.
+type stack struct {
+	entries entryCache
+	tiers   []CacheTier
+	hitPs   uint64 // virtual latency of a cache-served flow
 }
 
-func (d *diskTier) Name() string { return HitDisk }
-
-func (d *diskTier) Lookup(key string) (BitMeta, bool) {
-	meta, ok := d.t.diskLookupIn(d.dir, key)
-	if !ok {
-		return BitMeta{}, false
+// newStack builds a stack over t's latency model and disk store,
+// followed by any extra durable tiers (a Worker's peer fetch).
+func newStack(t *Toolchain, extra ...CacheTier) *stack {
+	return &stack{
+		entries: newEntryCache(),
+		tiers:   append([]CacheTier{diskTier{dir: t.opts.CacheDir}}, extra...),
+		hitPs:   t.hitLatency(),
 	}
-	return BitMeta{Key: meta.Key, AreaLEs: meta.AreaLEs, RawAreaLEs: meta.RawAreaLEs, CritPath: meta.CritPath}, true
 }
 
-func (d *diskTier) Store(meta BitMeta) {
-	d.t.diskStoreIn(d.dir, meta)
+// farmHooks are the two steps of serve a compile farm widens beyond one
+// stack; both are nil everywhere else. peer consults the other shards'
+// memory tiers once this stack's missed; insert lands an outcome on this
+// stack and its replicas instead of this stack alone.
+type farmHooks struct {
+	peer   func() (*Result, bool)
+	insert func(res *Result, published bool)
+}
+
+// serve runs the back half of one flow — the only place that orders
+// memory tier, model, durable tiers, insertion and durable storage. The
+// request is the wire form (req's netlist summary is for remote
+// workers; model applies the area/fit/timing or native-codegen model to
+// whatever the caller holds and returns the result at its raw virtual
+// duration). The returned Result's DurationPs is the flow's total bill
+// including req.BackoffPs; the returned counters (cache outcome, disk
+// writes and rejected entries) are the flow's own, for the caller to
+// bank with the rest of Job.flow.
+func (s *stack) serve(req ShardSubmit, model func() *Result, farm farmHooks) (*Result, Stats) {
+	var flow Stats
+	res, ok := s.entries.lookup(req.Key, req.SubmitPs, req.BackoffPs, s.hitPs)
+	if !ok && farm.peer != nil {
+		res, ok = farm.peer()
+	}
+	if ok {
+		flow.countOutcome(res.HitSource)
+		return res, flow
+	}
+
+	// Apply the model, then consult the durable tiers. A verified entry
+	// whose recorded outcome matches this synthesis — and which still
+	// fits the live device — means the bitstream was fully built by an
+	// earlier process: serve it at cache-hit latency. Anything less
+	// (corrupt, stale, new device) pays for place-and-route as usual. The
+	// native tier skips the durable tiers both ways: its artifact is
+	// rebuilt from the netlist in negligible wall-clock time, so
+	// persistence buys nothing.
+	res = model()
+	durable := !res.NativeGo
+	if durable {
+		meta, src, found := lookupTiers(s.tiers, req.Key, &flow)
+		if found && res.Err == nil && metaMatches(meta, res) {
+			res.DurationPs = s.hitPs
+			res.CacheHit = true
+			res.HitSource = src
+		}
+	}
+	res.DurationPs += req.BackoffPs
+	if farm.insert != nil {
+		farm.insert(res, res.CacheHit)
+	} else {
+		s.entries.insert(req.Key, res, res.CacheHit, req.SubmitPs)
+	}
+	if durable && !res.CacheHit && res.Err == nil {
+		storeTiers(s.tiers, BitMeta{Key: req.Key, AreaLEs: res.AreaLEs,
+			RawAreaLEs: res.RawAreaLEs, CritPath: res.Stats.CritPath}, &flow)
+	}
+	flow.countOutcome(res.HitSource)
+	return res, flow
 }

@@ -26,65 +26,57 @@ import (
 // clock) is ignored — validity is re-checked against the live device on
 // every load, never trusted from disk.
 //
-// The store is exposed to backends through the CacheTier interface
-// (cache.go); the dir-parameterized helpers below let a compile farm
-// give each shard its own store under one root.
+// The store is one rung of a stack's durable chain (the CacheTier
+// interface, cache.go).
 
 const (
 	bitsMagic   = "cascade-bits"
 	bitsVersion = 1
 )
 
-// diskMeta is the persisted outcome of one successful flow.
-type diskMeta struct {
-	Key        string // full cache key (collision guard for the hashed name)
-	AreaLEs    int
-	RawAreaLEs int
-	CritPath   int
-}
+// diskTier is the store under one directory; with no directory
+// (Options.CacheDir unset) it holds nothing and records nothing.
+// BitMeta.Key in an entry is the full cache key: the collision guard for
+// the hashed file name.
+type diskTier struct{ dir string }
 
-// diskPathIn maps a cache key to its entry file under dir.
-func diskPathIn(dir, key string) string {
+func (d diskTier) Name() string { return HitDisk }
+
+// path maps a cache key to its entry file.
+func (d diskTier) path(key string) string {
 	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(dir, "bs-"+hex.EncodeToString(sum[:12])+".bits")
+	return filepath.Join(d.dir, "bs-"+hex.EncodeToString(sum[:12])+".bits")
 }
 
-// diskLookup loads and verifies the entry for key in the configured
-// store (Options.CacheDir).
-func (t *Toolchain) diskLookup(key string) (diskMeta, bool) {
-	return t.diskLookupIn(t.opts.CacheDir, key)
-}
-
-// diskLookupIn loads and verifies the entry for key under dir.
-// Integrity failures of any kind — unreadable, bad checksum, wrong key
-// — count as misses (and remove the bad entry); only a clean entry
+// Lookup loads and verifies the entry for key. Integrity failures of
+// any kind — unreadable, bad checksum, wrong key — count as misses (and
+// remove the bad entry, counted in flow.DiskCorrupt); only a clean entry
 // returns ok.
-func (t *Toolchain) diskLookupIn(dir, key string) (diskMeta, bool) {
-	if dir == "" {
-		return diskMeta{}, false
+func (d diskTier) Lookup(key string, flow *Stats) (BitMeta, bool) {
+	if d.dir == "" {
+		return BitMeta{}, false
 	}
-	path := diskPathIn(dir, key)
+	path := d.path(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return diskMeta{}, false
+		return BitMeta{}, false
 	}
 	meta, err := decodeBitsEntry(data)
 	if err != nil || meta.Key != key {
 		os.Remove(path)
-		t.mu.Lock()
-		t.stats.DiskCorrupt++
-		t.mu.Unlock()
-		return diskMeta{}, false
+		flow.DiskCorrupt++
+		return BitMeta{}, false
 	}
 	return meta, true
 }
 
-// diskStoreIn durably records a successful flow outcome under dir.
-func (t *Toolchain) diskStoreIn(dir string, meta BitMeta) {
-	if dir == "" {
+// Store durably records a successful flow outcome, counted in
+// flow.DiskWrites once it is on disk.
+func (d diskTier) Store(meta BitMeta, flow *Stats) {
+	if d.dir == "" {
 		return
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(d.dir, 0o755); err != nil {
 		return // the store is an accelerator; failures never fail the flow
 	}
 	text := fmt.Sprintf("key=%s\narea=%d\nrawarea=%d\ncritpath=%d\n",
@@ -92,16 +84,14 @@ func (t *Toolchain) diskStoreIn(dir string, meta BitMeta) {
 	blob := persist.EncodeContainer(bitsMagic, bitsVersion, []persist.Section{
 		{Name: "meta", Data: []byte(text)},
 	})
-	if err := persist.WriteFileAtomic(diskPathIn(dir, meta.Key), blob, 0o644); err != nil {
+	if err := persist.WriteFileAtomic(d.path(meta.Key), blob, 0o644); err != nil {
 		return
 	}
-	t.mu.Lock()
-	t.stats.DiskWrites++
-	t.mu.Unlock()
+	flow.DiskWrites++
 }
 
-func decodeBitsEntry(data []byte) (diskMeta, error) {
-	var m diskMeta
+func decodeBitsEntry(data []byte) (BitMeta, error) {
+	var m BitMeta
 	_, secs, err := persist.DecodeContainer(bitsMagic, data)
 	if err != nil {
 		return m, err

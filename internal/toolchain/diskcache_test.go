@@ -159,10 +159,12 @@ func TestDiskCacheConcurrentCorruptRewriteRace(t *testing.T) {
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tc.diskLookupIn(dir, want.Key); ok {
+	store := diskTier{dir: dir}
+	var st Stats
+	if _, ok := store.Lookup(want.Key, &st); ok {
 		t.Fatal("corrupt entry must miss")
 	}
-	if st := tc.Stats(); st.DiskCorrupt != 1 {
+	if st.DiskCorrupt != 1 {
 		t.Fatalf("stats after serial corrupt lookup: %+v", st)
 	}
 
@@ -180,7 +182,7 @@ func TestDiskCacheConcurrentCorruptRewriteRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for k := 0; k < 4; k++ {
-					meta, ok := tc.diskLookupIn(dir, want.Key)
+					meta, ok := store.Lookup(want.Key, new(Stats))
 					if ok && (meta.AreaLEs != want.AreaLEs ||
 						meta.RawAreaLEs != want.RawAreaLEs ||
 						meta.CritPath != want.CritPath) {
@@ -193,7 +195,7 @@ func TestDiskCacheConcurrentCorruptRewriteRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			tc.diskStoreIn(dir, good)
+			store.Store(good, new(Stats))
 		}()
 		close(start)
 		wg.Wait()
@@ -201,8 +203,8 @@ func TestDiskCacheConcurrentCorruptRewriteRace(t *testing.T) {
 
 	// Whatever interleaving won, the store ends usable: one rewrite
 	// round-trips, and the entry serves cleanly again.
-	tc.diskStoreIn(dir, good)
-	meta, ok := tc.diskLookupIn(dir, want.Key)
+	store.Store(good, new(Stats))
+	meta, ok := store.Lookup(want.Key, new(Stats))
 	if !ok || meta != want {
 		t.Fatalf("store unusable after the race: ok=%v meta=%+v want=%+v", ok, meta, want)
 	}

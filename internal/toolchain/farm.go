@@ -1,26 +1,35 @@
 package toolchain
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"cascade/internal/fault"
+	"cascade/internal/netlist"
 	"cascade/internal/obsv"
 	"cascade/internal/supervise"
 	"cascade/internal/vclock"
 )
 
-// FarmBackend shards the back half of the compile flow across N compile
-// workers with a replicated bitstream cache (DESIGN.md "Compile
-// backends & the farm"). Jobs are rendezvous-hashed on the synthesized
-// netlist's fingerprint; each shard runs a bounded queue, full queues
-// steal to the idlest live shard, and a fully saturated farm sheds with
-// ErrOverloaded exactly like admission control. Shards can be
-// in-process (Workers) or remote cascade-engined compile workers
-// (Links, wired by internal/transport).
+// ErrShardUnavailable reports that a compile-farm submission could not
+// be served because no shard was reachable (every shard down, or the
+// routed shard and all its replicas failed). It travels inside the
+// job's Result.Err; callers match it with errors.Is and resubmit after
+// a virtual-time backoff — like ErrOverloaded, it is a verdict on the
+// service's availability, never on the design.
+var ErrShardUnavailable = errors.New("compile shard unavailable")
+
+// FarmBackend is a compile farm: a router in front of N cache stacks
+// with a replicated bitstream cache (DESIGN.md "The compile flow & the
+// farm"). Jobs are rendezvous-hashed on the synthesized netlist's
+// fingerprint; each shard runs a bounded queue, full queues steal to the
+// idlest live shard, and a fully saturated farm sheds with
+// ErrOverloaded exactly like admission control. Shards are in-process
+// stacks (Workers) or remote cascade-engined compile workers, each
+// wrapping one (Links, wired by internal/transport).
 //
 // Determinism (DESIGN.md key invariant 15): every quantity a route
 // decision reads — per-shard queue depth, shard liveness, the hash ring
@@ -29,16 +38,14 @@ import (
 // turnstile over the farm lock); queue-depth releases are stamped with
 // an event-sequence number when the owner settles the job and are
 // applied by later routes only when they precede the routing job's own
-// submission stamp. Cache serving reuses the exact memory-tier join
-// math of the local backend, peer hits bill exactly one cache-hit
-// latency, and farm control messages are metered on a separate counter
-// (FarmStats.Msgs/MsgPs) — modelled as fully overlapped with the flow's
-// compile window — so a farm-backed run is byte-identical to a
-// local-backend run.
+// submission stamp. Cache serving is stack.serve, the code a local flow
+// runs, peer hits bill exactly one cache-hit latency, and farm control
+// messages are metered on a separate counter (FarmStats.Msgs/MsgPs) —
+// modelled as fully overlapped with the flow's compile window — so a
+// farm-backed run is byte-identical to a local run.
 type FarmBackend struct {
-	t     *Toolchain
-	opts  FarmOptions
-	tiers []CacheTier // durable tiers all shards share (the disk store)
+	t    *Toolchain
+	opts FarmOptions
 
 	shards []*shard
 
@@ -56,12 +63,23 @@ type FarmBackend struct {
 	keyHome   map[string]int
 	stats     FarmStats
 
-	gDepth   []*obsv.Gauge
-	cStolen  *obsv.Counter
-	cReroute *obsv.Counter
-	cPeer    *obsv.Counter
-	cShed    *obsv.Counter
-	cUnavail *obsv.Counter
+	gDepth []*obsv.Gauge
+	// The countable farm events. Each is one farmCount, so FarmStats and
+	// /metrics cannot disagree.
+	stolen, rerouted, peerHits, shed, unavailable farmCount
+}
+
+// farmCount is one countable farm event: the FarmStats figure and its
+// /metrics series, moved together by inc — the event's only increment
+// site. Guarded by the farm mutex.
+type farmCount struct {
+	n      uint64
+	series *obsv.Counter
+}
+
+func (c *farmCount) inc() {
+	c.n++
+	c.series.Inc()
 }
 
 // FarmOptions configures a sharded compile farm (Toolchain.UseFarm).
@@ -149,7 +167,7 @@ func SeededOutages(seed uint64, shards int, routes uint64, n int) []ShardOutage 
 	if shards <= 0 || n <= 0 || routes == 0 {
 		return nil
 	}
-	r := farmRNG{state: seed ^ 0xfa_2a_cade}
+	r := fault.SplitMix(seed ^ 0xfa_2a_cade)
 	span := routes / uint64(n)
 	if span < 2 {
 		span = 2
@@ -157,27 +175,15 @@ func SeededOutages(seed uint64, shards int, routes uint64, n int) []ShardOutage 
 	var out []ShardOutage
 	for i := 0; i < n; i++ {
 		base := uint64(i) * span
-		from := base + r.next()%(span/2+1)
-		width := 1 + r.next()%(span/2+1)
+		from := base + r.Next()%(span/2+1)
+		width := 1 + r.Next()%(span/2+1)
 		out = append(out, ShardOutage{
-			Shard:     int(r.next() % uint64(shards)),
+			Shard:     int(r.Next() % uint64(shards)),
 			FromRoute: from,
 			ToRoute:   from + width,
 		})
 	}
 	return out
-}
-
-// farmRNG is splitmix64 (like internal/chaos): tiny, seedable, stable
-// across platforms.
-type farmRNG struct{ state uint64 }
-
-func (r *farmRNG) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // FarmStats snapshots the farm's counters.
@@ -197,22 +203,40 @@ type FarmStats struct {
 	Down        []bool // current per-shard outage state
 }
 
+// farmRoute is one farm submission's routing state, written at submit
+// and by its route commit (both under the farm lock) and read by the
+// job's own worker goroutine after the commit: the submission's commit
+// sequence and event-sequence stamp, and — once routed — the shard whose
+// queue depth it occupies plus the route-time view (acting home,
+// rendezvous order, shard liveness) the compile executes against. A nil
+// *farmRoute is a job the farm never saw.
+type farmRoute struct {
+	fb    *FarmBackend
+	seq   uint64
+	esq   uint64
+	shard int // -1 before routing, and forever for jobs that died pre-route
+	home  int
+	order []int
+	live  []bool
+}
+
 // settleEv is one queue-depth release awaiting application in event
-// order. The shard is read from the job at apply time: the turnstile
+// order. The shard is read from the route at apply time: the turnstile
 // guarantees the job's own route committed before any later submission
 // applies its settle.
 type settleEv struct {
 	esq uint64
-	j   *Job
+	r   *farmRoute
 }
 
-// shard is one compile worker: in-process (link nil) or remote.
+// shard is one compile worker: an in-process cache stack (link nil) or
+// a remote worker wrapping its own.
 type shard struct {
-	idx     int
-	link    ShardLink
-	entries entryCache
-	slots   chan struct{} // wall-clock execution slots (in-process)
-	brk     *supervise.Supervisor
+	idx   int
+	link  ShardLink
+	cache *stack
+	slots chan struct{} // wall-clock execution slots (in-process)
+	brk   *supervise.Supervisor
 
 	// Guarded by the farm mutex.
 	depth     int
@@ -222,11 +246,12 @@ type shard struct {
 
 func (s *shard) down() bool { return s.schedDown || s.brkOpen }
 
-// ShardSubmit is the wire form of one compile-submit to a remote
-// worker: the cache key plus the synthesized netlist's summary — the
-// model inputs. The worker never re-synthesizes; the client keeps the
-// netlist (the runtime needs it to program its own fabric) and the
-// worker reproduces the flow outcome from the summary.
+// ShardSubmit is one back-half request — what stack.serve takes, and the
+// wire form of a compile-submit to a remote worker: the cache key, the
+// submission's virtual-time accounting, and the synthesized netlist's
+// summary — the model inputs. The worker never re-synthesizes; the
+// client keeps the netlist (the runtime needs it to program its own
+// fabric) and the worker reproduces the flow outcome from the summary.
 type ShardSubmit struct {
 	Key       string
 	Name      string
@@ -276,22 +301,23 @@ type ShardLink interface {
 	Close() error
 }
 
-// UseFarm installs a sharded compile farm as the toolchain's fabric
-// backend and returns it. Native-tier jobs keep compiling on the local
-// backend (their artifact is in-process Go; there is nothing to ship).
-// Install the farm before submitting work.
+// UseFarm installs a sharded compile farm for the toolchain's fabric
+// flows and returns it. Native-tier jobs keep compiling on the
+// toolchain's own stack. Install the farm before submitting work; jobs
+// in flight stay on the path they were submitted to.
 func (t *Toolchain) UseFarm(fo FarmOptions) *FarmBackend {
 	fb := newFarmBackend(t, fo)
-	t.SetBackend(fb)
+	t.mu.Lock()
+	t.farm = fb
+	t.mu.Unlock()
 	return fb
 }
 
-// Farm returns the installed farm backend (nil when compiling locally).
+// Farm returns the installed compile farm (nil when compiling locally).
 func (t *Toolchain) Farm() *FarmBackend {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	fb, _ := t.backend.(*FarmBackend)
-	return fb
+	return t.farm
 }
 
 // FarmStats snapshots the installed farm's counters; ok is false when
@@ -313,19 +339,17 @@ func newFarmBackend(t *Toolchain, fo FarmOptions) *FarmBackend {
 		stats:   FarmStats{Shards: fo.Workers},
 	}
 	fb.cond = sync.NewCond(&fb.mu)
-	if t.opts.CacheDir != "" {
-		// Shards share one durable store: it is content-addressed and
-		// written atomically, and sharing it keeps disk-hit behaviour
-		// identical to the local backend's (invariant 15 with CacheDir).
-		fb.tiers = append(fb.tiers, &diskTier{t: t, dir: t.opts.CacheDir})
-	}
-	obs := t.observer()
+	obs := t.tenant("").snapshot().obs
 	for i := 0; i < fo.Workers; i++ {
+		// Shards share the toolchain's durable store: it is
+		// content-addressed and written atomically, and sharing it keeps
+		// disk-hit behaviour identical to a local flow's (invariant 15
+		// with CacheDir).
 		s := &shard{
-			idx:     i,
-			entries: newEntryCache(),
-			slots:   make(chan struct{}, fo.WallSlots),
-			brk:     supervise.New(fo.Supervise),
+			idx:   i,
+			cache: newStack(t),
+			slots: make(chan struct{}, fo.WallSlots),
+			brk:   supervise.New(fo.Supervise),
 		}
 		if len(fo.Links) > 0 {
 			s.link = fo.Links[i]
@@ -335,11 +359,11 @@ func newFarmBackend(t *Toolchain, fo FarmOptions) *FarmBackend {
 			"cascade_farm_queue_depth", "compile submissions occupying this shard's bounded queue",
 			map[string]string{"shard": fmt.Sprint(i)}))
 	}
-	fb.cStolen = obs.NewCounter("cascade_farm_steals_total", "jobs stolen from a full home shard by an idle one")
-	fb.cReroute = obs.NewCounter("cascade_farm_reroutes_total", "jobs routed past a dead home shard")
-	fb.cPeer = obs.NewCounter("cascade_farm_peer_hits_total", "submissions served from another shard's bitstream cache")
-	fb.cShed = obs.NewCounter("cascade_farm_shed_total", "jobs shed with every shard queue at its bound")
-	fb.cUnavail = obs.NewCounter("cascade_farm_unavailable_total", "jobs failed with every shard down")
+	fb.stolen.series = obs.NewCounter("cascade_farm_steals_total", "jobs stolen from a full home shard by an idle one")
+	fb.rerouted.series = obs.NewCounter("cascade_farm_reroutes_total", "jobs routed past a dead home shard")
+	fb.peerHits.series = obs.NewCounter("cascade_farm_peer_hits_total", "submissions served from another shard's bitstream cache")
+	fb.shed.series = obs.NewCounter("cascade_farm_shed_total", "jobs shed with every shard queue at its bound")
+	fb.unavailable.series = obs.NewCounter("cascade_farm_unavailable_total", "jobs failed with every shard down")
 	return fb
 }
 
@@ -348,6 +372,8 @@ func (fb *FarmBackend) Stats() FarmStats {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	st := fb.stats
+	st.Stolen, st.Rerouted, st.PeerHits = fb.stolen.n, fb.rerouted.n, fb.peerHits.n
+	st.Shed, st.Unavailable = fb.shed.n, fb.unavailable.n
 	st.Depth = make([]int, len(fb.shards))
 	st.Down = make([]bool, len(fb.shards))
 	for i, s := range fb.shards {
@@ -374,27 +400,28 @@ func (fb *FarmBackend) billLocked(n uint64) {
 }
 
 // noteSubmit stamps a submission into the farm's event order; called
-// synchronously from submitTenant so the order is the caller's
-// deterministic submission order, not worker-goroutine scheduling.
-func (fb *FarmBackend) noteSubmit(j *Job) {
+// synchronously from submit so the order is the caller's deterministic
+// submission order, not worker-goroutine scheduling.
+func (fb *FarmBackend) noteSubmit() *farmRoute {
 	fb.mu.Lock()
-	j.farm = fb
-	j.farmShard = -1
-	j.farmHome = -1
-	j.farmSeq = fb.seqNext
+	defer fb.mu.Unlock()
+	r := &farmRoute{fb: fb, seq: fb.seqNext, esq: fb.esqNext, shard: -1, home: -1}
 	fb.seqNext++
-	j.farmESQ = fb.esqNext
 	fb.esqNext++
 	fb.stats.Jobs++
-	fb.mu.Unlock()
+	return r
 }
 
-// noteSettle stamps a queue-depth release. It is applied by later route
-// decisions whose submissions observed it (esq order), keeping depth a
-// pure function of the virtual-order history.
-func (fb *FarmBackend) noteSettle(j *Job) {
+// settle stamps the job's queue-depth release. It is applied by later
+// route decisions whose submissions observed it (esq order), keeping
+// depth a pure function of the virtual-order history.
+func (r *farmRoute) settle() {
+	if r == nil {
+		return
+	}
+	fb := r.fb
 	fb.mu.Lock()
-	fb.pending = append(fb.pending, settleEv{esq: fb.esqNext, j: j})
+	fb.pending = append(fb.pending, settleEv{esq: fb.esqNext, r: r})
 	fb.esqNext++
 	fb.mu.Unlock()
 }
@@ -409,7 +436,7 @@ func (fb *FarmBackend) applySettlesLocked(limit uint64) {
 			kept = append(kept, ev)
 			continue
 		}
-		if sh := ev.j.routedShard(); sh >= 0 {
+		if sh := ev.r.shard; sh >= 0 {
 			s := fb.shards[sh]
 			if s.depth > 0 {
 				s.depth--
@@ -436,7 +463,7 @@ func (fb *FarmBackend) applyOutagesLocked() {
 			}
 		}
 		if was && !s.schedDown {
-			s.entries.clear()
+			s.cache.entries.clear()
 		}
 	}
 }
@@ -464,19 +491,15 @@ func (fb *FarmBackend) probeLocked(vnow uint64) {
 // keys and no others move (consistent hashing without a ring table).
 func (fb *FarmBackend) rank(fingerprint string) []int {
 	// FNV-1a over the fingerprint, then one splitmix round per shard.
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(fingerprint); i++ {
-		h ^= uint64(fingerprint[i])
-		h *= 1099511628211
-	}
+	h := fault.HashString(fingerprint)
 	type sw struct {
 		idx int
 		w   uint64
 	}
 	ws := make([]sw, len(fb.shards))
 	for i := range fb.shards {
-		r := farmRNG{state: h ^ (uint64(i+1) * 0x9e3779b97f4a7c15)}
-		ws[i] = sw{idx: i, w: r.next()}
+		r := fault.SplitMix(h ^ (uint64(i+1) * 0x9e3779b97f4a7c15))
+		ws[i] = sw{idx: i, w: r.Next()}
 	}
 	sort.Slice(ws, func(a, b int) bool {
 		if ws[a].w != ws[b].w {
@@ -491,24 +514,25 @@ func (fb *FarmBackend) rank(fingerprint string) []int {
 	return order
 }
 
-// route commits the routing decision for j, in strict submission order.
-// It picks the acting home (first live shard in rendezvous order),
-// steals to the idlest live shard when the home queue is full, sheds
-// with ErrOverloaded when every live queue is full, and fails with
+// commit commits the job's routing decision, in strict submission
+// order. It picks the acting home (first live shard in rendezvous
+// order), steals to the idlest live shard when the home queue is full,
+// sheds with ErrOverloaded when every live queue is full, and fails with
 // ErrShardUnavailable when no shard is live.
-func (fb *FarmBackend) route(j *Job, fingerprint string) error {
+func (r *farmRoute) commit(submitPs uint64, fingerprint string) error {
+	fb := r.fb
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	for fb.nextRoute != j.farmSeq {
+	for fb.nextRoute != r.seq {
 		fb.cond.Wait()
 	}
 	defer func() {
 		fb.nextRoute++
 		fb.cond.Broadcast()
 	}()
-	fb.applySettlesLocked(j.farmESQ)
+	fb.applySettlesLocked(r.esq)
 	fb.applyOutagesLocked()
-	fb.probeLocked(j.submitPs)
+	fb.probeLocked(submitPs)
 	fb.routed++
 	fb.stats.Routed = fb.routed
 	fb.billLocked(2) // compile-submit + compile-status
@@ -526,13 +550,11 @@ func (fb *FarmBackend) route(j *Job, fingerprint string) error {
 		}
 	}
 	if home < 0 {
-		fb.stats.Unavailable++
-		fb.cUnavail.Inc()
+		fb.unavailable.inc()
 		return fmt.Errorf("toolchain: %w: all %d compile shards down", ErrShardUnavailable, len(fb.shards))
 	}
 	if home != order[0] {
-		fb.stats.Rerouted++
-		fb.cReroute.Inc()
+		fb.rerouted.inc()
 	}
 	exec := home
 	if fb.shards[home].depth >= fb.opts.QueueDepth {
@@ -545,31 +567,30 @@ func (fb *FarmBackend) route(j *Job, fingerprint string) error {
 			}
 		}
 		if best < 0 {
-			fb.stats.Shed++
-			fb.cShed.Inc()
+			fb.shed.inc()
 			return fmt.Errorf("toolchain: %w: every compile shard queue at its bound (%d)", ErrOverloaded, fb.opts.QueueDepth)
 		}
 		exec = best
-		fb.stats.Stolen++
-		fb.cStolen.Inc()
+		fb.stolen.inc()
 		fb.billLocked(1) // steal handoff
 	}
 	s := fb.shards[exec]
 	s.depth++
 	fb.gDepth[exec].Set(int64(s.depth))
-	j.setRoute(exec, home, order, live)
+	r.shard, r.home, r.order, r.live = exec, home, order, live
 	return nil
 }
 
-// skipRoute consumes j's turnstile slot without a decision — jobs that
+// skip consumes the job's turnstile slot without a decision — jobs that
 // die before routing (dead context, synthesis error) must still pass
 // the turnstile or every later submission would wait forever.
-func (fb *FarmBackend) skipRoute(j *Job) {
-	if fb == nil || j.farm == nil {
+func (r *farmRoute) skip() {
+	if r == nil {
 		return
 	}
+	fb := r.fb
 	fb.mu.Lock()
-	for fb.nextRoute != j.farmSeq {
+	for fb.nextRoute != r.seq {
 		fb.cond.Wait()
 	}
 	fb.nextRoute++
@@ -577,121 +598,95 @@ func (fb *FarmBackend) skipRoute(j *Job) {
 	fb.mu.Unlock()
 }
 
-// Compile implements Backend: the back half of one flow, executed on
-// the shard route() picked.
-func (fb *FarmBackend) Compile(ctx context.Context, task *CompileTask) (*Result, error) {
-	j := task.job
-	if j == nil || j.routedShard() < 0 {
-		return nil, fmt.Errorf("toolchain: %w: farm compile without a routed job", ErrShardUnavailable)
+// compile runs the back half of one flow on the shard commit picked. An
+// in-process shard serves it from the acting home's stack — the code a
+// local flow runs — widened by two farm-side steps: after the home's
+// memory tier misses, the memory tiers of the shards live at route time
+// are scanned in this fingerprint's rendezvous order (a peer hit bills
+// one cache-hit latency, like any memory hit — which is what keeps
+// invariant 15), and outcomes are inserted replicated. A non-nil error
+// means the farm itself could not serve the request (no shard
+// reachable) — not a verdict on the design.
+func (r *farmRoute) compile(req ShardSubmit, prog *netlist.Program, model func() *Result) (*Result, Stats, error) {
+	fb := r.fb
+	if fb.shards[r.shard].link != nil {
+		return r.remoteCompile(req, prog)
 	}
-	if fb.shards[j.routedShard()].link != nil {
-		return fb.remoteCompile(task)
-	}
-	return fb.shardCompile(ctx, task)
-}
-
-// shardCompile runs the back half on an in-process shard: the acting
-// home's memory tier (exact local join semantics), then live peers'
-// memory tiers in rendezvous order (billed one cache-hit latency, like
-// any memory hit — which is what keeps invariant 15), then the durable
-// tiers, then the place-and-route model with replicated insertion.
-func (fb *FarmBackend) shardCompile(_ context.Context, task *CompileTask) (*Result, error) {
-	t := fb.t
-	j := task.job
-	exec, home := fb.shards[j.farmShard], fb.shards[j.farmHome]
-	hitPs := t.hitLatency()
-
+	exec, home := fb.shards[r.shard], fb.shards[r.home]
 	// The executing shard's wall slot bounds real concurrency: a shard
 	// is one compile machine, whichever shard's queue the job sits in.
 	exec.slots <- struct{}{}
 	defer func() { <-exec.slots }()
 
-	if res, ok := home.entries.lookup(task.Key, task.SubmitPs, task.BackoffPs, hitPs); ok {
-		return res, nil
-	}
-	// Peer fetch: scan the shards that were live at route time, in this
-	// fingerprint's rendezvous order. Adopting the peer's live entry
-	// (the same pointer) makes the home a replica holder from now on —
-	// and lets a later publish reach every holder at once.
-	for _, idx := range j.farmOrder {
-		if idx == j.farmHome || !j.farmLive[idx] {
-			continue
-		}
-		p := fb.shards[idx]
-		if res, ok := p.entries.lookup(task.Key, task.SubmitPs, task.BackoffPs, hitPs); ok {
-			res.HitSource = HitPeer
-			home.entries.adopt(task.Key, p.entries.get(task.Key))
-			fb.mu.Lock()
-			fb.stats.PeerHits++
-			fb.billLocked(1) // cache-fetch
-			fb.mu.Unlock()
-			fb.cPeer.Inc()
-			return res, nil
-		}
-	}
-
-	res := t.finishOn(task.Dev, task.Prog, task.Wrapped)
-	if meta, src, ok := lookupTiers(fb.tiers, task.Key); ok && res.Err == nil && metaMatches(meta, res) {
-		res.DurationPs = task.BackoffPs + hitPs
-		res.CacheHit = true
-		res.HitSource = src
-		fb.insertReplicated(task, res, true)
-		return res, nil
-	}
-	if fb.opts.PnRWallNs > 0 && res.Err == nil {
-		// The modelled CAD flow's real CPU burn (bench realism); the
-		// virtual bill is untouched.
-		time.Sleep(time.Duration(fb.opts.PnRWallNs) * time.Nanosecond)
-	}
-	res.DurationPs += task.BackoffPs
-	fb.insertReplicated(task, res, false)
-	if res.Err == nil {
-		storeTiers(fb.tiers, BitMeta{Key: task.Key, AreaLEs: res.AreaLEs,
-			RawAreaLEs: res.RawAreaLEs, CritPath: res.Stats.CritPath})
-	}
-	return res, nil
+	res, flow := home.cache.serve(req, model, farmHooks{
+		peer: func() (*Result, bool) {
+			// Adopting the peer's live entry (the same pointer) makes the
+			// home a replica holder from now on — and lets a later publish
+			// reach every holder at once.
+			for _, idx := range r.order {
+				if idx == r.home || !r.live[idx] {
+					continue
+				}
+				p := fb.shards[idx].cache
+				if res, ok := p.entries.lookup(req.Key, req.SubmitPs, req.BackoffPs, p.hitPs); ok {
+					res.HitSource = HitPeer
+					home.cache.entries.adopt(req.Key, p.entries.get(req.Key))
+					fb.mu.Lock()
+					fb.peerHits.inc()
+					fb.billLocked(1) // cache-fetch
+					fb.mu.Unlock()
+					return res, true
+				}
+			}
+			return nil, false
+		},
+		insert: func(res *Result, published bool) {
+			if !published && res.Err == nil && fb.opts.PnRWallNs > 0 {
+				// The modelled CAD flow's real CPU burn (bench realism);
+				// the virtual bill is untouched.
+				time.Sleep(time.Duration(fb.opts.PnRWallNs) * time.Nanosecond)
+			}
+			r.insertReplicated(req, res, published)
+		},
+	})
+	return res, flow, nil
 }
 
 // insertReplicated lands a flow outcome on the acting home and adopts
 // the same entry onto the next Replicas-1 live shards in rendezvous
 // order, so the bitstream (and any join against it) survives the death
 // of all but one holder.
-func (fb *FarmBackend) insertReplicated(task *CompileTask, res *Result, published bool) {
-	j := task.job
-	entry := fb.shards[j.farmHome].entries.insert(task.Key, res, published, task.SubmitPs)
+func (r *farmRoute) insertReplicated(req ShardSubmit, res *Result, published bool) {
+	fb := r.fb
+	entry := fb.shards[r.home].cache.entries.insert(req.Key, res, published, req.SubmitPs)
 	placed := 1
-	for _, idx := range j.farmOrder {
+	for _, idx := range r.order {
 		if placed >= fb.opts.Replicas {
 			break
 		}
-		if idx == j.farmHome || !j.farmLive[idx] {
+		if idx == r.home || !r.live[idx] {
 			continue
 		}
-		fb.shards[idx].entries.adopt(task.Key, entry)
+		fb.shards[idx].cache.entries.adopt(req.Key, entry)
 		placed++
 	}
 	fb.mu.Lock()
 	fb.stats.Replicated += uint64(placed - 1)
 	fb.billLocked(uint64(placed - 1)) // cache-put per replica
-	fb.keyHome[task.Key] = j.farmHome
+	fb.keyHome[req.Key] = r.home
 	fb.mu.Unlock()
 }
 
 // remoteCompile ships the flow to the routed worker, failing over
 // through the fingerprint's rendezvous order when shards die mid-call;
 // failures feed the per-shard breaker (a dead shard is treated like a
-// dead engine: reroute, don't strand).
-func (fb *FarmBackend) remoteCompile(task *CompileTask) (*Result, error) {
-	j := task.job
-	st := task.Prog.Stats
-	spec := ShardSubmit{
-		Key: task.Key, Name: task.Name, Wrapped: task.Wrapped,
-		SubmitPs: task.SubmitPs, BackoffPs: task.BackoffPs,
-		Cells: st.Cells, FFs: st.FFs, MemBits: st.MemBits, CritPath: st.CritPath,
-	}
-	tryOrder := append([]int{j.farmShard}, j.farmOrder...)
+// dead engine: reroute, don't strand). The submitter's cache-outcome
+// counters come from the outcome's HitSource; the disk counters stay on
+// the worker's own ledger, where the disk is.
+func (r *farmRoute) remoteCompile(req ShardSubmit, prog *netlist.Program) (*Result, Stats, error) {
+	fb := r.fb
 	tried := map[int]bool{}
-	for _, idx := range tryOrder {
+	for _, idx := range append([]int{r.shard}, r.order...) {
 		if tried[idx] {
 			continue
 		}
@@ -700,59 +695,58 @@ func (fb *FarmBackend) remoteCompile(task *CompileTask) (*Result, error) {
 		fb.mu.Lock()
 		dead := s.brkOpen
 		fb.mu.Unlock()
-		if dead && idx != j.farmShard {
+		if dead && idx != r.shard {
 			continue
 		}
-		out, err := s.link.Submit(spec)
+		out, err := s.link.Submit(req)
+		fb.mu.Lock()
 		if err != nil {
-			fb.mu.Lock()
-			if s.brk.NoteFailure(task.SubmitPs) || s.brkOpen {
+			if s.brk.NoteFailure(req.SubmitPs) {
 				s.brkOpen = true
 			}
-			if idx != j.farmShard {
-				// fall through to the next replica
-			} else {
-				fb.stats.Rerouted++
+			if idx == r.shard {
+				// The routed shard died mid-call: the job is rerouted
+				// (once, however many replicas it then falls through).
+				fb.rerouted.inc()
 			}
 			fb.mu.Unlock()
-			fb.cReroute.Inc()
 			continue
 		}
-		fb.mu.Lock()
-		if s.brk.ProbeOK(task.SubmitPs) {
+		if s.brk.ProbeOK(req.SubmitPs) {
 			s.brkOpen = false
 		}
 		if out.HitSource == HitPeer {
-			fb.stats.PeerHits++
+			fb.peerHits.inc()
 		}
 		fb.billLocked(2)
+		fb.keyHome[req.Key] = idx
 		fb.mu.Unlock()
 		res := &Result{
-			Prog: task.Prog, Stats: st,
+			Prog: prog, Stats: prog.Stats,
 			AreaLEs: out.AreaLEs, RawAreaLEs: out.RawAreaLEs,
-			Wrapped: task.Wrapped, DurationPs: out.DurationPs,
+			Wrapped: req.Wrapped, DurationPs: out.DurationPs,
 			CacheHit: out.CacheHit, HitSource: out.HitSource,
 		}
 		if out.FlowErr != "" {
 			res.Err = errors.New(out.FlowErr)
 		}
-		fb.mu.Lock()
-		fb.keyHome[task.Key] = idx
-		fb.mu.Unlock()
-		return res, nil
+		var flow Stats
+		flow.countOutcome(res.HitSource)
+		return res, flow, nil
 	}
 	fb.mu.Lock()
-	fb.stats.Unavailable++
+	fb.unavailable.inc()
 	fb.mu.Unlock()
-	fb.cUnavail.Inc()
-	return nil, fmt.Errorf("toolchain: %w: no compile shard of %d answered for %s",
-		ErrShardUnavailable, len(fb.shards), task.Name)
+	return nil, Stats{}, fmt.Errorf("toolchain: %w: no compile shard of %d answered for %s",
+		ErrShardUnavailable, len(fb.shards), req.Name)
 }
 
-// Publish implements Backend. In-process, publishing the shared entry
-// on any holder publishes every replica; remote, the home worker is
-// told (best-effort — a missed publish only costs a join instead of an
-// outright hit after a cold restart).
+// Publish marks a key's bitstream as delivered (the submission was
+// observed ready in virtual time): identical submissions hit the cache
+// outright from then on, on any clock. In-process, publishing the
+// shared entry on any holder publishes every replica; remote, the home
+// worker is told (best-effort — a missed publish only costs a join
+// instead of an outright hit after a cold restart).
 func (fb *FarmBackend) Publish(key string) {
 	fb.mu.Lock()
 	home, known := fb.keyHome[key]
@@ -766,28 +760,7 @@ func (fb *FarmBackend) Publish(key string) {
 		return
 	}
 	for _, s := range fb.shards {
-		s.entries.publish(key)
-	}
-}
-
-// Healthy implements Backend: at least one shard is live.
-func (fb *FarmBackend) Healthy() bool {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	for _, s := range fb.shards {
-		if !s.down() {
-			return true
-		}
-	}
-	return false
-}
-
-// Capabilities implements Backend.
-func (fb *FarmBackend) Capabilities() Capabilities {
-	return Capabilities{
-		Shards:    len(fb.shards),
-		Durable:   len(fb.tiers) > 0 || len(fb.opts.Links) > 0,
-		PeerCache: true,
+		s.cache.entries.publish(key)
 	}
 }
 

@@ -73,7 +73,7 @@ func TestFarmRoutingIsDeterministic(t *testing.T) {
 		for _, src := range srcs {
 			j := tc.Submit(context.Background(), flatFor(t, src), false, 0)
 			j.Wait()
-			shards = append(shards, j.routedShard())
+			shards = append(shards, j.route.shard)
 		}
 		_ = fb
 		return shards
@@ -128,7 +128,7 @@ func TestFarmOutageReroutesThenServesFromPeer(t *testing.T) {
 	pfb := probe.UseFarm(FarmOptions{Workers: 2})
 	pj := probe.Submit(context.Background(), flatFor(t, src), false, 0)
 	pj.Wait()
-	home := pj.routedShard()
+	home := pj.route.shard
 	_ = pfb
 
 	tc := New(fpga.NewCycloneV(), DefaultOptions())
@@ -165,7 +165,7 @@ func TestFarmReplicationSurvivesHomeDeath(t *testing.T) {
 	probe.UseFarm(FarmOptions{Workers: 3})
 	pj := probe.Submit(context.Background(), flatFor(t, src), false, 0)
 	pj.Wait()
-	home := pj.routedShard()
+	home := pj.route.shard
 
 	tc := New(fpga.NewCycloneV(), DefaultOptions())
 	// Build (route 0) with every shard alive — the bitstream lands on the
@@ -205,12 +205,6 @@ func TestFarmAllShardsDownIsTypedUnavailable(t *testing.T) {
 	st, _ := tc.FarmStats()
 	if st.Unavailable != 1 {
 		t.Fatalf("want 1 unavailable, got %+v", st)
-	}
-	if !tc.Backend().Healthy() {
-		// Outages are windows over route ordinals; with the window past,
-		// the farm reports healthy again on the next decision. Healthy()
-		// reflects the last-applied schedule state.
-		t.Log("farm still reports the outage window's state until the next route")
 	}
 }
 
@@ -293,18 +287,12 @@ func TestSeededOutagesAreStableAndBounded(t *testing.T) {
 
 func TestFarmCapabilitiesAndBackendSwap(t *testing.T) {
 	tc := New(fpga.NewCycloneV(), DefaultOptions())
-	if caps := tc.Backend().Capabilities(); caps.Shards != 1 || caps.PeerCache {
-		t.Fatalf("local capabilities wrong: %+v", caps)
-	}
 	fb := tc.UseFarm(FarmOptions{Workers: 3})
-	if caps := tc.Backend().Capabilities(); caps.Shards != 3 || !caps.PeerCache {
-		t.Fatalf("farm capabilities wrong: %+v", caps)
-	}
 	if tc.Farm() != fb {
 		t.Fatal("Farm() should return the installed backend")
 	}
 	// Native jobs stay on the local backend even with a farm installed.
-	j := tc.SubmitNative(context.Background(), flatFor(t, farmPrograms(t, 1)[0]), 0)
+	j := tc.SubmitNativeTenant(context.Background(), "", flatFor(t, farmPrograms(t, 1)[0]), 0)
 	res := j.Result()
 	if res.Err != nil || !res.NativeGo {
 		t.Fatalf("native flow broken under farm: %+v", res)

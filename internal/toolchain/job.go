@@ -49,25 +49,12 @@ func (s JobState) String() string {
 // Job is a background compilation tracked in virtual time.
 type Job struct {
 	t        *Toolchain
-	view     jobView // tenant scoping: faults, observer, device, stats, cache namespace
-	name     string  // subprogram path, for trace events
-	native   bool    // native-tier flow (closure-threaded Go, not a bitstream)
+	tn       *tenant    // the scope the flow runs under
+	route    *farmRoute // the farm's routing state (nil: the flow is served locally)
+	name     string     // subprogram path, for trace events
+	native   bool       // native-tier flow (closure-threaded Go, not a bitstream)
 	submitPs uint64
 	done     chan struct{}
-
-	// Farm bookkeeping, written at submit (under the farm lock) and read
-	// by the route turnstile: the submission's commit sequence, its
-	// event-sequence number, and — once routed — the shard whose queue
-	// depth it occupies plus the route-time view (rendezvous order and
-	// shard liveness) the compile executes against. Zero-valued for
-	// local-backend jobs.
-	farm      *FarmBackend
-	farmSeq   uint64
-	farmESQ   uint64
-	farmShard int
-	farmHome  int
-	farmOrder []int
-	farmLive  []bool
 
 	mu        sync.Mutex
 	state     JobState
@@ -77,8 +64,7 @@ type Job struct {
 	tracked   bool // counted into Toolchain.inflight at submit
 	res       *Result
 	readyAtPs uint64
-	pubKey    string  // cache key to publish on first observed readiness ("" means none)
-	be        Backend // the backend that served the flow
+	pubKey    string // cache key to publish on first observed readiness ("" means none)
 	abort     context.CancelFunc
 
 	// flow holds the counters of the flow itself (synthesis, fault
@@ -101,32 +87,12 @@ func (j *Job) State() JobState {
 	return j.state
 }
 
-// Native reports whether this is a native-tier job.
-func (j *Job) Native() bool { return j.native }
-
 // Retries returns how many transient-fault retries this job has run.
 func (j *Job) Retries() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.retries
 }
-
-// setRoute records the farm's routing decision: the executing shard,
-// the acting home, and the route-time view (rendezvous order, liveness
-// snapshot) the compile runs against. Called under the farm lock inside
-// the turnstile.
-func (j *Job) setRoute(exec, home int, order []int, live []bool) {
-	j.farmShard = exec
-	j.farmHome = home
-	j.farmOrder = order
-	j.farmLive = live
-}
-
-// routedShard is the shard whose queue depth this job occupies (-1
-// before routing, and forever for jobs that died pre-route). Read under
-// the farm lock by settle application, and by the job's own worker
-// goroutine after its route committed.
-func (j *Job) routedShard() int { return j.farmShard }
 
 // count records one of the flow's counters (see Job.flow).
 func (j *Job) count(fn func(*Stats)) {
@@ -139,7 +105,7 @@ func (j *Job) count(fn func(*Stats)) {
 // those of every job of the same owner cancelled before this point.
 func (j *Job) observe() {
 	<-j.done
-	for _, d := range j.view.takeDiscarded() {
+	for _, d := range j.tn.takeDiscarded() {
 		<-d.done
 		d.bank()
 	}
@@ -153,7 +119,7 @@ func (j *Job) bank() {
 	j.banked = true
 	j.mu.Unlock()
 	if !banked {
-		j.view.bump(func(s *Stats) { s.add(flow) })
+		j.tn.bump(func(s *Stats) { s.add(flow) })
 	}
 }
 
@@ -163,36 +129,12 @@ func (j *Job) setState(s JobState) {
 	j.mu.Unlock()
 }
 
-// Submit starts a background compilation at virtual time nowPs. The
-// call returns immediately; the job runs on the service's worker pool
-// and its result becomes visible once it has compiled and the caller's
-// virtual clock passes its ready time. Cancelling ctx aborts the job if
-// it has not yet reached a worker; Job.Cancel discards the result of an
-// obsolete job at any point.
-func (t *Toolchain) Submit(ctx context.Context, f *elab.Flat, wrapped bool, nowPs uint64) *Job {
-	return t.SubmitTenant(ctx, "", f, wrapped, nowPs)
-}
-
-// run executes the flow on a worker slot.
+// run executes the flow: the front half under the job's tenant record,
+// then the back half on the cache stack that serves it.
 func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 	defer close(j.done)
 	defer j.abort() // release the derived context once the flow ends
 	t := j.t
-	// The backend decision was snapshotted at submit time (noteSubmit set
-	// j.farm iff the farm stamped this submission into its event order):
-	// resolving it again here could race a concurrent SetBackend swap and
-	// leave a farm-sequenced job running locally — deadlocking the
-	// turnstile — or an unsequenced job waiting at it forever.
-	farm := j.farm
-	be := t.backendFor(j.native)
-	if farm != nil {
-		be = farm
-	} else if _, swapped := be.(*FarmBackend); swapped {
-		be = t.local // farm installed after this job was submitted
-	}
-	j.mu.Lock()
-	j.be = be
-	j.mu.Unlock()
 	// A context dead before any work was attempted aborts the job
 	// deterministically. After this point the flow runs to completion
 	// even if the owner Cancels it: whether the worker goroutine had
@@ -201,7 +143,7 @@ func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 	// the bitstream reaches the cache) would make otherwise-identical
 	// runs diverge. Cancellation discards the subscription, not the flow.
 	if ctx.Err() != nil {
-		farm.skipRoute(j)
+		j.route.skip()
 		j.markCanceled()
 		return
 	}
@@ -213,15 +155,15 @@ func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 	// turnstile deadlocks. Local jobs keep the classic order (slot,
 	// faults, synthesis) untouched.
 	var prog *netlist.Program
-	if farm != nil {
+	if j.route != nil {
 		var err error
 		prog, err = j.synth(f)
 		if err != nil {
-			farm.skipRoute(j)
+			j.route.skip()
 			j.complete(&Result{Err: err, DurationPs: t.opts.BasePs / 4}, "")
 			return
 		}
-		if err := farm.route(j, prog.Fingerprint()); err != nil {
+		if err := j.route.commit(j.submitPs, prog.Fingerprint()); err != nil {
 			// Every shard queue at its bound (ErrOverloaded) or every
 			// shard down (ErrShardUnavailable): shed the submission like
 			// admission control does — instant in virtual terms, callers
@@ -235,12 +177,12 @@ func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 	// Wait for the tenant's fair-share slot, then a global worker; a
 	// context cancelled while queued aborts the job before any work is
 	// done.
-	tsem, ok := j.view.acquire(ctx)
+	tsem, ok := j.tn.acquire(ctx)
 	if !ok {
 		j.markCanceled()
 		return
 	}
-	defer j.view.release(tsem)
+	defer j.tn.release(tsem)
 	j.setState(JobRunning)
 
 	// Consult the fault schedule for this attempt. Transient faults are
@@ -258,7 +200,7 @@ func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 	// answers with a native -> interpreter demotion).
 	var backoff uint64
 	for attempt := 0; !j.native; attempt++ {
-		err := j.view.faults().Compile(f.Name)
+		err := j.tn.snapshot().faults.Compile(f.Name)
 		if err == nil {
 			break
 		}
@@ -297,72 +239,62 @@ func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 			return
 		}
 	}
-	key := j.view.cacheKey(fmt.Sprintf("%s|wrapped=%v", prog.Fingerprint(), wrapped))
+	st := prog.Stats
+	req := ShardSubmit{
+		Key:  j.tn.cacheKey(fmt.Sprintf("%s|wrapped=%v", prog.Fingerprint(), wrapped)),
+		Name: j.name, Wrapped: wrapped, SubmitPs: j.submitPs, BackoffPs: backoff,
+		Cells: st.Cells, FFs: st.FFs, MemBits: st.MemBits, CritPath: st.CritPath,
+	}
+	dev := j.tn.snapshot().dev
+	model := func() *Result { return t.finishOn(dev, prog, wrapped) }
 	if j.native {
-		key = j.view.cacheKey(prog.Fingerprint() + "|tier=native")
+		req.Key = j.tn.cacheKey(prog.Fingerprint() + "|tier=native")
+		model = func() *Result { return t.finishNative(prog) }
 	}
 
-	task := &CompileTask{
-		Key: key, Name: j.name, Prog: prog,
-		Wrapped: wrapped, Native: j.native,
-		SubmitPs: j.submitPs, BackoffPs: backoff,
-		Dev: j.view.device(), job: j,
+	var res *Result
+	var flow Stats
+	if j.route != nil {
+		var err error
+		if res, flow, err = j.route.compile(req, prog, model); err != nil {
+			// The farm itself failed the request (no shard reachable) —
+			// not a verdict on the design. Complete with the typed error
+			// so the caller's JIT loop backs off and resubmits once shards
+			// reopen.
+			j.complete(&Result{Err: err, DurationPs: backoff + t.hitLatency()}, "")
+			return
+		}
+	} else {
+		res, flow = t.cache.serve(req, model, farmHooks{})
 	}
-	res, cerr := be.Compile(ctx, task)
-	if cerr != nil {
-		// The backend itself failed the task (no shard reachable) — not
-		// a verdict on the design. Complete with the typed error so the
-		// caller's JIT loop backs off and resubmits once shards reopen.
-		j.complete(&Result{Err: cerr, DurationPs: backoff + t.hitLatency()}, "")
-		return
-	}
-	j.classify(res)
-	j.complete(res, key)
+	j.count(func(s *Stats) { s.add(flow) })
+	j.traceOutcome(res)
+	j.complete(res, req.Key)
 }
 
-// classify records a served flow's cache outcome in the flow's counters
-// and the observability hub, attributing the hit source.
-func (j *Job) classify(res *Result) {
+// traceOutcome reports a served flow's cache outcome to the tenant's
+// observability hub, attributing the hit source.
+func (j *Job) traceOutcome(res *Result) {
+	obs := j.tn.snapshot().obs
+	if obs == nil {
+		return
+	}
+	kind, series, detail := obsv.EvCacheHit, obs.CacheHits, "memory"
 	switch res.HitSource {
 	case HitJoined:
-		j.count(func(s *Stats) { s.Joined++ })
-		if obs := j.view.observer(); obs != nil {
-			obs.CacheHits.Inc()
-			obs.EmitAt(j.submitPs, obsv.EvCacheHit, j.name, "joined in-flight flow")
-		}
-	case HitMemory, HitDisk, HitPeer:
-		src := res.HitSource
-		j.count(func(s *Stats) {
-			s.CacheHits++
-			switch src {
-			case HitDisk:
-				s.DiskHits++
-			case HitPeer:
-				s.PeerHits++
-			}
-		})
-		if obs := j.view.observer(); obs != nil {
-			detail := "memory"
-			switch src {
-			case HitDisk:
-				detail = "disk store"
-			case HitPeer:
-				detail = "peer cache"
-			}
-			obs.CacheHits.Inc()
-			obs.EmitAt(j.submitPs, obsv.EvCacheHit, j.name, detail)
-		}
-	default:
-		j.count(func(s *Stats) { s.CacheMisses++ })
-		if obs := j.view.observer(); obs != nil {
-			detail := "place-and-route"
-			if j.native {
-				detail = "native codegen"
-			}
-			obs.CacheMisses.Inc()
-			obs.EmitAt(j.submitPs, obsv.EvCacheMiss, j.name, detail)
+		detail = "joined in-flight flow"
+	case HitDisk:
+		detail = "disk store"
+	case HitPeer:
+		detail = "peer cache"
+	case "":
+		kind, series, detail = obsv.EvCacheMiss, obs.CacheMisses, "place-and-route"
+		if j.native {
+			detail = "native codegen"
 		}
 	}
+	series.Inc()
+	obs.EmitAt(j.submitPs, kind, j.name, detail)
 }
 
 // synth is the job-service path through synthesis: the global
@@ -390,9 +322,9 @@ func (j *Job) markCanceled() {
 	if already {
 		return
 	}
-	j.view.bump(func(s *Stats) { s.Canceled++ })
+	j.tn.bump(func(s *Stats) { s.Canceled++ })
 	if !banked {
-		j.view.discard(j)
+		j.tn.discard(j)
 	}
 	j.settle()
 }
@@ -412,9 +344,7 @@ func (j *Job) settle() {
 	if already {
 		return
 	}
-	if j.farm != nil {
-		j.farm.noteSettle(j)
-	}
+	j.route.settle()
 	if !tracked {
 		return
 	}
@@ -441,7 +371,7 @@ func (j *Job) complete(res *Result, pubKey string) {
 	}
 	readyAt := j.readyAtPs
 	j.mu.Unlock()
-	if o := j.view.observer(); o != nil {
+	if o := j.tn.snapshot().obs; o != nil {
 		// The histogram records exactly the virtual duration the flow
 		// bills (TestObserverRecordsBilledLatency pins the two together);
 		// the completion event is stamped at the flow's virtual finish.
@@ -522,10 +452,14 @@ func (j *Job) Ready(nowPs uint64) bool {
 		j.mu.Unlock()
 		return false
 	}
-	pubKey, be := j.pubKey, j.be
+	pubKey := j.pubKey
 	j.mu.Unlock()
-	if pubKey != "" && be != nil {
-		be.Publish(pubKey)
+	switch {
+	case pubKey == "":
+	case j.route != nil:
+		j.route.fb.Publish(pubKey)
+	default:
+		j.t.cache.entries.publish(pubKey)
 	}
 	j.settle()
 	return true

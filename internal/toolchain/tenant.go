@@ -3,7 +3,6 @@ package toolchain
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"cascade/internal/elab"
 	"cascade/internal/fault"
@@ -29,15 +28,19 @@ import (
 //   - per-tenant stats mirror exactly what a private toolchain's global
 //     counters would read.
 //
-// The empty tenant ID "" is the default tenant: its jobs use the
-// toolchain's own device, injector, observer, stats, and unprefixed
-// cache keys, so single-tenant callers (Submit) are untouched.
+// The empty tenant ID "" is the default tenant, a record like any other
+// that New creates over the toolchain's own device: the single-user case
+// (Submit, SetFaults, SetObserver, Stats) is N = 1, not a second code
+// path. It has no fair-share bound and keeps bare cache keys, so the
+// disk-store layout of a single-tenant process is unchanged.
 
-// tenant is one registered consumer of a shared toolchain.
+// tenant is one consumer of a shared toolchain: the scope a flow runs
+// under. Every field after id is guarded by t.mu.
 type tenant struct {
+	t      *Toolchain
 	id     string
 	sem    chan struct{} // fair-share compile slots (nil: global pool only)
-	dev    *fpga.Device  // fit/timing target (nil: the toolchain's device)
+	dev    *fpga.Device  // fit/timing target (its fabric partition)
 	faults *fault.Injector
 	obs    *obsv.Observer
 	stats  Stats
@@ -45,106 +48,63 @@ type tenant struct {
 	discarded []*Job
 }
 
-// jobView resolves where one job's faults, observer, device, stats, and
-// cache namespace come from: the tenant it was submitted under, or the
-// toolchain's own (default-tenant) state when tn is nil.
-type jobView struct {
-	t  *Toolchain
-	tn *tenant
-}
-
-// viewFor resolves the view for a tenant ID, lazily creating a tenant
-// record for IDs that were never explicitly registered (they get cache
-// isolation and stats, but no quota or private device until
-// RegisterTenant says otherwise).
-func (t *Toolchain) viewFor(id string) jobView {
-	if id == "" {
-		return jobView{t: t}
-	}
+// tenant returns the record for id, lazily creating one for IDs that
+// were never explicitly registered (they get cache isolation and stats,
+// but no quota or private device until RegisterTenant says otherwise).
+func (t *Toolchain) tenant(id string) *tenant {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return jobView{t: t, tn: t.tenantLocked(id)}
+	return t.tenantLocked(id)
 }
 
-// tenantLocked returns (creating if needed) the record for id. Callers
-// hold t.mu.
+// tenantLocked is tenant for callers that hold t.mu.
 func (t *Toolchain) tenantLocked(id string) *tenant {
-	tn := t.tenants[id]
-	if tn == nil {
-		tn = &tenant{id: id}
+	tn, ok := t.tenants[id]
+	if !ok {
+		tn = &tenant{t: t, id: id, dev: t.dev}
 		t.tenants[id] = tn
 	}
 	return tn
 }
 
-func (v jobView) device() *fpga.Device {
-	if v.tn != nil && v.tn.dev != nil {
-		return v.tn.dev
-	}
-	return v.t.dev
+// snapshot copies the record under the lock: how flows read the scope's
+// settable state (device, injector, observer, fair-share slots).
+func (tn *tenant) snapshot() tenant {
+	tn.t.mu.Lock()
+	defer tn.t.mu.Unlock()
+	return *tn
 }
 
-func (v jobView) faults() *fault.Injector {
-	v.t.mu.Lock()
-	defer v.t.mu.Unlock()
-	if v.tn != nil {
-		return v.tn.faults
-	}
-	return v.t.faults
-}
-
-func (v jobView) observer() *obsv.Observer {
-	v.t.mu.Lock()
-	defer v.t.mu.Unlock()
-	if v.tn != nil {
-		return v.tn.obs
-	}
-	return v.t.obs
-}
-
-// ledger returns the job's stats mirror and its queue of cancelled jobs
-// awaiting banking: the tenant's, or the toolchain's own for the default
-// tenant. Callers hold t.mu.
-func (v jobView) ledger() (*Stats, *[]*Job) {
-	if v.tn != nil {
-		return &v.tn.stats, &v.tn.discarded
-	}
-	return &v.t.stats, &v.t.discarded
-}
-
-// bump applies a counter mutation to the job's stats mirror.
-func (v jobView) bump(fn func(*Stats)) {
-	v.t.mu.Lock()
-	s, _ := v.ledger()
-	fn(s)
-	v.t.mu.Unlock()
+// bump applies a counter mutation to the tenant's stats mirror.
+func (tn *tenant) bump(fn func(*Stats)) {
+	tn.t.mu.Lock()
+	fn(&tn.stats)
+	tn.t.mu.Unlock()
 }
 
 // discard queues a cancelled job for banking at the owner's next
 // observation; takeDiscarded hands the queue over.
-func (v jobView) discard(j *Job) {
-	v.t.mu.Lock()
-	_, q := v.ledger()
-	*q = append(*q, j)
-	v.t.mu.Unlock()
+func (tn *tenant) discard(j *Job) {
+	tn.t.mu.Lock()
+	tn.discarded = append(tn.discarded, j)
+	tn.t.mu.Unlock()
 }
 
-func (v jobView) takeDiscarded() []*Job {
-	v.t.mu.Lock()
-	_, q := v.ledger()
-	js := *q
-	*q = nil
-	v.t.mu.Unlock()
+func (tn *tenant) takeDiscarded() []*Job {
+	tn.t.mu.Lock()
+	js := tn.discarded
+	tn.discarded = nil
+	tn.t.mu.Unlock()
 	return js
 }
 
 // cacheKey namespaces a content-addressed key per tenant. The default
 // tenant keeps the bare key (and so the disk-store layout) unchanged.
-func (v jobView) cacheKey(base string) string {
-	if v.tn == nil {
+func (tn *tenant) cacheKey(base string) string {
+	if tn.id == "" {
 		return base
 	}
-	return "tenant=" + v.tn.id + "|" + base
+	return "tenant=" + tn.id + "|" + base
 }
 
 // acquire takes the tenant's fair-share slot (when bounded) and then a
@@ -152,13 +112,8 @@ func (v jobView) cacheKey(base string) string {
 // camp on a global worker while it waits for its own quota. It returns
 // the tenant slot it holds (nil when unbounded) for release, and false
 // when ctx is cancelled before both slots are held.
-func (v jobView) acquire(ctx context.Context) (chan struct{}, bool) {
-	var tsem chan struct{}
-	if v.tn != nil {
-		v.t.mu.Lock()
-		tsem = v.tn.sem
-		v.t.mu.Unlock()
-	}
+func (tn *tenant) acquire(ctx context.Context) (chan struct{}, bool) {
+	tsem := tn.snapshot().sem
 	if tsem != nil {
 		select {
 		case <-ctx.Done():
@@ -172,14 +127,14 @@ func (v jobView) acquire(ctx context.Context) (chan struct{}, bool) {
 			<-tsem
 		}
 		return nil, false
-	case v.t.sem <- struct{}{}:
+	case tn.t.sem <- struct{}{}:
 	}
 	return tsem, true
 }
 
 // release returns the slots acquire took, in reverse order.
-func (v jobView) release(tsem chan struct{}) {
-	<-v.t.sem
+func (tn *tenant) release(tsem chan struct{}) {
+	<-tn.t.sem
 	if tsem != nil {
 		<-tsem
 	}
@@ -192,10 +147,14 @@ func (v jobView) release(tsem chan struct{}) {
 // non-nil, is the device the tenant's flows check fit and timing
 // against (the tenant's fabric partition) instead of the toolchain's
 // own. Re-registering keeps the tenant's counters. Do not shrink or
-// grow workers while the tenant has jobs in flight.
+// grow workers while the tenant has jobs in flight. The default tenant
+// "" is fixed (the toolchain's device, the whole pool).
 func (t *Toolchain) RegisterTenant(id string, workers int, dev *fpga.Device) {
 	if id == "" {
 		return
+	}
+	if dev == nil {
+		dev = t.dev
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -224,103 +183,100 @@ func (t *Toolchain) UnregisterTenant(id string) {
 }
 
 // SetTenantFaults installs a tenant-scoped fault injector: only jobs
-// submitted under id consult it. The toolchain-global injector
-// (SetFaults) is never consulted for tenant jobs — one tenant's fault
-// schedule must not perturb another's.
+// submitted under id consult it — one tenant's fault schedule must not
+// perturb another's. Call before submitting work.
 func (t *Toolchain) SetTenantFaults(id string, in *fault.Injector) {
-	if id == "" {
-		t.SetFaults(in)
-		return
-	}
 	t.mu.Lock()
 	t.tenantLocked(id).faults = in
 	t.mu.Unlock()
 }
 
-// SetTenantObserver installs a tenant-scoped observability hub: only
-// jobs submitted under id trace into it.
+// SetFaults is SetTenantFaults for the default tenant.
+func (t *Toolchain) SetFaults(in *fault.Injector) { t.SetTenantFaults("", in) }
+
+// SetTenantObserver installs a tenant-scoped observability hub
+// (internal/obsv): the job service traces the tenant's compile
+// submissions, cache outcomes, and completions into it, and records each
+// flow's billed virtual latency. Jobs run on worker goroutines, so every
+// event is stamped with job virtual times via EmitAt — the workers never
+// touch a live virtual clock. Nil (the default) disables instrumentation.
 func (t *Toolchain) SetTenantObserver(id string, o *obsv.Observer) {
-	if id == "" {
-		t.SetObserver(o)
-		return
-	}
 	t.mu.Lock()
 	t.tenantLocked(id).obs = o
 	t.mu.Unlock()
 }
 
+// SetObserver is SetTenantObserver for the default tenant.
+func (t *Toolchain) SetObserver(o *obsv.Observer) { t.SetTenantObserver("", o) }
+
 // StatsFor snapshots one tenant's job-service counters. The counters
 // mirror exactly what a private toolchain's Stats would read for the
-// same submission sequence; "" returns the default tenant's (global)
-// counters, i.e. Stats().
+// same submission sequence; an unknown tenant reads zero.
 func (t *Toolchain) StatsFor(id string) Stats {
-	if id == "" {
-		return t.Stats()
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if tn := t.tenants[id]; tn != nil {
+	if tn, ok := t.tenants[id]; ok {
 		return tn.stats
 	}
 	return Stats{}
 }
+
+// Stats is StatsFor the default tenant.
+func (t *Toolchain) Stats() Stats { return t.StatsFor("") }
 
 // TenantShare returns a tenant's registered fair-share worker bound (0
 // when unbounded or unknown).
 func (t *Toolchain) TenantShare(id string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if tn := t.tenants[id]; tn != nil && tn.sem != nil {
+	if tn, ok := t.tenants[id]; ok {
 		return cap(tn.sem)
 	}
 	return 0
 }
 
-// Tenants lists the registered tenant IDs, sorted.
-func (t *Toolchain) Tenants() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ids := make([]string, 0, len(t.tenants))
-	for id := range t.tenants {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// SubmitTenant is Submit scoped to a tenant: the job draws on the
-// tenant's fair-share worker quota, consults the tenant's fault
-// injector and observer, checks fit and timing against the tenant's
-// device, counts into the tenant's stats mirror, and caches under the
-// tenant's namespace. tenantID "" is exactly Submit.
+// SubmitTenant starts a background compilation at virtual time nowPs,
+// scoped to a tenant: the job draws on the tenant's fair-share worker
+// quota, consults the tenant's fault injector and observer, checks fit
+// and timing against the tenant's device, counts into the tenant's
+// stats mirror, and caches under the tenant's namespace. The call
+// returns immediately; the job runs on the service's worker pool and
+// its result becomes visible once it has compiled and the caller's
+// virtual clock passes its ready time. Cancelling ctx aborts the job if
+// it has not yet reached a worker; Job.Cancel discards the result of an
+// obsolete job at any point.
 func (t *Toolchain) SubmitTenant(ctx context.Context, tenantID string, f *elab.Flat, wrapped bool, nowPs uint64) *Job {
-	return t.submitTenant(ctx, tenantID, f, wrapped, false, nowPs)
+	return t.submit(ctx, tenantID, f, wrapped, false, nowPs)
 }
 
-// SubmitNative starts a background native-tier compilation: synthesis
-// runs as usual, but the back half targets closure-threaded Go instead
-// of the fabric — no fit or timing models, no disk store, and a latency
+// Submit is SubmitTenant for the default tenant.
+func (t *Toolchain) Submit(ctx context.Context, f *elab.Flat, wrapped bool, nowPs uint64) *Job {
+	return t.submit(ctx, "", f, wrapped, false, nowPs)
+}
+
+// SubmitNativeTenant starts a background native-tier compilation under
+// a tenant's quota, stats, observer, and cache namespace: synthesis runs
+// as usual, but the back half targets closure-threaded Go instead of
+// the fabric — no fit or timing models, no disk store, and a latency
 // bill in virtual milliseconds rather than minutes. The artifact caches
 // under its own tier key, so native and fabric flows over the same
-// netlist never collide.
-func (t *Toolchain) SubmitNative(ctx context.Context, f *elab.Flat, nowPs uint64) *Job {
-	return t.submitTenant(ctx, "", f, false, true, nowPs)
-}
-
-// SubmitNativeTenant is SubmitNative scoped to a tenant's quota, stats,
-// observer, and cache namespace.
+// netlist never collide. Native jobs never farm out: the artifact is
+// in-process Go that cannot be shipped from a shard, and its virtual
+// latency is milliseconds — there is nothing to farm out.
 func (t *Toolchain) SubmitNativeTenant(ctx context.Context, tenantID string, f *elab.Flat, nowPs uint64) *Job {
-	return t.submitTenant(ctx, tenantID, f, false, true, nowPs)
+	return t.submit(ctx, tenantID, f, false, true, nowPs)
 }
 
-func (t *Toolchain) submitTenant(ctx context.Context, tenantID string, f *elab.Flat, wrapped, native bool, nowPs uint64) *Job {
+func (t *Toolchain) submit(ctx context.Context, tenantID string, f *elab.Flat, wrapped, native bool, nowPs uint64) *Job {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	jctx, abort := context.WithCancel(ctx)
-	j := &Job{t: t, name: f.Name, native: native, submitPs: nowPs, done: make(chan struct{}), abort: abort,
-		view: t.viewFor(tenantID)}
-	j.view.bump(func(s *Stats) { s.Submitted++ })
+	j := &Job{t: t, name: f.Name, native: native, submitPs: nowPs, done: make(chan struct{}), abort: abort}
+	t.mu.Lock()
+	j.tn = t.tenantLocked(tenantID)
+	j.tn.stats.Submitted++
+	farm := t.farm
 	// Admission control: with MaxQueue set, a submission arriving while
 	// that many are already in flight is shed — it completes instantly
 	// (in virtual terms, at cache-hit latency) with ErrOverloaded, and
@@ -329,11 +285,10 @@ func (t *Toolchain) submitTenant(ctx context.Context, tenantID string, f *elab.F
 	// a pure function of the submission/observation order the virtual
 	// timeline dictates and replays deterministically.
 	if t.opts.MaxQueue > 0 {
-		t.mu.Lock()
-		if t.inflight >= t.opts.MaxQueue {
-			n := t.inflight
+		if n := t.inflight; n >= t.opts.MaxQueue {
+			j.tn.stats.Shed++
 			t.mu.Unlock()
-			j.view.bump(func(s *Stats) { s.Shed++ })
+			abort()
 			j.settled = true
 			j.complete(&Result{
 				Err:        fmt.Errorf("toolchain: %w: %d compiles in flight (max %d)", ErrOverloaded, n, t.opts.MaxQueue),
@@ -344,22 +299,19 @@ func (t *Toolchain) submitTenant(ctx context.Context, tenantID string, f *elab.F
 		}
 		t.inflight++
 		j.tracked = true
-		t.mu.Unlock()
 	}
+	t.mu.Unlock()
 	// Fabric submissions on a compile farm are stamped into the farm's
 	// event order here, on the submitting thread — the stamp order IS
 	// the deterministic submission order the route turnstile replays.
-	// Native jobs never farm out (backendFor), so they are not stamped.
-	if !native {
-		if fb, ok := t.Backend().(*FarmBackend); ok {
-			fb.noteSubmit(j)
-		}
+	if farm != nil && !native {
+		j.route = farm.noteSubmit()
 	}
 	detail := fmt.Sprintf("wrapped=%v", wrapped)
 	if native {
 		detail = "tier=native"
 	}
-	j.view.observer().EmitAt(nowPs, obsv.EvCompileSubmit, f.Name, detail)
+	j.tn.snapshot().obs.EmitAt(nowPs, obsv.EvCompileSubmit, f.Name, detail)
 	go j.run(jctx, f, wrapped)
 	return j
 }

@@ -26,10 +26,14 @@
 // the flow still runs to the cache in the background); a cancelled
 // context aborts jobs that have not yet reached a worker.
 //
-// The back half of every flow — cache consultation, the place-and-route
-// model, durable storage — executes on a pluggable Backend (backend.go):
-// the in-process LocalBackend by default, or a sharded compile farm
-// (farm.go) installed with UseFarm.
+// There is one compile flow. Every submitter is a tenant record
+// (tenant.go; the single-user case is the default tenant ""), the job
+// service runs the front half under that record — admission, fair-share
+// slots, the fault schedule, synthesis (job.go) — and the back half —
+// cache consultation, the place-and-route model, durable storage — is
+// stack.serve (cache.go) on a cache stack: the toolchain's own, or, with
+// a compile farm installed (UseFarm, farm.go), the stack of the shard
+// the farm routes the job to.
 package toolchain
 
 import (
@@ -40,10 +44,8 @@ import (
 	"sync"
 
 	"cascade/internal/elab"
-	"cascade/internal/fault"
 	"cascade/internal/fpga"
 	"cascade/internal/netlist"
-	"cascade/internal/obsv"
 	"cascade/internal/vclock"
 )
 
@@ -170,32 +172,43 @@ func (s *Stats) add(o Stats) {
 	s.PermanentFaults += o.PermanentFaults
 	s.Shed += o.Shed
 	s.DiskHits += o.DiskHits
+	s.DiskWrites += o.DiskWrites
+	s.DiskCorrupt += o.DiskCorrupt
 	s.PeerHits += o.PeerHits
+}
+
+// countOutcome records one served flow's cache outcome from the tier
+// that served it (Result.HitSource).
+func (s *Stats) countOutcome(hitSource string) {
+	switch hitSource {
+	case "":
+		s.CacheMisses++
+	case HitJoined:
+		s.Joined++
+	case HitDisk:
+		s.CacheHits++
+		s.DiskHits++
+	case HitPeer:
+		s.CacheHits++
+		s.PeerHits++
+	default:
+		s.CacheHits++
+	}
 }
 
 // Toolchain is a blackbox compiler bound to a device, fronted by a
 // background job service with a bitstream cache.
 type Toolchain struct {
-	dev  *fpga.Device
-	opts Options
-
-	// local is the in-process backend every toolchain owns; backend is
-	// the installed fabric backend (nil: local). Native jobs always use
-	// local (see backendFor).
-	local   *LocalBackend
-	backend Backend
+	dev   *fpga.Device
+	opts  Options
+	cache *stack // the toolchain's own cache stack (local flows, every native flow)
 
 	mu       sync.Mutex
-	faults   *fault.Injector
-	obs      *obsv.Observer
+	farm     *FarmBackend // installed compile farm for fabric flows (nil: local)
 	compiles int
-	stats    Stats
-	// discarded: the default tenant's cancelled jobs whose flows are not
-	// banked yet (Job.flow).
-	discarded []*Job
-	sem       chan struct{}
-	tenants   map[string]*tenant
-	inflight  int // submissions not yet observed ready/cancelled (MaxQueue > 0)
+	sem      chan struct{}
+	tenants  map[string]*tenant // every scope, the default tenant "" included
+	inflight int                // submissions not yet observed ready/cancelled (MaxQueue > 0)
 }
 
 // ErrOverloaded reports that the job service shed a submission under
@@ -238,42 +251,9 @@ func New(dev *fpga.Device, opts Options) *Toolchain {
 		sem:     make(chan struct{}, opts.Workers),
 		tenants: map[string]*tenant{},
 	}
-	t.local = newLocalBackend(t)
+	t.cache = newStack(t)
+	t.tenantLocked("") // no other goroutine can hold t yet
 	return t
-}
-
-// SetFaults installs a fault injector; compile attempts consult it. Call
-// before submitting work (jobs snapshot the injector at submit time).
-func (t *Toolchain) SetFaults(in *fault.Injector) {
-	t.mu.Lock()
-	t.faults = in
-	t.mu.Unlock()
-}
-
-// Faults returns the installed injector (nil when fault-free).
-func (t *Toolchain) Faults() *fault.Injector {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.faults
-}
-
-// SetObserver installs an observability hub (internal/obsv): the job
-// service traces compile submissions, cache outcomes, and completions,
-// and records each flow's billed virtual latency. Jobs run on worker
-// goroutines, so every event is stamped with job virtual times via
-// EmitAt — the workers never touch a live virtual clock. Nil (the
-// default) disables instrumentation.
-func (t *Toolchain) SetObserver(o *obsv.Observer) {
-	t.mu.Lock()
-	t.obs = o
-	t.mu.Unlock()
-}
-
-// observer returns the installed hub (nil-safe to use directly).
-func (t *Toolchain) observer() *obsv.Observer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.obs
 }
 
 // backoffPs returns the virtual backoff before retry attempt n (0-based),
@@ -301,13 +281,6 @@ func (t *Toolchain) Compiles() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.compiles
-}
-
-// Stats returns a snapshot of the job-service counters.
-func (t *Toolchain) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats
 }
 
 // Result is the outcome of one compilation.
@@ -388,25 +361,10 @@ func (t *Toolchain) hitLatency() uint64 {
 	return ps
 }
 
-// synth runs real synthesis (the front half of the flow).
-func (t *Toolchain) synth(f *elab.Flat) (*netlist.Program, error) {
-	t.mu.Lock()
-	t.compiles++
-	t.stats.Synthesized++
-	t.mu.Unlock()
-	return netlist.Compile(f)
-}
-
-// finish applies the area, fit, and timing models to a synthesized
-// netlist (the place-and-route half of the flow) against the
-// toolchain's own device.
-func (t *Toolchain) finish(prog *netlist.Program, wrapped bool) *Result {
-	return t.finishOn(t.dev, prog, wrapped)
-}
-
-// finishOn is finish against an explicit device — a tenant's fabric
-// partition closes fit and timing against its own region, not the whole
-// shared device.
+// finishOn applies the area, fit, and timing models to a synthesized
+// netlist (the place-and-route half of the flow) against dev — a
+// tenant's fabric partition closes fit and timing against its own
+// region, not the whole shared device.
 func (t *Toolchain) finishOn(dev *fpga.Device, prog *netlist.Program, wrapped bool) *Result {
 	res := t.finishStats(dev, prog.Stats, wrapped)
 	res.Prog = prog
@@ -453,10 +411,14 @@ func (t *Toolchain) finishStats(dev *fpga.Device, st netlist.Stats, wrapped bool
 // native flow (§4.5). The returned result carries the virtual duration;
 // callers decide when it "finishes" on their timeline.
 func (t *Toolchain) CompileSync(f *elab.Flat, wrapped bool) *Result {
-	prog, err := t.synth(f)
+	t.mu.Lock()
+	t.compiles++
+	t.tenantLocked("").stats.Synthesized++
+	t.mu.Unlock()
+	prog, err := netlist.Compile(f)
 	if err != nil {
 		// Synthesis errors surface quickly (front-end rejects).
 		return &Result{Err: err, DurationPs: t.opts.BasePs / 4}
 	}
-	return t.finish(prog, wrapped)
+	return t.finishOn(t.dev, prog, wrapped)
 }

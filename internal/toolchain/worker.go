@@ -14,22 +14,18 @@ import (
 // worker gets its bitstream at network-cache-hit latency — the paper's
 // "standby" experience without any local state.
 type Worker struct {
-	t       *Toolchain
-	entries entryCache
-	local   []CacheTier // durable tiers owned by this shard (disk)
-	tiers   []CacheTier // full compile stack: local tiers, then peers
+	t     *Toolchain
+	cache *stack
 }
 
 // NewWorker builds the worker service over a toolchain (whose device,
 // latency model, and CacheDir define this shard's behaviour).
 func NewWorker(t *Toolchain) *Worker {
-	w := &Worker{t: t, entries: newEntryCache()}
-	if t.opts.CacheDir != "" {
-		w.local = append(w.local, &diskTier{t: t, dir: t.opts.CacheDir})
-	}
-	w.tiers = w.local
-	return w
+	return &Worker{t: t, cache: newStack(t)}
 }
+
+// disk is the durable tier this shard owns (its stack's first rung).
+func (w *Worker) disk() CacheTier { return w.cache.tiers[0] }
 
 // SetPeerTier installs a peer-fetch cache tier behind the disk store —
 // the worker consults sibling workers before paying for place-and-route.
@@ -37,7 +33,7 @@ func NewWorker(t *Toolchain) *Worker {
 // Fetch and Status answer from this shard's own state, so mutually
 // peered workers never chase a miss around the ring.
 func (w *Worker) SetPeerTier(lookup func(key string) (BitMeta, bool), store func(BitMeta)) {
-	w.tiers = append(w.local[:len(w.local):len(w.local)], &funcTier{name: HitPeer, lookup: lookup, store: store})
+	w.cache.tiers = []CacheTier{w.disk(), &funcTier{name: HitPeer, lookup: lookup, store: store}}
 }
 
 // funcTier adapts callbacks to CacheTier (the transport wires peer
@@ -49,44 +45,37 @@ type funcTier struct {
 }
 
 func (f *funcTier) Name() string { return f.name }
-func (f *funcTier) Lookup(key string) (BitMeta, bool) {
+func (f *funcTier) Lookup(key string, _ *Stats) (BitMeta, bool) {
 	if f.lookup == nil {
 		return BitMeta{}, false
 	}
 	return f.lookup(key)
 }
-func (f *funcTier) Store(meta BitMeta) {
+func (f *funcTier) Store(meta BitMeta, _ *Stats) {
 	if f.store != nil {
 		f.store(meta)
 	}
 }
 
-// Compile serves one compile-submit: the shard-local memory tier first
-// (join semantics identical to any backend's), then the fit and timing
-// models reproduced from the shipped netlist summary, then the durable
-// tiers. The outcome carries no netlist — the client reassembles its
-// Result around its own synthesized program.
+// Compile serves one compile-submit: this shard's stack, with the fit
+// and timing models reproduced from the shipped netlist summary. The
+// outcome carries no netlist — the client reassembles its Result around
+// its own synthesized program. The flow's counters land on the worker
+// toolchain's own ledger; the submitter counts its side from the
+// outcome's HitSource.
 func (w *Worker) Compile(spec ShardSubmit) ShardOutcome {
-	hitPs := w.t.hitLatency()
-	if res, ok := w.entries.lookup(spec.Key, spec.SubmitPs, spec.BackoffPs, hitPs); ok {
-		return outcomeOf(res)
-	}
-	st := netlist.Stats{Cells: spec.Cells, FFs: spec.FFs, MemBits: spec.MemBits, CritPath: spec.CritPath}
-	res := w.t.finishStats(w.t.Device(), st, spec.Wrapped)
-	if meta, src, ok := lookupTiers(w.tiers, spec.Key); ok && res.Err == nil && metaMatches(meta, res) {
-		res.DurationPs = spec.BackoffPs + hitPs
-		res.CacheHit = true
-		res.HitSource = src
-		w.entries.insert(spec.Key, res, true, spec.SubmitPs)
-		return outcomeOf(res)
-	}
-	res.DurationPs += spec.BackoffPs
-	w.entries.insert(spec.Key, res, false, spec.SubmitPs)
-	if res.Err == nil {
-		storeTiers(w.tiers, BitMeta{Key: spec.Key, AreaLEs: res.AreaLEs,
-			RawAreaLEs: res.RawAreaLEs, CritPath: res.Stats.CritPath})
-	}
+	res, flow := w.cache.serve(spec, func() *Result {
+		st := netlist.Stats{Cells: spec.Cells, FFs: spec.FFs, MemBits: spec.MemBits, CritPath: spec.CritPath}
+		return w.t.finishStats(w.t.dev, st, spec.Wrapped)
+	}, farmHooks{})
+	w.bank(flow)
 	return outcomeOf(res)
+}
+
+// bank adds counters to the worker toolchain's own (default-tenant)
+// ledger.
+func (w *Worker) bank(flow Stats) {
+	w.t.tenant("").bump(func(s *Stats) { s.add(flow) })
 }
 
 // Status reports whether this worker itself holds a verified outcome
@@ -97,7 +86,9 @@ func (w *Worker) Status(key string) (BitMeta, bool) {
 	if meta, ok := w.memMeta(key); ok {
 		return meta, true
 	}
-	meta, _, ok := lookupTiers(w.local, key)
+	var flow Stats
+	meta, ok := w.disk().Lookup(key, &flow)
+	w.bank(flow)
 	return meta, ok
 }
 
@@ -108,19 +99,21 @@ func (w *Worker) Fetch(key string) (BitMeta, bool) {
 	return w.Status(key)
 }
 
-// Put lands a replicated outcome in the worker's durable tiers, or —
+// Put lands a replicated outcome in the worker's durable tier, or —
 // with publish set — marks the key's memory entry delivered.
 func (w *Worker) Put(meta BitMeta, publish bool) {
 	if publish {
-		w.entries.publish(meta.Key)
+		w.cache.entries.publish(meta.Key)
 		return
 	}
-	storeTiers(w.local, meta)
+	var flow Stats
+	w.disk().Store(meta, &flow)
+	w.bank(flow)
 }
 
 // memMeta extracts a durable record from a completed memory entry.
 func (w *Worker) memMeta(k string) (BitMeta, bool) {
-	entry := w.entries.get(k)
+	entry := w.cache.entries.get(k)
 	if entry == nil || entry.res == nil || entry.res.Err != nil {
 		return BitMeta{}, false
 	}

@@ -2,12 +2,17 @@ package transport
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cascade/internal/elab"
 	"cascade/internal/fpga"
+	"cascade/internal/obsv"
 	"cascade/internal/toolchain"
 	"cascade/internal/verilog"
 )
@@ -255,5 +260,80 @@ func TestFarmLinkRetriesAcrossWorkerRestart(t *testing.T) {
 	if _, err := links[0].Submit(toolchain.ShardSubmit{
 		Key: "k", Name: "m", Cells: 10, FFs: 8, CritPath: 2}); err != nil {
 		t.Fatalf("submit should survive a worker restart: %v", err)
+	}
+}
+
+// flakyLink fails Submit while the shared budget lasts — a shard dying
+// mid-call, whichever shard the job was routed to.
+type flakyLink struct {
+	toolchain.ShardLink
+	failures *atomic.Int32
+}
+
+func (l flakyLink) Submit(spec toolchain.ShardSubmit) (toolchain.ShardOutcome, error) {
+	if l.failures.Add(-1) >= 0 {
+		return toolchain.ShardOutcome{}, errors.New("shard died mid-call")
+	}
+	return l.ShardLink.Submit(spec)
+}
+
+// TestFarmBooksAgreeAfterMidCallFailure: every countable farm event has
+// one increment site, so /metrics and FarmStats tell the same story. The
+// routed shard and the next replica both die mid-call and the third
+// serves the job from its peer: one reroute (per job, not per dead
+// link) and one peer hit, in both books.
+func TestFarmBooksAgreeAfterMidCallFailure(t *testing.T) {
+	addrA, stopA := startWorker(t, t.TempDir(), nil)
+	defer stopA()
+	linksA, err := DialFarm([]string{addrA}, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := toolchain.New(fpga.NewCycloneV(), toolchain.DefaultOptions())
+	defer warm.UseFarm(toolchain.FarmOptions{Links: linksA}).Close()
+	if res := warm.Submit(context.Background(), farmFlat(t), true, 0).Result(); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		addr, stop := startWorker(t, "", []string{addrA})
+		defer stop()
+		addrs = append(addrs, addr)
+	}
+	links, err := DialFarm(addrs, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failures atomic.Int32
+	failures.Store(2)
+	for i, l := range links {
+		links[i] = flakyLink{ShardLink: l, failures: &failures}
+	}
+	obs := obsv.New(obsv.Options{})
+	tc := toolchain.New(fpga.NewCycloneV(), toolchain.DefaultOptions())
+	tc.SetObserver(obs)
+	fb := tc.UseFarm(toolchain.FarmOptions{Links: links, Replicas: 3})
+	defer fb.Close()
+
+	res := tc.Submit(context.Background(), farmFlat(t), true, 0).Result()
+	if res.Err != nil || res.HitSource != toolchain.HitPeer {
+		t.Fatalf("third shard should serve from its peer: err=%v src=%q", res.Err, res.HitSource)
+	}
+	st := fb.Stats()
+	if st.Rerouted != 1 || st.PeerHits != 1 {
+		t.Errorf("FarmStats: rerouted=%d peerHits=%d, want 1 and 1", st.Rerouted, st.PeerHits)
+	}
+	metrics := obs.MetricsText()
+	for series, want := range map[string]uint64{
+		"cascade_farm_steals_total":      st.Stolen,
+		"cascade_farm_reroutes_total":    st.Rerouted,
+		"cascade_farm_peer_hits_total":   st.PeerHits,
+		"cascade_farm_shed_total":        st.Shed,
+		"cascade_farm_unavailable_total": st.Unavailable,
+	} {
+		if line := fmt.Sprintf("\n%s %d\n", series, want); !strings.Contains(metrics, line) {
+			t.Errorf("/metrics disagrees with FarmStats: want %q", strings.TrimSpace(line))
+		}
 	}
 }

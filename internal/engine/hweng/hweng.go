@@ -17,7 +17,6 @@ import (
 	"cascade/internal/bits"
 	"cascade/internal/elab"
 	"cascade/internal/engine"
-	"cascade/internal/fault"
 	"cascade/internal/fpga"
 	"cascade/internal/netlist"
 	"cascade/internal/njit"
@@ -50,15 +49,12 @@ type fanout struct {
 
 // Engine is a hardware engine.
 type Engine struct {
-	name string
-	flat *elab.Flat
-	// The fabric model executes on the compiled evaluator: ev runs the
-	// program over m's state, and m keeps the parts that are not
-	// evaluation (state access, inputs, monitors, captured system tasks).
-	m   *netlist.Machine
-	ev  *njit.Eval
+	// The fabric model executes on the netlist engine core the native
+	// tier is built on: the machine holding the state, its compiled
+	// evaluator, state round trip, drains, system tasks and the fault
+	// latch. What is modelled here is what the fabric adds to it.
+	njit.Core
 	dev *fpga.Device
-	io  engine.IOHandler
 
 	// Native engines carry no ABI wrapper (paper §4.5): full fabric
 	// speed, no state access, no system tasks.
@@ -69,25 +65,22 @@ type Engine struct {
 	group []*member
 	wires [][]dest
 
-	// Separate change-tracking for the runtime-facing data plane
-	// (DrainWrites) and the group-internal routing (drainGroup): an
-	// internal delivery must not hide a change from the runtime.
-	lastOut engine.Outputs
+	// Change-tracking for the group-internal routing (drainGroup),
+	// separate from the core's for the runtime-facing data plane
+	// (DrainWrites): an internal delivery must not hide a change from the
+	// runtime.
 	lastInt engine.Outputs
 	// stale: the user logic's outputs may have moved since drainGroup
 	// last compared them (only evaluation, update and SetState move them).
-	stale    bool
-	finished bool
+	stale bool
 
-	// Fault handling: the engine consults the device's injector on
+	// Fault sites: the engine consults the device's injector on
 	// control-plane transactions (bus faults) and at step boundaries
-	// (region faults), and latches the first hit. A latched fault does
-	// not corrupt execution — detection happens on the MMIO handshake,
-	// and the ABI wrapper's shadow registers (Figure 10) keep the
-	// engine's state readable — it signals the runtime to evict this
-	// engine back to software between steps.
-	flt     *fault.Injector
-	fault   error
+	// (region faults); the core latches the first hit. A latched fault
+	// does not corrupt execution — detection happens on the MMIO
+	// handshake, and the ABI wrapper's shadow registers (Figure 10) keep
+	// the engine's state readable — it signals the runtime to evict this
+	// engine back to software between steps (it polls Fault()).
 	areaLEs int
 
 	// Perf counters, drained by the runtime's virtual clock. Billing is
@@ -101,61 +94,25 @@ func New(name string, prog *netlist.Program, dev *fpga.Device, areaLEs int, io e
 	if err := dev.Place(name, areaLEs); err != nil {
 		return nil, err
 	}
-	m := netlist.NewMachine(prog)
-	m.NowFn = now
 	return &Engine{
-		name:    name,
-		flat:    prog.Flat,
-		m:       m,
-		ev:      njit.Compile(m),
+		Core:    njit.NewCore(name, name, prog, io, dev.Faults(), now),
 		dev:     dev,
-		io:      io,
 		native:  native,
-		flt:     dev.Faults(),
 		areaLEs: areaLEs,
 		wires:   make([][]dest, len(prog.Flat.Outputs)),
-		lastOut: engine.NewOutputs(len(prog.Flat.Outputs)),
 		lastInt: engine.NewOutputs(len(prog.Flat.Outputs)),
 		stale:   true,
 	}, nil
 }
 
 // Release frees the engine's fabric region.
-func (e *Engine) Release() { e.dev.Release(e.name) }
+func (e *Engine) Release() { e.dev.Release(e.Name()) }
 
 // AreaLEs returns the fabric area this engine's region reserves.
 func (e *Engine) AreaLEs() int { return e.areaLEs }
 
-// Fault returns the first injected hardware fault observed by this
-// engine (nil while healthy). The runtime polls it between time steps
-// and responds with a hardware→software eviction.
-func (e *Engine) Fault() error { return e.fault }
-
-// checkBus runs one bus-fault trial, latching the first hit.
-func (e *Engine) checkBus() {
-	if e.fault == nil {
-		e.fault = e.flt.Bus(e.name)
-	}
-}
-
-// checkRegion runs one region-integrity trial, latching the first hit.
-func (e *Engine) checkRegion() {
-	if e.fault == nil {
-		e.fault = e.flt.Region(e.name)
-	}
-}
-
-// Flat exposes the engine's elaborated subprogram.
-func (e *Engine) Flat() *elab.Flat { return e.flat }
-
-// Name implements engine.Engine.
-func (e *Engine) Name() string { return e.name }
-
 // Loc implements engine.Engine.
 func (e *Engine) Loc() engine.Location { return engine.Hardware }
-
-// Finished reports whether $finish has executed.
-func (e *Engine) Finished() bool { return e.finished }
 
 // CyclesDelta returns fabric cycles consumed since the last call.
 func (e *Engine) CyclesDelta() uint64 {
@@ -181,65 +138,42 @@ func (e *Engine) UsageDelta() engine.Usage {
 func (e *Engine) bill() {
 	e.msgs++
 	e.dev.CountWrite(1)
-	e.checkBus()
-}
-
-// stateWords counts the 32-bit bus words a state snapshot occupies (the
-// ABI's address-mapped access, Figure 10 lines 49–53).
-func stateWords(st *sim.State) (words uint64) {
-	for _, v := range st.Scalars {
-		words += uint64((v.Width() + 31) / 32)
-	}
-	for _, ws := range st.Arrays {
-		for _, v := range ws {
-			words += uint64((v.Width() + 31) / 32)
-		}
-	}
-	return words
+	e.CheckBus()
 }
 
 // GetState implements engine.Engine. Reading state out of the fabric
 // costs one bus read per 32-bit word.
 func (e *Engine) GetState() *sim.State {
-	st := e.m.GetState()
-	words := stateWords(st)
+	st := e.Core.GetState()
+	words := st.Words()
 	e.msgs += words
 	e.dev.CountRead(words)
 	return st
 }
 
 // SetState implements engine.Engine (bus writes, symmetric to GetState).
-// Replacing the state wholesale invalidates the compiled evaluator's
-// sensitivity bookkeeping, as in njit.Engine.
 func (e *Engine) SetState(st *sim.State) {
-	words := stateWords(st)
+	words := st.Words()
 	e.msgs += words
 	e.dev.CountWrite(words)
-	e.m.SetState(st)
-	e.ev.InvalidateAll()
+	e.Core.SetState(st)
 	e.stale = true
 }
 
 // Read implements engine.Engine: one bus write per input event.
 func (e *Engine) Read(ev engine.Event) {
-	v := e.flat.VarNamed(ev.Var)
-	if v == nil {
-		return
+	if e.Input(ev) {
+		e.msgs++
+		e.dev.CountWrite(1)
 	}
-	e.msgs++
-	e.dev.CountWrite(1)
-	e.m.SetInput(v, ev.Val)
 }
 
 // DrainWrites implements engine.Engine: one bus read per changed output.
 func (e *Engine) DrainWrites() []engine.Event {
-	var evs []engine.Event
-	for i, v := range e.flat.Outputs {
-		if cur := e.m.PeekVar(v); e.lastOut.Changed(i, cur) {
-			evs = append(evs, engine.Event{Var: v.Name, Val: cur.Clone()})
-			e.msgs++
-			e.dev.CountRead(1)
-		}
+	evs := e.Core.DrainWrites()
+	if n := uint64(len(evs)); n > 0 {
+		e.msgs += n
+		e.dev.CountRead(n)
 	}
 	return evs
 }
@@ -248,7 +182,7 @@ func (e *Engine) DrainWrites() []engine.Event {
 // components as well (ABI forwarding, paper §4.3).
 func (e *Engine) ThereAreEvals() bool {
 	e.bill()
-	if e.ev.HasActive() {
+	if e.HasActive() {
 		return true
 	}
 	for _, g := range e.group {
@@ -265,15 +199,15 @@ func (e *Engine) Evaluate() {
 	e.bill()
 	e.cycles++
 	e.evalGroup()
-	e.drainMachineEvents()
+	e.FlushTasks()
 }
 
 // evalGroup runs one evaluation batch across the user logic and the
 // forwarded components, routing data internally, and reports whether
 // anything ran.
 func (e *Engine) evalGroup() (ran bool) {
-	if e.ev.HasActive() {
-		e.ev.Evaluate()
+	if e.HasActive() {
+		e.Eval.Evaluate()
 		ran, e.stale = true, true
 	}
 	e.drainGroup()
@@ -290,7 +224,7 @@ func (e *Engine) evalGroup() (ran bool) {
 // ThereAreUpdates implements engine.Engine.
 func (e *Engine) ThereAreUpdates() bool {
 	e.bill()
-	if e.ev.HasUpdates() {
+	if e.HasUpdates() {
 		return true
 	}
 	for _, g := range e.group {
@@ -312,8 +246,8 @@ func (e *Engine) Update() {
 // updateGroup commits one update batch across the group and reports
 // whether anything was committed.
 func (e *Engine) updateGroup() (ran bool) {
-	if e.ev.HasUpdates() {
-		e.ev.Update()
+	if e.HasUpdates() {
+		e.Eval.Update()
 		ran, e.stale = true, true
 	}
 	for _, g := range e.group {
@@ -329,12 +263,12 @@ func (e *Engine) updateGroup() (ran bool) {
 // EndStep implements engine.Engine. The step boundary is also where the
 // region's integrity is checked (a lost bitstream surfaces here).
 func (e *Engine) EndStep() {
-	e.m.EndStep()
-	e.drainMachineEvents()
+	e.Monitors()
+	e.FlushTasks()
 	for _, g := range e.group {
 		g.eng.EndStep()
 	}
-	e.checkRegion()
+	e.CheckRegion()
 }
 
 // End implements engine.Engine.
@@ -364,7 +298,7 @@ func (e *Engine) Forward(name string, inner engine.Engine) {
 func (e *Engine) ForwardWire(fromName, fromVar, toName, toVar string) {
 	d := dest{port: toVar}
 	if toName == "" {
-		d.v = e.flat.VarNamed(toVar)
+		d.v = e.Flat().VarNamed(toVar)
 	} else {
 		d.in = e.member(toName)
 	}
@@ -375,7 +309,7 @@ func (e *Engine) ForwardWire(fromName, fromVar, toName, toVar string) {
 	if g := e.member(fromName); g != nil {
 		g.wire(fromVar, d)
 	} else if fromName == "" {
-		for i, v := range e.flat.Outputs {
+		for i, v := range e.Flat().Outputs {
 			if v.Name == fromVar {
 				e.wires[i] = append(e.wires[i], d)
 			}
@@ -402,19 +336,11 @@ func (g *member) wire(from string, d dest) {
 	g.outs = append(g.outs, fanout{from, []dest{d}})
 }
 
-// drainMachineEvents forwards captured $display/$finish side effects to
-// the runtime's IO handler and reports whether there were any.
-func (e *Engine) drainMachineEvents() bool {
-	n, fin := e.ev.FlushTasks(e.io)
-	e.finished = e.finished || fin
-	return n > 0
-}
-
 // send delivers one changed value, borrowed, to its destinations.
 func (e *Engine) send(to []dest, val *bits.Vector) {
 	for _, d := range to {
 		if d.v != nil {
-			e.m.SetInput(d.v, val)
+			e.SetInput(d.v, val)
 		} else {
 			d.in.eng.Read(engine.Event{Var: d.port, Val: val})
 		}
@@ -443,7 +369,7 @@ func (e *Engine) drainGroup() {
 			if len(to) == 0 {
 				continue
 			}
-			if cur := e.m.PeekVar(e.flat.Outputs[i]); e.lastInt.Changed(i, cur) {
+			if cur := e.PeekOutput(i); e.lastInt.Changed(i, cur) {
 				e.send(to, cur)
 			}
 		}
@@ -469,8 +395,8 @@ func (e *Engine) drainGroup() {
 // fabric speed. clk names the engine's clock input and must exist.
 func (e *Engine) OpenLoop(clk string, steps int) int {
 	e.bill()
-	e.checkRegion() // one integrity trial per burst
-	if e.flat.VarNamed(clk) == nil {
+	e.CheckRegion() // one integrity trial per burst
+	if e.Flat().VarNamed(clk) == nil {
 		return 0
 	}
 	done := 0
@@ -478,7 +404,7 @@ func (e *Engine) OpenLoop(clk string, steps int) int {
 		// One scheduler iteration: settle evaluations and updates, then
 		// end the step for the whole group (the Clock re-arms here).
 		e.settleGroup()
-		e.m.EndStep()
+		e.Monitors()
 		for _, g := range e.group {
 			g.eng.EndStep()
 		}
@@ -495,7 +421,7 @@ func (e *Engine) OpenLoop(clk string, steps int) int {
 				e.cycles += 3
 			}
 		}
-		if e.drainMachineEvents() || e.finished {
+		if e.FlushTasks() || e.Finished() {
 			break
 		}
 	}

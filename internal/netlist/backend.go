@@ -5,13 +5,12 @@ import (
 	"cascade/internal/elab"
 )
 
-// This file is the contract between the interpreter and compiled
-// backends (the native-Go JIT tier in internal/njit). A backend shares
-// the Machine's packed state — it reads and writes the same word lanes
-// and wide vectors the interpreter uses — so the two tiers can swap
-// mid-run with nothing more than a pointer exchange, and any op a
-// backend chooses not to compile can fall back to the interpreter's
-// slow path one instruction at a time.
+// This file is the contract between the Machine and compiled backends
+// (internal/njit). A backend shares the Machine's packed state — it
+// reads and writes the same word lanes and wide vectors the reference
+// path uses — so the two can interleave mid-run, and any op a
+// backend chooses not to compile can fall back to the reference path,
+// Machine.ExecOp, one instruction at a time.
 
 // Hooks exposes direct references to a Machine's packed state. Slices
 // are the live backing stores (never reallocated after NewMachine) and
@@ -29,7 +28,7 @@ type Hooks struct {
 }
 
 // Hooks returns direct references to m's packed state for a compiled
-// backend. The backend and the interpreter stay coherent because they
+// backend. The backend and the reference path stay coherent because they
 // share storage; callers must not use them from concurrent goroutines.
 func (m *Machine) Hooks() Hooks {
 	return Hooks{
@@ -43,21 +42,12 @@ func (m *Machine) Hooks() Hooks {
 	}
 }
 
-// ExecSlowOp executes a single instruction through the interpreter's
-// universal slow path (bit-vector arithmetic, display/finish side
-// effects, non-blocking write capture) and reports whether the op was a
-// taken jump. It handles narrow and wide operands alike, so a compiled
-// backend can use it as the fallback body for any op it does not fuse.
-// It does not advance the Machine's Ops counter; backends account for
-// their own work.
-func (m *Machine) ExecSlowOp(op *Op) bool { return m.execWide(op) }
-
 // EdgeHooksFor returns the indices of the sequential processes watching
 // the given slot for positive and negative edges, in trigger order. A
 // compiled backend inlines these lists into its write closures instead
-// of consulting the edge-watch map per write.
+// of walking the hook list per write.
 func (m *Machine) EdgeHooksFor(slot int) (pos, neg []int) {
-	for _, h := range m.edgeWatch[slot] {
+	for _, h := range m.edgeList[slot] {
 		switch h.kind {
 		case elab.Pos:
 			pos = append(pos, h.proc)

@@ -1,8 +1,6 @@
 package netlist
 
 import (
-	"math/bits"
-
 	bv "cascade/internal/bits"
 	"cascade/internal/elab"
 	"cascade/internal/sim"
@@ -16,9 +14,14 @@ type DisplayEvent struct {
 	Finish  bool
 }
 
-// Machine executes a compiled netlist program cycle-accurately. It mirrors
-// the evaluate/update interface of the reference simulator so both can sit
-// behind the same engine ABI.
+// Machine holds a loaded netlist program's state and executes it
+// cycle-accurately on the reference path: Evaluate and Update step ExecOp,
+// one instruction at a time, and nothing else. That loop is the oracle
+// the equivalence tests hold internal/sim and internal/njit against; what
+// production engines execute is njit's compiled form over this machine's
+// storage (Hooks), with ExecOp as its per-instruction fallback. It
+// mirrors the evaluate/update interface of the reference simulator so
+// both can sit behind the same engine ABI.
 type Machine struct {
 	prog *Program
 
@@ -30,8 +33,7 @@ type Machine struct {
 	combDirty  bool
 	seqTrig    []bool
 	seqPending bool
-	edgeWatch  map[int][]edgeHook // slot -> interested seq procs
-	edgeList   [][]edgeHook       // edgeWatch flattened per slot (hot path)
+	edgeList   [][]edgeHook // slot -> interested seq procs
 
 	pending  []mPending
 	events   []DisplayEvent
@@ -68,22 +70,23 @@ type mPending struct {
 	word   int
 	hasRng bool
 	hi, lo int
-	u      uint64
-	w      *bv.Vector
-	wide   bool
+	// The value: w when the reference path queued the write, else the
+	// word u a compiled backend queued through the Pend* calls.
+	u uint64
+	w *bv.Vector
 }
 
 // NewMachine loads a program into a fresh machine and applies the reset
 // state (initial register contents from the bitstream).
 func NewMachine(p *Program) *Machine {
 	m := &Machine{
-		prog:      p,
-		u64:       make([]uint64, len(p.Slots)),
-		wide:      make([]*bv.Vector, len(p.Slots)),
-		seqTrig:   make([]bool, len(p.Seq)),
-		edgeWatch: map[int][]edgeHook{},
-		monLast:   make([]string, len(p.Monitors)),
-		scratch:   make([]*bv.Vector, len(p.Slots)),
+		prog:     p,
+		u64:      make([]uint64, len(p.Slots)),
+		wide:     make([]*bv.Vector, len(p.Slots)),
+		seqTrig:  make([]bool, len(p.Seq)),
+		edgeList: make([][]edgeHook, len(p.Slots)),
+		monLast:  make([]string, len(p.Monitors)),
+		scratch:  make([]*bv.Vector, len(p.Slots)),
 	}
 	for i, s := range p.Slots {
 		if s.Wide {
@@ -106,12 +109,8 @@ func NewMachine(p *Program) *Machine {
 	for pi, sp := range p.Seq {
 		for _, e := range sp.Edges {
 			slot := p.VarSlot[e.Var.Index]
-			m.edgeWatch[slot] = append(m.edgeWatch[slot], edgeHook{proc: pi, kind: e.Kind})
+			m.edgeList[slot] = append(m.edgeList[slot], edgeHook{proc: pi, kind: e.Kind})
 		}
-	}
-	m.edgeList = make([][]edgeHook, len(p.Slots))
-	for slot, hs := range m.edgeWatch {
-		m.edgeList[slot] = hs
 	}
 	m.Reset()
 	return m
@@ -139,12 +138,8 @@ func (m *Machine) DrainEvents() []DisplayEvent {
 	return ev
 }
 
-// HasEvents reports whether undrained events exist.
-func (m *Machine) HasEvents() bool { return len(m.events) > 0 }
-
-// Mask, B2U and PowMod are the narrow-lane arithmetic helpers; they are
-// exported so a compiled backend computes with the interpreter's own
-// definitions.
+// Mask, B2U and PowMod are the narrow-lane arithmetic helpers a compiled
+// backend computes with.
 
 // Mask returns the low-w-bits mask of a 64-bit lane.
 func Mask(w int) uint64 {
@@ -191,22 +186,23 @@ func (m *Machine) setSlotRaw(i int, v *bv.Vector) {
 }
 
 // writeVarSlot stores into a variable-backed slot with change detection,
-// marking combinational logic dirty and firing edge triggers.
-func (m *Machine) writeVarSlot(i int, newU uint64, newW *bv.Vector, isWide bool) bool {
-	if isWide || m.wide[i] != nil {
-		v := newW
-		if v == nil {
-			v = bv.FromUint64(m.prog.Slots[i].Width, newU)
+// marking combinational logic dirty and firing edge triggers. The value
+// is newW when that is non-nil, else the word newU; either is truncated
+// or zero-extended to the slot.
+func (m *Machine) writeVarSlot(i int, newU uint64, newW *bv.Vector) bool {
+	if m.wide[i] != nil {
+		if newW == nil {
+			newW = bv.FromUint64(64, newU)
 		}
-		if m.wide[i] != nil {
-			oldLSB := m.wide[i].Bit(0)
-			if !m.wide[i].CopyFrom(v) {
-				return false
-			}
-			m.onVarChange(i, oldLSB, m.wide[i].Bit(0))
-			return true
+		oldLSB := m.wide[i].Bit(0)
+		if !m.wide[i].CopyFrom(newW) {
+			return false
 		}
-		newU = v.Uint64()
+		m.onVarChange(i, oldLSB, m.wide[i].Bit(0))
+		return true
+	}
+	if newW != nil {
+		newU = newW.Uint64()
 	}
 	newU &= Mask(m.prog.Slots[i].Width)
 	old := m.u64[i]
@@ -234,8 +230,7 @@ func (m *Machine) onVarChange(slot int, oldLSB, newLSB uint) {
 
 // SetInput drives an input variable (engine ABI read).
 func (m *Machine) SetInput(v *elab.Var, val *bv.Vector) {
-	slot := m.prog.VarSlot[v.Index]
-	m.writeVarSlot(slot, val.Uint64(), val, m.prog.Slots[slot].Wide)
+	m.writeVarSlot(m.prog.VarSlot[v.Index], 0, val)
 }
 
 // ReadVar returns the current value of a scalar variable. The result is
@@ -289,40 +284,47 @@ func (m *Machine) Update() {
 	pend := m.pending
 	m.pending = nil
 	for _, p := range pend {
-		if p.slot < 0 {
+		switch {
+		case p.slot < 0:
 			m.commitMem(p)
-			continue
-		}
-		if p.hasRng {
-			cur := m.slotVecOwned(p.slot)
-			var val *bv.Vector
-			if p.wide {
-				val = p.w
-			} else {
+		case p.hasRng:
+			val := p.w
+			if val == nil {
 				val = bv.FromUint64(p.hi-p.lo+1, p.u)
 			}
+			cur := m.slotVecOwned(p.slot)
 			if cur.SetSlice(p.hi, p.lo, val) {
-				m.writeVarSlot(p.slot, cur.Uint64(), cur, true)
+				m.writeVarSlot(p.slot, 0, cur)
 			}
-			continue
+		default:
+			m.writeVarSlot(p.slot, p.u, p.w)
 		}
-		m.writeVarSlot(p.slot, p.u, p.w, p.wide)
 	}
 }
 
+// commitMem stores a queued memory word. The value's form follows the
+// queuing path, not the memory: the reference path queues a vector even
+// for a memory of 64 bits or less (a wide address flags the op Wide).
 func (m *Machine) commitMem(p mPending) {
 	mi := m.prog.Mems[p.mem]
 	if p.word < 0 || p.word >= mi.Words {
 		return
 	}
-	if mi.Wide {
+	switch {
+	case mi.Wide:
 		m.memW[p.mem][p.word].CopyFrom(p.w)
-	} else {
+	case p.w != nil:
+		m.mem64[p.mem][p.word] = p.w.Uint64() & Mask(mi.Width)
+	default:
 		m.mem64[p.mem][p.word] = p.u & Mask(mi.Width)
 	}
+	m.onMemChange(p.mem)
+}
+
+func (m *Machine) onMemChange(mem int) {
 	m.combDirty = true
 	if m.ChangeHook != nil {
-		m.ChangeHook(-1 - p.mem)
+		m.ChangeHook(-1 - mem)
 	}
 }
 
@@ -406,213 +408,47 @@ func (m *Machine) SetState(st *sim.State) {
 	m.combDirty = true
 }
 
-// exec runs compiled code starting at pc until OpHalt.
+// exec runs compiled code starting at pc until OpHalt, one ExecOp per
+// instruction.
 func (m *Machine) exec(pc int) {
 	code := m.prog.Code
 	for {
 		op := &code[pc]
 		m.Ops++
-		if op.Wide {
-			if m.execWide(op) {
-				pc = op.Target
-				continue
-			}
-			if op.Kind == OpHalt {
-				return
-			}
-			pc++
-			continue
-		}
-		switch op.Kind {
-		case OpHalt:
-			return
-		case OpJump:
+		switch {
+		case m.ExecOp(op):
 			pc = op.Target
-			continue
-		case OpJz:
-			if m.u64[op.Srcs[0]] == 0 {
-				pc = op.Target
-				continue
-			}
-		case OpConst:
-			m.u64[op.Dst] = op.Const.Uint64() & Mask(op.Width)
-		case OpMove:
-			m.u64[op.Dst] = m.u64[op.Srcs[0]] & Mask(op.Width)
-		case OpAdd:
-			m.u64[op.Dst] = (m.u64[op.Srcs[0]] + m.u64[op.Srcs[1]]) & Mask(op.Width)
-		case OpSub:
-			m.u64[op.Dst] = (m.u64[op.Srcs[0]] - m.u64[op.Srcs[1]]) & Mask(op.Width)
-		case OpMul:
-			m.u64[op.Dst] = (m.u64[op.Srcs[0]] * m.u64[op.Srcs[1]]) & Mask(op.Width)
-		case OpDiv:
-			d := m.u64[op.Srcs[1]]
-			if d == 0 {
-				m.u64[op.Dst] = 0
-			} else {
-				m.u64[op.Dst] = (m.u64[op.Srcs[0]] / d) & Mask(op.Width)
-			}
-		case OpMod:
-			d := m.u64[op.Srcs[1]]
-			if d == 0 {
-				m.u64[op.Dst] = 0
-			} else {
-				m.u64[op.Dst] = (m.u64[op.Srcs[0]] % d) & Mask(op.Width)
-			}
-		case OpPow:
-			m.u64[op.Dst] = PowMod(m.u64[op.Srcs[0]], m.u64[op.Srcs[1]]) & Mask(op.Width)
-		case OpAnd:
-			m.u64[op.Dst] = m.u64[op.Srcs[0]] & m.u64[op.Srcs[1]]
-		case OpOr:
-			m.u64[op.Dst] = m.u64[op.Srcs[0]] | m.u64[op.Srcs[1]]
-		case OpXor:
-			m.u64[op.Dst] = m.u64[op.Srcs[0]] ^ m.u64[op.Srcs[1]]
-		case OpXnor:
-			m.u64[op.Dst] = ^(m.u64[op.Srcs[0]] ^ m.u64[op.Srcs[1]]) & Mask(op.Width)
-		case OpNot:
-			m.u64[op.Dst] = ^m.u64[op.Srcs[0]] & Mask(op.Width)
-		case OpNeg:
-			m.u64[op.Dst] = (-m.u64[op.Srcs[0]]) & Mask(op.Width)
-		case OpLogNot:
-			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] == 0)
-		case OpRedAnd:
-			w := m.prog.Slots[op.Srcs[0]].Width
-			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] == Mask(w))
-		case OpRedOr:
-			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] != 0)
-		case OpRedXor:
-			m.u64[op.Dst] = uint64(bits.OnesCount64(m.u64[op.Srcs[0]]) & 1)
-		case OpRedNand:
-			w := m.prog.Slots[op.Srcs[0]].Width
-			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] != Mask(w))
-		case OpRedNor:
-			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] == 0)
-		case OpRedXnor:
-			m.u64[op.Dst] = uint64(^bits.OnesCount64(m.u64[op.Srcs[0]]) & 1)
-		case OpEq:
-			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] == m.u64[op.Srcs[1]])
-		case OpNe:
-			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] != m.u64[op.Srcs[1]])
-		case OpLt:
-			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] < m.u64[op.Srcs[1]])
-		case OpLe:
-			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] <= m.u64[op.Srcs[1]])
-		case OpGt:
-			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] > m.u64[op.Srcs[1]])
-		case OpGe:
-			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] >= m.u64[op.Srcs[1]])
-		case OpLogAnd:
-			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] != 0 && m.u64[op.Srcs[1]] != 0)
-		case OpLogOr:
-			m.u64[op.Dst] = B2U(m.u64[op.Srcs[0]] != 0 || m.u64[op.Srcs[1]] != 0)
-		case OpShl:
-			sh := m.u64[op.Srcs[1]]
-			if sh >= 64 {
-				m.u64[op.Dst] = 0
-			} else {
-				m.u64[op.Dst] = (m.u64[op.Srcs[0]] << sh) & Mask(op.Width)
-			}
-		case OpShr:
-			sh := m.u64[op.Srcs[1]]
-			if sh >= 64 {
-				m.u64[op.Dst] = 0
-			} else {
-				m.u64[op.Dst] = (m.u64[op.Srcs[0]] & Mask(op.Width)) >> sh
-			}
-		case OpSlice:
-			m.u64[op.Dst] = (m.u64[op.Srcs[0]] >> op.Lo) & Mask(op.Width)
-		case OpBitSel:
-			idx := m.u64[op.Srcs[1]]
-			if idx >= uint64(m.prog.Slots[op.Srcs[0]].Width) {
-				m.u64[op.Dst] = 0
-			} else {
-				m.u64[op.Dst] = (m.u64[op.Srcs[0]] >> idx) & 1
-			}
-		case OpConcat:
-			var acc uint64
-			for _, s := range op.Srcs {
-				w := m.prog.Slots[s].Width
-				acc = acc<<w | (m.u64[s] & Mask(w))
-			}
-			m.u64[op.Dst] = acc & Mask(op.Width)
-		case OpRepl:
-			w := m.prog.Slots[op.Srcs[0]].Width
-			v := m.u64[op.Srcs[0]] & Mask(w)
-			var acc uint64
-			for i := 0; i < op.N; i++ {
-				acc = acc<<w | v
-			}
-			m.u64[op.Dst] = acc & Mask(op.Width)
-		case OpMux:
-			if m.u64[op.Srcs[0]] != 0 {
-				m.u64[op.Dst] = m.u64[op.Srcs[1]] & Mask(op.Width)
-			} else {
-				m.u64[op.Dst] = m.u64[op.Srcs[2]] & Mask(op.Width)
-			}
-		case OpTime:
-			if m.NowFn != nil {
-				m.u64[op.Dst] = m.NowFn()
-			} else {
-				m.u64[op.Dst] = 0
-			}
-		case OpMemRead:
-			addr := m.u64[op.Srcs[0]]
-			mi := m.prog.Mems[op.Aux]
-			if addr >= uint64(mi.Words) {
-				m.u64[op.Dst] = 0
-			} else {
-				m.u64[op.Dst] = m.mem64[op.Aux][addr]
-			}
-		case OpWrite:
-			m.writeVarSlot(op.Dst, m.u64[op.Srcs[0]], nil, false)
-		case OpWriteRng:
-			cur := m.slotVecOwned(op.Dst)
-			if cur.SetSlice(op.Hi, op.Lo, bv.FromUint64(op.Width, m.u64[op.Srcs[0]])) {
-				m.writeVarSlot(op.Dst, cur.Uint64(), cur, false)
-			}
-		case OpWriteBit:
-			idx := m.u64[op.Srcs[1]]
-			if idx < uint64(m.prog.Slots[op.Dst].Width) {
-				cur := m.u64[op.Dst]
-				nv := cur&^(1<<idx) | (m.u64[op.Srcs[0]] & 1 << idx)
-				m.writeVarSlot(op.Dst, nv, nil, false)
-			}
-		case OpMemWrite:
-			mi := m.prog.Mems[op.Aux]
-			addr := m.u64[op.Srcs[1]]
-			if addr < uint64(mi.Words) {
-				if m.mem64[op.Aux][addr] != m.u64[op.Srcs[0]]&Mask(mi.Width) {
-					m.mem64[op.Aux][addr] = m.u64[op.Srcs[0]] & Mask(mi.Width)
-					m.combDirty = true
-					if m.ChangeHook != nil {
-						m.ChangeHook(-1 - op.Aux)
-					}
-				}
-			}
-		case OpWriteNB:
-			m.pending = append(m.pending, mPending{slot: op.Dst, u: m.u64[op.Srcs[0]]})
-		case OpWriteRngNB:
-			m.pending = append(m.pending, mPending{slot: op.Dst, hasRng: true, hi: op.Hi, lo: op.Lo, u: m.u64[op.Srcs[0]]})
-		case OpWriteBitNB:
-			idx := m.u64[op.Srcs[1]]
-			if idx < uint64(m.prog.Slots[op.Dst].Width) {
-				m.pending = append(m.pending, mPending{slot: op.Dst, hasRng: true, hi: int(idx), lo: int(idx), u: m.u64[op.Srcs[0]]})
-			}
-		case OpMemWriteNB:
-			addr := m.u64[op.Srcs[1]]
-			m.pending = append(m.pending, mPending{slot: -1, mem: op.Aux, word: int(addr), u: m.u64[op.Srcs[0]]})
-		case OpDisplay:
-			m.display(op)
-		case OpFinish:
-			m.finished = true
-			m.events = append(m.events, DisplayEvent{Finish: true})
+		case op.Kind == OpHalt:
+			return
+		default:
+			pc++
 		}
-		pc++
 	}
 }
 
-// execWide handles instructions touching wide values using bit-vector
-// arithmetic. It returns true if the op was a taken jump.
-func (m *Machine) execWide(op *Op) bool {
+// index reads idx as a position below limit, or -1 when it is out of
+// range at any operand width.
+func index(idx *bv.Vector, limit int) int {
+	ws := idx.Words()
+	for _, w := range ws[1:] {
+		if w != 0 {
+			return -1
+		}
+	}
+	if ws[0] >= uint64(limit) {
+		return -1
+	}
+	return int(ws[0])
+}
+
+// ExecOp executes one instruction and reports whether it was a taken
+// jump. It is the reference meaning of every OpKind: bit-vector
+// arithmetic over narrow and wide operands alike, display/finish side
+// effects, non-blocking write capture. The machine's own loop steps
+// nothing else, and a compiled backend uses it as the body of any op it
+// does not fuse. It does not advance the Ops counter; backends account
+// for their own work.
+func (m *Machine) ExecOp(op *Op) bool {
 	get := func(i int) *bv.Vector { return m.slotVec(op.Srcs[i]) }
 	switch op.Kind {
 	case OpHalt:
@@ -687,13 +523,8 @@ func (m *Machine) execWide(op *Op) bool {
 		m.setSlotRaw(op.Dst, get(0).Slice(op.Hi, op.Lo))
 	case OpBitSel:
 		v := get(0)
-		idx := get(1)
-		i := int(idx.Uint64())
-		if !idx.Equal(bv.FromUint64(64, uint64(i))) || i >= v.Width() {
-			m.setSlotRaw(op.Dst, bv.New(1))
-		} else {
-			m.setSlotRaw(op.Dst, bv.FromUint64(1, uint64(v.Bit(i))))
-		}
+		i := index(get(1), v.Width()) // -1 reads as 0, like any bit out of range
+		m.setSlotRaw(op.Dst, bv.FromUint64(1, uint64(v.Bit(i))))
 	case OpConcat:
 		acc := get(0).Clone()
 		for i := 1; i < len(op.Srcs); i++ {
@@ -716,74 +547,64 @@ func (m *Machine) execWide(op *Op) bool {
 		}
 	case OpMemRead:
 		mi := m.prog.Mems[op.Aux]
-		idx := get(0)
-		addr := int(idx.Uint64())
-		if !idx.Equal(bv.FromUint64(64, uint64(addr))) || addr >= mi.Words {
+		addr := index(get(0), mi.Words)
+		switch {
+		case addr < 0:
 			m.setSlotRaw(op.Dst, bv.New(mi.Width))
-		} else if mi.Wide {
+		case mi.Wide:
 			m.setSlotRaw(op.Dst, m.memW[op.Aux][addr])
-		} else {
+		default:
 			m.setSlotRaw(op.Dst, bv.FromUint64(mi.Width, m.mem64[op.Aux][addr]))
 		}
 	case OpWrite:
-		m.writeVarSlot(op.Dst, 0, get(0).Resize(m.prog.Slots[op.Dst].Width), true)
+		m.writeVarSlot(op.Dst, 0, get(0))
 	case OpWriteRng:
 		cur := m.slotVecOwned(op.Dst)
 		if cur.SetSlice(op.Hi, op.Lo, get(0)) {
-			m.writeVarSlot(op.Dst, 0, cur, true)
+			m.writeVarSlot(op.Dst, 0, cur)
 		}
 	case OpWriteBit:
-		idx := get(1)
-		i := int(idx.Uint64())
-		if idx.Equal(bv.FromUint64(64, uint64(i))) && i < m.prog.Slots[op.Dst].Width {
+		if i := index(get(1), m.prog.Slots[op.Dst].Width); i >= 0 {
 			cur := m.slotVecOwned(op.Dst)
 			if cur.SetSlice(i, i, get(0)) {
-				m.writeVarSlot(op.Dst, 0, cur, true)
+				m.writeVarSlot(op.Dst, 0, cur)
 			}
 		}
 	case OpMemWrite:
 		mi := m.prog.Mems[op.Aux]
-		idx := get(1)
-		addr := int(idx.Uint64())
-		if idx.Equal(bv.FromUint64(64, uint64(addr))) && addr < mi.Words {
-			val := get(0).Resize(mi.Width)
+		if addr := index(get(1), mi.Words); addr >= 0 {
+			changed := false
 			if mi.Wide {
-				if m.memW[op.Aux][addr].CopyFrom(val) {
-					m.combDirty = true
-					if m.ChangeHook != nil {
-						m.ChangeHook(-1 - op.Aux)
-					}
-				}
-			} else if m.mem64[op.Aux][addr] != val.Uint64() {
-				m.mem64[op.Aux][addr] = val.Uint64()
-				m.combDirty = true
-				if m.ChangeHook != nil {
-					m.ChangeHook(-1 - op.Aux)
-				}
+				changed = m.memW[op.Aux][addr].CopyFrom(get(0))
+			} else if nv := get(0).Uint64() & Mask(mi.Width); m.mem64[op.Aux][addr] != nv {
+				m.mem64[op.Aux][addr], changed = nv, true
+			}
+			if changed {
+				m.onMemChange(op.Aux)
 			}
 		}
 	case OpWriteNB:
-		m.pending = append(m.pending, mPending{slot: op.Dst, w: get(0).Resize(m.prog.Slots[op.Dst].Width), wide: true})
+		m.pending = append(m.pending, mPending{slot: op.Dst, w: get(0).Clone()})
 	case OpWriteRngNB:
-		m.pending = append(m.pending, mPending{slot: op.Dst, hasRng: true, hi: op.Hi, lo: op.Lo, w: get(0).Clone(), wide: true})
+		m.pending = append(m.pending, mPending{slot: op.Dst, hasRng: true, hi: op.Hi, lo: op.Lo, w: get(0).Clone()})
 	case OpWriteBitNB:
-		idx := get(1)
-		i := int(idx.Uint64())
-		if idx.Equal(bv.FromUint64(64, uint64(i))) && i < m.prog.Slots[op.Dst].Width {
-			m.pending = append(m.pending, mPending{slot: op.Dst, hasRng: true, hi: i, lo: i, w: get(0).Clone(), wide: true})
+		if i := index(get(1), m.prog.Slots[op.Dst].Width); i >= 0 {
+			m.pending = append(m.pending, mPending{slot: op.Dst, hasRng: true, hi: i, lo: i, w: get(0).Clone()})
 		}
 	case OpMemWriteNB:
-		idx := get(1)
-		addr := int(idx.Uint64())
-		if !idx.Equal(bv.FromUint64(64, uint64(addr))) {
-			addr = -1
-		}
-		m.pending = append(m.pending, mPending{slot: -1, mem: op.Aux, word: addr, w: get(0).Resize(m.prog.Mems[op.Aux].Width), wide: true})
+		// An out-of-range address still queues (word -1, dropped at
+		// commit), as PendMemWriteNB does: the update batch it causes is
+		// billed.
+		m.pending = append(m.pending, mPending{slot: -1, mem: op.Aux, word: index(get(1), m.prog.Mems[op.Aux].Words), w: get(0).Clone()})
 	case OpDisplay:
 		m.display(op)
 	case OpFinish:
 		m.finished = true
 		m.events = append(m.events, DisplayEvent{Finish: true})
+	default:
+		// Programs come from Compile alone: a kind without a meaning here
+		// is a kind someone added without its reference implementation.
+		panic(errf("op kind %d has no reference implementation", op.Kind))
 	}
 	return false
 }

@@ -1,17 +1,20 @@
 // Package netlist synthesizes an elaborated subprogram into a word-level
-// RTL netlist and provides a compiled cycle evaluator for it — the
-// "bitstream" executed by Cascade-Go's simulated FPGA.
+// RTL netlist — the "bitstream" executed by Cascade-Go's simulated FPGA —
+// and provides the Machine that holds a loaded program's state and gives
+// every instruction its reference meaning.
 //
 // Compilation levelizes combinational logic (continuous assignments, @*
 // and level-sensitive processes) into a feed-forward instruction schedule
 // and lowers every process body to a small register machine with jump
-// instructions. Values at or below 64 bits execute on a fast uint64 path;
-// wider values fall back to bits.Vector arithmetic. The package also
+// instructions. Values at or below 64 bits are stored in uint64 lanes,
+// wider ones as bits.Vector; Machine.ExecOp computes on either as bit
+// vectors, and the fast execution of a program is internal/njit's
+// compiled form over the same storage. The package also
 // derives the area and critical-path statistics that the blackbox
 // toolchain model (internal/toolchain) uses for compile-latency, fit, and
 // timing-closure decisions.
 //
-// Observable-state equivalence between this evaluator and the reference
+// Observable-state equivalence between the Machine and the reference
 // event-driven interpreter (internal/sim) is the load-bearing invariant of
 // the whole system; it is property-tested in equiv_test.go.
 package netlist
@@ -78,7 +81,7 @@ const (
 	OpMemWriteNB
 	OpDisplay // emit task Aux with captured args
 	OpFinish
-	OpHalt // end of a compiled body
+	OpHalt // end of a compiled body; stays last (njit's TestOpSemanticsAgree ranges up to it)
 )
 
 // Op is one netlist instruction. Fields are interpreted per kind.

@@ -1,21 +1,23 @@
 // Package njit compiles a synthesized netlist into closure-threaded Go:
 // the native software tier of the JIT ladder (ROADMAP item 2, in the
 // spirit of vlang's netlist-to-compiler-backend mapping). Where the
-// interpreter in internal/netlist re-dispatches a per-op switch and
-// bounds-checks code[pc] on every instruction, the native tier fuses
+// reference path in internal/netlist re-dispatches a per-op switch and
+// materializes bit vectors on every instruction, the native tier fuses
 // each process into straight-line closures over word-packed state —
 // []uint64 lanes for slots of 64 bits or less, bit vectors only for
 // wide slots — with branch targets resolved to closure indices at
 // compile time. The compiled evaluator shares the Machine's backing
-// state (netlist.Hooks), so it implements the same evaluate/update
-// contract as the interpreter and the runtime can hot-swap between the
-// two tiers with a plain state handoff, exactly as it swaps bitstreams.
+// state (netlist.Hooks) and falls back to Machine.ExecOp for any
+// instruction it does not fuse, so each op kind has exactly two
+// implementations — the reference and the closure here — and
+// TestOpSemanticsAgree holds them together. Core is the engine built on
+// the pair; the native tier (Engine) and the fabric model (hweng) embed
+// it.
 package njit
 
 import (
 	mbits "math/bits"
 
-	"cascade/internal/engine"
 	"cascade/internal/netlist"
 )
 
@@ -52,8 +54,8 @@ func (pr *proc) run() uint64 {
 // Eval is a netlist.Program compiled to closure-threaded Go. It wraps
 // the Machine whose state it shares: narrow ops run fused closures over
 // the machine's word lanes; wide ops, display tasks, and anything else
-// exotic fall back to the interpreter's slow path one instruction at a
-// time, so the two tiers can never disagree on semantics.
+// exotic fall back to the reference path (Machine.ExecOp) one
+// instruction at a time.
 type Eval struct {
 	m    *netlist.Machine
 	prog *netlist.Program
@@ -144,7 +146,7 @@ type compiler struct {
 }
 
 // Compile builds the native evaluator for m's program, sharing m's
-// packed state. The machine stays fully usable; interpreter and native
+// packed state. The machine stays fully usable; reference path and native
 // tier may even interleave (the engine fallback path relies on it).
 func Compile(m *netlist.Machine) *Eval {
 	p := m.Prog()
@@ -308,25 +310,6 @@ func (e *Eval) Update() {
 		e.writeSlot(d, e.nbVal[d])
 	}
 	e.nbDirty = e.nbDirty[:0]
-}
-
-// FlushTasks forwards the machine's captured $display/$finish side
-// effects to io, in order, and reports how many there were and whether
-// one of them was $finish.
-func (e *Eval) FlushTasks(io engine.IOHandler) (n int, finish bool) {
-	evs := e.m.DrainEvents()
-	for _, ev := range evs {
-		switch {
-		case ev.Finish:
-			finish = true
-			if io != nil {
-				io.Finish(0)
-			}
-		case io != nil:
-			io.Display(ev.Text, ev.Newline)
-		}
-	}
-	return len(evs), finish
 }
 
 // NativeOpsDelta returns compiled instructions executed since the last
@@ -754,7 +737,7 @@ func (b *builder) jz(op *netlist.Op, t, f int) func() int {
 	if op.Wide {
 		m := b.c.e.m
 		return func() int {
-			if m.ExecSlowOp(op) {
+			if m.ExecOp(op) {
 				return t
 			}
 			return f
@@ -771,7 +754,7 @@ func (b *builder) jz(op *netlist.Op, t, f int) func() int {
 }
 
 // writeSlot stores into a narrow variable-backed slot with the
-// interpreter's change-detection semantics: any change marks
+// machine's change-detection semantics: any change marks
 // combinational logic dirty; an LSB transition fires the precompiled
 // edge lists.
 func (e *Eval) writeSlot(d int, nv uint64) {
@@ -795,12 +778,12 @@ func (e *Eval) writeSlot(d int, nv uint64) {
 // compileOp lowers one non-branch instruction to a closure. Narrow ops
 // fuse direct word-lane arithmetic with precomputed masks; anything
 // wide (or rare enough not to be worth fusing) falls back to the
-// interpreter's universal slow path.
+// reference path.
 func (c *compiler) compileOp(op *netlist.Op) func() {
 	e := c.e
 	m := e.m
 	if op.Wide {
-		return func() { m.ExecSlowOp(op) }
+		return func() { m.ExecOp(op) }
 	}
 	u := e.u64
 	slots := e.prog.Slots
@@ -1058,7 +1041,7 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 		aux := op.Aux
 		return func() { m.PendMemWriteNB(aux, int(u[s1]), u[s0]) }
 	default:
-		// OpDisplay, OpFinish, and anything new: interpreter slow path.
-		return func() { m.ExecSlowOp(op) }
+		// OpDisplay, OpFinish, and anything new: the reference path.
+		return func() { m.ExecOp(op) }
 	}
 }

@@ -302,13 +302,16 @@ func (r *REPL) command(line string) bool {
 	case ":stats":
 		r.mu.Lock()
 		st := r.rt.Stats()
+		var in hyper.SessionInfo
+		if r.sess != nil {
+			in = r.sess.Info() // reads the runtime's phase and ticks: under r.mu, like Stats
+		}
 		r.mu.Unlock()
 		fmt.Fprintln(r.out, st.Summary())
 		for _, e := range st.Engines {
 			fmt.Fprintf(r.out, "  engine %-12s %s\n", e.Path, e.Location)
 		}
 		if r.sess != nil {
-			in := r.sess.Info()
 			fmt.Fprintf(r.out, "  session %s region=%dLEs share=%s resident=%v quanta=%d (of %d tenants)\n",
 				in.ID, in.QuotaLEs, shareLabel(in.CompileShare), in.Resident, in.Quanta, r.hv.SessionCount())
 		}

@@ -1,7 +1,7 @@
 package runtime
 
 import (
-	"strings"
+	"errors"
 
 	"cascade/internal/bits"
 	"cascade/internal/lifecycle"
@@ -229,12 +229,12 @@ func (r *Runtime) rehostRemote() {
 
 // spawnRemoteRebind is spawnRemote with session recovery: a daemon that
 // restarted without its journal no longer knows this runtime's session
-// ID, so an "unknown session" refusal opens a fresh session and retries
+// ID, so an ErrUnknownSession refusal opens a fresh session and retries
 // once. (A daemon resumed from a journal re-binds the old ID and the
 // first spawn just works.)
 func (r *Runtime) spawnRemoteRebind(path string, mod *verilog.Module, params map[string]*bits.Vector) (*transport.Client, error) {
 	nc, err := r.spawnRemote(path, mod, params)
-	if err == nil || r.remoteSess == 0 || !strings.Contains(err.Error(), "unknown session") {
+	if err == nil || r.remoteSess == 0 || !errors.Is(err, transport.ErrUnknownSession) {
 		return nc, err
 	}
 	ro := r.opts.Remote

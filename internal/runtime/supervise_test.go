@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -297,6 +298,16 @@ func TestSupervisedSessionReopenAfterRestart(t *testing.T) {
 	d.restart()
 	if d.sessions() != 0 {
 		t.Fatalf("journalless restart kept %d sessions", d.sessions())
+	}
+	// The refusal the re-host sweep keys on is an error value, not a
+	// message: a second connection names the lost session and gets it.
+	side, err := transport.DialTCP(d.addr, transport.TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer side.Close()
+	if err := transport.CloseSession(side, r.remoteSess, 0); !errors.Is(err, transport.ErrUnknownSession) {
+		t.Fatalf("closing the lost session: %v, want ErrUnknownSession", err)
 	}
 	r.RunTicks(6)
 

@@ -34,6 +34,24 @@ func (st *State) Clone() *State {
 	return c
 }
 
+// Words counts the 32-bit bus words the snapshot occupies: the unit the
+// MMIO model bills state access in (the ABI's address-mapped access,
+// Figure 10 lines 49–53). A nil state occupies none.
+func (st *State) Words() (words uint64) {
+	if st == nil {
+		return 0
+	}
+	for _, v := range st.Scalars {
+		words += uint64((v.Width() + 31) / 32)
+	}
+	for _, ws := range st.Arrays {
+		for _, v := range ws {
+			words += uint64((v.Width() + 31) / 32)
+		}
+	}
+	return words
+}
+
 // Signature returns a deterministic string rendering of the state, used
 // by equivalence tests to compare observable states across engines.
 func (st *State) Signature() string {

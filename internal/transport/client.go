@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -129,6 +130,11 @@ func Spawn(t Transport, spec SpawnSpec, io engine.IOHandler, now, vnow func() ui
 type remoteError struct{ msg string }
 
 func (e *remoteError) Error() string { return "transport: remote: " + e.msg }
+
+// Is matches the refusals the host words from a sentinel error.
+func (e *remoteError) Is(target error) bool {
+	return target == ErrUnknownSession && strings.HasPrefix(e.msg, ErrUnknownSession.Error())
+}
 
 // OpenSession opens a tenant session on the daemon behind t: the host
 // carves a fabric region of quotaLEs (0 takes the daemon default),
@@ -277,30 +283,12 @@ func (c *Client) call(kind proto.Kind, build func(*proto.Request)) *proto.Reply 
 		c.pending.Msgs += 1 + cost.Retries
 		switch kind {
 		case proto.KindGetState:
-			c.pending.Msgs += stateWords(c.rep.State)
+			c.pending.Msgs += c.rep.State.Words()
 		case proto.KindSetState:
-			c.pending.Msgs += stateWords(c.req.State)
+			c.pending.Msgs += c.req.State.Words()
 		}
 	}
 	return &c.rep
-}
-
-// stateWords counts 32-bit words in a snapshot (the unit the MMIO
-// model bills state access in).
-func stateWords(st *sim.State) uint64 {
-	if st == nil {
-		return 0
-	}
-	words := uint64(0)
-	for _, v := range st.Scalars {
-		words += uint64((v.Width() + 31) / 32)
-	}
-	for _, ws := range st.Arrays {
-		for _, v := range ws {
-			words += uint64((v.Width() + 31) / 32)
-		}
-	}
-	return words
 }
 
 // engine.Engine ----------------------------------------------------------

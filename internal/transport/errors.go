@@ -20,3 +20,11 @@ var ErrEngineUnavailable = errors.New("engine unavailable")
 // their own committed state instead. Always wrapped so errors.Is also
 // matches ErrEngineUnavailable.
 var ErrDaemonRestarted = errors.New("engine daemon restarted")
+
+// ErrUnknownSession is the host's refusal of a request that names a
+// session it does not hold: never opened, closed, or lost with a daemon
+// that restarted without its journal. The refusal travels as text in
+// Reply.Err, which the host builds from this error, and the error the
+// client returns for it matches with errors.Is; the owner of the session
+// answers by opening a fresh one.
+var ErrUnknownSession = errors.New("unknown session")

@@ -316,7 +316,7 @@ func (h *Host) spawn(req *proto.Request, rep *proto.Reply, forced uint32) {
 		sess := h.sessions[req.Session]
 		h.mu.Unlock()
 		if sess == nil {
-			rep.Err = fmt.Sprintf("unknown session %d", req.Session)
+			rep.Err = fmt.Sprintf("%v %d", ErrUnknownSession, req.Session)
 			return
 		}
 		dev, tenant = sess.dev, sess.tenant
@@ -417,7 +417,7 @@ func (h *Host) sessionClose(req *proto.Request, rep *proto.Reply) {
 	sess := h.sessions[req.Session]
 	if sess == nil {
 		h.mu.Unlock()
-		rep.Err = fmt.Sprintf("unknown session %d", req.Session)
+		rep.Err = fmt.Sprintf("%v %d", ErrUnknownSession, req.Session)
 		return
 	}
 	delete(h.sessions, req.Session)

@@ -1,28 +1,21 @@
 package transport
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	"cascade/internal/engine"
 	"cascade/internal/proto"
 )
 
-// Local is the in-process transport: protocol structs are dispatched
-// directly onto one engine with no serialization and no copying —
-// vectors, events, and state snapshots cross as pointers, exactly as
-// the pre-protocol direct-call path did. It exists so the message
-// protocol costs nothing when the engine shares the runtime's heap
-// (benchmark-gated: see BenchmarkLocalTransportOverhead).
+// Local is the in-process transport: it holds one engine for its
+// Client, which calls it directly — vectors, events, and state snapshots
+// cross as pointers, with no protocol structs, serialization or copying
+// — so the message protocol costs nothing when the engine shares the
+// runtime's heap (benchmark-gated: see BenchmarkLocalTransportOverhead).
 //
 // A Local carries exactly one engine. Spawn is not its job — the
 // runtime constructs in-process engines itself and wraps them — and the
 // engine may be swapped in place when the JIT migrates the subprogram
 // between software and hardware.
-type Local struct {
-	e          engine.Engine
-	roundTrips atomic.Uint64
-}
+type Local struct{ e engine.Engine }
 
 // NewLocal wraps a pre-built engine in a transport.
 func NewLocal(e engine.Engine) *Local { return &Local{e: e} }
@@ -31,59 +24,25 @@ func NewLocal(e engine.Engine) *Local { return &Local{e: e} }
 func (l *Local) Engine() engine.Engine { return l.e }
 
 // Swap replaces the wrapped engine (the JIT's hot swap). Callers must
-// not race Swap with Roundtrip; the runtime swaps only between steps,
+// not race Swap with engine calls; the runtime swaps only between steps,
 // on the controller goroutine.
 func (l *Local) Swap(e engine.Engine) { l.e = e }
 
 // Kind implements Transport.
 func (l *Local) Kind() string { return "local" }
 
-// Stats implements Transport. Local round-trips move no bytes.
-func (l *Local) Stats() Stats { return Stats{RoundTrips: l.roundTrips.Load()} }
+// Stats implements Transport. Nothing crosses a Local; its client
+// meters the direct calls itself.
+func (l *Local) Stats() Stats { return Stats{} }
 
 // Close implements Transport.
 func (l *Local) Close() error { return nil }
 
-// Roundtrip implements Transport by direct dispatch.
+// Roundtrip implements Transport by refusing: no protocol message
+// travels over a Local. Its client answers every engine call from the
+// wrapped engine (Client.local), and spawning and sessions are a
+// daemon's job.
 func (l *Local) Roundtrip(req *proto.Request, rep *proto.Reply) (Cost, error) {
-	l.roundTrips.Add(1)
-	e := l.e
-	*rep = proto.Reply{Kind: req.Kind, Engine: req.Engine}
-	switch req.Kind {
-	case proto.KindRead:
-		e.Read(engine.Event{Var: req.Var, Val: req.Val})
-	case proto.KindDrainWrites:
-		rep.Events = e.DrainWrites()
-	case proto.KindThereAreEvals:
-		rep.Bool = e.ThereAreEvals()
-	case proto.KindEvaluate:
-		e.Evaluate()
-	case proto.KindThereAreUpdates:
-		rep.Bool = e.ThereAreUpdates()
-	case proto.KindUpdate:
-		e.Update()
-	case proto.KindGetState:
-		rep.State = e.GetState()
-	case proto.KindSetState:
-		if req.State != nil {
-			e.SetState(req.State)
-		}
-	case proto.KindEndStep:
-		e.EndStep()
-	case proto.KindEnd:
-		e.End()
-	case proto.KindSpawn:
-		rep.Err = "local transport does not spawn engines"
-	case proto.KindSessionOpen, proto.KindSessionClose:
-		// Sessions are a daemon concept: one Local carries one in-process
-		// engine and has no fabric to partition.
-		rep.Err = "local transport does not manage sessions"
-	default:
-		return Cost{}, fmt.Errorf("transport: unknown request kind %d", req.Kind)
-	}
-	rep.Loc = e.Loc()
-	if ur, ok := e.(engine.UsageReporter); ok {
-		rep.Usage = ur.UsageDelta()
-	}
+	*rep = proto.Reply{Kind: req.Kind, Engine: req.Engine, Err: "local transport carries no protocol requests"}
 	return Cost{}, nil
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -311,8 +312,8 @@ func TestHostSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Spawn(tcpT, SpawnSpec{Path: "x", Source: ctrSrc, Session: 99}, nil, nil, nil, nil); err == nil {
-		t.Error("spawn into unknown session accepted")
+	if _, err := Spawn(tcpT, SpawnSpec{Path: "x", Source: ctrSrc, Session: 99}, nil, nil, nil, nil); !errors.Is(err, ErrUnknownSession) {
+		t.Errorf("spawn into unknown session: %v, want ErrUnknownSession", err)
 	}
 	vnow = 1 << 62
 	promoted := false

@@ -13,6 +13,7 @@ import (
 	"cascade/internal/engine/sweng"
 	"cascade/internal/fpga"
 	"cascade/internal/netlist"
+	"cascade/internal/njit"
 	"cascade/internal/stdlib"
 	"cascade/internal/transport"
 	"cascade/internal/verilog"
@@ -38,6 +39,10 @@ var (
 
 	_ engine.WriteVisitor = (*stdlib.Clock)(nil)
 	_ engine.WriteVisitor = (*stdlib.FIFO)(nil)
+	_ engine.WriteVisitor = (*sweng.Engine)(nil)
+	_ engine.WriteVisitor = (*njit.Engine)(nil)
+	_ engine.WriteVisitor = (*hweng.Engine)(nil)
+	_ engine.WriteVisitor = (*transport.Client)(nil)
 )
 
 // TestOutputsTracksByValue: the tracker every engine's DrainWrites shares
@@ -239,4 +244,223 @@ func TestConformanceAcrossTransports(t *testing.T) {
 	}
 	remote.End()
 	fresh.End()
+}
+
+// drainSrc is the user subprogram of the drain table: a narrow and a
+// wide output (the compiled tiers lend a scratch vector for the one and
+// the live backing vector for the other) and a data input.
+const drainSrc = `module Mix(input wire clk, input wire [7:0] d,
+                             output wire [7:0] a, output wire [71:0] b);
+  reg [7:0] n = 1;
+  reg [71:0] w = 0;
+  always @(posedge clk) begin
+    n <= n + d;
+    w <= {w[63:0], n};
+  end
+  assign a = n;
+  assign b = w;
+endmodule`
+
+// drainCase builds one engine of the drain table, fresh each call (the
+// twins must not share a world or a device): the engine, what it has
+// billed so far, and its stimulus for step k, delivered through send.
+type drainCase struct {
+	name string
+	outs int // output ports: the size of the first drain
+	mk   func(t *testing.T) (e engine.Engine, billed func() string, poke func(k int, send func(name string, width int, val uint64)))
+}
+
+func drainCases() []drainCase {
+	mix := func(t *testing.T) (*elab.Flat, *netlist.Program) {
+		t.Helper()
+		st, errs := verilog.ParseSourceText(drainSrc)
+		if errs != nil {
+			t.Fatal(errs)
+		}
+		f, err := elab.Elaborate(st.Modules[0], "main.m", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := netlist.Compile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, prog
+	}
+	pokeMix := func(k int, send func(string, int, uint64)) {
+		send("d", 8, uint64(k)*37)
+		send("clk", 1, uint64(k%2))
+	}
+	usage := func(e engine.Engine) func() string {
+		return func() string { return fmt.Sprintf("%+v", e.(engine.UsageReporter).UsageDelta()) }
+	}
+	fabric := func(native bool) func(t *testing.T) (engine.Engine, func() string, func(int, func(string, int, uint64))) {
+		return func(t *testing.T) (engine.Engine, func() string, func(int, func(string, int, uint64))) {
+			_, prog := mix(t)
+			dev := fpga.NewCycloneV()
+			e, err := hweng.New("main.m", prog, dev, 10, nil, native, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e, func() string {
+				rd, wr := dev.BusTransactions()
+				return fmt.Sprintf("%+v bus reads=%d writes=%d", e.UsageDelta(), rd, wr)
+			}, pokeMix
+		}
+	}
+	cases := []drainCase{
+		{"sweng", 2, func(t *testing.T) (engine.Engine, func() string, func(int, func(string, int, uint64))) {
+			f, _ := mix(t)
+			e := sweng.New(f, nil, nil, false)
+			return e, usage(e), pokeMix
+		}},
+		{"njit", 2, func(t *testing.T) (engine.Engine, func() string, func(int, func(string, int, uint64))) {
+			_, prog := mix(t)
+			e := njit.New("main.m", prog, nil, nil, nil)
+			return e, usage(e), pokeMix
+		}},
+		{"hweng", 2, fabric(false)},
+		{"hweng-native", 2, fabric(true)},
+	}
+	// Every stdlib engine, each with the stimulus that moves its outputs.
+	stim := map[string]func(w *stdlib.World, k int, send func(string, int, uint64)){
+		"Clock": func(*stdlib.World, int, func(string, int, uint64)) {},
+		"Pad":   func(w *stdlib.World, k int, _ func(string, int, uint64)) { w.PressPad("p", uint64(k/2%16)) },
+		"Reset": func(w *stdlib.World, k int, _ func(string, int, uint64)) { w.SetReset("p", k%3 == 0) },
+		"Led":   func(_ *stdlib.World, k int, send func(string, int, uint64)) { send("val", 8, uint64(k)*5) },
+		"GPIO": func(w *stdlib.World, k int, send func(string, int, uint64)) {
+			w.DriveGPIO("p", uint64(k/3)*7)
+			send("out", 8, uint64(k)*3)
+		},
+		"Memory": func(_ *stdlib.World, k int, send func(string, int, uint64)) {
+			send("waddr", 10, uint64(k%4))
+			send("wdata", 32, uint64(k)*0x01010101)
+			send("wen", 1, uint64(k/2%2)) // held across a rising-edge step
+			send("raddr", 10, uint64((k+3)%4))
+		},
+		"FIFO": func(w *stdlib.World, k int, send func(string, int, uint64)) {
+			if k%4 == 0 {
+				w.Stream("p").Push(uint64(k), uint64(k+1))
+			}
+			send("rreq", 1, uint64(k/2%2))
+			send("wdata", 8, uint64(k)*9)
+			send("wreq", 1, uint64(k/3%2))
+		},
+	}
+	for typ, spec := range stdlib.Registry() {
+		typ, outs := typ, 0
+		for _, port := range spec.Ports {
+			if port.Dir == verilog.Output {
+				outs++
+			}
+		}
+		cases = append(cases, drainCase{typ, outs, func(t *testing.T) (engine.Engine, func() string, func(int, func(string, int, uint64))) {
+			poke, ok := stim[typ]
+			if !ok {
+				t.Fatalf("stdlib component %s has no stimulus in the drain table", typ)
+			}
+			w := stdlib.NewWorld()
+			e, err := stdlib.New("p", typ, nil, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e, func() string { return "" }, func(k int, send func(string, int, uint64)) { poke(w, k, send) }
+		}})
+	}
+	return cases
+}
+
+// runDrainCase drives a fresh engine of the case through the scheduler's
+// per-step ABI sequence and returns the data plane it reported — drained
+// through VisitWrites or DrainWrites — with the size of its first drain,
+// its final state and its bill. With scribble set every vector handed to
+// Read is overwritten as soon as Read returns; without it the vector
+// must come back unchanged.
+func runDrainCase(t *testing.T, c drainCase, visit, scribble bool) (trace string, first int, state, billed string) {
+	t.Helper()
+	e, bill, poke := c.mk(t)
+	var sb strings.Builder
+	step, n := -1, 0
+	record := func(name string, val *bits.Vector) {
+		fmt.Fprintf(&sb, "%d:%s=%s;", step, name, val)
+		n++
+	}
+	drain := func() {
+		if visit {
+			e.(engine.WriteVisitor).VisitWrites(record)
+			return
+		}
+		for _, ev := range e.DrainWrites() {
+			record(ev.Var, ev.Val)
+		}
+	}
+	send := func(name string, width int, val uint64) {
+		v := bits.FromUint64(width, val)
+		e.Read(engine.Event{Var: name, Val: v})
+		if !v.Equal(bits.FromUint64(width, val)) {
+			t.Errorf("%s: Read(%s) mutated the value it was lent", c.name, name)
+		}
+		if scribble {
+			v.SetUint64(^val)
+		}
+	}
+	drain()
+	first = n
+	for step = 0; step < 24; step++ {
+		poke(step, send)
+		for {
+			if e.ThereAreEvals() {
+				e.Evaluate()
+			} else if e.ThereAreUpdates() {
+				e.Update()
+			} else {
+				break
+			}
+			drain()
+		}
+		e.EndStep()
+		drain()
+	}
+	return sb.String(), first, e.GetState().Signature(), bill()
+}
+
+// TestVisitWritesMatchesDrainWrites holds the two forms of the ABI's
+// write method together on every engine the scheduler drains — the three
+// user tiers (the fabric model wrapped and native) and every stdlib
+// component: a twin drained through VisitWrites reports the same (name,
+// value) sequence as one drained through DrainWrites, ends in the same
+// state and leaves the same bill (UsageDelta, and the device's bus
+// counters for the fabric model, whose visitor must charge the bus read
+// per changed output that its DrainWrites does), and the first drain
+// broadcasts every output.
+//
+// The third twin checks the borrow contract of Engine.Read from the
+// lender's side: its inputs are overwritten the moment Read returns, so
+// an engine that kept the pointer instead of the value diverges.
+func TestVisitWritesMatchesDrainWrites(t *testing.T) {
+	for _, c := range drainCases() {
+		t.Run(c.name, func(t *testing.T) {
+			want, first, state, billed := runDrainCase(t, c, false, false)
+			if first != c.outs {
+				t.Errorf("first drain reported %d outputs, want all %d", first, c.outs)
+			}
+			if c.outs > 0 && strings.Count(want, ";") <= first {
+				t.Fatalf("the stimulus never moved an output: %q", want)
+			}
+			got, vfirst, vstate, vbilled := runDrainCase(t, c, true, false)
+			if got != want || vfirst != first {
+				t.Errorf("data plane diverges:\nDrainWrites: %q\nVisitWrites: %q", want, got)
+			}
+			if vstate != state {
+				t.Errorf("state diverges:\nDrainWrites: %s\nVisitWrites: %s", state, vstate)
+			}
+			if vbilled != billed {
+				t.Errorf("bill diverges:\nDrainWrites: %s\nVisitWrites: %s", billed, vbilled)
+			}
+			got, _, vstate, _ = runDrainCase(t, c, true, true)
+			if got != want || vstate != state {
+				t.Errorf("engine followed a vector it was only lent by Read:\nclean:     %q %s\nscribbled: %q %s", want, state, got, vstate)
+			}
+		})
+	}
 }

@@ -56,10 +56,15 @@ type Engine interface {
 	GetState() *sim.State
 	SetState(st *sim.State)
 
-	// Read delivers an input change discovered on the data plane.
+	// Read delivers an input change discovered on the data plane. ev.Val
+	// is only lent: the engine copies what it needs before returning and
+	// neither keeps the vector nor writes to it — the data plane hands
+	// every consumer of an output the producer's own live value
+	// (WriteVisitor), which changes under it on the producer's next turn.
 	Read(ev Event)
 	// DrainWrites returns output changes produced since the previous
-	// drain, for broadcast on the data plane (the ABI's write method).
+	// drain, for broadcast on the data plane (the ABI's write method). The
+	// events own their values; the first drain reports every output.
 	DrainWrites() []Event
 
 	// ThereAreEvals reports pending evaluation events; Evaluate performs
@@ -118,11 +123,14 @@ type OpenLooper interface {
 	OpenLoop(clk string, steps int) int
 }
 
-// WriteVisitor is the optional in-place form of DrainWrites, for a
-// forwarder's group-internal data plane, where no event outlives its
-// delivery: VisitWrites calls fn for each output changed since the
-// previous drain, lending the live value — fn must neither retain nor
-// mutate it. Engines without it are drained through DrainWrites.
+// WriteVisitor is the optional in-place form of DrainWrites, for a data
+// plane where no event outlives its delivery (the scheduler's routing
+// and a forwarder's group-internal wires): VisitWrites calls fn for each
+// output changed since the previous drain, lending the live value — fn
+// must neither retain nor mutate it, which is what Engine.Read promises
+// of its argument. It reports, bills and counts exactly what the
+// DrainWrites it stands in for would have. Engines without it are
+// drained through DrainWrites.
 type WriteVisitor interface {
 	VisitWrites(fn func(name string, val *bits.Vector))
 }

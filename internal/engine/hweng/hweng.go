@@ -168,14 +168,24 @@ func (e *Engine) Read(ev engine.Event) {
 	}
 }
 
-// DrainWrites implements engine.Engine: one bus read per changed output.
+// VisitWrites implements engine.WriteVisitor: one bus read per changed
+// output.
+func (e *Engine) VisitWrites(fn func(name string, val *bits.Vector)) {
+	e.billReads(e.VisitChanged(fn))
+}
+
+// DrainWrites implements engine.Engine, billed as VisitWrites is.
 func (e *Engine) DrainWrites() []engine.Event {
 	evs := e.Core.DrainWrites()
-	if n := uint64(len(evs)); n > 0 {
+	e.billReads(len(evs))
+	return evs
+}
+
+func (e *Engine) billReads(changed int) {
+	if n := uint64(changed); n > 0 {
 		e.msgs += n
 		e.dev.CountRead(n)
 	}
-	return evs
 }
 
 // ThereAreEvals implements engine.Engine, answering for forwarded

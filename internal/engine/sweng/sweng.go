@@ -7,6 +7,7 @@
 package sweng
 
 import (
+	"cascade/internal/bits"
 	"cascade/internal/elab"
 	"cascade/internal/engine"
 	"cascade/internal/sim"
@@ -74,15 +75,23 @@ func (e *Engine) Read(ev engine.Event) {
 	e.s.SetInputByName(ev.Var, ev.Val)
 }
 
-// DrainWrites implements engine.Engine: it reports output ports whose
-// value changed since the last drain.
-func (e *Engine) DrainWrites() []engine.Event {
-	var evs []engine.Event
+// VisitWrites implements engine.WriteVisitor: fn sees every output port
+// whose value changed since the last drain, lent from the simulator.
+func (e *Engine) VisitWrites(fn func(name string, val *bits.Vector)) {
 	for i, v := range e.flat.Outputs {
-		if cur := e.s.Value(v.Name); e.outs.Changed(i, cur) {
-			evs = append(evs, engine.Event{Var: v.Name, Val: cur})
+		if cur := e.s.VarValue(v); e.outs.Changed(i, cur) {
+			fn(v.Name, cur)
 		}
 	}
+}
+
+// DrainWrites implements engine.Engine: VisitWrites, collected into
+// events that own their values.
+func (e *Engine) DrainWrites() []engine.Event {
+	var evs []engine.Event
+	e.VisitWrites(func(name string, val *bits.Vector) {
+		evs = append(evs, engine.Event{Var: name, Val: val.Clone()})
+	})
 	return evs
 }
 

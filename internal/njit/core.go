@@ -104,15 +104,28 @@ func (c *Core) Input(ev engine.Event) bool {
 // under netlist.Machine.PeekVar's rules.
 func (c *Core) PeekOutput(i int) *bits.Vector { return c.m.PeekVar(c.prog.Flat.Outputs[i]) }
 
-// DrainWrites implements engine.Engine: an event for every output whose
-// value differs from the one last drained.
-func (c *Core) DrainWrites() []engine.Event {
-	var evs []engine.Event
+// VisitChanged calls fn for every output whose value differs from the one
+// last drained, lending the machine's value (PeekOutput's rules), and
+// returns how many there were. It is not named VisitWrites so that no
+// engine inherits a drain by embedding: the fabric model bills a bus
+// read per changed output, the native tier nothing.
+func (c *Core) VisitChanged(fn func(name string, val *bits.Vector)) (n int) {
 	for i, v := range c.prog.Flat.Outputs {
 		if cur := c.m.PeekVar(v); c.outs.Changed(i, cur) {
-			evs = append(evs, engine.Event{Var: v.Name, Val: cur.Clone()})
+			fn(v.Name, cur)
+			n++
 		}
 	}
+	return n
+}
+
+// DrainWrites implements engine.Engine: VisitChanged, collected into
+// events that own their values.
+func (c *Core) DrainWrites() []engine.Event {
+	var evs []engine.Event
+	c.VisitChanged(func(name string, val *bits.Vector) {
+		evs = append(evs, engine.Event{Var: name, Val: val.Clone()})
+	})
 	return evs
 }
 

@@ -1,6 +1,7 @@
 package njit
 
 import (
+	"cascade/internal/bits"
 	"cascade/internal/engine"
 	"cascade/internal/fault"
 	"cascade/internal/netlist"
@@ -33,6 +34,9 @@ func (e *Engine) Loc() engine.Location { return engine.Software }
 
 // Read implements engine.Engine.
 func (e *Engine) Read(ev engine.Event) { e.Input(ev) }
+
+// VisitWrites implements engine.WriteVisitor (same heap: nothing billed).
+func (e *Engine) VisitWrites(fn func(name string, val *bits.Vector)) { e.VisitChanged(fn) }
 
 // ThereAreEvals implements engine.Engine.
 func (e *Engine) ThereAreEvals() bool { return e.HasActive() }

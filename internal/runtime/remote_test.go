@@ -193,7 +193,9 @@ func TestRemoteEquivalenceWithNetDrops(t *testing.T) {
 // lanes append $display output concurrently with other lanes, and the
 // controller's schedule-order drain must still produce output
 // byte-identical to a fully serial run. The program makes every engine
-// print on every posedge so lanes are hot on each batch.
+// print on every posedge so lanes are hot on each batch; widths 2 and 3
+// put fewer lanes than the six members under the batch, so each lane
+// claims several members from the dispatcher's cursor.
 func TestLaneFlushOrdering(t *testing.T) {
 	var sb strings.Builder
 	for i := 0; i < 5; i++ {
@@ -210,11 +212,11 @@ func TestLaneFlushOrdering(t *testing.T) {
 	if strings.Count(outSerial, "\n") < 5*64 {
 		t.Fatalf("program did not chat enough: %d lines", strings.Count(outSerial, "\n"))
 	}
-	for trial := 0; trial < 3; trial++ {
-		outPar, _, _ := runEquiv(t, prog, feats, 8, 64)
+	for trial, par := range []int{8, 2, 3, 8} {
+		outPar, _, _ := runEquiv(t, prog, feats, par, 64)
 		if outPar != outSerial {
-			t.Fatalf("trial %d: parallel drain order diverged from serial:\nserial:   %q\nparallel: %q",
-				trial, outSerial, outPar)
+			t.Fatalf("trial %d (%d lanes): parallel drain order diverged from serial:\nserial:   %q\nparallel: %q",
+				trial, par, outSerial, outPar)
 		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cascade/internal/bits"
@@ -298,18 +299,23 @@ type Runtime struct {
 	design     *ir.Design // currently executing design
 	inlined    bool
 
-	// engines maps each scheduled path to its transport client: the
-	// scheduler dispatches every ABI call through the message protocol,
-	// and the client decides whether that means a direct in-process call
-	// (Local transport, zero-copy) or a TCP round-trip to a daemon. The
-	// bare in-process engine behind a user subprogram's client belongs to
-	// its lifecycle record (place), which performs every hot swap.
-	engines    map[string]*transport.Client
+	// slots is the schedule table (scheduler.go): one row per scheduled
+	// engine, in order, with its transport client — every ABI call goes
+	// through the message protocol, and the client decides whether that
+	// is a direct in-process call (Local transport, zero-copy) or a TCP
+	// round-trip to a daemon. The bare in-process engine behind a user
+	// subprogram's client belongs to its lifecycle record (placed), which
+	// performs every hot swap. fifos are the design's FIFO transfer
+	// meters, scheduled or forwarded; the rest is the loop's working state.
+	slots      []slot
+	fifos      []*stdlib.FIFO
+	batch      []int
+	from       int                                 // slot whose outputs route is delivering
+	deliverFn  func(name string, val *bits.Vector) // r.deliver, bound once: a method value per route would allocate
+	cursor     atomic.Int64                        // next batch index a worker lane claims
+	lanes      sync.WaitGroup
 	elabs      map[string]*elab.Flat // flatDesign elaborations
 	stdEngines map[string]engine.Engine
-	sched      []string             // scheduled engine paths, in order
-	routesFrom map[string][]ir.Wire // producer "path\x00var" -> wires
-	groupOf    map[string]string    // forwarded engine -> owner path
 
 	// remoteT is the shared connection to the remote engine daemon (nil
 	// unless Options.Remote is set); xstats accumulates per-path
@@ -340,12 +346,11 @@ type Runtime struct {
 	// so the breaker is force-tripped regardless of threshold.
 	supRestart bool
 
-	// place holds one lifecycle record per user subprogram of the
+	// placed holds one lifecycle record per user subprogram of the
 	// executing design — its elaboration, current engine and tier, and
-	// pending compiles; placed lists the same paths sorted, the order the
-	// service pass visits them in.
-	place     map[string]*lifecycle.Placement
-	placed    []string
+	// pending compiles — sorted by path, the order the service pass visits
+	// them in; a scheduled subprogram's row points at its record.
+	placed    []*lifecycle.Placement
 	evalCtx   context.Context // context the current program version was eval'd under
 	phase     Phase
 	clockPath string // stdlib Clock subprogram path ("" if none)
@@ -452,17 +457,14 @@ func New(opts Options) *Runtime {
 		opts:       opts,
 		par:        par,
 		prog:       ir.NewProgram(),
-		engines:    map[string]*transport.Client{},
 		elabs:      map[string]*elab.Flat{},
 		stdEngines: map[string]engine.Engine{},
-		routesFrom: map[string][]ir.Wire{},
-		groupOf:    map[string]string{},
-		place:      map[string]*lifecycle.Placement{},
 		xstats:     map[string]transport.Stats{},
 		committed:  map[string]*sim.State{},
 		olIters:    64,
 		olWallCap:  1 << 14, // ramps up while bursts stay cheap
 	}
+	r.deliverFn = r.deliver
 	if opts.Supervise != nil {
 		r.sup = supervise.New(*opts.Supervise)
 	}
@@ -506,14 +508,18 @@ func (r *Runtime) compile(p *lifecycle.Placement, t lifecycle.Tier, now uint64) 
 // swapEngine is the placements' Swap callback. A hot swap happens
 // inside the path's Local client, so its transport stats and the
 // scheduler's dispatch route are untouched; a path with no Local client
-// yet (a fresh build, or a failover taking over from a retired remote
-// client) gets one.
+// yet gets one — appended to the schedule on a fresh build, in the
+// retired remote client's slot on a failover.
 func (r *Runtime) swapEngine(p *lifecycle.Placement, e engine.Engine) {
-	if c := r.engines[p.Path]; c != nil && !c.Remote() {
-		c.SwapLocal(e)
-		return
+	switch s := r.slotOf(p.Path); {
+	case s == nil:
+		r.slots = append(r.slots, slot{path: p.Path, c: r.wrapLocal(p.Path, e), p: p})
+		r.reschedule()
+	case s.c.Remote():
+		s.c = r.wrapLocal(p.Path, e)
+	default:
+		s.c.SwapLocal(e)
 	}
-	r.engines[p.Path] = r.wrapLocal(p.Path, e)
 }
 
 // newPlacement registers the lifecycle record for one user subprogram
@@ -535,9 +541,8 @@ func (r *Runtime) newPlacement(path string, f *elab.Flat) *lifecycle.Placement {
 		cfg.Compile = r.compile
 	}
 	p := lifecycle.New(cfg)
-	r.place[path] = p
-	r.placed = append(r.placed, path)
-	sort.Strings(r.placed)
+	r.placed = append(r.placed, p)
+	sort.Slice(r.placed, func(i, j int) bool { return r.placed[i].Path < r.placed[j].Path })
 	return p
 }
 
@@ -548,9 +553,9 @@ func (r *Runtime) newPlacement(path string, f *elab.Flat) *lifecycle.Placement {
 // order decides which engine wins the slot and must not vary run to run.
 func (r *Runtime) eachJob(visit func(*lifecycle.Placement, lifecycle.Tier, *toolchain.Job)) {
 	for _, t := range [...]lifecycle.Tier{lifecycle.Native, lifecycle.Fabric} {
-		for _, path := range r.placed {
-			if p := r.place[path]; p.Pending(t) != nil {
-				visit(p, t, p.Pending(t))
+		for _, p := range r.placed {
+			if j := p.Pending(t); j != nil {
+				visit(p, t, j)
 			}
 		}
 	}
@@ -561,24 +566,18 @@ func (r *Runtime) eachJob(visit func(*lifecycle.Placement, lifecycle.Tier, *tool
 // the toolchain's bitstream cache), end their in-process engine and
 // release its fabric; remote engines are ended over the protocol, which
 // frees the daemon-side instance; the persistent stdlib peripherals are
-// only unwrapped. Each client's transport counters are banked for its
-// successor.
+// only unwrapped. Each client's counters are banked for its successor.
 func (r *Runtime) teardown() {
-	for path, c := range r.engines {
-		if c.Remote() {
-			c.End()
+	for _, s := range r.slots {
+		if s.c.Remote() {
+			s.c.End()
 		}
-		r.retireClient(path, c)
+		r.retireClient(s.path, s.c)
 	}
-	for _, path := range r.placed {
-		r.place[path].Teardown()
+	for _, p := range r.placed {
+		p.Teardown()
 	}
-	r.engines = map[string]*transport.Client{}
-	r.place = map[string]*lifecycle.Placement{}
-	r.placed = nil
-	r.sched = nil
-	r.groupOf = map[string]string{}
-	r.areaLEs = 0
+	r.slots, r.fifos, r.placed, r.areaLEs = nil, nil, nil, 0 // an empty table has nothing to resolve
 }
 
 // setPhase transitions the JIT phase, tracing the transition and
@@ -631,24 +630,21 @@ func (r *Runtime) StartupPs() uint64 { return r.startupPs }
 // engine IO lanes --------------------------------------------------------
 
 // laneIO is the engine.IOHandler handed to each engine. System-task side
-// effects land in the engine's own lane — possibly from a worker
-// goroutine while a batch executes in parallel — and the controller
-// drains lanes in schedule order once the batch has joined, which keeps
-// the interrupt queue's ordering deterministic and identical to a serial
-// schedule.
+// effects land in the engine's own lane — possibly from a worker lane
+// while a batch executes in parallel — and the controller drains lanes in
+// schedule order once the batch has joined, which keeps the interrupt
+// queue's ordering deterministic and identical to a serial schedule.
 //
-// Flush-ordering contract (TestLaneFlushOrdering): appends to one lane
-// happen from at most one goroutine at a time — the worker lane its
-// engine is dispatched on during a batch, or the controller between
-// batches. Remote engines preserve this by construction: their
-// $display/$finish events ride back piggybacked on protocol replies and
-// the transport client replays them into the lane on the goroutine that
-// issued the round-trip, so no transport or daemon goroutine ever
-// touches a lane. The mutex is therefore not what provides the
-// ordering; it provides the happens-before edge between a worker's
-// appends and the controller's drain (the WaitGroup join also provides
-// one, but drainLane must stay correct even when called for an engine
-// the current batch did not dispatch).
+// Flush-ordering contract (TestLaneFlushOrdering): one lane is appended
+// to by at most one goroutine at a time — the worker lane its engine is
+// dispatched on during a batch, or the controller between batches.
+// Remote engines keep to this by construction: their $display/$finish
+// events ride back on protocol replies and the transport client replays
+// them on the goroutine that issued the round-trip, so no transport or
+// daemon goroutine touches a lane. The mutex does not provide the
+// ordering; it is the happens-before edge between a worker's appends and
+// the controller's drain (the dispatcher's join is another, but drainLane
+// must stay correct for an engine the current batch did not dispatch).
 type laneIO struct {
 	mu       sync.Mutex
 	displays []string
@@ -682,11 +678,10 @@ func (l *laneIO) take() (displays []string, finished bool) {
 }
 
 // drainLane moves an engine's buffered system-task output onto the
-// runtime's interrupt queue. Only user subprograms have lanes (held by
-// their lifecycle records); stdlib peripherals emit nothing. Controller
-// goroutine only.
-func (r *Runtime) drainLane(path string) {
-	p := r.place[path]
+// runtime's interrupt queue. Only user subprograms have lanes, held by
+// their lifecycle records; stdlib peripherals emit nothing and pass nil.
+// Controller goroutine only.
+func (r *Runtime) drainLane(p *lifecycle.Placement) {
 	if p == nil {
 		return
 	}
@@ -769,7 +764,8 @@ func (r *Runtime) flushTransportErrs() {
 // client's IO lands in the same lane an in-process engine would use —
 // piggybacked on replies and replayed on the calling goroutine, so
 // ordering is untouched.
-func (r *Runtime) spawnRemote(path string, mod *verilog.Module, params map[string]*bits.Vector) (*transport.Client, error) {
+func (r *Runtime) spawnRemote(p *lifecycle.Placement, mod *verilog.Module, params map[string]*bits.Vector) (*transport.Client, error) {
+	path := p.Path
 	if r.remoteT == nil {
 		ro := r.opts.Remote
 		t, err := transport.DialTCP(ro.Addr, transport.TCPOptions{
@@ -803,7 +799,7 @@ func (r *Runtime) spawnRemote(path string, mod *verilog.Module, params map[strin
 		JIT:     !r.opts.Features.DisableJIT,
 		Session: r.remoteSess,
 	}
-	c, err := transport.Spawn(r.remoteT, spec, r.place[path].IO, r.now,
+	c, err := transport.Spawn(r.remoteT, spec, p.IO, r.now,
 		func() uint64 { return r.vclk.Now() }, r.noteTransportErr)
 	if err != nil {
 		return nil, fmt.Errorf("remote engine %s: %w", path, err)
@@ -931,17 +927,17 @@ func (r *Runtime) captureStates() map[string]*sim.State {
 	}
 	if !r.inlined {
 		for _, s := range r.flatDesign.UserSubs() {
-			if e, ok := r.engines[s.Path]; ok {
-				out[s.Path] = e.GetState()
+			if e := r.slotOf(s.Path); e != nil {
+				out[s.Path] = e.c.GetState()
 			}
 		}
 		return out
 	}
-	main, ok := r.engines[ir.RootPath]
-	if !ok {
+	main := r.slotOf(ir.RootPath)
+	if main == nil {
 		return out
 	}
-	merged := main.GetState()
+	merged := main.c.GetState()
 	for _, s := range r.flatDesign.UserSubs() {
 		prefix := ir.PrefixOf(s.Path)
 		f := r.elabs[s.Path]
@@ -1025,8 +1021,7 @@ func (r *Runtime) restart(ctx context.Context, saved map[string]*sim.State) erro
 		if s.StdType == "Clock" && r.clockPath == "" {
 			r.clockPath = s.Path
 		}
-		r.engines[s.Path] = r.wrapLocal(s.Path, e)
-		r.sched = append(r.sched, s.Path)
+		r.slots = append(r.slots, slot{path: s.Path, c: r.wrapLocal(s.Path, e)})
 	}
 
 	// User engines start in software with preserved state. On
@@ -1056,7 +1051,7 @@ func (r *Runtime) restart(ctx context.Context, saved map[string]*sim.State) erro
 		// supervisor always reports Closed, preserving the plain remote
 		// path.
 		if r.opts.Remote != nil && r.sup.State() == supervise.Closed {
-			c, err := r.spawnRemote(s.Path, s.Module, s.Params)
+			c, err := r.spawnRemote(p, s.Module, s.Params)
 			if err != nil {
 				return err
 			}
@@ -1064,15 +1059,14 @@ func (r *Runtime) restart(ctx context.Context, saved map[string]*sim.State) erro
 				c.SetState(seed)
 				r.committed[s.Path] = seed
 			}
-			r.engines[s.Path] = c
+			r.slots = append(r.slots, slot{path: s.Path, c: c, p: p})
 		} else {
 			p.Start(seed)
 			if r.opts.Remote != nil && r.opts.Features.NativeTier {
 				p.Submit(lifecycle.Native, r.vclk.Now())
 			}
 		}
-		r.drainLane(s.Path) // initial-block output emitted at construction
-		r.sched = append(r.sched, s.Path)
+		r.drainLane(p) // initial-block output emitted at construction
 		// Creating a software engine is fast but not free.
 		r.vclk.AdvanceOverhead(uint64(len(f.Vars)+1) * r.opts.Model.DispatchPs / 4)
 
@@ -1099,13 +1093,13 @@ func (r *Runtime) restart(ctx context.Context, saved map[string]*sim.State) erro
 	}
 	r.constructDisplays = constructed
 	r.everBuilt = true
-	r.rebuildRoutes()
+	r.reschedule()
 	r.resolveClockVar()
 	// Initial data-plane broadcast: every engine announces its output
 	// values before the first scheduler iteration, so no engine acts on
 	// a zero-valued input that the producer never actually drove.
-	for _, path := range r.sched {
-		r.route(path, r.engines[path])
+	for i := range r.slots {
+		r.route(i)
 	}
 	if r.phase == PhaseEmpty {
 		r.startupPs = r.vclk.Now() - evalStart
@@ -1148,14 +1142,6 @@ func (r *Runtime) CompileReadyAt() (uint64, bool) {
 		}
 	})
 	return latest, found
-}
-
-func (r *Runtime) rebuildRoutes() {
-	r.routesFrom = map[string][]ir.Wire{}
-	for _, w := range r.design.Wires {
-		key := w.From.Sub + "\x00" + w.From.Port
-		r.routesFrom[key] = append(r.routesFrom[key], w)
-	}
 }
 
 // resolveClockVar finds the user-engine input fed by the stdlib clock.

@@ -4,18 +4,69 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
+	"cascade/internal/bits"
 	"cascade/internal/engine"
 	"cascade/internal/engine/hweng"
-	"cascade/internal/ir"
 	"cascade/internal/lifecycle"
 	"cascade/internal/obsv"
 	"cascade/internal/stdlib"
 	"cascade/internal/toolchain"
 	"cascade/internal/transport"
 )
+
+// slot is one row of the schedule table: a scheduled engine and what the
+// Figure 6 loop needs about it, resolved once by reschedule so that a
+// step runs on indices — no path looked up, no key built, no allocation.
+type slot struct {
+	path   string
+	c      *transport.Client
+	p      *lifecycle.Placement // nil for stdlib peripherals
+	routes []route              // wires out of this engine, in design order
+}
+
+// route is a data-plane wire: output from feeds input port of slot to.
+type route struct {
+	from, port string
+	to         int
+}
+
+// slotOf finds a path's row (nil when it is not scheduled: forwarded, or
+// not built). The pointer is good until the table next changes.
+func (r *Runtime) slotOf(path string) *slot {
+	for i := range r.slots {
+		if r.slots[i].path == path {
+			return &r.slots[i]
+		}
+	}
+	return nil
+}
+
+// reschedule resolves the table after rows were added, removed or
+// reordered: the design's wires as routes between rows (a wire with an
+// end that is not scheduled — forwarded, or not built yet — carries
+// nothing), and the design's FIFO meters.
+func (r *Runtime) reschedule() {
+	r.fifos = r.fifos[:0]
+	at := make(map[string]int, len(r.slots))
+	for i := range r.slots {
+		s := &r.slots[i]
+		at[s.path] = i
+		s.routes = nil
+	}
+	for _, w := range r.design.Wires {
+		from, ok := at[w.From.Sub]
+		if to, ok2 := at[w.To.Sub]; ok && ok2 {
+			r.slots[from].routes = append(r.slots[from].routes, route{w.From.Port, w.To.Port, to})
+		}
+	}
+	for _, sub := range r.design.StdSubs() {
+		if f, ok := r.stdEngines[sub.Path].(*stdlib.FIFO); ok {
+			r.fifos = append(r.fifos, f)
+		}
+	}
+}
 
 // Step executes one scheduler time step (Figure 6): evaluate batches to a
 // fixed point, commit update batches, then — in the observable state —
@@ -24,16 +75,14 @@ import (
 // be disturbed). In the open-loop phase a Step instead runs a burst of
 // iterations inside the hardware engine.
 //
-// Batches are the unit of parallelism (the paper batches requests
-// precisely so they can be issued asynchronously): within a round the
-// controller polls engines serially in schedule order, dispatches every
-// engine with pending work concurrently across up to Parallelism worker
-// lanes, and then — back on the controller — drains buffered IO and
-// routes outputs, again in schedule order. Because engines only exchange
-// values through the controller's routing, a round is a Jacobi iteration
-// of the same monotone fixpoint the serial Gauss-Seidel schedule
-// computes, and by the event-order-independence invariant the observable
-// states that result are identical.
+// Batches are the unit of parallelism (the paper batches requests so
+// they can be issued asynchronously): within a round the controller
+// polls engines serially in schedule order, runs every engine with
+// pending work across up to Parallelism worker lanes, and then drains
+// buffered IO and routes outputs, again in schedule order. Engines only
+// exchange values through that routing, so a round is a Jacobi iteration
+// of the monotone fixpoint the serial Gauss-Seidel schedule computes,
+// and by event-order independence the observable states are identical.
 func (r *Runtime) Step() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -56,7 +105,7 @@ func (r *Runtime) step() {
 		// EvalAll over engines with evaluation events.
 		batch := r.poll((*transport.Client).ThereAreEvals)
 		if len(batch) > 0 {
-			r.runBatch(batch, false)
+			r.runBatch(batch, (*transport.Client).Evaluate)
 			continue
 		}
 		// Update batch.
@@ -64,17 +113,16 @@ func (r *Runtime) step() {
 		if len(batch) == 0 {
 			break
 		}
-		r.runBatch(batch, true)
+		r.runBatch(batch, (*transport.Client).Update)
 	}
 
 	// Observable state: flush the interrupt queue, end the step.
 	r.flushDisplays()
 	r.flushTransportErrs()
-	for _, path := range r.sched {
-		e := r.engines[path]
-		e.EndStep()
-		r.drainLane(path)
-		r.route(path, e)
+	for i := range r.slots {
+		r.slots[i].c.EndStep()
+		r.drainLane(r.slots[i].p)
+		r.route(i)
 	}
 	r.steps++
 	r.ticks = r.steps / 2
@@ -86,93 +134,103 @@ func (r *Runtime) step() {
 	r.persistAfterStep()
 }
 
-// poll collects the schedule-ordered batch of engines with pending work,
-// billing the control-plane traffic of asking.
-func (r *Runtime) poll(pending func(*transport.Client) bool) []string {
-	var batch []string
-	for _, path := range r.sched {
-		e := r.engines[path]
-		r.billCtrl(e) // there_are_* poll
-		if !pending(e) {
-			continue
+// poll collects the schedule-ordered batch of slots with pending work
+// into the reused batch buffer, billing the control-plane traffic of
+// asking.
+func (r *Runtime) poll(pending func(*transport.Client) bool) []int {
+	r.batch = r.batch[:0]
+	for i := range r.slots {
+		c := r.slots[i].c
+		r.billCtrl(c) // there_are_* poll
+		if pending(c) {
+			r.billCtrl(c) // the evaluate/update request itself
+			r.batch = append(r.batch, i)
 		}
-		r.billCtrl(e) // the evaluate/update request itself
-		batch = append(batch, path)
 	}
-	return batch
+	return r.batch
 }
 
-// runBatch dispatches one evaluate or update batch across the worker
-// lanes, then drains IO, routes outputs, and settles costs serially in
-// schedule order on the controller goroutine.
-func (r *Runtime) runBatch(batch []string, update bool) {
-	work := func(e engine.Engine) {
-		if update {
-			e.Update()
-		} else {
-			e.Evaluate()
+// runBatch executes one evaluate or update batch, then drains IO, routes
+// outputs, and settles costs in schedule order on the controller. Only
+// two or more user subprograms are worth overlapping (a peripheral's
+// turn is a handful of instructions); how a batch ran never reaches its
+// bill.
+func (r *Runtime) runBatch(batch []int, run func(*transport.Client)) {
+	users := 0
+	for _, i := range batch {
+		if r.slots[i].p != nil {
+			users++
 		}
 	}
-	if r.par > 1 && len(batch) > 1 {
-		sem := make(chan struct{}, r.par)
-		var wg sync.WaitGroup
-		for _, path := range batch {
-			e := r.engines[path]
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(e engine.Engine) {
-				defer wg.Done()
-				work(e)
-				<-sem
-			}(e)
-		}
-		wg.Wait()
+	if r.par > 1 && users > 1 {
+		r.dispatch(batch, run)
 	} else {
-		for _, path := range batch {
-			work(r.engines[path])
+		for _, i := range batch {
+			run(r.slots[i].c)
 		}
 	}
-	for _, path := range batch {
-		r.drainLane(path)
-		r.route(path, r.engines[path])
+	for _, i := range batch {
+		r.drainLane(r.slots[i].p)
+		r.route(i)
 	}
 	r.settleBatch(batch)
 }
 
-// billCtrl charges one control-plane message for talking to a
-// hardware-located engine (software engines share the heap). Remote
-// engines are excluded: their clients meter every round-trip — polls
-// included — through Usage.Msgs, which settleBatch/settleCosts convert
-// to comm time; billing here too would double-charge.
+// dispatch is the lane dispatcher: min(Parallelism, members) lanes, the
+// controller being lane 0, claim batch members from a shared cursor
+// until none are left. Lanes only read the table and the batch; the join
+// orders their engines' effects before the controller's drain.
+func (r *Runtime) dispatch(batch []int, run func(*transport.Client)) {
+	lane := func() {
+		for k := r.cursor.Add(1) - 1; int(k) < len(batch); k = r.cursor.Add(1) - 1 {
+			run(r.slots[batch[k]].c)
+		}
+	}
+	r.cursor.Store(0)
+	for l := min(r.par, len(batch)) - 1; l > 0; l-- {
+		r.lanes.Add(1)
+		go func() {
+			defer r.lanes.Done()
+			lane()
+		}()
+	}
+	lane()
+	r.lanes.Wait()
+}
+
+// onBus reports whether talking to c crosses the memory-mapped bus: a
+// local engine in hardware (software engines share the heap). Remote
+// clients meter every round-trip — polls included — through Usage.Msgs,
+// which settleBatch/settleCosts bill; billing here too would double-charge.
+func onBus(c *transport.Client) bool { return !c.Remote() && c.Loc() == engine.Hardware }
+
+// billCtrl charges one control-plane message for talking to c.
 func (r *Runtime) billCtrl(c *transport.Client) {
-	if !c.Remote() && c.Loc() == engine.Hardware {
+	if onBus(c) {
 		r.vclk.AdvanceComm(1, &r.opts.Model)
 	}
 }
 
-// route broadcasts an engine's pending output writes along the wires
-// table, billing boundary crossings. As in billCtrl, remote endpoints
-// are billed through their clients' per-round-trip meter, not here.
-func (r *Runtime) route(fromPath string, c *transport.Client) {
-	evs := c.DrainWrites()
-	if len(evs) == 0 {
-		return
+// route broadcasts slot i's pending output writes along its routes,
+// billing bus crossings; values are only lent (engine.Engine.Read).
+func (r *Runtime) route(i int) {
+	r.from = i
+	r.slots[i].c.VisitWrites(r.deliverFn)
+}
+
+// deliver is route's visitor: output name of slot r.from changed to val.
+func (r *Runtime) deliver(name string, val *bits.Vector) {
+	s := &r.slots[r.from]
+	if onBus(s.c) {
+		r.vclk.AdvanceComm(1, &r.opts.Model) // bus read of the changed output
 	}
-	model := &r.opts.Model
-	fromHW := !c.Remote() && c.Loc() == engine.Hardware
-	for _, ev := range evs {
-		if fromHW {
-			r.vclk.AdvanceComm(1, model) // bus read of the changed output
-		}
-		for _, w := range r.routesFrom[fromPath+"\x00"+ev.Var] {
-			target, ok := r.engines[w.To.Sub]
-			if !ok {
-				continue // consumer was forwarded or removed
+	for _, rt := range s.routes {
+		if rt.from == name {
+			target := r.slots[rt.to].c
+			if onBus(target) {
+				r.vclk.AdvanceComm(1, &r.opts.Model) // bus write of the input
 			}
-			if !target.Remote() && target.Loc() == engine.Hardware {
-				r.vclk.AdvanceComm(1, model) // bus write of the input
-			}
-			target.Read(engine.Event{Var: w.To.Port, Val: ev.Val})
+			target.Read(engine.Event{Var: rt.port, Val: val})
 		}
 	}
 }
@@ -202,11 +260,10 @@ func (r *Runtime) settleEngine(c *transport.Client) uint64 {
 // (the PR 1 bug). In serial mode (Parallelism 1) the engines run
 // back-to-back and the sum is the honest cost. Communication is always
 // summed: the memory-mapped bus serializes transfers.
-func (r *Runtime) settleBatch(batch []string) {
-	model := &r.opts.Model
+func (r *Runtime) settleBatch(batch []int) {
 	var maxCompute, sumCompute uint64
-	for _, path := range batch {
-		c := r.settleEngine(r.engines[path])
+	for _, i := range batch {
+		c := r.settleEngine(r.slots[i].c)
 		sumCompute += c
 		if c > maxCompute {
 			maxCompute = c
@@ -218,12 +275,14 @@ func (r *Runtime) settleBatch(batch []string) {
 		o.BatchMakespan.Observe(span)
 		o.LaneOccupancy.Observe(uint64(len(batch)))
 	}
-	// FIFO host transfers cross the memory-mapped bridge regardless of
-	// which side the engine lives on (the Figure 12 bottleneck).
-	for _, e := range r.stdEngines {
-		if f, ok := e.(*stdlib.FIFO); ok {
-			r.vclk.AdvanceComm(f.TransfersDelta(), model)
-		}
+	r.settleFIFOs()
+}
+
+// settleFIFOs bills FIFO host transfers, which cross the memory-mapped
+// bridge whichever side the engine lives on (the Figure 12 bottleneck).
+func (r *Runtime) settleFIFOs() {
+	for _, f := range r.fifos {
+		r.vclk.AdvanceComm(f.TransfersDelta(), &r.opts.Model)
 	}
 }
 
@@ -246,15 +305,10 @@ func batchMakespanPs(sumCompute, maxCompute uint64, lanes int) uint64 {
 // settleCosts converts all engine work counters into virtual time (the
 // end-of-step sweep; EndStep work is serial on the controller).
 func (r *Runtime) settleCosts() {
-	model := &r.opts.Model
-	for _, path := range r.sched {
-		r.vclk.AdvanceCompute(r.settleEngine(r.engines[path]))
+	for i := range r.slots {
+		r.vclk.AdvanceCompute(r.settleEngine(r.slots[i].c))
 	}
-	for _, e := range r.stdEngines {
-		if f, ok := e.(*stdlib.FIFO); ok {
-			r.vclk.AdvanceComm(f.TransfersDelta(), model)
-		}
-	}
+	r.settleFIFOs()
 }
 
 // serviceJIT runs the Figure 9 state machine between time steps.
@@ -271,8 +325,8 @@ func (r *Runtime) serviceJIT() {
 	if len(r.placed) == 0 || r.pending(lifecycle.Fabric) != 0 {
 		return
 	}
-	for _, path := range r.placed {
-		if r.engines[path].Loc() != engine.Hardware {
+	for i := range r.slots {
+		if s := &r.slots[i]; s.p != nil && s.c.Loc() != engine.Hardware {
 			// A remote host evicts faulted engines on its own; the phase
 			// retreats here, when the reply envelopes show the move, and
 			// climbs again as the daemon recompiles. (Local evictions
@@ -295,13 +349,13 @@ func (r *Runtime) serviceJIT() {
 	// cannot cross the wire. Remote engines stay in lock-step hardware.
 	if (r.phase == PhaseHardware || r.phase == PhaseNative) && len(r.placed) == 1 &&
 		!r.opts.Features.DisableForwarding {
-		if hw := r.place[r.placed[0]].Fabric(); hw != nil {
+		if hw := r.placed[0].Fabric(); hw != nil {
 			r.forwardStdlib(hw)
 		}
 	}
 	// Open loop needs everything in one engine plus a known clock.
 	if r.phase == PhaseForwarded && !r.opts.Features.DisableOpenLoop &&
-		len(r.sched) == 1 && r.clockVar != "" {
+		len(r.slots) == 1 && r.clockVar != "" {
 		r.setPhase(PhaseOpenLoop)
 		r.opts.View.Info("entering open-loop scheduling on %s", r.clockVar)
 	}
@@ -310,8 +364,8 @@ func (r *Runtime) serviceJIT() {
 // pending counts the compiles in flight for target tier t.
 func (r *Runtime) pending(t lifecycle.Tier) int {
 	n := 0
-	for _, path := range r.placed {
-		if r.place[path].Pending(t) != nil {
+	for _, p := range r.placed {
+		if p.Pending(t) != nil {
 			n++
 		}
 	}
@@ -400,10 +454,10 @@ func (r *Runtime) serviceFaults() {
 		return
 	}
 	for _, t := range [...]lifecycle.Tier{lifecycle.Fabric, lifecycle.Native} {
-		// Collected first: demoting a forwarded engine rewrites r.sched.
+		// Collected first: demoting a forwarded engine rewrites r.slots.
 		var faulted []*lifecycle.Placement
-		for _, path := range r.sched {
-			if p := r.place[path]; p != nil && p.Tier() == t && p.Fault() != nil {
+		for i := range r.slots {
+			if p := r.slots[i].p; p != nil && p.Tier() == t && p.Fault() != nil {
 				faulted = append(faulted, p)
 			}
 		}
@@ -480,66 +534,45 @@ func (r *Runtime) billRebuild(tr lifecycle.Transition) {
 }
 
 // unforward reverses forwardStdlib: absorbed stdlib engines return to
-// the runtime's schedule and routing table (the engine objects
-// themselves persisted in stdEngines, state intact), exactly as restart
-// would lay them out.
+// the head of the schedule, re-wrapped (the engine objects themselves
+// persisted in stdEngines, state intact), and group-internal wires to
+// the table's routes, exactly as restart would lay them out.
 func (r *Runtime) unforward(owner string) {
-	r.sched = nil
+	var std []slot
 	for _, s := range r.design.StdSubs() {
-		e, ok := r.stdEngines[s.Path]
-		if !ok {
-			continue
-		}
-		r.engines[s.Path] = r.wrapLocal(s.Path, e)
-		delete(r.groupOf, s.Path)
-		r.sched = append(r.sched, s.Path)
+		std = append(std, slot{path: s.Path, c: r.wrapLocal(s.Path, r.stdEngines[s.Path])})
 	}
-	for _, s := range r.design.UserSubs() {
-		r.sched = append(r.sched, s.Path)
-	}
-	// Group-internal wires return from the forwarder to the runtime.
-	r.rebuildRoutes()
+	r.slots = append(std, r.slots...)
+	r.reschedule()
 	r.opts.View.Info("stdlib components unforwarded from %s", owner)
 }
 
 // forwardStdlib absorbs stdlib engines into the user hardware engine
-// (Figure 9.4): the runtime ceases direct interaction with them and
-// group-internal wires leave the runtime's routing table.
+// (Figure 9.4): the runtime ceases direct interaction with them, and
+// every route in the table — internal to the group, there being one user
+// engine — goes to the forwarder, in schedule and design order.
 func (r *Runtime) forwardStdlib(hw *hweng.Engine) {
-	group := map[string]bool{hw.Name(): true}
 	for _, s := range r.design.StdSubs() {
-		// The forwarder absorbs the bare stdlib engine; its transport
-		// client retires (stats banked for when unforward re-wraps it).
-		inner := r.stdEngines[s.Path]
-		hw.Forward(s.Path, inner)
-		group[s.Path] = true
-		r.groupOf[s.Path] = hw.Name()
-		if c, ok := r.engines[s.Path]; ok {
-			r.retireClient(s.Path, c)
-		}
-		delete(r.engines, s.Path)
+		hw.Forward(s.Path, r.stdEngines[s.Path])
 	}
-	// Rebuild the schedule: only the user engine remains.
-	r.sched = []string{hw.Name()}
-	// Hand group-internal wires to the forwarder; keep the rest.
-	kept := map[string][]ir.Wire{}
-	for key, ws := range r.routesFrom {
-		for _, w := range ws {
-			if group[w.From.Sub] && group[w.To.Sub] {
-				fromName, toName := w.From.Sub, w.To.Sub
-				if fromName == hw.Name() {
-					fromName = ""
-				}
-				if toName == hw.Name() {
-					toName = ""
-				}
-				hw.ForwardWire(fromName, w.From.Port, toName, w.To.Port)
-				continue
-			}
-			kept[key] = append(kept[key], w)
+	member := func(s slot) string {
+		if s.p != nil {
+			return "" // the user logic itself
+		}
+		return s.path
+	}
+	for _, s := range r.slots {
+		for _, rt := range s.routes {
+			hw.ForwardWire(member(s), rt.from, member(r.slots[rt.to]), rt.port)
+		}
+		if s.p == nil {
+			// The forwarder absorbed the bare engine; its transport client
+			// retires (stats banked for when unforward re-wraps it).
+			r.retireClient(s.path, s.c)
 		}
 	}
-	r.routesFrom = kept
+	r.slots = []slot{*r.slotOf(hw.Name())} // only the user engine stays scheduled
+	r.reschedule()
 	r.setPhase(PhaseForwarded)
 	r.opts.View.Info("stdlib components forwarded into %s", hw.Name())
 }
@@ -547,11 +580,11 @@ func (r *Runtime) forwardStdlib(hw *hweng.Engine) {
 // openLoopBurst runs one adaptively-sized burst of scheduler iterations
 // inside the hardware engine (Figure 9.5).
 func (r *Runtime) openLoopBurst() {
-	p := r.place[ir.RootPath]
-	if p == nil || p.Fabric() == nil {
+	if len(r.placed) != 1 || r.placed[0].Fabric() == nil {
 		r.setPhase(PhaseForwarded)
 		return
 	}
+	p := r.placed[0] // forwarding needs, and leaves, one user engine
 	hw := p.Fabric()
 	model := &r.opts.Model
 	r.vclk.AdvanceComm(1, model) // the open_loop request
@@ -576,13 +609,9 @@ func (r *Runtime) openLoopBurst() {
 	r.ticks = r.steps / 2
 	r.vclk.AdvanceCompute(hw.CyclesDelta() * model.HWCyclePs)
 	r.vclk.AdvanceComm(hw.MsgsDelta(), model)
-	for _, e := range r.stdEngines {
-		if f, ok := e.(*stdlib.FIFO); ok {
-			r.vclk.AdvanceComm(f.TransfersDelta(), model)
-		}
-	}
+	r.settleFIFOs()
 	r.vclk.AdvanceOverhead(model.DispatchPs)
-	r.drainLane(hw.Name())
+	r.drainLane(p)
 	r.flushDisplays()
 	if hw.Finished() {
 		r.finished = true
@@ -629,12 +658,7 @@ func (r *Runtime) openLoopBurst() {
 }
 
 // RunTicks advances until n more virtual clock ticks have elapsed.
-func (r *Runtime) RunTicks(n uint64) {
-	goal := r.ticks + n
-	for r.ticks < goal && !r.finished {
-		r.Step()
-	}
-}
+func (r *Runtime) RunTicks(n uint64) { _ = r.RunTicksCtx(context.Background(), n) }
 
 // RunTicksCtx is RunTicks with cancellation: it returns early (with
 // ctx's error) if the context is cancelled between steps.
@@ -660,12 +684,8 @@ func (r *Runtime) RunVirtual(ps uint64) {
 // RunUntilFinish steps until $finish or the step budget is exhausted; it
 // reports whether the program finished.
 func (r *Runtime) RunUntilFinish(maxSteps uint64) bool {
-	start := r.steps
-	for !r.finished && r.steps-start < maxSteps {
-		r.Step()
-	}
-	r.flushDisplays()
-	return r.finished
+	fin, _ := r.RunUntilFinishCtx(context.Background(), maxSteps)
+	return fin
 }
 
 // RunUntilFinishCtx is RunUntilFinish with cancellation between steps.

@@ -9,9 +9,11 @@ import (
 	"testing"
 
 	"cascade/internal/fault"
+	"cascade/internal/fpga"
 	"cascade/internal/lifecycle"
 	"cascade/internal/sim"
 	"cascade/internal/toolchain"
+	"cascade/internal/vclock"
 )
 
 // genEquivProgram emits a random multi-module program: K independent
@@ -84,15 +86,19 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d_jit%v", seed, !feats.DisableJIT), func(t *testing.T) {
 			prog := genEquivProgram(rand.New(rand.NewSource(seed)))
 			outS, ledS, stS := runEquiv(t, prog, feats, 1, 48)
-			outP, ledP, stP := runEquiv(t, prog, feats, 8, 48)
-			if outS != outP {
-				t.Errorf("display output diverged:\nserial:   %q\nparallel: %q\nprogram:\n%s", outS, outP, prog)
-			}
-			if !reflect.DeepEqual(ledS, ledP) {
-				t.Errorf("LED trace diverged:\nserial:   %v\nparallel: %v\nprogram:\n%s", ledS, ledP, prog)
-			}
-			if !reflect.DeepEqual(stS, stP) {
-				t.Errorf("final states diverged:\nserial:   %v\nparallel: %v\nprogram:\n%s", stS, stP, prog)
+			// 8 lanes cover every member of a batch; 2 and 3 leave the
+			// three to five engines sharing lanes through the cursor.
+			for _, par := range []int{8, 2, 3} {
+				outP, ledP, stP := runEquiv(t, prog, feats, par, 48)
+				if outS != outP {
+					t.Errorf("%d lanes: display output diverged:\nserial:   %q\nparallel: %q\nprogram:\n%s", par, outS, outP, prog)
+				}
+				if !reflect.DeepEqual(ledS, ledP) {
+					t.Errorf("%d lanes: LED trace diverged:\nserial:   %v\nparallel: %v\nprogram:\n%s", par, ledS, ledP, prog)
+				}
+				if !reflect.DeepEqual(stS, stP) {
+					t.Errorf("%d lanes: final states diverged:\nserial:   %v\nparallel: %v\nprogram:\n%s", par, stS, stP, prog)
+				}
 			}
 		})
 	}
@@ -115,6 +121,49 @@ func TestServicePassAllocFree(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() { r.serviceFaults(); r.serviceJIT() }); n != 0 {
 			t.Errorf("%s: service pass allocates %.0f times per step", name, n)
+		}
+	}
+}
+
+// TestLockStepStepAllocFree: a whole lock-step Step runs on the resolved
+// schedule table — polls, dispatch, borrowed output visits, routing,
+// settling, the service passes — so with compiled evaluators and no
+// $display firing it must not allocate: on lock-step hardware, and on the
+// native rung while the fabric flow (real latencies) is still far away.
+// The interpreter allocates as it evaluates; its count is logged.
+func TestLockStepStepAllocFree(t *testing.T) {
+	hw := newTestRuntime(t, Options{Features: Features{DisableForwarding: true}})
+	hw.MustEval(figure3)
+	hw.RunTicks(200)
+	if hw.Phase() != PhaseHardware {
+		t.Fatalf("phase %v, want lock-step hardware", hw.Phase())
+	}
+
+	dev := fpga.NewCycloneV()
+	native := newTestRuntime(t, Options{
+		Device:    dev,
+		Toolchain: toolchain.New(dev, toolchain.DefaultOptions()),
+		Features:  Features{NativeTier: true},
+	})
+	native.MustEval(figure3)
+	native.Idle(1 * vclock.S)
+	if got := userTier(native.Stats()); got != "native" {
+		t.Fatalf("tier %q, want native", got)
+	}
+
+	sw := newTestRuntime(t, Options{Features: Features{DisableJIT: true}})
+	sw.MustEval(figure3)
+
+	for _, c := range []struct {
+		name string
+		r    *Runtime
+		free bool
+	}{{"hardware", hw, true}, {"native", native, true}, {"software", sw, false}} {
+		c.r.RunTicks(8)
+		n := testing.AllocsPerRun(200, c.r.Step)
+		t.Logf("%s: %.1f allocations per lock-step Step", c.name, n)
+		if c.free && n != 0 {
+			t.Errorf("%s: lock-step Step allocates %.1f times", c.name, n)
 		}
 	}
 }

@@ -160,7 +160,6 @@ func (r *Runtime) resetFreshLocked() {
 	r.teardown()
 	r.stdEngines = map[string]engine.Engine{}
 	r.elabs = map[string]*elab.Flat{}
-	r.routesFrom = map[string][]ir.Wire{}
 	r.prog = ir.NewProgram()
 	r.flatDesign, r.design = nil, nil
 	r.inlined = false

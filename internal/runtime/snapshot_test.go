@@ -81,8 +81,8 @@ always @(posedge clk.val) if (!fifo.empty) sum <= sum + fifo.rdata;`)
 	a.RunTicks(20)
 	b.RunTicks(20)
 	wantSum := uint64(1 + 2 + 3 + 4 + 5 + 6)
-	stA := a.engines["main"].GetState().Scalars["sum"].Uint64()
-	stB := b.engines["main"].GetState().Scalars["sum"].Uint64()
+	stA := a.slotOf("main").c.GetState().Scalars["sum"].Uint64()
+	stB := b.slotOf("main").c.GetState().Scalars["sum"].Uint64()
 	if stA != wantSum || stB != wantSum {
 		t.Fatalf("sums diverged: a=%d b=%d want %d", stA, stB, wantSum)
 	}

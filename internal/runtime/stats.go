@@ -132,20 +132,16 @@ func (r *Runtime) Stats() Stats {
 		st.Tenant = r.opts.Tenant
 		st.RegionLEs = r.opts.Device.Capacity()
 	}
-	for _, path := range r.sched {
-		c, ok := r.engines[path]
-		if !ok {
-			continue
-		}
+	for _, s := range r.slots {
 		es := EngineStat{
-			Path:      path,
-			Location:  c.Loc().String(),
-			Transport: c.TransportKind(),
-			Xport:     c.Stats(),
+			Path:      s.path,
+			Location:  s.c.Loc().String(),
+			Transport: s.c.TransportKind(),
+			Xport:     s.c.Stats(),
 		}
 		// Remote engines and stdlib peripherals have no in-process rung.
-		if p := r.place[path]; p != nil {
-			es.Tier = p.Tier().String()
+		if s.p != nil {
+			es.Tier = s.p.Tier().String()
 		}
 		st.Engines = append(st.Engines, es)
 		st.Xport.Add(es.Xport)

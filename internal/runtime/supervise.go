@@ -137,16 +137,15 @@ func (r *Runtime) probeRemote(vnow uint64) (tripped bool) {
 // access. A snapshot that fails mid-transfer latches on the client and
 // is counted against the breaker next step; the previous commit stays.
 func (r *Runtime) commitRemoteStates() {
-	for _, s := range r.design.UserSubs() {
-		c := r.engines[s.Path]
-		if c == nil || !c.Remote() || c.Err() != nil {
+	for _, s := range r.slots {
+		if !s.c.Remote() || s.c.Err() != nil {
 			continue
 		}
-		st := c.GetState()
-		if c.Err() != nil {
+		st := s.c.GetState()
+		if s.c.Err() != nil {
 			continue
 		}
-		r.committed[s.Path] = st
+		r.committed[s.path] = st
 	}
 }
 
@@ -158,19 +157,18 @@ func (r *Runtime) commitRemoteStates() {
 // when enabled, gives the engine its usual faster local rung.
 func (r *Runtime) failoverRemote() {
 	n := 0
-	for _, s := range r.design.UserSubs() {
-		c := r.engines[s.Path]
-		if c == nil || !c.Remote() {
+	for _, s := range r.slots {
+		if !s.c.Remote() {
 			continue
 		}
-		p := r.place[s.Path]
-		r.retireClient(s.Path, c)
-		r.billRebuild(p.Demote(lifecycle.BreakerTrip, r.committed[s.Path]))
+		// The demotion's swap installs the local client in this slot.
+		r.retireClient(s.path, s.c)
+		r.billRebuild(s.p.Demote(lifecycle.BreakerTrip, r.committed[s.path]))
 		if o := r.obs(); o != nil {
-			o.Emit(obsv.EvFailover, s.Path, "re-seeded locally from last committed state")
+			o.Emit(obsv.EvFailover, s.path, "re-seeded locally from last committed state")
 		}
 		if r.opts.Features.NativeTier {
-			p.Submit(lifecycle.Native, r.vclk.Now())
+			s.p.Submit(lifecycle.Native, r.vclk.Now())
 		}
 		n++
 	}
@@ -193,12 +191,13 @@ func (r *Runtime) failoverRemote() {
 func (r *Runtime) rehostRemote() {
 	n := 0
 	for _, s := range r.design.UserSubs() {
-		p, c := r.place[s.Path], r.engines[s.Path]
-		if c == nil || p.Tier() == lifecycle.Unplaced {
+		slot := r.slotOf(s.Path)
+		if slot == nil || slot.p.Tier() == lifecycle.Unplaced {
 			continue // still hosted remotely: never failed over
 		}
+		p, c := slot.p, slot.c
 		st := c.GetState()
-		nc, err := r.spawnRemoteRebind(s.Path, s.Module, s.Params)
+		nc, err := r.spawnRemoteRebind(p, s.Module, s.Params)
 		if err != nil {
 			r.opts.View.Info("re-host of %s failed (%v); staying local", s.Path, err)
 			break
@@ -210,7 +209,7 @@ func (r *Runtime) rehostRemote() {
 		}
 		r.retireClient(s.Path, c)
 		p.Teardown()
-		r.engines[s.Path] = nc
+		slot.c = nc
 		r.committed[s.Path] = st
 		if o := r.obs(); o != nil {
 			o.Emit(obsv.EvRehost, s.Path, "re-hosted on "+r.opts.Remote.Addr)
@@ -232,8 +231,8 @@ func (r *Runtime) rehostRemote() {
 // ID, so an ErrUnknownSession refusal opens a fresh session and retries
 // once. (A daemon resumed from a journal re-binds the old ID and the
 // first spawn just works.)
-func (r *Runtime) spawnRemoteRebind(path string, mod *verilog.Module, params map[string]*bits.Vector) (*transport.Client, error) {
-	nc, err := r.spawnRemote(path, mod, params)
+func (r *Runtime) spawnRemoteRebind(p *lifecycle.Placement, mod *verilog.Module, params map[string]*bits.Vector) (*transport.Client, error) {
+	nc, err := r.spawnRemote(p, mod, params)
 	if err == nil || r.remoteSess == 0 || !errors.Is(err, transport.ErrUnknownSession) {
 		return nc, err
 	}
@@ -245,5 +244,5 @@ func (r *Runtime) spawnRemoteRebind(path string, mod *verilog.Module, params map
 	}
 	r.remoteSess = sess
 	r.opts.View.Info("daemon session re-opened as %d (previous session lost)", sess)
-	return r.spawnRemote(path, mod, params)
+	return r.spawnRemote(p, mod, params)
 }

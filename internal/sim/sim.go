@@ -203,7 +203,8 @@ func (s *Simulator) Finished() bool { return s.finished }
 
 // Env interface for elab.Eval.
 
-// VarValue implements elab.Env.
+// VarValue implements elab.Env. The result is the live value, lent: it
+// changes as the simulator runs and must not be mutated.
 func (s *Simulator) VarValue(v *elab.Var) *bits.Vector { return s.vals[v.Index] }
 
 // ArrayWord implements elab.Env.

@@ -189,7 +189,7 @@ func (w *World) LedVector(path string) *bits.Vector {
 func (w *World) setLed(path string, v *bits.Vector) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.leds[path] = v.Clone()
+	keep(w.leds, path, v)
 	if w.TraceLeds {
 		w.LedTrace = append(w.LedTrace, v.Uint64())
 	}
@@ -224,7 +224,17 @@ func (w *World) GPIO(path string) uint64 {
 func (w *World) setGPIO(path string, v *bits.Vector) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.gpioOut[path] = v.Clone()
+	keep(w.gpioOut, path, v)
+}
+
+// keep records a driven value under path, overwriting the vector already
+// there when the width is unchanged (a pin bank is driven every tick).
+func keep(m map[string]*bits.Vector, path string, v *bits.Vector) {
+	if cur, ok := m[path]; ok && cur.Width() == v.Width() {
+		cur.CopyFrom(v)
+		return
+	}
+	m[path] = v.Clone()
 }
 
 // Stream returns the host-side endpoint of the FIFO at path, creating it

@@ -48,7 +48,8 @@ type Client struct {
 	// the engine but one pointer indirection and a round-trip counter.
 	// Guarded by the same controller-only discipline as Local.Swap.
 	local  engine.Engine
-	fastRT atomic.Uint64 // fast-path round-trips (for Stats)
+	vis    engine.WriteVisitor // local's in-place drain, nil if it has none
+	fastRT atomic.Uint64       // fast-path round-trips (for Stats)
 
 	mu      sync.Mutex
 	obs     *obsv.Observer
@@ -75,13 +76,15 @@ func (c *Client) SetObserver(o *obsv.Observer) {
 // NewLocalClient wraps a pre-built in-process engine in a Client over a
 // Local transport. onErr may be nil.
 func NewLocalClient(e engine.Engine, onErr func(error)) *Client {
-	return &Client{
+	c := &Client{
 		t:     NewLocal(e),
 		name:  e.Name(),
 		loc:   e.Loc(),
 		onErr: onErr,
 		local: e,
 	}
+	c.vis, _ = e.(engine.WriteVisitor)
+	return c
 }
 
 // SpawnSpec describes a subprogram to instantiate on a remote host.
@@ -175,6 +178,7 @@ func (c *Client) SwapLocal(e engine.Engine) {
 	l := c.t.(*Local)
 	l.Swap(e)
 	c.local = e
+	c.vis, _ = e.(engine.WriteVisitor)
 	c.mu.Lock()
 	c.loc = e.Loc()
 	c.mu.Unlock()
@@ -355,6 +359,21 @@ func (c *Client) DrainWrites() []engine.Event {
 		return nil
 	}
 	return rep.Events
+}
+
+// VisitWrites implements engine.WriteVisitor: DrainWrites without the
+// event slice, and the same one round trip. A local engine's own visitor
+// lends its live values; a remote reply's events are lent until the
+// client's next call.
+func (c *Client) VisitWrites(fn func(name string, val *bits.Vector)) {
+	if c.vis != nil {
+		c.fastRT.Add(1)
+		c.vis.VisitWrites(fn)
+		return
+	}
+	for _, ev := range c.DrainWrites() {
+		fn(ev.Var, ev.Val)
+	}
 }
 
 // ThereAreEvals implements engine.Engine.

@@ -1,10 +1,10 @@
 package netlist
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"sort"
 
 	bv "cascade/internal/bits"
@@ -17,16 +17,29 @@ import (
 // %m). The toolchain's bitstream cache is keyed on this hash, so
 // re-synthesizing an unchanged design (an edit that undoes a change, a
 // snapshot restored onto a same-shape device) can skip place-and-route
-// entirely.
+// entirely. Port directions are not covered — they change how an engine
+// is wired, not what the netlist computes or costs — so a consumer keeps
+// the program it synthesized rather than taking one from a key match.
 func (p *Program) Fingerprint() string {
-	h := sha256.New()
+	// Integers are encoded by hand into one buffer and batched into the
+	// hash: a netlist hashes thousands of them, and encoding/binary.Write
+	// reflects on and allocates for each. The digest is pinned by
+	// TestFingerprintGolden — on-disk bitstream stores are keyed by it.
+	sum := sha256.New()
+	h := bufio.NewWriter(sum)
+	var buf [8]byte
+	wlen := func(n int) { // string lengths and map sizes hash as 32 bits
+		binary.LittleEndian.PutUint32(buf[:4], uint32(n))
+		h.Write(buf[:4])
+	}
 	ws := func(s string) {
-		binary.Write(h, binary.LittleEndian, uint32(len(s)))
-		h.Write([]byte(s))
+		wlen(len(s))
+		h.WriteString(s)
 	}
 	wi := func(vs ...int) {
 		for _, v := range vs {
-			binary.Write(h, binary.LittleEndian, int64(v))
+			binary.LittleEndian.PutUint64(buf[:], uint64(v))
+			h.Write(buf[:])
 		}
 	}
 	wvec := func(v *bv.Vector) {
@@ -104,7 +117,7 @@ func (p *Program) Fingerprint() string {
 		}
 	}
 
-	hashStateMap(h, ws, p.ResetState)
+	hashStateMap(wlen, ws, p.ResetState)
 	// Reset memories, in sorted order for determinism.
 	names := make([]string, 0, len(p.ResetMems))
 	for n := range p.ResetMems {
@@ -121,16 +134,17 @@ func (p *Program) Fingerprint() string {
 		}
 	}
 
-	return hex.EncodeToString(h.Sum(nil))
+	h.Flush()
+	return hex.EncodeToString(sum.Sum(nil))
 }
 
-func hashStateMap(h hash.Hash, ws func(string), m map[string]*bv.Vector) {
+func hashStateMap(wlen func(int), ws func(string), m map[string]*bv.Vector) {
 	names := make([]string, 0, len(m))
 	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	binary.Write(h, binary.LittleEndian, uint32(len(names)))
+	wlen(len(names))
 	for _, n := range names {
 		ws(n)
 		ws(m[n].String())

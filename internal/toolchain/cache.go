@@ -1,15 +1,21 @@
 package toolchain
 
-import "sync"
+import (
+	"sync"
+
+	"cascade/internal/fpga"
+)
 
 // The bitstream cache is layered (DESIGN.md "The compile flow & the
-// farm"): the memory tier is a join cache over full Results — it also
-// mediates "join an in-flight flow" semantics — while the durable tiers
-// behind it (disk store, peer fetch between compile workers) exchange
-// only the verified flow outcome (BitMeta) and are consulted in order
-// through the CacheTier interface once a miss has already paid for
-// synthesis. One stack holds both, and stack.serve is the only code that
-// orders them.
+// farm"): the memory tier is a join cache over flow outcomes
+// (ShardOutcome, the wire form) — it also mediates "join an in-flight
+// flow" semantics — while the durable tiers behind it (disk store, peer
+// fetch between compile workers) exchange the outcome's durable
+// projection (BitMeta) and are consulted in order through the CacheTier
+// interface once a miss has already paid for synthesis. No tier holds a
+// netlist: every submitter keeps the one it synthesized, and its Result
+// is assembled around that (ShardOutcome.result). One stack holds both
+// layers, and stack.serve is the only code that orders them.
 
 // Hit sources, carried in Result.HitSource. The empty string means the
 // flow paid for the back half (place-and-route or native codegen).
@@ -68,14 +74,14 @@ func storeTiers(tiers []CacheTier, meta BitMeta, flow *Stats) {
 // metaMatches reports whether a durable entry's recorded outcome agrees
 // with a fresh synthesis against the live device — the staleness guard
 // every durable tier is checked through.
-func metaMatches(meta BitMeta, res *Result) bool {
-	return meta.AreaLEs == res.AreaLEs && meta.RawAreaLEs == res.RawAreaLEs &&
-		meta.CritPath == res.Stats.CritPath
+func metaMatches(meta BitMeta, out ShardOutcome) bool {
+	return meta == out.meta(meta.Key)
 }
 
-// cacheEntry is one content-addressed bitstream.
+// cacheEntry is one content-addressed bitstream: the outcome of the flow
+// that built it, never the netlist it was built from.
 type cacheEntry struct {
-	res *Result
+	out ShardOutcome
 	// availAtPs is the virtual time the originating flow completes on
 	// its submitter's clock; a resubmission landing earlier joins that
 	// flow instead of restarting it.
@@ -86,15 +92,11 @@ type cacheEntry struct {
 	published bool
 }
 
-// entryCache is the memory tier: full Results keyed by content hash,
+// entryCache is the memory tier: flow outcomes keyed by content hash,
 // with join-in-flight semantics. Each stack owns one.
 type entryCache struct {
 	mu sync.Mutex
 	m  map[string]*cacheEntry
-}
-
-func newEntryCache() entryCache {
-	return entryCache{m: map[string]*cacheEntry{}}
 }
 
 // lookup serves a submission from the memory tier. A published entry —
@@ -102,35 +104,34 @@ func newEntryCache() entryCache {
 // clock — hits at cache-hit latency (after any retry backoff the
 // submission accrued first); an entry still in (virtual) flight is
 // joined: the copy finishes when the original does, but never before
-// the submission's own backoff elapsed. The returned Result is a
-// shallow copy (Prog and Stats are immutable) with CacheHit set and
-// HitSource distinguishing the two cases.
-func (c *entryCache) lookup(key string, submitPs, backoffPs, hitPs uint64) (*Result, bool) {
+// the submission's own backoff elapsed. The returned outcome is the
+// entry's with CacheHit set and HitSource distinguishing the two cases.
+func (c *entryCache) lookup(key string, submitPs, backoffPs, hitPs uint64) (ShardOutcome, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	entry, ok := c.m[key]
 	if !ok {
-		return nil, false
+		return ShardOutcome{}, false
 	}
-	res := *entry.res
+	out := entry.out
 	if entry.published || submitPs >= entry.availAtPs {
-		res.DurationPs = backoffPs + hitPs
-		res.HitSource = HitMemory
+		out.DurationPs = backoffPs + hitPs
+		out.HitSource = HitMemory
 	} else {
-		res.DurationPs = entry.availAtPs - submitPs
-		if min := backoffPs + hitPs; res.DurationPs < min {
-			res.DurationPs = min
+		out.DurationPs = entry.availAtPs - submitPs
+		if min := backoffPs + hitPs; out.DurationPs < min {
+			out.DurationPs = min
 		}
-		res.HitSource = HitJoined
+		out.HitSource = HitJoined
 	}
-	res.CacheHit = true
-	return &res, true
+	out.CacheHit = true
+	return out, true
 }
 
 // insert records a flow's outcome under key and returns the entry (so a
 // farm can replicate the same pointer onto peer shards).
-func (c *entryCache) insert(key string, res *Result, published bool, submitPs uint64) *cacheEntry {
-	entry := &cacheEntry{res: res, availAtPs: submitPs + res.DurationPs, published: published}
+func (c *entryCache) insert(key string, out ShardOutcome, published bool, submitPs uint64) *cacheEntry {
+	entry := &cacheEntry{out: out, availAtPs: submitPs + out.DurationPs, published: published}
 	c.mu.Lock()
 	c.m[key] = entry
 	c.mu.Unlock()
@@ -173,21 +174,21 @@ func (c *entryCache) clear() {
 }
 
 // stack is one cache stack: the memory join cache in front of a durable
-// tier chain. The toolchain owns one, each in-process farm shard owns
-// one (sharing the toolchain's disk store), and a Worker wraps one.
+// tier chain, over the toolchain whose model prices a miss. The
+// toolchain owns one, each in-process farm shard owns one (sharing the
+// toolchain's disk store), and a Worker wraps one.
 type stack struct {
+	t       *Toolchain
 	entries entryCache
 	tiers   []CacheTier
-	hitPs   uint64 // virtual latency of a cache-served flow
 }
 
-// newStack builds a stack over t's latency model and disk store,
-// followed by any extra durable tiers (a Worker's peer fetch).
-func newStack(t *Toolchain, extra ...CacheTier) *stack {
+// newStack builds a stack over t's model and disk store.
+func newStack(t *Toolchain) *stack {
 	return &stack{
-		entries: newEntryCache(),
-		tiers:   append([]CacheTier{diskTier{dir: t.opts.CacheDir}}, extra...),
-		hitPs:   t.hitLatency(),
+		t:       t,
+		entries: entryCache{m: map[string]*cacheEntry{}},
+		tiers:   []CacheTier{diskTier{dir: t.opts.CacheDir}},
 	}
 }
 
@@ -196,28 +197,29 @@ func newStack(t *Toolchain, extra ...CacheTier) *stack {
 // memory tiers once this stack's missed; insert lands an outcome on this
 // stack and its replicas instead of this stack alone.
 type farmHooks struct {
-	peer   func() (*Result, bool)
-	insert func(res *Result, published bool)
+	peer   func() (ShardOutcome, bool)
+	insert func(out ShardOutcome, published bool)
 }
 
 // serve runs the back half of one flow — the only place that orders
 // memory tier, model, durable tiers, insertion and durable storage. The
-// request is the wire form (req's netlist summary is for remote
-// workers; model applies the area/fit/timing or native-codegen model to
-// whatever the caller holds and returns the result at its raw virtual
-// duration). The returned Result's DurationPs is the flow's total bill
-// including req.BackoffPs; the returned counters (cache outcome, disk
-// writes and rejected entries) are the flow's own, for the caller to
-// bank with the rest of Job.flow.
-func (s *stack) serve(req ShardSubmit, model func() *Result, farm farmHooks) (*Result, Stats) {
+// request is the wire form and the only input: the local pool, an
+// in-process shard and a daemon worker all make this call, with dev the
+// device fit and timing close against (the submitting tenant's
+// partition, or a worker's own). The returned outcome's DurationPs is
+// the flow's total bill including req.BackoffPs; the returned counters
+// (cache outcome, disk writes and rejected entries) are the flow's own,
+// for the caller to bank with the rest of Job.flow.
+func (s *stack) serve(req ShardSubmit, dev *fpga.Device, farm farmHooks) (ShardOutcome, Stats) {
 	var flow Stats
-	res, ok := s.entries.lookup(req.Key, req.SubmitPs, req.BackoffPs, s.hitPs)
+	hitPs := s.t.hitLatency()
+	out, ok := s.entries.lookup(req.Key, req.SubmitPs, req.BackoffPs, hitPs)
 	if !ok && farm.peer != nil {
-		res, ok = farm.peer()
+		out, ok = farm.peer()
 	}
 	if ok {
-		flow.countOutcome(res.HitSource)
-		return res, flow
+		flow.countOutcome(out.HitSource)
+		return out, flow
 	}
 
 	// Apply the model, then consult the durable tiers. A verified entry
@@ -228,26 +230,25 @@ func (s *stack) serve(req ShardSubmit, model func() *Result, farm farmHooks) (*R
 	// native tier skips the durable tiers both ways: its artifact is
 	// rebuilt from the netlist in negligible wall-clock time, so
 	// persistence buys nothing.
-	res = model()
-	durable := !res.NativeGo
+	out = s.t.model(dev, req)
+	durable := !req.native
 	if durable {
 		meta, src, found := lookupTiers(s.tiers, req.Key, &flow)
-		if found && res.Err == nil && metaMatches(meta, res) {
-			res.DurationPs = s.hitPs
-			res.CacheHit = true
-			res.HitSource = src
+		if found && out.FlowErr == "" && metaMatches(meta, out) {
+			out.DurationPs = hitPs
+			out.CacheHit = true
+			out.HitSource = src
 		}
 	}
-	res.DurationPs += req.BackoffPs
+	out.DurationPs += req.BackoffPs
 	if farm.insert != nil {
-		farm.insert(res, res.CacheHit)
+		farm.insert(out, out.CacheHit)
 	} else {
-		s.entries.insert(req.Key, res, res.CacheHit, req.SubmitPs)
+		s.entries.insert(req.Key, out, out.CacheHit, req.SubmitPs)
 	}
-	if durable && !res.CacheHit && res.Err == nil {
-		storeTiers(s.tiers, BitMeta{Key: req.Key, AreaLEs: res.AreaLEs,
-			RawAreaLEs: res.RawAreaLEs, CritPath: res.Stats.CritPath}, &flow)
+	if durable && !out.CacheHit && out.FlowErr == "" {
+		storeTiers(s.tiers, out.meta(req.Key), &flow)
 	}
-	flow.countOutcome(res.HitSource)
-	return res, flow
+	flow.countOutcome(out.HitSource)
+	return out, flow
 }

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"cascade/internal/fault"
-	"cascade/internal/netlist"
+	"cascade/internal/fpga"
 	"cascade/internal/obsv"
 	"cascade/internal/supervise"
 	"cascade/internal/vclock"
@@ -249,9 +249,9 @@ func (s *shard) down() bool { return s.schedDown || s.brkOpen }
 // ShardSubmit is one back-half request — what stack.serve takes, and the
 // wire form of a compile-submit to a remote worker: the cache key, the
 // submission's virtual-time accounting, and the synthesized netlist's
-// summary — the model inputs. The worker never re-synthesizes; the
-// client keeps the netlist (the runtime needs it to program its own
-// fabric) and the worker reproduces the flow outcome from the summary.
+// summary — the model's only inputs. The worker never re-synthesizes;
+// the submitter keeps the netlist (the runtime needs it to program its
+// own fabric) and the flow outcome is reproduced from the summary.
 type ShardSubmit struct {
 	Key       string
 	Name      string
@@ -262,11 +262,15 @@ type ShardSubmit struct {
 	FFs       int
 	MemBits   int
 	CritPath  int
+	// native selects the native-tier model. It never crosses the wire:
+	// native flows never farm out.
+	native bool
 }
 
-// ShardOutcome is the wire form of a compile-submit's result. FlowErr
-// carries a design verdict (no fit, failed timing) as text; the client
-// rewraps it so output formatting matches a local run byte for byte.
+// ShardOutcome is the one record of a served flow: what Toolchain.model
+// computes, what the memory tier holds, and the wire form of a
+// compile-submit's result. FlowErr carries a design verdict (no fit,
+// failed timing) as text, so every path formats it byte for byte alike.
 type ShardOutcome struct {
 	AreaLEs    int
 	RawAreaLEs int
@@ -275,6 +279,12 @@ type ShardOutcome struct {
 	CacheHit   bool
 	HitSource  string
 	FlowErr    string
+}
+
+// meta is the outcome's durable projection: what the disk store and
+// peer workers keep of it under key.
+func (out ShardOutcome) meta(key string) BitMeta {
+	return BitMeta{Key: key, AreaLEs: out.AreaLEs, RawAreaLEs: out.RawAreaLEs, CritPath: out.CritPath}
 }
 
 // ShardLink is the farm's connection to one remote compile worker.
@@ -607,10 +617,10 @@ func (r *farmRoute) skip() {
 // invariant 15), and outcomes are inserted replicated. A non-nil error
 // means the farm itself could not serve the request (no shard
 // reachable) — not a verdict on the design.
-func (r *farmRoute) compile(req ShardSubmit, prog *netlist.Program, model func() *Result) (*Result, Stats, error) {
+func (r *farmRoute) compile(req ShardSubmit, dev *fpga.Device) (ShardOutcome, Stats, error) {
 	fb := r.fb
 	if fb.shards[r.shard].link != nil {
-		return r.remoteCompile(req, prog)
+		return r.remoteCompile(req)
 	}
 	exec, home := fb.shards[r.shard], fb.shards[r.home]
 	// The executing shard's wall slot bounds real concurrency: a shard
@@ -618,8 +628,8 @@ func (r *farmRoute) compile(req ShardSubmit, prog *netlist.Program, model func()
 	exec.slots <- struct{}{}
 	defer func() { <-exec.slots }()
 
-	res, flow := home.cache.serve(req, model, farmHooks{
-		peer: func() (*Result, bool) {
+	out, flow := home.cache.serve(req, dev, farmHooks{
+		peer: func() (ShardOutcome, bool) {
 			// Adopting the peer's live entry (the same pointer) makes the
 			// home a replica holder from now on — and lets a later publish
 			// reach every holder at once.
@@ -627,38 +637,38 @@ func (r *farmRoute) compile(req ShardSubmit, prog *netlist.Program, model func()
 				if idx == r.home || !r.live[idx] {
 					continue
 				}
-				p := fb.shards[idx].cache
-				if res, ok := p.entries.lookup(req.Key, req.SubmitPs, req.BackoffPs, p.hitPs); ok {
-					res.HitSource = HitPeer
-					home.cache.entries.adopt(req.Key, p.entries.get(req.Key))
+				p := &fb.shards[idx].cache.entries
+				if out, ok := p.lookup(req.Key, req.SubmitPs, req.BackoffPs, fb.t.hitLatency()); ok {
+					out.HitSource = HitPeer
+					home.cache.entries.adopt(req.Key, p.get(req.Key))
 					fb.mu.Lock()
 					fb.peerHits.inc()
 					fb.billLocked(1) // cache-fetch
 					fb.mu.Unlock()
-					return res, true
+					return out, true
 				}
 			}
-			return nil, false
+			return ShardOutcome{}, false
 		},
-		insert: func(res *Result, published bool) {
-			if !published && res.Err == nil && fb.opts.PnRWallNs > 0 {
+		insert: func(out ShardOutcome, published bool) {
+			if !published && out.FlowErr == "" && fb.opts.PnRWallNs > 0 {
 				// The modelled CAD flow's real CPU burn (bench realism);
 				// the virtual bill is untouched.
 				time.Sleep(time.Duration(fb.opts.PnRWallNs) * time.Nanosecond)
 			}
-			r.insertReplicated(req, res, published)
+			r.insertReplicated(req, out, published)
 		},
 	})
-	return res, flow, nil
+	return out, flow, nil
 }
 
 // insertReplicated lands a flow outcome on the acting home and adopts
 // the same entry onto the next Replicas-1 live shards in rendezvous
 // order, so the bitstream (and any join against it) survives the death
 // of all but one holder.
-func (r *farmRoute) insertReplicated(req ShardSubmit, res *Result, published bool) {
+func (r *farmRoute) insertReplicated(req ShardSubmit, out ShardOutcome, published bool) {
 	fb := r.fb
-	entry := fb.shards[r.home].cache.entries.insert(req.Key, res, published, req.SubmitPs)
+	entry := fb.shards[r.home].cache.entries.insert(req.Key, out, published, req.SubmitPs)
 	placed := 1
 	for _, idx := range r.order {
 		if placed >= fb.opts.Replicas {
@@ -683,7 +693,7 @@ func (r *farmRoute) insertReplicated(req ShardSubmit, res *Result, published boo
 // dead engine: reroute, don't strand). The submitter's cache-outcome
 // counters come from the outcome's HitSource; the disk counters stay on
 // the worker's own ledger, where the disk is.
-func (r *farmRoute) remoteCompile(req ShardSubmit, prog *netlist.Program) (*Result, Stats, error) {
+func (r *farmRoute) remoteCompile(req ShardSubmit) (ShardOutcome, Stats, error) {
 	fb := r.fb
 	tried := map[int]bool{}
 	for _, idx := range append([]int{r.shard}, r.order...) {
@@ -721,23 +731,14 @@ func (r *farmRoute) remoteCompile(req ShardSubmit, prog *netlist.Program) (*Resu
 		fb.billLocked(2)
 		fb.keyHome[req.Key] = idx
 		fb.mu.Unlock()
-		res := &Result{
-			Prog: prog, Stats: prog.Stats,
-			AreaLEs: out.AreaLEs, RawAreaLEs: out.RawAreaLEs,
-			Wrapped: req.Wrapped, DurationPs: out.DurationPs,
-			CacheHit: out.CacheHit, HitSource: out.HitSource,
-		}
-		if out.FlowErr != "" {
-			res.Err = errors.New(out.FlowErr)
-		}
 		var flow Stats
-		flow.countOutcome(res.HitSource)
-		return res, flow, nil
+		flow.countOutcome(out.HitSource)
+		return out, flow, nil
 	}
 	fb.mu.Lock()
 	fb.unavailable.inc()
 	fb.mu.Unlock()
-	return nil, Stats{}, fmt.Errorf("toolchain: %w: no compile shard of %d answered for %s",
+	return ShardOutcome{}, Stats{}, fmt.Errorf("toolchain: %w: no compile shard of %d answered for %s",
 		ErrShardUnavailable, len(fb.shards), req.Name)
 }
 

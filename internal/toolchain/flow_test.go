@@ -2,8 +2,8 @@ package toolchain
 
 import (
 	"context"
-	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cascade/internal/chaos"
@@ -13,81 +13,96 @@ import (
 	"cascade/internal/vclock"
 )
 
-// backHalf is one of the three routes a request takes to stack.serve:
-// the toolchain's own stack, an in-process farm shard's, and a Worker's
-// (what a remote shard runs over the shipped netlist summary).
+// backHalf is one of the three doors to stack.serve: the toolchain's own
+// stack, an in-process farm shard's, and a Worker's (what a remote shard
+// runs). Each takes the wire form and nothing else.
 type backHalf interface {
-	compile(req ShardSubmit, prog *netlist.Program) *Result
+	compile(req ShardSubmit) ShardOutcome
 	publish(key string)
 }
 
 type localPath struct{ tc *Toolchain }
 
-func (p localPath) compile(req ShardSubmit, prog *netlist.Program) *Result {
-	res, _ := p.tc.cache.serve(req, func() *Result { return p.tc.finishOn(p.tc.dev, prog, req.Wrapped) }, farmHooks{})
-	return res
+func (p localPath) compile(req ShardSubmit) ShardOutcome {
+	out, _ := p.tc.cache.serve(req, p.tc.dev, farmHooks{})
+	return out
 }
 func (p localPath) publish(key string) { p.tc.cache.entries.publish(key) }
 
 type shardPath struct{ tc *Toolchain }
 
-func (p shardPath) compile(req ShardSubmit, prog *netlist.Program) *Result {
+func (p shardPath) compile(req ShardSubmit) ShardOutcome {
 	r := p.tc.Farm().noteSubmit()
-	if err := r.commit(req.SubmitPs, prog.Fingerprint()); err != nil {
-		return &Result{Err: err}
+	if err := r.commit(req.SubmitPs, req.Key); err != nil {
+		return ShardOutcome{FlowErr: err.Error()}
 	}
 	defer r.settle()
-	res, _, err := r.compile(req, prog, func() *Result { return p.tc.finishOn(p.tc.dev, prog, req.Wrapped) })
+	out, _, err := r.compile(req, p.tc.dev)
 	if err != nil {
-		return &Result{Err: err}
+		return ShardOutcome{FlowErr: err.Error()}
 	}
-	return res
+	return out
 }
 func (p shardPath) publish(key string) { p.tc.Farm().Publish(key) }
 
 type workerPath struct{ w *Worker }
 
-func (p workerPath) compile(req ShardSubmit, _ *netlist.Program) *Result {
-	out := p.w.Compile(req)
-	res := &Result{DurationPs: out.DurationPs, CacheHit: out.CacheHit, HitSource: out.HitSource}
-	if out.FlowErr != "" {
-		res.Err = errors.New(out.FlowErr)
-	}
-	return res
-}
-func (p workerPath) publish(key string) { p.w.Put(BitMeta{Key: key}, true) }
+func (p workerPath) compile(req ShardSubmit) ShardOutcome { return p.w.Compile(req) }
+func (p workerPath) publish(key string)                   { p.w.Put(BitMeta{Key: key}, true) }
 
 // TestBackHalfPathsAgree drives one scenario list through all three
-// routes and requires identical rows: they are one function behind three
-// doors, and this is the test that keeps it so.
+// routes and requires identical outcomes, field for field: they are one
+// function behind three doors, and this is the test that keeps it so.
 func TestBackHalfPathsAgree(t *testing.T) {
-	progFor := func(src string) *netlist.Program {
+	stats := map[string]netlist.Stats{}
+	for design, src := range map[string]string{"small": smallCounter, "big": bigDatapath, "other": farmPrograms(t, 3)[2]} {
 		prog, err := netlist.Compile(flatFor(t, src))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return prog
+		stats[design] = prog.Stats
 	}
-	small, big, other := progFor(smallCounter), progFor(bigDatapath), progFor(farmPrograms(t, 3)[2])
-	reqFor := func(prog *netlist.Program, submitPs, backoffPs uint64) ShardSubmit {
-		st := prog.Stats
-		return ShardSubmit{
-			Key: prog.Fingerprint() + "|wrapped=true", Name: "dut", Wrapped: true,
-			SubmitPs: submitPs, BackoffPs: backoffPs,
-			Cells: st.Cells, FFs: st.FFs, MemBits: st.MemBits, CritPath: st.CritPath,
-		}
+	reqFor := func(design string, submitPs, backoffPs uint64) ShardSubmit {
+		req := summarize(stats[design], true)
+		req.Key, req.Name = design+"|wrapped=true", "dut"
+		req.SubmitPs, req.BackoffPs = submitPs, backoffPs
+		return req
 	}
-	ref := New(fpga.NewCycloneV(), DefaultOptions())
-	full := ref.finishOn(ref.dev, small, true).DurationPs
-	hitPs := ref.hitLatency()
-	const backoff = 7 * vclock.S
+	nativeReq := summarize(stats["small"], false)
+	nativeReq.Key, nativeReq.Name, nativeReq.native = "small|tier=native", "dut", true
 
-	type row struct {
-		DurationPs uint64
-		CacheHit   bool
-		HitSource  string
-		Failed     bool
+	const backoff = 7 * vclock.S
+	const clockHz = 50_000_000
+	cyclone := fpga.NewCycloneV().Capacity()
+	ref := New(fpga.NewCycloneV(), DefaultOptions())
+	// miss is what a flow that pays for its back half on a device of the
+	// given capacity must return; hit is the same outcome cache-served.
+	miss := func(req ShardSubmit, capacity int) ShardOutcome {
+		out := ref.model(fpga.NewDevice(capacity, clockHz), req)
+		out.DurationPs += req.BackoffPs
+		return out
 	}
+	hit := func(req ShardSubmit, durationPs uint64, source string) ShardOutcome {
+		out := miss(req, cyclone)
+		out.DurationPs, out.CacheHit, out.HitSource = durationPs, true, source
+		return out
+	}
+	// The expectations come from the model; pin what the three kinds of
+	// miss must say so a model that broke everywhere at once cannot agree
+	// with itself.
+	coldMiss, noFit, nativeMiss := miss(reqFor("small", 0, 0), cyclone), miss(reqFor("big", 0, 0), 4), miss(nativeReq, cyclone)
+	full := coldMiss.DurationPs
+	hitPs := ref.hitLatency()
+	if w := coldMiss; w.AreaLEs <= w.RawAreaLEs || w.RawAreaLEs == 0 || w.CritPath == 0 || w.FlowErr != "" {
+		t.Fatalf("cold miss expectation is not a wrapped fabric flow: %+v", w)
+	}
+	if !strings.HasPrefix(noFit.FlowErr, "toolchain: design requires ") || !strings.HasSuffix(noFit.FlowErr, " LEs, device has 4") {
+		t.Fatalf("no-fit expectation carries the wrong verdict: %q", noFit.FlowErr)
+	}
+	if w := nativeMiss; w.AreaLEs != 0 || w.DurationPs != ref.nativeLatency(w.RawAreaLEs) || w.DurationPs >= full {
+		t.Fatalf("native expectation is not the native bill: %+v", w)
+	}
+
 	// A step optionally restarts the process (cold memory over the same
 	// store, on a device of the given capacity), prepares the store, then
 	// compiles one request.
@@ -95,66 +110,75 @@ func TestBackHalfPathsAgree(t *testing.T) {
 		name    string
 		restart int // LEs of the fresh process's device (0: keep the process)
 		prepare func(store diskTier, p backHalf)
-		prog    *netlist.Program
 		req     ShardSubmit
-		want    row
+		want    ShardOutcome
 		check   func(t *testing.T, store diskTier)
+		// offWire marks a request no wire carries (the native tier never
+		// farms out): the worker door is skipped.
+		offWire bool
 	}
-	cyclone := fpga.NewCycloneV().Capacity()
+	absent := func(key string) func(*testing.T, diskTier) {
+		return func(t *testing.T, store diskTier) {
+			if _, ok := store.Lookup(key, new(Stats)); ok {
+				t.Errorf("%s reached the durable store", key)
+			}
+		}
+	}
 	steps := []step{
-		{name: "cold miss", restart: cyclone, prog: small, req: reqFor(small, 0, 0),
-			want: row{DurationPs: full}},
-		{name: "join in flight", prog: small, req: reqFor(small, full/2, 0),
-			want: row{DurationPs: full - full/2, CacheHit: true, HitSource: HitJoined}},
-		{name: "memory hit after publish", prog: small, req: reqFor(small, 1, 0),
-			prepare: func(_ diskTier, p backHalf) { p.publish(reqFor(small, 0, 0).Key) },
-			want:    row{DurationPs: hitPs, CacheHit: true, HitSource: HitMemory}},
-		{name: "disk hit", restart: cyclone, prog: small, req: reqFor(small, 0, 0),
-			want: row{DurationPs: hitPs, CacheHit: true, HitSource: HitDisk}},
-		{name: "stale disk entry rejected", restart: cyclone, prog: small, req: reqFor(small, 0, 0),
+		{name: "cold miss", restart: cyclone, req: reqFor("small", 0, 0), want: coldMiss},
+		{name: "join in flight", req: reqFor("small", full/2, 0),
+			want: hit(reqFor("small", full/2, 0), full-full/2, HitJoined)},
+		{name: "memory hit after publish", req: reqFor("small", 1, 0),
+			prepare: func(_ diskTier, p backHalf) { p.publish(reqFor("small", 0, 0).Key) },
+			want:    hit(reqFor("small", 1, 0), hitPs, HitMemory)},
+		{name: "disk hit", restart: cyclone, req: reqFor("small", 0, 0),
+			want: hit(reqFor("small", 0, 0), hitPs, HitDisk)},
+		{name: "stale disk entry rejected", restart: cyclone, req: reqFor("small", 0, 0),
 			prepare: func(store diskTier, _ backHalf) {
-				store.Store(BitMeta{Key: reqFor(small, 0, 0).Key, AreaLEs: 1, RawAreaLEs: 1, CritPath: 1}, new(Stats))
+				store.Store(BitMeta{Key: reqFor("small", 0, 0).Key, AreaLEs: 1, RawAreaLEs: 1, CritPath: 1}, new(Stats))
 			},
-			want: row{DurationPs: full}},
-		{name: "no-fit error not stored", restart: 4, prog: big, req: reqFor(big, 0, 0),
-			want: row{DurationPs: ref.finishOn(ref.dev, big, true).DurationPs, Failed: true},
-			check: func(t *testing.T, store diskTier) {
-				if _, ok := store.Lookup(reqFor(big, 0, 0).Key, new(Stats)); ok {
-					t.Error("a failed fit reached the durable store")
-				}
-			}},
-		{name: "backoff carried into a miss", restart: cyclone, prog: other, req: reqFor(other, 0, backoff),
-			want: row{DurationPs: ref.finishOn(ref.dev, other, true).DurationPs + backoff}},
-		{name: "backoff carried into a hit", restart: cyclone, prog: other, req: reqFor(other, 0, backoff),
-			want: row{DurationPs: hitPs + backoff, CacheHit: true, HitSource: HitDisk}},
+			want: coldMiss},
+		{name: "no-fit error not stored", restart: 4, req: reqFor("big", 0, 0),
+			want: noFit, check: absent(reqFor("big", 0, 0).Key)},
+		{name: "backoff carried into a miss", restart: cyclone, req: reqFor("other", 0, backoff),
+			want: miss(reqFor("other", 0, backoff), cyclone)},
+		{name: "backoff carried into a hit", restart: cyclone, req: reqFor("other", 0, backoff),
+			want: hit(reqFor("other", 0, backoff), hitPs+backoff, HitDisk)},
+		{name: "native miss never durable", restart: cyclone, req: nativeReq, offWire: true,
+			want: nativeMiss, check: absent(nativeReq.Key)},
+		{name: "native memory hit", req: nativeReq, offWire: true,
+			prepare: func(_ diskTier, p backHalf) { p.publish(nativeReq.Key) },
+			want:    hit(nativeReq, hitPs, HitMemory)},
 	}
 
 	paths := []struct {
 		name  string
+		wire  bool // reached only over the wire
 		start func(tc *Toolchain) backHalf
 	}{
-		{"local stack", func(tc *Toolchain) backHalf { return localPath{tc} }},
-		{"farm shard", func(tc *Toolchain) backHalf {
+		{"local stack", false, func(tc *Toolchain) backHalf { return localPath{tc} }},
+		{"farm shard", false, func(tc *Toolchain) backHalf {
 			tc.UseFarm(FarmOptions{Workers: 1})
 			return shardPath{tc}
 		}},
-		{"worker", func(tc *Toolchain) backHalf { return workerPath{NewWorker(tc)} }},
+		{"worker", true, func(tc *Toolchain) backHalf { return workerPath{NewWorker(tc)} }},
 	}
 	for _, path := range paths {
 		t.Run(path.name, func(t *testing.T) {
 			store := diskTier{dir: t.TempDir()}
 			var p backHalf
 			for _, s := range steps {
+				if s.offWire && path.wire {
+					continue
+				}
 				if s.restart > 0 {
-					p = path.start(New(fpga.NewDevice(s.restart, 50_000_000), diskCacheOptions(store.dir)))
+					p = path.start(New(fpga.NewDevice(s.restart, clockHz), diskCacheOptions(store.dir)))
 				}
 				if s.prepare != nil {
 					s.prepare(store, p)
 				}
-				res := p.compile(s.req, s.prog)
-				got := row{res.DurationPs, res.CacheHit, res.HitSource, res.Err != nil}
-				if got != s.want {
-					t.Errorf("%s: got %+v, want %+v", s.name, got, s.want)
+				if got := p.compile(s.req); got != s.want {
+					t.Errorf("%s:\n got  %+v\n want %+v", s.name, got, s.want)
 				}
 				if s.check != nil {
 					s.check(t, store)

@@ -155,6 +155,7 @@ func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 	// turnstile deadlocks. Local jobs keep the classic order (slot,
 	// faults, synthesis) untouched.
 	var prog *netlist.Program
+	var fingerprint string // hashed once: the farm's routing hash and the cache key's content address
 	if j.route != nil {
 		var err error
 		prog, err = j.synth(f)
@@ -163,7 +164,8 @@ func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 			j.complete(&Result{Err: err, DurationPs: t.opts.BasePs / 4}, "")
 			return
 		}
-		if err := j.route.commit(j.submitPs, prog.Fingerprint()); err != nil {
+		fingerprint = prog.Fingerprint()
+		if err := j.route.commit(j.submitPs, fingerprint); err != nil {
 			// Every shard queue at its bound (ErrOverloaded) or every
 			// shard down (ErrShardUnavailable): shed the submission like
 			// admission control does — instant in virtual terms, callers
@@ -238,25 +240,22 @@ func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 			j.complete(&Result{Err: err, DurationPs: backoff + t.opts.BasePs/4}, "")
 			return
 		}
+		fingerprint = prog.Fingerprint()
 	}
-	st := prog.Stats
-	req := ShardSubmit{
-		Key:  j.tn.cacheKey(fmt.Sprintf("%s|wrapped=%v", prog.Fingerprint(), wrapped)),
-		Name: j.name, Wrapped: wrapped, SubmitPs: j.submitPs, BackoffPs: backoff,
-		Cells: st.Cells, FFs: st.FFs, MemBits: st.MemBits, CritPath: st.CritPath,
+	req := summarize(prog.Stats, wrapped)
+	req.Key = j.tn.cacheKey(fmt.Sprintf("%s|wrapped=%v", fingerprint, wrapped))
+	req.Name, req.SubmitPs, req.BackoffPs = j.name, j.submitPs, backoff
+	if j.native {
+		req.Key = j.tn.cacheKey(fingerprint + "|tier=native")
+		req.native = true
 	}
 	dev := j.tn.snapshot().dev
-	model := func() *Result { return t.finishOn(dev, prog, wrapped) }
-	if j.native {
-		req.Key = j.tn.cacheKey(prog.Fingerprint() + "|tier=native")
-		model = func() *Result { return t.finishNative(prog) }
-	}
 
-	var res *Result
+	var out ShardOutcome
 	var flow Stats
 	if j.route != nil {
 		var err error
-		if res, flow, err = j.route.compile(req, prog, model); err != nil {
+		if out, flow, err = j.route.compile(req, dev); err != nil {
 			// The farm itself failed the request (no shard reachable) —
 			// not a verdict on the design. Complete with the typed error
 			// so the caller's JIT loop backs off and resubmits once shards
@@ -265,22 +264,22 @@ func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 			return
 		}
 	} else {
-		res, flow = t.cache.serve(req, model, farmHooks{})
+		out, flow = t.cache.serve(req, dev, farmHooks{})
 	}
 	j.count(func(s *Stats) { s.add(flow) })
-	j.traceOutcome(res)
-	j.complete(res, req.Key)
+	j.traceOutcome(out.HitSource)
+	j.complete(out.result(prog, req), req.Key)
 }
 
 // traceOutcome reports a served flow's cache outcome to the tenant's
 // observability hub, attributing the hit source.
-func (j *Job) traceOutcome(res *Result) {
+func (j *Job) traceOutcome(hitSource string) {
 	obs := j.tn.snapshot().obs
 	if obs == nil {
 		return
 	}
 	kind, series, detail := obsv.EvCacheHit, obs.CacheHits, "memory"
-	switch res.HitSource {
+	switch hitSource {
 	case HitJoined:
 		detail = "joined in-flight flow"
 	case HitDisk:

@@ -1,0 +1,190 @@
+package toolchain
+
+import (
+	"context"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"cascade/internal/elab"
+	"cascade/internal/fpga"
+	"cascade/internal/netlist"
+)
+
+// workerLink is a ShardLink straight into a Worker: the remote-shard
+// path without a transport.
+type workerLink struct{ w *Worker }
+
+func (l workerLink) Submit(spec ShardSubmit) (ShardOutcome, error) { return l.w.Compile(spec), nil }
+func (l workerLink) Fetch(key string) (BitMeta, bool, error) {
+	meta, ok := l.w.Fetch(key)
+	return meta, ok, nil
+}
+func (l workerLink) Put(meta BitMeta) error   { l.w.Put(meta, false); return nil }
+func (l workerLink) Publish(key string) error { l.w.Put(BitMeta{Key: key}, true); return nil }
+func (l workerLink) Ping() error              { return nil }
+func (l workerLink) Addr() string             { return "in-process" }
+func (l workerLink) Close() error             { return nil }
+
+// overWorker returns a toolchain whose farm is one Worker behind a link.
+func overWorker(opts Options) *Toolchain {
+	tc := New(fpga.NewCycloneV(), opts)
+	tc.UseFarm(FarmOptions{Links: []ShardLink{workerLink{NewWorker(New(fpga.NewCycloneV(), opts))}}})
+	return tc
+}
+
+// Two designs the fingerprint cannot tell apart: the netlists are the
+// same, but y is an internal wire in one and an output port in the
+// other, so an engine built for the second from the first's program has
+// no output to drive.
+const (
+	collideWire = `
+module M(input wire clk);
+  wire [7:0] y;
+  reg [7:0] a = 0;
+  always @(posedge clk) begin a <= a + 1; $display("%h", y); end
+  assign y = a;
+endmodule`
+	collidePort = `
+module M(input wire clk, output wire [7:0] y);
+  reg [7:0] a = 0;
+  always @(posedge clk) begin a <= a + 1; $display("%h", y); end
+  assign y = a;
+endmodule`
+)
+
+// TestHitCarriesSubmittersNetlist: whichever tier serves a flow, the
+// Result is assembled around the netlist synthesized from that
+// submission — never around the program of whoever filled the cache.
+func TestHitCarriesSubmittersNetlist(t *testing.T) {
+	ctx := context.Background()
+	// build runs the first design to a delivered (published) bitstream and
+	// returns the virtual time it was observed ready.
+	build := func(t *testing.T, tc *Toolchain, f *elab.Flat) uint64 {
+		j := tc.Submit(ctx, f, true, 0)
+		at, ok := j.ReadyAt()
+		if !ok || !j.Ready(at) {
+			t.Fatal("first flow never became ready")
+		}
+		return at
+	}
+	cases := []struct {
+		name   string
+		source string
+		second func(t *testing.T, first, second *elab.Flat) *Result
+	}{
+		{"memory after publish", HitMemory, func(t *testing.T, first, second *elab.Flat) *Result {
+			tc := New(fpga.NewCycloneV(), DefaultOptions())
+			at := build(t, tc, first)
+			return tc.Submit(ctx, second, true, at).Result()
+		}},
+		{"joined in flight", HitJoined, func(t *testing.T, first, second *elab.Flat) *Result {
+			tc := New(fpga.NewCycloneV(), DefaultOptions())
+			tc.Submit(ctx, first, true, 0).Wait()
+			return tc.Submit(ctx, second, true, 1).Result()
+		}},
+		{"disk after a cold restart", HitDisk, func(t *testing.T, first, second *elab.Flat) *Result {
+			dir := t.TempDir()
+			build(t, New(fpga.NewCycloneV(), diskCacheOptions(dir)), first)
+			return New(fpga.NewCycloneV(), diskCacheOptions(dir)).Submit(ctx, second, true, 0).Result()
+		}},
+		{"farm peer adoption", HitPeer, func(t *testing.T, first, second *elab.Flat) *Result {
+			// As in TestFarmOutageReroutesThenServesFromPeer: the home is
+			// down for the build and restarts cold for the resubmission.
+			probe := New(fpga.NewCycloneV(), DefaultOptions())
+			probe.UseFarm(FarmOptions{Workers: 2})
+			pj := probe.Submit(ctx, first, true, 0)
+			pj.Wait()
+			tc := New(fpga.NewCycloneV(), DefaultOptions())
+			tc.UseFarm(FarmOptions{Workers: 2, Outages: []ShardOutage{{Shard: pj.route.shard, FromRoute: 0, ToRoute: 1}}})
+			at := build(t, tc, first)
+			return tc.Submit(ctx, second, true, at).Result()
+		}},
+		{"worker behind a link", HitMemory, func(t *testing.T, first, second *elab.Flat) *Result {
+			tc := overWorker(DefaultOptions())
+			at := build(t, tc, first)
+			return tc.Submit(ctx, second, true, at).Result()
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			first, second := flatFor(t, collideWire), flatFor(t, collidePort)
+			if a, b := mustFingerprint(t, first), mustFingerprint(t, second); a != b {
+				t.Fatalf("the two designs no longer collide: %s vs %s", a, b)
+			}
+			res := c.second(t, first, second)
+			if res.Err != nil || !res.CacheHit || res.HitSource != c.source {
+				t.Fatalf("want a %q hit, got err=%v hit=%v source=%q", c.source, res.Err, res.CacheHit, res.HitSource)
+			}
+			if res.Prog.Flat != second {
+				t.Errorf("hit served another submission's netlist (%d outputs, want %d)",
+					len(res.Prog.Flat.Outputs), len(second.Outputs))
+			}
+		})
+	}
+}
+
+func mustFingerprint(t *testing.T, f *elab.Flat) string {
+	t.Helper()
+	prog, err := netlist.Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog.Fingerprint()
+}
+
+// TestMemoryTierRetainsNoNetlist: the memory tier is bounded by
+// construction — an entry is a flow outcome, a few machine words — so a
+// long session's cache holds no netlist (and through it no elaboration)
+// once the jobs that submitted them are gone. No LRU, no budget.
+func TestMemoryTierRetainsNoNetlist(t *testing.T) {
+	const designs = 64
+	ctx := context.Background()
+	kinds := []struct {
+		name  string
+		start func() *Toolchain
+	}{
+		{"local stack", func() *Toolchain { return New(fpga.NewCycloneV(), DefaultOptions()) }},
+		{"farm shards", func() *Toolchain {
+			tc := New(fpga.NewCycloneV(), DefaultOptions())
+			tc.UseFarm(FarmOptions{Workers: 2, Replicas: 2})
+			return tc
+		}},
+		{"worker", func() *Toolchain { return overWorker(DefaultOptions()) }},
+	}
+	// observe submits one design and observes it ready (publishing the
+	// bitstream and freeing its queue slot), keeping nothing of the job.
+	observe := func(t *testing.T, tc *Toolchain, src string, nowPs uint64) *Result {
+		j := tc.Submit(ctx, flatFor(t, src), true, nowPs)
+		res := j.Result()
+		if at, ok := j.ReadyAt(); res.Err != nil || !ok || !j.Ready(at) {
+			t.Fatalf("flow failed: %v", res.Err)
+		}
+		return res
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			tc := k.start()
+			srcs := farmPrograms(t, designs)
+			var freed atomic.Int32
+			for _, src := range srcs {
+				runtime.SetFinalizer(observe(t, tc, src, 0).Prog, func(*netlist.Program) { freed.Add(1) })
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for freed.Load() < designs && time.Now().Before(deadline) {
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			if n := freed.Load(); n < designs {
+				t.Errorf("%d of %d submitted netlists are still reachable from the cache", designs-n, designs)
+			}
+			// The cache itself is alive and warm: every design still hits.
+			for _, src := range srcs {
+				if res := observe(t, tc, src, 1); res.HitSource != HitMemory {
+					t.Fatalf("cache lost an entry: %+v", res)
+				}
+			}
+		})
+	}
+}

@@ -33,7 +33,11 @@
 // cache consultation, the place-and-route model, durable storage — is
 // stack.serve (cache.go) on a cache stack: the toolchain's own, or, with
 // a compile farm installed (UseFarm, farm.go), the stack of the shard
-// the farm routes the job to.
+// the farm routes the job to. The flow's data has one shape as well: the
+// back half takes the wire form of the request (ShardSubmit), the model
+// is one function of it (Toolchain.model), and what it returns, caches
+// and ships is a ShardOutcome — no tier holds a netlist, and the job
+// assembles its Result around the program it synthesized itself.
 package toolchain
 
 import (
@@ -337,21 +341,6 @@ func (t *Toolchain) nativeLatency(cells int) uint64 {
 	return uint64(total)
 }
 
-// finishNative is the back half of the native-tier flow: no placement,
-// no fit check (the artifact occupies zero fabric), no timing closure
-// (the host CPU has no clock period to close against). The netlist and
-// its stats still ride along so the runtime can hand the program to the
-// closure-threaded compiler.
-func (t *Toolchain) finishNative(prog *netlist.Program) *Result {
-	st := prog.Stats
-	raw := st.LogicElements()
-	return &Result{
-		Prog: prog, Stats: st,
-		RawAreaLEs: raw, NativeGo: true,
-		DurationPs: t.nativeLatency(raw),
-	}
-}
-
 // hitLatency is the virtual duration of a cache-served flow.
 func (t *Toolchain) hitLatency() uint64 {
 	ps := uint64(float64(t.opts.CacheHitPs) / t.opts.Scale)
@@ -361,46 +350,61 @@ func (t *Toolchain) hitLatency() uint64 {
 	return ps
 }
 
-// finishOn applies the area, fit, and timing models to a synthesized
-// netlist (the place-and-route half of the flow) against dev — a
-// tenant's fabric partition closes fit and timing against its own
-// region, not the whole shared device.
-func (t *Toolchain) finishOn(dev *fpga.Device, prog *netlist.Program, wrapped bool) *Result {
-	res := t.finishStats(dev, prog.Stats, wrapped)
-	res.Prog = prog
-	return res
+// summarize opens a back-half request for a synthesized netlist: the
+// summary is everything the model reads of it.
+func summarize(st netlist.Stats, wrapped bool) ShardSubmit {
+	return ShardSubmit{Wrapped: wrapped, Cells: st.Cells, FFs: st.FFs, MemBits: st.MemBits, CritPath: st.CritPath}
 }
 
-// finishStats is the model core of finishOn, computable from the
-// netlist summary alone — what a farm compile worker runs when the
-// client ships it synthesis results instead of source.
-func (t *Toolchain) finishStats(dev *fpga.Device, st netlist.Stats, wrapped bool) *Result {
+// model is the place-and-route half of the flow as a function of the
+// request alone — all a daemon worker is ever shipped. The native tier
+// bills its linear translation pass and stops: the artifact occupies no
+// fabric, so there is no fit to check and no clock period to close. The
+// fabric flow applies the area, fit, and timing models against dev — a
+// tenant's fabric partition closes fit and timing against its own
+// region, not the whole shared device.
+func (t *Toolchain) model(dev *fpga.Device, req ShardSubmit) ShardOutcome {
+	st := netlist.Stats{Cells: req.Cells, FFs: req.FFs, MemBits: req.MemBits, CritPath: req.CritPath}
 	raw := st.LogicElements()
-	area := raw + InfraLEs
-	if wrapped {
-		area = raw + wrapperLEs(st)
+	out := ShardOutcome{RawAreaLEs: raw, CritPath: st.CritPath}
+	if req.native {
+		out.DurationPs = t.nativeLatency(raw)
+		return out
 	}
 	// Compile latency is governed by the user logic (the wrapper and
 	// infrastructure are regular, pre-characterized structures); the
 	// wrapped flow pays a small constant factor for the extra routing.
-	dur := t.latency(raw)
-	if wrapped {
-		dur = dur * 112 / 100
-	}
-	res := &Result{
-		Stats:   st,
-		AreaLEs: area, RawAreaLEs: raw, Wrapped: wrapped,
-		DurationPs: dur,
-	}
-	if area > dev.Capacity() {
-		res.Err = fmt.Errorf("toolchain: design requires %d LEs, device has %d", area, dev.Capacity())
-		return res
+	out.AreaLEs = raw + InfraLEs
+	out.DurationPs = t.latency(raw)
+	if req.Wrapped {
+		out.AreaLEs = raw + wrapperLEs(st)
+		out.DurationPs = out.DurationPs * 112 / 100
 	}
 	// Timing closure is only discovered after placement (late failure).
-	if uint64(st.CritPath)*t.opts.LevelPs > dev.CyclePs() {
-		res.Err = fmt.Errorf("toolchain: timing closure failed: critical path %d levels (%d ps) exceeds %d ps clock period",
+	if out.AreaLEs > dev.Capacity() {
+		out.FlowErr = fmt.Sprintf("toolchain: design requires %d LEs, device has %d", out.AreaLEs, dev.Capacity())
+	} else if uint64(st.CritPath)*t.opts.LevelPs > dev.CyclePs() {
+		out.FlowErr = fmt.Sprintf("toolchain: timing closure failed: critical path %d levels (%d ps) exceeds %d ps clock period",
 			st.CritPath, uint64(st.CritPath)*t.opts.LevelPs, dev.CyclePs())
-		return res
+	}
+	return out
+}
+
+// result assembles the Result of a served flow around prog, the netlist
+// synthesized from this submission — the only place a Result gains a
+// Prog. A cache tier never supplies one: Program.Fingerprint does not
+// cover port directions, so two designs can share a key (and, rightly,
+// an outcome — area and timing are functions of the netlist alone)
+// while their engines must be built from different programs.
+func (out ShardOutcome) result(prog *netlist.Program, req ShardSubmit) *Result {
+	res := &Result{
+		Prog: prog, Stats: prog.Stats,
+		AreaLEs: out.AreaLEs, RawAreaLEs: out.RawAreaLEs, Wrapped: req.Wrapped,
+		DurationPs: out.DurationPs, CacheHit: out.CacheHit, HitSource: out.HitSource,
+		NativeGo: req.native,
+	}
+	if out.FlowErr != "" {
+		res.Err = errors.New(out.FlowErr)
 	}
 	return res
 }
@@ -420,5 +424,6 @@ func (t *Toolchain) CompileSync(f *elab.Flat, wrapped bool) *Result {
 		// Synthesis errors surface quickly (front-end rejects).
 		return &Result{Err: err, DurationPs: t.opts.BasePs / 4}
 	}
-	return t.finishOn(t.dev, prog, wrapped)
+	req := summarize(prog.Stats, wrapped)
+	return t.model(t.dev, req).result(prog, req)
 }

@@ -1,9 +1,5 @@
 package toolchain
 
-import (
-	"cascade/internal/netlist"
-)
-
 // Worker is the worker side of a compile-farm shard: what a
 // cascade-engined daemon started with -compile-worker hosts. It owns
 // one shard's cache stack — a memory join cache, the durable disk tier
@@ -57,19 +53,16 @@ func (f *funcTier) Store(meta BitMeta, _ *Stats) {
 	}
 }
 
-// Compile serves one compile-submit: this shard's stack, with the fit
-// and timing models reproduced from the shipped netlist summary. The
-// outcome carries no netlist — the client reassembles its Result around
-// its own synthesized program. The flow's counters land on the worker
+// Compile serves one compile-submit: stack.serve on this shard's stack
+// against the worker's device — the call a local flow makes, over the
+// shipped netlist summary. The client assembles its Result around its
+// own synthesized program. The flow's counters land on the worker
 // toolchain's own ledger; the submitter counts its side from the
 // outcome's HitSource.
 func (w *Worker) Compile(spec ShardSubmit) ShardOutcome {
-	res, flow := w.cache.serve(spec, func() *Result {
-		st := netlist.Stats{Cells: spec.Cells, FFs: spec.FFs, MemBits: spec.MemBits, CritPath: spec.CritPath}
-		return w.t.finishStats(w.t.dev, st, spec.Wrapped)
-	}, farmHooks{})
+	out, flow := w.cache.serve(spec, w.t.dev, farmHooks{})
 	w.bank(flow)
-	return outcomeOf(res)
+	return out
 }
 
 // bank adds counters to the worker toolchain's own (default-tenant)
@@ -83,8 +76,8 @@ func (w *Worker) bank(flow Stats) {
 // are deliberately not consulted, so a status probe (or a sibling's
 // cache-fetch) never fans back out across the ring.
 func (w *Worker) Status(key string) (BitMeta, bool) {
-	if meta, ok := w.memMeta(key); ok {
-		return meta, true
+	if entry := w.cache.entries.get(key); entry != nil && entry.out.FlowErr == "" {
+		return entry.out.meta(key), true
 	}
 	var flow Stats
 	meta, ok := w.disk().Lookup(key, &flow)
@@ -109,27 +102,4 @@ func (w *Worker) Put(meta BitMeta, publish bool) {
 	var flow Stats
 	w.disk().Store(meta, &flow)
 	w.bank(flow)
-}
-
-// memMeta extracts a durable record from a completed memory entry.
-func (w *Worker) memMeta(k string) (BitMeta, bool) {
-	entry := w.cache.entries.get(k)
-	if entry == nil || entry.res == nil || entry.res.Err != nil {
-		return BitMeta{}, false
-	}
-	return BitMeta{Key: k, AreaLEs: entry.res.AreaLEs,
-		RawAreaLEs: entry.res.RawAreaLEs, CritPath: entry.res.Stats.CritPath}, true
-}
-
-// outcomeOf flattens a Result to its wire form; flow errors travel as
-// text and are rewrapped client-side.
-func outcomeOf(res *Result) ShardOutcome {
-	out := ShardOutcome{
-		AreaLEs: res.AreaLEs, RawAreaLEs: res.RawAreaLEs, CritPath: res.Stats.CritPath,
-		DurationPs: res.DurationPs, CacheHit: res.CacheHit, HitSource: res.HitSource,
-	}
-	if res.Err != nil {
-		out.FlowErr = res.Err.Error()
-	}
-	return out
 }

@@ -7,8 +7,16 @@
 # half used to be written three times and the copies' books diverged;
 # this fails if a non-test file in the package type-asserts *FarmBackend
 # again, or if lookupTiers/metaMatches/storeTiers are called from more
-# than one function. Run from the repo root; exits non-zero listing
-# offenders.
+# than one function. The flow's data has one shape too: a served flow is
+# a ShardOutcome from the model through the memory tier to the wire, the
+# model is one function of the request, and a Result gains its netlist in
+# one place, from the submission itself — this also fails if a Result
+# literal sets Prog in more than one function, if a func() *Result model
+# closure reappears, if cacheEntry holds a Result or anything from
+# internal/netlist, or if one of the old per-path model copies
+# (finishOn, finishStats, finishNative) or Result<->wire converters
+# (outcomeOf, memMeta) comes back. Run from the repo root; exits non-zero
+# listing offenders.
 set -eu
 
 files=$(ls internal/toolchain/*.go | grep -v '_test\.go$')
@@ -32,4 +40,43 @@ if [ "$(printf '%s\n' "$callers" | grep -c .)" -gt 1 ]; then
     echo "check_toolchain_flow: the durable tiers are consulted from more than one function; go through stack.serve" >&2
     exit 1
 fi
-echo "check_toolchain_flow: one back half, no backend type-assertions"
+
+# Every function holding a Result literal that sets Prog (the package's
+# Result literals nest no braces, so the first closing one ends it).
+assemblers=$(awk '
+    /^func / { fn = $0; sub(/\{[[:space:]]*$/, "", fn); lit = 0 }
+    /^[[:space:]]*\/\// { next }
+    /Result\{/ { lit = 1 }
+    lit && /Prog:/ { print FILENAME ": " fn }
+    lit && /\}/ { lit = 0 }' $files | sort -u)
+if [ "$(printf '%s\n' "$assemblers" | grep -c .)" -ne 1 ]; then
+    printf '%s\n' "$assemblers"
+    echo "check_toolchain_flow: a Result must gain its Prog in exactly one function, from the submitter's own netlist" >&2
+    exit 1
+fi
+
+closures=$(grep -nE 'func\(\) \*Result' $files || true)
+if [ -n "$closures" ]; then
+    echo "$closures"
+    echo "check_toolchain_flow: no model closures; the back half is Toolchain.model of the request" >&2
+    exit 1
+fi
+
+held=$(awk '
+    /^type cacheEntry struct/ { in_entry = 1; next }
+    in_entry && /^}/ { in_entry = 0 }
+    /^[[:space:]]*\/\// { next }
+    in_entry && /Result|netlist\./ { print FILENAME ": " $0 }' $files)
+if [ -n "$held" ]; then
+    echo "$held"
+    echo "check_toolchain_flow: cacheEntry holds a ShardOutcome, never a Result or a netlist" >&2
+    exit 1
+fi
+
+revived=$(grep -nwE 'finishOn|finishStats|finishNative|outcomeOf|memMeta' $files || true)
+if [ -n "$revived" ]; then
+    echo "$revived"
+    echo "check_toolchain_flow: one model (Toolchain.model) and one record (ShardOutcome); do not re-add per-path copies" >&2
+    exit 1
+fi
+echo "check_toolchain_flow: one back half, one outcome record, one Result assembly site, no backend type-assertions"

@@ -13,14 +13,12 @@ import (
 
 	"cascade/internal/elab"
 	"cascade/internal/fpga"
-	"cascade/internal/ir"
 	"cascade/internal/metrics"
 	"cascade/internal/runtime"
 	"cascade/internal/stdlib"
 	"cascade/internal/toolchain"
 	"cascade/internal/userstudy"
 	"cascade/internal/vclock"
-	"cascade/internal/verilog"
 	"cascade/internal/workloads/ledswitch"
 	"cascade/internal/workloads/pow"
 	"cascade/internal/workloads/regexgen"
@@ -261,29 +259,10 @@ func RunTier() (*Tier, error) {
 	return out, nil
 }
 
-// elabMain builds the inlined root module of a program and elaborates it
-// (the design the toolchain baselines compile).
+// elabMain elaborates the inlined root module of a program on the default
+// board (the design the toolchain baselines compile).
 func elabMain(src string) (*elab.Flat, error) {
-	p := ir.NewProgram()
-	mods, items, errs := verilog.ParseProgramFragment(runtime.DefaultPrelude + "\n" + src)
-	if len(errs) > 0 {
-		return nil, errs[0]
-	}
-	for _, m := range mods {
-		if err := p.DeclareModule(m); err != nil {
-			return nil, err
-		}
-	}
-	p.AddRootItems(items...)
-	d, err := ir.Build(p, stdlib.Registry())
-	if err != nil {
-		return nil, err
-	}
-	inl, err := ir.Inline(d)
-	if err != nil {
-		return nil, err
-	}
-	return elab.Elaborate(inl.Sub(ir.RootPath).Module, ir.RootPath, nil)
+	return runtime.ElaborateInlined(runtime.DefaultPrelude + "\n" + src)
 }
 
 // Fig12 holds the regex streaming benchmark results.

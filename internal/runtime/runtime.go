@@ -294,10 +294,9 @@ type Runtime struct {
 	par  int // resolved Parallelism
 	vclk vclock.Clock
 
-	prog       *ir.Program
-	flatDesign *ir.Design // non-inlined design (state-mapping reference)
-	design     *ir.Design // currently executing design
-	inlined    bool
+	// ver is the program version being executed (version.go): never nil,
+	// replaced whole by install, its exec design nil until the first eval.
+	ver *version
 
 	// slots is the schedule table (scheduler.go): one row per scheduled
 	// engine, in order, with its transport client — every ABI call goes
@@ -314,7 +313,6 @@ type Runtime struct {
 	deliverFn  func(name string, val *bits.Vector) // r.deliver, bound once: a method value per route would allocate
 	cursor     atomic.Int64                        // next batch index a worker lane claims
 	lanes      sync.WaitGroup
-	elabs      map[string]*elab.Flat // flatDesign elaborations
 	stdEngines map[string]engine.Engine
 
 	// remoteT is the shared connection to the remote engine daemon (nil
@@ -350,11 +348,9 @@ type Runtime struct {
 	// executing design — its elaboration, current engine and tier, and
 	// pending compiles — sorted by path, the order the service pass visits
 	// them in; a scheduled subprogram's row points at its record.
-	placed    []*lifecycle.Placement
-	evalCtx   context.Context // context the current program version was eval'd under
-	phase     Phase
-	clockPath string // stdlib Clock subprogram path ("" if none)
-	clockVar  string // user engine input carrying the clock
+	placed  []*lifecycle.Placement
+	evalCtx context.Context // context the current program version was eval'd under
+	phase   Phase
 
 	// Degradation counters: hardware faults observed and the
 	// hardware→software evictions they triggered; native-tier faults
@@ -382,7 +378,6 @@ type Runtime struct {
 	stepCeil  uint64
 	areaLEs   int
 	startupPs uint64 // virtual time at which execution first began
-	everBuilt bool
 	// constructDisplays counts the display lines the previous build's
 	// initial blocks emitted during engine construction: the program is
 	// append-only, so on re-integration the same lines re-appear as a
@@ -456,8 +451,7 @@ func New(opts Options) *Runtime {
 	r := &Runtime{
 		opts:       opts,
 		par:        par,
-		prog:       ir.NewProgram(),
-		elabs:      map[string]*elab.Flat{},
+		ver:        &version{prog: ir.NewProgram()},
 		stdEngines: map[string]engine.Engine{},
 		xstats:     map[string]transport.Stats{},
 		committed:  map[string]*sim.State{},
@@ -719,7 +713,7 @@ func (r *Runtime) wrapLocal(path string, e engine.Engine) *transport.Client {
 }
 
 // retireClient banks a client's cumulative transport counters before the
-// client is dropped (restart, forwarding), so the path's lifetime totals
+// client is dropped (install, forwarding), so the path's lifetime totals
 // survive into its replacement.
 func (r *Runtime) retireClient(path string, c *transport.Client) {
 	s := r.xstats[path]
@@ -758,6 +752,42 @@ func (r *Runtime) flushTransportErrs() {
 	}
 }
 
+// connectRemote dials the remote engine daemon and opens the tenant
+// session (which bills nothing), once. Eval and Restore call it before
+// anything is journaled or replaced, so an unreachable daemon refuses the
+// request with the running program untouched. It is a no-op in-process,
+// once connected, and while the breaker holds the daemon for dead (install
+// then builds local engines and recovery re-hosts them).
+func (r *Runtime) connectRemote() error {
+	ro := r.opts.Remote
+	if ro == nil || r.remoteT != nil || r.sup.State() != supervise.Closed {
+		return nil
+	}
+	t, err := transport.DialTCP(ro.Addr, transport.TCPOptions{
+		DialTimeout: ro.DialTimeout,
+		CallTimeout: ro.CallTimeout,
+		Retries:     ro.Retries,
+		Injector:    r.opts.Injector,
+		Observer:    r.opts.Observer,
+	})
+	if err != nil {
+		return fmt.Errorf("remote engine: %w", err)
+	}
+	if ro.SessionQuotaLEs > 0 {
+		sess, err := transport.OpenSession(t, ro.SessionName,
+			ro.SessionQuotaLEs, ro.SessionShare, r.vclk.Now())
+		if err != nil {
+			t.Close()
+			return fmt.Errorf("remote session: %w", err)
+		}
+		r.remoteSess = sess
+		r.obs().Emit(obsv.EvSpawn, "session",
+			fmt.Sprintf("daemon session %d quota=%dLEs", sess, ro.SessionQuotaLEs))
+	}
+	r.remoteT = t
+	return nil
+}
+
 // spawnRemote instantiates one user subprogram on the remote daemon: the
 // module is printed back to Verilog, shipped with its parameter bindings
 // over the shared TCP transport, and re-elaborated on the far side. The
@@ -766,30 +796,8 @@ func (r *Runtime) flushTransportErrs() {
 // ordering is untouched.
 func (r *Runtime) spawnRemote(p *lifecycle.Placement, mod *verilog.Module, params map[string]*bits.Vector) (*transport.Client, error) {
 	path := p.Path
-	if r.remoteT == nil {
-		ro := r.opts.Remote
-		t, err := transport.DialTCP(ro.Addr, transport.TCPOptions{
-			DialTimeout: ro.DialTimeout,
-			CallTimeout: ro.CallTimeout,
-			Retries:     ro.Retries,
-			Injector:    r.opts.Injector,
-			Observer:    r.opts.Observer,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("remote engine: %w", err)
-		}
-		if ro.SessionQuotaLEs > 0 {
-			sess, err := transport.OpenSession(t, ro.SessionName,
-				ro.SessionQuotaLEs, ro.SessionShare, r.vclk.Now())
-			if err != nil {
-				t.Close()
-				return nil, fmt.Errorf("remote session: %w", err)
-			}
-			r.remoteSess = sess
-			r.obs().Emit(obsv.EvSpawn, "session",
-				fmt.Sprintf("daemon session %d quota=%dLEs", sess, ro.SessionQuotaLEs))
-		}
-		r.remoteT = t
+	if err := r.connectRemote(); err != nil { // re-host spawns without an Eval in front
+		return nil, err
 	}
 	spec := transport.SpawnSpec{
 		Path:    path,
@@ -853,9 +861,10 @@ func (r *Runtime) Shutdown() error {
 
 // Eval integrates new source into the running program: module
 // declarations enter the outer scope; items are appended to the implicit
-// root module. The extended program is trial-built first, so errors leave
-// the running program untouched (paper §3.1). On success all user logic
-// returns to software engines and JIT compilation restarts (§4.4).
+// root module. The extended program goes through the whole front end
+// first (integrate), so errors leave the running program untouched
+// (paper §3.1). On success all user logic returns to software engines and
+// JIT compilation restarts (§4.4).
 func (r *Runtime) Eval(src string) error {
 	return r.EvalCtx(context.Background(), src)
 }
@@ -869,46 +878,31 @@ func (r *Runtime) EvalCtx(ctx context.Context, src string) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	mods, items, errs := verilog.ParseProgramFragment(src)
-	if len(errs) > 0 {
-		return fmt.Errorf("parse: %v", errs[0])
-	}
-	for _, w := range verilog.Lint(mods, items) {
-		r.opts.View.Info("%s", w)
-	}
-	trial := r.prog.Clone()
-	for _, m := range mods {
-		if err := trial.DeclareModule(m); err != nil {
-			return err
-		}
-	}
-	trial.AddRootItems(items...)
-	design, err := ir.Build(trial, stdlib.Registry())
+	v, err := integrate(r.ver.prog, src, !r.opts.Features.DisableInline)
 	if err != nil {
 		return err
 	}
-	r.obs().Emit(obsv.EvEval, "", fmt.Sprintf("modules=%d items=%d bytes=%d", len(mods), len(items), len(src)))
-	// Every user subprogram must elaborate (type checking).
-	newElabs := map[string]*elab.Flat{}
-	for _, s := range design.UserSubs() {
-		f, err := elab.Elaborate(s.Module, s.Path, s.Params)
-		if err != nil {
-			return err
-		}
-		newElabs[s.Path] = f
-		r.obs().Emit(obsv.EvElaborate, s.Path, fmt.Sprintf("vars=%d", len(f.Vars)))
+	if err := r.connectRemote(); err != nil {
+		return err
 	}
-	// Commit — journaled first, so a crash between here and the commit
-	// replays an eval the crashed process had accepted but not applied
-	// (deterministically reaching the same state), never the reverse.
+	// Nothing below rejects source; only a journal disk error still refuses.
+	for _, w := range verilog.Lint(v.mods, v.items) {
+		r.opts.View.Info("%s", w)
+	}
+	if o := r.obs(); o != nil {
+		o.Emit(obsv.EvEval, "", fmt.Sprintf("modules=%d items=%d bytes=%d", len(v.mods), len(v.items), len(src)))
+		for _, s := range v.flat.UserSubs() {
+			o.Emit(obsv.EvElaborate, s.Path, fmt.Sprintf("vars=%d", len(v.flatElabs[s.Path].Vars)))
+		}
+	}
+	// Journaled before it is installed, so a crash in between replays an
+	// eval the crashed process had accepted but not applied, never the
+	// reverse — and replay, running the same pure front end over the same
+	// source, accepts it again and reaches the same state.
 	if err := r.persistEval(src); err != nil {
 		return err
 	}
-	saved := r.captureStates()
-	r.prog = trial
-	r.flatDesign = design
-	r.elabs = newElabs
-	return r.restart(ctx, saved)
+	return r.install(ctx, v, r.captureStates())
 }
 
 // MustEval is Eval for known-good source; it panics on error.
@@ -919,96 +913,48 @@ func (r *Runtime) MustEval(src string) {
 }
 
 // captureStates snapshots per-subprogram state from the current engines,
-// keyed by subprogram path (un-inlining names when necessary).
+// keyed by flat subprogram path (un-inlining names when necessary).
 func (r *Runtime) captureStates() map[string]*sim.State {
 	out := map[string]*sim.State{}
-	if r.flatDesign == nil {
+	if r.ver.exec == nil {
 		return out
 	}
-	if !r.inlined {
-		for _, s := range r.flatDesign.UserSubs() {
-			if e := r.slotOf(s.Path); e != nil {
-				out[s.Path] = e.c.GetState()
-			}
+	for _, s := range r.ver.exec.UserSubs() {
+		if sl := r.slotOf(s.Path); sl != nil {
+			out[s.Path] = sl.c.GetState()
 		}
-		return out
 	}
-	main := r.slotOf(ir.RootPath)
-	if main == nil {
-		return out
-	}
-	merged := main.c.GetState()
-	for _, s := range r.flatDesign.UserSubs() {
-		prefix := ir.PrefixOf(s.Path)
-		f := r.elabs[s.Path]
-		if f == nil {
-			continue
-		}
-		st := &sim.State{Scalars: map[string]*bits.Vector{}, Arrays: map[string][]*bits.Vector{}}
-		for _, v := range f.Vars {
-			if v.IsArray() {
-				if ws, ok := merged.Arrays[prefix+v.Name]; ok {
-					st.Arrays[v.Name] = ws
-				}
-				continue
-			}
-			if val, ok := merged.Scalars[prefix+v.Name]; ok {
-				st.Scalars[v.Name] = val
-			}
-		}
-		out[s.Path] = st
+	if merged := out[ir.RootPath]; r.ver.inlined && merged != nil {
+		return r.ver.split(merged)
 	}
 	return out
 }
 
-// mergeStates builds the inlined engine's state from per-sub snapshots.
-func mergeStates(saved map[string]*sim.State) *sim.State {
-	merged := &sim.State{Scalars: map[string]*bits.Vector{}, Arrays: map[string][]*bits.Vector{}}
-	for path, st := range saved {
-		prefix := ir.PrefixOf(path)
-		for name, v := range st.Scalars {
-			merged.Scalars[prefix+name] = v
-		}
-		for name, ws := range st.Arrays {
-			merged.Arrays[prefix+name] = ws
-		}
-	}
-	return merged
-}
-
-// restart rebuilds engines for the current program: Figure 9 phase 1 (or
-// 2 when inlining is enabled), releasing any hardware, cancelling
-// now-obsolete background compilations, and resubmitting fresh ones
-// bound to ctx.
-func (r *Runtime) restart(ctx context.Context, saved map[string]*sim.State) error {
+// install makes v the executing version: it retires every engine of the
+// previous one and builds v's — Figure 9 phase 1 (or 2 when inlined) —
+// seeded from saved, releasing any hardware, cancelling now-obsolete
+// background compilations and submitting fresh ones bound to ctx. It only
+// builds engines: everything that can reject a program ran in integrate,
+// before the caller committed. The errors left are a daemon that is
+// reachable (connectRemote ran) yet refuses a spawn, and stdlib.New on a
+// component type ir.Build already checked; neither can be shown to occur,
+// so nothing is rolled back — Eval reports it, Restore resets to fresh.
+func (r *Runtime) install(ctx context.Context, v *version, saved map[string]*sim.State) error {
 	r.evalCtx = ctx // evictions resubmit compiles under the same context
 	r.teardown()
+	r.ver = v
 	r.committed = map[string]*sim.State{}
 	evalStart := r.vclk.Now()
-
-	// Choose the executing design: inlined unless disabled.
-	r.design = r.flatDesign
-	r.inlined = false
-	execElabs := r.elabs
-	if !r.opts.Features.DisableInline {
-		inl, err := ir.Inline(r.flatDesign)
-		if err != nil {
-			return err
-		}
-		f, err := elab.Elaborate(inl.Sub(ir.RootPath).Module, ir.RootPath, nil)
-		if err != nil {
-			return fmt.Errorf("inline elaboration: %w\n%s", err, verilog.Print(inl.Sub(ir.RootPath).Module))
-		}
-		r.design = inl
-		r.inlined = true
-		execElabs = map[string]*elab.Flat{ir.RootPath: f}
+	if v.inlined {
 		// Inlining costs a pass over the program.
-		r.vclk.AdvanceOverhead(uint64(len(f.Vars)) * r.opts.Model.DispatchPs / 8)
+		r.vclk.AdvanceOverhead(uint64(len(v.execElabs[ir.RootPath].Vars)) * r.opts.Model.DispatchPs / 8)
 	}
 
-	// Stdlib engines persist across restarts; create missing ones.
-	r.clockPath = ""
-	for _, s := range r.design.StdSubs() {
+	// Stdlib engines persist across versions; a new one starts from its
+	// saved state if there is one (a restore), so the initial data-plane
+	// broadcast below carries the snapshot's values: user engines (whose
+	// restored inputs already match) see no change, no fabricated clock edge.
+	for _, s := range v.exec.StdSubs() {
 		e, ok := r.stdEngines[s.Path]
 		if !ok {
 			var err error
@@ -1016,10 +962,10 @@ func (r *Runtime) restart(ctx context.Context, saved map[string]*sim.State) erro
 			if err != nil {
 				return err
 			}
+			if st := saved[s.Path]; st != nil {
+				e.SetState(st)
+			}
 			r.stdEngines[s.Path] = e
-		}
-		if s.StdType == "Clock" && r.clockPath == "" {
-			r.clockPath = s.Path
 		}
 		r.slots = append(r.slots, slot{path: s.Path, c: r.wrapLocal(s.Path, e)})
 	}
@@ -1031,20 +977,10 @@ func (r *Runtime) restart(ctx context.Context, saved map[string]*sim.State) erro
 	// deterministic prefix, because the program is append-only — are
 	// suppressed. Initial blocks in freshly eval'd code still print.
 	qMark := len(r.displayQ)
-	for _, s := range r.design.UserSubs() {
-		f := execElabs[s.Path]
-		if f == nil {
-			var err error
-			f, err = elab.Elaborate(s.Module, s.Path, s.Params)
-			if err != nil {
-				return err
-			}
-		}
+	for _, s := range v.exec.UserSubs() {
+		f := v.execElabs[s.Path]
 		p := r.newPlacement(s.Path, f)
-		seed := saved[s.Path]
-		if r.inlined {
-			seed = mergeStates(saved)
-		}
+		seed := v.seed(saved, s.Path)
 		// A tripped breaker keeps new engines local: the daemon is
 		// presumed dead, so a re-integration mid-outage builds failed-over
 		// software engines and lets recovery re-host them later. A nil
@@ -1084,17 +1020,11 @@ func (r *Runtime) restart(ctx context.Context, saved map[string]*sim.State) erro
 		}
 	}
 	constructed := len(r.displayQ) - qMark
-	if r.everBuilt && r.constructDisplays > 0 {
-		drop := r.constructDisplays
-		if drop > constructed {
-			drop = constructed
-		}
+	if drop := min(r.constructDisplays, constructed); drop > 0 {
 		r.displayQ = append(r.displayQ[:qMark], r.displayQ[qMark+drop:]...)
 	}
 	r.constructDisplays = constructed
-	r.everBuilt = true
 	r.reschedule()
-	r.resolveClockVar()
 	// Initial data-plane broadcast: every engine announces its output
 	// values before the first scheduler iteration, so no engine acts on
 	// a zero-valued input that the producer never actually drove.
@@ -1114,13 +1044,14 @@ func (r *Runtime) restart(ctx context.Context, saved map[string]*sim.State) erro
 // :program command).
 func (r *Runtime) ProgramSource() string {
 	var sb strings.Builder
-	for _, name := range r.prog.ModuleNames() {
-		sb.WriteString(verilog.Print(r.prog.Modules[name]))
+	prog := r.ver.prog
+	for _, name := range prog.ModuleNames() {
+		sb.WriteString(verilog.Print(prog.Modules[name]))
 		sb.WriteString("\n")
 	}
-	if len(r.prog.RootItems) > 0 {
+	if len(prog.RootItems) > 0 {
 		sb.WriteString("// root module items\n")
-		for _, it := range r.prog.RootItems {
+		for _, it := range prog.RootItems {
 			sb.WriteString(verilog.Print(it))
 			sb.WriteString("\n")
 		}
@@ -1142,20 +1073,6 @@ func (r *Runtime) CompileReadyAt() (uint64, bool) {
 		}
 	})
 	return latest, found
-}
-
-// resolveClockVar finds the user-engine input fed by the stdlib clock.
-func (r *Runtime) resolveClockVar() {
-	r.clockVar = ""
-	if r.clockPath == "" {
-		return
-	}
-	for _, w := range r.design.Wires {
-		if w.From.Sub == r.clockPath && w.From.Port == "val" && w.To.Sub == ir.RootPath {
-			r.clockVar = w.To.Port
-			return
-		}
-	}
 }
 
 func (r *Runtime) now() uint64 { return r.steps }

@@ -293,28 +293,6 @@ always @(posedge clk.val) cnt <= cnt + 1;`)
 	}
 }
 
-func TestEvalErrorLeavesProgramIntact(t *testing.T) {
-	r := newTestRuntime(t, Options{OpenLoopTargetPs: 10 * vclock.Us})
-	r.MustEval(`reg [7:0] cnt = 1; always @(posedge clk.val) cnt <= cnt + 1; assign led.val = cnt;`)
-	r.RunTicks(5)
-	before := r.World().Led("main.led")
-	for _, bad := range []string{
-		`assign led.val = 1;`, // would double-drive through promotion collision
-		`wire [3:0] w = ;`,    // parse error
-		`assign q = missing;`, // undeclared
-		`module Rol(); endmodule
-		 module Rol(); endmodule`, // duplicate module
-	} {
-		if err := r.Eval(bad); err == nil {
-			t.Fatalf("eval(%q) should fail", bad)
-		}
-	}
-	r.RunTicks(1)
-	if got := r.World().Led("main.led"); got < before {
-		t.Fatal("failed evals disturbed the running program")
-	}
-}
-
 func TestFIFOEchoThroughRuntime(t *testing.T) {
 	r := newTestRuntime(t, Options{Features: Features{DisableJIT: true}})
 	r.MustEval(`

@@ -55,13 +55,13 @@ func (r *Runtime) reschedule() {
 		at[s.path] = i
 		s.routes = nil
 	}
-	for _, w := range r.design.Wires {
+	for _, w := range r.ver.exec.Wires {
 		from, ok := at[w.From.Sub]
 		if to, ok2 := at[w.To.Sub]; ok && ok2 {
 			r.slots[from].routes = append(r.slots[from].routes, route{w.From.Port, w.To.Port, to})
 		}
 	}
-	for _, sub := range r.design.StdSubs() {
+	for _, sub := range r.ver.exec.StdSubs() {
 		if f, ok := r.stdEngines[sub.Path].(*stdlib.FIFO); ok {
 			r.fifos = append(r.fifos, f)
 		}
@@ -91,7 +91,7 @@ func (r *Runtime) Step() {
 
 // step is Step's body; callers hold r.mu.
 func (r *Runtime) step() {
-	if r.finished || r.design == nil {
+	if r.finished || r.ver.exec == nil {
 		return
 	}
 	if r.phase == PhaseOpenLoop {
@@ -355,9 +355,9 @@ func (r *Runtime) serviceJIT() {
 	}
 	// Open loop needs everything in one engine plus a known clock.
 	if r.phase == PhaseForwarded && !r.opts.Features.DisableOpenLoop &&
-		len(r.slots) == 1 && r.clockVar != "" {
+		len(r.slots) == 1 && r.ver.clockVar != "" {
 		r.setPhase(PhaseOpenLoop)
-		r.opts.View.Info("entering open-loop scheduling on %s", r.clockVar)
+		r.opts.View.Info("entering open-loop scheduling on %s", r.ver.clockVar)
 	}
 }
 
@@ -375,7 +375,7 @@ func (r *Runtime) pending(t lifecycle.Tier) int {
 // setSoftwarePhase puts the JIT phase at software execution: where a
 // program version starts, and where a fabric eviction retreats to.
 func (r *Runtime) setSoftwarePhase() {
-	if r.inlined {
+	if r.ver.inlined {
 		r.setPhase(PhaseInlined)
 	} else {
 		r.setPhase(PhaseSoftware)
@@ -536,10 +536,10 @@ func (r *Runtime) billRebuild(tr lifecycle.Transition) {
 // unforward reverses forwardStdlib: absorbed stdlib engines return to
 // the head of the schedule, re-wrapped (the engine objects themselves
 // persisted in stdEngines, state intact), and group-internal wires to
-// the table's routes, exactly as restart would lay them out.
+// the table's routes, exactly as install would lay them out.
 func (r *Runtime) unforward(owner string) {
 	var std []slot
-	for _, s := range r.design.StdSubs() {
+	for _, s := range r.ver.exec.StdSubs() {
 		std = append(std, slot{path: s.Path, c: r.wrapLocal(s.Path, r.stdEngines[s.Path])})
 	}
 	r.slots = append(std, r.slots...)
@@ -552,7 +552,7 @@ func (r *Runtime) unforward(owner string) {
 // every route in the table — internal to the group, there being one user
 // engine — goes to the forwarder, in schedule and design order.
 func (r *Runtime) forwardStdlib(hw *hweng.Engine) {
-	for _, s := range r.design.StdSubs() {
+	for _, s := range r.ver.exec.StdSubs() {
 		hw.Forward(s.Path, r.stdEngines[s.Path])
 	}
 	member := func(s slot) string {
@@ -603,7 +603,7 @@ func (r *Runtime) openLoopBurst() {
 	// timeline is independent of the host (TestOpenLoopDeterministicWithPinnedWall).
 	// Wall time still never reaches r.vclk — only iteration counts do.
 	wallStart := r.obs().WallNow()
-	done := hw.OpenLoop(r.clockVar, iters)
+	done := hw.OpenLoop(r.ver.clockVar, iters)
 	wall := r.obs().WallNow().Sub(wallStart)
 	r.steps += uint64(done)
 	r.ticks = r.steps / 2

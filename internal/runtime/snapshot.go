@@ -7,14 +7,12 @@ import (
 	"sort"
 	"strings"
 
-	"cascade/internal/elab"
 	"cascade/internal/engine"
 	"cascade/internal/ir"
 	"cascade/internal/persist"
 	"cascade/internal/sim"
 	"cascade/internal/stdlib"
 	"cascade/internal/vclock"
-	"cascade/internal/verilog"
 )
 
 // Snapshot is a portable capture of a running program: its source, the
@@ -64,58 +62,23 @@ func (r *Runtime) snapshotLocked() *Snapshot {
 
 // Restore installs a snapshot onto this runtime, replacing whatever
 // program it was running (a fresh runtime works too). The program source
-// is re-integrated, every subprogram's state is injected, and the JIT
-// starts over on the new target's engines.
+// is re-integrated, every subprogram's state is injected — install seeds
+// each standard-library engine it creates from the snapshot too — and the
+// JIT starts over on the new target's engines.
 //
-// Restore validates the whole snapshot — parse, build, elaboration,
-// standard-library construction — before touching any runtime state,
-// and rolls the runtime back to its fresh state if the final engine
-// build fails: a corrupt or rejected snapshot never leaves state
-// half-installed or the runtime marked as built, so the caller can
-// Restore another snapshot (or Eval a program) on the same runtime.
+// Restore validates the whole snapshot — the front end over its source
+// (integrate), its input kinds, the daemon connection — before touching
+// any runtime state, and rolls the runtime back to its fresh state if
+// the final engine build fails: a corrupt or rejected snapshot never
+// leaves state half-installed, so the caller can Restore another
+// snapshot (or Eval a program) on the same runtime.
 func (r *Runtime) Restore(snap *Snapshot) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	mods, items, errs := verilog.ParseProgramFragment(snap.Source)
-	if len(errs) > 0 {
-		return fmt.Errorf("runtime: snapshot source: %v", errs[0])
-	}
-	prog := ir.NewProgram()
-	for _, m := range mods {
-		if err := prog.DeclareModule(m); err != nil {
-			return err
-		}
-	}
-	prog.AddRootItems(items...)
-	design, err := ir.Build(prog, stdlib.Registry())
+	v, err := integrate(ir.NewProgram(), snap.Source, !r.opts.Features.DisableInline)
 	if err != nil {
-		return err
+		return fmt.Errorf("runtime: snapshot source: %w", err)
 	}
-	elabs := map[string]*elab.Flat{}
-	for _, s := range design.UserSubs() {
-		f, err := elab.Elaborate(s.Module, s.Path, s.Params)
-		if err != nil {
-			return err
-		}
-		elabs[s.Path] = f
-	}
-	// Pre-create the standard-library engines with their restored state,
-	// so restart's initial data-plane broadcast carries the snapshot's
-	// values: user engines (whose restored inputs already match) see no
-	// change and no clock edge is fabricated. Built into a local map
-	// first — nothing is installed until everything constructed.
-	stdEngines := map[string]engine.Engine{}
-	for _, sub := range design.StdSubs() {
-		e, err := stdlib.New(sub.Path, sub.StdType, sub.Params, r.opts.World)
-		if err != nil {
-			return err
-		}
-		if st, ok := snap.States[sub.Path]; ok {
-			e.SetState(st)
-		}
-		stdEngines[sub.Path] = e
-	}
-
 	// Input kinds are validated before anything mutates, so the apply
 	// loop below cannot fail partway.
 	for _, in := range snap.Inputs {
@@ -125,26 +88,23 @@ func (r *Runtime) Restore(snap *Snapshot) error {
 			return fmt.Errorf("runtime: snapshot input kind %q", in.Kind)
 		}
 	}
+	if err := r.connectRemote(); err != nil {
+		return err
+	}
 
 	// Validation complete: commit. A used runtime (the REPL's :load on a
 	// live session) is torn down only now — a snapshot that fails any
 	// check above leaves the running program untouched.
-	if r.everBuilt {
-		r.resetFreshLocked()
-	}
+	r.resetFreshLocked()
 	// Board inputs land first so stdlib engines sample the snapshot's
 	// values on their first EndStep.
 	for _, in := range snap.Inputs {
 		r.opts.World.ApplyInput(in.Kind, in.Path, in.Value)
 	}
-	r.prog = prog
-	r.flatDesign = design
-	r.elabs = elabs
 	r.steps = snap.Steps
 	r.ticks = snap.Steps / 2
 	r.vclk.Restore(snap.VTime)
-	r.stdEngines = stdEngines
-	if err := r.restart(context.Background(), snap.States); err != nil {
+	if err := r.install(context.Background(), v, snap.States); err != nil {
 		// A failed engine build must not leave the runtime half-restored:
 		// roll back to the fresh state so it remains usable.
 		r.resetFreshLocked()
@@ -159,17 +119,12 @@ func (r *Runtime) Restore(snap *Snapshot) error {
 func (r *Runtime) resetFreshLocked() {
 	r.teardown()
 	r.stdEngines = map[string]engine.Engine{}
-	r.elabs = map[string]*elab.Flat{}
-	r.prog = ir.NewProgram()
-	r.flatDesign, r.design = nil, nil
-	r.inlined = false
+	r.ver = &version{prog: ir.NewProgram()}
 	r.setPhase(PhaseEmpty)
 	r.steps, r.ticks = 0, 0
 	r.finished = false
 	r.displayQ = nil
-	r.everBuilt = false
 	r.constructDisplays = 0
-	r.clockPath, r.clockVar = "", ""
 	r.vclk = vclock.Clock{}
 	r.hwFaults, r.evictions = 0, 0
 	r.nativeFaults, r.demotions = 0, 0
@@ -180,8 +135,7 @@ func (r *Runtime) resetFreshLocked() {
 // internal/persist container (magic + format version + CRC per
 // section): a "meta" section with the scalar counters, a "world"
 // section with the board's input pins, one "state:<path>" section per
-// subprogram, and a trailing "source" section. Version 1 — the bare
-// text blob older :save files hold — is still decoded.
+// subprogram, and a trailing "source" section.
 const (
 	snapshotMagic   = "cascade-snapshot"
 	snapshotVersion = 2
@@ -228,14 +182,10 @@ func snapshotSections(snap *Snapshot) []persist.Section {
 	return secs
 }
 
-// DecodeSnapshot parses EncodeSnapshot's format (and the legacy v1 text
-// blob). Arbitrary or corrupted bytes are rejected with an error, never
-// half-decoded: every section must verify against its checksum before
-// any of it is interpreted.
+// DecodeSnapshot parses EncodeSnapshot's format. Arbitrary or corrupted
+// bytes are rejected with an error, never half-decoded: every section
+// must verify against its checksum before any of it is interpreted.
 func DecodeSnapshot(text string) (*Snapshot, error) {
-	if strings.HasPrefix(text, "#cascade-snapshot steps=") {
-		return decodeSnapshotV1(text)
-	}
 	_, secs, err := persist.DecodeContainer(snapshotMagic, []byte(text))
 	if err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
@@ -343,42 +293,4 @@ func decodeSnapshotWorld(snap *Snapshot, data []byte) error {
 		snap.Inputs = append(snap.Inputs, in)
 	}
 	return sc.Err()
-}
-
-// decodeSnapshotV1 parses the legacy (pre-checksum) text format, kept
-// so snapshots written by older :save invocations still restore.
-func decodeSnapshotV1(text string) (*Snapshot, error) {
-	snap := &Snapshot{States: map[string]*sim.State{}}
-	head, rest, found := strings.Cut(text, "\n")
-	if !found || !strings.HasPrefix(head, "#cascade-snapshot") {
-		return nil, fmt.Errorf("runtime: not a snapshot")
-	}
-	if _, err := fmt.Sscanf(head, "#cascade-snapshot steps=%d", &snap.Steps); err != nil {
-		return nil, fmt.Errorf("runtime: snapshot header: %w", err)
-	}
-	for {
-		if strings.HasPrefix(rest, "#source\n") {
-			snap.Source = strings.TrimPrefix(rest, "#source\n")
-			return snap, nil
-		}
-		if !strings.HasPrefix(rest, "#state ") {
-			return nil, fmt.Errorf("runtime: malformed snapshot section near %.40q", rest)
-		}
-		var path string
-		head, rest, _ = strings.Cut(rest, "\n")
-		path = strings.TrimPrefix(head, "#state ")
-		// The state body runs until the next # directive.
-		end := strings.Index(rest, "\n#")
-		var body string
-		if end < 0 {
-			body, rest = rest, ""
-		} else {
-			body, rest = rest[:end+1], rest[end+1:]
-		}
-		st, err := sim.DecodeStateText(body)
-		if err != nil {
-			return nil, err
-		}
-		snap.States[path] = st
-	}
 }

@@ -228,17 +228,6 @@ func TestSnapshotDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestDecodeSnapshotLegacyV1(t *testing.T) {
-	// Snapshots written before the checksummed container still load.
-	snap, err := DecodeSnapshot("#cascade-snapshot steps=8\n#source\nwire x;\n")
-	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
-	}
-	if snap.Steps != 8 || snap.Source != "wire x;\n" {
-		t.Fatalf("legacy decode got steps=%d source=%q", snap.Steps, snap.Source)
-	}
-}
-
 func TestRestoreFailureLeavesRuntimeReusable(t *testing.T) {
 	dev := fpga.NewCycloneV()
 	r := New(Options{Device: dev, Toolchain: fastToolchain(dev), Features: Features{DisableJIT: true}})
@@ -291,6 +280,9 @@ func TestDecodeSnapshotErrors(t *testing.T) {
 		"not a snapshot",
 		"#cascade-snapshot steps=zero\nrest",
 		"#cascade-snapshot steps=1\n#bogus\n",
+		// The pre-checksum v1 text blob: well-formed, and refused — nothing
+		// decodes that cannot verify.
+		"#cascade-snapshot steps=8\n#source\nwire x;\n",
 	} {
 		if _, err := DecodeSnapshot(bad); err == nil {
 			t.Fatalf("DecodeSnapshot(%q) should fail", bad)

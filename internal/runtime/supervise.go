@@ -23,7 +23,7 @@ import (
 // again. Everything is billed on the virtual clock; no wall-clock
 // reads, so a supervised run replays byte-identically.
 func (r *Runtime) serviceSupervision() {
-	if r.sup == nil || r.opts.Remote == nil || r.design == nil {
+	if r.sup == nil || r.opts.Remote == nil || r.ver.exec == nil {
 		return
 	}
 	vnow := r.vclk.Now()
@@ -190,7 +190,7 @@ func (r *Runtime) failoverRemote() {
 // the breaker through the usual error path).
 func (r *Runtime) rehostRemote() {
 	n := 0
-	for _, s := range r.design.UserSubs() {
+	for _, s := range r.ver.exec.UserSubs() {
 		slot := r.slotOf(s.Path)
 		if slot == nil || slot.p.Tier() == lifecycle.Unplaced {
 			continue // still hosted remotely: never failed over

@@ -1,0 +1,57 @@
+#!/bin/sh
+# Front-end gate (CI): internal/runtime has one front end and one
+# program-version record. integrate (version.go) is the only code that
+# spells parse -> declare -> ir.Build -> elaborate -> ir.Inline ->
+# elaborate, and it runs whole before an eval or restore commits; Eval,
+# Restore, journal replay and internal/bench's baselines all go through
+# it. The sequence used to be written four times and split across the
+# commit point, so a fragment only the inlined root's elaboration could
+# refuse was refused after the program had been journaled, replaced and
+# torn down. Fails if a non-test file of internal/runtime or
+# internal/bench other than version.go calls a front-end stage again, if
+# the Runtime struct regrows one of the eight loose fields the version
+# record replaced, or if the unchecksummed v1 snapshot decoder comes back.
+# Run from the repo root; exits non-zero listing offenders.
+set -eu
+
+files=$(ls internal/runtime/*.go internal/bench/*.go | grep -v '_test\.go$')
+
+# Every front-end call outside version.go, comments skipped.
+calls=$(awk '
+    FILENAME == "internal/runtime/version.go" { next }
+    /^[[:space:]]*\/\// { next }
+    /verilog\.ParseProgramFragment\(|ir\.Build\(|ir\.Inline\(|elab\.Elaborate\(/ {
+        print FILENAME ":" FNR ": " $0
+    }' $files)
+if [ -n "$calls" ]; then
+    printf '%s\n' "$calls"
+    echo "check_front_end: parse/build/inline/elaborate belong to integrate (internal/runtime/version.go); call it, or runtime.ElaborateInlined" >&2
+    exit 1
+fi
+echo "check_front_end: the front end is spelled once, in version.go"
+
+# The fields of the Runtime struct, first word of each declaration line.
+fields=$(awk '
+    /^type Runtime struct \{/ { in_rt = 1; next }
+    in_rt && /^\}/ { exit }
+    in_rt && $1 ~ /^(prog|flatDesign|design|inlined|elabs|clockPath|clockVar|everBuilt)$/ {
+        print FILENAME ":" FNR ": " $0
+    }' internal/runtime/runtime.go)
+if [ -n "$fields" ]; then
+    printf '%s\n' "$fields"
+    echo "check_front_end: a program's identity is Runtime.ver (one immutable version), not loose Runtime fields" >&2
+    exit 1
+fi
+if ! grep -qE '^[[:space:]]+ver[[:space:]]+\*version' internal/runtime/runtime.go; then
+    echo "check_front_end: Runtime no longer declares ver *version" >&2
+    exit 1
+fi
+echo "check_front_end: Runtime holds one version record"
+
+legacy=$(grep -n 'decodeSnapshotV1' $files || true)
+if [ -n "$legacy" ]; then
+    echo "$legacy"
+    echo "check_front_end: snapshots decode through the checksummed container only" >&2
+    exit 1
+fi
+echo "check_front_end: no unchecksummed snapshot decoder"

@@ -40,11 +40,14 @@ smoke_port() {
 # pattern appears at least want times in file, failing loudly (with the
 # file's tail) on timeout. With watch_pid, a watched process exiting
 # before the pattern lands is also a failure — unless the pattern is
-# already there (it may legitimately have finished).
+# already there (it may legitimately have finished). The file may not
+# exist yet (a just-backgrounded process has not opened its redirect):
+# grep -c then prints nothing, and an empty count must read as 0, not
+# error out of the test and fall through as success.
 wait_count() {
     wc_want=$1; wc_pattern=$2; wc_file=$3; wc_what=$4; wc_watch=${5:-}
     i=0
-    while [ "$(grep -c "$wc_pattern" "$wc_file" 2>/dev/null || true)" -lt "$wc_want" ]; do
+    while [ "$(wc_seen)" -lt "$wc_want" ]; do
         i=$((i + 1))
         if [ "$i" -gt 600 ]; then
             echo "FAIL: timed out waiting for $wc_what"
@@ -52,7 +55,7 @@ wait_count() {
             exit 1
         fi
         if [ -n "$wc_watch" ] && ! kill -0 "$wc_watch" 2>/dev/null; then
-            if [ "$(grep -c "$wc_pattern" "$wc_file" 2>/dev/null || true)" -lt "$wc_want" ]; then
+            if [ "$(wc_seen)" -lt "$wc_want" ]; then
                 echo "FAIL: process exited before $wc_what"
                 tail -40 "$wc_file" 2>/dev/null || true
                 exit 1
@@ -61,6 +64,12 @@ wait_count() {
         fi
         sleep 0.1
     done
+}
+
+# wc_seen: how many lines of $wc_file match $wc_pattern now (0 if absent).
+wc_seen() {
+    wc_n=$(grep -c "$wc_pattern" "$wc_file" 2>/dev/null || true)
+    echo "${wc_n:-0}"
 }
 
 # start_daemon <logfile> [daemon args...]: start $engined listening on

@@ -11,6 +11,7 @@ package cascade
 import (
 	"context"
 	"fmt"
+	"net"
 	"os"
 	"testing"
 
@@ -23,6 +24,7 @@ import (
 	"cascade/internal/runtime"
 	"cascade/internal/stdlib"
 	"cascade/internal/toolchain"
+	"cascade/internal/transport"
 	"cascade/internal/userstudy"
 	"cascade/internal/vclock"
 	"cascade/internal/verilog"
@@ -400,6 +402,41 @@ func benchSchedulerLanes(b *testing.B, par int) {
 
 func BenchmarkScheduler_Serial(b *testing.B)   { benchSchedulerLanes(b, 1) }
 func BenchmarkScheduler_Parallel(b *testing.B) { benchSchedulerLanes(b, 8) }
+
+// BenchmarkScheduler_Remote is the lock-step loop with its user engines —
+// three independent counters and the root that clocks them — hosted on
+// an engine daemon (an in-process transport.Host behind a loopback
+// listener): ns/op is what a tick costs when every scheduler round is a
+// TCP frame, and frames/step says how many of those there are.
+func BenchmarkScheduler_Remote(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	go transport.NewHost(transport.HostOptions{DisableJIT: true}).ServeListener(ln)
+	prog := "module Ctr(input wire c, output wire [7:0] out);\n  reg [7:0] n = 1;\n" +
+		"  always @(posedge c) n <= n + 3;\n  assign out = n;\nendmodule\n" +
+		"Ctr c0(.c(clk.val)); Ctr c1(.c(clk.val)); Ctr c2(.c(clk.val));\n" +
+		"assign led.val = c0.out ^ c1.out ^ c2.out;\n"
+	rt := newRT(b, runtime.Options{
+		Features:    runtime.Features{DisableJIT: true, DisableInline: true},
+		Parallelism: 2,
+		Remote:      &runtime.RemoteOptions{Addr: ln.Addr().String()},
+	}, prog)
+	defer rt.CloseRemote()
+	frames := func() (n uint64) {
+		for _, e := range rt.Stats().Engines {
+			if e.Transport == "tcp" {
+				n += e.Xport.RoundTrips // a shared frame is booked once
+			}
+		}
+		return n
+	}
+	f0, s0 := frames(), rt.Steps()
+	reportVirtualRate(b, rt)
+	b.ReportMetric(float64(frames()-f0)/float64(rt.Steps()-s0), "frames/step")
+}
 
 // BenchmarkToolchainCache measures the compile service's bitstream
 // cache: every iteration resubmits the same netlist, so after the first

@@ -157,23 +157,35 @@ func EncodeRequest(dst []byte, req *Request) []byte {
 		dst = appendUvarint(dst, uint64(int64(f.RawAreaLEs)))
 		dst = appendUvarint(dst, uint64(int64(f.CritPath)))
 		dst = appendBool(dst, f.Publish)
+	case KindRound:
+		dst = append(dst, byte(req.Phase))
+		dst = appendUvarint(dst, uint64(len(req.Inputs)))
+		for i := range req.Inputs {
+			in := &req.Inputs[i]
+			dst = appendUvarint(dst, uint64(in.Engine))
+			dst = appendString(dst, in.Var)
+			dst = appendVec(dst, in.Val)
+		}
+		dst = appendUvarint(dst, uint64(len(req.Members)))
+		for _, id := range req.Members {
+			dst = appendUvarint(dst, uint64(id))
+		}
 	}
 	return dst
 }
 
-// EncodeReply appends rep's wire encoding to dst and returns the
-// extended slice.
-func EncodeReply(dst []byte, rep *Reply) []byte {
-	dst = append(dst, Version, byte(rep.Kind))
-	dst = appendUvarint(dst, uint64(rep.Engine))
-	dst = appendString(dst, rep.Err)
-	dst = append(dst, byte(rep.Loc))
-	dst = appendUvarint(dst, rep.Usage.Ops)
-	dst = appendUvarint(dst, rep.Usage.Cycles)
-	dst = appendUvarint(dst, rep.Usage.Msgs)
-	dst = appendUvarint(dst, rep.Usage.NativeOps)
-	dst = appendUvarint(dst, uint64(len(rep.IO)))
-	for _, ev := range rep.IO {
+// appendResult encodes what every answer about one engine carries: the
+// envelope, a flag and drained outputs. A per-call reply's own fields
+// travel in the same form (Reply.Bool in place of Ran).
+func appendResult(dst []byte, res *RoundResult) []byte {
+	dst = appendString(dst, res.Err)
+	dst = append(dst, byte(res.Loc))
+	dst = appendUvarint(dst, res.Usage.Ops)
+	dst = appendUvarint(dst, res.Usage.Cycles)
+	dst = appendUvarint(dst, res.Usage.Msgs)
+	dst = appendUvarint(dst, res.Usage.NativeOps)
+	dst = appendUvarint(dst, uint64(len(res.IO)))
+	for _, ev := range res.IO {
 		dst = append(dst, byte(ev.Kind))
 		switch ev.Kind {
 		case IODisplay:
@@ -183,12 +195,22 @@ func EncodeReply(dst []byte, rep *Reply) []byte {
 			dst = appendUvarint(dst, uint64(int64(ev.Code)))
 		}
 	}
-	dst = appendBool(dst, rep.Bool)
-	dst = appendUvarint(dst, uint64(len(rep.Events)))
-	for _, ev := range rep.Events {
+	dst = appendBool(dst, res.Ran)
+	dst = appendUvarint(dst, uint64(len(res.Events)))
+	for _, ev := range res.Events {
 		dst = appendString(dst, ev.Var)
 		dst = appendVec(dst, ev.Val)
 	}
+	return dst
+}
+
+// EncodeReply appends rep's wire encoding to dst and returns the
+// extended slice.
+func EncodeReply(dst []byte, rep *Reply) []byte {
+	dst = append(dst, Version, byte(rep.Kind))
+	dst = appendUvarint(dst, uint64(rep.Engine))
+	dst = appendResult(dst, &RoundResult{Err: rep.Err, Loc: rep.Loc, Usage: rep.Usage,
+		IO: rep.IO, Ran: rep.Bool, Events: rep.Events})
 	dst = appendState(dst, rep.State)
 	dst = appendUvarint(dst, uint64(rep.Epoch))
 	if rep.Farm == nil {
@@ -204,6 +226,12 @@ func EncodeReply(dst []byte, rep *Reply) []byte {
 		dst = appendString(dst, f.HitSource)
 		dst = appendString(dst, f.FlowErr)
 		dst = appendBool(dst, f.Found)
+	}
+	if rep.Kind == KindRound {
+		dst = appendUvarint(dst, uint64(len(rep.Round)))
+		for i := range rep.Round {
+			dst = appendResult(dst, &rep.Round[i])
+		}
 	}
 	return dst
 }
@@ -381,8 +409,20 @@ func (r *reader) finish() error {
 // DecodeRequest parses one request message. Malformed input yields an
 // error, never a panic, and allocations are bounded by len(data).
 func DecodeRequest(data []byte) (*Request, error) {
+	req := &Request{}
+	if err := DecodeRequestInto(data, req); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// DecodeRequestInto is DecodeRequest into req (overwriting it), reusing
+// the backing arrays of its round fields: a serving loop that decodes
+// into one Request stops allocating them. On error req is unspecified.
+func DecodeRequestInto(data []byte, req *Request) error {
 	r := &reader{buf: data}
-	req := &Request{Kind: r.header()}
+	inputs, members := req.Inputs[:0], req.Members[:0]
+	*req = Request{Kind: r.header()}
 	req.Engine = uint32(r.uvarint())
 	req.Now = r.uvarint()
 	req.VNow = r.uvarint()
@@ -427,24 +467,36 @@ func DecodeRequest(data []byte) (*Request, error) {
 		f.CritPath = int(int64(r.uvarint()))
 		f.Publish = r.bool()
 		req.Farm = f
+	case KindRound:
+		req.Phase = RoundPhase(r.u8())
+		if r.err == nil && (req.Phase == 0 || req.Phase >= roundPhaseMax) {
+			r.fail(fmt.Errorf("proto: unknown round phase %d", req.Phase))
+		}
+		n := r.length(4) // engine, name length, width, a byte of value
+		for i := 0; i < n && r.err == nil; i++ {
+			in := RoundInput{Engine: uint32(r.uvarint())}
+			in.Var = r.string()
+			in.Val = r.vecNonNil()
+			inputs = append(inputs, in)
+		}
+		n = r.length(1)
+		for i := 0; i < n && r.err == nil; i++ {
+			members = append(members, uint32(r.uvarint()))
+		}
 	}
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return req, nil
+	req.Inputs, req.Members = inputs, members
+	return r.finish()
 }
 
-// DecodeReply parses one reply message into rep (overwriting it).
-func DecodeReply(data []byte, rep *Reply) error {
-	r := &reader{buf: data}
-	*rep = Reply{Kind: r.header()}
-	rep.Engine = uint32(r.uvarint())
-	rep.Err = r.string()
-	rep.Loc = engine.Location(r.u8())
-	rep.Usage.Ops = r.uvarint()
-	rep.Usage.Cycles = r.uvarint()
-	rep.Usage.Msgs = r.uvarint()
-	rep.Usage.NativeOps = r.uvarint()
+// result decodes appendResult's form into res, reusing the backing
+// arrays of its slices.
+func (r *reader) result(res *RoundResult) {
+	io, evs := res.IO[:0], res.Events[:0]
+	*res = RoundResult{Err: r.string(), Loc: engine.Location(r.u8())}
+	res.Usage.Ops = r.uvarint()
+	res.Usage.Cycles = r.uvarint()
+	res.Usage.Msgs = r.uvarint()
+	res.Usage.NativeOps = r.uvarint()
 	n := r.length(1)
 	for i := 0; i < n && r.err == nil; i++ {
 		ev := IOEvent{Kind: IOKind(r.u8())}
@@ -457,15 +509,27 @@ func DecodeReply(data []byte, rep *Reply) error {
 		default:
 			r.fail(fmt.Errorf("proto: unknown IO event kind %d", ev.Kind))
 		}
-		rep.IO = append(rep.IO, ev)
+		io = append(io, ev)
 	}
-	rep.Bool = r.bool()
+	res.Ran = r.bool()
 	n = r.length(2)
 	for i := 0; i < n && r.err == nil; i++ {
 		ev := engine.Event{Var: r.string()}
 		ev.Val = r.vecNonNil()
-		rep.Events = append(rep.Events, ev)
+		evs = append(evs, ev)
 	}
+	res.IO, res.Events = io, evs
+}
+
+// DecodeReply parses one reply message into rep (overwriting it).
+func DecodeReply(data []byte, rep *Reply) error {
+	r := &reader{buf: data}
+	round := rep.Round[:0]
+	*rep = Reply{Kind: r.header()}
+	rep.Engine = uint32(r.uvarint())
+	var env RoundResult
+	r.result(&env)
+	rep.Err, rep.Loc, rep.Usage, rep.IO, rep.Bool, rep.Events = env.Err, env.Loc, env.Usage, env.IO, env.Ran, env.Events
 	rep.State = r.state()
 	rep.Epoch = uint32(r.uvarint())
 	if r.bool() {
@@ -480,6 +544,18 @@ func DecodeReply(data []byte, rep *Reply) error {
 		f.Found = r.bool()
 		rep.Farm = f
 	}
+	if rep.Kind == KindRound {
+		n := r.length(9) // an empty result's fixed fields
+		for i := 0; i < n && r.err == nil; i++ {
+			if i < cap(round) {
+				round = round[:i+1]
+			} else {
+				round = append(round, RoundResult{})
+			}
+			r.result(&round[i])
+		}
+	}
+	rep.Round = round
 	return r.finish()
 }
 

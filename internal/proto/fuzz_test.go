@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cascade/internal/bits"
+	"cascade/internal/engine"
 )
 
 // FuzzProtoRoundTrip drives both decoders with arbitrary bytes: a
@@ -21,6 +22,13 @@ func FuzzProtoRoundTrip(f *testing.F) {
 	f.Add(EncodeReply(nil, &Reply{Kind: KindGetState, Engine: 4, State: testState()}))
 	f.Add(EncodeReply(nil, &Reply{Kind: KindDrainWrites, Bool: true,
 		IO: []IOEvent{{Kind: IODisplay, Text: "x", Newline: true}, {Kind: IOFinish, Code: 1}}}))
+	f.Add(EncodeRequest(nil, &Request{Kind: KindRound, Now: 3, Phase: RoundEvals,
+		Inputs:  []RoundInput{{Engine: 1, Var: "clk", Val: bits.FromUint64(1, 1)}},
+		Members: []uint32{1, 2}}))
+	f.Add(EncodeReply(nil, &Reply{Kind: KindRound, Round: []RoundResult{
+		{Ran: true, Events: []engine.Event{{Var: "out", Val: bits.FromUint64(8, 3)}},
+			IO: []IOEvent{{Kind: IODisplay, Text: "x", Newline: true}}},
+		{Err: "unknown engine 2"}}}))
 	f.Add([]byte{Version, byte(KindEvaluate), 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff})
 

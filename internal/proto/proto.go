@@ -5,12 +5,24 @@
 // in-process today, a TCP hop to a remote engine daemon tomorrow (the
 // direction SYNERGY pushed the Cascade architecture in).
 //
-// One request/reply pair models one ABI round-trip. Unsynthesizable side
-// effects ($display, $finish) do not get their own callback channel:
-// engines buffer them and every reply piggybacks the buffered events, so
-// IO is delivered on the goroutine that issued the request and the
-// runtime's deterministic lane-drain ordering is preserved no matter
-// which transport carried the message.
+// A request/reply pair is one frame, and there are two framings of the
+// same ABI calls. A per-call kind (KindRead … KindEnd) carries one call
+// for one engine: spawn-time traffic, state transfers, and any caller
+// that drives a lone engine. KindRound carries one scheduler round for
+// every engine a runtime hosts on the daemon — the input deliveries
+// queued since the last frame, then poll, evaluate-or-update and drain
+// (or end-step and drain) per engine in schedule order — so a lock-step
+// step crosses the wire once per round, not once per call per engine.
+// The host runs both framings through the same per-call code. What the
+// virtual clock prices is the ABI call (the paper's unit), however many
+// of them one frame carried.
+//
+// Unsynthesizable side effects ($display, $finish) do not get their own
+// callback channel: engines buffer them and every reply (every round
+// member's result) piggybacks the buffered events, so IO is delivered
+// on the goroutine that issued the request and the runtime's
+// deterministic lane-drain ordering is preserved no matter which
+// transport or framing carried the message.
 //
 // The binary codec (codec.go) is compact and allocation-bounded: vectors
 // reuse the internal/bits little-endian byte encoding, frames are
@@ -33,7 +45,11 @@ import (
 // kinds (KindCompileSubmit/Status/Cancel, KindCacheFetch/CachePut) and
 // the Farm request/reply payloads, letting a daemon host the back half
 // of compile flows and a replicated bitstream cache for remote clients.
-const Version = 4
+// Version 5 added KindRound, the per-round framing of the scheduler's
+// ABI calls. As with every bump, a daemon resumption journal's records
+// written under an older version no longer decode and are skipped when
+// the journal is replayed (transport.Host.EnableJournal).
+const Version = 5
 
 // Kind identifies the ABI request a message carries.
 type Kind uint8
@@ -85,6 +101,10 @@ const (
 	KindCompileCancel
 	KindCacheFetch
 	KindCachePut
+	// KindRound is one scheduler round for the engines a runtime hosts on
+	// the daemon (Request.Phase, Inputs, Members; Reply.Round): the host
+	// applies the inputs in order, then serves each member in order.
+	KindRound
 	kindMax
 )
 
@@ -128,8 +148,52 @@ func (k Kind) String() string {
 		return "cache_fetch"
 	case KindCachePut:
 		return "cache_put"
+	case KindRound:
+		return "round"
 	}
 	return "invalid"
+}
+
+// RoundPhase selects what a KindRound frame does for each member after
+// its inputs are applied.
+type RoundPhase uint8
+
+// Round phases, in the order Figure 6 visits them.
+const (
+	// RoundEvals: if ThereAreEvals { Evaluate; DrainWrites }.
+	RoundEvals RoundPhase = iota + 1
+	// RoundUpdates: if ThereAreUpdates { Update; DrainWrites }.
+	RoundUpdates
+	// RoundEndStep: EndStep (and the host's JIT service), then DrainWrites
+	// on whichever engine the swap left. A member that had outputs to
+	// drain ends the frame — the reply is short, and the sender routes
+	// them before it asks for the rest: they may be inputs of the members
+	// after it, due before those members' own end-step.
+	RoundEndStep
+	// RoundInputs delivers the inputs and runs nothing: the members are
+	// the receivers, named so the reply carries their metered work.
+	RoundInputs
+	roundPhaseMax
+)
+
+// RoundInput is one queued Read: engine Engine's input Var takes Val.
+type RoundInput struct {
+	Engine uint32
+	Var    string
+	Val    *bits.Vector
+}
+
+// RoundResult is one member's share of a round reply, in the order the
+// request named the members: what a per-call reply envelope carries
+// (location, metered work, buffered IO, an engine-level error), whether
+// the phase ran the engine, and the outputs drained if it did.
+type RoundResult struct {
+	Err    string
+	Loc    engine.Location
+	Usage  engine.Usage
+	IO     []IOEvent
+	Ran    bool
+	Events []engine.Event
 }
 
 // IOKind classifies a piggybacked IO event.
@@ -188,6 +252,12 @@ type Request struct {
 
 	// Farm carries the compile-farm kinds' payload (nil otherwise).
 	Farm *FarmJob
+
+	// Round: the phase, the input deliveries to apply first (in order),
+	// and the hosted engines to serve, in schedule order.
+	Phase   RoundPhase
+	Inputs  []RoundInput
+	Members []uint32
 }
 
 // FarmJob is the payload of the compile-farm request kinds. A
@@ -245,6 +315,11 @@ type Reply struct {
 
 	// Farm carries a compile-farm reply's payload (nil otherwise).
 	Farm *FarmResult
+
+	// Round holds one result per member of a KindRound request, in
+	// request order. DecodeReply reuses its backing arrays, so a reply
+	// decoded into repeatedly stops allocating them.
+	Round []RoundResult
 }
 
 // FarmResult is the outcome of one compile-farm request. FlowErr is a

@@ -43,6 +43,16 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Kind: KindCacheFetch, Farm: &FarmJob{Key: "tenant=a|fp"}},
 		{Kind: KindCachePut, Farm: &FarmJob{Key: "fp", AreaLEs: 900, RawAreaLEs: 840, CritPath: 12}},
 		{Kind: KindCachePut, Farm: &FarmJob{Key: "fp", Publish: true}},
+		{Kind: KindRound, Now: 5, VNow: 1 << 40, Phase: RoundEvals,
+			Inputs: []RoundInput{
+				{Engine: 2, Var: "clk", Val: bits.FromUint64(1, 1)},
+				{Engine: 3, Var: "d", Val: testState().Scalars["big"]}},
+			Members: []uint32{2, 3, 300}},
+		{Kind: KindRound, Phase: RoundUpdates, Members: []uint32{1}},
+		{Kind: KindRound, Now: 6, Phase: RoundEndStep, Members: []uint32{1, 2}},
+		{Kind: KindRound, Phase: RoundInputs,
+			Inputs:  []RoundInput{{Engine: 7, Var: "in", Val: bits.FromUint64(8, 0x5a)}},
+			Members: []uint32{7}},
 	}
 	for _, req := range reqs {
 		enc := EncodeRequest(nil, req)
@@ -72,6 +82,14 @@ func TestReplyRoundTrip(t *testing.T) {
 			CacheHit: true, HitSource: "disk"}},
 		{Kind: KindCompileSubmit, Farm: &FarmResult{FlowErr: "toolchain: design requires 99 LEs"}},
 		{Kind: KindCacheFetch, Farm: &FarmResult{Found: true, AreaLEs: 1, RawAreaLEs: 1, CritPath: 1}},
+		{Kind: KindRound, Epoch: 7, Round: []RoundResult{
+			{Loc: engine.Hardware, Usage: engine.Usage{Cycles: 2, Msgs: 5}, Ran: true,
+				Events: []engine.Event{{Var: "out", Val: bits.FromUint64(8, 0x42)}},
+				IO:     []IOEvent{{Kind: IODisplay, Text: "n=1", Newline: true}, {Kind: IOFinish}}},
+			{Err: "unknown engine 9"},
+			{Loc: engine.Software, Usage: engine.Usage{Ops: 3, NativeOps: 1}},
+		}},
+		{Kind: KindRound},
 	}
 	for _, rep := range reps {
 		enc := EncodeReply(nil, rep)
@@ -108,14 +126,79 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"huge count": append(EncodeRequest(nil, &Request{Kind: KindSpawn})[:0],
 			Version, byte(KindSpawn), 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f),
 	}
+	// A round frame: header, phase, input count, inputs, member count, ids.
+	round := func(tail ...byte) []byte {
+		return append([]byte{Version, byte(KindRound), 0, 0, 0}, tail...)
+	}
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0x0f}
+	cases["round: no phase"] = round(0, 0, 0)
+	cases["round: unknown phase"] = round(byte(roundPhaseMax), 0, 0)
+	cases["round: input count beyond the bytes"] = round(append([]byte{byte(RoundEvals)}, huge...)...)
+	cases["round: member count beyond the bytes"] = round(append([]byte{byte(RoundEvals), 0}, huge...)...)
+	cases["round: nil input value"] = round(byte(RoundInputs), 1, 7, 1, 'x', 0, 1, 7)
+	cases["round: truncated input"] = round(byte(RoundInputs), 1, 7, 1, 'x', 8)
 	for name, data := range cases {
 		if _, err := DecodeRequest(data); err == nil {
 			t.Errorf("%s: decode accepted malformed input", name)
 		}
 	}
+	empty := EncodeReply(nil, &Reply{Kind: KindRound}) // ends in the result count, 0
+	replies := map[string][]byte{
+		"truncated":                          {Version, byte(KindEvaluate), 1},
+		"result count beyond the bytes":      append(empty[:len(empty)-1:len(empty)-1], huge...),
+		"result count without the results":   append(empty[:len(empty)-1:len(empty)-1], 2),
+		"results on a reply of another kind": append(EncodeReply(nil, &Reply{Kind: KindEvaluate}), 0),
+	}
 	var rep Reply
-	if err := DecodeReply([]byte{Version, byte(KindEvaluate), 1}, &rep); err == nil {
-		t.Error("reply decode accepted truncated input")
+	for name, data := range replies {
+		if err := DecodeReply(data, &rep); err == nil {
+			t.Errorf("reply %s: decode accepted malformed input", name)
+		}
+	}
+}
+
+// TestDecodeReusesRoundArrays: a serving loop decodes every frame into
+// one Request and one Reply; what a shorter frame leaves in the reused
+// arrays must not leak into it, and the arrays must be the same ones.
+func TestDecodeReusesRoundArrays(t *testing.T) {
+	big := &Reply{Kind: KindRound, Round: []RoundResult{
+		{Ran: true, Events: []engine.Event{{Var: "a", Val: bits.FromUint64(4, 1)}, {Var: "b", Val: bits.FromUint64(4, 2)}},
+			IO: []IOEvent{{Kind: IODisplay, Text: "x"}}},
+		{Err: "gone"}, {Ran: true},
+	}}
+	small := &Reply{Kind: KindRound, Round: []RoundResult{{Loc: engine.Hardware}}}
+	var rep, want Reply
+	if err := DecodeReply(EncodeReply(nil, big), &rep); err != nil {
+		t.Fatal(err)
+	}
+	first := &rep.Round[0]
+	if err := DecodeReply(EncodeReply(nil, small), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodeReply(EncodeReply(nil, small), &want); err != nil {
+		t.Fatal(err)
+	}
+	if &rep.Round[0] != first {
+		t.Error("reply result array reallocated")
+	}
+	if got := rep.Round; len(got) != 1 || len(got[0].Events) != 0 || len(got[0].IO) != 0 ||
+		got[0].Ran || got[0].Err != "" || got[0].Loc != want.Round[0].Loc {
+		t.Errorf("stale data in reused reply: %+v", got)
+	}
+
+	var req Request
+	for _, src := range []*Request{
+		{Kind: KindRound, Phase: RoundEvals, Members: []uint32{1, 2, 3},
+			Inputs: []RoundInput{{Engine: 1, Var: "c", Val: bits.FromUint64(1, 1)}}},
+		{Kind: KindRound, Phase: RoundUpdates, Members: []uint32{4}},
+		{Kind: KindEvaluate, Engine: 4},
+	} {
+		if err := DecodeRequestInto(EncodeRequest(nil, src), &req); err != nil {
+			t.Fatal(err)
+		}
+		if len(req.Inputs) != len(src.Inputs) || !reflect.DeepEqual(append([]uint32(nil), req.Members...), src.Members) {
+			t.Errorf("%v into a reused request: inputs %v members %v", src.Kind, req.Inputs, req.Members)
+		}
 	}
 }
 

@@ -1,0 +1,224 @@
+package runtime
+
+import (
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"cascade/internal/proto"
+	"cascade/internal/supervise"
+	"cascade/internal/transport"
+	"cascade/internal/vclock"
+)
+
+// ledgerAtParent holds, for genEquivProgram(seed) hosted on a loopback
+// daemon at a lane count and with the daemon's JIT off or on, the FNV-64a
+// digest of Stats().Time printed after each of 48 ticks — recorded at the
+// commit before remote lock-step went by the round (PR 18, ef86e99), when
+// every ABI call was its own frame. The virtual ledger prices ABI calls,
+// not frames, so it must not have moved; more than one lane is what
+// exposes a Read's cost settled in the wrong batch (makespan is not
+// additive), the JIT what exposes a Read delivered on the wrong side of
+// the receiver's promotion.
+var ledgerAtParent = map[[2]int64]map[bool]uint64{
+	{0, 1}: {false: 0x696de2d7ecd659d1, true: 0x79564aafdd203dda},
+	{0, 2}: {false: 0x9b8c2491807cc98b, true: 0xd242d90439455270},
+	{0, 8}: {false: 0x9b8c2491807cc98b, true: 0xd76cdf7161fadde8},
+	{1, 1}: {false: 0x5deb7a6d19022cae, true: 0xa91afa6be7441c2f},
+	{1, 2}: {false: 0xbc57326a04f51fa0, true: 0x921ff8bf52822d59},
+	{1, 8}: {false: 0xde9594dc04d8deaa, true: 0xa1f5902c05a0ba66},
+	{2, 1}: {false: 0x31c8e89ae358e75e, true: 0xbd82d54dee3a939e},
+	{2, 2}: {false: 0x766d19e6ee0c6d18, true: 0x4e6de9b5c1db3a44},
+	{2, 8}: {false: 0x11d55d3586c2e254, true: 0x45a30d7fa13b976},
+	{3, 1}: {false: 0x31c8e89ae358e75e, true: 0xbd82d54dee3a939e},
+	{3, 2}: {false: 0x766d19e6ee0c6d18, true: 0x4e6de9b5c1db3a44},
+	{3, 8}: {false: 0x11d55d3586c2e254, true: 0x45a30d7fa13b976},
+}
+
+func TestRemoteLedgerPinned(t *testing.T) {
+	for key, want := range ledgerAtParent {
+		for jit, digest := range want {
+			seed, par := key[0], int(key[1])
+			prog := genEquivProgram(rand.New(rand.NewSource(seed)))
+			r := newTestRuntime(t, Options{View: &BufView{Quiet: true}, Parallelism: par,
+				Features: Features{DisableInline: true, DisableJIT: !jit},
+				Remote:   &RemoteOptions{Addr: loopbackDaemon(t, !jit)}})
+			r.MustEval(prog)
+			h := fnv.New64a()
+			for i := 0; i < 48; i++ {
+				r.RunTicks(1)
+				fmt.Fprintf(h, "%+v\n", r.Stats().Time)
+			}
+			r.CloseRemote()
+			if got := h.Sum64(); got != digest {
+				t.Errorf("seed %d, %d lanes, daemon jit %v: ledger digest %#x, at the parent %#x",
+					seed, par, jit, got, digest)
+			}
+		}
+	}
+}
+
+// frameCount wraps the daemon connection and counts frames by kind.
+type frameCount struct {
+	transport.Transport
+	frames map[proto.Kind]int
+}
+
+func (f *frameCount) Roundtrip(req *proto.Request, rep *proto.Reply) (transport.Cost, error) {
+	f.frames[req.Kind]++
+	return f.Transport.Roundtrip(req, rep)
+}
+
+// countedRemote builds a runtime whose daemon link runs over a counting
+// wrapper of its TCP transport.
+func countedRemote(t *testing.T, opts Options) (*Runtime, *frameCount) {
+	t.Helper()
+	r := newTestRuntime(t, opts)
+	if err := r.connectRemote(); err != nil {
+		t.Fatal(err)
+	}
+	fc := &frameCount{Transport: r.remoteT, frames: map[proto.Kind]int{}}
+	r.link = transport.NewLink(fc, r.now, r.vclk.Now)
+	t.Cleanup(func() { r.CloseRemote() })
+	return r, fc
+}
+
+// TestRemoteFramesPerStep: what crosses the wire during RunTicks is the
+// round — one frame per daemon per scheduler round, the same number of
+// them whether the daemon hosts one counter of the program, three or six
+// (beside its root, which hands them the clock and is hosted too), every
+// one a KindRound and none of the seven per-call kinds.
+func TestRemoteFramesPerStep(t *testing.T) {
+	const ticks = 40
+	frames := map[int]int{}
+	for _, counters := range []int{1, 3, 6} {
+		var sb strings.Builder
+		sb.WriteString("module Ctr(input wire c);\n  reg [7:0] n = 1;\n  wire [7:0] nn = n + 3;\n" +
+			"  always @(posedge c) n <= nn;\nendmodule\n")
+		for i := 0; i < counters; i++ {
+			fmt.Fprintf(&sb, "Ctr c%d(.c(clk.val));\n", i)
+		}
+		sb.WriteString("reg [7:0] n = 1;\nalways @(posedge clk.val) n <= n + 1;\nassign led.val = n;\n")
+		r, fc := countedRemote(t, Options{Parallelism: 2,
+			Features: Features{DisableInline: true, DisableJIT: true},
+			Remote:   &RemoteOptions{Addr: loopbackDaemon(t, true)}})
+		r.MustEval(sb.String())
+		hosted := 0
+		for _, e := range r.Stats().Engines {
+			if e.Transport == "tcp" {
+				hosted++
+			}
+		}
+		if hosted != counters+1 {
+			t.Fatalf("%d hosted engines, want %d", hosted, counters+1)
+		}
+		for k := range fc.frames {
+			delete(fc.frames, k) // spawn-time traffic is by the call
+		}
+		r.RunTicks(ticks)
+		if got := r.World().Led("main.led"); got != 1+ticks {
+			t.Fatalf("%d hosted: led %d after %d ticks", hosted, got, ticks)
+		}
+		for kind, n := range fc.frames {
+			if kind != proto.KindRound {
+				t.Errorf("%d hosted: %d %v frames during RunTicks", hosted, n, kind)
+			}
+		}
+		frames[counters] = fc.frames[proto.KindRound]
+	}
+	if frames[1] == 0 || frames[3] != frames[1] || frames[6] != frames[1] {
+		t.Errorf("frames over %d ticks depend on the number of hosted counters: %v", ticks, frames)
+	}
+	if per := float64(frames[1]) / (2 * ticks); per > 9 {
+		t.Errorf("%.1f frames per step, want at most 9", per)
+	}
+}
+
+// TestRemoteSnapshotBetweenSteps: a snapshot is made of lone GetState
+// calls, and a lone call must see every input queued before it — right
+// after an eval, when the initial broadcast has just queued some, as
+// after any tick. Hosted or in-process, the program is in the same state.
+func TestRemoteSnapshotBetweenSteps(t *testing.T) {
+	prog := genEquivProgram(rand.New(rand.NewSource(1)))
+	feats := Features{DisableInline: true, DisableJIT: true}
+	local := newTestRuntime(t, Options{Features: feats, Parallelism: 1})
+	remote := newTestRuntime(t, Options{Features: feats, Parallelism: 2,
+		Remote: &RemoteOptions{Addr: loopbackDaemon(t, true)}})
+	defer remote.CloseRemote()
+	local.MustEval(prog)
+	remote.MustEval(prog)
+	for tick := 0; tick <= 24; tick++ {
+		a, b := local.Snapshot(), remote.Snapshot()
+		a.VTime, b.VTime = vclock.Breakdown{}, vclock.Breakdown{} // the ledgers differ by design
+		if ea, eb := EncodeSnapshot(a), EncodeSnapshot(b); ea != eb {
+			t.Fatalf("tick %d: hosted snapshot differs from the in-process one:\n%s\n---\n%s", tick, eb, ea)
+		}
+		local.RunTicks(1)
+		remote.RunTicks(1)
+	}
+}
+
+// TestSupervisedEngineLost: the daemon stops holding one of three hosted
+// engines (ended behind the runtime's back — what a SessionClose from
+// another connection, or a daemon resumed without it, does). The daemon
+// still answers pings, so only the forced trip — the failure threshold
+// here is out of reach — gets the run off the inert client: it fails
+// over from the committed states, re-hosts, and prints the undisturbed
+// run's output (invariant 14's comparison). The loss lands where the
+// chaos tests land their kills: before a step that prints nothing (the
+// failover seed is the previous step boundary for every engine, so the
+// engines still served during a step that prints would print it again).
+func TestSupervisedEngineLost(t *testing.T) {
+	run := func(lose bool) (string, Stats, []error) {
+		view := &BufView{Quiet: true}
+		d := newTestDaemon(t, "", false)
+		r := newTestRuntime(t, Options{
+			View:     view,
+			Features: Features{DisableInline: true, DisableJIT: true},
+			Remote:   supRemoteOptions(d.addr),
+			Supervise: &supervise.Options{
+				ProbeIntervalPs: 10 * vclock.Us,
+				FailThreshold:   1 << 20,
+				ReopenPs:        1,
+			},
+		})
+		defer r.CloseRemote()
+		r.MustEval(chaosProg)
+		r.RunTicks(10)
+		r.Step() // a posedge step; the next one is silent
+		if lose {
+			// The engine spawned last — counter b, a leaf — has the highest ID.
+			var rep proto.Reply
+			for id := uint32(16); id > 0 && d.host.Engines() == 3; id-- {
+				d.host.Handle(&proto.Request{Kind: proto.KindEnd, Engine: id}, &rep)
+			}
+			if d.host.Engines() != 2 {
+				t.Fatalf("daemon holds %d engines after losing one of 3", d.host.Engines())
+			}
+		}
+		if !r.RunUntilFinish(2000) {
+			t.Fatal("run never finished")
+		}
+		return view.Output(), r.Stats(), view.Errors()
+	}
+	want, _, _ := run(false)
+	got, st, errs := run(true)
+	if got != want {
+		t.Errorf("output diverged after losing an engine:\n%s\nundisturbed:\n%s", got, want)
+	}
+	lost := 0
+	for _, err := range errs {
+		if errors.Is(err, transport.ErrEngineLost) {
+			lost++
+		}
+	}
+	if lost != 1 {
+		t.Errorf("lost engine reported %d times, want once: %v", lost, errs)
+	}
+	if sup := st.Supervise; sup.Trips != 1 || sup.Failovers != 3 || sup.Rehosts != 3 || sup.State != "closed" {
+		t.Errorf("supervisor did not force-trip, fail over and re-host: %+v", sup)
+	}
+}

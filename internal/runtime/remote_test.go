@@ -35,9 +35,9 @@ func loopbackDaemon(t testing.TB, disableJIT bool) string {
 }
 
 // runEquivRemote is runEquiv with the user engines hosted on a loopback
-// daemon: same program, same observables, every ABI interaction a TCP
-// round-trip.
-func runEquivRemote(t *testing.T, prog string, feats Features, par, n int, ro *RemoteOptions, inj *fault.Injector) (string, []uint64, map[string]*sim.State, Stats) {
+// daemon: same program, same observables, every scheduler round a frame.
+// It also returns the runtime's stats and the daemon connection's own.
+func runEquivRemote(t *testing.T, prog string, feats Features, par, n int, ro *RemoteOptions, inj *fault.Injector) (string, []uint64, map[string]*sim.State, Stats, transport.Stats) {
 	t.Helper()
 	view := &BufView{Quiet: true}
 	r := newTestRuntime(t, Options{View: view, Features: feats, Parallelism: par, Remote: ro, Injector: inj})
@@ -48,7 +48,8 @@ func runEquivRemote(t *testing.T, prog string, feats Features, par, n int, ro *R
 		r.RunTicks(1)
 		leds = append(leds, r.World().Led("main.led"))
 	}
-	return view.Output(), leds, r.captureStates(), r.Stats()
+	states := r.captureStates()
+	return view.Output(), leds, states, r.Stats(), r.remoteT.Stats()
 }
 
 // TestSerialParallelRemoteEquivalence extends the scheduler-equivalence
@@ -71,7 +72,7 @@ func TestSerialParallelRemoteEquivalence(t *testing.T) {
 
 			addr := loopbackDaemon(t, feats.DisableJIT)
 			ro := &RemoteOptions{Addr: addr}
-			outR, ledR, stR, stats := runEquivRemote(t, prog, feats, 8, 48, ro, nil)
+			outR, ledR, stR, stats, conn := runEquivRemote(t, prog, feats, 8, 48, ro, nil)
 
 			if outS != outR {
 				t.Errorf("display output diverged:\nserial: %q\nremote: %q\nprogram:\n%s", outS, outR, prog)
@@ -85,17 +86,17 @@ func TestSerialParallelRemoteEquivalence(t *testing.T) {
 			if stats.Remote != addr {
 				t.Errorf("stats remote = %q, want %q", stats.Remote, addr)
 			}
-			if stats.Xport.RoundTrips == 0 || stats.Xport.BytesOut == 0 {
-				t.Errorf("remote run metered no protocol traffic: %+v", stats.Xport)
-			}
-			tcp := 0
+			// Sessionless and unsupervised, every frame on the connection
+			// carried an engine, and a shared frame's cost is booked to the
+			// engines it carried without loss or double count.
+			var tcp transport.Stats
 			for _, e := range stats.Engines {
 				if e.Transport == "tcp" {
-					tcp++
+					tcp.Add(e.Xport)
 				}
 			}
-			if tcp == 0 {
-				t.Errorf("no engine reports the tcp transport: %+v", stats.Engines)
+			if tcp != conn || conn.RoundTrips == 0 || conn.BytesOut == 0 {
+				t.Errorf("tcp engines' books %+v do not sum to the connection's %+v", tcp, conn)
 			}
 		})
 	}
@@ -168,7 +169,7 @@ func TestRemoteEquivalenceWithNetDrops(t *testing.T) {
 	addr := loopbackDaemon(t, true)
 	inj := fault.New(fault.Config{Seed: 11, NetDrop: 1, MaxNetFaults: 3})
 	ro := &RemoteOptions{Addr: addr, Retries: 3}
-	outR, ledR, stR, stats := runEquivRemote(t, prog, feats, 4, 48, ro, inj)
+	outR, ledR, stR, stats, _ := runEquivRemote(t, prog, feats, 4, 48, ro, inj)
 
 	if outS != outR {
 		t.Errorf("display output diverged under drops:\nserial: %q\nremote: %q", outS, outR)

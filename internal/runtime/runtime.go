@@ -221,8 +221,9 @@ type Options struct {
 
 	// Remote, when set, hosts the user's engines on a cascade-engined
 	// daemon instead of in-process: each subprogram is shipped over the
-	// engine protocol at integration time and every ABI interaction
-	// becomes a billed TCP round-trip. Stdlib engines (the peripherals)
+	// engine protocol at integration time, every ABI interaction is
+	// billed as a message, and a scheduler round crosses the wire as one
+	// frame for all of them. Stdlib engines (the peripherals)
 	// always stay local — they are the board. JIT promotion happens on
 	// the daemon's own fabric; forwarding and open-loop scheduling
 	// require in-process hardware and are skipped.
@@ -299,13 +300,13 @@ type Runtime struct {
 	ver *version
 
 	// slots is the schedule table (scheduler.go): one row per scheduled
-	// engine, in order, with its transport client — every ABI call goes
-	// through the message protocol, and the client decides whether that
-	// is a direct in-process call (Local transport, zero-copy) or a TCP
-	// round-trip to a daemon. The bare in-process engine behind a user
-	// subprogram's client belongs to its lifecycle record (placed), which
-	// performs every hot swap. fifos are the design's FIFO transfer
-	// meters, scheduled or forwarded; the rest is the loop's working state.
+	// engine, in order, with its transport client — a direct in-process
+	// call (Local transport, zero-copy), or an engine hosted on a daemon,
+	// whose share of each round travels in the daemon's one frame. The
+	// bare in-process engine behind a user subprogram's client belongs to
+	// its lifecycle record (placed), which performs every hot swap. fifos
+	// are the design's FIFO transfer meters, scheduled or forwarded; the
+	// rest is the loop's working state.
 	slots      []slot
 	fifos      []*stdlib.FIFO
 	batch      []int
@@ -316,13 +317,18 @@ type Runtime struct {
 	stdEngines map[string]engine.Engine
 
 	// remoteT is the shared connection to the remote engine daemon (nil
-	// unless Options.Remote is set); xstats accumulates per-path
+	// unless Options.Remote is set) and link the round framing over it
+	// that every client spawned there shares — made and dropped together,
+	// though the clients keep their link (and it the connection, which
+	// redials) for as long as they are scheduled; hosted is the buffer a
+	// round collects its members in. xstats accumulates per-path
 	// transport counters across the restarts that retire and rebuild
-	// clients, so :engines reports lifetime totals. xerrs collects
-	// transport errors latched by clients — possibly on worker
-	// goroutines mid-batch — for the controller to report from the
-	// observable part of the step, keeping the View single-threaded.
+	// clients, so :engines reports lifetime totals. xerrs collects the
+	// errors clients latch mid-step, for the controller to report from
+	// the observable part of the step, keeping the View single-threaded.
 	remoteT    *transport.TCP
+	link       *transport.Link
+	hosted     []*transport.Client
 	remoteSess uint32 // daemon session ID (0: sessionless)
 	xstats     map[string]transport.Stats
 	xerrMu     sync.Mutex
@@ -339,10 +345,11 @@ type Runtime struct {
 	sup       *supervise.Supervisor
 	committed map[string]*sim.State
 	supFails  int
-	// supRestart marks that a latched failure carried the daemon-restart
-	// sentinel: the remote is reachable but its state is journal-stale,
-	// so the breaker is force-tripped regardless of threshold.
-	supRestart bool
+	// supStale marks that a latched failure was proof of state loss — the
+	// daemon restarted (its state is journal-stale) or no longer holds an
+	// engine — rather than of unreachability: the breaker is force-tripped
+	// regardless of threshold.
+	supStale bool
 
 	// placed holds one lifecycle record per user subprogram of the
 	// executing design — its elaboration, current engine and tier, and
@@ -634,11 +641,12 @@ func (r *Runtime) StartupPs() uint64 { return r.startupPs }
 // dispatched on during a batch, or the controller between batches.
 // Remote engines keep to this by construction: their $display/$finish
 // events ride back on protocol replies and the transport client replays
-// them on the goroutine that issued the round-trip, so no transport or
-// daemon goroutine touches a lane. The mutex does not provide the
-// ordering; it is the happens-before edge between a worker's appends and
-// the controller's drain (the dispatcher's join is another, but drainLane
-// must stay correct for an engine the current batch did not dispatch).
+// them on the goroutine that issued the frame (the controller, for a
+// round), so no transport or daemon goroutine touches a lane. The mutex
+// does not provide the ordering; it is the happens-before edge between a
+// worker's appends and the controller's drain (the dispatcher's join is
+// another, but drainLane must stay correct for an engine the current
+// batch did not dispatch).
 type laneIO struct {
 	mu       sync.Mutex
 	displays []string
@@ -722,10 +730,10 @@ func (r *Runtime) retireClient(path string, c *transport.Client) {
 }
 
 // noteTransportErr is the onErr hook handed to every client. Clients
-// latch transport failures on whichever goroutine issued the round-trip
-// — possibly a worker lane mid-batch — so the error is queued here and
-// reported by the controller from the observable part of the step,
-// preserving the View's single-threaded contract.
+// latch failures on whichever goroutine issued the frame, mid-step, so
+// the error is queued here and reported by the controller from the
+// observable part of the step, preserving the View's single-threaded
+// contract.
 func (r *Runtime) noteTransportErr(err error) {
 	r.xerrMu.Lock()
 	r.xerrs = append(r.xerrs, err)
@@ -739,13 +747,13 @@ func (r *Runtime) flushTransportErrs() {
 	r.xerrs = nil
 	r.xerrMu.Unlock()
 	for _, err := range errs {
-		// Transport-unavailable failures (dial failed, retry budget
-		// exhausted) count against the supervisor's breaker; engine-level
-		// errors travel in reply envelopes and never carry the sentinel.
+		// Failures to reach or be served by the daemon (dial failed, retry
+		// budget exhausted, engine refused) count against the supervisor's
+		// breaker; the ones that prove its state is gone trip it outright.
 		if r.sup != nil && errors.Is(err, transport.ErrEngineUnavailable) {
 			r.supFails++
-			if errors.Is(err, transport.ErrDaemonRestarted) {
-				r.supRestart = true
+			if errors.Is(err, transport.ErrDaemonRestarted) || errors.Is(err, transport.ErrEngineLost) {
+				r.supStale = true
 			}
 		}
 		r.opts.View.Error(err)
@@ -785,6 +793,7 @@ func (r *Runtime) connectRemote() error {
 			fmt.Sprintf("daemon session %d quota=%dLEs", sess, ro.SessionQuotaLEs))
 	}
 	r.remoteT = t
+	r.link = transport.NewLink(t, r.now, r.vclk.Now)
 	return nil
 }
 
@@ -807,8 +816,7 @@ func (r *Runtime) spawnRemote(p *lifecycle.Placement, mod *verilog.Module, param
 		JIT:     !r.opts.Features.DisableJIT,
 		Session: r.remoteSess,
 	}
-	c, err := transport.Spawn(r.remoteT, spec, p.IO, r.now,
-		func() uint64 { return r.vclk.Now() }, r.noteTransportErr)
+	c, err := r.link.Spawn(spec, p.IO, r.noteTransportErr)
 	if err != nil {
 		return nil, fmt.Errorf("remote engine %s: %w", path, err)
 	}
@@ -837,7 +845,7 @@ func (r *Runtime) CloseRemote() error {
 	if cerr := r.remoteT.Close(); err == nil {
 		err = cerr
 	}
-	r.remoteT = nil
+	r.remoteT, r.link = nil, nil
 	return err
 }
 

@@ -11,6 +11,7 @@ import (
 	"cascade/internal/engine/hweng"
 	"cascade/internal/lifecycle"
 	"cascade/internal/obsv"
+	"cascade/internal/proto"
 	"cascade/internal/stdlib"
 	"cascade/internal/toolchain"
 	"cascade/internal/transport"
@@ -76,10 +77,12 @@ func (r *Runtime) reschedule() {
 // iterations inside the hardware engine.
 //
 // Batches are the unit of parallelism (the paper batches requests so
-// they can be issued asynchronously): within a round the controller
-// polls engines serially in schedule order, runs every engine with
-// pending work across up to Parallelism worker lanes, and then drains
-// buffered IO and routes outputs, again in schedule order. Engines only
+// they can be issued asynchronously) and of remote traffic: within a
+// round the controller polls engines serially in schedule order, runs
+// every engine with pending work — in-process ones across up to
+// Parallelism worker lanes, the ones a daemon hosts in a single frame
+// that polls, runs and drains them there — and then drains buffered IO
+// and routes outputs, again in schedule order. Engines only
 // exchange values through that routing, so a round is a Jacobi iteration
 // of the monotone fixpoint the serial Gauss-Seidel schedule computes,
 // and by event-order independence the observable states are identical.
@@ -100,33 +103,35 @@ func (r *Runtime) step() {
 		return
 	}
 
-	model := &r.opts.Model
-	for {
-		// EvalAll over engines with evaluation events.
-		batch := r.poll((*transport.Client).ThereAreEvals)
-		if len(batch) > 0 {
-			r.runBatch(batch, (*transport.Client).Evaluate)
-			continue
-		}
-		// Update batch.
-		batch = r.poll((*transport.Client).ThereAreUpdates)
-		if len(batch) == 0 {
-			break
-		}
-		r.runBatch(batch, (*transport.Client).Update)
+	// EvalAll over engines with evaluation events to a fixed point, then
+	// one update batch, until neither has work.
+	for r.round(proto.RoundEvals) || r.round(proto.RoundUpdates) {
 	}
 
 	// Observable state: flush the interrupt queue, end the step.
 	r.flushDisplays()
 	r.flushTransportErrs()
+	var link *transport.Link
+	ended := 0 // hosted slots below this row have had their end-step
 	for i := range r.slots {
-		r.slots[i].c.EndStep()
+		if c := r.slots[i].c; c.Link() == nil {
+			c.EndStep()
+		} else if i >= ended {
+			// One end-step frame for every hosted slot, at the first one's
+			// turn: what the slots before it routed here is queued ahead.
+			// (A slot the step boundary swapped cuts the frame short; the
+			// rest get theirs once its announced outputs are routed.)
+			link, ended = r.frame(proto.RoundEndStep, i)
+		}
 		r.drainLane(r.slots[i].p)
 		r.route(i)
 	}
 	r.steps++
 	r.ticks = r.steps / 2
-	r.vclk.AdvanceOverhead(model.DispatchPs)
+	r.vclk.AdvanceOverhead(r.opts.Model.DispatchPs)
+	if link != nil {
+		link.Flush() // a step settles everything it caused
+	}
 	r.settleCosts()
 	r.serviceFaults()
 	r.serviceJIT()
@@ -134,60 +139,113 @@ func (r *Runtime) step() {
 	r.persistAfterStep()
 }
 
-// poll collects the schedule-ordered batch of slots with pending work
-// into the reused batch buffer, billing the control-plane traffic of
-// asking.
-func (r *Runtime) poll(pending func(*transport.Client) bool) []int {
-	r.batch = r.batch[:0]
-	for i := range r.slots {
-		c := r.slots[i].c
-		r.billCtrl(c) // there_are_* poll
-		if pending(c) {
-			r.billCtrl(c) // the evaluate/update request itself
-			r.batch = append(r.batch, i)
-		}
-	}
-	return r.batch
+// roundABI is the poll and the run of the two batch phases.
+var roundABI = [...]struct {
+	pending func(*transport.Client) bool
+	run     func(*transport.Client)
+}{
+	proto.RoundEvals:   {(*transport.Client).ThereAreEvals, (*transport.Client).Evaluate},
+	proto.RoundUpdates: {(*transport.Client).ThereAreUpdates, (*transport.Client).Update},
 }
 
-// runBatch executes one evaluate or update batch, then drains IO, routes
-// outputs, and settles costs in schedule order on the controller. Only
-// two or more user subprograms are worth overlapping (a peripheral's
-// turn is a handful of instructions); how a batch ran never reaches its
-// bill.
-func (r *Runtime) runBatch(batch []int, run func(*transport.Client)) {
-	users := 0
-	for _, i := range batch {
-		if r.slots[i].p != nil {
-			users++
+// round is one evaluate or update batch of Figure 6, and reports whether
+// anything ran. In schedule order the controller polls the in-process
+// slots (billing the control-plane traffic of asking) and, at the first
+// hosted slot's turn, has the daemon poll, run and drain every hosted
+// slot in one frame; the in-process members then run — across lanes when
+// two or more user subprograms are worth overlapping (a peripheral's turn
+// is a handful of instructions) — and the whole batch is drained, routed
+// and settled in schedule order. How a batch ran never reaches its bill.
+func (r *Runtime) round(ph proto.RoundPhase) bool {
+	abi := &roundABI[ph]
+	r.batch = r.batch[:0]
+	local, users := 0, 0
+	var link *transport.Link
+	for i := range r.slots {
+		s := &r.slots[i]
+		if s.c.Link() != nil {
+			if link == nil {
+				link, _ = r.frame(ph, i)
+			}
+			if s.c.Ran() {
+				r.batch = append(r.batch, i)
+			}
+			continue
 		}
+		r.billCtrl(s.c) // there_are_* poll
+		if abi.pending(s.c) {
+			r.billCtrl(s.c) // the evaluate/update request itself
+			r.batch = append(r.batch, i)
+			local++
+			if s.p != nil {
+				users++
+			}
+		}
+	}
+	if len(r.batch) == 0 {
+		return false
 	}
 	if r.par > 1 && users > 1 {
-		r.dispatch(batch, run)
+		r.dispatch(min(r.par, local), abi.run)
 	} else {
-		for _, i := range batch {
-			run(r.slots[i].c)
+		for _, i := range r.batch {
+			if c := r.slots[i].c; c.Link() == nil {
+				abi.run(c)
+			}
 		}
 	}
-	for _, i := range batch {
+	for _, i := range r.batch {
 		r.drainLane(r.slots[i].p)
 		r.route(i)
 	}
-	r.settleBatch(batch)
+	// A batch's makespan is not additive, so what a queued input costs a
+	// member of this batch must be in hand before the batch is settled.
+	for _, i := range r.batch {
+		if r.slots[i].c.Queued() {
+			link.Flush()
+			break
+		}
+	}
+	r.settleBatch(r.batch)
+	return true
 }
 
-// dispatch is the lane dispatcher: min(Parallelism, members) lanes, the
-// controller being lane 0, claim batch members from a shared cursor
-// until none are left. Lanes only read the table and the batch; the join
-// orders their engines' effects before the controller's drain.
-func (r *Runtime) dispatch(batch []int, run func(*transport.Client)) {
+// frame sends the round's one frame to the daemon — phase ph for every
+// hosted slot from row `from` on, in schedule order, behind the inputs
+// queued since the last frame — and returns the link it went on (the
+// runtime has one daemon, so one) and the row the frame stopped before.
+// It runs on the controller: no lane waits on a socket.
+func (r *Runtime) frame(ph proto.RoundPhase, from int) (*transport.Link, int) {
+	r.hosted = r.hosted[:0]
+	for i := from; i < len(r.slots); i++ {
+		if c := r.slots[i].c; c.Link() != nil {
+			r.hosted = append(r.hosted, c)
+		}
+	}
+	link := r.hosted[0].Link()
+	upto := len(r.slots)
+	if done := link.Round(ph, r.hosted); done < len(r.hosted) {
+		for upto = from; r.slots[upto].c != r.hosted[done]; upto++ {
+		}
+	}
+	return link, upto
+}
+
+// dispatch is the lane dispatcher: n lanes, the controller being lane 0,
+// claim batch members from a shared cursor until none are left and run
+// the in-process ones (the daemon already ran the hosted). Lanes only
+// read the table and the batch; the join orders their engines' effects
+// before the controller's drain.
+func (r *Runtime) dispatch(n int, run func(*transport.Client)) {
 	lane := func() {
-		for k := r.cursor.Add(1) - 1; int(k) < len(batch); k = r.cursor.Add(1) - 1 {
-			run(r.slots[batch[k]].c)
+		for k := r.cursor.Add(1) - 1; int(k) < len(r.batch); k = r.cursor.Add(1) - 1 {
+			if c := r.slots[r.batch[k]].c; c.Link() == nil {
+				run(c)
+			}
 		}
 	}
 	r.cursor.Store(0)
-	for l := min(r.par, len(batch)) - 1; l > 0; l-- {
+	for l := n - 1; l > 0; l-- {
 		r.lanes.Add(1)
 		go func() {
 			defer r.lanes.Done()
@@ -200,7 +258,7 @@ func (r *Runtime) dispatch(batch []int, run func(*transport.Client)) {
 
 // onBus reports whether talking to c crosses the memory-mapped bus: a
 // local engine in hardware (software engines share the heap). Remote
-// clients meter every round-trip — polls included — through Usage.Msgs,
+// clients meter every ABI call — polls included — through Usage.Msgs,
 // which settleBatch/settleCosts bill; billing here too would double-charge.
 func onBus(c *transport.Client) bool { return !c.Remote() && c.Loc() == engine.Hardware }
 
@@ -237,7 +295,7 @@ func (r *Runtime) deliver(name string, val *bits.Vector) {
 
 // settleEngine drains one client's metered work, bills its serialized
 // communication (messages cross the memory-mapped bus — or, for remote
-// engines, the TCP transport, which the client meters per round-trip),
+// engines, the TCP transport, which the client meters per ABI call),
 // and returns its compute cost in picoseconds for the caller's makespan
 // arithmetic. Usage is location-agnostic: a remote subprogram reports
 // interpreter ops while its host runs it in software and fabric cycles

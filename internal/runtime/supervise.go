@@ -29,17 +29,18 @@ func (r *Runtime) serviceSupervision() {
 	vnow := r.vclk.Now()
 	fails := r.supFails
 	r.supFails = 0
-	restarted := r.supRestart
-	r.supRestart = false
+	stale := r.supStale
+	r.supStale = false
 	tripped := false
-	// A daemon-restart detection (boot epoch changed on reconnect) is
-	// proof of state loss, not a mere reachability blip: force the trip
-	// past the threshold. Counting it as an ordinary failure would let a
-	// successful follow-up probe reset the streak and strand the run on
-	// a latched, inert client serving nothing.
-	if restarted && r.sup.ForceTrip(vnow) {
+	// A daemon restart (boot epoch changed on reconnect) or an engine the
+	// daemon no longer holds is proof of state loss, not a mere
+	// reachability blip: force the trip past the threshold. Counting it
+	// as an ordinary failure would let a successful follow-up probe reset
+	// the streak and strand the run on a latched, inert client serving
+	// nothing.
+	if stale && r.sup.ForceTrip(vnow) {
 		if o := r.obs(); o != nil {
-			o.Emit(obsv.EvBreaker, "", "-> open (daemon restarted: remote state stale)")
+			o.Emit(obsv.EvBreaker, "", "-> open (remote state lost or stale)")
 			o.BreakerTrips.Inc()
 		}
 		tripped = true

@@ -14,24 +14,25 @@ import (
 )
 
 // Client presents a Transport-backed engine to the runtime: it
-// implements engine.Engine (plus engine.UsageReporter), so the
-// scheduler's lanes dispatch protocol round-trips without knowing where
-// the engine lives.
+// implements engine.Engine (plus engine.UsageReporter), so whoever
+// drives an engine need not know where it lives. A client spawned on a
+// Link additionally shares that daemon's rounds (link.go).
 //
 // IO ordering contract: replies piggyback the engine's buffered
 // $display/$finish events, and the client delivers them to its
 // IOHandler synchronously on the goroutine that issued the request —
-// before the call returns, hence before the worker lane joins the
-// batch. Remote engines therefore obey exactly the same lane-drain
-// ordering as in-process ones; no transport goroutine ever touches a
-// lane.
+// before the call, or the link's Round, returns. Remote engines
+// therefore obey exactly the same lane-drain ordering as in-process
+// ones; no transport goroutine ever touches a lane.
 //
 // Error model: a transport-level failure (daemon unreachable after the
-// retry budget) latches. The engine goes inert — polls answer false,
-// drains answer nothing, GetState returns an empty snapshot — and the
-// error is reported once through onErr. This is deliberate degradation,
-// mirroring the hardware fault path: the program limps rather than the
-// runtime crashing mid-step.
+// retry budget) latches, and so does an engine-level one — a reply whose
+// Err is set on anything but a spawn, which is how a daemon says it no
+// longer holds the engine (ErrEngineLost). The engine goes inert — polls
+// answer false, drains answer nothing, GetState returns an empty
+// snapshot — and the error is reported once through onErr. This is
+// deliberate degradation, mirroring the hardware fault path: the program
+// limps rather than the runtime crashing mid-step.
 type Client struct {
 	t      Transport
 	id     uint32
@@ -50,6 +51,16 @@ type Client struct {
 	local  engine.Engine
 	vis    engine.WriteVisitor // local's in-place drain, nil if it has none
 	fastRT atomic.Uint64       // fast-path round-trips (for Stats)
+
+	// link is the daemon link a hosted client was spawned on (nil for a
+	// lone client): Read queues on it, and its rounds leave the client's
+	// share of each reply in the three fields below. Like the link they
+	// belong to whichever goroutine drives it.
+	link    *Link
+	queued  bool           // has inputs on the link's queue
+	ran     bool           // the last round ran this engine
+	drained bool           // drain holds outputs nobody has visited yet
+	drain   []engine.Event // lent by the link's reply until its next frame
 
 	mu      sync.Mutex
 	obs     *obsv.Observer
@@ -101,10 +112,16 @@ type SpawnSpec struct {
 // client. io receives the engine's $display/$finish events (including
 // those its initial blocks emit during construction, piggybacked on the
 // spawn reply). now feeds $time; vnow feeds the host's JIT clock. Both
-// may be nil when irrelevant.
+// may be nil when irrelevant. The client is a lone one: every engine
+// call is its own frame. Link.Spawn makes one that shares rounds.
 func Spawn(t Transport, spec SpawnSpec, io engine.IOHandler, now, vnow func() uint64, onErr func(error)) (*Client, error) {
+	return spawn(t, nil, spec, io, now, vnow, onErr)
+}
+
+func spawn(t Transport, l *Link, spec SpawnSpec, io engine.IOHandler, now, vnow func() uint64, onErr func(error)) (*Client, error) {
 	c := &Client{
 		t:      t,
+		link:   l,
 		name:   spec.Path,
 		io:     io,
 		onErr:  onErr,
@@ -188,8 +205,8 @@ func (c *Client) SwapLocal(e engine.Engine) {
 func (c *Client) Transport() Transport { return c.t }
 
 // Remote reports whether the engine lives on the far side of a real
-// transport (its communication is billed per round-trip) rather than
-// in-process.
+// transport (its communication is billed per ABI call, whichever framing
+// carried it) rather than in-process.
 func (c *Client) Remote() bool { return c.remote }
 
 // TransportKind names the transport for stats displays.
@@ -219,68 +236,37 @@ func (c *Client) Err() error {
 	return c.err
 }
 
-// call performs one round-trip. It returns the reply (valid until the
-// next call) or nil when the client has latched a transport error.
+// call performs one lone round-trip. It returns the reply (valid until
+// the next call) or nil when the client has latched an error. A hosted
+// client's queued inputs — and its neighbours', the queue being the
+// daemon's — go first, so per-engine order is the order of the calls.
 func (c *Client) call(kind proto.Kind, build func(*proto.Request)) *proto.Reply {
+	if c.link != nil {
+		c.link.Flush()
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
 		return nil
 	}
 	c.req = proto.Request{Kind: kind, Engine: c.id}
-	if c.nowFn != nil {
-		c.req.Now = c.nowFn()
-	}
-	if c.vnowFn != nil {
-		c.req.VNow = c.vnowFn()
-	}
+	stamp(&c.req, c.nowFn, c.vnowFn)
 	if build != nil {
 		build(&c.req)
 	}
 	cost, err := c.t.Roundtrip(&c.req, &c.rep)
-	c.stats.RoundTrips++
-	c.stats.BytesOut += cost.BytesOut
-	c.stats.BytesIn += cost.BytesIn
-	c.stats.Drops += cost.Drops
-	c.stats.Retries += cost.Retries
+	c.book(1, cost)
 	if err != nil {
-		c.err = err
-		if c.onErr != nil {
-			c.onErr(err)
-		}
+		c.fail(err)
 		return nil
 	}
-	// Deliver piggybacked IO on this goroutine, preserving lane order.
-	if c.io != nil {
-		for _, ev := range c.rep.IO {
-			switch ev.Kind {
-			case proto.IODisplay:
-				c.io.Display(ev.Text, ev.Newline)
-			case proto.IOFinish:
-				c.io.Finish(ev.Code)
-			}
-		}
+	if c.rep.Err != "" && kind != proto.KindSpawn {
+		c.fail(lostError(c.name, c.rep.Err))
+		return nil
 	}
-	if c.remote && c.rep.Loc != c.loc && c.obs != nil {
-		// The daemon moved the engine (its own Figure-9 machine): a
-		// promotion onto its fabric, or an eviction back to software.
-		// Worker goroutines issue calls, so the event carries the
-		// request's virtual stamp via EmitAt rather than Emit.
-		dir := "sw->hw"
-		if c.rep.Loc != engine.Hardware {
-			dir = "hw->sw"
-		}
-		c.obs.EmitAt(c.req.VNow, obsv.EvHotSwap, c.name, fmt.Sprintf("remote %s", dir))
-		if c.rep.Loc == engine.Hardware {
-			c.obs.Promotions.Inc()
-		} else {
-			c.obs.Evictions.Inc()
-		}
-	}
-	c.loc = c.rep.Loc
-	c.pending.Add(c.rep.Usage)
+	c.absorb(c.rep.Loc, c.rep.Usage, c.rep.IO, c.req.VNow)
 	if c.remote {
-		// Every remote round-trip (and each retry) crosses a serialized
+		// Every remote ABI call (and each retry) crosses a serialized
 		// boundary: bill it like an MMIO transaction. State transfers
 		// additionally cost one message per 32-bit word, matching the
 		// hardware engines' shadow-register access model.
@@ -293,6 +279,74 @@ func (c *Client) call(kind proto.Kind, build func(*proto.Request)) *proto.Reply 
 		}
 	}
 	return &c.rep
+}
+
+// stamp fills a request's clocks: now feeds $time, vnow the host's JIT
+// clock; either may be nil.
+func stamp(req *proto.Request, now, vnow func() uint64) {
+	if now != nil {
+		req.Now = now()
+	}
+	if vnow != nil {
+		req.VNow = vnow()
+	}
+}
+
+// book adds frames round trips and their transport cost to the client's
+// counters. Callers hold c.mu.
+func (c *Client) book(frames uint64, cost Cost) {
+	c.stats.RoundTrips += frames
+	c.stats.BytesOut += cost.BytesOut
+	c.stats.BytesIn += cost.BytesIn
+	c.stats.Drops += cost.Drops
+	c.stats.Retries += cost.Retries
+}
+
+// fail latches err, once, and reports it. Callers hold c.mu.
+func (c *Client) fail(err error) {
+	if c.err != nil {
+		return
+	}
+	c.err = err
+	c.ran, c.drained = false, false
+	if c.onErr != nil {
+		c.onErr(err)
+	}
+}
+
+// absorb takes in what every answer about the engine carries, whichever
+// framing brought it: buffered IO replayed on the calling goroutine into
+// the engine's lane, a location flip traced with the frame's virtual
+// stamp, metered work into pending. Callers hold c.mu.
+func (c *Client) absorb(loc engine.Location, usage engine.Usage, io []proto.IOEvent, vnow uint64) {
+	if c.io != nil {
+		for _, ev := range io {
+			switch ev.Kind {
+			case proto.IODisplay:
+				c.io.Display(ev.Text, ev.Newline)
+			case proto.IOFinish:
+				c.io.Finish(ev.Code)
+			}
+		}
+	}
+	if c.remote && loc != c.loc && c.obs != nil {
+		// The daemon moved the engine (its own Figure-9 machine): a
+		// promotion onto its fabric, or an eviction back to software.
+		// Any goroutine may be issuing the call, so the event carries the
+		// request's virtual stamp via EmitAt rather than Emit.
+		dir := "sw->hw"
+		if loc != engine.Hardware {
+			dir = "hw->sw"
+		}
+		c.obs.EmitAt(vnow, obsv.EvHotSwap, c.name, fmt.Sprintf("remote %s", dir))
+		if loc == engine.Hardware {
+			c.obs.Promotions.Inc()
+		} else {
+			c.obs.Evictions.Inc()
+		}
+	}
+	c.loc = loc
+	c.pending.Add(usage)
 }
 
 // engine.Engine ----------------------------------------------------------
@@ -342,6 +396,10 @@ func (c *Client) Read(ev engine.Event) {
 		c.local.Read(ev)
 		return
 	}
+	if c.link != nil {
+		c.link.queue(c, ev)
+		return
+	}
 	c.call(proto.KindRead, func(req *proto.Request) {
 		req.Var = ev.Var
 		req.Val = ev.Val
@@ -354,6 +412,11 @@ func (c *Client) DrainWrites() []engine.Event {
 		c.fastRT.Add(1)
 		return c.local.DrainWrites()
 	}
+	if c.drained {
+		// The round that ran the engine drained it in the same frame.
+		c.drained = false
+		return c.drain
+	}
 	rep := c.call(proto.KindDrainWrites, nil)
 	if rep == nil {
 		return nil
@@ -362,9 +425,10 @@ func (c *Client) DrainWrites() []engine.Event {
 }
 
 // VisitWrites implements engine.WriteVisitor: DrainWrites without the
-// event slice, and the same one round trip. A local engine's own visitor
-// lends its live values; a remote reply's events are lent until the
-// client's next call.
+// event slice, and the same one round trip (none when a round already
+// drained the engine). A local engine's own visitor lends its live
+// values; a remote reply's events are lent until the client's next call
+// or its link's next frame.
 func (c *Client) VisitWrites(fn func(name string, val *bits.Vector)) {
 	if c.vis != nil {
 		c.fastRT.Add(1)

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -206,9 +207,10 @@ func newEpoch() uint32 {
 // Handle executes one protocol request, filling rep. Transport servers
 // (and loopback tests) call it once per decoded frame; it never
 // panics on hostile input — unknown engines and bad spawns surface
-// through rep.Err.
+// through rep.Err. rep.Round's backing arrays are reused, so a serving
+// loop that hands Handle the same Reply stops allocating them.
 func (h *Host) Handle(req *proto.Request, rep *proto.Reply) {
-	*rep = proto.Reply{Kind: req.Kind, Engine: req.Engine, Epoch: h.epoch}
+	*rep = proto.Reply{Kind: req.Kind, Engine: req.Engine, Epoch: h.epoch, Round: rep.Round[:0]}
 	switch req.Kind {
 	case proto.KindPing:
 		// Liveness probe: answer before any engine or session lookup,
@@ -227,12 +229,13 @@ func (h *Host) Handle(req *proto.Request, rep *proto.Reply) {
 		proto.KindCacheFetch, proto.KindCachePut:
 		h.handleFarm(req, rep)
 		return
+	case proto.KindRound:
+		h.round(req, rep)
+		return
 	}
-	h.mu.Lock()
-	hd := h.engines[req.Engine]
-	h.mu.Unlock()
+	hd := h.lookup(req.Engine)
 	if hd == nil {
-		rep.Err = fmt.Sprintf("unknown engine %d", req.Engine)
+		rep.Err = unknownEngine(req.Engine)
 		return
 	}
 	hd.mu.Lock()
@@ -240,18 +243,6 @@ func (h *Host) Handle(req *proto.Request, rep *proto.Reply) {
 	hd.now.Store(req.Now)
 	e := hd.p.Engine()
 	switch req.Kind {
-	case proto.KindRead:
-		e.Read(engine.Event{Var: req.Var, Val: req.Val})
-	case proto.KindDrainWrites:
-		rep.Events = e.DrainWrites()
-	case proto.KindThereAreEvals:
-		rep.Bool = e.ThereAreEvals()
-	case proto.KindEvaluate:
-		e.Evaluate()
-	case proto.KindThereAreUpdates:
-		rep.Bool = e.ThereAreUpdates()
-	case proto.KindUpdate:
-		e.Update()
 	case proto.KindGetState:
 		rep.State = e.GetState()
 	case proto.KindSetState:
@@ -259,9 +250,6 @@ func (h *Host) Handle(req *proto.Request, rep *proto.Reply) {
 			e.SetState(req.State)
 			h.journalReq(req, 0)
 		}
-	case proto.KindEndStep:
-		e.EndStep()
-		h.serviceJIT(hd, req.VNow)
 	case proto.KindEnd:
 		hd.p.Teardown()
 		h.mu.Lock()
@@ -269,24 +257,124 @@ func (h *Host) Handle(req *proto.Request, rep *proto.Reply) {
 		h.mu.Unlock()
 		h.journalReq(req, 0)
 	default:
-		rep.Err = fmt.Sprintf("unsupported request kind %d", req.Kind)
-		return
+		var ok bool
+		rep.Bool, rep.Events, ok = h.abi(hd, req.Kind, engine.Event{Var: req.Var, Val: req.Val}, req.VNow)
+		if !ok {
+			rep.Err = fmt.Sprintf("unsupported request kind %d", req.Kind)
+			return
+		}
 	}
 	// EndStep may have moved the engine to another rung; End left none,
 	// and its reply describes the engine that was.
 	if cur := hd.p.Engine(); cur != nil {
 		e = cur
 	}
-	h.finishReply(hd, e, rep)
+	rep.Loc, rep.Usage, rep.IO = h.envelope(hd, e)
 }
 
-// finishReply stamps the envelope: location, metered work, buffered IO.
-func (h *Host) finishReply(hd *hosted, e engine.Engine, rep *proto.Reply) {
-	rep.Loc = e.Loc()
-	if ur, ok := e.(engine.UsageReporter); ok {
-		rep.Usage = ur.UsageDelta()
+// lookup finds a hosted engine by the ID its spawn assigned (nil if the
+// host does not hold it).
+func (h *Host) lookup(id uint32) *hosted {
+	h.mu.Lock()
+	hd := h.engines[id]
+	h.mu.Unlock()
+	return hd
+}
+
+func unknownEngine(id uint32) string { return fmt.Sprintf("unknown engine %d", id) }
+
+// abi runs one of the scheduler's seven ABI calls on a hosted engine: the
+// one executor behind both framings, a per-call request and a member of
+// a round. in is the delivery for a Read; the answer is a poll's flag or
+// a drain's events. ok is false for any other kind. Callers hold hd.mu.
+func (h *Host) abi(hd *hosted, kind proto.Kind, in engine.Event, vnow uint64) (flag bool, out []engine.Event, ok bool) {
+	e := hd.p.Engine()
+	switch kind {
+	case proto.KindRead:
+		e.Read(in)
+	case proto.KindDrainWrites:
+		out = e.DrainWrites()
+	case proto.KindThereAreEvals:
+		flag = e.ThereAreEvals()
+	case proto.KindEvaluate:
+		e.Evaluate()
+	case proto.KindThereAreUpdates:
+		flag = e.ThereAreUpdates()
+	case proto.KindUpdate:
+		e.Update()
+	case proto.KindEndStep:
+		e.EndStep()
+		h.serviceJIT(hd, vnow)
+	default:
+		return false, nil, false
 	}
-	rep.IO = hd.io.drain()
+	return flag, out, true
+}
+
+// round serves one KindRound frame: the inputs in order, then each
+// member in order — poll, run if pending, drain if run; or end-step and
+// drain whichever engine the JIT service left — each through abi under
+// the engine's own lock. A member or receiver the host does not hold
+// answers (or is skipped) on its own; the rest are served. An end-step
+// frame ends behind a member that had outputs to drain (an engine the
+// step boundary swapped announces all of them): they may be inputs of
+// the members after it, which must see them before their own end-step,
+// as they do when every call is its own frame.
+func (h *Host) round(req *proto.Request, rep *proto.Reply) {
+	var none engine.Event
+	for i := range req.Inputs {
+		in := &req.Inputs[i]
+		if hd := h.lookup(in.Engine); hd != nil {
+			hd.mu.Lock()
+			hd.now.Store(req.Now)
+			h.abi(hd, proto.KindRead, engine.Event{Var: in.Var, Val: in.Val}, req.VNow)
+			hd.mu.Unlock()
+		}
+	}
+	poll, run := proto.KindThereAreEvals, proto.KindEvaluate
+	if req.Phase == proto.RoundUpdates {
+		poll, run = proto.KindThereAreUpdates, proto.KindUpdate
+	}
+	for k, id := range req.Members {
+		if k < cap(rep.Round) {
+			rep.Round = rep.Round[:k+1]
+		} else {
+			rep.Round = append(rep.Round, proto.RoundResult{})
+		}
+		res := &rep.Round[k]
+		*res = proto.RoundResult{}
+		hd := h.lookup(id)
+		if hd == nil {
+			res.Err = unknownEngine(id)
+			continue
+		}
+		hd.mu.Lock()
+		hd.now.Store(req.Now)
+		switch req.Phase {
+		case proto.RoundEvals, proto.RoundUpdates:
+			if res.Ran, _, _ = h.abi(hd, poll, none, req.VNow); res.Ran {
+				h.abi(hd, run, none, req.VNow)
+				_, res.Events, _ = h.abi(hd, proto.KindDrainWrites, none, req.VNow)
+			}
+		case proto.RoundEndStep:
+			h.abi(hd, proto.KindEndStep, none, req.VNow)
+			_, res.Events, _ = h.abi(hd, proto.KindDrainWrites, none, req.VNow)
+		}
+		res.Loc, res.Usage, res.IO = h.envelope(hd, hd.p.Engine())
+		hd.mu.Unlock()
+		if req.Phase == proto.RoundEndStep && len(res.Events) > 0 {
+			return
+		}
+	}
+}
+
+// envelope is what every answer about an engine carries: its location,
+// its metered work since the last answer, its buffered IO.
+func (h *Host) envelope(hd *hosted, e engine.Engine) (loc engine.Location, usage engine.Usage, io []proto.IOEvent) {
+	if ur, ok := e.(engine.UsageReporter); ok {
+		usage = ur.UsageDelta()
+	}
+	return e.Loc(), usage, hd.io.drain()
 }
 
 // spawn parses and elaborates the shipped source, builds a software
@@ -358,7 +446,7 @@ func (h *Host) spawn(req *proto.Request, rep *proto.Reply, forced uint32) {
 		fmt.Sprintf("hosted engine %d jit=%v", id, req.JIT && !h.opts.DisableJIT))
 	rep.Engine = id
 	h.journalReq(req, id)
-	h.finishReply(hd, hd.p.Engine(), rep)
+	rep.Loc, rep.Usage, rep.IO = h.envelope(hd, hd.p.Engine())
 }
 
 // sessionOpen carves a tenant session out of the host: a fabric region
@@ -639,19 +727,23 @@ func (h *Host) ServeListener(l net.Listener) error {
 // client's retry path redials).
 func (h *Host) ServeConn(conn net.Conn) {
 	defer conn.Close()
+	// One buffered reader for the connection's life: a frame's length and
+	// payload normally arrive in one read. The request and reply are
+	// reused too, for the arrays their round fields keep.
+	br := bufio.NewReader(conn)
 	var rbuf, wbuf []byte
+	var req proto.Request
 	var rep proto.Reply
 	for {
-		payload, err := proto.ReadFrame(conn, rbuf)
+		payload, err := proto.ReadFrame(br, rbuf)
 		if err != nil {
 			return
 		}
 		rbuf = payload[:cap(payload)]
-		req, err := proto.DecodeRequest(payload)
-		if err != nil {
+		if err := proto.DecodeRequestInto(payload, &req); err != nil {
 			return
 		}
-		h.Handle(req, &rep)
+		h.Handle(&req, &rep)
 		wbuf = wbuf[:0]
 		wbuf = append(wbuf, 0, 0, 0, 0)
 		wbuf = proto.EncodeReply(wbuf, &rep)

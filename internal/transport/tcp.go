@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -70,6 +71,7 @@ type TCP struct {
 
 	mu   sync.Mutex // serializes round-trips on the connection
 	conn net.Conn
+	br   *bufio.Reader // over conn, made and dropped with it: one read per frame
 	wbuf []byte
 	rbuf []byte
 	// epoch latches the first nonzero boot epoch seen in a reply. A
@@ -92,8 +94,18 @@ func DialTCP(addr string, opts TCPOptions) (*TCP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	t.conn = conn
+	t.setConn(conn)
 	return t, nil
+}
+
+// setConn adopts a connection (nil drops the current one) together with
+// its buffered reader, so no byte buffered from one connection is ever
+// read as another's. Callers hold t.mu or own t exclusively.
+func (t *TCP) setConn(conn net.Conn) {
+	t.conn, t.br = conn, nil
+	if conn != nil {
+		t.br = bufio.NewReader(conn)
+	}
 }
 
 // Kind implements Transport.
@@ -115,7 +127,7 @@ func (t *TCP) Close() error {
 	defer t.mu.Unlock()
 	if t.conn != nil {
 		err := t.conn.Close()
-		t.conn = nil
+		t.setConn(nil)
 		return err
 	}
 	return nil
@@ -156,7 +168,7 @@ func (t *TCP) Roundtrip(req *proto.Request, rep *proto.Reply) (Cost, error) {
 				// The call itself succeeded; a failed disarm means the
 				// conn is going bad — drop it so the next call redials.
 				c.Close()
-				t.conn = nil
+				t.setConn(nil)
 			}
 			t.settle(cost, true)
 			if obs != nil {
@@ -174,7 +186,7 @@ func (t *TCP) Roundtrip(req *proto.Request, rep *proto.Reply) (Cost, error) {
 		if c != nil {
 			c.Close()
 		}
-		t.conn = nil // force redial on the next attempt
+		t.setConn(nil) // force redial on the next attempt
 		if errors.Is(err, ErrDaemonRestarted) {
 			// Fail fast, never retry: the latch already moved to the new
 			// epoch, so a retry WOULD succeed — against journal-resumed
@@ -212,11 +224,12 @@ func (t *TCP) attempt(req *proto.Request, rep *proto.Reply, cost *Cost) (net.Con
 		// later (a half-open socket). Ping it under the short probe
 		// deadline before spending a full CallTimeout on the real
 		// request — a dead reconnect now fails at probe cost.
+		t.setConn(conn)
 		if err := t.probe(conn, req.VNow, cost); err != nil {
 			conn.Close()
+			t.setConn(nil)
 			return nil, err
 		}
-		t.conn = conn
 	}
 	c := t.conn
 	deadline := time.Now().Add(t.opts.CallTimeout)
@@ -226,7 +239,7 @@ func (t *TCP) attempt(req *proto.Request, rep *proto.Reply, cost *Cost) (net.Con
 	if err := t.writeFrame(c, req, cost); err != nil {
 		return c, err
 	}
-	return c, t.readReply(c, rep, cost)
+	return c, t.readReply(rep, cost)
 }
 
 // probe sends one KindPing round-trip on a freshly dialed connection
@@ -241,7 +254,7 @@ func (t *TCP) probe(c net.Conn, vnow uint64, cost *Cost) error {
 		return fmt.Errorf("reconnect probe: %w", err)
 	}
 	var pong proto.Reply
-	if err := t.readReply(c, &pong, cost); err != nil {
+	if err := t.readReply(&pong, cost); err != nil {
 		return fmt.Errorf("reconnect probe: %w", err)
 	}
 	return nil
@@ -267,9 +280,10 @@ func (t *TCP) writeFrame(c net.Conn, req *proto.Request, cost *Cost) error {
 	return nil
 }
 
-// readReply reads one reply frame and decodes it into rep.
-func (t *TCP) readReply(c net.Conn, rep *proto.Reply, cost *Cost) error {
-	buf, err := proto.ReadFrame(c, t.rbuf)
+// readReply reads one reply frame off the current connection and decodes
+// it into rep.
+func (t *TCP) readReply(rep *proto.Reply, cost *Cost) error {
+	buf, err := proto.ReadFrame(t.br, t.rbuf)
 	if err != nil {
 		return err
 	}

@@ -1,17 +1,19 @@
 // Package transport carries the engine protocol (internal/proto)
 // between the runtime and its engines. Two implementations ship: Local,
-// a zero-copy in-process fast path that dispatches protocol structs
-// directly onto an engine without touching the codec, and TCP, a
-// length-prefixed framed connection to a remote engine daemon
-// (cmd/cascade-engined) with deadlines, deterministic fault-injected
-// drops, and reconnect-and-retry.
+// the in-process one, which carries no message at all — its Client calls
+// the wrapped engine directly — and TCP, a length-prefixed framed
+// connection to a remote engine daemon (cmd/cascade-engined) with
+// deadlines, deterministic fault-injected drops, and reconnect-and-retry.
 //
 // The runtime talks to every scheduled engine through a Client, which
-// implements engine.Engine over a Transport — so the scheduler cannot
-// tell (and must not care) whether a subprogram lives on its own heap,
-// in another process, or on another machine. That is the paper's
-// Figure-7 ABI boundary made wire-real, and the prerequisite for the
-// multi-host sharding direction SYNERGY explored.
+// implements engine.Engine over a Transport — so a caller that drives
+// one engine cannot tell (and must not care) whether the subprogram
+// lives on its own heap, in another process, or on another machine. That
+// is the paper's Figure-7 ABI boundary made wire-real, and the
+// prerequisite for the multi-host sharding direction SYNERGY explored.
+// The one place that does care is the scheduler's round: the engines a
+// daemon hosts share a Link, which carries a whole round for all of them
+// in one frame instead of one frame per call per engine.
 package transport
 
 import (
@@ -55,8 +57,8 @@ func (s Stats) WireActivity() bool {
 }
 
 // Transport moves one request/reply pair at a time. Implementations are
-// safe for concurrent Roundtrip calls (the runtime's worker lanes drive
-// different engines concurrently over a shared transport).
+// safe for concurrent Roundtrip calls (the engines a daemon hosts, its
+// liveness probes and its compile-farm links share one).
 type Transport interface {
 	// Roundtrip sends req and fills rep with the response. A non-nil
 	// error means the transport failed (the engine is unreachable);

@@ -172,7 +172,7 @@ func driveABI(e engine.Engine, ticks int) string {
 
 // TestConformanceAcrossTransports runs the full ABI conformance sequence
 // against the same subprogram hosted three ways — a bare software
-// engine, a Local-transport client, and a client behind a loopback-TCP
+// engine, a local client, and a client behind a loopback-TCP
 // engine host — and requires byte-identical $display output, identical
 // $finish counts, identical data-plane traces, and identical state
 // snapshots. The transports must be invisible.

@@ -1,13 +1,14 @@
 // Package lifecycle is the one implementation of the paper's Figure 9
 // engine move: quiesce at a step boundary, read the engine's state,
-// build the target, write the state, swap. Promotion, eviction,
-// failover and tear-down are that move parameterised by cause. Both
-// owners of engines — the runtime's scheduler and the daemon host —
-// keep one Placement per subprogram and call its transitions; neither
-// builds, seeds or retires an engine itself. What stays with the owner
-// is everything that differs between them: virtual-clock billing,
-// reporting, and how a new engine reaches the dispatch path (the Swap
-// callback).
+// build the target, write the state, retire the source, swap.
+// Promotion, eviction, failover, re-hosting and tear-down are that move
+// parameterised by cause, for an engine in the owner's process or hosted
+// for it on a daemon. Both owners of engines — the runtime's scheduler
+// and the daemon host — keep one Placement per subprogram and call its
+// transitions; neither builds, seeds or retires an engine itself. What
+// stays with the owner is everything that differs between them:
+// virtual-clock billing, reporting, how a hosted engine is spawned (the
+// Host callback) and how a new engine reaches the dispatch path (Swap).
 package lifecycle
 
 import (
@@ -27,18 +28,20 @@ import (
 // Tier is the execution rung an engine occupies.
 type Tier int
 
-// Tiers, lowest rung first. Unplaced means the owner holds no
-// in-process engine for the subprogram: not yet built, torn down, or
-// hosted on a daemon.
+// Tiers, lowest rung first. Unplaced means the owner holds no engine for
+// the subprogram: not yet built, or torn down. Hosted means the engine
+// Config.Host built: it runs somewhere else — for the runtime, on its
+// daemon — and climbs that place's ladder, not this one.
 const (
 	Unplaced Tier = iota
+	Hosted
 	Interpreter
 	Native
 	Fabric
 )
 
 // String names the rung as runtime.EngineStat.Tier reports it ("" for
-// Unplaced).
+// Unplaced and Hosted: a hosted engine's rung is its host's to name).
 func (t Tier) String() string {
 	switch t {
 	case Interpreter:
@@ -75,6 +78,9 @@ const (
 	// BreakerTrip: the daemon hosting the engine is gone; an interpreter
 	// is re-seeded locally from the last committed state.
 	BreakerTrip
+	// Recovered: the daemon answers again; the failed-over engine is
+	// handed back to it.
+	Recovered
 )
 
 // legal is the transition table: every (from, to, cause) move an engine
@@ -84,13 +90,17 @@ var legal = [...]struct {
 	cause    Cause
 }{
 	{Unplaced, Interpreter, Restart},
-	{Unplaced, Interpreter, BreakerTrip},
+	{Unplaced, Hosted, Restart},
 	{Interpreter, Native, JobLanded},
 	{Interpreter, Fabric, JobLanded},
 	{Native, Fabric, JobLanded},
 	{Native, Interpreter, FaultLatched},
 	{Fabric, Interpreter, FaultLatched},
+	{Hosted, Interpreter, BreakerTrip},
+	{Interpreter, Hosted, Recovered},
+	{Native, Hosted, Recovered},
 	{Unplaced, Unplaced, Restart},
+	{Hosted, Unplaced, Restart},
 	{Interpreter, Unplaced, Restart},
 	{Native, Unplaced, Restart},
 	{Fabric, Unplaced, Restart},
@@ -123,6 +133,10 @@ type Config struct {
 	Device     *fpga.Device    // the fabric promotions land on
 	Injector   *fault.Injector // native tier's region-fault source (may be nil)
 
+	// Host builds the subprogram's hosted engine — the runtime spawns it
+	// on its daemon and returns the transport client; a callback because
+	// the transport imports this package. Nil for an owner that hosts none.
+	Host func(p *Placement) (engine.Engine, error)
 	// Compile starts a background compile of Flat for the target tier
 	// (Native or Fabric) at virtual time now. Nil pins the engine on the
 	// rung it is on.
@@ -130,10 +144,10 @@ type Config struct {
 	// Swap installs a built and seeded engine on the owner's dispatch
 	// path. Nil when the owner dispatches through Engine().
 	Swap func(p *Placement, e engine.Engine)
-	// Discard drops the output a rebuilt interpreter's initial blocks
-	// emitted at construction: the user saw it when the program first
-	// integrated, and the handed-over state overwrites their variable
-	// effects.
+	// Discard drops the output a rebuilt interpreter's (or re-spawned
+	// hosted engine's) initial blocks emitted at construction: the user saw
+	// it when the program first integrated, and the handed-over state
+	// overwrites their variable effects.
 	Discard func(p *Placement)
 }
 
@@ -150,7 +164,7 @@ type Placement struct {
 // New returns the record for a subprogram, Unplaced.
 func New(cfg Config) *Placement { return &Placement{Config: cfg} }
 
-// Engine returns the current in-process engine (nil while Unplaced).
+// Engine returns the current engine (nil while Unplaced).
 func (p *Placement) Engine() engine.Engine { return p.eng }
 
 // Tier returns the rung the engine occupies.
@@ -201,13 +215,16 @@ type Transition struct {
 	// promotion, the source of an eviction — whose bus meter
 	// (MsgsDelta) holds the handoff's traffic. Nil otherwise.
 	Fabric *hweng.Engine
-	Err    error
+	// State is the state the target was seeded with (nil: none). The owner
+	// of a hosted engine keeps it as the engine's first committed state.
+	State *sim.State
+	Err   error
 }
 
-// Start builds the subprogram's first engine, an interpreter, seeding
-// it when seed is non-nil. Initial-block output is kept.
-func (p *Placement) Start(seed *sim.State) Transition {
-	return p.move(Interpreter, Restart, nil, seed)
+// Start builds the subprogram's first engine on tier to (Interpreter or
+// Hosted), seeding it when seed is non-nil. Initial-block output is kept.
+func (p *Placement) Start(to Tier, seed *sim.State) Transition {
+	return p.move(to, Restart, nil, seed)
 }
 
 // Promote services the compile pending for target tier t at virtual
@@ -255,24 +272,24 @@ func (p *Placement) Promote(t Tier, now uint64) (Transition, bool) {
 
 // Demote rebuilds the subprogram on the interpreter: from a faulted
 // native or fabric engine, carrying its state (FaultLatched; seed is
-// ignored), or from nothing, seeded with the last committed state of an
-// engine whose daemon is gone (BreakerTrip). Resubmitting the lost
-// tier's compile is the owner's call (Submit), after it has billed the
-// move.
+// ignored), or from a hosted engine whose daemon is gone, seeded with
+// the last state the owner committed (BreakerTrip). Resubmitting the
+// lost tier's compile is the owner's call (Submit), after it has billed
+// the move.
 func (p *Placement) Demote(cause Cause, seed *sim.State) Transition {
 	return p.move(Interpreter, cause, nil, seed)
 }
 
+// Rehost hands a failed-over engine back to the host, carrying its
+// state. A spawn or handoff that fails leaves it running where it is.
+func (p *Placement) Rehost() Transition {
+	return p.move(Hosted, Recovered, nil, nil)
+}
+
 // Teardown retires the placement: pending compiles are cancelled
-// (finished flows stay in the toolchain's cache), the engine is ended
-// and its fabric region released.
+// (finished flows stay in the toolchain's cache), the engine is ended —
+// a hosted one on its host — and its fabric region released.
 func (p *Placement) Teardown() Transition {
-	for t, j := range p.jobs {
-		if j != nil {
-			j.Cancel()
-			p.jobs[t] = nil
-		}
-	}
 	return p.move(Unplaced, Restart, nil, nil)
 }
 
@@ -288,38 +305,61 @@ func (p *Placement) move(to Tier, cause Cause, res *toolchain.Result, seed *sim.
 	}
 	var dst engine.Engine
 	switch to {
+	case Hosted:
+		dst, tr.Err = p.Host(p)
 	case Interpreter:
 		dst = sweng.New(p.Flat, p.IO, p.Now, p.Eager)
-		if cause != Restart && p.Discard != nil {
-			p.Discard(p)
-		}
 		tr.StateVars = len(p.Flat.Vars)
 	case Native:
 		dst = njit.New(p.Path, res.Prog, p.IO, p.Injector, p.Now)
 		tr.StateVars = len(res.Prog.Slots)
 	case Fabric:
-		hw, err := hweng.New(p.Path, res.Prog, p.Device, res.AreaLEs, p.IO, p.NativeMode, p.Now)
-		if err != nil {
-			tr.Err = err
-			return tr
+		var hw *hweng.Engine
+		if hw, tr.Err = hweng.New(p.Path, res.Prog, p.Device, res.AreaLEs, p.IO, p.NativeMode, p.Now); hw != nil {
+			dst, tr.Fabric = hw, hw
 		}
-		dst, tr.Fabric = hw, hw
+	}
+	if tr.Err != nil {
+		return tr
+	}
+	if (to == Hosted || to == Interpreter) && cause != Restart && p.Discard != nil {
+		p.Discard(p) // the two rungs whose construction runs initial blocks
 	}
 	src := p.eng
-	if src != nil {
-		if dst != nil {
-			// State is readable even from a faulted engine: the ABI
-			// wrapper's shadow registers exist for exactly this.
-			seed = src.GetState()
+	if src != nil && dst != nil && cause != BreakerTrip {
+		// State is readable even from a faulted engine: the ABI wrapper's
+		// shadow registers exist for exactly this. Of one whose daemon is
+		// gone, the owner's seed is all that is left.
+		seed = src.GetState()
+	}
+	if dst != nil && seed != nil {
+		dst.SetState(seed)
+		// Only a hosted target's handoff crosses a wire and can fail. One
+		// that did is ended, half-seeded as it is, and the source stays.
+		if h, ok := dst.(interface{ Err() error }); ok && h.Err() != nil {
+			dst.End()
+			tr.Err = h.Err()
+			return tr
 		}
+		tr.State = seed
+	}
+	if src != nil {
+		// A hosted source out of reach, as a BreakerTrip usually finds it, is
+		// ended once its daemon answers again (transport.Client.End).
 		src.End()
 		if hw := p.Fabric(); hw != nil {
 			hw.Release()
 			tr.Fabric = hw
 		}
 	}
-	if dst != nil && seed != nil {
-		dst.SetState(seed)
+	if to == Unplaced || to == Hosted {
+		// Nothing is left here to promote.
+		for t, j := range p.jobs {
+			if j != nil {
+				j.Cancel()
+				p.jobs[t] = nil
+			}
+		}
 	}
 	p.eng, p.tier, tr.To = dst, to, to
 	if dst != nil && p.Swap != nil {

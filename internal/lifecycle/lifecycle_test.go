@@ -9,6 +9,7 @@ import (
 	"cascade/internal/bits"
 	"cascade/internal/elab"
 	"cascade/internal/engine"
+	"cascade/internal/engine/sweng"
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
 	"cascade/internal/sim"
@@ -32,6 +33,43 @@ type rig struct {
 	dev      *fpga.Device
 	swapped  engine.Engine // last engine handed to Swap
 	discards int
+	hosted   []*fakeHosted // every engine Host built, in order
+	hostErr  error         // the next Host call's refusal
+	dropSet  bool          // the next hosted engine loses its SetState
+}
+
+// fakeHosted stands in for the transport client the runtime's Host
+// callback returns: an interpreter somewhere else, whose handoff can be
+// lost on the way and whose daemon can go away.
+type fakeHosted struct {
+	engine.Engine
+	t       *testing.T
+	dropSet bool
+	err     error
+	lost    bool // unreachable: reading it is a test failure
+	ended   bool
+}
+
+func (f *fakeHosted) SetState(st *sim.State) {
+	if f.dropSet {
+		f.err = errors.New("handoff lost")
+		return
+	}
+	f.Engine.SetState(st)
+}
+
+func (f *fakeHosted) GetState() *sim.State {
+	if f.lost {
+		f.t.Error("state read from a hosted engine whose daemon is gone")
+	}
+	return f.Engine.GetState()
+}
+
+func (f *fakeHosted) Err() error { return f.err }
+
+func (f *fakeHosted) End() {
+	f.ended = true
+	f.Engine.End()
 }
 
 // never is a virtual time no compile is still running at.
@@ -60,6 +98,16 @@ func newRigOpts(t *testing.T, src string, inj *fault.Injector, opts toolchain.Op
 		IO:       nullIO{},
 		Device:   r.dev,
 		Injector: inj,
+		Host: func(p *Placement) (engine.Engine, error) {
+			if err := r.hostErr; err != nil {
+				r.hostErr = nil
+				return nil, err
+			}
+			h := &fakeHosted{Engine: sweng.New(p.Flat, p.IO, p.Now, false), t: t, dropSet: r.dropSet}
+			r.dropSet = false
+			r.hosted = append(r.hosted, h)
+			return h, nil
+		},
 		Compile: func(p *Placement, tier Tier, now uint64) *toolchain.Job {
 			if tier == Native {
 				return tc.SubmitNativeTenant(context.Background(), "", p.Flat, now)
@@ -101,11 +149,15 @@ func (r *rig) reach(t *testing.T, rnd *rand.Rand, tier Tier) {
 	if tier == Unplaced {
 		return
 	}
-	if tr := r.p.Start(nil); tr.Err != nil {
+	first := Interpreter
+	if tier == Hosted {
+		first = Hosted
+	}
+	if tr := r.p.Start(first, nil); tr.Err != nil {
 		t.Fatalf("start: %v", tr.Err)
 	}
 	r.run(rnd, 20)
-	if tier == Interpreter {
+	if tier == first {
 		return
 	}
 	r.p.Submit(tier, 0)
@@ -129,64 +181,108 @@ func workloads(t *testing.T) map[string]string {
 	}
 }
 
-// TestLegalMovesPreserveState: every move in the table hands the
+// The table's axes. TestLegalMovesPreserveState and
+// TestIllegalMovesRefused between them visit every cell of the product.
+var (
+	tiers  = []Tier{Unplaced, Hosted, Interpreter, Native, Fabric}
+	causes = []Cause{Restart, JobLanded, FaultLatched, TransientFault, Shed, BreakerTrip, Recovered}
+)
+
+// eachTriple visits the full Tier × Tier × Cause product.
+func eachTriple(visit func(from, to Tier, cause Cause)) {
+	for _, from := range tiers {
+		for _, to := range tiers {
+			for _, cause := range causes {
+				visit(from, to, cause)
+			}
+		}
+	}
+}
+
+// TestLegalMovesPreserveState: every cell of the product the table lists
+// — and the product holds every row of the table, once — hands the
 // engine's state over exactly, retires the source (a fabric source's
-// region is released), and gives the owner the new engine.
+// region is released, a hosted one is ended where it is hosted, and one
+// a BreakerTrip cut off is never read), and gives the owner the new
+// engine.
 func TestLegalMovesPreserveState(t *testing.T) {
+	rows := 0
+	eachTriple(func(from, to Tier, cause Cause) {
+		if Legal(from, to, cause) {
+			rows++
+		}
+	})
+	if rows != len(legal) {
+		t.Fatalf("the product holds %d legal moves, the table %d rows: a row is out of range or listed twice", rows, len(legal))
+	}
 	for name, src := range workloads(t) {
-		for _, m := range legal {
-			t.Run(name+"/"+m.from.String()+"->"+m.to.String(), func(t *testing.T) {
+		eachTriple(func(from, to Tier, cause Cause) {
+			if !Legal(from, to, cause) {
+				return
+			}
+			t.Run(name+"/"+from.String()+"->"+to.String(), func(t *testing.T) {
 				rnd := rand.New(rand.NewSource(7))
 				r := newRig(t, src, nil)
-				r.reach(t, rnd, m.from)
+				r.reach(t, rnd, from)
 				p, source := r.p, r.p.Engine()
 				var want string
 				var seed *sim.State
 				if source != nil {
 					want = sig(source)
-				} else if m.to != Unplaced {
+				} else if to != Unplaced {
 					// Nothing to carry over: seed with a state worth carrying.
 					donor := newRig(t, src, nil)
 					donor.reach(t, rnd, Interpreter)
 					seed, want = donor.p.Engine().GetState(), sig(donor.p.Engine())
 				}
 				var tr Transition
-				switch m.cause {
+				switch cause {
 				case JobLanded:
-					p.Submit(m.to, 0)
+					p.Submit(to, 0)
 					var ok bool
-					if tr, ok = p.Promote(m.to, never); !ok {
+					if tr, ok = p.Promote(to, never); !ok {
 						t.Fatal("promote found nothing to act on")
 					}
-					if tr.Result == nil || p.Pending(m.to) != nil {
-						t.Fatalf("landed job not consumed: result=%v pending=%v", tr.Result, p.Pending(m.to))
+					if tr.Result == nil || p.Pending(to) != nil {
+						t.Fatalf("landed job not consumed: result=%v pending=%v", tr.Result, p.Pending(to))
 					}
-				case FaultLatched, BreakerTrip:
-					tr = p.Demote(m.cause, seed)
-					if r.discards != 1 {
-						t.Fatalf("rebuilt interpreter's initial output discarded %d times, want once", r.discards)
-					}
+				case FaultLatched:
+					tr = p.Demote(cause, nil)
+				case BreakerTrip:
+					// The owner's last commit is all that is left of the engine.
+					seed = source.GetState()
+					r.hosted[0].lost = true
+					tr = p.Demote(cause, seed)
+				case Recovered:
+					p.Submit(Native, 0)
+					tr = p.Rehost()
 				case Restart:
-					if m.to == Unplaced {
+					if to == Unplaced {
 						p.Submit(Fabric, 0)
 						tr = p.Teardown()
-						if p.Pending(Fabric) != nil {
-							t.Fatal("teardown left a compile pending")
-						}
 					} else {
-						tr = p.Start(seed)
+						tr = p.Start(to, seed)
 					}
 				}
-				if tr.Err != nil || tr.From != m.from || tr.To != m.to || tr.Cause != m.cause {
-					t.Fatalf("transition %+v, want %v->%v cause %v", tr, m.from, m.to, m.cause)
+				if tr.Err != nil || tr.From != from || tr.To != to || tr.Cause != cause {
+					t.Fatalf("transition %+v, want %v->%v cause %v", tr, from, to, cause)
 				}
-				if p.Tier() != m.to {
-					t.Fatalf("tier %v after move, want %v", p.Tier(), m.to)
+				if p.Tier() != to {
+					t.Fatalf("tier %v after move, want %v", p.Tier(), to)
 				}
-				if m.from == Fabric && r.dev.Used() != 0 {
+				if rebuilt := cause != Restart && (to == Hosted || to == Interpreter); (r.discards == 1) != rebuilt {
+					t.Fatalf("re-run initial blocks' output discarded %d times on %v->%v cause %v", r.discards, from, to, cause)
+				}
+				if from == Fabric && r.dev.Used() != 0 {
 					t.Fatalf("fabric source left %d LEs placed", r.dev.Used())
 				}
-				if m.to == Unplaced {
+				if from == Hosted && !r.hosted[0].ended {
+					t.Fatal("hosted source was not ended")
+				}
+				if (to == Unplaced || to == Hosted) && (p.Pending(Native) != nil || p.Pending(Fabric) != nil) {
+					t.Fatal("a compile is still pending with no engine here to promote")
+				}
+				if to == Unplaced {
 					if p.Engine() != nil {
 						t.Fatal("torn-down placement still holds an engine")
 					}
@@ -195,26 +291,27 @@ func TestLegalMovesPreserveState(t *testing.T) {
 				if p.Engine() == source || r.swapped != p.Engine() {
 					t.Fatal("owner was not handed the new engine")
 				}
-				if (tr.Fabric != nil) != (m.from == Fabric || m.to == Fabric) {
-					t.Fatalf("Transition.Fabric = %v on %v->%v", tr.Fabric, m.from, m.to)
+				if (tr.Fabric != nil) != (from == Fabric || to == Fabric) {
+					t.Fatalf("Transition.Fabric = %v on %v->%v", tr.Fabric, from, to)
 				}
 				if got := sig(p.Engine()); got != want {
 					t.Fatalf("state changed across the move:\nwant %s\ngot  %s", want, got)
 				}
+				if tr.State == nil || tr.State.Signature() != want {
+					t.Fatal("Transition.State is not the state handed over")
+				}
 				// The moved engine runs on from that state.
 				r.run(rnd, 5)
 			})
-		}
+		})
 	}
 }
 
-// TestIllegalMovesRefused: every (from, to, cause) not in the table is
-// refused with ErrIllegal, the engine, its state and any pending compile
-// untouched.
+// TestIllegalMovesRefused: every cell of the product the table does not
+// list is refused with ErrIllegal, the engine, its state and any pending
+// compile untouched.
 func TestIllegalMovesRefused(t *testing.T) {
 	src := workloads(t)["regexstream"]
-	tiers := []Tier{Unplaced, Interpreter, Native, Fabric}
-	causes := []Cause{Restart, JobLanded, FaultLatched, TransientFault, Shed, BreakerTrip}
 	for _, from := range tiers {
 		rnd := rand.New(rand.NewSource(11))
 		r := newRig(t, src, nil)
@@ -224,25 +321,68 @@ func TestIllegalMovesRefused(t *testing.T) {
 		if e != nil {
 			want = sig(e)
 		}
+		p.Submit(Fabric, 0)
+		job := p.Pending(Fabric)
 		refused := 0
-		for _, to := range tiers {
-			for _, cause := range causes {
-				if Legal(from, to, cause) {
-					continue
-				}
-				refused++
-				tr := p.move(to, cause, nil, nil)
-				if tr.Err != ErrIllegal || tr.From != from || tr.To != from {
-					t.Errorf("%v->%v cause %d: %+v, want ErrIllegal in place", from, to, cause, tr)
-				}
-				if p.Engine() != e || p.Tier() != from || (e != nil && sig(e) != want) {
-					t.Fatalf("%v->%v cause %d touched the engine", from, to, cause)
-				}
+		eachTriple(func(f, to Tier, cause Cause) {
+			if f != from || Legal(from, to, cause) {
+				return
 			}
-		}
+			refused++
+			tr := p.move(to, cause, nil, nil)
+			if tr.Err != ErrIllegal || tr.From != from || tr.To != from {
+				t.Errorf("%v->%v cause %d: %+v, want ErrIllegal in place", from, to, cause, tr)
+			}
+			if p.Engine() != e || p.Tier() != from || (e != nil && sig(e) != want) ||
+				p.Pending(Fabric) != job || job.Canceled() || len(r.hosted) > 1 {
+				t.Fatalf("%v->%v cause %d touched the engine", from, to, cause)
+			}
+		})
 		if refused == 0 {
 			t.Fatalf("no illegal move out of %v exercised", from)
 		}
+	}
+}
+
+// TestRehostFailureKeepsSource: the one move whose target is built and
+// seeded over a wire. A spawn the host refuses, or a handoff that does
+// not arrive, leaves the failed-over engine running where it is, its
+// pending compile in flight and nothing half-seeded behind; the next
+// attempt goes through.
+func TestRehostFailureKeepsSource(t *testing.T) {
+	src := workloads(t)["regexstream"]
+	rnd := rand.New(rand.NewSource(13))
+	r := newRig(t, src, nil)
+	r.reach(t, rnd, Interpreter)
+	p, e, want := r.p, r.p.Engine(), sig(r.p.Engine())
+	p.Submit(Native, 0)
+	job := p.Pending(Native)
+	kept := func(what string, tr Transition) {
+		t.Helper()
+		if tr.Err == nil || tr.From != Interpreter || tr.To != Interpreter || tr.Cause != Recovered {
+			t.Fatalf("%s: %+v, want an error in place", what, tr)
+		}
+		if p.Engine() != e || p.Tier() != Interpreter || sig(e) != want || r.swapped != e {
+			t.Fatalf("%s: the source was disturbed", what)
+		}
+		if p.Pending(Native) != job || job.Canceled() {
+			t.Fatalf("%s: the source's pending compile was dropped", what)
+		}
+	}
+	r.hostErr = errors.New("spawn refused")
+	kept("refused spawn", p.Rehost())
+	if len(r.hosted) != 0 {
+		t.Fatal("a refused spawn built an engine")
+	}
+	r.dropSet = true
+	kept("lost handoff", p.Rehost())
+	if len(r.hosted) != 1 || !r.hosted[0].ended {
+		t.Fatal("the half-seeded target was left behind")
+	}
+	r.run(rnd, 5) // still on the source
+	want = sig(e)
+	if tr := p.Rehost(); tr.Err != nil || p.Tier() != Hosted || sig(p.Engine()) != want {
+		t.Fatalf("retry: %+v", tr)
 	}
 }
 

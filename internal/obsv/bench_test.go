@@ -5,7 +5,7 @@ import "testing"
 // The disabled path is the one every user pays: a nil Observer threaded
 // through the scheduler's hot loops. It must stay within a few ns/op and
 // zero allocations — CI gates on these benchmarks (see
-// .github/workflows/ci.yml), mirroring the Local transport fast-path
+// .github/workflows/ci.yml), mirroring the local client fast-path
 // gate.
 
 func BenchmarkObsvDisabledEmit(b *testing.B) {

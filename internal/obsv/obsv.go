@@ -14,7 +14,7 @@
 //     method (and every method on a nil Counter/Gauge/Histogram) no-ops
 //     in a couple of nanoseconds with zero allocations, so call sites
 //     need no guards and the scheduler's hot paths cost nothing when
-//     observability is off (benchmark-gated, like the Local transport
+//     observability is off (benchmark-gated, like the local client
 //     fast path).
 //
 //   - Observation never feeds back into execution. Events carry both a

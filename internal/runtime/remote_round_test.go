@@ -171,6 +171,9 @@ func TestRemoteSnapshotBetweenSteps(t *testing.T) {
 // chaos tests land their kills: before a step that prints nothing (the
 // failover seed is the previous step boundary for every engine, so the
 // engines still served during a step that prints would print it again).
+// The two engines the daemon still held when the breaker tripped are
+// superseded by the re-host like the lost one, and ended there: it is
+// left holding the program's three, not five.
 func TestSupervisedEngineLost(t *testing.T) {
 	run := func(lose bool) (string, Stats, []error) {
 		view := &BufView{Quiet: true}
@@ -201,6 +204,9 @@ func TestSupervisedEngineLost(t *testing.T) {
 		}
 		if !r.RunUntilFinish(2000) {
 			t.Fatal("run never finished")
+		}
+		if got := d.engines(); got != 3 {
+			t.Errorf("daemon holds %d engines for a 3-engine program (lose=%v)", got, lose)
 		}
 		return view.Output(), r.Stats(), view.Errors()
 	}

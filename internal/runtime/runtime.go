@@ -301,10 +301,10 @@ type Runtime struct {
 
 	// slots is the schedule table (scheduler.go): one row per scheduled
 	// engine, in order, with its transport client — a direct in-process
-	// call (Local transport, zero-copy), or an engine hosted on a daemon,
+	// call (a local client, zero-copy), or an engine hosted on a daemon,
 	// whose share of each round travels in the daemon's one frame. The
-	// bare in-process engine behind a user subprogram's client belongs to
-	// its lifecycle record (placed), which performs every hot swap. fifos
+	// engine behind a user subprogram's client, in-process or hosted,
+	// belongs to its lifecycle record (placed), which makes every move. fifos
 	// are the design's FIFO transfer meters, scheduled or forwarded; the
 	// rest is the loop's working state.
 	slots      []slot
@@ -338,7 +338,7 @@ type Runtime struct {
 	// supervision disabled). committed holds each remote engine's last
 	// end-of-step state snapshot — the failover seed (an engine currently
 	// re-seeded locally, awaiting re-host, is one whose lifecycle record
-	// holds an in-process engine although Options.Remote is set); supFails
+	// is off the Hosted rung although Options.Remote is set); supFails
 	// counts the round-trip failures the current step latched against
 	// the breaker (fed by flushTransportErrs, drained by
 	// serviceSupervision, both controller-only).
@@ -421,11 +421,7 @@ func New(opts Options) *Runtime {
 		// toolchain's global injector (another tenant's, or nobody's)
 		// must never see this runtime's compiles, and vice versa. The
 		// device is this runtime's own partition either way.
-		if opts.Tenant != "" {
-			opts.Toolchain.SetTenantFaults(opts.Tenant, opts.Injector)
-		} else {
-			opts.Toolchain.SetFaults(opts.Injector)
-		}
+		opts.Toolchain.SetTenantFaults(opts.Tenant, opts.Injector)
 		opts.Device.SetFaults(opts.Injector)
 	}
 	if opts.Observer != nil {
@@ -434,11 +430,7 @@ func New(opts Options) *Runtime {
 		// fault sites, and the runtime emits the controller-side
 		// lifecycle (phases, hot swaps, evictions, checkpoints). Scoped
 		// per tenant on a shared toolchain, like the injector.
-		if opts.Tenant != "" {
-			opts.Toolchain.SetTenantObserver(opts.Tenant, opts.Observer)
-		} else {
-			opts.Toolchain.SetObserver(opts.Observer)
-		}
+		opts.Toolchain.SetTenantObserver(opts.Tenant, opts.Observer)
 		if opts.Injector != nil {
 			opts.Injector.SetObserver(opts.Observer)
 		}
@@ -506,21 +498,30 @@ func (r *Runtime) compile(p *lifecycle.Placement, t lifecycle.Tier, now uint64) 
 	return r.opts.Toolchain.SubmitTenant(ctx, r.opts.Tenant, p.Flat, !r.opts.Features.Native, now)
 }
 
-// swapEngine is the placements' Swap callback. A hot swap happens
-// inside the path's Local client, so its transport stats and the
-// scheduler's dispatch route are untouched; a path with no Local client
-// yet gets one — appended to the schedule on a fresh build, in the
-// retired remote client's slot on a failover.
+// swapEngine is the placements' Swap callback. A hot swap between
+// in-process rungs happens inside the path's local client, so its
+// transport stats and the scheduler's dispatch route are untouched.
+// Otherwise the engine brings a client of its own — a hosted one is the
+// client Runtime.host spawned, an in-process one is wrapped — appended to
+// the schedule on a fresh build (install resolves the table once every
+// row is in), in the superseded client's row (its counters banked) when a
+// failover or re-host moved it across the wire.
 func (r *Runtime) swapEngine(p *lifecycle.Placement, e engine.Engine) {
-	switch s := r.slotOf(p.Path); {
-	case s == nil:
-		r.slots = append(r.slots, slot{path: p.Path, c: r.wrapLocal(p.Path, e), p: p})
-		r.reschedule()
-	case s.c.Remote():
-		s.c = r.wrapLocal(p.Path, e)
-	default:
+	s := r.slotOf(p.Path)
+	c, hosted := e.(*transport.Client)
+	if s != nil && !hosted && !s.c.Remote() {
 		s.c.SwapLocal(e)
+		return
 	}
+	if !hosted {
+		c = transport.NewLocalClient(e, r.noteTransportErr)
+	}
+	if s == nil {
+		r.slots = append(r.slots, slot{path: p.Path, c: r.adopt(p.Path, c), p: p})
+		return
+	}
+	r.retireClient(s.path, s.c)
+	s.c = r.adopt(p.Path, c)
 }
 
 // newPlacement registers the lifecycle record for one user subprogram
@@ -540,6 +541,9 @@ func (r *Runtime) newPlacement(path string, f *elab.Flat) *lifecycle.Placement {
 	}
 	if !r.opts.Features.DisableJIT {
 		cfg.Compile = r.compile
+	}
+	if r.opts.Remote != nil {
+		cfg.Host = r.host
 	}
 	p := lifecycle.New(cfg)
 	r.placed = append(r.placed, p)
@@ -564,19 +568,16 @@ func (r *Runtime) eachJob(visit func(*lifecycle.Placement, lifecycle.Tier, *tool
 
 // teardown retires every engine of the executing design: lifecycle
 // records cancel their now-obsolete compiles (finished flows stay in
-// the toolchain's bitstream cache), end their in-process engine and
-// release its fabric; remote engines are ended over the protocol, which
-// frees the daemon-side instance; the persistent stdlib peripherals are
-// only unwrapped. Each client's counters are banked for its successor.
+// the toolchain's bitstream cache) and end their engine — an in-process
+// one releasing its fabric, a hosted one over the protocol, which frees
+// the daemon-side instance; the persistent stdlib peripherals are only
+// unwrapped. Each client's counters are banked for its successor.
 func (r *Runtime) teardown() {
-	for _, s := range r.slots {
-		if s.c.Remote() {
-			s.c.End()
-		}
-		r.retireClient(s.path, s.c)
-	}
 	for _, p := range r.placed {
 		p.Teardown()
+	}
+	for _, s := range r.slots {
+		r.retireClient(s.path, s.c)
 	}
 	r.slots, r.fifos, r.placed, r.areaLEs = nil, nil, nil, 0 // an empty table has nothing to resolve
 }
@@ -708,11 +709,14 @@ func (r *Runtime) flushDisplays() {
 
 // transport clients --------------------------------------------------------
 
-// wrapLocal wraps an in-process engine in a Local-transport client,
-// re-seeding any counters a retired client for the same path left
-// behind.
+// wrapLocal wraps an in-process engine in a local client.
 func (r *Runtime) wrapLocal(path string, e engine.Engine) *transport.Client {
-	c := transport.NewLocalClient(e, r.noteTransportErr)
+	return r.adopt(path, transport.NewLocalClient(e, r.noteTransportErr))
+}
+
+// adopt re-seeds a path's new client with any counters a retired client
+// for the same path left behind.
+func (r *Runtime) adopt(path string, c *transport.Client) *transport.Client {
 	if s, ok := r.xstats[path]; ok {
 		c.SeedStats(s)
 		delete(r.xstats, path)
@@ -721,8 +725,8 @@ func (r *Runtime) wrapLocal(path string, e engine.Engine) *transport.Client {
 }
 
 // retireClient banks a client's cumulative transport counters before the
-// client is dropped (install, forwarding), so the path's lifetime totals
-// survive into its replacement.
+// client is dropped (install, forwarding, failover, re-host), so the
+// path's lifetime totals survive into its replacement.
 func (r *Runtime) retireClient(path string, c *transport.Client) {
 	s := r.xstats[path]
 	s.Add(c.Stats())
@@ -782,8 +786,7 @@ func (r *Runtime) connectRemote() error {
 		return fmt.Errorf("remote engine: %w", err)
 	}
 	if ro.SessionQuotaLEs > 0 {
-		sess, err := transport.OpenSession(t, ro.SessionName,
-			ro.SessionQuotaLEs, ro.SessionShare, r.vclk.Now())
+		sess, err := r.openSession(t)
 		if err != nil {
 			t.Close()
 			return fmt.Errorf("remote session: %w", err)
@@ -797,35 +800,47 @@ func (r *Runtime) connectRemote() error {
 	return nil
 }
 
-// spawnRemote instantiates one user subprogram on the remote daemon: the
-// module is printed back to Verilog, shipped with its parameter bindings
-// over the shared TCP transport, and re-elaborated on the far side. The
-// client's IO lands in the same lane an in-process engine would use —
-// piggybacked on replies and replayed on the calling goroutine, so
-// ordering is untouched.
-func (r *Runtime) spawnRemote(p *lifecycle.Placement, mod *verilog.Module, params map[string]*bits.Vector) (*transport.Client, error) {
-	path := p.Path
-	if err := r.connectRemote(); err != nil { // re-host spawns without an Eval in front
-		return nil, err
-	}
+// openSession opens this runtime's tenant session on the daemon behind t.
+func (r *Runtime) openSession(t *transport.TCP) (uint32, error) {
+	ro := r.opts.Remote
+	return transport.OpenSession(t, ro.SessionName, ro.SessionQuotaLEs, ro.SessionShare, r.vclk.Now())
+}
+
+// host is the placements' Host callback and the one place the runtime
+// spawns on its daemon, for an install and a re-host alike: the module is
+// printed back to Verilog, shipped with its parameter bindings over the
+// shared link, and re-elaborated on the far side. The client's IO lands
+// in the same lane an in-process engine would use — piggybacked on
+// replies and replayed on the calling goroutine, so ordering is
+// untouched. The daemon is connected: an install has Eval's or Restore's
+// connectRemote in front, a re-host a probe. One that restarted without
+// its journal no longer knows this runtime's session, so an
+// ErrUnknownSession refusal opens a fresh one and tries once more (one
+// resumed from a journal re-binds the old ID and the first spawn just
+// works).
+func (r *Runtime) host(p *lifecycle.Placement) (engine.Engine, error) {
+	sub := r.ver.exec.Sub(p.Path)
 	spec := transport.SpawnSpec{
-		Path:    path,
-		Source:  verilog.Print(mod),
-		Params:  params,
+		Path:    p.Path,
+		Source:  verilog.Print(sub.Module),
+		Params:  sub.Params,
 		Eager:   r.opts.Features.EagerSim,
 		JIT:     !r.opts.Features.DisableJIT,
 		Session: r.remoteSess,
 	}
 	c, err := r.link.Spawn(spec, p.IO, r.noteTransportErr)
+	if r.remoteSess != 0 && errors.Is(err, transport.ErrUnknownSession) {
+		if sess, serr := r.openSession(r.remoteT); serr == nil {
+			r.remoteSess, spec.Session = sess, sess
+			r.opts.View.Info("daemon session re-opened as %d (previous session lost)", sess)
+			c, err = r.link.Spawn(spec, p.IO, r.noteTransportErr)
+		}
+	}
 	if err != nil {
-		return nil, fmt.Errorf("remote engine %s: %w", path, err)
+		return nil, fmt.Errorf("remote engine %s: %w", p.Path, err)
 	}
 	c.SetObserver(r.opts.Observer)
-	r.obs().Emit(obsv.EvSpawn, path, "remote engine on "+r.opts.Remote.Addr)
-	if s, ok := r.xstats[path]; ok {
-		c.SeedStats(s)
-		delete(r.xstats, path)
-	}
+	r.obs().Emit(obsv.EvSpawn, p.Path, "remote engine on "+r.opts.Remote.Addr)
 	return c, nil
 }
 
@@ -988,40 +1003,35 @@ func (r *Runtime) install(ctx context.Context, v *version, saved map[string]*sim
 	for _, s := range v.exec.UserSubs() {
 		f := v.execElabs[s.Path]
 		p := r.newPlacement(s.Path, f)
-		seed := v.seed(saved, s.Path)
-		// A tripped breaker keeps new engines local: the daemon is
-		// presumed dead, so a re-integration mid-outage builds failed-over
-		// software engines and lets recovery re-host them later. A nil
-		// supervisor always reports Closed, preserving the plain remote
-		// path.
+		// The engine starts on the daemon when there is one — unless a
+		// tripped breaker presumes it dead: a re-integration mid-outage
+		// builds failed-over software engines and lets recovery re-host
+		// them later. (A nil supervisor always reports Closed.)
+		tier := lifecycle.Interpreter
 		if r.opts.Remote != nil && r.sup.State() == supervise.Closed {
-			c, err := r.spawnRemote(p, s.Module, s.Params)
-			if err != nil {
-				return err
-			}
-			if seed != nil {
-				c.SetState(seed)
-				r.committed[s.Path] = seed
-			}
-			r.slots = append(r.slots, slot{path: s.Path, c: c, p: p})
-		} else {
-			p.Start(seed)
-			if r.opts.Remote != nil && r.opts.Features.NativeTier {
-				p.Submit(lifecycle.Native, r.vclk.Now())
-			}
+			tier = lifecycle.Hosted
+		}
+		tr := p.Start(tier, v.seed(saved, s.Path))
+		if tr.Err != nil {
+			return tr.Err
+		}
+		if tier == lifecycle.Hosted {
+			r.committed[s.Path] = tr.State
 		}
 		r.drainLane(p) // initial-block output emitted at construction
 		// Creating a software engine is fast but not free.
 		r.vclk.AdvanceOverhead(uint64(len(f.Vars)+1) * r.opts.Model.DispatchPs / 4)
 
-		// Kick off background hardware compilation (Figure 9.2 -> 9.3).
-		// Remote engines compile on the daemon's toolchain (the spawn
-		// request carries the JIT flag), not the runtime's.
-		if r.opts.Remote == nil {
-			p.Submit(lifecycle.Fabric, r.vclk.Now())
-			// The native tier compiles in parallel with the fabric flow:
-			// a cheap intermediate artifact that replaces the interpreter
-			// within virtual milliseconds (Figure 9's ladder grows a rung).
+		// Kick off background compilation (Figure 9.2 -> 9.3), the native
+		// tier in parallel with the fabric flow: a cheap artifact that
+		// replaces the interpreter within virtual milliseconds. A hosted
+		// engine compiles on the daemon's toolchain (the spawn request
+		// carries the JIT flag), and a failed-over one takes the native
+		// rung only: the outage would abandon a fabric compile on re-host.
+		if tier == lifecycle.Interpreter {
+			if r.opts.Remote == nil {
+				p.Submit(lifecycle.Fabric, r.vclk.Now())
+			}
 			if r.opts.Features.NativeTier {
 				p.Submit(lifecycle.Native, r.vclk.Now())
 			}

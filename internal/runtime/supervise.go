@@ -1,15 +1,10 @@
 package runtime
 
 import (
-	"errors"
-
-	"cascade/internal/bits"
 	"cascade/internal/lifecycle"
 	"cascade/internal/obsv"
 	"cascade/internal/proto"
 	"cascade/internal/supervise"
-	"cascade/internal/transport"
-	"cascade/internal/verilog"
 )
 
 // serviceSupervision runs the self-healing state machine between time
@@ -122,6 +117,7 @@ func (r *Runtime) probeRemote(vnow uint64) (tripped bool) {
 	if o := r.obs(); o != nil {
 		o.Emit(obsv.EvProbe, "", "ok")
 	}
+	r.link.Flush() // the daemon answers: the ends it is owed go out now
 	if r.sup.ProbeOK(vnow) {
 		if o := r.obs(); o != nil {
 			o.Emit(obsv.EvBreaker, "", "half-open -> closed (recovered)")
@@ -150,24 +146,21 @@ func (r *Runtime) commitRemoteStates() {
 	}
 }
 
-// failoverRemote is the breaker-trip path: every remote engine is
-// replaced by a fresh local software engine re-seeded from its last
-// committed state, and execution continues without the daemon. The JIT
-// phase does not climb while failed over — no local fabric compile is
-// submitted (the outage would abandon it on re-host); the native tier,
-// when enabled, gives the engine its usual faster local rung.
+// failoverRemote is the breaker-trip path: every hosted engine takes the
+// BreakerTrip transition — replaced by a fresh local software engine
+// re-seeded from its last committed state — and execution continues
+// without the daemon. The JIT phase does not climb while failed over —
+// no local fabric compile is submitted (the outage would abandon it on
+// re-host); the native tier, when enabled, gives the engine its usual
+// faster local rung.
 func (r *Runtime) failoverRemote() {
 	n := 0
 	for _, s := range r.slots {
-		if !s.c.Remote() {
+		if s.p == nil || s.p.Tier() != lifecycle.Hosted {
 			continue
 		}
-		// The demotion's swap installs the local client in this slot.
-		r.retireClient(s.path, s.c)
 		r.billRebuild(s.p.Demote(lifecycle.BreakerTrip, r.committed[s.path]))
-		if o := r.obs(); o != nil {
-			o.Emit(obsv.EvFailover, s.path, "re-seeded locally from last committed state")
-		}
+		r.obs().Emit(obsv.EvFailover, s.path, "re-seeded locally from last committed state")
 		if r.opts.Features.NativeTier {
 			s.p.Submit(lifecycle.Native, r.vclk.Now())
 		}
@@ -184,37 +177,26 @@ func (r *Runtime) failoverRemote() {
 }
 
 // rehostRemote is the recovery path: once a half-open trial closes the
-// breaker, every failed-over engine is spawned back onto the daemon,
-// seeded with its current local state, and the local engine retired. A
-// spawn or handoff failure stops the sweep — the remaining engines stay
-// local and the next recovery retries (the failure also counts against
-// the breaker through the usual error path).
+// breaker, every failed-over engine takes the Recovered transition back
+// onto the daemon, carrying its current state, which becomes its first
+// committed one there. A spawn or handoff that fails stops the sweep —
+// that engine and the remaining ones stay local and the next recovery
+// retries (the failure also counts against the breaker through the usual
+// error path; the End a failed handoff's target is owed goes out with the
+// next probe that is answered).
 func (r *Runtime) rehostRemote() {
 	n := 0
-	for _, s := range r.ver.exec.UserSubs() {
-		slot := r.slotOf(s.Path)
-		if slot == nil || slot.p.Tier() == lifecycle.Unplaced {
-			continue // still hosted remotely: never failed over
+	for _, s := range r.slots {
+		if s.p == nil || s.p.Tier() == lifecycle.Hosted {
+			continue // a peripheral, or never failed over
 		}
-		p, c := slot.p, slot.c
-		st := c.GetState()
-		nc, err := r.spawnRemoteRebind(p, s.Module, s.Params)
-		if err != nil {
-			r.opts.View.Info("re-host of %s failed (%v); staying local", s.Path, err)
+		tr := s.p.Rehost()
+		if tr.Err != nil {
+			r.opts.View.Info("re-host of %s failed (%v); staying local", s.path, tr.Err)
 			break
 		}
-		nc.SetState(st)
-		if nc.Err() != nil {
-			r.opts.View.Info("re-host of %s failed mid-handoff; staying local", s.Path)
-			break
-		}
-		r.retireClient(s.Path, c)
-		p.Teardown()
-		slot.c = nc
-		r.committed[s.Path] = st
-		if o := r.obs(); o != nil {
-			o.Emit(obsv.EvRehost, s.Path, "re-hosted on "+r.opts.Remote.Addr)
-		}
+		r.committed[s.path] = tr.State
+		r.obs().Emit(obsv.EvRehost, s.path, "re-hosted on "+r.opts.Remote.Addr)
 		n++
 	}
 	if n == 0 {
@@ -225,25 +207,4 @@ func (r *Runtime) rehostRemote() {
 		o.Rehosts.Add(uint64(n))
 	}
 	r.opts.View.Info("%d engine(s) re-hosted on %s", n, r.opts.Remote.Addr)
-}
-
-// spawnRemoteRebind is spawnRemote with session recovery: a daemon that
-// restarted without its journal no longer knows this runtime's session
-// ID, so an ErrUnknownSession refusal opens a fresh session and retries
-// once. (A daemon resumed from a journal re-binds the old ID and the
-// first spawn just works.)
-func (r *Runtime) spawnRemoteRebind(p *lifecycle.Placement, mod *verilog.Module, params map[string]*bits.Vector) (*transport.Client, error) {
-	nc, err := r.spawnRemote(p, mod, params)
-	if err == nil || r.remoteSess == 0 || !errors.Is(err, transport.ErrUnknownSession) {
-		return nc, err
-	}
-	ro := r.opts.Remote
-	sess, serr := transport.OpenSession(r.remoteT, ro.SessionName,
-		ro.SessionQuotaLEs, ro.SessionShare, r.vclk.Now())
-	if serr != nil {
-		return nil, err
-	}
-	r.remoteSess = sess
-	r.opts.View.Info("daemon session re-opened as %d (previous session lost)", sess)
-	return r.spawnRemote(p, mod, params)
 }

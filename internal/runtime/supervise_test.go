@@ -12,6 +12,7 @@ import (
 
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
+	"cascade/internal/proto"
 	"cascade/internal/supervise"
 	"cascade/internal/transport"
 	"cascade/internal/vclock"
@@ -35,10 +36,11 @@ type testDaemon struct {
 	// therefore reset the fault timeline at the same points every run.
 	faults fault.Config
 
-	mu    sync.Mutex
-	l     net.Listener
-	conns map[net.Conn]bool
-	host  *transport.Host
+	mu      sync.Mutex
+	l       net.Listener
+	conns   map[net.Conn]bool
+	host    *transport.Host
+	resumed int // engines the current host resumed from the journal
 }
 
 func newTestDaemon(t testing.TB, journal string, jit bool) *testDaemon {
@@ -69,13 +71,15 @@ func (d *testDaemon) serve(l net.Listener) {
 		DisableJIT: !d.jit,
 		Injector:   inj,
 	})
+	resumed := 0
 	if d.journal != "" {
-		if _, _, err := host.EnableJournal(d.journal); err != nil {
+		var err error
+		if _, resumed, err = host.EnableJournal(d.journal); err != nil {
 			d.t.Fatal(err)
 		}
 	}
 	d.mu.Lock()
-	d.l, d.host = l, host
+	d.l, d.host, d.resumed = l, host, resumed
 	d.mu.Unlock()
 	go func() {
 		for {
@@ -128,6 +132,13 @@ func (d *testDaemon) sessions() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.host.Sessions()
+}
+
+// engines reports how many engines the live host holds.
+func (d *testDaemon) engines() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.host.Engines()
 }
 
 // supCtrProg prints its counter on every posedge, so any state lost or
@@ -260,6 +271,9 @@ func TestSupervisedFailoverAndRehost(t *testing.T) {
 	if remoteEngines == 0 {
 		t.Fatalf("engines not re-hosted after recovery: %+v", st.Engines)
 	}
+	if got := d.engines(); got != remoteEngines {
+		t.Fatalf("resumed daemon holds %d engines for %d hosted after the re-host", got, remoteEngines)
+	}
 
 	// The whole trajectory — remote, local, remote again — printed one
 	// continuous counter sequence.
@@ -340,7 +354,10 @@ func TestSupervisedSessionReopenAfterRestart(t *testing.T) {
 // one "failure" whose follow-up probe succeeds would otherwise never
 // trip, stranding the run on a latched client. The failover re-seeds
 // from committed state, recovery re-hosts, and the counter stream stays
-// continuous — no repeats from the stale daemon state, no holes.
+// continuous — no repeats from the stale daemon state, no holes. The
+// copy the journal resumed is superseded by the re-host and must be ended
+// there: left alone it would be respawned by every later restart over the
+// same journal (and, with the JIT on, compile and take fabric each time).
 func TestSupervisedRestartEpochDetection(t *testing.T) {
 	d := newTestDaemon(t, filepath.Join(t.TempDir(), "host.journal"), false)
 	view := &BufView{Quiet: true}
@@ -389,7 +406,139 @@ func TestSupervisedRestartEpochDetection(t *testing.T) {
 	if remote == 0 {
 		t.Fatalf("engines not back on the daemon: %+v", st.Engines)
 	}
+	if got := d.engines(); got != 1 {
+		t.Fatalf("daemon holds %d engines for a 1-engine program after the re-host", got)
+	}
+	// Again over the same journal: what it resumes does not grow.
+	for cycle := 2; cycle <= 3; cycle++ {
+		d.kill()
+		d.restart()
+		if d.resumed != 1 {
+			t.Fatalf("restart %d resumed %d engines from the journal, want 1", cycle, d.resumed)
+		}
+		r.RunTicks(8)
+		if st := r.Stats().Supervise; st.Rehosts != uint64(cycle) || st.State != "closed" {
+			t.Fatalf("cycle %d did not re-host: %+v", cycle, st)
+		}
+		if got := d.engines(); got != 1 {
+			t.Fatalf("daemon holds %d engines after re-host %d, want 1", got, cycle)
+		}
+	}
 	// The stale daemon state never reached the output: one continuous
-	// count across kill, restart, failover, and re-host.
+	// count across every kill, restart, failover, and re-host.
 	checkContinuousCounter(t, view.Output(), 10)
+}
+
+// TestSupervisedInitialOutputOnce: an engine rebuilt by a failover, and
+// spawned afresh by the re-host, runs its initial blocks again each time.
+// The user saw their output when the program first integrated; both moves
+// discard it (the re-host used to print it again).
+func TestSupervisedInitialOutputOnce(t *testing.T) {
+	d := newTestDaemon(t, filepath.Join(t.TempDir(), "host.journal"), false)
+	view := &BufView{Quiet: true}
+	r := newTestRuntime(t, Options{
+		View:      view,
+		Features:  Features{DisableJIT: true},
+		Remote:    supRemoteOptions(d.addr),
+		Supervise: supTestOptions(),
+	})
+	defer r.CloseRemote()
+	r.MustEval("reg [7:0] n = 0;\ninitial $display(\"boot\");\n" +
+		"always @(posedge clk.val) n <= n + 1;\nassign led.val = n;\n")
+	r.RunTicks(8)
+	d.kill()
+	r.RunTicks(8)
+	d.restart()
+	r.RunTicks(8)
+	if st := r.Stats().Supervise; st.Failovers != 1 || st.Rehosts != 1 {
+		t.Fatalf("no failover and re-host: %+v", st)
+	}
+	if got := view.Output(); got != "boot\n" {
+		t.Fatalf("output %q, want the initial block's line once", got)
+	}
+}
+
+// loseSetState wraps the daemon connection and, once armed, loses one
+// SetState frame — the handoff of a re-host — after letting skip of them
+// through: the frame never leaves, as when injected drops outlast the
+// retry budget, and the daemon stays up.
+type loseSetState struct {
+	transport.Transport
+	armed bool
+	skip  int
+}
+
+func (l *loseSetState) Roundtrip(req *proto.Request, rep *proto.Reply) (transport.Cost, error) {
+	if l.armed && req.Kind == proto.KindSetState {
+		if l.skip--; l.skip < 0 {
+			l.armed = false
+			return transport.Cost{}, fmt.Errorf("handoff frame lost: %w", transport.ErrEngineUnavailable)
+		}
+	}
+	return l.Transport.Roundtrip(req, rep)
+}
+
+// TestSupervisedRehostHandoffFailure: the daemon comes back, the re-host
+// sweep hands the first of three failed-over engines over, and the second
+// one's state frame is lost mid-handoff. The sweep stops there: that
+// engine and the third keep running locally, the first runs hosted, the
+// output is the undisturbed run's — and the engine spawned for the failed
+// handoff, half-seeded and about to compile, is ended, not left on the
+// daemon for a client that has dropped it.
+func TestSupervisedRehostHandoffFailure(t *testing.T) {
+	run := func(disturb bool) (string, Stats, []string, int) {
+		view := &BufView{}
+		d := newTestDaemon(t, "", false)
+		r := newTestRuntime(t, Options{
+			View:      view,
+			Features:  Features{DisableInline: true, DisableJIT: true},
+			Remote:    supRemoteOptions(d.addr),
+			Supervise: supTestOptions(),
+		})
+		defer r.CloseRemote()
+		if err := r.connectRemote(); err != nil {
+			t.Fatal(err)
+		}
+		lossy := &loseSetState{Transport: r.remoteT, skip: 1}
+		r.link = transport.NewLink(lossy, r.now, r.vclk.Now)
+		r.MustEval(chaosProg)
+		r.RunTicks(10)
+		if disturb {
+			d.kill()
+			r.RunTicks(4)
+			if st := r.Stats().Supervise; st.Failovers != 3 {
+				t.Fatalf("no failover before the re-host under test: %+v", st)
+			}
+			lossy.armed = true
+			d.restart()
+		}
+		if !r.RunUntilFinish(2000) {
+			t.Fatal("run never finished")
+		}
+		return view.Output(), r.Stats(), view.Infos(), d.engines()
+	}
+	want, _, _, _ := run(false)
+	got, st, infos, held := run(true)
+	if got != want {
+		t.Errorf("output diverged after a failed handoff:\n%s\nundisturbed:\n%s", got, want)
+	}
+	if st.Supervise.Rehosts != 1 || st.Supervise.State != "closed" {
+		t.Errorf("want one engine re-hosted and the breaker closed: %+v", st.Supervise)
+	}
+	hosted := 0
+	for _, e := range st.Engines {
+		if e.Transport == "tcp" {
+			hosted++
+		}
+	}
+	if hosted != 1 || held != 1 {
+		t.Errorf("runtime drives %d hosted engine(s), daemon holds %d, want 1 and 1", hosted, held)
+	}
+	stayed := false
+	for _, in := range infos {
+		stayed = stayed || (strings.Contains(in, "re-host of") && strings.Contains(in, "staying local"))
+	}
+	if !stayed {
+		t.Errorf("no notice of the failed re-host in %v", infos)
+	}
 }

@@ -33,7 +33,7 @@ func BenchmarkEngineDirect(b *testing.B) {
 }
 
 // BenchmarkLocalTransportOverhead is the gate for the zero-copy claim:
-// the same engine behind a Local-transport client. Compare ns/op against
+// the same engine behind a local client. Compare ns/op against
 // BenchmarkEngineDirect; the budget is 5%.
 func BenchmarkLocalTransportOverhead(b *testing.B) {
 	c := NewLocalClient(sweng.New(elaborateCtr(b, "main.c"), nil, nil, false), nil)

@@ -39,15 +39,15 @@ type Client struct {
 	name   string
 	io     engine.IOHandler
 	onErr  func(error)
-	remote bool
 	nowFn  func() uint64
 	vnowFn func() uint64
 
-	// local is the zero-copy fast path: when the transport is Local,
-	// engine methods delegate straight to the wrapped engine — no
+	// local is the in-process engine of a client made by NewLocalClient,
+	// which has no transport: engine methods delegate straight to it — no
 	// request/reply structs, no locks, nothing between the scheduler and
-	// the engine but one pointer indirection and a round-trip counter.
-	// Guarded by the same controller-only discipline as Local.Swap.
+	// the engine but one pointer indirection and a round-trip counter
+	// (benchmark-gated: BenchmarkLocalTransportOverhead). It is swapped
+	// only between steps, on the controller goroutine (SwapLocal).
 	local  engine.Engine
 	vis    engine.WriteVisitor // local's in-place drain, nil if it has none
 	fastRT atomic.Uint64       // fast-path round-trips (for Stats)
@@ -84,11 +84,10 @@ func (c *Client) SetObserver(o *obsv.Observer) {
 	c.mu.Unlock()
 }
 
-// NewLocalClient wraps a pre-built in-process engine in a Client over a
-// Local transport. onErr may be nil.
+// NewLocalClient wraps a pre-built in-process engine in a Client: no
+// transport, no protocol message. onErr may be nil.
 func NewLocalClient(e engine.Engine, onErr func(error)) *Client {
 	c := &Client{
-		t:     NewLocal(e),
 		name:  e.Name(),
 		loc:   e.Loc(),
 		onErr: onErr,
@@ -125,7 +124,6 @@ func spawn(t Transport, l *Link, spec SpawnSpec, io engine.IOHandler, now, vnow 
 		name:   spec.Path,
 		io:     io,
 		onErr:  onErr,
-		remote: t.Kind() != "local",
 		nowFn:  now,
 		vnowFn: vnow,
 	}
@@ -188,12 +186,13 @@ func CloseSession(t Transport, id uint32, vnow uint64) error {
 	return nil
 }
 
-// SwapLocal replaces the engine behind a Local client in place (the
+// SwapLocal replaces the engine behind a local client in place (the
 // JIT's hot swap), preserving the client's cumulative transport stats.
 // It panics on remote clients — remote promotion is the host's job.
 func (c *Client) SwapLocal(e engine.Engine) {
-	l := c.t.(*Local)
-	l.Swap(e)
+	if c.local == nil {
+		panic("transport: SwapLocal on a remote client")
+	}
 	c.local = e
 	c.vis, _ = e.(engine.WriteVisitor)
 	c.mu.Lock()
@@ -201,16 +200,19 @@ func (c *Client) SwapLocal(e engine.Engine) {
 	c.mu.Unlock()
 }
 
-// Transport returns the client's transport.
-func (c *Client) Transport() Transport { return c.t }
-
 // Remote reports whether the engine lives on the far side of a real
 // transport (its communication is billed per ABI call, whichever framing
 // carried it) rather than in-process.
-func (c *Client) Remote() bool { return c.remote }
+func (c *Client) Remote() bool { return c.local == nil }
 
-// TransportKind names the transport for stats displays.
-func (c *Client) TransportKind() string { return c.t.Kind() }
+// TransportKind names the transport for stats displays ("local" for an
+// in-process engine, which has none).
+func (c *Client) TransportKind() string {
+	if c.local != nil {
+		return "local"
+	}
+	return c.t.Kind()
+}
 
 // Stats returns the client's cumulative per-engine transport counters.
 func (c *Client) Stats() Stats {
@@ -265,18 +267,16 @@ func (c *Client) call(kind proto.Kind, build func(*proto.Request)) *proto.Reply 
 		return nil
 	}
 	c.absorb(c.rep.Loc, c.rep.Usage, c.rep.IO, c.req.VNow)
-	if c.remote {
-		// Every remote ABI call (and each retry) crosses a serialized
-		// boundary: bill it like an MMIO transaction. State transfers
-		// additionally cost one message per 32-bit word, matching the
-		// hardware engines' shadow-register access model.
-		c.pending.Msgs += 1 + cost.Retries
-		switch kind {
-		case proto.KindGetState:
-			c.pending.Msgs += c.rep.State.Words()
-		case proto.KindSetState:
-			c.pending.Msgs += c.req.State.Words()
-		}
+	// Every remote ABI call (and each retry) crosses a serialized
+	// boundary: bill it like an MMIO transaction. State transfers
+	// additionally cost one message per 32-bit word, matching the
+	// hardware engines' shadow-register access model.
+	c.pending.Msgs += 1 + cost.Retries
+	switch kind {
+	case proto.KindGetState:
+		c.pending.Msgs += c.rep.State.Words()
+	case proto.KindSetState:
+		c.pending.Msgs += c.req.State.Words()
 	}
 	return &c.rep
 }
@@ -329,7 +329,7 @@ func (c *Client) absorb(loc engine.Location, usage engine.Usage, io []proto.IOEv
 			}
 		}
 	}
-	if c.remote && loc != c.loc && c.obs != nil {
+	if loc != c.loc && c.obs != nil {
 		// The daemon moved the engine (its own Figure-9 machine): a
 		// promotion onto its fabric, or an eviction back to software.
 		// Any goroutine may be issuing the call, so the event carries the
@@ -490,14 +490,19 @@ func (c *Client) EndStep() {
 	c.call(proto.KindEndStep, nil)
 }
 
-// End implements engine.Engine.
+// End implements engine.Engine. A hosted client that cannot reach its
+// daemon — it latched an error, before this call or on it — leaves the
+// End owed by its link (Link.Flush): a daemon that answers again, resumed
+// from its journal or never gone, must not keep an engine nobody drives.
 func (c *Client) End() {
 	if c.local != nil {
 		c.fastRT.Add(1)
 		c.local.End()
 		return
 	}
-	c.call(proto.KindEnd, nil)
+	if c.call(proto.KindEnd, nil) == nil && c.link != nil {
+		c.link.owe(c.id)
+	}
 }
 
 // UsageDelta implements engine.UsageReporter: the wrapped engine's own

@@ -427,7 +427,7 @@ func (h *Host) spawn(req *proto.Request, rep *proto.Reply, forced uint32) {
 		}
 	}
 	hd.p = lifecycle.New(cfg)
-	hd.p.Start(nil)
+	hd.p.Start(lifecycle.Interpreter, nil)
 	hd.p.Submit(lifecycle.Fabric, req.VNow)
 	h.mu.Lock()
 	var id uint32
@@ -459,6 +459,10 @@ func (h *Host) sessionOpen(req *proto.Request, rep *proto.Reply, forced uint32) 
 	if quota <= 0 {
 		quota = h.opts.DefaultSessionQuotaLEs
 	}
+	// Name, region and registration are taken under one hold of h.mu (and
+	// given up under one, in sessionClose): Device.Place replaces a
+	// same-named region, so two opens racing past the name check would
+	// share one region, and closing either release it under the other.
 	h.mu.Lock()
 	var id uint32
 	if forced != 0 {
@@ -481,15 +485,14 @@ func (h *Host) sessionOpen(req *proto.Request, rep *proto.Reply, forced uint32) 
 			return
 		}
 	}
-	h.mu.Unlock()
 	if err := h.opts.Device.Place("session:"+tenant, quota); err != nil {
+		h.mu.Unlock()
 		rep.Err = fmt.Sprintf("open session %s: %v", tenant, err)
 		return
 	}
 	sess := &hostSession{id: id, tenant: tenant,
 		dev: fpga.NewDevice(quota, h.opts.Device.ClockHz())}
 	h.opts.Toolchain.RegisterTenant(tenant, int(req.Share), sess.dev)
-	h.mu.Lock()
 	h.sessions[id] = sess
 	h.mu.Unlock()
 	h.opts.Observer.EmitAt(req.VNow, obsv.EvSpawn, tenant,
@@ -516,14 +519,14 @@ func (h *Host) sessionClose(req *proto.Request, rep *proto.Reply) {
 			delete(h.engines, id)
 		}
 	}
+	h.opts.Device.Release("session:" + sess.tenant)
+	h.opts.Toolchain.UnregisterTenant(sess.tenant) // submitted jobs keep their snapshot of it
 	h.mu.Unlock()
 	for _, hd := range owned {
 		hd.mu.Lock()
 		hd.p.Teardown()
 		hd.mu.Unlock()
 	}
-	h.opts.Device.Release("session:" + sess.tenant)
-	h.opts.Toolchain.UnregisterTenant(sess.tenant)
 	h.opts.Observer.EmitAt(req.VNow, obsv.EvSpawn, sess.tenant,
 		fmt.Sprintf("session %d closed (%d engines ended)", sess.id, len(owned)))
 	h.journalReq(req, 0)

@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"sync"
 	"testing"
 
 	"cascade/internal/engine"
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
+	"cascade/internal/proto"
 	"cascade/internal/toolchain"
 )
 
@@ -99,5 +101,67 @@ func TestHostEvictionKeepsEagerFlag(t *testing.T) {
 	}
 	if got != eager {
 		t.Fatalf("evicted engine bills %d ops over 5 ticks; an eager engine bills %d, a lazy one %d", got, eager, lazy)
+	}
+}
+
+// TestHostConcurrentSessionOpen: a session's name, its fabric region and
+// its registration change hands together. Opens of one name racing each
+// other — and, from the second round on, the close of the previous
+// holder — admit at most one, and the fabric accounts exactly the
+// regions of the sessions that are open. (The name used to be checked
+// and the session registered under separate holds of the host lock with
+// Device.Place, which replaces a same-named region, in between: two
+// opens shared one region, and a close released it under the survivor.)
+func TestHostConcurrentSessionOpen(t *testing.T) {
+	dev := fpga.NewCycloneV()
+	h := NewHost(HostOptions{Device: dev, Toolchain: toolchain.New(dev, toolchain.DefaultOptions())})
+	const quota, racers, rounds = 1000, 8, 40
+	var holder uint32
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		won := make([]uint32, racers)
+		for i := range won {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				var rep proto.Reply
+				h.Handle(&proto.Request{Kind: proto.KindSessionOpen, Path: "alice", Quota: quota}, &rep)
+				if rep.Err == "" {
+					won[i] = rep.Engine
+				}
+			}(i)
+		}
+		if holder != 0 {
+			wg.Add(1)
+			go func(id uint32) {
+				defer wg.Done()
+				<-start
+				var rep proto.Reply
+				h.Handle(&proto.Request{Kind: proto.KindSessionClose, Session: id}, &rep)
+				if rep.Err != "" {
+					t.Errorf("round %d: closing session %d: %s", round, id, rep.Err)
+				}
+			}(holder)
+		}
+		close(start)
+		wg.Wait()
+		open := 0
+		for _, id := range won {
+			if id != 0 {
+				open++
+				holder = id
+			}
+		}
+		if open > 1 || (open == 0 && round == 0) {
+			t.Fatalf("round %d: %d of %d concurrent opens of one name succeeded", round, open, racers)
+		}
+		if open == 0 {
+			holder = 0 // every open lost to the holder, which has closed since
+		}
+		if n, used := h.Sessions(), dev.Used(); n != open || used != open*quota {
+			t.Fatalf("round %d: %d session(s) open and %d LEs placed, want %d and %d", round, n, used, open, open*quota)
+		}
 	}
 }

@@ -37,6 +37,15 @@ import (
 // is booked to the clients it carried, so their counters still sum to
 // the connection's.
 //
+// Ends owed. A member that cannot reach the daemon when it is ended
+// leaves its engine's ID here, and Flush — so every lone call, a spawn
+// included — first ends the engines owed, while the daemon answers. What
+// it still holds of them is thus gone before anything new is spawned
+// there, and an ID it hands out afresh (a daemon restarted without its
+// journal starts over at 1) is never ended for an old engine's sake.
+// Nothing is billed — no client is left to bill, as for the engines
+// CloseSession ends — and a refusal settles the debt like an answer.
+//
 // A link is driven by one goroutine at a time (the runtime's controller);
 // the mutex is the happens-before edge between drivers, as the clients'
 // own is.
@@ -46,6 +55,7 @@ type Link struct {
 	vnowFn func() uint64
 
 	mu      sync.Mutex
+	owed    []uint32           // engines whose End could not be delivered
 	inputs  []proto.RoundInput // queued Reads; values copied when queued
 	rcv     []*Client          // their distinct receivers, in first-queued order
 	carried []*Client          // the members of the frame in flight
@@ -111,11 +121,27 @@ func (l *Link) queue(c *Client, ev engine.Event) {
 	}
 }
 
-// Flush delivers the queued inputs now, in a frame of their own whose
-// reply carries the receivers' metered work. No-op on an empty queue.
+// owe records that engine id is still to be ended on the daemon.
+func (l *Link) owe(id uint32) {
+	l.mu.Lock()
+	l.owed = append(l.owed, id)
+	l.mu.Unlock()
+}
+
+// Flush delivers the ends owed, for as long as the daemon answers, then
+// the queued inputs, in a frame of their own whose reply carries the
+// receivers' metered work. No-op when there are neither.
 func (l *Link) Flush() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for len(l.owed) > 0 {
+		req := proto.Request{Kind: proto.KindEnd, Engine: l.owed[0]}
+		stamp(&req, l.nowFn, l.vnowFn)
+		if _, err := l.t.Roundtrip(&req, &l.ack); err != nil {
+			break
+		}
+		l.owed = l.owed[1:]
+	}
 	if len(l.inputs) > 0 {
 		l.send(proto.RoundInputs, l.rcv, &l.ack)
 	}

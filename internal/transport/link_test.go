@@ -372,3 +372,80 @@ func TestLostEngineLatches(t *testing.T) {
 		t.Errorf("surviving member did not carry on: err %v trace %q", b.Err(), traces[1])
 	}
 }
+
+// cutHost is a transport straight into a Host — whichever one the test
+// points it at — that can be cut: the daemon as a link sees it die,
+// answer again, or come back as another incarnation.
+type cutHost struct {
+	h    *Host
+	down bool
+}
+
+func (c *cutHost) Roundtrip(req *proto.Request, rep *proto.Reply) (Cost, error) {
+	if c.down {
+		return Cost{}, fmt.Errorf("cut: %w", ErrEngineUnavailable)
+	}
+	c.h.Handle(req, rep)
+	return Cost{}, nil
+}
+
+func (c *cutHost) Kind() string { return "tcp" }
+func (c *cutHost) Stats() Stats { return Stats{} }
+func (c *cutHost) Close() error { return nil }
+
+// TestLinkEndsOwedBeforeSpawn: a hosted client ended while it cannot
+// reach its daemon leaves the End owed by the link, and the link pays
+// before the next spawn. A daemon that answers again still holding the
+// engines loses them there and then; one that came back without its
+// journal, handing IDs out from 1 again, refuses the old ID before it
+// reuses it — so no engine spawned afresh is ever ended in an old one's
+// name.
+func TestLinkEndsOwedBeforeSpawn(t *testing.T) {
+	old := NewHost(HostOptions{DisableJIT: true})
+	wire := &cutHost{h: old}
+	l := NewLink(wire, nil, nil)
+	spawn := func(path string) *Client {
+		t.Helper()
+		c, err := l.Spawn(SpawnSpec{Path: path, Source: ctrSrc}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	a, b := spawn("main.a"), spawn("main.b")
+	wire.down = true
+	driveRounds(l, []*Client{a, b}, 1)
+	if a.Err() == nil || b.Err() == nil {
+		t.Fatal("a cut wire latched nothing")
+	}
+	a.End()
+	b.End()
+	if n := old.Engines(); n != 2 {
+		t.Fatalf("daemon holds %d engines behind a cut wire, want 2", n)
+	}
+
+	wire.down = false
+	c := spawn("main.c")
+	if n := old.Engines(); n != 1 {
+		t.Errorf("daemon that answers again holds %d engines after the next spawn, want the new one only", n)
+	}
+
+	wire.down = true
+	c.GetState()
+	c.End()
+	fresh := NewHost(HostOptions{DisableJIT: true})
+	wire.h, wire.down = fresh, false
+	reborn := []*Client{spawn("main.d"), spawn("main.e"), spawn("main.f")}
+	if reborn[2].id != c.id {
+		t.Fatalf("test premise: the fresh daemon did not reuse engine ID %d (gave %d)", c.id, reborn[2].id)
+	}
+	l.Flush()
+	if n := fresh.Engines(); n != 3 {
+		t.Errorf("fresh daemon holds %d of the 3 engines spawned on it", n)
+	}
+	for _, c := range reborn {
+		if c.ThereAreEvals(); c.Err() != nil {
+			t.Errorf("%s: %v", c.Name(), c.Err())
+		}
+	}
+}

@@ -1,14 +1,15 @@
 // Package transport carries the engine protocol (internal/proto)
-// between the runtime and its engines. Two implementations ship: Local,
-// the in-process one, which carries no message at all — its Client calls
-// the wrapped engine directly — and TCP, a length-prefixed framed
-// connection to a remote engine daemon (cmd/cascade-engined) with
-// deadlines, deterministic fault-injected drops, and reconnect-and-retry.
+// between the runtime and the engines a daemon hosts for it. One
+// Transport ships: TCP, a length-prefixed framed connection to a remote
+// engine daemon (cmd/cascade-engined) with deadlines, deterministic
+// fault-injected drops, and reconnect-and-retry.
 //
 // The runtime talks to every scheduled engine through a Client, which
-// implements engine.Engine over a Transport — so a caller that drives
-// one engine cannot tell (and must not care) whether the subprogram
-// lives on its own heap, in another process, or on another machine. That
+// implements engine.Engine — over a Transport, or, for an engine on the
+// runtime's own heap, by calling it directly with no message at all
+// (NewLocalClient) — so a caller that drives one engine cannot tell (and
+// must not care) whether the subprogram lives on its own heap, in
+// another process, or on another machine. That
 // is the paper's Figure-7 ABI boundary made wire-real, and the
 // prerequisite for the multi-host sharding direction SYNERGY explored.
 // The one place that does care is the scheduler's round: the engines a
@@ -64,7 +65,7 @@ type Transport interface {
 	// error means the transport failed (the engine is unreachable);
 	// engine-level failures travel inside rep.Err.
 	Roundtrip(req *proto.Request, rep *proto.Reply) (Cost, error)
-	// Kind names the transport ("local", "tcp") for stats displays.
+	// Kind names the transport ("tcp") for stats displays.
 	Kind() string
 	// Stats returns cumulative counters.
 	Stats() Stats

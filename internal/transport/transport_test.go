@@ -23,7 +23,6 @@ import (
 var (
 	_ engine.Engine        = (*Client)(nil)
 	_ engine.UsageReporter = (*Client)(nil)
-	_ Transport            = (*Local)(nil)
 	_ Transport            = (*TCP)(nil)
 )
 
@@ -133,7 +132,7 @@ func TestTransportEquivalence(t *testing.T) {
 	bare := sweng.New(elaborateCtr(t, "main.c"), recBare, nil, false)
 	traceBare, sigBare := drive(bare, ticks)
 
-	// Local transport.
+	// Local client.
 	recLocal := &recorder{}
 	local := NewLocalClient(sweng.New(elaborateCtr(t, "main.c"), recLocal, nil, false), nil)
 	traceLocal, sigLocal := drive(local, ticks)

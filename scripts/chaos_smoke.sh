@@ -4,8 +4,11 @@
 # cascade-engined daemon, SIGKILL the daemon twice mid-run, restart it
 # over its journal each time, and assert that
 #   (a) the client failed over to local engines both times,
-#   (b) it re-hosted onto the resumed daemon both times, and
-#   (c) every $display byte matches the fault-free local baseline
+#   (b) it re-hosted onto the resumed daemon both times,
+#   (c) both restarts resumed the same number of engines from the journal
+#       (a re-host ends the copies it supersedes; left alone, every
+#       restart would respawn them all), and
+#   (d) every $display byte matches the fault-free local baseline
 # (DESIGN.md key invariant 14, end to end with real processes).
 # Must run from the repo root (generates the workload with go run).
 # Usage: chaos_smoke.sh <path-to-cascade-binary> <path-to-engined-binary>
@@ -68,6 +71,14 @@ while [ "$cycle" -le 2 ]; do
     wait_count "$cycle" 'failed over to local software' "$work/client.log" \
         "failover $cycle" "$client_pid"
     start_daemon "$work/daemon.log" -journal "$work/journal"
+    resumed=$(sed -n 's/.*resumed [0-9]* session(s), \([0-9]*\) engine(s).*/\1/p' "$work/daemon.log")
+    if [ "${resumed:-0}" -eq 0 ] || [ "$resumed" != "${resumed_first:-$resumed}" ]; then
+        echo "FAIL: restart $cycle resumed ${resumed:-no} engine(s) from the journal" \
+            "(restart 1: ${resumed_first:-n/a}); want the same non-zero count"
+        cat "$work/daemon.log"
+        exit 1
+    fi
+    resumed_first=$resumed
     wait_count "$cycle" 're-hosted on' "$work/client.log" \
         "re-host $cycle" "$client_pid"
     cycle=$((cycle + 1))
@@ -86,4 +97,4 @@ assert_same_output "$work/local.out" "$work/client.out" \
 failovers=$(grep -c 'failed over to local software' "$work/client.log")
 rehosts=$(grep -c 're-hosted on' "$work/client.log")
 echo "chaos smoke ok: $(grep -c '^FOUND' "$work/client.out") solutions identical" \
-    "through $failovers failover(s) and $rehosts re-host(s)"
+    "through $failovers failover(s) and $rehosts re-host(s), $resumed engine(s) resumed each time"

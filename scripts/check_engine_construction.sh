@@ -3,14 +3,34 @@
 # builds, seeds and retires engines. The runtime and the daemon host
 # each used to carry their own copy of that hot swap and the copies
 # diverged; this fails if a non-test file in either package constructs
-# an engine directly again. Run from the repo root; exits non-zero
-# listing offenders.
+# an engine directly again. The same goes for the engines a daemon hosts
+# for the runtime: they are a rung of the lifecycle table (Hosted), so
+# the runtime spawns on the daemon only in its Config.Host callback
+# (Runtime.host) and never reads "not built here" (lifecycle.Unplaced)
+# as "hosted" — the hand-written spawn, seed, retire copies forgot to
+# retire. Run from the repo root; exits non-zero listing offenders.
 set -eu
 
-hits=$(grep -nE '(sweng|njit|hweng)\.New\(' internal/runtime/*.go internal/transport/*.go | grep -v '_test\.go:' || true)
-if [ -n "$hits" ]; then
-    echo "$hits"
-    echo "check_engine_construction: build engines through internal/lifecycle, not directly" >&2
+runtime_src=$(ls internal/runtime/*.go | grep -v '_test\.go$')
+fail() {
+    echo "$1"
+    echo "check_engine_construction: $2" >&2
     exit 1
-fi
-echo "check_engine_construction: runtime and transport build no engines directly"
+}
+
+hits=$(grep -nE '(sweng|njit|hweng)\.New\(' internal/runtime/*.go internal/transport/*.go | grep -v '_test\.go:' || true)
+[ -z "$hits" ] || fail "$hits" "build engines through internal/lifecycle, not directly"
+
+# shellcheck disable=SC2086
+hits=$(awk '
+    /^func / { fn = $0 }
+    /^}/ { fn = "" }
+    /\.Spawn\(/ && fn !~ /^func \(r \*Runtime\) host\(/ { print FILENAME ":" FNR ": " $0 }
+' $runtime_src)
+[ -z "$hits" ] || fail "$hits" "spawn hosted engines in Runtime.host (lifecycle.Config.Host) only"
+
+# shellcheck disable=SC2086
+hits=$(grep -n 'lifecycle\.Unplaced' $runtime_src || true)
+[ -z "$hits" ] || fail "$hits" "a hosted engine's tier is lifecycle.Hosted; the runtime has no use for Unplaced"
+
+echo "check_engine_construction: runtime and transport build no engines directly; the runtime hosts them through lifecycle"

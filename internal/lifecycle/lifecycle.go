@@ -5,10 +5,14 @@
 // parameterised by cause, for an engine in the owner's process or hosted
 // for it on a daemon. Both owners of engines — the runtime's scheduler
 // and the daemon host — keep one Placement per subprogram and call its
-// transitions; neither builds, seeds or retires an engine itself. What
-// stays with the owner is everything that differs between them:
-// virtual-clock billing, reporting, how a hosted engine is spawned (the
-// Host callback) and how a new engine reaches the dispatch path (Swap).
+// transitions; neither builds, seeds or retires an engine itself, and
+// each applies what a transition costs, counts and prints in one place
+// (its settle), from the row the Transition names. Which compiles a move
+// leaves owed is decided here (Transition.Owed); which of them an owner
+// offers, by its Compile callback. What stays with the owner is what
+// differs between them: a virtual clock to bill, the text of its reports,
+// how a hosted engine is spawned (the Host callback) and how a new engine
+// reaches the dispatch path (Swap).
 package lifecycle
 
 import (
@@ -83,37 +87,52 @@ const (
 	Recovered
 )
 
+// ladder is what a fresh interpreter owes: a compile for every tier above
+// it, in submission order.
+var ladder = []Tier{Fabric, Native}
+
 // legal is the transition table: every (from, to, cause) move an engine
-// may make. TransientFault and Shed move no engine and have no rows.
+// may make, and the compiles the move leaves owed — the ladder for a
+// fresh interpreter, the rung it fell from for a demoted one, nothing
+// where no engine is left here to promote. TransientFault and Shed move
+// no engine and have no rows; they owe the compile they lost again.
 var legal = [...]struct {
 	from, to Tier
 	cause    Cause
+	owed     []Tier
 }{
-	{Unplaced, Interpreter, Restart},
-	{Unplaced, Hosted, Restart},
-	{Interpreter, Native, JobLanded},
-	{Interpreter, Fabric, JobLanded},
-	{Native, Fabric, JobLanded},
-	{Native, Interpreter, FaultLatched},
-	{Fabric, Interpreter, FaultLatched},
-	{Hosted, Interpreter, BreakerTrip},
-	{Interpreter, Hosted, Recovered},
-	{Native, Hosted, Recovered},
-	{Unplaced, Unplaced, Restart},
-	{Hosted, Unplaced, Restart},
-	{Interpreter, Unplaced, Restart},
-	{Native, Unplaced, Restart},
-	{Fabric, Unplaced, Restart},
+	{Unplaced, Interpreter, Restart, ladder},
+	{Unplaced, Hosted, Restart, nil},
+	{Interpreter, Native, JobLanded, nil},
+	{Interpreter, Fabric, JobLanded, nil},
+	{Native, Fabric, JobLanded, nil},
+	{Native, Interpreter, FaultLatched, []Tier{Native}},
+	{Fabric, Interpreter, FaultLatched, []Tier{Fabric}},
+	{Hosted, Interpreter, BreakerTrip, ladder},
+	{Interpreter, Hosted, Recovered, nil},
+	{Native, Hosted, Recovered, nil},
+	{Unplaced, Unplaced, Restart, nil},
+	{Hosted, Unplaced, Restart, nil},
+	{Interpreter, Unplaced, Restart, nil},
+	{Native, Unplaced, Restart, nil},
+	{Fabric, Unplaced, Restart, nil},
+}
+
+// row finds the table's row for a move: what it leaves owed, and whether
+// the table lists it at all.
+func row(from, to Tier, cause Cause) (owed []Tier, ok bool) {
+	for _, m := range legal {
+		if m.from == from && m.to == to && m.cause == cause {
+			return m.owed, true
+		}
+	}
+	return nil, false
 }
 
 // Legal reports whether the table allows the move.
 func Legal(from, to Tier, cause Cause) bool {
-	for _, m := range legal {
-		if m.from == from && m.to == to && m.cause == cause {
-			return true
-		}
-	}
-	return false
+	_, ok := row(from, to, cause)
+	return ok
 }
 
 // ErrIllegal is a refused transition's Err; the engine was not touched.
@@ -138,8 +157,8 @@ type Config struct {
 	// the transport imports this package. Nil for an owner that hosts none.
 	Host func(p *Placement) (engine.Engine, error)
 	// Compile starts a background compile of Flat for the target tier
-	// (Native or Fabric) at virtual time now. Nil pins the engine on the
-	// rung it is on.
+	// (Native or Fabric) at virtual time now, or declines — returns nil —
+	// a tier the owner does not offer: each of them, with its JIT off.
 	Compile func(p *Placement, t Tier, now uint64) *toolchain.Job
 	// Swap installs a built and seeded engine on the owner's dispatch
 	// path. Nil when the owner dispatches through Engine().
@@ -189,27 +208,35 @@ func (p *Placement) Fault() error {
 func (p *Placement) Pending(t Tier) *toolchain.Job { return p.jobs[t] }
 
 // Submit starts a compile for target tier t unless one is already in
-// flight (or the placement is pinned); it reports whether it did.
+// flight or the owner declines the tier; it reports whether it did.
+// Owners call it for the tiers a Transition leaves owed, once they have
+// billed the move.
 func (p *Placement) Submit(t Tier, now uint64) bool {
-	if p.Compile == nil || p.jobs[t] != nil {
-		return false
+	if p.jobs[t] == nil {
+		p.jobs[t] = p.Compile(p, t, now)
+		return p.jobs[t] != nil
 	}
-	p.jobs[t] = p.Compile(p, t, now)
-	return true
+	return false
 }
 
-// Transition reports one serviced lifecycle event for the owner to bill
-// and report. A move that did not happen has From == To and, unless it
-// was a resubmit, Err set.
+// Transition reports one serviced lifecycle event for the owner to
+// settle: bill, count, report, and submit what is owed. A move that did
+// not happen has From == To and Err set.
 type Transition struct {
 	From, To Tier
 	Cause    Cause
+	// Owed lists the compiles the transition leaves owed, in submission
+	// order: the table's column for a move, the compile that was lost for
+	// a Shed or TransientFault.
+	Owed []Tier
+	// Fault is the fault the source engine had latched (FaultLatched).
+	Fault error
 	// Result is the compile artifact a JobLanded transition consumed.
 	Result *toolchain.Result
 	// StateVars is the number of state elements compiled into a rebuilt
-	// software engine (elaborated variables for the interpreter, netlist
-	// slots for the native tier); 0 for fabric targets, whose handoff is
-	// metered by the engine itself.
+	// software engine (elaborated variables for the interpreter, here or
+	// hosted; netlist slots for the native tier); 0 for fabric targets,
+	// whose handoff is metered by the engine itself.
 	StateVars int
 	// Fabric is the hardware engine party to the move — the target of a
 	// promotion, the source of an eviction — whose bus meter
@@ -249,10 +276,9 @@ func (p *Placement) Promote(t Tier, now uint64) (Transition, bool) {
 	if res.Err != nil {
 		tr := Transition{From: p.tier, To: p.tier, Cause: JobLanded, Err: res.Err}
 		// A shed or a farm outage is a backoff signal, not a verdict on
-		// the design: resubmit now that the virtual clock has moved on.
+		// the design: owed again, now that the virtual clock has moved on.
 		if errors.Is(res.Err, toolchain.ErrOverloaded) || errors.Is(res.Err, toolchain.ErrShardUnavailable) {
-			tr.Cause = Shed
-			p.Submit(t, now)
+			tr.Cause, tr.Owed = Shed, []Tier{t}
 		}
 		return tr, true
 	}
@@ -264,8 +290,7 @@ func (p *Placement) Promote(t Tier, now uint64) (Transition, bool) {
 	// bitstream cache makes the retry nearly free. Permanent errors (no
 	// room) leave the engine in software for good.
 	if tr.Err != nil && fault.IsTransient(tr.Err) {
-		tr.Cause = TransientFault
-		p.Submit(t, now)
+		tr.Cause, tr.Owed = TransientFault, []Tier{t}
 	}
 	return tr, true
 }
@@ -273,9 +298,7 @@ func (p *Placement) Promote(t Tier, now uint64) (Transition, bool) {
 // Demote rebuilds the subprogram on the interpreter: from a faulted
 // native or fabric engine, carrying its state (FaultLatched; seed is
 // ignored), or from a hosted engine whose daemon is gone, seeded with
-// the last state the owner committed (BreakerTrip). Resubmitting the
-// lost tier's compile is the owner's call (Submit), after it has billed
-// the move.
+// the last state the owner committed (BreakerTrip).
 func (p *Placement) Demote(cause Cause, seed *sim.State) Transition {
 	return p.move(Interpreter, cause, nil, seed)
 }
@@ -298,8 +321,9 @@ func (p *Placement) Teardown() Transition {
 // hands the source's state (or seed) over, retires the source and gives
 // the target to the owner.
 func (p *Placement) move(to Tier, cause Cause, res *toolchain.Result, seed *sim.State) Transition {
-	tr := Transition{From: p.tier, To: p.tier, Cause: cause, Result: res}
-	if !Legal(p.tier, to, cause) {
+	tr := Transition{From: p.tier, To: p.tier, Cause: cause, Result: res, Fault: p.Fault()}
+	owed, ok := row(p.tier, to, cause)
+	if !ok {
 		tr.Err = ErrIllegal
 		return tr
 	}
@@ -307,6 +331,7 @@ func (p *Placement) move(to Tier, cause Cause, res *toolchain.Result, seed *sim.
 	switch to {
 	case Hosted:
 		dst, tr.Err = p.Host(p)
+		tr.StateVars = len(p.Flat.Vars)
 	case Interpreter:
 		dst = sweng.New(p.Flat, p.IO, p.Now, p.Eager)
 		tr.StateVars = len(p.Flat.Vars)
@@ -361,7 +386,7 @@ func (p *Placement) move(to Tier, cause Cause, res *toolchain.Result, seed *sim.
 			}
 		}
 	}
-	p.eng, p.tier, tr.To = dst, to, to
+	p.eng, p.tier, tr.To, tr.Owed = dst, to, to, owed
 	if dst != nil && p.Swap != nil {
 		p.Swap(p, dst)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cascade/internal/bits"
@@ -36,6 +37,7 @@ type rig struct {
 	hosted   []*fakeHosted // every engine Host built, in order
 	hostErr  error         // the next Host call's refusal
 	dropSet  bool          // the next hosted engine loses its SetState
+	declines Tier          // the tier the owner does not offer (Unplaced: none)
 }
 
 // fakeHosted stands in for the transport client the runtime's Host
@@ -109,6 +111,9 @@ func newRigOpts(t *testing.T, src string, inj *fault.Injector, opts toolchain.Op
 			return h, nil
 		},
 		Compile: func(p *Placement, tier Tier, now uint64) *toolchain.Job {
+			if tier == r.declines {
+				return nil
+			}
 			if tier == Native {
 				return tc.SubmitNativeTenant(context.Background(), "", p.Flat, now)
 			}
@@ -199,12 +204,27 @@ func eachTriple(visit func(from, to Tier, cause Cause)) {
 	}
 }
 
+// wantOwed is the table's owed-compile column, spelled out: a fresh
+// interpreter owes every tier above it, fabric first; one that fell off a
+// rung owes that rung; an engine that climbed, left for the host or was
+// torn down owes nothing.
+func wantOwed(from, to Tier, cause Cause) []Tier {
+	switch {
+	case to != Interpreter:
+		return nil
+	case cause == FaultLatched:
+		return []Tier{from}
+	}
+	return []Tier{Fabric, Native}
+}
+
 // TestLegalMovesPreserveState: every cell of the product the table lists
 // — and the product holds every row of the table, once — hands the
 // engine's state over exactly, retires the source (a fabric source's
 // region is released, a hosted one is ended where it is hosted, and one
-// a BreakerTrip cut off is never read), and gives the owner the new
-// engine.
+// a BreakerTrip cut off is never read), gives the owner the new engine,
+// and names the compiles the move leaves owed — which the owner may
+// decline tier by tier, leaving no job pending for a tier it declines.
 func TestLegalMovesPreserveState(t *testing.T) {
 	rows := 0
 	eachTriple(func(from, to Tier, cause Cause) {
@@ -270,6 +290,22 @@ func TestLegalMovesPreserveState(t *testing.T) {
 				if p.Tier() != to {
 					t.Fatalf("tier %v after move, want %v", p.Tier(), to)
 				}
+				if want := wantOwed(from, to, cause); !reflect.DeepEqual(tr.Owed, want) {
+					t.Fatalf("%v->%v cause %v leaves %v owed, want %v", from, to, cause, tr.Owed, want)
+				}
+				for _, declined := range tr.Owed {
+					r.declines = declined
+					for _, tier := range tr.Owed {
+						if got := p.Submit(tier, 0); got != (tier != declined) || (p.Pending(tier) != nil) != got {
+							t.Fatalf("owner declines %v: Submit(%v) = %v, pending %v", declined, tier, got, p.Pending(tier))
+						}
+						if j := p.Pending(tier); j != nil {
+							j.Cancel()
+							p.jobs[tier] = nil
+						}
+					}
+				}
+				r.declines = Unplaced
 				if rebuilt := cause != Restart && (to == Hosted || to == Interpreter); (r.discards == 1) != rebuilt {
 					t.Fatalf("re-run initial blocks' output discarded %d times on %v->%v cause %v", r.discards, from, to, cause)
 				}
@@ -441,8 +477,8 @@ func TestPromoteRefusals(t *testing.T) {
 }
 
 // TestPromoteResubmits: a transient programming fault and a shed job
-// both leave the engine where it is with a fresh compile in flight; a
-// permanent failure (no room) leaves it there with none.
+// both leave the engine where it is with the lost compile owed again; a
+// permanent failure (no room) leaves it there owing none.
 func TestPromoteResubmits(t *testing.T) {
 	src := workloads(t)["regexstream"]
 	rnd := rand.New(rand.NewSource(9))
@@ -456,10 +492,11 @@ func TestPromoteResubmits(t *testing.T) {
 		if !ok || tr.Cause != TransientFault || !fault.IsTransient(tr.Err) || tr.To != Interpreter {
 			t.Fatalf("first programming attempt: ok=%v %+v", ok, tr)
 		}
-		if p.Engine() != e || p.Pending(Fabric) == nil {
-			t.Fatal("transient fault must keep the engine and resubmit")
+		if p.Engine() != e || p.Pending(Fabric) != nil || !reflect.DeepEqual(tr.Owed, []Tier{Fabric}) {
+			t.Fatalf("transient fault must keep the engine and leave the fabric compile owed: %+v", tr)
 		}
-		// The retry was submitted at never; give it time to land too.
+		// The owner's retry is submitted at never; give it time to land too.
+		p.Submit(Fabric, never)
 		if tr, ok := p.Promote(Fabric, 2*never); !ok || tr.Err != nil || p.Tier() != Fabric {
 			t.Fatalf("retry: ok=%v %+v", ok, tr)
 		}
@@ -476,8 +513,8 @@ func TestPromoteResubmits(t *testing.T) {
 		if !ok || tr.Cause != Shed || !errors.Is(tr.Err, toolchain.ErrOverloaded) || tr.To != Interpreter {
 			t.Fatalf("shed job: ok=%v %+v", ok, tr)
 		}
-		if p.Engine() != e || p.Pending(Native) == nil {
-			t.Fatal("a shed must keep the engine and resubmit")
+		if p.Engine() != e || p.Pending(Native) != nil || !reflect.DeepEqual(tr.Owed, []Tier{Native}) {
+			t.Fatalf("a shed must keep the engine and leave the native compile owed: %+v", tr)
 		}
 	})
 	t.Run("no room", func(t *testing.T) {
@@ -487,7 +524,7 @@ func TestPromoteResubmits(t *testing.T) {
 		p := r.p
 		p.Submit(Fabric, 0)
 		tr, ok := p.Promote(Fabric, never)
-		if !ok || tr.Cause != JobLanded || tr.Err == nil || p.Tier() != Interpreter || p.Pending(Fabric) != nil {
+		if !ok || tr.Cause != JobLanded || tr.Err == nil || p.Tier() != Interpreter || p.Pending(Fabric) != nil || tr.Owed != nil {
 			t.Fatalf("no-fit promotion: ok=%v %+v pending=%v", ok, tr, p.Pending(Fabric))
 		}
 	})

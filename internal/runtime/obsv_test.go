@@ -118,6 +118,37 @@ func TestObserverTracesJITLifecycle(t *testing.T) {
 	}
 }
 
+// TestAreaGaugeFollowsTeardown: cascade_area_les is the area of the
+// engines on the fabric now. An eval or a restore that retires hardware
+// engines takes it to zero with them. (It used to keep the retired
+// version's area until the next hot swap.)
+func TestAreaGaugeFollowsTeardown(t *testing.T) {
+	obs := obsv.New(obsv.Options{})
+	r := newTestRuntime(t, Options{Observer: obs, Features: Features{DisableForwarding: true}})
+	r.MustEval(figure3)
+	for _, tc := range []struct {
+		name   string
+		retire func() error
+	}{
+		{"eval", func() error { return r.Eval("wire area_probe;") }},
+		{"restore", func() error { return r.Restore(r.Snapshot()) }},
+	} {
+		name, retire := tc.name, tc.retire
+		if !r.WaitForPhase(PhaseHardware, 20000) {
+			t.Fatalf("%s: never reached hardware: %v", name, r.Phase())
+		}
+		if got := obs.AreaLEs.Value(); got == 0 || got != int64(r.AreaLEs()) {
+			t.Fatalf("%s: area gauge = %d in hardware, runtime says %d", name, got, r.AreaLEs())
+		}
+		if err := retire(); err != nil {
+			t.Fatal(err)
+		}
+		if got := obs.AreaLEs.Value(); got != 0 || r.AreaLEs() != 0 {
+			t.Errorf("%s: area gauge = %d (runtime says %d) with every hardware engine retired", name, got, r.AreaLEs())
+		}
+	}
+}
+
 // TestStatsSummaryGolden locks the exact Summary rendering, base line and
 // every optional segment: faults, remote (configured address, the
 // "(retired)" banked-counters case, and the local-only case that must

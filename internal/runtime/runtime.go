@@ -359,13 +359,10 @@ type Runtime struct {
 	evalCtx context.Context // context the current program version was eval'd under
 	phase   Phase
 
-	// Degradation counters: hardware faults observed and the
-	// hardware→software evictions they triggered; native-tier faults
-	// and the native→interpreter demotions they triggered.
-	hwFaults     int
-	evictions    int
-	nativeFaults int
-	demotions    int
+	// moves counts the engine moves settle has applied, per row of the
+	// lifecycle table — [cause][from][to]: the one book Stats' fault,
+	// eviction, demotion, failover and re-host counters are read from.
+	moves [lifecycle.Recovered + 1][lifecycle.Fabric + 1][lifecycle.Fabric + 1]int
 
 	// pers is the crash-safe persistence attachment (nil when the
 	// runtime was built with New rather than Open); outBytes counts
@@ -383,7 +380,6 @@ type Runtime struct {
 	// stepCeil, when nonzero, is the step journal replay must not run
 	// past: open-loop bursts are clamped to end on it.
 	stepCeil  uint64
-	areaLEs   int
 	startupPs uint64 // virtual time at which execution first began
 	// constructDisplays counts the display lines the previous build's
 	// initial blocks emitted during engine construction: the program is
@@ -483,19 +479,25 @@ func (r *Runtime) Observer() *obsv.Observer { return r.opts.Observer }
 func (r *Runtime) obs() *obsv.Observer { return r.opts.Observer }
 
 // compile is the placements' Compile callback: it starts a background
-// compilation for the target tier — the fabric flow, or the native
-// tier's closure-threaded Go, ready long before it — under this
-// runtime's tenant scope (the default tenant when Options.Tenant is ""),
-// bound to the context the current program version was eval'd under.
+// compilation for the target tier — the fabric flow (Figure 9.2 -> 9.3),
+// or in parallel with it the native tier's closure-threaded Go, a cheap
+// artifact that replaces the interpreter within virtual milliseconds —
+// under this runtime's tenant scope (the default tenant when
+// Options.Tenant is ""), bound to the context the current program version
+// was eval'd under (install records it before it builds a placement). It
+// declines every tier with the JIT off, the native tier unless the
+// feature is on, and the fabric while a daemon is configured: hosted
+// engines compile on the daemon's toolchain (the spawn request carries
+// the JIT flag), and a failed-over one takes the native rung only — the
+// outage would abandon a fabric compile on re-host.
 func (r *Runtime) compile(p *lifecycle.Placement, t lifecycle.Tier, now uint64) *toolchain.Job {
-	ctx := r.evalCtx
-	if ctx == nil {
-		ctx = context.Background()
+	switch f := r.opts.Features; {
+	case f.DisableJIT, t == lifecycle.Native && !f.NativeTier, t == lifecycle.Fabric && r.opts.Remote != nil:
+		return nil
+	case t == lifecycle.Native:
+		return r.opts.Toolchain.SubmitNativeTenant(r.evalCtx, r.opts.Tenant, p.Flat, now)
 	}
-	if t == lifecycle.Native {
-		return r.opts.Toolchain.SubmitNativeTenant(ctx, r.opts.Tenant, p.Flat, now)
-	}
-	return r.opts.Toolchain.SubmitTenant(ctx, r.opts.Tenant, p.Flat, !r.opts.Features.Native, now)
+	return r.opts.Toolchain.SubmitTenant(r.evalCtx, r.opts.Tenant, p.Flat, !r.opts.Features.Native, now)
 }
 
 // swapEngine is the placements' Swap callback. A hot swap between
@@ -536,11 +538,9 @@ func (r *Runtime) newPlacement(path string, f *elab.Flat) *lifecycle.Placement {
 		NativeMode: r.opts.Features.Native,
 		Device:     r.opts.Device,
 		Injector:   r.opts.Injector,
+		Compile:    r.compile,
 		Swap:       r.swapEngine,
 		Discard:    r.discardLane,
-	}
-	if !r.opts.Features.DisableJIT {
-		cfg.Compile = r.compile
 	}
 	if r.opts.Remote != nil {
 		cfg.Host = r.host
@@ -574,12 +574,12 @@ func (r *Runtime) eachJob(visit func(*lifecycle.Placement, lifecycle.Tier, *tool
 // unwrapped. Each client's counters are banked for its successor.
 func (r *Runtime) teardown() {
 	for _, p := range r.placed {
-		p.Teardown()
+		r.settle(p, p.Teardown())
 	}
 	for _, s := range r.slots {
 		r.retireClient(s.path, s.c)
 	}
-	r.slots, r.fifos, r.placed, r.areaLEs = nil, nil, nil, 0 // an empty table has nothing to resolve
+	r.slots, r.fifos, r.placed = nil, nil, nil // an empty table has nothing to resolve
 }
 
 // setPhase transitions the JIT phase, tracing the transition and
@@ -619,7 +619,15 @@ func (r *Runtime) Clock() *vclock.Clock { return &r.vclk }
 func (r *Runtime) Finished() bool { return r.finished }
 
 // AreaLEs returns the fabric area of the current hardware engine(s).
-func (r *Runtime) AreaLEs() int { return r.areaLEs }
+func (r *Runtime) AreaLEs() int {
+	area := 0
+	for _, p := range r.placed {
+		if hw := p.Fabric(); hw != nil {
+			area += hw.AreaLEs()
+		}
+	}
+	return area
+}
 
 // Parallelism returns the resolved engine-dispatch width.
 func (r *Runtime) Parallelism() int { return r.par }
@@ -1001,8 +1009,7 @@ func (r *Runtime) install(ctx context.Context, v *version, saved map[string]*sim
 	// suppressed. Initial blocks in freshly eval'd code still print.
 	qMark := len(r.displayQ)
 	for _, s := range v.exec.UserSubs() {
-		f := v.execElabs[s.Path]
-		p := r.newPlacement(s.Path, f)
+		p := r.newPlacement(s.Path, v.execElabs[s.Path])
 		// The engine starts on the daemon when there is one — unless a
 		// tripped breaker presumes it dead: a re-integration mid-outage
 		// builds failed-over software engines and lets recovery re-host
@@ -1015,27 +1022,8 @@ func (r *Runtime) install(ctx context.Context, v *version, saved map[string]*sim
 		if tr.Err != nil {
 			return tr.Err
 		}
-		if tier == lifecycle.Hosted {
-			r.committed[s.Path] = tr.State
-		}
+		r.settle(p, tr)
 		r.drainLane(p) // initial-block output emitted at construction
-		// Creating a software engine is fast but not free.
-		r.vclk.AdvanceOverhead(uint64(len(f.Vars)+1) * r.opts.Model.DispatchPs / 4)
-
-		// Kick off background compilation (Figure 9.2 -> 9.3), the native
-		// tier in parallel with the fabric flow: a cheap artifact that
-		// replaces the interpreter within virtual milliseconds. A hosted
-		// engine compiles on the daemon's toolchain (the spawn request
-		// carries the JIT flag), and a failed-over one takes the native
-		// rung only: the outage would abandon a fabric compile on re-host.
-		if tier == lifecycle.Interpreter {
-			if r.opts.Remote == nil {
-				p.Submit(lifecycle.Fabric, r.vclk.Now())
-			}
-			if r.opts.Features.NativeTier {
-				p.Submit(lifecycle.Native, r.vclk.Now())
-			}
-		}
 	}
 	constructed := len(r.displayQ) - qMark
 	if drop := min(r.constructDisplays, constructed); drop > 0 {

@@ -375,7 +375,11 @@ func (r *Runtime) serviceJIT() {
 		return
 	}
 	// Hot swap any finished compilations.
-	r.eachJob(func(p *lifecycle.Placement, t lifecycle.Tier, _ *toolchain.Job) { r.promote(p, t) })
+	r.eachJob(func(p *lifecycle.Placement, t lifecycle.Tier, _ *toolchain.Job) {
+		if tr, ok := p.Promote(t, r.vclk.Now()); ok {
+			r.settle(p, tr)
+		}
+	})
 
 	// Phase transitions once every user engine is in hardware. Location
 	// is read from the clients, so it covers remote engines the daemon
@@ -388,7 +392,7 @@ func (r *Runtime) serviceJIT() {
 			// A remote host evicts faulted engines on its own; the phase
 			// retreats here, when the reply envelopes show the move, and
 			// climbs again as the daemon recompiles. (Local evictions
-			// retreat the phase in demote directly.)
+			// retreat the phase in settle.)
 			if r.phase == PhaseHardware || r.phase == PhaseNative {
 				r.setSoftwarePhase()
 			}
@@ -440,64 +444,111 @@ func (r *Runtime) setSoftwarePhase() {
 	}
 }
 
-// promote services one pending compile: the lifecycle record hot-swaps
-// the engine up to tier t (state handoff between steps), and the
-// outcome is billed and reported here. The native rung replaces the
-// interpreter with compiled closure-threaded Go (internal/njit) long
-// before the fabric flow delivers a bitstream, and bills no bus traffic
-// — both engines share the heap; the fabric swap takes over from
-// whichever software rung holds the engine, and its state transfer
-// crosses the bus.
-func (r *Runtime) promote(p *lifecycle.Placement, t lifecycle.Tier) {
-	tr, ok := p.Promote(t, r.vclk.Now())
-	if !ok {
-		return
-	}
-	path, res := p.Path, tr.Result
+// settle is the one place the runtime applies what a serviced transition
+// costs, counts, prints and leaves owed: every row of the lifecycle table,
+// and the promotions that moved nothing. Like the move it runs between
+// steps. In order: a demotion reports the fault that forced it, and a
+// forwarded (or open-loop) engine hands its absorbed stdlib components
+// back to the schedule; the handoff is billed — the state words the
+// fabric engine party to the move metered over the bus (on the way down,
+// read through the ABI's shadow registers, which survive bus and region
+// faults by design), and building a software engine, fast but not free,
+// as a pass over its state (software rungs share the heap; a re-host is
+// paid for in the spawn and state words its client meters); the move is
+// counted and traced, and a fabric eviction retreats the JIT phase (a
+// native demotion does not: the native tier lives inside the software
+// phase); only then, on the post-bill clock, are the compiles the record
+// says the move leaves owed submitted — served from the cache,
+// re-promotion is cheap. A shed or a transient programming fault owes its
+// compile again and keeps executing where it is; a permanent error is
+// reported once.
+func (r *Runtime) settle(p *lifecycle.Placement, tr lifecycle.Transition) {
+	path, view, o, res, hw := p.Path, r.opts.View, r.obs(), tr.Result, tr.Fabric
+	var kind obsv.EventKind
+	var detail, recovery string
 	switch {
 	case tr.Cause == lifecycle.Shed:
-		msg := "compile shed under load: resubmitted"
-		if t == lifecycle.Native {
-			msg = "native compile shed under load: resubmitted"
+		recovery = "compile shed under load: resubmitted"
+		if tr.Owed[0] == lifecycle.Native {
+			recovery = "native compile shed under load: resubmitted"
 		} else if errors.Is(tr.Err, toolchain.ErrShardUnavailable) {
-			msg = "compile farm unreachable: resubmitted"
+			recovery = "compile farm unreachable: resubmitted"
 		}
-		r.obs().Emit(obsv.EvRecovery, path, msg)
+	case tr.Cause == lifecycle.TransientFault:
+		view.Error(tr.Err)
+		recovery = "transient programming fault: compile resubmitted"
+	case tr.Err != nil && tr.Cause == lifecycle.Recovered:
+		view.Info("re-host of %s failed (%v); staying local", path, tr.Err)
 	case tr.Err != nil:
-		// Permanent errors are reported once and the engine stays where
-		// it is; a transient programming fault keeps executing in
-		// software while the resubmitted compile retries.
-		r.opts.View.Error(tr.Err)
-		if tr.Cause == lifecycle.TransientFault {
-			r.obs().Emit(obsv.EvRecovery, path, "transient programming fault: compile resubmitted")
-		}
+		view.Error(tr.Err)
 	case tr.To == lifecycle.Native:
-		// Compiling-in the state costs a pass over the slots, not bus
-		// round-trips.
-		r.vclk.AdvanceOverhead(uint64(tr.StateVars+1) * r.opts.Model.DispatchPs / 4)
-		if o := r.opts.Observer; o != nil {
-			o.Emit(obsv.EvHotSwap, path, fmt.Sprintf("sw->native cacheHit=%v", res.CacheHit))
-			o.Promotions.Inc()
+		kind, detail = obsv.EvHotSwap, fmt.Sprintf("sw->native cacheHit=%v", res.CacheHit)
+		view.Info("engine %s promoted to native code (%d cells compiled)", path, res.RawAreaLEs)
+	case tr.To == lifecycle.Fabric:
+		from := "sw"
+		if tr.From == lifecycle.Native {
+			from = "native"
 		}
-		r.opts.View.Info("engine %s promoted to native code (%d cells compiled)", path, res.RawAreaLEs)
-	default:
-		r.vclk.AdvanceComm(tr.Fabric.MsgsDelta(), &r.opts.Model)
-		r.areaLEs += res.AreaLEs
-		if o := r.opts.Observer; o != nil {
-			from := "sw"
-			if tr.From == lifecycle.Native {
-				from = "native"
-			}
-			o.Emit(obsv.EvHotSwap, path, fmt.Sprintf("%s->hw area=%dLEs cacheHit=%v", from, res.AreaLEs, res.CacheHit))
-			o.Promotions.Inc()
-			o.AreaLEs.Set(int64(r.areaLEs))
-		}
+		kind, detail = obsv.EvHotSwap, fmt.Sprintf("%s->hw area=%dLEs cacheHit=%v", from, res.AreaLEs, res.CacheHit)
 		if res.CacheHit {
-			r.opts.View.Info("engine %s moved to hardware (%d LEs, bitstream cache hit)",
-				path, res.AreaLEs)
+			view.Info("engine %s moved to hardware (%d LEs, bitstream cache hit)", path, res.AreaLEs)
 		} else {
-			r.opts.View.Info("engine %s moved to hardware (%d LEs, crit path %d levels)",
-				path, res.AreaLEs, res.Stats.CritPath)
+			view.Info("engine %s moved to hardware (%d LEs, crit path %d levels)", path, res.AreaLEs, res.Stats.CritPath)
+		}
+	case tr.From == lifecycle.Fabric && tr.Cause == lifecycle.FaultLatched:
+		o.Emit(obsv.EvFault, path, fmt.Sprintf("hardware fault latched: %v", tr.Fault))
+		view.Info("hardware fault on %s (%v): degrading to software", path, tr.Fault)
+		if r.phase == PhaseForwarded || r.phase == PhaseOpenLoop {
+			r.unforward(path)
+		}
+		kind, detail = obsv.EvEviction, fmt.Sprintf("hw->sw area=%dLEs released", hw.AreaLEs())
+		recovery = "eviction: compile resubmitted (bitstream cache warm)"
+		view.Info("engine %s moved to software (%d LEs released), recompiling", path, hw.AreaLEs())
+	case tr.Cause == lifecycle.FaultLatched:
+		o.Emit(obsv.EvFault, path, fmt.Sprintf("native-tier fault latched: %v", tr.Fault))
+		view.Info("native code fault on %s (%v): degrading to interpreter", path, tr.Fault)
+		kind, detail = obsv.EvEviction, "native->sw code cache released"
+		recovery = "demotion: native compile resubmitted (tier cache warm)"
+		view.Info("engine %s moved to interpreter, recompiling native tier", path)
+	case tr.Cause == lifecycle.BreakerTrip:
+		kind, detail = obsv.EvFailover, "re-seeded locally from last committed state"
+	case tr.Cause == lifecycle.Recovered:
+		kind, detail = obsv.EvRehost, "re-hosted on "+r.opts.Remote.Addr
+	}
+	if tr.Err == nil {
+		if hw != nil && tr.Cause != lifecycle.Restart { // a teardown hands nothing over
+			r.vclk.AdvanceComm(hw.MsgsDelta(), &r.opts.Model)
+		}
+		if tr.To == lifecycle.Interpreter || tr.To == lifecycle.Native || tr.To == lifecycle.Hosted && tr.Cause == lifecycle.Restart {
+			r.vclk.AdvanceOverhead(uint64(tr.StateVars+1) * r.opts.Model.DispatchPs / 4)
+		}
+		r.moves[tr.Cause][tr.From][tr.To]++
+		if tr.To == lifecycle.Hosted {
+			r.committed[path] = tr.State
+		}
+		if o != nil {
+			if detail != "" {
+				o.Emit(kind, path, detail)
+			}
+			switch tr.Cause {
+			case lifecycle.JobLanded:
+				o.Promotions.Inc()
+			case lifecycle.FaultLatched:
+				o.Evictions.Inc()
+			case lifecycle.BreakerTrip:
+				o.Failovers.Inc()
+			case lifecycle.Recovered:
+				o.Rehosts.Inc()
+			}
+			o.AreaLEs.Set(int64(r.AreaLEs()))
+		}
+		if tr.From == lifecycle.Fabric && tr.To == lifecycle.Interpreter {
+			r.setSoftwarePhase() // the JIT retreats one phase and climbs again
+		}
+	}
+	for _, t := range tr.Owed {
+		if p.Submit(t, r.vclk.Now()) && recovery != "" {
+			o.Emit(obsv.EvRecovery, path, recovery)
 		}
 	}
 }
@@ -520,75 +571,9 @@ func (r *Runtime) serviceFaults() {
 			}
 		}
 		for _, p := range faulted {
-			r.demote(p)
+			r.settle(p, p.Demote(lifecycle.FaultLatched, nil))
 		}
 	}
-}
-
-// demote performs the reverse hot-swap for one faulted engine, fabric
-// or native tier, back to the interpreter. Like the forward swap it
-// runs between steps, where state movement cannot disturb program
-// semantics: the lifecycle record reads the engine's state out (for the
-// fabric through the ABI's shadow registers, which survive bus and
-// region faults by design, billed as bus reads; for the native tier
-// heap to heap), a fresh software engine inherits it, the fabric region
-// is released, and the lost tier's compile is resubmitted so the JIT
-// can climb back — served from the cache, re-promotion is cheap. A
-// fabric eviction retreats the JIT phase; a native demotion does not —
-// the native tier lives inside the software phase.
-func (r *Runtime) demote(p *lifecycle.Placement) {
-	path, from, flt := p.Path, p.Tier(), p.Fault()
-	if from == lifecycle.Fabric {
-		r.hwFaults++
-		r.obs().Emit(obsv.EvFault, path, fmt.Sprintf("hardware fault latched: %v", flt))
-		r.opts.View.Info("hardware fault on %s (%v): degrading to software", path, flt)
-		// A forwarded (or open-loop) engine first hands its absorbed
-		// stdlib components back to the runtime's schedule.
-		if r.phase == PhaseForwarded || r.phase == PhaseOpenLoop {
-			r.unforward(path)
-		}
-	} else {
-		r.nativeFaults++
-		r.obs().Emit(obsv.EvFault, path, fmt.Sprintf("native-tier fault latched: %v", flt))
-		r.opts.View.Info("native code fault on %s (%v): degrading to interpreter", path, flt)
-	}
-	tr := p.Demote(lifecycle.FaultLatched, nil)
-	r.billRebuild(tr)
-	if hw := tr.Fabric; hw != nil {
-		r.areaLEs -= hw.AreaLEs()
-		r.evictions++
-		if o := r.opts.Observer; o != nil {
-			o.Emit(obsv.EvEviction, path, fmt.Sprintf("hw->sw area=%dLEs released", hw.AreaLEs()))
-			o.Evictions.Inc()
-			o.AreaLEs.Set(int64(r.areaLEs))
-		}
-		// The JIT retreats one phase and climbs again.
-		r.setSoftwarePhase()
-		if p.Submit(from, r.vclk.Now()) {
-			r.obs().Emit(obsv.EvRecovery, path, "eviction: compile resubmitted (bitstream cache warm)")
-		}
-		r.opts.View.Info("engine %s moved to software (%d LEs released), recompiling", path, hw.AreaLEs())
-		return
-	}
-	r.demotions++
-	if o := r.opts.Observer; o != nil {
-		o.Emit(obsv.EvEviction, path, "native->sw code cache released")
-		o.Evictions.Inc()
-	}
-	if p.Submit(from, r.vclk.Now()) {
-		r.obs().Emit(obsv.EvRecovery, path, "demotion: native compile resubmitted (tier cache warm)")
-	}
-	r.opts.View.Info("engine %s moved to interpreter, recompiling native tier", path)
-}
-
-// billRebuild charges a transition that rebuilt the subprogram on the
-// interpreter: state pulled out of the fabric crossed the bus, and
-// constructing a software engine is fast but not free.
-func (r *Runtime) billRebuild(tr lifecycle.Transition) {
-	if tr.Fabric != nil {
-		r.vclk.AdvanceComm(tr.Fabric.MsgsDelta(), &r.opts.Model)
-	}
-	r.vclk.AdvanceOverhead(uint64(tr.StateVars+1) * r.opts.Model.DispatchPs / 4)
 }
 
 // unforward reverses forwardStdlib: absorbed stdlib engines return to
@@ -678,7 +663,7 @@ func (r *Runtime) openLoopBurst() {
 		// A fault latched mid-burst: the reverse hot-swap, exactly as in
 		// the lock-step phases (serviceFaults does not see open-loop
 		// steps, which return before it runs).
-		r.demote(p)
+		r.settle(p, p.Demote(lifecycle.FaultLatched, nil))
 		return
 	}
 	if done == 0 {

@@ -9,6 +9,7 @@ import (
 
 	"cascade/internal/engine"
 	"cascade/internal/ir"
+	"cascade/internal/lifecycle"
 	"cascade/internal/persist"
 	"cascade/internal/sim"
 	"cascade/internal/stdlib"
@@ -126,8 +127,7 @@ func (r *Runtime) resetFreshLocked() {
 	r.displayQ = nil
 	r.constructDisplays = 0
 	r.vclk = vclock.Clock{}
-	r.hwFaults, r.evictions = 0, 0
-	r.nativeFaults, r.demotions = 0, 0
+	clear(r.moves[lifecycle.FaultLatched][:]) // the daemon connection, and its failovers, outlive the program
 	r.olIters, r.olWallCap = 64, 1<<14
 }
 

@@ -108,19 +108,25 @@ func (r *Runtime) Stats() Stats {
 		Steps:           r.steps,
 		Ticks:           r.ticks,
 		Time:            r.vclk.Breakdown(),
-		AreaLEs:         r.areaLEs,
+		AreaLEs:         r.AreaLEs(),
 		Parallelism:     r.par,
 		Finished:        r.finished,
 		Compile:         r.opts.Toolchain.StatsFor(r.opts.Tenant),
 		PendingCompiles: r.pending(lifecycle.Fabric),
-		HWFaults:        r.hwFaults,
-		Evictions:       r.evictions,
 		PendingNative:   r.pending(lifecycle.Native),
-		NativeFaults:    r.nativeFaults,
-		Demotions:       r.demotions,
 		Faults:          r.opts.Injector.Stats(),
 		Persist:         r.persistStats(),
 		Supervise:       r.sup.Stats(),
+	}
+	// Every fault a fabric or native engine latched was settled as one
+	// FaultLatched move, so each pair of counters is one row's count.
+	st.HWFaults = r.moves[lifecycle.FaultLatched][lifecycle.Fabric][lifecycle.Interpreter]
+	st.NativeFaults = r.moves[lifecycle.FaultLatched][lifecycle.Native][lifecycle.Interpreter]
+	st.Evictions, st.Demotions = st.HWFaults, st.NativeFaults
+	if st.Supervise.Enabled {
+		st.Supervise.Failovers = uint64(r.moves[lifecycle.BreakerTrip][lifecycle.Hosted][lifecycle.Interpreter])
+		st.Supervise.Rehosts = uint64(r.moves[lifecycle.Recovered][lifecycle.Interpreter][lifecycle.Hosted] +
+			r.moves[lifecycle.Recovered][lifecycle.Native][lifecycle.Hosted])
 	}
 	if fs, ok := r.opts.Toolchain.FarmStats(); ok {
 		st.Farm = fs

@@ -33,22 +33,15 @@ func (r *Runtime) serviceSupervision() {
 	// as an ordinary failure would let a successful follow-up probe reset
 	// the streak and strand the run on a latched, inert client serving
 	// nothing.
-	if stale && r.sup.ForceTrip(vnow) {
-		if o := r.obs(); o != nil {
-			o.Emit(obsv.EvBreaker, "", "-> open (remote state lost or stale)")
-			o.BreakerTrips.Inc()
-		}
-		tripped = true
+	if stale {
+		from, to := r.sup.ForceTrip(vnow)
+		tripped = r.noteBreaker(from, to, "-> open (remote state lost or stale)")
 	}
 	for i := 0; i < fails; i++ {
-		if r.noteSupFailure(vnow) {
-			tripped = true
-		}
+		tripped = r.noteFailure(vnow) || tripped
 	}
 	if !tripped && r.remoteT != nil && (fails > 0 || r.sup.ShouldProbe(vnow)) {
-		if r.probeRemote(vnow) {
-			tripped = true
-		}
+		tripped = r.probeRemote(vnow)
 	}
 	if tripped {
 		r.failoverRemote()
@@ -64,26 +57,46 @@ func (r *Runtime) serviceSupervision() {
 	}
 }
 
-// noteSupFailure counts one failure against the breaker, tracing the
-// transition it causes, and reports whether the breaker tripped.
-func (r *Runtime) noteSupFailure(vnow uint64) (tripped bool) {
-	prev := r.sup.State()
-	tripped = r.sup.NoteFailure(vnow)
-	if o := r.obs(); o != nil {
-		o.ProbeFailures.Inc()
+// breakerWhy says why the breaker makes each move it makes of its own
+// accord (a forced trip names its proof instead).
+var breakerWhy = map[[2]supervise.State]string{
+	{supervise.Closed, supervise.Open}:     "tripped",
+	{supervise.HalfOpen, supervise.Open}:   "trial failed",
+	{supervise.Open, supervise.HalfOpen}:   "trial probe",
+	{supervise.HalfOpen, supervise.Closed}: "recovered",
+}
+
+// noteBreaker traces the breaker move a supervisor call caused, if it
+// caused one — under forced when the caller forced it — and reports
+// whether it was a trip: the moment to fail over. A half-open trial
+// failing re-opens the breaker but is no trip; its failover already
+// happened.
+func (r *Runtime) noteBreaker(from, to supervise.State, forced string) (tripped bool) {
+	if from == to {
+		return false
 	}
-	switch {
-	case tripped:
-		if o := r.obs(); o != nil {
-			o.Emit(obsv.EvBreaker, "", "closed -> open (tripped)")
+	detail := forced
+	if detail == "" {
+		detail = from.String() + " -> " + to.String() + " (" + breakerWhy[[2]supervise.State{from, to}] + ")"
+	}
+	tripped = to == supervise.Open && (from == supervise.Closed || forced != "")
+	if o := r.obs(); o != nil {
+		o.Emit(obsv.EvBreaker, "", detail)
+		if tripped {
 			o.BreakerTrips.Inc()
-		}
-	case prev == supervise.HalfOpen && r.sup.State() == supervise.Open:
-		if o := r.obs(); o != nil {
-			o.Emit(obsv.EvBreaker, "", "half-open -> open (trial failed)")
 		}
 	}
 	return tripped
+}
+
+// noteFailure counts one round-trip failure against the breaker and
+// reports whether it tripped.
+func (r *Runtime) noteFailure(vnow uint64) (tripped bool) {
+	if o := r.obs(); o != nil {
+		o.ProbeFailures.Inc()
+	}
+	from, to := r.sup.NoteFailure(vnow)
+	return r.noteBreaker(from, to, "")
 }
 
 // probeRemote sends one liveness probe (a KindPing round-trip, answered
@@ -92,36 +105,28 @@ func (r *Runtime) noteSupFailure(vnow uint64) (tripped bool) {
 // the failed-over engines. It reports whether the probe tripped the
 // breaker.
 func (r *Runtime) probeRemote(vnow uint64) (tripped bool) {
-	wasOpen := r.sup.State() == supervise.Open
-	r.sup.ProbeSent(vnow)
-	if wasOpen {
-		if o := r.obs(); o != nil {
-			o.Emit(obsv.EvBreaker, "", "open -> half-open (trial probe)")
-		}
-	}
+	from, to := r.sup.ProbeSent(vnow)
+	r.noteBreaker(from, to, "")
 	req := proto.Request{Kind: proto.KindPing, VNow: vnow}
 	var rep proto.Reply
 	cost, err := r.remoteT.Roundtrip(&req, &rep)
 	// A probe is a protocol message like any other: one serialized
 	// boundary crossing per attempt, billed in virtual time.
 	r.vclk.AdvanceComm(1+cost.Retries, &r.opts.Model)
+	outcome := "ok"
+	if err != nil {
+		outcome = "failed: " + err.Error()
+	}
 	if o := r.obs(); o != nil {
 		o.Probes.Inc()
+		o.Emit(obsv.EvProbe, "", outcome)
 	}
 	if err != nil {
-		if o := r.obs(); o != nil {
-			o.Emit(obsv.EvProbe, "", "failed: "+err.Error())
-		}
-		return r.noteSupFailure(vnow)
-	}
-	if o := r.obs(); o != nil {
-		o.Emit(obsv.EvProbe, "", "ok")
+		return r.noteFailure(vnow)
 	}
 	r.link.Flush() // the daemon answers: the ends it is owed go out now
-	if r.sup.ProbeOK(vnow) {
-		if o := r.obs(); o != nil {
-			o.Emit(obsv.EvBreaker, "", "half-open -> closed (recovered)")
-		}
+	if from, to := r.sup.ProbeOK(vnow); to != from {
+		r.noteBreaker(from, to, "")
 		r.opts.View.Info("remote engine daemon recovered: re-hosting failed-over engines")
 		r.rehostRemote()
 	}
@@ -149,31 +154,20 @@ func (r *Runtime) commitRemoteStates() {
 // failoverRemote is the breaker-trip path: every hosted engine takes the
 // BreakerTrip transition — replaced by a fresh local software engine
 // re-seeded from its last committed state — and execution continues
-// without the daemon. The JIT phase does not climb while failed over —
-// no local fabric compile is submitted (the outage would abandon it on
-// re-host); the native tier, when enabled, gives the engine its usual
-// faster local rung.
+// without the daemon. The JIT phase does not climb while failed over (the
+// runtime's Compile callback declines the fabric); the native tier, when
+// enabled, gives the engine its usual faster local rung.
 func (r *Runtime) failoverRemote() {
 	n := 0
 	for _, s := range r.slots {
-		if s.p == nil || s.p.Tier() != lifecycle.Hosted {
-			continue
+		if s.p != nil && s.p.Tier() == lifecycle.Hosted {
+			r.settle(s.p, s.p.Demote(lifecycle.BreakerTrip, r.committed[s.path]))
+			n++
 		}
-		r.billRebuild(s.p.Demote(lifecycle.BreakerTrip, r.committed[s.path]))
-		r.obs().Emit(obsv.EvFailover, s.path, "re-seeded locally from last committed state")
-		if r.opts.Features.NativeTier {
-			s.p.Submit(lifecycle.Native, r.vclk.Now())
-		}
-		n++
 	}
-	if n == 0 {
-		return
+	if n > 0 {
+		r.opts.View.Info("remote engine daemon unreachable: %d engine(s) failed over to local software", n)
 	}
-	r.sup.NoteFailover(n)
-	if o := r.obs(); o != nil {
-		o.Failovers.Add(uint64(n))
-	}
-	r.opts.View.Info("remote engine daemon unreachable: %d engine(s) failed over to local software", n)
 }
 
 // rehostRemote is the recovery path: once a half-open trial closes the
@@ -191,20 +185,13 @@ func (r *Runtime) rehostRemote() {
 			continue // a peripheral, or never failed over
 		}
 		tr := s.p.Rehost()
+		r.settle(s.p, tr)
 		if tr.Err != nil {
-			r.opts.View.Info("re-host of %s failed (%v); staying local", s.path, tr.Err)
 			break
 		}
-		r.committed[s.path] = tr.State
-		r.obs().Emit(obsv.EvRehost, s.path, "re-hosted on "+r.opts.Remote.Addr)
 		n++
 	}
-	if n == 0 {
-		return
+	if n > 0 {
+		r.opts.View.Info("%d engine(s) re-hosted on %s", n, r.opts.Remote.Addr)
 	}
-	r.sup.NoteRehost(n)
-	if o := r.obs(); o != nil {
-		o.Rehosts.Add(uint64(n))
-	}
-	r.opts.View.Info("%d engine(s) re-hosted on %s", n, r.opts.Remote.Addr)
 }

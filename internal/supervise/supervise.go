@@ -69,7 +69,9 @@ func (o *Options) fill() {
 	}
 }
 
-// Stats is a snapshot of a supervisor's counters.
+// Stats is a snapshot of a supervisor's counters. Failovers and Rehosts
+// are engine moves, which the supervisor's owner makes and counts: it
+// fills them in.
 type Stats struct {
 	Enabled       bool
 	State         string
@@ -95,8 +97,6 @@ type Supervisor struct {
 	probes     uint64
 	probeFails uint64
 	trips      uint64
-	failovers  uint64
-	rehosts    uint64
 }
 
 // New builds a supervisor with its breaker Closed.
@@ -131,51 +131,56 @@ func (s *Supervisor) ShouldProbe(vnow uint64) bool {
 	}
 }
 
-// ProbeSent records that a probe left at vnow. Callers bill it as one
-// protocol message on their virtual clock.
-func (s *Supervisor) ProbeSent(vnow uint64) {
+// The mutators below return the breaker move they caused, from != to, or
+// the state the breaker stayed in, twice. Out of Closed into Open is the
+// moment to fail over; out of HalfOpen into Closed the moment to re-host.
+
+// ProbeSent records that a probe left at vnow; from Open it is the
+// half-open trial. Callers bill it as one protocol message on their
+// virtual clock.
+func (s *Supervisor) ProbeSent(vnow uint64) (from, to State) {
 	if s == nil {
-		return
+		return Closed, Closed
 	}
+	from = s.state
 	s.probes++
 	s.lastProbePs = vnow
 	if s.state == Open {
 		s.state = HalfOpen
 	}
+	return from, s.state
 }
 
 // ProbeOK resolves a probe as answered. From HalfOpen the breaker
-// closes; recovered reports that transition so the caller can re-host
-// failed-over engines.
-func (s *Supervisor) ProbeOK(vnow uint64) (recovered bool) {
+// closes.
+func (s *Supervisor) ProbeOK(vnow uint64) (from, to State) {
 	if s == nil {
-		return false
+		return Closed, Closed
 	}
+	from = s.state
 	s.consecFails = 0
 	if s.state == HalfOpen {
 		s.state = Closed
 		s.lastProbePs = vnow
-		return true
 	}
-	return false
+	return from, s.state
 }
 
 // NoteFailure counts one failure — a failed probe, or a round-trip
 // the caller observed fail against the host — at vnow. Reaching
 // FailThreshold consecutive failures while Closed trips the breaker;
-// any failure while HalfOpen re-opens it. tripped reports a
-// transition into Open, i.e. the moment to fail over.
-func (s *Supervisor) NoteFailure(vnow uint64) (tripped bool) {
+// any failure while HalfOpen re-opens it.
+func (s *Supervisor) NoteFailure(vnow uint64) (from, to State) {
 	if s == nil {
-		return false
+		return Closed, Closed
 	}
+	from = s.state
 	s.probeFails++
 	switch s.state {
 	case Closed:
 		s.consecFails++
 		if s.consecFails >= s.opts.FailThreshold {
 			s.trip(vnow)
-			return true
 		}
 	case HalfOpen:
 		// The trial failed: back to Open for another reopen period.
@@ -184,7 +189,7 @@ func (s *Supervisor) NoteFailure(vnow uint64) (tripped bool) {
 		s.openedAtPs = vnow
 		s.consecFails = 0
 	}
-	return false
+	return from, s.state
 }
 
 // ForceTrip trips the breaker immediately, bypassing the consecutive-
@@ -193,13 +198,13 @@ func (s *Supervisor) NoteFailure(vnow uint64) (tripped bool) {
 // state is stale no matter how reachable it is, and counting toward a
 // threshold (or letting a successful follow-up probe reset it) would
 // leave the runtime running against a latched, inert client forever.
-// tripped reports a transition into Open (false when already Open).
-func (s *Supervisor) ForceTrip(vnow uint64) (tripped bool) {
-	if s == nil || s.state == Open {
-		return false
+// It is a fresh trip from HalfOpen too, and nothing while already Open.
+func (s *Supervisor) ForceTrip(vnow uint64) (from, to State) {
+	from = s.State()
+	if s != nil && from != Open {
+		s.trip(vnow)
 	}
-	s.trip(vnow)
-	return true
+	return from, s.State()
 }
 
 func (s *Supervisor) trip(vnow uint64) {
@@ -207,22 +212,6 @@ func (s *Supervisor) trip(vnow uint64) {
 	s.openedAtPs = vnow
 	s.consecFails = 0
 	s.trips++
-}
-
-// NoteFailover records n engines re-seeded locally after a trip.
-func (s *Supervisor) NoteFailover(n int) {
-	if s == nil {
-		return
-	}
-	s.failovers += uint64(n)
-}
-
-// NoteRehost records n engines re-hosted remotely after recovery.
-func (s *Supervisor) NoteRehost(n int) {
-	if s == nil {
-		return
-	}
-	s.rehosts += uint64(n)
 }
 
 // Stats snapshots the counters (zero-valued, Enabled=false, for nil).
@@ -236,7 +225,5 @@ func (s *Supervisor) Stats() Stats {
 		Probes:        s.probes,
 		ProbeFailures: s.probeFails,
 		Trips:         s.trips,
-		Failovers:     s.failovers,
-		Rehosts:       s.rehosts,
 	}
 }

@@ -24,24 +24,26 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !s.ShouldProbe(100 * vclock.Ms) {
 		t.Fatal("probe not due at the heartbeat interval")
 	}
-	s.ProbeSent(100 * vclock.Ms)
-	if s.ProbeOK(100 * vclock.Ms) {
-		t.Fatal("closed-state probe reported a recovery")
+	if from, to := s.ProbeSent(100 * vclock.Ms); from != Closed || to != Closed {
+		t.Fatalf("closed-state probe moved the breaker %v -> %v", from, to)
+	}
+	if from, to := s.ProbeOK(100 * vclock.Ms); from != Closed || to != Closed {
+		t.Fatalf("closed-state probe answered moved the breaker %v -> %v", from, to)
 	}
 	if s.ShouldProbe(150 * vclock.Ms) {
 		t.Fatal("probe due again immediately after one was sent")
 	}
 
 	// One failure: under threshold, still closed.
-	if s.NoteFailure(200 * vclock.Ms) {
-		t.Fatal("tripped below the threshold")
+	if from, to := s.NoteFailure(200 * vclock.Ms); from != Closed || to != Closed {
+		t.Fatalf("below the threshold: %v -> %v", from, to)
 	}
 	if s.State() != Closed {
 		t.Fatalf("state after one failure = %v", s.State())
 	}
 	// Second consecutive failure: trip.
-	if !s.NoteFailure(300 * vclock.Ms) {
-		t.Fatal("did not trip at the threshold")
+	if from, to := s.NoteFailure(300 * vclock.Ms); from != Closed || to != Open {
+		t.Fatalf("at the threshold: %v -> %v, want the trip", from, to)
 	}
 	if s.State() != Open {
 		t.Fatalf("state after trip = %v", s.State())
@@ -55,13 +57,17 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !s.ShouldProbe(reopenAt) {
 		t.Fatal("half-open trial not due at the reopen timeout")
 	}
-	s.ProbeSent(reopenAt)
+	if from, to := s.ProbeSent(reopenAt); from != Open || to != HalfOpen {
+		t.Fatalf("trial probe sent: %v -> %v", from, to)
+	}
 	if s.State() != HalfOpen {
 		t.Fatalf("state after trial probe sent = %v", s.State())
 	}
 
 	// Trial fails: back to open, another full reopen period, no new trip.
-	s.NoteFailure(reopenAt)
+	if from, to := s.NoteFailure(reopenAt); from != HalfOpen || to != Open {
+		t.Fatalf("failed trial: %v -> %v", from, to)
+	}
 	if s.State() != Open {
 		t.Fatalf("state after failed trial = %v", s.State())
 	}
@@ -70,8 +76,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	secondTrial := reopenAt + vclock.S
 	s.ProbeSent(secondTrial)
-	if !s.ProbeOK(secondTrial) {
-		t.Fatal("successful trial did not report recovery")
+	if from, to := s.ProbeOK(secondTrial); from != HalfOpen || to != Closed {
+		t.Fatalf("successful trial: %v -> %v, want the recovery", from, to)
 	}
 	if s.State() != Closed {
 		t.Fatalf("state after recovery = %v", s.State())
@@ -90,7 +96,7 @@ func TestFailuresMustBeConsecutive(t *testing.T) {
 	s := New(Options{FailThreshold: 2})
 	s.NoteFailure(1)
 	s.ProbeOK(2)
-	if s.NoteFailure(3) {
+	if _, to := s.NoteFailure(3); to != Closed {
 		t.Fatal("tripped on non-consecutive failures")
 	}
 	if s.State() != Closed {
@@ -103,21 +109,21 @@ func TestFailuresMustBeConsecutive(t *testing.T) {
 // Open. From HalfOpen it re-opens as a fresh trip.
 func TestForceTrip(t *testing.T) {
 	s := New(Options{FailThreshold: 1 << 20, ReopenPs: 5})
-	if !s.ForceTrip(10) {
-		t.Fatal("forced trip below threshold did not trip")
+	if from, to := s.ForceTrip(10); from != Closed || to != Open {
+		t.Fatalf("forced trip below threshold: %v -> %v", from, to)
 	}
 	if s.State() != Open || s.Stats().Trips != 1 {
 		t.Fatalf("after force-trip: state=%v stats=%+v", s.State(), s.Stats())
 	}
-	if s.ForceTrip(11) {
-		t.Fatal("force-trip while already open reported a transition")
+	if from, to := s.ForceTrip(11); from != Open || to != Open {
+		t.Fatalf("force-trip while already open reported %v -> %v", from, to)
 	}
 	if !s.ShouldProbe(15) {
 		t.Fatal("reopen timeout did not arm the trial probe")
 	}
 	s.ProbeSent(15) // -> half-open
-	if !s.ForceTrip(16) {
-		t.Fatal("force-trip from half-open did not re-open")
+	if from, to := s.ForceTrip(16); from != HalfOpen || to != Open {
+		t.Fatalf("force-trip from half-open: %v -> %v", from, to)
 	}
 	if s.State() != Open || s.Stats().Trips != 2 {
 		t.Fatalf("after half-open force-trip: state=%v stats=%+v", s.State(), s.Stats())
@@ -131,18 +137,13 @@ func TestNilSupervisorIsFree(t *testing.T) {
 	if s.ShouldProbe(1 << 60) {
 		t.Fatal("nil supervisor wants to probe")
 	}
-	s.ProbeSent(1)
-	if s.ProbeOK(1) {
-		t.Fatal("nil supervisor recovered")
+	for name, mutate := range map[string]func(uint64) (State, State){
+		"ProbeSent": s.ProbeSent, "ProbeOK": s.ProbeOK, "NoteFailure": s.NoteFailure, "ForceTrip": s.ForceTrip,
+	} {
+		if from, to := mutate(1); from != Closed || to != Closed {
+			t.Fatalf("nil supervisor's %s moved the breaker %v -> %v", name, from, to)
+		}
 	}
-	if s.NoteFailure(1) {
-		t.Fatal("nil supervisor tripped")
-	}
-	if s.ForceTrip(1) {
-		t.Fatal("nil supervisor force-tripped")
-	}
-	s.NoteFailover(3)
-	s.NoteRehost(3)
 	if s.State() != Closed {
 		t.Fatalf("nil state = %v", s.State())
 	}

@@ -711,7 +711,7 @@ func (r *farmRoute) remoteCompile(req ShardSubmit) (ShardOutcome, Stats, error) 
 		out, err := s.link.Submit(req)
 		fb.mu.Lock()
 		if err != nil {
-			if s.brk.NoteFailure(req.SubmitPs) {
+			if _, to := s.brk.NoteFailure(req.SubmitPs); to == supervise.Open {
 				s.brkOpen = true
 			}
 			if idx == r.shard {
@@ -722,7 +722,7 @@ func (r *farmRoute) remoteCompile(req ShardSubmit) (ShardOutcome, Stats, error) 
 			fb.mu.Unlock()
 			continue
 		}
-		if s.brk.ProbeOK(req.SubmitPs) {
+		if _, to := s.brk.ProbeOK(req.SubmitPs); to == supervise.Closed {
 			s.brkOpen = false
 		}
 		if out.HitSource == HitPeer {

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -334,16 +333,12 @@ func (c *Client) absorb(loc engine.Location, usage engine.Usage, io []proto.IOEv
 		// promotion onto its fabric, or an eviction back to software.
 		// Any goroutine may be issuing the call, so the event carries the
 		// request's virtual stamp via EmitAt rather than Emit.
-		dir := "sw->hw"
+		dir, moves := "sw->hw", c.obs.Promotions
 		if loc != engine.Hardware {
-			dir = "hw->sw"
+			dir, moves = "hw->sw", c.obs.Evictions
 		}
-		c.obs.EmitAt(vnow, obsv.EvHotSwap, c.name, fmt.Sprintf("remote %s", dir))
-		if loc == engine.Hardware {
-			c.obs.Promotions.Inc()
-		} else {
-			c.obs.Evictions.Inc()
-		}
+		c.obs.EmitAt(vnow, obsv.EvHotSwap, c.name, "remote "+dir)
+		moves.Inc()
 	}
 	c.loc = loc
 	c.pending.Add(usage)

@@ -56,8 +56,6 @@ type HostOptions struct {
 	// path. Dials are lazy and failures are misses, so daemons start in
 	// any order.
 	Peers []string
-	// PeerDial tunes the peer-fetch connections (zero value: defaults).
-	PeerDial TCPOptions
 }
 
 // Host is the serving side of the engine protocol: the core of
@@ -183,7 +181,7 @@ func NewHost(opts HostOptions) *Host {
 			// Fetch-only: a worker never writes through to its peers
 			// (the submitting farm replicates explicitly), so the ring
 			// cannot loop.
-			h.worker.SetPeerTier(newPeerRing(opts.Peers, opts.PeerDial).Lookup, nil)
+			h.worker.SetPeerTier(newPeerRing(opts.Peers, TCPOptions{}).Lookup, nil)
 		}
 	}
 	return h
@@ -410,25 +408,27 @@ func (h *Host) spawn(req *proto.Request, rep *proto.Reply, forced uint32) {
 		dev, tenant = sess.dev, sess.tenant
 	}
 	hd.now.Store(req.Now)
-	cfg := lifecycle.Config{
+	jit := req.JIT && !h.opts.DisableJIT
+	hd.p = lifecycle.New(lifecycle.Config{
 		Path:   req.Path,
 		Flat:   flat,
 		IO:     hd.io,
 		Now:    func() uint64 { return hd.now.Load() },
 		Eager:  req.Eager,
 		Device: dev,
+		// The host offers the fabric, to a spawn that asked for promotion;
+		// it has no native tier.
+		Compile: func(p *lifecycle.Placement, t lifecycle.Tier, vnow uint64) *toolchain.Job {
+			if !jit || t != lifecycle.Fabric {
+				return nil
+			}
+			return h.opts.Toolchain.SubmitTenant(context.Background(), tenant, p.Flat, true, vnow)
+		},
 		// The runtime side saw a rebuilt engine's initial-block output
 		// when the engine first spawned.
 		Discard: func(*lifecycle.Placement) { hd.io.drain() },
-	}
-	if req.JIT && !h.opts.DisableJIT {
-		cfg.Compile = func(p *lifecycle.Placement, _ lifecycle.Tier, vnow uint64) *toolchain.Job {
-			return h.opts.Toolchain.SubmitTenant(context.Background(), tenant, p.Flat, true, vnow)
-		}
-	}
-	hd.p = lifecycle.New(cfg)
-	hd.p.Start(lifecycle.Interpreter, nil)
-	hd.p.Submit(lifecycle.Fabric, req.VNow)
+	})
+	h.settle(hd.p, hd.p.Start(lifecycle.Interpreter, nil), req.VNow)
 	h.mu.Lock()
 	var id uint32
 	if forced != 0 {
@@ -443,7 +443,7 @@ func (h *Host) spawn(req *proto.Request, rep *proto.Reply, forced uint32) {
 	h.engines[id] = hd
 	h.mu.Unlock()
 	h.opts.Observer.EmitAt(req.VNow, obsv.EvSpawn, req.Path,
-		fmt.Sprintf("hosted engine %d jit=%v", id, req.JIT && !h.opts.DisableJIT))
+		fmt.Sprintf("hosted engine %d jit=%v", id, jit))
 	rep.Engine = id
 	h.journalReq(req, id)
 	rep.Loc, rep.Usage, rep.IO = h.envelope(hd, hd.p.Engine())
@@ -681,25 +681,46 @@ func (h *Host) CloseJournal() error {
 
 // serviceJIT runs the host-side slice of the Figure-9 state machine for
 // one engine at a step boundary, through its lifecycle record: evict a
-// faulted hardware engine back to software (resubmitting the compile),
-// or promote a finished compilation onto the host's fabric. A compile
-// that failed or found no fabric room leaves the engine in software — a
-// hosted engine never kills the run. Callers hold hd.mu.
+// faulted hardware engine back to software, or promote a finished
+// compilation onto the host's fabric. A compile that failed or found no
+// fabric room leaves the engine in software — a hosted engine never kills
+// the run. Callers hold hd.mu.
 func (h *Host) serviceJIT(hd *hosted, vnow uint64) {
-	p, o := hd.p, h.opts.Observer
-	if flt := p.Fault(); flt != nil {
-		if o != nil {
-			o.EmitAt(vnow, obsv.EvEviction, p.Path, fmt.Sprintf("host hw->sw: %v", flt))
-			o.Evictions.Inc()
-		}
-		p.Demote(lifecycle.FaultLatched, nil)
-		p.Submit(lifecycle.Fabric, vnow)
-		return
+	if hd.p.Fault() != nil {
+		h.settle(hd.p, hd.p.Demote(lifecycle.FaultLatched, nil), vnow)
+	} else if tr, ok := hd.p.Promote(lifecycle.Fabric, vnow); ok {
+		h.settle(hd.p, tr, vnow)
 	}
-	tr, ok := p.Promote(lifecycle.Fabric, vnow)
-	if ok && tr.Err == nil && o != nil {
+}
+
+// settle is the one place the host applies what a serviced transition
+// counts, reports and leaves owed — the runtime's settle without a clock:
+// the requesting runtime bills a move's bus traffic from the Usage its
+// reply envelope carries, so the fabric engine's meter is left undrained
+// here. The compiles the record says a move (or a shed, or a transient
+// programming fault) leaves owed are submitted at the request's virtual
+// time; a permanent error is reported once.
+func (h *Host) settle(p *lifecycle.Placement, tr lifecycle.Transition, vnow uint64) {
+	o := h.opts.Observer
+	recovery := ""
+	switch {
+	case tr.Cause == lifecycle.Shed:
+		recovery = "compile shed under load: resubmitted"
+	case tr.Cause == lifecycle.TransientFault:
+		recovery = "transient programming fault: compile resubmitted"
+	case tr.Err != nil:
+		o.EmitAt(vnow, obsv.EvFault, p.Path, tr.Err.Error())
+	case tr.Cause == lifecycle.FaultLatched && o != nil:
+		o.EmitAt(vnow, obsv.EvEviction, p.Path, fmt.Sprintf("host hw->sw: %v", tr.Fault))
+		o.Evictions.Inc()
+	case tr.Cause == lifecycle.JobLanded && o != nil:
 		o.EmitAt(vnow, obsv.EvHotSwap, p.Path, fmt.Sprintf("host sw->hw area=%dLEs", tr.Result.AreaLEs))
 		o.Promotions.Inc()
+	}
+	for _, t := range tr.Owed {
+		if p.Submit(t, vnow) && recovery != "" {
+			o.EmitAt(vnow, obsv.EvRecovery, p.Path, recovery)
+		}
 	}
 }
 

@@ -1,12 +1,15 @@
 package transport
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"cascade/internal/engine"
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
+	"cascade/internal/obsv"
 	"cascade/internal/proto"
 	"cascade/internal/toolchain"
 )
@@ -55,6 +58,67 @@ func TestHostRetriesTransientProgrammingFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepUntil(t, c, &vnow, 1<<50, engine.Hardware)
+}
+
+// TestHostReportsFailedPromotions: a hosted promotion that does not
+// happen leaves a line in the daemon's trace — the error, once, when the
+// bitstream finds no room on the fabric, and a recovery event each time a
+// compile shed under load is resubmitted — as the runtime's own ladder
+// reports them. (The host used to say nothing: the engine sat in software
+// with no word of why.)
+func TestHostReportsFailedPromotions(t *testing.T) {
+	cases := []struct {
+		name    string
+		squat   bool // the fabric is full before the bitstream lands
+		queue   int  // toolchain admission bound
+		engines int
+		kind    obsv.EventKind
+		detail  string
+	}{
+		{"no room", true, 0, 1, obsv.EvFault, "does not fit"},
+		{"shed", false, 1, 2, obsv.EvRecovery, "compile shed under load: resubmitted"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := fpga.NewCycloneV()
+			opts := toolchain.DefaultOptions()
+			opts.MaxQueue = tc.queue
+			obs := obsv.New(obsv.Options{})
+			_, addr := loopbackHost(t, HostOptions{Device: dev, Toolchain: toolchain.New(dev, opts), Observer: obs})
+			tcpT, err := DialTCP(addr, TCPOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tcpT.Close()
+			if tc.squat {
+				dev.Place("squatter", dev.Capacity())
+			}
+			var vnow uint64
+			rec := &recorder{}
+			var last *Client
+			for i := 0; i < tc.engines; i++ {
+				last, err = Spawn(tcpT, SpawnSpec{Path: fmt.Sprintf("main.c%d", i), Source: ctrSrc, JIT: true}, rec,
+					nil, func() uint64 { return vnow }, rec.onErr)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			vnow = 1 << 50 // every compile that was admitted has landed
+			stepOnce(last, 1)
+			reported := 0
+			for _, ev := range obs.Trace(0) {
+				if ev.Path == last.Name() && ev.Kind == tc.kind && strings.Contains(ev.Detail, tc.detail) {
+					reported++
+				}
+			}
+			if reported != 1 {
+				t.Fatalf("daemon trace reports %q for %s %d times, want once:\n%v", tc.detail, last.Name(), reported, obs.Trace(0))
+			}
+			if last.Loc() != engine.Software {
+				t.Fatalf("engine is in %v after a promotion that did not happen", last.Loc())
+			}
+		})
+	}
 }
 
 // TestHostEvictionKeepsEagerFlag: an engine spawned with the eager

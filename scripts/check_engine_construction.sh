@@ -8,7 +8,13 @@
 # the runtime spawns on the daemon only in its Config.Host callback
 # (Runtime.host) and never reads "not built here" (lifecycle.Unplaced)
 # as "hosted" — the hand-written spawn, seed, retire copies forgot to
-# retire. Run from the repo root; exits non-zero listing offenders.
+# retire. And what a move costs, counts and leaves owed is applied where
+# the owner settles it: outside Runtime.settle, Host.settle and
+# Client.absorb (the runtime's view of a daemon-side move), neither
+# package bumps the promotion, eviction, failover or re-host series, sets
+# the area gauge or submits a placement's compile — the per-site copies
+# drifted (a stale gauge, a daemon silent about failed promotions). Run
+# from the repo root; exits non-zero listing offenders.
 set -eu
 
 runtime_src=$(ls internal/runtime/*.go | grep -v '_test\.go$')
@@ -33,4 +39,15 @@ hits=$(awk '
 hits=$(grep -n 'lifecycle\.Unplaced' $runtime_src || true)
 [ -z "$hits" ] || fail "$hits" "a hosted engine's tier is lifecycle.Hosted; the runtime has no use for Unplaced"
 
-echo "check_engine_construction: runtime and transport build no engines directly; the runtime hosts them through lifecycle"
+# shellcheck disable=SC2086
+hits=$(awk '
+    /^func / { fn = $0 }
+    /^}/ { fn = "" }
+    /([^A-Za-z0-9_.]o|obs|Observer)\.(Promotions|Evictions|Failovers|Rehosts)[^A-Za-z0-9_]|\.AreaLEs\.Set\(|\.Submit\(/ &&
+        fn !~ /^func \((r \*Runtime|h \*Host)\) settle\(/ && fn !~ /^func \(c \*Client\) absorb\(/ {
+        print FILENAME ":" FNR ": " $0
+    }
+' $runtime_src $(ls internal/transport/*.go | grep -v '_test\.go$'))
+[ -z "$hits" ] || fail "$hits" "count, gauge and re-arm engine moves in settle (or Client.absorb) only"
+
+echo "check_engine_construction: runtime and transport build no engines directly, host them through lifecycle and settle every move in one place"

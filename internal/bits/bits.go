@@ -9,11 +9,21 @@
 //
 // A Vector's unused high bits are always kept zero (the normalization
 // invariant), so word-level comparisons and hashing are well defined.
+//
+// Every operator has two spellings and one body. The destination form,
+// z.SetAdd(x, y) in the style of math/big, writes into z's existing words
+// at z's width and reads its operands zero-extended or truncated to it: it
+// allocates nothing, needs no operand resized to a context width, and z
+// may alias an operand. The value-returning form, x.Add(y), is New at the
+// operator's natural width plus the destination form. elab.Eval uses the
+// first over scratch its caller owns; folding, the netlist reference
+// machine and the standard library use the second.
 package bits
 
 import (
 	"fmt"
 	"math/big"
+	mathbits "math/bits"
 	"strings"
 )
 
@@ -27,12 +37,8 @@ type Vector struct {
 	words []uint64
 }
 
-func wordsFor(width int) int {
-	if width <= 0 {
-		return 0
-	}
-	return (width + WordBits - 1) / WordBits
-}
+// WordsFor returns how many storage words a vector of the given width has.
+func WordsFor(width int) int { return (width + WordBits - 1) / WordBits }
 
 // New returns a zero-valued vector of the given width. Widths below 1 are
 // clamped to 1 so callers never construct degenerate vectors.
@@ -40,46 +46,41 @@ func New(width int) *Vector {
 	if width < 1 {
 		width = 1
 	}
-	return &Vector{width: width, words: make([]uint64, wordsFor(width))}
+	return &Vector{width: width, words: make([]uint64, WordsFor(width))}
 }
 
 // FromUint64 returns a vector of the given width holding v truncated to
 // that width.
 func FromUint64(width int, v uint64) *Vector {
 	b := New(width)
-	b.words[0] = v
-	b.normalize()
+	b.SetUint64(v)
 	return b
 }
+
+// Wrap returns a vector of the given width over WordsFor(width) words the
+// caller owns and has normalized: how an arena lends scratch vectors.
+func Wrap(width int, words []uint64) Vector { return Vector{width: width, words: words} }
 
 // FromBig returns a vector of the given width holding |v| truncated to that
 // width. Negative values are interpreted as their two's complement at the
 // target width, matching Verilog's treatment of negative decimal literals.
-func FromBig(width int, v *big.Int) *Vector {
-	b := New(width)
+func FromBig(width int, v *big.Int) *Vector { return New(width).setBig(v) }
+
+// setBig sets z to v modulo 2^width (Euclidean, so never negative).
+func (z *Vector) setBig(v *big.Int) *Vector {
 	x := new(big.Int).Set(v)
 	if x.Sign() < 0 {
-		mod := new(big.Int).Lsh(big.NewInt(1), uint(b.width))
-		x.Mod(x, mod)
-		if x.Sign() < 0 {
-			x.Add(x, mod)
-		}
+		x.Mod(x, new(big.Int).Lsh(big.NewInt(1), uint(z.width)))
 	}
-	for i := range b.words {
-		b.words[i] = x.Uint64()
+	for i := range z.words {
+		z.words[i] = x.Uint64()
 		x.Rsh(x, WordBits)
 	}
-	b.normalize()
-	return b
+	return z.normalize()
 }
 
 // FromBool returns a 1-bit vector holding 1 if v is true.
-func FromBool(v bool) *Vector {
-	if v {
-		return FromUint64(1, 1)
-	}
-	return New(1)
-}
+func FromBool(v bool) *Vector { return New(1).SetBool(v) }
 
 // Width reports the vector's width in bits.
 func (b *Vector) Width() int { return b.width }
@@ -88,11 +89,15 @@ func (b *Vector) Width() int { return b.width }
 // Callers must not mutate the returned slice.
 func (b *Vector) Words() []uint64 { return b.words }
 
-// normalize zeroes the unused high bits of the top word.
-func (b *Vector) normalize() {
-	if rem := b.width % WordBits; rem != 0 {
-		b.words[len(b.words)-1] &= (uint64(1) << rem) - 1
-	}
+// topMask returns the bits of the top storage word that lie in the width.
+func (b *Vector) topMask() uint64 {
+	return ^uint64(0) >> (WordBits - 1 - (b.width-1)%WordBits)
+}
+
+// normalize zeroes the unused high bits of the top word and returns b.
+func (b *Vector) normalize() *Vector {
+	b.words[len(b.words)-1] &= b.topMask()
+	return b
 }
 
 // Clone returns an independent copy of b.
@@ -112,19 +117,13 @@ func (b *Vector) Clone() *Vector {
 // destination.
 func (b *Vector) CopyFrom(v *Vector) bool {
 	changed := false
-	vTop, vRem := len(v.words)-1, v.width%WordBits
 	for i := range b.words {
-		var w uint64
-		if i < len(v.words) {
-			w = v.words[i]
-			if i == vTop && vRem != 0 {
-				w &= (uint64(1) << vRem) - 1
-			}
+		w := v.word(i)
+		if i == len(v.words)-1 {
+			w &= v.topMask()
 		}
 		if i == len(b.words)-1 {
-			if rem := b.width % WordBits; rem != 0 {
-				w &= (uint64(1) << rem) - 1
-			}
+			w &= b.topMask()
 		}
 		if b.words[i] != w {
 			changed = true
@@ -152,11 +151,7 @@ func (b *Vector) SetUint64(v uint64) bool {
 }
 
 // Resize returns a copy of b truncated or zero-extended to width.
-func (b *Vector) Resize(width int) *Vector {
-	c := New(width)
-	c.CopyFrom(b)
-	return c
-}
+func (b *Vector) Resize(width int) *Vector { return New(width).Set(b) }
 
 // Uint64 returns the low 64 bits of b.
 func (b *Vector) Uint64() uint64 {
@@ -210,304 +205,324 @@ func (b *Vector) SetBit(i int, v uint) {
 	}
 }
 
+// word returns storage word i of b and zero outside it: how an operand
+// narrower than the destination reads as zero-extended.
+func (b *Vector) word(i int) uint64 {
+	if uint(i) < uint(len(b.words)) {
+		return b.words[i]
+	}
+	return 0
+}
+
 // Equal reports whether a and b hold the same value, ignoring width
 // differences (both are compared as unbounded unsigned integers).
-func (b *Vector) Equal(o *Vector) bool {
-	n := len(b.words)
-	if len(o.words) > n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		var x, y uint64
-		if i < len(b.words) {
-			x = b.words[i]
-		}
-		if i < len(o.words) {
-			y = o.words[i]
-		}
-		if x != y {
-			return false
-		}
-	}
-	return true
-}
+func (b *Vector) Equal(o *Vector) bool { return b.Cmp(o) == 0 }
 
 // Cmp compares a and b as unsigned integers: -1 if b<o, 0 if equal, 1 if b>o.
 func (b *Vector) Cmp(o *Vector) int {
-	n := len(b.words)
-	if len(o.words) > n {
-		n = len(o.words)
-	}
-	for i := n - 1; i >= 0; i-- {
-		var x, y uint64
-		if i < len(b.words) {
-			x = b.words[i]
-		}
-		if i < len(o.words) {
-			y = o.words[i]
-		}
-		if x < y {
+	for i := max(len(b.words), len(o.words)) - 1; i >= 0; i-- {
+		if x, y := b.word(i), o.word(i); x < y {
 			return -1
-		}
-		if x > y {
+		} else if x > y {
 			return 1
 		}
 	}
 	return 0
 }
 
-// binary width rule: result width of arithmetic/bitwise binary ops is the
-// max of the operand widths (callers apply context-widening separately).
-func maxWidth(a, o *Vector) int {
-	if a.width > o.width {
-		return a.width
+// Index reads b as a position below limit, or -1 when it is out of range
+// at any operand width: no index, 2^63 and above included, goes through int.
+func (b *Vector) Index(limit int) int {
+	for _, w := range b.words[1:] {
+		if w != 0 {
+			return -1
+		}
 	}
-	return o.width
+	if b.words[0] >= uint64(limit) {
+		return -1
+	}
+	return int(b.words[0])
+}
+
+// Destination forms (see the package comment). Each returns z, and only
+// multi-word Mul, Div, Mod and Pow allocate: they go through math/big.
+
+// Set sets z to x truncated or zero-extended to z's width.
+func (z *Vector) Set(x *Vector) *Vector {
+	z.CopyFrom(x)
+	return z
+}
+
+// SetBool sets z to 1 if v is true and to 0 otherwise.
+func (z *Vector) SetBool(v bool) *Vector {
+	z.SetUint64(0)
+	if v {
+		z.words[0] = 1
+	}
+	return z
+}
+
+// SetAdd sets z to x+y (carry out is truncated).
+func (z *Vector) SetAdd(x, y *Vector) *Vector {
+	var carry uint64
+	for i := range z.words {
+		z.words[i], carry = mathbits.Add64(x.word(i), y.word(i), carry)
+	}
+	return z.normalize()
+}
+
+// SetSub sets z to x-y (two's complement).
+func (z *Vector) SetSub(x, y *Vector) *Vector {
+	var borrow uint64
+	for i := range z.words {
+		z.words[i], borrow = mathbits.Sub64(x.word(i), y.word(i), borrow)
+	}
+	return z.normalize()
+}
+
+// zero is the constant 0 operand; nothing writes it.
+var zero = New(1)
+
+// SetNeg sets z to the two's complement negation of x.
+func (z *Vector) SetNeg(x *Vector) *Vector { return z.SetSub(zero, x) }
+
+// SetMul sets z to x*y: on uint64 when z is a single word, through
+// math/big otherwise.
+func (z *Vector) SetMul(x, y *Vector) *Vector {
+	if len(z.words) == 1 {
+		z.words[0] = x.words[0] * y.words[0]
+		return z.normalize()
+	}
+	return z.setBig(new(big.Int).Mul(x.Big(), y.Big()))
+}
+
+// divMod sets z to the quotient or the remainder of x by y, both read at
+// z's width; a zero divisor yields zero where real Verilog would yield x.
+func (z *Vector) divMod(x, y *Vector, rem bool) *Vector {
+	if len(z.words) == 1 {
+		a, b := x.words[0]&z.topMask(), y.words[0]&z.topMask()
+		switch {
+		case b == 0:
+			z.words[0] = 0
+		case rem:
+			z.words[0] = a % b
+		default:
+			z.words[0] = a / b
+		}
+		return z
+	}
+	a, b := x.Resize(z.width).Big(), y.Resize(z.width).Big()
+	if b.Sign() == 0 {
+		return z.Set(zero)
+	}
+	q, r := new(big.Int).QuoRem(a, b, new(big.Int))
+	if rem {
+		return z.setBig(r)
+	}
+	return z.setBig(q)
+}
+
+// SetDiv sets z to x/y (unsigned).
+func (z *Vector) SetDiv(x, y *Vector) *Vector { return z.divMod(x, y, false) }
+
+// SetMod sets z to x%y (unsigned).
+func (z *Vector) SetMod(x, y *Vector) *Vector { return z.divMod(x, y, true) }
+
+// SetPow sets z to x**y (Verilog-2001 power operator), y read whole.
+func (z *Vector) SetPow(x, y *Vector) *Vector {
+	mod := new(big.Int).Lsh(big.NewInt(1), uint(z.width))
+	return z.setBig(new(big.Int).Exp(x.Big(), y.Big(), mod))
+}
+
+// SetAnd sets z to the bitwise AND of x and y.
+func (z *Vector) SetAnd(x, y *Vector) *Vector {
+	for i := range z.words {
+		z.words[i] = x.word(i) & y.word(i)
+	}
+	return z.normalize()
+}
+
+// SetOr sets z to the bitwise OR of x and y.
+func (z *Vector) SetOr(x, y *Vector) *Vector {
+	for i := range z.words {
+		z.words[i] = x.word(i) | y.word(i)
+	}
+	return z.normalize()
+}
+
+// SetXor sets z to the bitwise XOR of x and y.
+func (z *Vector) SetXor(x, y *Vector) *Vector {
+	for i := range z.words {
+		z.words[i] = x.word(i) ^ y.word(i)
+	}
+	return z.normalize()
+}
+
+// SetXnor sets z to the bitwise XNOR of x and y.
+func (z *Vector) SetXnor(x, y *Vector) *Vector {
+	for i := range z.words {
+		z.words[i] = ^(x.word(i) ^ y.word(i))
+	}
+	return z.normalize()
+}
+
+// SetNot sets z to the bitwise complement of x.
+func (z *Vector) SetNot(x *Vector) *Vector {
+	for i := range z.words {
+		z.words[i] = ^x.word(i)
+	}
+	return z.normalize()
+}
+
+// SetRedAnd sets z to the AND reduction of x.
+func (z *Vector) SetRedAnd(x *Vector) *Vector {
+	top := len(x.words) - 1
+	all := x.words[top] == x.topMask()
+	for _, w := range x.words[:top] {
+		all = all && w == ^uint64(0)
+	}
+	return z.SetBool(all)
+}
+
+// SetRedOr sets z to the OR reduction of x.
+func (z *Vector) SetRedOr(x *Vector) *Vector { return z.SetBool(!x.IsZero()) }
+
+// SetRedXor sets z to the XOR reduction (parity) of x.
+func (z *Vector) SetRedXor(x *Vector) *Vector {
+	var parity uint64
+	for _, w := range x.words {
+		parity ^= w
+	}
+	return z.SetBool(mathbits.OnesCount64(parity)&1 != 0)
+}
+
+// shlWord returns word i of x<<n for n >= 0, x zero-extended.
+func shlWord(x *Vector, i, n int) uint64 {
+	i -= n / WordBits
+	w := x.word(i) << (n % WordBits)
+	if s := n % WordBits; s != 0 {
+		w |= x.word(i-1) >> (WordBits - s)
+	}
+	return w
+}
+
+// SetShl sets z to x<<n. Any n outside [0, z's width), Index's -1
+// included, shifts everything out.
+func (z *Vector) SetShl(x *Vector, n int) *Vector {
+	if n < 0 || n >= z.width {
+		return z.Set(zero)
+	}
+	for i := len(z.words) - 1; i >= 0; i-- { // downwards, so z may be x
+		z.words[i] = shlWord(x, i, n)
+	}
+	return z.normalize()
+}
+
+// SetShr sets z to x>>n (logical), x read at its own width: a z narrower
+// than x receives a part select. A negative n shifts everything out.
+func (z *Vector) SetShr(x *Vector, n int) *Vector {
+	if n < 0 {
+		return z.Set(zero)
+	}
+	ws, s := n/WordBits, n%WordBits
+	for i := range z.words {
+		z.words[i] = x.word(i+ws) >> s
+		if s != 0 {
+			z.words[i] |= x.word(i+ws+1) << (WordBits - s)
+		}
+	}
+	return z.normalize()
+}
+
+// SetRepl fills z with copies of x, the lowest at bit 0.
+func (z *Vector) SetRepl(x *Vector) *Vector {
+	for lo := 0; lo < z.width; lo += x.width {
+		z.SetSlice(lo+x.width-1, lo, x)
+	}
+	return z
+}
+
+// SetSlice overwrites bits [hi:lo] of b in place with v (truncated or
+// zero-extended to the slice width) and reports whether b changed. v may
+// be b.
+func (b *Vector) SetSlice(hi, lo int, v *Vector) bool {
+	if hi < lo || lo < 0 || lo >= b.width {
+		return false
+	}
+	hi = min(hi, b.width-1)
+	changed := false
+	for i := hi / WordBits; i >= lo/WordBits; i-- { // downwards, so v may be b
+		mask := ^uint64(0)
+		if i == lo/WordBits {
+			mask <<= lo % WordBits
+		}
+		if i == hi/WordBits {
+			mask &= ^uint64(0) >> (WordBits - 1 - hi%WordBits)
+		}
+		if w := b.words[i]&^mask | shlWord(v, i, lo)&mask; w != b.words[i] {
+			b.words[i], changed = w, true
+		}
+	}
+	return changed
 }
 
 // Add returns a+o at the max operand width (carry out is truncated).
-func (b *Vector) Add(o *Vector) *Vector {
-	r := New(maxWidth(b, o))
-	var carry uint64
-	for i := range r.words {
-		var x, y uint64
-		if i < len(b.words) {
-			x = b.words[i]
-		}
-		if i < len(o.words) {
-			y = o.words[i]
-		}
-		s := x + y
-		c1 := uint64(0)
-		if s < x {
-			c1 = 1
-		}
-		s2 := s + carry
-		if s2 < s {
-			c1 = 1
-		}
-		r.words[i] = s2
-		carry = c1
-	}
-	r.normalize()
-	return r
-}
+func (b *Vector) Add(o *Vector) *Vector { return New(max(b.width, o.width)).SetAdd(b, o) }
 
 // Sub returns a-o (two's complement) at the max operand width.
-func (b *Vector) Sub(o *Vector) *Vector {
-	r := New(maxWidth(b, o))
-	var borrow uint64
-	for i := range r.words {
-		var x, y uint64
-		if i < len(b.words) {
-			x = b.words[i]
-		}
-		if i < len(o.words) {
-			y = o.words[i]
-		}
-		d := x - y
-		b1 := uint64(0)
-		if x < y {
-			b1 = 1
-		}
-		d2 := d - borrow
-		if d < borrow {
-			b1 = 1
-		}
-		r.words[i] = d2
-		borrow = b1
-	}
-	r.normalize()
-	return r
-}
+func (b *Vector) Sub(o *Vector) *Vector { return New(max(b.width, o.width)).SetSub(b, o) }
 
 // Neg returns the two's complement negation of b at b's width.
-func (b *Vector) Neg() *Vector {
-	return New(b.width).Sub(b)
-}
+func (b *Vector) Neg() *Vector { return New(b.width).SetNeg(b) }
 
 // Mul returns a*o truncated to the max operand width.
-func (b *Vector) Mul(o *Vector) *Vector {
-	w := maxWidth(b, o)
-	// Schoolbook multiply over 32-bit halves keeps everything in uint64.
-	x, y := b.Big(), o.Big()
-	return FromBig(w, new(big.Int).Mul(x, y))
-}
+func (b *Vector) Mul(o *Vector) *Vector { return New(max(b.width, o.width)).SetMul(b, o) }
 
-// Div returns a/o (unsigned) at the max operand width; division by zero
-// yields zero.
-func (b *Vector) Div(o *Vector) *Vector {
-	w := maxWidth(b, o)
-	if o.IsZero() {
-		return New(w)
-	}
-	return FromBig(w, new(big.Int).Div(b.Big(), o.Big()))
-}
+// Div returns a/o (unsigned) at the max operand width, zero when o is zero.
+func (b *Vector) Div(o *Vector) *Vector { return New(max(b.width, o.width)).SetDiv(b, o) }
 
-// Mod returns a%o (unsigned) at the max operand width; modulus by zero
-// yields zero.
-func (b *Vector) Mod(o *Vector) *Vector {
-	w := maxWidth(b, o)
-	if o.IsZero() {
-		return New(w)
-	}
-	return FromBig(w, new(big.Int).Mod(b.Big(), o.Big()))
-}
+// Mod returns a%o (unsigned) at the max operand width, zero when o is zero.
+func (b *Vector) Mod(o *Vector) *Vector { return New(max(b.width, o.width)).SetMod(b, o) }
 
-// Pow returns a**o truncated to a's width (Verilog-2001 power operator).
-func (b *Vector) Pow(o *Vector) *Vector {
-	w := b.width
-	if o.IsZero() {
-		return FromUint64(w, 1)
-	}
-	mod := new(big.Int).Lsh(big.NewInt(1), uint(w))
-	return FromBig(w, new(big.Int).Exp(b.Big(), o.Big(), mod))
-}
-
-func (b *Vector) bitwise(o *Vector, f func(x, y uint64) uint64) *Vector {
-	r := New(maxWidth(b, o))
-	for i := range r.words {
-		var x, y uint64
-		if i < len(b.words) {
-			x = b.words[i]
-		}
-		if i < len(o.words) {
-			y = o.words[i]
-		}
-		r.words[i] = f(x, y)
-	}
-	r.normalize()
-	return r
-}
+// Pow returns a**o truncated to a's width.
+func (b *Vector) Pow(o *Vector) *Vector { return New(b.width).SetPow(b, o) }
 
 // And returns the bitwise AND at the max operand width.
-func (b *Vector) And(o *Vector) *Vector {
-	return b.bitwise(o, func(x, y uint64) uint64 { return x & y })
-}
+func (b *Vector) And(o *Vector) *Vector { return New(max(b.width, o.width)).SetAnd(b, o) }
 
 // Or returns the bitwise OR at the max operand width.
-func (b *Vector) Or(o *Vector) *Vector {
-	return b.bitwise(o, func(x, y uint64) uint64 { return x | y })
-}
+func (b *Vector) Or(o *Vector) *Vector { return New(max(b.width, o.width)).SetOr(b, o) }
 
 // Xor returns the bitwise XOR at the max operand width.
-func (b *Vector) Xor(o *Vector) *Vector {
-	return b.bitwise(o, func(x, y uint64) uint64 { return x ^ y })
-}
+func (b *Vector) Xor(o *Vector) *Vector { return New(max(b.width, o.width)).SetXor(b, o) }
 
 // Xnor returns the bitwise XNOR at the max operand width.
-func (b *Vector) Xnor(o *Vector) *Vector {
-	r := b.bitwise(o, func(x, y uint64) uint64 { return ^(x ^ y) })
-	r.normalize()
-	return r
-}
+func (b *Vector) Xnor(o *Vector) *Vector { return New(max(b.width, o.width)).SetXnor(b, o) }
 
 // Not returns the bitwise complement of b at b's width.
-func (b *Vector) Not() *Vector {
-	r := New(b.width)
-	for i := range r.words {
-		r.words[i] = ^b.words[i]
-	}
-	r.normalize()
-	return r
-}
+func (b *Vector) Not() *Vector { return New(b.width).SetNot(b) }
 
 // RedAnd returns the 1-bit AND reduction of b.
-func (b *Vector) RedAnd() *Vector {
-	full := b.width / WordBits
-	for i := 0; i < full; i++ {
-		if b.words[i] != ^uint64(0) {
-			return FromBool(false)
-		}
-	}
-	if rem := b.width % WordBits; rem != 0 {
-		mask := (uint64(1) << rem) - 1
-		if b.words[len(b.words)-1]&mask != mask {
-			return FromBool(false)
-		}
-	}
-	return FromBool(true)
-}
+func (b *Vector) RedAnd() *Vector { return New(1).SetRedAnd(b) }
 
 // RedOr returns the 1-bit OR reduction of b.
-func (b *Vector) RedOr() *Vector { return FromBool(!b.IsZero()) }
+func (b *Vector) RedOr() *Vector { return New(1).SetRedOr(b) }
 
 // RedXor returns the 1-bit XOR reduction (parity) of b.
-func (b *Vector) RedXor() *Vector {
-	var parity uint64
-	for _, w := range b.words {
-		parity ^= w
-	}
-	parity ^= parity >> 32
-	parity ^= parity >> 16
-	parity ^= parity >> 8
-	parity ^= parity >> 4
-	parity ^= parity >> 2
-	parity ^= parity >> 1
-	return FromBool(parity&1 != 0)
-}
+func (b *Vector) RedXor() *Vector { return New(1).SetRedXor(b) }
 
 // Shl returns b shifted left by the value of o (as an unsigned integer),
 // truncated to b's width. Shifts at or beyond the width yield zero.
-func (b *Vector) Shl(o *Vector) *Vector {
-	return b.ShlUint(shiftAmount(o, b.width))
-}
+func (b *Vector) Shl(o *Vector) *Vector { return b.ShlUint(o.Index(b.width)) }
 
 // Shr returns b logically shifted right by the value of o, at b's width.
-func (b *Vector) Shr(o *Vector) *Vector {
-	return b.ShrUint(shiftAmount(o, b.width))
-}
-
-// shiftAmount clamps the shift operand to width (any larger amount fully
-// shifts the value out, so the exact value does not matter).
-func shiftAmount(o *Vector, width int) int {
-	for i := 1; i < len(o.words); i++ {
-		if o.words[i] != 0 {
-			return width
-		}
-	}
-	v := o.Uint64()
-	if v > uint64(width) {
-		return width
-	}
-	return int(v)
-}
+func (b *Vector) Shr(o *Vector) *Vector { return b.ShrUint(o.Index(b.width)) }
 
 // ShlUint returns b shifted left by n bits, truncated to b's width.
-func (b *Vector) ShlUint(n int) *Vector {
-	r := New(b.width)
-	if n >= b.width {
-		return r
-	}
-	wordShift, bitShift := n/WordBits, uint(n%WordBits)
-	for i := len(r.words) - 1; i >= wordShift; i-- {
-		w := b.words[i-wordShift] << bitShift
-		if bitShift != 0 && i-wordShift-1 >= 0 {
-			w |= b.words[i-wordShift-1] >> (WordBits - bitShift)
-		}
-		r.words[i] = w
-	}
-	r.normalize()
-	return r
-}
+func (b *Vector) ShlUint(n int) *Vector { return New(b.width).SetShl(b, n) }
 
 // ShrUint returns b logically shifted right by n bits, at b's width.
-func (b *Vector) ShrUint(n int) *Vector {
-	r := New(b.width)
-	if n >= b.width {
-		return r
-	}
-	wordShift, bitShift := n/WordBits, uint(n%WordBits)
-	for i := 0; i < len(r.words)-wordShift; i++ {
-		w := b.words[i+wordShift] >> bitShift
-		if bitShift != 0 && i+wordShift+1 < len(b.words) {
-			w |= b.words[i+wordShift+1] << (WordBits - bitShift)
-		}
-		r.words[i] = w
-	}
-	r.normalize()
-	return r
-}
+func (b *Vector) ShrUint(n int) *Vector { return New(b.width).SetShr(b, n) }
 
 // Slice returns bits [hi:lo] of b as a new vector of width hi-lo+1.
 // Out-of-range bits read as zero; an inverted range yields a 1-bit zero.
@@ -515,38 +530,13 @@ func (b *Vector) Slice(hi, lo int) *Vector {
 	if hi < lo {
 		return New(1)
 	}
-	return b.ShrUint(lo).Resize(hi - lo + 1)
-}
-
-// SetSlice overwrites bits [hi:lo] of b in place with v (truncated or
-// zero-extended to the slice width) and reports whether b changed.
-func (b *Vector) SetSlice(hi, lo int, v *Vector) bool {
-	if hi < lo || lo >= b.width {
-		return false
-	}
-	if hi >= b.width {
-		hi = b.width - 1
-	}
-	changed := false
-	for i := lo; i <= hi; i++ {
-		nv := v.Bit(i - lo)
-		if b.Bit(i) != nv {
-			changed = true
-			b.SetBit(i, nv)
-		}
-	}
-	return changed
+	return New(hi-lo+1).SetShr(b, lo)
 }
 
 // Concat returns {b, o}: b occupies the high bits, o the low bits.
 func (b *Vector) Concat(o *Vector) *Vector {
-	r := New(b.width + o.width)
-	r.CopyFrom(o)
-	shifted := b.Resize(r.width).ShlUint(o.width)
-	for i := range r.words {
-		r.words[i] |= shifted.words[i]
-	}
-	r.normalize()
+	r := New(b.width + o.width).Set(o)
+	r.SetSlice(r.width-1, o.width, b)
 	return r
 }
 
@@ -555,15 +545,7 @@ func (b *Vector) Repl(n int) *Vector {
 	if n < 1 {
 		return New(1)
 	}
-	r := New(b.width * n)
-	for i := 0; i < n; i++ {
-		shifted := b.Resize(r.width).ShlUint(i * b.width)
-		for j := range r.words {
-			r.words[j] |= shifted.words[j]
-		}
-	}
-	r.normalize()
-	return r
+	return New(b.width * n).SetRepl(b)
 }
 
 // ByteLen returns the number of bytes needed to hold b's width.
@@ -585,15 +567,10 @@ func (b *Vector) AppendBytesLE(dst []byte) []byte {
 // a normalized vector.
 func FromBytesLE(width int, data []byte) *Vector {
 	b := New(width)
-	n := b.ByteLen()
-	if len(data) < n {
-		n = len(data)
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < min(b.ByteLen(), len(data)); i++ {
 		b.words[i/8] |= uint64(data[i]) << ((i % 8) * 8)
 	}
-	b.normalize()
-	return b
+	return b.normalize()
 }
 
 // String formats b as width'hXX... (Verilog sized hexadecimal).

@@ -3,6 +3,7 @@ package bits
 import (
 	"fmt"
 	"math/big"
+	mathbits "math/bits"
 	"strings"
 )
 
@@ -130,14 +131,4 @@ func MustParseLiteral(s string) *Vector {
 
 // MinWidthFor returns the minimum number of bits needed to represent v
 // (at least 1).
-func MinWidthFor(v uint64) int {
-	w := 0
-	for v != 0 {
-		w++
-		v >>= 1
-	}
-	if w == 0 {
-		return 1
-	}
-	return w
-}
+func MinWidthFor(v uint64) int { return max(1, mathbits.Len64(v)) }

@@ -8,21 +8,27 @@ import (
 	"cascade/internal/verilog"
 )
 
-// Env supplies runtime values to Eval. The software engine implements it
-// over its variable store; constant folding uses a nil-like env that
-// rejects variable reads.
+// Env supplies runtime values and scratch space to Eval. The software
+// engine implements it over its variable store; constant folding uses a
+// nil-like env that rejects variable reads.
 type Env interface {
 	// VarValue returns the current value of a scalar variable.
 	VarValue(v *Var) *bits.Vector
 	// ArrayWord returns word i (zero-based) of a memory; out-of-range
-	// reads yield zero.
+	// reads (Index's -1 included) yield zero.
 	ArrayWord(v *Var, i int) *bits.Vector
 	// Now returns the current virtual time for $time.
 	Now() uint64
+	// Tmp returns a zero vector of the given width for Eval to compute an
+	// intermediate into. The env owns it and says how long it lives.
+	Tmp(width int) *bits.Vector
 }
 
 // Eval evaluates a resolved expression under env. The result width always
-// equals e.Width(). This function defines the reference semantics that the
+// equals e.Width(). The result is lent, not given: it is a constant, live
+// state of env, or one of env's Tmp vectors, so the caller reads it before
+// env changes or reclaims its scratch, copies it to keep it, and never
+// writes it. This function defines the reference semantics that the
 // compiled netlist evaluator must match (tested in internal/netlist).
 func Eval(e Expr, env Env) *bits.Vector {
 	switch x := e.(type) {
@@ -31,126 +37,114 @@ func Eval(e Expr, env Env) *bits.Vector {
 	case *VarRef:
 		return env.VarValue(x.V)
 	case *ArrayRef:
-		idx := Eval(x.Index, env)
-		i := int(idx.Uint64())
-		if !idx.Equal(bits.FromUint64(64, uint64(i))) || i >= x.V.ArrayLen {
-			return bits.New(x.V.Width)
-		}
-		return env.ArrayWord(x.V, i)
+		return env.ArrayWord(x.V, Eval(x.Index, env).Index(x.V.ArrayLen))
 	case *BitSel:
 		v := Eval(x.X, env)
-		idx := Eval(x.Idx, env)
-		i := int(idx.Uint64())
-		if !idx.Equal(bits.FromUint64(64, uint64(i))) || i >= v.Width() {
-			return bits.New(1)
-		}
-		return bits.FromUint64(1, uint64(v.Bit(i)))
+		i := Eval(x.Idx, env).Index(v.Width()) // -1 reads as 0, like any bit out of range
+		return env.Tmp(1).SetBool(v.Bit(i) != 0)
 	case *Slice:
-		return Eval(x.X, env).Slice(x.Hi, x.Lo)
+		return env.Tmp(x.Width()).SetShr(Eval(x.X, env), x.Lo)
 	case *Unary:
 		return evalUnary(x, env)
 	case *Binary:
 		return evalBinary(x, env)
 	case *Ternary:
 		if Eval(x.Cond, env).Bool() {
-			return Eval(x.Then, env).Resize(x.W)
+			return env.Tmp(x.W).Set(Eval(x.Then, env))
 		}
-		return Eval(x.Else, env).Resize(x.W)
+		return env.Tmp(x.W).Set(Eval(x.Else, env))
 	case *Concat:
-		out := Eval(x.Parts[0], env)
-		for _, p := range x.Parts[1:] {
-			out = out.Concat(Eval(p, env))
+		out, lo := env.Tmp(x.W), x.W
+		for _, p := range x.Parts {
+			v := Eval(p, env)
+			lo -= v.Width()
+			out.SetSlice(lo+v.Width()-1, lo, v)
 		}
 		return out
 	case *Repl:
-		return Eval(x.X, env).Repl(x.N)
+		return env.Tmp(x.W).SetRepl(Eval(x.X, env))
 	case *TimeRef:
-		return bits.FromUint64(64, env.Now())
+		t := env.Tmp(64)
+		t.SetUint64(env.Now())
+		return t
 	}
 	panic(fmt.Sprintf("elab: unknown expression %T", e))
 }
 
 func evalUnary(x *Unary, env Env) *bits.Vector {
-	v := Eval(x.X, env)
+	v, z := Eval(x.X, env), env.Tmp(x.W)
 	switch x.Op {
-	case verilog.UNot:
-		return bits.FromBool(!v.Bool())
-	case verilog.UBitNot:
-		return v.Resize(x.W).Not()
-	case verilog.UNeg:
-		return v.Resize(x.W).Neg()
 	case verilog.UPlus:
-		return v.Resize(x.W)
+		return z.Set(v)
+	case verilog.UBitNot:
+		return z.SetNot(v)
+	case verilog.UNeg:
+		return z.SetNeg(v)
+	case verilog.UNot, verilog.URedNor:
+		return z.SetBool(v.IsZero())
 	case verilog.URedAnd:
-		return v.RedAnd()
+		return z.SetRedAnd(v)
 	case verilog.URedOr:
-		return v.RedOr()
+		return z.SetRedOr(v)
 	case verilog.URedXor:
-		return v.RedXor()
+		return z.SetRedXor(v)
 	case verilog.URedNand:
-		return bits.FromBool(!v.RedAnd().Bool())
-	case verilog.URedNor:
-		return bits.FromBool(!v.RedOr().Bool())
+		return z.SetBool(z.SetRedAnd(v).IsZero())
 	case verilog.URedXnor:
-		return bits.FromBool(!v.RedXor().Bool())
+		return z.SetBool(z.SetRedXor(v).IsZero())
 	}
 	panic(fmt.Sprintf("elab: unknown unary op %d", x.Op))
 }
 
 func evalBinary(x *Binary, env Env) *bits.Vector {
+	z := env.Tmp(x.W)
 	// Logical operators short-circuit.
 	switch x.Op {
 	case verilog.BLogAnd:
-		if !Eval(x.X, env).Bool() {
-			return bits.FromBool(false)
-		}
-		return bits.FromBool(Eval(x.Y, env).Bool())
+		return z.SetBool(Eval(x.X, env).Bool() && Eval(x.Y, env).Bool())
 	case verilog.BLogOr:
-		if Eval(x.X, env).Bool() {
-			return bits.FromBool(true)
-		}
-		return bits.FromBool(Eval(x.Y, env).Bool())
+		return z.SetBool(Eval(x.X, env).Bool() || Eval(x.Y, env).Bool())
 	}
 	a := Eval(x.X, env)
 	b := Eval(x.Y, env)
 	switch x.Op {
 	case verilog.BAdd:
-		return a.Resize(x.W).Add(b.Resize(x.W))
+		return z.SetAdd(a, b)
 	case verilog.BSub:
-		return a.Resize(x.W).Sub(b.Resize(x.W))
+		return z.SetSub(a, b)
 	case verilog.BMul:
-		return a.Resize(x.W).Mul(b.Resize(x.W))
+		return z.SetMul(a, b)
 	case verilog.BDiv:
-		return a.Resize(x.W).Div(b.Resize(x.W))
+		return z.SetDiv(a, b)
 	case verilog.BMod:
-		return a.Resize(x.W).Mod(b.Resize(x.W))
+		return z.SetMod(a, b)
 	case verilog.BPow:
-		return a.Resize(x.W).Pow(b)
+		return z.SetPow(a, b)
 	case verilog.BBitAnd:
-		return a.Resize(x.W).And(b.Resize(x.W))
+		return z.SetAnd(a, b)
 	case verilog.BBitOr:
-		return a.Resize(x.W).Or(b.Resize(x.W))
+		return z.SetOr(a, b)
 	case verilog.BBitXor:
-		return a.Resize(x.W).Xor(b.Resize(x.W))
+		return z.SetXor(a, b)
 	case verilog.BBitXnor:
-		return a.Resize(x.W).Xnor(b.Resize(x.W))
+		return z.SetXnor(a, b)
 	case verilog.BShl, verilog.BAShl:
-		return a.Resize(x.W).Shl(b)
+		return z.SetShl(a, b.Index(x.W))
 	case verilog.BShr, verilog.BAShr:
 		// All values are unsigned, so >>> behaves as >> (documented).
-		return a.Resize(x.W).Shr(b)
+		return z.SetShr(a, b.Index(x.W))
 	case verilog.BEq, verilog.BCaseEq:
-		return bits.FromBool(a.Equal(b))
+		return z.SetBool(a.Equal(b))
 	case verilog.BNeq, verilog.BCaseNeq:
-		return bits.FromBool(!a.Equal(b))
+		return z.SetBool(!a.Equal(b))
 	case verilog.BLt:
-		return bits.FromBool(a.Cmp(b) < 0)
+		return z.SetBool(a.Cmp(b) < 0)
 	case verilog.BLe:
-		return bits.FromBool(a.Cmp(b) <= 0)
+		return z.SetBool(a.Cmp(b) <= 0)
 	case verilog.BGt:
-		return bits.FromBool(a.Cmp(b) > 0)
+		return z.SetBool(a.Cmp(b) > 0)
 	case verilog.BGe:
-		return bits.FromBool(a.Cmp(b) >= 0)
+		return z.SetBool(a.Cmp(b) >= 0)
 	}
 	panic(fmt.Sprintf("elab: unknown binary op %d", x.Op))
 }
@@ -163,6 +157,7 @@ type constEnv struct{}
 func (constEnv) VarValue(v *Var) *bits.Vector         { panic(errNotConst) }
 func (constEnv) ArrayWord(v *Var, i int) *bits.Vector { panic(errNotConst) }
 func (constEnv) Now() uint64                          { panic(errNotConst) }
+func (constEnv) Tmp(width int) *bits.Vector           { return bits.New(width) }
 
 // EvalConst evaluates e if it is a compile-time constant.
 func EvalConst(e Expr) (v *bits.Vector, err error) {

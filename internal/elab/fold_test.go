@@ -75,6 +75,7 @@ type constEnvForTest struct{}
 func (constEnvForTest) VarValue(v *Var) *bits.Vector         { return bits.New(v.Width) }
 func (constEnvForTest) ArrayWord(v *Var, i int) *bits.Vector { return bits.New(v.Width) }
 func (constEnvForTest) Now() uint64                          { return 0 }
+func (constEnvForTest) Tmp(width int) *bits.Vector           { return bits.New(width) }
 
 func TestFoldSafeArithmeticStillFolds(t *testing.T) {
 	// 3 - 1 fits without borrowing: folds even pre-widening.

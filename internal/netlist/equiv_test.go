@@ -193,6 +193,31 @@ endmodule`)
 	}
 }
 
+// Indices at or above 2^63 are out of range on both sides: the writes are
+// dropped and the reads yield zero (bits.Index is the one spelling; the
+// interpreter used to take such an index for -1 and write through it).
+func TestEquivHugeIndex(t *testing.T) {
+	d := newDual(t, `
+module M(input wire clk, input wire [63:0] idx, output reg [7:0] out);
+  reg [7:0] mem [0:3];
+  reg [7:0] r = 0;
+  always @(posedge clk) begin
+    mem[idx] <= 8'hAB;
+    r[idx] <= 1'b1;
+    out <= mem[idx] | r | {7'd0, r[idx]};
+  end
+endmodule`)
+	for i, idx := range []uint64{^uint64(0), 1 << 63, 1000, 2, ^uint64(0)} {
+		d.setInput("idx", bits.FromUint64(64, idx))
+		d.settle()
+		d.tick(t)
+		d.check(t, fmt.Sprintf("huge index tick %d", i))
+	}
+	if got := d.s.Value("r").Uint64(); got != 1<<2 {
+		t.Fatalf("r = %#x, want only bit 2 set", got)
+	}
+}
+
 func TestEquivCaseAndDisplay(t *testing.T) {
 	d := newDual(t, `
 module M(input wire clk, input wire [1:0] s);

@@ -426,21 +426,6 @@ func (m *Machine) exec(pc int) {
 	}
 }
 
-// index reads idx as a position below limit, or -1 when it is out of
-// range at any operand width.
-func index(idx *bv.Vector, limit int) int {
-	ws := idx.Words()
-	for _, w := range ws[1:] {
-		if w != 0 {
-			return -1
-		}
-	}
-	if ws[0] >= uint64(limit) {
-		return -1
-	}
-	return int(ws[0])
-}
-
 // ExecOp executes one instruction and reports whether it was a taken
 // jump. It is the reference meaning of every OpKind: bit-vector
 // arithmetic over narrow and wide operands alike, display/finish side
@@ -523,7 +508,7 @@ func (m *Machine) ExecOp(op *Op) bool {
 		m.setSlotRaw(op.Dst, get(0).Slice(op.Hi, op.Lo))
 	case OpBitSel:
 		v := get(0)
-		i := index(get(1), v.Width()) // -1 reads as 0, like any bit out of range
+		i := get(1).Index(v.Width()) // -1 reads as 0, like any bit out of range
 		m.setSlotRaw(op.Dst, bv.FromUint64(1, uint64(v.Bit(i))))
 	case OpConcat:
 		acc := get(0).Clone()
@@ -547,7 +532,7 @@ func (m *Machine) ExecOp(op *Op) bool {
 		}
 	case OpMemRead:
 		mi := m.prog.Mems[op.Aux]
-		addr := index(get(0), mi.Words)
+		addr := get(0).Index(mi.Words)
 		switch {
 		case addr < 0:
 			m.setSlotRaw(op.Dst, bv.New(mi.Width))
@@ -564,7 +549,7 @@ func (m *Machine) ExecOp(op *Op) bool {
 			m.writeVarSlot(op.Dst, 0, cur)
 		}
 	case OpWriteBit:
-		if i := index(get(1), m.prog.Slots[op.Dst].Width); i >= 0 {
+		if i := get(1).Index(m.prog.Slots[op.Dst].Width); i >= 0 {
 			cur := m.slotVecOwned(op.Dst)
 			if cur.SetSlice(i, i, get(0)) {
 				m.writeVarSlot(op.Dst, 0, cur)
@@ -572,7 +557,7 @@ func (m *Machine) ExecOp(op *Op) bool {
 		}
 	case OpMemWrite:
 		mi := m.prog.Mems[op.Aux]
-		if addr := index(get(1), mi.Words); addr >= 0 {
+		if addr := get(1).Index(mi.Words); addr >= 0 {
 			changed := false
 			if mi.Wide {
 				changed = m.memW[op.Aux][addr].CopyFrom(get(0))
@@ -588,14 +573,14 @@ func (m *Machine) ExecOp(op *Op) bool {
 	case OpWriteRngNB:
 		m.pending = append(m.pending, mPending{slot: op.Dst, hasRng: true, hi: op.Hi, lo: op.Lo, w: get(0).Clone()})
 	case OpWriteBitNB:
-		if i := index(get(1), m.prog.Slots[op.Dst].Width); i >= 0 {
+		if i := get(1).Index(m.prog.Slots[op.Dst].Width); i >= 0 {
 			m.pending = append(m.pending, mPending{slot: op.Dst, hasRng: true, hi: i, lo: i, w: get(0).Clone()})
 		}
 	case OpMemWriteNB:
 		// An out-of-range address still queues (word -1, dropped at
 		// commit), as PendMemWriteNB does: the update batch it causes is
 		// billed.
-		m.pending = append(m.pending, mPending{slot: -1, mem: op.Aux, word: index(get(1), m.prog.Mems[op.Aux].Words), w: get(0).Clone()})
+		m.pending = append(m.pending, mPending{slot: -1, mem: op.Aux, word: get(1).Index(m.prog.Mems[op.Aux].Words), w: get(0).Clone()})
 	case OpDisplay:
 		m.display(op)
 	case OpFinish:

@@ -56,8 +56,11 @@ type Simulator struct {
 	activeProc   []bool
 	anyActive    bool
 
-	updates  []pendingUpdate
-	monitors []*monitorState
+	// scratch lends Eval its intermediates until the next process, assign
+	// or EndStep; queued owns the values of pending updates until Update.
+	scratch, queued arena
+	updates         []pendingUpdate
+	monitors        []*monitorState
 
 	finished bool
 	orderBuf []int
@@ -73,6 +76,43 @@ type pendingUpdate struct {
 	hasRng bool
 	hi, lo int
 	val    *bits.Vector
+}
+
+// arena is a bump allocator of vectors: headers and words are carved from
+// slabs that rewind keeps, so a settled simulator allocates nothing. A slab
+// that fills is left to the vectors lent from it (they never move) and a
+// larger one replaces it, until the slabs fit the largest process.
+type arena struct {
+	vecs  []bits.Vector
+	words []uint64
+}
+
+// poisonRewound makes rewind overwrite the words it takes back, so a vector
+// used past its boundary reads as garbage. Set by tests (export_test.go).
+var poisonRewound bool
+
+func (a *arena) tmp(width int) *bits.Vector {
+	n := bits.WordsFor(width)
+	if len(a.vecs) == cap(a.vecs) {
+		a.vecs = make([]bits.Vector, 0, 2*cap(a.vecs)+16)
+	}
+	if len(a.words)+n > cap(a.words) {
+		a.words = make([]uint64, 0, 2*cap(a.words)+n+16)
+	}
+	ws := a.words[len(a.words) : len(a.words)+n]
+	clear(ws)
+	a.words = a.words[:len(a.words)+n]
+	a.vecs = append(a.vecs, bits.Wrap(width, ws))
+	return &a.vecs[len(a.vecs)-1]
+}
+
+func (a *arena) rewind() {
+	if poisonRewound {
+		for i := range a.words {
+			a.words[i] = 0xdeadbeefdeadbeef
+		}
+	}
+	a.vecs, a.words = a.vecs[:0], a.words[:0]
 }
 
 type monitorState struct {
@@ -101,7 +141,7 @@ func New(f *elab.Flat, opts Options) *Simulator {
 				words[i] = bits.New(v.Width)
 			}
 			s.arrays[v.Index] = words
-			s.vals[v.Index] = bits.New(v.Width) // scratch, unused
+			s.vals[v.Index] = bits.New(v.Width) // never written: ArrayWord's zero
 			continue
 		}
 		if v.Init != nil {
@@ -141,6 +181,7 @@ func New(f *elab.Flat, opts Options) *Simulator {
 
 	// Initial blocks execute once at time zero.
 	for _, st := range f.Initials {
+		s.scratch.rewind()
 		s.exec(st)
 	}
 	return s
@@ -207,14 +248,18 @@ func (s *Simulator) Finished() bool { return s.finished }
 // changes as the simulator runs and must not be mutated.
 func (s *Simulator) VarValue(v *elab.Var) *bits.Vector { return s.vals[v.Index] }
 
-// ArrayWord implements elab.Env.
+// ArrayWord implements elab.Env. Every out-of-range read of a memory
+// shares one zero: the scalar slot of its variable, which nothing writes.
 func (s *Simulator) ArrayWord(v *elab.Var, i int) *bits.Vector {
 	w := s.arrays[v.Index]
 	if i < 0 || i >= len(w) {
-		return bits.New(v.Width)
+		return s.vals[v.Index]
 	}
 	return w[i]
 }
+
+// Tmp implements elab.Env: lent until the next process, assign or EndStep.
+func (s *Simulator) Tmp(width int) *bits.Vector { return s.scratch.tmp(width) }
 
 // Now implements elab.Env.
 func (s *Simulator) Now() uint64 {
@@ -245,7 +290,7 @@ func (s *Simulator) Word(name string, i int) *bits.Vector {
 
 // SetInput drives an input port (the engine ABI read method's core).
 func (s *Simulator) SetInput(v *elab.Var, val *bits.Vector) {
-	s.writeScalar(v, val)
+	s.applyWrite(v, -1, false, 0, 0, val)
 }
 
 // SetInputByName drives an input port by name.
@@ -254,19 +299,8 @@ func (s *Simulator) SetInputByName(name string, val *bits.Vector) bool {
 	if v == nil {
 		return false
 	}
-	s.writeScalar(v, val)
+	s.SetInput(v, val)
 	return true
-}
-
-// writeScalar writes a full scalar variable, firing sensitivity.
-func (s *Simulator) writeScalar(v *elab.Var, val *bits.Vector) {
-	old := s.vals[v.Index]
-	oldLSB := old.Bit(0)
-	if !old.CopyFrom(val) {
-		return
-	}
-	s.WriteOps++
-	s.fire(v, oldLSB, old.Bit(0))
 }
 
 // fire activates everything sensitive to a change on v.
@@ -321,6 +355,7 @@ func (s *Simulator) Evaluate() {
 			}
 			s.activeProc[i] = false
 			s.EvalOps++
+			s.scratch.rewind()
 			s.exec(s.flat.Procs[i].Body)
 		}
 	}
@@ -349,16 +384,17 @@ func (s *Simulator) HasUpdates() bool { return len(s.updates) > 0 }
 // (the update batch of the scheduler). Evaluation events triggered by the
 // commits become pending but are not run.
 func (s *Simulator) Update() {
-	pending := s.updates
-	s.updates = nil
-	for _, u := range pending {
+	for _, u := range s.updates { // a commit activates, it never queues
 		s.UpdateOps++
 		s.applyWrite(u.v, u.word, u.hasRng, u.hi, u.lo, u.val)
 	}
+	s.updates = s.updates[:0]
+	s.queued.rewind()
 }
 
 // EndStep runs end-of-time-step work: $monitor re-display.
 func (s *Simulator) EndStep() {
+	s.scratch.rewind()
 	for _, m := range s.monitors {
 		cur := s.formatTask(m.task)
 		if len(m.last) == 0 || m.last[0] != cur {
@@ -370,41 +406,44 @@ func (s *Simulator) EndStep() {
 
 func (s *Simulator) runAssign(a *elab.ContAssign) {
 	s.EvalOps++
+	s.scratch.rewind()
 	val := elab.Eval(a.RHS, s)
 	s.writeTargets(a.LHS, val, true)
 }
 
 // writeTargets distributes val across (possibly concatenated) lvalues,
-// MSB first. blocking selects immediate write vs update queue.
+// MSB first. blocking selects immediate write vs update queue. A lone
+// lvalue takes val as it is (every write truncates or extends to its
+// target); several take part selects of a scratch copy, since val may be
+// live state that the first write changes.
 func (s *Simulator) writeTargets(lhs []elab.LValue, val *bits.Vector, blocking bool) {
-	total := 0
-	for _, lv := range lhs {
-		total += lv.TargetWidth()
+	if len(lhs) == 1 {
+		s.writeLValue(lhs[0], val, blocking)
+		return
 	}
-	val = val.Resize(total)
-	offset := total
+	offset := 0
+	for _, lv := range lhs {
+		offset += lv.TargetWidth()
+	}
+	val = s.Tmp(offset).Set(val)
 	for _, lv := range lhs {
 		w := lv.TargetWidth()
 		offset -= w
-		part := val.Slice(offset+w-1, offset)
-		s.writeLValue(lv, part, blocking)
+		s.writeLValue(lv, s.Tmp(w).SetShr(val, offset), blocking)
 	}
 }
 
 func (s *Simulator) writeLValue(lv elab.LValue, val *bits.Vector, blocking bool) {
 	word := -1
 	if lv.ArrIndex != nil {
-		idx := elab.Eval(lv.ArrIndex, s)
-		word = int(idx.Uint64())
-		if !idx.Equal(bits.FromUint64(64, uint64(word))) || word >= lv.Var.ArrayLen {
+		if word = elab.Eval(lv.ArrIndex, s).Index(lv.Var.ArrayLen); word < 0 {
 			return // out-of-range memory write is dropped
 		}
 	}
 	hasRng, hi, lo := lv.HasRange, lv.Hi, lv.Lo
 	if lv.DynBit != nil {
-		idx := elab.Eval(lv.DynBit, s)
-		b := int(idx.Uint64())
-		if !idx.Equal(bits.FromUint64(64, uint64(b))) || b >= lv.Var.Width {
+		b := elab.Eval(lv.DynBit, s).Index(lv.Var.Width)
+		if b < 0 {
 			return
 		}
 		hasRng, hi, lo = true, b, b
@@ -413,26 +452,17 @@ func (s *Simulator) writeLValue(lv elab.LValue, val *bits.Vector, blocking bool)
 		s.applyWrite(lv.Var, word, hasRng, hi, lo, val)
 		return
 	}
+	// The value outlives this process: keep a copy the queue owns.
+	val = s.queued.tmp(lv.TargetWidth()).Set(val)
 	s.updates = append(s.updates, pendingUpdate{v: lv.Var, word: word, hasRng: hasRng, hi: hi, lo: lo, val: val})
 }
 
 // applyWrite performs an immediate write and fires sensitivity on change.
 func (s *Simulator) applyWrite(v *elab.Var, word int, hasRng bool, hi, lo int, val *bits.Vector) {
-	if word >= 0 {
-		target := s.arrays[v.Index][word]
-		var changed bool
-		if hasRng {
-			changed = target.SetSlice(hi, lo, val)
-		} else {
-			changed = target.CopyFrom(val)
-		}
-		if changed {
-			s.WriteOps++
-			s.fire(v, 0, 0) // memories have no edge semantics
-		}
-		return
-	}
 	target := s.vals[v.Index]
+	if word >= 0 {
+		target = s.arrays[v.Index][word]
+	}
 	oldLSB := target.Bit(0)
 	var changed bool
 	if hasRng {
@@ -440,10 +470,14 @@ func (s *Simulator) applyWrite(v *elab.Var, word int, hasRng bool, hi, lo int, v
 	} else {
 		changed = target.CopyFrom(val)
 	}
-	if changed {
-		s.WriteOps++
-		s.fire(v, oldLSB, target.Bit(0))
+	if !changed {
+		return
 	}
+	s.WriteOps++
+	if word >= 0 {
+		oldLSB = target.Bit(0) // memories have no edge semantics
+	}
+	s.fire(v, oldLSB, target.Bit(0))
 }
 
 // exec interprets a resolved statement.
@@ -471,7 +505,8 @@ func (s *Simulator) exec(st elab.Stmt) {
 			for li, l := range item.Labels {
 				lv := elab.Eval(l, s)
 				if m := item.Masks[li]; m != nil {
-					if subj.Xor(lv).And(m).IsZero() {
+					diff := s.Tmp(max(subj.Width(), lv.Width(), m.Width()))
+					if diff.SetXor(subj, lv).SetAnd(diff, m).IsZero() {
 						s.exec(item.Body)
 						return
 					}
@@ -578,7 +613,7 @@ func FormatDisplay(format string, args []*bits.Vector, scope string) string {
 		}
 		var text string
 		switch format[i] {
-		case 'd', 'D':
+		case 'd', 'D', 't', 'T':
 			text = next().Dec()
 		case 'h', 'H', 'x', 'X':
 			text = next().Hex()
@@ -591,8 +626,12 @@ func FormatDisplay(format string, args []*bits.Vector, scope string) string {
 		case 's', 'S':
 			v := next()
 			raw := make([]byte, 0, v.Width()/8)
+			ws := v.Words()
 			for b := v.Width() - 8; b >= 0; b -= 8 {
-				ch := byte(v.Slice(b+7, b).Uint64())
+				ch := byte(ws[b/bits.WordBits] >> (b % bits.WordBits))
+				if b%bits.WordBits > bits.WordBits-8 && b/bits.WordBits+1 < len(ws) {
+					ch |= byte(ws[b/bits.WordBits+1] << (bits.WordBits - b%bits.WordBits))
+				}
 				if ch != 0 {
 					raw = append(raw, ch)
 				}
@@ -600,8 +639,6 @@ func FormatDisplay(format string, args []*bits.Vector, scope string) string {
 			text = string(raw)
 		case 'm', 'M':
 			text = scope
-		case 't', 'T':
-			text = next().Dec()
 		case '%':
 			text = "%"
 		default:

@@ -58,11 +58,18 @@ func (tb *testbench) settle() {
 
 // tick toggles the clock high then low, settling after each edge.
 func (tb *testbench) tick() {
-	tb.s.SetInput(tb.clk, bits.FromUint64(1, 1))
+	tb.s.SetInput(tb.clk, clkHigh)
 	tb.settle()
-	tb.s.SetInput(tb.clk, bits.FromUint64(1, 0))
+	tb.s.SetInput(tb.clk, clkLow)
 	tb.settle()
 }
+
+// The clock levels, built once so a measured tick allocates nothing of
+// the test's own.
+var (
+	clkHigh = bits.FromUint64(1, 1)
+	clkLow  = bits.FromUint64(1, 0)
+)
 
 func (tb *testbench) val(t *testing.T, name string) uint64 {
 	t.Helper()

@@ -9,7 +9,6 @@ package cascade
 // infrastructure itself.
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"os"
@@ -436,40 +435,4 @@ func BenchmarkScheduler_Remote(b *testing.B) {
 	f0, s0 := frames(), rt.Steps()
 	reportVirtualRate(b, rt)
 	b.ReportMetric(float64(frames()-f0)/float64(rt.Steps()-s0), "frames/step")
-}
-
-// BenchmarkToolchainCache measures the compile service's bitstream
-// cache: every iteration resubmits the same netlist, so after the first
-// place-and-route all requests are content-addressed cache hits with
-// near-zero virtual latency.
-func BenchmarkToolchainCache(b *testing.B) {
-	st, errs := verilog.ParseSourceText(`
-module M(input wire clk, output reg [31:0] q);
-  always @(posedge clk) q <= q * 3 + 1;
-endmodule`)
-	if errs != nil {
-		b.Fatal(errs)
-	}
-	f, err := elab.Elaborate(st.Modules[0], "dut", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tc := toolchain.New(fpga.NewCycloneV(), toolchain.DefaultOptions())
-	ctx := context.Background()
-	j := tc.Submit(ctx, f, true, 0)
-	first, ok := j.ReadyAt()
-	if !ok {
-		b.Fatal("seed compile cancelled")
-	}
-	j.Ready(first) // publish the cache entry
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := tc.Submit(ctx, f, true, first)
-		if res := j.Result(); res == nil || !res.CacheHit {
-			b.Fatalf("iteration %d missed the cache: %+v", i, res)
-		}
-	}
-	b.StopTimer()
-	s := tc.Stats()
-	b.ReportMetric(float64(s.CacheHits)/float64(s.Submitted), "hitRatio")
 }

@@ -15,15 +15,16 @@ const maxUnroll = 1 << 16
 // params supplies final parameter overrides (already evaluated by the
 // caller); unknown names are an error.
 func Elaborate(mod *verilog.Module, instName string, params map[string]*bits.Vector) (*Flat, error) {
+	consts := map[string]*bits.Vector{} // the parameters: the flat's record of them is the elaborator's scope
 	e := &elaborator{
 		flat: &Flat{
 			Name:     instName,
 			ModName:  mod.Name,
-			Params:   map[string]*bits.Vector{},
+			Params:   consts,
 			VarIndex: map[string]int{},
 			Source:   mod,
 		},
-		consts:   map[string]*bits.Vector{},
+		consts:   consts,
 		loopVars: map[string]*bits.Vector{},
 		assigned: map[*Var]*bits.Vector{},
 	}
@@ -47,34 +48,8 @@ func (e *elaborator) errf(pos verilog.Pos, format string, args ...any) error {
 }
 
 func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector) error {
-	// Header parameters, in declaration order, with overrides applied.
-	declared := map[string]bool{}
-	for _, pd := range mod.Params {
-		declared[pd.Name] = true
-		var v *bits.Vector
-		if ov, ok := overrides[pd.Name]; ok {
-			v = ov
-		} else {
-			cv, err := e.constExpr(pd.Value)
-			if err != nil {
-				return err
-			}
-			v = cv
-		}
-		if pd.Range != nil {
-			w, err := e.rangeWidth(pd.Range, pd.DeclPos)
-			if err != nil {
-				return err
-			}
-			v = v.Resize(w)
-		}
-		e.consts[pd.Name] = v
-		e.flat.Params[pd.Name] = v
-	}
-	for name := range overrides {
-		if !declared[name] {
-			return e.errf(mod.NamePos, "module %s has no parameter %s", mod.Name, name)
-		}
+	if err := e.params(mod, overrides); err != nil {
+		return err
 	}
 
 	// Ports become variables first, in header order.
@@ -92,11 +67,10 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 		}
 		var init *bits.Vector
 		if pt.Init != nil {
-			cv, cerr := e.constExpr(pt.Init)
-			if cerr != nil {
-				return cerr
+			var err error
+			if init, err = e.constExprIn(pt.Init, w); err != nil {
+				return err
 			}
-			init = cv.Resize(w)
 		}
 		v, err := e.declare(pt.Name, w, pt.Kind == verilog.Reg, 0, 0, init, pt.PortPos)
 		if err != nil {
@@ -114,25 +88,7 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 	// use for implicit clarity; we do a decl pre-pass to be permissive,
 	// matching common tool behaviour).
 	for _, it := range mod.Items {
-		switch x := it.(type) {
-		case *verilog.ParamDecl:
-			cv, err := e.constExpr(x.Value)
-			if err != nil {
-				return err
-			}
-			if x.Range != nil {
-				w, err := e.rangeWidth(x.Range, x.DeclPos)
-				if err != nil {
-					return err
-				}
-				cv = cv.Resize(w)
-			}
-			if _, dup := e.consts[x.Name]; dup {
-				return e.errf(x.DeclPos, "duplicate parameter %s", x.Name)
-			}
-			e.consts[x.Name] = cv
-			e.flat.Params[x.Name] = cv
-		case *verilog.NetDecl:
+		if x, ok := it.(*verilog.NetDecl); ok {
 			if err := e.netDecl(x); err != nil {
 				return err
 			}
@@ -174,6 +130,55 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 		}
 	}
 	e.flat.refreshPortLists()
+	return nil
+}
+
+// params evaluates mod's parameters into e.consts: the header's in
+// declaration order with overrides applied (already evaluated by the
+// caller; naming an undeclared one is an error), then the body's
+// parameters and localparams. A ranged parameter's value is computed in the
+// context of its range (constExprIn).
+func (e *elaborator) params(mod *verilog.Module, overrides map[string]*bits.Vector) error {
+	bind := func(pd *verilog.ParamDecl, ov *bits.Vector) error {
+		if _, dup := e.consts[pd.Name]; dup {
+			return e.errf(pd.DeclPos, "duplicate parameter %s", pd.Name)
+		}
+		w := 0
+		if pd.Range != nil {
+			var err error
+			if w, err = e.rangeWidth(pd.Range, pd.DeclPos); err != nil {
+				return err
+			}
+		}
+		v := ov
+		if v == nil {
+			var err error
+			if v, err = e.constExprIn(pd.Value, w); err != nil {
+				return err
+			}
+		} else if w > 0 {
+			v = v.Resize(w)
+		}
+		e.consts[pd.Name] = v
+		return nil
+	}
+	for _, pd := range mod.Params {
+		if err := bind(pd, overrides[pd.Name]); err != nil {
+			return err
+		}
+	}
+	for name := range overrides {
+		if _, declared := e.consts[name]; !declared {
+			return e.errf(mod.NamePos, "module %s has no parameter %s", mod.Name, name)
+		}
+	}
+	for _, it := range mod.Items {
+		if pd, ok := it.(*verilog.ParamDecl); ok {
+			if err := bind(pd, nil); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
@@ -267,11 +272,10 @@ func (e *elaborator) netDecl(d *verilog.NetDecl) error {
 				return e.errf(dn.NamePos, "memory %s cannot have an initializer", dn.Name)
 			}
 			if isReg {
-				cv, err := e.constExpr(dn.Init)
-				if err != nil {
+				var err error
+				if init, err = e.constExprIn(dn.Init, width); err != nil {
 					return err
 				}
-				init = cv.Resize(width)
 			}
 		}
 		if _, err := e.declare(dn.Name, width, isReg, arrLen, arrLo, init, dn.NamePos); err != nil {

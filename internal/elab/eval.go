@@ -175,14 +175,61 @@ func EvalConst(e Expr) (v *bits.Vector, err error) {
 
 // constExpr resolves an AST expression and requires it to fold to a
 // constant (parameters and loop variables count as constants).
-func (e *elaborator) constExpr(x verilog.Expr) (*bits.Vector, error) {
+func (e *elaborator) constExpr(x verilog.Expr) (*bits.Vector, error) { return e.constExprIn(x, 0) }
+
+// constExprIn is constExpr for a value assigned into a target of width bits
+// (a ranged parameter, a declaration's initializer; 0: no target): the
+// target is part of the expression's context (IEEE 1364 §4.4), so `[7:0] X
+// = 4'd15 + 4'd1` is 16, not the 0 its operands' own four bits would make
+// it, and the result comes back at the target's width.
+func (e *elaborator) constExprIn(x verilog.Expr, width int) (*bits.Vector, error) {
+	if n, literal := x.(*verilog.Number); literal && width == 0 {
+		return n.Val, nil // most range bounds
+	}
 	r, err := e.expr(x)
 	if err != nil {
 		return nil, err
+	}
+	if width > 0 {
+		widenContext(r, width)
 	}
 	v, err := EvalConst(r)
 	if err != nil {
 		return nil, e.errf(x.Pos(), "expected constant expression")
 	}
+	if width > 0 {
+		v = v.Resize(width)
+	}
 	return v, nil
+}
+
+// constScope is an elaborator whose scope holds consts and nothing else
+// (no loop is being unrolled: a nil map reads as empty).
+func constScope(consts map[string]*bits.Vector) *elaborator {
+	return &elaborator{flat: &Flat{}, consts: consts}
+}
+
+// ConstExpr evaluates x, which may name the constants in consts and
+// nothing else, exactly as the elaborator evaluates a constant expression
+// anywhere: same operators, same widths, same folding. It is what a caller
+// that runs before a module is elaborated (internal/ir, resolving an
+// instantiation's parameter overrides) uses instead of an evaluator of
+// its own.
+func ConstExpr(x verilog.Expr, consts map[string]*bits.Vector) (*bits.Vector, error) {
+	return constScope(consts).constExpr(x)
+}
+
+// RangeWidth is the width of the packed range r ([N:0]) under consts.
+func RangeWidth(r *verilog.Range, consts map[string]*bits.Vector) (int, error) {
+	return constScope(consts).rangeWidth(r, r.Hi.Pos())
+}
+
+// Params evaluates mod's parameters — the header's with overrides applied,
+// then the body's parameters and localparams — as Elaborate will.
+func Params(mod *verilog.Module, overrides map[string]*bits.Vector) (map[string]*bits.Vector, error) {
+	e := constScope(map[string]*bits.Vector{})
+	if err := e.params(mod, overrides); err != nil {
+		return nil, err
+	}
+	return e.consts, nil
 }

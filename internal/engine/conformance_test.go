@@ -75,14 +75,7 @@ func TestOutputsTracksByValue(t *testing.T) {
 // TestLocations checks the location taxonomy the scheduler's billing
 // depends on.
 func TestLocations(t *testing.T) {
-	st, errs := verilog.ParseSourceText(`module M(input wire clk); endmodule`)
-	if errs != nil {
-		t.Fatal(errs)
-	}
-	f, err := elab.Elaborate(st.Modules[0], "m", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := flat(t, `module M(input wire clk); endmodule`, "m")
 	sw := sweng.New(f, nil, nil, false)
 	if sw.Loc() != engine.Software || sw.Loc().String() != "software" {
 		t.Fatal("sweng location")
@@ -139,15 +132,21 @@ func (c *conformIO) Finish(code int) { c.fins++ }
 // newConformSW elaborates conformSrc into a fresh software engine.
 func newConformSW(t *testing.T, io engine.IOHandler) *sweng.Engine {
 	t.Helper()
-	st, errs := verilog.ParseSourceText(conformSrc)
+	return sweng.New(flat(t, conformSrc, "main.w"), io, nil, false)
+}
+
+// flat parses src and elaborates its first module as instance name.
+func flat(t *testing.T, src, name string) *elab.Flat {
+	t.Helper()
+	st, errs := verilog.ParseSourceText(src)
 	if errs != nil {
 		t.Fatal(errs)
 	}
-	f, err := elab.Elaborate(st.Modules[0], "main.w", nil)
+	f, err := elab.Elaborate(st.Modules[0], name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sweng.New(f, io, nil, false)
+	return f
 }
 
 // driveABI runs the scheduler's per-step Figure-7 sequence for n ticks
@@ -273,14 +272,7 @@ type drainCase struct {
 func drainCases() []drainCase {
 	mix := func(t *testing.T) (*elab.Flat, *netlist.Program) {
 		t.Helper()
-		st, errs := verilog.ParseSourceText(drainSrc)
-		if errs != nil {
-			t.Fatal(errs)
-		}
-		f, err := elab.Elaborate(st.Modules[0], "main.m", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := flat(t, drainSrc, "main.m")
 		prog, err := netlist.Compile(f)
 		if err != nil {
 			t.Fatal(err)

@@ -1,10 +1,10 @@
 package ir
 
 import (
-	"fmt"
 	"strings"
 
 	"cascade/internal/bits"
+	"cascade/internal/elab"
 	"cascade/internal/verilog"
 )
 
@@ -42,7 +42,7 @@ type childInst struct {
 // split transforms one module instance into a subprogram, recursing into
 // children. It returns the index of the created subprogram.
 func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*bits.Vector, extraOutputs map[string]bool) (int, error) {
-	env, headerEnv, err := b.paramEnv(mod, overrides)
+	env, headerEnv, err := paramEnv(mod, overrides)
 	if err != nil {
 		return 0, err
 	}
@@ -278,65 +278,18 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 }
 
 // paramEnv evaluates a module's parameters (with overrides) and
-// localparams into a constant environment.
-func (b *builder) paramEnv(mod *verilog.Module, overrides map[string]*bits.Vector) (env, header map[string]*bits.Vector, err error) {
-	env = map[string]*bits.Vector{}
+// localparams into a constant environment, with the elaborator's own
+// evaluator, and picks out the header's: what Elaborate is later handed
+// as overrides.
+func paramEnv(mod *verilog.Module, overrides map[string]*bits.Vector) (env, header map[string]*bits.Vector, err error) {
+	if env, err = elab.Params(mod, overrides); err != nil {
+		return nil, nil, err
+	}
 	header = map[string]*bits.Vector{}
 	for _, pd := range mod.Params {
-		var v *bits.Vector
-		if ov, ok := overrides[pd.Name]; ok {
-			v = ov
-		} else {
-			v, err = constEvalAST(pd.Value, env)
-			if err != nil {
-				return nil, nil, errf(pd.DeclPos, "parameter %s: %v", pd.Name, err)
-			}
-		}
-		if pd.Range != nil {
-			w, werr := b.rangeWidth(pd.Range, env, pd.DeclPos)
-			if werr != nil {
-				return nil, nil, werr
-			}
-			v = v.Resize(w)
-		}
-		env[pd.Name] = v
-		header[pd.Name] = v
-	}
-	for _, it := range mod.Items {
-		pd, ok := it.(*verilog.ParamDecl)
-		if !ok {
-			continue
-		}
-		v, perr := constEvalAST(pd.Value, env)
-		if perr != nil {
-			return nil, nil, errf(pd.DeclPos, "parameter %s: %v", pd.Name, perr)
-		}
-		if pd.Range != nil {
-			w, werr := b.rangeWidth(pd.Range, env, pd.DeclPos)
-			if werr != nil {
-				return nil, nil, werr
-			}
-			v = v.Resize(w)
-		}
-		env[pd.Name] = v
+		header[pd.Name] = env[pd.Name]
 	}
 	return env, header, nil
-}
-
-func (b *builder) rangeWidth(r *verilog.Range, env map[string]*bits.Vector, pos verilog.Pos) (int, error) {
-	hi, err := constEvalAST(r.Hi, env)
-	if err != nil {
-		return 0, errf(pos, "range bound: %v", err)
-	}
-	lo, err := constEvalAST(r.Lo, env)
-	if err != nil {
-		return 0, errf(pos, "range bound: %v", err)
-	}
-	h, l := int(hi.Uint64()), int(lo.Uint64())
-	if l != 0 || h < 0 {
-		return 0, errf(pos, "ranges must be [N:0]")
-	}
-	return h + 1, nil
 }
 
 // resolveInstance binds an instantiation to its module or stdlib spec and
@@ -350,9 +303,9 @@ func (b *builder) resolveInstance(inst *verilog.Instance, parentEnv map[string]*
 			ci.params[sp.Name] = sp.Default
 		}
 		for i, pa := range inst.Params {
-			v, err := constEvalAST(pa.Expr, parentEnv)
+			v, err := elab.ConstExpr(pa.Expr, parentEnv)
 			if err != nil {
-				return nil, errf(inst.InstPos, "parameter of %s: %v", inst.Name, err)
+				return nil, err
 			}
 			name := pa.Name
 			if name == "" {
@@ -376,9 +329,9 @@ func (b *builder) resolveInstance(inst *verilog.Instance, parentEnv map[string]*
 	ci.mod = mod
 	ci.header = map[string]*bits.Vector{}
 	for i, pa := range inst.Params {
-		v, err := constEvalAST(pa.Expr, parentEnv)
+		v, err := elab.ConstExpr(pa.Expr, parentEnv)
 		if err != nil {
-			return nil, errf(inst.InstPos, "parameter of %s: %v", inst.Name, err)
+			return nil, err
 		}
 		name := pa.Name
 		if name == "" {
@@ -399,7 +352,7 @@ func (b *builder) resolveInstance(inst *verilog.Instance, parentEnv map[string]*
 		}
 		ci.header[name] = v
 	}
-	full, _, err := b.paramEnv(mod, ci.header)
+	full, _, err := paramEnv(mod, ci.header)
 	if err != nil {
 		return nil, err
 	}
@@ -454,7 +407,7 @@ func (b *builder) childPortInfo(ci *childInst, port string, pos verilog.Pos) (ve
 		w := 1
 		if p.Range != nil {
 			var err error
-			w, err = b.rangeWidth(p.Range, ci.params, pos)
+			w, err = elab.RangeWidth(p.Range, ci.params)
 			if err != nil {
 				return 0, 0, 0, err
 			}
@@ -485,7 +438,7 @@ func (b *builder) childVarInfo(ci *childInst, name string, pos verilog.Pos) (int
 			w := 1
 			if p.Range != nil {
 				var err error
-				w, err = b.rangeWidth(p.Range, ci.params, pos)
+				w, err = elab.RangeWidth(p.Range, ci.params)
 				if err != nil {
 					return 0, nil, err
 				}
@@ -510,7 +463,7 @@ func (b *builder) childVarInfo(ci *childInst, name string, pos verilog.Pos) (int
 				w = 32
 			} else if nd.Range != nil {
 				var err error
-				w, err = b.rangeWidth(nd.Range, ci.params, pos)
+				w, err = elab.RangeWidth(nd.Range, ci.params)
 				if err != nil {
 					return 0, nil, err
 				}
@@ -744,94 +697,4 @@ func promoteVarsToOutputs(m *verilog.Module, names map[string]bool, env map[stri
 		}
 	}
 	return out, nil
-}
-
-// constEvalAST evaluates a constant AST expression under a parameter
-// environment (used before elaboration exists for a module).
-func constEvalAST(e verilog.Expr, env map[string]*bits.Vector) (*bits.Vector, error) {
-	switch x := e.(type) {
-	case *verilog.Number:
-		return x.Val, nil
-	case *verilog.Ident:
-		if v, ok := env[x.Name]; ok {
-			return v, nil
-		}
-		return nil, fmt.Errorf("%s is not a constant", x.Name)
-	case *verilog.Unary:
-		v, err := constEvalAST(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case verilog.UNeg:
-			return v.Neg(), nil
-		case verilog.UBitNot:
-			return v.Not(), nil
-		case verilog.UNot:
-			return bits.FromBool(v.IsZero()), nil
-		case verilog.UPlus:
-			return v, nil
-		}
-		return nil, fmt.Errorf("operator not allowed in constant expression")
-	case *verilog.Binary:
-		a, err := constEvalAST(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		b, err := constEvalAST(x.Y, env)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case verilog.BAdd:
-			return a.Add(b), nil
-		case verilog.BSub:
-			return a.Sub(b), nil
-		case verilog.BMul:
-			return a.Mul(b), nil
-		case verilog.BDiv:
-			return a.Div(b), nil
-		case verilog.BMod:
-			return a.Mod(b), nil
-		case verilog.BPow:
-			return a.Pow(b), nil
-		case verilog.BShl, verilog.BAShl:
-			return a.Shl(b), nil
-		case verilog.BShr, verilog.BAShr:
-			return a.Shr(b), nil
-		case verilog.BBitAnd:
-			return a.And(b), nil
-		case verilog.BBitOr:
-			return a.Or(b), nil
-		case verilog.BBitXor:
-			return a.Xor(b), nil
-		case verilog.BEq:
-			return bits.FromBool(a.Equal(b)), nil
-		case verilog.BNeq:
-			return bits.FromBool(!a.Equal(b)), nil
-		case verilog.BLt:
-			return bits.FromBool(a.Cmp(b) < 0), nil
-		case verilog.BLe:
-			return bits.FromBool(a.Cmp(b) <= 0), nil
-		case verilog.BGt:
-			return bits.FromBool(a.Cmp(b) > 0), nil
-		case verilog.BGe:
-			return bits.FromBool(a.Cmp(b) >= 0), nil
-		case verilog.BLogAnd:
-			return bits.FromBool(a.Bool() && b.Bool()), nil
-		case verilog.BLogOr:
-			return bits.FromBool(a.Bool() || b.Bool()), nil
-		}
-		return nil, fmt.Errorf("operator not allowed in constant expression")
-	case *verilog.Ternary:
-		c, err := constEvalAST(x.Cond, env)
-		if err != nil {
-			return nil, err
-		}
-		if c.Bool() {
-			return constEvalAST(x.Then, env)
-		}
-		return constEvalAST(x.Else, env)
-	}
-	return nil, fmt.Errorf("expression is not constant")
 }

@@ -10,6 +10,7 @@ import (
 	"cascade/internal/elab"
 	"cascade/internal/sim"
 	"cascade/internal/verilog"
+	"cascade/internal/vgen"
 )
 
 // This file holds the flagship invariant test of the reproduction:
@@ -19,7 +20,8 @@ import (
 // Cascade can hand execution back and forth between engines without the
 // user being able to tell — the core of the paper's design.
 
-func compileBoth(t *testing.T, src string) (*sim.Simulator, *Machine, *elab.Flat) {
+// flatten parses src and elaborates its first module.
+func flatten(t *testing.T, src string) *elab.Flat {
 	t.Helper()
 	st, errs := verilog.ParseSourceText(src)
 	if errs != nil {
@@ -29,6 +31,12 @@ func compileBoth(t *testing.T, src string) (*sim.Simulator, *Machine, *elab.Flat
 	if err != nil {
 		t.Fatalf("elaborate: %v", err)
 	}
+	return f
+}
+
+func compileBoth(t *testing.T, src string) (*sim.Simulator, *Machine, *elab.Flat) {
+	t.Helper()
+	f := flatten(t, src)
 	prog, err := Compile(f)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -48,21 +56,8 @@ type dualBench struct {
 func newDual(t *testing.T, src string) *dualBench {
 	t.Helper()
 	d := &dualBench{}
-	st, errs := verilog.ParseSourceText(src)
-	if errs != nil {
-		t.Fatalf("parse: %v", errs)
-	}
-	f, err := elab.Elaborate(st.Modules[0], "dut", nil)
-	if err != nil {
-		t.Fatalf("elaborate: %v", err)
-	}
-	prog, err := Compile(f)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	d.f = f
-	d.s = sim.New(f, sim.Options{Display: func(x string) { d.sOut.WriteString(x) }})
-	d.m = NewMachine(prog)
+	_, d.m, d.f = compileBoth(t, src)
+	d.s = sim.New(d.f, sim.Options{Display: func(x string) { d.sOut.WriteString(x) }})
 	d.settle()
 	return d
 }
@@ -338,102 +333,19 @@ endmodule`
 
 // --- Random program equivalence ---------------------------------------
 
-type progGen struct {
-	r    *rand.Rand
-	sb   strings.Builder
-	wire int
-}
-
-// randExpr emits a random expression over the given readable names.
-func (g *progGen) randExpr(depth int, reads []string) string {
-	if depth <= 0 || g.r.Intn(4) == 0 {
-		if g.r.Intn(3) == 0 {
-			return fmt.Sprintf("%d'd%d", 1+g.r.Intn(12), g.r.Intn(1<<10))
-		}
-		return reads[g.r.Intn(len(reads))]
-	}
-	switch g.r.Intn(12) {
-	case 0:
-		return fmt.Sprintf("(%s + %s)", g.randExpr(depth-1, reads), g.randExpr(depth-1, reads))
-	case 1:
-		return fmt.Sprintf("(%s - %s)", g.randExpr(depth-1, reads), g.randExpr(depth-1, reads))
-	case 2:
-		return fmt.Sprintf("(%s & %s)", g.randExpr(depth-1, reads), g.randExpr(depth-1, reads))
-	case 3:
-		return fmt.Sprintf("(%s | %s)", g.randExpr(depth-1, reads), g.randExpr(depth-1, reads))
-	case 4:
-		return fmt.Sprintf("(%s ^ %s)", g.randExpr(depth-1, reads), g.randExpr(depth-1, reads))
-	case 5:
-		return fmt.Sprintf("(%s * %s)", g.randExpr(depth-1, reads), g.randExpr(depth-1, reads))
-	case 6:
-		return fmt.Sprintf("(%s >> %d)", g.randExpr(depth-1, reads), g.r.Intn(9))
-	case 7:
-		return fmt.Sprintf("(%s << %d)", g.randExpr(depth-1, reads), g.r.Intn(9))
-	case 8:
-		return fmt.Sprintf("(%s ? %s : %s)", g.randExpr(depth-1, reads), g.randExpr(depth-1, reads), g.randExpr(depth-1, reads))
-	case 9:
-		return fmt.Sprintf("{%s, %s}", g.randExpr(depth-1, reads), g.randExpr(depth-1, reads))
-	case 10:
-		return fmt.Sprintf("(%s < %s)", g.randExpr(depth-1, reads), g.randExpr(depth-1, reads))
-	default:
-		return fmt.Sprintf("(~%s)", g.randExpr(depth-1, reads))
-	}
-}
-
-// generate builds a random synchronous module that is legal for both
-// engines: acyclic combinational wires, registers driven by exactly one
-// posedge process.
-func (g *progGen) generate() string {
-	g.sb.Reset()
-	fmt.Fprintf(&g.sb, "module M(input wire clk, input wire [7:0] a, input wire [7:0] b);\n")
-	reads := []string{"a", "b"}
-	nregs := 2 + g.r.Intn(3)
-	for i := 0; i < nregs; i++ {
-		w := []int{1, 4, 8, 16, 33, 80}[g.r.Intn(6)]
-		fmt.Fprintf(&g.sb, "  reg [%d:0] r%d = %d;\n", w-1, i, g.r.Intn(100))
-		reads = append(reads, fmt.Sprintf("r%d", i))
-	}
-	nwires := 1 + g.r.Intn(4)
-	for i := 0; i < nwires; i++ {
-		w := []int{1, 8, 12, 65}[g.r.Intn(4)]
-		fmt.Fprintf(&g.sb, "  wire [%d:0] w%d;\n", w-1, i)
-	}
-	// Wires assigned in order, reading only earlier names: acyclic.
-	for i := 0; i < nwires; i++ {
-		fmt.Fprintf(&g.sb, "  assign w%d = %s;\n", i, g.randExpr(3, reads))
-		reads = append(reads, fmt.Sprintf("w%d", i))
-	}
-	// One posedge process per register.
-	for i := 0; i < nregs; i++ {
-		fmt.Fprintf(&g.sb, "  always @(posedge clk)\n")
-		if g.r.Intn(2) == 0 {
-			fmt.Fprintf(&g.sb, "    if (%s)\n      r%d <= %s;\n    else\n      r%d <= %s;\n",
-				g.randExpr(2, reads), i, g.randExpr(3, reads), i, g.randExpr(3, reads))
-		} else {
-			fmt.Fprintf(&g.sb, "    r%d <= %s;\n", i, g.randExpr(3, reads))
-		}
-	}
-	fmt.Fprintf(&g.sb, "endmodule\n")
-	return g.sb.String()
-}
-
 // Property: for random synchronous programs and random stimulus, the
 // interpreter and the compiled netlist agree on every observable state.
 func TestEquivRandomPrograms(t *testing.T) {
-	g := &progGen{r: rand.New(rand.NewSource(42))}
-	for trial := 0; trial < 60; trial++ {
-		src := g.generate()
+	r := rand.New(rand.NewSource(42))
+	for seed := uint64(0); seed < 60; seed++ {
+		src := vgen.Module(seed).String()
 		d := newDual(t, src)
 		for i := 0; i < 12; i++ {
-			d.setInput("a", bits.FromUint64(8, g.r.Uint64()))
-			d.setInput("b", bits.FromUint64(8, g.r.Uint64()))
+			d.setInput("a", bits.FromUint64(8, r.Uint64()))
+			d.setInput("b", bits.FromUint64(8, r.Uint64()))
 			d.settle()
 			d.tick(t)
-		}
-		ss := d.s.GetState().Signature()
-		ms := d.m.GetState().Signature()
-		if ss != ms {
-			t.Fatalf("trial %d: divergence on program:\n%s\nsim:     %s\nmachine: %s", trial, src, ss, ms)
+			d.check(t, fmt.Sprintf("seed %d tick %d on\n%s", seed, i, src))
 		}
 	}
 }
@@ -459,40 +371,21 @@ module M(input wire clk, input wire x);
 endmodule`,
 	}
 	for name, src := range cases {
-		st, errs := verilog.ParseSourceText(src)
-		if errs != nil {
-			t.Fatalf("%s: parse: %v", name, errs)
-		}
-		f, err := elab.Elaborate(st.Modules[0], "dut", nil)
-		if err != nil {
-			t.Fatalf("%s: elaborate: %v", name, err)
-		}
-		if _, err := Compile(f); err == nil {
+		if _, err := Compile(flatten(t, src)); err == nil {
 			t.Fatalf("%s: expected synthesis error", name)
 		}
 	}
 }
 
 func TestStatsReasonable(t *testing.T) {
-	st, errs := verilog.ParseSourceText(`
+	_, m, _ := compileBoth(t, `
 module M(input wire clk, input wire [31:0] x, output reg [31:0] acc);
   wire [31:0] sq;
   assign sq = x * x;
   reg [31:0] mem [0:255];
   always @(posedge clk) acc <= acc + sq;
 endmodule`)
-	if errs != nil {
-		t.Fatal(errs)
-	}
-	f, err := elab.Elaborate(st.Modules[0], "dut", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Compile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := p.Stats
+	s := m.Prog().Stats
 	if s.FFs < 32 {
 		t.Fatalf("FF count %d too small", s.FFs)
 	}
@@ -508,73 +401,18 @@ endmodule`)
 }
 
 func TestResetStateIncludesInitials(t *testing.T) {
-	st, errs := verilog.ParseSourceText(`
+	_, m, _ := compileBoth(t, `
 module M(input wire clk);
   reg [7:0] a = 5;
   reg [7:0] mem [0:3];
   integer i;
   initial for (i = 0; i < 4; i = i + 1) mem[i] = i + 10;
 endmodule`)
-	if errs != nil {
-		t.Fatal(errs)
-	}
-	f, err := elab.Elaborate(st.Modules[0], "dut", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Compile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMachine(p)
 	got := m.GetState()
 	if got.Scalars["a"].Uint64() != 5 {
 		t.Fatal("reg init lost")
 	}
 	if got.Arrays["mem"][2].Uint64() != 12 {
 		t.Fatal("initial-block memory contents lost")
-	}
-}
-
-func BenchmarkMachineCounterTick(b *testing.B) {
-	st, _ := verilog.ParseSourceText(`
-module M(input wire clk, output reg [31:0] cnt);
-  always @(posedge clk) cnt <= cnt + 1;
-endmodule`)
-	f, _ := elab.Elaborate(st.Modules[0], "dut", nil)
-	p, _ := Compile(f)
-	m := NewMachine(p)
-	clk := f.VarNamed("clk")
-	one, zero := bits.FromUint64(1, 1), bits.FromUint64(1, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.SetInput(clk, one)
-		m.Evaluate()
-		m.Update()
-		m.Evaluate()
-		m.SetInput(clk, zero)
-		m.Evaluate()
-	}
-}
-
-func BenchmarkSimCounterTick(b *testing.B) {
-	st, _ := verilog.ParseSourceText(`
-module M(input wire clk, output reg [31:0] cnt);
-  always @(posedge clk) cnt <= cnt + 1;
-endmodule`)
-	f, _ := elab.Elaborate(st.Modules[0], "dut", nil)
-	s := sim.New(f, sim.Options{})
-	clk := f.VarNamed("clk")
-	one, zero := bits.FromUint64(1, 1), bits.FromUint64(1, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.SetInput(clk, one)
-		s.Evaluate()
-		s.Update()
-		s.Evaluate()
-		s.SetInput(clk, zero)
-		s.Evaluate()
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"cascade/internal/elab"
 	"cascade/internal/sim"
 	"cascade/internal/verilog"
+	"cascade/internal/vgen"
 )
 
 // --- Satellite: cross-tier snapshot round-trips -----------------------
@@ -17,13 +18,13 @@ import (
 // programs with narrow, wide, and array state. This is what makes
 // tier promotion/demotion (interpreter <-> native <-> fabric) invisible.
 func TestSetStateCrossTierRoundTrip(t *testing.T) {
-	g := &progGen{r: rand.New(rand.NewSource(7))}
+	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
-		src := g.generate()
+		src := vgen.Module(100 + uint64(trial)).String()
 		d := newDual(t, src)
 		for i := 0; i < 6; i++ {
-			d.setInput("a", bits.FromUint64(8, g.r.Uint64()))
-			d.setInput("b", bits.FromUint64(8, g.r.Uint64()))
+			d.setInput("a", bits.FromUint64(8, r.Uint64()))
+			d.setInput("b", bits.FromUint64(8, r.Uint64()))
 			d.settle()
 			d.tick(t)
 		}
@@ -205,9 +206,8 @@ endmodule`)
 // program across Go's randomized map iteration order is stable. The
 // native tier's cache key and the bitstream cache key share this hash.
 func TestFingerprintDeterministic(t *testing.T) {
-	g := &progGen{r: rand.New(rand.NewSource(99))}
 	for trial := 0; trial < 15; trial++ {
-		src := g.generate()
+		src := vgen.Module(200 + uint64(trial)).String()
 		_, m1, _ := compileBoth(t, src)
 		_, m2, _ := compileBoth(t, src)
 		fp := m1.Prog().Fingerprint()

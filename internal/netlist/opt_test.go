@@ -6,21 +6,12 @@ import (
 	"testing"
 
 	"cascade/internal/bits"
-	"cascade/internal/elab"
-	"cascade/internal/verilog"
+	"cascade/internal/vgen"
 )
 
 func rawAndOpt(t *testing.T, src string) (*Program, *Program) {
 	t.Helper()
-	st, errs := verilog.ParseSourceText(src)
-	if errs != nil {
-		t.Fatal(errs)
-	}
-	f, err := elab.Elaborate(st.Modules[0], "dut", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := CompileRaw(f)
+	raw, err := CompileRaw(flatten(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,17 +40,10 @@ endmodule`)
 }
 
 func TestOptimizePreservesBehaviourOnRandomPrograms(t *testing.T) {
-	g := &progGen{r: rand.New(rand.NewSource(1234))}
+	r := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 25; trial++ {
-		src := g.generate()
-		st, errs := verilog.ParseSourceText(src)
-		if errs != nil {
-			t.Fatal(errs)
-		}
-		f, err := elab.Elaborate(st.Modules[0], "dut", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		src := vgen.Module(300 + uint64(trial)).String()
+		f := flatten(t, src)
 		raw, err := CompileRaw(f)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -82,7 +66,7 @@ func TestOptimizePreservesBehaviourOnRandomPrograms(t *testing.T) {
 		settle(mr)
 		settle(mo)
 		for i := 0; i < 10; i++ {
-			x, y := g.r.Uint64(), g.r.Uint64()
+			x, y := r.Uint64(), r.Uint64()
 			for _, m := range []*Machine{mr, mo} {
 				m.SetInput(av, bits.FromUint64(8, x))
 				m.SetInput(bv, bits.FromUint64(8, y))
@@ -114,8 +98,7 @@ module M(input wire clk, input wire [1:0] s);
       default: $finish;
     endcase
 endmodule`
-	st, _ := verilog.ParseSourceText(src)
-	f, _ := elab.Elaborate(st.Modules[0], "dut", nil)
+	f := flatten(t, src)
 	prog, err := Compile(f) // optimized path
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"cascade/internal/fault"
 	"cascade/internal/netlist"
 	"cascade/internal/verilog"
+	"cascade/internal/vgen"
 	"cascade/internal/workloads/nw"
 	"cascade/internal/workloads/pow"
 	"cascade/internal/workloads/regexgen"
@@ -205,99 +206,22 @@ endmodule`)
 }
 
 // Random synchronous programs: the native tier must agree with the
-// interpreter on every observable state and output stream. Mirrors the
-// netlist package's interpreter-vs-reference property, one tier up.
+// interpreter on every observable state and output stream, tick by tick.
+// Mirrors the netlist package's interpreter-vs-reference property, one tier
+// up, on the same generator.
 func TestNativeDifferentialRandomPrograms(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 40; trial++ {
-		src := randProgram(r)
+	for seed := uint64(0); seed < 40; seed++ {
+		src := vgen.Module(seed).String()
 		d := newDualNative(t, src)
 		for i := 0; i < 10; i++ {
 			d.setInput("a", bits.FromUint64(8, r.Uint64()))
 			d.setInput("b", bits.FromUint64(8, r.Uint64()))
 			d.settle()
 			d.tick()
-		}
-		ms := d.m.GetState().Signature()
-		es := d.e.GetState().Signature()
-		if ms != es {
-			t.Fatalf("trial %d: divergence on program:\n%s\ninterp: %s\nnative: %s", trial, src, ms, es)
+			d.check(t, fmt.Sprintf("seed %d tick %d on\n%s", seed, i, src))
 		}
 	}
-}
-
-// randProgram emits a random synchronous module exercising the fused
-// narrow ops, wide fallbacks, and mixed-width writes.
-func randProgram(r *rand.Rand) string {
-	var sb strings.Builder
-	var expr func(depth int, reads []string) string
-	expr = func(depth int, reads []string) string {
-		if depth <= 0 || r.Intn(4) == 0 {
-			if r.Intn(3) == 0 {
-				return fmt.Sprintf("%d'd%d", 1+r.Intn(14), r.Intn(1<<12))
-			}
-			return reads[r.Intn(len(reads))]
-		}
-		a, b := expr(depth-1, reads), expr(depth-1, reads)
-		switch r.Intn(14) {
-		case 0:
-			return fmt.Sprintf("(%s + %s)", a, b)
-		case 1:
-			return fmt.Sprintf("(%s - %s)", a, b)
-		case 2:
-			return fmt.Sprintf("(%s * %s)", a, b)
-		case 3:
-			return fmt.Sprintf("(%s & %s)", a, b)
-		case 4:
-			return fmt.Sprintf("(%s | %s)", a, b)
-		case 5:
-			return fmt.Sprintf("(%s ^ %s)", a, b)
-		case 6:
-			return fmt.Sprintf("(%s >> %d)", a, r.Intn(10))
-		case 7:
-			return fmt.Sprintf("(%s << %d)", a, r.Intn(10))
-		case 8:
-			return fmt.Sprintf("(%s ? %s : %s)", expr(depth-1, reads), a, b)
-		case 9:
-			return fmt.Sprintf("{%s, %s}", a, b)
-		case 10:
-			return fmt.Sprintf("(%s < %s)", a, b)
-		case 11:
-			return fmt.Sprintf("(%s == %s)", a, b)
-		case 12:
-			return fmt.Sprintf("(~%s)", a)
-		default:
-			return fmt.Sprintf("(%s %% %s)", a, b)
-		}
-	}
-	fmt.Fprintf(&sb, "module M(input wire clk, input wire [7:0] a, input wire [7:0] b);\n")
-	reads := []string{"a", "b"}
-	nregs := 2 + r.Intn(3)
-	for i := 0; i < nregs; i++ {
-		w := []int{1, 4, 8, 16, 32, 48, 80}[r.Intn(7)]
-		fmt.Fprintf(&sb, "  reg [%d:0] r%d = %d;\n", w-1, i, r.Intn(100))
-		reads = append(reads, fmt.Sprintf("r%d", i))
-	}
-	nwires := 1 + r.Intn(4)
-	for i := 0; i < nwires; i++ {
-		w := []int{1, 8, 13, 65}[r.Intn(4)]
-		fmt.Fprintf(&sb, "  wire [%d:0] w%d;\n", w-1, i)
-	}
-	for i := 0; i < nwires; i++ {
-		fmt.Fprintf(&sb, "  assign w%d = %s;\n", i, expr(3, reads))
-		reads = append(reads, fmt.Sprintf("w%d", i))
-	}
-	for i := 0; i < nregs; i++ {
-		fmt.Fprintf(&sb, "  always @(posedge clk)\n")
-		if r.Intn(2) == 0 {
-			fmt.Fprintf(&sb, "    if (%s)\n      r%d <= %s;\n    else\n      r%d <= %s;\n",
-				expr(2, reads), i, expr(3, reads), i, expr(3, reads))
-		} else {
-			fmt.Fprintf(&sb, "    r%d <= %s;\n", i, expr(3, reads))
-		}
-	}
-	fmt.Fprintf(&sb, "endmodule\n")
-	return sb.String()
 }
 
 // --- Promotion / demotion state handoff -------------------------------

@@ -1,28 +1,13 @@
 package runtime
 
 import (
-	"fmt"
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
-	"cascade/internal/sim"
 	"cascade/internal/toolchain"
 	"cascade/internal/vclock"
 )
-
-// tierOf returns the named engine's tier from a Stats snapshot ("" if
-// the path is not scheduled).
-func tierOf(st Stats, path string) string {
-	for _, e := range st.Engines {
-		if e.Path == path {
-			return e.Tier
-		}
-	}
-	return ""
-}
 
 func userTier(st Stats) string {
 	for _, e := range st.Engines {
@@ -131,79 +116,4 @@ func TestNativeTierDemotion(t *testing.T) {
 	}
 	seq = ledSequence(r, 8)
 	expectAnimation(t, seq, seq[0])
-}
-
-// runNativeEquiv executes prog with the native tier in the ladder (and
-// optionally a fault schedule) and returns every observable.
-func runNativeEquiv(t *testing.T, prog string, cfg *fault.Config, par, n int) (string, []uint64, map[string]*sim.State, Stats) {
-	t.Helper()
-	view := &BufView{Quiet: true}
-	opts := Options{View: view, Features: Features{DisableInline: true, NativeTier: true}, Parallelism: par}
-	if cfg != nil {
-		opts.Injector = fault.New(*cfg)
-	}
-	r := newTestRuntime(t, opts)
-	r.MustEval(prog)
-	leds := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		r.RunTicks(1)
-		leds = append(leds, r.World().Led("main.led"))
-	}
-	return view.Output(), leds, r.captureStates(), r.Stats()
-}
-
-// TestNativeTierEquivalenceProperty extends the scheduler-equivalence
-// property to the native tier: for random multi-engine programs, a run
-// whose engines climb interpreter -> native -> fabric mid-trace — and,
-// under a seeded fault schedule, fall back down mid-trace — must be
-// observationally identical to the plain interpreter run, serially and
-// in parallel. Only billing and counters may differ.
-func TestNativeTierEquivalenceProperty(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			prog := genEquivProgram(rand.New(rand.NewSource(seed)))
-			// Baseline: pure interpreter, no JIT at all.
-			cleanOut, cleanLed, cleanSt := runEquiv(t, prog, Features{DisableInline: true, DisableJIT: true}, 1, 96)
-
-			out, led, st, stats := runNativeEquiv(t, prog, nil, 1, 96)
-			if out != cleanOut {
-				t.Errorf("display output diverged with native tier:\nclean:  %q\nnative: %q\nprogram:\n%s", cleanOut, out, prog)
-			}
-			if !reflect.DeepEqual(led, cleanLed) {
-				t.Errorf("LED trace diverged with native tier:\nclean:  %v\nnative: %v\nprogram:\n%s", cleanLed, led, prog)
-			}
-			if !reflect.DeepEqual(st, cleanSt) {
-				t.Errorf("final states diverged with native tier:\nclean:  %v\nnative: %v", cleanSt, st)
-			}
-			// The tier must actually have been exercised: every engine
-			// compiled natively (hit or miss) before the fabric arrived.
-			if stats.Compile.Submitted < 2 {
-				t.Errorf("native jobs not submitted alongside fabric jobs: %+v", stats.Compile)
-			}
-
-			// Parallel agrees with serial.
-			outP, ledP, stP, _ := runNativeEquiv(t, prog, nil, 8, 96)
-			if outP != cleanOut || !reflect.DeepEqual(ledP, cleanLed) || !reflect.DeepEqual(stP, cleanSt) {
-				t.Errorf("parallel native-tier run diverged:\nclean out: %q\npar out:   %q", cleanOut, outP)
-			}
-
-			// Seeded faults: native demotions (region faults hit the
-			// "native:" sites too) plus the usual fabric faults, all
-			// mid-run, all invisible.
-			cfg := fault.Config{
-				Seed:        uint64(seed) + 1,
-				RegionFault: 1, MaxRegionFaults: 2,
-				BusError: 1, MaxBusFaults: 1,
-			}
-			outF, ledF, stF, statsF := runNativeEquiv(t, prog, &cfg, 1, 96)
-			if outF != cleanOut || !reflect.DeepEqual(ledF, cleanLed) || !reflect.DeepEqual(stF, cleanSt) {
-				t.Errorf("faulty native-tier run diverged:\nclean out: %q\nfault out: %q\nclean led: %v\nfault led: %v",
-					cleanOut, outF, cleanLed, ledF)
-			}
-			if statsF.NativeFaults < 1 || statsF.Demotions < 1 {
-				t.Errorf("seeded schedule never demoted a native engine: faults=%d demotions=%d",
-					statsF.NativeFaults, statsF.Demotions)
-			}
-		})
-	}
 }

@@ -108,8 +108,15 @@ func copyDir(t *testing.T, src, dst string) {
 }
 
 func TestPersistenceRoundTrip(t *testing.T) {
+	roundTrip(t, func(dir string) (Options, *BufView) { return persistTestOptions(dir, 1, nil) })
+}
+
+// roundTrip runs a session over a fresh directory, closes it, and has a
+// new process over the same directory resume exactly and continue to the
+// same future.
+func roundTrip(t *testing.T, options func(dir string) (Options, *BufView)) {
 	dir := t.TempDir()
-	opts, view := persistTestOptions(dir, 1, nil)
+	opts, view := options(dir)
 	r, info, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -128,6 +135,9 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if st.Persist.Records == 0 || st.Persist.JournalBytes == 0 {
 		t.Fatalf("journal not populated: %+v", st.Persist)
 	}
+	if opts.Remote != nil && st.Xport.RoundTrips == 0 {
+		t.Fatalf("reference run metered no remote traffic: %+v", st.Xport)
+	}
 	wantSteps, wantLed, wantOut := r.Steps(), r.World().Led("main.led"), view.Output()
 	if wantOut == "" {
 		t.Fatal("reference run produced no output")
@@ -135,14 +145,17 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err := r.ClosePersistence(); err != nil {
 		t.Fatal(err)
 	}
+	r.CloseRemote()
 
-	// A new process over the same directory resumes exactly.
-	opts2, view2 := persistTestOptions(dir, 1, nil)
+	// A new process over the same directory resumes exactly (hosted engines
+	// respawned on the daemon and restored over SetState).
+	opts2, view2 := options(dir)
 	r2, info2, err := Open(opts2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r2.ClosePersistence()
+	defer r2.CloseRemote()
 	if !info2.Recovered {
 		t.Fatal("recovery not detected")
 	}

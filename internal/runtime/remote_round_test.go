@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -12,9 +11,42 @@ import (
 	"cascade/internal/supervise"
 	"cascade/internal/transport"
 	"cascade/internal/vclock"
+	"cascade/internal/vgen"
 )
 
-// ledgerAtParent holds, for genEquivProgram(seed) hosted on a loopback
+// counters is a program of independent counter modules Gen0.. — each given
+// as width, initial value, increment and whether it prints — instantiated
+// g0.., the root printing g0.out and the LED showing their xor.
+func counters(name string, mods ...[4]int) vgen.Script {
+	var sb strings.Builder
+	led := "g0.out"
+	for i, m := range mods {
+		fmt.Fprintf(&sb, "module Gen%d(input wire c, output wire [%d:0] out);\n  reg [%d:0] acc = %d;\n", i, m[0]-1, m[0]-1, m[1])
+		fmt.Fprintf(&sb, "  always @(posedge c) begin\n    acc <= acc + %d;\n", m[2])
+		if m[3] != 0 {
+			fmt.Fprintf(&sb, "    $display(\"m%d=%%d\", acc);\n", i)
+		}
+		fmt.Fprintf(&sb, "  end\n  assign out = acc;\nendmodule\nGen%d g%d(.c(clk.val));\n", i, i)
+		if i > 0 {
+			led += fmt.Sprintf(" ^ g%d.out", i)
+		}
+	}
+	fmt.Fprintf(&sb, "always @(posedge clk.val) $display(\"root=%%d\", g0.out);\nassign led.val = %s;\n", led)
+	return vgen.Program(name, sb.String(), 48)
+}
+
+// frozen are the four programs the remote ledger was pinned on — what the
+// generator this package used to keep produced for seeds 0 to 3 — spelled
+// out, so the digests below need no re-pinning (and hold the spelling to
+// the text they were recorded over).
+var frozen = []vgen.Script{
+	counters("seed0", [4]int{8, 249, 5, 1}, [4]int{5, 15, 1, 1}),
+	counters("seed1", [4]int{6, 7, 1, 0}, [4]int{7, 57, 6, 1}, [4]int{4, 6, 7, 1}, [4]int{8, 88, 5, 0}),
+	counters("seed2", [4]int{5, 28, 4, 1}, [4]int{8, 2, 2, 1}, [4]int{5, 14, 1, 0}),
+	counters("seed3", [4]int{6, 32, 7, 0}, [4]int{8, 172, 3, 1}, [4]int{6, 34, 5, 1}),
+}
+
+// ledgerAtParent holds, for frozen[seed] hosted on a loopback
 // daemon at a lane count and with the daemon's JIT off or on, the FNV-64a
 // digest of Stats().Time printed after each of 48 ticks — recorded at the
 // commit before remote lock-step went by the round (PR 18, ef86e99), when
@@ -42,11 +74,10 @@ func TestRemoteLedgerPinned(t *testing.T) {
 	for key, want := range ledgerAtParent {
 		for jit, digest := range want {
 			seed, par := key[0], int(key[1])
-			prog := genEquivProgram(rand.New(rand.NewSource(seed)))
 			r := newTestRuntime(t, Options{View: &BufView{Quiet: true}, Parallelism: par,
 				Features: Features{DisableInline: true, DisableJIT: !jit},
-				Remote:   &RemoteOptions{Addr: loopbackDaemon(t, !jit)}})
-			r.MustEval(prog)
+				Remote:   &RemoteOptions{Addr: newTestDaemon(t, "", jit).addr}})
+			r.MustEval(frozen[seed].Steps[0].Src)
 			h := fnv.New64a()
 			for i := 0; i < 48; i++ {
 				r.RunTicks(1)
@@ -61,26 +92,31 @@ func TestRemoteLedgerPinned(t *testing.T) {
 	}
 }
 
-// frameCount wraps the daemon connection and counts frames by kind.
-type frameCount struct {
+// tap wraps the daemon connection: it counts frames by kind and loses the
+// ones lose picks — such a frame never leaves, as when injected drops
+// outlast the retry budget, and the daemon stays up.
+type tap struct {
 	transport.Transport
 	frames map[proto.Kind]int
+	lose   func(*proto.Request) bool
 }
 
-func (f *frameCount) Roundtrip(req *proto.Request, rep *proto.Reply) (transport.Cost, error) {
-	f.frames[req.Kind]++
+func (f *tap) Roundtrip(req *proto.Request, rep *proto.Reply) (transport.Cost, error) {
+	if f.frames[req.Kind]++; f.lose != nil && f.lose(req) {
+		return transport.Cost{}, fmt.Errorf("frame lost: %w", transport.ErrEngineUnavailable)
+	}
 	return f.Transport.Roundtrip(req, rep)
 }
 
-// countedRemote builds a runtime whose daemon link runs over a counting
-// wrapper of its TCP transport.
-func countedRemote(t *testing.T, opts Options) (*Runtime, *frameCount) {
+// tapped builds a runtime whose daemon link runs over a tap of its TCP
+// transport.
+func tapped(t *testing.T, opts Options) (*Runtime, *tap) {
 	t.Helper()
 	r := newTestRuntime(t, opts)
 	if err := r.connectRemote(); err != nil {
 		t.Fatal(err)
 	}
-	fc := &frameCount{Transport: r.remoteT, frames: map[proto.Kind]int{}}
+	fc := &tap{Transport: r.remoteT, frames: map[proto.Kind]int{}}
 	r.link = transport.NewLink(fc, r.now, r.vclk.Now)
 	t.Cleanup(func() { r.CloseRemote() })
 	return r, fc
@@ -102,16 +138,11 @@ func TestRemoteFramesPerStep(t *testing.T) {
 			fmt.Fprintf(&sb, "Ctr c%d(.c(clk.val));\n", i)
 		}
 		sb.WriteString("reg [7:0] n = 1;\nalways @(posedge clk.val) n <= n + 1;\nassign led.val = n;\n")
-		r, fc := countedRemote(t, Options{Parallelism: 2,
+		r, fc := tapped(t, Options{Parallelism: 2,
 			Features: Features{DisableInline: true, DisableJIT: true},
-			Remote:   &RemoteOptions{Addr: loopbackDaemon(t, true)}})
+			Remote:   &RemoteOptions{Addr: newTestDaemon(t, "", false).addr}})
 		r.MustEval(sb.String())
-		hosted := 0
-		for _, e := range r.Stats().Engines {
-			if e.Transport == "tcp" {
-				hosted++
-			}
-		}
+		hosted := hosted(r.Stats())
 		if hosted != counters+1 {
 			t.Fatalf("%d hosted engines, want %d", hosted, counters+1)
 		}
@@ -142,11 +173,11 @@ func TestRemoteFramesPerStep(t *testing.T) {
 // after an eval, when the initial broadcast has just queued some, as
 // after any tick. Hosted or in-process, the program is in the same state.
 func TestRemoteSnapshotBetweenSteps(t *testing.T) {
-	prog := genEquivProgram(rand.New(rand.NewSource(1)))
+	prog := vgen.Session(1).Steps[0].Source()
 	feats := Features{DisableInline: true, DisableJIT: true}
 	local := newTestRuntime(t, Options{Features: feats, Parallelism: 1})
 	remote := newTestRuntime(t, Options{Features: feats, Parallelism: 2,
-		Remote: &RemoteOptions{Addr: loopbackDaemon(t, true)}})
+		Remote: &RemoteOptions{Addr: newTestDaemon(t, "", false).addr}})
 	defer remote.CloseRemote()
 	local.MustEval(prog)
 	remote.MustEval(prog)
@@ -205,7 +236,7 @@ func TestSupervisedEngineLost(t *testing.T) {
 		if !r.RunUntilFinish(2000) {
 			t.Fatal("run never finished")
 		}
-		if got := d.engines(); got != 3 {
+		if got := d.live().Engines(); got != 3 {
 			t.Errorf("daemon holds %d engines for a 3-engine program (lose=%v)", got, lose)
 		}
 		return view.Output(), r.Stats(), view.Errors()

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -24,11 +25,11 @@ assign led.val = cnt;
 `
 
 // fastToolchain compiles near-instantly in virtual time (tests that
-// exercise the lifecycle rather than the latency).
+// exercise the lifecycle rather than the latency) and closes timing on
+// anything: generated programs chain 80-bit multipliers and dividers.
 func fastToolchain(dev *fpga.Device) *toolchain.Toolchain {
 	o := toolchain.DefaultOptions()
-	o.Scale = 1e9
-	o.BasePs = 1
+	o.Scale, o.BasePs, o.LevelPs = 1e9, 1, 1
 	return toolchain.New(dev, o)
 }
 
@@ -218,7 +219,7 @@ end`)
 			continue
 		}
 		var v int
-		if _, err := fmtSscanf(l, &v); err != nil {
+		if _, err := fmt.Sscanf(l, "beat %d", &v); err != nil {
 			t.Fatalf("bad line %q", l)
 		}
 		if v <= lastBeat {
@@ -226,28 +227,6 @@ end`)
 		}
 		lastBeat = v
 	}
-}
-
-// fmtSscanf avoids importing fmt twice in tests.
-func fmtSscanf(line string, v *int) (int, error) {
-	var n int
-	var err error
-	n, err = sscanBeat(line, v)
-	return n, err
-}
-
-func sscanBeat(line string, v *int) (int, error) {
-	s := strings.TrimPrefix(line, "beat ")
-	s = strings.TrimSpace(s)
-	val := 0
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			break
-		}
-		val = val*10 + int(c-'0')
-	}
-	*v = val
-	return 1, nil
 }
 
 func TestFinishStopsRuntime(t *testing.T) {

@@ -2,107 +2,16 @@ package runtime
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
 	"cascade/internal/lifecycle"
-	"cascade/internal/sim"
 	"cascade/internal/toolchain"
 	"cascade/internal/vclock"
+	"cascade/internal/vgen"
 )
-
-// genEquivProgram emits a random multi-module program: K independent
-// counter modules, each its own engine under DisableInline, some of
-// which $display on every posedge, plus a root-level display and an LED
-// driven by the xor of every counter. The generator only uses constructs
-// whose semantics are deterministic for a race-free synchronous program,
-// so serial and parallel schedules must agree on every observable.
-func genEquivProgram(rng *rand.Rand) string {
-	var sb strings.Builder
-	k := 2 + rng.Intn(3)
-	displays := 0
-	for i := 0; i < k; i++ {
-		w := 4 + rng.Intn(5) // 4..8 bits
-		init := rng.Intn(1 << w)
-		inc := 1 + rng.Intn(7)
-		fmt.Fprintf(&sb, "module Gen%d(input wire c, output wire [%d:0] out);\n", i, w-1)
-		fmt.Fprintf(&sb, "  reg [%d:0] acc = %d;\n", w-1, init)
-		fmt.Fprintf(&sb, "  always @(posedge c) begin\n")
-		fmt.Fprintf(&sb, "    acc <= acc + %d;\n", inc)
-		// At least two modules must print so that lane-drain ordering
-		// across engines is actually exercised.
-		if rng.Intn(2) == 0 || (displays < 2 && i >= k-2) {
-			fmt.Fprintf(&sb, "    $display(\"m%d=%%d\", acc);\n", i)
-			displays++
-		}
-		fmt.Fprintf(&sb, "  end\n")
-		fmt.Fprintf(&sb, "  assign out = acc;\n")
-		fmt.Fprintf(&sb, "endmodule\n")
-		fmt.Fprintf(&sb, "Gen%d g%d(.c(clk.val));\n", i, i)
-	}
-	sb.WriteString("always @(posedge clk.val) $display(\"root=%d\", g0.out);\n")
-	sb.WriteString("assign led.val = g0.out")
-	for i := 1; i < k; i++ {
-		fmt.Fprintf(&sb, " ^ g%d.out", i)
-	}
-	sb.WriteString(";\n")
-	return sb.String()
-}
-
-// runEquiv executes prog for n ticks at the given parallelism and
-// returns every observable: program output, the per-tick LED trace, and
-// the final per-subprogram state.
-func runEquiv(t *testing.T, prog string, feats Features, par, n int) (string, []uint64, map[string]*sim.State) {
-	t.Helper()
-	view := &BufView{Quiet: true}
-	r := newTestRuntime(t, Options{View: view, Features: feats, Parallelism: par})
-	r.MustEval(prog)
-	leds := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		r.RunTicks(1)
-		leds = append(leds, r.World().Led("main.led"))
-	}
-	return view.Output(), leds, r.captureStates()
-}
-
-// TestSerialParallelEquivalence is the scheduler-equivalence property
-// test (DESIGN.md invariants): for random multi-engine programs, a
-// parallel runtime must be observationally indistinguishable from a
-// serial one — identical display output in identical order, identical
-// LED trace at every tick, identical final engine state. Odd seeds run
-// the full JIT (engines migrate to hardware mid-trace; virtual-time
-// billing differs between the two runtimes, but observables may not).
-func TestSerialParallelEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		feats := Features{DisableInline: true}
-		if seed%2 == 0 {
-			feats.DisableJIT = true
-		}
-		t.Run(fmt.Sprintf("seed%d_jit%v", seed, !feats.DisableJIT), func(t *testing.T) {
-			prog := genEquivProgram(rand.New(rand.NewSource(seed)))
-			outS, ledS, stS := runEquiv(t, prog, feats, 1, 48)
-			// 8 lanes cover every member of a batch; 2 and 3 leave the
-			// three to five engines sharing lanes through the cursor.
-			for _, par := range []int{8, 2, 3} {
-				outP, ledP, stP := runEquiv(t, prog, feats, par, 48)
-				if outS != outP {
-					t.Errorf("%d lanes: display output diverged:\nserial:   %q\nparallel: %q\nprogram:\n%s", par, outS, outP, prog)
-				}
-				if !reflect.DeepEqual(ledS, ledP) {
-					t.Errorf("%d lanes: LED trace diverged:\nserial:   %v\nparallel: %v\nprogram:\n%s", par, ledS, ledP, prog)
-				}
-				if !reflect.DeepEqual(stS, stP) {
-					t.Errorf("%d lanes: final states diverged:\nserial:   %v\nparallel: %v\nprogram:\n%s", par, stS, stP, prog)
-				}
-			}
-		})
-	}
-}
 
 // TestServicePassAllocFree: the inter-step service pass runs every step,
 // so with no compile pending and no fault latched it must not allocate —
@@ -206,7 +115,7 @@ func TestServiceJITDropsCanceledJobs(t *testing.T) {
 func TestBufViewConcurrentReads(t *testing.T) {
 	view := &BufView{Quiet: true}
 	r := newTestRuntime(t, Options{View: view, Features: Features{DisableJIT: true, DisableInline: true}})
-	r.MustEval(genEquivProgram(rand.New(rand.NewSource(99))))
+	r.MustEval(vgen.Session(99).Steps[0].Source())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -218,7 +127,7 @@ func TestBufViewConcurrentReads(t *testing.T) {
 	}()
 	r.RunTicks(300)
 	<-done
-	if !strings.Contains(view.Output(), "root=") {
+	if !strings.Contains(view.Output(), "root0.") {
 		t.Fatalf("program produced no output: %q", view.Output())
 	}
 }

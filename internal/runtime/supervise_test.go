@@ -3,142 +3,25 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"net"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"cascade/internal/fault"
-	"cascade/internal/fpga"
 	"cascade/internal/proto"
 	"cascade/internal/supervise"
 	"cascade/internal/transport"
 	"cascade/internal/vclock"
 )
 
-// testDaemon is a restartable stand-in for cascade-engined: a
-// transport.Host served on a loopback listener whose address survives
-// kill/restart cycles. kill severs the listener and every live
-// connection (what a SIGKILL does to the process's sockets); restart
-// builds a fresh host on the same address, resuming from the journal
-// when one is configured. Kills happen between steps in these tests, so
-// no request is mid-Handle when the old host's journal goes quiet.
-type testDaemon struct {
-	t       testing.TB
-	addr    string
-	journal string // "" disables daemon-side session resumption
-	jit     bool
-	// faults, when non-zero, gives each host incarnation its own
-	// injector (compile faults, region faults on the daemon fabric).
-	// Restarts rebuild the injector at trial zero — scripted restarts
-	// therefore reset the fault timeline at the same points every run.
-	faults fault.Config
-
-	mu      sync.Mutex
-	l       net.Listener
-	conns   map[net.Conn]bool
-	host    *transport.Host
-	resumed int // engines the current host resumed from the journal
-}
-
-func newTestDaemon(t testing.TB, journal string, jit bool) *testDaemon {
-	return newChaosDaemon(t, journal, jit, fault.Config{})
-}
-
-func newChaosDaemon(t testing.TB, journal string, jit bool, faults fault.Config) *testDaemon {
-	d := &testDaemon{t: t, journal: journal, jit: jit, faults: faults, conns: map[net.Conn]bool{}}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.addr = l.Addr().String()
-	d.serve(l)
-	t.Cleanup(d.kill)
-	return d
-}
-
-func (d *testDaemon) serve(l net.Listener) {
-	dev := fpga.NewCycloneV()
-	var inj *fault.Injector
-	if d.faults != (fault.Config{}) {
-		inj = fault.New(d.faults)
-	}
-	host := transport.NewHost(transport.HostOptions{
-		Device:     dev,
-		Toolchain:  fastToolchain(dev),
-		DisableJIT: !d.jit,
-		Injector:   inj,
-	})
-	resumed := 0
-	if d.journal != "" {
-		var err error
-		if _, resumed, err = host.EnableJournal(d.journal); err != nil {
-			d.t.Fatal(err)
+// hosted counts the engines st shows on the daemon.
+func hosted(st Stats) (n int) {
+	for _, e := range st.Engines {
+		if e.Transport == "tcp" {
+			n++
 		}
 	}
-	d.mu.Lock()
-	d.l, d.host, d.resumed = l, host, resumed
-	d.mu.Unlock()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			d.mu.Lock()
-			d.conns[conn] = true
-			d.mu.Unlock()
-			go func() {
-				host.ServeConn(conn)
-				d.mu.Lock()
-				delete(d.conns, conn)
-				d.mu.Unlock()
-			}()
-		}
-	}()
-}
-
-// kill drops the daemon mid-run.
-func (d *testDaemon) kill() {
-	d.mu.Lock()
-	l := d.l
-	d.l = nil
-	conns := make([]net.Conn, 0, len(d.conns))
-	for c := range d.conns {
-		conns = append(conns, c)
-	}
-	d.mu.Unlock()
-	if l != nil {
-		l.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-// restart brings the daemon back on the same address.
-func (d *testDaemon) restart() {
-	l, err := net.Listen("tcp", d.addr)
-	if err != nil {
-		d.t.Fatal(err)
-	}
-	d.serve(l)
-}
-
-// sessions reports the live host's session count.
-func (d *testDaemon) sessions() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.host.Sessions()
-}
-
-// engines reports how many engines the live host holds.
-func (d *testDaemon) engines() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.host.Engines()
+	return n
 }
 
 // supCtrProg prints its counter on every posedge, so any state lost or
@@ -225,13 +108,7 @@ func TestSupervisedFailoverAndRehost(t *testing.T) {
 	if st.Supervise.Trips != 0 {
 		t.Fatalf("breaker tripped on a healthy daemon: %+v", st.Supervise)
 	}
-	remoteEngines := 0
-	for _, e := range st.Engines {
-		if e.Transport == "tcp" {
-			remoteEngines++
-		}
-	}
-	if remoteEngines == 0 {
+	if hosted(st) == 0 {
 		t.Fatalf("no remote engines before the outage: %+v", st.Engines)
 	}
 
@@ -244,10 +121,8 @@ func TestSupervisedFailoverAndRehost(t *testing.T) {
 	if st.Supervise.Failovers == 0 {
 		t.Fatalf("no failover after trip: %+v", st.Supervise)
 	}
-	for _, e := range st.Engines {
-		if e.Transport == "tcp" {
-			t.Fatalf("engine %s still on tcp after failover: %+v", e.Path, st.Engines)
-		}
+	if hosted(st) != 0 {
+		t.Fatalf("engines still on tcp after failover: %+v", st.Engines)
 	}
 	if got := r.World().Led("main.led"); got == 0 {
 		t.Fatal("counter frozen after failover: led still 0")
@@ -262,16 +137,11 @@ func TestSupervisedFailoverAndRehost(t *testing.T) {
 	if st.Supervise.State != "closed" {
 		t.Fatalf("breaker not closed after recovery: %+v", st.Supervise)
 	}
-	remoteEngines = 0
-	for _, e := range st.Engines {
-		if e.Transport == "tcp" {
-			remoteEngines++
-		}
-	}
+	remoteEngines := hosted(st)
 	if remoteEngines == 0 {
 		t.Fatalf("engines not re-hosted after recovery: %+v", st.Engines)
 	}
-	if got := d.engines(); got != remoteEngines {
+	if got := d.live().Engines(); got != remoteEngines {
 		t.Fatalf("resumed daemon holds %d engines for %d hosted after the re-host", got, remoteEngines)
 	}
 
@@ -304,14 +174,14 @@ func TestSupervisedSessionReopenAfterRestart(t *testing.T) {
 	r.MustEval(supCtrProg)
 
 	r.RunTicks(4)
-	if d.sessions() != 1 {
-		t.Fatalf("daemon sessions before outage = %d, want 1", d.sessions())
+	if d.live().Sessions() != 1 {
+		t.Fatalf("daemon sessions before outage = %d, want 1", d.live().Sessions())
 	}
 	d.kill()
 	r.RunTicks(6)
 	d.restart()
-	if d.sessions() != 0 {
-		t.Fatalf("journalless restart kept %d sessions", d.sessions())
+	if d.live().Sessions() != 0 {
+		t.Fatalf("journalless restart kept %d sessions", d.live().Sessions())
 	}
 	// The refusal the re-host sweep keys on is an error value, not a
 	// message: a second connection names the lost session and gets it.
@@ -329,8 +199,8 @@ func TestSupervisedSessionReopenAfterRestart(t *testing.T) {
 	if st.Supervise.Rehosts == 0 {
 		t.Fatalf("no re-host after restart: %+v", st.Supervise)
 	}
-	if d.sessions() != 1 {
-		t.Fatalf("re-host did not re-open a session: %d", d.sessions())
+	if d.live().Sessions() != 1 {
+		t.Fatalf("re-host did not re-open a session: %d", d.live().Sessions())
 	}
 	reopened := false
 	for _, in := range view.Infos() {
@@ -397,16 +267,10 @@ func TestSupervisedRestartEpochDetection(t *testing.T) {
 	if st.Supervise.State != "closed" {
 		t.Fatalf("breaker not closed after recovery: %+v", st.Supervise)
 	}
-	remote := 0
-	for _, e := range st.Engines {
-		if e.Transport == "tcp" {
-			remote++
-		}
-	}
-	if remote == 0 {
+	if hosted(st) == 0 {
 		t.Fatalf("engines not back on the daemon: %+v", st.Engines)
 	}
-	if got := d.engines(); got != 1 {
+	if got := d.live().Engines(); got != 1 {
 		t.Fatalf("daemon holds %d engines for a 1-engine program after the re-host", got)
 	}
 	// Again over the same journal: what it resumes does not grow.
@@ -420,7 +284,7 @@ func TestSupervisedRestartEpochDetection(t *testing.T) {
 		if st := r.Stats().Supervise; st.Rehosts != uint64(cycle) || st.State != "closed" {
 			t.Fatalf("cycle %d did not re-host: %+v", cycle, st)
 		}
-		if got := d.engines(); got != 1 {
+		if got := d.live().Engines(); got != 1 {
 			t.Fatalf("daemon holds %d engines after re-host %d, want 1", got, cycle)
 		}
 	}
@@ -458,26 +322,6 @@ func TestSupervisedInitialOutputOnce(t *testing.T) {
 	}
 }
 
-// loseSetState wraps the daemon connection and, once armed, loses one
-// SetState frame — the handoff of a re-host — after letting skip of them
-// through: the frame never leaves, as when injected drops outlast the
-// retry budget, and the daemon stays up.
-type loseSetState struct {
-	transport.Transport
-	armed bool
-	skip  int
-}
-
-func (l *loseSetState) Roundtrip(req *proto.Request, rep *proto.Reply) (transport.Cost, error) {
-	if l.armed && req.Kind == proto.KindSetState {
-		if l.skip--; l.skip < 0 {
-			l.armed = false
-			return transport.Cost{}, fmt.Errorf("handoff frame lost: %w", transport.ErrEngineUnavailable)
-		}
-	}
-	return l.Transport.Roundtrip(req, rep)
-}
-
 // TestSupervisedRehostHandoffFailure: the daemon comes back, the re-host
 // sweep hands the first of three failed-over engines over, and the second
 // one's state frame is lost mid-handoff. The sweep stops there: that
@@ -489,18 +333,12 @@ func TestSupervisedRehostHandoffFailure(t *testing.T) {
 	run := func(disturb bool) (string, Stats, []string, int) {
 		view := &BufView{}
 		d := newTestDaemon(t, "", false)
-		r := newTestRuntime(t, Options{
+		r, link := tapped(t, Options{
 			View:      view,
 			Features:  Features{DisableInline: true, DisableJIT: true},
 			Remote:    supRemoteOptions(d.addr),
 			Supervise: supTestOptions(),
 		})
-		defer r.CloseRemote()
-		if err := r.connectRemote(); err != nil {
-			t.Fatal(err)
-		}
-		lossy := &loseSetState{Transport: r.remoteT, skip: 1}
-		r.link = transport.NewLink(lossy, r.now, r.vclk.Now)
 		r.MustEval(chaosProg)
 		r.RunTicks(10)
 		if disturb {
@@ -509,13 +347,18 @@ func TestSupervisedRehostHandoffFailure(t *testing.T) {
 			if st := r.Stats().Supervise; st.Failovers != 3 {
 				t.Fatalf("no failover before the re-host under test: %+v", st)
 			}
-			lossy.armed = true
+			// The second SetState from here on — the handoff of the second
+			// re-host — is lost.
+			before := link.frames[proto.KindSetState]
+			link.lose = func(req *proto.Request) bool {
+				return req.Kind == proto.KindSetState && link.frames[proto.KindSetState] == before+2
+			}
 			d.restart()
 		}
 		if !r.RunUntilFinish(2000) {
 			t.Fatal("run never finished")
 		}
-		return view.Output(), r.Stats(), view.Infos(), d.engines()
+		return view.Output(), r.Stats(), view.Infos(), d.live().Engines()
 	}
 	want, _, _, _ := run(false)
 	got, st, infos, held := run(true)
@@ -525,14 +368,8 @@ func TestSupervisedRehostHandoffFailure(t *testing.T) {
 	if st.Supervise.Rehosts != 1 || st.Supervise.State != "closed" {
 		t.Errorf("want one engine re-hosted and the breaker closed: %+v", st.Supervise)
 	}
-	hosted := 0
-	for _, e := range st.Engines {
-		if e.Transport == "tcp" {
-			hosted++
-		}
-	}
-	if hosted != 1 || held != 1 {
-		t.Errorf("runtime drives %d hosted engine(s), daemon holds %d, want 1 and 1", hosted, held)
+	if n := hosted(st); n != 1 || held != 1 {
+		t.Errorf("runtime drives %d hosted engine(s), daemon holds %d, want 1 and 1", n, held)
 	}
 	stayed := false
 	for _, in := range infos {

@@ -1,14 +1,10 @@
 package runtime
 
 import (
-	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
 	"cascade/internal/fpga"
-	"cascade/internal/toolchain"
-	"cascade/internal/vclock"
 )
 
 // twoModules is a two-subprogram program: instance a of M counts in a.x,
@@ -139,101 +135,5 @@ func TestUnreachableDaemonRejectsEvalCleanly(t *testing.T) {
 	}
 	if n := len(r.Stats().Engines); n != 4 {
 		t.Fatalf("engines = %d, want the root and three peripherals", n)
-	}
-}
-
-// evalRun is everything observable about a session: invariant 16 demands
-// it be identical whether or not a refused eval was attempted mid-run.
-type evalRun struct {
-	Display  string
-	Leds     []uint64
-	Phases   []Phase
-	Snapshot string
-	Time     vclock.Breakdown
-	Records  uint64 // journal records appended (0 when not durable)
-}
-
-// runAttempting runs twoModules for 3 ticks, attempts fragment ("" for
-// the reference run), which must be refused, and runs 21 ticks more. The
-// toolchain is paced so the attempt lands in the software phase with the
-// fabric compile in flight and the hot swap lands afterwards: a refusal
-// that cancelled or re-billed anything moves the trajectory. Lock step
-// throughout: open-loop bursts are sized by the host's wall clock.
-func runAttempting(t *testing.T, feats Features, par int, durable bool, fragment string) evalRun {
-	t.Helper()
-	feats.DisableOpenLoop = true
-	view := &BufView{Quiet: true}
-	dev := fpga.NewCycloneV()
-	pace := toolchain.DefaultOptions()
-	pace.Scale = 40_000
-	opts := Options{Device: dev, Toolchain: toolchain.New(dev, pace), View: view, Parallelism: par, Features: feats}
-	var r *Runtime
-	if durable {
-		opts.Persist = &PersistOptions{Dir: t.TempDir(), EverySteps: 16}
-		var err error
-		if r, _, err = Open(opts); err != nil {
-			t.Fatal(err)
-		}
-		defer r.ClosePersistence()
-	} else {
-		r = New(opts)
-	}
-	r.MustEval(DefaultPrelude)
-	r.MustEval(twoModules)
-	var run evalRun
-	tick := func(n int) {
-		for i := 0; i < n; i++ {
-			r.RunTicks(1)
-			run.Leds = append(run.Leds, r.World().Led("main.led"))
-			run.Phases = append(run.Phases, r.Phase())
-		}
-	}
-	tick(3)
-	if fragment != "" {
-		if err := r.Eval(fragment); err == nil {
-			t.Fatalf("eval(%q) should fail", fragment)
-		}
-	}
-	tick(21)
-	st := r.Stats()
-	run.Display, run.Snapshot = view.Output(), EncodeSnapshot(r.Snapshot())
-	run.Time, run.Records = st.Time, st.Persist.Records
-	return run
-}
-
-// TestEvalErrorLeavesProgramIntact is DESIGN.md key invariant 16, "a
-// rejected eval is invisible": for every way the front end can refuse a
-// fragment, in every configuration, a session that attempts the fragment
-// is byte-identical — display output, LED trace, phase trajectory, final
-// snapshot, virtual-time ledger, journal length — to one that never did.
-func TestEvalErrorLeavesProgramIntact(t *testing.T) {
-	fragments := []struct{ class, src string }{
-		{"duplicate driver", `assign led.val = 1;`}, // would double-drive through promotion collision
-		{"parse error", `wire [3:0] w = ;`},
-		{"undeclared identifier", `assign q = missing;`},
-		{"duplicate module", `module Rol(); endmodule
-		 module Rol(); endmodule`},
-		{"elaboration error in a declared module", `module Bad(input wire c, output wire [3:0] o);
-		   wire [3:0] q = 4'd5; assign o = q[7:4]; endmodule
-		 wire [3:0] bo; Bad b(.c(clk.val), .o(bo));`},
-		{"inline name collision", inlineCollision},
-	}
-	for cfg := 0; cfg < 16; cfg++ {
-		feats := Features{DisableInline: cfg&1 != 0, NativeTier: cfg&2 != 0}
-		durable, par := cfg&4 != 0, 1+3*(cfg>>3)
-		t.Run(fmt.Sprintf("inline=%v native=%v durable=%v par=%d", !feats.DisableInline, feats.NativeTier, durable, par), func(t *testing.T) {
-			want := runAttempting(t, feats, par, durable, "")
-			if len(want.Display) == 0 || want.Phases[2] >= PhaseHardware || want.Phases[23] < PhaseHardware || durable == (want.Records == 0) {
-				t.Fatalf("reference run should print, swap to hardware after tick 3 and journal iff durable: %+v", want)
-			}
-			for _, f := range fragments {
-				if f.src == inlineCollision && feats.DisableInline {
-					continue // accepted: nothing is renamed (TestRejectedInlineLeavesProgramRunning)
-				}
-				if got := runAttempting(t, feats, par, durable, f.src); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: the refused eval is visible:\n got %+v\nwant %+v", f.class, got, want)
-				}
-			}
-		})
 	}
 }

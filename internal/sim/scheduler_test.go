@@ -1,14 +1,12 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"cascade/internal/bits"
-	"cascade/internal/elab"
-	"cascade/internal/verilog"
+	"cascade/internal/vgen"
 )
 
 // This file checks the paper's §2.5 claim that any system performing
@@ -16,52 +14,6 @@ import (
 // race-free synchronous programs, a simulator processing events in a
 // random order per batch reaches the same observable states as the
 // deterministic one.
-
-// randOrderProgram emits a random synchronous module (mirrors the
-// generator in internal/netlist but kept local to avoid an import cycle
-// of test helpers).
-func randOrderProgram(r *rand.Rand) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "module M(input wire clk, input wire [7:0] a, input wire [7:0] b);\n")
-	reads := []string{"a", "b"}
-	nregs := 2 + r.Intn(3)
-	for i := 0; i < nregs; i++ {
-		fmt.Fprintf(&sb, "  reg [7:0] r%d = %d;\n", i, r.Intn(100))
-		reads = append(reads, fmt.Sprintf("r%d", i))
-	}
-	expr := func() string {
-		x := reads[r.Intn(len(reads))]
-		y := reads[r.Intn(len(reads))]
-		op := []string{"+", "-", "^", "&", "|"}[r.Intn(5)]
-		return fmt.Sprintf("(%s %s %s)", x, op, y)
-	}
-	nwires := 1 + r.Intn(3)
-	for i := 0; i < nwires; i++ {
-		fmt.Fprintf(&sb, "  wire [7:0] w%d;\n", i)
-	}
-	for i := 0; i < nwires; i++ {
-		fmt.Fprintf(&sb, "  assign w%d = %s;\n", i, expr())
-		reads = append(reads, fmt.Sprintf("w%d", i))
-	}
-	for i := 0; i < nregs; i++ {
-		fmt.Fprintf(&sb, "  always @(posedge clk) r%d <= %s;\n", i, expr())
-	}
-	fmt.Fprintf(&sb, "endmodule\n")
-	return sb.String()
-}
-
-func elaborateSrc(t *testing.T, src string) *elab.Flat {
-	t.Helper()
-	st, errs := verilog.ParseSourceText(src)
-	if errs != nil {
-		t.Fatal(errs)
-	}
-	f, err := elab.Elaborate(st.Modules[0], "dut", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
 
 func settleSim(s *Simulator) {
 	for s.HasActive() || s.HasUpdates() {
@@ -75,10 +27,10 @@ func settleSim(s *Simulator) {
 func TestSchedulerOrderIndependence(t *testing.T) {
 	gen := rand.New(rand.NewSource(321))
 	for trial := 0; trial < 30; trial++ {
-		src := randOrderProgram(gen)
-		ref := New(elaborateSrc(t, src), Options{})
+		src := vgen.Module(uint64(trial)).String()
+		ref := New(build(t, src), Options{})
 		shuffleRng := rand.New(rand.NewSource(int64(trial) * 7))
-		shuf := New(elaborateSrc(t, src), Options{
+		shuf := New(build(t, src), Options{
 			Shuffle: func(n int) []int { return shuffleRng.Perm(n) },
 		})
 		for tick := 0; tick < 15; tick++ {
@@ -114,9 +66,9 @@ module M(input wire clk);
   end
 endmodule`
 	var refOut, shufOut strings.Builder
-	ref := New(elaborateSrc(t, src), Options{Display: func(s string) { refOut.WriteString(s) }})
+	ref := New(build(t, src), Options{Display: func(s string) { refOut.WriteString(s) }})
 	rng := rand.New(rand.NewSource(5))
-	shuf := New(elaborateSrc(t, src), Options{
+	shuf := New(build(t, src), Options{
 		Display: func(s string) { shufOut.WriteString(s) },
 		Shuffle: func(n int) []int { return rng.Perm(n) },
 	})

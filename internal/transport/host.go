@@ -667,18 +667,6 @@ func (h *Host) journalReq(req *proto.Request, assigned uint32) {
 	h.jr.Sync()
 }
 
-// CloseJournal syncs and closes the resumption journal, if armed.
-func (h *Host) CloseJournal() error {
-	h.jmu.Lock()
-	defer h.jmu.Unlock()
-	if h.jr == nil {
-		return nil
-	}
-	err := h.jr.Close()
-	h.jr = nil
-	return err
-}
-
 // serviceJIT runs the host-side slice of the Figure-9 state machine for
 // one engine at a step boundary, through its lifecycle record: evict a
 // faulted hardware engine back to software, or promote a finished

@@ -76,9 +76,6 @@ type Clock struct {
 // Now returns the current virtual time in picoseconds.
 func (c *Clock) Now() uint64 { return c.nowPs }
 
-// NowSeconds returns the current virtual time in seconds.
-func (c *Clock) NowSeconds() float64 { return float64(c.nowPs) / float64(S) }
-
 // AdvanceCompute advances the timeline by compute work.
 func (c *Clock) AdvanceCompute(ps uint64) {
 	c.nowPs += ps

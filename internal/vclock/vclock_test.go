@@ -43,7 +43,4 @@ func TestClockAttribution(t *testing.T) {
 	if c.ComputePs != 100 || c.OverheadPs != 50 || c.CommPs != 2*m.MsgPs || c.Messages != 2 {
 		t.Fatalf("attribution wrong: %+v", c)
 	}
-	if c.NowSeconds() <= 0 {
-		t.Fatal("seconds conversion")
-	}
 }

@@ -342,6 +342,13 @@ func (p *printer) expr(e Expr, prec int) {
 		p.printf("%q", x.Value)
 	case *Unary:
 		p.printf("%s", unOpText[x.Op])
+		if _, nested := x.X.(*Unary); nested {
+			// Two operators in a row would lex as one: ~(&a) is not ~&a.
+			p.printf("(")
+			p.expr(x.X, 0)
+			p.printf(")")
+			break
+		}
 		p.expr(x.X, 12)
 	case *Binary:
 		myPrec := binOpPrec[x.Op]

@@ -70,6 +70,11 @@ func TestPrintRoundTrip(t *testing.T) {
 		   assign o = (~a & b | a ^ b ~^ a) + (&a ? |b : ^a) - !a;
 		   assign o[0] = a < b && a >= b || a !== b === 1'b1;
 		 endmodule`,
+		// A unary operator applied to a unary operator keeps its
+		// parentheses: ~(&a) printed ~&a is a nand, &(&a) a parse error.
+		`module Nest(input wire [7:0] a, output wire [7:0] o);
+		   assign o = ~(&a) + -(-a) + &(&a) + |(|a) + ~(^a) + ^(~a) + !(!a);
+		 endmodule`,
 	}
 	for i, src := range sources {
 		st1, errs := ParseSourceText(src)

@@ -61,12 +61,6 @@ func (c *Config) BlockBytes(nonce uint32) [64]byte {
 	return b
 }
 
-// HashNonce computes the reference digest for a nonce.
-func (c *Config) HashNonce(nonce uint32) [32]byte {
-	b := c.BlockBytes(nonce)
-	return sha256.Sum256(append(c.Header[:], b[HeaderBytes:48]...))
-}
-
 // refDigestWord0 returns the first word of SHA-256 over the 48-byte
 // message (header || nonce).
 func (c *Config) refDigestWord0(nonce uint32) uint32 {

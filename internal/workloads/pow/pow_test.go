@@ -190,37 +190,3 @@ func TestMinerSynthesisStats(t *testing.T) {
 	}
 	t.Logf("pow stats: cells=%d ffs=%d crit=%d ops=%d", st.Cells, st.FFs, st.CritPath, st.CodeOps)
 }
-
-func BenchmarkMinerTickInterpreted(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Target = 0
-	src := Generate(cfg)
-	st, _ := verilog.ParseSourceText(src)
-	f, _ := elab.Elaborate(st.Modules[0], "pow", nil)
-	d := &simDriver{s: sim.New(f, sim.Options{}), clk: f.VarNamed("clk")}
-	d.settle()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.tick()
-	}
-}
-
-func BenchmarkMinerTickCompiled(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Target = 0
-	src := Generate(cfg)
-	st, _ := verilog.ParseSourceText(src)
-	f, _ := elab.Elaborate(st.Modules[0], "pow", nil)
-	prog, err := netlist.Compile(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := &hwDriver{m: netlist.NewMachine(prog), clk: f.VarNamed("clk")}
-	d.settle()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.tick()
-	}
-}

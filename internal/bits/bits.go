@@ -21,9 +21,9 @@
 package bits
 
 import (
-	"fmt"
 	"math/big"
 	mathbits "math/bits"
+	"strconv"
 	"strings"
 )
 
@@ -574,20 +574,25 @@ func FromBytesLE(width int, data []byte) *Vector {
 }
 
 // String formats b as width'hXX... (Verilog sized hexadecimal).
-func (b *Vector) String() string {
-	return fmt.Sprintf("%d'h%s", b.width, b.Hex())
+func (b *Vector) String() string { return string(b.AppendString(nil)) }
+
+// AppendString appends b's String form to dst: what a caller formatting
+// many vectors into one buffer uses instead of a string apiece.
+func (b *Vector) AppendString(dst []byte) []byte {
+	dst = strconv.AppendInt(dst, int64(b.width), 10)
+	return b.appendHex(append(dst, '\'', 'h'))
 }
 
 // Hex returns the hexadecimal digits of b, without prefix, using the
 // minimal digit count for the width.
-func (b *Vector) Hex() string {
-	digits := (b.width + 3) / 4
-	var sb strings.Builder
-	for i := digits - 1; i >= 0; i-- {
+func (b *Vector) Hex() string { return string(b.appendHex(nil)) }
+
+func (b *Vector) appendHex(dst []byte) []byte {
+	for i := (b.width+3)/4 - 1; i >= 0; i-- {
 		nib := (b.words[i*4/WordBits] >> ((i * 4) % WordBits)) & 0xf
-		sb.WriteByte("0123456789abcdef"[nib])
+		dst = append(dst, "0123456789abcdef"[nib])
 	}
-	return sb.String()
+	return dst
 }
 
 // Bin returns the binary digits of b, one character per bit.

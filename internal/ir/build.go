@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"slices"
 	"strings"
 
 	"cascade/internal/bits"
@@ -13,10 +14,26 @@ import (
 // wires table describing the data plane. reg supplies the standard
 // library's module specs. The implicit root module is assembled from
 // p.RootItems and rooted at RootPath.
-func Build(p *Program, reg Registry) (*Design, error) {
-	b := &builder{prog: p, reg: reg, design: &Design{}}
+func Build(p *Program, reg Registry) (*Design, error) { return BuildFrom(nil, p, reg) }
+
+// BuildFrom is Build for a program that extends the one prev was built
+// from (nil: none). Declared modules are immutable and a program only
+// grows, so an instance that is again the same declaration at the same
+// path, with the same resolved parameters and the same variables promoted
+// to outputs by its parent (a later fragment reading e.acc changes e's
+// ports) splits into what it did before: the design holds prev's own
+// *SubProgram for it and for every instance below it, and their wires, in
+// Build's order. The root is always split afresh. prev is only read.
+func BuildFrom(prev *Design, p *Program, reg Registry) (*Design, error) {
+	b := &builder{prog: p, reg: reg, design: &Design{}, ranges: map[int]*verilog.Range{}}
+	if prev != nil {
+		b.prev = make(map[string]*SubProgram, len(prev.Subs))
+		for _, s := range prev.Subs {
+			b.prev[s.Path] = s
+		}
+	}
 	root := &verilog.Module{Name: RootPath, Items: p.RootItems}
-	if _, err := b.split(root, RootPath, nil, nil); err != nil {
+	if err := b.split(root, RootPath, nil, nil); err != nil {
 		return nil, err
 	}
 	return b.design, nil
@@ -26,6 +43,28 @@ type builder struct {
 	prog   *Program
 	reg    Registry
 	design *Design
+	prev   map[string]*SubProgram // the predecessor's subprograms, by path
+	ranges map[int]*verilog.Range // the [w-1:0] literal of each promoted width
+}
+
+// reusable returns the predecessor's subprogram for the instance ci at
+// path if it would split into the same thing again.
+func (b *builder) reusable(path string, ci *childInst) *SubProgram {
+	old := b.prev[path]
+	if old == nil || old.src != ci.mod || len(old.env) != len(ci.params) || len(old.extra) != len(ci.extraOutputs) {
+		return nil
+	}
+	for name, v := range ci.params {
+		if o := old.env[name]; o == nil || o.Width() != v.Width() || !o.Equal(v) {
+			return nil
+		}
+	}
+	for name := range ci.extraOutputs {
+		if !old.extra[name] {
+			return nil
+		}
+	}
+	return old
 }
 
 // childInst is a resolved instantiation inside one module.
@@ -40,12 +79,13 @@ type childInst struct {
 }
 
 // split transforms one module instance into a subprogram, recursing into
-// children. It returns the index of the created subprogram.
-func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*bits.Vector, extraOutputs map[string]bool) (int, error) {
+// children.
+func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*bits.Vector, extraOutputs map[string]bool) error {
 	env, headerEnv, err := paramEnv(mod, overrides)
 	if err != nil {
-		return 0, err
+		return err
 	}
+	firstWire := len(b.design.Wires)
 
 	// Resolve instances.
 	children := map[string]*childInst{}
@@ -59,10 +99,10 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 		}
 		ci, err := b.resolveInstance(inst, env)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if _, dup := children[inst.Name]; dup {
-			return 0, errf(inst.InstPos, "duplicate instance name %s", inst.Name)
+			return errf(inst.InstPos, "duplicate instance name %s", inst.Name)
 		}
 		children[inst.Name] = ci
 		childOrder = append(childOrder, inst.Name)
@@ -99,7 +139,7 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 		ci := children[name]
 		conns, err := b.namedConns(ci)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		for _, c := range conns {
 			if c.Expr == nil {
@@ -107,14 +147,14 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 			}
 			dir, width, kind, err := b.childPortInfo(ci, c.Name, c.ConnPos)
 			if err != nil {
-				return 0, err
+				return err
 			}
 			mangled := name + "__" + c.Name
 			switch dir {
 			case verilog.Input:
 				// Parent drives the child input: output port + assign.
 				if err := addPromo(c.ConnPos, mangled, &promo{dir: verilog.Output, kind: verilog.Wire, width: width}); err != nil {
-					return 0, err
+					return err
 				}
 				addedAssigns = append(addedAssigns, &verilog.ContAssign{
 					AssignPos: c.ConnPos,
@@ -128,10 +168,10 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 			case verilog.Output:
 				// Child drives a parent lvalue: input port + assign.
 				if !isLValueForm(c.Expr) {
-					return 0, errf(c.ConnPos, "connection to output port %s.%s must be an assignable expression", name, c.Name)
+					return errf(c.ConnPos, "connection to output port %s.%s must be an assignable expression", name, c.Name)
 				}
 				if err := addPromo(c.ConnPos, mangled, &promo{dir: verilog.Input, kind: kind, width: width}); err != nil {
-					return 0, err
+					return err
 				}
 				addedAssigns = append(addedAssigns, &verilog.ContAssign{
 					AssignPos: c.ConnPos,
@@ -143,7 +183,7 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 					To:   Endpoint{Sub: path, Port: mangled},
 				})
 			default:
-				return 0, errf(c.ConnPos, "inout ports are not supported")
+				return errf(c.ConnPos, "inout ports are not supported")
 			}
 		}
 	}
@@ -153,28 +193,28 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 	scanItems := append(append([]verilog.Item{}, bodyItems...), addedAssigns...)
 	refs, err := collectHierRefs(scanItems)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	for _, ref := range refs {
 		ci, ok := children[ref.inst]
 		if !ok {
-			return 0, errf(ref.pos, "%s.%s: %s is not an instance in this scope", ref.inst, ref.varName, ref.inst)
+			return errf(ref.pos, "%s.%s: %s is not an instance in this scope", ref.inst, ref.varName, ref.inst)
 		}
 		mangled := ref.inst + "__" + ref.varName
 		if ref.write {
 			dir, width, _, err := b.childPortInfo(ci, ref.varName, ref.pos)
 			if err != nil {
-				return 0, err
+				return err
 			}
 			if dir != verilog.Input {
-				return 0, errf(ref.pos, "cannot assign to %s.%s: not an input of %s", ref.inst, ref.varName, ref.inst)
+				return errf(ref.pos, "cannot assign to %s.%s: not an input of %s", ref.inst, ref.varName, ref.inst)
 			}
 			kind := verilog.Wire
 			if ref.procedural {
 				kind = verilog.Reg
 			}
 			if err := addPromo(ref.pos, mangled, &promo{dir: verilog.Output, kind: kind, width: width}); err != nil {
-				return 0, err
+				return err
 			}
 			b.design.Wires = append(b.design.Wires, Wire{
 				From: Endpoint{Sub: path, Port: mangled},
@@ -187,11 +227,11 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 		// receives the value on the first data-plane broadcast.)
 		width, _, err := b.childVarInfo(ci, ref.varName, ref.pos)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if _, dup := promos[mangled]; !dup {
 			if err := addPromo(ref.pos, mangled, &promo{dir: verilog.Input, kind: verilog.Wire, width: width}); err != nil {
-				return 0, err
+				return err
 			}
 			b.design.Wires = append(b.design.Wires, Wire{
 				From: Endpoint{Sub: path + "." + ref.inst, Port: ref.varName},
@@ -225,15 +265,22 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 		pm.Ports = append(pm.Ports, pt)
 		declared[pt.Name] = true
 	}
+	for _, it := range newItems {
+		if nd, ok := it.(*verilog.NetDecl); ok {
+			for _, dn := range nd.Names {
+				declared[dn.Name] = true
+			}
+		}
+	}
 	for _, name := range promoOrder {
-		if declared[name] || declaresVar(newItems, name) {
-			return 0, errf(mod.NamePos, "promoted port %s collides with an existing declaration in %s", name, mod.Name)
+		if declared[name] {
+			return errf(mod.NamePos, "promoted port %s collides with an existing declaration in %s", name, mod.Name)
 		}
 		pr := promos[name]
 		pm.Ports = append(pm.Ports, &verilog.Port{
 			Dir:   pr.dir,
 			Kind:  pr.kind,
-			Range: widthRange(pr.width),
+			Range: b.widthRange(pr.width),
 			Name:  name,
 			Init:  pr.init,
 		})
@@ -242,20 +289,16 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 	// Promote extra outputs requested by the parent: move item
 	// declarations into the port list, preserving initializers.
 	if len(extraOutputs) > 0 {
-		pm2, err := promoteVarsToOutputs(pm, extraOutputs, env)
+		pm2, err := b.promoteVarsToOutputs(pm, extraOutputs)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		pm = pm2
 	}
 
-	idx := len(b.design.Subs)
-	b.design.Subs = append(b.design.Subs, &SubProgram{
-		Path:   path,
-		Params: headerEnv,
-		Module: pm,
-		env:    env,
-	})
+	sub := &SubProgram{Path: path, Params: headerEnv, Module: pm, env: env, src: mod, extra: extraOutputs}
+	b.design.Subs = append(b.design.Subs, sub)
+	first := len(b.design.Subs)
 
 	// Recurse into children (stdlib children become leaf subprograms).
 	for _, name := range childOrder {
@@ -270,11 +313,20 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 			})
 			continue
 		}
-		if _, err := b.split(ci.mod, childPath, ci.header, ci.extraOutputs); err != nil {
-			return 0, err
+		if old := b.reusable(childPath, ci); old != nil {
+			b.design.Subs = append(append(b.design.Subs, old), old.below...)
+			b.design.Wires = append(b.design.Wires, old.wires...)
+			continue
+		}
+		if err := b.split(ci.mod, childPath, ci.header, ci.extraOutputs); err != nil {
+			return err
 		}
 	}
-	return idx, nil
+	if path != RootPath { // the root is never handed out again
+		sub.below = slices.Clone(b.design.Subs[first:])
+		sub.wires = slices.Clone(b.design.Wires[firstWire:])
+	}
+	return nil
 }
 
 // paramEnv evaluates a module's parameters (with overrides) and
@@ -618,34 +670,21 @@ func isLValueForm(e verilog.Expr) bool {
 	return false
 }
 
-// declaresVar reports whether items declare a variable with this name.
-func declaresVar(items []verilog.Item, name string) bool {
-	for _, it := range items {
-		if nd, ok := it.(*verilog.NetDecl); ok {
-			for _, dn := range nd.Names {
-				if dn.Name == name {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// widthRange builds a [w-1:0] range literal (nil for width 1).
-func widthRange(w int) *verilog.Range {
+// widthRange returns the [w-1:0] range literal (nil for width 1), one
+// node per width and build: a range is only ever read.
+func (b *builder) widthRange(w int) *verilog.Range {
 	if w <= 1 {
 		return nil
 	}
-	return &verilog.Range{
-		Hi: numberOf(bits.FromUint64(32, uint64(w-1))),
-		Lo: numberOf(bits.New(32)),
+	if b.ranges[w] == nil {
+		b.ranges[w] = &verilog.Range{Hi: numberOf(bits.FromUint64(32, uint64(w-1))), Lo: numberOf(bits.New(32))}
 	}
+	return b.ranges[w]
 }
 
 // promoteVarsToOutputs moves item-level variable declarations into the
 // port list as outputs, preserving initializers via Port.Init.
-func promoteVarsToOutputs(m *verilog.Module, names map[string]bool, env map[string]*bits.Vector) (*verilog.Module, error) {
+func (b *builder) promoteVarsToOutputs(m *verilog.Module, names map[string]bool) (*verilog.Module, error) {
 	out := &verilog.Module{NamePos: m.NamePos, Name: m.Name, Params: m.Params}
 	promoted := map[string]bool{}
 	for _, p := range m.Ports {
@@ -675,7 +714,7 @@ func promoteVarsToOutputs(m *verilog.Module, names map[string]bool, env map[stri
 			}
 			rng := nd.Range
 			if nd.Kind == verilog.Integer {
-				rng = widthRange(32)
+				rng = b.widthRange(32)
 			}
 			out.Ports = append(out.Ports, &verilog.Port{
 				PortPos: dn.NamePos,

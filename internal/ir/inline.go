@@ -19,6 +19,36 @@ func PrefixOf(path string) string {
 	return strings.ReplaceAll(rel, ".", "__") + "__"
 }
 
+// renamer is the rewriting Inline applies to a subprogram's expressions:
+// parameters substituted as constants, every name prefixed per PrefixOf.
+func (sub *SubProgram) renamer() exprRewriter {
+	prefix := PrefixOf(sub.Path)
+	return substParams(sub.env, func(e verilog.Expr) verilog.Expr {
+		if id, ok := e.(*verilog.Ident); ok {
+			return &verilog.Ident{IdentPos: id.IdentPos, Name: prefix + id.Name}
+		}
+		return e
+	})
+}
+
+// inlinedItems is the subprogram's contribution to the merged module's
+// body: its items renamed, param decls dropped (substituted). It depends
+// on the subprogram alone, so it is computed the first time the
+// subprogram is inlined and kept on it — a subprogram BuildFrom hands out
+// again is not renamed again — and never modified.
+func (sub *SubProgram) inlinedItems() []verilog.Item {
+	if sub.inlined == nil {
+		rename := sub.renamer()
+		sub.inlined = []verilog.Item{}
+		for _, it := range sub.Module.Items {
+			if _, isParam := it.(*verilog.ParamDecl); !isParam {
+				sub.inlined = append(sub.inlined, rewriteItem(it, rename))
+			}
+		}
+	}
+	return sub.inlined
+}
+
 // Inline merges every user subprogram into a single flat module rooted at
 // RootPath (paper §4.2). Parameters are substituted as constants, child
 // variables are renamed per PrefixOf, and the wires between user
@@ -34,8 +64,6 @@ func Inline(d *Design) (*Design, error) {
 		return d, nil
 	}
 
-	prefixOf := PrefixOf
-
 	isStdPath := map[string]bool{}
 	for _, s := range d.StdSubs() {
 		isStdPath[s.Path] = true
@@ -46,7 +74,7 @@ func Inline(d *Design) (*Design, error) {
 		if isStdPath[e.Sub] {
 			return e
 		}
-		return Endpoint{Sub: RootPath, Port: prefixOf(e.Sub) + e.Port}
+		return Endpoint{Sub: RootPath, Port: PrefixOf(e.Sub) + e.Port}
 	}
 	// stdFacing marks merged names that keep port status, with direction.
 	type facing struct {
@@ -84,22 +112,10 @@ func Inline(d *Design) (*Design, error) {
 	var exPortOrder []string
 
 	for _, sub := range users {
-		prefix := prefixOf(sub.Path)
-		rename := substParams(sub.env, func(e verilog.Expr) verilog.Expr {
-			if id, ok := e.(*verilog.Ident); ok {
-				return &verilog.Ident{IdentPos: id.IdentPos, Name: prefix + id.Name}
-			}
-			return e
-		})
-		// Items: drop param decls (substituted); rename the rest.
-		for _, it := range sub.Module.Items {
-			if _, isParam := it.(*verilog.ParamDecl); isParam {
-				continue
-			}
-			merged.Items = append(merged.Items, rewriteItem(it, rename))
-		}
+		merged.Items = append(merged.Items, sub.inlinedItems()...)
 		// Ports become either merged-module ports (stdlib-facing) or
 		// internal declarations.
+		prefix, rename := PrefixOf(sub.Path), sub.renamer()
 		for _, p := range sub.Module.Ports {
 			name := prefix + p.Name
 			np := &verilog.Port{

@@ -114,6 +114,17 @@ type SubProgram struct {
 	Module  *verilog.Module         // promoted, self-contained source (user subprograms)
 
 	env map[string]*bits.Vector // full constant environment (incl. localparams)
+
+	// What BuildFrom matches an instance against, with Path and env, to
+	// hand this subprogram out again — the declaration it was split from
+	// and the variables its parent promoted to outputs — and what goes
+	// with it: the subprograms and wires of the instances below it.
+	src   *verilog.Module
+	extra map[string]bool
+	below []*SubProgram
+	wires []Wire
+
+	inlined []verilog.Item // Inline's renaming of Module.Items, computed once
 }
 
 // Endpoint identifies one side of a wire: a subprogram port.

@@ -156,10 +156,12 @@ type Config struct {
 	// on its daemon and returns the transport client; a callback because
 	// the transport imports this package. Nil for an owner that hosts none.
 	Host func(p *Placement) (engine.Engine, error)
-	// Compile starts a background compile of Flat for the target tier
-	// (Native or Fabric) at virtual time now, or declines — returns nil —
-	// a tier the owner does not offer: each of them, with its JIT off.
-	Compile func(p *Placement, t Tier, now uint64) *toolchain.Job
+	// Compile starts a background compile of the placement's design for
+	// the target tier (Native or Fabric) at virtual time now, or declines
+	// — returns nil — a tier the owner does not offer: each of them, with
+	// its JIT off. d is the same record on every call, so the tiers and
+	// every resubmission share one synthesis of Flat.
+	Compile func(d *toolchain.Design, t Tier, now uint64) *toolchain.Job
 	// Swap installs a built and seeded engine on the owner's dispatch
 	// path. Nil when the owner dispatches through Engine().
 	Swap func(p *Placement, e engine.Engine)
@@ -175,13 +177,16 @@ type Config struct {
 // it. Owners drive it only between time steps, from one goroutine.
 type Placement struct {
 	Config
-	eng  engine.Engine
-	tier Tier
-	jobs [Fabric + 1]*toolchain.Job // pending compile per target tier
+	eng    engine.Engine
+	tier   Tier
+	design *toolchain.Design          // Flat's netlist, synthesized once for every compile
+	jobs   [Fabric + 1]*toolchain.Job // pending compile per target tier
 }
 
 // New returns the record for a subprogram, Unplaced.
-func New(cfg Config) *Placement { return &Placement{Config: cfg} }
+func New(cfg Config) *Placement {
+	return &Placement{Config: cfg, design: toolchain.NewDesign(cfg.Flat)}
+}
 
 // Engine returns the current engine (nil while Unplaced).
 func (p *Placement) Engine() engine.Engine { return p.eng }
@@ -213,7 +218,7 @@ func (p *Placement) Pending(t Tier) *toolchain.Job { return p.jobs[t] }
 // billed the move.
 func (p *Placement) Submit(t Tier, now uint64) bool {
 	if p.jobs[t] == nil {
-		p.jobs[t] = p.Compile(p, t, now)
+		p.jobs[t] = p.Compile(p.design, t, now)
 		return p.jobs[t] != nil
 	}
 	return false

@@ -34,10 +34,12 @@ type rig struct {
 	dev      *fpga.Device
 	swapped  engine.Engine // last engine handed to Swap
 	discards int
-	hosted   []*fakeHosted // every engine Host built, in order
-	hostErr  error         // the next Host call's refusal
-	dropSet  bool          // the next hosted engine loses its SetState
-	declines Tier          // the tier the owner does not offer (Unplaced: none)
+	hosted   []*fakeHosted       // every engine Host built, in order
+	hostErr  error               // the next Host call's refusal
+	dropSet  bool                // the next hosted engine loses its SetState
+	declines Tier                // the tier the owner does not offer (Unplaced: none)
+	designs  []*toolchain.Design // the record each Compile call was handed, in order
+	tc       *toolchain.Toolchain
 }
 
 // fakeHosted stands in for the transport client the runtime's Host
@@ -94,6 +96,7 @@ func newRigOpts(t *testing.T, src string, inj *fault.Injector, opts toolchain.Op
 	}
 	r := &rig{dev: fpga.NewCycloneV()}
 	tc := toolchain.New(r.dev, opts)
+	r.tc = tc
 	r.p = New(Config{
 		Path:     "dut",
 		Flat:     flat,
@@ -110,19 +113,35 @@ func newRigOpts(t *testing.T, src string, inj *fault.Injector, opts toolchain.Op
 			r.hosted = append(r.hosted, h)
 			return h, nil
 		},
-		Compile: func(p *Placement, tier Tier, now uint64) *toolchain.Job {
+		Compile: func(d *toolchain.Design, tier Tier, now uint64) *toolchain.Job {
+			r.designs = append(r.designs, d)
 			if tier == r.declines {
 				return nil
 			}
-			if tier == Native {
-				return tc.SubmitNativeTenant(context.Background(), "", p.Flat, now)
-			}
-			return tc.Submit(context.Background(), p.Flat, true, now)
+			return tc.SubmitDesign(context.Background(), "", d, tier == Fabric, tier == Native, now)
 		},
 		Swap:    func(_ *Placement, e engine.Engine) { r.swapped = e },
 		Discard: func(*Placement) { r.discards++ },
 	})
 	return r
+}
+
+// oneDesign holds the placement to one design record: every Compile call
+// was handed the same one, over the placement's Flat, and however many
+// flows ran, synthesis ran at most once.
+func (r *rig) oneDesign(t *testing.T, compiled bool) {
+	t.Helper()
+	if compiled && len(r.designs) == 0 {
+		t.Fatal("compiles were owed, and Compile never called")
+	}
+	for _, d := range r.designs {
+		if d != r.designs[0] || d.Flat != r.p.Flat {
+			t.Fatalf("Compile was handed different design records for one placement: %p, %p", d, r.designs[0])
+		}
+	}
+	if n := r.tc.Compiles(); n > 1 {
+		t.Fatalf("synthesis ran %d times for one placement", n)
+	}
 }
 
 // run drives the current engine through n clock ticks of random input.
@@ -306,6 +325,9 @@ func TestLegalMovesPreserveState(t *testing.T) {
 					}
 				}
 				r.declines = Unplaced
+				// Reaching the source tier, the move and the owed submissions
+				// all compiled one record: the design synthesizes once.
+				r.oneDesign(t, len(tr.Owed) > 0)
 				if rebuilt := cause != Restart && (to == Hosted || to == Interpreter); (r.discards == 1) != rebuilt {
 					t.Fatalf("re-run initial blocks' output discarded %d times on %v->%v cause %v", r.discards, from, to, cause)
 				}
@@ -500,6 +522,7 @@ func TestPromoteResubmits(t *testing.T) {
 		if tr, ok := p.Promote(Fabric, 2*never); !ok || tr.Err != nil || p.Tier() != Fabric {
 			t.Fatalf("retry: ok=%v %+v", ok, tr)
 		}
+		r.oneDesign(t, true)
 	})
 	t.Run("shed", func(t *testing.T) {
 		opts := toolchain.DefaultOptions()
@@ -516,6 +539,14 @@ func TestPromoteResubmits(t *testing.T) {
 		if p.Engine() != e || p.Pending(Native) != nil || !reflect.DeepEqual(tr.Owed, []Tier{Native}) {
 			t.Fatalf("a shed must keep the engine and leave the native compile owed: %+v", tr)
 		}
+		if tr, ok := p.Promote(Fabric, never); !ok || tr.Err != nil {
+			t.Fatalf("the admitted fabric compile: ok=%v %+v", ok, tr)
+		}
+		p.Submit(Native, never) // the owner's resubmission, now admitted
+		if tr, ok := p.Promote(Native, 2*never); ok {
+			t.Fatalf("a native artifact landing under a fabric engine is stale: %+v", tr)
+		}
+		r.oneDesign(t, true)
 	})
 	t.Run("no room", func(t *testing.T) {
 		r := newRig(t, src, nil)

@@ -1,10 +1,10 @@
 package netlist
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"sort"
 
 	bv "cascade/internal/bits"
@@ -21,132 +21,147 @@ import (
 // is wired, not what the netlist computes or costs — so a consumer keeps
 // the program it synthesized rather than taking one from a key match.
 func (p *Program) Fingerprint() string {
-	// Integers are encoded by hand into one buffer and batched into the
-	// hash: a netlist hashes thousands of them, and encoding/binary.Write
-	// reflects on and allocates for each. The digest is pinned by
-	// TestFingerprintGolden — on-disk bitstream stores are keyed by it.
-	sum := sha256.New()
-	h := bufio.NewWriter(sum)
-	var buf [8]byte
-	wlen := func(n int) { // string lengths and map sizes hash as 32 bits
-		binary.LittleEndian.PutUint32(buf[:4], uint32(n))
-		h.Write(buf[:4])
-	}
-	ws := func(s string) {
-		wlen(len(s))
-		h.WriteString(s)
-	}
-	wi := func(vs ...int) {
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(buf[:], uint64(v))
-			h.Write(buf[:])
-		}
-	}
-	wvec := func(v *bv.Vector) {
-		if v == nil {
-			ws("<nil>")
-			return
-		}
-		ws(v.String())
-	}
+	// Everything is encoded by hand into one reused buffer and batched
+	// into the hash: a netlist hashes thousands of integers and constants,
+	// and encoding/binary.Write or a string per vector would allocate for
+	// each. The digest is pinned by TestFingerprintGolden — on-disk
+	// bitstream stores are keyed by it.
+	h := hasher{sum: sha256.New(), buf: make([]byte, 0, 2*hashBatch)}
+	h.str(p.Flat.Name) // %m output is part of observable behaviour
 
-	ws(p.Flat.Name) // %m output is part of observable behaviour
-
-	wi(len(p.Code))
+	h.ints(len(p.Code))
 	for i := range p.Code {
 		op := &p.Code[i]
-		wi(int(op.Kind), op.Dst, op.Width, op.Hi, op.Lo, op.N, op.Target, op.Aux)
-		wi(len(op.Srcs))
-		wi(op.Srcs...)
-		if op.Wide {
-			wi(1)
-		} else {
-			wi(0)
-		}
-		wvec(op.Const)
+		h.ints(int(op.Kind), op.Dst, op.Width, op.Hi, op.Lo, op.N, op.Target, op.Aux)
+		h.ints(len(op.Srcs))
+		h.ints(op.Srcs...)
+		h.ints(int(B2U(op.Wide)))
+		h.vec(op.Const)
 	}
 
-	wi(len(p.Slots))
+	h.ints(len(p.Slots))
 	for _, s := range p.Slots {
-		wi(s.Width)
-		if s.Wide {
-			wi(1)
-		} else {
-			wi(0)
-		}
+		h.ints(s.Width)
+		h.ints(int(B2U(s.Wide)))
 		if s.Var != nil {
-			ws(s.Var.Name)
+			h.str(s.Var.Name)
 		} else {
-			ws("")
+			h.str("")
 		}
 	}
 
-	wi(len(p.VarSlot))
-	wi(p.VarSlot...)
-	wi(len(p.MemOf))
-	wi(p.MemOf...)
-	wi(len(p.Mems))
+	h.ints(len(p.VarSlot))
+	h.ints(p.VarSlot...)
+	h.ints(len(p.MemOf))
+	h.ints(p.MemOf...)
+	h.ints(len(p.Mems))
 	for _, m := range p.Mems {
-		ws(m.Var.Name)
-		wi(m.Words, m.Width)
+		h.str(m.Var.Name)
+		h.ints(m.Words, m.Width)
 	}
 
-	wi(len(p.Comb))
+	h.ints(len(p.Comb))
 	for _, c := range p.Comb {
-		wi(c.Entry)
+		h.ints(c.Entry)
 	}
-	wi(len(p.Seq))
+	h.ints(len(p.Seq))
 	for _, sp := range p.Seq {
-		wi(sp.Entry, len(sp.Edges))
+		h.ints(sp.Entry, len(sp.Edges))
 		for _, e := range sp.Edges {
-			wi(int(e.Kind), e.Var.Index)
+			h.ints(int(e.Kind), e.Var.Index)
 		}
 	}
-	wi(len(p.Monitors))
+	h.ints(len(p.Monitors))
 	for _, m := range p.Monitors {
-		wi(m.Entry)
+		h.ints(m.Entry)
 	}
-	wi(len(p.Tasks))
+	h.ints(len(p.Tasks))
 	for _, t := range p.Tasks {
-		wi(int(t.Src.Kind))
-		ws(t.Src.Format)
-		if t.Monitor {
-			wi(1)
-		} else {
-			wi(0)
-		}
+		h.ints(int(t.Src.Kind))
+		h.str(t.Src.Format)
+		h.ints(int(B2U(t.Monitor)))
 	}
 
-	hashStateMap(wlen, ws, p.ResetState)
-	// Reset memories, in sorted order for determinism.
-	names := make([]string, 0, len(p.ResetMems))
+	// Reset state, then reset memories, each in sorted order for
+	// determinism.
+	names := make([]string, 0, len(p.ResetState)+len(p.ResetMems))
+	for n := range p.ResetState {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	h.len32(len(names))
+	for _, n := range names {
+		h.str(n)
+		h.vec(p.ResetState[n])
+	}
+	names = names[:0]
 	for n := range p.ResetMems {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	wi(len(names))
+	h.ints(len(names))
 	for _, n := range names {
-		ws(n)
+		h.str(n)
 		words := p.ResetMems[n]
-		wi(len(words))
+		h.ints(len(words))
 		for _, w := range words {
-			wvec(w)
+			h.vec(w)
 		}
 	}
 
-	h.Flush()
-	return hex.EncodeToString(sum.Sum(nil))
+	h.flush()
+	var digest [sha256.Size]byte
+	return hex.EncodeToString(h.sum.Sum(digest[:0]))
 }
 
-func hashStateMap(wlen func(int), ws func(string), m map[string]*bv.Vector) {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
+// hashBatch is how many encoded bytes a hasher gathers between writes.
+const hashBatch = 4096
+
+// hasher batches Fingerprint's encoding into a hash.
+type hasher struct {
+	sum hash.Hash
+	buf []byte
+}
+
+func (h *hasher) flush() {
+	h.sum.Write(h.buf)
+	h.buf = h.buf[:0]
+}
+
+// room flushes a buffer that has filled; every encoder appends after it.
+func (h *hasher) room() {
+	if len(h.buf) >= hashBatch {
+		h.flush()
 	}
-	sort.Strings(names)
-	wlen(len(names))
-	for _, n := range names {
-		ws(n)
-		ws(m[n].String())
+}
+
+// len32 hashes a string length or map size as 32 bits.
+func (h *hasher) len32(n int) {
+	h.room()
+	h.buf = binary.LittleEndian.AppendUint32(h.buf, uint32(n))
+}
+
+func (h *hasher) str(s string) {
+	h.len32(len(s))
+	h.buf = append(h.buf, s...)
+}
+
+func (h *hasher) ints(vs ...int) {
+	for _, v := range vs {
+		h.room()
+		h.buf = binary.LittleEndian.AppendUint64(h.buf, uint64(v))
 	}
+}
+
+// vec hashes a vector as the string it prints as, formatted in place:
+// the length is patched in once the digits are down.
+func (h *hasher) vec(v *bv.Vector) {
+	if v == nil {
+		h.str("<nil>")
+		return
+	}
+	h.len32(0)
+	at := len(h.buf)
+	h.buf = v.AppendString(h.buf)
+	binary.LittleEndian.PutUint32(h.buf[at-4:], uint32(len(h.buf)-at))
 }

@@ -446,7 +446,7 @@ func New(opts Options) *Runtime {
 	r := &Runtime{
 		opts:       opts,
 		par:        par,
-		ver:        &version{prog: ir.NewProgram()},
+		ver:        emptyVersion(),
 		stdEngines: map[string]engine.Engine{},
 		xstats:     map[string]transport.Stats{},
 		committed:  map[string]*sim.State{},
@@ -490,14 +490,12 @@ func (r *Runtime) obs() *obsv.Observer { return r.opts.Observer }
 // engines compile on the daemon's toolchain (the spawn request carries
 // the JIT flag), and a failed-over one takes the native rung only — the
 // outage would abandon a fabric compile on re-host.
-func (r *Runtime) compile(p *lifecycle.Placement, t lifecycle.Tier, now uint64) *toolchain.Job {
-	switch f := r.opts.Features; {
-	case f.DisableJIT, t == lifecycle.Native && !f.NativeTier, t == lifecycle.Fabric && r.opts.Remote != nil:
+func (r *Runtime) compile(d *toolchain.Design, t lifecycle.Tier, now uint64) *toolchain.Job {
+	f, native := r.opts.Features, t == lifecycle.Native
+	if f.DisableJIT || native && !f.NativeTier || t == lifecycle.Fabric && r.opts.Remote != nil {
 		return nil
-	case t == lifecycle.Native:
-		return r.opts.Toolchain.SubmitNativeTenant(r.evalCtx, r.opts.Tenant, p.Flat, now)
 	}
-	return r.opts.Toolchain.SubmitTenant(r.evalCtx, r.opts.Tenant, p.Flat, !r.opts.Features.Native, now)
+	return r.opts.Toolchain.SubmitDesign(r.evalCtx, r.opts.Tenant, d, !native && !f.Native, native, now)
 }
 
 // swapEngine is the placements' Swap callback. A hot swap between
@@ -909,7 +907,7 @@ func (r *Runtime) EvalCtx(ctx context.Context, src string) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	v, err := integrate(r.ver.prog, src, !r.opts.Features.DisableInline)
+	v, err := integrate(r.ver, src, !r.opts.Features.DisableInline)
 	if err != nil {
 		return err
 	}

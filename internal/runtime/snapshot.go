@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"cascade/internal/engine"
-	"cascade/internal/ir"
 	"cascade/internal/lifecycle"
 	"cascade/internal/persist"
 	"cascade/internal/sim"
@@ -76,7 +75,7 @@ func (r *Runtime) snapshotLocked() *Snapshot {
 func (r *Runtime) Restore(snap *Snapshot) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	v, err := integrate(ir.NewProgram(), snap.Source, !r.opts.Features.DisableInline)
+	v, err := integrate(emptyVersion(), snap.Source, !r.opts.Features.DisableInline)
 	if err != nil {
 		return fmt.Errorf("runtime: snapshot source: %w", err)
 	}
@@ -120,7 +119,7 @@ func (r *Runtime) Restore(snap *Snapshot) error {
 func (r *Runtime) resetFreshLocked() {
 	r.teardown()
 	r.stdEngines = map[string]engine.Engine{}
-	r.ver = &version{prog: ir.NewProgram()}
+	r.ver = emptyVersion()
 	r.setPhase(PhaseEmpty)
 	r.steps, r.ticks = 0, 0
 	r.finished = false

@@ -33,29 +33,43 @@ type version struct {
 	clockVar             string // exec's root input fed by the stdlib clock ("" if none)
 }
 
+// emptyVersion is the version of a fresh runtime, and the base of a
+// restore or a replay: no source yet.
+func emptyVersion() *version { return &version{prog: ir.NewProgram()} }
+
 // integrate runs the whole front end over base extended by src: parse,
 // declare, build the IR, elaborate (type-check) every subprogram and,
 // with inline set, merge the user logic and elaborate the merged root.
-// It is pure — base is cloned, nothing of the runtime is read or touched
-// — so a fragment it refuses leaves no trace anywhere.
-func integrate(base *ir.Program, src string, inline bool) (*version, error) {
+// The base version is its memo: a module instance the fragment left as it
+// was (ir.BuildFrom says which) keeps base's subprogram, and with it
+// base's elaboration and inline renaming of it; the root — what an edit
+// changes — is rebuilt, re-inlined and re-elaborated every time. It is
+// pure — base is only read, nothing of the runtime is read or touched —
+// so a fragment it refuses leaves no trace anywhere.
+func integrate(base *version, src string, inline bool) (*version, error) {
 	mods, items, errs := verilog.ParseProgramFragment(src)
 	if len(errs) > 0 {
 		return nil, fmt.Errorf("parse: %v", errs[0])
 	}
-	prog := base.Clone()
+	prog := base.prog.Clone()
 	for _, m := range mods {
 		if err := prog.DeclareModule(m); err != nil {
 			return nil, err
 		}
 	}
 	prog.AddRootItems(items...)
-	flat, err := ir.Build(prog, stdlib.Registry())
+	flat, err := ir.BuildFrom(base.flat, prog, stdlib.Registry())
 	if err != nil {
 		return nil, err
 	}
 	v := &version{prog: prog, mods: mods, items: items, flat: flat, exec: flat}
-	if v.flatElabs, err = elaborateUsers(flat); err != nil {
+	kept := map[*ir.SubProgram]*elab.Flat{}
+	if base.flat != nil {
+		for _, s := range base.flat.UserSubs() {
+			kept[s] = base.flatElabs[s.Path]
+		}
+	}
+	if v.flatElabs, err = elaborateUsers(flat, kept); err != nil {
 		return nil, err
 	}
 	v.execElabs = v.flatElabs
@@ -65,7 +79,7 @@ func integrate(base *ir.Program, src string, inline bool) (*version, error) {
 		}
 		// Inlined names can meet — a.x becomes a__x (ir.PrefixOf), which the
 		// root may declare too; elaboration names the declaration.
-		if v.execElabs, err = elaborateUsers(v.exec); err != nil {
+		if v.execElabs, err = elaborateUsers(v.exec, nil); err != nil {
 			return nil, fmt.Errorf("inlining: %w", err)
 		}
 		v.inlined = true
@@ -74,13 +88,17 @@ func integrate(base *ir.Program, src string, inline bool) (*version, error) {
 	return v, nil
 }
 
-// elaborateUsers elaborates every user subprogram of d, by path.
-func elaborateUsers(d *ir.Design) (map[string]*elab.Flat, error) {
+// elaborateUsers elaborates every user subprogram of d, by path, but for
+// those kept holds an elaboration of already.
+func elaborateUsers(d *ir.Design, kept map[*ir.SubProgram]*elab.Flat) (map[string]*elab.Flat, error) {
 	out := map[string]*elab.Flat{}
 	for _, s := range d.UserSubs() {
-		f, err := elab.Elaborate(s.Module, s.Path, s.Params)
-		if err != nil {
-			return nil, err
+		f := kept[s]
+		if f == nil {
+			var err error
+			if f, err = elab.Elaborate(s.Module, s.Path, s.Params); err != nil {
+				return nil, err
+			}
 		}
 		out[s.Path] = f
 	}
@@ -107,7 +125,7 @@ func clockInput(d *ir.Design) string {
 // the elaboration of its inlined root — the design the toolchain compiles
 // (internal/bench's baselines compile it without running it).
 func ElaborateInlined(src string) (*elab.Flat, error) {
-	v, err := integrate(ir.NewProgram(), src, true)
+	v, err := integrate(emptyVersion(), src, true)
 	if err != nil {
 		return nil, err
 	}

@@ -46,6 +46,38 @@ func (s JobState) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
+// Design is the front half of every flow over one elaborated design: its
+// netlist, fingerprint and synthesis error, computed by whichever flow
+// asks first and shared by the rest (the program is read-only once
+// synthesized). The record belongs to its submitter — a
+// lifecycle.Placement keeps one — and to nothing else: neither the Flat
+// nor the toolchain points at it, so it is garbage when its owner is.
+type Design struct {
+	Flat *elab.Flat
+
+	once        sync.Once
+	prog        *netlist.Program
+	fingerprint string
+	err         error
+}
+
+// NewDesign opens the record for f; nothing is synthesized until a flow
+// needs the netlist.
+func NewDesign(f *elab.Flat) *Design { return &Design{Flat: f} }
+
+// synthesize returns the design's netlist and fingerprint, running
+// synthesis — counted on t, the toolchain whose flow got here first — the
+// first time it is asked. It takes no worker slot and no lock.
+func (d *Design) synthesize(t *Toolchain) (*netlist.Program, string, error) {
+	d.once.Do(func() {
+		t.compiles.Add(1)
+		if d.prog, d.err = netlist.Compile(d.Flat); d.err == nil {
+			d.fingerprint = d.prog.Fingerprint()
+		}
+	})
+	return d.prog, d.fingerprint, d.err
+}
+
 // Job is a background compilation tracked in virtual time.
 type Job struct {
 	t        *Toolchain
@@ -131,7 +163,7 @@ func (j *Job) setState(s JobState) {
 
 // run executes the flow: the front half under the job's tenant record,
 // then the back half on the cache stack that serves it.
-func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
+func (j *Job) run(ctx context.Context, d *Design, wrapped bool) {
 	defer close(j.done)
 	defer j.abort() // release the derived context once the flow ends
 	t := j.t
@@ -152,19 +184,19 @@ func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 	// the netlist fingerprint, and route decisions commit strictly in
 	// submission order (the farm turnstile) — an ordered commit must
 	// never wait behind a later submission's worker slot, or the
-	// turnstile deadlocks. Local jobs keep the classic order (slot,
-	// faults, synthesis) untouched.
+	// turnstile deadlocks (Design.synthesize waits for neither a slot nor
+	// a lock). Local jobs keep the classic order (slot, faults,
+	// synthesis) untouched.
 	var prog *netlist.Program
-	var fingerprint string // hashed once: the farm's routing hash and the cache key's content address
+	var fingerprint string // the farm's routing hash and the cache key's content address
 	if j.route != nil {
 		var err error
-		prog, err = j.synth(f)
+		prog, fingerprint, err = j.synth(d)
 		if err != nil {
 			j.route.skip()
 			j.complete(&Result{Err: err, DurationPs: t.opts.BasePs / 4}, "")
 			return
 		}
-		fingerprint = prog.Fingerprint()
 		if err := j.route.commit(j.submitPs, fingerprint); err != nil {
 			// Every shard queue at its bound (ErrOverloaded) or every
 			// shard down (ErrShardUnavailable): shed the submission like
@@ -202,7 +234,7 @@ func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 	// answers with a native -> interpreter demotion).
 	var backoff uint64
 	for attempt := 0; !j.native; attempt++ {
-		err := j.tn.snapshot().faults.Compile(f.Name)
+		err := j.tn.snapshot().faults.Compile(d.Flat.Name)
 		if err == nil {
 			break
 		}
@@ -235,12 +267,11 @@ func (j *Job) run(ctx context.Context, f *elab.Flat, wrapped bool) {
 
 	if prog == nil {
 		var err error
-		prog, err = j.synth(f)
+		prog, fingerprint, err = j.synth(d)
 		if err != nil {
 			j.complete(&Result{Err: err, DurationPs: backoff + t.opts.BasePs/4}, "")
 			return
 		}
-		fingerprint = prog.Fingerprint()
 	}
 	req := summarize(prog.Stats, wrapped)
 	req.Key = j.tn.cacheKey(fmt.Sprintf("%s|wrapped=%v", fingerprint, wrapped))
@@ -296,15 +327,11 @@ func (j *Job) traceOutcome(hitSource string) {
 	obs.EmitAt(j.submitPs, kind, j.name, detail)
 }
 
-// synth is the job-service path through synthesis: the global
-// synthesized-flow count still ticks (Compiles observes real synthesis
-// runs machine-wide), but the counter is the flow's.
-func (j *Job) synth(f *elab.Flat) (*netlist.Program, error) {
-	j.t.mu.Lock()
-	j.t.compiles++
-	j.t.mu.Unlock()
+// synth counts the flow as one that consumed a netlist, whichever flow of
+// the design its record synthesizes for.
+func (j *Job) synth(d *Design) (*netlist.Program, string, error) {
 	j.count(func(s *Stats) { s.Synthesized++ })
-	return netlist.Compile(f)
+	return d.synthesize(j.t)
 }
 
 // markCanceled moves the job to the cancelled state. The stats counter
@@ -437,8 +464,10 @@ func (j *Job) Result() *Result {
 }
 
 // Ready reports whether the job has finished by virtual time nowPs. It
-// blocks until the flow's virtual duration is known (synthesis is fast
-// in wall-clock terms) so that readiness depends only on virtual time —
+// blocks until the flow's virtual duration is known — the design's one
+// synthesis and hash, a host cost proportional to the design that the
+// first Step after an eval waits out — so that readiness depends only on
+// virtual time —
 // the JIT timeline stays deterministic no matter how fast the host
 // steps. The first time a job is observed ready its bitstream is
 // published: from then on identical submissions hit the cache outright,

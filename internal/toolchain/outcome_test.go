@@ -2,14 +2,21 @@ package toolchain
 
 import (
 	"context"
+	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cascade/internal/bits"
 	"cascade/internal/elab"
+	"cascade/internal/engine"
+	"cascade/internal/engine/hweng"
+	"cascade/internal/fault"
 	"cascade/internal/fpga"
 	"cascade/internal/netlist"
+	"cascade/internal/njit"
 )
 
 // workerLink is a ShardLink straight into a Worker: the remote-shard
@@ -184,6 +191,124 @@ func TestMemoryTierRetainsNoNetlist(t *testing.T) {
 				if res := observe(t, tc, src, 1); res.HitSource != HitMemory {
 					t.Fatalf("cache lost an entry: %+v", res)
 				}
+			}
+		})
+	}
+}
+
+type quietIO struct{}
+
+func (quietIO) Display(string, bool) {}
+func (quietIO) Finish(int)           {}
+
+// clock drives e through n ticks of its clk input.
+func clock(e engine.Engine, n int) {
+	for i := 0; i < 2*n; i++ {
+		e.Read(engine.Event{Var: "clk", Val: bits.FromUint64(1, uint64(i%2))})
+		for e.ThereAreEvals() || e.ThereAreUpdates() {
+			e.Evaluate()
+			if e.ThereAreUpdates() {
+				e.Update()
+			}
+		}
+		e.EndStep()
+		e.DrainWrites()
+	}
+}
+
+// shareable has everything an engine could be tempted to keep a pointer
+// into its program for: a register wider than a word with a reset value,
+// wide constants, and a memory with an initialised word.
+const shareable = `
+module M(input wire clk, output wire [15:0] rdata);
+  reg [3:0] addr = 0;
+  reg [99:0] wide = 100'h123456789abcdef0123456789;
+  reg [15:0] mem [0:15];
+  initial mem[3] = 16'hbeef;
+  assign rdata = mem[addr] ^ 16'h00ff;
+  always @(posedge clk) begin
+    addr <= addr + 4'd3;
+    wide <= {wide[98:0], wide[99]} ^ 100'hfedcba9876543210fedcba987;
+    mem[addr] <= wide[15:0];
+  end
+endmodule`
+
+// TestOneSynthesisPerDesign: the native and the fabric flow of a design,
+// a submission shed under load and its resubmission, and a flow retried
+// after a transient fault all ask one Design record for the netlist, so
+// synthesis and the hash run once — on the local stack, on a farm (which
+// synthesizes before it takes a slot) and behind a worker link — while
+// every flow still counts as one that consumed a netlist. Each Result is
+// assembled around the record's program, over the submitter's own Flat,
+// and the program is only read from then on: an engine of each tier runs
+// off the one copy at once.
+func TestOneSynthesisPerDesign(t *testing.T) {
+	ctx := context.Background()
+	opts := DefaultOptions()
+	opts.MaxQueue = 2
+	kinds := map[string]func() *Toolchain{
+		"local stack": func() *Toolchain { return New(fpga.NewCycloneV(), opts) },
+		"farm shards": func() *Toolchain {
+			tc := New(fpga.NewCycloneV(), opts)
+			tc.UseFarm(FarmOptions{Workers: 2})
+			return tc
+		},
+		"worker": func() *Toolchain { return overWorker(opts) },
+	}
+	for name, start := range kinds {
+		t.Run(name, func(t *testing.T) {
+			tc := start()
+			tc.SetFaults(fault.New(fault.Config{Seed: 1, CompileTransient: 1, MaxCompileFaults: 1}))
+			flat := flatFor(t, shareable)
+			d := NewDesign(flat)
+			native := tc.SubmitDesign(ctx, "", d, false, true, 0)
+			fabric := tc.SubmitDesign(ctx, "", d, true, false, 0)
+			shed := tc.SubmitDesign(ctx, "", d, true, false, 0)
+			if res := shed.Result(); !errors.Is(res.Err, ErrOverloaded) {
+				t.Fatalf("third submission in flight was not shed: %+v", res)
+			}
+			var at uint64
+			for _, j := range []*Job{native, fabric} {
+				ready, ok := j.ReadyAt()
+				if !ok || !j.Ready(ready) || j.Result().Err != nil {
+					t.Fatalf("flow failed: %+v", j.Result())
+				}
+				at = max(at, ready)
+			}
+			again := tc.SubmitDesign(ctx, "", d, true, false, at)
+			if res := again.Result(); res.Err != nil || !res.CacheHit {
+				t.Fatalf("resubmission after the shed: %+v", res)
+			}
+			if n := tc.Compiles(); n != 1 {
+				t.Errorf("synthesis ran %d times for one design", n)
+			}
+			if st := tc.Stats(); st.Synthesized != 3 || st.Shed != 1 || st.Retried != 1 || st.Submitted != 4 {
+				t.Errorf("stats %+v, want 3 flows that consumed a netlist, 1 shed, 1 retried, of 4 submitted", st)
+			}
+			for _, j := range []*Job{native, fabric, again} {
+				if res := j.Result(); res.Prog != d.prog || res.Prog.Flat != flat {
+					t.Errorf("a Result was assembled around another program than its design's")
+				}
+			}
+
+			// Both tiers' engines over the one program, at once.
+			dev := fpga.NewCycloneV()
+			hw, err := hweng.New("dut", fabric.Result().Prog, dev, fabric.Result().AreaLEs, quietIO{}, false, func() uint64 { return 0 })
+			if err != nil {
+				t.Fatal(err)
+			}
+			nat := njit.New("dut", native.Result().Prog, quietIO{}, nil, func() uint64 { return 0 })
+			var wg sync.WaitGroup
+			for _, e := range []engine.Engine{hw, nat} {
+				wg.Add(1)
+				go func(e engine.Engine) {
+					defer wg.Done()
+					clock(e, 200)
+				}(e)
+			}
+			wg.Wait()
+			if a, b := hw.GetState().Signature(), nat.GetState().Signature(); a != b {
+				t.Errorf("the tiers diverged over one program:\n%s\n%s", a, b)
 			}
 		})
 	}

@@ -246,12 +246,12 @@ func (t *Toolchain) TenantShare(id string) int {
 // it has not yet reached a worker; Job.Cancel discards the result of an
 // obsolete job at any point.
 func (t *Toolchain) SubmitTenant(ctx context.Context, tenantID string, f *elab.Flat, wrapped bool, nowPs uint64) *Job {
-	return t.submit(ctx, tenantID, f, wrapped, false, nowPs)
+	return t.SubmitDesign(ctx, tenantID, NewDesign(f), wrapped, false, nowPs)
 }
 
 // Submit is SubmitTenant for the default tenant.
 func (t *Toolchain) Submit(ctx context.Context, f *elab.Flat, wrapped bool, nowPs uint64) *Job {
-	return t.submit(ctx, "", f, wrapped, false, nowPs)
+	return t.SubmitTenant(ctx, "", f, wrapped, nowPs)
 }
 
 // SubmitNativeTenant starts a background native-tier compilation under
@@ -264,15 +264,20 @@ func (t *Toolchain) Submit(ctx context.Context, f *elab.Flat, wrapped bool, nowP
 // in-process Go that cannot be shipped from a shard, and its virtual
 // latency is milliseconds — there is nothing to farm out.
 func (t *Toolchain) SubmitNativeTenant(ctx context.Context, tenantID string, f *elab.Flat, nowPs uint64) *Job {
-	return t.submit(ctx, tenantID, f, false, true, nowPs)
+	return t.SubmitDesign(ctx, tenantID, NewDesign(f), false, true, nowPs)
 }
 
-func (t *Toolchain) submit(ctx context.Context, tenantID string, f *elab.Flat, wrapped, native bool, nowPs uint64) *Job {
+// SubmitDesign is the submission every form above wraps a fresh record
+// for: a submitter that keeps its design's record shares one synthesis
+// and one hash among every flow it submits over d — native (the
+// SubmitNativeTenant flow; wrapped is ignored) or fabric, first or
+// resubmitted.
+func (t *Toolchain) SubmitDesign(ctx context.Context, tenantID string, d *Design, wrapped, native bool, nowPs uint64) *Job {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	jctx, abort := context.WithCancel(ctx)
-	j := &Job{t: t, name: f.Name, native: native, submitPs: nowPs, done: make(chan struct{}), abort: abort}
+	j := &Job{t: t, name: d.Flat.Name, native: native, submitPs: nowPs, done: make(chan struct{}), abort: abort}
 	t.mu.Lock()
 	j.tn = t.tenantLocked(tenantID)
 	j.tn.stats.Submitted++
@@ -311,7 +316,7 @@ func (t *Toolchain) submit(ctx context.Context, tenantID string, f *elab.Flat, w
 	if native {
 		detail = "tier=native"
 	}
-	j.tn.snapshot().obs.EmitAt(nowPs, obsv.EvCompileSubmit, f.Name, detail)
-	go j.run(jctx, f, wrapped)
+	j.tn.snapshot().obs.EmitAt(nowPs, obsv.EvCompileSubmit, d.Flat.Name, detail)
+	go j.run(jctx, d, wrapped)
 	return j
 }

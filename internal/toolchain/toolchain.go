@@ -37,7 +37,9 @@
 // back half takes the wire form of the request (ShardSubmit), the model
 // is one function of it (Toolchain.model), and what it returns, caches
 // and ships is a ShardOutcome — no tier holds a netlist, and the job
-// assembles its Result around the program it synthesized itself.
+// assembles its Result around its own design's program (Design, job.go:
+// synthesized and hashed once, whichever of the design's flows asks
+// first).
 package toolchain
 
 import (
@@ -46,6 +48,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"cascade/internal/elab"
 	"cascade/internal/fpga"
@@ -141,7 +144,7 @@ const InfraLEs = 900
 // Stats is a snapshot of the job service's counters.
 type Stats struct {
 	Submitted   int // jobs handed to Submit
-	Synthesized int // flows that ran synthesis (includes CompileSync)
+	Synthesized int // flows that consumed a synthesized netlist (includes CompileSync)
 	CacheHits   int // submissions served from the bitstream cache
 	CacheMisses int // submissions that paid for place-and-route
 	Joined      int // submissions that joined an in-flight identical flow
@@ -207,9 +210,10 @@ type Toolchain struct {
 	opts  Options
 	cache *stack // the toolchain's own cache stack (local flows, every native flow)
 
+	compiles atomic.Int64 // real synthesis runs (Design.synthesize)
+
 	mu       sync.Mutex
 	farm     *FarmBackend // installed compile farm for fabric flows (nil: local)
-	compiles int
 	sem      chan struct{}
 	tenants  map[string]*tenant // every scope, the default tenant "" included
 	inflight int                // submissions not yet observed ready/cancelled (MaxQueue > 0)
@@ -280,12 +284,10 @@ func (t *Toolchain) backoffPs(attempt int) uint64 {
 // Device returns the targeted device.
 func (t *Toolchain) Device() *fpga.Device { return t.dev }
 
-// Compiles returns how many compilations have run synthesis.
-func (t *Toolchain) Compiles() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.compiles
-}
+// Compiles returns how many synthesis runs this toolchain has executed:
+// one per design, however many flows consumed its netlist
+// (Stats.Synthesized counts those).
+func (t *Toolchain) Compiles() int { return int(t.compiles.Load()) }
 
 // Result is the outcome of one compilation.
 type Result struct {
@@ -391,7 +393,7 @@ func (t *Toolchain) model(dev *fpga.Device, req ShardSubmit) ShardOutcome {
 }
 
 // result assembles the Result of a served flow around prog, the netlist
-// synthesized from this submission — the only place a Result gains a
+// of this submission's own design — the only place a Result gains a
 // Prog. A cache tier never supplies one: Program.Fingerprint does not
 // cover port directions, so two designs can share a key (and, rightly,
 // an outcome — area and timing are functions of the netlist alone)
@@ -415,11 +417,8 @@ func (out ShardOutcome) result(prog *netlist.Program, req ShardSubmit) *Result {
 // native flow (§4.5). The returned result carries the virtual duration;
 // callers decide when it "finishes" on their timeline.
 func (t *Toolchain) CompileSync(f *elab.Flat, wrapped bool) *Result {
-	t.mu.Lock()
-	t.compiles++
-	t.tenantLocked("").stats.Synthesized++
-	t.mu.Unlock()
-	prog, err := netlist.Compile(f)
+	t.tenant("").bump(func(s *Stats) { s.Synthesized++ })
+	prog, _, err := NewDesign(f).synthesize(t)
 	if err != nil {
 		// Synthesis errors surface quickly (front-end rejects).
 		return &Result{Err: err, DurationPs: t.opts.BasePs / 4}

@@ -418,11 +418,11 @@ func (h *Host) spawn(req *proto.Request, rep *proto.Reply, forced uint32) {
 		Device: dev,
 		// The host offers the fabric, to a spawn that asked for promotion;
 		// it has no native tier.
-		Compile: func(p *lifecycle.Placement, t lifecycle.Tier, vnow uint64) *toolchain.Job {
+		Compile: func(d *toolchain.Design, t lifecycle.Tier, vnow uint64) *toolchain.Job {
 			if !jit || t != lifecycle.Fabric {
 				return nil
 			}
-			return h.opts.Toolchain.SubmitTenant(context.Background(), tenant, p.Flat, true, vnow)
+			return h.opts.Toolchain.SubmitDesign(context.Background(), tenant, d, true, false, vnow)
 		},
 		// The runtime side saw a rebuilt engine's initial-block output
 		// when the engine first spawned.

@@ -15,8 +15,14 @@
 # closure reappears, if cacheEntry holds a Result or anything from
 # internal/netlist, or if one of the old per-path model copies
 # (finishOn, finishStats, finishNative) or Result<->wire converters
-# (outcomeOf, memMeta) comes back. Run from the repo root; exits non-zero
-# listing offenders.
+# (outcomeOf, memMeta) comes back. The front half has one spelling as
+# well: a flow asks its Design record for the netlist and the hash, so a
+# design's native and fabric flows and every resubmission synthesize
+# once — this fails if netlist.Compile( or .Fingerprint() is called from
+# any function but the record's (each used to run per flow, twice per
+# eval), or if designs are remembered in a map keyed by *elab.Flat (the
+# record belongs to its placement and dies with it). Run from the repo
+# root; exits non-zero listing offenders.
 set -eu
 
 files=$(ls internal/toolchain/*.go | grep -v '_test\.go$')
@@ -79,4 +85,23 @@ if [ -n "$revived" ]; then
     echo "check_toolchain_flow: one model (Toolchain.model) and one record (ShardOutcome); do not re-add per-path copies" >&2
     exit 1
 fi
-echo "check_toolchain_flow: one back half, one outcome record, one Result assembly site, no backend type-assertions"
+# Synthesis and the hash, tagged with the function each call sits in.
+for call in 'netlist\.Compile\(' '\.Fingerprint\(\)'; do
+    sites=$(awk -v call="$call" '
+        /^func / { fn = $0; sub(/\{[[:space:]]*$/, "", fn) }
+        /^[[:space:]]*\/\// { next }
+        $0 ~ call { print FILENAME ": " fn }' $files | sort -u)
+    if [ "$(printf '%s\n' "$sites" | grep -c .)" -ne 1 ] || ! printf '%s\n' "$sites" | grep -q 'func (d \*Design) synthesize('; then
+        printf '%s\n' "$sites"
+        echo "check_toolchain_flow: $call belongs to Design.synthesize alone; ask the design record" >&2
+        exit 1
+    fi
+done
+
+tables=$(grep -nE 'map\[\*elab\.Flat\]' $files || true)
+if [ -n "$tables" ]; then
+    echo "$tables"
+    echo "check_toolchain_flow: no table from elaborations to designs; the record hangs off its placement" >&2
+    exit 1
+fi
+echo "check_toolchain_flow: one back half, one outcome record, one Result assembly site, one synthesis site, no backend type-assertions"

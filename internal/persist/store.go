@@ -60,8 +60,6 @@ type RecoveredState struct {
 	// Checkpoint is the raw checkpoint payload (a container the caller
 	// decodes); nil when no valid checkpoint exists.
 	Checkpoint []byte
-	// CheckpointIndex is the checkpoint's file index (0 when none).
-	CheckpointIndex int
 	// CheckpointSeq is the last journal sequence number the checkpoint
 	// covers, as reported by the caller's MetaSeq callback.
 	CheckpointSeq uint64
@@ -124,7 +122,6 @@ func Open(dir string, decode CheckpointDecoder) (*Store, *RecoveredState, error)
 			var seq uint64
 			if seq, err = decode(payload); err == nil {
 				st.Checkpoint = payload
-				st.CheckpointIndex = ckpts[i]
 				st.CheckpointSeq = seq
 				break
 			}
@@ -181,34 +178,24 @@ func (s *Store) Append(seq uint64, kind byte, data []byte) error {
 // Sync flushes the active segment to stable storage.
 func (s *Store) Sync() error { return s.active.Sync() }
 
-// LastSeq returns the newest durable sequence number in the active
-// segment (0 when it is empty).
-func (s *Store) LastSeq() uint64 { return s.active.LastSeq() }
+// JournalBytes returns the size of the active segment's records.
+func (s *Store) JournalBytes() int64 { return s.active.bytes }
 
-// JournalBytes returns the active segment's size.
-func (s *Store) JournalBytes() int64 { return s.active.Bytes() }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
-// WriteCheckpoint durably writes the next checkpoint and rotates the
-// journal: the checkpoint file lands atomically, the active segment is
-// synced and closed, a fresh segment opens, and checkpoints (plus the
-// segments only they needed) older than keep are pruned.
+// WriteCheckpoint seals the active segment (synced and closed), writes
+// the next checkpoint atomically, opens a fresh segment and prunes the
+// checkpoints (and the segments only they needed) older than keep. After
+// an error the store takes no more appends.
 func (s *Store) WriteCheckpoint(payload []byte, keep int) (int, error) {
 	if keep < 1 {
 		keep = 1
 	}
 	// Seal the active segment first: the checkpoint claims to cover its
 	// records, so they must be durable before the checkpoint exists.
-	if err := s.active.Sync(); err != nil {
+	if err := s.active.Close(); err != nil {
 		return 0, err
 	}
 	n := s.ckptIndex + 1
 	if err := WriteFileAtomic(s.ckptPath(n), payload, 0o644); err != nil {
-		return 0, err
-	}
-	if err := s.active.Close(); err != nil {
 		return 0, err
 	}
 	active, _, err := OpenJournal(s.walPath(n))

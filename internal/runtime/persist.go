@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
 	"cascade/internal/obsv"
@@ -133,6 +135,7 @@ type persister struct {
 	mu  sync.Mutex
 	seq uint64 // last assigned journal sequence number
 	err error  // sticky first disk error
+	adv []byte // the advance record being built; the controller's, under r.mu
 
 	lastCkptSteps uint64
 	lastCkptPs    uint64
@@ -191,7 +194,14 @@ func Open(opts Options) (*Runtime, *RecoveryInfo, error) {
 	}
 	r := New(opts)
 
-	store, st, err := persist.Open(po.Dir, decodeCheckpointSeq)
+	// The store verifies candidates newest first and keeps the first that
+	// decodes, which is therefore the last one decoded here.
+	var ckpt *Snapshot
+	var outBytes uint64
+	store, st, err := persist.Open(po.Dir, func(payload []byte) (seq uint64, err error) {
+		ckpt, seq, outBytes, err = decodeCheckpoint(payload)
+		return seq, err
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("runtime: open persistence dir: %w", err)
 	}
@@ -212,12 +222,7 @@ func Open(opts Options) (*Runtime, *RecoveryInfo, error) {
 	if !st.Empty() {
 		info.Recovered = true
 		if st.Checkpoint != nil {
-			snap, outBytes, err := decodeCheckpoint(st.Checkpoint)
-			if err != nil {
-				store.Close()
-				return nil, nil, fmt.Errorf("runtime: checkpoint: %w", err)
-			}
-			if err := r.Restore(snap); err != nil {
+			if err := r.Restore(ckpt); err != nil {
 				store.Close()
 				return nil, nil, fmt.Errorf("runtime: restore checkpoint: %w", err)
 			}
@@ -240,20 +245,22 @@ func Open(opts Options) (*Runtime, *RecoveryInfo, error) {
 				}
 				info.ReplayedEvals++
 			case recKindInput:
-				var kind, path string
-				var v uint64
-				if _, err := fmt.Sscanf(string(rec.Data), "%s %s %d", &kind, &path, &v); err != nil {
-					store.Close()
-					return nil, nil, fmt.Errorf("runtime: replay input (journal seq %d): %w", rec.Seq, err)
+				f, v, err := recordFields(rec.Data, 3)
+				if err == nil {
+					err = r.World().ApplyInput(f[0], f[1], v)
 				}
-				if err := r.World().ApplyInput(kind, path, v); err != nil {
+				if err != nil {
 					store.Close()
 					return nil, nil, fmt.Errorf("runtime: replay input (journal seq %d): %w", rec.Seq, err)
 				}
 				info.ReplayedInputs++
 			case recKindAdvance:
-				var target, vnow uint64
-				if _, err := fmt.Sscanf(string(rec.Data), "%d %d", &target, &vnow); err != nil {
+				f, vnow, err := recordFields(rec.Data, 2)
+				var target uint64
+				if err == nil {
+					target, err = strconv.ParseUint(f[0], 10, 64)
+				}
+				if err != nil {
 					store.Close()
 					return nil, nil, fmt.Errorf("runtime: replay advance (journal seq %d): %w", rec.Seq, err)
 				}
@@ -288,7 +295,7 @@ func Open(opts Options) (*Runtime, *RecoveryInfo, error) {
 	// above used ApplyInput, which bypasses the recorder, so nothing
 	// was double-journaled.
 	r.World().SetInputRecorder(func(kind, path string, value uint64) {
-		if err := p.append(recKindInput, fmt.Appendf(nil, "%s %s %d", kind, path, value), true); err != nil {
+		if err := p.append(recKindInput, strconv.AppendUint([]byte(kind+" "+path+" "), value, 10), true); err != nil {
 			r.reportPersistError(err)
 		}
 	})
@@ -340,12 +347,12 @@ func (r *Runtime) persistAfterStep() {
 	if p == nil {
 		return
 	}
-	data := fmt.Appendf(nil, "%d %d", r.steps, r.vclk.Now())
-	if err := p.append(recKindAdvance, data, false); err != nil {
+	now := r.vclk.Now()
+	p.adv = strconv.AppendUint(append(strconv.AppendUint(p.adv[:0], r.steps, 10), ' '), now, 10)
+	if err := p.append(recKindAdvance, p.adv, false); err != nil {
 		r.reportPersistError(err)
 		return
 	}
-	now := r.vclk.Now()
 	due := (p.opts.EverySteps > 0 && r.steps-p.lastCkptSteps >= p.opts.EverySteps) ||
 		(p.opts.EveryVirtualPs > 0 && now-p.lastCkptPs >= p.opts.EveryVirtualPs)
 	if !due {
@@ -382,7 +389,7 @@ func (r *Runtime) checkpointLocked() error {
 	secs := snapshotSections(snap)
 	secs = append(secs, persist.Section{
 		Name: "journal",
-		Data: fmt.Appendf(nil, "lastseq=%d\noutbytes=%d\n", seqAt, r.outBytes),
+		Data: appendField(appendField(nil, "lastseq", '=', seqAt), "outbytes", '=', r.outBytes),
 	})
 	payload := persist.EncodeContainer(snapshotMagic, snapshotVersion, secs)
 
@@ -442,15 +449,15 @@ func (r *Runtime) reportPersistError(err error) {
 	}
 }
 
-// replayTo re-executes journaled steps up to, and never past, target: a
-// bitstream served from a warm cache can put the replaying runtime in
-// the open-loop phase earlier than the crashed process reached it, and
-// an unclamped burst would overshoot the journal's last step.
+// replayTo re-executes journaled steps up to, and never past, target (a
+// warm bitstream cache can put replay in open loop earlier than the crashed
+// process got there, and an unclamped burst would overshoot), and none
+// without a program: only a damaged journal advances before its first eval.
 func (r *Runtime) replayTo(target uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.stepCeil = target
-	for r.steps < target && !r.finished {
+	for r.steps < target && !r.finished && r.ver.exec != nil {
 		r.step()
 	}
 	r.stepCeil = 0
@@ -491,39 +498,32 @@ func (r *Runtime) persistStats() PersistStats {
 	return st
 }
 
-// decodeCheckpointSeq is the persist.Store decoder: fully verify a
-// candidate checkpoint payload and extract the journal position it
-// covers. Any failure marks the checkpoint corrupt and recovery falls
-// back to an older one.
-func decodeCheckpointSeq(payload []byte) (uint64, error) {
+// decodeCheckpoint fully verifies a candidate checkpoint payload and
+// decodes its snapshot, the journal position it covers and its
+// flushed-output offset. Any failure marks the checkpoint corrupt and
+// recovery falls back to an older one.
+func decodeCheckpoint(payload []byte) (*Snapshot, uint64, uint64, error) {
 	_, secs, err := persist.DecodeContainer(snapshotMagic, payload)
 	if err != nil {
-		return 0, err
-	}
-	_, extra, err := snapshotFromSections(secs)
-	if err != nil {
-		return 0, err
-	}
-	seq, _, err := parseJournalSection(extra)
-	return seq, err
-}
-
-// decodeCheckpoint decodes a verified checkpoint payload into its
-// snapshot and flushed-output offset.
-func decodeCheckpoint(payload []byte) (*Snapshot, uint64, error) {
-	_, secs, err := persist.DecodeContainer(snapshotMagic, payload)
-	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	snap, extra, err := snapshotFromSections(secs)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	_, outBytes, err := parseJournalSection(extra)
-	if err != nil {
-		return nil, 0, err
+	seq, outBytes, err := parseJournalSection(extra)
+	return snap, seq, outBytes, err
+}
+
+// recordFields splits an input or advance record into its want
+// space-separated fields, the last of them a decimal uint64.
+func recordFields(data []byte, want int) ([]string, uint64, error) {
+	f := strings.Fields(string(data))
+	if len(f) != want {
+		return nil, 0, fmt.Errorf("malformed record %q", data)
 	}
-	return snap, outBytes, nil
+	n, err := strconv.ParseUint(f[want-1], 10, 64)
+	return f, n, err
 }
 
 // parseJournalSection reads the checkpoint-only "journal" section: the

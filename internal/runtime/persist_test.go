@@ -9,7 +9,9 @@ import (
 
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
+	"cascade/internal/persist"
 	"cascade/internal/toolchain"
+	"cascade/internal/workloads/pow"
 )
 
 // persistTestOptions builds Options for a persisted runtime: fast
@@ -507,6 +509,127 @@ func TestOpenRefusesUnrecoverableDir(t *testing.T) {
 	opts2, _ := persistTestOptions(dir, 1, nil)
 	if _, _, err := Open(opts2); err == nil {
 		t.Fatal("Open accepted an unrecoverable directory")
+	}
+}
+
+// TestReplayRefusesMalformedRecords: replay refuses an advance or input
+// record it cannot parse, naming the record's journal position.
+func TestReplayRefusesMalformedRecords(t *testing.T) {
+	for _, c := range []struct {
+		kind byte
+		data string
+	}{
+		{recKindAdvance, "12"},
+		{recKindAdvance, "12 x"},
+		{recKindAdvance, "-1 5"},
+		{recKindAdvance, "18446744073709551616 5"}, // 2⁶⁴
+		{recKindAdvance, "1 2 3"},
+		{recKindInput, "pad main.pad"},
+		{recKindInput, "pad 5"}, // no path
+		{recKindInput, "pad main.pad x"},
+		{recKindInput, "pad main.pad 18446744073709551616"},
+	} {
+		dir := t.TempDir()
+		store, _, err := persist.Open(dir, func([]byte) (uint64, error) { return 0, fmt.Errorf("no checkpoints") })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Append(1, c.kind, []byte(c.data)); err != nil {
+			t.Fatal(err)
+		}
+		store.Close()
+		opts, _ := persistTestOptions(dir, 1, nil)
+		if _, _, err := Open(opts); err == nil || !strings.Contains(err.Error(), "(journal seq 1)") {
+			t.Errorf("kind %d record %q: Open returned %v, want a refusal naming journal seq 1", c.kind, c.data, err)
+		}
+	}
+
+	// A well-formed advance with no program before it has nothing to step:
+	// recovery ends instead of spinning towards the target.
+	dir := t.TempDir()
+	store, _, err := persist.Open(dir, func([]byte) (uint64, error) { return 0, fmt.Errorf("no checkpoints") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Append(1, recKindAdvance, []byte("5 7")); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	opts, _ := persistTestOptions(dir, 1, nil)
+	r, info, err := Open(opts)
+	if err != nil || info.ResumedSteps != 0 {
+		t.Fatalf("advance before any eval: %+v, %v", info, err)
+	}
+	r.ClosePersistence()
+}
+
+// minerProg is the proof-of-work miner of Figure 11, searching forever.
+func minerProg() string {
+	cfg := pow.DefaultConfig()
+	cfg.Target = 0
+	return pow.Generate(cfg) + `
+wire [31:0] hashes, nonce, hash0, sol;
+wire found;
+Pow miner(.clk(clk.val), .hashes(hashes), .nonce(nonce),
+          .found(found), .hash0(hash0), .solution(sol));`
+}
+
+// TestPersistedStepAllocFree: between checkpoints, journaling a software
+// step costs no allocation — the advance record is built in a reused
+// buffer and the journal appends by copying into its mapping — so a
+// persisted Step allocates what an unpersisted one does: nothing.
+func TestPersistedStepAllocFree(t *testing.T) {
+	opts, _ := persistTestOptions(t.TempDir(), 1, nil)
+	opts.Features.DisableJIT = true
+	opts.Persist.EverySteps, opts.Persist.SyncEveryRecord = 1<<40, false
+	r, _, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.ClosePersistence()
+	r.MustEval(DefaultPrelude)
+	r.MustEval(minerProg())
+	r.RunTicks(8)
+	before := r.Stats().Persist.Records
+	if n := testing.AllocsPerRun(200, r.Step); n != 0 {
+		t.Errorf("a persisted software Step allocates %.1f times", n)
+	}
+	if got := r.Stats().Persist.Records - before; got < 200 {
+		t.Fatalf("only %d steps were journaled", got)
+	}
+}
+
+// TestJournalDiskFullIsSticky: the segment a checkpoint rotates to sits on
+// a full disk. Reserving room for the next record fails with an ordinary
+// error — not a signal on a mapped page — which disables persistence once,
+// visibly, while the program keeps running.
+func TestJournalDiskFullIsSticky(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to stand in for a full disk")
+	}
+	dir := t.TempDir()
+	opts, view := persistTestOptions(dir, 1, nil)
+	opts.Persist.EverySteps = 32
+	r, _, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.ClosePersistence()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "wal-000001.wal")); err != nil {
+		t.Skipf("symlink: %v", err)
+	}
+	r.MustEval(DefaultPrelude)
+	r.MustEval(persistProgA)
+	r.RunTicks(100)
+	st := r.Stats().Persist
+	if st.Err == "" || st.Checkpoints != 1 {
+		t.Fatalf("persistence went on past a full disk: %+v", st)
+	}
+	if errs := view.Errors(); len(errs) != 1 {
+		t.Fatalf("disk error reported %d times, want once: %v", len(errs), errs)
+	}
+	if want := ((r.Steps() + 1) / 2) & 0xff; r.World().Led("main.led") != want || r.Steps() < 200 {
+		t.Fatalf("execution stopped with persistence: step %d, led %d", r.Steps(), r.World().Led("main.led"))
 	}
 }
 

@@ -1042,26 +1042,9 @@ func (r *Runtime) install(ctx context.Context, v *version, saved map[string]*sim
 	return nil
 }
 
-// ProgramSource renders the current program as Verilog: module
-// declarations in the outer scope followed by the root module's items
-// (the source a user has eval'd so far, echoed back by the REPL's
-// :program command).
-func (r *Runtime) ProgramSource() string {
-	var sb strings.Builder
-	prog := r.ver.prog
-	for _, name := range prog.ModuleNames() {
-		sb.WriteString(verilog.Print(prog.Modules[name]))
-		sb.WriteString("\n")
-	}
-	if len(prog.RootItems) > 0 {
-		sb.WriteString("// root module items\n")
-		for _, it := range prog.RootItems {
-			sb.WriteString(verilog.Print(it))
-			sb.WriteString("\n")
-		}
-	}
-	return sb.String()
-}
+// ProgramSource renders the current program as Verilog (the source a
+// user has eval'd so far, echoed back by the REPL's :program command).
+func (r *Runtime) ProgramSource() string { return r.ver.source() }
 
 // CompileReadyAt returns the virtual time at which the latest pending
 // background compilation finishes, and whether one is pending.

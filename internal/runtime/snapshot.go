@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"cascade/internal/engine"
@@ -151,20 +152,19 @@ func EncodeSnapshot(snap *Snapshot) string {
 // EncodeSnapshot and the checkpoint writer (which appends its own
 // journal-position section).
 func snapshotSections(snap *Snapshot) []persist.Section {
-	var meta strings.Builder
-	fmt.Fprintf(&meta, "steps=%d\n", snap.Steps)
-	fmt.Fprintf(&meta, "vnow=%d\n", snap.VTime.NowPs)
-	fmt.Fprintf(&meta, "vcompute=%d\n", snap.VTime.ComputePs)
-	fmt.Fprintf(&meta, "vcomm=%d\n", snap.VTime.CommPs)
-	fmt.Fprintf(&meta, "voverhead=%d\n", snap.VTime.OverheadPs)
-	fmt.Fprintf(&meta, "vmessages=%d\n", snap.VTime.Messages)
-	secs := []persist.Section{{Name: "meta", Data: []byte(meta.String())}}
+	meta := appendField(nil, "steps", '=', snap.Steps)
+	meta = appendField(meta, "vnow", '=', snap.VTime.NowPs)
+	meta = appendField(meta, "vcompute", '=', snap.VTime.ComputePs)
+	meta = appendField(meta, "vcomm", '=', snap.VTime.CommPs)
+	meta = appendField(meta, "voverhead", '=', snap.VTime.OverheadPs)
+	meta = appendField(meta, "vmessages", '=', snap.VTime.Messages)
+	secs := []persist.Section{{Name: "meta", Data: meta}}
 
-	var world strings.Builder
+	var world []byte
 	for _, in := range snap.Inputs {
-		fmt.Fprintf(&world, "%s %s %d\n", in.Kind, in.Path, in.Value)
+		world = appendField(world, in.Kind+" "+in.Path, ' ', in.Value)
 	}
-	secs = append(secs, persist.Section{Name: "world", Data: []byte(world.String())})
+	secs = append(secs, persist.Section{Name: "world", Data: world})
 
 	var paths []string
 	for p := range snap.States {
@@ -174,11 +174,16 @@ func snapshotSections(snap *Snapshot) []persist.Section {
 	for _, p := range paths {
 		secs = append(secs, persist.Section{
 			Name: "state:" + p,
-			Data: []byte(snap.States[p].EncodeText()),
+			Data: snap.States[p].AppendText(nil),
 		})
 	}
 	secs = append(secs, persist.Section{Name: "source", Data: []byte(snap.Source)})
 	return secs
+}
+
+// appendField appends the section line "<key><sep><n>\n".
+func appendField(dst []byte, key string, sep byte, n uint64) []byte {
+	return append(strconv.AppendUint(append(append(dst, key...), sep), n, 10), '\n')
 }
 
 // DecodeSnapshot parses EncodeSnapshot's format. Arbitrary or corrupted

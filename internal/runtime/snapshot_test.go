@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"cascade/internal/fpga"
 	"cascade/internal/stdlib"
@@ -271,6 +273,47 @@ func TestResetFreshAllowsRestoreAfterUse(t *testing.T) {
 	r.RunTicks(2)
 	if got := r.World().Led("main.led"); got != 7 {
 		t.Fatalf("led=%d after post-reset restore", got)
+	}
+}
+
+// TestSnapshotsSharePrintedSource: a version's program is printed once, so
+// every snapshot of it — each checkpoint, each :save — carries the same
+// string; a refused eval keeps the version and its printed source, and an
+// accepted one prints its new version afresh.
+func TestSnapshotsSharePrintedSource(t *testing.T) {
+	r := newTestRuntime(t, Options{Features: Features{DisableJIT: true}})
+	r.MustEval(persistProgA)
+	// The first asks race: snapshots and :program from several goroutines.
+	srcs := make([]string, 4)
+	var wg sync.WaitGroup
+	for i := range srcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				srcs[i] = r.Snapshot().Source
+			} else {
+				srcs[i] = r.ProgramSource()
+			}
+		}()
+	}
+	wg.Wait()
+	r.RunTicks(10)
+	a := r.Snapshot()
+	for _, s := range append(srcs, r.Snapshot().Source) {
+		if unsafe.StringData(a.Source) != unsafe.StringData(s) {
+			t.Fatal("snapshots of one version printed the program more than once")
+		}
+	}
+	if err := r.Eval("wire [7:0 oops"); err == nil {
+		t.Fatal("malformed fragment accepted")
+	}
+	if c := r.ProgramSource(); unsafe.StringData(c) != unsafe.StringData(a.Source) {
+		t.Fatal("a refused eval replaced the printed source")
+	}
+	r.MustEval("wire extra;")
+	if d := r.Snapshot(); unsafe.StringData(d.Source) == unsafe.StringData(a.Source) || !strings.Contains(d.Source, "extra") {
+		t.Fatalf("the new version's source is not its own:\n%s", d.Source)
 	}
 }
 

@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 
 	"cascade/internal/bits"
 	"cascade/internal/elab"
@@ -31,11 +33,41 @@ type version struct {
 	flatElabs, execElabs map[string]*elab.Flat
 	inlined              bool
 	clockVar             string // exec's root input fed by the stdlib clock ("" if none)
+
+	printed *printed // the program's source, printed when first asked for
+}
+
+type printed struct {
+	once sync.Once
+	src  string
+}
+
+// source renders the version's program as Verilog: module declarations in
+// the outer scope followed by the root module's items. It is printed once
+// per version, so checkpoints and saves cost the program's state, not
+// its text.
+func (v *version) source() string {
+	v.printed.once.Do(func() {
+		var sb strings.Builder
+		for _, name := range v.prog.ModuleNames() {
+			sb.WriteString(verilog.Print(v.prog.Modules[name]))
+			sb.WriteString("\n")
+		}
+		if len(v.prog.RootItems) > 0 {
+			sb.WriteString("// root module items\n")
+			for _, it := range v.prog.RootItems {
+				sb.WriteString(verilog.Print(it))
+				sb.WriteString("\n")
+			}
+		}
+		v.printed.src = sb.String()
+	})
+	return v.printed.src
 }
 
 // emptyVersion is the version of a fresh runtime, and the base of a
 // restore or a replay: no source yet.
-func emptyVersion() *version { return &version{prog: ir.NewProgram()} }
+func emptyVersion() *version { return &version{prog: ir.NewProgram(), printed: &printed{}} }
 
 // integrate runs the whole front end over base extended by src: parse,
 // declare, build the IR, elaborate (type-check) every subprogram and,
@@ -62,7 +94,7 @@ func integrate(base *version, src string, inline bool) (*version, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &version{prog: prog, mods: mods, items: items, flat: flat, exec: flat}
+	v := &version{prog: prog, mods: mods, items: items, flat: flat, exec: flat, printed: &printed{}}
 	kept := map[*ir.SubProgram]*elab.Flat{}
 	if base.flat != nil {
 		for _, s := range base.flat.UserSubs() {

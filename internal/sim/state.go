@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"cascade/internal/bits"
@@ -79,34 +80,34 @@ func (st *State) Signature() string {
 	return sb.String()
 }
 
-// EncodeText renders the state in a line-oriented text format
+// AppendText appends the state to dst in a line-oriented text format
 // ("name=width'hhex", arrays as "name[i]=..."), deterministic and
 // suitable for shipping a snapshot between processes (the paper's §9
 // virtual-machine-migration direction).
-func (st *State) EncodeText() string {
-	var keys []string
+func (st *State) AppendText(dst []byte) []byte {
+	keys := make([]string, 0, len(st.Scalars))
 	for k := range st.Scalars {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var sb strings.Builder
 	for _, k := range keys {
-		fmt.Fprintf(&sb, "%s=%s\n", k, st.Scalars[k])
+		dst = append(st.Scalars[k].AppendString(append(append(dst, k...), '=')), '\n')
 	}
-	var akeys []string
+	keys = keys[:0]
 	for k := range st.Arrays {
-		akeys = append(akeys, k)
+		keys = append(keys, k)
 	}
-	sort.Strings(akeys)
-	for _, k := range akeys {
+	sort.Strings(keys)
+	for _, k := range keys {
 		for i, w := range st.Arrays[k] {
-			fmt.Fprintf(&sb, "%s[%d]=%s\n", k, i, w)
+			dst = strconv.AppendInt(append(append(dst, k...), '['), int64(i), 10)
+			dst = append(w.AppendString(append(dst, ']', '=')), '\n')
 		}
 	}
-	return sb.String()
+	return dst
 }
 
-// DecodeStateText parses the EncodeText format.
+// DecodeStateText parses the AppendText format.
 func DecodeStateText(text string) (*State, error) {
 	st := &State{Scalars: map[string]*bits.Vector{}, Arrays: map[string][]*bits.Vector{}}
 	sc := bufio.NewScanner(strings.NewReader(text))

@@ -101,12 +101,13 @@ type (
 	FaultInjector = fault.Injector
 	// FaultConfig selects a fault schedule: a seed plus per-surface
 	// probabilities and caps (probability 1 with a cap scripts exact
-	// fault counts).
+	// fault counts). Its Outages method plans seeded outage windows from
+	// the same seed (for FarmOptions.Outages).
 	FaultConfig = fault.Config
 	// FaultStats counts the injector's decisions.
 	FaultStats = fault.Stats
 	// PersistOptions configures crash-safe persistence: the directory,
-	// the checkpoint cadence, retention, and the journal fsync policy.
+	// the checkpoint cadence, and the journal fsync policy.
 	PersistOptions = runtime.PersistOptions
 	// PersistStats counts the persistence layer's work (journal
 	// records, checkpoints, replay).
@@ -176,8 +177,10 @@ type (
 	// placements, and control-message traffic.
 	FarmStats = toolchain.FarmStats
 	// ShardOutage is one deterministic shard-down window on the farm's
-	// route-decision clock — the farm's seeded fault surface.
-	ShardOutage = toolchain.ShardOutage
+	// route-decision clock (FarmOptions.Outages): Target is the shard,
+	// [From, To) the route ordinals it is down for. FaultConfig.Outages
+	// plans seeded ones.
+	ShardOutage = fault.Window
 	// ShardLink is one farm worker endpoint: in-process by default,
 	// or a cascade-engined -compile-worker daemon via DialCompileFarm.
 	ShardLink = toolchain.ShardLink
@@ -218,15 +221,6 @@ func NewEngineHost(opts EngineHostOptions) *EngineHost { return transport.NewHos
 // already made are closed and the error names the failing worker.
 func DialCompileFarm(addrs []string) ([]ShardLink, error) {
 	return transport.DialFarm(addrs, transport.TCPOptions{})
-}
-
-// SeededShardOutages derives a deterministic outage schedule from a
-// seed: n non-overlapping shard-down windows spread over the first
-// `routes` route decisions, for FarmOptions.Outages. The same seed
-// replays the same schedule, so farm-fault sessions reproduce byte for
-// byte (ROADMAP invariant 15).
-func SeededShardOutages(seed uint64, shards int, routes uint64, n int) []ShardOutage {
-	return toolchain.SeededOutages(seed, shards, routes, n)
 }
 
 // NewObserver builds a standalone observability hub (see Observer). Most

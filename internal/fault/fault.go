@@ -19,6 +19,11 @@
 // same faults at the same points no matter how the host schedules
 // threads.
 //
+// The same Config also plans outages (Config.Outages): the windows in
+// which a remote daemon is killed and restarted, or compile-farm shards
+// are down. Every seeded disturbance in a run is thus one value, and one
+// seed replays all of it.
+//
 // A nil *Injector is valid everywhere and injects nothing, so callers
 // (the toolchain, the device, hardware engines) never need a nil check
 // at the call site.
@@ -301,11 +306,59 @@ func (in *Injector) roll(op Op, siteName string, trial uint64) float64 {
 	return float64(h>>11) / float64(uint64(1)<<53)
 }
 
+// Window is one planned outage: Target is down for every ordinal in
+// [From, To) of the clock its consumer counts (daemon steps, farm route
+// decisions) and comes back at To.
+type Window struct {
+	Target   int
+	From, To uint64
+}
+
+// Outages plans n outage windows over the ordinals [1, horizon) of one
+// clock, each taking down one of `targets` (a daemon is one target, a
+// compile farm's shards are its workers). The plan is a pure function of
+// the seed and the arguments, so a disturbed run replays exactly.
+//
+// The horizon is cut into n equal slices holding at most one window
+// each, so windows come out sorted, never overlap, and leave at least
+// one free ordinal between them. Each length is drawn from [minLen,
+// maxLen] and shrunk to fit its slice, never below minLen: a slice
+// shorter than minLen+2 holds no window. The plan therefore has exactly
+// n windows whenever horizon >= n*(minLen+2) (3n for minLen 1), and
+// fewer only below that. Which target a window takes down is drawn only
+// when targets > 1, salted per site like the injector's rolls.
+func (c Config) Outages(site string, targets, n int, horizon, minLen, maxLen uint64) []Window {
+	if targets <= 0 || n <= 0 {
+		return nil
+	}
+	minLen = max(minLen, 1)
+	maxLen = max(maxLen, minLen)
+	r := SplitMix(c.Seed ^ 0xc4a5cade) // offset so windows and injector rolls decorrelate
+	slice := horizon / uint64(n)
+	var out []Window
+	for i := 0; i < n; i++ {
+		length := minLen + r.Next()%(maxLen-minLen+1)
+		if length+2 > slice {
+			if slice < minLen+2 {
+				continue
+			}
+			length = slice - 2
+		}
+		from := uint64(i)*slice + 1 + r.Next()%(slice-length-1)
+		w := Window{From: from, To: from + length}
+		if targets > 1 {
+			w.Target = int(mix(mix(c.Seed^HashString(site))^uint64(i+1)) % uint64(targets))
+		}
+		out = append(out, w)
+	}
+	return out
+}
+
 // SplitMix is a splitmix64 stream: tiny, seedable, and stable across
 // platforms and Go versions. Every seeded schedule in the tree (fault
-// rolls here, internal/chaos outages, the compile farm's shard outages
-// and rendezvous weights) draws from it, so none depends on math/rand's
-// version-varying streams.
+// rolls and outage windows here, the compile farm's rendezvous weights,
+// internal/vgen's sessions) draws from it, so none depends on
+// math/rand's version-varying streams.
 type SplitMix uint64
 
 // Next advances the stream and returns its next draw.

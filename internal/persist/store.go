@@ -19,7 +19,7 @@ import (
 //
 // Checkpoint N is written atomically, then the journal rotates to
 // segment N (compaction: the records a checkpoint covers stop growing
-// the active segment). Retention keeps the last Keep checkpoints plus
+// the active segment). Retention keeps the last `keep` checkpoints plus
 // every segment needed to roll any retained checkpoint forward, so a
 // corrupted latest checkpoint falls back to the previous one and
 // replays through the corrupted one's segment to the same position.

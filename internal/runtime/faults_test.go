@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cascade/internal/fault"
 	"cascade/internal/fpga"
 	"cascade/internal/lifecycle"
 	"cascade/internal/toolchain"
@@ -193,7 +194,7 @@ func TestFarmUnavailableResubmitsUntilShardReturns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat.farm = toolchain.FarmOptions{Workers: 1, Outages: []toolchain.ShardOutage{{Shard: 0, FromRoute: 0, ToRoute: 3}}}
+	flat.farm = toolchain.FarmOptions{Workers: 1, Outages: []fault.Window{{Target: 0, From: 0, To: 3}}}
 	late, err := observe(t, flat, schedule{}, finite[1])
 	if err != nil || late.Display != local.Display {
 		t.Fatalf("outage recovery changed output (%v)\ngot:\n%s\nwant:\n%s", err, late.Display, local.Display)

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"cascade/internal/chaos"
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
 	"cascade/internal/obsv"
@@ -157,14 +156,18 @@ type arm struct {
 
 // schedule is one seeded plan of everything that may disturb a run.
 type schedule struct {
-	seed       uint64
-	faults     fault.Config // compile, bus, region and net faults (through chaos.Config)
-	outages    int          // daemon kill/restart cycles at chaos.Schedule's steps
-	shardsDown int          // compile-farm shard outages (toolchain.SeededOutages)
+	faults     fault.Config // its seed plans everything: compile, bus, region and net faults, and the outages below
+	outages    int          // daemon kill/restart cycles (fault.Config.Outages over steps)
+	shardsDown int          // compile-farm shard outages (fault.Config.Outages over route decisions)
 	maxQueue   int          // the toolchain's admission bound: submissions beyond it are shed
 	refuse     string       // a fragment attempted refuseAt ticks in, which must be refused
 	refuseAt   int
 }
+
+// farmRoutes is the horizon of farm outages, in route decisions: a
+// session's few fabric flows are routed early, so the windows must fall
+// among its first routes for a downed shard to be anyone's home.
+const farmRoutes = 6
 
 // observed is everything a user could see of a run.
 type observed struct {
@@ -186,9 +189,8 @@ var pinnedWall = time.Unix(1_700_000_000, 0)
 
 // start builds the runtime arm describes, disturbed as sch plans, with the
 // prelude evaluated; stop releases what it holds.
-func (a arm) start(t testing.TB, sch schedule) (r *Runtime, view *BufView, d *testDaemon, cs chaos.Schedule, stop func(), err error) {
-	cs = chaos.Config{Seed: sch.seed, Steps: 100, DaemonOutages: sch.outages,
-		MinDownSteps: 2, MaxDownSteps: 5, Fault: sch.faults}.Schedule()
+func (a arm) start(t testing.TB, sch schedule) (r *Runtime, view *BufView, d *testDaemon, kills []fault.Window, stop func(), err error) {
+	kills = sch.faults.Outages("daemon", 1, sch.outages, 100, 2, 5)
 	view = &BufView{Quiet: true}
 	dev := roomy()
 	tco := toolchain.DefaultOptions()
@@ -199,12 +201,12 @@ func (a arm) start(t testing.TB, sch schedule) (r *Runtime, view *BufView, d *te
 	opts := Options{View: view, Device: dev, Toolchain: toolchain.New(dev, tco), Features: a.feats,
 		Parallelism: max(a.lanes, 1), OpenLoopTargetPs: 1, // one tick a burst, so ticks can be counted
 		Observer: obsv.New(obsv.Options{WallClock: func() time.Time { return pinnedWall }})}
-	if sch.faults != (fault.Config{}) {
-		opts.Injector = cs.Injector()
+	if sch.faults != (fault.Config{Seed: sch.faults.Seed}) { // a bare seed plans outages only
+		opts.Injector = fault.New(sch.faults)
 	}
 	if a.farm.Workers > 0 {
 		farm := a.farm
-		farm.Outages = append(farm.Outages, toolchain.SeededOutages(sch.seed, farm.Workers, 4, sch.shardsDown)...)
+		farm.Outages = append(farm.Outages, sch.faults.Outages("farm", farm.Workers, sch.shardsDown, farmRoutes, 1, 2)...)
 		opts.Farm = &farm
 	}
 	stop = func() {}
@@ -226,18 +228,18 @@ func (a arm) start(t testing.TB, sch schedule) (r *Runtime, view *BufView, d *te
 	if a.durable {
 		opts.Persist = &PersistOptions{Dir: t.TempDir(), EverySteps: 48}
 		if r, _, err = Open(opts); err != nil {
-			return nil, nil, nil, cs, stop, err
+			return nil, nil, nil, kills, stop, err
 		}
 	} else {
 		r = New(opts)
 	}
 	halt := stop
 	stop = func() { r.CloseRemote(); r.ClosePersistence(); halt() }
-	return r, view, d, cs, stop, r.Eval(DefaultPrelude)
+	return r, view, d, kills, stop, r.Eval(DefaultPrelude)
 }
 
 // drive runs s on r, recording the LEDs and the phase as it goes.
-func (a arm) drive(r *Runtime, d *testDaemon, cs chaos.Schedule, sch schedule, s vgen.Script, o *observed) error {
+func (a arm) drive(r *Runtime, d *testDaemon, kills []fault.Window, sch schedule, s vgen.Script, o *observed) error {
 	sample := func() {
 		o.Leds = append(o.Leds, r.World().Led("main.led"))
 		o.Phases = append(o.Phases, r.Phase())
@@ -262,15 +264,16 @@ func (a arm) drive(r *Runtime, d *testDaemon, cs chaos.Schedule, sch schedule, s
 		}
 	}
 	// Run to $finish. Outages land between steps — where a SIGKILL lands
-	// between two served frames — at the schedule's step offsets.
+	// between two served frames — at the schedule's step offsets: killed
+	// after step From, restarted after step To.
 	step0, next := r.steps, 0
 	for i := 0; a.finish && i < 20000 && !r.Finished(); i++ {
 		r.Step()
-		if next < len(cs.Outages) {
-			switch o := cs.Outages[next]; r.steps - step0 {
-			case o.KillAtStep:
+		if next < len(kills) {
+			switch w := kills[next]; r.steps - step0 {
+			case w.From:
 				d.kill()
-			case o.RestartAtStep:
+			case w.To:
 				d.restart()
 				next++
 			}
@@ -288,10 +291,10 @@ func (a arm) drive(r *Runtime, d *testDaemon, cs chaos.Schedule, sch schedule, s
 // daemon-hosted run reports its daemon, books every frame of the shared
 // connection to the engines it carried, and leaves no session behind.
 func observe(t testing.TB, a arm, sch schedule, s vgen.Script) (o observed, err error) {
-	r, view, d, cs, stop, err := a.start(t, sch)
+	r, view, d, kills, stop, err := a.start(t, sch)
 	defer stop()
 	if err == nil {
-		err = a.drive(r, d, cs, sch, s, &o)
+		err = a.drive(r, d, kills, sch, s, &o)
 	}
 	if err != nil {
 		return o, err
@@ -403,7 +406,7 @@ func rows() []row {
 	}
 	add("11s", "$S", "session", arm{feats: flat}, arm{feats: flat, lanes: 4, hosted: true, daemonJIT: true, session: true}, schedule{}, false, seen, nil)
 	// Capped drops are absorbed by the retry budget: billed, never seen.
-	drops := schedule{seed: 11, faults: fault.Config{NetDrop: 1, MaxNetFaults: 3}}
+	drops := schedule{faults: fault.Config{Seed: 11, NetDrop: 1, MaxNetFaults: 3}}
 	add("11d", "$S", "drops", arm{feats: quiet}, arm{feats: quiet, lanes: 4, hosted: true, retries: 3}, drops, false, seen,
 		func(_, b observed) bool { return b.Stats.Xport.Drops == 3 && b.Stats.Xport.Retries == 3 })
 
@@ -412,7 +415,7 @@ func rows() []row {
 	// hardware step evicts it to software and the cache re-promotes it.
 	// Injector decisions are per-site counters, so they do not depend on
 	// the width either.
-	faults := schedule{seed: 1, faults: fault.Config{CompileTransient: 1, MaxCompileFaults: 2,
+	faults := schedule{faults: fault.Config{Seed: 1, CompileTransient: 1, MaxCompileFaults: 2,
 		RegionFault: 1, MaxRegionFaults: 1, BusError: 1, MaxBusFaults: 1}}
 	evicted := func(_, b observed) bool {
 		st := b.Stats
@@ -430,7 +433,7 @@ func rows() []row {
 	climbed := func(_, b observed) bool { return b.Stats.Compile.Submitted >= 2 }
 	add("13", "$S", "ladder", interp, ladder, schedule{}, false, seen, climbed)
 	add("13", "$S", "parallel", interp, lanes(ladder, 8), schedule{}, false, seen, climbed)
-	add("13", "$S", "faults", interp, ladder, schedule{seed: 1, faults: fault.Config{RegionFault: 1, MaxRegionFaults: 2, BusError: 1, MaxBusFaults: 1}},
+	add("13", "$S", "faults", interp, ladder, schedule{faults: fault.Config{Seed: 1, RegionFault: 1, MaxRegionFaults: 2, BusError: 1, MaxBusFaults: 1}},
 		false, seen, func(_, b observed) bool { return b.Stats.NativeFaults > 0 && b.Stats.Demotions > 0 })
 
 	// 14. Supervision is invisible: a journaled daemon killed and restarted
@@ -439,7 +442,7 @@ func rows() []row {
 	// fault-free run's; clocks are not compared against it or across
 	// widths (failover re-billing is real work, batch makespan depends on
 	// the lanes), but a replay at a fixed width reproduces them.
-	chaotic := schedule{seed: 1777, outages: 2, maxQueue: 1, faults: fault.Config{NetDrop: 1, MaxNetFaults: 2}}
+	chaotic := schedule{outages: 2, maxQueue: 1, faults: fault.Config{Seed: 1777, NetDrop: 1, MaxNetFaults: 2}}
 	calm := arm{feats: Features{DisableJIT: true}, finish: true}
 	stormy := arm{feats: Features{DisableInline: true, NativeTier: true}, hosted: true, journal: true, supervise: true, finish: true}
 	healed := func(_, b observed) bool {
@@ -461,7 +464,7 @@ func rows() []row {
 	add("15", "$S", "replay", plain, plain, schedule{}, true, ledger, routed)
 	add("15", "$S", "steal", local, arm{feats: flat, farm: toolchain.FarmOptions{Workers: 7, QueueDepth: 1}}, schedule{}, false, ledger,
 		func(_, b observed) bool { return b.Stats.Farm.Stolen > 0 })
-	down, dark := arm{feats: flat, farm: toolchain.FarmOptions{Workers: 3}}, schedule{seed: 0xcab1e, shardsDown: 2}
+	down, dark := arm{feats: flat, farm: toolchain.FarmOptions{Workers: 3}}, schedule{faults: fault.Config{Seed: 0xcab1e}, shardsDown: 2}
 	rerouted := func(_, b observed) bool { return b.Stats.Farm.Rerouted > 0 }
 	add("15", "$S", "outages", local, down, dark, false, ledger, rerouted)
 	add("15", "$S", "outage replay", down, down, dark, true, ledger, rerouted)

@@ -46,18 +46,8 @@ type PersistOptions struct {
 	Dir string
 
 	// EverySteps takes an automatic checkpoint each time this many
-	// scheduler steps complete. When both cadences are zero, Open
-	// defaults to every 4096 steps.
+	// scheduler steps complete. Zero defaults to every 4096 steps.
 	EverySteps uint64
-
-	// EveryVirtualPs additionally checkpoints when this much virtual
-	// time has elapsed since the last checkpoint (0 disables).
-	EveryVirtualPs uint64
-
-	// Keep is how many checkpoints (and the journal segments needed to
-	// roll them forward) retention preserves; minimum and default 2, so
-	// a corrupted newest checkpoint always has a fallback.
-	Keep int
 
 	// SyncEveryRecord fsyncs the journal after every record, including
 	// per-step advances. Off by default: inputs, evals, and checkpoints
@@ -138,7 +128,6 @@ type persister struct {
 	adv []byte // the advance record being built; the controller's, under r.mu
 
 	lastCkptSteps uint64
-	lastCkptPs    uint64
 
 	records         uint64
 	checkpoints     int
@@ -186,10 +175,7 @@ func Open(opts Options) (*Runtime, *RecoveryInfo, error) {
 		return nil, nil, fmt.Errorf("runtime: Open requires Options.Persist.Dir (use New for a runtime without persistence)")
 	}
 	po := *opts.Persist
-	if po.Keep < 2 {
-		po.Keep = 2
-	}
-	if po.EverySteps == 0 && po.EveryVirtualPs == 0 {
+	if po.EverySteps == 0 {
 		po.EverySteps = 4096
 	}
 	r := New(opts)
@@ -285,7 +271,6 @@ func Open(opts Options) (*Runtime, *RecoveryInfo, error) {
 		store:         store,
 		seq:           lastSeq,
 		lastCkptSteps: r.Steps(),
-		lastCkptPs:    r.VirtualNow(),
 		replayed:      info.ReplayedRecords,
 	}
 	r.mu.Lock()
@@ -347,15 +332,12 @@ func (r *Runtime) persistAfterStep() {
 	if p == nil {
 		return
 	}
-	now := r.vclk.Now()
-	p.adv = strconv.AppendUint(append(strconv.AppendUint(p.adv[:0], r.steps, 10), ' '), now, 10)
+	p.adv = strconv.AppendUint(append(strconv.AppendUint(p.adv[:0], r.steps, 10), ' '), r.vclk.Now(), 10)
 	if err := p.append(recKindAdvance, p.adv, false); err != nil {
 		r.reportPersistError(err)
 		return
 	}
-	due := (p.opts.EverySteps > 0 && r.steps-p.lastCkptSteps >= p.opts.EverySteps) ||
-		(p.opts.EveryVirtualPs > 0 && now-p.lastCkptPs >= p.opts.EveryVirtualPs)
-	if !due {
+	if r.steps-p.lastCkptSteps < p.opts.EverySteps {
 		return
 	}
 	if err := r.checkpointLocked(); err != nil {
@@ -398,12 +380,12 @@ func (r *Runtime) checkpointLocked() error {
 	if p.err != nil {
 		return p.err
 	}
-	if _, err := p.store.WriteCheckpoint(payload, p.opts.Keep); err != nil {
+	// Two are kept, so a corrupted newest checkpoint always has a fallback.
+	if _, err := p.store.WriteCheckpoint(payload, 2); err != nil {
 		p.err = err
 		return err
 	}
 	p.lastCkptSteps = r.steps
-	p.lastCkptPs = r.vclk.Now()
 	p.checkpoints++
 	p.checkpointBytes = int64(len(payload))
 	wallNs := r.obs().WallNow().Sub(start).Nanoseconds()

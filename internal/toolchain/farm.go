@@ -106,11 +106,13 @@ type FarmOptions struct {
 	// FarmStats.MsgPs — a separate meter, never the runtime's virtual
 	// clock (default 50 virtual µs, divided by Options.Scale).
 	MsgPs uint64
-	// Outages is a deterministic shard-fault schedule: shard s is down
-	// for every route decision whose ordinal falls in [FromRoute,
-	// ToRoute), and restarts cold (empty memory cache) at ToRoute. Use
-	// SeededOutages for generated schedules.
-	Outages []ShardOutage
+	// Outages is a deterministic shard-fault schedule on the route
+	// clock: shard Target is down for every route decision whose ordinal
+	// falls in [From, To), and restarts cold (empty memory cache) at To.
+	// Keyed on route ordinals, not wall or virtual time, a schedule
+	// replays exactly: the Nth route decision of a run always sees the
+	// same shards alive. fault.Config.Outages plans seeded ones.
+	Outages []fault.Window
 	// PnRWallNs, when positive, burns that much wall-clock per
 	// place-and-route a shard executes (virtual billing unchanged) —
 	// modelling the real CPU cost of a CAD flow so cascade-bench can
@@ -146,44 +148,6 @@ func (o *FarmOptions) fill() {
 	if o.WallSlots <= 0 {
 		o.WallSlots = 1
 	}
-}
-
-// ShardOutage marks one shard dead for a window of route decisions.
-// Keying the window on route ordinals (not wall or virtual time) makes
-// fault schedules replay exactly: the Nth routing decision of a run
-// always sees the same shards alive.
-type ShardOutage struct {
-	Shard     int
-	FromRoute uint64 // first route ordinal the shard is down for (inclusive)
-	ToRoute   uint64 // ordinal at which the shard restarts, cold (exclusive)
-}
-
-// SeededOutages derives a deterministic outage schedule from a seed:
-// n non-overlapping windows spread over the first `routes` route
-// decisions, each taking one shard down. Windows never overlap, so with
-// the default replication factor (2) the schedule stays within the
-// determinism guarantee.
-func SeededOutages(seed uint64, shards int, routes uint64, n int) []ShardOutage {
-	if shards <= 0 || n <= 0 || routes == 0 {
-		return nil
-	}
-	r := fault.SplitMix(seed ^ 0xfa_2a_cade)
-	span := routes / uint64(n)
-	if span < 2 {
-		span = 2
-	}
-	var out []ShardOutage
-	for i := 0; i < n; i++ {
-		base := uint64(i) * span
-		from := base + r.Next()%(span/2+1)
-		width := 1 + r.Next()%(span/2+1)
-		out = append(out, ShardOutage{
-			Shard:     int(r.Next() % uint64(shards)),
-			FromRoute: from,
-			ToRoute:   from + width,
-		})
-	}
-	return out
 }
 
 // FarmStats snapshots the farm's counters.
@@ -467,7 +431,7 @@ func (fb *FarmBackend) applyOutagesLocked() {
 		was := s.schedDown
 		s.schedDown = false
 		for _, o := range fb.opts.Outages {
-			if o.Shard == s.idx && o.FromRoute <= n && n < o.ToRoute {
+			if o.Target == s.idx && o.From <= n && n < o.To {
 				s.schedDown = true
 				break
 			}

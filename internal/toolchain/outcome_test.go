@@ -104,7 +104,7 @@ func TestHitCarriesSubmittersNetlist(t *testing.T) {
 			pj := probe.Submit(ctx, first, true, 0)
 			pj.Wait()
 			tc := New(fpga.NewCycloneV(), DefaultOptions())
-			tc.UseFarm(FarmOptions{Workers: 2, Outages: []ShardOutage{{Shard: pj.route.shard, FromRoute: 0, ToRoute: 1}}})
+			tc.UseFarm(FarmOptions{Workers: 2, Outages: []fault.Window{{Target: pj.route.shard, From: 0, To: 1}}})
 			at := build(t, tc, first)
 			return tc.Submit(ctx, second, true, at).Result()
 		}},

@@ -89,7 +89,7 @@ func WithOpenLoopTarget(ps uint64) Option {
 // checkpoints on the default cadence plus a write-ahead side-effect
 // journal between them. Only cascade.Open honors it — Open also
 // recovers whatever state a previous process left in dir. Use
-// WithPersistenceOptions to tune cadence, retention, and sync policy.
+// WithPersistenceOptions to tune cadence and sync policy.
 // Default: no persistence. Works in every Features mode except Native,
 // which has no state-capture surface to checkpoint.
 func WithPersistence(dir string) Option {
@@ -102,7 +102,7 @@ func WithPersistence(dir string) Option {
 }
 
 // WithPersistenceOptions overlays the whole persistence configuration
-// (directory, checkpoint cadence, retention, fsync policy). Default:
+// (directory, checkpoint cadence, fsync policy). Default:
 // no persistence; Features caveats as for WithPersistence.
 func WithPersistenceOptions(po PersistOptions) Option {
 	return func(o *Options) { o.Persist = &po }
@@ -252,8 +252,8 @@ func Native() Option {
 // WithCompileFarm shards the runtime's fabric compile flows across a
 // farm of workers: rendezvous-hash routing on netlist fingerprints, a
 // replicated bitstream cache with peer fetch, bounded per-shard queues
-// with deterministic job-steal, and seeded outage schedules
-// (SeededShardOutages) for testing. A zero FarmOptions takes the
+// with deterministic job-steal, and deterministic shard outages
+// (FarmOptions.Outages, planned by FaultConfig.Outages) for testing. A zero FarmOptions takes the
 // defaults — two in-process workers, depth-8 queues, two cache
 // replicas; set Links (DialCompileFarm) to shard onto remote
 // cascade-engined -compile-worker daemons instead. The farm installs

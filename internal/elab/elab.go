@@ -40,7 +40,15 @@ type elaborator struct {
 	loopVars map[string]*bits.Vector // active for-loop bindings
 	assigned map[*Var]*bits.Vector   // continuous-assign markers
 
-	netInitAssigns []*verilog.ContAssign // wire x = expr desugarings
+	netInitAssigns []netInit // wire x = expr desugarings
+}
+
+// netInit is a net declaration assignment desugared to a continuous
+// assignment: the Ord-th name of declaration Src.
+type netInit struct {
+	a   *verilog.ContAssign
+	src *verilog.NetDecl
+	ord int
 }
 
 func (e *elaborator) errf(pos verilog.Pos, format string, args ...any) error {
@@ -96,8 +104,8 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 	}
 
 	// Net declaration assignments collected by the first pass.
-	for _, ca := range e.netInitAssigns {
-		if err := e.contAssign(ca); err != nil {
+	for _, ni := range e.netInitAssigns {
+		if err := e.contAssign(ni.a, ni.src, ni.ord); err != nil {
 			return err
 		}
 	}
@@ -108,7 +116,7 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 		case *verilog.ParamDecl, *verilog.NetDecl:
 			// handled above
 		case *verilog.ContAssign:
-			if err := e.contAssign(x); err != nil {
+			if err := e.contAssign(x, x, 0); err != nil {
 				return err
 			}
 		case *verilog.AlwaysBlock:
@@ -122,6 +130,7 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 			}
 			if body != nil {
 				e.flat.Initials = append(e.flat.Initials, body)
+				e.flat.InitialItems = append(e.flat.InitialItems, x)
 			}
 		case *verilog.Instance:
 			return e.errf(x.InstPos, "internal: instance %s survived IR flattening", x.Name)
@@ -246,7 +255,7 @@ func (e *elaborator) netDecl(d *verilog.NetDecl) error {
 		width = w
 	}
 	isReg := d.Kind != verilog.Wire
-	for _, dn := range d.Names {
+	for ord, dn := range d.Names {
 		arrLen, arrLo := 0, 0
 		if dn.Array != nil {
 			hi, err := e.constExpr(dn.Array.Hi)
@@ -284,17 +293,17 @@ func (e *elaborator) netDecl(d *verilog.NetDecl) error {
 		if dn.Init != nil && !isReg {
 			// A net declaration assignment (wire x = expr) is sugar for
 			// a continuous assignment; queue it for the behaviour pass.
-			e.netInitAssigns = append(e.netInitAssigns, &verilog.ContAssign{
+			e.netInitAssigns = append(e.netInitAssigns, netInit{a: &verilog.ContAssign{
 				AssignPos: dn.NamePos,
 				LHS:       &verilog.Ident{IdentPos: dn.NamePos, Name: dn.Name},
 				RHS:       dn.Init,
-			})
+			}, src: d, ord: ord})
 		}
 	}
 	return nil
 }
 
-func (e *elaborator) contAssign(a *verilog.ContAssign) error {
+func (e *elaborator) contAssign(a *verilog.ContAssign, src verilog.Item, ord int) error {
 	lhs, err := e.lvalue(a.LHS)
 	if err != nil {
 		return err
@@ -317,7 +326,7 @@ func (e *elaborator) contAssign(a *verilog.ContAssign) error {
 		return err
 	}
 	widenContext(rhs, total)
-	e.flat.Assigns = append(e.flat.Assigns, &ContAssign{LHS: lhs, RHS: rhs})
+	e.flat.Assigns = append(e.flat.Assigns, &ContAssign{LHS: lhs, RHS: rhs, Src: src, Ord: ord})
 	return nil
 }
 
@@ -334,7 +343,7 @@ func (e *elaborator) checkAssignOverlap(lv LValue, pos verilog.Pos) error {
 }
 
 func (e *elaborator) always(a *verilog.AlwaysBlock) error {
-	p := &Proc{Star: a.Star}
+	p := &Proc{Star: a.Star, Src: a}
 	for _, ev := range a.Events {
 		x, err := e.expr(ev.Expr)
 		if err != nil {

@@ -45,7 +45,9 @@ type Flat struct {
 	Assigns  []*ContAssign
 	Procs    []*Proc
 	Initials []Stmt
-	Source   *verilog.Module
+	// InitialItems[i] is the initial block Initials[i] was elaborated from.
+	InitialItems []verilog.Item
+	Source       *verilog.Module
 }
 
 // VarNamed returns the variable with the given name, or nil.
@@ -60,6 +62,10 @@ func (f *Flat) VarNamed(name string) *Var {
 type ContAssign struct {
 	LHS []LValue // concat targets expand to several lvalues, MSB first
 	RHS Expr
+	// Src is the module item it was elaborated from: an assign, or the
+	// net declaration whose Ord-th name carries an initializer.
+	Src verilog.Item
+	Ord int
 }
 
 // EdgeKind is the sensitivity kind for one event.
@@ -83,7 +89,8 @@ type Proc struct {
 	Edges []Edge // empty for @* (use Reads)
 	Star  bool
 	Body  Stmt
-	Reads []*Var // read set of Body (sensitivity closure for @*)
+	Reads []*Var       // read set of Body (sensitivity closure for @*)
+	Src   verilog.Item // the always block it was elaborated from
 }
 
 // LValue is a resolved assignment target.

@@ -133,6 +133,20 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 	}
 
 	var addedAssigns []verilog.Item
+	var prevConns map[*verilog.Instance][]*verilog.ContAssign
+	var prevMangled map[verilog.Item]verilog.Item
+	if old := b.prev[path]; old != nil {
+		prevConns, prevMangled = old.conns, old.mangled
+	}
+	madeConns := make(map[*verilog.Instance][]*verilog.ContAssign, len(childOrder))
+	// assign is the connection assignment lhs = rhs, the previous split's
+	// object for connection i of inst when that was the same assignment.
+	assign := func(inst *verilog.Instance, i int, pos verilog.Pos, lhs, rhs verilog.Expr) *verilog.ContAssign {
+		if old := prevConns[inst]; i < len(old) && old[i] != nil && sameConnAssign(old[i], lhs, rhs) {
+			return old[i]
+		}
+		return &verilog.ContAssign{AssignPos: pos, LHS: lhs, RHS: rhs}
+	}
 
 	// Connections become promoted ports plus assignments (Figure 4).
 	for _, name := range childOrder {
@@ -141,7 +155,9 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 		if err != nil {
 			return err
 		}
-		for _, c := range conns {
+		made := make([]*verilog.ContAssign, len(conns))
+		madeConns[ci.inst] = made
+		for i, c := range conns {
 			if c.Expr == nil {
 				continue // explicitly unconnected
 			}
@@ -156,11 +172,8 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 				if err := addPromo(c.ConnPos, mangled, &promo{dir: verilog.Output, kind: verilog.Wire, width: width}); err != nil {
 					return err
 				}
-				addedAssigns = append(addedAssigns, &verilog.ContAssign{
-					AssignPos: c.ConnPos,
-					LHS:       &verilog.Ident{IdentPos: c.ConnPos, Name: mangled},
-					RHS:       c.Expr,
-				})
+				made[i] = assign(ci.inst, i, c.ConnPos, &verilog.Ident{IdentPos: c.ConnPos, Name: mangled}, c.Expr)
+				addedAssigns = append(addedAssigns, made[i])
 				b.design.Wires = append(b.design.Wires, Wire{
 					From: Endpoint{Sub: path, Port: mangled},
 					To:   Endpoint{Sub: path + "." + name, Port: c.Name},
@@ -173,11 +186,8 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 				if err := addPromo(c.ConnPos, mangled, &promo{dir: verilog.Input, kind: kind, width: width}); err != nil {
 					return err
 				}
-				addedAssigns = append(addedAssigns, &verilog.ContAssign{
-					AssignPos: c.ConnPos,
-					LHS:       c.Expr,
-					RHS:       &verilog.Ident{IdentPos: c.ConnPos, Name: mangled},
-				})
+				made[i] = assign(ci.inst, i, c.ConnPos, c.Expr, &verilog.Ident{IdentPos: c.ConnPos, Name: mangled})
+				addedAssigns = append(addedAssigns, made[i])
 				b.design.Wires = append(b.design.Wires, Wire{
 					From: Endpoint{Sub: path + "." + name, Port: c.Name},
 					To:   Endpoint{Sub: path, Port: mangled},
@@ -251,8 +261,19 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 		return e
 	}
 	var newItems []verilog.Item
+	var mangled map[verilog.Item]verilog.Item
 	for _, it := range scanItems {
-		newItems = append(newItems, rewriteItem(it, mangle))
+		m, ok := prevMangled[it]
+		if !ok {
+			m = rewriteItem(it, mangle)
+		}
+		if m != it {
+			if mangled == nil {
+				mangled = map[verilog.Item]verilog.Item{}
+			}
+			mangled[it] = m
+		}
+		newItems = append(newItems, m)
 	}
 
 	// Assemble the promoted module.
@@ -296,7 +317,7 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 		pm = pm2
 	}
 
-	sub := &SubProgram{Path: path, Params: headerEnv, Module: pm, env: env, src: mod, extra: extraOutputs}
+	sub := &SubProgram{Path: path, Params: headerEnv, Module: pm, env: env, src: mod, extra: extraOutputs, conns: madeConns, mangled: mangled}
 	b.design.Subs = append(b.design.Subs, sub)
 	first := len(b.design.Subs)
 
@@ -327,6 +348,21 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 		sub.wires = slices.Clone(b.design.Wires[firstWire:])
 	}
 	return nil
+}
+
+// sameConnAssign reports whether a is the connection assignment lhs = rhs,
+// where one side is the connection's own expression and the other the
+// promoted port's name.
+func sameConnAssign(a *verilog.ContAssign, lhs, rhs verilog.Expr) bool {
+	same := func(x, y verilog.Expr) bool {
+		if x == y {
+			return true
+		}
+		xi, ok1 := x.(*verilog.Ident)
+		yi, ok2 := y.(*verilog.Ident)
+		return ok1 && ok2 && xi.Name == yi.Name
+	}
+	return same(a.LHS, lhs) && same(a.RHS, rhs)
 }
 
 // paramEnv evaluates a module's parameters (with overrides) and

@@ -24,7 +24,7 @@ func PrefixOf(path string) string {
 func (sub *SubProgram) renamer() exprRewriter {
 	prefix := PrefixOf(sub.Path)
 	return substParams(sub.env, func(e verilog.Expr) verilog.Expr {
-		if id, ok := e.(*verilog.Ident); ok {
+		if id, ok := e.(*verilog.Ident); ok && prefix != "" {
 			return &verilog.Ident{IdentPos: id.IdentPos, Name: prefix + id.Name}
 		}
 		return e

@@ -125,6 +125,16 @@ type SubProgram struct {
 	wires []Wire
 
 	inlined []verilog.Item // Inline's renaming of Module.Items, computed once
+
+	// conns holds the assignments split made of each instance's
+	// connections (Figure 4), one per connection (nil: unconnected). The
+	// next split at the same path hands the same objects out again, so
+	// the items of a root an eval only appended to stay what they were.
+	conns map[*verilog.Instance][]*verilog.ContAssign
+	// mangled maps each item that named an instance's variable
+	// hierarchically to its rewrite onto the promoted port, for the same
+	// reason.
+	mangled map[verilog.Item]verilog.Item
 }
 
 // Endpoint identifies one side of a wire: a subprogram port.

@@ -184,8 +184,17 @@ type Placement struct {
 }
 
 // New returns the record for a subprogram, Unplaced.
-func New(cfg Config) *Placement {
-	return &Placement{Config: cfg, design: toolchain.NewDesign(cfg.Flat)}
+func New(cfg Config) *Placement { return NewFrom(nil, cfg) }
+
+// NewFrom is New for the successor of prev (nil: none), the placement
+// at the same path of the version being replaced: the design's synthesis
+// starts from prev's (toolchain.NewDesignFrom).
+func NewFrom(prev *Placement, cfg Config) *Placement {
+	var base *toolchain.Design
+	if prev != nil {
+		base = prev.design
+	}
+	return &Placement{Config: cfg, design: toolchain.NewDesignFrom(base, cfg.Flat)}
 }
 
 // Engine returns the current engine (nil while Unplaced).

@@ -1,212 +1,71 @@
 package netlist
 
 import (
-	"sort"
-
 	"cascade/internal/elab"
-	"cascade/internal/sim"
 	"cascade/internal/verilog"
 )
 
-// Compile synthesizes f into a netlist program and runs the dead-code
-// cleanup pass (see Optimize). It fails on designs that cannot be lowered
-// to synchronous hardware: combinational cycles, or variables driven by
-// both combinational and sequential logic. Incomplete sensitivity lists
-// are accepted and treated as complete, matching what commercial
-// synthesis tools do.
-func Compile(f *elab.Flat) (*Program, error) {
-	p, err := CompileRaw(f)
-	if err != nil {
-		return nil, err
-	}
-	return Optimize(p), nil
-}
-
-// CompileRaw synthesizes without the cleanup pass (the optimizer ablation
-// and the optimizer's own tests).
-func CompileRaw(f *elab.Flat) (*Program, error) {
-	c := &compiler{
-		prog: &Program{
-			Flat:    f,
-			VarSlot: make([]int, len(f.Vars)),
-			MemOf:   make([]int, len(f.Vars)),
-		},
-	}
-	if err := c.run(); err != nil {
-		return nil, err
-	}
-	return c.prog, nil
-}
-
+// compiler lowers units of one design into a scratch program, each into
+// a span of its own: code ending in OpHalt, fresh temporaries, its tasks,
+// and the variables it reads and writes (see Span). The linker then
+// places those spans; see link.
 type compiler struct {
 	prog *Program
+	// mark[v.Index<<1|w] is 1 + the span that last recorded variable v as
+	// read (w = 0) or written (w = 1).
+	mark []int32
+	// arena is the current chunk instructions' sources are carved from:
+	// the scratch code is read once by the linker and dropped, so its
+	// sources need not be allocated one instruction at a time.
+	arena []int
 }
 
-func (c *compiler) run() error {
-	f := c.prog.Flat
-	// Slot 0..n-1: one slot per scalar variable, then temporaries.
-	for _, v := range f.Vars {
-		if v.IsArray() {
-			c.prog.VarSlot[v.Index] = -1
-			c.prog.MemOf[v.Index] = len(c.prog.Mems)
-			c.prog.Mems = append(c.prog.Mems, MemInfo{
-				Var: v, Words: v.ArrayLen, Width: v.Width, Wide: v.Width > 64,
-			})
-			continue
-		}
-		c.prog.MemOf[v.Index] = -1
-		c.prog.VarSlot[v.Index] = c.newSlot(v.Width, v)
+// srcs returns a copy of s carved from the arena (never nil).
+func (c *compiler) srcs(s ...int) []int {
+	if c.arena == nil || cap(c.arena)-len(c.arena) < len(s) {
+		c.arena = make([]int, 0, max(1024, len(s)))
 	}
+	n := len(c.arena)
+	c.arena = append(c.arena, s...)
+	return c.arena[n:len(c.arena):len(c.arena)]
+}
 
-	// Partition processes.
-	type combSrc struct {
-		assign *elab.ContAssign
-		proc   *elab.Proc
-		order  int
-	}
-	var combs []combSrc
-	for i, a := range f.Assigns {
-		combs = append(combs, combSrc{assign: a, order: i})
-	}
-	var seqs []*elab.Proc
-	for i, p := range f.Procs {
-		if p.Star || hasLevelEdge(p) {
-			if hasTrueEdge(p) {
-				return errf("process mixes edge and level sensitivity (not synthesizable)")
-			}
-			combs = append(combs, combSrc{proc: p, order: len(f.Assigns) + i})
-			continue
+// unit compiles u into a new span of c.prog.
+func (c *compiler) unit(u *unit) {
+	c.prog.Spans = append(c.prog.Spans, Span{
+		Item: u.item, Ord: int32(u.ord),
+		Code: int32(len(c.prog.Code)), Temps: int32(len(c.prog.Slots)),
+		Tasks: int32(len(c.prog.Tasks)), Vars: int32(len(c.prog.vars)),
+	})
+	switch {
+	case u.monitor != nil:
+		srcs := make([]int, len(u.monitor.Args))
+		for i, a := range u.monitor.Args {
+			srcs[i] = c.compileExpr(a)
 		}
-		if len(p.Edges) == 0 {
-			return errf("always block with empty sensitivity list")
-		}
-		seqs = append(seqs, p)
+		c.emit(Op{Kind: OpDisplay, Srcs: srcs, Aux: len(c.prog.Tasks)})
+		c.prog.Tasks = append(c.prog.Tasks, Task{Src: u.monitor, Monitor: true})
+	case u.assign != nil:
+		c.compileContAssign(u.assign)
+	default:
+		c.compileStmt(u.proc.Body)
 	}
+	c.emit(Op{Kind: OpHalt})
+}
 
-	// Driver-class check: no variable may be written by both a
-	// combinational unit and a sequential process.
-	combWrites := map[*elab.Var]int{} // var -> comb unit index
-	for ci, cs := range combs {
-		for _, v := range writeSetOf(cs) {
-			if prev, dup := combWrites[v]; dup && prev != ci {
-				return errf("%s is driven by multiple combinational units", v.Name)
-			}
-			combWrites[v] = ci
-		}
+// touch records that the current unit reads (or writes) v: the read and
+// write sets the driver-class check and levelization are computed from.
+// Every variable an expression or lvalue names is recorded here, whether
+// or not an instruction ends up reading its slot.
+func (c *compiler) touch(v *elab.Var, write bool) {
+	k := v.Index << 1
+	if write {
+		k |= 1
 	}
-	seqWrites := map[*elab.Var]bool{}
-	for _, p := range seqs {
-		for _, v := range writeSetStmt(p.Body) {
-			seqWrites[v] = true
-			if _, both := combWrites[v]; both {
-				return errf("%s is driven by both combinational and sequential logic", v.Name)
-			}
-		}
+	if stamp := int32(len(c.prog.Spans)); c.mark[k] != stamp {
+		c.mark[k] = stamp
+		c.prog.vars = append(c.prog.vars, int32(k))
 	}
-
-	// Topologically order combinational units; a cycle is a synthesis
-	// error (combinational loop).
-	n := len(combs)
-	readsOf := func(cs combSrc) []*elab.Var {
-		if cs.assign != nil {
-			return assignReadVars(cs.assign)
-		}
-		return readSetStmt(cs.proc.Body)
-	}
-	adj := make([][]int, n) // edge u -> v: v reads something u writes
-	indeg := make([]int, n)
-	writerOf := map[*elab.Var]int{}
-	for ci, cs := range combs {
-		for _, v := range writeSetOf(cs) {
-			writerOf[v] = ci
-		}
-	}
-	for vi, cs := range combs {
-		seen := map[int]bool{}
-		for _, v := range readsOf(cs) {
-			if ui, ok := writerOf[v]; ok && ui != vi && !seen[ui] {
-				seen[ui] = true
-				adj[ui] = append(adj[ui], vi)
-				indeg[vi]++
-			}
-		}
-	}
-	var order []int
-	ready := []int{}
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	sort.Ints(ready)
-	for len(ready) > 0 {
-		u := ready[0]
-		ready = ready[1:]
-		order = append(order, u)
-		next := []int{}
-		for _, v := range adj[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				next = append(next, v)
-			}
-		}
-		sort.Ints(next)
-		ready = append(ready, next...)
-	}
-	if len(order) != n {
-		return errf("combinational loop detected (not synthesizable)")
-	}
-
-	// Compile combinational units in topological order.
-	for _, ci := range order {
-		cs := combs[ci]
-		entry := len(c.prog.Code)
-		if cs.assign != nil {
-			c.compileContAssign(cs.assign)
-		} else {
-			c.compileStmt(cs.proc.Body)
-		}
-		c.emit(Op{Kind: OpHalt})
-		c.prog.Comb = append(c.prog.Comb, CombUnit{Entry: entry})
-	}
-
-	// Compile sequential processes.
-	for _, p := range seqs {
-		entry := len(c.prog.Code)
-		c.compileStmt(p.Body)
-		c.emit(Op{Kind: OpHalt})
-		c.prog.Seq = append(c.prog.Seq, SeqProc{Edges: p.Edges, Entry: entry})
-	}
-
-	// $monitor registrations from initial blocks become end-of-step
-	// display units evaluated by Machine.EndStep.
-	for _, st := range f.Initials {
-		elab.WalkStmt(st, func(s elab.Stmt) {
-			if t, ok := s.(*elab.SysTask); ok && t.Kind == elab.TaskMonitor {
-				entry := len(c.prog.Code)
-				srcs := make([]int, len(t.Args))
-				for i, a := range t.Args {
-					srcs[i] = c.compileExpr(a)
-				}
-				c.emit(Op{Kind: OpDisplay, Srcs: srcs, Aux: len(c.prog.Tasks)})
-				c.emit(Op{Kind: OpHalt})
-				c.prog.Tasks = append(c.prog.Tasks, Task{Src: t, Monitor: true})
-				c.prog.Monitors = append(c.prog.Monitors, MonitorUnit{Entry: entry})
-			}
-		}, nil)
-	}
-
-	// Reset state: run a reference simulator once (executes initial
-	// blocks) and capture the resulting variable values — the FPGA
-	// bitstream's initial register contents.
-	ref := sim.New(f, sim.Options{})
-	ref.Evaluate()
-	st := ref.GetState()
-	c.prog.ResetState = st.Scalars
-	c.prog.ResetMems = st.Arrays
-
-	c.prog.Stats = computeStats(c.prog)
-	return nil
 }
 
 func hasLevelEdge(p *elab.Proc) bool {
@@ -225,86 +84,6 @@ func hasTrueEdge(p *elab.Proc) bool {
 		}
 	}
 	return false
-}
-
-func writeSetOf(cs struct {
-	assign *elab.ContAssign
-	proc   *elab.Proc
-	order  int
-}) []*elab.Var {
-	if cs.assign != nil {
-		var out []*elab.Var
-		for _, lv := range cs.assign.LHS {
-			out = append(out, lv.Var)
-		}
-		return out
-	}
-	return writeSetStmt(cs.proc.Body)
-}
-
-func writeSetStmt(s elab.Stmt) []*elab.Var {
-	seen := map[*elab.Var]bool{}
-	var out []*elab.Var
-	elab.WalkStmt(s, func(st elab.Stmt) {
-		if a, ok := st.(*elab.Assign); ok {
-			for _, lv := range a.LHS {
-				if !seen[lv.Var] {
-					seen[lv.Var] = true
-					out = append(out, lv.Var)
-				}
-			}
-		}
-	}, nil)
-	return out
-}
-
-func readSetStmt(s elab.Stmt) []*elab.Var {
-	seen := map[*elab.Var]bool{}
-	var out []*elab.Var
-	elab.WalkStmt(s, nil, func(x elab.Expr) {
-		var v *elab.Var
-		switch t := x.(type) {
-		case *elab.VarRef:
-			v = t.V
-		case *elab.ArrayRef:
-			v = t.V
-		}
-		if v != nil && !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	})
-	return out
-}
-
-func assignReadVars(a *elab.ContAssign) []*elab.Var {
-	seen := map[*elab.Var]bool{}
-	var out []*elab.Var
-	collect := func(e elab.Expr) {
-		elab.WalkExpr(e, func(x elab.Expr) {
-			var v *elab.Var
-			switch t := x.(type) {
-			case *elab.VarRef:
-				v = t.V
-			case *elab.ArrayRef:
-				v = t.V
-			}
-			if v != nil && !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		})
-	}
-	collect(a.RHS)
-	for _, lv := range a.LHS {
-		if lv.ArrIndex != nil {
-			collect(lv.ArrIndex)
-		}
-		if lv.DynBit != nil {
-			collect(lv.DynBit)
-		}
-	}
-	return out
 }
 
 func (c *compiler) newSlot(width int, v *elab.Var) int {
@@ -344,7 +123,7 @@ func (c *compiler) distribute(lhs []elab.LValue, rhs int, rhsWidth int, blocking
 	src := rhs
 	if rhsWidth != total {
 		src = c.newSlot(total, nil)
-		c.emit(Op{Kind: OpMove, Dst: src, Srcs: []int{rhs}, Width: total})
+		c.emit(Op{Kind: OpMove, Dst: src, Srcs: c.srcs(rhs), Width: total})
 	}
 	offset := total
 	for _, lv := range lhs {
@@ -353,20 +132,21 @@ func (c *compiler) distribute(lhs []elab.LValue, rhs int, rhsWidth int, blocking
 		part := src
 		if len(lhs) > 1 {
 			part = c.newSlot(w, nil)
-			c.emit(Op{Kind: OpSlice, Dst: part, Srcs: []int{src}, Width: w, Hi: offset + w - 1, Lo: offset})
+			c.emit(Op{Kind: OpSlice, Dst: part, Srcs: c.srcs(src), Width: w, Hi: offset + w - 1, Lo: offset})
 		}
 		c.writeLValue(lv, part, blocking)
 	}
 }
 
 func (c *compiler) writeLValue(lv elab.LValue, src int, blocking bool) {
+	c.touch(lv.Var, true)
 	if lv.ArrIndex != nil {
 		addr := c.compileExpr(lv.ArrIndex)
 		kind := OpMemWrite
 		if !blocking {
 			kind = OpMemWriteNB
 		}
-		c.emit(Op{Kind: kind, Srcs: []int{src, addr}, Aux: c.prog.MemOf[lv.Var.Index], Width: lv.Var.Width})
+		c.emit(Op{Kind: kind, Srcs: c.srcs(src, addr), Aux: c.prog.MemOf[lv.Var.Index], Width: lv.Var.Width})
 		return
 	}
 	dst := c.prog.VarSlot[lv.Var.Index]
@@ -377,19 +157,19 @@ func (c *compiler) writeLValue(lv elab.LValue, src int, blocking bool) {
 		if !blocking {
 			kind = OpWriteBitNB
 		}
-		c.emit(Op{Kind: kind, Dst: dst, Srcs: []int{src, idx}, Width: 1})
+		c.emit(Op{Kind: kind, Dst: dst, Srcs: c.srcs(src, idx), Width: 1})
 	case lv.HasRange:
 		kind := OpWriteRng
 		if !blocking {
 			kind = OpWriteRngNB
 		}
-		c.emit(Op{Kind: kind, Dst: dst, Srcs: []int{src}, Hi: lv.Hi, Lo: lv.Lo, Width: lv.Hi - lv.Lo + 1})
+		c.emit(Op{Kind: kind, Dst: dst, Srcs: c.srcs(src), Hi: lv.Hi, Lo: lv.Lo, Width: lv.Hi - lv.Lo + 1})
 	default:
 		kind := OpWrite
 		if !blocking {
 			kind = OpWriteNB
 		}
-		c.emit(Op{Kind: kind, Dst: dst, Srcs: []int{src}, Width: lv.Var.Width})
+		c.emit(Op{Kind: kind, Dst: dst, Srcs: c.srcs(src), Width: lv.Var.Width})
 	}
 }
 
@@ -402,7 +182,7 @@ func (c *compiler) compileStmt(s elab.Stmt) {
 		}
 	case *elab.If:
 		cond := c.compileExpr(x.Cond)
-		jz := c.emit(Op{Kind: OpJz, Srcs: []int{cond}})
+		jz := c.emit(Op{Kind: OpJz, Srcs: c.srcs(cond)})
 		c.compileStmt(x.Then)
 		if x.Else != nil {
 			jmp := c.emit(Op{Kind: OpJump})
@@ -447,20 +227,20 @@ func (c *compiler) compileCase(x *elab.Case) {
 					w = l.Width()
 				}
 				diff := c.newSlot(w, nil)
-				c.emit(Op{Kind: OpXor, Dst: diff, Srcs: []int{subj, ls}, Width: w})
+				c.emit(Op{Kind: OpXor, Dst: diff, Srcs: c.srcs(subj, ls), Width: w})
 				mk := c.newSlot(m.Width(), nil)
 				c.emit(Op{Kind: OpConst, Dst: mk, Width: m.Width(), Const: m})
 				masked := c.newSlot(w, nil)
-				c.emit(Op{Kind: OpAnd, Dst: masked, Srcs: []int{diff, mk}, Width: w})
-				a.jsrc = append(a.jsrc, c.emit(Op{Kind: OpJz, Srcs: []int{masked}}))
+				c.emit(Op{Kind: OpAnd, Dst: masked, Srcs: c.srcs(diff, mk), Width: w})
+				a.jsrc = append(a.jsrc, c.emit(Op{Kind: OpJz, Srcs: c.srcs(masked)}))
 				continue
 			}
 			eq := c.newSlot(1, nil)
-			c.emit(Op{Kind: OpEq, Dst: eq, Srcs: []int{subj, ls}, Width: 1})
+			c.emit(Op{Kind: OpEq, Dst: eq, Srcs: c.srcs(subj, ls), Width: 1})
 			// Jump to the arm body when equal: invert and Jz.
 			inv := c.newSlot(1, nil)
-			c.emit(Op{Kind: OpLogNot, Dst: inv, Srcs: []int{eq}, Width: 1})
-			a.jsrc = append(a.jsrc, c.emit(Op{Kind: OpJz, Srcs: []int{inv}}))
+			c.emit(Op{Kind: OpLogNot, Dst: inv, Srcs: c.srcs(eq), Width: 1})
+			a.jsrc = append(a.jsrc, c.emit(Op{Kind: OpJz, Srcs: c.srcs(inv)}))
 		}
 		arms = append(arms, a)
 	}
@@ -506,22 +286,24 @@ func (c *compiler) compileExpr(e elab.Expr) int {
 		c.emit(Op{Kind: OpConst, Dst: dst, Width: x.V.Width(), Const: x.V})
 		return dst
 	case *elab.VarRef:
+		c.touch(x.V, false)
 		return c.prog.VarSlot[x.V.Index]
 	case *elab.ArrayRef:
+		c.touch(x.V, false)
 		addr := c.compileExpr(x.Index)
 		dst := c.newSlot(x.V.Width, nil)
-		c.emit(Op{Kind: OpMemRead, Dst: dst, Srcs: []int{addr}, Aux: c.prog.MemOf[x.V.Index], Width: x.V.Width})
+		c.emit(Op{Kind: OpMemRead, Dst: dst, Srcs: c.srcs(addr), Aux: c.prog.MemOf[x.V.Index], Width: x.V.Width})
 		return dst
 	case *elab.BitSel:
 		v := c.compileExpr(x.X)
 		idx := c.compileExpr(x.Idx)
 		dst := c.newSlot(1, nil)
-		c.emit(Op{Kind: OpBitSel, Dst: dst, Srcs: []int{v, idx}, Width: 1})
+		c.emit(Op{Kind: OpBitSel, Dst: dst, Srcs: c.srcs(v, idx), Width: 1})
 		return dst
 	case *elab.Slice:
 		v := c.compileExpr(x.X)
 		dst := c.newSlot(x.Width(), nil)
-		c.emit(Op{Kind: OpSlice, Dst: dst, Srcs: []int{v}, Width: x.Width(), Hi: x.Hi, Lo: x.Lo})
+		c.emit(Op{Kind: OpSlice, Dst: dst, Srcs: c.srcs(v), Width: x.Width(), Hi: x.Hi, Lo: x.Lo})
 		return dst
 	case *elab.Unary:
 		return c.compileUnary(x)
@@ -532,7 +314,7 @@ func (c *compiler) compileExpr(e elab.Expr) int {
 		a := c.compileExpr(x.Then)
 		b := c.compileExpr(x.Else)
 		dst := c.newSlot(x.W, nil)
-		c.emit(Op{Kind: OpMux, Dst: dst, Srcs: []int{cond, a, b}, Width: x.W})
+		c.emit(Op{Kind: OpMux, Dst: dst, Srcs: c.srcs(cond, a, b), Width: x.W})
 		return dst
 	case *elab.Concat:
 		srcs := make([]int, len(x.Parts))
@@ -545,7 +327,7 @@ func (c *compiler) compileExpr(e elab.Expr) int {
 	case *elab.Repl:
 		v := c.compileExpr(x.X)
 		dst := c.newSlot(x.W, nil)
-		c.emit(Op{Kind: OpRepl, Dst: dst, Srcs: []int{v}, Width: x.W, N: x.N})
+		c.emit(Op{Kind: OpRepl, Dst: dst, Srcs: c.srcs(v), Width: x.W, N: x.N})
 		return dst
 	case *elab.TimeRef:
 		dst := c.newSlot(64, nil)
@@ -568,11 +350,11 @@ func (c *compiler) compileUnary(x *elab.Unary) int {
 			return v
 		}
 		dst := c.newSlot(x.W, nil)
-		c.emit(Op{Kind: OpMove, Dst: dst, Srcs: []int{v}, Width: x.W})
+		c.emit(Op{Kind: OpMove, Dst: dst, Srcs: c.srcs(v), Width: x.W})
 		return dst
 	}
 	dst := c.newSlot(x.W, nil)
-	c.emit(Op{Kind: unaryKinds[x.Op], Dst: dst, Srcs: []int{v}, Width: x.W})
+	c.emit(Op{Kind: unaryKinds[x.Op], Dst: dst, Srcs: c.srcs(v), Width: x.W})
 	return dst
 }
 
@@ -590,6 +372,6 @@ func (c *compiler) compileBinary(x *elab.Binary) int {
 	a := c.compileExpr(x.X)
 	b := c.compileExpr(x.Y)
 	dst := c.newSlot(x.W, nil)
-	c.emit(Op{Kind: binaryKinds[x.Op], Dst: dst, Srcs: []int{a, b}, Width: x.W})
+	c.emit(Op{Kind: binaryKinds[x.Op], Dst: dst, Srcs: c.srcs(a, b), Width: x.W})
 	return dst
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-	"sort"
 
 	bv "cascade/internal/bits"
 )
@@ -82,30 +81,28 @@ func (p *Program) Fingerprint() string {
 		h.ints(int(B2U(t.Monitor)))
 	}
 
-	// Reset state, then reset memories, each in sorted order for
-	// determinism.
-	names := make([]string, 0, len(p.ResetState)+len(p.ResetMems))
-	for n := range p.ResetState {
-		names = append(names, n)
+	// Reset state, then reset memories — the Flat's variables, by name —
+	// each in name order for determinism, the order synthesis recorded.
+	order := p.byName
+	if len(order) != len(p.Flat.Vars) { // a program not built by synthesis
+		order = sortByName(p.Flat.Vars, nil)
 	}
-	sort.Strings(names)
-	h.len32(len(names))
-	for _, n := range names {
-		h.str(n)
-		h.vec(p.ResetState[n])
+	h.len32(len(p.ResetState))
+	for _, i := range order {
+		if n := p.Flat.Vars[i].Name; !p.Flat.Vars[i].IsArray() {
+			h.str(n)
+			h.vec(p.ResetState[n])
+		}
 	}
-	names = names[:0]
-	for n := range p.ResetMems {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	h.ints(len(names))
-	for _, n := range names {
-		h.str(n)
-		words := p.ResetMems[n]
-		h.ints(len(words))
-		for _, w := range words {
-			h.vec(w)
+	h.ints(len(p.ResetMems))
+	for _, i := range order {
+		if n := p.Flat.Vars[i].Name; p.Flat.Vars[i].IsArray() {
+			h.str(n)
+			words := p.ResetMems[n]
+			h.ints(len(words))
+			for _, w := range words {
+				h.vec(w)
+			}
 		}
 	}
 

@@ -6,7 +6,12 @@
 // Compilation levelizes combinational logic (continuous assignments, @*
 // and level-sensitive processes) into a feed-forward instruction schedule
 // and lowers every process body to a small register machine with jump
-// instructions. Values at or below 64 bits are stored in uint64 lanes,
+// instructions. A program is linked from units, each a Span recording
+// its source item and where its code, temporaries and tasks lie;
+// CompileFrom copies a unit whose source item and variables are unchanged
+// out of the previous version's program instead of compiling it again,
+// so a REPL eval pays for what it added, and the result is the program
+// Compile would build from scratch. Values at or below 64 bits are stored in uint64 lanes,
 // wider ones as bits.Vector; Machine.ExecOp computes on either as bit
 // vectors, and the fast execution of a program is internal/njit's
 // compiled form over the same storage. The package also
@@ -24,6 +29,7 @@ import (
 
 	"cascade/internal/bits"
 	"cascade/internal/elab"
+	"cascade/internal/verilog"
 )
 
 // OpKind enumerates netlist instructions.
@@ -152,6 +158,72 @@ type Program struct {
 	ResetMems  map[string][]*bits.Vector
 
 	Stats Stats
+
+	// Spans is the program's unit index, one entry per unit in code
+	// order: Comb, then Seq, then Monitors. Relocated counts the units
+	// CompileFrom copied out of its base instead of compiling.
+	Spans     []Span
+	Relocated int
+
+	vars   []int32 // the variables each span reads and writes (Span.Vars)
+	byName []int32 // Flat.Vars indices ordered by name (Fingerprint)
+}
+
+// Span is where one unit lies in a Program, and what it was synthesized
+// from. Its code, temporary slots, tasks and variables each start where
+// the field says and end where the next span's start (the end of the
+// array for the last span): units never share temporaries, and their
+// jumps stay inside them. Vars entries are Var.Index<<1, | 1 for a write;
+// they are the unit's read and write sets, recorded as its code was
+// generated.
+type Span struct {
+	Item verilog.Item // the source item the unit was elaborated from (nil: none)
+	Ord  int32        // which of Item's units it is
+
+	Code, Temps, Tasks, Vars int32
+}
+
+func (p *Program) spanCode(i int) (int, int) {
+	return p.bounds(i, len(p.Code), func(s *Span) int32 { return s.Code })
+}
+
+func (p *Program) spanTemps(i int) (int, int) {
+	return p.bounds(i, len(p.Slots), func(s *Span) int32 { return s.Temps })
+}
+
+func (p *Program) spanTasks(i int) (int, int) {
+	return p.bounds(i, len(p.Tasks), func(s *Span) int32 { return s.Tasks })
+}
+
+func (p *Program) spanVars(i int) (int, int) {
+	return p.bounds(i, len(p.vars), func(s *Span) int32 { return s.Vars })
+}
+
+// bounds returns span i's [start, end) in an array of n entries.
+func (p *Program) bounds(i, n int, at func(*Span) int32) (int, int) {
+	if i+1 < len(p.Spans) {
+		n = int(at(&p.Spans[i+1]))
+	}
+	return int(at(&p.Spans[i])), n
+}
+
+// varSlots returns how many slots back variables: the first temporary.
+func (p *Program) varSlots() int {
+	if len(p.Spans) > 0 {
+		return int(p.Spans[0].Temps)
+	}
+	return len(p.Slots)
+}
+
+// kindOf returns the kind of span i, from the unit lists' lengths.
+func (p *Program) kindOf(i int) int {
+	switch {
+	case i < len(p.Comb):
+		return kindComb
+	case i < len(p.Comb)+len(p.Seq):
+		return kindSeq
+	}
+	return kindMonitor
 }
 
 // SlotInfo describes one value slot.

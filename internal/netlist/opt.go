@@ -7,96 +7,104 @@ package netlist
 // placement; the area statistics (and therefore the toolchain's fit and
 // latency models) see the optimized netlist.
 //
-// The pass is a fixpoint over (live slots, live ops): side-effecting
-// instructions (writes, memory ops, tasks, control flow) are always live;
-// an instruction becomes live when its destination is; a slot becomes
-// live when a live instruction reads it or a named variable backs it.
-// Dead instructions are then dropped and jump targets and unit entry
-// points are remapped.
+// Temporaries never cross units, so the pass runs span by span (sweep);
+// Compile runs the same sweep on each unit it compiles, which is why
+// Optimize(CompileRaw(f)) and Compile(f) are the same program. Dead
+// instructions are dropped and jump targets, unit entry points and spans
+// are remapped onto the next live instruction.
 func Optimize(p *Program) *Program {
 	n := len(p.Code)
-	liveOp := make([]bool, n)
+	keep := make([]bool, n)
 	liveSlot := make([]bool, len(p.Slots))
-	for i, s := range p.Slots {
-		if s.Var != nil {
-			liveSlot[i] = true
+	for i := 0; i < p.varSlots(); i++ {
+		liveSlot[i] = true
+	}
+	for i := range p.Spans {
+		lo, hi := p.spanCode(i)
+		sweep(p.Code[lo:hi], liveSlot, keep[lo:hi])
+	}
+
+	// pcMap[i] is the new index of the first kept instruction at or after
+	// i. Sized exactly: the program lives as long as its engines, and
+	// append's growth slack on ~100-byte Ops was its largest retained block.
+	pcMap := make([]int, n+1)
+	live := 0
+	for i, k := range keep {
+		pcMap[i] = live
+		if k {
+			live++
 		}
 	}
-	sideEffect := func(op *Op) bool {
-		switch op.Kind {
-		case OpWrite, OpWriteRng, OpWriteBit, OpMemWrite,
-			OpWriteNB, OpWriteRngNB, OpWriteBitNB, OpMemWriteNB,
-			OpDisplay, OpFinish, OpJump, OpJz, OpHalt:
-			return true
+	pcMap[n] = live
+	code := make([]Op, 0, live)
+	for i := range p.Code {
+		if keep[i] {
+			op := p.Code[i]
+			switch op.Kind {
+			case OpJump, OpJz:
+				op.Target = pcMap[op.Target]
+			}
+			code = append(code, op)
 		}
-		return false
 	}
+
+	out := *p
+	out.Code = code
+	out.Comb = make([]CombUnit, len(p.Comb))
+	for i, u := range p.Comb {
+		out.Comb[i].Entry = pcMap[u.Entry]
+	}
+	out.Seq = make([]SeqProc, len(p.Seq))
+	for i, sp := range p.Seq {
+		out.Seq[i] = SeqProc{Edges: sp.Edges, Entry: pcMap[sp.Entry]}
+	}
+	out.Monitors = make([]MonitorUnit, len(p.Monitors))
+	for i, m := range p.Monitors {
+		out.Monitors[i].Entry = pcMap[m.Entry]
+	}
+	out.Spans = make([]Span, len(p.Spans))
+	for i, sp := range p.Spans {
+		sp.Code = int32(pcMap[sp.Code])
+		out.Spans[i] = sp
+	}
+	out.Stats = computeStats(&out)
+	return &out
+}
+
+// sweep marks the live instructions of one unit's code in keep, a
+// fixpoint over (live slots, live ops): side-effecting instructions
+// (writes, memory ops, tasks, control flow) are always live; an
+// instruction becomes live when its destination is; a slot becomes live
+// when a live instruction reads it. liveSlot starts with every
+// variable-backed slot live and is shared by the units of one program —
+// each temporary belongs to one unit.
+func sweep(code []Op, liveSlot, keep []bool) {
 	for changed := true; changed; {
 		changed = false
-		for i := n - 1; i >= 0; i-- {
-			op := &p.Code[i]
-			if liveOp[i] {
+		for i := len(code) - 1; i >= 0; i-- {
+			op := &code[i]
+			if keep[i] {
 				continue
 			}
-			if sideEffect(op) || (op.Dst >= 0 && op.Dst < len(liveSlot) && liveSlot[op.Dst]) {
-				liveOp[i] = true
+			if sideEffect(op.Kind) || (op.Dst >= 0 && op.Dst < len(liveSlot) && liveSlot[op.Dst]) {
+				keep[i] = true
 				changed = true
 				for _, s := range op.Srcs {
-					if s >= 0 && s < len(liveSlot) && !liveSlot[s] {
+					if s >= 0 && s < len(liveSlot) {
 						liveSlot[s] = true
 					}
 				}
 			}
 		}
 	}
+}
 
-	// Rebuild the code array; pcMap[i] is the new index of the first
-	// kept instruction at or after i (entry points and jump targets land
-	// on the next live instruction).
-	pcMap := make([]int, n+1)
-	live := 0
-	for _, l := range liveOp {
-		if l {
-			live++
-		}
+func sideEffect(k OpKind) bool {
+	switch k {
+	case OpWrite, OpWriteRng, OpWriteBit, OpMemWrite,
+		OpWriteNB, OpWriteRngNB, OpWriteBitNB, OpMemWriteNB,
+		OpDisplay, OpFinish, OpJump, OpJz, OpHalt:
+		return true
 	}
-	// Sized exactly: the program lives as long as the bitstream cache, and
-	// append's growth slack on ~100-byte Ops was its largest retained block.
-	code := make([]Op, 0, live)
-	for i := 0; i < n; i++ {
-		pcMap[i] = len(code) // the next kept instruction, when i is dropped
-		if liveOp[i] {
-			code = append(code, p.Code[i])
-		}
-	}
-	pcMap[n] = live
-	for i := range code {
-		switch code[i].Kind {
-		case OpJump, OpJz:
-			code[i].Target = pcMap[code[i].Target]
-		}
-	}
-
-	out := &Program{
-		Flat:       p.Flat,
-		Code:       code,
-		Slots:      p.Slots,
-		VarSlot:    p.VarSlot,
-		Mems:       p.Mems,
-		MemOf:      p.MemOf,
-		Tasks:      p.Tasks,
-		ResetState: p.ResetState,
-		ResetMems:  p.ResetMems,
-	}
-	for _, u := range p.Comb {
-		out.Comb = append(out.Comb, CombUnit{Entry: pcMap[u.Entry]})
-	}
-	for _, sp := range p.Seq {
-		out.Seq = append(out.Seq, SeqProc{Edges: sp.Edges, Entry: pcMap[sp.Entry]})
-	}
-	for _, m := range p.Monitors {
-		out.Monitors = append(out.Monitors, MonitorUnit{Entry: pcMap[m.Entry]})
-	}
-	out.Stats = computeStats(out)
-	return out
+	return false
 }

@@ -187,6 +187,9 @@ endmodule`)
 	for i := range raw.Seq {
 		raw.Seq[i].Entry += len(dead)
 	}
+	for i := 1; i < len(raw.Spans); i++ { // the dead ops join the first unit
+		raw.Spans[i].Code += int32(len(dead))
+	}
 	before := len(raw.Code)
 	opt := Optimize(raw)
 	if len(opt.Code) != before-len(dead) {

@@ -143,6 +143,14 @@ type compiler struct {
 	reads  []int
 	// constSlot marks lanes holding a hoisted compile-time constant.
 	constSlot []bool
+
+	// Dense per-pc scratch shared by every process compile, each entry
+	// reset through a list of the pcs set: seen by reach, leader and block
+	// (1 + the block index at a leader) by the process being compiled.
+	seen, leader   []bool
+	block          []int32
+	seenAt, blocks []int
+	stack          []int
 }
 
 // Compile builds the native evaluator for m's program, sharing m's
@@ -169,6 +177,9 @@ func Compile(m *netlist.Machine) *Eval {
 		writes:    make([]int, len(p.Slots)),
 		reads:     make([]int, len(p.Slots)),
 		constSlot: make([]bool, len(p.Slots)),
+		seen:      make([]bool, len(p.Code)+1),
+		leader:    make([]bool, len(p.Code)+1),
+		block:     make([]int32, len(p.Code)+1),
 	}
 	edges := make([][]int, 2*len(p.Slots))
 	for i, s := range p.Slots {
@@ -202,7 +213,7 @@ func Compile(m *netlist.Machine) *Eval {
 		return append(list, ui)
 	}
 	for ui, cu := range p.Comb {
-		reach(p.Code, cu.Entry, func(_ int, op *netlist.Op) {
+		c.reach(cu.Entry, func(_ int, op *netlist.Op) {
 			for _, src := range op.Srcs {
 				slotUnits[src] = addUnit(slotUnits[src], ui)
 			}
@@ -324,8 +335,6 @@ func (e *Eval) NativeOpsDelta() uint64 {
 type builder struct {
 	c      *compiler
 	code   []netlist.Op
-	leader map[int]bool
-	idx    map[int]int
 	blocks []block
 	metas  []eqMeta
 	refs   []int // references to each block as a successor (or the entry)
@@ -341,12 +350,7 @@ type eqMeta struct {
 }
 
 func (c *compiler) compileProc(entry int) proc {
-	b := &builder{
-		c:      c,
-		code:   c.e.prog.Code,
-		leader: map[int]bool{},
-		idx:    map[int]int{},
-	}
+	b := &builder{c: c, code: c.e.prog.Code}
 	b.scanLeaders(entry)
 	b.blockAt(entry)
 	for len(b.todo) > 0 {
@@ -355,6 +359,10 @@ func (c *compiler) compileProc(entry int) proc {
 		b.fill(pc)
 	}
 	b.rewriteSwitches()
+	for _, pc := range c.blocks {
+		c.leader[pc], c.block[pc] = false, 0
+	}
+	c.blocks = c.blocks[:0]
 	return b.finalize()
 }
 
@@ -395,16 +403,17 @@ func (b *builder) finalize() proc {
 }
 
 // reach visits every instruction reachable from entry, once each.
-func reach(code []netlist.Op, entry int, visit func(pc int, op *netlist.Op)) {
-	seen := map[int]bool{}
-	stack := []int{entry}
+func (c *compiler) reach(entry int, visit func(pc int, op *netlist.Op)) {
+	code := c.e.prog.Code
+	stack := append(c.stack[:0], entry)
 	for len(stack) > 0 {
 		pc := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[pc] {
+		if c.seen[pc] {
 			continue
 		}
-		seen[pc] = true
+		c.seen[pc] = true
+		c.seenAt = append(c.seenAt, pc)
 		op := &code[pc]
 		visit(pc, op)
 		switch op.Kind {
@@ -417,19 +426,31 @@ func reach(code []netlist.Op, entry int, visit func(pc int, op *netlist.Op)) {
 			stack = append(stack, pc+1)
 		}
 	}
+	c.stack = stack
+	for _, pc := range c.seenAt {
+		c.seen[pc] = false
+	}
+	c.seenAt = c.seenAt[:0]
 }
 
 // scanLeaders marks every jump target (and Jz fallthrough) reachable
 // from entry as a block leader, so a later branch into the middle of a
 // straight-line run splits it correctly.
 func (b *builder) scanLeaders(entry int) {
-	reach(b.code, entry, func(pc int, op *netlist.Op) {
+	c := b.c
+	mark := func(pc int) {
+		if !c.leader[pc] {
+			c.leader[pc] = true
+			c.blocks = append(c.blocks, pc)
+		}
+	}
+	c.reach(entry, func(pc int, op *netlist.Op) {
 		switch op.Kind {
 		case netlist.OpJump:
-			b.leader[op.Target] = true
+			mark(op.Target)
 		case netlist.OpJz:
-			b.leader[op.Target] = true
-			b.leader[pc+1] = true
+			mark(op.Target)
+			mark(pc + 1)
 		}
 	})
 }
@@ -438,12 +459,14 @@ func (b *builder) scanLeaders(entry int) {
 // for compilation on first sight. Indices are stable across appends, so
 // terminator closures can capture them before the block is filled.
 func (b *builder) blockAt(pc int) int {
-	if i, ok := b.idx[pc]; ok {
+	if i := int(b.c.block[pc]) - 1; i >= 0 {
 		b.refs[i]++
 		return i
 	}
 	i := len(b.blocks)
-	b.idx[pc] = i
+	if b.c.block[pc] = int32(i + 1); !b.c.leader[pc] {
+		b.c.blocks = append(b.c.blocks, pc) // reset with the leaders
+	}
 	b.blocks = append(b.blocks, block{})
 	b.metas = append(b.metas, eqMeta{})
 	b.refs = append(b.refs, 1)
@@ -453,7 +476,7 @@ func (b *builder) blockAt(pc int) int {
 
 // fill compiles the straight-line run starting at pc into its block.
 func (b *builder) fill(pc int) {
-	bi := b.idx[pc]
+	bi := int(b.c.block[pc]) - 1
 	var ops []func()
 	var n uint64
 	// prev/prev2 shadow ops[len-1]/ops[len-2] for terminator fusion.
@@ -505,7 +528,7 @@ func (b *builder) fill(pc int) {
 				prev2, prev = nil, nil
 			}
 			cur++
-			if b.leader[cur] {
+			if b.c.leader[cur] {
 				k := b.blockAt(cur)
 				b.blocks[bi].next = func() int { return k }
 				b.blocks[bi].ops, b.blocks[bi].n = ops, n

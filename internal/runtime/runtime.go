@@ -525,8 +525,8 @@ func (r *Runtime) swapEngine(p *lifecycle.Placement, e engine.Engine) {
 }
 
 // newPlacement registers the lifecycle record for one user subprogram
-// of the executing design.
-func (r *Runtime) newPlacement(path string, f *elab.Flat) *lifecycle.Placement {
+// of the executing design, the successor of prev (nil: none).
+func (r *Runtime) newPlacement(prev *lifecycle.Placement, path string, f *elab.Flat) *lifecycle.Placement {
 	cfg := lifecycle.Config{
 		Path:       path,
 		Flat:       f,
@@ -543,7 +543,7 @@ func (r *Runtime) newPlacement(path string, f *elab.Flat) *lifecycle.Placement {
 	if r.opts.Remote != nil {
 		cfg.Host = r.host
 	}
-	p := lifecycle.New(cfg)
+	p := lifecycle.NewFrom(prev, cfg)
 	r.placed = append(r.placed, p)
 	sort.Slice(r.placed, func(i, j int) bool { return r.placed[i].Path < r.placed[j].Path })
 	return p
@@ -970,6 +970,12 @@ func (r *Runtime) captureStates() map[string]*sim.State {
 // so nothing is rolled back — Eval reports it, Restore resets to fresh.
 func (r *Runtime) install(ctx context.Context, v *version, saved map[string]*sim.State) error {
 	r.evalCtx = ctx // evictions resubmit compiles under the same context
+	// Each new placement's synthesis starts from the netlist of the one it
+	// replaces at the same path, so it pays for what the version changed.
+	prev := make(map[string]*lifecycle.Placement, len(r.placed))
+	for _, p := range r.placed {
+		prev[p.Path] = p
+	}
 	r.teardown()
 	r.ver = v
 	r.committed = map[string]*sim.State{}
@@ -1007,7 +1013,7 @@ func (r *Runtime) install(ctx context.Context, v *version, saved map[string]*sim
 	// suppressed. Initial blocks in freshly eval'd code still print.
 	qMark := len(r.displayQ)
 	for _, s := range v.exec.UserSubs() {
-		p := r.newPlacement(s.Path, v.execElabs[s.Path])
+		p := r.newPlacement(prev[s.Path], s.Path, v.execElabs[s.Path])
 		// The engine starts on the daemon when there is one — unless a
 		// tripped breaker presumes it dead: a re-integration mid-outage
 		// builds failed-over software engines and lets recovery re-host

@@ -295,13 +295,19 @@ func TestIncrementalEqualsFromScratch(t *testing.T) {
 }
 
 // FuzzIntegrateIncremental: the same, for any generated session, from any
-// cut point on.
+// cut point on — and every version's programs synthesized from the
+// previous version's are the ones synthesized from scratch, inlined or
+// not (TestSynthesisFromBaseEqualsFromScratch).
 func FuzzIntegrateIncremental(f *testing.F) {
 	f.Add(uint64(3), uint8(1))
 	f.Add(uint64(25), uint8(2))
 	f.Fuzz(func(t *testing.T, seed uint64, cut uint8) {
 		frags := fragmentsOf(vgen.Session(seed))
-		checkIncremental(t, frags, 1+int(cut)%len(frags), seed%2 == 0)
+		from := 1 + int(cut)%len(frags)
+		checkIncremental(t, frags, from, seed%2 == 0)
+		for _, inline := range []bool{true, false} {
+			checkSynthesisChain(t, "fuzz", frags, from, inline)
+		}
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cascade/internal/elab"
 	"cascade/internal/fault"
@@ -51,9 +52,19 @@ func (s JobState) String() string {
 // asks first and shared by the rest (the program is read-only once
 // synthesized). The record belongs to its submitter — a
 // lifecycle.Placement keeps one — and to nothing else: neither the Flat
-// nor the toolchain points at it, so it is garbage when its owner is.
+// nor the toolchain points at it.
+//
+// A design may start from a base: the program of the design it replaces
+// (NewDesignFrom), which synthesis relocates unchanged units out of
+// (netlist.CompileFrom). The base is a program, never a design, and the
+// record drops it once it has synthesized, so a record keeps at most one
+// earlier program alive — and none once its own netlist exists — and no
+// chain of versions builds up behind a long session.
 type Design struct {
 	Flat *elab.Flat
+
+	base atomic.Pointer[netlist.Program] // relocation source until synthesized
+	done atomic.Pointer[netlist.Program] // the netlist, once synthesized
 
 	once        sync.Once
 	prog        *netlist.Program
@@ -63,7 +74,23 @@ type Design struct {
 
 // NewDesign opens the record for f; nothing is synthesized until a flow
 // needs the netlist.
-func NewDesign(f *elab.Flat) *Design { return &Design{Flat: f} }
+func NewDesign(f *elab.Flat) *Design { return NewDesignFrom(nil, f) }
+
+// NewDesignFrom opens the record for f, the successor of prev (nil:
+// none): its synthesis starts from prev's netlist if prev has one by now,
+// else from the base prev itself would have started from. It never waits
+// for prev's synthesis.
+func NewDesignFrom(prev *Design, f *elab.Flat) *Design {
+	d := &Design{Flat: f}
+	if prev != nil {
+		base := prev.done.Load()
+		if base == nil {
+			base = prev.base.Load()
+		}
+		d.base.Store(base)
+	}
+	return d
+}
 
 // synthesize returns the design's netlist and fingerprint, running
 // synthesis — counted on t, the toolchain whose flow got here first — the
@@ -71,8 +98,9 @@ func NewDesign(f *elab.Flat) *Design { return &Design{Flat: f} }
 func (d *Design) synthesize(t *Toolchain) (*netlist.Program, string, error) {
 	d.once.Do(func() {
 		t.compiles.Add(1)
-		if d.prog, d.err = netlist.Compile(d.Flat); d.err == nil {
+		if d.prog, d.err = netlist.CompileFrom(d.base.Swap(nil), d.Flat); d.err == nil {
 			d.fingerprint = d.prog.Fingerprint()
+			d.done.Store(d.prog)
 		}
 	})
 	return d.prog, d.fingerprint, d.err

@@ -313,3 +313,37 @@ func TestOneSynthesisPerDesign(t *testing.T) {
 		})
 	}
 }
+
+// TestDesignBase: a design opened as the successor of another starts its
+// synthesis from the predecessor's netlist when there is one, from the
+// base the predecessor itself held when not, and never waits; once
+// synthesized it holds no base. The successors here are opened while
+// their predecessor synthesizes on another goroutine.
+func TestDesignBase(t *testing.T) {
+	tc := New(fpga.NewCycloneV(), DefaultOptions())
+	flat := flatFor(t, shareable)
+	for i := 0; i < 20; i++ {
+		first := NewDesign(flat)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			first.synthesize(tc)
+		}()
+		pending := NewDesignFrom(first, flat) // racing first's synthesis
+		<-done
+		skipped := NewDesignFrom(pending, flat) // pending never synthesizes
+		if base := skipped.base.Load(); base != nil && base != first.prog {
+			t.Fatal("a successor's base is not its predecessor's program")
+		}
+		if after := NewDesignFrom(first, flat); after.base.Load() != first.prog {
+			t.Fatal("a successor opened after its predecessor synthesized does not start from its program")
+		}
+		prog, fp, err := skipped.synthesize(tc)
+		if err != nil || fp != first.fingerprint || prog.Flat != flat {
+			t.Fatalf("the successor's netlist differs: %v", err)
+		}
+		if skipped.base.Load() != nil {
+			t.Fatal("a synthesized design still holds its base")
+		}
+	}
+}

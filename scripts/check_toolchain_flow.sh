@@ -18,7 +18,7 @@
 # (outcomeOf, memMeta) comes back. The front half has one spelling as
 # well: a flow asks its Design record for the netlist and the hash, so a
 # design's native and fabric flows and every resubmission synthesize
-# once — this fails if netlist.Compile( or .Fingerprint() is called from
+# once — this fails if netlist.Compile( / CompileFrom( or .Fingerprint() is called from
 # any function but the record's (each used to run per flow, twice per
 # eval), or if designs are remembered in a map keyed by *elab.Flat (the
 # record belongs to its placement and dies with it). Run from the repo
@@ -86,7 +86,7 @@ if [ -n "$revived" ]; then
     exit 1
 fi
 # Synthesis and the hash, tagged with the function each call sits in.
-for call in 'netlist\.Compile\(' '\.Fingerprint\(\)'; do
+for call in 'netlist\.Compile(From)?\(' '\.Fingerprint\(\)'; do
     sites=$(awk -v call="$call" '
         /^func / { fn = $0; sub(/\{[[:space:]]*$/, "", fn) }
         /^[[:space:]]*\/\// { next }

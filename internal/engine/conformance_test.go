@@ -456,3 +456,149 @@ func TestVisitWritesMatchesDrainWrites(t *testing.T) {
 		})
 	}
 }
+
+// groupSrc is the user logic of a fabric engine forwarding stdlib
+// components: a clock, pad and reset it samples, a FIFO it pops, a memory
+// it addresses from its state, and an LED bank it drives.
+const groupSrc = `module G(input wire clk, input wire [3:0] pad, input wire rst,
+                           input wire [7:0] rdata, input wire empty, input wire [31:0] q,
+                           output wire rreq, output wire [7:0] led, output wire [9:0] raddr,
+                           output wire [9:0] waddr, output wire [31:0] wdata, output wire wen);
+  reg [7:0] acc = 0;
+  always @(posedge clk)
+    if (rst) acc <= 0;
+    else if (!empty) acc <= acc + rdata + pad + q[7:0];
+  assign rreq = !empty;
+  assign led = acc;
+  assign raddr = acc[3:0];
+  assign waddr = acc[5:2];
+  assign wdata = {24'd0, acc} ^ 32'h5a;
+  assign wen = acc[0];
+endmodule`
+
+// forwardingCase is a fabric engine answering for forwarded components,
+// as Runtime.forwardStdlib leaves it, stimulated only through the World.
+func forwardingCase() drainCase {
+	return drainCase{"hweng-forwarding", 6, func(t *testing.T) (engine.Engine, func() string, func(int, func(string, int, uint64))) {
+		prog, err := netlist.Compile(flat(t, groupSrc, "main"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := hweng.New("main", prog, fpga.NewCycloneV(), 10, nil, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := stdlib.NewWorld()
+		for _, m := range [][2]string{{"c", "Clock"}, {"p", "Pad"}, {"r", "Reset"}, {"f", "FIFO"}, {"m", "Memory"}, {"l", "Led"}} {
+			inner, err := stdlib.New(m[0], m[1], nil, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Forward(m[0], inner)
+		}
+		for _, wire := range [][4]string{
+			{"c", "val", "", "clk"}, {"p", "val", "", "pad"}, {"r", "val", "", "rst"},
+			{"f", "rdata", "", "rdata"}, {"f", "empty", "", "empty"},
+			{"", "rreq", "f", "rreq"}, {"", "led", "l", "val"},
+			{"", "raddr", "m", "raddr"}, {"", "waddr", "m", "waddr"}, {"", "wdata", "m", "wdata"},
+			{"", "wen", "m", "wen"}, {"m", "rdata", "", "q"},
+		} {
+			e.ForwardWire(wire[0], wire[1], wire[2], wire[3])
+		}
+		return e, func() string { return "" }, func(k int, _ func(string, int, uint64)) {
+			if k%5 == 0 {
+				w.Stream("f").Push(uint64(k), uint64(3*k))
+			}
+			w.PressPad("p", uint64(k/3%16))
+			w.SetReset("r", k%11 == 0)
+		}
+	}}
+}
+
+// TestQuietRule holds every engine a lock-step loop polls to the contract
+// the loops skip work on (engine.Engine): ThereAreEvals and
+// ThereAreUpdates are pure — asked again they answer the same and move
+// neither state nor pending outputs — and between two calls into an
+// engine nothing, World input included, changes their answers or leaves
+// anything new to drain; and Loc is fixed for the engine's life. The
+// cases are the drain table's — the three user tiers and every stdlib
+// component, each with the World input its stimulus makes between steps
+// (FIFO stream pushes, pad presses, reset) — and a fabric engine
+// forwarding stdlib components, whose polls answer for its group.
+func TestQuietRule(t *testing.T) {
+	for _, c := range append(drainCases(), forwardingCase()) {
+		t.Run(c.name, func(t *testing.T) {
+			e, _, poke := c.mk(t)
+			loc := e.Loc()
+			var evals, updates, drained bool // as of the last call into e
+			moved := 0                       // outputs drained after the first drain
+			called := func(what string) {
+				t.Helper()
+				if e.Loc() != loc {
+					t.Fatalf("%s moved the engine from %v to %v", what, loc, e.Loc())
+				}
+				evals, updates, drained = e.ThereAreEvals(), e.ThereAreUpdates(), false
+			}
+			drain := func() (n int) {
+				e.(engine.WriteVisitor).VisitWrites(func(string, *bits.Vector) { n++ })
+				return n
+			}
+			// quiet checks what holds between two calls into e.
+			quiet := func(when string) {
+				t.Helper()
+				sig := e.GetState().Signature()
+				for i := 0; i < 2; i++ {
+					if ev, up := e.ThereAreEvals(), e.ThereAreUpdates(); ev != evals || up != updates {
+						t.Fatalf("%s: polls answer (%v, %v), but (%v, %v) since the last call", when, ev, up, evals, updates)
+					}
+				}
+				if e.GetState().Signature() != sig {
+					t.Fatalf("%s: polling moved the state", when)
+				}
+				if drained && drain() != 0 {
+					t.Fatalf("%s: outputs to drain appeared without a call", when)
+				}
+				if e.Loc() != loc {
+					t.Fatalf("%s: the engine moved from %v to %v", when, loc, e.Loc())
+				}
+			}
+			called("New")
+			drain()
+			drained = true
+			quiet("first drain")
+			for step := 0; step < 24; step++ {
+				var reads []engine.Event
+				poke(step, func(name string, width int, val uint64) {
+					reads = append(reads, engine.Event{Var: name, Val: bits.FromUint64(width, val)})
+				})
+				quiet(fmt.Sprintf("step %d: World input", step))
+				for _, ev := range reads {
+					e.Read(ev)
+					called("Read")
+					quiet(fmt.Sprintf("step %d: after Read(%s)", step, ev.Var))
+				}
+				for evals || updates {
+					if evals {
+						e.Evaluate()
+						called("Evaluate")
+					} else {
+						e.Update()
+						called("Update")
+					}
+					quiet(fmt.Sprintf("step %d: after a batch", step))
+					moved += drain()
+					drained = true
+					quiet(fmt.Sprintf("step %d: after a drain", step))
+				}
+				e.EndStep()
+				called("EndStep")
+				moved += drain()
+				drained = true
+				quiet(fmt.Sprintf("step %d: end of step", step))
+			}
+			if c.outs > 0 && moved == 0 {
+				t.Fatal("the stimulus never moved an output")
+			}
+		})
+	}
+}

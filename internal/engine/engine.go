@@ -44,10 +44,18 @@ type IOHandler interface {
 
 // Engine is the target-specific ABI. Method names follow Figure 7 of the
 // paper, Go-cased.
+//
+// The lock-step loops rest on one contract (the quiet rule, DESIGN
+// "Schedule table"): an engine's poll answers and its pending outputs
+// change only when something calls into it — Read, Evaluate, Update,
+// EndStep, SetState — never on their own, nor because the World moved
+// (peripherals sample it at EndStep). So a "no", or an empty drain, stays
+// true until the engine's next call, and a scheduler may skip asking again.
 type Engine interface {
 	// Name returns the subprogram's instance path (e.g. "main.r").
 	Name() string
-	// Loc reports where the engine executes.
+	// Loc reports where the engine executes. It is fixed for the engine's
+	// life: a move between software and hardware builds another engine.
 	Loc() Location
 
 	// GetState snapshots the engine's internal state so the runtime can
@@ -68,12 +76,16 @@ type Engine interface {
 	DrainWrites() []Event
 
 	// ThereAreEvals reports pending evaluation events; Evaluate performs
-	// them all (EvalAll in the Cascade scheduler).
+	// them all (EvalAll in the Cascade scheduler). The poll is pure: it
+	// changes neither state nor pending outputs, and asked twice with no
+	// call between it answers the same. (A fabric engine's poll is still
+	// an MMIO transaction — billed, and a bus-fault trial — which is why a
+	// scheduler never skips it.)
 	ThereAreEvals() bool
 	Evaluate()
 
 	// ThereAreUpdates reports queued non-blocking updates; Update
-	// commits them all.
+	// commits them all. Pure, as ThereAreEvals is.
 	ThereAreUpdates() bool
 	Update()
 
@@ -82,6 +94,12 @@ type Engine interface {
 	EndStep()
 	End()
 }
+
+// VerifyQuiet is a test-only switch: with it set, the lock-step loops
+// (the runtime's rounds, the fabric model's forward group) re-issue every
+// poll and drain the quiet rule let them skip, and panic if one had work.
+// Only _test.go files may set it (scripts/check_scheduler_tables.sh).
+var VerifyQuiet bool
 
 // Usage is the work an engine performed since its last report, in the
 // units the virtual clock bills: software interpreter operations,

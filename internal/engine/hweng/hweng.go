@@ -40,11 +40,87 @@ type member struct {
 	vis  engine.WriteVisitor                 // eng's in-place drain, nil if it has none
 	sink func(name string, val *bits.Vector) // deliver, bound once: a method value per drain would allocate
 	outs []fanout
+
+	// The quiet rule (engine.Engine): what the member answered since the
+	// group last called into it — no evals, no updates, drained — holds
+	// until the next call, so the group skips asking again. touch clears
+	// them at every call the group makes into the member.
+	noEvals, noUpdates, drained bool
 }
 
 type fanout struct {
 	from string
 	to   []dest
+}
+
+// touch records a call into the member: its answers may have changed.
+func (g *member) touch() { g.noEvals, g.noUpdates, g.drained = false, false, false }
+
+// evals is the member's ThereAreEvals under the quiet rule: a "no" since
+// the group last called into it is not asked again (only re-asked, under
+// engine.VerifyQuiet, to check it). Small enough to inline, so a skipped
+// poll is a bit test in the group's loop.
+func (g *member) evals() bool {
+	if g.noEvals && !engine.VerifyQuiet {
+		return false
+	}
+	return g.pollEvals()
+}
+
+func (g *member) pollEvals() bool {
+	ev := g.eng.ThereAreEvals()
+	if ev && g.noEvals {
+		panic("hweng: forwarded " + g.name + " has evals its skipped poll missed")
+	}
+	g.noEvals = !ev
+	return ev
+}
+
+// updates is evals for ThereAreUpdates.
+func (g *member) updates() bool {
+	if g.noUpdates && !engine.VerifyQuiet {
+		return false
+	}
+	return g.pollUpdates()
+}
+
+func (g *member) pollUpdates() bool {
+	up := g.eng.ThereAreUpdates()
+	if up && g.noUpdates {
+		panic("hweng: forwarded " + g.name + " has updates its skipped poll missed")
+	}
+	g.noUpdates = !up
+	return up
+}
+
+// drain broadcasts the member's pending writes inside the group, unless
+// it was drained since the group last called into it.
+func (g *member) drain() {
+	if !g.drained || engine.VerifyQuiet {
+		g.visit()
+	}
+}
+
+// visit is drain's slow path. The bit is set before the visit: a
+// delivery back into the member clears it. A drained member's visit (the
+// verify switch's) must find nothing.
+func (g *member) visit() {
+	fn := g.sink
+	if g.drained {
+		fn = missedWrite
+	}
+	g.drained = true
+	if g.vis != nil {
+		g.vis.VisitWrites(fn)
+		return
+	}
+	for _, ev := range g.eng.DrainWrites() {
+		fn(ev.Var, ev.Val)
+	}
+}
+
+func missedWrite(name string, _ *bits.Vector) {
+	panic("hweng: a forwarded component's skipped drain missed its write of " + name)
 }
 
 // Engine is a hardware engine.
@@ -196,7 +272,7 @@ func (e *Engine) ThereAreEvals() bool {
 		return true
 	}
 	for _, g := range e.group {
-		if g.eng.ThereAreEvals() {
+		if g.evals() {
 			return true
 		}
 	}
@@ -222,7 +298,8 @@ func (e *Engine) evalGroup() (ran bool) {
 	}
 	e.drainGroup()
 	for _, g := range e.group {
-		if g.eng.ThereAreEvals() {
+		if g.evals() {
+			g.touch()
 			g.eng.Evaluate()
 			ran = true
 		}
@@ -238,7 +315,7 @@ func (e *Engine) ThereAreUpdates() bool {
 		return true
 	}
 	for _, g := range e.group {
-		if g.eng.ThereAreUpdates() {
+		if g.updates() {
 			return true
 		}
 	}
@@ -261,7 +338,8 @@ func (e *Engine) updateGroup() (ran bool) {
 		ran, e.stale = true, true
 	}
 	for _, g := range e.group {
-		if g.eng.ThereAreUpdates() {
+		if g.updates() {
+			g.touch()
 			g.eng.Update()
 			ran = true
 		}
@@ -275,15 +353,22 @@ func (e *Engine) updateGroup() (ran bool) {
 func (e *Engine) EndStep() {
 	e.Monitors()
 	e.FlushTasks()
+	e.endGroup()
+	e.CheckRegion()
+}
+
+// endGroup ends the step for every forwarded component.
+func (e *Engine) endGroup() {
 	for _, g := range e.group {
+		g.touch()
 		g.eng.EndStep()
 	}
-	e.CheckRegion()
 }
 
 // End implements engine.Engine.
 func (e *Engine) End() {
 	for _, g := range e.group {
+		g.touch()
 		g.eng.End()
 	}
 }
@@ -296,6 +381,7 @@ func (e *Engine) Forward(name string, inner engine.Engine) {
 		g.sink = g.deliver
 		e.group = append(e.group, g)
 	}
+	g.touch()
 	g.eng = inner
 	g.vis, _ = inner.(engine.WriteVisitor)
 }
@@ -352,6 +438,7 @@ func (e *Engine) send(to []dest, val *bits.Vector) {
 		if d.v != nil {
 			e.SetInput(d.v, val)
 		} else {
+			d.in.touch()
 			d.in.eng.Read(engine.Event{Var: d.port, Val: val})
 		}
 	}
@@ -368,10 +455,10 @@ func (g *member) deliver(name string, val *bits.Vector) {
 }
 
 // drainGroup broadcasts pending output changes inside the group: the
-// user logic's wired outputs that changed value, then every component's
-// pending writes. Nothing here allocates or bills; with no group it
-// touches nothing, so it never interferes with the runtime-facing
-// DrainWrites tracking.
+// user logic's wired outputs that changed value, then the pending writes
+// of every component called since its last drain. Nothing here allocates
+// or bills; with no group it touches nothing, so it never interferes
+// with the runtime-facing DrainWrites tracking.
 func (e *Engine) drainGroup() {
 	if e.stale {
 		e.stale = false
@@ -385,13 +472,7 @@ func (e *Engine) drainGroup() {
 		}
 	}
 	for _, g := range e.group {
-		if g.vis != nil {
-			g.vis.VisitWrites(g.sink)
-			continue
-		}
-		for _, ev := range g.eng.DrainWrites() {
-			g.sink(ev.Var, ev.Val)
-		}
+		g.drain()
 	}
 }
 
@@ -415,9 +496,7 @@ func (e *Engine) OpenLoop(clk string, steps int) int {
 		// end the step for the whole group (the Clock re-arms here).
 		e.settleGroup()
 		e.Monitors()
-		for _, g := range e.group {
-			g.eng.EndStep()
-		}
+		e.endGroup()
 		e.drainGroup()
 		done++
 		if done%2 == 0 {

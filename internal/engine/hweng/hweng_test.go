@@ -1,6 +1,7 @@
 package hweng
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -660,5 +661,65 @@ func TestOpenLoopBurstAllocFree(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Fatalf("open-loop burst allocates: %v allocs per 64 ticks", got)
+	}
+}
+
+// counted wraps a forwarded component and counts what the group asks of
+// it: polls, drains, and every other call.
+type counted struct {
+	engine.Engine
+	vis engine.WriteVisitor
+	n   *memberCalls
+}
+
+type memberCalls struct{ polls, drains, calls int }
+
+func (c counted) ThereAreEvals() bool   { c.n.polls++; return c.Engine.ThereAreEvals() }
+func (c counted) ThereAreUpdates() bool { c.n.polls++; return c.Engine.ThereAreUpdates() }
+func (c counted) VisitWrites(fn func(string, *bits.Vector)) {
+	c.n.drains++
+	c.vis.VisitWrites(fn)
+}
+func (c counted) Read(ev engine.Event) { c.n.calls++; c.Engine.Read(ev) }
+func (c counted) Evaluate()            { c.n.calls++; c.Engine.Evaluate() }
+func (c counted) Update()              { c.n.calls++; c.Engine.Update() }
+func (c counted) EndStep()             { c.n.calls++; c.Engine.EndStep() }
+
+// TestForwardGroupCallsPerStep pins what the forward group asks of its
+// members — the regex group's clock, pad, LED and FIFO, streaming bytes
+// that never match — over 64 forwarded lock-step steps and over 64
+// open-loop iterations: a member is polled or drained only when its answer
+// can have changed since the group last called into it (the quiet rule).
+// Before the rule every batch polled and drained every member: lock-step
+// polls 1728, drains 1152; open loop polls 1664, drains 2944. Calls are
+// the work itself and did not move.
+func TestForwardGroupCallsPerStep(t *testing.T) {
+	// The verify switch re-issues what the rule skips; counted, those would
+	// be the very calls this test pins as saved.
+	engine.VerifyQuiet = false
+	defer func() { engine.VerifyQuiet = true }()
+	src, _ := regexGroup(t, 1<<20)
+	d := lower(t, src)
+	r, hw := forwarded(t, d, bytes.Repeat([]byte("GET /x.php "), 64))
+	var n memberCalls
+	for i, s := range d.d.StdSubs() {
+		hw.Forward(s.Path, counted{r.std[i], r.std[i].(engine.WriteVisitor), &n})
+	}
+	for i := 0; i < 40; i++ {
+		r.step()
+	}
+	n = memberCalls{}
+	for i := 0; i < 64; i++ {
+		r.step()
+	}
+	if want := (memberCalls{832, 256, 384}); n != want {
+		t.Errorf("forwarded lock-step, 64 steps: %+v, want %+v", n, want)
+	}
+	n = memberCalls{}
+	if done := hw.OpenLoop(d.clk, 64); done != 64 {
+		t.Fatalf("burst ran %d of 64 iterations", done)
+	}
+	if want := (memberCalls{768, 388, 384}); n != want {
+		t.Errorf("open loop, 64 iterations: %+v, want %+v", n, want)
 	}
 }

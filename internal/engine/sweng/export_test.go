@@ -1,0 +1,8 @@
+package sweng
+
+import "cascade/internal/engine"
+
+// Every test of this package runs with the quiet rule verified: a poll or
+// drain a lock-step loop skips is re-issued, and one that had work fails
+// the test (engine.VerifyQuiet).
+func init() { engine.VerifyQuiet = true }

@@ -653,9 +653,12 @@ func (r *Runtime) StartupPs() uint64 { return r.startupPs }
 // does not provide the ordering; it is the happens-before edge between a
 // worker's appends and the controller's drain (the dispatcher's join is
 // another, but drainLane must stay correct for an engine the current
-// batch did not dispatch).
+// batch did not dispatch). full is set under the mutex with every append
+// and read without it, so draining an empty lane — nearly every drain —
+// takes no lock.
 type laneIO struct {
 	mu       sync.Mutex
+	full     atomic.Bool
 	displays []string
 	finished bool
 }
@@ -667,6 +670,7 @@ func (l *laneIO) Display(text string, newline bool) {
 	}
 	l.mu.Lock()
 	l.displays = append(l.displays, text)
+	l.full.Store(true)
 	l.mu.Unlock()
 }
 
@@ -674,15 +678,20 @@ func (l *laneIO) Display(text string, newline bool) {
 func (l *laneIO) Finish(code int) {
 	l.mu.Lock()
 	l.finished = true
+	l.full.Store(true)
 	l.mu.Unlock()
 }
 
 // take removes and returns the lane's buffered output.
 func (l *laneIO) take() (displays []string, finished bool) {
+	if !l.full.Load() {
+		return nil, false
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	displays, finished = l.displays, l.finished
 	l.displays, l.finished = nil, false
+	l.full.Store(false)
 	return displays, finished
 }
 

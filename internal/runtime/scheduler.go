@@ -25,6 +25,10 @@ type slot struct {
 	c      *transport.Client
 	p      *lifecycle.Placement // nil for stdlib peripherals
 	routes []route              // wires out of this engine, in design order
+	// idle has bit 1<<ph set when, this step, the engine answered "no" to
+	// phase ph's poll and nothing has called into it since: the answer
+	// still holds, and round does not ask again (the quiet rule).
+	idle uint8
 }
 
 // route is a data-plane wire: output from feeds input port of slot to.
@@ -104,7 +108,12 @@ func (r *Runtime) step() {
 	}
 
 	// EvalAll over engines with evaluation events to a fixed point, then
-	// one update batch, until neither has work.
+	// one update batch, until neither has work. No "no" carries over from
+	// the last step: its EndStep, and whatever ran between steps, reached
+	// every engine.
+	for i := range r.slots {
+		r.slots[i].idle = 0
+	}
 	for r.round(proto.RoundEvals) || r.round(proto.RoundUpdates) {
 	}
 
@@ -156,8 +165,16 @@ var roundABI = [...]struct {
 // two or more user subprograms are worth overlapping (a peripheral's turn
 // is a handful of instructions) — and the whole batch is drained, routed
 // and settled in schedule order. How a batch ran never reaches its bill.
+//
+// A poll is asked only when its answer can have changed (the quiet rule,
+// engine.Engine): a software engine or a peripheral that said "no" this
+// step and has not been called since is not asked again. A fabric
+// engine's poll is an MMIO transaction with a bus-fault trial, so it is
+// always asked. Either way the bus bills every poll the paper's scheduler
+// makes, at the point it makes it — the ledger cannot tell.
 func (r *Runtime) round(ph proto.RoundPhase) bool {
 	abi := &roundABI[ph]
+	bit := uint8(1) << ph
 	r.batch = r.batch[:0]
 	local, users := 0, 0
 	var link *transport.Link
@@ -172,14 +189,30 @@ func (r *Runtime) round(ph proto.RoundPhase) bool {
 			}
 			continue
 		}
-		r.billCtrl(s.c) // there_are_* poll
-		if abi.pending(s.c) {
-			r.billCtrl(s.c) // the evaluate/update request itself
-			r.batch = append(r.batch, i)
-			local++
-			if s.p != nil {
-				users++
+		bus := onBus(s.c)
+		if bus {
+			r.vclk.AdvanceComm(1, &r.opts.Model) // there_are_* poll, asked or owed
+		}
+		if s.idle&bit != 0 {
+			if engine.VerifyQuiet {
+				r.verifyQuiet(s, ph)
 			}
+			continue
+		}
+		if !abi.pending(s.c) {
+			if s.p == nil || !bus { // pure: a peripheral, or a software rung
+				s.idle |= bit
+			}
+			continue
+		}
+		if bus {
+			r.vclk.AdvanceComm(1, &r.opts.Model) // the evaluate/update request itself
+		}
+		s.idle = 0 // the run is a call into it
+		r.batch = append(r.batch, i)
+		local++
+		if s.p != nil {
+			users++
 		}
 	}
 	if len(r.batch) == 0 {
@@ -256,18 +289,24 @@ func (r *Runtime) dispatch(n int, run func(*transport.Client)) {
 	r.lanes.Wait()
 }
 
+// verifyQuiet re-issues a poll the quiet rule skipped, to the engine
+// itself rather than through its client (whose round-trip count tests
+// pin), and panics if it had work (engine.VerifyQuiet; tests only).
+func (r *Runtime) verifyQuiet(s *slot, ph proto.RoundPhase) {
+	e := r.stdEngines[s.path]
+	if s.p != nil {
+		e = s.p.Engine()
+	}
+	if ph == proto.RoundEvals && e.ThereAreEvals() || ph == proto.RoundUpdates && e.ThereAreUpdates() {
+		panic(fmt.Sprintf("runtime: %s has work in phase %d that its skipped poll missed", s.path, ph))
+	}
+}
+
 // onBus reports whether talking to c crosses the memory-mapped bus: a
 // local engine in hardware (software engines share the heap). Remote
 // clients meter every ABI call — polls included — through Usage.Msgs,
 // which settleBatch/settleCosts bill; billing here too would double-charge.
 func onBus(c *transport.Client) bool { return !c.Remote() && c.Loc() == engine.Hardware }
-
-// billCtrl charges one control-plane message for talking to c.
-func (r *Runtime) billCtrl(c *transport.Client) {
-	if onBus(c) {
-		r.vclk.AdvanceComm(1, &r.opts.Model)
-	}
-}
 
 // route broadcasts slot i's pending output writes along its routes,
 // billing bus crossings; values are only lent (engine.Engine.Read).
@@ -277,6 +316,7 @@ func (r *Runtime) route(i int) {
 }
 
 // deliver is route's visitor: output name of slot r.from changed to val.
+// The Read is a call into the target, so its quiet bits go.
 func (r *Runtime) deliver(name string, val *bits.Vector) {
 	s := &r.slots[r.from]
 	if onBus(s.c) {
@@ -284,11 +324,12 @@ func (r *Runtime) deliver(name string, val *bits.Vector) {
 	}
 	for _, rt := range s.routes {
 		if rt.from == name {
-			target := r.slots[rt.to].c
-			if onBus(target) {
+			target := &r.slots[rt.to]
+			if onBus(target.c) {
 				r.vclk.AdvanceComm(1, &r.opts.Model) // bus write of the input
 			}
-			target.Read(engine.Event{Var: rt.port, Val: val})
+			target.idle = 0
+			target.c.Read(engine.Event{Var: rt.port, Val: val})
 		}
 	}
 }

@@ -176,3 +176,55 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Fatalf("summary malformed: %q", st.Summary())
 	}
 }
+
+// TestLockStepCallsPerStep pins the in-process ABI calls (transport round
+// trips over every scheduled client) that 64 lock-step Steps of figure3
+// make in each lock-step phase: the Figure 6 loop asks an engine only when
+// its answer can have changed (the quiet rule, DESIGN "Schedule table").
+// The forwarded phase schedules only the fabric engine, whose polls are
+// never skipped; the forward group's members are counted in hweng's
+// TestForwardGroupCallsPerStep. Before the rule, every round polled every
+// slot: interpreter 2464, native 2656, hardware 2656, forwarded 928.
+func TestLockStepCallsPerStep(t *testing.T) {
+	dev := fpga.NewCycloneV()
+	for _, c := range []struct {
+		name  string
+		opts  Options
+		phase Phase
+		want  uint64
+	}{
+		{"interpreter", Options{Features: Features{DisableJIT: true}}, PhaseInlined, 1888},
+		{"native", Options{Device: dev, Toolchain: toolchain.New(dev, toolchain.DefaultOptions()),
+			Features: Features{NativeTier: true}}, PhaseInlined, 1984},
+		{"hardware", Options{Features: Features{DisableForwarding: true}}, PhaseHardware, 1984},
+		{"forwarded", Options{Features: Features{DisableOpenLoop: true}}, PhaseForwarded, 928},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newTestRuntime(t, c.opts)
+			r.MustEval(figure3)
+			if c.name == "native" {
+				r.Idle(1 * vclock.S)
+			}
+			r.RunTicks(200)
+			if r.Phase() != c.phase {
+				t.Fatalf("phase %v, want %v", r.Phase(), c.phase)
+			}
+			if c.name == "native" && userTier(r.Stats()) != "native" {
+				t.Fatalf("tier %q, want native", userTier(r.Stats()))
+			}
+			calls := func() (n uint64) {
+				for _, s := range r.slots {
+					n += s.c.Stats().RoundTrips
+				}
+				return n
+			}
+			before := calls()
+			for i := 0; i < 64; i++ {
+				r.Step()
+			}
+			if got := calls() - before; got != c.want {
+				t.Errorf("64 steps made %d in-process ABI calls, want %d", got, c.want)
+			}
+		})
+	}
+}

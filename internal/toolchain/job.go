@@ -116,10 +116,15 @@ type Job struct {
 	submitPs uint64
 	done     chan struct{}
 
+	// canceled is written under mu and read without it (Canceled). Once
+	// observed is set the flow has ended and been banked, so res and
+	// readyAtPs are fixed: Ready before the ready time takes no lock.
+	canceled atomic.Bool
+	observed atomic.Bool
+
 	mu        sync.Mutex
 	state     JobState
 	retries   int
-	canceled  bool
 	settled   bool // left the in-flight count (admission control)
 	tracked   bool // counted into Toolchain.inflight at submit
 	res       *Result
@@ -170,6 +175,7 @@ func (j *Job) observe() {
 		d.bank()
 	}
 	j.bank()
+	j.observed.Store(true)
 }
 
 // bank adds the ended flow's counters to the stats mirror, once.
@@ -369,8 +375,7 @@ func (j *Job) synth(d *Design) (*netlist.Program, string, error) {
 // sessions diverge in :stats.
 func (j *Job) markCanceled() {
 	j.mu.Lock()
-	already, banked := j.canceled, j.banked
-	j.canceled = true
+	already, banked := j.canceled.Swap(true), j.banked
 	j.state = JobCanceled
 	j.mu.Unlock()
 	if already {
@@ -415,7 +420,7 @@ func (j *Job) complete(res *Result, pubKey string) {
 	j.readyAtPs = j.submitPs + res.DurationPs
 	j.pubKey = pubKey
 	switch {
-	case j.canceled:
+	case j.canceled.Load():
 		// A cancelled job's flow still completes (see Cancel), but the
 		// lifecycle state stays cancelled.
 	case res.Err != nil:
@@ -460,11 +465,7 @@ func (j *Job) Cancel() {
 func (j *Job) Wait() { j.observe() }
 
 // Canceled reports whether the job was cancelled.
-func (j *Job) Canceled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.canceled
-}
+func (j *Job) Canceled() bool { return j.canceled.Load() }
 
 // ReadyAt blocks until the flow's duration is known and returns the
 // virtual time at which the job finishes; ok is false for cancelled
@@ -473,7 +474,7 @@ func (j *Job) ReadyAt() (ps uint64, ok bool) {
 	j.observe()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.canceled || j.res == nil {
+	if j.canceled.Load() || j.res == nil {
 		return 0, false
 	}
 	return j.readyAtPs, true
@@ -485,7 +486,7 @@ func (j *Job) Result() *Result {
 	j.observe()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.canceled {
+	if j.canceled.Load() {
 		return nil
 	}
 	return j.res
@@ -501,10 +502,18 @@ func (j *Job) Result() *Result {
 // published: from then on identical submissions hit the cache outright,
 // on any clock (the mechanism behind restoring a Snapshot onto a
 // same-shape device without re-running place-and-route).
+//
+// Asked again before the ready time (or once cancelled), it answers from
+// the first observation without a lock — unless the owner has cancelled
+// jobs whose counters this observation must bank, exactly where it
+// always did.
 func (j *Job) Ready(nowPs uint64) bool {
+	if j.observed.Load() && (j.canceled.Load() || nowPs < j.readyAtPs) && !j.tn.owed.Load() {
+		return false
+	}
 	j.observe()
 	j.mu.Lock()
-	if j.canceled || j.res == nil || nowPs < j.readyAtPs {
+	if j.canceled.Load() || j.res == nil || nowPs < j.readyAtPs {
 		j.mu.Unlock()
 		return false
 	}

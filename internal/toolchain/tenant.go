@@ -3,6 +3,7 @@ package toolchain
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"cascade/internal/elab"
 	"cascade/internal/fault"
@@ -44,8 +45,11 @@ type tenant struct {
 	faults *fault.Injector
 	obs    *obsv.Observer
 	stats  Stats
-	// discarded: cancelled jobs whose flows are not banked yet (Job.flow).
+	// discarded: cancelled jobs whose flows are not banked yet (Job.flow);
+	// owed mirrors len(discarded) > 0 for lock-free readers (a pointer,
+	// so snapshot copies the record).
 	discarded []*Job
+	owed      *atomic.Bool
 }
 
 // tenant returns the record for id, lazily creating one for IDs that
@@ -61,7 +65,7 @@ func (t *Toolchain) tenant(id string) *tenant {
 func (t *Toolchain) tenantLocked(id string) *tenant {
 	tn, ok := t.tenants[id]
 	if !ok {
-		tn = &tenant{t: t, id: id, dev: t.dev}
+		tn = &tenant{t: t, id: id, dev: t.dev, owed: new(atomic.Bool)}
 		t.tenants[id] = tn
 	}
 	return tn
@@ -87,6 +91,7 @@ func (tn *tenant) bump(fn func(*Stats)) {
 func (tn *tenant) discard(j *Job) {
 	tn.t.mu.Lock()
 	tn.discarded = append(tn.discarded, j)
+	tn.owed.Store(true)
 	tn.t.mu.Unlock()
 }
 
@@ -94,6 +99,7 @@ func (tn *tenant) takeDiscarded() []*Job {
 	tn.t.mu.Lock()
 	js := tn.discarded
 	tn.discarded = nil
+	tn.owed.Store(false)
 	tn.t.mu.Unlock()
 	return js
 }

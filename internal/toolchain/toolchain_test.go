@@ -218,20 +218,34 @@ func TestCancelDiscardsJob(t *testing.T) {
 // TestCancelledFlowBanksAtNextObservation: a cancelled job's flow still
 // runs on a worker, at whatever wall-clock moment the host gets to it.
 // Its counters must not reach Stats by that luck: they appear when the
-// owner next observes one of its jobs, and not before.
+// owner next observes one of its jobs, and not before — also when that
+// observation is a Ready, before its ready time, of a job observed once
+// already, which answers without a lock unless banking is owed.
 func TestCancelledFlowBanksAtNextObservation(t *testing.T) {
 	small, big := flatFor(t, smallCounter), flatFor(t, bigDatapath)
 	for i := 0; i < 50; i++ {
 		tc := New(fpga.NewCycloneV(), DefaultOptions())
+		var watch *Job
+		if i%4 >= 2 {
+			watch = tc.Submit(context.Background(), big, true, 0)
+			if watch.Ready(0) {
+				t.Fatal("a compile ready at its submission time")
+			}
+		}
+		base := tc.Stats() // watch's own flow, when there is one
 		old := tc.Submit(context.Background(), small, true, 0)
 		if i%2 == 1 {
 			<-old.done // the flow has ended, unobserved: still not banked
 		}
 		old.Cancel()
-		if st := tc.Stats(); st.Canceled != 1 || st.Synthesized != 0 || st.CacheMisses != 0 {
+		if st := tc.Stats(); st.Canceled != 1 || st.Synthesized != base.Synthesized || st.CacheMisses != base.CacheMisses {
 			t.Fatalf("iteration %d: cancelled flow's counters visible before any observation: %+v", i, st)
 		}
-		tc.Submit(context.Background(), big, true, 0).Wait()
+		if watch != nil {
+			watch.Ready(0)
+		} else {
+			tc.Submit(context.Background(), big, true, 0).Wait()
+		}
 		if st := tc.Stats(); st.Synthesized != 2 || st.CacheMisses != 2 {
 			t.Fatalf("iteration %d: want both flows banked after the observation: %+v", i, st)
 		}

@@ -3,7 +3,6 @@ package transport
 import (
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"cascade/internal/bits"
 	"cascade/internal/engine"
@@ -46,10 +45,16 @@ type Client struct {
 	// request/reply structs, no locks, nothing between the scheduler and
 	// the engine but one pointer indirection and a round-trip counter
 	// (benchmark-gated: BenchmarkLocalTransportOverhead). It is swapped
-	// only between steps, on the controller goroutine (SwapLocal).
+	// only between steps, on the controller goroutine (SwapLocal), which is
+	// also when loc follows it: no engine kind changes location during its
+	// life, so a local client's Loc is a field read. fastRT counts the
+	// calls for Stats, as the engine's own counters do: by whichever
+	// goroutine drives the engine — the controller, or the worker lane a
+	// batch dispatched it on, joined before the controller goes on — and
+	// read between steps, so a plain increment, not a locked one, per call.
 	local  engine.Engine
 	vis    engine.WriteVisitor // local's in-place drain, nil if it has none
-	fastRT atomic.Uint64       // fast-path round-trips (for Stats)
+	fastRT uint64              // fast-path round-trips (for Stats)
 
 	// link is the daemon link a hosted client was spawned on (nil for a
 	// lone client): Read queues on it, and its rounds leave the client's
@@ -65,7 +70,7 @@ type Client struct {
 	obs     *obsv.Observer
 	req     proto.Request
 	rep     proto.Reply
-	loc     engine.Location
+	loc     engine.Location // under mu for a remote client; a local one's is the controller's (SwapLocal)
 	pending engine.Usage
 	stats   Stats
 	err     error
@@ -194,9 +199,7 @@ func (c *Client) SwapLocal(e engine.Engine) {
 	}
 	c.local = e
 	c.vis, _ = e.(engine.WriteVisitor)
-	c.mu.Lock()
 	c.loc = e.Loc()
-	c.mu.Unlock()
 }
 
 // Remote reports whether the engine lives on the far side of a real
@@ -218,7 +221,7 @@ func (c *Client) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats
-	st.RoundTrips += c.fastRT.Load()
+	st.RoundTrips += c.fastRT
 	return st
 }
 
@@ -349,13 +352,19 @@ func (c *Client) absorb(loc engine.Location, usage engine.Usage, io []proto.IOEv
 // Name implements engine.Engine (no round-trip).
 func (c *Client) Name() string { return c.name }
 
-// Loc implements engine.Engine. Local clients read the engine directly;
-// remote clients return the location cached from the latest reply
-// envelope. No round-trip either way — the scheduler polls it constantly.
+// Loc implements engine.Engine. Local clients return the location their
+// engine had when it was wrapped or swapped in (an engine's location is
+// fixed for its life); remote clients the one cached from the latest
+// reply envelope. No round-trip either way — the scheduler asks per poll
+// and per delivery.
 func (c *Client) Loc() engine.Location {
 	if c.local != nil {
-		return c.local.Loc()
+		return c.loc
 	}
+	return c.remoteLoc()
+}
+
+func (c *Client) remoteLoc() engine.Location {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.loc
@@ -364,7 +373,7 @@ func (c *Client) Loc() engine.Location {
 // GetState implements engine.Engine.
 func (c *Client) GetState() *sim.State {
 	if c.local != nil {
-		c.fastRT.Add(1)
+		c.fastRT++
 		return c.local.GetState()
 	}
 	rep := c.call(proto.KindGetState, nil)
@@ -377,7 +386,7 @@ func (c *Client) GetState() *sim.State {
 // SetState implements engine.Engine.
 func (c *Client) SetState(st *sim.State) {
 	if c.local != nil {
-		c.fastRT.Add(1)
+		c.fastRT++
 		c.local.SetState(st)
 		return
 	}
@@ -387,7 +396,7 @@ func (c *Client) SetState(st *sim.State) {
 // Read implements engine.Engine.
 func (c *Client) Read(ev engine.Event) {
 	if c.local != nil {
-		c.fastRT.Add(1)
+		c.fastRT++
 		c.local.Read(ev)
 		return
 	}
@@ -404,7 +413,7 @@ func (c *Client) Read(ev engine.Event) {
 // DrainWrites implements engine.Engine.
 func (c *Client) DrainWrites() []engine.Event {
 	if c.local != nil {
-		c.fastRT.Add(1)
+		c.fastRT++
 		return c.local.DrainWrites()
 	}
 	if c.drained {
@@ -426,7 +435,7 @@ func (c *Client) DrainWrites() []engine.Event {
 // or its link's next frame.
 func (c *Client) VisitWrites(fn func(name string, val *bits.Vector)) {
 	if c.vis != nil {
-		c.fastRT.Add(1)
+		c.fastRT++
 		c.vis.VisitWrites(fn)
 		return
 	}
@@ -438,7 +447,7 @@ func (c *Client) VisitWrites(fn func(name string, val *bits.Vector)) {
 // ThereAreEvals implements engine.Engine.
 func (c *Client) ThereAreEvals() bool {
 	if c.local != nil {
-		c.fastRT.Add(1)
+		c.fastRT++
 		return c.local.ThereAreEvals()
 	}
 	rep := c.call(proto.KindThereAreEvals, nil)
@@ -448,7 +457,7 @@ func (c *Client) ThereAreEvals() bool {
 // Evaluate implements engine.Engine.
 func (c *Client) Evaluate() {
 	if c.local != nil {
-		c.fastRT.Add(1)
+		c.fastRT++
 		c.local.Evaluate()
 		return
 	}
@@ -458,7 +467,7 @@ func (c *Client) Evaluate() {
 // ThereAreUpdates implements engine.Engine.
 func (c *Client) ThereAreUpdates() bool {
 	if c.local != nil {
-		c.fastRT.Add(1)
+		c.fastRT++
 		return c.local.ThereAreUpdates()
 	}
 	rep := c.call(proto.KindThereAreUpdates, nil)
@@ -468,7 +477,7 @@ func (c *Client) ThereAreUpdates() bool {
 // Update implements engine.Engine.
 func (c *Client) Update() {
 	if c.local != nil {
-		c.fastRT.Add(1)
+		c.fastRT++
 		c.local.Update()
 		return
 	}
@@ -478,7 +487,7 @@ func (c *Client) Update() {
 // EndStep implements engine.Engine.
 func (c *Client) EndStep() {
 	if c.local != nil {
-		c.fastRT.Add(1)
+		c.fastRT++
 		c.local.EndStep()
 		return
 	}
@@ -491,7 +500,7 @@ func (c *Client) EndStep() {
 // from its journal or never gone, must not keep an engine nobody drives.
 func (c *Client) End() {
 	if c.local != nil {
-		c.fastRT.Add(1)
+		c.fastRT++
 		c.local.End()
 		return
 	}

@@ -7,8 +7,9 @@
 # engine per batch — and that, not the evaluators, was where a step's
 # host time went. Fails if a non-test file of internal/runtime grows a
 # path-keyed client map, a routesFrom table or a NUL-joined key again,
-# or starts a goroutine anywhere but the lane dispatcher. Run from the
-# repo root; exits non-zero listing offenders.
+# or starts a goroutine anywhere but the lane dispatcher, and if anything
+# but a test sets the quiet rule's verify switch. Run from the repo root;
+# exits non-zero listing offenders.
 set -eu
 
 hits=$(grep -nE 'map\[string\]\*transport\.Client|routesFrom|\\x00' internal/runtime/*.go | grep -v '_test\.go:' || true)
@@ -31,3 +32,13 @@ if [ -n "$hits" ]; then
     exit 1
 fi
 echo "check_scheduler_tables: goroutines start only in the lane dispatcher"
+
+# engine.VerifyQuiet re-issues every poll and drain the quiet rule skips;
+# it is a test switch, never an option: only a _test.go file may set it.
+hits=$(grep -rnE --include='*.go' 'VerifyQuiet[[:space:]]*(=[^=]|=$)' . | grep -v '_test\.go:' || true)
+if [ -n "$hits" ]; then
+    echo "$hits"
+    echo "check_scheduler_tables: engine.VerifyQuiet may be set only from _test.go files" >&2
+    exit 1
+fi
+echo "check_scheduler_tables: the quiet-rule verify switch is set only by tests"

@@ -25,6 +25,7 @@ import (
 // capabilities.
 var (
 	_ engine.Engine     = (*sweng.Engine)(nil)
+	_ engine.Engine     = (*njit.Engine)(nil)
 	_ engine.Engine     = (*hweng.Engine)(nil)
 	_ engine.Engine     = (*transport.Client)(nil)
 	_ engine.OpenLooper = (*hweng.Engine)(nil)
@@ -36,16 +37,9 @@ var (
 	_ engine.Engine     = (*stdlib.GPIO)(nil)
 	_ engine.Engine     = (*stdlib.Memory)(nil)
 	_ engine.Engine     = (*stdlib.FIFO)(nil)
-
-	_ engine.WriteVisitor = (*stdlib.Clock)(nil)
-	_ engine.WriteVisitor = (*stdlib.FIFO)(nil)
-	_ engine.WriteVisitor = (*sweng.Engine)(nil)
-	_ engine.WriteVisitor = (*njit.Engine)(nil)
-	_ engine.WriteVisitor = (*hweng.Engine)(nil)
-	_ engine.WriteVisitor = (*transport.Client)(nil)
 )
 
-// TestOutputsTracksByValue: the tracker every engine's DrainWrites shares
+// TestOutputsTracksByValue: the tracker the user tiers' VisitWrites shares
 // reports an output the first time it sees it (the first drain broadcasts
 // everything), then only when its value differs from the one last
 // reported, and keeps its own copy, so a borrowed or reused vector works.
@@ -379,7 +373,7 @@ func runDrainCase(t *testing.T, c drainCase, visit, scribble bool) (trace string
 	}
 	drain := func() {
 		if visit {
-			e.(engine.WriteVisitor).VisitWrites(record)
+			e.VisitWrites(record)
 			return
 		}
 		for _, ev := range e.DrainWrites() {
@@ -416,15 +410,15 @@ func runDrainCase(t *testing.T, c drainCase, visit, scribble bool) (trace string
 	return sb.String(), first, e.GetState().Signature(), bill()
 }
 
-// TestVisitWritesMatchesDrainWrites holds the two forms of the ABI's
-// write method together on every engine the scheduler drains — the three
-// user tiers (the fabric model wrapped and native) and every stdlib
-// component: a twin drained through VisitWrites reports the same (name,
-// value) sequence as one drained through DrainWrites, ends in the same
-// state and leaves the same bill (UsageDelta, and the device's bus
-// counters for the fabric model, whose visitor must charge the bus read
-// per changed output that its DrainWrites does), and the first drain
-// broadcasts every output.
+// TestVisitWritesMatchesDrainWrites holds the ABI's one drain and its
+// collected form (engine.Collect) together on every engine the scheduler
+// drains — the three user tiers (the fabric model wrapped and native) and
+// every stdlib component: a twin drained through VisitWrites reports the
+// same (name, value) sequence as one drained through DrainWrites, ends in
+// the same state and leaves the same bill (UsageDelta, and the device's
+// bus counters for the fabric model, which charges one bus read per
+// changed output either way), and the first drain broadcasts every
+// output.
 //
 // The third twin checks the borrow contract of Engine.Read from the
 // lender's side: its inputs are overwritten the moment Read returns, so
@@ -540,7 +534,7 @@ func TestQuietRule(t *testing.T) {
 				evals, updates, drained = e.ThereAreEvals(), e.ThereAreUpdates(), false
 			}
 			drain := func() (n int) {
-				e.(engine.WriteVisitor).VisitWrites(func(string, *bits.Vector) { n++ })
+				e.VisitWrites(func(string, *bits.Vector) { n++ })
 				return n
 			}
 			// quiet checks what holds between two calls into e.

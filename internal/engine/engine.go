@@ -68,11 +68,18 @@ type Engine interface {
 	// is only lent: the engine copies what it needs before returning and
 	// neither keeps the vector nor writes to it — the data plane hands
 	// every consumer of an output the producer's own live value
-	// (WriteVisitor), which changes under it on the producer's next turn.
+	// (VisitWrites), which changes under it on the producer's next turn.
 	Read(ev Event)
-	// DrainWrites returns output changes produced since the previous
-	// drain, for broadcast on the data plane (the ABI's write method). The
-	// events own their values; the first drain reports every output.
+	// VisitWrites is the ABI's write method, the one drain: it calls fn
+	// for each output changed since the previous drain, lending the live
+	// value — fn must neither retain nor mutate it, which is what Read
+	// promises of its argument. The first drain reports every output. A
+	// fabric engine bills one bus read per output reported.
+	VisitWrites(fn func(name string, val *bits.Vector))
+	// DrainWrites is VisitWrites collected into events that own their
+	// values: every engine implements it as Collect. Outside tests only
+	// benchmark/layers.go calls it; drain with VisitWrites, or with
+	// Collect to keep the events.
 	DrainWrites() []Event
 
 	// ThereAreEvals reports pending evaluation events; Evaluate performs
@@ -141,16 +148,16 @@ type OpenLooper interface {
 	OpenLoop(clk string, steps int) int
 }
 
-// WriteVisitor is the optional in-place form of DrainWrites, for a data
-// plane where no event outlives its delivery (the scheduler's routing
-// and a forwarder's group-internal wires): VisitWrites calls fn for each
-// output changed since the previous drain, lending the live value — fn
-// must neither retain nor mutate it, which is what Engine.Read promises
-// of its argument. It reports, bills and counts exactly what the
-// DrainWrites it stands in for would have. Engines without it are
-// drained through DrainWrites.
-type WriteVisitor interface {
-	VisitWrites(fn func(name string, val *bits.Vector))
+// Collect drains e into events that own their values (VisitWrites, each
+// lent value cloned), for a caller that keeps them past the engine's next
+// call. Its closure escapes through the interface call, so a caller that
+// drains every step binds a sink of its own once (transport.Host).
+func Collect(e Engine) []Event {
+	var evs []Event
+	e.VisitWrites(func(name string, val *bits.Vector) {
+		evs = append(evs, Event{Var: name, Val: val.Clone()})
+	})
+	return evs
 }
 
 // Forwarder is the optional ABI-forwarding capability (paper §4.3): an

@@ -37,7 +37,6 @@ type member struct {
 	e    *Engine
 	name string
 	eng  engine.Engine
-	vis  engine.WriteVisitor                 // eng's in-place drain, nil if it has none
 	sink func(name string, val *bits.Vector) // deliver, bound once: a method value per drain would allocate
 	outs []fanout
 
@@ -110,13 +109,7 @@ func (g *member) visit() {
 		fn = missedWrite
 	}
 	g.drained = true
-	if g.vis != nil {
-		g.vis.VisitWrites(fn)
-		return
-	}
-	for _, ev := range g.eng.DrainWrites() {
-		fn(ev.Var, ev.Val)
-	}
+	g.eng.VisitWrites(fn)
 }
 
 func missedWrite(name string, _ *bits.Vector) {
@@ -143,7 +136,7 @@ type Engine struct {
 
 	// Change-tracking for the group-internal routing (drainGroup),
 	// separate from the core's for the runtime-facing data plane
-	// (DrainWrites): an internal delivery must not hide a change from the
+	// (VisitWrites): an internal delivery must not hide a change from the
 	// runtime.
 	lastInt engine.Outputs
 	// stale: the user logic's outputs may have moved since drainGroup
@@ -244,25 +237,16 @@ func (e *Engine) Read(ev engine.Event) {
 	}
 }
 
-// VisitWrites implements engine.WriteVisitor: one bus read per changed
-// output.
+// VisitWrites implements engine.Engine: one bus read per changed output.
 func (e *Engine) VisitWrites(fn func(name string, val *bits.Vector)) {
-	e.billReads(e.VisitChanged(fn))
-}
-
-// DrainWrites implements engine.Engine, billed as VisitWrites is.
-func (e *Engine) DrainWrites() []engine.Event {
-	evs := e.Core.DrainWrites()
-	e.billReads(len(evs))
-	return evs
-}
-
-func (e *Engine) billReads(changed int) {
-	if n := uint64(changed); n > 0 {
+	if n := uint64(e.VisitChanged(fn)); n > 0 {
 		e.msgs += n
 		e.dev.CountRead(n)
 	}
 }
+
+// DrainWrites implements engine.Engine.
+func (e *Engine) DrainWrites() []engine.Event { return engine.Collect(e) }
 
 // ThereAreEvals implements engine.Engine, answering for forwarded
 // components as well (ABI forwarding, paper §4.3).
@@ -383,7 +367,6 @@ func (e *Engine) Forward(name string, inner engine.Engine) {
 	}
 	g.touch()
 	g.eng = inner
-	g.vis, _ = inner.(engine.WriteVisitor)
 }
 
 // ForwardWire registers a data-plane route internal to the forward
@@ -458,7 +441,7 @@ func (g *member) deliver(name string, val *bits.Vector) {
 // user logic's wired outputs that changed value, then the pending writes
 // of every component called since its last drain. Nothing here allocates
 // or bills; with no group it touches nothing, so it never interferes
-// with the runtime-facing DrainWrites tracking.
+// with the runtime-facing VisitWrites tracking.
 func (e *Engine) drainGroup() {
 	if e.stale {
 		e.stale = false

@@ -13,6 +13,7 @@ import (
 	"cascade/internal/engine"
 	"cascade/internal/engine/sweng"
 	"cascade/internal/fpga"
+	"cascade/internal/golden"
 	"cascade/internal/ir"
 	"cascade/internal/netlist"
 	"cascade/internal/stdlib"
@@ -99,7 +100,7 @@ func TestLockStepTickAndBilling(t *testing.T) {
 			}
 		}
 		e.EndStep()
-		e.DrainWrites()
+		engine.Collect(e)
 	}
 	if msgs := e.MsgsDelta(); msgs == 0 {
 		t.Fatal("lock-step interaction should cost bus messages")
@@ -376,7 +377,7 @@ func (r *rig) step() {
 		sched, paths = append(sched, r.root), append(paths, ir.RootPath)
 	}
 	route := func(i int) {
-		evs := sched[i].DrainWrites()
+		evs := engine.Collect(sched[i])
 		if sched[i] == r.root {
 			r.note(evs)
 		}
@@ -517,7 +518,7 @@ func TestForwardGroupEquivalence(t *testing.T) {
 				if done == 0 {
 					t.Fatalf("open loop made no progress at step %d", total)
 				}
-				open.note(hw.DrainWrites())
+				open.note(engine.Collect(hw))
 				for i := 0; i < done; i++ {
 					lock.step()
 					soft.step()
@@ -541,9 +542,9 @@ func TestForwardGroupEquivalence(t *testing.T) {
 	}
 }
 
-// billing drives a fixed script over the regex group and returns the
-// engine's cycle and message deltas after each stage.
-func billing(t *testing.T) [][2]uint64 {
+// billing drives a fixed script over the regex group and renders the
+// engine's cycle and message deltas after each stage, one line per stage.
+func billing(t *testing.T) string {
 	src, feed := regexGroup(t, 300)
 	d := lower(t, src)
 	r := newRig(t, d, feed)
@@ -552,8 +553,10 @@ func billing(t *testing.T) [][2]uint64 {
 		t.Fatal(err)
 	}
 	r.root = hw
-	var got [][2]uint64
-	mark := func() { got = append(got, [2]uint64{hw.CyclesDelta(), hw.MsgsDelta()}) }
+	var sb strings.Builder
+	mark := func(stage string) {
+		fmt.Fprintf(&sb, "%s: cycles=%d msgs=%d\n", stage, hw.CyclesDelta(), hw.MsgsDelta())
+	}
 	settle := func() {
 		for {
 			if hw.ThereAreEvals() {
@@ -565,27 +568,27 @@ func billing(t *testing.T) [][2]uint64 {
 			}
 		}
 		hw.EndStep()
-		hw.DrainWrites()
+		engine.Collect(hw)
 	}
 	// Lock-step, nothing forwarded: ten ticks driven through Read.
 	for i := 0; i < 20; i++ {
 		hw.Read(engine.Event{Var: d.clk, Val: bits.FromUint64(1, uint64(1-i%2))})
 		settle()
 	}
-	mark()
+	mark("lock-step, 10 ticks")
 	hw.SetState(hw.GetState())
-	mark()
+	mark("state round trip")
 	// Forwarded lock-step, then open loop to $finish.
 	r2, fw := forwarded(t, d, feed)
 	hw = fw
 	for i := 0; i < 40; i++ {
 		r2.step()
 	}
-	mark()
+	mark("forwarded lock-step, 40 steps")
 	for _, n := range []int{2, 64, 7, 200} {
 		hw.OpenLoop(d.clk, n)
-		hw.DrainWrites()
-		mark()
+		engine.Collect(hw)
+		mark(fmt.Sprintf("open loop, %d iterations", n))
 	}
 	for i := 0; i < 100 && !hw.Finished(); i++ {
 		hw.OpenLoop(d.clk, 1000) // returns at every $display
@@ -593,20 +596,17 @@ func billing(t *testing.T) [][2]uint64 {
 	if !hw.Finished() {
 		t.Fatal("script did not reach $finish")
 	}
-	mark()
-	return got
+	mark("open loop to $finish")
+	return sb.String()
 }
 
 // TestBillingGolden pins the cycles and messages the fabric model bills
-// for a fixed script. The numbers were recorded with the interpreted
-// netlist.Machine as the executor: billing comes from the engine's own
-// counters and must not move with the executor or the data plane.
+// for a fixed script (testdata/TestBillingGolden). The record was made
+// with the interpreted netlist.Machine as the executor: billing comes from
+// the engine's own counters and must not move with the executor or the
+// data plane.
 func TestBillingGolden(t *testing.T) {
-	want := [][2]uint64{{40, 152}, {0, 40}, {121, 386}, {3, 1}, {15, 2}, {9, 1}, {36, 2}, {777, 6}}
-	got := billing(t)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("billing moved:\n got %v\nwant %v", got, want)
-	}
+	golden.Check(t, "regex-group", billing(t))
 }
 
 // TestSetStateInvalidatesCompiledSensitivity: a state installed from
@@ -628,7 +628,7 @@ func TestSetStateInvalidatesCompiledSensitivity(t *testing.T) {
 		}
 	}
 	tick() // consumes the full pass every fresh engine starts with
-	if got := e.DrainWrites(); len(got) != 1 || got[0].Val.Uint64() != 2 {
+	if got := engine.Collect(e); len(got) != 1 || got[0].Val.Uint64() != 2 {
 		t.Fatalf("after one tick: %v", got)
 	}
 	st := e.GetState()
@@ -638,7 +638,7 @@ func TestSetStateInvalidatesCompiledSensitivity(t *testing.T) {
 		t.Fatal("a replaced state must schedule evaluation")
 	}
 	e.Evaluate()
-	if got := e.DrainWrites(); len(got) != 1 || got[0].Var != "led__val" || got[0].Val.Uint64() != 0x20 {
+	if got := engine.Collect(e); len(got) != 1 || got[0].Var != "led__val" || got[0].Val.Uint64() != 0x20 {
 		t.Fatalf("led__val did not follow the installed state: %v", got)
 	}
 	tick()
@@ -668,8 +668,7 @@ func TestOpenLoopBurstAllocFree(t *testing.T) {
 // it: polls, drains, and every other call.
 type counted struct {
 	engine.Engine
-	vis engine.WriteVisitor
-	n   *memberCalls
+	n *memberCalls
 }
 
 type memberCalls struct{ polls, drains, calls int }
@@ -678,7 +677,7 @@ func (c counted) ThereAreEvals() bool   { c.n.polls++; return c.Engine.ThereAreE
 func (c counted) ThereAreUpdates() bool { c.n.polls++; return c.Engine.ThereAreUpdates() }
 func (c counted) VisitWrites(fn func(string, *bits.Vector)) {
 	c.n.drains++
-	c.vis.VisitWrites(fn)
+	c.Engine.VisitWrites(fn)
 }
 func (c counted) Read(ev engine.Event) { c.n.calls++; c.Engine.Read(ev) }
 func (c counted) Evaluate()            { c.n.calls++; c.Engine.Evaluate() }
@@ -703,7 +702,7 @@ func TestForwardGroupCallsPerStep(t *testing.T) {
 	r, hw := forwarded(t, d, bytes.Repeat([]byte("GET /x.php "), 64))
 	var n memberCalls
 	for i, s := range d.d.StdSubs() {
-		hw.Forward(s.Path, counted{r.std[i], r.std[i].(engine.WriteVisitor), &n})
+		hw.Forward(s.Path, counted{r.std[i], &n})
 	}
 	for i := 0; i < 40; i++ {
 		r.step()

@@ -2,7 +2,7 @@ package engine
 
 import "cascade/internal/bits"
 
-// Outputs detects output changes by value, for an engine's DrainWrites:
+// Outputs detects output changes by value, for an engine's VisitWrites:
 // it retains the value last reported for each output, by position in the
 // subprogram's output list, and allocates only the first time it sees an
 // output. An output never reported counts as changed, which is what

@@ -75,8 +75,8 @@ func (e *Engine) Read(ev engine.Event) {
 	e.s.SetInputByName(ev.Var, ev.Val)
 }
 
-// VisitWrites implements engine.WriteVisitor: fn sees every output port
-// whose value changed since the last drain, lent from the simulator.
+// VisitWrites implements engine.Engine: fn sees every output port whose
+// value changed since the last drain, lent from the simulator.
 func (e *Engine) VisitWrites(fn func(name string, val *bits.Vector)) {
 	for i, v := range e.flat.Outputs {
 		if cur := e.s.VarValue(v); e.outs.Changed(i, cur) {
@@ -85,15 +85,8 @@ func (e *Engine) VisitWrites(fn func(name string, val *bits.Vector)) {
 	}
 }
 
-// DrainWrites implements engine.Engine: VisitWrites, collected into
-// events that own their values.
-func (e *Engine) DrainWrites() []engine.Event {
-	var evs []engine.Event
-	e.VisitWrites(func(name string, val *bits.Vector) {
-		evs = append(evs, engine.Event{Var: name, Val: val.Clone()})
-	})
-	return evs
-}
+// DrainWrites implements engine.Engine.
+func (e *Engine) DrainWrites() []engine.Event { return engine.Collect(e) }
 
 // ThereAreEvals implements engine.Engine.
 func (e *Engine) ThereAreEvals() bool { return e.s.HasActive() }

@@ -74,7 +74,7 @@ func TestEngineABILifecycle(t *testing.T) {
 		tick(e)
 	}
 	// Outputs broadcast only when changed.
-	evs := e.DrainWrites()
+	evs := engine.Collect(e)
 	found := false
 	for _, ev := range evs {
 		if ev.Var == "q" {
@@ -84,7 +84,7 @@ func TestEngineABILifecycle(t *testing.T) {
 	if !found {
 		t.Fatalf("q not broadcast: %v", evs)
 	}
-	if len(e.DrainWrites()) != 0 {
+	if len(engine.Collect(e)) != 0 {
 		t.Fatal("unchanged outputs re-broadcast")
 	}
 	if !strings.Contains(io.out.String(), "six at") {

@@ -162,7 +162,7 @@ func (r *rig) run(rnd *rand.Rand, n int) {
 			}
 		}
 		e.EndStep()
-		e.DrainWrites()
+		engine.Collect(e)
 	}
 }
 

@@ -119,16 +119,6 @@ func (c *Core) VisitChanged(fn func(name string, val *bits.Vector)) (n int) {
 	return n
 }
 
-// DrainWrites implements engine.Engine: VisitChanged, collected into
-// events that own their values.
-func (c *Core) DrainWrites() []engine.Event {
-	var evs []engine.Event
-	c.VisitChanged(func(name string, val *bits.Vector) {
-		evs = append(evs, engine.Event{Var: name, Val: val.Clone()})
-	})
-	return evs
-}
-
 // Monitors re-evaluates the $monitor units (the machine's end-of-step),
 // capturing changed lines for the next FlushTasks.
 func (c *Core) Monitors() { c.m.EndStep() }

@@ -14,7 +14,7 @@ import (
 // reports engine.Software — the native tier is still the CPU — so the
 // runtime's phase logic (software/inlined until the fabric is ready)
 // is untouched by its presence. Name, GetState (no bus billing: same
-// heap), SetState, DrainWrites and Update are the core's own.
+// heap), SetState and Update are the core's own.
 type Engine struct {
 	Core
 	lastMOps uint64
@@ -35,8 +35,11 @@ func (e *Engine) Loc() engine.Location { return engine.Software }
 // Read implements engine.Engine.
 func (e *Engine) Read(ev engine.Event) { e.Input(ev) }
 
-// VisitWrites implements engine.WriteVisitor (same heap: nothing billed).
+// VisitWrites implements engine.Engine (same heap: nothing billed).
 func (e *Engine) VisitWrites(fn func(name string, val *bits.Vector)) { e.VisitChanged(fn) }
+
+// DrainWrites implements engine.Engine.
+func (e *Engine) DrainWrites() []engine.Event { return engine.Collect(e) }
 
 // ThereAreEvals implements engine.Engine.
 func (e *Engine) ThereAreEvals() bool { return e.HasActive() }

@@ -3,10 +3,10 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"testing"
 
+	"cascade/internal/golden"
 	"cascade/internal/proto"
 	"cascade/internal/supervise"
 	"cascade/internal/transport"
@@ -37,7 +37,7 @@ func counters(name string, mods ...[4]int) vgen.Script {
 
 // frozen are the four programs the remote ledger was pinned on — what the
 // generator this package used to keep produced for seeds 0 to 3 — spelled
-// out, so the digests below need no re-pinning (and hold the spelling to
+// out, so the pinned records need no re-pinning (and hold the spelling to
 // the text they were recorded over).
 var frozen = []vgen.Script{
 	counters("seed0", [4]int{8, 249, 5, 1}, [4]int{5, 15, 1, 1}),
@@ -46,47 +46,36 @@ var frozen = []vgen.Script{
 	counters("seed3", [4]int{6, 32, 7, 0}, [4]int{8, 172, 3, 1}, [4]int{6, 34, 5, 1}),
 }
 
-// ledgerAtParent holds, for frozen[seed] hosted on a loopback
-// daemon at a lane count and with the daemon's JIT off or on, the FNV-64a
-// digest of Stats().Time printed after each of 48 ticks — recorded at the
-// commit before remote lock-step went by the round (PR 18, ef86e99), when
-// every ABI call was its own frame. The virtual ledger prices ABI calls,
-// not frames, so it must not have moved; more than one lane is what
-// exposes a Read's cost settled in the wrong batch (makespan is not
-// additive), the JIT what exposes a Read delivered on the wrong side of
-// the receiver's promotion.
-var ledgerAtParent = map[[2]int64]map[bool]uint64{
-	{0, 1}: {false: 0x696de2d7ecd659d1, true: 0x79564aafdd203dda},
-	{0, 2}: {false: 0x9b8c2491807cc98b, true: 0xd242d90439455270},
-	{0, 8}: {false: 0x9b8c2491807cc98b, true: 0xd76cdf7161fadde8},
-	{1, 1}: {false: 0x5deb7a6d19022cae, true: 0xa91afa6be7441c2f},
-	{1, 2}: {false: 0xbc57326a04f51fa0, true: 0x921ff8bf52822d59},
-	{1, 8}: {false: 0xde9594dc04d8deaa, true: 0xa1f5902c05a0ba66},
-	{2, 1}: {false: 0x31c8e89ae358e75e, true: 0xbd82d54dee3a939e},
-	{2, 2}: {false: 0x766d19e6ee0c6d18, true: 0x4e6de9b5c1db3a44},
-	{2, 8}: {false: 0x11d55d3586c2e254, true: 0x45a30d7fa13b976},
-	{3, 1}: {false: 0x31c8e89ae358e75e, true: 0xbd82d54dee3a939e},
-	{3, 2}: {false: 0x766d19e6ee0c6d18, true: 0x4e6de9b5c1db3a44},
-	{3, 8}: {false: 0x11d55d3586c2e254, true: 0x45a30d7fa13b976},
-}
-
+// TestRemoteLedgerPinned: frozen[seed] hosted on a loopback daemon, at a
+// lane count and with the daemon's JIT off or on, prints Stats().Time
+// after each of 48 ticks into testdata/TestRemoteLedgerPinned, one line
+// per tick. The records are the ones of the commit before remote
+// lock-step went by the round (commit ef86e99), when every ABI call was
+// its own frame. The virtual ledger prices ABI calls, not frames, so it
+// must not have moved; more than one lane is what exposes a Read's cost
+// settled in the wrong batch (makespan is not additive), the JIT what
+// exposes a Read delivered on the wrong side of the receiver's promotion.
 func TestRemoteLedgerPinned(t *testing.T) {
-	for key, want := range ledgerAtParent {
-		for jit, digest := range want {
-			seed, par := key[0], int(key[1])
-			r := newTestRuntime(t, Options{View: &BufView{Quiet: true}, Parallelism: par,
-				Features: Features{DisableInline: true, DisableJIT: !jit},
-				Remote:   &RemoteOptions{Addr: newTestDaemon(t, "", jit).addr}})
-			r.MustEval(frozen[seed].Steps[0].Src)
-			h := fnv.New64a()
-			for i := 0; i < 48; i++ {
-				r.RunTicks(1)
-				fmt.Fprintf(h, "%+v\n", r.Stats().Time)
-			}
-			r.CloseRemote()
-			if got := h.Sum64(); got != digest {
-				t.Errorf("seed %d, %d lanes, daemon jit %v: ledger digest %#x, at the parent %#x",
-					seed, par, jit, got, digest)
+	for seed := range frozen {
+		for _, par := range []int{1, 2, 8} {
+			for _, jit := range []bool{false, true} {
+				name := fmt.Sprintf("seed%d-lanes%d-nojit", seed, par)
+				if jit {
+					name = fmt.Sprintf("seed%d-lanes%d-jit", seed, par)
+				}
+				t.Run(name, func(t *testing.T) {
+					r := newTestRuntime(t, Options{View: &BufView{Quiet: true}, Parallelism: par,
+						Features: Features{DisableInline: true, DisableJIT: !jit},
+						Remote:   &RemoteOptions{Addr: newTestDaemon(t, "", jit).addr}})
+					r.MustEval(frozen[seed].Steps[0].Src)
+					var sb strings.Builder
+					for i := 0; i < 48; i++ {
+						r.RunTicks(1)
+						fmt.Fprintf(&sb, "%+v\n", r.Stats().Time)
+					}
+					r.CloseRemote()
+					golden.Check(t, name, sb.String())
+				})
 			}
 		}
 	}

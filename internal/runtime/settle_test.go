@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"hash/fnv"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -11,6 +10,7 @@ import (
 
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
+	"cascade/internal/golden"
 	"cascade/internal/obsv"
 	"cascade/internal/toolchain"
 	"cascade/internal/vclock"
@@ -184,36 +184,18 @@ func failover(feats Features) func(t *testing.T) *settled {
 	}
 }
 
-// settledAtParent is the FNV-64a digest of each script's record at the
-// commit before engine moves were settled in one place (PR 20, bc8feb2),
-// when promote, demote, failoverRemote, rehostRemote and install each
-// billed, counted and reported their own.
-var settledAtParent = map[string]uint64{
-	"ladder":          0xf151c577afc66df0,
-	"evict-lockstep":  0x19d5e6b74c21aed,
-	"evict-forwarded": 0x2ad235e751a8fc35,
-	"evict-openloop":  0x1e592ca4c875d437,
-	"native-demotion": 0x73a25f3183a69a5d,
-	"shed":            0xfbd02f4307934c19,
-	"transient":       0xf3dc85d06e5b35bc,
-	"no-room":         0x3de658ca3b66168b,
-	"failover":        0xf27d22dd062e2b39,
-	"failover-native": 0x8b714100d003fa38,
-}
-
 // TestSettleLedgerPinned: what a move costs, counts, prints and leaves
-// owed did not change when it came to be decided in Runtime.settle.
+// owed, one script per record in testdata/TestSettleLedgerPinned. The
+// records are the ones of the commit before engine moves were settled in
+// one place (commit bc8feb2), when promote, demote, failoverRemote,
+// rehostRemote and install each billed, counted and reported their own.
 func TestSettleLedgerPinned(t *testing.T) {
 	for _, sc := range settleScripts {
 		t.Run(sc.name, func(t *testing.T) {
 			s := sc.run(t)
 			rec := s.record()
 			s.r.Shutdown() // every engine left takes its teardown row
-			h := fnv.New64a()
-			h.Write([]byte(rec))
-			if got := h.Sum64(); got != settledAtParent[sc.name] {
-				t.Errorf("record digest %#x, at the parent %#x:\n%s", got, settledAtParent[sc.name], rec)
-			}
+			golden.Check(t, sc.name, rec)
 		})
 	}
 }

@@ -48,7 +48,7 @@ func (b *base) Name() string { return b.path }
 // on the fabric as soon as they are instantiated (paper §4.3).
 func (b *base) Loc() engine.Location { return engine.Hardware }
 
-// VisitWrites implements engine.WriteVisitor.
+// VisitWrites implements engine.Engine.
 func (b *base) VisitWrites(fn func(name string, val *bits.Vector)) {
 	dirty := b.dirty
 	b.dirty = 0
@@ -59,16 +59,13 @@ func (b *base) VisitWrites(fn func(name string, val *bits.Vector)) {
 	}
 }
 
-// DrainWrites emits changed outputs.
+// DrainWrites implements engine.Engine. A quiescent component answers
+// without building the collector.
 func (b *base) DrainWrites() []engine.Event {
 	if b.dirty == 0 {
 		return nil
 	}
-	var evs []engine.Event
-	b.VisitWrites(func(name string, val *bits.Vector) {
-		evs = append(evs, engine.Event{Var: name, Val: val.Clone()})
-	})
-	return evs
+	return engine.Collect(b)
 }
 
 // Default no-op ABI pieces, overridden where needed.

@@ -39,7 +39,7 @@ func step(engines ...engine.Engine) {
 
 func drainVal(t *testing.T, e engine.Engine, name string) (uint64, bool) {
 	t.Helper()
-	for _, ev := range e.DrainWrites() {
+	for _, ev := range engine.Collect(e) {
 		if ev.Var == name {
 			return ev.Val.Uint64(), true
 		}
@@ -49,7 +49,7 @@ func drainVal(t *testing.T, e engine.Engine, name string) (uint64, bool) {
 
 func TestClockTogglesOncePerStep(t *testing.T) {
 	c := NewClock("main.clk")
-	c.DrainWrites() // initial broadcast
+	engine.Collect(c) // initial broadcast
 	want := uint64(1)
 	for i := 0; i < 6; i++ {
 		step(c)
@@ -102,7 +102,7 @@ func TestQuiescentDrainAllocFree(t *testing.T) {
 func TestPadSamplesWorldBetweenSteps(t *testing.T) {
 	w := NewWorld()
 	p := NewPad("main.pad", 4, w)
-	p.DrainWrites()
+	engine.Collect(p)
 	w.PressPad("main.pad", 0b1010)
 	if v, changed := drainVal(t, p, "val"); changed {
 		t.Fatalf("pad changed mid-step: %d", v)
@@ -116,7 +116,7 @@ func TestPadSamplesWorldBetweenSteps(t *testing.T) {
 func TestResetLine(t *testing.T) {
 	w := NewWorld()
 	r := NewReset("main.rst", w)
-	r.DrainWrites()
+	engine.Collect(r)
 	w.SetReset("main.rst", true)
 	step(r)
 	if v, changed := drainVal(t, r, "val"); !changed || v != 1 {
@@ -152,7 +152,7 @@ func TestLedTrace(t *testing.T) {
 
 func TestMemorySampleThenCommit(t *testing.T) {
 	m := NewMemory("main.mem", 4, 16)
-	m.DrainWrites()
+	engine.Collect(m)
 	// Drive a write and a read of the same address.
 	m.Read(engine.Event{Var: "waddr", Val: bits.FromUint64(4, 3)})
 	m.Read(engine.Event{Var: "wdata", Val: bits.FromUint64(16, 0xbeef)})
@@ -188,7 +188,7 @@ func TestMemoryOneWritePerTick(t *testing.T) {
 func TestFIFOHostRoundTrip(t *testing.T) {
 	w := NewWorld()
 	f := NewFIFO("main.fifo", 8, 4, w)
-	f.DrainWrites()
+	engine.Collect(f)
 	w.Stream("main.fifo").Push(11, 22, 33)
 	step(f) // refill happens at EndStep
 	if v, changed := drainVal(t, f, "rdata"); !changed || v != 11 {

@@ -212,7 +212,7 @@ func clock(e engine.Engine, n int) {
 			}
 		}
 		e.EndStep()
-		e.DrainWrites()
+		engine.Collect(e)
 	}
 }
 

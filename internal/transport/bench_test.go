@@ -18,7 +18,7 @@ func stepOnce(e engine.Engine, clk uint64) {
 		e.Update()
 	}
 	e.EndStep()
-	e.DrainWrites()
+	engine.Collect(e)
 }
 
 // BenchmarkEngineDirect is the baseline: the bare engine, direct method

@@ -53,8 +53,7 @@ type Client struct {
 	// batch dispatched it on, joined before the controller goes on — and
 	// read between steps, so a plain increment, not a locked one, per call.
 	local  engine.Engine
-	vis    engine.WriteVisitor // local's in-place drain, nil if it has none
-	fastRT uint64              // fast-path round-trips (for Stats)
+	fastRT uint64 // fast-path round-trips (for Stats)
 
 	// link is the daemon link a hosted client was spawned on (nil for a
 	// lone client): Read queues on it, and its rounds leave the client's
@@ -91,14 +90,12 @@ func (c *Client) SetObserver(o *obsv.Observer) {
 // NewLocalClient wraps a pre-built in-process engine in a Client: no
 // transport, no protocol message. onErr may be nil.
 func NewLocalClient(e engine.Engine, onErr func(error)) *Client {
-	c := &Client{
+	return &Client{
 		name:  e.Name(),
 		loc:   e.Loc(),
 		onErr: onErr,
 		local: e,
 	}
-	c.vis, _ = e.(engine.WriteVisitor)
-	return c
 }
 
 // SpawnSpec describes a subprogram to instantiate on a remote host.
@@ -198,7 +195,6 @@ func (c *Client) SwapLocal(e engine.Engine) {
 		panic("transport: SwapLocal on a remote client")
 	}
 	c.local = e
-	c.vis, _ = e.(engine.WriteVisitor)
 	c.loc = e.Loc()
 }
 
@@ -410,39 +406,30 @@ func (c *Client) Read(ev engine.Event) {
 	})
 }
 
-// DrainWrites implements engine.Engine.
-func (c *Client) DrainWrites() []engine.Event {
+// VisitWrites implements engine.Engine: one round trip, none when a round
+// already drained the engine. A local engine lends its live values; a
+// remote reply's events are lent until the client's next call or its
+// link's next frame.
+func (c *Client) VisitWrites(fn func(name string, val *bits.Vector)) {
 	if c.local != nil {
 		c.fastRT++
-		return c.local.DrainWrites()
-	}
-	if c.drained {
-		// The round that ran the engine drained it in the same frame.
-		c.drained = false
-		return c.drain
-	}
-	rep := c.call(proto.KindDrainWrites, nil)
-	if rep == nil {
-		return nil
-	}
-	return rep.Events
-}
-
-// VisitWrites implements engine.WriteVisitor: DrainWrites without the
-// event slice, and the same one round trip (none when a round already
-// drained the engine). A local engine's own visitor lends its live
-// values; a remote reply's events are lent until the client's next call
-// or its link's next frame.
-func (c *Client) VisitWrites(fn func(name string, val *bits.Vector)) {
-	if c.vis != nil {
-		c.fastRT++
-		c.vis.VisitWrites(fn)
+		c.local.VisitWrites(fn)
 		return
 	}
-	for _, ev := range c.DrainWrites() {
+	var evs []engine.Event
+	if c.drained {
+		// The round that ran the engine drained it in the same frame.
+		c.drained, evs = false, c.drain
+	} else if rep := c.call(proto.KindDrainWrites, nil); rep != nil {
+		evs = rep.Events
+	}
+	for _, ev := range evs {
 		fn(ev.Var, ev.Val)
 	}
 }
+
+// DrainWrites implements engine.Engine.
+func (c *Client) DrainWrites() []engine.Event { return engine.Collect(c) }
 
 // ThereAreEvals implements engine.Engine.
 func (c *Client) ThereAreEvals() bool {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cascade/internal/bits"
 	"cascade/internal/elab"
 	"cascade/internal/engine"
 	"cascade/internal/fault"
@@ -118,6 +119,16 @@ type hosted struct {
 	io      *bufIO
 	now     atomic.Uint64 // $time feed, updated from request headers
 	session uint32
+
+	// A drain collects into out through keep, bound once into collect: a
+	// closure handed to VisitWrites per drain would allocate.
+	out     []engine.Event
+	collect func(name string, val *bits.Vector)
+}
+
+// keep is the engine's drain sink: the reply owns what it collects.
+func (hd *hosted) keep(name string, val *bits.Vector) {
+	hd.out = append(hd.out, engine.Event{Var: name, Val: val.Clone()})
 }
 
 // bufIO buffers an engine's IO events for piggybacking on replies.
@@ -291,7 +302,9 @@ func (h *Host) abi(hd *hosted, kind proto.Kind, in engine.Event, vnow uint64) (f
 	case proto.KindRead:
 		e.Read(in)
 	case proto.KindDrainWrites:
-		out = e.DrainWrites()
+		hd.out = nil
+		e.VisitWrites(hd.collect)
+		out = hd.out
 	case proto.KindThereAreEvals:
 		flag = e.ThereAreEvals()
 	case proto.KindEvaluate:
@@ -396,6 +409,7 @@ func (h *Host) spawn(req *proto.Request, rep *proto.Reply, forced uint32) {
 		return
 	}
 	hd := &hosted{io: &bufIO{}, session: req.Session}
+	hd.collect = hd.keep
 	dev, tenant := h.opts.Device, ""
 	if req.Session != 0 {
 		h.mu.Lock()

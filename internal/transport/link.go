@@ -84,7 +84,7 @@ func (c *Client) Link() *Link { return c.link }
 func (c *Client) Queued() bool { return c.queued }
 
 // Ran reports whether the link's last evals or updates round ran this
-// engine (its outputs then wait in DrainWrites / VisitWrites).
+// engine (its outputs then wait in VisitWrites).
 func (c *Client) Ran() bool { return c.ran }
 
 // queue is Read on a hosted client. The value is only lent

@@ -32,7 +32,7 @@ func driveSteps(e engine.Engine, ticks int) string {
 	var sb strings.Builder
 	for i := 0; i < 2*ticks; i++ {
 		collect := func() {
-			for _, ev := range e.DrainWrites() {
+			for _, ev := range engine.Collect(e) {
 				fmt.Fprintf(&sb, "%d:%s=%s;", i, ev.Var, ev.Val)
 			}
 		}
@@ -62,7 +62,7 @@ func driveRounds(l *Link, cs []*Client, ticks int) []string {
 	sbs := make([]strings.Builder, len(cs))
 	collect := func(i int) {
 		for k, c := range cs {
-			for _, ev := range c.DrainWrites() {
+			for _, ev := range engine.Collect(c) {
 				fmt.Fprintf(&sbs[k], "%d:%s=%s;", i, ev.Var, ev.Val)
 			}
 		}
@@ -331,7 +331,7 @@ func TestLostEngineLatches(t *testing.T) {
 	}
 	check := func(name string, c *Client, rec *recorder) {
 		t.Helper()
-		if c.ThereAreEvals() || c.ThereAreUpdates() || c.Ran() || c.DrainWrites() != nil {
+		if c.ThereAreEvals() || c.ThereAreUpdates() || c.Ran() || engine.Collect(c) != nil {
 			t.Errorf("%s: lost client is not inert", name)
 		}
 		c.Evaluate()

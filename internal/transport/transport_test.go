@@ -98,7 +98,7 @@ func drive(e engine.Engine, ticks int) (trace string, sig string) {
 			e.Update()
 		}
 		e.EndStep()
-		for _, ev := range e.DrainWrites() {
+		for _, ev := range engine.Collect(e) {
 			fmt.Fprintf(&sb, "%d:%s=%s;", i, ev.Var, ev.Val)
 		}
 	}
@@ -237,7 +237,7 @@ func TestTCPUnreachableLatches(t *testing.T) {
 	if c.Err() == nil {
 		t.Fatal("transport failure did not latch")
 	}
-	if c.ThereAreEvals() || c.ThereAreUpdates() || c.DrainWrites() != nil {
+	if c.ThereAreEvals() || c.ThereAreUpdates() || engine.Collect(c) != nil {
 		t.Error("latched client is not inert")
 	}
 	if st := c.GetState(); st == nil || len(st.Scalars) != 0 {

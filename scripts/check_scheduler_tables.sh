@@ -42,3 +42,14 @@ if [ -n "$hits" ]; then
     exit 1
 fi
 echo "check_scheduler_tables: the quiet-rule verify switch is set only by tests"
+
+# VisitWrites is the ABI's one drain: whatever keeps the events collects
+# them with engine.Collect. DrainWrites stays on engine.Engine only for
+# the benchmark module's layer replay (benchmark/layers.go).
+hits=$(grep -rnE --include='*.go' '\.DrainWrites\(\)|WriteVisitor' . | grep -v '_test\.go:' | grep -v '^\./benchmark/' || true)
+if [ -n "$hits" ]; then
+    echo "$hits"
+    echo "check_scheduler_tables: drain engines through VisitWrites (engine.Collect to keep the events)" >&2
+    exit 1
+fi
+echo "check_scheduler_tables: engines are drained through VisitWrites"

@@ -15,18 +15,47 @@ const maxUnroll = 1 << 16
 // params supplies final parameter overrides (already evaluated by the
 // caller); unknown names are an error.
 func Elaborate(mod *verilog.Module, instName string, params map[string]*bits.Vector) (*Flat, error) {
+	return ElaborateFrom(nil, mod, instName, params)
+}
+
+// ElaborateFrom is Elaborate for a module that shares item objects with
+// the one base was elaborated from (nil: none; base is only read). While
+// every parameter base bound has the same value, a unit whose source item
+// is the same object as one of base's, every variable of which it names
+// has the same name, width, reg-ness, array bounds and direction here,
+// elaborates to what it did in base — the AST is immutable — so its
+// elaboration is copied out of base instead (relocated; Flat.Relocated
+// counts them), and the rest is elaborated. The copy gets this flat's
+// variables: Var.Index is a position, and an edit moves most of them. The
+// result is the Flat Elaborate returns, error or not.
+func ElaborateFrom(base *Flat, mod *verilog.Module, instName string, params map[string]*bits.Vector) (*Flat, error) {
 	consts := map[string]*bits.Vector{} // the parameters: the flat's record of them is the elaborator's scope
+	nvars, nassigns, nprocs := len(mod.Ports), 0, 0
+	for _, it := range mod.Items {
+		switch x := it.(type) {
+		case *verilog.NetDecl:
+			nvars += len(x.Names)
+		case *verilog.ContAssign:
+			nassigns++
+		case *verilog.AlwaysBlock:
+			nprocs++
+		}
+	}
 	e := &elaborator{
 		flat: &Flat{
 			Name:     instName,
 			ModName:  mod.Name,
 			Params:   consts,
-			VarIndex: map[string]int{},
+			Vars:     make([]*Var, 0, nvars),
+			VarIndex: make(map[string]int, nvars),
+			Assigns:  make([]*ContAssign, 0, nassigns),
+			Procs:    make([]*Proc, 0, nprocs),
 			Source:   mod,
 		},
 		consts:   consts,
 		loopVars: map[string]*bits.Vector{},
-		assigned: map[*Var]*bits.Vector{},
+		vars:     make([]Var, nvars),
+		base:     base,
 	}
 	if err := e.run(mod, params); err != nil {
 		return nil, err
@@ -38,17 +67,37 @@ type elaborator struct {
 	flat     *Flat
 	consts   map[string]*bits.Vector // parameters and localparams
 	loopVars map[string]*bits.Vector // active for-loop bindings
-	assigned map[*Var]*bits.Vector   // continuous-assign markers
+	vars     []Var                   // declare's supply, one per port and declared name
+	driven   []bool                  // by Var.Index: has a continuous driver
+	widths   map[*verilog.Range]int  // rangeWidth's results (one scope per elaboration)
+
+	base  *Flat       // what ElaborateFrom relocates from (nil: none)
+	reloc *relocation // set once the parameters are known to extend base's
+
+	// naming counts the variables the unit being elaborated names
+	// (lookup): see settle.
+	naming  bool
+	lookups int
 
 	netInitAssigns []netInit // wire x = expr desugarings
 }
 
-// netInit is a net declaration assignment desugared to a continuous
+// netInit is a net declaration assignment, sugar for a continuous
 // assignment: the Ord-th name of declaration Src.
 type netInit struct {
-	a   *verilog.ContAssign
 	src *verilog.NetDecl
 	ord int
+}
+
+// assign is the continuous assignment the net declaration assignment
+// stands for.
+func (ni netInit) assign() *verilog.ContAssign {
+	dn := ni.src.Names[ni.ord]
+	return &verilog.ContAssign{
+		AssignPos: dn.NamePos,
+		LHS:       &verilog.Ident{IdentPos: dn.NamePos, Name: dn.Name},
+		RHS:       dn.Init,
+	}
 }
 
 func (e *elaborator) errf(pos verilog.Pos, format string, args ...any) error {
@@ -58,6 +107,9 @@ func (e *elaborator) errf(pos verilog.Pos, format string, args ...any) error {
 func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector) error {
 	if err := e.params(mod, overrides); err != nil {
 		return err
+	}
+	if e.base != nil && extends(e.base.Params, e.consts) {
+		e.reloc = newRelocation(e.base, e.flat)
 	}
 
 	// Ports become variables first, in header order.
@@ -102,11 +154,16 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 			}
 		}
 	}
+	e.driven = make([]bool, len(e.flat.Vars))
 
 	// Net declaration assignments collected by the first pass.
 	for _, ni := range e.netInitAssigns {
-		if err := e.contAssign(ni.a, ni.src, ni.ord); err != nil {
+		if ok, err := e.relocateAssign(ni.src, ni.ord, ni.src.Names[ni.ord].NamePos); err != nil {
 			return err
+		} else if !ok {
+			if err := e.contAssign(ni.assign(), ni.src, ni.ord); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -116,18 +173,30 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 		case *verilog.ParamDecl, *verilog.NetDecl:
 			// handled above
 		case *verilog.ContAssign:
-			if err := e.contAssign(x, x, 0); err != nil {
+			if ok, err := e.relocateAssign(x, 0, x.AssignPos); err != nil {
 				return err
+			} else if !ok {
+				if err := e.contAssign(x, x, 0); err != nil {
+					return err
+				}
 			}
 		case *verilog.AlwaysBlock:
+			if e.relocateProc(x) {
+				continue
+			}
 			if err := e.always(x); err != nil {
 				return err
 			}
 		case *verilog.InitialBlock:
+			if e.relocateInitial(x) {
+				continue
+			}
+			e.begin()
 			body, err := e.stmt(x.Body)
 			if err != nil {
 				return err
 			}
+			e.settle(x, refsInStmt(body))
 			if body != nil {
 				e.flat.Initials = append(e.flat.Initials, body)
 				e.flat.InitialItems = append(e.flat.InitialItems, x)
@@ -191,8 +260,47 @@ func (e *elaborator) params(mod *verilog.Module, overrides map[string]*bits.Vect
 	return nil
 }
 
+// begin starts counting the variables the next unit names.
+func (e *elaborator) begin() { e.naming, e.lookups = true, 0 }
+
+// settle ends the unit elaborated from src, whose elaboration refers to
+// variables refs times. Each reference is one name the unit resolved
+// (lookup), so if some name left no reference — folded away, a loop
+// variable unrolled into constants — the unit is opaque: its elaboration
+// does not show every variable whose shape it depends on, and relocation,
+// which checks the variables it shows, leaves it alone.
+func (e *elaborator) settle(src verilog.Item, refs int) {
+	e.naming = false
+	if refs != e.lookups {
+		if e.flat.opaque == nil {
+			e.flat.opaque = map[verilog.Item]bool{}
+		}
+		e.flat.opaque[src] = true
+	}
+}
+
+// lookup resolves a name to a variable of this module (nil: none),
+// counting it as one the unit being elaborated names.
+func (e *elaborator) lookup(name string) *Var {
+	v := e.flat.VarNamed(name)
+	if v != nil {
+		e.note()
+	}
+	return v
+}
+
+// note counts a variable the unit being elaborated names.
+func (e *elaborator) note() {
+	if e.naming {
+		e.lookups++
+	}
+}
+
 func (e *elaborator) declare(name string, width int, isReg bool, arrLen, arrLo int, init *bits.Vector, pos verilog.Pos) (*Var, error) {
-	if _, dup := e.flat.VarIndex[name]; dup {
+	// One hash: a refused declaration fails the whole elaboration, so the
+	// entry a duplicate overwrites is never read.
+	n := len(e.flat.VarIndex)
+	if e.flat.VarIndex[name] = len(e.flat.Vars); len(e.flat.VarIndex) == n {
 		return nil, e.errf(pos, "duplicate declaration of %s", name)
 	}
 	if _, dup := e.consts[name]; dup {
@@ -201,11 +309,11 @@ func (e *elaborator) declare(name string, width int, isReg bool, arrLen, arrLo i
 	if width < 1 {
 		return nil, e.errf(pos, "%s has non-positive width %d", name, width)
 	}
-	v := &Var{
+	v := &alloc(&e.vars, 1)[0]
+	*v = Var{
 		Name: name, Index: len(e.flat.Vars), Width: width, IsReg: isReg,
 		ArrayLen: arrLen, ArrayLo: arrLo, Init: init,
 	}
-	e.flat.VarIndex[name] = v.Index
 	e.flat.Vars = append(e.flat.Vars, v)
 	return v, nil
 }
@@ -225,6 +333,9 @@ func (f *Flat) refreshPortLists() {
 }
 
 func (e *elaborator) rangeWidth(r *verilog.Range, pos verilog.Pos) (int, error) {
+	if w, ok := e.widths[r]; ok {
+		return w, nil
+	}
 	hi, err := e.constExpr(r.Hi)
 	if err != nil {
 		return 0, err
@@ -240,10 +351,17 @@ func (e *elaborator) rangeWidth(r *verilog.Range, pos verilog.Pos) (int, error) 
 	if h < l || h > 1<<20 {
 		return 0, e.errf(pos, "invalid range [%d:%d]", h, l)
 	}
+	if e.widths == nil {
+		e.widths = map[*verilog.Range]int{}
+	}
+	e.widths[r] = h - l + 1
 	return h - l + 1, nil
 }
 
 func (e *elaborator) netDecl(d *verilog.NetDecl) error {
+	if ok, err := e.relocateDecl(d); ok || err != nil {
+		return err
+	}
 	width := 1
 	if d.Kind == verilog.Integer {
 		width = 32
@@ -293,17 +411,14 @@ func (e *elaborator) netDecl(d *verilog.NetDecl) error {
 		if dn.Init != nil && !isReg {
 			// A net declaration assignment (wire x = expr) is sugar for
 			// a continuous assignment; queue it for the behaviour pass.
-			e.netInitAssigns = append(e.netInitAssigns, netInit{a: &verilog.ContAssign{
-				AssignPos: dn.NamePos,
-				LHS:       &verilog.Ident{IdentPos: dn.NamePos, Name: dn.Name},
-				RHS:       dn.Init,
-			}, src: d, ord: ord})
+			e.netInitAssigns = append(e.netInitAssigns, netInit{src: d, ord: ord})
 		}
 	}
 	return nil
 }
 
 func (e *elaborator) contAssign(a *verilog.ContAssign, src verilog.Item, ord int) error {
+	e.begin()
 	lhs, err := e.lvalue(a.LHS)
 	if err != nil {
 		return err
@@ -327,6 +442,7 @@ func (e *elaborator) contAssign(a *verilog.ContAssign, src verilog.Item, ord int
 	}
 	widenContext(rhs, total)
 	e.flat.Assigns = append(e.flat.Assigns, &ContAssign{LHS: lhs, RHS: rhs, Src: src, Ord: ord})
+	e.settle(src, refsInLValues(lhs)+refsIn(rhs))
 	return nil
 }
 
@@ -335,14 +451,15 @@ func (e *elaborator) contAssign(a *verilog.ContAssign, src verilog.Item, ord int
 // combinational writer per variable, so the rule is enforced here where
 // the REPL's trial build can report it before integration.
 func (e *elaborator) checkAssignOverlap(lv LValue, pos verilog.Pos) error {
-	if _, dup := e.assigned[lv.Var]; dup {
+	if e.driven[lv.Var.Index] {
 		return e.errf(pos, "%s is driven by more than one continuous assignment", lv.Var.Name)
 	}
-	e.assigned[lv.Var] = bits.New(1)
+	e.driven[lv.Var.Index] = true
 	return nil
 }
 
 func (e *elaborator) always(a *verilog.AlwaysBlock) error {
+	e.begin()
 	p := &Proc{Star: a.Star, Src: a}
 	for _, ev := range a.Events {
 		x, err := e.expr(ev.Expr)
@@ -368,6 +485,7 @@ func (e *elaborator) always(a *verilog.AlwaysBlock) error {
 	}
 	p.Body = body
 	p.Reads = readSet(body)
+	e.settle(a, len(p.Edges)+refsInStmt(body))
 	// Validate driver classes: edge-triggered procs write regs (checked at
 	// assignment resolution); here only note the proc drives its targets.
 	e.flat.Procs = append(e.flat.Procs, p)
@@ -593,7 +711,7 @@ func (e *elaborator) unrollFor(x *verilog.For) (Stmt, error) {
 		return nil, e.errf(x.ForPos, "for-loop variable must be a simple identifier")
 	}
 	name := ident.Name
-	lv := e.flat.VarNamed(name)
+	lv := e.lookup(name)
 	if lv == nil {
 		return nil, e.errf(x.ForPos, "for-loop variable %s is not declared", name)
 	}
@@ -694,7 +812,7 @@ func (e *elaborator) lvalue(x verilog.Expr) ([]LValue, error) {
 		}
 		return out, nil
 	case *verilog.Ident:
-		v := e.flat.VarNamed(t.Name)
+		v := e.lookup(t.Name)
 		if v == nil {
 			return nil, e.errf(t.IdentPos, "assignment to undeclared variable %s", t.Name)
 		}
@@ -707,7 +825,7 @@ func (e *elaborator) lvalue(x verilog.Expr) ([]LValue, error) {
 		if !ok {
 			return nil, e.errf(t.LPos, "assignment target must be a simple variable select")
 		}
-		v := e.flat.VarNamed(base.Name)
+		v := e.lookup(base.Name)
 		if v == nil {
 			return nil, e.errf(t.LPos, "assignment to undeclared variable %s", base.Name)
 		}
@@ -728,7 +846,7 @@ func (e *elaborator) lvalue(x verilog.Expr) ([]LValue, error) {
 		if !ok {
 			return nil, e.errf(t.LPos, "assignment target must be a simple variable select")
 		}
-		v := e.flat.VarNamed(base.Name)
+		v := e.lookup(base.Name)
 		if v == nil {
 			return nil, e.errf(t.LPos, "assignment to undeclared variable %s", base.Name)
 		}

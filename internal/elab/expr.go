@@ -40,7 +40,7 @@ func (e *elaborator) exprRaw(x verilog.Expr) (Expr, error) {
 		if cv, ok := e.consts[t.Name]; ok {
 			return &Const{V: cv}, nil
 		}
-		v := e.flat.VarNamed(t.Name)
+		v := e.lookup(t.Name)
 		if v == nil {
 			return nil, e.errf(t.IdentPos, "undeclared identifier %s", t.Name)
 		}
@@ -155,11 +155,12 @@ func (e *elaborator) index(t *verilog.Index) (Expr, error) {
 	if id, ok := t.X.(*verilog.Ident); ok {
 		if _, isLoop := e.loopVars[id.Name]; !isLoop {
 			if _, isConst := e.consts[id.Name]; !isConst {
-				v := e.flat.VarNamed(id.Name)
+				v := e.flat.VarNamed(id.Name) // a scalar is named below, by e.expr
 				if v == nil {
 					return nil, e.errf(id.IdentPos, "undeclared identifier %s", id.Name)
 				}
 				if v.IsArray() {
+					e.note()
 					idx, err := e.expr(t.Idx)
 					if err != nil {
 						return nil, err

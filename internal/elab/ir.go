@@ -8,6 +8,14 @@
 // internal/sim (software engines) and the synthesizer in internal/netlist
 // (hardware engines). Sharing one IR is what makes the cross-engine
 // equivalence property testable.
+//
+// An eval appends to a module the controller has elaborated before, so
+// ElaborateFrom elaborates a module given the Flat of its previous
+// version: each unit — net declaration, continuous assignment, always or
+// initial block — whose source item is the same object, under the same
+// parameter values, with every variable it names of the same shape, is
+// copied out of that Flat onto the new one's variables (relocated) instead
+// of elaborated again; the result is the Flat Elaborate returns.
 package elab
 
 import (
@@ -22,10 +30,10 @@ type Var struct {
 	Name     string
 	Index    int // position in Flat.Vars
 	Width    int
-	IsReg    bool
 	ArrayLen int // 0 for scalars; number of words for memories
 	ArrayLo  int // low bound of the unpacked range
 	Init     *bits.Vector
+	IsReg    bool // (the flags last: a Var fits 64 bytes)
 	IsInput  bool
 	IsOutput bool
 }
@@ -48,6 +56,12 @@ type Flat struct {
 	// InitialItems[i] is the initial block Initials[i] was elaborated from.
 	InitialItems []verilog.Item
 	Source       *verilog.Module
+	// Relocated counts the units ElaborateFrom copied out of its base: net
+	// declarations, continuous assignments (a declaration's initializers
+	// included), always and initial blocks.
+	Relocated int
+
+	opaque map[verilog.Item]bool // units relocation leaves alone (elaborator.settle)
 }
 
 // VarNamed returns the variable with the given name, or nil.

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"maps"
 	"slices"
 	"strings"
 
@@ -23,7 +24,9 @@ func Build(p *Program, reg Registry) (*Design, error) { return BuildFrom(nil, p,
 // to outputs by its parent (a later fragment reading e.acc changes e's
 // ports) splits into what it did before: the design holds prev's own
 // *SubProgram for it and for every instance below it, and their wires, in
-// Build's order. The root is always split afresh. prev is only read.
+// Build's order. The root is split again, but of each of its items that
+// prev's root had too it reuses what does not depend on the rest of the
+// root (splitMemo). prev is only read.
 func BuildFrom(prev *Design, p *Program, reg Registry) (*Design, error) {
 	b := &builder{prog: p, reg: reg, design: &Design{}, ranges: map[int]*verilog.Range{}}
 	if prev != nil {
@@ -31,6 +34,11 @@ func BuildFrom(prev *Design, p *Program, reg Registry) (*Design, error) {
 		for _, s := range prev.Subs {
 			b.prev[s.Path] = s
 		}
+		if root := b.prev[RootPath]; root != nil && root.memo != nil {
+			b.ranges = maps.Clone(root.memo.ranges)
+		}
+		b.design.Subs = make([]*SubProgram, 0, len(prev.Subs)+1)
+		b.design.Wires = make([]Wire, 0, len(prev.Wires)+4)
 	}
 	root := &verilog.Module{Name: RootPath, Items: p.RootItems}
 	if err := b.split(root, RootPath, nil, nil); err != nil {
@@ -54,10 +62,8 @@ func (b *builder) reusable(path string, ci *childInst) *SubProgram {
 	if old == nil || old.src != ci.mod || len(old.env) != len(ci.params) || len(old.extra) != len(ci.extraOutputs) {
 		return nil
 	}
-	for name, v := range ci.params {
-		if o := old.env[name]; o == nil || o.Width() != v.Width() || !o.Equal(v) {
-			return nil
-		}
+	if !sameEnv(old.env, ci.params) {
+		return nil
 	}
 	for name := range ci.extraOutputs {
 		if !old.extra[name] {
@@ -67,15 +73,182 @@ func (b *builder) reusable(path string, ci *childInst) *SubProgram {
 	return old
 }
 
-// childInst is a resolved instantiation inside one module.
-type childInst struct {
+// extendsEnv reports whether env binds every name of base to the same
+// value: a module that gained a parameter since its previous split. An
+// item of the previous split cannot name it — it would be a variable's
+// name, which elaboration refuses to declare — so its renaming for Inline
+// is what it was.
+func extendsEnv(base, env map[string]*bits.Vector) bool {
+	for name, v := range base {
+		if o := env[name]; o == nil || o.Width() != v.Width() || !o.Equal(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameEnv reports whether two constant environments bind the same names
+// to the same values.
+func sameEnv(a, b map[string]*bits.Vector) bool { return len(a) == len(b) && extendsEnv(a, b) }
+
+// instRes is an instantiation inside one module resolved: the module or
+// stdlib spec it names and its parameter values. It depends on the
+// instance, the declarations and the values of its overrides only.
+type instRes struct {
 	inst   *verilog.Instance
 	std    *StdSpec                // nil for user modules
 	mod    *verilog.Module         // nil for stdlib
 	params map[string]*bits.Vector // resolved child parameter values
 	header map[string]*bits.Vector // header-only subset (elab overrides)
-	// promotion bookkeeping
-	extraOutputs map[string]bool // child vars to promote to outputs
+}
+
+// childInst is a resolved instantiation in one split, with the child
+// variables this split promotes to outputs (hierarchical reads).
+type childInst struct {
+	*instRes
+	extraOutputs map[string]bool
+}
+
+// splitMemo is what split derived from each item of a module that does
+// not depend on the rest of it — parts[i] of items[i] — kept on the root
+// for the next split. An item the next root has at the same position is
+// the same source, so a body item keeps its hierarchical references and
+// their rewrites, and an instance whose resolution comes out the same
+// (same declaration, equal override values) keeps its connections:
+// promoted ports, assignments and wires. The items a fragment appends are
+// the only ones derived afresh.
+type splitMemo struct {
+	items []verilog.Item
+	parts []*itemSplit
+	// env is the module's constant environment, under which inlined (the
+	// root's items renamed for Inline) was renamed.
+	env    map[string]*bits.Vector
+	ranges map[int]*verilog.Range // the build's widthRanges
+}
+
+// itemSplit is the memo of one item: a body item's hierarchical
+// references, its rewrite onto the promoted ports and (the root's) that
+// renamed for Inline, nil for a parameter declaration, whose value Inline
+// substitutes — or an instance's split. An item none of which changes
+// anything has the memo plain.
+type itemSplit struct {
+	refs    []hierRef
+	mangled verilog.Item
+	inlined verilog.Item
+	inst    *instSplit
+}
+
+// plain is the memo of a body item with no hierarchical reference and no
+// parameter, which split and Inline take as it is.
+var plain = &itemSplit{}
+
+func (p *itemSplit) mangledOf(it verilog.Item) verilog.Item {
+	if p == plain {
+		return it
+	}
+	return p.mangled
+}
+
+func (p *itemSplit) inlinedOf(it verilog.Item) verilog.Item {
+	if p == plain {
+		return it
+	}
+	return p.inlined
+}
+
+// instSplit is the memo of an instance: its resolution, its path and its
+// connections (Figure 4).
+type instSplit struct {
+	res   *instRes
+	path  string
+	conns []*connSplit
+}
+
+// connSplit is one connection of an instance: the port the parent gains
+// for it (named inst__port after the child's port), of the width the
+// child's port has, its portDecl (the root's), the assignment that
+// drives or reads it, and the memo of that assignment.
+type connSplit struct {
+	port  *verilog.Port // its kind as first promoted
+	decl  *verilog.NetDecl
+	width int
+	asn   *verilog.ContAssign
+	item  *itemSplit
+}
+
+// wire is the data-plane wire of connection c of the instance is in the
+// module at path.
+func (c *connSplit) wire(path string, is *instSplit) Wire {
+	child := Endpoint{Sub: is.path, Port: c.port.Name[len(is.res.inst.Name)+2:]}
+	if c.port.Dir == verilog.Output { // the parent drives the child's input
+		return Wire{From: Endpoint{Sub: path, Port: c.port.Name}, To: child}
+	}
+	return Wire{From: child, To: Endpoint{Sub: path, Port: c.port.Name}}
+}
+
+// promo is a port a split adds to its module; port is the declaration
+// made for it, if any, its kind as first promoted, and decl its portDecl.
+type promo struct {
+	name  string
+	dir   verilog.PortDir
+	kind  verilog.NetKind
+	width int
+	port  *verilog.Port
+	decl  *verilog.NetDecl
+}
+
+// inlinedItems is the root's inlinedItems, out of the memo: its body
+// items, then its connections' assignments, renamed.
+func (m *splitMemo) inlinedItems() []verilog.Item {
+	out := make([]verilog.Item, 0, len(m.items))
+	for i, it := range m.items {
+		if m.parts[i].inst == nil {
+			if r := m.parts[i].inlinedOf(it); r != nil {
+				out = append(out, r)
+			}
+		}
+	}
+	for _, p := range m.parts {
+		if p.inst != nil {
+			for _, cs := range p.inst.conns {
+				out = append(out, cs.item.inlinedOf(cs.asn))
+			}
+		}
+	}
+	return out
+}
+
+// partOf returns the memo's part for mod's i-th item, if the memo has it.
+func (m *splitMemo) partOf(mod *verilog.Module, i int) *itemSplit {
+	if m == nil || i >= len(m.items) || m.items[i] != mod.Items[i] {
+		return nil
+	}
+	return m.parts[i]
+}
+
+// mangle rewrites hierarchical references to the mangled local names.
+func mangle(e verilog.Expr) verilog.Expr {
+	if h, ok := e.(*verilog.HierIdent); ok {
+		return &verilog.Ident{IdentPos: h.IdentPos, Name: strings.Join(h.Parts, "__")}
+	}
+	return e
+}
+
+// body derives a body item's memo, given the root's renamer (nil: not the
+// root).
+func body(it verilog.Item, rename exprRewriter) (*itemSplit, error) {
+	refs, err := collectHierRefs([]verilog.Item{it})
+	if err != nil {
+		return nil, err
+	}
+	part := &itemSplit{refs: refs, mangled: rewriteItem(it, mangle)}
+	if _, isParam := it.(*verilog.ParamDecl); rename != nil && !isParam {
+		part.inlined = rewriteItem(part.mangled, rename)
+	}
+	if refs == nil && part.mangled == it && (rename == nil || part.inlined == it) {
+		return plain, nil
+	}
+	return part, nil
 }
 
 // split transforms one module instance into a subprogram, recursing into
@@ -86,225 +259,189 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 		return err
 	}
 	firstWire := len(b.design.Wires)
+	var memo *splitMemo // (only the root keeps one: an edit only ever splits it again)
+	if old := b.prev[path]; old != nil && old.memo != nil && extendsEnv(old.memo.env, env) {
+		memo = old.memo
+	}
+	next := &splitMemo{items: mod.Items, parts: make([]*itemSplit, len(mod.Items)), env: env}
+	var rename exprRewriter // the root's items are renamed for Inline as they are split
+	if path == RootPath {
+		rename = substParams(env, nil)
+	}
 
-	// Resolve instances.
-	children := map[string]*childInst{}
-	var childOrder []string
-	var bodyItems []verilog.Item
+	// Resolve instances. An instance resolved as it was keeps its
+	// connections; one resolved anew is connected again below, handing out
+	// again the assignments it had (prev), where they are the same.
+	ninst := 0
 	for _, it := range mod.Items {
+		if _, ok := it.(*verilog.Instance); ok {
+			ninst++
+		}
+	}
+	kept := 0
+	children := make(map[string]*childInst, ninst)
+	childOrder := make([]*childInst, 0, ninst)
+	cis := make([]childInst, ninst)
+	var insts []*instSplit
+	var anew []bool              // per instance: connect it
+	var prevConns [][]*connSplit // per instance connected anew: its previous connections
+	for i, it := range mod.Items {
+		old := memo.partOf(mod, i)
 		inst, ok := it.(*verilog.Instance)
 		if !ok {
-			bodyItems = append(bodyItems, it)
+			next.parts[i] = old // derived below if new
 			continue
 		}
-		ci, err := b.resolveInstance(inst, env)
+		var prev *instSplit
+		var prevRes *instRes
+		if old != nil {
+			prev, prevRes = old.inst, old.inst.res
+		}
+		res, err := b.resolveInstance(inst, env, prevRes)
 		if err != nil {
 			return err
 		}
 		if _, dup := children[inst.Name]; dup {
 			return errf(inst.InstPos, "duplicate instance name %s", inst.Name)
 		}
+		ci := &cis[len(childOrder)]
+		ci.instRes = res
 		children[inst.Name] = ci
-		childOrder = append(childOrder, inst.Name)
+		childOrder = append(childOrder, ci)
+		if prev != nil && prev.res == res {
+			kept++
+			next.parts[i] = old
+			insts, anew, prevConns = append(insts, prev), append(anew, false), append(prevConns, nil)
+			continue
+		}
+		is := &instSplit{res: res, path: path + "." + inst.Name}
+		next.parts[i] = &itemSplit{inst: is}
+		var pc []*connSplit
+		if prev != nil {
+			pc = prev.conns
+		}
+		insts, anew, prevConns = append(insts, is), append(anew, true), append(prevConns, pc)
 	}
 
-	// Promotion plan: new ports on this module keyed by mangled name.
-	type promo struct {
-		dir   verilog.PortDir
-		kind  verilog.NetKind
-		width int
-		init  verilog.Expr
-	}
-	promos := map[string]*promo{}
-	var promoOrder []string
-	addPromo := func(pos verilog.Pos, name string, pr *promo) error {
-		if existing, dup := promos[name]; dup {
-			if existing.dir != pr.dir {
+	// The promotion plan: new ports on this module, in order, by name.
+	promos := make(map[string]int, 3*len(childOrder))
+	plan := make([]promo, 0, 3*len(childOrder))
+	addPromo := func(pos verilog.Pos, name string, pr promo) error {
+		if i, dup := promos[name]; dup {
+			if plan[i].dir != pr.dir {
 				return errf(pos, "%s is driven from both sides of the module boundary", name)
 			}
 			if pr.kind == verilog.Reg {
-				existing.kind = verilog.Reg
+				plan[i].kind = verilog.Reg
 			}
 			return nil
 		}
-		promos[name] = pr
-		promoOrder = append(promoOrder, name)
+		promos[name] = len(plan)
+		pr.name = name
+		plan = append(plan, pr)
 		return nil
 	}
 
-	var addedAssigns []verilog.Item
-	var prevConns map[*verilog.Instance][]*verilog.ContAssign
-	var prevMangled map[verilog.Item]verilog.Item
-	if old := b.prev[path]; old != nil {
-		prevConns, prevMangled = old.conns, old.mangled
-	}
-	madeConns := make(map[*verilog.Instance][]*verilog.ContAssign, len(childOrder))
-	// assign is the connection assignment lhs = rhs, the previous split's
-	// object for connection i of inst when that was the same assignment.
-	assign := func(inst *verilog.Instance, i int, pos verilog.Pos, lhs, rhs verilog.Expr) *verilog.ContAssign {
-		if old := prevConns[inst]; i < len(old) && old[i] != nil && sameConnAssign(old[i], lhs, rhs) {
-			return old[i]
-		}
-		return &verilog.ContAssign{AssignPos: pos, LHS: lhs, RHS: rhs}
-	}
-
 	// Connections become promoted ports plus assignments (Figure 4).
-	for _, name := range childOrder {
-		ci := children[name]
-		conns, err := b.namedConns(ci)
-		if err != nil {
-			return err
-		}
-		made := make([]*verilog.ContAssign, len(conns))
-		madeConns[ci.inst] = made
-		for i, c := range conns {
-			if c.Expr == nil {
-				continue // explicitly unconnected
-			}
-			dir, width, kind, err := b.childPortInfo(ci, c.Name, c.ConnPos)
-			if err != nil {
+	var added []*connSplit
+	for k, is := range insts {
+		if anew[k] {
+			if is.conns, err = b.connect(childOrder[k], prevConns[k], rename); err != nil {
 				return err
 			}
-			mangled := name + "__" + c.Name
-			switch dir {
-			case verilog.Input:
-				// Parent drives the child input: output port + assign.
-				if err := addPromo(c.ConnPos, mangled, &promo{dir: verilog.Output, kind: verilog.Wire, width: width}); err != nil {
-					return err
-				}
-				made[i] = assign(ci.inst, i, c.ConnPos, &verilog.Ident{IdentPos: c.ConnPos, Name: mangled}, c.Expr)
-				addedAssigns = append(addedAssigns, made[i])
-				b.design.Wires = append(b.design.Wires, Wire{
-					From: Endpoint{Sub: path, Port: mangled},
-					To:   Endpoint{Sub: path + "." + name, Port: c.Name},
-				})
-			case verilog.Output:
-				// Child drives a parent lvalue: input port + assign.
-				if !isLValueForm(c.Expr) {
-					return errf(c.ConnPos, "connection to output port %s.%s must be an assignable expression", name, c.Name)
-				}
-				if err := addPromo(c.ConnPos, mangled, &promo{dir: verilog.Input, kind: kind, width: width}); err != nil {
-					return err
-				}
-				made[i] = assign(ci.inst, i, c.ConnPos, c.Expr, &verilog.Ident{IdentPos: c.ConnPos, Name: mangled})
-				addedAssigns = append(addedAssigns, made[i])
-				b.design.Wires = append(b.design.Wires, Wire{
-					From: Endpoint{Sub: path + "." + name, Port: c.Name},
-					To:   Endpoint{Sub: path, Port: mangled},
-				})
-			default:
-				return errf(c.ConnPos, "inout ports are not supported")
+		}
+		for _, cs := range is.conns {
+			if err := addPromo(cs.asn.AssignPos, cs.port.Name, promo{dir: cs.port.Dir, kind: cs.port.Kind, width: cs.width, port: cs.port, decl: cs.decl}); err != nil {
+				return err
 			}
+			b.design.Wires = append(b.design.Wires, cs.wire(path, is))
+			added = append(added, cs)
 		}
 	}
 
-	// Collect hierarchical references over body items plus the assigns
-	// added above (connections may themselves use hierarchical names).
-	scanItems := append(append([]verilog.Item{}, bodyItems...), addedAssigns...)
-	refs, err := collectHierRefs(scanItems)
-	if err != nil {
-		return err
-	}
-	for _, ref := range refs {
-		ci, ok := children[ref.inst]
-		if !ok {
-			return errf(ref.pos, "%s.%s: %s is not an instance in this scope", ref.inst, ref.varName, ref.inst)
-		}
-		mangled := ref.inst + "__" + ref.varName
-		if ref.write {
-			dir, width, _, err := b.childPortInfo(ci, ref.varName, ref.pos)
-			if err != nil {
-				return err
-			}
-			if dir != verilog.Input {
-				return errf(ref.pos, "cannot assign to %s.%s: not an input of %s", ref.inst, ref.varName, ref.inst)
-			}
-			kind := verilog.Wire
-			if ref.procedural {
-				kind = verilog.Reg
-			}
-			if err := addPromo(ref.pos, mangled, &promo{dir: verilog.Output, kind: kind, width: width}); err != nil {
-				return err
-			}
-			b.design.Wires = append(b.design.Wires, Wire{
-				From: Endpoint{Sub: path, Port: mangled},
-				To:   Endpoint{Sub: path + "." + ref.inst, Port: ref.varName},
-			})
+	// Hierarchical references over body items plus the assigns added
+	// above (connections may themselves use hierarchical names).
+	var nbody int
+	for i, it := range mod.Items {
+		if _, ok := it.(*verilog.Instance); ok {
 			continue
 		}
-		// Read: promote the child variable to an output if necessary.
-		// (The child keeps any initializer; the parent-side input port
-		// receives the value on the first data-plane broadcast.)
-		width, _, err := b.childVarInfo(ci, ref.varName, ref.pos)
-		if err != nil {
-			return err
-		}
-		if _, dup := promos[mangled]; !dup {
-			if err := addPromo(ref.pos, mangled, &promo{dir: verilog.Input, kind: verilog.Wire, width: width}); err != nil {
+		nbody++
+		if next.parts[i] == nil {
+			if next.parts[i], err = body(it, rename); err != nil {
 				return err
 			}
-			b.design.Wires = append(b.design.Wires, Wire{
-				From: Endpoint{Sub: path + "." + ref.inst, Port: ref.varName},
-				To:   Endpoint{Sub: path, Port: mangled},
-			})
-			if ci.std == nil {
-				ci.extraOutputs[ref.varName] = true
+		}
+	}
+	scan := func(refs []hierRef) error {
+		for _, ref := range refs {
+			if err := b.promoteRef(ref, path, children, promos, addPromo); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for i, it := range mod.Items {
+		if _, ok := it.(*verilog.Instance); !ok {
+			if err := scan(next.parts[i].refs); err != nil {
+				return err
 			}
 		}
 	}
-
-	// Rewrite hierarchical references to the mangled local names.
-	mangle := func(e verilog.Expr) verilog.Expr {
-		if h, ok := e.(*verilog.HierIdent); ok {
-			return &verilog.Ident{IdentPos: h.IdentPos, Name: strings.Join(h.Parts, "__")}
+	for _, cs := range added {
+		if err := scan(cs.item.refs); err != nil {
+			return err
 		}
-		return e
-	}
-	var newItems []verilog.Item
-	var mangled map[verilog.Item]verilog.Item
-	for _, it := range scanItems {
-		m, ok := prevMangled[it]
-		if !ok {
-			m = rewriteItem(it, mangle)
-		}
-		if m != it {
-			if mangled == nil {
-				mangled = map[verilog.Item]verilog.Item{}
-			}
-			mangled[it] = m
-		}
-		newItems = append(newItems, m)
 	}
 
-	// Assemble the promoted module.
+	// The promoted module: body items, then the added assigns, mangled.
+	newItems := make([]verilog.Item, 0, nbody+len(added))
+	for i, it := range mod.Items {
+		if _, ok := it.(*verilog.Instance); !ok {
+			newItems = append(newItems, next.parts[i].mangledOf(it))
+		}
+	}
+	for _, cs := range added {
+		newItems = append(newItems, cs.item.mangledOf(cs.asn))
+	}
 	pm := &verilog.Module{NamePos: mod.NamePos, Name: mod.Name, Items: newItems}
-	for _, pd := range mod.Params {
-		pm.Params = append(pm.Params, pd)
-	}
+	pm.Params = append(pm.Params, mod.Params...)
+	pm.Ports = make([]*verilog.Port, 0, len(mod.Ports)+len(plan))
+	// A promoted port is named inst__var, so only a declared name with a
+	// "__" in it can collide with one.
 	declared := map[string]bool{}
 	for _, pt := range mod.Ports {
 		pm.Ports = append(pm.Ports, pt)
-		declared[pt.Name] = true
+		if strings.Contains(pt.Name, "__") {
+			declared[pt.Name] = true
+		}
 	}
 	for _, it := range newItems {
 		if nd, ok := it.(*verilog.NetDecl); ok {
 			for _, dn := range nd.Names {
-				declared[dn.Name] = true
+				if strings.Contains(dn.Name, "__") {
+					declared[dn.Name] = true
+				}
 			}
 		}
 	}
-	for _, name := range promoOrder {
-		if declared[name] {
-			return errf(mod.NamePos, "promoted port %s collides with an existing declaration in %s", name, mod.Name)
+	var decls []*verilog.NetDecl // the root's portDecls, those it had
+	if path == RootPath {
+		decls = make([]*verilog.NetDecl, len(pm.Ports), cap(pm.Ports))
+	}
+	for _, pr := range plan {
+		if declared[pr.name] {
+			return errf(mod.NamePos, "promoted port %s collides with an existing declaration in %s", pr.name, mod.Name)
 		}
-		pr := promos[name]
-		pm.Ports = append(pm.Ports, &verilog.Port{
-			Dir:   pr.dir,
-			Kind:  pr.kind,
-			Range: b.widthRange(pr.width),
-			Name:  name,
-			Init:  pr.init,
-		})
+		pt, decl := pr.port, pr.decl
+		if pt == nil || pt.Kind != pr.kind {
+			pt = &verilog.Port{Dir: pr.dir, Kind: pr.kind, Range: b.widthRange(pr.width), Name: pr.name}
+			decl = nil
+		}
+		pm.Ports = append(pm.Ports, pt)
+		if decls != nil {
+			decls = append(decls, decl)
+		}
 	}
 
 	// Promote extra outputs requested by the parent: move item
@@ -317,35 +454,156 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 		pm = pm2
 	}
 
-	sub := &SubProgram{Path: path, Params: headerEnv, Module: pm, env: env, src: mod, extra: extraOutputs, conns: madeConns, mangled: mangled}
+	sub := &SubProgram{Path: path, Params: headerEnv, Module: pm, env: env, src: mod, extra: extraOutputs, prefix: PrefixOf(path), decls: decls, Kept: kept}
+	sub.names = mergedNames(pm, sub.prefix)
+	if path == RootPath {
+		next.ranges = b.ranges
+		sub.memo = next
+	}
 	b.design.Subs = append(b.design.Subs, sub)
 	first := len(b.design.Subs)
 
 	// Recurse into children (stdlib children become leaf subprograms).
-	for _, name := range childOrder {
-		ci := children[name]
-		childPath := path + "." + name
-		if ci.std != nil {
+	for k, c := range childOrder {
+		childPath := insts[k].path
+		if c.std != nil {
 			b.design.Subs = append(b.design.Subs, &SubProgram{
 				Path:    childPath,
 				IsStd:   true,
-				StdType: ci.std.Name,
-				Params:  ci.params,
+				StdType: c.std.Name,
+				Params:  c.params,
+				prefix:  PrefixOf(childPath),
 			})
 			continue
 		}
-		if old := b.reusable(childPath, ci); old != nil {
+		if old := b.reusable(childPath, c); old != nil {
 			b.design.Subs = append(append(b.design.Subs, old), old.below...)
 			b.design.Wires = append(b.design.Wires, old.wires...)
 			continue
 		}
-		if err := b.split(ci.mod, childPath, ci.header, ci.extraOutputs); err != nil {
+		if err := b.split(c.mod, childPath, c.header, c.extraOutputs); err != nil {
 			return err
 		}
 	}
 	if path != RootPath { // the root is never handed out again
 		sub.below = slices.Clone(b.design.Subs[first:])
 		sub.wires = slices.Clone(b.design.Wires[firstWire:])
+	}
+	return nil
+}
+
+// connect splits the connections of the instance c: one promoted port and
+// assignment per connection (the wire follows from them). Where prev —
+// the connections the same instance item had in the previous split —
+// holds the same assignment, that object is handed out again, so the root
+// items an eval only appended to stay what they were. rename is the
+// root's renamer (nil: not the root).
+func (b *builder) connect(c *childInst, prev []*connSplit, rename exprRewriter) ([]*connSplit, error) {
+	conns, err := b.namedConns(c)
+	if err != nil {
+		return nil, err
+	}
+	assign := func(pos verilog.Pos, lhs, rhs verilog.Expr) *verilog.ContAssign {
+		for _, pc := range prev {
+			if sameConnAssign(pc.asn, lhs, rhs) {
+				return pc.asn
+			}
+		}
+		return &verilog.ContAssign{AssignPos: pos, LHS: lhs, RHS: rhs}
+	}
+	name := c.inst.Name
+	out := make([]*connSplit, 0, len(conns))
+	for _, pc := range conns {
+		if pc.Expr == nil {
+			continue // explicitly unconnected
+		}
+		dir, width, kind, err := b.childPortInfo(c, pc.Name, pc.ConnPos)
+		if err != nil {
+			return nil, err
+		}
+		cs := &connSplit{width: width}
+		port := &verilog.Port{Range: b.widthRange(width), Name: name + "__" + pc.Name}
+		ident := &verilog.Ident{IdentPos: pc.ConnPos, Name: port.Name}
+		switch dir {
+		case verilog.Input:
+			// Parent drives the child input: output port + assign.
+			port.Dir, port.Kind = verilog.Output, verilog.Wire
+			cs.asn = assign(pc.ConnPos, ident, pc.Expr)
+		case verilog.Output:
+			// Child drives a parent lvalue: input port + assign.
+			if !isLValueForm(pc.Expr) {
+				return nil, errf(pc.ConnPos, "connection to output port %s.%s must be an assignable expression", name, pc.Name)
+			}
+			port.Dir, port.Kind = verilog.Input, kind
+			cs.asn = assign(pc.ConnPos, pc.Expr, ident)
+		default:
+			return nil, errf(pc.ConnPos, "inout ports are not supported")
+		}
+		cs.port = port
+		if rename != nil { // the root's
+			cs.decl = declOf(port)
+		}
+		if cs.item, err = body(cs.asn, rename); err != nil {
+			return nil, err
+		}
+		out = append(out, cs)
+	}
+	return out, nil
+}
+
+// promoteRef promotes the child variable a hierarchical reference names
+// to a port of the module at path: an output the parent drives (a write)
+// or an input the child drives, the child variable promoted to one of its
+// outputs if need be (a read).
+func (b *builder) promoteRef(ref hierRef, path string, children map[string]*childInst, promos map[string]int, addPromo func(verilog.Pos, string, promo) error) error {
+	ci, ok := children[ref.inst]
+	if !ok {
+		return errf(ref.pos, "%s.%s: %s is not an instance in this scope", ref.inst, ref.varName, ref.inst)
+	}
+	mangled := ref.inst + "__" + ref.varName
+	if ref.write {
+		dir, width, _, err := b.childPortInfo(ci, ref.varName, ref.pos)
+		if err != nil {
+			return err
+		}
+		if dir != verilog.Input {
+			return errf(ref.pos, "cannot assign to %s.%s: not an input of %s", ref.inst, ref.varName, ref.inst)
+		}
+		kind := verilog.Wire
+		if ref.procedural {
+			kind = verilog.Reg
+		}
+		if err := addPromo(ref.pos, mangled, promo{dir: verilog.Output, kind: kind, width: width}); err != nil {
+			return err
+		}
+		b.design.Wires = append(b.design.Wires, Wire{
+			From: Endpoint{Sub: path, Port: mangled},
+			To:   Endpoint{Sub: path + "." + ref.inst, Port: ref.varName},
+		})
+		return nil
+	}
+	// Read: promote the child variable to an output if necessary.
+	// (The child keeps any initializer; the parent-side input port
+	// receives the value on the first data-plane broadcast.)
+	width, _, err := b.childVarInfo(ci, ref.varName, ref.pos)
+	if err != nil {
+		return err
+	}
+	if _, dup := promos[mangled]; dup {
+		return nil
+	}
+	if err := addPromo(ref.pos, mangled, promo{dir: verilog.Input, kind: verilog.Wire, width: width}); err != nil {
+		return err
+	}
+	b.design.Wires = append(b.design.Wires, Wire{
+		From: Endpoint{Sub: path + "." + ref.inst, Port: ref.varName},
+		To:   Endpoint{Sub: path, Port: mangled},
+	})
+	if ci.std == nil {
+		if ci.extraOutputs == nil {
+			ci.extraOutputs = map[string]bool{}
+		}
+		ci.extraOutputs[ref.varName] = true
 	}
 	return nil
 }
@@ -381,9 +639,11 @@ func paramEnv(mod *verilog.Module, overrides map[string]*bits.Vector) (env, head
 }
 
 // resolveInstance binds an instantiation to its module or stdlib spec and
-// evaluates its parameter overrides in the parent environment.
-func (b *builder) resolveInstance(inst *verilog.Instance, parentEnv map[string]*bits.Vector) (*childInst, error) {
-	ci := &childInst{inst: inst, extraOutputs: map[string]bool{}}
+// evaluates its parameter overrides in the parent environment. prev is
+// the same instance's resolution in the previous split (nil: none), which
+// is handed out again if the overrides evaluate to the same values.
+func (b *builder) resolveInstance(inst *verilog.Instance, parentEnv map[string]*bits.Vector, prev *instRes) (*instRes, error) {
+	ci := &instRes{inst: inst}
 	if spec, ok := b.reg[inst.ModName]; ok {
 		ci.std = spec
 		ci.params = map[string]*bits.Vector{}
@@ -408,11 +668,17 @@ func (b *builder) resolveInstance(inst *verilog.Instance, parentEnv map[string]*
 			ci.params[name] = v
 		}
 		ci.header = ci.params
+		if prev != nil && prev.std == spec && sameEnv(prev.params, ci.params) {
+			return prev, nil
+		}
 		return ci, nil
 	}
 	mod, ok := b.prog.Modules[inst.ModName]
 	if !ok {
 		return nil, errf(inst.InstPos, "unknown module %s", inst.ModName)
+	}
+	if prev != nil && prev.mod == mod && len(inst.Params) == 0 {
+		return prev, nil
 	}
 	ci.mod = mod
 	ci.header = map[string]*bits.Vector{}
@@ -439,6 +705,9 @@ func (b *builder) resolveInstance(inst *verilog.Instance, parentEnv map[string]*
 			return nil, errf(inst.InstPos, "%s has no parameter %s", inst.ModName, name)
 		}
 		ci.header[name] = v
+	}
+	if prev != nil && prev.mod == mod && sameEnv(prev.header, ci.header) {
+		return prev, nil
 	}
 	full, _, err := paramEnv(mod, ci.header)
 	if err != nil {
@@ -707,7 +976,9 @@ func isLValueForm(e verilog.Expr) bool {
 }
 
 // widthRange returns the [w-1:0] range literal (nil for width 1), one
-// node per width and build: a range is only ever read.
+// node per width, handed from build to build with the root's memo: a
+// range is only ever read, and ports the root keeps across builds name
+// the ones their build made.
 func (b *builder) widthRange(w int) *verilog.Range {
 	if w <= 1 {
 		return nil
@@ -772,4 +1043,32 @@ func (b *builder) promoteVarsToOutputs(m *verilog.Module, names map[string]bool)
 		}
 	}
 	return out, nil
+}
+
+// mergedNames lists the names m's variables take in the merged module
+// (prefix: PrefixOf its path), in the order elaboration declares them:
+// ports, then each declaration's names — nil for the root, whose
+// variables keep theirs.
+func mergedNames(m *verilog.Module, prefix string) []string {
+	if prefix == "" {
+		return nil
+	}
+	n := len(m.Ports)
+	for _, it := range m.Items {
+		if nd, ok := it.(*verilog.NetDecl); ok {
+			n += len(nd.Names)
+		}
+	}
+	names := make([]string, 0, n)
+	for _, p := range m.Ports {
+		names = append(names, prefix+p.Name)
+	}
+	for _, it := range m.Items {
+		if nd, ok := it.(*verilog.NetDecl); ok {
+			for _, dn := range nd.Names {
+				names = append(names, prefix+dn.Name)
+			}
+		}
+	}
+	return names
 }

@@ -112,6 +112,10 @@ type SubProgram struct {
 	StdType string                  // stdlib module name when IsStd
 	Params  map[string]*bits.Vector // header parameter values (elab overrides)
 	Module  *verilog.Module         // promoted, self-contained source (user subprograms)
+	// Kept counts the instances of the source whose split — resolution,
+	// connections: promoted ports, assignments, wires — BuildFrom took
+	// from the previous split at Path.
+	Kept int
 
 	env map[string]*bits.Vector // full constant environment (incl. localparams)
 
@@ -124,17 +128,28 @@ type SubProgram struct {
 	below []*SubProgram
 	wires []Wire
 
-	inlined []verilog.Item // Inline's renaming of Module.Items, computed once
+	memo *splitMemo // the root's: what the split derived per item, for the next split
 
-	// conns holds the assignments split made of each instance's
-	// connections (Figure 4), one per connection (nil: unconnected). The
-	// next split at the same path hands the same objects out again, so
-	// the items of a root an eval only appended to stay what they were.
-	conns map[*verilog.Instance][]*verilog.ContAssign
-	// mangled maps each item that named an instance's variable
-	// hierarchically to its rewrite onto the promoted port, for the same
-	// reason.
-	mangled map[verilog.Item]verilog.Item
+	prefix  string             // PrefixOf(Path)
+	names   []string           // MergedNames
+	inlined []verilog.Item     // inlinedItems' (not the root's)
+	decls   []*verilog.NetDecl // portDecl's, by port
+}
+
+// MergedNames is the name each variable of the subprogram takes in the
+// merged module of Inline (PrefixOf), in the order elaboration declares
+// them — ports, then declared names — so that the i-th is the name of
+// the i-th variable of its elaboration; nil for the root, whose variables
+// keep their names. Computed once, as it is split.
+func (s *SubProgram) MergedNames() []string { return s.names }
+
+// portName is the name the subprogram's i-th port takes in the merged
+// module.
+func (s *SubProgram) portName(i int) string {
+	if s.names == nil {
+		return s.Module.Ports[i].Name
+	}
+	return s.names[i] // MergedNames begins with the ports'
 }
 
 // Endpoint identifies one side of a wire: a subprogram port.

@@ -75,9 +75,11 @@ func emptyVersion() *version { return &version{prog: ir.NewProgram(), printed: &
 // The base version is its memo: a module instance the fragment left as it
 // was (ir.BuildFrom says which) keeps base's subprogram, and with it
 // base's elaboration and inline renaming of it; the root — what an edit
-// changes — is rebuilt, re-inlined and re-elaborated every time. It is
-// pure — base is only read, nothing of the runtime is read or touched —
-// so a fragment it refuses leaves no trace anywhere.
+// changes — is split, inlined and elaborated again, out of what base
+// derived from each of its items (ir.BuildFrom's memo, elab.ElaborateFrom
+// over base's flat and merged roots). It is pure — base is only read,
+// nothing of the runtime is read or touched — so a fragment it refuses
+// leaves no trace anywhere.
 func integrate(base *version, src string, inline bool) (*version, error) {
 	mods, items, errs := verilog.ParseProgramFragment(src)
 	if len(errs) > 0 {
@@ -95,13 +97,7 @@ func integrate(base *version, src string, inline bool) (*version, error) {
 		return nil, err
 	}
 	v := &version{prog: prog, mods: mods, items: items, flat: flat, exec: flat, printed: &printed{}}
-	kept := map[*ir.SubProgram]*elab.Flat{}
-	if base.flat != nil {
-		for _, s := range base.flat.UserSubs() {
-			kept[s] = base.flatElabs[s.Path]
-		}
-	}
-	if v.flatElabs, err = elaborateUsers(flat, kept); err != nil {
+	if v.flatElabs, err = elaborateUsers(flat, base.flat, base.flatElabs); err != nil {
 		return nil, err
 	}
 	v.execElabs = v.flatElabs
@@ -109,9 +105,13 @@ func integrate(base *version, src string, inline bool) (*version, error) {
 		if v.exec, err = ir.Inline(flat); err != nil {
 			return nil, err
 		}
+		var from map[string]*elab.Flat
+		if base.inlined {
+			from = base.execElabs
+		}
 		// Inlined names can meet — a.x becomes a__x (ir.PrefixOf), which the
 		// root may declare too; elaboration names the declaration.
-		if v.execElabs, err = elaborateUsers(v.exec, nil); err != nil {
+		if v.execElabs, err = elaborateUsers(v.exec, nil, from); err != nil {
 			return nil, fmt.Errorf("inlining: %w", err)
 		}
 		v.inlined = true
@@ -120,15 +120,25 @@ func integrate(base *version, src string, inline bool) (*version, error) {
 	return v, nil
 }
 
-// elaborateUsers elaborates every user subprogram of d, by path, but for
-// those kept holds an elaboration of already.
-func elaborateUsers(d *ir.Design, kept map[*ir.SubProgram]*elab.Flat) (map[string]*elab.Flat, error) {
-	out := map[string]*elab.Flat{}
-	for _, s := range d.UserSubs() {
-		f := kept[s]
-		if f == nil {
+// elaborateUsers elaborates every user subprogram of d, by path, given
+// the elaborations of the base design prev (nil: none): a subprogram
+// prev holds too — ir.BuildFrom kept it — keeps its elaboration, and one
+// at a path base elaborated is elaborated from that (elab.ElaborateFrom).
+func elaborateUsers(d, prev *ir.Design, base map[string]*elab.Flat) (map[string]*elab.Flat, error) {
+	users := d.UserSubs()
+	var kept map[*ir.SubProgram]bool
+	if prev != nil {
+		kept = make(map[*ir.SubProgram]bool, len(prev.Subs))
+		for _, s := range prev.Subs {
+			kept[s] = true
+		}
+	}
+	out := make(map[string]*elab.Flat, len(users))
+	for _, s := range users {
+		f := base[s.Path]
+		if !kept[s] {
 			var err error
-			if f, err = elab.Elaborate(s.Module, s.Path, s.Params); err != nil {
+			if f, err = elab.ElaborateFrom(f, s.Module, s.Path, s.Params); err != nil {
 				return nil, err
 			}
 		}
@@ -165,44 +175,75 @@ func ElaborateInlined(src string) (*elab.Flat, error) {
 }
 
 // split un-inlines the merged root's state into one state per flat
-// subprogram, each variable found under its inlined name (ir.PrefixOf, the
-// renaming rule inlining itself uses).
+// subprogram, each variable found under its inlined name
+// (ir.SubProgram.MergedNames, the renaming inlining itself applies).
 func (v *version) split(merged *sim.State) map[string]*sim.State {
-	out := map[string]*sim.State{}
-	for path, f := range v.flatElabs {
-		prefix := ir.PrefixOf(path)
-		st := &sim.State{Scalars: map[string]*bits.Vector{}, Arrays: map[string][]*bits.Vector{}}
-		for _, fv := range f.Vars {
+	users := v.flat.UserSubs()
+	out := make(map[string]*sim.State, len(users))
+	for _, s := range users {
+		f, names := v.flatElabs[s.Path], s.MergedNames()
+		st := &sim.State{Scalars: make(map[string]*bits.Vector, len(f.Vars)), Arrays: map[string][]*bits.Vector{}}
+		for i, fv := range f.Vars {
+			name := fv.Name
+			if names != nil {
+				name = names[i]
+			}
 			if fv.IsArray() {
-				if ws, ok := merged.Arrays[prefix+fv.Name]; ok {
+				if ws, ok := merged.Arrays[name]; ok {
 					st.Arrays[fv.Name] = ws
 				}
-			} else if val, ok := merged.Scalars[prefix+fv.Name]; ok {
+			} else if val, ok := merged.Scalars[name]; ok {
 				st.Scalars[fv.Name] = val
 			}
 		}
-		out[path] = st
+		out[s.Path] = st
 	}
 	return out
 }
 
 // seed is the state a new engine for exec subprogram path starts from,
 // given states saved by flat path: its own, or — for the merged root —
-// every saved state under its inlined names. On a restore saved holds the
-// stdlib components too, so the clock's val lands on the root's clk__val
-// input and the restored engine sees no edge the snapshot did not hold.
+// every saved state of a subprogram of the design under its inlined
+// names. On a restore saved holds the stdlib components too, so the
+// clock's val lands on the root's clk__val input and the restored engine
+// sees no edge the snapshot did not hold.
 func (v *version) seed(saved map[string]*sim.State, path string) *sim.State {
 	if !v.inlined {
 		return saved[path]
 	}
-	merged := &sim.State{Scalars: map[string]*bits.Vector{}, Arrays: map[string][]*bits.Vector{}}
-	for p, st := range saved {
-		prefix := ir.PrefixOf(p)
-		for name, val := range st.Scalars {
-			merged.Scalars[prefix+name] = val
+	n := 0
+	for _, st := range saved {
+		n += len(st.Scalars)
+	}
+	merged := &sim.State{Scalars: make(map[string]*bits.Vector, n), Arrays: map[string][]*bits.Vector{}}
+	for _, s := range v.flat.Subs {
+		st := saved[s.Path]
+		if st == nil {
+			continue
 		}
-		for name, ws := range st.Arrays {
-			merged.Arrays[prefix+name] = ws
+		if s.IsStd {
+			prefix := ir.PrefixOf(s.Path)
+			for name, val := range st.Scalars {
+				merged.Scalars[prefix+name] = val
+			}
+			for name, ws := range st.Arrays {
+				merged.Arrays[prefix+name] = ws
+			}
+			continue
+		}
+		names := s.MergedNames()
+		for i, fv := range v.flatElabs[s.Path].Vars {
+			name := fv.Name
+			if names != nil {
+				name = names[i]
+			}
+			if fv.IsArray() {
+				if ws, ok := st.Arrays[fv.Name]; ok {
+					merged.Arrays[name] = ws
+				}
+			} else if val, ok := st.Scalars[fv.Name]; ok {
+				merged.Scalars[name] = val
+			}
 		}
 	}
 	return merged

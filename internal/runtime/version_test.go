@@ -3,14 +3,17 @@ package runtime
 import (
 	"fmt"
 	"reflect"
+	goruntime "runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"cascade/internal/bits"
 	"cascade/internal/elab"
 	"cascade/internal/fpga"
 	"cascade/internal/ir"
+	"cascade/internal/netlist"
 	"cascade/internal/verilog"
 	"cascade/internal/vgen"
 )
@@ -159,7 +162,8 @@ func fragmentsOf(s vgen.Script) []string {
 
 // describeVersion prints everything integrate derives, in its own order:
 // both designs' subprograms (printed module, parameters) and wires, the
-// clock input, and every elaboration's variable table and printed body.
+// clock input, and every elaboration's variable table, printed source and
+// elaborated behaviour (describeBehaviour).
 func describeVersion(v *version) string {
 	var sb strings.Builder
 	vec := func(env map[string]*bits.Vector) string {
@@ -202,9 +206,119 @@ func describeVersion(v *version) string {
 				fmt.Fprintf(&sb, "  %+v init=%s\n", *fv, init)
 			}
 			sb.WriteString(verilog.Print(f.Source))
+			describeBehaviour(&sb, f)
 		}
 	}
 	return sb.String()
+}
+
+// describeBehaviour prints f's elaborated assigns, processes and initial
+// blocks in order, each with the source item it came from (its index in
+// the module), every variable as name#index:width — what relocation
+// (elab.ElaborateFrom) copies and remaps.
+func describeBehaviour(sb *strings.Builder, f *elab.Flat) {
+	at := map[verilog.Item]int{}
+	for i, it := range f.Source.Items {
+		at[it] = i
+	}
+	v := func(x *elab.Var) string { return fmt.Sprintf("%s#%d:%d", x.Name, x.Index, x.Width) }
+	var expr func(x elab.Expr) string
+	expr = func(x elab.Expr) string {
+		switch t := x.(type) {
+		case nil:
+			return "_"
+		case *elab.Const:
+			return t.V.String()
+		case *elab.VarRef:
+			return v(t.V)
+		case *elab.ArrayRef:
+			return fmt.Sprintf("%s[%s]", v(t.V), expr(t.Index))
+		case *elab.BitSel:
+			return fmt.Sprintf("%s[%s]", expr(t.X), expr(t.Idx))
+		case *elab.Slice:
+			return fmt.Sprintf("%s[%d:%d]", expr(t.X), t.Hi, t.Lo)
+		case *elab.Unary:
+			return fmt.Sprintf("(u%d %s):%d", t.Op, expr(t.X), t.W)
+		case *elab.Binary:
+			return fmt.Sprintf("(%s b%d %s):%d", expr(t.X), t.Op, expr(t.Y), t.W)
+		case *elab.Ternary:
+			return fmt.Sprintf("(%s ? %s : %s):%d", expr(t.Cond), expr(t.Then), expr(t.Else), t.W)
+		case *elab.Concat:
+			parts := make([]string, len(t.Parts))
+			for i, p := range t.Parts {
+				parts[i] = expr(p)
+			}
+			return fmt.Sprintf("{%s}:%d", strings.Join(parts, ","), t.W)
+		case *elab.Repl:
+			return fmt.Sprintf("{%d{%s}}:%d", t.N, expr(t.X), t.W)
+		case *elab.TimeRef:
+			return "$time"
+		}
+		return fmt.Sprintf("?%T", x)
+	}
+	lvalues := func(lvs []elab.LValue) string {
+		parts := make([]string, len(lvs))
+		for i, lv := range lvs {
+			parts[i] = fmt.Sprintf("%s[%s|%v %d:%d|%s]", v(lv.Var), expr(lv.ArrIndex), lv.HasRange, lv.Hi, lv.Lo, expr(lv.DynBit))
+		}
+		return strings.Join(parts, ",")
+	}
+	var stmt func(s elab.Stmt, in string)
+	stmt = func(s elab.Stmt, in string) {
+		switch t := s.(type) {
+		case nil:
+			fmt.Fprintf(sb, "%s;\n", in)
+		case *elab.Block:
+			fmt.Fprintf(sb, "%sbegin\n", in)
+			for _, st := range t.Stmts {
+				stmt(st, in+"  ")
+			}
+		case *elab.If:
+			fmt.Fprintf(sb, "%sif %s\n", in, expr(t.Cond))
+			stmt(t.Then, in+"  ")
+			stmt(t.Else, in+"  ")
+		case *elab.Case:
+			fmt.Fprintf(sb, "%scase %s\n", in, expr(t.Subject))
+			for _, it := range t.Items {
+				labels := make([]string, len(it.Labels))
+				for i, l := range it.Labels {
+					labels[i] = expr(l)
+				}
+				fmt.Fprintf(sb, "%s  %s masks%v:\n", in, strings.Join(labels, ","), it.Masks)
+				stmt(it.Body, in+"    ")
+			}
+		case *elab.Assign:
+			fmt.Fprintf(sb, "%s%s blocking=%v <- %s\n", in, lvalues(t.LHS), t.Blocking, expr(t.RHS))
+		case *elab.SysTask:
+			args := make([]string, len(t.Args))
+			for i, a := range t.Args {
+				args[i] = expr(a)
+			}
+			fmt.Fprintf(sb, "%stask%d %q %s\n", in, t.Kind, t.Format, strings.Join(args, ","))
+		default:
+			fmt.Fprintf(sb, "%s?%T\n", in, s)
+		}
+	}
+	for _, a := range f.Assigns {
+		fmt.Fprintf(sb, "assign@%d/%d %s = %s\n", at[a.Src], a.Ord, lvalues(a.LHS), expr(a.RHS))
+	}
+	for _, p := range f.Procs {
+		edges := make([]string, len(p.Edges))
+		for i, e := range p.Edges {
+			edges[i] = fmt.Sprintf("%d:%s", e.Kind, v(e.Var))
+		}
+		reads := make([]string, len(p.Reads))
+		for i, r := range p.Reads {
+			reads[i] = v(r)
+		}
+		fmt.Fprintf(sb, "proc@%d star=%v edges[%s] reads[%s]\n", at[p.Src], p.Star, strings.Join(edges, ","), strings.Join(reads, ","))
+		stmt(p.Body, "  ")
+	}
+	for i, st := range f.Initials {
+		fmt.Fprintf(sb, "initial@%d\n", at[f.InitialItems[i]])
+		stmt(st, "  ")
+	}
+	fmt.Fprintf(sb, "inputs=%d outputs=%d\n", len(f.Inputs), len(f.Outputs))
 }
 
 // editChain is a session shaped like the benchmark's: every fragment
@@ -280,6 +394,29 @@ func checkIncremental(t *testing.T, frags []string, from int, inline bool) {
 		if got, want := describeVersion(v), describeVersion(whole); got != want {
 			t.Fatalf("inline=%v: after fragment %d the incremental version differs from the one built from scratch\n--- incremental\n%s\n--- from scratch\n%s", inline, k, got, want)
 		}
+		// State crosses the inline boundary by MergedNames: the i-th is
+		// the inlined name of the elaboration's i-th variable.
+		for _, s := range v.flat.UserSubs() {
+			names, vars := s.MergedNames(), v.flatElabs[s.Path].Vars
+			if s.Path == ir.RootPath && names == nil {
+				continue // the root's variables keep their names
+			}
+			if len(names) != len(vars) {
+				t.Fatalf("%s has %d merged names for %d variables", s.Path, len(names), len(vars))
+			}
+			for i, fv := range vars {
+				if names[i] != ir.PrefixOf(s.Path)+fv.Name {
+					t.Fatalf("%s: merged name %q for %s", s.Path, names[i], fv.Name)
+				}
+			}
+		}
+		// What synthesis makes of the executing root, relocated items and
+		// all, is what it makes of the root elaborated from scratch.
+		got, gerr := netlist.Compile(v.execElabs[ir.RootPath])
+		want, werr := netlist.Compile(whole.execElabs[ir.RootPath])
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || (gerr == nil && got.Fingerprint() != want.Fingerprint()) {
+			t.Fatalf("inline=%v: after fragment %d the incremental root synthesizes differently (errors %v / %v)", inline, k, gerr, werr)
+		}
 	}
 }
 
@@ -312,11 +449,17 @@ func FuzzIntegrateIncremental(f *testing.F) {
 }
 
 // buildVersions integrates a session's fragments onto the prelude, returning
-// every version on the way.
+// every version on the way. Each fragment is padded to the line it has in
+// the whole source joined (padTo), so that positions, and so errors, read
+// as they do from scratch.
 func buildVersions(t *testing.T, s vgen.Script) []*version {
 	t.Helper()
 	v, vs := emptyVersion(), []*version(nil)
-	for k, frag := range fragmentsOf(s) {
+	frags := fragmentsOf(s)
+	for k, frag := range frags {
+		if k > 0 {
+			frag = padTo(strings.Join(frags[:k], "\n"), frag)
+		}
 		var err error
 		if v, err = integrate(v, frag, true); err != nil {
 			t.Fatalf("%s fragment %d: %v", s.Name, k, err)
@@ -393,8 +536,9 @@ func TestIntegrateReusesUnchangedSubprograms(t *testing.T) {
 
 // TestRefusedFragmentLeavesBaseUntouched: integrate only reads its base.
 // Whatever refuses a fragment — the parser, a duplicate module, the
-// builder, the inlined root's elaboration — every map, design and
-// subprogram of the base is what it was.
+// builder, the inlined root's elaboration — it does so with the error
+// integrating the whole source from scratch gives, and every map, design
+// and subprogram of the base is what it was.
 func TestRefusedFragmentLeavesBaseUntouched(t *testing.T) {
 	for _, s := range []vgen.Script{vgen.Program("twoModules", twoModules, 0), editChain(4), nested} {
 		vs := buildVersions(t, s)
@@ -431,13 +575,214 @@ func TestRefusedFragmentLeavesBaseUntouched(t *testing.T) {
 			"reg [7:0] a__x = 3;\nreg [15:0] e0__acc = 1;\nreg [7:0] o__seen = 2;",
 			"wire [15:0] p = e2.acc;\nwire [7:0] s = o.seen;\nwire [7:0] ax = a.x;\nwire bad = undeclared_name;",
 		} {
-			if _, err := integrate(base, frag, true); err == nil {
-				t.Fatalf("%s: fragment accepted: %s", s.Name, frag)
-			}
+			// Refused as integrating the whole source from scratch refuses it.
+			checkRefusal(t, base, strings.Join(fragmentsOf(s), "\n"), frag, true)
 			after, now := take()
 			if !reflect.DeepEqual(before, after) || text != now {
 				t.Fatalf("%s: refusing %q changed the base version", s.Name, frag)
 			}
 		}
 	}
+}
+
+// BenchmarkIntegrateEdit: one eval of the benchmark-shaped session at
+// full size — editChain(150)'s last fragment integrated, inlined, onto
+// the version of everything before it.
+func BenchmarkIntegrateEdit(b *testing.B) {
+	frags := fragmentsOf(editChain(150))
+	n := len(frags)
+	// The base is itself integrated onto its predecessor, as in a session.
+	base, err := integrate(emptyVersion(), strings.Join(frags[:n-2], "\n"), true)
+	if err == nil {
+		base, err = integrate(base, frags[n-2], true)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchVersion, err = integrate(base, frags[n-1], true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var benchVersion *version // BenchmarkIntegrateEdit's result, kept from the compiler
+
+// relocatable counts f's units relocation can copy: net declarations,
+// assigns, processes and initial blocks (elab.Flat.Relocated).
+func relocatable(f *elab.Flat) int {
+	n := len(f.Assigns) + len(f.Procs) + len(f.Initials)
+	for _, it := range f.Source.Items {
+		if _, ok := it.(*verilog.NetDecl); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// TestIntegrateRelocatesAnEditChain: along the benchmark-shaped session,
+// an eval derives what it added: at 150 edits, nine in ten units of both
+// roots — the flat one and the inlined one — are relocated from the
+// previous version's, and nine in ten of the root's instances keep what
+// their previous split derived.
+func TestIntegrateRelocatesAnEditChain(t *testing.T) {
+	frags := fragmentsOf(editChain(150))
+	n := len(frags)
+	base, err := integrate(emptyVersion(), strings.Join(frags[:n-1], "\n"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := integrate(base, frags[n-1], true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*elab.Flat{v.flatElabs[ir.RootPath], v.execElabs[ir.RootPath]} {
+		if units := relocatable(f); f.Relocated*10 < units*9 {
+			t.Errorf("relocated %d of the root's %d units, want at least 90%%", f.Relocated, units)
+		}
+	}
+	if kept, insts := v.flat.Sub(ir.RootPath).Kept, 150+3; kept*10 < insts*9 {
+		t.Errorf("the root's split kept %d of its %d instances, want at least 90%%", kept, insts)
+	}
+}
+
+// padTo is frag preceded by as many newlines as src has lines, so that
+// its positions are those it has at the end of src+"\n"+frag: an error
+// integrate reports for it names the same line either way.
+func padTo(src, frag string) string {
+	return strings.Repeat("\n", strings.Count(src, "\n")+1) + frag
+}
+
+// checkRefusal integrates frag onto base, the version of src, and wants
+// it refused with the error integrating src and frag from scratch gives,
+// leaving base as it was.
+func checkRefusal(t *testing.T, base *version, src, frag string, inline bool) error {
+	t.Helper()
+	before := describeVersion(base)
+	_, err := integrate(base, padTo(src, frag), inline)
+	_, want := integrate(emptyVersion(), src+"\n"+frag, inline)
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("fragment %q: refused with %v, from scratch %v", frag, err, want)
+	}
+	if describeVersion(base) != before {
+		t.Fatalf("refusing %q changed the base version", frag)
+	}
+	return err
+}
+
+// TestIntegrateFromKeyMutations: what integrate keeps of its base is kept
+// only while what it was derived from is unchanged. Each pair integrates
+// a fragment onto a version and counts what the new version relocated of
+// each root's units (elab.Flat.Relocated) and kept of the root's
+// instances (ir.SubProgram.Kept); either way the version is the one
+// integrated from scratch, or the fragment is refused as from scratch.
+func TestIntegrateFromKeyMutations(t *testing.T) {
+	const stage = `module E(input wire clk, input wire [7:0] x, output wire [7:0] y);
+  reg [7:0] acc = 1;
+  always @(posedge clk) acc <= acc + x;
+  assign y = acc;
+endmodule
+module P #(parameter W = 4)(input wire clk, output wire [W-1:0] q);
+  reg [W-1:0] r = 0;
+  always @(posedge clk) r <= r + 1;
+  assign q = r;
+endmodule
+`
+	const base = stage + `localparam K = 6;
+wire [7:0] v;
+wire [5:0] pq;
+E e(.clk(clk.val), .x(8'd3), .y(v));
+P #(K) p(.clk(clk.val), .q(pq));
+wire [7:0] sum = v + pq;
+always @(posedge clk.val) if (sum == 0) $display("zero");
+assign led.val = sum;`
+	for _, tc := range []struct {
+		name, frag         string
+		flat, merged, kept int
+		refused            bool
+	}{
+		// A procedural write makes e's x, a promoted wire its connection
+		// drives continuously, a reg: the connection's assignment, which
+		// names it, is elaborated again — and refused, as from scratch.
+		{name: "a procedural hierarchical write turns a port to reg", frag: "always @(posedge clk.val) e.x <= 8'd1;", refused: true},
+		// e is split again (ir.BuildFrom) and its items renamed afresh: in
+		// the merged root its process, its assign and its now promoted acc
+		// are elaborated again, with the fragment's declaration and
+		// initializer, which are all the flat root elaborates.
+		{name: "a late hierarchical read promotes e.acc", frag: "wire [7:0] peek = e.acc;", flat: 11, merged: 19, kept: 5},
+		// The root gains a parameter, which a new instance's override
+		// names. Every parameter the base bound keeps its value, so no
+		// item of the base can tell: only the fragment's declaration and
+		// connections are derived, and in the merged root pj's items too.
+		{name: "a root localparam is used in an instance override", frag: "localparam J = 3;\nwire [2:0] jq;\nP #(J) pj(.clk(clk.val), .q(jq));", flat: 11, merged: 22, kept: 5},
+		// A second driver of sum, whose assignment is relocated: it still
+		// claims sum, so the fragment is refused where it drives it.
+		{name: "a second continuous driver", frag: "assign sum = 8'd0;", refused: true},
+		{name: "nothing changes", frag: "", flat: 11, merged: 22, kept: 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := DefaultPrelude + "\n" + base
+			v0, err := integrate(emptyVersion(), src, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.refused {
+				t.Log(checkRefusal(t, v0, src, tc.frag, true))
+				return
+			}
+			v, err := integrate(v0, padTo(src, tc.frag), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole, err := integrate(emptyVersion(), src+"\n"+tc.frag, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if describeVersion(v) != describeVersion(whole) {
+				t.Fatal("the version differs from the one integrated from scratch")
+			}
+			flat, merged := v.flatElabs[ir.RootPath], v.execElabs[ir.RootPath]
+			if got := [3]int{flat.Relocated, merged.Relocated, v.flat.Sub(ir.RootPath).Kept}; got != [3]int{tc.flat, tc.merged, tc.kept} {
+				t.Fatalf("relocated %d of %d flat and %d of %d merged units, kept %d instances; want %d, %d, %d",
+					flat.Relocated, relocatable(flat), merged.Relocated, relocatable(merged), got[2], tc.flat, tc.merged, tc.kept)
+			}
+		})
+	}
+}
+
+// TestIntegrateKeepsNoChain: a version derived from its base holds none
+// of the base's own records — its roots, their elaborations, its merged
+// design — so a session keeps one version alive, not all of them.
+func TestIntegrateKeepsNoChain(t *testing.T) {
+	frags := fragmentsOf(editChain(8))
+	v, err := integrate(emptyVersion(), strings.Join(frags[:len(frags)-2], "\n"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan string, 4)
+	onFree := func(what string) { freed <- what }
+	goruntime.SetFinalizer(v.flatElabs[ir.RootPath], func(*elab.Flat) { onFree("flat root elaboration") })
+	goruntime.SetFinalizer(v.execElabs[ir.RootPath], func(*elab.Flat) { onFree("merged root elaboration") })
+	goruntime.SetFinalizer(v.flat.Sub(ir.RootPath), func(*ir.SubProgram) { onFree("root subprogram") })
+	goruntime.SetFinalizer(v.exec, func(*ir.Design) { onFree("merged design") })
+	for _, frag := range frags[len(frags)-2:] {
+		if v, err = integrate(v, frag, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Finalizers run after the collection that finds their objects dead.
+	for n, gcs := 0, 0; n < 4; {
+		goruntime.GC()
+		select {
+		case <-freed:
+			n++
+		case <-time.After(100 * time.Millisecond):
+			if gcs++; gcs == 20 {
+				t.Fatalf("%d of the first version's four records are still reachable", 4-n)
+			}
+		}
+	}
+	goruntime.KeepAlive(v)
 }

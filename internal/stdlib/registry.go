@@ -1,6 +1,8 @@
 package stdlib
 
 import (
+	"sync"
+
 	"cascade/internal/bits"
 	"cascade/internal/ir"
 	"cascade/internal/verilog"
@@ -10,8 +12,12 @@ import (
 // parameter defaults and port shapes. The runtime implicitly declares
 // these types when it starts (paper §3.2); user code instantiates them
 // like any module and the IR wires them to the pre-compiled engines
-// built by New.
-func Registry() ir.Registry {
+// built by New. It is built once and shared — read it, never modify it —
+// so that a spec is the same object in every build (ir.BuildFrom keeps
+// an instance's split while it names the same spec).
+func Registry() ir.Registry { return registry() }
+
+var registry = sync.OnceValue(func() ir.Registry {
 	u32 := func(v uint64) *bits.Vector { return bits.FromUint64(32, v) }
 	paramWidth := func(name string, dflt int) func(map[string]*bits.Vector) int {
 		return func(p map[string]*bits.Vector) int {
@@ -89,4 +95,4 @@ func Registry() ir.Registry {
 			},
 		},
 	}
-}
+})

@@ -4,8 +4,9 @@
 # spells parse -> declare -> ir.Build -> elaborate -> ir.Inline ->
 # elaborate, and it runs whole before an eval or restore commits; Eval,
 # Restore, journal replay and internal/bench's baselines all go through
-# it, and only it is handed a predecessor to reuse subprograms from
-# (ir.BuildFrom; the base version is the memo). The sequence used to be
+# it, and only it is handed a predecessor to reuse subprograms and
+# elaborations from (ir.BuildFrom, elab.ElaborateFrom; the base version
+# is the memo). The sequence used to be
 # written four times and split across the
 # commit point, so a fragment only the inlined root's elaboration could
 # refuse was refused after the program had been journaled, replaced and
@@ -22,7 +23,7 @@ files=$(ls internal/runtime/*.go internal/bench/*.go | grep -v '_test\.go$')
 calls=$(awk '
     FILENAME == "internal/runtime/version.go" { next }
     /^[[:space:]]*\/\// { next }
-    /verilog\.ParseProgramFragment\(|ir\.Build(From)?\(|ir\.Inline\(|elab\.Elaborate\(/ {
+    /verilog\.ParseProgramFragment\(|ir\.Build(From)?\(|ir\.Inline\(|elab\.Elaborate(From)?\(/ {
         print FILENAME ":" FNR ": " $0
     }' $files)
 if [ -n "$calls" ]; then
@@ -30,11 +31,11 @@ if [ -n "$calls" ]; then
     echo "check_front_end: parse/build/inline/elaborate belong to integrate (internal/runtime/version.go); call it, or runtime.ElaborateInlined" >&2
     exit 1
 fi
-# The predecessor-taking build, anywhere in the tree.
-reusers=$(grep -rnE --include='*.go' 'ir\.BuildFrom\(' . | grep -v '_test\.go:' | grep -v '^\./internal/runtime/version\.go:' || true)
+# The predecessor-taking build and elaboration, anywhere in the tree.
+reusers=$(grep -rnE --include='*.go' 'ir\.BuildFrom\(|elab\.ElaborateFrom\(' . | grep -v '_test\.go:' | grep -v '^\./internal/runtime/version\.go:' || true)
 if [ -n "$reusers" ]; then
     printf '%s\n' "$reusers"
-    echo "check_front_end: only integrate hands ir.BuildFrom a predecessor; everyone else builds from scratch (ir.Build)" >&2
+    echo "check_front_end: only integrate hands ir.BuildFrom or elab.ElaborateFrom a predecessor; everyone else builds and elaborates from scratch (ir.Build, elab.Elaborate)" >&2
     exit 1
 fi
 echo "check_front_end: the front end is spelled once, in version.go"

@@ -20,14 +20,17 @@ func Elaborate(mod *verilog.Module, instName string, params map[string]*bits.Vec
 
 // ElaborateFrom is Elaborate for a module that shares item objects with
 // the one base was elaborated from (nil: none; base is only read). While
-// every parameter base bound has the same value, a unit whose source item
-// is the same object as one of base's, every variable of which it names
-// has the same name, width, reg-ness, array bounds and direction here,
-// elaborates to what it did in base — the AST is immutable — so its
+// every parameter base bound has the same value (Extends), a unit whose
+// source item is the same object as one of base's, every variable of which
+// it names has the same name, width, reg-ness, array bounds and direction
+// here, elaborates to what it did in base — the AST is immutable — so its
 // elaboration is copied out of base instead (relocated; Flat.Relocated
 // counts them), and the rest is elaborated. The copy gets this flat's
-// variables: Var.Index is a position, and an edit moves most of them. The
-// result is the Flat Elaborate returns, error or not.
+// variables: Var.Index is a position, and an edit moves most of them. A
+// relocated assign, process or initial block keeps base's unit identity,
+// an elaborated one gets a new one: this is the one decision of what an
+// eval left unchanged, and synthesis (netlist.CompileFrom) follows it. The
+// result is the Flat Elaborate returns, error or not, up to identities.
 func ElaborateFrom(base *Flat, mod *verilog.Module, instName string, params map[string]*bits.Vector) (*Flat, error) {
 	consts := map[string]*bits.Vector{} // the parameters: the flat's record of them is the elaborator's scope
 	nvars, nassigns, nprocs := len(mod.Ports), 0, 0
@@ -108,7 +111,7 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 	if err := e.params(mod, overrides); err != nil {
 		return err
 	}
-	if e.base != nil && extends(e.base.Params, e.consts) {
+	if e.base != nil && Extends(e.base.Params, e.consts) {
 		e.reloc = newRelocation(e.base, e.flat)
 	}
 
@@ -200,6 +203,7 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 			if body != nil {
 				e.flat.Initials = append(e.flat.Initials, body)
 				e.flat.InitialItems = append(e.flat.InitialItems, x)
+				e.flat.InitialUnits = append(e.flat.InitialUnits, newUnit())
 			}
 		case *verilog.Instance:
 			return e.errf(x.InstPos, "internal: instance %s survived IR flattening", x.Name)
@@ -441,7 +445,7 @@ func (e *elaborator) contAssign(a *verilog.ContAssign, src verilog.Item, ord int
 		return err
 	}
 	widenContext(rhs, total)
-	e.flat.Assigns = append(e.flat.Assigns, &ContAssign{LHS: lhs, RHS: rhs, Src: src, Ord: ord})
+	e.flat.Assigns = append(e.flat.Assigns, &ContAssign{LHS: lhs, RHS: rhs, Src: src, Ord: ord, Unit: newUnit()})
 	e.settle(src, refsInLValues(lhs)+refsIn(rhs))
 	return nil
 }
@@ -460,7 +464,7 @@ func (e *elaborator) checkAssignOverlap(lv LValue, pos verilog.Pos) error {
 
 func (e *elaborator) always(a *verilog.AlwaysBlock) error {
 	e.begin()
-	p := &Proc{Star: a.Star, Src: a}
+	p := &Proc{Star: a.Star, Src: a, Unit: newUnit()}
 	for _, ev := range a.Events {
 		x, err := e.expr(ev.Expr)
 		if err != nil {

@@ -1,7 +1,6 @@
 package elab
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -347,66 +346,6 @@ endmodule`, nil)
 	st := f.Procs[0].Body.(*SysTask)
 	if _, ok := st.Args[0].(*TimeRef); !ok {
 		t.Fatal("$time should resolve to TimeRef")
-	}
-}
-
-// TestElaborateFromKeyMutations: a unit is relocated only while every
-// variable it names keeps its shape and every parameter its value. Each
-// pair elaborates the very same item objects — a clocked process naming
-// d (a bit of it too) and K, an assign naming e8, a process a fold leaves without y, one
-// whose loop variable unrolls away — against two versions of their
-// declarations: the units that name a changed one are elaborated again,
-// the opaque two always are, and either way the result is the Flat
-// Elaborate builds from scratch.
-func TestElaborateFromKeyMutations(t *testing.T) {
-	const shared = `
-  always @(posedge clk) q <= d + d[0] + K;
-  assign w = e8 ^ 8'h5a;
-  always @(posedge clk) z <= y * 8'd0;
-  always @(posedge clk) for (i = 0; i < 2; i = i + 1) m[i] <= 8'd1;
-endmodule`
-	decls := func(d, e8, y, m, k string) string {
-		return "module M(input wire clk, output reg [15:0] q, output wire [7:0] w, " + d + ");\n" +
-			"  localparam K = " + k + ";\n  " + e8 + ";\n  reg [7:0] z;\n  " + y + ";\n  integer i;\n  " + m + ";\n"
-	}
-	base := decls("input wire [7:0] d", "reg [7:0] e8", "reg [7:0] y", "reg [7:0] m [0:3]", "3")
-	for _, tc := range []struct {
-		name, decls string
-		relocated   int
-	}{
-		{"a declaration changes width", decls("input wire [11:0] d", "reg [7:0] e8", "reg [7:0] y", "reg [7:0] m [0:3]", "3"), 1},
-		{"a variable flips from reg to wire", decls("input wire [7:0] d", "wire [7:0] e8", "reg [7:0] y", "reg [7:0] m [0:3]", "3"), 1},
-		{"a port changes direction", decls("output wire [7:0] d", "reg [7:0] e8", "reg [7:0] y", "reg [7:0] m [0:3]", "3"), 1},
-		{"what only opaque units name changes", decls("input wire [7:0] d", "reg [7:0] e8", "reg [15:0] y", "reg [7:0] m [2:5]", "3"), 2},
-		{"a parameter changes value", decls("input wire [7:0] d", "reg [7:0] e8", "reg [7:0] y", "reg [7:0] m [0:3]", "4"), 0},
-		{"a parameter is added", decls("input wire [7:0] d", "reg [7:0] e8", "reg [7:0] y", "reg [7:0] m [0:3]", "3;\n  localparam J = 1"), 2},
-		{"nothing changes", base, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a := parseOne(t, base+shared)
-			b := parseOne(t, tc.decls+"endmodule")
-			b.Items = append(b.Items, a.Items[len(a.Items)-4:]...) // the same objects
-			fa, err := Elaborate(a, "dut", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ElaborateFrom(fa, b, "dut", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := Elaborate(b, "dut", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			relocated := got.Relocated
-			got.Relocated = 0
-			if !reflect.DeepEqual(got, want) {
-				t.Fatal("the relocated elaboration differs from the one from scratch")
-			}
-			if relocated != tc.relocated {
-				t.Fatalf("relocated %d units, want %d", relocated, tc.relocated)
-			}
-		})
 	}
 }
 

@@ -15,11 +15,15 @@
 // initial block — whose source item is the same object, under the same
 // parameter values, with every variable it names of the same shape, is
 // copied out of that Flat onto the new one's variables (relocated) instead
-// of elaborated again; the result is the Flat Elaborate returns.
+// of elaborated again; the result is the Flat Elaborate returns. A
+// relocated behaviour unit keeps its identity (ContAssign.Unit, Proc.Unit,
+// Flat.InitialUnits), and that is how synthesis (netlist.CompileFrom)
+// knows which of its units it may relocate too.
 package elab
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"cascade/internal/bits"
 	"cascade/internal/verilog"
@@ -53,8 +57,10 @@ type Flat struct {
 	Assigns  []*ContAssign
 	Procs    []*Proc
 	Initials []Stmt
-	// InitialItems[i] is the initial block Initials[i] was elaborated from.
+	// InitialItems[i] is the initial block Initials[i] was elaborated
+	// from, and InitialUnits[i] its identity.
 	InitialItems []verilog.Item
+	InitialUnits []uint64
 	Source       *verilog.Module
 	// Relocated counts the units ElaborateFrom copied out of its base: net
 	// declarations, continuous assignments (a declaration's initializers
@@ -63,6 +69,20 @@ type Flat struct {
 
 	opaque map[verilog.Item]bool // units relocation leaves alone (elaborator.settle)
 }
+
+// lastUnit is the last unit identity handed out: one counter per
+// process, because two units may share an identity only by relocation,
+// whichever Flats (or their programs) a later elaboration or synthesis is
+// handed as its base.
+var lastUnit atomic.Uint64
+
+// newUnit mints the identity of a unit being elaborated. A relocated unit
+// keeps its base's identity instead, and relocation checks each link of a
+// chain of versions — the same item, parameters that extend the base's,
+// variables of the same shapes, not opaque — so units of any two versions
+// that share an identity elaborated to the same thing, up to the
+// positions of the variables it names (which keep their names and shapes).
+func newUnit() uint64 { return lastUnit.Add(1) }
 
 // VarNamed returns the variable with the given name, or nil.
 func (f *Flat) VarNamed(name string) *Var {
@@ -78,8 +98,9 @@ type ContAssign struct {
 	RHS Expr
 	// Src is the module item it was elaborated from: an assign, or the
 	// net declaration whose Ord-th name carries an initializer.
-	Src verilog.Item
-	Ord int
+	Src  verilog.Item
+	Ord  int
+	Unit uint64 // its identity (newUnit)
 }
 
 // EdgeKind is the sensitivity kind for one event.
@@ -105,6 +126,7 @@ type Proc struct {
 	Body  Stmt
 	Reads []*Var       // read set of Body (sensitivity closure for @*)
 	Src   verilog.Item // the always block it was elaborated from
+	Unit  uint64       // its identity (newUnit)
 }
 
 // LValue is a resolved assignment target.

@@ -7,7 +7,7 @@ import (
 
 // relocation copies units' elaborations out of a base Flat into the one
 // being elaborated (ElaborateFrom). It exists only while every parameter
-// base bound has the same value (extends): what a unit elaborates to is
+// base bound has the same value (Extends): what a unit elaborates to is
 // then decided by its source item — the same object, the AST is
 // immutable — and by the shapes of the variables it names, which its
 // elaboration shows (unless it is opaque: elaborator.settle).
@@ -94,12 +94,14 @@ func sameShape(a, b *Var) bool {
 		a.IsInput == b.IsInput && a.IsOutput == b.IsOutput
 }
 
-// extends reports whether every parameter base bound is bound to the
+// Extends reports whether every parameter base bound is bound to the
 // same value in here. A module only grows, so what base's items name is
 // what they named in base: a parameter added since cannot be a name one of
 // them uses — it would be the name of a variable, whose declaration
-// declare then refuses.
-func extends(base, here map[string]*bits.Vector) bool {
+// declare then refuses. It is the one rule by which a parameter
+// environment may stand for another (ir's split memos use it too, with
+// equal lengths where they need equal environments).
+func Extends(base, here map[string]*bits.Vector) bool {
 	if len(base) > len(here) {
 		return false
 	}
@@ -178,7 +180,7 @@ func (e *elaborator) relocateAssign(src verilog.Item, ord int, pos verilog.Pos) 
 		}
 	}
 	a := &alloc(&r.pools.assigns, 1)[0]
-	*a = ContAssign{LHS: lhs, RHS: rhs, Src: src, Ord: ord}
+	*a = ContAssign{LHS: lhs, RHS: rhs, Src: src, Ord: ord, Unit: ba.Unit}
 	e.flat.Assigns = append(e.flat.Assigns, a)
 	e.flat.Relocated++
 	return true, nil
@@ -210,7 +212,7 @@ func (e *elaborator) relocateProc(x *verilog.AlwaysBlock) bool {
 		return false
 	}
 	p := &alloc(&r.pools.procs, 1)[0]
-	*p = Proc{Edges: edges, Star: bp.Star, Body: body, Reads: r.varList(bp.Reads), Src: x}
+	*p = Proc{Edges: edges, Star: bp.Star, Body: body, Reads: r.varList(bp.Reads), Src: x, Unit: bp.Unit}
 	e.flat.Procs = append(e.flat.Procs, p)
 	e.flat.Relocated++
 	return true
@@ -235,6 +237,7 @@ func (e *elaborator) relocateInitial(x *verilog.InitialBlock) bool {
 	}
 	e.flat.Initials = append(e.flat.Initials, body)
 	e.flat.InitialItems = append(e.flat.InitialItems, x)
+	e.flat.InitialUnits = append(e.flat.InitialUnits, r.base.InitialUnits[i])
 	e.flat.Relocated++
 	return true
 }

@@ -18,7 +18,7 @@
 //     region quota, so placement, fit, and timing decisions never see
 //     another tenant;
 //   - every submitter of the shared Toolchain is a tenant record
-//     (toolchain.Toolchain.SubmitTenant; internal/toolchain/tenant.go)
+//     (toolchain.Toolchain.SubmitDesign; internal/toolchain/tenant.go)
 //     holding its own faults, observer, stats, and cache-key namespace —
 //     a neighbour's warmed cache or seeded fault schedule cannot alter a
 //     tenant's compile timeline;

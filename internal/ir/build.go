@@ -62,7 +62,7 @@ func (b *builder) reusable(path string, ci *childInst) *SubProgram {
 	if old == nil || old.src != ci.mod || len(old.env) != len(ci.params) || len(old.extra) != len(ci.extraOutputs) {
 		return nil
 	}
-	if !sameEnv(old.env, ci.params) {
+	if !elab.Extends(old.env, ci.params) {
 		return nil
 	}
 	for name := range ci.extraOutputs {
@@ -72,24 +72,6 @@ func (b *builder) reusable(path string, ci *childInst) *SubProgram {
 	}
 	return old
 }
-
-// extendsEnv reports whether env binds every name of base to the same
-// value: a module that gained a parameter since its previous split. An
-// item of the previous split cannot name it — it would be a variable's
-// name, which elaboration refuses to declare — so its renaming for Inline
-// is what it was.
-func extendsEnv(base, env map[string]*bits.Vector) bool {
-	for name, v := range base {
-		if o := env[name]; o == nil || o.Width() != v.Width() || !o.Equal(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameEnv reports whether two constant environments bind the same names
-// to the same values.
-func sameEnv(a, b map[string]*bits.Vector) bool { return len(a) == len(b) && extendsEnv(a, b) }
 
 // instRes is an instantiation inside one module resolved: the module or
 // stdlib spec it names and its parameter values. It depends on the
@@ -260,7 +242,10 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 	}
 	firstWire := len(b.design.Wires)
 	var memo *splitMemo // (only the root keeps one: an edit only ever splits it again)
-	if old := b.prev[path]; old != nil && old.memo != nil && extendsEnv(old.memo.env, env) {
+	// A module that gained a parameter since its previous split keeps its
+	// memo (elab.Extends): no item of that split can name the parameter,
+	// so each item's renaming for Inline is what it was.
+	if old := b.prev[path]; old != nil && old.memo != nil && elab.Extends(old.memo.env, env) {
 		memo = old.memo
 	}
 	next := &splitMemo{items: mod.Items, parts: make([]*itemSplit, len(mod.Items)), env: env}
@@ -668,7 +653,7 @@ func (b *builder) resolveInstance(inst *verilog.Instance, parentEnv map[string]*
 			ci.params[name] = v
 		}
 		ci.header = ci.params
-		if prev != nil && prev.std == spec && sameEnv(prev.params, ci.params) {
+		if prev != nil && prev.std == spec && len(prev.params) == len(ci.params) && elab.Extends(prev.params, ci.params) {
 			return prev, nil
 		}
 		return ci, nil
@@ -706,7 +691,7 @@ func (b *builder) resolveInstance(inst *verilog.Instance, parentEnv map[string]*
 		}
 		ci.header[name] = v
 	}
-	if prev != nil && prev.mod == mod && sameEnv(prev.header, ci.header) {
+	if prev != nil && prev.mod == mod && len(prev.header) == len(ci.header) && elab.Extends(prev.header, ci.header) {
 		return prev, nil
 	}
 	full, _, err := paramEnv(mod, ci.header)

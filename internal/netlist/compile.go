@@ -33,7 +33,7 @@ func (c *compiler) srcs(s ...int) []int {
 // unit compiles u into a new span of c.prog.
 func (c *compiler) unit(u *unit) {
 	c.prog.Spans = append(c.prog.Spans, Span{
-		Item: u.item, Ord: int32(u.ord),
+		Unit: u.id, Ord: u.ord,
 		Code: int32(len(c.prog.Code)), Temps: int32(len(c.prog.Slots)),
 		Tasks: int32(len(c.prog.Tasks)), Vars: int32(len(c.prog.vars)),
 	})

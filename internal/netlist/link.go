@@ -6,7 +6,6 @@ import (
 
 	"cascade/internal/elab"
 	"cascade/internal/sim"
-	"cascade/internal/verilog"
 )
 
 // Compile synthesizes f into a netlist program and runs the dead-code
@@ -19,10 +18,12 @@ func Compile(f *elab.Flat) (*Program, error) { return CompileFrom(nil, f) }
 
 // CompileFrom is Compile for a design that extends the one base was
 // synthesized from (nil: none; base must come from Compile or
-// CompileFrom). A unit of f elaborated from the same source item, with
-// the same ordinal, as a unit of base, all of whose variables have the
-// same shape in both, is relocated out of base instead of compiled
-// again. The result is the program Compile(f) returns, field for field.
+// CompileFrom). A unit of f with the identity of a unit of base — the
+// elaboration relocated it (elab.ElaborateFrom), from base's design or
+// through any chain of versions since, so it is the same elaboration on
+// variables of the same names and shapes — is relocated out of base
+// instead of compiled again; synthesis makes no reuse decision of its
+// own. The result is the program Compile(f) returns, field for field.
 // base is only read.
 func CompileFrom(base *Program, f *elab.Flat) (*Program, error) { return link(base, f, true) }
 
@@ -38,8 +39,8 @@ type unit struct {
 	assign  *elab.ContAssign
 	proc    *elab.Proc
 	monitor *elab.SysTask
-	item    verilog.Item // the source item (nil: none, never relocated)
-	ord     int
+	id      uint64 // its elaboration's identity (0: none, never relocated)
+	ord     int32  // which $monitor of its initial block it is
 
 	src  *Program // where its code is: the base, or the scratch compile
 	span int      // its span in src
@@ -58,8 +59,8 @@ func (u *unit) tasks(out []*elab.SysTask) []*elab.SysTask {
 
 // unitKey identifies a unit across versions of a design.
 type unitKey struct {
-	item verilog.Item
-	ord  int
+	id  uint64
+	ord int32
 }
 
 // partition lists f's units in synthesis order — combinational (assigns,
@@ -68,7 +69,7 @@ type unitKey struct {
 func partition(f *elab.Flat) (units []unit, ncomb, nseq int, err error) {
 	units = make([]unit, 0, len(f.Assigns)+len(f.Procs))
 	for _, a := range f.Assigns {
-		units = append(units, unit{assign: a, item: a.Src, ord: a.Ord})
+		units = append(units, unit{assign: a, id: a.Unit})
 	}
 	var seqs []unit
 	for _, p := range f.Procs {
@@ -76,27 +77,23 @@ func partition(f *elab.Flat) (units []unit, ncomb, nseq int, err error) {
 			if hasTrueEdge(p) {
 				return nil, 0, 0, errf("process mixes edge and level sensitivity (not synthesizable)")
 			}
-			units = append(units, unit{proc: p, item: p.Src})
+			units = append(units, unit{proc: p, id: p.Unit})
 			continue
 		}
 		if len(p.Edges) == 0 {
 			return nil, 0, 0, errf("always block with empty sensitivity list")
 		}
-		seqs = append(seqs, unit{proc: p, item: p.Src})
+		seqs = append(seqs, unit{proc: p, id: p.Unit})
 	}
 	ncomb, nseq = len(units), len(seqs)
 	units = append(units, seqs...)
 	// $monitor registrations from initial blocks become end-of-step
 	// display units evaluated by Machine.EndStep.
 	for i, st := range f.Initials {
-		var item verilog.Item
-		if i < len(f.InitialItems) {
-			item = f.InitialItems[i]
-		}
-		ord := 0
+		var ord int32
 		elab.WalkStmt(st, func(s elab.Stmt) {
 			if t, ok := s.(*elab.SysTask); ok && t.Kind == elab.TaskMonitor {
-				units = append(units, unit{monitor: t, item: item, ord: ord})
+				units = append(units, unit{monitor: t, id: f.InitialUnits[i], ord: ord})
 				ord++
 			}
 		}, nil)
@@ -112,7 +109,7 @@ type linker struct {
 	base    *Program // nil: nothing to relocate from
 	scratch *Program // the units compiled here
 
-	keys  map[unitKey]int // base's spans by source
+	keys  map[unitKey]int // base's spans by identity
 	vmap  []int           // base variable index -> f's variable of that name (-1: none)
 	bslot []int           // base variable slot -> slot of that variable here (-1: none)
 	bmem  []int           // base memory -> memory of that variable here (-1: none)
@@ -144,7 +141,7 @@ func link(base *Program, f *elab.Flat, optimize bool) (*Program, error) {
 		return nil, err
 	}
 	l := &linker{f: f, p: p}
-	if base != nil && sameParams(base.Flat, f) {
+	if base != nil {
 		l.index(base)
 	}
 
@@ -219,27 +216,14 @@ func link(base *Program, f *elab.Flat, optimize bool) (*Program, error) {
 // benchmark's chained stages, 5–12 on generated modules).
 const opsPerUnit = 10
 
-// sameParams reports whether two elaborations bound the same parameters.
-func sameParams(a, b *elab.Flat) bool {
-	if len(a.Params) != len(b.Params) {
-		return false
-	}
-	for name, v := range a.Params {
-		if w := b.Params[name]; w == nil || w.Width() != v.Width() || !w.Equal(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// index prepares relocation from base: its spans by source, and its
+// index prepares relocation from base: its spans by identity, and its
 // variables, slots and memories by name in l.f.
 func (l *linker) index(base *Program) {
 	l.base = base
 	l.keys = make(map[unitKey]int, len(base.Spans))
 	for i, sp := range base.Spans {
-		if sp.Item != nil {
-			l.keys[unitKey{sp.Item, int(sp.Ord)}] = i
+		if sp.Unit != 0 {
+			l.keys[unitKey{sp.Unit, sp.Ord}] = i
 		}
 	}
 	l.vmap = make([]int, len(base.Flat.Vars))
@@ -265,49 +249,15 @@ func (l *linker) index(base *Program) {
 	}
 }
 
-// relocate points u at its span in the base program when it may be
-// copied from there: a span of the same kind from the same source item
-// and ordinal, every variable of which names a variable of the same
-// width, array shape and kind here, with tasks of the same kinds.
-// Anything an elaboration of one item can differ by between two versions
-// of a design — widths, hence wideness and every inferred width of its
-// expressions, and array bounds, hence index arithmetic — is a property
-// of a variable it names; the AST is immutable and parameters are checked
-// once (sameParams).
+// relocate points u at its span in the base program if base has a unit
+// of its identity (CompileFrom): that unit names the variables u names,
+// by name, and they have the same shapes in both designs.
 func (l *linker) relocate(u *unit) bool {
-	if l.base == nil || u.item == nil {
-		return false
+	si, ok := l.keys[unitKey{u.id, u.ord}]
+	if ok {
+		u.src, u.span = l.base, si
 	}
-	si, ok := l.keys[unitKey{u.item, u.ord}]
-	if !ok || l.base.kindOf(si) != kindOf(u) {
-		return false
-	}
-	lo, hi := l.base.spanVars(si)
-	for _, e := range l.base.vars[lo:hi] {
-		j := l.vmap[e>>1]
-		if j < 0 || !sameShape(l.base.Flat.Vars[e>>1], l.f.Vars[j]) {
-			return false
-		}
-	}
-	tlo, thi := l.base.spanTasks(si)
-	if thi > tlo {
-		l.tasks = u.tasks(l.tasks[:0])
-		if len(l.tasks) != thi-tlo {
-			return false
-		}
-		for i, t := range l.tasks {
-			if bt := l.base.Tasks[tlo+i].Src; bt.Kind != t.Kind || bt.Format != t.Format {
-				return false
-			}
-		}
-	}
-	u.src, u.span = l.base, si
-	return true
-}
-
-// sameShape reports whether code naming a may name b instead.
-func sameShape(a, b *elab.Var) bool {
-	return a.Width == b.Width && a.IsReg == b.IsReg && a.ArrayLen == b.ArrayLen && a.ArrayLo == b.ArrayLo
+	return ok
 }
 
 // Unit kinds, in the order their spans are laid out.
@@ -501,7 +451,7 @@ func (l *linker) emit(units []unit, order []int, uv []int32, off []int, ncomb, n
 			p.Relocated++
 		}
 		p.Spans = append(p.Spans, Span{
-			Item: u.item, Ord: int32(u.ord), Code: int32(entry), Temps: int32(len(p.Slots)),
+			Unit: u.id, Ord: u.ord, Code: int32(entry), Temps: int32(len(p.Slots)),
 			Tasks: int32(len(p.Tasks)), Vars: int32(len(p.vars)),
 		})
 		p.Slots = append(p.Slots, src.Slots[tlo:thi]...)

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"cascade/internal/elab"
@@ -62,46 +63,90 @@ func parseModule(t *testing.T, src string) *verilog.Module {
 	return st.Modules[0]
 }
 
-// TestCompileFromKeyMutations: a unit is relocated only while what its
-// code was compiled against is unchanged. Each pair elaborates the very
-// same item objects — a clocked process reading d, K and m, an assign
-// reading d, a $monitor reading w — against two versions of their
-// declarations: the units that read the changed one are compiled again,
-// the others relocated, and either way the program is the one Compile
-// builds from scratch.
-func TestCompileFromKeyMutations(t *testing.T) {
+// TestRelocationKeyMutations: elaboration alone decides which units an
+// edit left unchanged, and synthesis follows it. Each row elaborates the
+// very same item objects — a clocked process naming d, K and m that
+// $displays, an assign naming e8, a $monitor initial block, a process a
+// fold leaves without y and one whose loop variable unrolls away (both
+// opaque) — from their elaboration against the base declarations, after
+// one edit of those declarations. The units that name what the edit
+// changed, and the opaque two, are elaborated again under new identities;
+// the rest keep their base's; synthesis from the base's program relocates
+// exactly the units that kept theirs; and either way the elaboration and
+// the program are the ones built from scratch.
+func TestRelocationKeyMutations(t *testing.T) {
+	const decls = `module M(input wire clk, output reg [15:0] q, output wire [7:0] w, input wire [7:0] d);
+  localparam K = 3;
+  reg [7:0] e8;
+  reg [7:0] m [0:3];
+  reg [7:0] z;
+  reg [7:0] y;
+  integer i;
+  reg [7:0] n [0:3];
+`
 	const shared = `
   always @(posedge clk) begin
     q <= d + K + m[3];
     if (q[0]) $display("q=%d", q);
   end
-  assign w = d ^ 8'h5a;
+  assign w = e8 ^ 8'h5a;
   initial $monitor("w=%d", w);
+  always @(posedge clk) z <= y * 8'd0;
+  always @(posedge clk) for (i = 0; i < 2; i = i + 1) n[i] <= 8'd1;
 endmodule`
-	const ports = "module M(input wire clk, output reg [15:0] q, output wire [7:0] w"
-	base := ports + ", output reg [7:0] d);\n  localparam K = 3;\n  reg [7:0] m [0:3];\n"
 	for _, tc := range []struct {
-		name, decls string
-		relocated   int
+		name        string
+		edit        []string // old, new pairs over decls
+		elab, synth int      // units relocated by ElaborateFrom and by CompileFrom
 	}{
-		{"a read declaration changes width", ports + ", output reg [11:0] d);\n  localparam K = 3;\n  reg [7:0] m [0:3];\n", 1},
-		{"a port flips from reg to wire", ports + ", output wire [7:0] d);\n  localparam K = 3;\n  reg [7:0] m [0:3];\n", 1},
-		{"a memory's bounds move", ports + ", output reg [7:0] d);\n  localparam K = 3;\n  reg [7:0] m [2:5];\n", 2},
-		{"a parameter changes value", ports + ", output reg [7:0] d);\n  localparam K = 4;\n  reg [7:0] m [0:3];\n", 0},
-		{"nothing changes", base, 3},
+		{"a declaration changes width", []string{"[7:0] d", "[11:0] d"}, 2, 2},
+		{"a variable flips from reg to wire", []string{"reg [7:0] e8", "wire [7:0] e8"}, 2, 2},
+		{"a port changes direction", []string{"input wire [7:0] d", "output wire [7:0] d"}, 2, 2},
+		{"a memory's bounds move", []string{"m [0:3]", "m [2:5]"}, 2, 2},
+		{"what only opaque units name changes", []string{"reg [7:0] y", "reg [15:0] y", "n [0:3]", "n [2:5]"}, 3, 3},
+		{"a parameter changes value", []string{"K = 3", "K = 4"}, 0, 0},
+		{"a parameter is added", []string{"K = 3;", "K = 3;\n  localparam J = 1;"}, 3, 3},
+		{"nothing changes", nil, 3, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a := parseModule(t, base+shared)
-			b := parseModule(t, tc.decls+"endmodule")
-			b.Items = append(b.Items, a.Items[len(a.Items)-3:]...) // the same objects
+			a := parseModule(t, decls+shared)
+			b := parseModule(t, strings.NewReplacer(tc.edit...).Replace(decls)+"endmodule")
+			b.Items = append(b.Items, a.Items[len(a.Items)-5:]...) // the same objects
 			fa, err := elab.Elaborate(a, "dut", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fb, err := elab.Elaborate(b, "dut", nil)
+			fb, err := elab.ElaborateFrom(fa, b, "dut", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			scratch, err := elab.Elaborate(b, "dut", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fb.Relocated != tc.elab {
+				t.Fatalf("elaboration relocated %d units, want %d", fb.Relocated, tc.elab)
+			}
+			if !reflect.DeepEqual(anonymous(fb), anonymous(scratch)) {
+				t.Fatal("the relocated elaboration differs from the one from scratch")
+			}
+
+			base, old, kept := unitsOf(fa), map[uint64]bool{}, map[uint64]bool{}
+			for _, id := range base {
+				old[id] = true
+			}
+			for it, id := range unitsOf(fb) {
+				switch {
+				case id == base[it]:
+					kept[id] = true
+				case id == 0 || old[id]:
+					t.Fatalf("%s: identity %d is neither its base's nor fresh", verilog.Print(it), id)
+				}
+			}
+			if len(kept) != tc.elab {
+				t.Fatalf("%d units kept their base's identity, want %d", len(kept), tc.elab)
+			}
+
 			pa, err := Compile(fa)
 			if err != nil {
 				t.Fatal(err)
@@ -115,27 +160,71 @@ endmodule`
 				t.Fatal(err)
 			}
 			sameProgram(t, tc.name, got, want)
-			if got.Relocated != tc.relocated {
-				t.Fatalf("relocated %d of %d units, want %d", got.Relocated, len(got.Spans), tc.relocated)
+			keptSpans := 0
+			for _, sp := range got.Spans {
+				if kept[sp.Unit] {
+					keptSpans++
+				}
+			}
+			if got.Relocated != tc.synth || got.Relocated != keptSpans {
+				t.Fatalf("synthesis relocated %d of %d units, want %d: the %d that kept their identity",
+					got.Relocated, len(got.Spans), tc.synth, keptSpans)
 			}
 		})
 	}
 }
 
+// unitsOf maps the source item of each of f's behaviour units to its
+// identity (an item with one unit each, as TestRelocationKeyMutations's).
+func unitsOf(f *elab.Flat) map[verilog.Item]uint64 {
+	ids := map[verilog.Item]uint64{}
+	for _, a := range f.Assigns {
+		ids[a.Src] = a.Unit
+	}
+	for _, p := range f.Procs {
+		ids[p.Src] = p.Unit
+	}
+	for i, it := range f.InitialItems {
+		ids[it] = f.InitialUnits[i]
+	}
+	return ids
+}
+
+// anonymous returns f without what relocation sets apart: its units'
+// identities and its Relocated count.
+func anonymous(f *elab.Flat) *elab.Flat {
+	g := *f
+	g.Relocated, g.InitialUnits = 0, nil
+	g.Assigns = make([]*elab.ContAssign, len(f.Assigns))
+	for i, a := range f.Assigns {
+		c := *a
+		c.Unit, g.Assigns[i] = 0, &c
+	}
+	g.Procs = make([]*elab.Proc, len(f.Procs))
+	for i, p := range f.Procs {
+		c := *p
+		c.Unit, g.Procs[i] = 0, &c
+	}
+	return &g
+}
+
 // TestCompileFromChain: along a chain of growing generated modules that
-// share every earlier item object, each version linked from the last is
+// share every earlier item object, each version elaborated from the last
+// (elab.ElaborateFrom) and linked from the last program synthesized is
 // the version compiled from scratch.
 func TestCompileFromChain(t *testing.T) {
 	relocated := 0
 	for seed := uint64(0); seed < 40; seed++ {
 		m := parseModule(t, vgen.Module(seed).String())
+		var prevFlat *elab.Flat
 		var prev *Program
 		for n := 0; n <= len(m.Items); n++ {
 			cut := &verilog.Module{NamePos: m.NamePos, Name: m.Name, Params: m.Params, Ports: m.Ports, Items: m.Items[:n]}
-			f, err := elab.Elaborate(cut, "dut", nil)
+			f, err := elab.ElaborateFrom(prevFlat, cut, "dut", nil)
 			if err != nil {
 				continue // a prefix may read what a later item declares
 			}
+			prevFlat = f
 			want, err := Compile(f)
 			if err != nil {
 				continue

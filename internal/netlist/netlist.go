@@ -7,11 +7,12 @@
 // and level-sensitive processes) into a feed-forward instruction schedule
 // and lowers every process body to a small register machine with jump
 // instructions. A program is linked from units, each a Span recording
-// its source item and where its code, temporaries and tasks lie;
-// CompileFrom copies a unit whose source item and variables are unchanged
-// out of the previous version's program instead of compiling it again,
-// so a REPL eval pays for what it added, and the result is the program
-// Compile would build from scratch. Values at or below 64 bits are stored in uint64 lanes,
+// the identity of the elaborated unit it came from and where its code,
+// temporaries and tasks lie; CompileFrom copies a unit whose elaboration
+// was relocated (elab.ElaborateFrom keeps its identity) out of the
+// previous version's program instead of compiling it again, so a REPL
+// eval pays for what it added, and the result is the program Compile
+// would build from scratch. Values at or below 64 bits are stored in uint64 lanes,
 // wider ones as bits.Vector; Machine.ExecOp computes on either as bit
 // vectors, and the fast execution of a program is internal/njit's
 // compiled form over the same storage. The package also
@@ -29,7 +30,6 @@ import (
 
 	"cascade/internal/bits"
 	"cascade/internal/elab"
-	"cascade/internal/verilog"
 )
 
 // OpKind enumerates netlist instructions.
@@ -177,8 +177,8 @@ type Program struct {
 // they are the unit's read and write sets, recorded as its code was
 // generated.
 type Span struct {
-	Item verilog.Item // the source item the unit was elaborated from (nil: none)
-	Ord  int32        // which of Item's units it is
+	Unit uint64 // the identity of the elaborated unit it was compiled from (0: none)
+	Ord  int32  // which $monitor of Unit, an initial block, it is
 
 	Code, Temps, Tasks, Vars int32
 }
@@ -213,17 +213,6 @@ func (p *Program) varSlots() int {
 		return int(p.Spans[0].Temps)
 	}
 	return len(p.Slots)
-}
-
-// kindOf returns the kind of span i, from the unit lists' lengths.
-func (p *Program) kindOf(i int) int {
-	switch {
-	case i < len(p.Comb):
-		return kindComb
-	case i < len(p.Comb)+len(p.Seq):
-		return kindSeq
-	}
-	return kindMonitor
 }
 
 // SlotInfo describes one value slot.

@@ -165,21 +165,87 @@ func TestSynthesisRecompilesRebuiltSubprograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := linkedEqualsScratch(t, "hierarchical read", bp, v.execElabs[ir.RootPath])
-	inBase := map[verilog.Item]bool{}
+	f := v.execElabs[ir.RootPath]
+	p := linkedEqualsScratch(t, "hierarchical read", bp, f)
+	inBase := map[uint64]bool{}
 	for _, sp := range bp.Spans {
-		inBase[sp.Item] = true
+		inBase[sp.Unit] = true
 	}
+	// Each span's source, through the unit of f it was compiled from.
+	srcOf := map[uint64]verilog.Item{}
+	for _, a := range f.Assigns {
+		srcOf[a.Unit] = a.Src
+	}
+	for _, pr := range f.Procs {
+		srcOf[pr.Unit] = pr.Src
+	}
+	seen := 0
 	for _, sp := range p.Spans {
-		src := verilog.Print(sp.Item)
-		if e3 := strings.Contains(src, "e3__acc <="); e3 && inBase[sp.Item] {
-			t.Errorf("e3's process was relocated from before e3 was rebuilt: %s", src)
+		src := verilog.Print(srcOf[sp.Unit])
+		if strings.Contains(src, "e3__acc <=") {
+			seen++
+			if inBase[sp.Unit] {
+				t.Errorf("e3's process was relocated from before e3 was rebuilt: %s", src)
+			}
 		}
-		if strings.Contains(src, "e2__acc <=") && !inBase[sp.Item] {
-			t.Errorf("e2's process was compiled again: %s", src)
+		if strings.Contains(src, "e2__acc <=") {
+			seen++
+			if !inBase[sp.Unit] {
+				t.Errorf("e2's process was compiled again: %s", src)
+			}
 		}
+	}
+	if seen != 2 {
+		t.Fatalf("found %d of e2's and e3's processes among the spans, want 2", seen)
 	}
 	if p.Relocated == 0 || p.Relocated == len(p.Spans) {
 		t.Fatalf("relocated %d of %d units", p.Relocated, len(p.Spans))
+	}
+}
+
+// TestSynthesisFollowsElaboration: synthesis relocates exactly the units
+// elaboration relocated (elab.ElaborateFrom keeps their identity). A
+// root fragment that adds a localparam leaves every parameter the base
+// bound its value, so both relocate every unit of the root but the
+// opaque one — a process a fold leaves without the y it names, which
+// elaboration never relocates and synthesis so compiles again on every
+// eval. Either way the program is the one synthesized from scratch.
+func TestSynthesisFollowsElaboration(t *testing.T) {
+	const base = `reg [7:0] cnt = 0;
+always @(posedge clk.val) cnt <= cnt + 1;
+wire [7:0] dbl = cnt * 2;
+reg [7:0] y = 1;
+reg [7:0] z = 0;
+always @(posedge clk.val) z <= y * 8'd0;
+always @(posedge clk.val) if (cnt == 3) $display("three");
+initial $monitor("dbl=%d", dbl);
+assign led.val = dbl ^ z;`
+	for _, tc := range []struct {
+		name, frag string
+		inline     bool
+	}{
+		{"a root localparam is added, not inlined", "localparam J = 3;", false},
+		{"a root localparam is added, inlined", "localparam J = 3;", true},
+		{"nothing changes", "", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := DefaultPrelude + "\n" + base
+			v0, err := integrate(emptyVersion(), src, tc.inline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := integrate(v0, padTo(src, tc.frag), tc.inline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bp, err := netlist.Compile(v0.execElabs[ir.RootPath])
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := linkedEqualsScratch(t, tc.name, bp, v.execElabs[ir.RootPath])
+			if p.Relocated != len(p.Spans)-1 {
+				t.Fatalf("relocated %d of %d units, want all but the opaque one", p.Relocated, len(p.Spans))
+			}
+		})
 	}
 }

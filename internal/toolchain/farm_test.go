@@ -305,7 +305,7 @@ func TestFarmCapabilitiesAndBackendSwap(t *testing.T) {
 		t.Fatal("Farm() should return the installed backend")
 	}
 	// Native jobs stay on the local backend even with a farm installed.
-	j := tc.SubmitNativeTenant(context.Background(), "", flatFor(t, farmPrograms(t, 1)[0]), 0)
+	j := tc.SubmitDesign(context.Background(), "", NewDesign(flatFor(t, farmPrograms(t, 1)[0])), false, true, 0)
 	res := j.Result()
 	if res.Err != nil || !res.NativeGo {
 		t.Fatalf("native flow broken under farm: %+v", res)

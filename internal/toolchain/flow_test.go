@@ -201,13 +201,13 @@ func TestDefaultTenantIsATenant(t *testing.T) {
 		now := uint64(0)
 		for round := 0; round < 2; round++ {
 			for i, src := range srcs {
-				j := tc.SubmitTenant(context.Background(), tenant, flatFor(t, src), true, now)
+				j := tc.SubmitDesign(context.Background(), tenant, NewDesign(flatFor(t, src)), true, false, now)
 				if round == 0 && i == 1 {
 					// Resubmit while the original is in (virtual) flight — a
 					// join, once the original's flow has reached the cache —
 					// and cancel the original.
 					j.Wait()
-					dup := tc.SubmitTenant(context.Background(), tenant, flatFor(t, src), true, now+1)
+					dup := tc.SubmitDesign(context.Background(), tenant, NewDesign(flatFor(t, src)), true, false, now+1)
 					j.Cancel()
 					j = dup
 				}
@@ -243,7 +243,7 @@ func TestDefaultTenantIsATenant(t *testing.T) {
 // from the worker goroutine, and a tenant always read 0).
 func TestTenantLedgerCountsDiskWrites(t *testing.T) {
 	tc := New(fpga.NewCycloneV(), diskCacheOptions(t.TempDir()))
-	res := tc.SubmitTenant(context.Background(), "t1", flatFor(t, smallCounter), true, 0).Result()
+	res := tc.SubmitDesign(context.Background(), "t1", NewDesign(flatFor(t, smallCounter)), true, false, 0).Result()
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

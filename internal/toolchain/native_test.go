@@ -14,7 +14,7 @@ import (
 func TestNativeJobReadyBeforeFabric(t *testing.T) {
 	tc := New(fpga.NewCycloneV(), DefaultOptions())
 	f := flatFor(t, smallCounter)
-	nj := tc.SubmitNativeTenant(context.Background(), "", f, 0)
+	nj := tc.SubmitDesign(context.Background(), "", NewDesign(f), false, true, 0)
 	fj := tc.Submit(context.Background(), f, true, 0)
 	nAt, ok := nj.ReadyAt()
 	if !ok {
@@ -52,7 +52,7 @@ func TestNativeTierSkipsFitAndTiming(t *testing.T) {
 	if res := tc.CompileSync(f, true); res.Err == nil {
 		t.Fatal("sanity: fabric flow should fail fit on the tiny device")
 	}
-	res := tc.SubmitNativeTenant(context.Background(), "", f, 0).Result()
+	res := tc.SubmitDesign(context.Background(), "", NewDesign(f), false, true, 0).Result()
 	if res.Err != nil {
 		t.Fatalf("native flow should ignore device capacity: %v", res.Err)
 	}
@@ -63,7 +63,7 @@ func TestNativeTierSkipsFitAndTiming(t *testing.T) {
 func TestNativeCacheKeyedByTier(t *testing.T) {
 	tc := New(fpga.NewCycloneV(), DefaultOptions())
 	f := flatFor(t, smallCounter)
-	first := tc.SubmitNativeTenant(context.Background(), "", f, 0)
+	first := tc.SubmitDesign(context.Background(), "", NewDesign(f), false, true, 0)
 	at, _ := first.ReadyAt()
 	if hit := first.Result(); hit.CacheHit {
 		t.Fatal("first native compile cannot be a cache hit")
@@ -75,7 +75,7 @@ func TestNativeCacheKeyedByTier(t *testing.T) {
 		t.Fatalf("fabric flow collided with the native cache entry: %+v", fres)
 	}
 	// An identical native resubmission hits.
-	again := tc.SubmitNativeTenant(context.Background(), "", f, at).Result()
+	again := tc.SubmitDesign(context.Background(), "", NewDesign(f), false, true, at).Result()
 	if !again.CacheHit || !again.NativeGo {
 		t.Fatalf("native resubmission should hit the tier cache: %+v", again)
 	}
@@ -90,7 +90,7 @@ func TestNativeCacheKeyedByTier(t *testing.T) {
 func TestNativeTierImmuneToCompileFaults(t *testing.T) {
 	tc := New(fpga.NewCycloneV(), DefaultOptions())
 	tc.SetFaults(fault.New(fault.Config{Seed: 1, CompilePermanent: 1, MaxCompileFaults: 100}))
-	res := tc.SubmitNativeTenant(context.Background(), "", flatFor(t, smallCounter), 0).Result()
+	res := tc.SubmitDesign(context.Background(), "", NewDesign(flatFor(t, smallCounter)), false, true, 0).Result()
 	if res.Err != nil {
 		t.Fatalf("native flow consulted the compile-fault schedule: %v", res.Err)
 	}

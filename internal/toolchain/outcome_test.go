@@ -3,6 +3,7 @@ package toolchain
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,7 @@ import (
 	"cascade/internal/fpga"
 	"cascade/internal/netlist"
 	"cascade/internal/njit"
+	"cascade/internal/verilog"
 )
 
 // workerLink is a ShardLink straight into a Worker: the remote-shard
@@ -345,5 +347,60 @@ func TestDesignBase(t *testing.T) {
 		if skipped.base.Load() != nil {
 			t.Fatal("a synthesized design still holds its base")
 		}
+	}
+}
+
+// TestDesignFromASkippedVersion: a design whose predecessor never
+// synthesized starts from the program two versions back (NewDesignFrom).
+// The predecessor elaborated the process again — the port d it names
+// changed direction — and the design relocated it from there, so
+// synthesis compiles it again rather than take the older program's; the
+// assign, relocated along the whole chain, is relocated out of that
+// program. Either way the netlist is the one synthesized from scratch.
+func TestDesignFromASkippedVersion(t *testing.T) {
+	const shared = `
+  always @(posedge clk) q <= d + 8'd1;
+  assign w = q[7:0] ^ 8'h5a;
+endmodule`
+	parse := func(src string) *verilog.Module {
+		st, errs := verilog.ParseSourceText(src)
+		if errs != nil {
+			t.Fatal(errs)
+		}
+		return st.Modules[0]
+	}
+	m0 := parse("module M(input wire clk, output reg [15:0] q, output wire [7:0] w, input wire [7:0] d);" + shared)
+	m1 := parse("module M(input wire clk, output reg [15:0] q, output wire [7:0] w, output wire [7:0] d);\nendmodule")
+	m1.Items = m0.Items // the same objects
+	m2 := *m1
+	var flats []*elab.Flat
+	var prev *elab.Flat
+	for _, m := range []*verilog.Module{m0, m1, &m2} {
+		f, err := elab.ElaborateFrom(prev, m, "dut", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flats, prev = append(flats, f), f
+	}
+
+	tc := New(fpga.NewCycloneV(), DefaultOptions())
+	first := NewDesign(flats[0])
+	if _, _, err := first.synthesize(tc); err != nil {
+		t.Fatal(err)
+	}
+	skipped := NewDesignFrom(NewDesignFrom(first, flats[1]), flats[2])
+	prog, fp, err := skipped.synthesize(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := netlist.Compile(flats[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp != want.Fingerprint() || !reflect.DeepEqual(prog.Code, want.Code) || !reflect.DeepEqual(prog.Spans, want.Spans) {
+		t.Fatal("the netlist synthesized from two versions back differs from scratch")
+	}
+	if prog.Relocated != 1 {
+		t.Fatalf("relocated %d of %d units, want 1: the assign", prog.Relocated, len(prog.Spans))
 	}
 }

@@ -241,43 +241,33 @@ func (t *Toolchain) TenantShare(id string) int {
 	return 0
 }
 
-// SubmitTenant starts a background compilation at virtual time nowPs,
-// scoped to a tenant: the job draws on the tenant's fair-share worker
-// quota, consults the tenant's fault injector and observer, checks fit
-// and timing against the tenant's device, counts into the tenant's
-// stats mirror, and caches under the tenant's namespace. The call
-// returns immediately; the job runs on the service's worker pool and
-// its result becomes visible once it has compiled and the caller's
-// virtual clock passes its ready time. Cancelling ctx aborts the job if
-// it has not yet reached a worker; Job.Cancel discards the result of an
-// obsolete job at any point.
-func (t *Toolchain) SubmitTenant(ctx context.Context, tenantID string, f *elab.Flat, wrapped bool, nowPs uint64) *Job {
-	return t.SubmitDesign(ctx, tenantID, NewDesign(f), wrapped, false, nowPs)
-}
-
-// Submit is SubmitTenant for the default tenant.
+// Submit starts a background compilation of f for the default tenant at
+// virtual time nowPs (SubmitDesign, over a fresh record).
 func (t *Toolchain) Submit(ctx context.Context, f *elab.Flat, wrapped bool, nowPs uint64) *Job {
-	return t.SubmitTenant(ctx, "", f, wrapped, nowPs)
+	return t.SubmitDesign(ctx, "", NewDesign(f), wrapped, false, nowPs)
 }
 
-// SubmitNativeTenant starts a background native-tier compilation under
-// a tenant's quota, stats, observer, and cache namespace: synthesis runs
-// as usual, but the back half targets closure-threaded Go instead of
-// the fabric — no fit or timing models, no disk store, and a latency
-// bill in virtual milliseconds rather than minutes. The artifact caches
-// under its own tier key, so native and fabric flows over the same
-// netlist never collide. Native jobs never farm out: the artifact is
-// in-process Go that cannot be shipped from a shard, and its virtual
-// latency is milliseconds — there is nothing to farm out.
-func (t *Toolchain) SubmitNativeTenant(ctx context.Context, tenantID string, f *elab.Flat, nowPs uint64) *Job {
-	return t.SubmitDesign(ctx, tenantID, NewDesign(f), false, true, nowPs)
-}
-
-// SubmitDesign is the submission every form above wraps a fresh record
-// for: a submitter that keeps its design's record shares one synthesis
-// and one hash among every flow it submits over d — native (the
-// SubmitNativeTenant flow; wrapped is ignored) or fabric, first or
+// SubmitDesign starts a background compilation of d at virtual time
+// nowPs, scoped to a tenant: the job draws on the tenant's fair-share
+// worker quota, consults the tenant's fault injector and observer, checks
+// fit and timing against the tenant's device, counts into the tenant's
+// stats mirror, and caches under the tenant's namespace. The call returns
+// immediately; the job runs on the service's worker pool and its result
+// becomes visible once it has compiled and the caller's virtual clock
+// passes its ready time. Cancelling ctx aborts the job if it has not yet
+// reached a worker; Job.Cancel discards the result of an obsolete job at
+// any point. A submitter that keeps its design's record shares one
+// synthesis and one hash among every flow it submits over d, first or
 // resubmitted.
+//
+// A native flow (wrapped is ignored) runs synthesis as usual, but its
+// back half targets closure-threaded Go instead of the fabric — no fit or
+// timing models, no disk store, and a latency bill in virtual
+// milliseconds rather than minutes. The artifact caches under its own
+// tier key, so native and fabric flows over the same netlist never
+// collide. Native jobs never farm out: the artifact is in-process Go that
+// cannot be shipped from a shard, and its virtual latency is milliseconds
+// — there is nothing to farm out.
 func (t *Toolchain) SubmitDesign(ctx context.Context, tenantID string, d *Design, wrapped, native bool, nowPs uint64) *Job {
 	if ctx == nil {
 		ctx = context.Background()

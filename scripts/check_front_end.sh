@@ -13,7 +13,12 @@
 # torn down. Fails if a non-test file of internal/runtime or
 # internal/bench other than version.go calls a front-end stage again, if
 # the Runtime struct regrows one of the eight loose fields the version
-# record replaced, or if the unchecksummed v1 snapshot decoder comes back.
+# record replaced, if the unchecksummed v1 snapshot decoder comes back,
+# or if a second reuse key does: synthesis relocates a unit by the
+# identity elaboration gave it (netlist.CompileFrom), so internal/netlist
+# compares no parameters or variable shapes and its linker does not see
+# source items, and only internal/elab compares parameter environments
+# (elab.Extends).
 # Run from the repo root; exits non-zero listing offenders.
 set -eu
 
@@ -65,3 +70,20 @@ if [ -n "$legacy" ]; then
     exit 1
 fi
 echo "check_front_end: no unchecksummed snapshot decoder"
+
+# One reuse key: elaboration's unit identity.
+netlist=$(ls internal/netlist/*.go | grep -v '_test\.go$')
+second=$( (grep -nE '\.Params\b|func (sameShape|sameParams)\(' $netlist
+    grep -n '"cascade/internal/verilog"' internal/netlist/link.go internal/netlist/netlist.go) || true)
+if [ -n "$second" ]; then
+    printf '%s\n' "$second"
+    echo "check_front_end: netlist relocates a unit by its elaboration's identity (elab.ContAssign.Unit, Proc.Unit, Flat.InitialUnits); it compares no parameters, shapes or source items" >&2
+    exit 1
+fi
+envs=$(grep -rnE --include='*.go' 'func (\([^)]*\) )?(extendsEnv|sameEnv)\(' . | grep -v '_test\.go:' | grep -v '^\./internal/elab/' || true)
+if [ -n "$envs" ]; then
+    printf '%s\n' "$envs"
+    echo "check_front_end: a parameter environment stands for another by elab.Extends only" >&2
+    exit 1
+fi
+echo "check_front_end: one reuse key, elaboration's unit identity"

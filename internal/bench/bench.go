@@ -392,7 +392,7 @@ type Fig13 struct {
 // latencies from the real pipeline on the real starter program.
 func RunFig13() (*Fig13, error) {
 	// The starter program is the 50-line running example.
-	flat, err := elabMain(strippedTasks(ledswitch.Figure3))
+	flat, err := elabMain(ledswitch.Figure3)
 	if err != nil {
 		return nil, err
 	}
@@ -428,10 +428,6 @@ func RunFig13() (*Fig13, error) {
 		CascadeStartupSec: cascadeSec,
 	}, nil
 }
-
-// strippedTasks removes nothing today (the Figure 3 starter has no
-// tasks); kept for clarity at the call site.
-func strippedTasks(src string) string { return src }
 
 // Table1 regenerates the class-study statistics.
 func Table1() (metrics.Aggregate, error) {

@@ -21,22 +21,19 @@ import (
 
 // Compile-time conformance: every engine implementation satisfies the
 // ABI (transport clients included — a remote engine is indistinguishable
-// through this interface), and hardware engines provide the optional
-// capabilities.
+// through this interface).
 var (
-	_ engine.Engine     = (*sweng.Engine)(nil)
-	_ engine.Engine     = (*njit.Engine)(nil)
-	_ engine.Engine     = (*hweng.Engine)(nil)
-	_ engine.Engine     = (*transport.Client)(nil)
-	_ engine.OpenLooper = (*hweng.Engine)(nil)
-	_ engine.Forwarder  = (*hweng.Engine)(nil)
-	_ engine.Engine     = (*stdlib.Clock)(nil)
-	_ engine.Engine     = (*stdlib.Pad)(nil)
-	_ engine.Engine     = (*stdlib.Led)(nil)
-	_ engine.Engine     = (*stdlib.Reset)(nil)
-	_ engine.Engine     = (*stdlib.GPIO)(nil)
-	_ engine.Engine     = (*stdlib.Memory)(nil)
-	_ engine.Engine     = (*stdlib.FIFO)(nil)
+	_ engine.Engine = (*sweng.Engine)(nil)
+	_ engine.Engine = (*njit.Engine)(nil)
+	_ engine.Engine = (*hweng.Engine)(nil)
+	_ engine.Engine = (*transport.Client)(nil)
+	_ engine.Engine = (*stdlib.Clock)(nil)
+	_ engine.Engine = (*stdlib.Pad)(nil)
+	_ engine.Engine = (*stdlib.Led)(nil)
+	_ engine.Engine = (*stdlib.Reset)(nil)
+	_ engine.Engine = (*stdlib.GPIO)(nil)
+	_ engine.Engine = (*stdlib.Memory)(nil)
+	_ engine.Engine = (*stdlib.FIFO)(nil)
 )
 
 // TestOutputsTracksByValue: the tracker the user tiers' VisitWrites shares

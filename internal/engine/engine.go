@@ -138,16 +138,6 @@ type UsageReporter interface {
 	UsageDelta() Usage
 }
 
-// OpenLooper is the optional open-loop scheduling capability (paper
-// §4.4): the engine simulates many scheduler iterations internally,
-// toggling the named clock variable, until the iteration budget is spent
-// or a system task requires runtime intervention.
-type OpenLooper interface {
-	// OpenLoop runs up to steps full clock ticks; it returns the number
-	// of ticks actually completed.
-	OpenLoop(clk string, steps int) int
-}
-
 // Collect drains e into events that own their values (VisitWrites, each
 // lent value cloned), for a caller that keeps them past the engine's next
 // call. Its closure escapes through the interface call, so a caller that
@@ -158,13 +148,4 @@ func Collect(e Engine) []Event {
 		evs = append(evs, Event{Var: name, Val: val.Clone()})
 	})
 	return evs
-}
-
-// Forwarder is the optional ABI-forwarding capability (paper §4.3): an
-// engine that has absorbed standard-library components answers the
-// runtime's requests on their behalf.
-type Forwarder interface {
-	// Forward attaches a contained component whose requests this engine
-	// now answers; the runtime ceases direct interaction with it.
-	Forward(name string, inner Engine)
 }

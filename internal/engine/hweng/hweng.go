@@ -357,7 +357,9 @@ func (e *Engine) End() {
 	}
 }
 
-// Forward implements engine.Forwarder.
+// Forward attaches a contained standard-library component whose
+// requests this engine now answers (ABI forwarding, paper §4.3); the
+// runtime ceases direct interaction with it.
 func (e *Engine) Forward(name string, inner engine.Engine) {
 	g := e.member(name)
 	if g == nil {
@@ -459,7 +461,7 @@ func (e *Engine) drainGroup() {
 	}
 }
 
-// OpenLoop implements engine.OpenLooper: it replicates the Cascade
+// OpenLoop is the open-loop scheduling capability (paper §4.4): it replicates the Cascade
 // scheduler entirely inside the fabric for up to steps scheduler
 // iterations (two iterations per clock tick), stopping early if a system
 // task fires. It returns the number of iterations completed. The clock

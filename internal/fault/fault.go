@@ -163,8 +163,11 @@ type Injector struct {
 
 	mu    sync.Mutex
 	sites map[string]*site
-	stats Stats
-	obs   *obsv.Observer
+	stats Stats // Injected is read from injected
+	// injected counts every injected fault into Stats.Injected and
+	// cascade_faults_injected_total together.
+	injected obsv.Tally
+	obs      *obsv.Observer
 }
 
 // New returns an injector for the given config.
@@ -191,6 +194,9 @@ func (in *Injector) SetObserver(o *obsv.Observer) {
 	}
 	in.mu.Lock()
 	in.obs = o
+	if o != nil {
+		in.injected.Series = o.Faults
+	}
 	in.mu.Unlock()
 }
 
@@ -201,7 +207,9 @@ func (in *Injector) Stats() Stats {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.stats
+	st := in.stats
+	st.Injected = in.injected.N
+	return st
 }
 
 // Compile consults the fault schedule for one compile attempt at the
@@ -273,7 +281,7 @@ func (in *Injector) check(op Op, siteName string, pTransient, pPermanent float64
 		return nil
 	}
 	s.injected++
-	in.stats.Injected++
+	in.injected.Inc()
 	if transient {
 		in.stats.Transient++
 	} else {
@@ -291,7 +299,6 @@ func (in *Injector) check(op Op, siteName string, pTransient, pPermanent float64
 	}
 	err := &Error{Op: op, Site: siteName, Attempt: s.trials, Transient: transient}
 	if o := in.obs; o != nil {
-		o.Faults.Inc()
 		o.EmitAt(0, obsv.EvFault, siteName, err.Error())
 	}
 	return err

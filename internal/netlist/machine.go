@@ -233,15 +233,10 @@ func (m *Machine) SetInput(v *elab.Var, val *bv.Vector) {
 	m.writeVarSlot(m.prog.VarSlot[v.Index], 0, val)
 }
 
-// ReadVar returns the current value of a scalar variable. The result is
-// owned by the caller.
-func (m *Machine) ReadVar(v *elab.Var) *bv.Vector {
-	return m.slotVecOwned(m.prog.VarSlot[v.Index])
-}
-
-// PeekVar is ReadVar without the copy: the result is borrowed under
-// slotVec's rules (valid until the variable is next read, never to be
-// mutated), for callers that only compare or copy it.
+// PeekVar returns the current value of a scalar variable, borrowed
+// under slotVec's rules (valid until the variable is next read, never to
+// be mutated), for callers that only compare or copy it; Clone it to keep
+// it.
 func (m *Machine) PeekVar(v *elab.Var) *bv.Vector {
 	return m.slotVec(m.prog.VarSlot[v.Index])
 }

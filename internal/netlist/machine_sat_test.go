@@ -92,8 +92,8 @@ endmodule`)
 // --- Satellite: no aliasing across the engine ABI boundary ------------
 
 // Mutating a vector after handing it to SetInput/SetState must not leak
-// into slot state, and mutating a vector returned by ReadVar/GetState
-// must not write back into the machine.
+// into slot state, and mutating a vector returned by GetState (or a
+// clone of a peeked one) must not write back into the machine.
 func TestEngineABINoAliasing(t *testing.T) {
 	_, m, f := compileBoth(t, `
 module M(input wire [7:0] in_n, input wire [99:0] in_w);
@@ -118,10 +118,10 @@ endmodule`)
 	// Caller scribbles on its vectors after the call.
 	nv.SetUint64(0xff)
 	wv.SetUint64(0xffff)
-	if got := m.ReadVar(f.VarNamed("in_n")).Uint64(); got != 0x5a {
+	if got := m.PeekVar(f.VarNamed("in_n")).Clone().Uint64(); got != 0x5a {
 		t.Fatalf("SetInput aliased narrow caller vector: %#x", got)
 	}
-	if got := m.ReadVar(f.VarNamed("in_w")).Uint64(); got != 0x1234 {
+	if got := m.PeekVar(f.VarNamed("in_w")).Clone().Uint64(); got != 0x1234 {
 		t.Fatalf("SetInput aliased wide caller vector: %#x", got)
 	}
 
@@ -131,22 +131,23 @@ endmodule`)
 	m2.SetState(snap)
 	snap.Scalars["in_w"].SetUint64(0xdead)
 	snap.Scalars["in_n"].SetUint64(0xde)
-	if got := m2.ReadVar(f.VarNamed("in_w")).Uint64(); got != 0x1234 {
+	if got := m2.PeekVar(f.VarNamed("in_w")).Clone().Uint64(); got != 0x1234 {
 		t.Fatalf("SetState aliased wide snapshot vector: %#x", got)
 	}
-	if got := m2.ReadVar(f.VarNamed("in_n")).Uint64(); got != 0x5a {
+	if got := m2.PeekVar(f.VarNamed("in_n")).Clone().Uint64(); got != 0x5a {
 		t.Fatalf("SetState aliased narrow snapshot vector: %#x", got)
 	}
 
-	// And outbound: ReadVar/GetState results are owned by the caller.
-	out := m2.ReadVar(f.VarNamed("in_w"))
+	// And outbound: cloned peeks and GetState results are owned by the
+	// caller.
+	out := m2.PeekVar(f.VarNamed("in_w")).Clone()
 	out.SetUint64(0)
-	if got := m2.ReadVar(f.VarNamed("in_w")).Uint64(); got != 0x1234 {
-		t.Fatalf("ReadVar returned a live internal vector")
+	if got := m2.PeekVar(f.VarNamed("in_w")).Clone().Uint64(); got != 0x1234 {
+		t.Fatalf("a cloned peek is a live internal vector")
 	}
 	st := m2.GetState()
 	st.Scalars["in_n"].SetUint64(0)
-	if got := m2.ReadVar(f.VarNamed("in_n")).Uint64(); got != 0x5a {
+	if got := m2.PeekVar(f.VarNamed("in_n")).Clone().Uint64(); got != 0x5a {
 		t.Fatalf("GetState returned a live internal vector")
 	}
 }
@@ -154,7 +155,7 @@ endmodule`)
 // --- Satellite: narrow-slot read allocations --------------------------
 
 // slotVec must not allocate for narrow slots once the scratch vector is
-// warm, and ReadVar pays exactly one fresh vector (2 allocs: header +
+// warm, and a cloned peek pays exactly one fresh vector (2 allocs: header +
 // words). Guard both so the hot read path can't regress.
 func TestNarrowReadAllocs(t *testing.T) {
 	_, m, f := compileBoth(t, `
@@ -168,8 +169,8 @@ endmodule`)
 	if n := testing.AllocsPerRun(200, func() { m.slotVec(slot) }); n != 0 {
 		t.Fatalf("slotVec allocates on narrow slots: %v allocs/op", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { m.ReadVar(v) }); n > 2 {
-		t.Fatalf("ReadVar narrow: %v allocs/op, want <= 2", n)
+	if n := testing.AllocsPerRun(200, func() { m.PeekVar(v).Clone() }); n > 2 {
+		t.Fatalf("PeekVar(v).Clone() narrow: %v allocs/op, want <= 2", n)
 	}
 }
 
@@ -195,7 +196,7 @@ endmodule`)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ReadVar(v)
+		m.PeekVar(v).Clone()
 	}
 }
 

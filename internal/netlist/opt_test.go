@@ -212,7 +212,7 @@ endmodule`)
 	settle()
 	m.SetInput(clk, bits.FromUint64(1, 1))
 	settle()
-	if got := m.ReadVar(f.VarNamed("q")).Uint64(); got != 10 {
+	if got := m.PeekVar(f.VarNamed("q")).Clone().Uint64(); got != 10 {
 		t.Fatalf("q=%d after optimize, want 10", got)
 	}
 }

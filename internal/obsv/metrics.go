@@ -50,6 +50,28 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
+// Tally is one countable event kept in one set of books: its owner's
+// figure N and its /metrics series, moved together by Inc or Add — the
+// event's only increment site, so a Stats figure and its series cannot
+// disagree. The owner guards N as it guards its other counters; a nil
+// Series counts N alone.
+type Tally struct {
+	N      uint64
+	Series *Counter
+}
+
+// Inc counts one event.
+func (t *Tally) Inc() {
+	t.N++
+	t.Series.Inc()
+}
+
+// Add counts n events.
+func (t *Tally) Add(n uint64) {
+	t.N += n
+	t.Series.Add(n)
+}
+
 func (c *Counter) metricName() string { return c.name }
 
 func (c *Counter) writeProm(w io.Writer) {

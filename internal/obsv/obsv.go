@@ -252,8 +252,8 @@ func New(opts Options) *Observer {
 		ExpBuckets(100_000, 4, 12), 1e9)
 	o.CacheHits = o.NewCounter("cascade_compile_cache_hits_total", "Compilations served from the bitstream cache (ratio = hits / (hits+misses)).")
 	o.CacheMisses = o.NewCounter("cascade_compile_cache_misses_total", "Compilations that paid for place-and-route.")
-	o.Promotions = o.NewCounter("cascade_promotions_total", "Software-to-hardware hot swaps.")
-	o.Evictions = o.NewCounter("cascade_evictions_total", "Hardware-to-software reverse hot swaps.")
+	o.Promotions = o.NewCounter("cascade_promotions_total", "Hot swaps up the JIT ladder (interpreter to native code or fabric, native code to fabric).")
+	o.Evictions = o.NewCounter("cascade_evictions_total", "Fault demotions back to the interpreter, from the fabric or from native code.")
 	o.Faults = o.NewCounter("cascade_faults_injected_total", "Faults injected across all surfaces.")
 	o.TransportErrors = o.NewCounter("cascade_transport_errors_total", "Transport round-trips that failed after the retry budget.")
 	o.TransportDrops = o.NewCounter("cascade_transport_drops_total", "Fault-injected frame drops consumed by transports.")

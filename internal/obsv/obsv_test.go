@@ -154,6 +154,24 @@ func TestMetricsPromFormat(t *testing.T) {
 	}
 }
 
+// A Tally moves its owner's figure and its series together; with no
+// series it counts the figure alone.
+func TestTallyKeepsOneSetOfBooks(t *testing.T) {
+	o := New(Options{})
+	books := Tally{Series: o.Checkpoints}
+	books.Inc()
+	books.Add(2)
+	if books.N != 3 || o.Checkpoints.Value() != 3 {
+		t.Fatalf("figure %d, series %d, want 3 and 3", books.N, o.Checkpoints.Value())
+	}
+	var bare Tally
+	bare.Inc()
+	bare.Add(4)
+	if bare.N != 5 {
+		t.Fatalf("seriesless tally counted %d, want 5", bare.N)
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	o := New(Options{})
 	h := o.NewHistogram("t_units", "", []uint64{10, 100}, 1)

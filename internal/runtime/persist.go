@@ -130,7 +130,7 @@ type persister struct {
 	lastCkptSteps uint64
 
 	records         uint64
-	checkpoints     int
+	checkpoints     obsv.Tally // PersistStats.Checkpoints and cascade_checkpoints_total
 	checkpointBytes int64
 	checkpointNs    int64
 	replayed        int
@@ -273,6 +273,9 @@ func Open(opts Options) (*Runtime, *RecoveryInfo, error) {
 		lastCkptSteps: r.Steps(),
 		replayed:      info.ReplayedRecords,
 	}
+	if o := r.obs(); o != nil {
+		p.checkpoints.Series = o.Checkpoints
+	}
 	r.mu.Lock()
 	r.pers = p
 	r.mu.Unlock()
@@ -386,7 +389,7 @@ func (r *Runtime) checkpointLocked() error {
 		return err
 	}
 	p.lastCkptSteps = r.steps
-	p.checkpoints++
+	p.checkpoints.Inc()
 	p.checkpointBytes = int64(len(payload))
 	wallNs := r.obs().WallNow().Sub(start).Nanoseconds()
 	if wallNs < 0 {
@@ -395,7 +398,6 @@ func (r *Runtime) checkpointLocked() error {
 	p.checkpointNs += wallNs
 	if o := r.opts.Observer; o != nil {
 		o.Emit(obsv.EvCheckpoint, "", fmt.Sprintf("seq=%d bytes=%d", seqAt, len(payload)))
-		o.Checkpoints.Inc()
 		o.CheckpointWall.Observe(uint64(wallNs))
 	}
 	return nil
@@ -469,7 +471,7 @@ func (r *Runtime) persistStats() PersistStats {
 		Dir:             p.opts.Dir,
 		Records:         p.records,
 		JournalBytes:    p.store.JournalBytes(),
-		Checkpoints:     p.checkpoints,
+		Checkpoints:     int(p.checkpoints.N),
 		CheckpointBytes: p.checkpointBytes,
 		CheckpointNs:    p.checkpointNs,
 		ReplayedRecords: p.replayed,

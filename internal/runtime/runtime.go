@@ -455,7 +455,7 @@ func New(opts Options) *Runtime {
 	}
 	r.deliverFn = r.deliver
 	if opts.Supervise != nil {
-		r.sup = supervise.New(*opts.Supervise)
+		r.sup = supervise.New(*opts.Supervise, opts.Observer)
 	}
 	// Emit (controller-only) stamps events off the runtime's virtual
 	// clock; concurrent emitters (toolchain workers, transports, the

@@ -757,14 +757,6 @@ func (r *Runtime) RunTicksCtx(ctx context.Context, n uint64) error {
 	return nil
 }
 
-// RunVirtual advances until the virtual clock passes ps picoseconds.
-func (r *Runtime) RunVirtual(ps uint64) {
-	goal := r.vclk.Now() + ps
-	for r.vclk.Now() < goal && !r.finished {
-		r.Step()
-	}
-}
-
 // RunUntilFinish steps until $finish or the step budget is exhausted; it
 // reports whether the program finished.
 func (r *Runtime) RunUntilFinish(maxSteps uint64) bool {

@@ -80,21 +80,13 @@ func (r *Runtime) noteBreaker(from, to supervise.State, forced string) (tripped 
 		detail = from.String() + " -> " + to.String() + " (" + breakerWhy[[2]supervise.State{from, to}] + ")"
 	}
 	tripped = to == supervise.Open && (from == supervise.Closed || forced != "")
-	if o := r.obs(); o != nil {
-		o.Emit(obsv.EvBreaker, "", detail)
-		if tripped {
-			o.BreakerTrips.Inc()
-		}
-	}
+	r.obs().Emit(obsv.EvBreaker, "", detail)
 	return tripped
 }
 
 // noteFailure counts one round-trip failure against the breaker and
 // reports whether it tripped.
 func (r *Runtime) noteFailure(vnow uint64) (tripped bool) {
-	if o := r.obs(); o != nil {
-		o.ProbeFailures.Inc()
-	}
 	from, to := r.sup.NoteFailure(vnow)
 	return r.noteBreaker(from, to, "")
 }
@@ -117,10 +109,7 @@ func (r *Runtime) probeRemote(vnow uint64) (tripped bool) {
 	if err != nil {
 		outcome = "failed: " + err.Error()
 	}
-	if o := r.obs(); o != nil {
-		o.Probes.Inc()
-		o.Emit(obsv.EvProbe, "", outcome)
-	}
+	r.obs().Emit(obsv.EvProbe, "", outcome)
 	if err != nil {
 		return r.noteFailure(vnow)
 	}

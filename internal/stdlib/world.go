@@ -176,16 +176,6 @@ func (w *World) Led(path string) uint64 {
 	return 0
 }
 
-// LedVector returns a copy of the full LED value (wide banks).
-func (w *World) LedVector(path string) *bits.Vector {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if v, ok := w.leds[path]; ok {
-		return v.Clone()
-	}
-	return bits.New(1)
-}
-
 func (w *World) setLed(path string, v *bits.Vector) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -15,7 +15,10 @@
 // disabled.
 package supervise
 
-import "cascade/internal/vclock"
+import (
+	"cascade/internal/obsv"
+	"cascade/internal/vclock"
+)
 
 // State is the circuit breaker's state.
 type State int
@@ -94,15 +97,20 @@ type Supervisor struct {
 	openedAtPs  uint64 // when the breaker last tripped
 	consecFails int
 
-	probes     uint64
-	probeFails uint64
-	trips      uint64
+	// Each count is one obsv.Tally: the Stats figure and its /metrics
+	// series move together.
+	probes, probeFails, trips obsv.Tally
 }
 
-// New builds a supervisor with its breaker Closed.
-func New(opts Options) *Supervisor {
+// New builds a supervisor with its breaker Closed, counting its probes,
+// failures and trips into o's supervision series (nil: Stats alone).
+func New(opts Options, o *obsv.Observer) *Supervisor {
 	opts.fill()
-	return &Supervisor{opts: opts}
+	s := &Supervisor{opts: opts}
+	if o != nil {
+		s.probes.Series, s.probeFails.Series, s.trips.Series = o.Probes, o.ProbeFailures, o.BreakerTrips
+	}
+	return s
 }
 
 // State returns the breaker state (Closed for nil).
@@ -143,7 +151,7 @@ func (s *Supervisor) ProbeSent(vnow uint64) (from, to State) {
 		return Closed, Closed
 	}
 	from = s.state
-	s.probes++
+	s.probes.Inc()
 	s.lastProbePs = vnow
 	if s.state == Open {
 		s.state = HalfOpen
@@ -175,7 +183,7 @@ func (s *Supervisor) NoteFailure(vnow uint64) (from, to State) {
 		return Closed, Closed
 	}
 	from = s.state
-	s.probeFails++
+	s.probeFails.Inc()
 	switch s.state {
 	case Closed:
 		s.consecFails++
@@ -211,7 +219,7 @@ func (s *Supervisor) trip(vnow uint64) {
 	s.state = Open
 	s.openedAtPs = vnow
 	s.consecFails = 0
-	s.trips++
+	s.trips.Inc()
 }
 
 // Stats snapshots the counters (zero-valued, Enabled=false, for nil).
@@ -222,8 +230,8 @@ func (s *Supervisor) Stats() Stats {
 	return Stats{
 		Enabled:       true,
 		State:         s.state.String(),
-		Probes:        s.probes,
-		ProbeFailures: s.probeFails,
-		Trips:         s.trips,
+		Probes:        s.probes.N,
+		ProbeFailures: s.probeFails.N,
+		Trips:         s.trips.N,
 	}
 }

@@ -14,7 +14,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		ProbeIntervalPs: 100 * vclock.Ms,
 		FailThreshold:   2,
 		ReopenPs:        vclock.S,
-	})
+	}, nil)
 	if s.State() != Closed {
 		t.Fatalf("initial state = %v", s.State())
 	}
@@ -93,7 +93,7 @@ func TestBreakerLifecycle(t *testing.T) {
 // TestFailuresMustBeConsecutive: a success between failures resets the
 // streak — sporadic drops on a healthy link never trip the breaker.
 func TestFailuresMustBeConsecutive(t *testing.T) {
-	s := New(Options{FailThreshold: 2})
+	s := New(Options{FailThreshold: 2}, nil)
 	s.NoteFailure(1)
 	s.ProbeOK(2)
 	if _, to := s.NoteFailure(3); to != Closed {
@@ -108,7 +108,7 @@ func TestFailuresMustBeConsecutive(t *testing.T) {
 // proof of state loss), counts as a real trip, and is idempotent while
 // Open. From HalfOpen it re-opens as a fresh trip.
 func TestForceTrip(t *testing.T) {
-	s := New(Options{FailThreshold: 1 << 20, ReopenPs: 5})
+	s := New(Options{FailThreshold: 1 << 20, ReopenPs: 5}, nil)
 	if from, to := s.ForceTrip(10); from != Closed || to != Open {
 		t.Fatalf("forced trip below threshold: %v -> %v", from, to)
 	}
@@ -154,7 +154,7 @@ func TestNilSupervisorIsFree(t *testing.T) {
 
 // TestDefaultsFilled pins the documented defaults.
 func TestDefaultsFilled(t *testing.T) {
-	s := New(Options{})
+	s := New(Options{}, nil)
 	if s.opts.ProbeIntervalPs != 100*vclock.Ms || s.opts.FailThreshold != 2 || s.opts.ReopenPs != 2*vclock.S {
 		t.Fatalf("defaults = %+v", s.opts)
 	}

@@ -64,22 +64,9 @@ type FarmBackend struct {
 	stats     FarmStats
 
 	gDepth []*obsv.Gauge
-	// The countable farm events. Each is one farmCount, so FarmStats and
-	// /metrics cannot disagree.
-	stolen, rerouted, peerHits, shed, unavailable farmCount
-}
-
-// farmCount is one countable farm event: the FarmStats figure and its
-// /metrics series, moved together by inc — the event's only increment
-// site. Guarded by the farm mutex.
-type farmCount struct {
-	n      uint64
-	series *obsv.Counter
-}
-
-func (c *farmCount) inc() {
-	c.n++
-	c.series.Inc()
+	// The countable farm events, guarded by mu. Each is one obsv.Tally,
+	// so FarmStats and /metrics cannot disagree.
+	stolen, rerouted, peerHits, shed, unavailable obsv.Tally
 }
 
 // FarmOptions configures a sharded compile farm (Toolchain.UseFarm).
@@ -118,9 +105,6 @@ type FarmOptions struct {
 	// modelling the real CPU cost of a CAD flow so cascade-bench can
 	// demonstrate wall-clock throughput scaling across shards.
 	PnRWallNs int64
-	// WallSlots bounds each in-process shard's concurrent back-half
-	// executions (default 1): a shard is one compile machine.
-	WallSlots int
 	// Supervise tunes the per-shard circuit breaker used for remote
 	// links (zero value: supervise defaults).
 	Supervise supervise.Options
@@ -144,9 +128,6 @@ func (o *FarmOptions) fill() {
 	}
 	if o.MsgPs == 0 {
 		o.MsgPs = 50 * vclock.Us
-	}
-	if o.WallSlots <= 0 {
-		o.WallSlots = 1
 	}
 }
 
@@ -199,7 +180,7 @@ type shard struct {
 	idx   int
 	link  ShardLink
 	cache *stack
-	slots chan struct{} // wall-clock execution slots (in-process)
+	busy  sync.Mutex // held by the back half executing on it (in-process)
 	brk   *supervise.Supervisor
 
 	// Guarded by the farm mutex.
@@ -322,8 +303,7 @@ func newFarmBackend(t *Toolchain, fo FarmOptions) *FarmBackend {
 		s := &shard{
 			idx:   i,
 			cache: newStack(t),
-			slots: make(chan struct{}, fo.WallSlots),
-			brk:   supervise.New(fo.Supervise),
+			brk:   supervise.New(fo.Supervise, nil),
 		}
 		if len(fo.Links) > 0 {
 			s.link = fo.Links[i]
@@ -333,11 +313,11 @@ func newFarmBackend(t *Toolchain, fo FarmOptions) *FarmBackend {
 			"cascade_farm_queue_depth", "compile submissions occupying this shard's bounded queue",
 			map[string]string{"shard": fmt.Sprint(i)}))
 	}
-	fb.stolen.series = obs.NewCounter("cascade_farm_steals_total", "jobs stolen from a full home shard by an idle one")
-	fb.rerouted.series = obs.NewCounter("cascade_farm_reroutes_total", "jobs routed past a dead home shard")
-	fb.peerHits.series = obs.NewCounter("cascade_farm_peer_hits_total", "submissions served from another shard's bitstream cache")
-	fb.shed.series = obs.NewCounter("cascade_farm_shed_total", "jobs shed with every shard queue at its bound")
-	fb.unavailable.series = obs.NewCounter("cascade_farm_unavailable_total", "jobs failed with every shard down")
+	fb.stolen.Series = obs.NewCounter("cascade_farm_steals_total", "jobs stolen from a full home shard by an idle one")
+	fb.rerouted.Series = obs.NewCounter("cascade_farm_reroutes_total", "jobs routed past a dead home shard")
+	fb.peerHits.Series = obs.NewCounter("cascade_farm_peer_hits_total", "submissions served from another shard's bitstream cache")
+	fb.shed.Series = obs.NewCounter("cascade_farm_shed_total", "jobs shed with every shard queue at its bound")
+	fb.unavailable.Series = obs.NewCounter("cascade_farm_unavailable_total", "jobs failed with every shard down")
 	return fb
 }
 
@@ -346,8 +326,8 @@ func (fb *FarmBackend) Stats() FarmStats {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	st := fb.stats
-	st.Stolen, st.Rerouted, st.PeerHits = fb.stolen.n, fb.rerouted.n, fb.peerHits.n
-	st.Shed, st.Unavailable = fb.shed.n, fb.unavailable.n
+	st.Stolen, st.Rerouted, st.PeerHits = fb.stolen.N, fb.rerouted.N, fb.peerHits.N
+	st.Shed, st.Unavailable = fb.shed.N, fb.unavailable.N
 	st.Depth = make([]int, len(fb.shards))
 	st.Down = make([]bool, len(fb.shards))
 	for i, s := range fb.shards {
@@ -524,11 +504,11 @@ func (r *farmRoute) commit(submitPs uint64, fingerprint string) error {
 		}
 	}
 	if home < 0 {
-		fb.unavailable.inc()
+		fb.unavailable.Inc()
 		return fmt.Errorf("toolchain: %w: all %d compile shards down", ErrShardUnavailable, len(fb.shards))
 	}
 	if home != order[0] {
-		fb.rerouted.inc()
+		fb.rerouted.Inc()
 	}
 	exec := home
 	if fb.shards[home].depth >= fb.opts.QueueDepth {
@@ -541,11 +521,11 @@ func (r *farmRoute) commit(submitPs uint64, fingerprint string) error {
 			}
 		}
 		if best < 0 {
-			fb.shed.inc()
+			fb.shed.Inc()
 			return fmt.Errorf("toolchain: %w: every compile shard queue at its bound (%d)", ErrOverloaded, fb.opts.QueueDepth)
 		}
 		exec = best
-		fb.stolen.inc()
+		fb.stolen.Inc()
 		fb.billLocked(1) // steal handoff
 	}
 	s := fb.shards[exec]
@@ -587,10 +567,10 @@ func (r *farmRoute) compile(req ShardSubmit, dev *fpga.Device) (ShardOutcome, St
 		return r.remoteCompile(req)
 	}
 	exec, home := fb.shards[r.shard], fb.shards[r.home]
-	// The executing shard's wall slot bounds real concurrency: a shard
-	// is one compile machine, whichever shard's queue the job sits in.
-	exec.slots <- struct{}{}
-	defer func() { <-exec.slots }()
+	// A shard is one compile machine: it executes one back half at a
+	// time, whichever shard's queue the job sits in.
+	exec.busy.Lock()
+	defer exec.busy.Unlock()
 
 	out, flow := home.cache.serve(req, dev, farmHooks{
 		peer: func() (ShardOutcome, bool) {
@@ -606,7 +586,7 @@ func (r *farmRoute) compile(req ShardSubmit, dev *fpga.Device) (ShardOutcome, St
 					out.HitSource = HitPeer
 					home.cache.entries.adopt(req.Key, p.get(req.Key))
 					fb.mu.Lock()
-					fb.peerHits.inc()
+					fb.peerHits.Inc()
 					fb.billLocked(1) // cache-fetch
 					fb.mu.Unlock()
 					return out, true
@@ -681,7 +661,7 @@ func (r *farmRoute) remoteCompile(req ShardSubmit) (ShardOutcome, Stats, error) 
 			if idx == r.shard {
 				// The routed shard died mid-call: the job is rerouted
 				// (once, however many replicas it then falls through).
-				fb.rerouted.inc()
+				fb.rerouted.Inc()
 			}
 			fb.mu.Unlock()
 			continue
@@ -690,7 +670,7 @@ func (r *farmRoute) remoteCompile(req ShardSubmit) (ShardOutcome, Stats, error) 
 			s.brkOpen = false
 		}
 		if out.HitSource == HitPeer {
-			fb.peerHits.inc()
+			fb.peerHits.Inc()
 		}
 		fb.billLocked(2)
 		fb.keyHome[req.Key] = idx
@@ -700,7 +680,7 @@ func (r *farmRoute) remoteCompile(req ShardSubmit) (ShardOutcome, Stats, error) 
 		return out, flow, nil
 	}
 	fb.mu.Lock()
-	fb.unavailable.inc()
+	fb.unavailable.Inc()
 	fb.mu.Unlock()
 	return ShardOutcome{}, Stats{}, fmt.Errorf("toolchain: %w: no compile shard of %d answered for %s",
 		ErrShardUnavailable, len(fb.shards), req.Name)

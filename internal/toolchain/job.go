@@ -185,7 +185,7 @@ func (j *Job) bank() {
 	j.banked = true
 	j.mu.Unlock()
 	if !banked {
-		j.tn.bump(func(s *Stats) { s.add(flow) })
+		j.tn.bank(flow)
 	}
 }
 
@@ -336,14 +336,15 @@ func (j *Job) run(ctx context.Context, d *Design, wrapped bool) {
 	j.complete(out.result(prog, req), req.Key)
 }
 
-// traceOutcome reports a served flow's cache outcome to the tenant's
-// observability hub, attributing the hit source.
+// traceOutcome traces a served flow's cache outcome to the tenant's
+// observability hub, attributing the hit source. The cache series move
+// when the flow is banked (tenant.bank).
 func (j *Job) traceOutcome(hitSource string) {
 	obs := j.tn.snapshot().obs
 	if obs == nil {
 		return
 	}
-	kind, series, detail := obsv.EvCacheHit, obs.CacheHits, "memory"
+	kind, detail := obsv.EvCacheHit, "memory"
 	switch hitSource {
 	case HitJoined:
 		detail = "joined in-flight flow"
@@ -352,12 +353,11 @@ func (j *Job) traceOutcome(hitSource string) {
 	case HitPeer:
 		detail = "peer cache"
 	case "":
-		kind, series, detail = obsv.EvCacheMiss, obs.CacheMisses, "place-and-route"
+		kind, detail = obsv.EvCacheMiss, "place-and-route"
 		if j.native {
 			detail = "native codegen"
 		}
 	}
-	series.Inc()
 	obs.EmitAt(j.submitPs, kind, j.name, detail)
 }
 
@@ -381,7 +381,7 @@ func (j *Job) markCanceled() {
 	if already {
 		return
 	}
-	j.tn.bump(func(s *Stats) { s.Canceled++ })
+	j.tn.bank(Stats{Canceled: 1})
 	if !banked {
 		j.tn.discard(j)
 	}

@@ -79,11 +79,19 @@ func (tn *tenant) snapshot() tenant {
 	return *tn
 }
 
-// bump applies a counter mutation to the tenant's stats mirror.
-func (tn *tenant) bump(fn func(*Stats)) {
+// bank adds a flow's counters to the tenant's stats mirror and moves the
+// tenant observer's cache series with them: the one increment site of
+// cascade_compile_cache_hits_total (CacheHits + Joined) and
+// cascade_compile_cache_misses_total, so Stats and /metrics count the
+// same flows whichever goroutine served them.
+func (tn *tenant) bank(flow Stats) {
 	tn.t.mu.Lock()
-	fn(&tn.stats)
-	tn.t.mu.Unlock()
+	defer tn.t.mu.Unlock()
+	tn.stats.add(flow)
+	if o := tn.obs; o != nil {
+		o.CacheHits.Add(uint64(flow.CacheHits + flow.Joined))
+		o.CacheMisses.Add(uint64(flow.CacheMisses))
+	}
 }
 
 // discard queues a cancelled job for banking at the owner's next

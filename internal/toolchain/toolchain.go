@@ -169,19 +169,20 @@ type Stats struct {
 }
 
 // add accumulates a flow's counters into s.
-func (s *Stats) add(o Stats) {
-	s.Synthesized += o.Synthesized
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.Joined += o.Joined
-	s.Retried += o.Retried
-	s.TransientFaults += o.TransientFaults
-	s.PermanentFaults += o.PermanentFaults
-	s.Shed += o.Shed
-	s.DiskHits += o.DiskHits
-	s.DiskWrites += o.DiskWrites
-	s.DiskCorrupt += o.DiskCorrupt
-	s.PeerHits += o.PeerHits
+func (s *Stats) add(f Stats) {
+	s.Synthesized += f.Synthesized
+	s.CacheHits += f.CacheHits
+	s.CacheMisses += f.CacheMisses
+	s.Joined += f.Joined
+	s.Canceled += f.Canceled
+	s.Retried += f.Retried
+	s.TransientFaults += f.TransientFaults
+	s.PermanentFaults += f.PermanentFaults
+	s.Shed += f.Shed
+	s.DiskHits += f.DiskHits
+	s.DiskWrites += f.DiskWrites
+	s.DiskCorrupt += f.DiskCorrupt
+	s.PeerHits += f.PeerHits
 }
 
 // countOutcome records one served flow's cache outcome from the tier
@@ -417,7 +418,7 @@ func (out ShardOutcome) result(prog *netlist.Program, req ShardSubmit) *Result {
 // native flow (§4.5). The returned result carries the virtual duration;
 // callers decide when it "finishes" on their timeline.
 func (t *Toolchain) CompileSync(f *elab.Flat, wrapped bool) *Result {
-	t.tenant("").bump(func(s *Stats) { s.Synthesized++ })
+	t.tenant("").bank(Stats{Synthesized: 1})
 	prog, _, err := NewDesign(f).synthesize(t)
 	if err != nil {
 		// Synthesis errors surface quickly (front-end rejects).

@@ -66,9 +66,9 @@ func (w *Worker) Compile(spec ShardSubmit) ShardOutcome {
 }
 
 // bank adds counters to the worker toolchain's own (default-tenant)
-// ledger.
+// ledger, and so to the daemon's cache series.
 func (w *Worker) bank(flow Stats) {
-	w.t.tenant("").bump(func(s *Stats) { s.add(flow) })
+	w.t.tenant("").bank(flow)
 }
 
 // Status reports whether this worker itself holds a verified outcome

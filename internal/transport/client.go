@@ -79,8 +79,9 @@ type Client struct {
 // changes advertised by reply envelopes — the daemon promoting the
 // engine onto its own fabric, or evicting a faulted one back to software
 // — are traced as hot-swap events, so remote JIT activity flows back
-// into the runtime's trace. The fast path of Local clients is untouched
-// (local swaps are traced by the runtime's own serviceJIT).
+// into the runtime's trace (the daemon's own /metrics counts them). The
+// fast path of Local clients is untouched (local swaps are traced by the
+// runtime's own serviceJIT).
 func (c *Client) SetObserver(o *obsv.Observer) {
 	c.mu.Lock()
 	c.obs = o
@@ -330,14 +331,15 @@ func (c *Client) absorb(loc engine.Location, usage engine.Usage, io []proto.IOEv
 	if loc != c.loc && c.obs != nil {
 		// The daemon moved the engine (its own Figure-9 machine): a
 		// promotion onto its fabric, or an eviction back to software.
-		// Any goroutine may be issuing the call, so the event carries the
-		// request's virtual stamp via EmitAt rather than Emit.
-		dir, moves := "sw->hw", c.obs.Promotions
+		// Traced here, counted only by the daemon that made the move
+		// (Host.settle). Any goroutine may be issuing the call, so the
+		// event carries the request's virtual stamp via EmitAt rather
+		// than Emit.
+		dir := "sw->hw"
 		if loc != engine.Hardware {
-			dir, moves = "hw->sw", c.obs.Evictions
+			dir = "hw->sw"
 		}
 		c.obs.EmitAt(vnow, obsv.EvHotSwap, c.name, "remote "+dir)
-		moves.Inc()
 	}
 	c.loc = loc
 	c.pending.Add(usage)

@@ -337,3 +337,41 @@ func TestFarmBooksAgreeAfterMidCallFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerFlowsReachDaemonMetrics: a daemon's compile worker banks each
+// flow it serves into the daemon's toolchain, and so into the daemon's
+// /metrics — the same books its Stats read. Two cold clients submit one
+// design at the same virtual time: the worker pays for the first and joins
+// the second to it.
+func TestWorkerFlowsReachDaemonMetrics(t *testing.T) {
+	obs := obsv.New(obsv.Options{})
+	worker := toolchain.New(fpga.NewCycloneV(), toolchain.DefaultOptions())
+	h := NewHost(HostOptions{Toolchain: worker, CompileWorker: true, Observer: obs})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go h.ServeListener(l)
+	for i := 0; i < 2; i++ {
+		links, err := DialFarm([]string{l.Addr().String()}, TCPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc := toolchain.New(fpga.NewCycloneV(), toolchain.DefaultOptions())
+		fb := tc.UseFarm(toolchain.FarmOptions{Links: links})
+		res := tc.Submit(context.Background(), farmFlat(t), true, 0).Result()
+		fb.Close()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	st := worker.Stats()
+	if st.CacheMisses != 1 || st.Joined != 1 {
+		t.Errorf("worker Stats: misses=%d joined=%d, want 1 and 1", st.CacheMisses, st.Joined)
+	}
+	if hits, misses := obs.CacheHits.Value(), obs.CacheMisses.Value(); hits != uint64(st.CacheHits+st.Joined) || misses != uint64(st.CacheMisses) {
+		t.Errorf("daemon /metrics: hits=%d misses=%d, Stats: hits=%d joined=%d misses=%d",
+			hits, misses, st.CacheHits, st.Joined, st.CacheMisses)
+	}
+}

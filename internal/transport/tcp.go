@@ -83,6 +83,9 @@ type TCP struct {
 
 	stMu    sync.Mutex
 	statsSn Stats // cumulative counters, guarded by stMu for concurrent Stats()
+	// drops and retries are statsSn's Drops and Retries, each counted
+	// with its /metrics series; guarded by stMu.
+	drops, retries obsv.Tally
 }
 
 // DialTCP connects to a remote engine daemon. The initial dial is
@@ -90,6 +93,9 @@ type TCP struct {
 func DialTCP(addr string, opts TCPOptions) (*TCP, error) {
 	opts.fill()
 	t := &TCP{addr: addr, opts: opts, site: "tcp:" + addr}
+	if o := opts.Observer; o != nil {
+		t.drops.Series, t.retries.Series = o.TransportDrops, o.TransportRetry
+	}
 	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
@@ -118,7 +124,9 @@ func (t *TCP) Addr() string { return t.addr }
 func (t *TCP) Stats() Stats {
 	t.stMu.Lock()
 	defer t.stMu.Unlock()
-	return t.statsSn
+	st := t.statsSn
+	st.Drops, st.Retries = t.drops.N, t.retries.N
+	return st
 }
 
 // Close implements Transport.
@@ -177,8 +185,6 @@ func (t *TCP) Roundtrip(req *proto.Request, rep *proto.Reply) (Cost, error) {
 				} else {
 					obs.TransportRTT.Observe(0) // pinned test clock
 				}
-				obs.TransportDrops.Add(cost.Drops)
-				obs.TransportRetry.Add(cost.Retries)
 			}
 			return cost, nil
 		}
@@ -201,8 +207,6 @@ func (t *TCP) Roundtrip(req *proto.Request, rep *proto.Reply) (Cost, error) {
 		t.addr, t.opts.Retries+1, ErrEngineUnavailable, lastErr)
 	if obs != nil {
 		obs.TransportErrors.Inc()
-		obs.TransportDrops.Add(cost.Drops)
-		obs.TransportRetry.Add(cost.Retries)
 		// Stamped with the caller's virtual clock from the request
 		// header (0 for un-clocked callers); Roundtrip runs on worker
 		// goroutines, so Emit is off-limits.
@@ -320,6 +324,6 @@ func (t *TCP) settle(cost Cost, ok bool) {
 	}
 	t.statsSn.BytesOut += cost.BytesOut
 	t.statsSn.BytesIn += cost.BytesIn
-	t.statsSn.Drops += cost.Drops
-	t.statsSn.Retries += cost.Retries
+	t.drops.Add(cost.Drops)
+	t.retries.Add(cost.Retries)
 }

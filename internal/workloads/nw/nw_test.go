@@ -121,7 +121,7 @@ func TestCompiledEngineMatches(t *testing.T) {
 	}
 	settle()
 	for i := 0; i < c.Cycles()+8; i++ {
-		if m.ReadVar(f.VarNamed("done")).Uint64() == 1 {
+		if m.PeekVar(f.VarNamed("done")).Clone().Uint64() == 1 {
 			break
 		}
 		m.SetInput(clk, bits.FromUint64(1, 1))
@@ -129,7 +129,7 @@ func TestCompiledEngineMatches(t *testing.T) {
 		m.SetInput(clk, bits.FromUint64(1, 0))
 		settle()
 	}
-	got := int(int16(m.ReadVar(f.VarNamed("score")).Uint64()))
+	got := int(int16(m.PeekVar(f.VarNamed("score")).Clone().Uint64()))
 	if want := c.Score(); got != want {
 		t.Fatalf("compiled engine score=%d, want %d", got, want)
 	}

@@ -51,16 +51,6 @@ type Config struct {
 	FinishOnFind bool
 }
 
-// BlockBytes assembles the 64-byte padded SHA-256 block for a nonce.
-func (c *Config) BlockBytes(nonce uint32) [64]byte {
-	var b [64]byte
-	copy(b[:HeaderBytes], c.Header[:])
-	binary.BigEndian.PutUint32(b[HeaderBytes:], nonce)
-	b[48] = 0x80
-	binary.BigEndian.PutUint64(b[56:], uint64(48*8))
-	return b
-}
-
 // refDigestWord0 returns the first word of SHA-256 over the 48-byte
 // message (header || nonce).
 func (c *Config) refDigestWord0(nonce uint32) uint32 {

@@ -75,7 +75,7 @@ func (d *hwDriver) tick() {
 }
 
 func (d *hwDriver) val(name string) uint64 {
-	return d.m.ReadVar(d.m.Prog().Flat.VarNamed(name)).Uint64()
+	return d.m.PeekVar(d.m.Prog().Flat.VarNamed(name)).Clone().Uint64()
 }
 
 // runHashes advances the miner until `hashes` reaches target.

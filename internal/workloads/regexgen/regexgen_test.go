@@ -209,7 +209,7 @@ func TestVerilogMatcherCompiledEngine(t *testing.T) {
 		m.SetInput(clk, bits.FromUint64(1, 0))
 		settle()
 	}
-	got := m.ReadVar(f.VarNamed("matches")).Uint64()
+	got := m.PeekVar(f.VarNamed("matches")).Clone().Uint64()
 	if want := uint64(d.Run(in)); got != want {
 		t.Fatalf("compiled matcher=%d, dfa=%d", got, want)
 	}

@@ -9,11 +9,16 @@
 # (Runtime.host) and never reads "not built here" (lifecycle.Unplaced)
 # as "hosted" — the hand-written spawn, seed, retire copies forgot to
 # retire. And what a move costs, counts and leaves owed is applied where
-# the owner settles it: outside Runtime.settle, Host.settle and
-# Client.absorb (the runtime's view of a daemon-side move), neither
-# package bumps the promotion, eviction, failover or re-host series, sets
-# the area gauge or submits a placement's compile — the per-site copies
-# drifted (a stale gauge, a daemon silent about failed promotions). Run
+# the owner that made it settles it: outside Runtime.settle and
+# Host.settle, neither package bumps the promotion, eviction, failover or
+# re-host series, sets the area gauge or submits a placement's compile —
+# the per-site copies drifted (a stale gauge, a daemon silent about failed
+# promotions, a daemon's move counted again by the runtime that saw its
+# location flip). Every other counted event has one set of books too: the
+# supervision, fault, checkpoint, transport and compile-cache series are
+# moved only by the obsv.Tally that holds their owner's figure (bound by
+# assigning its Series) or by the toolchain's tenant.bank — the second
+# increment sites they used to have let /metrics and Stats disagree. Run
 # from the repo root; exits non-zero listing offenders.
 set -eu
 
@@ -43,11 +48,22 @@ hits=$(grep -n 'lifecycle\.Unplaced' $runtime_src || true)
 hits=$(awk '
     /^func / { fn = $0 }
     /^}/ { fn = "" }
-    /([^A-Za-z0-9_.]o|obs|Observer)\.(Promotions|Evictions|Failovers|Rehosts)[^A-Za-z0-9_]|\.AreaLEs\.Set\(|\.Submit\(/ &&
-        fn !~ /^func \((r \*Runtime|h \*Host)\) settle\(/ && fn !~ /^func \(c \*Client\) absorb\(/ {
+    /([^A-Za-z0-9_.]o|obs|Observer)\.(Promotions|Evictions|Failovers|Rehosts)([^A-Za-z0-9_]|$)|\.AreaLEs\.Set\(|\.Submit\(/ &&
+        fn !~ /^func \((r \*Runtime|h \*Host)\) settle\(/ {
         print FILENAME ":" FNR ": " $0
     }
 ' $runtime_src $(ls internal/transport/*.go | grep -v '_test\.go$'))
-[ -z "$hits" ] || fail "$hits" "count, gauge and re-arm engine moves in settle (or Client.absorb) only"
+[ -z "$hits" ] || fail "$hits" "count, gauge and re-arm engine moves in settle only"
 
-echo "check_engine_construction: runtime and transport build no engines directly, host them through lifecycle and settle every move in one place"
+# shellcheck disable=SC2086
+hits=$(awk '
+    /^func / { fn = $0 }
+    /^}/ { fn = "" }
+    /([^A-Za-z0-9_.]o|obs|obs\(\)|Observer)\.(Probes|ProbeFailures|BreakerTrips|Faults|Checkpoints|TransportDrops|TransportRetry|CacheHits|CacheMisses)([^A-Za-z0-9_]|$)/ &&
+        !(/\.Series[ ,].*=/ && !/\.(Inc|Add)\(/) && fn !~ /^func \(tn \*tenant\) bank\(/ {
+        print FILENAME ":" FNR ": " $0
+    }
+' $(find cmd internal -name '*.go' ! -name '*_test.go' ! -path 'internal/obsv/*') $(ls ./*.go | grep -v '_test\.go$'))
+[ -z "$hits" ] || fail "$hits" "move a counted event's series with its owner's figure: through an obsv.Tally or tenant.bank only"
+
+echo "check_engine_construction: runtime and transport build no engines directly, host them through lifecycle and settle every move in one place; every counted event has one set of books"

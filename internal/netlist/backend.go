@@ -1,9 +1,6 @@
 package netlist
 
-import (
-	bv "cascade/internal/bits"
-	"cascade/internal/elab"
-)
+import bv "cascade/internal/bits"
 
 // This file is the contract between the Machine and compiled backends
 // (internal/njit). A backend shares the Machine's packed state — it
@@ -40,22 +37,6 @@ func (m *Machine) Hooks() Hooks {
 		CombDirty:  &m.combDirty,
 		SeqPending: &m.seqPending,
 	}
-}
-
-// EdgeHooksFor returns the indices of the sequential processes watching
-// the given slot for positive and negative edges, in trigger order. A
-// compiled backend inlines these lists into its write closures instead
-// of walking the hook list per write.
-func (m *Machine) EdgeHooksFor(slot int) (pos, neg []int) {
-	for _, h := range m.edgeList[slot] {
-		switch h.kind {
-		case elab.Pos:
-			pos = append(pos, h.proc)
-		case elab.Neg:
-			neg = append(neg, h.proc)
-		}
-	}
-	return pos, neg
 }
 
 // PendWriteNB queues a narrow non-blocking slot write for the next

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"cascade/internal/bits"
 	"cascade/internal/elab"
 	"cascade/internal/verilog"
 )
@@ -14,41 +15,25 @@ type compiler struct {
 	// mark[v.Index<<1|w] is 1 + the span that last recorded variable v as
 	// read (w = 0) or written (w = 1).
 	mark []int32
-	// arena is the current chunk instructions' sources are carved from:
-	// the scratch code is read once by the linker and dropped, so its
-	// sources need not be allocated one instruction at a time.
-	arena []int
-}
-
-// srcs returns a copy of s carved from the arena (never nil).
-func (c *compiler) srcs(s ...int) []int {
-	if c.arena == nil || cap(c.arena)-len(c.arena) < len(s) {
-		c.arena = make([]int, 0, max(1024, len(s)))
-	}
-	n := len(c.arena)
-	c.arena = append(c.arena, s...)
-	return c.arena[n:len(c.arena):len(c.arena)]
+	// args stacks the sources of the instructions being compiled that
+	// take a list (concatenations, display tasks), nested ones on top.
+	args []int
 }
 
 // unit compiles u into a new span of c.prog.
-func (c *compiler) unit(u *unit) {
+func (c *compiler) unit(u *unit, f *elab.Flat) {
 	c.prog.Spans = append(c.prog.Spans, Span{
 		Unit: u.id, Ord: u.ord,
 		Code: int32(len(c.prog.Code)), Temps: int32(len(c.prog.Slots)),
 		Tasks: int32(len(c.prog.Tasks)), Vars: int32(len(c.prog.vars)),
 	})
-	switch {
-	case u.monitor != nil:
-		srcs := make([]int, len(u.monitor.Args))
-		for i, a := range u.monitor.Args {
-			srcs[i] = c.compileExpr(a)
-		}
-		c.emit(Op{Kind: OpDisplay, Srcs: srcs, Aux: len(c.prog.Tasks)})
-		c.prog.Tasks = append(c.prog.Tasks, Task{Src: u.monitor, Monitor: true})
-	case u.assign != nil:
-		c.compileContAssign(u.assign)
+	switch u.kind {
+	case unitMonitor:
+		c.display(u.monitorIn(f), true)
+	case unitAssign:
+		c.compileContAssign(f.Assigns[u.at])
 	default:
-		c.compileStmt(u.proc.Body)
+		c.compileStmt(f.Procs[u.at].Body)
 	}
 	c.emit(Op{Kind: OpHalt})
 }
@@ -92,22 +77,30 @@ func (c *compiler) newSlot(width int, v *elab.Var) int {
 	return idx
 }
 
-func (c *compiler) emit(op Op) int {
-	// An op runs on the wide path if its result or any source is wide.
-	if op.Width > 64 {
-		op.Wide = true
-	}
-	if op.Dst >= 0 && op.Dst < len(c.prog.Slots) && c.prog.Slots[op.Dst].Wide {
-		op.Wide = true
-	}
-	for _, s := range op.Srcs {
-		if s >= 0 && s < len(c.prog.Slots) && c.prog.Slots[s].Wide {
-			op.Wide = true
-		}
+// emit appends op reading srcs, which go to the source arena, and
+// returns its pc. An op runs on the wide path if its result or any
+// source is wide.
+func (c *compiler) emit(op Op, srcs ...int) int {
+	slots := c.prog.Slots
+	op.Wide = op.Width > 64 || (op.Dst >= 0 && int(op.Dst) < len(slots) && slots[op.Dst].Wide)
+	op.Src, op.NSrcs, op.Const = int32(len(c.prog.Operands)), int32(len(srcs)), -1
+	for _, s := range srcs {
+		op.Wide = op.Wide || (s >= 0 && s < len(slots) && slots[s].Wide)
+		c.prog.Operands = append(c.prog.Operands, int32(s))
 	}
 	c.prog.Code = append(c.prog.Code, op)
 	return len(c.prog.Code) - 1
 }
+
+// constant emits dst = v.
+func (c *compiler) constant(dst int, v *bits.Vector) {
+	pc := c.emit(Op{Kind: OpConst, Dst: int32(dst), Width: int32(v.Width())})
+	c.prog.Code[pc].Const = int32(len(c.prog.Consts))
+	c.prog.Consts = append(c.prog.Consts, v)
+}
+
+// target points the jump at pc to the next instruction emitted.
+func (c *compiler) target(pc int) { c.prog.Code[pc].Target = int32(len(c.prog.Code)) }
 
 func (c *compiler) compileContAssign(a *elab.ContAssign) {
 	rhs := c.compileExpr(a.RHS)
@@ -123,7 +116,7 @@ func (c *compiler) distribute(lhs []elab.LValue, rhs int, rhsWidth int, blocking
 	src := rhs
 	if rhsWidth != total {
 		src = c.newSlot(total, nil)
-		c.emit(Op{Kind: OpMove, Dst: src, Srcs: c.srcs(rhs), Width: total})
+		c.emit(Op{Kind: OpMove, Dst: int32(src), Width: int32(total)}, rhs)
 	}
 	offset := total
 	for _, lv := range lhs {
@@ -132,7 +125,7 @@ func (c *compiler) distribute(lhs []elab.LValue, rhs int, rhsWidth int, blocking
 		part := src
 		if len(lhs) > 1 {
 			part = c.newSlot(w, nil)
-			c.emit(Op{Kind: OpSlice, Dst: part, Srcs: c.srcs(src), Width: w, Hi: offset + w - 1, Lo: offset})
+			c.emit(Op{Kind: OpSlice, Dst: int32(part), Width: int32(w), Hi: int32(offset + w - 1), Lo: int32(offset)}, src)
 		}
 		c.writeLValue(lv, part, blocking)
 	}
@@ -146,10 +139,10 @@ func (c *compiler) writeLValue(lv elab.LValue, src int, blocking bool) {
 		if !blocking {
 			kind = OpMemWriteNB
 		}
-		c.emit(Op{Kind: kind, Srcs: c.srcs(src, addr), Aux: c.prog.MemOf[lv.Var.Index], Width: lv.Var.Width})
+		c.emit(Op{Kind: kind, Aux: int32(c.prog.MemOf[lv.Var.Index]), Width: int32(lv.Var.Width)}, src, addr)
 		return
 	}
-	dst := c.prog.VarSlot[lv.Var.Index]
+	dst := int32(c.prog.VarSlot[lv.Var.Index])
 	switch {
 	case lv.DynBit != nil:
 		idx := c.compileExpr(lv.DynBit)
@@ -157,19 +150,19 @@ func (c *compiler) writeLValue(lv elab.LValue, src int, blocking bool) {
 		if !blocking {
 			kind = OpWriteBitNB
 		}
-		c.emit(Op{Kind: kind, Dst: dst, Srcs: c.srcs(src, idx), Width: 1})
+		c.emit(Op{Kind: kind, Dst: dst, Width: 1}, src, idx)
 	case lv.HasRange:
 		kind := OpWriteRng
 		if !blocking {
 			kind = OpWriteRngNB
 		}
-		c.emit(Op{Kind: kind, Dst: dst, Srcs: c.srcs(src), Hi: lv.Hi, Lo: lv.Lo, Width: lv.Hi - lv.Lo + 1})
+		c.emit(Op{Kind: kind, Dst: dst, Hi: int32(lv.Hi), Lo: int32(lv.Lo), Width: int32(lv.Hi - lv.Lo + 1)}, src)
 	default:
 		kind := OpWrite
 		if !blocking {
 			kind = OpWriteNB
 		}
-		c.emit(Op{Kind: kind, Dst: dst, Srcs: c.srcs(src), Width: lv.Var.Width})
+		c.emit(Op{Kind: kind, Dst: dst, Width: int32(lv.Var.Width)}, src)
 	}
 }
 
@@ -182,15 +175,15 @@ func (c *compiler) compileStmt(s elab.Stmt) {
 		}
 	case *elab.If:
 		cond := c.compileExpr(x.Cond)
-		jz := c.emit(Op{Kind: OpJz, Srcs: c.srcs(cond)})
+		jz := c.emit(Op{Kind: OpJz}, cond)
 		c.compileStmt(x.Then)
 		if x.Else != nil {
 			jmp := c.emit(Op{Kind: OpJump})
-			c.prog.Code[jz].Target = len(c.prog.Code)
+			c.target(jz)
 			c.compileStmt(x.Else)
-			c.prog.Code[jmp].Target = len(c.prog.Code)
+			c.target(jmp)
 		} else {
-			c.prog.Code[jz].Target = len(c.prog.Code)
+			c.target(jz)
 		}
 	case *elab.Case:
 		c.compileCase(x)
@@ -227,40 +220,38 @@ func (c *compiler) compileCase(x *elab.Case) {
 					w = l.Width()
 				}
 				diff := c.newSlot(w, nil)
-				c.emit(Op{Kind: OpXor, Dst: diff, Srcs: c.srcs(subj, ls), Width: w})
+				c.emit(Op{Kind: OpXor, Dst: int32(diff), Width: int32(w)}, subj, ls)
 				mk := c.newSlot(m.Width(), nil)
-				c.emit(Op{Kind: OpConst, Dst: mk, Width: m.Width(), Const: m})
+				c.constant(mk, m)
 				masked := c.newSlot(w, nil)
-				c.emit(Op{Kind: OpAnd, Dst: masked, Srcs: c.srcs(diff, mk), Width: w})
-				a.jsrc = append(a.jsrc, c.emit(Op{Kind: OpJz, Srcs: c.srcs(masked)}))
+				c.emit(Op{Kind: OpAnd, Dst: int32(masked), Width: int32(w)}, diff, mk)
+				a.jsrc = append(a.jsrc, c.emit(Op{Kind: OpJz}, masked))
 				continue
 			}
 			eq := c.newSlot(1, nil)
-			c.emit(Op{Kind: OpEq, Dst: eq, Srcs: c.srcs(subj, ls), Width: 1})
+			c.emit(Op{Kind: OpEq, Dst: int32(eq), Width: 1}, subj, ls)
 			// Jump to the arm body when equal: invert and Jz.
 			inv := c.newSlot(1, nil)
-			c.emit(Op{Kind: OpLogNot, Dst: inv, Srcs: c.srcs(eq), Width: 1})
-			a.jsrc = append(a.jsrc, c.emit(Op{Kind: OpJz, Srcs: c.srcs(inv)}))
+			c.emit(Op{Kind: OpLogNot, Dst: int32(inv), Width: 1}, eq)
+			a.jsrc = append(a.jsrc, c.emit(Op{Kind: OpJz}, inv))
 		}
 		arms = append(arms, a)
 	}
 	jmpDefault := c.emit(Op{Kind: OpJump})
 	var ends []int
 	for _, a := range arms {
-		body := len(c.prog.Code)
 		for _, site := range a.jsrc {
-			c.prog.Code[site].Target = body
+			c.target(site)
 		}
 		c.compileStmt(a.item.Body)
 		ends = append(ends, c.emit(Op{Kind: OpJump}))
 	}
-	c.prog.Code[jmpDefault].Target = len(c.prog.Code)
+	c.target(jmpDefault)
 	if defaultItem != nil {
 		c.compileStmt(defaultItem.Body)
 	}
-	end := len(c.prog.Code)
 	for _, site := range ends {
-		c.prog.Code[site].Target = end
+		c.target(site)
 	}
 }
 
@@ -269,13 +260,27 @@ func (c *compiler) compileTask(t *elab.SysTask) {
 	case elab.TaskFinish:
 		c.emit(Op{Kind: OpFinish})
 	case elab.TaskDisplay, elab.TaskWrite, elab.TaskMonitor:
-		srcs := make([]int, len(t.Args))
-		for i, a := range t.Args {
-			srcs[i] = c.compileExpr(a)
-		}
-		c.emit(Op{Kind: OpDisplay, Srcs: srcs, Aux: len(c.prog.Tasks)})
-		c.prog.Tasks = append(c.prog.Tasks, Task{Src: t})
+		c.display(t, false)
 	}
+}
+
+// display emits the capture of t's arguments as task t; monitor marks
+// the $monitor of an initial block, run at the end of each time step.
+func (c *compiler) display(t *elab.SysTask, monitor bool) {
+	srcs := c.compileList(t.Args)
+	c.emit(Op{Kind: OpDisplay, Aux: int32(len(c.prog.Tasks))}, srcs...)
+	c.args = c.args[:len(c.args)-len(srcs)]
+	c.prog.Tasks = append(c.prog.Tasks, Task{Src: t, Monitor: monitor})
+}
+
+// compileList lowers es and returns the slots holding their values, on
+// top of c.args; the caller pops them once it has emitted their reader.
+func (c *compiler) compileList(es []elab.Expr) []int {
+	for _, e := range es {
+		s := c.compileExpr(e)
+		c.args = append(c.args, s)
+	}
+	return c.args[len(c.args)-len(es):]
 }
 
 // compileExpr lowers an expression and returns the slot holding its value.
@@ -283,7 +288,7 @@ func (c *compiler) compileExpr(e elab.Expr) int {
 	switch x := e.(type) {
 	case *elab.Const:
 		dst := c.newSlot(x.V.Width(), nil)
-		c.emit(Op{Kind: OpConst, Dst: dst, Width: x.V.Width(), Const: x.V})
+		c.constant(dst, x.V)
 		return dst
 	case *elab.VarRef:
 		c.touch(x.V, false)
@@ -292,18 +297,18 @@ func (c *compiler) compileExpr(e elab.Expr) int {
 		c.touch(x.V, false)
 		addr := c.compileExpr(x.Index)
 		dst := c.newSlot(x.V.Width, nil)
-		c.emit(Op{Kind: OpMemRead, Dst: dst, Srcs: c.srcs(addr), Aux: c.prog.MemOf[x.V.Index], Width: x.V.Width})
+		c.emit(Op{Kind: OpMemRead, Dst: int32(dst), Aux: int32(c.prog.MemOf[x.V.Index]), Width: int32(x.V.Width)}, addr)
 		return dst
 	case *elab.BitSel:
 		v := c.compileExpr(x.X)
 		idx := c.compileExpr(x.Idx)
 		dst := c.newSlot(1, nil)
-		c.emit(Op{Kind: OpBitSel, Dst: dst, Srcs: c.srcs(v, idx), Width: 1})
+		c.emit(Op{Kind: OpBitSel, Dst: int32(dst), Width: 1}, v, idx)
 		return dst
 	case *elab.Slice:
 		v := c.compileExpr(x.X)
 		dst := c.newSlot(x.Width(), nil)
-		c.emit(Op{Kind: OpSlice, Dst: dst, Srcs: c.srcs(v), Width: x.Width(), Hi: x.Hi, Lo: x.Lo})
+		c.emit(Op{Kind: OpSlice, Dst: int32(dst), Width: int32(x.Width()), Hi: int32(x.Hi), Lo: int32(x.Lo)}, v)
 		return dst
 	case *elab.Unary:
 		return c.compileUnary(x)
@@ -314,24 +319,22 @@ func (c *compiler) compileExpr(e elab.Expr) int {
 		a := c.compileExpr(x.Then)
 		b := c.compileExpr(x.Else)
 		dst := c.newSlot(x.W, nil)
-		c.emit(Op{Kind: OpMux, Dst: dst, Srcs: c.srcs(cond, a, b), Width: x.W})
+		c.emit(Op{Kind: OpMux, Dst: int32(dst), Width: int32(x.W)}, cond, a, b)
 		return dst
 	case *elab.Concat:
-		srcs := make([]int, len(x.Parts))
-		for i, p := range x.Parts {
-			srcs[i] = c.compileExpr(p)
-		}
+		srcs := c.compileList(x.Parts)
 		dst := c.newSlot(x.W, nil)
-		c.emit(Op{Kind: OpConcat, Dst: dst, Srcs: srcs, Width: x.W})
+		c.emit(Op{Kind: OpConcat, Dst: int32(dst), Width: int32(x.W)}, srcs...)
+		c.args = c.args[:len(c.args)-len(srcs)]
 		return dst
 	case *elab.Repl:
 		v := c.compileExpr(x.X)
 		dst := c.newSlot(x.W, nil)
-		c.emit(Op{Kind: OpRepl, Dst: dst, Srcs: c.srcs(v), Width: x.W, N: x.N})
+		c.emit(Op{Kind: OpRepl, Dst: int32(dst), Width: int32(x.W), N: int32(x.N)}, v)
 		return dst
 	case *elab.TimeRef:
 		dst := c.newSlot(64, nil)
-		c.emit(Op{Kind: OpTime, Dst: dst, Width: 64})
+		c.emit(Op{Kind: OpTime, Dst: int32(dst), Width: 64})
 		return dst
 	}
 	panic(errf("unknown expression %T", e))
@@ -350,11 +353,11 @@ func (c *compiler) compileUnary(x *elab.Unary) int {
 			return v
 		}
 		dst := c.newSlot(x.W, nil)
-		c.emit(Op{Kind: OpMove, Dst: dst, Srcs: c.srcs(v), Width: x.W})
+		c.emit(Op{Kind: OpMove, Dst: int32(dst), Width: int32(x.W)}, v)
 		return dst
 	}
 	dst := c.newSlot(x.W, nil)
-	c.emit(Op{Kind: unaryKinds[x.Op], Dst: dst, Srcs: c.srcs(v), Width: x.W})
+	c.emit(Op{Kind: unaryKinds[x.Op], Dst: int32(dst), Width: int32(x.W)}, v)
 	return dst
 }
 
@@ -372,6 +375,6 @@ func (c *compiler) compileBinary(x *elab.Binary) int {
 	a := c.compileExpr(x.X)
 	b := c.compileExpr(x.Y)
 	dst := c.newSlot(x.W, nil)
-	c.emit(Op{Kind: binaryKinds[x.Op], Dst: dst, Srcs: c.srcs(a, b), Width: x.W})
+	c.emit(Op{Kind: binaryKinds[x.Op], Dst: int32(dst), Width: int32(x.W)}, a, b)
 	return dst
 }

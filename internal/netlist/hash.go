@@ -28,20 +28,34 @@ func (p *Program) Fingerprint() string {
 	h := hasher{sum: sha256.New(), buf: make([]byte, 0, 2*hashBatch)}
 	h.str(p.Flat.Name) // %m output is part of observable behaviour
 
+	// One capacity check per record (an instruction, a slot, a state
+	// word): what it encodes is appended after it unchecked.
 	h.ints(len(p.Code))
 	for i := range p.Code {
 		op := &p.Code[i]
-		h.ints(int(op.Kind), op.Dst, op.Width, op.Hi, op.Lo, op.N, op.Target, op.Aux)
-		h.ints(len(op.Srcs))
-		h.ints(op.Srcs...)
-		h.ints(int(B2U(op.Wide)))
-		h.vec(op.Const)
+		h.room()
+		h.put(int(op.Kind))
+		h.put(int(op.Dst))
+		h.put(int(op.Width))
+		h.put(int(op.Hi))
+		h.put(int(op.Lo))
+		h.put(int(op.N))
+		h.put(int(op.Target))
+		h.put(int(op.Aux))
+		srcs := p.Srcs(op)
+		h.put(len(srcs))
+		for _, s := range srcs {
+			h.put(int(s))
+		}
+		h.put(int(B2U(op.Wide)))
+		h.vec(p.Const(op))
 	}
 
 	h.ints(len(p.Slots))
 	for _, s := range p.Slots {
-		h.ints(s.Width)
-		h.ints(int(B2U(s.Wide)))
+		h.room()
+		h.put(s.Width)
+		h.put(int(B2U(s.Wide)))
 		if s.Var != nil {
 			h.str(s.Var.Name)
 		} else {
@@ -55,8 +69,10 @@ func (p *Program) Fingerprint() string {
 	h.ints(p.MemOf...)
 	h.ints(len(p.Mems))
 	for _, m := range p.Mems {
+		h.room()
 		h.str(m.Var.Name)
-		h.ints(m.Words, m.Width)
+		h.put(m.Words)
+		h.put(m.Width)
 	}
 
 	h.ints(len(p.Comb))
@@ -76,32 +92,42 @@ func (p *Program) Fingerprint() string {
 	}
 	h.ints(len(p.Tasks))
 	for _, t := range p.Tasks {
-		h.ints(int(t.Src.Kind))
+		h.room()
+		h.put(int(t.Src.Kind))
 		h.str(t.Src.Format)
-		h.ints(int(B2U(t.Monitor)))
+		h.put(int(B2U(t.Monitor)))
 	}
 
 	// Reset state, then reset memories — the Flat's variables, by name —
 	// each in name order for determinism, the order synthesis recorded.
+	vars := p.Flat.Vars
 	order := p.byName
-	if len(order) != len(p.Flat.Vars) { // a program not built by synthesis
-		order = sortByName(p.Flat.Vars, nil)
+	if len(order) != len(vars) { // a program not built by synthesis
+		order = sortByName(vars, nil)
 	}
-	h.len32(len(p.ResetState))
+	at := make([]int32, len(vars)+1) // where each variable's words start in the image
+	for i, v := range vars {
+		at[i+1] = at[i] + int32(resetWords(v))
+	}
+	h.room()
+	h.len32(len(vars) - len(p.Mems))
 	for _, i := range order {
-		if n := p.Flat.Vars[i].Name; !p.Flat.Vars[i].IsArray() {
-			h.str(n)
-			h.vec(p.ResetState[n])
+		if v := vars[i]; !v.IsArray() {
+			h.room()
+			h.str(v.Name)
+			h.words(v.Width, p.Reset[at[i]:at[i+1]])
 		}
 	}
-	h.ints(len(p.ResetMems))
+	h.ints(len(p.Mems))
 	for _, i := range order {
-		if n := p.Flat.Vars[i].Name; p.Flat.Vars[i].IsArray() {
-			h.str(n)
-			words := p.ResetMems[n]
-			h.ints(len(words))
-			for _, w := range words {
-				h.vec(w)
+		if v := vars[i]; v.IsArray() {
+			h.room()
+			h.str(v.Name)
+			h.put(v.ArrayLen)
+			img, n := p.Reset[at[i]:at[i+1]], bv.WordsFor(v.Width)
+			for ; len(img) > 0; img = img[n:] {
+				h.room()
+				h.words(v.Width, img[:n])
 			}
 		}
 	}
@@ -125,29 +151,33 @@ func (h *hasher) flush() {
 	h.buf = h.buf[:0]
 }
 
-// room flushes a buffer that has filled; every encoder appends after it.
+// room flushes a buffer that has filled. Every record starts with it,
+// and the encoders below append after it unchecked: the buffer has room
+// for a batch more, and a record larger than that only grows it.
 func (h *hasher) room() {
 	if len(h.buf) >= hashBatch {
 		h.flush()
 	}
 }
 
-// len32 hashes a string length or map size as 32 bits.
-func (h *hasher) len32(n int) {
-	h.room()
-	h.buf = binary.LittleEndian.AppendUint32(h.buf, uint32(n))
+// put hashes an integer as 64 bits.
+func (h *hasher) put(v int) { h.buf = binary.LittleEndian.AppendUint64(h.buf, uint64(v)) }
+
+// ints hashes integers, as many as there are: the one encoder that makes
+// room for each.
+func (h *hasher) ints(vs ...int) {
+	for _, v := range vs {
+		h.room()
+		h.put(v)
+	}
 }
+
+// len32 hashes a string length or element count as 32 bits.
+func (h *hasher) len32(n int) { h.buf = binary.LittleEndian.AppendUint32(h.buf, uint32(n)) }
 
 func (h *hasher) str(s string) {
 	h.len32(len(s))
 	h.buf = append(h.buf, s...)
-}
-
-func (h *hasher) ints(vs ...int) {
-	for _, v := range vs {
-		h.room()
-		h.buf = binary.LittleEndian.AppendUint64(h.buf, uint64(v))
-	}
 }
 
 // vec hashes a vector as the string it prints as, formatted in place:
@@ -161,4 +191,10 @@ func (h *hasher) vec(v *bv.Vector) {
 	at := len(h.buf)
 	h.buf = v.AppendString(h.buf)
 	binary.LittleEndian.PutUint32(h.buf[at-4:], uint32(len(h.buf)-at))
+}
+
+// words hashes the width-bit value held in words as vec does.
+func (h *hasher) words(width int, words []uint64) {
+	v := bv.Wrap(width, words)
+	h.vec(&v)
 }

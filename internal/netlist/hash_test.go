@@ -6,11 +6,15 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
 	bv "cascade/internal/bits"
+	"cascade/internal/elab"
+	"cascade/internal/verilog"
 	"cascade/internal/vgen"
 	"cascade/internal/workloads/pow"
 )
@@ -22,9 +26,9 @@ import (
 const fingerprintGolden = "ace8e30ad8b411c975bbc4d1420f5aa826aafa956658088f3b9977b118451d9c"
 
 // goldenSrc covers every kind of field the hash walks: a narrow and a
-// wider-than-64-bit register with initial values (ResetState), a memory
-// with an initialised word (ResetMems), constants of both widths, and a
-// system task with a format string.
+// wider-than-64-bit register with initial values, a memory with an
+// initialised word (both in the reset image), constants of both widths,
+// and a system task with a format string.
 const goldenSrc = `
 module M(input wire clk, input wire [3:0] addr, output wire [15:0] rdata);
   reg [7:0] narrow = 8'h5a;
@@ -49,8 +53,8 @@ func TestFingerprintGolden(t *testing.T) {
 	for _, s := range p.Slots {
 		wide = wide || s.Wide
 	}
-	if !wide || mems == 0 || tasks == 0 || len(p.ResetMems) == 0 {
-		t.Fatalf("golden module lost coverage: wide=%v mems=%d tasks=%d resetMems=%d", wide, mems, tasks, len(p.ResetMems))
+	if !wide || mems == 0 || tasks == 0 || resetMem(p, "mem")[3].Uint64() != 0xbeef {
+		t.Fatalf("golden module lost coverage: wide=%v mems=%d tasks=%d mem[3]=%s", wide, mems, tasks, resetMem(p, "mem")[3])
 	}
 	if got := p.Fingerprint(); got != fingerprintGolden {
 		t.Errorf("Fingerprint = %s, want %s", got, fingerprintGolden)
@@ -83,9 +87,44 @@ func mustCompile(t testing.TB, src string) *Program {
 	return p
 }
 
+// resetVar returns the reset value of the scalar variable named name
+// (nil if there is none), read out of p's reset image.
+func resetVar(p *Program, name string) *bv.Vector {
+	v := p.Flat.VarNamed(name)
+	if v == nil || v.IsArray() {
+		return nil
+	}
+	return resetWordsOf(p, v)[0]
+}
+
+// resetMem returns the reset words of the memory named name (nil if
+// there is none), read out of p's reset image.
+func resetMem(p *Program, name string) []*bv.Vector {
+	v := p.Flat.VarNamed(name)
+	if v == nil || !v.IsArray() {
+		return nil
+	}
+	return resetWordsOf(p, v)
+}
+
+// resetWordsOf materializes v's value(s) in p's reset image.
+func resetWordsOf(p *Program, v *elab.Var) []*bv.Vector {
+	at := 0
+	for _, u := range p.Flat.Vars[:v.Index] {
+		at += resetWords(u)
+	}
+	n := bv.WordsFor(v.Width)
+	var out []*bv.Vector
+	for w := at; w < at+resetWords(v); w += n {
+		word := bv.Wrap(v.Width, p.Reset[w:w+n])
+		out = append(out, word.Clone())
+	}
+	return out
+}
+
 // oldFingerprint is the encoder Fingerprint replaced, kept as the
 // reference: every constant and state word printed to a string of its
-// own on the way into the hash.
+// own on the way into the hash, and the reset state read by name.
 func oldFingerprint(p *Program) string {
 	sum := sha256.New()
 	h := bufio.NewWriter(sum)
@@ -122,11 +161,14 @@ func oldFingerprint(p *Program) string {
 	wi(len(p.Code))
 	for i := range p.Code {
 		op := &p.Code[i]
-		wi(int(op.Kind), op.Dst, op.Width, op.Hi, op.Lo, op.N, op.Target, op.Aux)
-		wi(len(op.Srcs))
-		wi(op.Srcs...)
+		wi(int(op.Kind), int(op.Dst), int(op.Width), int(op.Hi), int(op.Lo), int(op.N), int(op.Target), int(op.Aux))
+		srcs := p.Srcs(op)
+		wi(len(srcs))
+		for _, s := range srcs {
+			wi(int(s))
+		}
 		wb(op.Wide)
-		wvec(op.Const)
+		wvec(p.Const(op))
 	}
 	wi(len(p.Slots))
 	for _, s := range p.Slots {
@@ -168,26 +210,27 @@ func oldFingerprint(p *Program) string {
 		ws(t.Src.Format)
 		wb(t.Monitor)
 	}
-	names := make([]string, 0, len(p.ResetState))
-	for n := range p.ResetState {
-		names = append(names, n)
+	var names, memNames []string
+	for _, v := range p.Flat.Vars {
+		if v.IsArray() {
+			memNames = append(memNames, v.Name)
+		} else {
+			names = append(names, v.Name)
+		}
 	}
 	sort.Strings(names)
 	wlen(len(names))
 	for _, n := range names {
 		ws(n)
-		wvec(p.ResetState[n])
+		wvec(resetVar(p, n))
 	}
-	names = names[:0]
-	for n := range p.ResetMems {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	wi(len(names))
-	for _, n := range names {
+	sort.Strings(memNames)
+	wi(len(memNames))
+	for _, n := range memNames {
 		ws(n)
-		wi(len(p.ResetMems[n]))
-		for _, w := range p.ResetMems[n] {
+		words := resetMem(p, n)
+		wi(len(words))
+		for _, w := range words {
 			wvec(w)
 		}
 	}
@@ -231,5 +274,114 @@ func BenchmarkFingerprintSession(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Fingerprint()
+	}
+}
+
+// lastEdit is the last eval of a 150-stage session (vgen.InlinedChain):
+// the program of the 149 stages before it, and the design with the last
+// stage added, elaborated from theirs as an eval elaborates it.
+func lastEdit(t testing.TB) (base *Program, f *elab.Flat) {
+	t.Helper()
+	parse := func(src string) *verilog.Module {
+		st, errs := verilog.ParseSourceText(src)
+		if errs != nil {
+			t.Fatalf("parse: %v", errs)
+		}
+		return st.Modules[0]
+	}
+	m, before := parse(vgen.InlinedChain(150)), len(parse(vgen.InlinedChain(149)).Items)
+	cut := *m
+	cut.Items = m.Items[:before]
+	fb, err := elab.Elaborate(&cut, "dut", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err = elab.ElaborateFrom(fb, m, "dut", nil); err != nil {
+		t.Fatal(err)
+	}
+	if base, err = Compile(fb); err != nil {
+		t.Fatal(err)
+	}
+	return base, f
+}
+
+// BenchmarkCompileFromEdit: synthesis of one eval at 150 stages, all
+// but the new stage relocated out of the previous version's program.
+func BenchmarkCompileFromEdit(b *testing.B) {
+	base, f := lastEdit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CompileFrom(base, f); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestCompileFromAllocBudget: an eval's synthesis allocates what the
+// program keeps and little scaffolding besides — no per-slot lists, no
+// map of the base's spans, no append growth, no cloned reset state. It
+// was 810 KB in 4 324 allocations at this size before the op lost its
+// pointers and the link its scratch; the budgets are what it takes now
+// plus a tenth.
+func TestCompileFromAllocBudget(t *testing.T) {
+	base, f := lastEdit(t)
+	p, err := CompileFrom(base, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Relocated*10 < len(p.Spans)*9 {
+		t.Fatalf("relocated %d of %d units", p.Relocated, len(p.Spans))
+	}
+	bytes, allocs := allocsPerCall(func() { CompileFrom(base, f) })
+	t.Logf("CompileFrom: %d ops, %d slots: %d B and %d allocs per call", len(p.Code), len(p.Slots), bytes, allocs)
+	if bytes > compileFromBytes || allocs > compileFromAllocs {
+		t.Fatalf("CompileFrom allocates %d B in %d allocs per call, budget %d B in %d", bytes, allocs, compileFromBytes, compileFromAllocs)
+	}
+}
+
+// CompileFrom's budget at the last of 150 edits.
+const (
+	compileFromBytes  = 463_000 // 420 744 B measured
+	compileFromAllocs = 3_046   // 2 769 measured
+)
+
+// allocsPerCall is the bytes and allocations fn makes per call.
+func allocsPerCall(fn func()) (bytes, allocs uint64) {
+	const runs = 20
+	fn() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs, (after.Mallocs - before.Mallocs) / runs
+}
+
+// TestOpHoldsNoPointers: a program's code is one block the collector
+// never scans — an instruction names its sources and constant by index.
+func TestOpHoldsNoPointers(t *testing.T) {
+	var walk func(reflect.Type) string
+	walk = func(ty reflect.Type) string {
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func, reflect.Interface, reflect.String, reflect.UnsafePointer:
+			return ty.String()
+		case reflect.Array:
+			return walk(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if p := walk(ty.Field(i).Type); p != "" {
+					return ty.Field(i).Name + " " + p
+				}
+			}
+		}
+		return ""
+	}
+	if p := walk(reflect.TypeOf(Op{})); p != "" {
+		t.Fatalf("Op holds a pointer: %s", p)
+	}
+	if size := reflect.TypeOf(Op{}).Size(); size > 48 {
+		t.Fatalf("Op is %d bytes, want at most 48", size)
 	}
 }

@@ -1,9 +1,11 @@
 package netlist
 
 import (
+	mbits "math/bits"
 	"slices"
 	"strings"
 
+	"cascade/internal/bits"
 	"cascade/internal/elab"
 	"cascade/internal/sim"
 )
@@ -31,72 +33,105 @@ func CompileFrom(base *Program, f *elab.Flat) (*Program, error) { return link(ba
 // and the optimizer's own tests).
 func CompileRaw(f *elab.Flat) (*Program, error) { return link(nil, f, false) }
 
+// Unit kinds, in the order partition lists them (combinational units
+// first) and their spans are laid out.
+const (
+	unitAssign  = iota // a continuous assignment
+	unitComb           // a level-sensitive process
+	unitSeq            // an edge-triggered process
+	unitMonitor        // a $monitor of an initial block
+)
+
 // unit is one unit of a design awaiting its code: a combinational one
 // (a continuous assignment or a level-sensitive process), an
-// edge-triggered process, or a $monitor of an initial block. Exactly one
-// of assign, proc and monitor is set.
+// edge-triggered process, or a $monitor of an initial block.
 type unit struct {
-	assign  *elab.ContAssign
-	proc    *elab.Proc
-	monitor *elab.SysTask
-	id      uint64 // its elaboration's identity (0: none, never relocated)
-	ord     int32  // which $monitor of its initial block it is
+	id   uint64 // its elaboration's identity (0: none, never relocated)
+	ord  int32  // which $monitor of its initial block it is
+	at   int32  // its index in f.Assigns, f.Procs or f.Initials, by kind
+	span int32  // its span in the program its code is in
+	kind uint8
+	base bool // its code is in the base program, else the scratch compile's
+}
 
-	src  *Program // where its code is: the base, or the scratch compile
-	span int      // its span in src
+// monitorIn returns the $monitor task u is in f.
+func (u *unit) monitorIn(f *elab.Flat) (mon *elab.SysTask) {
+	ord := u.ord
+	monitors(f.Initials[u.at], func(t *elab.SysTask) {
+		if ord == 0 {
+			mon = t
+		}
+		ord--
+	})
+	return mon
 }
 
 // tasks appends u's display tasks to out in the order its code numbers them.
-func (u *unit) tasks(out []*elab.SysTask) []*elab.SysTask {
-	if u.monitor != nil {
-		return append(out, u.monitor)
-	}
-	if u.proc == nil {
+func (u *unit) tasks(f *elab.Flat, out []*elab.SysTask) []*elab.SysTask {
+	switch u.kind {
+	case unitMonitor:
+		return append(out, u.monitorIn(f))
+	case unitAssign:
 		return out
 	}
-	return unitTasks(u.proc.Body, out)
+	return unitTasks(f.Procs[u.at].Body, out)
 }
 
-// unitKey identifies a unit across versions of a design.
-type unitKey struct {
-	id  uint64
-	ord int32
+// monitors calls fn for each $monitor of initial block st, in order.
+func monitors(st elab.Stmt, fn func(*elab.SysTask)) {
+	elab.WalkStmt(st, func(s elab.Stmt) {
+		if t, ok := s.(*elab.SysTask); ok && t.Kind == elab.TaskMonitor {
+			fn(t)
+		}
+	}, nil)
 }
 
 // partition lists f's units in synthesis order — combinational (assigns,
-// then level-sensitive processes), sequential, monitors — and how many
-// of each of the first two kinds there are.
+// then level-sensitive processes), sequential, monitors — into one slice
+// a first pass sizes, and returns how many of each of the first two kinds
+// there are.
 func partition(f *elab.Flat) (units []unit, ncomb, nseq int, err error) {
-	units = make([]unit, 0, len(f.Assigns)+len(f.Procs))
-	for _, a := range f.Assigns {
-		units = append(units, unit{assign: a, id: a.Unit})
-	}
-	var seqs []unit
+	ncomb = len(f.Assigns)
 	for _, p := range f.Procs {
-		if p.Star || hasLevelEdge(p) {
+		switch {
+		case p.Star || hasLevelEdge(p):
 			if hasTrueEdge(p) {
 				return nil, 0, 0, errf("process mixes edge and level sensitivity (not synthesizable)")
 			}
-			units = append(units, unit{proc: p, id: p.Unit})
-			continue
-		}
-		if len(p.Edges) == 0 {
+			ncomb++
+		case len(p.Edges) == 0:
 			return nil, 0, 0, errf("always block with empty sensitivity list")
+		default:
+			nseq++
 		}
-		seqs = append(seqs, unit{proc: p, id: p.Unit})
 	}
-	ncomb, nseq = len(units), len(seqs)
-	units = append(units, seqs...)
+	nmon := 0
+	for _, st := range f.Initials {
+		monitors(st, func(*elab.SysTask) { nmon++ })
+	}
+	units = make([]unit, ncomb+nseq+nmon)
+	comb, seq, mon := 0, ncomb, ncomb+nseq
+	for i, a := range f.Assigns {
+		units[comb] = unit{id: a.Unit, at: int32(i), kind: unitAssign}
+		comb++
+	}
+	for i, p := range f.Procs {
+		if p.Star || hasLevelEdge(p) {
+			units[comb] = unit{id: p.Unit, at: int32(i), kind: unitComb}
+			comb++
+		} else {
+			units[seq] = unit{id: p.Unit, at: int32(i), kind: unitSeq}
+			seq++
+		}
+	}
 	// $monitor registrations from initial blocks become end-of-step
 	// display units evaluated by Machine.EndStep.
 	for i, st := range f.Initials {
 		var ord int32
-		elab.WalkStmt(st, func(s elab.Stmt) {
-			if t, ok := s.(*elab.SysTask); ok && t.Kind == elab.TaskMonitor {
-				units = append(units, unit{monitor: t, id: f.InitialUnits[i], ord: ord})
-				ord++
-			}
-		}, nil)
+		monitors(st, func(*elab.SysTask) {
+			units[mon] = unit{id: f.InitialUnits[i], at: int32(i), ord: ord, kind: unitMonitor}
+			mon, ord = mon+1, ord+1
+		})
 	}
 	return units, ncomb, nseq, nil
 }
@@ -109,7 +144,7 @@ type linker struct {
 	base    *Program // nil: nothing to relocate from
 	scratch *Program // the units compiled here
 
-	keys  map[unitKey]int // base's spans by identity
+	byID  spanTable       // base's spans by identity
 	vmap  []int           // base variable index -> f's variable of that name (-1: none)
 	bslot []int           // base variable slot -> slot of that variable here (-1: none)
 	bmem  []int           // base memory -> memory of that variable here (-1: none)
@@ -117,115 +152,161 @@ type linker struct {
 	tasks []*elab.SysTask // a relocated unit's tasks (scratch)
 }
 
+// src returns the program u's code is in.
+func (l *linker) src(u *unit) *Program {
+	if u.base {
+		return l.base
+	}
+	return l.scratch
+}
+
 func link(base *Program, f *elab.Flat, optimize bool) (*Program, error) {
-	p := &Program{
-		Flat:    f,
-		VarSlot: make([]int, len(f.Vars)),
-		MemOf:   make([]int, len(f.Vars)),
-	}
-	// Slot 0..n-1: one slot per scalar variable, then temporaries.
-	var varSlots []SlotInfo
-	for _, v := range f.Vars {
-		if v.IsArray() {
-			p.VarSlot[v.Index] = -1
-			p.MemOf[v.Index] = len(p.Mems)
-			p.Mems = append(p.Mems, MemInfo{Var: v, Words: v.ArrayLen, Width: v.Width, Wide: v.Width > 64})
-			continue
-		}
-		p.MemOf[v.Index] = -1
-		p.VarSlot[v.Index] = len(varSlots)
-		varSlots = append(varSlots, SlotInfo{Width: v.Width, Wide: v.Width > 64, Var: v})
-	}
 	units, ncomb, nseq, err := partition(f)
 	if err != nil {
 		return nil, err
 	}
-	l := &linker{f: f, p: p}
-	if base != nil {
-		l.index(base)
-	}
-
 	// Each unit's code comes from base when it can, else from a fresh
 	// compile into the scratch program.
+	l := &linker{f: f}
+	if base != nil {
+		l.base, l.byID = base, newSpanTable(base.Spans)
+	}
 	fresh := 0
 	for i := range units {
 		if !l.relocate(&units[i]) {
 			fresh++
 		}
 	}
-	// Sized for a typical unit, so the scratch arrays rarely grow.
-	l.scratch = &Program{
-		Flat: f, VarSlot: p.VarSlot, MemOf: p.MemOf, Mems: p.Mems,
-		Code:  make([]Op, 0, opsPerUnit*fresh),
-		Slots: append(make([]SlotInfo, 0, len(varSlots)+opsPerUnit*fresh), varSlots...),
-		Spans: make([]Span, 0, fresh),
+
+	// Slot 0..n-1: one slot per scalar variable, then temporaries. The
+	// variables' slot table is the scratch program's, presized for a
+	// typical unit's temporaries, and the result copies it once.
+	nmem := 0
+	for _, v := range f.Vars {
+		if v.IsArray() {
+			nmem++
+		}
 	}
+	nvar := len(f.Vars) - nmem
+	p := &Program{
+		Flat:    f,
+		VarSlot: make([]int, len(f.Vars)),
+		MemOf:   make([]int, len(f.Vars)),
+		Mems:    make([]MemInfo, 0, nmem),
+	}
+	l.p = p
+	l.scratch = &Program{
+		Flat: f, VarSlot: p.VarSlot, MemOf: p.MemOf,
+		Code:     make([]Op, 0, opsPerUnit*fresh),
+		Operands: make([]int32, 0, 2*opsPerUnit*fresh),
+		Slots:    make([]SlotInfo, 0, nvar+opsPerUnit*fresh),
+		Spans:    make([]Span, 0, fresh),
+	}
+	for _, v := range f.Vars {
+		p.VarSlot[v.Index], p.MemOf[v.Index] = -1, -1
+		if v.IsArray() {
+			p.MemOf[v.Index] = len(p.Mems)
+			p.Mems = append(p.Mems, MemInfo{Var: v, Words: v.ArrayLen, Width: v.Width, Wide: v.Width > 64})
+			continue
+		}
+		p.VarSlot[v.Index] = len(l.scratch.Slots)
+		l.scratch.Slots = append(l.scratch.Slots, SlotInfo{Width: v.Width, Wide: v.Width > 64, Var: v})
+	}
+	l.scratch.Mems = p.Mems
+	if base != nil {
+		l.mapVars()
+	}
+
 	c := &compiler{prog: l.scratch, mark: make([]int32, 2*len(f.Vars))}
 	for i := range units {
-		if u := &units[i]; u.src == nil {
-			u.src, u.span = l.scratch, len(l.scratch.Spans)
-			c.unit(u)
+		if u := &units[i]; !u.base {
+			u.span = int32(len(l.scratch.Spans))
+			c.unit(u, f)
 		}
 	}
 	if optimize {
 		l.keep = make([]bool, len(l.scratch.Code))
 		liveSlot := make([]bool, len(l.scratch.Slots))
-		for i := range varSlots {
+		for i := 0; i < nvar; i++ {
 			liveSlot[i] = true
 		}
 		for i := range l.scratch.Spans {
 			lo, hi := l.scratch.spanCode(i)
-			sweep(l.scratch.Code[lo:hi], liveSlot, l.keep[lo:hi])
+			sweep(l.scratch, lo, hi, liveSlot, l.keep[lo:hi])
 		}
 	}
 
 	// Every unit's variables, in f's numbering and partition order.
-	off := make([]int, len(units)+1)
-	var uv []int32
+	off := make([]int32, len(units)+1)
+	for i := range units {
+		lo, hi := l.src(&units[i]).spanVars(int(units[i].span))
+		off[i+1] = off[i] + int32(hi-lo)
+	}
+	uv := make([]int32, off[len(units)])
 	for i := range units {
 		u := &units[i]
-		lo, hi := u.src.spanVars(u.span)
-		for _, e := range u.src.vars[lo:hi] {
-			if u.src == l.base {
-				e = int32(l.vmap[e>>1]<<1) | e&1
+		src := l.src(u)
+		lo, hi := src.spanVars(int(u.span))
+		out := uv[off[i]:off[i+1]]
+		copy(out, src.vars[lo:hi])
+		if u.base {
+			for j, e := range out {
+				out[j] = int32(l.vmap[e>>1]<<1) | e&1
 			}
-			uv = append(uv, e)
 		}
-		off[i+1] = len(uv)
 	}
 	order, err := levelize(f, uv, off, ncomb, nseq)
 	if err != nil {
 		return nil, err
 	}
-	l.emit(units, order, uv, off, ncomb, nseq, varSlots)
+	l.emit(units, order, uv, off, ncomb, nseq)
 
 	// Reset state: run a reference simulator once (executes initial
 	// blocks) and capture the resulting variable values — the FPGA
 	// bitstream's initial register contents.
 	ref := sim.New(f, sim.Options{})
 	ref.Evaluate()
-	st := ref.GetState()
-	p.ResetState = st.Scalars
-	p.ResetMems = st.Arrays
+	p.Reset = resetImage(f, ref)
 	p.byName = l.byName()
 	p.Stats = computeStats(p)
 	return p, nil
+}
+
+// resetImage captures ref's variables as a Program.Reset word image.
+func resetImage(f *elab.Flat, ref *sim.Simulator) []uint64 {
+	n := 0
+	for _, v := range f.Vars {
+		n += resetWords(v)
+	}
+	img := make([]uint64, 0, n)
+	for _, v := range f.Vars {
+		if !v.IsArray() {
+			img = append(img, ref.VarValue(v).Words()...)
+			continue
+		}
+		for i := 0; i < v.ArrayLen; i++ {
+			img = append(img, ref.ArrayWord(v, i).Words()...)
+		}
+	}
+	return img
+}
+
+// resetWords is how many words of Program.Reset hold v's value.
+func resetWords(v *elab.Var) int {
+	if v.IsArray() {
+		return v.ArrayLen * bits.WordsFor(v.Width)
+	}
+	return bits.WordsFor(v.Width)
 }
 
 // opsPerUnit is about how many instructions a unit compiles to (8 on the
 // benchmark's chained stages, 5–12 on generated modules).
 const opsPerUnit = 10
 
-// index prepares relocation from base: its spans by identity, and its
-// variables, slots and memories by name in l.f.
-func (l *linker) index(base *Program) {
-	l.base = base
-	l.keys = make(map[unitKey]int, len(base.Spans))
-	for i, sp := range base.Spans {
-		if sp.Unit != 0 {
-			l.keys[unitKey{sp.Unit, sp.Ord}] = i
-		}
-	}
+// mapVars maps the base's variables, slots and memories to l.f's of
+// the same names, for relocation from it.
+func (l *linker) mapVars() {
+	base := l.base
 	l.vmap = make([]int, len(base.Flat.Vars))
 	for i, v := range base.Flat.Vars {
 		l.vmap[i] = -1
@@ -249,32 +330,58 @@ func (l *linker) index(base *Program) {
 	}
 }
 
+// spanTable finds a program's spans by identity (Span.Unit, Span.Ord):
+// an open-addressing table of 1 + span index, probed linearly from a
+// multiplicative hash — one allocation that holds no pointer, where a
+// Go map of the same keys costs a bucket array three times its size,
+// and a sorted slice a sort and a binary search per unit.
+type spanTable struct {
+	spans []Span
+	slot  []int32 // 0: empty
+	shift uint    // 64 - log2(len(slot))
+}
+
+func newSpanTable(spans []Span) spanTable {
+	log := mbits.Len(uint(2 * len(spans))) // at most half full
+	t := spanTable{spans: spans, slot: make([]int32, 1<<log), shift: uint(64 - log)}
+	for i := range spans {
+		if sp := &spans[i]; sp.Unit != 0 {
+			h := t.home(sp.Unit, sp.Ord)
+			for t.slot[h] != 0 {
+				h = (h + 1) & (len(t.slot) - 1)
+			}
+			t.slot[h] = int32(i + 1)
+		}
+	}
+	return t
+}
+
+func (t *spanTable) home(unit uint64, ord int32) int {
+	return int(((unit + uint64(ord)<<48) * 0x9e3779b97f4a7c15) >> t.shift)
+}
+
+// find returns the index of the span of identity (unit, ord).
+func (t *spanTable) find(unit uint64, ord int32) (int32, bool) {
+	for h := t.home(unit, ord); t.slot[h] != 0; h = (h + 1) & (len(t.slot) - 1) {
+		if i := t.slot[h] - 1; t.spans[i].Unit == unit && t.spans[i].Ord == ord {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
 // relocate points u at its span in the base program if base has a unit
 // of its identity (CompileFrom): that unit names the variables u names,
 // by name, and they have the same shapes in both designs.
 func (l *linker) relocate(u *unit) bool {
-	si, ok := l.keys[unitKey{u.id, u.ord}]
+	if l.base == nil || u.id == 0 {
+		return false
+	}
+	i, ok := l.byID.find(u.id, u.ord)
 	if ok {
-		u.src, u.span = l.base, si
+		u.base, u.span = true, i
 	}
 	return ok
-}
-
-// Unit kinds, in the order their spans are laid out.
-const (
-	kindComb = iota
-	kindSeq
-	kindMonitor
-)
-
-func kindOf(u *unit) int {
-	switch {
-	case u.monitor != nil:
-		return kindMonitor
-	case u.assign != nil || u.proc.Star || hasLevelEdge(u.proc):
-		return kindComb
-	}
-	return kindSeq
 }
 
 // unitTasks appends the display tasks of s in the order compileStmt
@@ -314,7 +421,7 @@ func unitTasks(s elab.Stmt, out []*elab.SysTask) []*elab.SysTask {
 // partition order; a cycle is a synthesis error (combinational loop).
 // uv[off[i]:off[i+1]] are unit i's variables (Span.Vars's encoding). It
 // returns the emission order of all units.
-func levelize(f *elab.Flat, uv []int32, off []int, ncomb, nseq int) ([]int, error) {
+func levelize(f *elab.Flat, uv []int32, off []int32, ncomb, nseq int) ([]int32, error) {
 	writer := make([]int32, len(f.Vars)) // var -> comb unit writing it
 	for i := range writer {
 		writer[i] = -1
@@ -341,31 +448,31 @@ func levelize(f *elab.Flat, uv []int32, off []int, ncomb, nseq int) ([]int, erro
 	// Edge u -> v when v reads something u writes, in CSR form; each
 	// adjacency list is built in ascending v.
 	stamp := make([]int32, ncomb) // 1 + the last v an edge from u was counted for
-	start := make([]int, ncomb+1)
+	start := make([]int32, ncomb+1)
 	indeg := make([]int32, ncomb)
-	edges := func(v int, add func(u int)) {
+	edges := func(v int32, add func(u int32)) {
 		for _, e := range uv[off[v]:off[v+1]] {
-			if u := writer[e>>1]; e&1 == 0 && u >= 0 && int(u) != v && stamp[u] != int32(v+1) {
-				stamp[u] = int32(v + 1)
-				add(int(u))
+			if u := writer[e>>1]; e&1 == 0 && u >= 0 && u != v && stamp[u] != v+1 {
+				stamp[u] = v + 1
+				add(u)
 			}
 		}
 	}
-	for v := 0; v < ncomb; v++ {
-		edges(v, func(u int) { start[u+1]++; indeg[v]++ })
+	for v := int32(0); v < int32(ncomb); v++ {
+		edges(v, func(u int32) { start[u+1]++; indeg[v]++ })
 	}
 	for u := 0; u < ncomb; u++ {
 		start[u+1] += start[u]
 	}
-	adj, fill := make([]int, start[ncomb]), slices.Clone(start[:ncomb])
+	adj, fill := make([]int32, start[ncomb]), slices.Clone(start[:ncomb])
 	clear(stamp)
-	for v := 0; v < ncomb; v++ {
-		edges(v, func(u int) { adj[fill[u]] = v; fill[u]++ })
+	for v := int32(0); v < int32(ncomb); v++ {
+		edges(v, func(u int32) { adj[fill[u]] = v; fill[u]++ })
 	}
 	// Kahn's algorithm over a FIFO: the initially ready units in order,
 	// then each unit's newly ready successors — already ascending.
-	order := make([]int, 0, len(off)-1)
-	for v := 0; v < ncomb; v++ {
+	order := make([]int32, 0, len(off)-1)
+	for v := int32(0); v < int32(ncomb); v++ {
 		if indeg[v] == 0 {
 			order = append(order, v)
 		}
@@ -381,7 +488,7 @@ func levelize(f *elab.Flat, uv []int32, off []int, ncomb, nseq int) ([]int, erro
 	if len(order) != ncomb {
 		return nil, errf("combinational loop detected (not synthesizable)")
 	}
-	for i := ncomb; i < len(off)-1; i++ {
+	for i := int32(ncomb); i < int32(len(off)-1); i++ {
 		order = append(order, i)
 	}
 	return order, nil
@@ -389,65 +496,69 @@ func levelize(f *elab.Flat, uv []int32, off []int, ncomb, nseq int) ([]int, erro
 
 // reloc renumbers one span's instructions on their way into the result.
 type reloc struct {
-	vslot []int // source variable slot -> slot here (nil: the same)
-	vend  int   // the source's first temporary slot
-	temps int   // temporary slot shift
-	mem   []int // source memory -> memory here (nil: the same)
-	tasks int   // task index shift
-	pc    []int // source pc - lo -> pc here, for jump targets
-	lo    int
+	vslot []int   // source variable slot -> slot here (nil: the same)
+	vend  int32   // the source's first temporary slot
+	temps int32   // temporary slot shift
+	mem   []int   // source memory -> memory here (nil: the same)
+	tasks int32   // task index shift
+	pc    []int32 // source pc - lo -> pc here, for jump targets
+	lo    int32
 }
 
-func (r *reloc) slot(s int) int {
+func (r *reloc) slot(s int32) int32 {
 	if s >= r.vend {
 		return s + r.temps
 	}
 	if r.vslot != nil {
-		return r.vslot[s]
+		return int32(r.vslot[s])
 	}
 	return s
 }
 
-// emit lays the units out in order into exactly sized arrays: code and
-// one arena for every instruction's sources, slots, tasks, spans and
-// their variables.
-func (l *linker) emit(units []unit, order []int, uv []int32, off []int, ncomb, nseq int, varSlots []SlotInfo) {
-	p := l.p
-	kept := func(src *Program, pc int) bool { return src != l.scratch || l.keep == nil || l.keep[pc] }
-	var nops, nsrcs, ntemps, ntasks int
+// emit lays the units out in order into exactly sized arrays: code, its
+// source arena and constant table, slots, tasks, spans and their
+// variables.
+func (l *linker) emit(units []unit, order []int32, uv []int32, off []int32, ncomb, nseq int) {
+	p, nvar := l.p, len(l.f.Vars)-len(l.p.Mems)
+	kept := func(u *unit, pc int) bool { return u.base || l.keep == nil || l.keep[pc] }
+	var nops, nsrcs, nconsts, ntemps, ntasks int
 	for i := range units {
 		u := &units[i]
-		lo, hi := u.src.spanCode(u.span)
+		src := l.src(u)
+		lo, hi := src.spanCode(int(u.span))
 		for pc := lo; pc < hi; pc++ {
-			if kept(u.src, pc) {
-				nops++
-				nsrcs += len(u.src.Code[pc].Srcs)
+			if op := &src.Code[pc]; kept(u, pc) {
+				nops, nsrcs = nops+1, nsrcs+int(op.NSrcs)
+				if op.Const >= 0 {
+					nconsts++
+				}
 			}
 		}
-		tlo, thi := u.src.spanTemps(u.span)
-		klo, khi := u.src.spanTasks(u.span)
+		tlo, thi := src.spanTemps(int(u.span))
+		klo, khi := src.spanTasks(int(u.span))
 		ntemps, ntasks = ntemps+thi-tlo, ntasks+khi-klo
 	}
 	p.Code = make([]Op, 0, nops)
-	arena := make([]int, nsrcs)
-	p.Slots = append(make([]SlotInfo, 0, len(varSlots)+ntemps), varSlots...)
+	p.Operands = make([]int32, 0, nsrcs)
+	p.Consts = make([]*bits.Vector, 0, nconsts)
+	p.Slots = append(make([]SlotInfo, 0, nvar+ntemps), l.scratch.Slots[:nvar]...)
 	p.Tasks = make([]Task, 0, ntasks)
 	p.Spans = make([]Span, 0, len(units))
 	p.vars = make([]int32, 0, len(uv))
 	p.Comb = make([]CombUnit, 0, ncomb)
 	p.Seq = make([]SeqProc, 0, nseq)
 	p.Monitors = make([]MonitorUnit, 0, len(units)-ncomb-nseq)
-	var pcs []int
+	var pcs []int32
 	for _, ui := range order {
 		u := &units[ui]
-		src, si := u.src, u.span
+		src, si := l.src(u), int(u.span)
 		lo, hi := src.spanCode(si)
 		tlo, thi := src.spanTemps(si)
 		klo, khi := src.spanTasks(si)
 		entry := len(p.Code)
-		r := reloc{vend: len(varSlots), temps: len(p.Slots) - tlo, tasks: len(p.Tasks) - klo, lo: lo}
-		if src == l.base {
-			r.vslot, r.vend, r.mem = l.bslot, src.varSlots(), l.bmem
+		r := reloc{vend: int32(nvar), temps: int32(len(p.Slots) - tlo), tasks: int32(len(p.Tasks) - klo), lo: int32(lo)}
+		if u.base {
+			r.vslot, r.vend, r.mem = l.bslot, int32(src.varSlots()), l.bmem
 			p.Relocated++
 		}
 		p.Spans = append(p.Spans, Span{
@@ -456,8 +567,8 @@ func (l *linker) emit(units []unit, order []int, uv []int32, off []int, ncomb, n
 		})
 		p.Slots = append(p.Slots, src.Slots[tlo:thi]...)
 		p.vars = append(p.vars, uv[off[ui]:off[ui+1]]...)
-		if src == l.base && khi > klo {
-			l.tasks = u.tasks(l.tasks[:0])
+		if u.base && khi > klo {
+			l.tasks = u.tasks(l.f, l.tasks[:0])
 			for i, t := range l.tasks {
 				p.Tasks = append(p.Tasks, Task{Src: t, Monitor: src.Tasks[klo+i].Monitor})
 			}
@@ -468,42 +579,42 @@ func (l *linker) emit(units []unit, order []int, uv []int32, off []int, ncomb, n
 		// Jump targets land on the next kept instruction (the unit's
 		// OpHalt is always kept).
 		pcs = slices.Grow(pcs[:0], hi-lo+1)[:hi-lo+1]
-		next := entry
+		next := int32(entry)
 		for pc := lo; pc < hi; pc++ {
 			pcs[pc-lo] = next
-			if kept(src, pc) {
+			if kept(u, pc) {
 				next++
 			}
 		}
 		pcs[hi-lo] = next
 		r.pc = pcs
 		for pc := lo; pc < hi; pc++ {
-			if kept(src, pc) {
-				arena = r.op(&p.Code, &src.Code[pc], arena)
+			if kept(u, pc) {
+				r.op(p, src, &src.Code[pc])
 			}
 		}
 
-		switch kindOf(u) {
-		case kindComb:
+		switch u.kind {
+		case unitAssign, unitComb:
 			p.Comb = append(p.Comb, CombUnit{Entry: entry})
-		case kindSeq:
-			p.Seq = append(p.Seq, SeqProc{Edges: u.proc.Edges, Entry: entry})
+		case unitSeq:
+			p.Seq = append(p.Seq, SeqProc{Edges: l.f.Procs[u.at].Edges, Entry: entry})
 		default:
 			p.Monitors = append(p.Monitors, MonitorUnit{Entry: entry})
 		}
 	}
 }
 
-// op appends the renumbered copy of op to code, its sources carved from
-// arena; it returns what is left of the arena.
-func (r *reloc) op(code *[]Op, op *Op, arena []int) []int {
+// op appends the renumbered copy of src's instruction op to p, its
+// sources to p's arena and its constant to p's table.
+func (r *reloc) op(p, src *Program, op *Op) {
 	o := *op
 	switch o.Kind {
 	case OpJump, OpJz:
 		o.Target = r.pc[o.Target-r.lo]
 	case OpMemRead, OpMemWrite, OpMemWriteNB:
 		if r.mem != nil {
-			o.Aux = r.mem[o.Aux]
+			o.Aux = int32(r.mem[o.Aux])
 		}
 	case OpDisplay:
 		o.Aux += r.tasks
@@ -511,16 +622,15 @@ func (r *reloc) op(code *[]Op, op *Op, arena []int) []int {
 	if hasDst(o.Kind) {
 		o.Dst = r.slot(o.Dst)
 	}
-	if o.Srcs != nil {
-		n := len(o.Srcs)
-		srcs := arena[:n:n]
-		for i, s := range o.Srcs {
-			srcs[i] = r.slot(s)
-		}
-		o.Srcs, arena = srcs, arena[n:]
+	o.Src = int32(len(p.Operands))
+	for _, s := range src.Srcs(op) {
+		p.Operands = append(p.Operands, r.slot(s))
 	}
-	*code = append(*code, o)
-	return arena
+	if o.Const >= 0 {
+		o.Const = int32(len(p.Consts))
+		p.Consts = append(p.Consts, src.Consts[op.Const])
+	}
+	p.Code = append(p.Code, o)
 }
 
 // hasDst reports whether an instruction of kind k names a slot in Dst.

@@ -20,6 +20,8 @@ func sameProgram(t *testing.T, what string, got, want *Program) {
 	}{
 		{"Fingerprint", got.Fingerprint(), want.Fingerprint()},
 		{"Code", got.Code, want.Code},
+		{"Operands", got.Operands, want.Operands},
+		{"Consts", got.Consts, want.Consts},
 		{"Slots", got.Slots, want.Slots},
 		{"VarSlot", got.VarSlot, want.VarSlot},
 		{"MemOf", got.MemOf, want.MemOf},
@@ -27,6 +29,7 @@ func sameProgram(t *testing.T, what string, got, want *Program) {
 		{"Seq", got.Seq, want.Seq},
 		{"Monitors", got.Monitors, want.Monitors},
 		{"Tasks", got.Tasks, want.Tasks},
+		{"Reset", got.Reset, want.Reset},
 		{"Stats", got.Stats, want.Stats},
 		{"Spans", got.Spans, want.Spans},
 	} {

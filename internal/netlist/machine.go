@@ -119,11 +119,35 @@ func NewMachine(p *Program) *Machine {
 // Prog returns the loaded program.
 func (m *Machine) Prog() *Program { return m.prog }
 
-// Reset applies the bitstream's initial state and schedules a full
-// combinational pass.
+// Reset applies the bitstream's initial state — copying the program's
+// reset image, variable by variable — and schedules a full combinational
+// pass.
 func (m *Machine) Reset() {
-	st := &sim.State{Scalars: m.prog.ResetState, Arrays: m.prog.ResetMems}
-	m.SetState(st)
+	p := m.prog
+	img := p.Reset
+	for _, v := range p.Flat.Vars {
+		n := bv.WordsFor(v.Width)
+		if v.IsArray() {
+			mem := p.MemOf[v.Index]
+			for j := 0; j < v.ArrayLen; j, img = j+1, img[n:] {
+				if p.Mems[mem].Wide {
+					w := bv.Wrap(v.Width, img[:n])
+					m.memW[mem][j].CopyFrom(&w)
+				} else {
+					m.mem64[mem][j] = img[0]
+				}
+			}
+			continue
+		}
+		if slot := p.VarSlot[v.Index]; m.wide[slot] != nil {
+			w := bv.Wrap(v.Width, img[:n])
+			m.wide[slot].CopyFrom(&w)
+		} else {
+			m.u64[slot] = img[0]
+		}
+		img = img[n:]
+	}
+	m.settleAfterLoad()
 	m.finished = false
 	m.pending = nil
 }
@@ -394,11 +418,14 @@ func (m *Machine) SetState(st *sim.State) {
 			m.u64[slot] = val.Uint64() & Mask(v.Width)
 		}
 	}
-	// State loads happen only between time steps: no sequential process
-	// may be left triggered by the raw slot writes above.
-	for i := range m.seqTrig {
-		m.seqTrig[i] = false
-	}
+	m.settleAfterLoad()
+}
+
+// settleAfterLoad follows a raw load of state. State loads happen only
+// between time steps: no sequential process may be left triggered by
+// the raw slot writes; every combinational unit settles anew.
+func (m *Machine) settleAfterLoad() {
+	clear(m.seqTrig)
 	m.seqPending = false
 	m.combDirty = true
 }
@@ -412,7 +439,7 @@ func (m *Machine) exec(pc int) {
 		m.Ops++
 		switch {
 		case m.ExecOp(op):
-			pc = op.Target
+			pc = int(op.Target)
 		case op.Kind == OpHalt:
 			return
 		default:
@@ -429,7 +456,9 @@ func (m *Machine) exec(pc int) {
 // does not fuse. It does not advance the Ops counter; backends account
 // for their own work.
 func (m *Machine) ExecOp(op *Op) bool {
-	get := func(i int) *bv.Vector { return m.slotVec(op.Srcs[i]) }
+	srcs := m.prog.Srcs(op)
+	get := func(i int) *bv.Vector { return m.slotVec(int(srcs[i])) }
+	dst, width := int(op.Dst), int(op.Width)
 	switch op.Kind {
 	case OpHalt:
 		return false
@@ -438,116 +467,116 @@ func (m *Machine) ExecOp(op *Op) bool {
 	case OpJz:
 		return get(0).IsZero()
 	case OpConst:
-		m.setSlotRaw(op.Dst, op.Const)
+		m.setSlotRaw(dst, m.prog.Consts[op.Const])
 	case OpMove:
-		m.setSlotRaw(op.Dst, get(0).Resize(op.Width))
+		m.setSlotRaw(dst, get(0).Resize(width))
 	case OpAdd:
-		m.setSlotRaw(op.Dst, get(0).Resize(op.Width).Add(get(1).Resize(op.Width)))
+		m.setSlotRaw(dst, get(0).Resize(width).Add(get(1).Resize(width)))
 	case OpSub:
-		m.setSlotRaw(op.Dst, get(0).Resize(op.Width).Sub(get(1).Resize(op.Width)))
+		m.setSlotRaw(dst, get(0).Resize(width).Sub(get(1).Resize(width)))
 	case OpMul:
-		m.setSlotRaw(op.Dst, get(0).Resize(op.Width).Mul(get(1).Resize(op.Width)))
+		m.setSlotRaw(dst, get(0).Resize(width).Mul(get(1).Resize(width)))
 	case OpDiv:
-		m.setSlotRaw(op.Dst, get(0).Resize(op.Width).Div(get(1).Resize(op.Width)))
+		m.setSlotRaw(dst, get(0).Resize(width).Div(get(1).Resize(width)))
 	case OpMod:
-		m.setSlotRaw(op.Dst, get(0).Resize(op.Width).Mod(get(1).Resize(op.Width)))
+		m.setSlotRaw(dst, get(0).Resize(width).Mod(get(1).Resize(width)))
 	case OpPow:
-		m.setSlotRaw(op.Dst, get(0).Resize(op.Width).Pow(get(1)))
+		m.setSlotRaw(dst, get(0).Resize(width).Pow(get(1)))
 	case OpAnd:
-		m.setSlotRaw(op.Dst, get(0).Resize(op.Width).And(get(1).Resize(op.Width)))
+		m.setSlotRaw(dst, get(0).Resize(width).And(get(1).Resize(width)))
 	case OpOr:
-		m.setSlotRaw(op.Dst, get(0).Resize(op.Width).Or(get(1).Resize(op.Width)))
+		m.setSlotRaw(dst, get(0).Resize(width).Or(get(1).Resize(width)))
 	case OpXor:
-		m.setSlotRaw(op.Dst, get(0).Resize(op.Width).Xor(get(1).Resize(op.Width)))
+		m.setSlotRaw(dst, get(0).Resize(width).Xor(get(1).Resize(width)))
 	case OpXnor:
-		m.setSlotRaw(op.Dst, get(0).Resize(op.Width).Xnor(get(1).Resize(op.Width)))
+		m.setSlotRaw(dst, get(0).Resize(width).Xnor(get(1).Resize(width)))
 	case OpNot:
-		m.setSlotRaw(op.Dst, get(0).Resize(op.Width).Not())
+		m.setSlotRaw(dst, get(0).Resize(width).Not())
 	case OpNeg:
-		m.setSlotRaw(op.Dst, get(0).Resize(op.Width).Neg())
+		m.setSlotRaw(dst, get(0).Resize(width).Neg())
 	case OpLogNot:
-		m.setSlotRaw(op.Dst, bv.FromBool(get(0).IsZero()))
+		m.setSlotRaw(dst, bv.FromBool(get(0).IsZero()))
 	case OpRedAnd:
-		m.setSlotRaw(op.Dst, get(0).RedAnd())
+		m.setSlotRaw(dst, get(0).RedAnd())
 	case OpRedOr:
-		m.setSlotRaw(op.Dst, get(0).RedOr())
+		m.setSlotRaw(dst, get(0).RedOr())
 	case OpRedXor:
-		m.setSlotRaw(op.Dst, get(0).RedXor())
+		m.setSlotRaw(dst, get(0).RedXor())
 	case OpRedNand:
-		m.setSlotRaw(op.Dst, bv.FromBool(!get(0).RedAnd().Bool()))
+		m.setSlotRaw(dst, bv.FromBool(!get(0).RedAnd().Bool()))
 	case OpRedNor:
-		m.setSlotRaw(op.Dst, bv.FromBool(get(0).IsZero()))
+		m.setSlotRaw(dst, bv.FromBool(get(0).IsZero()))
 	case OpRedXnor:
-		m.setSlotRaw(op.Dst, bv.FromBool(!get(0).RedXor().Bool()))
+		m.setSlotRaw(dst, bv.FromBool(!get(0).RedXor().Bool()))
 	case OpEq:
-		m.setSlotRaw(op.Dst, bv.FromBool(get(0).Equal(get(1))))
+		m.setSlotRaw(dst, bv.FromBool(get(0).Equal(get(1))))
 	case OpNe:
-		m.setSlotRaw(op.Dst, bv.FromBool(!get(0).Equal(get(1))))
+		m.setSlotRaw(dst, bv.FromBool(!get(0).Equal(get(1))))
 	case OpLt:
-		m.setSlotRaw(op.Dst, bv.FromBool(get(0).Cmp(get(1)) < 0))
+		m.setSlotRaw(dst, bv.FromBool(get(0).Cmp(get(1)) < 0))
 	case OpLe:
-		m.setSlotRaw(op.Dst, bv.FromBool(get(0).Cmp(get(1)) <= 0))
+		m.setSlotRaw(dst, bv.FromBool(get(0).Cmp(get(1)) <= 0))
 	case OpGt:
-		m.setSlotRaw(op.Dst, bv.FromBool(get(0).Cmp(get(1)) > 0))
+		m.setSlotRaw(dst, bv.FromBool(get(0).Cmp(get(1)) > 0))
 	case OpGe:
-		m.setSlotRaw(op.Dst, bv.FromBool(get(0).Cmp(get(1)) >= 0))
+		m.setSlotRaw(dst, bv.FromBool(get(0).Cmp(get(1)) >= 0))
 	case OpLogAnd:
-		m.setSlotRaw(op.Dst, bv.FromBool(get(0).Bool() && get(1).Bool()))
+		m.setSlotRaw(dst, bv.FromBool(get(0).Bool() && get(1).Bool()))
 	case OpLogOr:
-		m.setSlotRaw(op.Dst, bv.FromBool(get(0).Bool() || get(1).Bool()))
+		m.setSlotRaw(dst, bv.FromBool(get(0).Bool() || get(1).Bool()))
 	case OpShl:
-		m.setSlotRaw(op.Dst, get(0).Resize(op.Width).Shl(get(1)))
+		m.setSlotRaw(dst, get(0).Resize(width).Shl(get(1)))
 	case OpShr:
-		m.setSlotRaw(op.Dst, get(0).Resize(op.Width).Shr(get(1)))
+		m.setSlotRaw(dst, get(0).Resize(width).Shr(get(1)))
 	case OpSlice:
-		m.setSlotRaw(op.Dst, get(0).Slice(op.Hi, op.Lo))
+		m.setSlotRaw(dst, get(0).Slice(int(op.Hi), int(op.Lo)))
 	case OpBitSel:
 		v := get(0)
 		i := get(1).Index(v.Width()) // -1 reads as 0, like any bit out of range
-		m.setSlotRaw(op.Dst, bv.FromUint64(1, uint64(v.Bit(i))))
+		m.setSlotRaw(dst, bv.FromUint64(1, uint64(v.Bit(i))))
 	case OpConcat:
 		acc := get(0).Clone()
-		for i := 1; i < len(op.Srcs); i++ {
+		for i := 1; i < len(srcs); i++ {
 			acc = acc.Concat(get(i))
 		}
-		m.setSlotRaw(op.Dst, acc)
+		m.setSlotRaw(dst, acc)
 	case OpRepl:
-		m.setSlotRaw(op.Dst, get(0).Repl(op.N))
+		m.setSlotRaw(dst, get(0).Repl(int(op.N)))
 	case OpMux:
 		if get(0).Bool() {
-			m.setSlotRaw(op.Dst, get(1).Resize(op.Width))
+			m.setSlotRaw(dst, get(1).Resize(width))
 		} else {
-			m.setSlotRaw(op.Dst, get(2).Resize(op.Width))
+			m.setSlotRaw(dst, get(2).Resize(width))
 		}
 	case OpTime:
 		if m.NowFn != nil {
-			m.setSlotRaw(op.Dst, bv.FromUint64(64, m.NowFn()))
+			m.setSlotRaw(dst, bv.FromUint64(64, m.NowFn()))
 		} else {
-			m.setSlotRaw(op.Dst, bv.New(64))
+			m.setSlotRaw(dst, bv.New(64))
 		}
 	case OpMemRead:
 		mi := m.prog.Mems[op.Aux]
 		addr := get(0).Index(mi.Words)
 		switch {
 		case addr < 0:
-			m.setSlotRaw(op.Dst, bv.New(mi.Width))
+			m.setSlotRaw(dst, bv.New(mi.Width))
 		case mi.Wide:
-			m.setSlotRaw(op.Dst, m.memW[op.Aux][addr])
+			m.setSlotRaw(dst, m.memW[op.Aux][addr])
 		default:
-			m.setSlotRaw(op.Dst, bv.FromUint64(mi.Width, m.mem64[op.Aux][addr]))
+			m.setSlotRaw(dst, bv.FromUint64(mi.Width, m.mem64[op.Aux][addr]))
 		}
 	case OpWrite:
-		m.writeVarSlot(op.Dst, 0, get(0))
+		m.writeVarSlot(dst, 0, get(0))
 	case OpWriteRng:
-		cur := m.slotVecOwned(op.Dst)
-		if cur.SetSlice(op.Hi, op.Lo, get(0)) {
-			m.writeVarSlot(op.Dst, 0, cur)
+		cur := m.slotVecOwned(dst)
+		if cur.SetSlice(int(op.Hi), int(op.Lo), get(0)) {
+			m.writeVarSlot(dst, 0, cur)
 		}
 	case OpWriteBit:
-		if i := get(1).Index(m.prog.Slots[op.Dst].Width); i >= 0 {
-			cur := m.slotVecOwned(op.Dst)
+		if i := get(1).Index(m.prog.Slots[dst].Width); i >= 0 {
+			cur := m.slotVecOwned(dst)
 			if cur.SetSlice(i, i, get(0)) {
-				m.writeVarSlot(op.Dst, 0, cur)
+				m.writeVarSlot(dst, 0, cur)
 			}
 		}
 	case OpMemWrite:
@@ -560,22 +589,22 @@ func (m *Machine) ExecOp(op *Op) bool {
 				m.mem64[op.Aux][addr], changed = nv, true
 			}
 			if changed {
-				m.onMemChange(op.Aux)
+				m.onMemChange(int(op.Aux))
 			}
 		}
 	case OpWriteNB:
-		m.pending = append(m.pending, mPending{slot: op.Dst, w: get(0).Clone()})
+		m.pending = append(m.pending, mPending{slot: dst, w: get(0).Clone()})
 	case OpWriteRngNB:
-		m.pending = append(m.pending, mPending{slot: op.Dst, hasRng: true, hi: op.Hi, lo: op.Lo, w: get(0).Clone()})
+		m.pending = append(m.pending, mPending{slot: dst, hasRng: true, hi: int(op.Hi), lo: int(op.Lo), w: get(0).Clone()})
 	case OpWriteBitNB:
-		if i := get(1).Index(m.prog.Slots[op.Dst].Width); i >= 0 {
-			m.pending = append(m.pending, mPending{slot: op.Dst, hasRng: true, hi: i, lo: i, w: get(0).Clone()})
+		if i := get(1).Index(m.prog.Slots[dst].Width); i >= 0 {
+			m.pending = append(m.pending, mPending{slot: dst, hasRng: true, hi: i, lo: i, w: get(0).Clone()})
 		}
 	case OpMemWriteNB:
 		// An out-of-range address still queues (word -1, dropped at
 		// commit), as PendMemWriteNB does: the update batch it causes is
 		// billed.
-		m.pending = append(m.pending, mPending{slot: -1, mem: op.Aux, word: get(1).Index(m.prog.Mems[op.Aux].Words), w: get(0).Clone()})
+		m.pending = append(m.pending, mPending{slot: -1, mem: int(op.Aux), word: get(1).Index(m.prog.Mems[op.Aux].Words), w: get(0).Clone()})
 	case OpDisplay:
 		m.display(op)
 	case OpFinish:
@@ -591,9 +620,10 @@ func (m *Machine) ExecOp(op *Op) bool {
 
 func (m *Machine) display(op *Op) {
 	task := m.prog.Tasks[op.Aux]
-	vals := make([]*bv.Vector, len(op.Srcs))
-	for i, s := range op.Srcs {
-		vals[i] = m.slotVecOwned(s)
+	srcs := m.prog.Srcs(op)
+	vals := make([]*bv.Vector, len(srcs))
+	for i, s := range srcs {
+		vals[i] = m.slotVecOwned(int(s))
 	}
 	var text string
 	if task.Src.Format == "" {

@@ -204,7 +204,7 @@ endmodule`)
 
 // Property: the fingerprint is a pure function of the source — identical
 // source elaborated twice hashes identically, and re-hashing the same
-// program across Go's randomized map iteration order is stable. The
+// program is stable. The
 // native tier's cache key and the bitstream cache key share this hash.
 func TestFingerprintDeterministic(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
@@ -215,8 +215,7 @@ func TestFingerprintDeterministic(t *testing.T) {
 		if fp2 := m2.Prog().Fingerprint(); fp2 != fp {
 			t.Fatalf("trial %d: same source, different fingerprints\n%s\n%s\nprogram:\n%s", trial, fp, fp2, src)
 		}
-		// ResetState/ResetMems are maps: repeated hashing exercises
-		// Go's per-iteration randomized map order.
+		// Re-hashing one program reads the same bytes every time.
 		for i := 0; i < 8; i++ {
 			if again := m1.Prog().Fingerprint(); again != fp {
 				t.Fatalf("trial %d: fingerprint unstable across re-hashing: %s vs %s", trial, fp, again)

@@ -12,13 +12,20 @@
 // was relocated (elab.ElaborateFrom keeps its identity) out of the
 // previous version's program instead of compiling it again, so a REPL
 // eval pays for what it added, and the result is the program Compile
-// would build from scratch. Values at or below 64 bits are stored in uint64 lanes,
-// wider ones as bits.Vector; Machine.ExecOp computes on either as bit
-// vectors, and the fast execution of a program is internal/njit's
-// compiled form over the same storage. The package also
-// derives the area and critical-path statistics that the blackbox
-// toolchain model (internal/toolchain) uses for compile-latency, fit, and
-// timing-closure decisions.
+// would build from scratch.
+//
+// An eval still links the whole program, so the link builds straight
+// into exactly sized final arrays, and what it keeps is compact: an
+// instruction (Op) holds no pointer — its sources are a span of the
+// program's source arena, its constant an index into the program's
+// constant table — and the reset state is a word image Machine.Reset
+// copies. Values at or below 64 bits are stored in uint64 lanes, wider
+// ones as bits.Vector; Machine.ExecOp computes on either as bit vectors,
+// and the fast execution of a program is internal/njit's compiled form
+// over the same storage. The package also derives the area and
+// critical-path statistics that the blackbox toolchain model
+// (internal/toolchain) uses for compile-latency, fit, and timing-closure
+// decisions.
 //
 // Observable-state equivalence between the Machine and the reference
 // event-driven interpreter (internal/sim) is the load-bearing invariant of
@@ -33,7 +40,7 @@ import (
 )
 
 // OpKind enumerates netlist instructions.
-type OpKind int
+type OpKind uint8
 
 // Instruction kinds.
 const (
@@ -90,18 +97,22 @@ const (
 	OpHalt // end of a compiled body; stays last (njit's TestOpSemanticsAgree ranges up to it)
 )
 
-// Op is one netlist instruction. Fields are interpreted per kind.
+// Op is one netlist instruction. Fields are interpreted per kind. It
+// holds no pointer, so a program's code is one block the collector never
+// scans: its sources are a span of the program's source arena (Srcs) and
+// its constant an index into the program's constant table (Const).
 type Op struct {
 	Kind   OpKind
-	Dst    int   // destination slot (or variable slot for writes)
-	Srcs   []int // source slots
-	Width  int   // result width
-	Hi, Lo int   // slice / ranged write bounds
-	N      int   // replication count
-	Target int   // jump target pc
-	Aux    int   // task index (display), mem index (mem ops)
-	Const  *bits.Vector
-	Wide   bool // any operand or result wider than 64 bits
+	Wide   bool  // any operand or result wider than 64 bits
+	Dst    int32 // destination slot (or variable slot for writes)
+	Width  int32 // result width
+	Hi, Lo int32 // slice / ranged write bounds
+	N      int32 // replication count
+	Target int32 // jump target pc
+	Aux    int32 // task index (display), mem index (mem ops)
+	Src    int32 // first source: Program.Operands[Src : Src+NSrcs]
+	NSrcs  int32
+	Const  int32 // Program.Consts index of an OpConst's value; -1 for every other kind
 }
 
 // Task is a system task compiled into the netlist.
@@ -140,8 +151,10 @@ type MonitorUnit struct {
 type Program struct {
 	Flat *elab.Flat
 
-	Code  []Op
-	Slots []SlotInfo
+	Code     []Op
+	Operands []int32        // the source arena: every instruction's sources, in code order
+	Consts   []*bits.Vector // every OpConst's value, in code order
+	Slots    []SlotInfo
 
 	VarSlot []int // Var.Index -> slot (scalars; -1 for memories)
 	Mems    []MemInfo
@@ -152,10 +165,11 @@ type Program struct {
 	Monitors []MonitorUnit
 	Tasks    []Task
 
-	// ResetState is the post-initial-block state captured at synthesis
-	// time (FPGA bitstreams carry initial register contents).
-	ResetState map[string]*bits.Vector
-	ResetMems  map[string][]*bits.Vector
+	// Reset is the post-initial-block state captured at synthesis time
+	// (FPGA bitstreams carry initial register contents), as a word image:
+	// the Flat's variables in index order, a scalar's value as its
+	// bits.WordsFor(Width) words and a memory's as that many per word.
+	Reset []uint64
 
 	Stats Stats
 
@@ -167,6 +181,19 @@ type Program struct {
 
 	vars   []int32 // the variables each span reads and writes (Span.Vars)
 	byName []int32 // Flat.Vars indices ordered by name (Fingerprint)
+}
+
+// Srcs returns op's source slots, a span of p's source arena; op is one
+// of p's instructions.
+func (p *Program) Srcs(op *Op) []int32 { return p.Operands[op.Src : op.Src+op.NSrcs] }
+
+// Const returns the value an OpConst instruction of p loads (nil for any
+// other kind).
+func (p *Program) Const(op *Op) *bits.Vector {
+	if op.Const < 0 {
+		return nil
+	}
+	return p.Consts[op.Const]
 }
 
 // Span is where one unit lies in a Program, and what it was synthesized

@@ -1,5 +1,7 @@
 package netlist
 
+import "cascade/internal/bits"
+
 // Optimize removes dead instructions from a compiled program: pure ops
 // whose destination slot is never read by any live instruction and does
 // not back a named variable. Together with the elaborator's constant
@@ -21,35 +23,45 @@ func Optimize(p *Program) *Program {
 	}
 	for i := range p.Spans {
 		lo, hi := p.spanCode(i)
-		sweep(p.Code[lo:hi], liveSlot, keep[lo:hi])
+		sweep(p, lo, hi, liveSlot, keep[lo:hi])
 	}
 
 	// pcMap[i] is the new index of the first kept instruction at or after
 	// i. Sized exactly: the program lives as long as its engines, and
 	// append's growth slack on ~100-byte Ops was its largest retained block.
 	pcMap := make([]int, n+1)
-	live := 0
+	live, nsrcs, nconsts := 0, 0, 0
 	for i, k := range keep {
 		pcMap[i] = live
 		if k {
-			live++
+			live, nsrcs = live+1, nsrcs+int(p.Code[i].NSrcs)
+			if p.Code[i].Const >= 0 {
+				nconsts++
+			}
 		}
 	}
 	pcMap[n] = live
-	code := make([]Op, 0, live)
+	out := *p
+	out.Code = make([]Op, 0, live)
+	out.Operands = make([]int32, 0, nsrcs)
+	out.Consts = make([]*bits.Vector, 0, nconsts)
 	for i := range p.Code {
 		if keep[i] {
 			op := p.Code[i]
 			switch op.Kind {
 			case OpJump, OpJz:
-				op.Target = pcMap[op.Target]
+				op.Target = int32(pcMap[op.Target])
 			}
-			code = append(code, op)
+			op.Src = int32(len(out.Operands))
+			out.Operands = append(out.Operands, p.Srcs(&p.Code[i])...)
+			if op.Const >= 0 {
+				op.Const = int32(len(out.Consts))
+				out.Consts = append(out.Consts, p.Consts[p.Code[i].Const])
+			}
+			out.Code = append(out.Code, op)
 		}
 	}
 
-	out := *p
-	out.Code = code
 	out.Comb = make([]CombUnit, len(p.Comb))
 	for i, u := range p.Comb {
 		out.Comb[i].Entry = pcMap[u.Entry]
@@ -71,26 +83,26 @@ func Optimize(p *Program) *Program {
 	return &out
 }
 
-// sweep marks the live instructions of one unit's code in keep, a
-// fixpoint over (live slots, live ops): side-effecting instructions
-// (writes, memory ops, tasks, control flow) are always live; an
-// instruction becomes live when its destination is; a slot becomes live
-// when a live instruction reads it. liveSlot starts with every
-// variable-backed slot live and is shared by the units of one program —
-// each temporary belongs to one unit.
-func sweep(code []Op, liveSlot, keep []bool) {
+// sweep marks the live instructions of one unit's code, p.Code[lo:hi],
+// in keep (indexed from lo), a fixpoint over (live slots, live ops):
+// side-effecting instructions (writes, memory ops, tasks, control flow)
+// are always live; an instruction becomes live when its destination is;
+// a slot becomes live when a live instruction reads it. liveSlot starts
+// with every variable-backed slot live and is shared by the units of one
+// program — each temporary belongs to one unit.
+func sweep(p *Program, lo, hi int, liveSlot, keep []bool) {
 	for changed := true; changed; {
 		changed = false
-		for i := len(code) - 1; i >= 0; i-- {
-			op := &code[i]
-			if keep[i] {
+		for i := hi - 1; i >= lo; i-- {
+			op := &p.Code[i]
+			if keep[i-lo] {
 				continue
 			}
-			if sideEffect(op.Kind) || (op.Dst >= 0 && op.Dst < len(liveSlot) && liveSlot[op.Dst]) {
-				keep[i] = true
+			if sideEffect(op.Kind) || (op.Dst >= 0 && int(op.Dst) < len(liveSlot) && liveSlot[op.Dst]) {
+				keep[i-lo] = true
 				changed = true
-				for _, s := range op.Srcs {
-					if s >= 0 && s < len(liveSlot) {
+				for _, s := range p.Srcs(op) {
+					if s >= 0 && int(s) < len(liveSlot) {
 						liveSlot[s] = true
 					}
 				}

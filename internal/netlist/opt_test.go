@@ -166,18 +166,21 @@ module M(input wire clk, input wire [7:0] a, output reg [7:0] q);
       q <= a - 1;
 endmodule`)
 	// Splice dead ops in front of the first unit (entries shift by 3).
-	t1 := len(raw.Slots)
+	t1 := int32(len(raw.Slots))
 	raw.Slots = append(raw.Slots, SlotInfo{Width: 8}, SlotInfo{Width: 8}, SlotInfo{Width: 8})
+	at := int32(len(raw.Operands)) // the dead ops' sources go at the arena's end
+	raw.Operands = append(raw.Operands, t1, t1, t1+1, t1)
+	raw.Consts = append(raw.Consts, mustVec(8, 7))
 	dead := []Op{
-		{Kind: OpConst, Dst: t1, Width: 8, Const: mustVec(8, 7)},
-		{Kind: OpMul, Dst: t1 + 1, Srcs: []int{t1, t1}, Width: 8},
-		{Kind: OpAdd, Dst: t1 + 2, Srcs: []int{t1 + 1, t1}, Width: 8},
+		{Kind: OpConst, Dst: t1, Width: 8, Src: at, Const: int32(len(raw.Consts) - 1)},
+		{Kind: OpMul, Dst: t1 + 1, Src: at, NSrcs: 2, Width: 8, Const: -1},
+		{Kind: OpAdd, Dst: t1 + 2, Src: at + 2, NSrcs: 2, Width: 8, Const: -1},
 	}
 	shifted := append(dead, raw.Code...)
 	for i := len(dead); i < len(shifted); i++ {
 		switch shifted[i].Kind {
 		case OpJump, OpJz:
-			shifted[i].Target += len(dead)
+			shifted[i].Target += int32(len(dead))
 		}
 	}
 	raw.Code = shifted

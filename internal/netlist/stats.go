@@ -33,9 +33,9 @@ func log2ceil(n int) int {
 	return int(math.Ceil(math.Log2(float64(n))))
 }
 
-// cellCost estimates LUT cells for one instruction.
-func cellCost(op *Op, slots []SlotInfo) int {
-	w := op.Width
+// cellCost estimates LUT cells for one instruction reading srcs.
+func cellCost(op *Op, srcs []int32, slots []SlotInfo) int {
+	w := int(op.Width)
 	if w < 1 {
 		w = 1
 	}
@@ -51,13 +51,13 @@ func cellCost(op *Op, slots []SlotInfo) int {
 	case OpAnd, OpOr, OpXor, OpXnor, OpNot:
 		return w
 	case OpLogNot, OpRedAnd, OpRedOr, OpRedXor, OpRedNand, OpRedNor, OpRedXnor:
-		if len(op.Srcs) > 0 {
-			return slots[op.Srcs[0]].Width / 2
+		if len(srcs) > 0 {
+			return slots[srcs[0]].Width / 2
 		}
 		return w / 2
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		if len(op.Srcs) > 0 {
-			return slots[op.Srcs[0]].Width
+		if len(srcs) > 0 {
+			return slots[srcs[0]].Width
 		}
 		return w
 	case OpLogAnd, OpLogOr:
@@ -65,8 +65,8 @@ func cellCost(op *Op, slots []SlotInfo) int {
 	case OpShl, OpShr:
 		return w * log2ceil(w) / 2
 	case OpBitSel:
-		if len(op.Srcs) > 0 {
-			return log2ceil(slots[op.Srcs[0]].Width) * 2
+		if len(srcs) > 0 {
+			return log2ceil(slots[srcs[0]].Width) * 2
 		}
 		return 2
 	case OpMux:
@@ -84,7 +84,7 @@ func cellCost(op *Op, slots []SlotInfo) int {
 	case OpDisplay:
 		// Argument capture registers plus task-mask logic (Figure 10).
 		total := 2
-		for _, s := range op.Srcs {
+		for _, s := range srcs {
 			total += slots[s].Width
 		}
 		return total
@@ -96,7 +96,7 @@ func cellCost(op *Op, slots []SlotInfo) int {
 
 // delayCost estimates levels of logic contributed by one instruction.
 func delayCost(op *Op) int {
-	w := op.Width
+	w := int(op.Width)
 	if w < 1 {
 		w = 1
 	}
@@ -142,22 +142,23 @@ func computeStats(p *Program) Stats {
 			st.FFs += v.Width
 		}
 	}
-	depth := make([]int, len(p.Slots))
-	maxDepth := 0
+	depth := make([]int32, len(p.Slots))
+	var maxDepth int32
 	for i := range p.Code {
 		op := &p.Code[i]
-		st.Cells += cellCost(op, p.Slots)
-		d := 0
-		for _, s := range op.Srcs {
-			if s >= 0 && s < len(depth) && depth[s] > d {
+		srcs := p.Srcs(op)
+		st.Cells += cellCost(op, srcs, p.Slots)
+		var d int32
+		for _, s := range srcs {
+			if s >= 0 && int(s) < len(depth) && depth[s] > d {
 				d = depth[s]
 			}
 		}
-		d += delayCost(op)
+		d += int32(delayCost(op))
 		if d > maxDepth {
 			maxDepth = d
 		}
-		if op.Dst < 0 || op.Dst >= len(depth) {
+		if op.Dst < 0 || int(op.Dst) >= len(depth) {
 			continue
 		}
 		// A flip-flop output starts a fresh timing path: non-blocking
@@ -172,6 +173,6 @@ func computeStats(p *Program) Stats {
 			depth[op.Dst] = d
 		}
 	}
-	st.CritPath = maxDepth
+	st.CritPath = int(maxDepth)
 	return st
 }

@@ -13,11 +13,21 @@
 // TestOpSemanticsAgree holds them together. Core is the engine built on
 // the pair; the native tier (Engine) and the fabric model (hweng) embed
 // it.
+//
+// Every eval regenerates a program's native code, so Compile builds
+// straight into the compiled form: the edge-watcher and reader relations
+// are CSR tables filled in one counting pass from (row, value) pairs,
+// one builder compiles every process with its slices reused, and the
+// processes' blocks share two exactly sized arrays. What a compile
+// allocates beyond what the engine keeps is a few arrays sized to the
+// program (TestNativeCompileAllocBudget).
 package njit
 
 import (
 	mbits "math/bits"
+	"slices"
 
+	"cascade/internal/elab"
 	"cascade/internal/netlist"
 )
 
@@ -66,8 +76,9 @@ type Eval struct {
 	seqPending *bool
 
 	// edges lists the sequential processes watching each slot for an
-	// edge, inlined from the machine's edge-watch map: row 2*slot+1 holds
-	// the posedge watchers, row 2*slot the negedge ones.
+	// edge, in the order the machine triggers them, from the program's
+	// sensitivity lists: row 2*slot+1 holds the posedge watchers, row
+	// 2*slot the negedge ones.
 	edges rel
 
 	// Fast non-blocking commit buffer. A slot qualifies when every
@@ -108,18 +119,28 @@ type rel struct {
 	list []int32
 }
 
-func packRel(rows [][]int) rel {
-	r := rel{off: make([]uint32, len(rows)+1)}
-	n := 0
-	for _, row := range rows {
-		n += len(row)
+// pair is one (row, value) entry of a relation being built.
+type pair struct{ row, val int32 }
+
+// newRel builds the relation of nrows rows that holds pairs, each row's
+// values in the order pairs lists them: a counting pass sizes the rows,
+// and placing each value advances its row's start to the next row's, so
+// the starts are shifted back once at the end.
+func newRel(nrows int, pairs []pair) rel {
+	r := rel{off: make([]uint32, nrows+1), list: make([]int32, len(pairs))}
+	for _, p := range pairs {
+		r.off[p.row+1]++
 	}
-	r.list = make([]int32, 0, n)
-	for i, row := range rows {
-		for _, v := range row {
-			r.list = append(r.list, int32(v))
-		}
-		r.off[i+1] = uint32(len(r.list))
+	for i := 0; i < nrows; i++ {
+		r.off[i+1] += r.off[i]
+	}
+	for _, p := range pairs {
+		r.list[r.off[p.row]] = p.val
+		r.off[p.row]++
+	}
+	if nrows > 0 {
+		copy(r.off[1:nrows], r.off[:nrows-1])
+		r.off[0] = 0
 	}
 	return r
 }
@@ -130,6 +151,7 @@ func (r rel) row(i int) []int32 { return r.list[r.off[i]:r.off[i+1]] }
 // closures references it, so it is garbage once Compile returns.
 type compiler struct {
 	e *Eval
+	b builder // compiles every process in turn, its slices reused
 
 	// nbOK marks the slots eligible for the fast non-blocking buffer.
 	nbOK []bool
@@ -139,8 +161,8 @@ type compiler struct {
 	// once at compile time and emits no closure) and compare/branch
 	// fusion (a single-use comparison feeding the Jz that immediately
 	// follows it folds into the block terminator).
-	writes []int
-	reads  []int
+	writes []int32
+	reads  []int32
 	// constSlot marks lanes holding a hoisted compile-time constant.
 	constSlot []bool
 
@@ -151,6 +173,11 @@ type compiler struct {
 	block          []int32
 	seenAt, blocks []int
 	stack          []int
+
+	// Every process's finalized blocks, in compile order, until Compile
+	// copies them into the two exactly sized arrays the procs share.
+	steps []func() int
+	bn    []uint64
 }
 
 // Compile builds the native evaluator for m's program, sharing m's
@@ -174,19 +201,17 @@ func Compile(m *netlist.Machine) *Eval {
 	c := &compiler{
 		e:         e,
 		nbOK:      make([]bool, len(p.Slots)),
-		writes:    make([]int, len(p.Slots)),
-		reads:     make([]int, len(p.Slots)),
+		writes:    make([]int32, len(p.Slots)),
+		reads:     make([]int32, len(p.Slots)),
 		constSlot: make([]bool, len(p.Slots)),
 		seen:      make([]bool, len(p.Code)+1),
 		leader:    make([]bool, len(p.Code)+1),
 		block:     make([]int32, len(p.Code)+1),
 	}
-	edges := make([][]int, 2*len(p.Slots))
+	c.b.c = c
 	for i, s := range p.Slots {
-		edges[2*i+1], edges[2*i] = m.EdgeHooksFor(i)
 		c.nbOK[i] = !s.Wide
 	}
-	e.edges = packRel(edges)
 	for i := range p.Code {
 		op := &p.Code[i]
 		switch op.Kind {
@@ -197,42 +222,80 @@ func Compile(m *netlist.Machine) *Eval {
 		case netlist.OpWriteRngNB, netlist.OpWriteBitNB:
 			c.nbOK[op.Dst] = false
 		}
-		for _, s := range op.Srcs {
+		for _, s := range p.Srcs(op) {
 			c.reads[s]++
 		}
 		if opWritesDst(op.Kind) {
 			c.writes[op.Dst]++
 		}
 	}
-	slotUnits := make([][]int, len(p.Slots))
-	memUnits := make([][]int, len(p.Mems))
-	addUnit := func(list []int, ui int) []int {
-		if n := len(list); n > 0 && list[n-1] == ui {
-			return list
-		}
-		return append(list, ui)
+	c.relations()
+	m.ChangeHook = e.onChange
+	// Every process's blocks are gathered in c.steps and c.bn, then move
+	// into arrays of their own, exactly sized: the compiled form outlives
+	// the scratch they were gathered in.
+	ends := make([]int, 0, len(p.Comb)+len(p.Seq))
+	for _, cu := range p.Comb {
+		c.compileProc(cu.Entry)
+		ends = append(ends, len(c.steps))
 	}
-	for ui, cu := range p.Comb {
-		c.reach(cu.Entry, func(_ int, op *netlist.Op) {
-			for _, src := range op.Srcs {
-				slotUnits[src] = addUnit(slotUnits[src], ui)
+	for _, sp := range p.Seq {
+		c.compileProc(sp.Entry)
+		ends = append(ends, len(c.steps))
+	}
+	steps, bn := slices.Clone(c.steps), slices.Clone(c.bn)
+	procs := make([]proc, len(ends))
+	lo := 0
+	for i, hi := range ends {
+		procs[i] = proc{steps: steps[lo:hi:hi], bn: bn[lo:hi:hi]}
+		lo = hi
+	}
+	e.comb, e.seq = procs[:len(p.Comb):len(p.Comb)], procs[len(p.Comb):]
+	return e
+}
+
+// relations builds the compiled form's three relations, each from its
+// (row, value) pairs: the sequential processes watching each slot for an
+// edge (row 2*slot+1 posedge, 2*slot negedge, in trigger order), and the
+// comb units whose reachable code reads each slot and each memory.
+func (c *compiler) relations() {
+	e, p := c.e, c.e.prog
+	var pairs []pair
+	for pi, sp := range p.Seq {
+		for _, ed := range sp.Edges {
+			row := 2 * int32(p.VarSlot[ed.Var.Index])
+			switch ed.Kind {
+			case elab.Pos:
+				pairs = append(pairs, pair{row + 1, int32(pi)})
+			case elab.Neg:
+				pairs = append(pairs, pair{row, int32(pi)})
 			}
-			if op.Kind == netlist.OpMemRead {
-				memUnits[op.Aux] = addUnit(memUnits[op.Aux], ui)
+		}
+	}
+	e.edges = newRel(2*len(p.Slots), pairs)
+
+	// A unit reads a slot or memory once however often its code does:
+	// last[x] is 1 + the unit that last listed slot x (memory k at
+	// len(Slots)+k).
+	last := make([]int32, len(p.Slots)+len(p.Mems))
+	pairs = pairs[:0]
+	var memPairs []pair
+	for ui, cu := range p.Comb {
+		stamp := int32(ui + 1)
+		c.reach(cu.Entry, func(_ int, op *netlist.Op) {
+			for _, src := range p.Srcs(op) {
+				if last[src] != stamp {
+					last[src] = stamp
+					pairs = append(pairs, pair{src, int32(ui)})
+				}
+			}
+			if k := len(p.Slots) + int(op.Aux); op.Kind == netlist.OpMemRead && last[k] != stamp {
+				last[k] = stamp
+				memPairs = append(memPairs, pair{op.Aux, int32(ui)})
 			}
 		})
 	}
-	e.slotUnits, e.memUnits = packRel(slotUnits), packRel(memUnits)
-	m.ChangeHook = e.onChange
-	e.comb = make([]proc, len(p.Comb))
-	for i, cu := range p.Comb {
-		e.comb[i] = c.compileProc(cu.Entry)
-	}
-	e.seq = make([]proc, len(p.Seq))
-	for i, sp := range p.Seq {
-		e.seq[i] = c.compileProc(sp.Entry)
-	}
-	return e
+	e.slotUnits, e.memUnits = newRel(len(p.Slots), pairs), newRel(len(p.Mems), memPairs)
 }
 
 // onChange is the machine's ChangeHook: slow-path state changes mark
@@ -331,7 +394,8 @@ func (e *Eval) NativeOpsDelta() uint64 {
 	return d
 }
 
-// builder compiles one process body into basic blocks.
+// builder compiles one process body into basic blocks. One builder
+// compiles every process of a program in turn, reusing its slices.
 type builder struct {
 	c      *compiler
 	code   []netlist.Op
@@ -339,6 +403,11 @@ type builder struct {
 	metas  []eqMeta
 	refs   []int // references to each block as a successor (or the entry)
 	todo   []int
+	// ops holds the blocks' straight-line closures, each block's a run
+	// of it (block.ops); covered marks the switch-chain arms a head's
+	// jump table dispatches past.
+	ops     []func()
+	covered []bool
 }
 
 // eqMeta records a block whose terminator is a fused equality test, the
@@ -349,8 +418,12 @@ type eqMeta struct {
 	eqT, neT int // successor block on equal / not-equal
 }
 
-func (c *compiler) compileProc(entry int) proc {
-	b := &builder{c: c, code: c.e.prog.Code}
+// compileProc compiles the process at entry and appends its finalized
+// blocks to c.steps and c.bn.
+func (c *compiler) compileProc(entry int) {
+	b := &c.b
+	b.code = c.e.prog.Code
+	b.blocks, b.metas, b.refs, b.todo, b.ops = b.blocks[:0], b.metas[:0], b.refs[:0], b.todo[:0], b.ops[:0]
 	b.scanLeaders(entry)
 	b.blockAt(entry)
 	for len(b.todo) > 0 {
@@ -363,43 +436,42 @@ func (c *compiler) compileProc(entry int) proc {
 		c.leader[pc], c.block[pc] = false, 0
 	}
 	c.blocks = c.blocks[:0]
-	return b.finalize()
+	b.finalize()
 }
 
 // finalize fuses each block's ops and terminator into one step closure,
-// specialized for the short blocks branchy netlists produce.
-func (b *builder) finalize() proc {
-	pr := proc{
-		steps: make([]func() int, len(b.blocks)),
-		bn:    make([]uint64, len(b.blocks)),
-	}
+// specialized for the short blocks branchy netlists produce, and appends
+// the steps and their bills to the compiler's.
+func (b *builder) finalize() {
+	c := b.c
 	for i := range b.blocks {
-		blk := b.blocks[i]
+		blk := &b.blocks[i]
 		term := blk.next
-		pr.bn[i] = blk.n
+		c.bn = append(c.bn, blk.n)
+		var step func() int
 		switch len(blk.ops) {
 		case 0:
-			pr.steps[i] = term
+			step = term
 		case 1:
 			f0 := blk.ops[0]
-			pr.steps[i] = func() int { f0(); return term() }
+			step = func() int { f0(); return term() }
 		case 2:
 			f0, f1 := blk.ops[0], blk.ops[1]
-			pr.steps[i] = func() int { f0(); f1(); return term() }
+			step = func() int { f0(); f1(); return term() }
 		case 3:
 			f0, f1, f2 := blk.ops[0], blk.ops[1], blk.ops[2]
-			pr.steps[i] = func() int { f0(); f1(); f2(); return term() }
+			step = func() int { f0(); f1(); f2(); return term() }
 		default:
-			ops := blk.ops
-			pr.steps[i] = func() int {
+			ops := slices.Clone(blk.ops) // b.ops is the next process's
+			step = func() int {
 				for _, f := range ops {
 					f()
 				}
 				return term()
 			}
 		}
+		c.steps = append(c.steps, step)
 	}
-	return pr
 }
 
 // reach visits every instruction reachable from entry, once each.
@@ -419,9 +491,9 @@ func (c *compiler) reach(entry int, visit func(pc int, op *netlist.Op)) {
 		switch op.Kind {
 		case netlist.OpHalt:
 		case netlist.OpJump:
-			stack = append(stack, op.Target)
+			stack = append(stack, int(op.Target))
 		case netlist.OpJz:
-			stack = append(stack, op.Target, pc+1)
+			stack = append(stack, int(op.Target), pc+1)
 		default:
 			stack = append(stack, pc+1)
 		}
@@ -447,9 +519,9 @@ func (b *builder) scanLeaders(entry int) {
 	c.reach(entry, func(pc int, op *netlist.Op) {
 		switch op.Kind {
 		case netlist.OpJump:
-			mark(op.Target)
+			mark(int(op.Target))
 		case netlist.OpJz:
-			mark(op.Target)
+			mark(int(op.Target))
 			mark(pc + 1)
 		}
 	})
@@ -477,7 +549,8 @@ func (b *builder) blockAt(pc int) int {
 // fill compiles the straight-line run starting at pc into its block.
 func (b *builder) fill(pc int) {
 	bi := int(b.c.block[pc]) - 1
-	var ops []func()
+	start := len(b.ops)
+	ops := b.ops
 	var n uint64
 	// prev/prev2 shadow ops[len-1]/ops[len-2] for terminator fusion.
 	var prev, prev2 *netlist.Op
@@ -489,12 +562,12 @@ func (b *builder) fill(pc int) {
 		case netlist.OpHalt:
 			b.blocks[bi].next = func() int { return -1 }
 		case netlist.OpJump:
-			t := b.blockAt(op.Target)
+			t := b.blockAt(int(op.Target))
 			b.blocks[bi].next = func() int { return t }
 		case netlist.OpJz:
 			var next func() int
 			if prev != nil && b.c.canFuseJz(prev, op) {
-				tt, ff := b.blockAt(op.Target), b.blockAt(cur+1)
+				tt, ff := b.blockAt(int(op.Target)), b.blockAt(cur+1)
 				// A LogNot between a comparison and its branch inverts
 				// the sense: fold all three by swapping the targets.
 				if prev.Kind == netlist.OpLogNot && prev2 != nil &&
@@ -502,7 +575,7 @@ func (b *builder) fill(pc int) {
 					if next = b.c.e.fuseJz(prev2, ff, tt); next != nil {
 						ops = ops[:len(ops)-2]
 						if prev2.Kind == netlist.OpEq {
-							b.metas[bi] = eqMeta{valid: true, a: prev2.Srcs[0], b: prev2.Srcs[1], eqT: tt, neT: ff}
+							b.metas[bi] = eqMeta{valid: true, a: b.c.src(prev2, 0), b: b.c.src(prev2, 1), eqT: tt, neT: ff}
 						}
 					}
 				}
@@ -510,13 +583,13 @@ func (b *builder) fill(pc int) {
 					if next = b.c.e.fuseJz(prev, tt, ff); next != nil {
 						ops = ops[:len(ops)-1]
 						if prev.Kind == netlist.OpEq {
-							b.metas[bi] = eqMeta{valid: true, a: prev.Srcs[0], b: prev.Srcs[1], eqT: ff, neT: tt}
+							b.metas[bi] = eqMeta{valid: true, a: b.c.src(prev, 0), b: b.c.src(prev, 1), eqT: ff, neT: tt}
 						}
 					}
 				}
 			}
 			if next == nil {
-				next = b.jz(op, b.blockAt(op.Target), b.blockAt(cur+1))
+				next = b.jz(op, b.blockAt(int(op.Target)), b.blockAt(cur+1))
 			}
 			b.blocks[bi].next = next
 		default:
@@ -531,14 +604,20 @@ func (b *builder) fill(pc int) {
 			if b.c.leader[cur] {
 				k := b.blockAt(cur)
 				b.blocks[bi].next = func() int { return k }
-				b.blocks[bi].ops, b.blocks[bi].n = ops, n
+				b.seal(bi, ops, start, n)
 				return
 			}
 			continue
 		}
-		b.blocks[bi].ops, b.blocks[bi].n = ops, n
+		b.seal(bi, ops, start, n)
 		return
 	}
+}
+
+// seal records block bi's closures, ops[start:], and what it bills.
+func (b *builder) seal(bi int, ops []func(), start int, n uint64) {
+	b.ops = ops
+	b.blocks[bi].ops, b.blocks[bi].n = ops[start:len(ops):len(ops)], n
 }
 
 // arm resolves block bi's fused equality test into (variable lane,
@@ -566,7 +645,9 @@ func (b *builder) arm(bi int) (x int, cval uint64, ok bool) {
 // dispatched on once the head jumps past it, and a table per arm would
 // retain k suffix tables for a k-arm case.
 func (b *builder) rewriteSwitches() {
-	covered := make([]bool, len(b.blocks))
+	covered := slices.Grow(b.covered[:0], len(b.blocks))[:len(b.blocks)]
+	clear(covered)
+	b.covered = covered
 	for bi := range b.blocks {
 		if x, _, ok := b.arm(bi); ok {
 			nx := b.metas[bi].neT
@@ -645,6 +726,9 @@ func opWritesDst(k netlist.OpKind) bool {
 	return false
 }
 
+// src returns op's i-th source slot.
+func (c *compiler) src(op *netlist.Op, i int) int { return int(c.e.prog.Srcs(op)[i]) }
+
 // canFuseJz reports whether prev is a narrow comparison whose only
 // consumer is the Jz that immediately follows it, so the pair can
 // become a single fused conditional terminator.
@@ -655,7 +739,7 @@ func (c *compiler) canFuseJz(prev, jz *netlist.Op) bool {
 // canFuseCmpInto reports whether cmp is a narrow comparison consumed
 // only by the instruction that immediately follows it.
 func (c *compiler) canFuseCmpInto(cmp, next *netlist.Op) bool {
-	if cmp.Wide || next.Srcs[0] != cmp.Dst {
+	if cmp.Wide || c.src(next, 0) != int(cmp.Dst) {
 		return false
 	}
 	if c.reads[cmp.Dst] != 1 || c.writes[cmp.Dst] != 1 {
@@ -674,10 +758,11 @@ func (c *compiler) canFuseCmpInto(cmp, next *netlist.Op) bool {
 // yields zero, falls through to f otherwise.
 func (e *Eval) fuseJz(cmp *netlist.Op, t, f int) func() int {
 	u := e.u64
-	a := cmp.Srcs[0]
-	var b int
-	if len(cmp.Srcs) > 1 {
-		b = cmp.Srcs[1]
+	srcs := e.prog.Srcs(cmp)
+	a := srcs[0]
+	var b int32
+	if len(srcs) > 1 {
+		b = srcs[1]
 	}
 	switch cmp.Kind {
 	case netlist.OpEq:
@@ -767,7 +852,7 @@ func (b *builder) jz(op *netlist.Op, t, f int) func() int {
 		}
 	}
 	u := b.c.e.u64
-	s := op.Srcs[0]
+	s := b.c.src(op, 0)
 	return func() int {
 		if u[s] == 0 {
 			return t
@@ -810,18 +895,19 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 	}
 	u := e.u64
 	slots := e.prog.Slots
-	d := op.Dst
-	mk := netlist.Mask(op.Width)
+	d := int(op.Dst)
+	mk := netlist.Mask(int(op.Width))
+	srcs := e.prog.Srcs(op)
 	var s0, s1 int
-	if len(op.Srcs) > 0 {
-		s0 = op.Srcs[0]
+	if len(srcs) > 0 {
+		s0 = int(srcs[0])
 	}
-	if len(op.Srcs) > 1 {
-		s1 = op.Srcs[1]
+	if len(srcs) > 1 {
+		s1 = int(srcs[1])
 	}
 	switch op.Kind {
 	case netlist.OpConst:
-		cv := op.Const.Uint64() & mk
+		cv := e.prog.Const(op).Uint64() & mk
 		if c.writes[d] == 1 && slots[d].Var == nil {
 			// Single-writer constant temp: materialize once now; the
 			// lane can never hold anything else at runtime.
@@ -929,7 +1015,6 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 			}
 		}
 	case netlist.OpConcat:
-		srcs := append([]int(nil), op.Srcs...)
 		ws := make([]int, len(srcs))
 		ms := make([]uint64, len(srcs))
 		for i, s := range srcs {
@@ -951,7 +1036,7 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 	case netlist.OpRepl:
 		w := slots[s0].Width
 		wm := netlist.Mask(w)
-		cnt := op.N
+		cnt := int(op.N)
 		return func() {
 			v := u[s0] & wm
 			var acc uint64
@@ -961,7 +1046,7 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 			u[d] = acc & mk
 		}
 	case netlist.OpMux:
-		s2 := op.Srcs[2]
+		s2 := srcs[2]
 		return func() {
 			if u[s0] != 0 {
 				u[d] = u[s1] & mk
@@ -992,7 +1077,7 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 		return func() { e.writeSlot(d, u[s0]&dm) }
 	case netlist.OpWriteRng:
 		w := slots[d].Width
-		hi, lo := op.Hi, op.Lo
+		hi, lo := int(op.Hi), int(op.Lo)
 		if hi >= w {
 			hi = w - 1
 		}
@@ -1000,7 +1085,7 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 			return func() {}
 		}
 		field := netlist.Mask(hi-lo+1) << lo
-		srcW := op.Width
+		srcW := int(op.Width)
 		if srcW > hi-lo+1 {
 			srcW = hi - lo + 1
 		}
@@ -1022,7 +1107,7 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 		bound := uint64(e.prog.Mems[op.Aux].Words)
 		memMask := netlist.Mask(e.prog.Mems[op.Aux].Width)
 		dirty := e.combDirty
-		aux := op.Aux
+		aux := int(op.Aux)
 		return func() {
 			addr := u[s1]
 			if addr >= bound {
@@ -1051,7 +1136,7 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 		}
 		return func() { m.PendWriteNB(d, u[s0]) }
 	case netlist.OpWriteRngNB:
-		hi, lo := op.Hi, op.Lo
+		hi, lo := int(op.Hi), int(op.Lo)
 		return func() { m.PendWriteRngNB(d, hi, lo, u[s0]) }
 	case netlist.OpWriteBitNB:
 		w := uint64(slots[d].Width)
@@ -1061,7 +1146,7 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 			}
 		}
 	case netlist.OpMemWriteNB:
-		aux := op.Aux
+		aux := int(op.Aux)
 		return func() { m.PendMemWriteNB(aux, int(u[s1]), u[s0]) }
 	default:
 		// OpDisplay, OpFinish, and anything new: the reference path.

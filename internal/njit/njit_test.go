@@ -426,6 +426,48 @@ func TestCompiledFormRetainedBudget(t *testing.T) {
 	}
 }
 
+// BenchmarkNativeCompileEdit: the native code an eval regenerates at
+// the last of 150 edits (vgen.InlinedChain), the whole program's.
+func BenchmarkNativeCompileEdit(b *testing.B) {
+	prog, _ := compileProg(b, vgen.InlinedChain(150))
+	m := netlist.NewMachine(prog)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Compile(m)
+	}
+}
+
+// TestNativeCompileAllocBudget: Compile allocates the compiled form and
+// little scaffolding besides — no per-slot lists, a builder per program
+// rather than per process, no appends that are never presized. It was
+// 442 KB in 8 902 allocations at this size before the relations were
+// built in one counting pass and the builder was reused; the budgets
+// are what it takes now plus a tenth.
+func TestNativeCompileAllocBudget(t *testing.T) {
+	prog, _ := compileProg(t, vgen.InlinedChain(150))
+	m := netlist.NewMachine(prog)
+	const runs = 20
+	Compile(m) // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		Compile(m)
+	}
+	runtime.ReadMemStats(&after)
+	bytes, allocs := (after.TotalAlloc-before.TotalAlloc)/runs, (after.Mallocs-before.Mallocs)/runs
+	t.Logf("njit.Compile: %d ops, %d slots: %d B and %d allocs per call", len(prog.Code), len(prog.Slots), bytes, allocs)
+	if bytes > nativeCompileBytes || allocs > nativeCompileAllocs {
+		t.Fatalf("Compile allocates %d B in %d allocs per call, budget %d B in %d", bytes, allocs, nativeCompileBytes, nativeCompileAllocs)
+	}
+}
+
+// njit.Compile's budget at the last of 150 edits.
+const (
+	nativeCompileBytes  = 316_100 // 287 360 B measured
+	nativeCompileAllocs = 2_392   // 2 174 measured
+)
+
 // --- Workload benchmarks (the >=2x gate runs in scripts/native_smoke.sh) ---
 
 func benchTicks(b *testing.B, src string, native bool) {

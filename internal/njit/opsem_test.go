@@ -66,16 +66,25 @@ func (b *opProg) mem(words, w int) int {
 	return len(b.p.Mems) - 1
 }
 
-// emit appends op, flagged Wide by the synthesizer's rule: its result or
-// any operand is wider than 64 bits.
-func (b *opProg) emit(op netlist.Op) int {
+// emit appends op reading srcs, flagged Wide by the synthesizer's rule:
+// its result or any operand is wider than 64 bits.
+func (b *opProg) emit(op netlist.Op, srcs ...int) int {
 	wide := func(s int) bool { return s >= 0 && s < len(b.p.Slots) && b.p.Slots[s].Wide }
-	op.Wide = op.Width > 64 || wide(op.Dst)
-	for _, s := range op.Srcs {
+	op.Wide = op.Width > 64 || wide(int(op.Dst))
+	op.Src, op.NSrcs, op.Const = int32(len(b.p.Operands)), int32(len(srcs)), -1
+	for _, s := range srcs {
 		op.Wide = op.Wide || wide(s)
+		b.p.Operands = append(b.p.Operands, int32(s))
 	}
 	b.p.Code = append(b.p.Code, op)
 	return len(b.p.Code) - 1
+}
+
+// constant appends d = v.
+func (b *opProg) constant(d int, v *bits.Vector) {
+	pc := b.emit(netlist.Op{Kind: netlist.OpConst, Dst: int32(d), Width: int32(v.Width())})
+	b.p.Code[pc].Const = int32(len(b.p.Consts))
+	b.p.Consts = append(b.p.Consts, v)
 }
 
 func (b *opProg) halt() { b.emit(netlist.Op{Kind: netlist.OpHalt}) }
@@ -84,11 +93,11 @@ func (b *opProg) halt() { b.emit(netlist.Op{Kind: netlist.OpHalt}) }
 // only the result.
 func (b *opProg) branch(cond int) {
 	d := b.temp(8)
-	jz := b.emit(netlist.Op{Kind: netlist.OpJz, Srcs: []int{cond}})
-	b.emit(netlist.Op{Kind: netlist.OpConst, Dst: d, Width: 8, Const: bits.FromUint64(8, 1)})
+	jz := b.emit(netlist.Op{Kind: netlist.OpJz}, cond)
+	b.constant(d, bits.FromUint64(8, 1))
 	b.halt()
-	b.p.Code[jz].Target = len(b.p.Code)
-	b.emit(netlist.Op{Kind: netlist.OpConst, Dst: d, Width: 8, Const: bits.FromUint64(8, 2)})
+	b.p.Code[jz].Target = int32(len(b.p.Code))
+	b.constant(d, bits.FromUint64(8, 2))
 	b.halt()
 	b.watch = []int{d}
 }
@@ -149,7 +158,7 @@ var opForms = map[netlist.OpKind]func(g opGen, k netlist.OpKind) *opProg{
 	netlist.OpConst: func(g opGen, k netlist.OpKind) *opProg {
 		b := newOpProg()
 		w := g.width()
-		b.emit(netlist.Op{Kind: k, Dst: b.temp(w), Width: w, Const: g.val(w)})
+		b.constant(b.temp(w), g.val(w))
 		b.halt()
 		return b
 	},
@@ -173,7 +182,7 @@ var opForms = map[netlist.OpKind]func(g opGen, k netlist.OpKind) *opProg{
 		v := g.val(g.width())
 		lo := g.r.Intn(v.Width() + 2) // at and past the top bit: reads zeros
 		w := 1 + g.r.Intn(v.Width())
-		b.emit(netlist.Op{Kind: k, Dst: b.temp(w), Srcs: []int{b.src(v)}, Width: w, Hi: lo + w - 1, Lo: lo})
+		b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(w)), Width: int32(w), Hi: int32(lo + w - 1), Lo: int32(lo)}, b.src(v))
 		b.halt()
 		return b
 	},
@@ -181,7 +190,7 @@ var opForms = map[netlist.OpKind]func(g opGen, k netlist.OpKind) *opProg{
 		b := newOpProg()
 		v := g.val(g.width())
 		idx := g.index(g.width(), v.Width())
-		b.emit(netlist.Op{Kind: k, Dst: b.temp(1), Srcs: []int{b.src(v), b.src(idx)}, Width: 1})
+		b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(1)), Width: 1}, b.src(v), b.src(idx))
 		b.halt()
 		return b
 	},
@@ -194,7 +203,7 @@ var opForms = map[netlist.OpKind]func(g opGen, k netlist.OpKind) *opProg{
 			srcs = append(srcs, b.src(v))
 			total += v.Width()
 		}
-		b.emit(netlist.Op{Kind: k, Dst: b.temp(total), Srcs: srcs, Width: total})
+		b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(total)), Width: int32(total)}, srcs...)
 		b.halt()
 		return b
 	},
@@ -202,7 +211,7 @@ var opForms = map[netlist.OpKind]func(g opGen, k netlist.OpKind) *opProg{
 		b := newOpProg()
 		v := g.val(g.width())
 		n := 1 + g.r.Intn(4)
-		b.emit(netlist.Op{Kind: k, Dst: b.temp(v.Width() * n), Srcs: []int{b.src(v)}, Width: v.Width() * n, N: n})
+		b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(v.Width() * n)), Width: int32(v.Width() * n), N: int32(n)}, b.src(v))
 		b.halt()
 		return b
 	},
@@ -210,13 +219,13 @@ var opForms = map[netlist.OpKind]func(g opGen, k netlist.OpKind) *opProg{
 		b := newOpProg()
 		w := g.width()
 		srcs := []int{b.src(g.val(g.width())), b.src(g.val(g.widthUpTo(w))), b.src(g.val(g.widthUpTo(w)))}
-		b.emit(netlist.Op{Kind: k, Dst: b.temp(w), Srcs: srcs, Width: w})
+		b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(w)), Width: int32(w)}, srcs...)
 		b.halt()
 		return b
 	},
 	netlist.OpTime: func(g opGen, k netlist.OpKind) *opProg {
 		b := newOpProg()
-		b.emit(netlist.Op{Kind: k, Dst: b.temp(64), Width: 64})
+		b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(64)), Width: 64})
 		b.halt()
 		return b
 	},
@@ -224,7 +233,7 @@ var opForms = map[netlist.OpKind]func(g opGen, k netlist.OpKind) *opProg{
 		b := newOpProg()
 		w, words := g.width(), 1+g.r.Intn(5)
 		addr := g.index(g.width(), words)
-		b.emit(netlist.Op{Kind: k, Dst: b.temp(w), Srcs: []int{b.src(addr)}, Aux: b.mem(words, w), Width: w})
+		b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(w)), Aux: int32(b.mem(words, w)), Width: int32(w)}, b.src(addr))
 		b.halt()
 		return b
 	},
@@ -232,7 +241,7 @@ var opForms = map[netlist.OpKind]func(g opGen, k netlist.OpKind) *opProg{
 		b := newOpProg()
 		b.branch(b.src(g.val(g.width())))
 		b.p.Code[0].Kind = k // the Jz becomes unconditional
-		b.p.Code[0].Srcs = nil
+		b.p.Code[0].NSrcs = 0
 		return b
 	},
 	netlist.OpJz: func(g opGen, k netlist.OpKind) *opProg {
@@ -255,7 +264,7 @@ var opForms = map[netlist.OpKind]func(g opGen, k netlist.OpKind) *opProg{
 			task.Format = "a=%d b=%h"
 		}
 		b.p.Tasks = []netlist.Task{{Src: task}}
-		b.emit(netlist.Op{Kind: k, Srcs: srcs})
+		b.emit(netlist.Op{Kind: k}, srcs...)
 		b.halt()
 		return b
 	},
@@ -278,7 +287,7 @@ func unaryForm(g opGen, k netlist.OpKind) *opProg {
 	b := newOpProg()
 	w := g.width()
 	a := g.val(g.width())
-	b.emit(netlist.Op{Kind: k, Dst: b.temp(w), Srcs: []int{b.src(a)}, Width: w})
+	b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(w)), Width: int32(w)}, b.src(a))
 	b.halt()
 	return b
 }
@@ -289,7 +298,7 @@ func binaryForm(g opGen, k netlist.OpKind) *opProg {
 	b := newOpProg()
 	w := g.width()
 	x, y := g.val(g.widthUpTo(w)), g.val(g.widthUpTo(w))
-	b.emit(netlist.Op{Kind: k, Dst: b.temp(w), Srcs: []int{b.src(x), b.src(y)}, Width: w})
+	b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(w)), Width: int32(w)}, b.src(x), b.src(y))
 	b.halt()
 	return b
 }
@@ -300,7 +309,7 @@ func shiftForm(g opGen, k netlist.OpKind) *opProg {
 	b := newOpProg()
 	w := g.width()
 	x, y := g.val(g.widthUpTo(w)), g.index(g.width(), w)
-	b.emit(netlist.Op{Kind: k, Dst: b.temp(w), Srcs: []int{b.src(x), b.src(y)}, Width: w})
+	b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(w)), Width: int32(w)}, b.src(x), b.src(y))
 	b.halt()
 	return b
 }
@@ -321,7 +330,7 @@ func testForm(g opGen, k netlist.OpKind) *opProg {
 		srcs = append(srcs, b.src(y))
 	}
 	t := b.temp(1)
-	b.emit(netlist.Op{Kind: k, Dst: t, Srcs: srcs, Width: 1})
+	b.emit(netlist.Op{Kind: k, Dst: int32(t), Width: 1}, srcs...)
 	switch g.r.Intn(3) {
 	case 0:
 		b.halt()
@@ -331,7 +340,7 @@ func testForm(g opGen, k netlist.OpKind) *opProg {
 	case 2:
 		b.note = "inverted into a branch"
 		inv := b.temp(1)
-		b.emit(netlist.Op{Kind: netlist.OpLogNot, Dst: inv, Srcs: []int{t}, Width: 1})
+		b.emit(netlist.Op{Kind: netlist.OpLogNot, Dst: int32(inv), Width: 1}, t)
 		b.branch(inv)
 	}
 	return b
@@ -346,17 +355,18 @@ func writeForm(g opGen, k netlist.OpKind) *opProg {
 	d := b.vslot(wd)
 	b.fill[d] = g.val(wd)
 	v := g.val(g.width())
-	op := netlist.Op{Kind: k, Dst: d, Srcs: []int{b.src(v)}, Width: wd}
+	op := netlist.Op{Kind: k, Dst: int32(d), Width: int32(wd)}
+	srcs := []int{b.src(v)}
 	switch k {
 	case netlist.OpWriteRng, netlist.OpWriteRngNB:
-		op.Lo = g.r.Intn(wd)
-		op.Hi = op.Lo + g.r.Intn(wd-op.Lo+1)
-		op.Width = op.Hi - op.Lo + 1
+		lo := g.r.Intn(wd)
+		hi := lo + g.r.Intn(wd-lo+1)
+		op.Hi, op.Lo, op.Width = int32(hi), int32(lo), int32(hi-lo+1)
 	case netlist.OpWriteBit, netlist.OpWriteBitNB:
-		op.Srcs = append(op.Srcs, b.src(g.index(g.width(), wd)))
+		srcs = append(srcs, b.src(g.index(g.width(), wd)))
 		op.Width = 1
 	}
-	b.emit(op)
+	b.emit(op, srcs...)
 	b.halt()
 	return b
 }
@@ -365,7 +375,7 @@ func memWriteForm(g opGen, k netlist.OpKind) *opProg {
 	b := newOpProg()
 	w, words := g.width(), 1+g.r.Intn(5)
 	addr := g.index(g.width(), words)
-	b.emit(netlist.Op{Kind: k, Srcs: []int{b.src(g.val(w)), b.src(addr)}, Aux: b.mem(words, w), Width: w})
+	b.emit(netlist.Op{Kind: k, Aux: int32(b.mem(words, w)), Width: int32(w)}, b.src(g.val(w)), b.src(addr))
 	b.halt()
 	return b
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // linkedEqualsScratch holds a program synthesized from base to the one
-// synthesized from scratch: same fingerprint, code, slots, schedule,
-// tasks and statistics — and every pointer it holds into a design points
+// synthesized from scratch: same fingerprint, code, source arena,
+// constant table, slots, schedule, tasks, reset image and statistics — and every pointer it holds into a design points
 // into f, not into base's.
 func linkedEqualsScratch(t *testing.T, what string, base *netlist.Program, f *elab.Flat) *netlist.Program {
 	t.Helper()
@@ -32,6 +32,8 @@ func linkedEqualsScratch(t *testing.T, what string, base *netlist.Program, f *el
 	}{
 		{"Fingerprint", got.Fingerprint(), want.Fingerprint()},
 		{"Code", got.Code, want.Code},
+		{"Operands", got.Operands, want.Operands},
+		{"Consts", got.Consts, want.Consts},
 		{"Slots", got.Slots, want.Slots},
 		{"VarSlot", got.VarSlot, want.VarSlot},
 		{"MemOf", got.MemOf, want.MemOf},
@@ -40,6 +42,7 @@ func linkedEqualsScratch(t *testing.T, what string, base *netlist.Program, f *el
 		{"Seq", got.Seq, want.Seq},
 		{"Monitors", got.Monitors, want.Monitors},
 		{"Tasks", got.Tasks, want.Tasks},
+		{"Reset", got.Reset, want.Reset},
 		{"Stats", got.Stats, want.Stats},
 		{"Spans", got.Spans, want.Spans},
 	}

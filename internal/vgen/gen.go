@@ -358,3 +358,33 @@ func (g *gen) userModule(i int, ins []sig) ([]*Node, []sig) {
 	inst.Text = fmt.Sprintf("M%d %s%s(.c(clk.val), .a(%%s), .b(%%s), .o(%s_o));", i, params, u, u)
 	return []*Node{m, line("wire " + rng(wo) + u + "_o;"), inst}, []sig{{u + "_o", wo}, {u + ".q", 8}, {u + ".r1", 0}}
 }
+
+// InlinedChain returns the root module of an n-edit REPL session of
+// chained multiply-accumulate stages — the edit_session benchmark's
+// shape — as inlining leaves it: a counter, then for each stage the
+// wires of its instance's ports (e<i>__clk, e<i>__x, e<i>__y), its
+// register and process, and the assigns that connect them to the clock
+// and to the counter or the stage before. A stage's items are
+// contiguous, so the session after k edits is the first items of the
+// module, as many as InlinedChain(k) has.
+func InlinedChain(n int) string {
+	var sb strings.Builder
+	sb.WriteString("module main(input wire clk__val);\n  reg [15:0] cnt = 0;\n  always @(posedge clk__val) cnt <= cnt + 1;\n")
+	prev := "cnt"
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, `  wire e%[1]d__clk;
+  wire [15:0] e%[1]d__x;
+  wire [15:0] e%[1]d__y;
+  reg [15:0] e%[1]d__acc = %[1]d;
+  always @(posedge e%[1]d__clk) e%[1]d__acc <= e%[1]d__acc * 3 + e%[1]d__x;
+  assign e%[1]d__y = e%[1]d__acc;
+  wire [15:0] v%[1]d;
+  assign e%[1]d__clk = clk__val;
+  assign e%[1]d__x = %[2]s;
+  assign v%[1]d = e%[1]d__y;
+`, i, prev)
+		prev = fmt.Sprintf("v%d", i)
+	}
+	sb.WriteString("endmodule\n")
+	return sb.String()
+}

@@ -63,6 +63,7 @@ func ElaborateFrom(base *Flat, mod *verilog.Module, instName string, params map[
 	if err := e.run(mod, params); err != nil {
 		return nil, err
 	}
+	e.flat.Layout()
 	return e.flat, nil
 }
 

@@ -68,6 +68,7 @@ type Flat struct {
 	Relocated int
 
 	opaque map[verilog.Item]bool // units relocation leaves alone (elaborator.settle)
+	layout *Layout               // Layout's result, set once elaboration is done
 }
 
 // lastUnit is the last unit identity handed out: one counter per

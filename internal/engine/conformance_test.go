@@ -172,12 +172,12 @@ func TestConformanceAcrossTransports(t *testing.T) {
 	ioBare := &conformIO{}
 	bare := newConformSW(t, ioBare)
 	traceBare := driveABI(bare, ticks)
-	sigBare := bare.GetState().Signature()
+	sigBare := fmt.Sprint(bare.GetState())
 
 	ioLocal := &conformIO{}
 	local := transport.NewLocalClient(newConformSW(t, ioLocal), nil)
 	traceLocal := driveABI(local, ticks)
-	sigLocal := local.GetState().Signature()
+	sigLocal := fmt.Sprint(local.GetState())
 
 	host := transport.NewHost(transport.HostOptions{DisableJIT: true})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -192,12 +192,12 @@ func TestConformanceAcrossTransports(t *testing.T) {
 	}
 	defer tcpT.Close()
 	ioTCP := &conformIO{}
-	remote, err := transport.Spawn(tcpT, transport.SpawnSpec{Path: "main.w", Source: conformSrc}, ioTCP, nil, nil, nil)
+	remote, err := transport.Spawn(tcpT, transport.SpawnSpec{Path: "main.w", Source: conformSrc, Layout: bare.Flat().Layout()}, ioTCP, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	traceTCP := driveABI(remote, ticks)
-	sigTCP := remote.GetState().Signature()
+	sigTCP := fmt.Sprint(remote.GetState())
 
 	if ioLocal.out.String() != ioBare.out.String() {
 		t.Errorf("local display output diverges:\nbare:  %q\nlocal: %q", ioBare.out.String(), ioLocal.out.String())
@@ -224,12 +224,12 @@ func TestConformanceAcrossTransports(t *testing.T) {
 	// State migration through each transport: install the bare engine's
 	// snapshot into a fresh remote engine and require the signatures to
 	// agree — SetState/GetState must round-trip over the wire.
-	fresh, err := transport.Spawn(tcpT, transport.SpawnSpec{Path: "main.w2", Source: conformSrc}, &conformIO{}, nil, nil, nil)
+	fresh, err := transport.Spawn(tcpT, transport.SpawnSpec{Path: "main.w2", Source: conformSrc, Layout: bare.Flat().Layout()}, &conformIO{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh.SetState(bare.GetState())
-	if got := fresh.GetState().Signature(); got != sigBare {
+	if got := fmt.Sprint(fresh.GetState()); got != sigBare {
 		t.Errorf("SetState/GetState did not round-trip over TCP: %s vs %s", got, sigBare)
 	}
 	remote.End()
@@ -404,7 +404,7 @@ func runDrainCase(t *testing.T, c drainCase, visit, scribble bool) (trace string
 		e.EndStep()
 		drain()
 	}
-	return sb.String(), first, e.GetState().Signature(), bill()
+	return sb.String(), first, fmt.Sprint(e.GetState()), bill()
 }
 
 // TestVisitWritesMatchesDrainWrites holds the ABI's one drain and its
@@ -537,13 +537,13 @@ func TestQuietRule(t *testing.T) {
 			// quiet checks what holds between two calls into e.
 			quiet := func(when string) {
 				t.Helper()
-				sig := e.GetState().Signature()
+				sig := fmt.Sprint(e.GetState())
 				for i := 0; i < 2; i++ {
 					if ev, up := e.ThereAreEvals(), e.ThereAreUpdates(); ev != evals || up != updates {
 						t.Fatalf("%s: polls answer (%v, %v), but (%v, %v) since the last call", when, ev, up, evals, updates)
 					}
 				}
-				if e.GetState().Signature() != sig {
+				if fmt.Sprint(e.GetState()) != sig {
 					t.Fatalf("%s: polling moved the state", when)
 				}
 				if drained && drain() != 0 {

@@ -7,10 +7,7 @@
 // an interface exposed to Verilog programmers.
 package engine
 
-import (
-	"cascade/internal/bits"
-	"cascade/internal/sim"
-)
+import "cascade/internal/bits"
 
 // Location says where an engine executes.
 type Location int
@@ -58,11 +55,11 @@ type Engine interface {
 	// life: a move between software and hardware builds another engine.
 	Loc() Location
 
-	// GetState snapshots the engine's internal state so the runtime can
-	// migrate it; SetState installs a snapshot. Both are called only in
-	// observable states (between time steps).
-	GetState() *sim.State
-	SetState(st *sim.State)
+	// GetState returns the engine's state, a fresh image in its layout
+	// (elab.Layout), so the runtime can migrate it; SetState installs one,
+	// only reading it. Both are called only in observable states.
+	GetState() []uint64
+	SetState(img []uint64)
 
 	// Read delivers an input change discovered on the data plane. ev.Val
 	// is only lent: the engine copies what it needs before returning and

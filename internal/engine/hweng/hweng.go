@@ -20,7 +20,6 @@ import (
 	"cascade/internal/fpga"
 	"cascade/internal/netlist"
 	"cascade/internal/njit"
-	"cascade/internal/sim"
 )
 
 // dest is the consuming end of a data-plane wire inside the forward
@@ -211,21 +210,20 @@ func (e *Engine) bill() {
 }
 
 // GetState implements engine.Engine. Reading state out of the fabric
-// costs one bus read per 32-bit word.
-func (e *Engine) GetState() *sim.State {
-	st := e.Core.GetState()
-	words := st.Words()
+// costs one bus read per 32-bit word of the layout.
+func (e *Engine) GetState() []uint64 {
+	words := e.Flat().Layout().Bus()
 	e.msgs += words
 	e.dev.CountRead(words)
-	return st
+	return e.Core.GetState()
 }
 
 // SetState implements engine.Engine (bus writes, symmetric to GetState).
-func (e *Engine) SetState(st *sim.State) {
-	words := st.Words()
+func (e *Engine) SetState(img []uint64) {
+	words := e.Flat().Layout().Bus()
 	e.msgs += words
 	e.dev.CountWrite(words)
-	e.Core.SetState(st)
+	e.Core.SetState(img)
 	e.stale = true
 }
 

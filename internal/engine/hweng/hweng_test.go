@@ -14,6 +14,7 @@ import (
 	"cascade/internal/engine/sweng"
 	"cascade/internal/fpga"
 	"cascade/internal/golden"
+	"cascade/internal/imagetest"
 	"cascade/internal/ir"
 	"cascade/internal/netlist"
 	"cascade/internal/stdlib"
@@ -112,9 +113,9 @@ func TestLockStepTickAndBilling(t *testing.T) {
 	if r1 == r0 && w1 == w0 {
 		t.Fatal("device bus counters untouched")
 	}
-	st := e.GetState()
-	if st.Scalars["cnt"].Uint64() != 2 {
-		t.Fatalf("cnt=%d after one tick", st.Scalars["cnt"].Uint64())
+	st := imagetest.Of(e.Flat().Layout(), e.GetState())
+	if st.Scalar("cnt").Uint64() != 2 {
+		t.Fatalf("cnt=%d after one tick", st.Scalar("cnt").Uint64())
 	}
 }
 
@@ -142,8 +143,8 @@ func TestForwardedOpenLoop(t *testing.T) {
 		t.Fatalf("open loop ran %d iterations, want 20", done)
 	}
 	// 20 iterations = 10 ticks: cnt rotated 10 times from 1.
-	st := e.GetState()
-	if got := st.Scalars["cnt"].Uint64(); got != 1<<(10%8) {
+	st := imagetest.Of(e.Flat().Layout(), e.GetState())
+	if got := st.Scalar("cnt").Uint64(); got != 1<<(10%8) {
 		t.Fatalf("cnt=%#x after 10 open-loop ticks", got)
 	}
 	// Wrapped open loop costs ~3 cycles per tick.
@@ -434,9 +435,9 @@ func (r *rig) step() {
 // state, display text, the finished flag and the latest output values.
 func (r *rig) observe() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "root %s\n", r.root.GetState().Signature())
+	fmt.Fprintf(&sb, "root %x\n", r.root.GetState())
 	for i, s := range r.d.d.StdSubs() {
-		fmt.Fprintf(&sb, "%s %s\n", s.Path, r.std[i].GetState().Signature())
+		fmt.Fprintf(&sb, "%s %x\n", s.Path, r.std[i].GetState())
 	}
 	names := make([]string, 0, len(r.outs))
 	for n := range r.outs {
@@ -632,7 +633,7 @@ func TestSetStateInvalidatesCompiledSensitivity(t *testing.T) {
 		t.Fatalf("after one tick: %v", got)
 	}
 	st := e.GetState()
-	st.Scalars["cnt"] = bits.FromUint64(8, 0x20)
+	imagetest.Of(e.Flat().Layout(), st).Set("cnt", bits.FromUint64(8, 0x20))
 	e.SetState(st)
 	if !e.ThereAreEvals() {
 		t.Fatal("a replaced state must schedule evaluation")
@@ -642,7 +643,7 @@ func TestSetStateInvalidatesCompiledSensitivity(t *testing.T) {
 		t.Fatalf("led__val did not follow the installed state: %v", got)
 	}
 	tick()
-	if got := e.GetState().Scalars["cnt"].Uint64(); got != 0x40 {
+	if got := imagetest.Of(e.Flat().Layout(), e.GetState()).Scalar("cnt").Uint64(); got != 0x40 {
 		t.Fatalf("cnt=%#x one tick after SetState(0x20)", got)
 	}
 }

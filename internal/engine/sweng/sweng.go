@@ -65,10 +65,10 @@ func (e *Engine) Name() string { return e.name }
 func (e *Engine) Loc() engine.Location { return engine.Software }
 
 // GetState implements engine.Engine.
-func (e *Engine) GetState() *sim.State { return e.s.GetState() }
+func (e *Engine) GetState() []uint64 { return e.s.GetState() }
 
 // SetState implements engine.Engine.
-func (e *Engine) SetState(st *sim.State) { e.s.SetState(st) }
+func (e *Engine) SetState(img []uint64) { e.s.SetState(img) }
 
 // Read implements engine.Engine.
 func (e *Engine) Read(ev engine.Event) {

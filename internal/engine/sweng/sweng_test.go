@@ -1,12 +1,14 @@
 package sweng
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"cascade/internal/bits"
 	"cascade/internal/elab"
 	"cascade/internal/engine"
+	"cascade/internal/imagetest"
 	"cascade/internal/verilog"
 )
 
@@ -116,12 +118,12 @@ func TestStateHandOffBetweenSoftwareEngines(t *testing.T) {
 	}
 	b := New(build(t, counter), nil, nil, false)
 	b.SetState(a.GetState())
-	if got := b.GetState().Scalars["acc"].Uint64(); got != 6 {
+	if got := imagetest.Of(b.Flat().Layout(), b.GetState()).Scalar("acc").Uint64(); got != 6 {
 		t.Fatalf("acc not transferred: %d", got)
 	}
 	// Continue on b: must pick up where a stopped.
 	tick(b)
-	if got := b.GetState().Scalars["acc"].Uint64(); got != 8 {
+	if got := imagetest.Of(b.Flat().Layout(), b.GetState()).Scalar("acc").Uint64(); got != 8 {
 		t.Fatalf("b did not continue: %d", got)
 	}
 }
@@ -140,7 +142,7 @@ func TestEagerAndLazyAgree(t *testing.T) {
 		tick(eager)
 	}
 	lazyOps, eagerOps = lazy.OpsDelta(), eager.OpsDelta()
-	if lazy.GetState().Signature() != eager.GetState().Signature() {
+	if !slices.Equal(lazy.GetState(), eager.GetState()) {
 		t.Fatal("eager and lazy evaluation diverged")
 	}
 	if eagerOps <= lazyOps {

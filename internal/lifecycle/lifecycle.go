@@ -25,7 +25,6 @@ import (
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
 	"cascade/internal/njit"
-	"cascade/internal/sim"
 	"cascade/internal/toolchain"
 )
 
@@ -256,15 +255,21 @@ type Transition struct {
 	// promotion, the source of an eviction — whose bus meter
 	// (MsgsDelta) holds the handoff's traffic. Nil otherwise.
 	Fabric *hweng.Engine
-	// State is the state the target was seeded with (nil: none). The owner
+	// State is the image the target was seeded with (nil: none). The owner
 	// of a hosted engine keeps it as the engine's first committed state.
-	State *sim.State
+	State []uint64
 	Err   error
 }
 
+// Seed writes the state a new engine starts from — the owner's last
+// commit (BreakerTrip), a restored snapshot's, what a version change
+// carries over (Start) — over img, the engine's own in Flat's layout, and
+// returns the bus words the hand-off bills a hosted engine.
+type Seed func(img []uint64) (bus uint64)
+
 // Start builds the subprogram's first engine on tier to (Interpreter or
 // Hosted), seeding it when seed is non-nil. Initial-block output is kept.
-func (p *Placement) Start(to Tier, seed *sim.State) Transition {
+func (p *Placement) Start(to Tier, seed Seed) Transition {
 	return p.move(to, Restart, nil, seed)
 }
 
@@ -313,7 +318,7 @@ func (p *Placement) Promote(t Tier, now uint64) (Transition, bool) {
 // native or fabric engine, carrying its state (FaultLatched; seed is
 // ignored), or from a hosted engine whose daemon is gone, seeded with
 // the last state the owner committed (BreakerTrip).
-func (p *Placement) Demote(cause Cause, seed *sim.State) Transition {
+func (p *Placement) Demote(cause Cause, seed Seed) Transition {
 	return p.move(Interpreter, cause, nil, seed)
 }
 
@@ -334,7 +339,7 @@ func (p *Placement) Teardown() Transition {
 // list without touching the engine; otherwise it builds the target,
 // hands the source's state (or seed) over, retires the source and gives
 // the target to the owner.
-func (p *Placement) move(to Tier, cause Cause, res *toolchain.Result, seed *sim.State) Transition {
+func (p *Placement) move(to Tier, cause Cause, res *toolchain.Result, seed Seed) Transition {
 	tr := Transition{From: p.tier, To: p.tier, Cause: cause, Result: res, Fault: p.Fault()}
 	owed, ok := row(p.tier, to, cause)
 	if !ok {
@@ -365,14 +370,29 @@ func (p *Placement) move(to Tier, cause Cause, res *toolchain.Result, seed *sim.
 		p.Discard(p) // the two rungs whose construction runs initial blocks
 	}
 	src := p.eng
-	if src != nil && dst != nil && cause != BreakerTrip {
+	var img []uint64
+	bus := p.Flat.Layout().Bus()
+	switch {
+	case src != nil && dst != nil && cause != BreakerTrip:
 		// State is readable even from a faulted engine: the ABI wrapper's
 		// shadow registers exist for exactly this. Of one whose daemon is
 		// gone, the owner's seed is all that is left.
-		seed = src.GetState()
+		img = src.GetState()
+	case dst != nil && seed != nil:
+		if to == Hosted {
+			// A hosted engine starts as its host's interpreter: computed, not fetched.
+			img = sweng.New(p.Flat, nil, p.Now, p.Eager).GetState()
+		} else {
+			img = dst.GetState()
+		}
+		bus = seed(img)
 	}
-	if dst != nil && seed != nil {
-		dst.SetState(seed)
+	if img != nil {
+		if h, ok := dst.(interface{ SetStateBus([]uint64, uint64) }); ok {
+			h.SetStateBus(img, bus)
+		} else {
+			dst.SetState(img)
+		}
 		// Only a hosted target's handoff crosses a wire and can fail. One
 		// that did is ended, half-seeded as it is, and the source stays.
 		if h, ok := dst.(interface{ Err() error }); ok && h.Err() != nil {
@@ -380,7 +400,7 @@ func (p *Placement) move(to Tier, cause Cause, res *toolchain.Result, seed *sim.
 			tr.Err = h.Err()
 			return tr
 		}
-		tr.State = seed
+		tr.State = img
 	}
 	if src != nil {
 		// A hosted source out of reach, as a BreakerTrip usually finds it, is

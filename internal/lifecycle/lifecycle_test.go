@@ -3,6 +3,7 @@ package lifecycle
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,7 +14,6 @@ import (
 	"cascade/internal/engine/sweng"
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
-	"cascade/internal/sim"
 	"cascade/internal/toolchain"
 	"cascade/internal/verilog"
 	"cascade/internal/workloads/nw"
@@ -54,7 +54,7 @@ type fakeHosted struct {
 	ended   bool
 }
 
-func (f *fakeHosted) SetState(st *sim.State) {
+func (f *fakeHosted) SetState(st []uint64) {
 	if f.dropSet {
 		f.err = errors.New("handoff lost")
 		return
@@ -62,7 +62,7 @@ func (f *fakeHosted) SetState(st *sim.State) {
 	f.Engine.SetState(st)
 }
 
-func (f *fakeHosted) GetState() *sim.State {
+func (f *fakeHosted) GetState() []uint64 {
 	if f.lost {
 		f.t.Error("state read from a hosted engine whose daemon is gone")
 	}
@@ -191,7 +191,10 @@ func (r *rig) reach(t *testing.T, rnd *rand.Rand, tier Tier) {
 	r.run(rnd, 20)
 }
 
-func sig(e engine.Engine) string { return e.GetState().Signature() }
+// whole seeds a new engine with the whole of img.
+func whole(img []uint64) Seed { return func(dst []uint64) uint64 { return uint64(copy(dst, img)) } }
+
+func sig(e engine.Engine) string { return fmt.Sprint(e.GetState()) }
 
 func workloads(t *testing.T) map[string]string {
 	rx, _, err := regexgen.Generate("(ab|cd)+e")
@@ -265,14 +268,14 @@ func TestLegalMovesPreserveState(t *testing.T) {
 				r.reach(t, rnd, from)
 				p, source := r.p, r.p.Engine()
 				var want string
-				var seed *sim.State
+				var seed Seed
 				if source != nil {
 					want = sig(source)
 				} else if to != Unplaced {
 					// Nothing to carry over: seed with a state worth carrying.
 					donor := newRig(t, src, nil)
 					donor.reach(t, rnd, Interpreter)
-					seed, want = donor.p.Engine().GetState(), sig(donor.p.Engine())
+					seed, want = whole(donor.p.Engine().GetState()), sig(donor.p.Engine())
 				}
 				var tr Transition
 				switch cause {
@@ -289,7 +292,7 @@ func TestLegalMovesPreserveState(t *testing.T) {
 					tr = p.Demote(cause, nil)
 				case BreakerTrip:
 					// The owner's last commit is all that is left of the engine.
-					seed = source.GetState()
+					seed = whole(source.GetState())
 					r.hosted[0].lost = true
 					tr = p.Demote(cause, seed)
 				case Recovered:
@@ -355,7 +358,7 @@ func TestLegalMovesPreserveState(t *testing.T) {
 				if got := sig(p.Engine()); got != want {
 					t.Fatalf("state changed across the move:\nwant %s\ngot  %s", want, got)
 				}
-				if tr.State == nil || tr.State.Signature() != want {
+				if tr.State == nil || fmt.Sprint(tr.State) != want {
 					t.Fatal("Transition.State is not the state handed over")
 				}
 				// The moved engine runs on from that state.

@@ -5,6 +5,7 @@ import (
 
 	"cascade/internal/bits"
 	"cascade/internal/elab"
+	"cascade/internal/imagetest"
 	"cascade/internal/verilog"
 )
 
@@ -39,7 +40,7 @@ func TestCasezWildcardPriorityDecoder(t *testing.T) {
 		d.setInput("req", bits.FromUint64(8, req))
 		d.settle()
 		d.check(t, "casez")
-		got := d.s.GetState().Scalars["grant"].Uint64()
+		got := imagetest.Of(d.s.Flat().Layout(), d.s.GetState()).Scalar("grant").Uint64()
 		if got != ref(req) {
 			t.Fatalf("req=%08b: grant=%d, want %d", req, got, ref(req))
 		}

@@ -3,11 +3,13 @@ package netlist
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"cascade/internal/bits"
 	"cascade/internal/elab"
+	"cascade/internal/imagetest"
 	"cascade/internal/sim"
 	"cascade/internal/verilog"
 	"cascade/internal/vgen"
@@ -100,8 +102,8 @@ func (d *dualBench) setInput(name string, v *bits.Vector) {
 
 func (d *dualBench) check(t *testing.T, context string) {
 	t.Helper()
-	ss := d.s.GetState().Signature()
-	ms := d.m.GetState().Signature()
+	ss := fmt.Sprint(d.s.GetState())
+	ms := fmt.Sprint(d.m.GetState())
 	if ss != ms {
 		t.Fatalf("%s: state divergence\nsim:     %s\nmachine: %s", context, ss, ms)
 	}
@@ -301,7 +303,7 @@ endmodule`
 	// Migrate: hardware engine inherits state (set_state).
 	m.SetState(s.GetState())
 	settleM()
-	if s.GetState().Signature() != m.GetState().Signature() {
+	if !slices.Equal(s.GetState(), m.GetState()) {
 		t.Fatal("state not preserved across software->hardware migration")
 	}
 	// Phase 2: run both 10 more ticks with identical inputs; they must
@@ -318,7 +320,7 @@ endmodule`
 			settleS()
 			settleM()
 		}
-		if s.GetState().Signature() != m.GetState().Signature() {
+		if !slices.Equal(s.GetState(), m.GetState()) {
 			t.Fatalf("divergence after migration at tick %d", i)
 		}
 	}
@@ -326,7 +328,7 @@ endmodule`
 	s2 := sim.New(f, sim.Options{})
 	s2.SetState(m.GetState())
 	s2.Evaluate()
-	if s2.GetState().Signature() != m.GetState().Signature() {
+	if !slices.Equal(s2.GetState(), m.GetState()) {
 		t.Fatal("state not preserved across hardware->software migration")
 	}
 }
@@ -408,11 +410,11 @@ module M(input wire clk);
   integer i;
   initial for (i = 0; i < 4; i = i + 1) mem[i] = i + 10;
 endmodule`)
-	got := m.GetState()
-	if got.Scalars["a"].Uint64() != 5 {
+	got := imagetest.Of(m.Prog().Flat.Layout(), m.GetState())
+	if got.Scalar("a").Uint64() != 5 {
 		t.Fatal("reg init lost")
 	}
-	if got.Arrays["mem"][2].Uint64() != 12 {
+	if got.Array("mem")[2].Uint64() != 12 {
 		t.Fatal("initial-block memory contents lost")
 	}
 }

@@ -105,17 +105,14 @@ func (p *Program) Fingerprint() string {
 	if len(order) != len(vars) { // a program not built by synthesis
 		order = sortByName(vars, nil)
 	}
-	at := make([]int32, len(vars)+1) // where each variable's words start in the image
-	for i, v := range vars {
-		at[i+1] = at[i] + int32(resetWords(v))
-	}
+	l := p.Flat.Layout()
 	h.room()
 	h.len32(len(vars) - len(p.Mems))
 	for _, i := range order {
 		if v := vars[i]; !v.IsArray() {
 			h.room()
 			h.str(v.Name)
-			h.words(v.Width, p.Reset[at[i]:at[i+1]])
+			h.words(v.Width, l.Of(p.Reset, int(i)))
 		}
 	}
 	h.ints(len(p.Mems))
@@ -124,7 +121,7 @@ func (p *Program) Fingerprint() string {
 			h.room()
 			h.str(v.Name)
 			h.put(v.ArrayLen)
-			img, n := p.Reset[at[i]:at[i+1]], bv.WordsFor(v.Width)
+			img, n := l.Of(p.Reset, int(i)), bv.WordsFor(v.Width)
 			for ; len(img) > 0; img = img[n:] {
 				h.room()
 				h.words(v.Width, img[:n])

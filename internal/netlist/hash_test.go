@@ -14,6 +14,7 @@ import (
 
 	bv "cascade/internal/bits"
 	"cascade/internal/elab"
+	"cascade/internal/imagetest"
 	"cascade/internal/verilog"
 	"cascade/internal/vgen"
 	"cascade/internal/workloads/pow"
@@ -87,39 +88,16 @@ func mustCompile(t testing.TB, src string) *Program {
 	return p
 }
 
-// resetVar returns the reset value of the scalar variable named name
-// (nil if there is none), read out of p's reset image.
+// resetVar returns the reset value of the scalar variable named name,
+// read out of p's reset image.
 func resetVar(p *Program, name string) *bv.Vector {
-	v := p.Flat.VarNamed(name)
-	if v == nil || v.IsArray() {
-		return nil
-	}
-	return resetWordsOf(p, v)[0]
+	return imagetest.Of(p.Flat.Layout(), p.Reset).Scalar(name)
 }
 
 // resetMem returns the reset words of the memory named name (nil if
 // there is none), read out of p's reset image.
 func resetMem(p *Program, name string) []*bv.Vector {
-	v := p.Flat.VarNamed(name)
-	if v == nil || !v.IsArray() {
-		return nil
-	}
-	return resetWordsOf(p, v)
-}
-
-// resetWordsOf materializes v's value(s) in p's reset image.
-func resetWordsOf(p *Program, v *elab.Var) []*bv.Vector {
-	at := 0
-	for _, u := range p.Flat.Vars[:v.Index] {
-		at += resetWords(u)
-	}
-	n := bv.WordsFor(v.Width)
-	var out []*bv.Vector
-	for w := at; w < at+resetWords(v); w += n {
-		word := bv.Wrap(v.Width, p.Reset[w:w+n])
-		out = append(out, word.Clone())
-	}
-	return out
+	return imagetest.Of(p.Flat.Layout(), p.Reset).Array(name)
 }
 
 // oldFingerprint is the encoder Fingerprint replaced, kept as the

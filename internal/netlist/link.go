@@ -266,37 +266,10 @@ func link(base *Program, f *elab.Flat, optimize bool) (*Program, error) {
 	// bitstream's initial register contents.
 	ref := sim.New(f, sim.Options{})
 	ref.Evaluate()
-	p.Reset = resetImage(f, ref)
+	p.Reset = ref.GetState()
 	p.byName = l.byName()
 	p.Stats = computeStats(p)
 	return p, nil
-}
-
-// resetImage captures ref's variables as a Program.Reset word image.
-func resetImage(f *elab.Flat, ref *sim.Simulator) []uint64 {
-	n := 0
-	for _, v := range f.Vars {
-		n += resetWords(v)
-	}
-	img := make([]uint64, 0, n)
-	for _, v := range f.Vars {
-		if !v.IsArray() {
-			img = append(img, ref.VarValue(v).Words()...)
-			continue
-		}
-		for i := 0; i < v.ArrayLen; i++ {
-			img = append(img, ref.ArrayWord(v, i).Words()...)
-		}
-	}
-	return img
-}
-
-// resetWords is how many words of Program.Reset hold v's value.
-func resetWords(v *elab.Var) int {
-	if v.IsArray() {
-		return v.ArrayLen * bits.WordsFor(v.Width)
-	}
-	return bits.WordsFor(v.Width)
 }
 
 // opsPerUnit is about how many instructions a unit compiles to (8 on the

@@ -76,8 +76,8 @@ type mPending struct {
 	w *bv.Vector
 }
 
-// NewMachine loads a program into a fresh machine and applies the reset
-// state (initial register contents from the bitstream).
+// NewMachine loads a program into a fresh machine and sets its state to
+// the program's reset image (initial register contents from the bitstream).
 func NewMachine(p *Program) *Machine {
 	m := &Machine{
 		prog:     p,
@@ -112,45 +112,12 @@ func NewMachine(p *Program) *Machine {
 			m.edgeList[slot] = append(m.edgeList[slot], edgeHook{proc: pi, kind: e.Kind})
 		}
 	}
-	m.Reset()
+	m.SetState(p.Reset)
 	return m
 }
 
 // Prog returns the loaded program.
 func (m *Machine) Prog() *Program { return m.prog }
-
-// Reset applies the bitstream's initial state — copying the program's
-// reset image, variable by variable — and schedules a full combinational
-// pass.
-func (m *Machine) Reset() {
-	p := m.prog
-	img := p.Reset
-	for _, v := range p.Flat.Vars {
-		n := bv.WordsFor(v.Width)
-		if v.IsArray() {
-			mem := p.MemOf[v.Index]
-			for j := 0; j < v.ArrayLen; j, img = j+1, img[n:] {
-				if p.Mems[mem].Wide {
-					w := bv.Wrap(v.Width, img[:n])
-					m.memW[mem][j].CopyFrom(&w)
-				} else {
-					m.mem64[mem][j] = img[0]
-				}
-			}
-			continue
-		}
-		if slot := p.VarSlot[v.Index]; m.wide[slot] != nil {
-			w := bv.Wrap(v.Width, img[:n])
-			m.wide[slot].CopyFrom(&w)
-		} else {
-			m.u64[slot] = img[0]
-		}
-		img = img[n:]
-	}
-	m.settleAfterLoad()
-	m.finished = false
-	m.pending = nil
-}
 
 // Finished reports whether $finish has executed.
 func (m *Machine) Finished() bool { return m.finished }
@@ -365,57 +332,59 @@ func (m *Machine) EndStep() {
 	}
 }
 
-// GetState snapshots all variables into a sim.State (shared snapshot
-// format across engine kinds).
-func (m *Machine) GetState() *sim.State {
-	st := &sim.State{Scalars: map[string]*bv.Vector{}, Arrays: map[string][]*bv.Vector{}}
-	for _, v := range m.prog.Flat.Vars {
-		if v.IsArray() {
-			idx := m.prog.MemOf[v.Index]
-			words := make([]*bv.Vector, v.ArrayLen)
-			for j := 0; j < v.ArrayLen; j++ {
-				if m.prog.Mems[idx].Wide {
-					words[j] = m.memW[idx][j].Clone()
-				} else {
-					words[j] = bv.FromUint64(v.Width, m.mem64[idx][j])
-				}
+// GetState returns every variable as a fresh image in the Flat's layout
+// (the one state form of every engine kind).
+func (m *Machine) GetState() []uint64 {
+	p, l := m.prog, m.prog.Flat.Layout()
+	img := make([]uint64, l.Len())
+	for _, v := range p.Flat.Vars {
+		w := l.Of(img, v.Index)
+		if !v.IsArray() {
+			if slot := p.VarSlot[v.Index]; m.wide[slot] != nil {
+				copy(w, m.wide[slot].Words())
+			} else {
+				w[0] = m.u64[slot]
 			}
-			st.Arrays[v.Name] = words
 			continue
 		}
-		st.Scalars[v.Name] = m.slotVecOwned(m.prog.VarSlot[v.Index])
+		mem := p.MemOf[v.Index]
+		if p.Mems[mem].Wide {
+			for _, e := range m.memW[mem] {
+				w = w[copy(w, e.Words()):]
+			}
+		} else {
+			copy(w, m.mem64[mem])
+		}
 	}
-	return st
+	return img
 }
 
-// SetState installs a snapshot without fabricating edges, then schedules
-// a combinational settle.
-func (m *Machine) SetState(st *sim.State) {
-	for _, v := range m.prog.Flat.Vars {
-		if v.IsArray() {
-			words, ok := st.Arrays[v.Name]
-			if !ok {
-				continue
-			}
-			idx := m.prog.MemOf[v.Index]
-			for j := 0; j < len(words) && j < v.ArrayLen; j++ {
-				if m.prog.Mems[idx].Wide {
-					m.memW[idx][j].CopyFrom(words[j])
-				} else {
-					m.mem64[idx][j] = words[j].Uint64() & Mask(v.Width)
-				}
+// SetState installs an image in the Flat's layout without fabricating
+// edges, then schedules a combinational settle.
+func (m *Machine) SetState(img []uint64) {
+	p, l := m.prog, m.prog.Flat.Layout()
+	for _, v := range p.Flat.Vars {
+		w, n := l.Of(img, v.Index), bv.WordsFor(v.Width)
+		if !v.IsArray() {
+			if slot := p.VarSlot[v.Index]; m.wide[slot] != nil {
+				src := bv.Wrap(v.Width, w)
+				m.wide[slot].CopyFrom(&src)
+			} else {
+				m.u64[slot] = w[0] & Mask(v.Width)
 			}
 			continue
 		}
-		val, ok := st.Scalars[v.Name]
-		if !ok {
-			continue
-		}
-		slot := m.prog.VarSlot[v.Index]
-		if m.wide[slot] != nil {
-			m.wide[slot].CopyFrom(val)
+		mem := p.MemOf[v.Index]
+		if p.Mems[mem].Wide {
+			for _, e := range m.memW[mem] {
+				src := bv.Wrap(v.Width, w[:n])
+				e.CopyFrom(&src)
+				w = w[n:]
+			}
 		} else {
-			m.u64[slot] = val.Uint64() & Mask(v.Width)
+			for j := range m.mem64[mem] {
+				m.mem64[mem][j] = w[j] & Mask(v.Width)
+			}
 		}
 	}
 	m.settleAfterLoad()

@@ -1,11 +1,13 @@
 package netlist
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"cascade/internal/bits"
 	"cascade/internal/elab"
+	"cascade/internal/imagetest"
 	"cascade/internal/sim"
 	"cascade/internal/verilog"
 	"cascade/internal/vgen"
@@ -29,26 +31,26 @@ func TestSetStateCrossTierRoundTrip(t *testing.T) {
 			d.tick(t)
 		}
 		snap := d.m.GetState()
-		want := snap.Signature()
+		want := fmt.Sprint(snap)
 
 		m2 := NewMachine(d.m.Prog())
 		m2.SetState(snap)
-		if got := m2.GetState().Signature(); got != want {
+		if got := fmt.Sprint(m2.GetState()); got != want {
 			t.Fatalf("trial %d: machine->machine round trip diverged\nwant %s\ngot  %s\nprogram:\n%s", trial, want, got, src)
 		}
 
 		s2 := sim.New(d.f, sim.Options{})
 		s2.SetState(snap)
-		if got := s2.GetState().Signature(); got != want {
+		if got := fmt.Sprint(s2.GetState()); got != want {
 			t.Fatalf("trial %d: machine->sim round trip diverged\nwant %s\ngot  %s\nprogram:\n%s", trial, want, got, src)
 		}
 	}
 }
 
-// SetState must mask junk above a snapshot vector's semantic width: a
-// foreign engine tier may hand over vectors whose top storage word
-// carries garbage (a violated normalization invariant), and neither
-// wide nor narrow slots may absorb it.
+// SetState must mask junk above a variable's semantic width: a foreign
+// engine tier (or a peer on the wire) may hand over an image whose words
+// carry garbage above a value's top bit (a violated normalization
+// invariant), and neither wide nor narrow slots may absorb it.
 func TestSetStateMasksDenormalizedSnapshot(t *testing.T) {
 	_, m, f := compileBoth(t, `
 module M(input wire clk);
@@ -61,29 +63,28 @@ module M(input wire clk);
     arr[0] <= arr[0] + 1;
   end
 endmodule`)
-	_ = f
-	dirty := func(width int) *bits.Vector {
-		v := bits.New(width)
-		v.Words()[len(v.Words())-1] = ^uint64(0) // junk above the width
-		return v
-	}
-	st := &sim.State{
-		Scalars: map[string]*bits.Vector{"narrow": dirty(40), "wide": dirty(100)},
-		Arrays:  map[string][]*bits.Vector{"arr": {dirty(70), dirty(70), dirty(70), dirty(70)}},
+	l := f.Layout()
+	st := make([]uint64, l.Len())
+	for _, name := range []string{"narrow", "wide", "arr"} {
+		// Junk above the width: each value's top word all ones.
+		v, w := l.Vars[l.Index(name)], l.Of(st, l.Index(name))
+		for n := bits.WordsFor(v.Width); len(w) > 0; w = w[n:] {
+			w[n-1] = ^uint64(0)
+		}
 	}
 	m.SetState(st)
-	got := m.GetState()
-	if w := got.Scalars["narrow"]; w.Uint64() != (uint64(1)<<40)-1 {
+	got := imagetest.Of(l, m.GetState())
+	if w := got.Scalar("narrow"); w.Uint64() != (uint64(1)<<40)-1 {
 		t.Fatalf("narrow slot absorbed junk: %s", w)
 	}
 	for _, name := range []string{"wide"} {
-		w := got.Scalars[name]
+		w := got.Scalar(name)
 		ww := w.Words()
 		if ww[1] != (uint64(1)<<36)-1 {
 			t.Fatalf("%s top word not re-masked after copy: %#x", name, ww[1])
 		}
 	}
-	a := got.Arrays["arr"][0].Words()
+	a := got.Array("arr")[0].Words()
 	if a[1] != (uint64(1)<<6)-1 {
 		t.Fatalf("array word not re-masked after copy: %#x", a[1])
 	}
@@ -129,8 +130,8 @@ endmodule`)
 	snap := m.GetState()
 	m2 := NewMachine(m.Prog())
 	m2.SetState(snap)
-	snap.Scalars["in_w"].SetUint64(0xdead)
-	snap.Scalars["in_n"].SetUint64(0xde)
+	imagetest.Of(f.Layout(), snap).Set("in_w", bits.FromUint64(100, 0xdead))
+	imagetest.Of(f.Layout(), snap).Set("in_n", bits.FromUint64(8, 0xde))
 	if got := m2.PeekVar(f.VarNamed("in_w")).Clone().Uint64(); got != 0x1234 {
 		t.Fatalf("SetState aliased wide snapshot vector: %#x", got)
 	}
@@ -146,7 +147,7 @@ endmodule`)
 		t.Fatalf("a cloned peek is a live internal vector")
 	}
 	st := m2.GetState()
-	st.Scalars["in_n"].SetUint64(0)
+	imagetest.Of(f.Layout(), st).Set("in_n", bits.FromUint64(8, 0))
 	if got := m2.PeekVar(f.VarNamed("in_n")).Clone().Uint64(); got != 0x5a {
 		t.Fatalf("GetState returned a live internal vector")
 	}

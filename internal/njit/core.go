@@ -6,7 +6,6 @@ import (
 	"cascade/internal/engine"
 	"cascade/internal/fault"
 	"cascade/internal/netlist"
-	"cascade/internal/sim"
 )
 
 // Core is the netlist engine under both compiled rungs of the ladder:
@@ -78,12 +77,12 @@ func (c *Core) CheckRegion() {
 }
 
 // GetState implements engine.Engine.
-func (c *Core) GetState() *sim.State { return c.m.GetState() }
+func (c *Core) GetState() []uint64 { return c.m.GetState() }
 
 // SetState implements engine.Engine. Replacing the state wholesale
 // invalidates the compiled evaluator's sensitivity bookkeeping.
-func (c *Core) SetState(st *sim.State) {
-	c.m.SetState(st)
+func (c *Core) SetState(img []uint64) {
+	c.m.SetState(img)
 	c.InvalidateAll()
 }
 

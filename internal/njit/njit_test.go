@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"cascade/internal/elab"
 	"cascade/internal/engine"
 	"cascade/internal/fault"
+	"cascade/internal/imagetest"
 	"cascade/internal/netlist"
 	"cascade/internal/verilog"
 	"cascade/internal/vgen"
@@ -106,8 +108,8 @@ func (d *dual) setInput(name string, v *bits.Vector) {
 
 func (d *dual) check(t *testing.T, context string) {
 	t.Helper()
-	ms := d.m.GetState().Signature()
-	es := d.e.GetState().Signature()
+	ms := fmt.Sprint(d.m.GetState())
+	es := fmt.Sprint(d.e.GetState())
 	if ms != es {
 		t.Fatalf("%s: state divergence\ninterp: %s\nnative: %s", context, ms, es)
 	}
@@ -134,7 +136,7 @@ endmodule`)
 		d.tick()
 	}
 	d.check(t, "counter")
-	if got := d.e.GetState().Scalars["cnt"].Uint64(); got != 20 {
+	if got := imagetest.Of(d.e.Flat().Layout(), d.e.GetState()).Scalar("cnt").Uint64(); got != 20 {
 		t.Fatalf("native counter = %d, want 20", got)
 	}
 }
@@ -277,7 +279,7 @@ endmodule`
 		e.EndStep()
 	}
 	settleE()
-	if m.GetState().Signature() != e.GetState().Signature() {
+	if !slices.Equal(m.GetState(), e.GetState()) {
 		t.Fatal("state not preserved across interpreter->native promotion")
 	}
 	// Run both 8 more ticks in lock step.
@@ -294,7 +296,7 @@ endmodule`
 			settleM()
 			settleE()
 		}
-		if m.GetState().Signature() != e.GetState().Signature() {
+		if !slices.Equal(m.GetState(), e.GetState()) {
 			t.Fatalf("divergence after promotion at tick %d", i)
 		}
 	}
@@ -307,7 +309,7 @@ endmodule`
 			m2.Update()
 		}
 	}
-	if m2.GetState().Signature() != e.GetState().Signature() {
+	if !slices.Equal(m2.GetState(), e.GetState()) {
 		t.Fatal("state not preserved across native->interpreter demotion")
 	}
 }

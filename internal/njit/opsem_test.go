@@ -8,6 +8,7 @@ import (
 
 	"cascade/internal/bits"
 	"cascade/internal/elab"
+	"cascade/internal/imagetest"
 	"cascade/internal/netlist"
 	"cascade/internal/sim"
 )
@@ -531,15 +532,15 @@ endmodule`
 		}
 		d.tick()
 		d.check(t, fmt.Sprintf("tick %d: reference vs compiled", i))
-		if ss, ms := s.GetState().Signature(), d.m.GetState().Signature(); ss != ms {
+		if ss, ms := fmt.Sprint(s.GetState()), fmt.Sprint(d.m.GetState()); ss != ms {
 			t.Fatalf("tick %d: sim vs reference\nsim:       %s\nreference: %s", i, ss, ms)
 		}
 	}
-	st := d.e.GetState()
-	if got := st.Arrays["mem"][2].Uint64(); got != 0xAB {
+	st := imagetest.Of(d.e.Flat().Layout(), d.e.GetState())
+	if got := st.Array("mem")[2].Uint64(); got != 0xAB {
 		t.Fatalf("mem[2] = %#x, want 0xab", got)
 	}
-	if got := st.Scalars["out"].Uint64(); got != 0xAB {
+	if got := st.Scalar("out").Uint64(); got != 0xAB {
 		t.Fatalf("out = %#x, want 0xab", got)
 	}
 }

@@ -50,17 +50,21 @@ type Section struct {
 
 // EncodeContainer renders sections into a checksummed container.
 func EncodeContainer(magic string, version int, secs []Section) []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "#%s v%d\n", magic, version)
+	n := 64 + len(magic) // the header and trailer lines, each section's header line
+	for _, s := range secs {
+		n += len(s.Name) + len(s.Data) + 50
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n))
+	fmt.Fprintf(buf, "#%s v%d\n", magic, version)
 	seal := crc32.NewIEEE()
 	for _, s := range secs {
 		crc := crc32.ChecksumIEEE(s.Data)
-		fmt.Fprintf(&buf, "#section %s len=%d crc=%08x\n", s.Name, len(s.Data), crc)
+		fmt.Fprintf(buf, "#section %s len=%d crc=%08x\n", s.Name, len(s.Data), crc)
 		buf.Write(s.Data)
 		buf.WriteByte('\n')
 		fmt.Fprintf(seal, "%s:%08x;", s.Name, crc)
 	}
-	fmt.Fprintf(&buf, "#end sections=%d crc=%08x\n", len(secs), seal.Sum32())
+	fmt.Fprintf(buf, "#end sections=%d crc=%08x\n", len(secs), seal.Sum32())
 	return buf.Bytes()
 }
 

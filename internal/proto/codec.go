@@ -9,7 +9,6 @@ import (
 
 	"cascade/internal/bits"
 	"cascade/internal/engine"
-	"cascade/internal/sim"
 )
 
 // MaxFrame caps the length of one framed message. It bounds what a
@@ -52,37 +51,15 @@ func appendVec(dst []byte, v *bits.Vector) []byte {
 	return v.AppendBytesLE(dst)
 }
 
-// appendState encodes a state snapshot: a presence byte, then scalars
-// and arrays in sorted name order (deterministic bytes for identical
-// states, so snapshot comparisons work on encodings too).
-func appendState(dst []byte, st *sim.State) []byte {
-	if st == nil {
+// appendState encodes a state image: a presence byte, the word count,
+// then the words, eight little-endian bytes each.
+func appendState(dst []byte, img []uint64) []byte {
+	if img == nil {
 		return append(dst, 0)
 	}
-	dst = append(dst, 1)
-	names := make([]string, 0, len(st.Scalars))
-	for k := range st.Scalars {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	dst = appendUvarint(dst, uint64(len(names)))
-	for _, k := range names {
-		dst = appendString(dst, k)
-		dst = appendVec(dst, st.Scalars[k])
-	}
-	names = names[:0]
-	for k := range st.Arrays {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	dst = appendUvarint(dst, uint64(len(names)))
-	for _, k := range names {
-		dst = appendString(dst, k)
-		words := st.Arrays[k]
-		dst = appendUvarint(dst, uint64(len(words)))
-		for _, w := range words {
-			dst = appendVec(dst, w)
-		}
+	dst = appendUvarint(append(dst, 1), uint64(len(img)))
+	for _, w := range img {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
 	return dst
 }
@@ -339,30 +316,21 @@ func (r *reader) vecNonNil() *bits.Vector {
 	return v
 }
 
-func (r *reader) state() *sim.State {
+func (r *reader) state() []uint64 {
 	if !r.bool() {
 		return nil
 	}
-	st := &sim.State{Scalars: map[string]*bits.Vector{}, Arrays: map[string][]*bits.Vector{}}
-	n := r.length(2)
-	for i := 0; i < n && r.err == nil; i++ {
-		name := r.string()
-		st.Scalars[name] = r.vecNonNil()
-	}
-	n = r.length(2)
-	for i := 0; i < n && r.err == nil; i++ {
-		name := r.string()
-		cnt := r.length(1)
-		words := make([]*bits.Vector, 0, cnt)
-		for j := 0; j < cnt && r.err == nil; j++ {
-			words = append(words, r.vecNonNil())
-		}
-		st.Arrays[name] = words
-	}
-	if r.err != nil {
+	n := r.length(8)
+	if r.err != nil || n*8 > len(r.buf)-r.pos {
+		r.fail(errShort)
 		return nil
 	}
-	return st
+	img := make([]uint64, n)
+	for i := range img {
+		img[i] = binary.LittleEndian.Uint64(r.buf[r.pos:])
+		r.pos += 8
+	}
+	return img
 }
 
 func (r *reader) params() map[string]*bits.Vector {

@@ -20,6 +20,8 @@ func FuzzProtoRoundTrip(f *testing.F) {
 		Val: bits.FromUint64(1, 1)}))
 	f.Add(EncodeRequest(nil, &Request{Kind: KindSetState, Engine: 2, State: testState()}))
 	f.Add(EncodeReply(nil, &Reply{Kind: KindGetState, Engine: 4, State: testState()}))
+	f.Add(EncodeRequest(nil, &Request{Kind: KindSetState, Engine: 2, State: []uint64{}}))
+	f.Add(EncodeReply(nil, &Reply{Kind: KindGetState, Engine: 4, State: make([]uint64, 300)}))
 	f.Add(EncodeReply(nil, &Reply{Kind: KindDrainWrites, Bool: true,
 		IO: []IOEvent{{Kind: IODisplay, Text: "x", Newline: true}, {Kind: IOFinish, Code: 1}}}))
 	f.Add(EncodeRequest(nil, &Request{Kind: KindRound, Now: 3, Phase: RoundEvals,

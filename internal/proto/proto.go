@@ -25,7 +25,8 @@
 // transport or framing carried the message.
 //
 // The binary codec (codec.go) is compact and allocation-bounded: vectors
-// reuse the internal/bits little-endian byte encoding, frames are
+// reuse the internal/bits little-endian byte encoding, engine state is a
+// word image in the engine's layout (elab.Layout), frames are
 // length-prefixed and capped, and every decode path is bounds-checked so
 // malformed input yields an error, never a panic.
 package proto
@@ -33,7 +34,6 @@ package proto
 import (
 	"cascade/internal/bits"
 	"cascade/internal/engine"
-	"cascade/internal/sim"
 )
 
 // Version is the protocol version carried in every message. A peer
@@ -46,10 +46,11 @@ import (
 // the Farm request/reply payloads, letting a daemon host the back half
 // of compile flows and a replicated bitstream cache for remote clients.
 // Version 5 added KindRound, the per-round framing of the scheduler's
-// ABI calls. As with every bump, a daemon resumption journal's records
-// written under an older version no longer decode and are skipped when
-// the journal is replayed (transport.Host.EnableJournal).
-const Version = 5
+// ABI calls; version 6 carries state as a word image, not named values.
+// As with every bump, a daemon resumption journal's records written under
+// an older version no longer decode and are skipped when the journal is
+// replayed (transport.Host.EnableJournal).
+const Version = 6
 
 // Kind identifies the ABI request a message carries.
 type Kind uint8
@@ -236,8 +237,8 @@ type Request struct {
 	Var string
 	Val *bits.Vector
 
-	// SetState: the snapshot to install.
-	State *sim.State
+	// SetState: the state image to install, in the engine's layout.
+	State []uint64
 
 	// Session scopes the request to a daemon-side tenant session:
 	// Spawn binds the new engine to it, SessionClose names the session
@@ -302,7 +303,7 @@ type Reply struct {
 
 	Bool   bool           // ThereAreEvals / ThereAreUpdates
 	Events []engine.Event // DrainWrites
-	State  *sim.State     // GetState
+	State  []uint64       // GetState: the engine's state image
 
 	// Epoch is the serving host's boot epoch, stamped on every reply: a
 	// nonzero value that changes when the host process restarts. A

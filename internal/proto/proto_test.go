@@ -7,19 +7,17 @@ import (
 
 	"cascade/internal/bits"
 	"cascade/internal/engine"
-	"cascade/internal/sim"
 )
 
-func testState() *sim.State {
-	return &sim.State{
-		Scalars: map[string]*bits.Vector{
-			"cnt": bits.FromUint64(8, 0xa5),
-			"big": bits.FromUint64(97, 1).ShlUint(96).Or(bits.FromUint64(97, 0xdeadbeef)),
-		},
-		Arrays: map[string][]*bits.Vector{
-			"mem": {bits.FromUint64(16, 1), bits.FromUint64(16, 0xffff), bits.New(16)},
-		},
-	}
+// testState is an image of an 8-bit, a 97-bit and a three-element
+// 16-bit variable.
+func testState() []uint64 {
+	return []uint64{0xa5, 0xdeadbeef, 1 << 32, 1, 0xffff, 0}
+}
+
+// bigVec is a 97-bit value.
+func bigVec() *bits.Vector {
+	return bits.FromUint64(97, 1).ShlUint(96).Or(bits.FromUint64(97, 0xdeadbeef))
 }
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -28,6 +26,7 @@ func TestRequestRoundTrip(t *testing.T) {
 			Params: map[string]*bits.Vector{"W": bits.FromUint64(32, 8)}, Eager: true, JIT: true},
 		{Kind: KindRead, Engine: 7, Now: 11, Var: "clk", Val: bits.FromUint64(1, 1)},
 		{Kind: KindSetState, Engine: 2, State: testState()},
+		{Kind: KindSetState, Engine: 2, State: []uint64{}},
 		{Kind: KindEvaluate, Engine: 9, Now: 1 << 40, VNow: 1 << 50},
 		{Kind: KindGetState, Engine: 1},
 		{Kind: KindEnd, Engine: 3},
@@ -46,7 +45,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Kind: KindRound, Now: 5, VNow: 1 << 40, Phase: RoundEvals,
 			Inputs: []RoundInput{
 				{Engine: 2, Var: "clk", Val: bits.FromUint64(1, 1)},
-				{Engine: 3, Var: "d", Val: testState().Scalars["big"]}},
+				{Engine: 3, Var: "d", Val: bigVec()}},
 			Members: []uint32{2, 3, 300}},
 		{Kind: KindRound, Phase: RoundUpdates, Members: []uint32{1}},
 		{Kind: KindRound, Now: 6, Phase: RoundEndStep, Members: []uint32{1, 2}},
@@ -76,6 +75,7 @@ func TestReplyRoundTrip(t *testing.T) {
 			Events: []engine.Event{{Var: "out", Val: bits.FromUint64(8, 0x42)}},
 			IO:     []IOEvent{{Kind: IOFinish, Code: 2}}},
 		{Kind: KindGetState, Engine: 4, State: testState()},
+		{Kind: KindGetState, Engine: 4, State: []uint64{}},
 		{Kind: KindEvaluate, Engine: 5, Err: "engine 5 unknown"},
 		{Kind: KindCompileSubmit, Epoch: 3, Farm: &FarmResult{
 			AreaLEs: 910, RawAreaLEs: 850, CritPath: 14, DurationPs: 47e12,
@@ -104,7 +104,7 @@ func TestReplyRoundTrip(t *testing.T) {
 }
 
 // TestStateEncodingDeterministic checks that identical states produce
-// identical bytes (map iteration order must not leak into the wire).
+// identical bytes.
 func TestStateEncodingDeterministic(t *testing.T) {
 	a := appendState(nil, testState())
 	for i := 0; i < 32; i++ {
@@ -137,6 +137,12 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	cases["round: member count beyond the bytes"] = round(append([]byte{byte(RoundEvals), 0}, huge...)...)
 	cases["round: nil input value"] = round(byte(RoundInputs), 1, 7, 1, 'x', 0, 1, 7)
 	cases["round: truncated input"] = round(byte(RoundInputs), 1, 7, 1, 'x', 8)
+	// A state frame: header, presence, word count, words.
+	state := func(tail ...byte) []byte {
+		return append([]byte{Version, byte(KindSetState), 0, 0, 0, 1}, tail...)
+	}
+	cases["state: word count beyond the bytes"] = state(huge...)
+	cases["state: a word cut short"] = state(append([]byte{2}, make([]byte, 12)...)...)
 	for name, data := range cases {
 		if _, err := DecodeRequest(data); err == nil {
 			t.Errorf("%s: decode accepted malformed input", name)

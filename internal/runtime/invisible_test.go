@@ -300,9 +300,12 @@ func observe(t testing.TB, a arm, sch schedule, s vgen.Script) (o observed, err 
 		return o, err
 	}
 	r.flushDisplays()
-	o.Display, o.Snapshot, o.States = view.Output(), EncodeSnapshot(r.Snapshot()), map[string]string{}
-	for path, state := range r.captureStates() {
-		o.States[path] = state.Signature()
+	snap := r.Snapshot()
+	o.Display, o.Snapshot, o.States = view.Output(), EncodeSnapshot(snap), map[string]string{}
+	for path, state := range snap.States {
+		if _, user := r.ver.flatElabs[path]; user {
+			o.States[path] = fmt.Sprint(state)
+		}
 	}
 	st := r.Stats()
 	o.Time, o.Records, o.Stats, o.Faults = st.Time, st.Persist.Records, st, st.Faults

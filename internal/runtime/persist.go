@@ -487,11 +487,11 @@ func (r *Runtime) persistStats() PersistStats {
 // flushed-output offset. Any failure marks the checkpoint corrupt and
 // recovery falls back to an older one.
 func decodeCheckpoint(payload []byte) (*Snapshot, uint64, uint64, error) {
-	_, secs, err := persist.DecodeContainer(snapshotMagic, payload)
+	ver, secs, err := persist.DecodeContainer(snapshotMagic, payload)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	snap, extra, err := snapshotFromSections(secs)
+	snap, extra, err := snapshotFromSections(ver, secs)
 	if err != nil {
 		return nil, 0, 0, err
 	}

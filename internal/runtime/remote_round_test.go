@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cascade/internal/golden"
+	"cascade/internal/imagetest"
 	"cascade/internal/proto"
 	"cascade/internal/supervise"
 	"cascade/internal/transport"
@@ -247,4 +248,58 @@ func TestSupervisedEngineLost(t *testing.T) {
 	if sup := st.Supervise; sup.Trips != 1 || sup.Failovers != 3 || sup.Rehosts != 3 || sup.State != "closed" {
 		t.Errorf("supervisor did not force-trip, fail over and re-host: %+v", sup)
 	}
+}
+
+// TestRestoreHostedLedgerPinned: a snapshot taken mid-tick, with the
+// FIFO holding host words and the Memory between sampling a write and
+// committing it, Restored onto a runtime whose inlined root is hosted on
+// a daemon. The merged root's seed carries every peripheral entry under
+// its inlined name, the in-flight ones included, and the hosted hand-off
+// bills them per bus word: Stats().Time after the restore and after each
+// of 6 ticks is pinned in testdata/TestRestoreHostedLedgerPinned. The
+// record was made when state crossed as named values; an image must bill
+// the words they did.
+func TestRestoreHostedLedgerPinned(t *testing.T) {
+	const src = "FIFO#(8, 16) fifo();\nMemory#(4, 16) mem();\n" +
+		"reg [7:0] n = 3;\nalways @(posedge clk.val) n <= n + 1;\n" +
+		"assign mem.waddr = n[3:0];\nassign mem.wdata = {n, 8'h5a};\nassign mem.wen = 1;\n" +
+		"assign mem.raddr = n[3:0] - 1;\nassign fifo.rreq = n[2];\n" +
+		"assign led.val = mem.rdata[7:0] ^ fifo.rdata;\n"
+	src0 := newTestRuntime(t, Options{Features: Features{DisableJIT: true}})
+	src0.MustEval(src)
+	src0.World().Stream("main.fifo").PushBytes([]byte("restored"))
+	src0.RunTicks(5)
+	src0.Step() // rising edge: the Memory has sampled a write it has not committed
+	snap := src0.Snapshot()
+	if n := fifoDepthOf(src0, snap, "main.fifo"); n == 0 || n == 16 {
+		t.Fatal("snapshot FIFO is empty or full")
+	}
+	if !memoryMidWrite(src0, snap, "main.mem") {
+		t.Fatal("snapshot Memory holds no in-flight write")
+	}
+	r := newTestRuntime(t, Options{Features: Features{DisableJIT: true},
+		Remote: &RemoteOptions{Addr: newTestDaemon(t, "", false).addr}})
+	if err := r.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%+v\n", r.Stats().Time)
+	for i := 0; i < 6; i++ {
+		r.RunTicks(1)
+		fmt.Fprintf(&sb, "%+v\n", r.Stats().Time)
+	}
+	r.CloseRemote()
+	golden.Check(t, "restore", sb.String())
+}
+
+// fifoDepthOf reads how many words the FIFO at path holds in a snapshot
+// of r.
+func fifoDepthOf(r *Runtime, snap *Snapshot, path string) uint64 {
+	return imagetest.Of(r.ver.layoutOf(path), snap.States[path]).Scalar("#n").Uint64()
+}
+
+// memoryMidWrite reports whether the Memory at path holds, in a snapshot
+// of r, a sampled write it has not committed.
+func memoryMidWrite(r *Runtime, snap *Snapshot, path string) bool {
+	return imagetest.Of(r.ver.layoutOf(path), snap.States[path]).Scalar("#sampled").Uint64() != 0
 }

@@ -11,7 +11,9 @@
 // interrupt flushes, routing, and hot swaps stay on the controller.
 // Work is billed on a virtual clock (internal/vclock) so JIT behaviour
 // over time is deterministic and the evaluation's figures are
-// reproducible.
+// reproducible. Engine state is a word image in the engine's layout
+// (elab.Layout) everywhere; names meet it only where a program version
+// changes (version.go).
 package runtime
 
 import (
@@ -33,7 +35,6 @@ import (
 	"cascade/internal/ir"
 	"cascade/internal/lifecycle"
 	"cascade/internal/obsv"
-	"cascade/internal/sim"
 	"cascade/internal/stdlib"
 	"cascade/internal/supervise"
 	"cascade/internal/toolchain"
@@ -343,7 +344,7 @@ type Runtime struct {
 	// the breaker (fed by flushTransportErrs, drained by
 	// serviceSupervision, both controller-only).
 	sup       *supervise.Supervisor
-	committed map[string]*sim.State
+	committed map[string][]uint64
 	supFails  int
 	// supStale marks that a latched failure was proof of state loss — the
 	// daemon restarted (its state is journal-stale) or no longer holds an
@@ -449,7 +450,7 @@ func New(opts Options) *Runtime {
 		ver:        emptyVersion(),
 		stdEngines: map[string]engine.Engine{},
 		xstats:     map[string]transport.Stats{},
-		committed:  map[string]*sim.State{},
+		committed:  map[string][]uint64{},
 		olIters:    64,
 		olWallCap:  1 << 14, // ramps up while bursts stay cheap
 	}
@@ -842,6 +843,7 @@ func (r *Runtime) host(p *lifecycle.Placement) (engine.Engine, error) {
 		Eager:   r.opts.Features.EagerSim,
 		JIT:     !r.opts.Features.DisableJIT,
 		Session: r.remoteSess,
+		Layout:  p.Flat.Layout(),
 	}
 	c, err := r.link.Spawn(spec, p.IO, r.noteTransportErr)
 	if r.remoteSess != 0 && errors.Is(err, transport.ErrUnknownSession) {
@@ -940,7 +942,7 @@ func (r *Runtime) EvalCtx(ctx context.Context, src string) error {
 	if err := r.persistEval(src); err != nil {
 		return err
 	}
-	return r.install(ctx, v, r.captureStates())
+	return r.install(ctx, v, r.captureStates(), r.ver)
 }
 
 // MustEval is Eval for known-good source; it panics on error.
@@ -950,10 +952,11 @@ func (r *Runtime) MustEval(src string) {
 	}
 }
 
-// captureStates snapshots per-subprogram state from the current engines,
-// keyed by flat subprogram path (un-inlining names when necessary).
-func (r *Runtime) captureStates() map[string]*sim.State {
-	out := map[string]*sim.State{}
+// captureStates snapshots the state of every user engine, keyed by its
+// path in the executing design (a hosted engine's failed read is an
+// empty image).
+func (r *Runtime) captureStates() map[string][]uint64 {
+	out := map[string][]uint64{}
 	if r.ver.exec == nil {
 		return out
 	}
@@ -962,22 +965,20 @@ func (r *Runtime) captureStates() map[string]*sim.State {
 			out[s.Path] = sl.c.GetState()
 		}
 	}
-	if merged := out[ir.RootPath]; r.ver.inlined && merged != nil {
-		return r.ver.split(merged)
-	}
 	return out
 }
 
 // install makes v the executing version: it retires every engine of the
 // previous one and builds v's — Figure 9 phase 1 (or 2 when inlined) —
-// seeded from saved, releasing any hardware, cancelling now-obsolete
-// background compilations and submitting fresh ones bound to ctx. It only
-// builds engines: everything that can reject a program ran in integrate,
-// before the caller committed. The errors left are a daemon that is
-// reachable (connectRemote ran) yet refuses a spawn, and stdlib.New on a
-// component type ir.Build already checked; neither can be shown to occur,
-// so nothing is rolled back — Eval reports it, Restore resets to fresh.
-func (r *Runtime) install(ctx context.Context, v *version, saved map[string]*sim.State) error {
+// seeded from saved (version.seed says how), releasing any hardware,
+// cancelling now-obsolete background compilations and submitting fresh
+// ones bound to ctx. It only builds engines: everything that can reject
+// a program ran in integrate, before the caller committed. The errors
+// left are a daemon that is reachable (connectRemote ran) yet refuses a
+// spawn, and stdlib.New on a component type ir.Build already checked;
+// neither can be shown to occur, so nothing is rolled back — Eval
+// reports it, Restore resets to fresh.
+func (r *Runtime) install(ctx context.Context, v *version, saved map[string][]uint64, from *version) error {
 	r.evalCtx = ctx // evictions resubmit compiles under the same context
 	// Each new placement's synthesis starts from the netlist of the one it
 	// replaces at the same path, so it pays for what the version changed.
@@ -987,7 +988,7 @@ func (r *Runtime) install(ctx context.Context, v *version, saved map[string]*sim
 	}
 	r.teardown()
 	r.ver = v
-	r.committed = map[string]*sim.State{}
+	r.committed = map[string][]uint64{}
 	evalStart := r.vclk.Now()
 	if v.inlined {
 		// Inlining costs a pass over the program.
@@ -1031,7 +1032,7 @@ func (r *Runtime) install(ctx context.Context, v *version, saved map[string]*sim
 		if r.opts.Remote != nil && r.sup.State() == supervise.Closed {
 			tier = lifecycle.Hosted
 		}
-		tr := p.Start(tier, v.seed(saved, s.Path))
+		tr := p.Start(tier, v.seed(saved, from, s.Path))
 		if tr.Err != nil {
 			return tr.Err
 		}

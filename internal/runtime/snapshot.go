@@ -3,15 +3,16 @@ package runtime
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 
 	"cascade/internal/engine"
+	"cascade/internal/ir"
 	"cascade/internal/lifecycle"
 	"cascade/internal/persist"
-	"cascade/internal/sim"
 	"cascade/internal/stdlib"
 	"cascade/internal/vclock"
 )
@@ -28,11 +29,11 @@ import (
 // disk are snapshots too: internal/persist frames them with per-section
 // checksums so a torn write is detected, never half-restored.
 type Snapshot struct {
-	Source string                // the eval'd program (reparseable)
-	States map[string]*sim.State // per-subprogram state, by instance path
-	Steps  uint64                // scheduler time ($time continuity)
-	VTime  vclock.Breakdown      // virtual-clock accounting at capture
-	Inputs []stdlib.InputState   // host-driven board inputs (pads, resets, GPIO)
+	Source string              // the eval'd program (reparseable)
+	States map[string][]uint64 // per-subprogram state image, by instance path (its flat layout)
+	Steps  uint64              // scheduler time ($time continuity)
+	VTime  vclock.Breakdown    // virtual-clock accounting at capture
+	Inputs []stdlib.InputState // host-driven board inputs (pads, resets, GPIO)
 }
 
 // Snapshot captures the runtime's program and state. Like every state
@@ -53,8 +54,11 @@ func (r *Runtime) snapshotLocked() *Snapshot {
 		VTime:  r.vclk.Breakdown(),
 		Inputs: r.opts.World.InputStates(),
 	}
-	// Standard-library components carry state too (FIFO contents, LED
-	// values, the clock phase).
+	// By flat path: the merged root's state split. Standard-library
+	// components carry state too (FIFO contents, LED values, the clock).
+	if merged := snap.States[ir.RootPath]; r.ver.inlined && merged != nil {
+		snap.States = r.ver.split(merged)
+	}
 	for path, e := range r.stdEngines {
 		snap.States[path] = e.GetState()
 	}
@@ -68,7 +72,8 @@ func (r *Runtime) snapshotLocked() *Snapshot {
 // JIT starts over on the new target's engines.
 //
 // Restore validates the whole snapshot — the front end over its source
-// (integrate), its input kinds, the daemon connection — before touching
+// (integrate), every state image against the layout of the subprogram
+// it names, its input kinds, the daemon connection — before touching
 // any runtime state, and rolls the runtime back to its fresh state if
 // the final engine build fails: a corrupt or rejected snapshot never
 // leaves state half-installed, so the caller can Restore another
@@ -79,6 +84,11 @@ func (r *Runtime) Restore(snap *Snapshot) error {
 	v, err := integrate(emptyVersion(), snap.Source, !r.opts.Features.DisableInline)
 	if err != nil {
 		return fmt.Errorf("runtime: snapshot source: %w", err)
+	}
+	for path, img := range snap.States {
+		if l := v.layoutOf(path); l == nil || len(img) != l.Len() {
+			return fmt.Errorf("runtime: snapshot state %s does not fit the program's layout", path)
+		}
 	}
 	// Input kinds are validated before anything mutates, so the apply
 	// loop below cannot fail partway.
@@ -105,7 +115,7 @@ func (r *Runtime) Restore(snap *Snapshot) error {
 	r.steps = snap.Steps
 	r.ticks = snap.Steps / 2
 	r.vclk.Restore(snap.VTime)
-	if err := r.install(context.Background(), v, snap.States); err != nil {
+	if err := r.install(context.Background(), v, snap.States, v); err != nil {
 		// A failed engine build must not leave the runtime half-restored:
 		// roll back to the fresh state so it remains usable.
 		r.resetFreshLocked()
@@ -131,18 +141,19 @@ func (r *Runtime) resetFreshLocked() {
 	r.olIters, r.olWallCap = 64, 1<<14
 }
 
-// Snapshot container format. Version 2 is a checksummed
+// Snapshot container format. Version 3 is a checksummed
 // internal/persist container (magic + format version + CRC per
 // section): a "meta" section with the scalar counters, a "world"
 // section with the board's input pins, one "state:<path>" section per
-// subprogram, and a trailing "source" section.
+// subprogram holding its state image, eight little-endian bytes a word
+// (version 2 held named values), and a trailing "source" section.
 const (
 	snapshotMagic   = "cascade-snapshot"
-	snapshotVersion = 2
+	snapshotVersion = 3
 )
 
 // EncodeSnapshot renders a snapshot as a self-contained, checksummed
-// blob (persist container v2): a torn or bit-flipped file is detected
+// blob (persist container v3): a torn or bit-flipped file is detected
 // by DecodeSnapshot instead of half-restoring.
 func EncodeSnapshot(snap *Snapshot) string {
 	return string(persist.EncodeContainer(snapshotMagic, snapshotVersion, snapshotSections(snap)))
@@ -172,10 +183,12 @@ func snapshotSections(snap *Snapshot) []persist.Section {
 	}
 	sort.Strings(paths)
 	for _, p := range paths {
-		secs = append(secs, persist.Section{
-			Name: "state:" + p,
-			Data: snap.States[p].AppendText(nil),
-		})
+		img := snap.States[p]
+		data := make([]byte, 0, 8*len(img))
+		for _, w := range img {
+			data = binary.LittleEndian.AppendUint64(data, w)
+		}
+		secs = append(secs, persist.Section{Name: "state:" + p, Data: data})
 	}
 	secs = append(secs, persist.Section{Name: "source", Data: []byte(snap.Source)})
 	return secs
@@ -190,19 +203,22 @@ func appendField(dst []byte, key string, sep byte, n uint64) []byte {
 // bytes are rejected with an error, never half-decoded: every section
 // must verify against its checksum before any of it is interpreted.
 func DecodeSnapshot(text string) (*Snapshot, error) {
-	_, secs, err := persist.DecodeContainer(snapshotMagic, []byte(text))
+	ver, secs, err := persist.DecodeContainer(snapshotMagic, []byte(text))
 	if err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
-	snap, _, err := snapshotFromSections(secs)
+	snap, _, err := snapshotFromSections(ver, secs)
 	return snap, err
 }
 
-// snapshotFromSections interprets decoded container sections; unknown
-// sections are returned to the caller (the checkpoint loader reads its
-// journal-position section from them).
-func snapshotFromSections(secs []persist.Section) (*Snapshot, []persist.Section, error) {
-	snap := &Snapshot{States: map[string]*sim.State{}}
+// snapshotFromSections interprets the sections of a decoded container of
+// format version ver; unknown sections are returned to the caller (the
+// checkpoint loader reads its journal-position section from them).
+func snapshotFromSections(ver int, secs []persist.Section) (*Snapshot, []persist.Section, error) {
+	if ver != snapshotVersion {
+		return nil, nil, fmt.Errorf("runtime: snapshot format version %d, this build reads %d", ver, snapshotVersion)
+	}
+	snap := &Snapshot{States: map[string][]uint64{}}
 	var extra []persist.Section
 	seen := map[string]bool{}
 	for _, s := range secs {
@@ -222,11 +238,14 @@ func snapshotFromSections(secs []persist.Section) (*Snapshot, []persist.Section,
 			if path == "" {
 				return nil, nil, fmt.Errorf("runtime: snapshot state section with empty path")
 			}
-			st, err := sim.DecodeStateText(string(s.Data))
-			if err != nil {
-				return nil, nil, fmt.Errorf("runtime: snapshot state %s: %w", path, err)
+			if len(s.Data)%8 != 0 {
+				return nil, nil, fmt.Errorf("runtime: snapshot state %s is not whole words", path)
 			}
-			snap.States[path] = st
+			img := make([]uint64, len(s.Data)/8)
+			for i := range img {
+				img[i] = binary.LittleEndian.Uint64(s.Data[8*i:])
+			}
+			snap.States[path] = img
 		default:
 			extra = append(extra, s)
 			continue

@@ -1,12 +1,14 @@
 package runtime
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"unsafe"
 
 	"cascade/internal/fpga"
+	"cascade/internal/imagetest"
 	"cascade/internal/stdlib"
 	"cascade/internal/vclock"
 	"cascade/internal/workloads/pow"
@@ -83,8 +85,8 @@ always @(posedge clk.val) if (!fifo.empty) sum <= sum + fifo.rdata;`)
 	a.RunTicks(20)
 	b.RunTicks(20)
 	wantSum := uint64(1 + 2 + 3 + 4 + 5 + 6)
-	stA := a.slotOf("main").c.GetState().Scalars["sum"].Uint64()
-	stB := b.slotOf("main").c.GetState().Scalars["sum"].Uint64()
+	stA := imagetest.Of(a.ver.execElabs["main"].Layout(), a.slotOf("main").c.GetState()).Scalar("sum").Uint64()
+	stB := imagetest.Of(b.ver.execElabs["main"].Layout(), b.slotOf("main").c.GetState()).Scalar("sum").Uint64()
 	if stA != wantSum || stB != wantSum {
 		t.Fatalf("sums diverged: a=%d b=%d want %d", stA, stB, wantSum)
 	}
@@ -330,5 +332,50 @@ func TestDecodeSnapshotErrors(t *testing.T) {
 		if _, err := DecodeSnapshot(bad); err == nil {
 			t.Fatalf("DecodeSnapshot(%q) should fail", bad)
 		}
+	}
+}
+
+// TestRestoreRefusesMisfitState: a snapshot DecodeSnapshot accepts can
+// still name state that does not fit the program it carries — a section
+// cut short or grown, or one for a subprogram the program lacks. Restore
+// refuses each before it commits, and the runtime stays usable: the
+// snapshot as taken restores and runs on.
+func TestRestoreRefusesMisfitState(t *testing.T) {
+	a := newTestRuntime(t, Options{Features: Features{DisableJIT: true}})
+	a.MustEval("Memory#(4, 16) mem();\nreg [7:0] n = 0;\nalways @(posedge clk.val) n <= n + 1;\n" +
+		"assign mem.waddr = n[3:0];\nassign mem.wdata = {n, n};\nassign mem.wen = 1;\nassign led.val = n;\n")
+	a.RunTicks(3)
+	a.Step() // the Memory holds a sampled write
+	good := a.Snapshot()
+	misfits := map[string]func(map[string][]uint64){
+		"unknown subprogram": func(s map[string][]uint64) { s["main.nowhere"] = []uint64{1} },
+	}
+	for path := range good.States {
+		misfits[path+" cut short"] = func(s map[string][]uint64) { s[path] = s[path][:len(s[path])-1] }
+		misfits[path+" grown"] = func(s map[string][]uint64) { s[path] = append(s[path], 0) }
+	}
+	b := newTestRuntime(t, Options{Features: Features{DisableJIT: true}})
+	for name, misfit := range misfits {
+		bad := *good
+		bad.States = make(map[string][]uint64, len(good.States))
+		for p, img := range good.States {
+			bad.States[p] = slices.Clone(img)
+		}
+		misfit(bad.States)
+		snap, err := DecodeSnapshot(EncodeSnapshot(&bad))
+		if err != nil {
+			t.Fatalf("%s: the codec refused the snapshot: %v", name, err)
+		}
+		if err := b.Restore(snap); err == nil {
+			t.Fatalf("%s: Restore accepted state that does not fit", name)
+		}
+	}
+	if err := b.Restore(good); err != nil {
+		t.Fatalf("the runtime that refused misfits cannot restore: %v", err)
+	}
+	a.RunTicks(5)
+	b.RunTicks(5)
+	if la, lb := a.World().Led("main.led"), b.World().Led("main.led"); la != lb {
+		t.Fatalf("restored runtime diverged: led %d vs %d", lb, la)
 	}
 }

@@ -150,7 +150,11 @@ func (r *Runtime) failoverRemote() {
 	n := 0
 	for _, s := range r.slots {
 		if s.p != nil && s.p.Tier() == lifecycle.Hosted {
-			r.settle(s.p, s.p.Demote(lifecycle.BreakerTrip, r.committed[s.path]))
+			var seed lifecycle.Seed
+			if img := r.committed[s.path]; img != nil {
+				seed = func(dst []uint64) uint64 { copy(dst, img); return s.p.Flat.Layout().Bus() }
+			}
+			r.settle(s.p, s.p.Demote(lifecycle.BreakerTrip, seed))
 			n++
 		}
 	}

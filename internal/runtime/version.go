@@ -5,10 +5,9 @@ import (
 	"strings"
 	"sync"
 
-	"cascade/internal/bits"
 	"cascade/internal/elab"
 	"cascade/internal/ir"
-	"cascade/internal/sim"
+	"cascade/internal/lifecycle"
 	"cascade/internal/stdlib"
 	"cascade/internal/verilog"
 )
@@ -174,77 +173,101 @@ func ElaborateInlined(src string) (*elab.Flat, error) {
 	return v.execElabs[ir.RootPath], nil
 }
 
-// split un-inlines the merged root's state into one state per flat
-// subprogram, each variable found under its inlined name
-// (ir.SubProgram.MergedNames, the renaming inlining itself applies).
-func (v *version) split(merged *sim.State) map[string]*sim.State {
-	users := v.flat.UserSubs()
-	out := make(map[string]*sim.State, len(users))
-	for _, s := range users {
-		f, names := v.flatElabs[s.Path], s.MergedNames()
-		st := &sim.State{Scalars: make(map[string]*bits.Vector, len(f.Vars)), Arrays: map[string][]*bits.Vector{}}
-		for i, fv := range f.Vars {
-			name := fv.Name
-			if names != nil {
-				name = names[i]
-			}
-			if fv.IsArray() {
-				if ws, ok := merged.Arrays[name]; ok {
-					st.Arrays[fv.Name] = ws
-				}
-			} else if val, ok := merged.Scalars[name]; ok {
-				st.Scalars[fv.Name] = val
-			}
+// State images meet names only here, where a version changes: plans
+// (elab.Plan) carry state across by name, and under the inline renaming.
+
+// layoutOf returns the state layout of flat subprogram path (nil: none).
+func (v *version) layoutOf(path string) *elab.Layout {
+	if f := v.flatElabs[path]; f != nil {
+		return f.Layout()
+	}
+	if s := v.flat.Sub(path); s != nil && s.IsStd {
+		return stdlib.Layout(s.StdType, s.Params)
+	}
+	return nil
+}
+
+// mergePlan plans flat subprogram s's state into the merged root's.
+func (v *version) mergePlan(s *ir.SubProgram) *elab.Plan {
+	l, root := v.layoutOf(s.Path), v.execElabs[ir.RootPath].Layout()
+	if s.IsStd {
+		prefix := ir.PrefixOf(s.Path)
+		return elab.NewPlan(l, root, func(name string) string { return prefix + name })
+	}
+	names := s.MergedNames()
+	return elab.NewPlan(l, root, func(name string) string {
+		if names != nil {
+			return names[l.Index(name)]
 		}
-		out[s.Path] = st
+		return name
+	})
+}
+
+// split un-inlines the merged root's state into one image per flat user
+// subprogram (an empty image into empty ones).
+func (v *version) split(merged []uint64) map[string][]uint64 {
+	users := v.flat.UserSubs()
+	out := make(map[string][]uint64, len(users))
+	for _, s := range users {
+		img := []uint64{}
+		if len(merged) > 0 {
+			img = make([]uint64, v.layoutOf(s.Path).Len())
+			v.mergePlan(s).Back(img, merged)
+		}
+		out[s.Path] = img
 	}
 	return out
 }
 
-// seed is the state a new engine for exec subprogram path starts from,
-// given states saved by flat path: its own, or — for the merged root —
-// every saved state of a subprogram of the design under its inlined
-// names. On a restore saved holds the stdlib components too, so the
-// clock's val lands on the root's clk__val input and the restored engine
-// sees no edge the snapshot did not hold.
-func (v *version) seed(saved map[string]*sim.State, path string) *sim.State {
-	if !v.inlined {
-		return saved[path]
+// seed is what a new engine for exec subprogram path starts from, given
+// the images saved before an eval by exec path in the layouts of version
+// from (v's base), or a restored snapshot's by flat path (from is v). An
+// eval's image is copied onto the new engine's own state by name, billed
+// as the words it held; an empty one (a failed hosted read) carries
+// nothing. The merged root is always seeded.
+func (v *version) seed(saved map[string][]uint64, from *version, path string) lifecycle.Seed {
+	img := saved[path]
+	switch {
+	case from == v && v.inlined:
+		return v.mergeSeed(saved)
+	case img == nil && v.inlined, len(img) == 0 && img != nil:
+		return func([]uint64) uint64 { return 0 }
+	case img == nil:
+		return nil
 	}
-	n := 0
-	for _, st := range saved {
-		n += len(st.Scalars)
+	l := from.execElabs[path].Layout()
+	p := elab.NewPlan(l, v.execElabs[path].Layout(), nil)
+	return func(dst []uint64) uint64 { p.Copy(dst, img); return l.Bus() }
+}
+
+// mergeSeed seeds the merged root from a snapshot's images of every
+// subprogram of the design, under their inlined names in design order:
+// the stdlib components' too, so the clock's val lands on the root's
+// clk__val input and the restored engine sees no edge the snapshot did
+// not hold. The bill is per merged variable, its last writer's words,
+// plus a component's words that name none.
+func (v *version) mergeSeed(saved map[string][]uint64) lifecycle.Seed {
+	return func(dst []uint64) (bus uint64) {
+		bills := make([]uint64, len(v.execElabs[ir.RootPath].Vars))
+		for _, s := range v.flat.Subs {
+			img := saved[s.Path]
+			if len(img) == 0 {
+				continue
+			}
+			p := v.mergePlan(s)
+			p.Copy(dst, img)
+			var named uint64
+			for _, pr := range p.Pairs {
+				bills[pr[1]] = p.From.VarBus(int(pr[0]))
+				named += bills[pr[1]]
+			}
+			if c := stdlib.Carried(s.StdType, p.From, img); s.IsStd && c > named {
+				bus += c - named
+			}
+		}
+		for _, b := range bills {
+			bus += b
+		}
+		return bus
 	}
-	merged := &sim.State{Scalars: make(map[string]*bits.Vector, n), Arrays: map[string][]*bits.Vector{}}
-	for _, s := range v.flat.Subs {
-		st := saved[s.Path]
-		if st == nil {
-			continue
-		}
-		if s.IsStd {
-			prefix := ir.PrefixOf(s.Path)
-			for name, val := range st.Scalars {
-				merged.Scalars[prefix+name] = val
-			}
-			for name, ws := range st.Arrays {
-				merged.Arrays[prefix+name] = ws
-			}
-			continue
-		}
-		names := s.MergedNames()
-		for i, fv := range v.flatElabs[s.Path].Vars {
-			name := fv.Name
-			if names != nil {
-				name = names[i]
-			}
-			if fv.IsArray() {
-				if ws, ok := st.Arrays[fv.Name]; ok {
-					merged.Arrays[name] = ws
-				}
-			} else if val, ok := st.Scalars[fv.Name]; ok {
-				merged.Scalars[name] = val
-			}
-		}
-	}
-	return merged
 }

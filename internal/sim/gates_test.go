@@ -8,6 +8,7 @@ import (
 
 	"cascade/internal/bits"
 	"cascade/internal/golden"
+	"cascade/internal/imagetest"
 	"cascade/internal/workloads/pow"
 	"cascade/internal/workloads/regexgen"
 )
@@ -163,8 +164,8 @@ endmodule`
 	if r, out := huge.val(t, "r"), huge.val(t, "out"); r != 0 || out != 0 {
 		t.Fatalf("r = %#x, out = %#x after dropped writes, want 0", r, out)
 	}
-	for i := 0; i < 4; i++ {
-		if w := huge.s.Word("mem", i); !w.IsZero() {
+	for i, w := range imagetest.Of(huge.s.Flat().Layout(), huge.s.GetState()).Array("mem")[:4] {
+		if !w.IsZero() {
 			t.Fatalf("mem[%d] = %s, want 0", i, w)
 		}
 	}

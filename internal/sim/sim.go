@@ -7,7 +7,8 @@
 // re-evaluates processes lazily, only when something they are sensitive to
 // changes (paper §5.1). It is the execution core of Cascade's software
 // engines and, run standalone without the JIT, the "iVerilog" baseline of
-// the evaluation.
+// the evaluation. Its state crosses engine boundaries as a word image in
+// the Flat's layout (GetState, SetState).
 package sim
 
 import (
@@ -277,15 +278,6 @@ func (s *Simulator) Value(name string) *bits.Vector {
 		return nil
 	}
 	return s.vals[v.Index].Clone()
-}
-
-// Word returns word i of a named memory (nil if unknown).
-func (s *Simulator) Word(name string, i int) *bits.Vector {
-	v := s.flat.VarNamed(name)
-	if v == nil || !v.IsArray() || i < 0 || i >= v.ArrayLen {
-		return nil
-	}
-	return s.arrays[v.Index][i].Clone()
 }
 
 // SetInput drives an input port (the engine ABI read method's core).

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"cascade/internal/bits"
 	"cascade/internal/elab"
+	"cascade/internal/imagetest"
 	"cascade/internal/verilog"
 )
 
@@ -353,7 +356,7 @@ endmodule`)
 	if got := tb.val(t, "rdata"); got != 0x5a {
 		t.Fatalf("rdata=%x, want 5a", got)
 	}
-	if got := tb.s.Word("mem", 2).Uint64(); got != 0x5a {
+	if got := imagetest.Of(tb.s.Flat().Layout(), tb.s.GetState()).Array("mem")[2].Uint64(); got != 0x5a {
 		t.Fatalf("mem[2]=%x", got)
 	}
 }
@@ -374,8 +377,8 @@ endmodule`)
 	if got := s.Value("a").Uint64(); got != 42 {
 		t.Fatalf("a=%d", got)
 	}
-	for i := 0; i < 4; i++ {
-		if got := s.Word("mem", i).Uint64(); got != uint64(i*3) {
+	for i, w := range imagetest.Of(f.Layout(), s.GetState()).Array("mem") {
+		if got := w.Uint64(); got != uint64(i*3) {
 			t.Fatalf("mem[%d]=%d", i, got)
 		}
 	}
@@ -417,9 +420,9 @@ endmodule`
 	// where the first one left off (paper: migration must not reset cnt).
 	f2 := build(t, src)
 	s2 := New(f2, Options{})
-	s2.SetState(st.Clone())
+	s2.SetState(slices.Clone(st))
 	step(s2)
-	if s1.GetState().Signature() != s2.GetState().Signature() {
+	if !slices.Equal(s1.GetState(), s2.GetState()) {
 		t.Fatal("state differs immediately after restore")
 	}
 	for i := 0; i < 5; i++ {
@@ -429,8 +432,8 @@ endmodule`
 			s.SetInputByName("clk", bits.FromUint64(1, 0))
 			step(s)
 		}
-		if s1.GetState().Signature() != s2.GetState().Signature() {
-			t.Fatalf("state diverged at tick %d:\n%s\n%s", i, s1.GetState().Signature(), s2.GetState().Signature())
+		if !slices.Equal(s1.GetState(), s2.GetState()) {
+			t.Fatalf("state diverged at tick %d:\n%s\n%s", i, fmt.Sprint(s1.GetState()), fmt.Sprint(s2.GetState()))
 		}
 	}
 }
@@ -443,7 +446,7 @@ module M(input wire clk);
 endmodule`)
 	s := New(f, Options{})
 	st := s.GetState()
-	st.Scalars["clk"] = bits.FromUint64(1, 1) // restore with clock high
+	imagetest.Of(f.Layout(), st).Set("clk", bits.FromUint64(1, 1)) // restore with clock high
 	s.SetState(st)
 	s.Evaluate()
 	if s.HasUpdates() {

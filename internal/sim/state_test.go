@@ -1,46 +1,22 @@
 package sim
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"testing"
 
 	"cascade/internal/bits"
 	"cascade/internal/vgen"
 )
 
-// fmtEncodeText is the fmt-based state encoder AppendText replaced, kept
-// to pin that the text format did not move by a byte.
-func fmtEncodeText(st *State) string {
-	var keys []string
-	for k := range st.Scalars {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "%s=%s\n", k, st.Scalars[k])
-	}
-	var akeys []string
-	for k := range st.Arrays {
-		akeys = append(akeys, k)
-	}
-	sort.Strings(akeys)
-	for _, k := range akeys {
-		for i, w := range st.Arrays[k] {
-			fmt.Fprintf(&sb, "%s[%d]=%s\n", k, i, w)
-		}
-	}
-	return sb.String()
-}
-
-// TestAppendTextMatchesFmtEncoder runs generated modules for a few ticks
-// and compares their states' encodings, and that they decode back.
-func TestAppendTextMatchesFmtEncoder(t *testing.T) {
+// TestStateImageRoundTrips runs generated modules for a few ticks and
+// installs each one's state image into a fresh simulator of the same
+// module: the image it reads back is the one installed, memories
+// included.
+func TestStateImageRoundTrips(t *testing.T) {
 	arrays := 0
 	for seed := uint64(0); seed < 120; seed++ {
-		s := New(build(t, vgen.Module(seed).String()), Options{})
+		src := vgen.Module(seed).String()
+		s := New(build(t, src), Options{})
 		for tick := uint64(0); tick < 6; tick++ {
 			s.SetInputByName("a", bits.FromUint64(8, seed*31+tick))
 			s.SetInputByName("b", bits.FromUint64(8, seed^tick*7))
@@ -49,15 +25,16 @@ func TestAppendTextMatchesFmtEncoder(t *testing.T) {
 				settleSim(s)
 			}
 		}
-		st := s.GetState()
-		arrays += len(st.Arrays)
-		got, want := string(st.AppendText([]byte("prefix:"))), "prefix:"+fmtEncodeText(st)
-		if got != want {
-			t.Fatalf("seed %d: AppendText differs from the fmt encoder\ngot  %q\nwant %q", seed, got, want)
+		img := s.GetState()
+		for _, v := range s.Flat().Vars {
+			if v.IsArray() {
+				arrays++
+			}
 		}
-		back, err := DecodeStateText(got[len("prefix:"):])
-		if err != nil || back.Signature() != st.Signature() {
-			t.Fatalf("seed %d: encoding does not decode back (%v)", seed, err)
+		back := New(build(t, src), Options{})
+		back.SetState(img)
+		if got := back.GetState(); !slices.Equal(got, img) {
+			t.Fatalf("seed %d: the image does not install back\ngot  %x\nwant %x", seed, got, img)
 		}
 	}
 	if arrays == 0 {

@@ -4,18 +4,23 @@ import (
 	"fmt"
 
 	"cascade/internal/bits"
+	"cascade/internal/elab"
 	"cascade/internal/engine"
-	"cascade/internal/sim"
 )
 
-// base provides the output-broadcast plumbing shared by all stdlib
-// engines. Outputs are addressed by declaration index; bit i of dirty
-// says output i changed since the last drain, so a quiescent component
-// drains in one branch.
+// base provides the output-broadcast plumbing and the state image shared
+// by all stdlib engines. Outputs are addressed by declaration index; bit
+// i of dirty says output i changed since the last drain, so a quiescent
+// component drains in one branch. vars are the state layout's variables
+// — the outputs, then what else the component keeps — and fields what
+// holds each.
 type base struct {
-	path  string
-	outs  []output
-	dirty uint64
+	path   string
+	outs   []output
+	dirty  uint64
+	vars   []*elab.Var
+	fields []any
+	layout *elab.Layout
 }
 
 type output struct {
@@ -25,10 +30,30 @@ type output struct {
 
 func newBase(path string) base { return base{path: path} }
 
-// addOut declares the next output, dirty for the initial broadcast.
+// addOut declares the next output, dirty for the initial broadcast, and
+// the next variable of the state.
 func (b *base) addOut(name string, width int) {
 	b.dirty |= 1 << len(b.outs)
 	b.outs = append(b.outs, output{name, bits.New(width)})
+	b.state(name, width, 0, b.outs[len(b.outs)-1].val)
+}
+
+// state declares the next variable of the component's state — n
+// elements for a memory, 0 for a scalar — and the field holding it: a
+// vector, a memory ([]*bits.Vector) or a word (*uint64, *bool); a
+// nil one the component's own GetState and SetState fill and read.
+func (b *base) state(name string, width, n int, field any) {
+	b.vars = append(b.vars, &elab.Var{Name: name, Index: len(b.vars), Width: max(width, 1), ArrayLen: n})
+	b.fields = append(b.fields, field)
+}
+
+// Layout returns the component's state layout, which its parameters
+// alone fix.
+func (b *base) Layout() *elab.Layout {
+	if b.layout == nil {
+		b.layout = elab.NewLayout(b.vars, nil)
+	}
+	return b.layout
 }
 
 func (b *base) mark(i int, changed bool) {
@@ -77,23 +102,51 @@ func (b *base) Update()               {}
 func (b *base) EndStep()              {}
 func (b *base) End()                  {}
 
-func (b *base) GetState() *sim.State {
-	st := &sim.State{Scalars: map[string]*bits.Vector{}, Arrays: map[string][]*bits.Vector{}}
-	for _, o := range b.outs {
-		st.Scalars[o.name] = o.val.Clone()
-	}
-	return st
-}
-
-func (b *base) SetState(st *sim.State) {
-	for i, o := range b.outs {
-		if v, ok := st.Scalars[o.name]; ok {
-			o.val.CopyFrom(v)
-			// A restored output must be re-broadcast: the consumers may
-			// have seen a different value in the meantime.
-			b.mark(i, true)
+// GetState implements engine.Engine: a fresh image of the state.
+func (b *base) GetState() []uint64 {
+	l := b.Layout()
+	img := make([]uint64, l.Len())
+	for i, f := range b.fields {
+		w := l.Of(img, i)
+		switch f := f.(type) {
+		case *bits.Vector:
+			copy(w, f.Words())
+		case []*bits.Vector:
+			for _, e := range f {
+				w = w[copy(w, e.Words()):]
+			}
+		case *uint64:
+			w[0] = *f
+		case *bool:
+			w[0] = b2u(*f)
 		}
 	}
+	return img
+}
+
+// SetState implements engine.Engine, each value truncated to its width.
+// Restored outputs are re-broadcast: the consumers may have seen
+// different values in the meantime.
+func (b *base) SetState(img []uint64) {
+	l := b.Layout()
+	for i, f := range b.fields {
+		v, w := l.Vars[i], l.Of(img, i)
+		switch f := f.(type) {
+		case *bits.Vector:
+			src := bits.Wrap(v.Width, w)
+			f.CopyFrom(&src)
+		case []*bits.Vector:
+			for n := bits.WordsFor(v.Width); len(f) > 0; w, f = w[n:], f[1:] {
+				src := bits.Wrap(v.Width, w[:n])
+				f[0].CopyFrom(&src)
+			}
+		case *uint64:
+			*f = w[0]
+		case *bool:
+			*f = w[0] != 0
+		}
+	}
+	b.dirty = 1<<len(b.outs) - 1
 }
 
 // Clock is the standard global clock. It reports an update every
@@ -133,12 +186,11 @@ func (c *Clock) Val() uint64 { return c.outs[0].val.Uint64() }
 type Pad struct {
 	base
 	world *World
-	width int
 }
 
 // NewPad returns a pad engine of the given width.
 func NewPad(path string, width int, w *World) *Pad {
-	p := &Pad{base: newBase(path), world: w, width: width}
+	p := &Pad{base: newBase(path), world: w}
 	p.addOut("val", width)
 	return p
 }
@@ -160,9 +212,7 @@ func NewReset(path string, w *World) *Reset {
 }
 
 // EndStep samples the reset line.
-func (r *Reset) EndStep() {
-	r.setOutU(0, b2u(r.world.reset(r.path)))
-}
+func (r *Reset) EndStep() { r.setOutU(0, r.world.input(InputReset, r.path)) }
 
 // Led is a bank of N LEDs whose value is observable on the World.
 type Led struct {
@@ -174,6 +224,7 @@ type Led struct {
 // NewLed returns an LED engine of the given width.
 func NewLed(path string, width int, w *World) *Led {
 	l := &Led{base: newBase(path), world: w, val: bits.New(width)}
+	l.state("val", width, 0, l.val)
 	return l
 }
 
@@ -183,21 +234,14 @@ func (l *Led) Read(ev engine.Event) {
 		return
 	}
 	if l.val.CopyFrom(ev.Val) {
-		l.world.setLed(l.path, l.val)
+		l.world.drivePins(l.path, l.val, true)
 	}
 }
 
-// GetState exposes the driven value.
-func (l *Led) GetState() *sim.State {
-	return &sim.State{Scalars: map[string]*bits.Vector{"val": l.val.Clone()}}
-}
-
-// SetState restores the driven value.
-func (l *Led) SetState(st *sim.State) {
-	if v, ok := st.Scalars["val"]; ok {
-		l.val.CopyFrom(v)
-		l.world.setLed(l.path, l.val)
-	}
+// SetState implements engine.Engine: the restored value is driven.
+func (l *Led) SetState(img []uint64) {
+	l.base.SetState(img)
+	l.world.drivePins(l.path, l.val, true)
 }
 
 // GPIO is a general-purpose IO bank of N pins in each direction: the
@@ -213,6 +257,7 @@ type GPIO struct {
 func NewGPIO(path string, width int, w *World) *GPIO {
 	g := &GPIO{base: newBase(path), world: w, out: bits.New(width)}
 	g.addOut("in", width)
+	g.state("out", width, 0, g.out)
 	return g
 }
 
@@ -222,27 +267,18 @@ func (g *GPIO) Read(ev engine.Event) {
 		return
 	}
 	if g.out.CopyFrom(ev.Val) {
-		g.world.setGPIO(g.path, g.out)
+		g.world.drivePins(g.path, g.out, false)
 	}
 }
 
 // EndStep samples the host-driven input pins.
-func (g *GPIO) EndStep() { g.setOutU(0, g.world.gpioInVal(g.path)) }
+func (g *GPIO) EndStep() { g.setOutU(0, g.world.input(InputGPIO, g.path)) }
 
-// GetState exposes both directions.
-func (g *GPIO) GetState() *sim.State {
-	st := g.base.GetState()
-	st.Scalars["out"] = g.out.Clone()
-	return st
-}
-
-// SetState restores both directions.
-func (g *GPIO) SetState(st *sim.State) {
-	g.base.SetState(st)
-	if v, ok := st.Scalars["out"]; ok {
-		g.out.CopyFrom(v)
-		g.world.setGPIO(g.path, g.out)
-	}
+// SetState implements engine.Engine: the restored output pins are
+// driven.
+func (g *GPIO) SetState(img []uint64) {
+	g.base.SetState(img)
+	g.world.drivePins(g.path, g.out, false)
 }
 
 // Memory is a simple synchronous-write, combinational-read RAM:
@@ -251,29 +287,36 @@ func (g *GPIO) SetState(st *sim.State) {
 // rising edge.
 type Memory struct {
 	base
-	abits, width int
 	words        []*bits.Vector
 	raddr, waddr uint64
 	wdata        *bits.Vector
 	wen          bool
 	evalPending  bool
-	phase        int  // EndStep parity (even = rising-edge steps)
-	sampled      bool // a write was sampled at the last rising edge
-	sWaddr       uint64
-	sWdata       *bits.Vector
-	latched      bool // per-step one-shot
+	phase        uint64       // EndStep parity (even = rising-edge steps)
+	sampled      bool         // a write was sampled at the last rising edge
+	sWaddr       uint64       // the sampled write, zero once committed
+	sWdata       *bits.Vector //
+	latched      bool         // per-step one-shot
 }
 
 // NewMemory returns a memory engine with 2^abits words of the given
-// width.
+// width. Its state is the contents, the read port, the clock-phase parity
+// and any in-flight sampled write (so a migration between time steps is
+// exact).
 func NewMemory(path string, abits, width int) *Memory {
 	n := 1 << abits
-	m := &Memory{base: newBase(path), abits: abits, width: width, wdata: bits.New(width)}
+	m := &Memory{base: newBase(path), wdata: bits.New(width), sWdata: bits.New(width)}
 	m.words = make([]*bits.Vector, n)
 	for i := range m.words {
 		m.words[i] = bits.New(width)
 	}
 	m.addOut("rdata", width)
+	m.state("words", width, n, m.words)
+	m.state("raddr", 64, 0, &m.raddr)
+	m.state("_phase", 8, 0, &m.phase)
+	m.state("#sampled", 1, 0, &m.sampled)
+	m.state("_swaddr", 64, 0, &m.sWaddr)
+	m.state("_swdata", width, 0, m.sWdata)
 	return m
 }
 
@@ -298,7 +341,7 @@ func (m *Memory) ThereAreEvals() bool { return m.evalPending }
 // Evaluate refreshes the combinational read port.
 func (m *Memory) Evaluate() {
 	m.evalPending = false
-	if int(m.raddr) < len(m.words) {
+	if m.raddr < uint64(len(m.words)) {
 		m.setOut(0, m.words[m.raddr])
 	} else {
 		m.setOutU(0, 0)
@@ -329,62 +372,28 @@ func (m *Memory) Update() {
 	if m.phase%2 == 0 {
 		m.sampled = true
 		m.sWaddr = m.waddr
-		m.sWdata = m.wdata.Clone()
+		m.sWdata.CopyFrom(m.wdata)
 		return
 	}
 	m.sampled = false
-	if int(m.sWaddr) < len(m.words) {
+	if m.sWaddr < uint64(len(m.words)) {
 		if m.words[m.sWaddr].CopyFrom(m.sWdata) && m.sWaddr == m.raddr {
 			m.evalPending = true
 		}
 	}
+	m.sWaddr = 0
+	m.sWdata.SetUint64(0)
 }
 
 // EndStep advances the tick-parity counter and re-arms the port.
 func (m *Memory) EndStep() {
-	m.phase++
+	m.phase ^= 1
 	m.latched = false
 }
 
-// GetState snapshots the memory contents, ports, clock-phase parity,
-// and any in-flight sampled write (so a migration between time steps is
-// exact).
-func (m *Memory) GetState() *sim.State {
-	st := m.base.GetState()
-	words := make([]*bits.Vector, len(m.words))
-	for i, w := range m.words {
-		words[i] = w.Clone()
-	}
-	st.Arrays = map[string][]*bits.Vector{"words": words}
-	st.Scalars["raddr"] = bits.FromUint64(64, m.raddr)
-	st.Scalars["_phase"] = bits.FromUint64(8, uint64(m.phase&1))
-	if m.sampled {
-		st.Scalars["_swaddr"] = bits.FromUint64(64, m.sWaddr)
-		st.Scalars["_swdata"] = m.sWdata.Clone()
-	}
-	return st
-}
-
-// SetState restores memory contents and in-flight write state.
-func (m *Memory) SetState(st *sim.State) {
-	m.base.SetState(st)
-	if words, ok := st.Arrays["words"]; ok {
-		for i := 0; i < len(words) && i < len(m.words); i++ {
-			m.words[i].CopyFrom(words[i])
-		}
-	}
-	if v, ok := st.Scalars["raddr"]; ok {
-		m.raddr = v.Uint64()
-	}
-	if v, ok := st.Scalars["_phase"]; ok {
-		m.phase = int(v.Uint64()) & 1
-	}
-	m.sampled = false
-	if v, ok := st.Scalars["_swaddr"]; ok {
-		m.sampled = true
-		m.sWaddr = v.Uint64()
-		m.sWdata = st.Scalars["_swdata"].Clone().Resize(m.width)
-	}
+// SetState implements engine.Engine: the read port is refreshed.
+func (m *Memory) SetState(img []uint64) {
+	m.base.SetState(img)
 	m.evalPending = true
 }
 
@@ -399,27 +408,39 @@ type FIFO struct {
 	q            []uint64 // host words are at most 64 bits wide
 	rreq, wreq   bool
 	wdata        *bits.Vector
-	phase        int
+	phase        uint64
 	latched      bool // per-step one-shot
 	popSampled   bool
-	pushSampled  *bits.Vector // captured wdata, nil if none
+	pushed       bool         // a push was sampled
+	pushData     *bits.Vector // the sampled push, zero once applied
 	stream       *Stream
 	transfers    uint64 // words moved across the host boundary
 }
 
-// FIFO output indices, in declaration order.
+// FIFO output indices, in declaration order, and the queue's in its
+// layout (after its count word).
 const (
 	fifoRdata = iota
 	fifoEmpty
 	fifoFull
+	fifoQ = iota + 1
 )
 
-// NewFIFO returns a FIFO engine.
+// NewFIFO returns a FIFO engine. Its state is the queue (a count word,
+// then depth words), the clock-phase parity, and any in-flight sampled
+// pop or push, making between-step migrations exact.
 func NewFIFO(path string, width, depth int, w *World) *FIFO {
-	f := &FIFO{base: newBase(path), width: width, depth: depth, wdata: bits.New(width), stream: w.Stream(path)}
+	f := &FIFO{base: newBase(path), width: width, depth: depth,
+		wdata: bits.New(width), pushData: bits.New(width), stream: w.Stream(path)}
 	f.addOut("rdata", width)
 	f.addOut("empty", 1)
 	f.addOut("full", 1)
+	f.state("#n", 64, 0, nil)
+	f.state("q", width, max(depth, 1), nil)
+	f.state("_phase", 8, 0, &f.phase)
+	f.state("_pop", 1, 0, &f.popSampled)
+	f.state("#pushed", 1, 0, &f.pushed)
+	f.state("_push", width, 0, f.pushData)
 	f.setOutU(fifoEmpty, 1)
 	return f
 }
@@ -448,7 +469,7 @@ func (f *FIFO) ThereAreUpdates() bool {
 	if f.phase%2 == 0 {
 		return (f.rreq && len(f.q) > 0) || f.wreq
 	}
-	return f.popSampled || f.pushSampled != nil
+	return f.popSampled || f.pushed
 }
 
 // Update samples (rising) or applies (falling) one pop and/or push.
@@ -461,7 +482,8 @@ func (f *FIFO) Update() {
 		f.popSampled = f.rreq && len(f.q) > 0
 		if f.wreq {
 			// wreq is a level: one word per tick while held high.
-			f.pushSampled = f.wdata.Clone()
+			f.pushed = true
+			f.pushData.CopyFrom(f.wdata)
 		}
 		return
 	}
@@ -469,10 +491,11 @@ func (f *FIFO) Update() {
 		f.q = f.q[1:]
 		f.popSampled = false
 	}
-	if f.pushSampled != nil {
-		f.stream.put(f.pushSampled.Uint64())
+	if f.pushed {
+		f.stream.put(f.pushData.Uint64())
 		f.transfers++
-		f.pushSampled = nil
+		f.pushed = false
+		f.pushData.SetUint64(0)
 	}
 	f.refreshOutputs()
 }
@@ -480,7 +503,7 @@ func (f *FIFO) Update() {
 // EndStep refills from the host stream (respecting depth) and advances
 // the parity counter.
 func (f *FIFO) EndStep() {
-	f.phase++
+	f.phase ^= 1
 	f.latched = false
 	if room := f.depth - len(f.q); room > 0 {
 		had := len(f.q)
@@ -510,44 +533,24 @@ func (f *FIFO) TransfersDelta() uint64 {
 	return d
 }
 
-// GetState snapshots the queue, the clock-phase parity, and any
-// in-flight sampled pop/push, making between-step migrations exact.
-func (f *FIFO) GetState() *sim.State {
-	st := f.base.GetState()
-	words := make([]*bits.Vector, len(f.q))
+// GetState implements engine.Engine, adding the queue.
+func (f *FIFO) GetState() []uint64 {
+	img := f.base.GetState()
+	q, n := f.layout.Of(img, fifoQ), bits.WordsFor(f.width)
+	f.layout.Of(img, fifoQ-1)[0] = uint64(len(f.q))
 	for i, w := range f.q {
-		words[i] = bits.FromUint64(f.width, w)
+		q[i*n] = w
 	}
-	st.Arrays = map[string][]*bits.Vector{"q": words}
-	st.Scalars["_phase"] = bits.FromUint64(8, uint64(f.phase&1))
-	if f.popSampled {
-		st.Scalars["_pop"] = bits.FromUint64(1, 1)
-	}
-	if f.pushSampled != nil {
-		st.Scalars["_push"] = f.pushSampled.Clone()
-	}
-	return st
+	return img
 }
 
-// SetState restores the queue and in-flight state.
-func (f *FIFO) SetState(st *sim.State) {
-	f.base.SetState(st)
-	if words, ok := st.Arrays["q"]; ok {
-		f.q = nil
-		for _, w := range words {
-			f.q = append(f.q, w.Uint64())
-		}
-	}
-	if v, ok := st.Scalars["_phase"]; ok {
-		f.phase = int(v.Uint64()) & 1
-	}
-	f.popSampled = false
-	if v, ok := st.Scalars["_pop"]; ok && v.Bool() {
-		f.popSampled = true
-	}
-	f.pushSampled = nil
-	if v, ok := st.Scalars["_push"]; ok {
-		f.pushSampled = v.Clone().Resize(f.width)
+// SetState implements engine.Engine, restoring the queue up to its depth.
+func (f *FIFO) SetState(img []uint64) {
+	f.base.SetState(img)
+	q, n := f.layout.Of(img, fifoQ), bits.WordsFor(f.width)
+	f.q = f.q[:0]
+	for i := range min(f.layout.Of(img, fifoQ-1)[0], uint64(f.depth)) {
+		f.q = append(f.q, q[int(i)*n])
 	}
 	f.refreshOutputs()
 }
@@ -584,4 +587,43 @@ func New(path, typ string, params map[string]*bits.Vector, w *World) (engine.Eng
 		return NewFIFO(path, getInt("W", 8), getInt("D", 256), w), nil
 	}
 	return nil, fmt.Errorf("stdlib: unknown component %s", typ)
+}
+
+// Layout returns the state layout of a component of type typ with
+// resolved parameters params (nil for an unknown type): its outputs, under
+// their port names (a merged root reads them under ir.PrefixOf's), then
+// what else it keeps, presence and count words named as no Verilog
+// variable can be.
+func Layout(typ string, params map[string]*bits.Vector) *elab.Layout {
+	e, err := New("", typ, params, NewWorld())
+	if err != nil {
+		return nil
+	}
+	return e.(interface{ Layout() *elab.Layout }).Layout()
+}
+
+// Carried is the bus words an image of a component's state carries:
+// every variable, except that a FIFO's queue carries only the words its
+// count holds, an in-flight write or push and a sampled pop only while
+// there is one, and presence and count words none.
+func Carried(typ string, l *elab.Layout, img []uint64) uint64 {
+	bus := l.Bus()
+	unset := func(name string) bool { return l.Of(img, l.Index(name))[0] == 0 }
+	drop := func(when bool, names ...string) {
+		for _, name := range names {
+			bus -= l.VarBus(l.Index(name)) * b2u(when)
+		}
+	}
+	switch typ {
+	case "Memory":
+		drop(true, "#sampled")
+		drop(unset("#sampled"), "_swaddr", "_swdata")
+	case "FIFO":
+		drop(true, "#n", "#pushed")
+		drop(unset("_pop"), "_pop")
+		drop(unset("#pushed"), "_push")
+		q := l.Vars[fifoQ]
+		bus -= (uint64(q.ArrayLen) - min(l.Of(img, fifoQ-1)[0], uint64(q.ArrayLen))) * uint64((q.Width+31)/32)
+	}
+	return bus
 }

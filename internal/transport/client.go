@@ -1,14 +1,15 @@
 package transport
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 
 	"cascade/internal/bits"
+	"cascade/internal/elab"
 	"cascade/internal/engine"
 	"cascade/internal/obsv"
 	"cascade/internal/proto"
-	"cascade/internal/sim"
 )
 
 // Client presents a Transport-backed engine to the runtime: it
@@ -27,14 +28,16 @@ import (
 // retry budget) latches, and so does an engine-level one — a reply whose
 // Err is set on anything but a spawn, which is how a daemon says it no
 // longer holds the engine (ErrEngineLost). The engine goes inert — polls
-// answer false, drains answer nothing, GetState returns an empty
-// snapshot — and the error is reported once through onErr. This is
+// answer false, drains answer nothing, GetState returns no words — and the
+// error is reported once through onErr; so is, as ErrEngineLost, a state
+// image that does not fit the engine's layout. This is
 // deliberate degradation, mirroring the hardware fault path: the program
 // limps rather than the runtime crashing mid-step.
 type Client struct {
 	t      Transport
 	id     uint32
 	name   string
+	layout *elab.Layout // the hosted engine's state layout (SpawnSpec.Layout)
 	io     engine.IOHandler
 	onErr  func(error)
 	nowFn  func() uint64
@@ -107,6 +110,9 @@ type SpawnSpec struct {
 	Eager   bool   // naive re-evaluation ablation
 	JIT     bool   // let the host promote to its own fabric
 	Session uint32 // owning daemon session (0: the legacy shared fabric)
+	// Layout is the engine's state layout, Source's elaboration's: what
+	// state transfers fit and bill by (none without it).
+	Layout *elab.Layout
 }
 
 // Spawn instantiates a subprogram on the host behind t and returns its
@@ -124,6 +130,7 @@ func spawn(t Transport, l *Link, spec SpawnSpec, io engine.IOHandler, now, vnow 
 		t:      t,
 		link:   l,
 		name:   spec.Path,
+		layout: spec.Layout,
 		io:     io,
 		onErr:  onErr,
 		nowFn:  now,
@@ -271,11 +278,12 @@ func (c *Client) call(kind proto.Kind, build func(*proto.Request)) *proto.Reply 
 	// additionally cost one message per 32-bit word, matching the
 	// hardware engines' shadow-register access model.
 	c.pending.Msgs += 1 + cost.Retries
-	switch kind {
-	case proto.KindGetState:
-		c.pending.Msgs += c.rep.State.Words()
-	case proto.KindSetState:
-		c.pending.Msgs += c.req.State.Words()
+	if kind == proto.KindGetState {
+		if c.layout == nil || len(c.rep.State) != c.layout.Len() {
+			c.fail(lostError(c.name, fmt.Sprintf("state image of %d words does not fit the engine's layout", len(c.rep.State))))
+			return nil
+		}
+		c.pending.Msgs += c.layout.Bus()
 	}
 	return &c.rep
 }
@@ -368,27 +376,42 @@ func (c *Client) remoteLoc() engine.Location {
 	return c.loc
 }
 
-// GetState implements engine.Engine.
-func (c *Client) GetState() *sim.State {
+// GetState implements engine.Engine, billed one message per 32-bit word
+// of the layout; a latched error answers no words.
+func (c *Client) GetState() []uint64 {
 	if c.local != nil {
 		c.fastRT++
 		return c.local.GetState()
 	}
-	rep := c.call(proto.KindGetState, nil)
-	if rep == nil || rep.State == nil {
-		return &sim.State{Scalars: map[string]*bits.Vector{}, Arrays: map[string][]*bits.Vector{}}
+	if rep := c.call(proto.KindGetState, nil); rep != nil {
+		return rep.State
 	}
-	return rep.State
+	return []uint64{}
 }
 
-// SetState implements engine.Engine.
-func (c *Client) SetState(st *sim.State) {
+// SetState implements engine.Engine, billed like GetState.
+func (c *Client) SetState(img []uint64) {
+	var bus uint64
+	if c.layout != nil {
+		bus = c.layout.Bus()
+	}
+	c.SetStateBus(img, bus)
+}
+
+// SetStateBus is SetState for a seed that bills bus words rather than
+// the layout's: a state carried over from another version of the
+// program bills what that version's state held (lifecycle.Seed).
+func (c *Client) SetStateBus(img []uint64, bus uint64) {
 	if c.local != nil {
 		c.fastRT++
-		c.local.SetState(st)
+		c.local.SetState(img)
 		return
 	}
-	c.call(proto.KindSetState, func(req *proto.Request) { req.State = st })
+	if c.call(proto.KindSetState, func(req *proto.Request) { req.State = img }) != nil {
+		c.mu.Lock()
+		c.pending.Msgs += bus
+		c.mu.Unlock()
+	}
 }
 
 // Read implements engine.Engine.

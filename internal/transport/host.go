@@ -255,6 +255,10 @@ func (h *Host) Handle(req *proto.Request, rep *proto.Reply) {
 	case proto.KindGetState:
 		rep.State = e.GetState()
 	case proto.KindSetState:
+		if n := hd.p.Flat.Layout().Len(); req.State != nil && len(req.State) != n {
+			rep.Err = fmt.Sprintf("state image of %d words for a layout of %d", len(req.State), n)
+			return
+		}
 		if req.State != nil {
 			e.SetState(req.State)
 			h.journalReq(req, 0)

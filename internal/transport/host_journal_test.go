@@ -5,11 +5,13 @@ import (
 	"path/filepath"
 	"testing"
 
+	"cascade/internal/bits"
+	"cascade/internal/imagetest"
+	"cascade/internal/persist"
 	"cascade/internal/proto"
-	"cascade/internal/sim"
 )
 
-func encState(st *sim.State) []byte {
+func encState(st []uint64) []byte {
 	return proto.EncodeRequest(nil, &proto.Request{Kind: proto.KindSetState, State: st})
 }
 
@@ -77,7 +79,7 @@ func TestHostJournalReplaySpawnAndState(t *testing.T) {
 	// as a client SetState (the journaled mutation).
 	h1.Handle(&proto.Request{Kind: proto.KindGetState, Engine: id}, &rep)
 	st := rep.State
-	st.Scalars["n"].SetUint64(42)
+	imagetest.Of(ctrLayout, st).Set("n", bits.FromUint64(8, 42))
 	h1.Handle(&proto.Request{Kind: proto.KindSetState, Engine: id, State: st}, &rep)
 	if rep.Err != "" {
 		t.Fatalf("set state: %s", rep.Err)
@@ -107,5 +109,56 @@ func TestHostJournalReplaySpawnAndState(t *testing.T) {
 	}
 	if rep.Engine == id {
 		t.Fatalf("post-replay spawn reused live engine ID %d", id)
+	}
+}
+
+// TestHostJournalReplaysStateImage: a SetState record journals the
+// request as the protocol encodes it — the image, under protocol
+// version 6 — and replays onto the respawned engine; a record an older
+// protocol wrote (version 5, state as named values) no longer decodes
+// and is skipped, the records after it still replayed.
+func TestHostJournalReplaysStateImage(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "sessions.journal")
+	h1 := NewHost(HostOptions{DisableJIT: true})
+	if _, _, err := h1.EnableJournal(jpath); err != nil {
+		t.Fatal(err)
+	}
+	var rep proto.Reply
+	h1.Handle(&proto.Request{Kind: proto.KindSpawn, Path: "main.c", Source: ctrSrc}, &rep)
+	id := rep.Engine
+	img := make([]uint64, ctrLayout.Len())
+	imagetest.Of(ctrLayout, img).Set("n", bits.FromUint64(8, 99))
+	h1.Handle(&proto.Request{Kind: proto.KindSetState, Engine: id, State: img}, &rep)
+	if rep.Err != "" {
+		t.Fatalf("set state: %s", rep.Err)
+	}
+	// SIGKILL. A record of the older protocol lands before the next start.
+	jr, recs, err := persist.OpenJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := recs[len(recs)-1].Data; proto.Version != 6 || last[0] != proto.Version || last[1] != byte(proto.KindSetState) {
+		t.Fatalf("the SetState record is not a version 6 SetState request: % x", last[:2])
+	}
+	old := append([]byte{5}, recs[len(recs)-1].Data[1:]...)
+	if _, err := proto.DecodeRequest(old); err == nil {
+		t.Fatal("a version 5 record decodes")
+	}
+	imagetest.Of(ctrLayout, img).Set("n", bits.FromUint64(8, 77))
+	again := proto.EncodeRequest(nil, &proto.Request{Kind: proto.KindSetState, Engine: id, State: img})
+	for _, data := range [][]byte{old, again} {
+		if err := jr.Append(jr.LastSeq()+1, hostJournalRequest, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jr.Close()
+
+	h2 := NewHost(HostOptions{DisableJIT: true})
+	if _, engines, err := h2.EnableJournal(jpath); err != nil || engines != 1 {
+		t.Fatalf("resumed %d engines (%v), want 1", engines, err)
+	}
+	h2.Handle(&proto.Request{Kind: proto.KindGetState, Engine: id}, &rep)
+	if got := imagetest.Of(ctrLayout, rep.State).Scalar("n").Uint64(); rep.Err != "" || got != 77 {
+		t.Fatalf("replayed n = %d (%s), want the last journaled 77", got, rep.Err)
 	}
 }

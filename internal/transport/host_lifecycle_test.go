@@ -52,7 +52,7 @@ func TestHostRetriesTransientProgrammingFault(t *testing.T) {
 	tcpT := faultyHost(t, fault.Config{Seed: 1, RegionFault: 1, MaxRegionFaults: 1})
 	var vnow uint64
 	rec := &recorder{}
-	c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, JIT: true}, rec,
+	c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, Layout: ctrLayout, JIT: true}, rec,
 		nil, func() uint64 { return vnow }, rec.onErr)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestHostReportsFailedPromotions(t *testing.T) {
 			rec := &recorder{}
 			var last *Client
 			for i := 0; i < tc.engines; i++ {
-				last, err = Spawn(tcpT, SpawnSpec{Path: fmt.Sprintf("main.c%d", i), Source: ctrSrc, JIT: true}, rec,
+				last, err = Spawn(tcpT, SpawnSpec{Path: fmt.Sprintf("main.c%d", i), Source: ctrSrc, Layout: ctrLayout, JIT: true}, rec,
 					nil, func() uint64 { return vnow }, rec.onErr)
 				if err != nil {
 					t.Fatal(err)
@@ -132,7 +132,7 @@ func TestHostEvictionKeepsEagerFlag(t *testing.T) {
 	var vnow uint64
 	rec := &recorder{}
 	spawn := func(eager, jit bool) *Client {
-		c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, Eager: eager, JIT: jit}, rec,
+		c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, Layout: ctrLayout, Eager: eager, JIT: jit}, rec,
 			nil, func() uint64 { return vnow }, rec.onErr)
 		if err != nil {
 			t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"cascade/internal/engine"
 	"cascade/internal/engine/sweng"
 	"cascade/internal/fpga"
+	"cascade/internal/imagetest"
 	"cascade/internal/proto"
 	"cascade/internal/toolchain"
 )
@@ -112,7 +113,7 @@ func TestLinkRoundsMatchCalls(t *testing.T) {
 	recBare := &recorder{}
 	bare := sweng.New(elaborateCtr(t, "main.c"), recBare, nil, false)
 	traceBare := driveSteps(bare, ticks)
-	sigBare := bare.GetState().Signature()
+	sigBare := fmt.Sprint(bare.GetState())
 
 	_, addr := loopbackHost(t, HostOptions{DisableJIT: true})
 	loneT, err := DialTCP(addr, TCPOptions{})
@@ -120,7 +121,7 @@ func TestLinkRoundsMatchCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loneT.Close()
-	lone, err := Spawn(loneT, SpawnSpec{Path: "main.c", Source: ctrSrc}, &recorder{}, nil, nil, nil)
+	lone, err := Spawn(loneT, SpawnSpec{Path: "main.c", Source: ctrSrc, Layout: ctrLayout}, &recorder{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestLinkRoundsMatchCalls(t *testing.T) {
 	recs := []*recorder{{}, {}, {}}
 	var cs []*Client
 	for i, rec := range recs {
-		c, err := l.Spawn(SpawnSpec{Path: fmt.Sprintf("main.c%d", i), Source: ctrSrc}, rec, rec.onErr)
+		c, err := l.Spawn(SpawnSpec{Path: fmt.Sprintf("main.c%d", i), Source: ctrSrc, Layout: ctrLayout}, rec, rec.onErr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +157,7 @@ func TestLinkRoundsMatchCalls(t *testing.T) {
 		if bill := c.UsageDelta(); bill != billLone || bill.Msgs == 0 || bill.Ops == 0 {
 			t.Errorf("client %d billed %+v by the round, %+v call by call", k, bill, billLone)
 		}
-		if sig := c.GetState().Signature(); sig != sigBare {
+		if sig := fmt.Sprint(c.GetState()); sig != sigBare {
 			t.Errorf("client %d state diverges:\nbare  %s\nround %s", k, sigBare, sig)
 		}
 		if len(recs[k].errs) != 0 {
@@ -196,11 +197,11 @@ func TestLinkLoneCallFlushesQueue(t *testing.T) {
 	defer tcpT.Close()
 	counted := &kindCount{Transport: tcpT, frames: map[proto.Kind]int{}}
 	l := NewLink(counted, nil, nil)
-	a, err := l.Spawn(SpawnSpec{Path: "main.a", Source: ctrSrc}, nil, nil)
+	a, err := l.Spawn(SpawnSpec{Path: "main.a", Source: ctrSrc, Layout: ctrLayout}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := l.Spawn(SpawnSpec{Path: "main.b", Source: ctrSrc}, nil, nil)
+	b, err := l.Spawn(SpawnSpec{Path: "main.b", Source: ctrSrc, Layout: ctrLayout}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestLinkLoneCallFlushesQueue(t *testing.T) {
 		t.Fatalf("reads not queued: %v %v, %d frames", a.Queued(), b.Queued(), counted.frames[proto.KindRound])
 	}
 	// The lone call is on a; b's input was queued behind a's and goes too.
-	if got := a.GetState().Scalars["clk"]; got == nil || got.Uint64() != 1 {
+	if got := imagetest.Of(ctrLayout, a.GetState()).Scalar("clk"); got == nil || got.Uint64() != 1 {
 		t.Errorf("GetState did not see the input queued before it: clk=%v", got)
 	}
 	if a.Queued() || b.Queued() || counted.frames[proto.KindRound] != 1 {
@@ -246,7 +247,7 @@ func TestLinkEndStepStopsBehindSwap(t *testing.T) {
 	l := NewLink(tcpT, nil, func() uint64 { return vnow })
 	var cs []*Client
 	for i := 0; i < 3; i++ {
-		c, err := l.Spawn(SpawnSpec{Path: fmt.Sprintf("main.c%d", i), Source: ctrSrc, JIT: true}, &recorder{}, nil)
+		c, err := l.Spawn(SpawnSpec{Path: fmt.Sprintf("main.c%d", i), Source: ctrSrc, Layout: ctrLayout, JIT: true}, &recorder{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +346,7 @@ func TestLostEngineLatches(t *testing.T) {
 	}
 
 	rec := &recorder{}
-	lone, err := Spawn(tcpT, SpawnSpec{Path: "main.lone", Source: ctrSrc}, rec, nil, nil, rec.onErr)
+	lone, err := Spawn(tcpT, SpawnSpec{Path: "main.lone", Source: ctrSrc, Layout: ctrLayout}, rec, nil, nil, rec.onErr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,11 +355,11 @@ func TestLostEngineLatches(t *testing.T) {
 
 	l := NewLink(tcpT, nil, nil)
 	recA, recB := &recorder{}, &recorder{}
-	a, err := l.Spawn(SpawnSpec{Path: "main.a", Source: ctrSrc}, recA, recA.onErr)
+	a, err := l.Spawn(SpawnSpec{Path: "main.a", Source: ctrSrc, Layout: ctrLayout}, recA, recA.onErr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := l.Spawn(SpawnSpec{Path: "main.b", Source: ctrSrc}, recB, recB.onErr)
+	b, err := l.Spawn(SpawnSpec{Path: "main.b", Source: ctrSrc, Layout: ctrLayout}, recB, recB.onErr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +407,7 @@ func TestLinkEndsOwedBeforeSpawn(t *testing.T) {
 	l := NewLink(wire, nil, nil)
 	spawn := func(path string) *Client {
 		t.Helper()
-		c, err := l.Spawn(SpawnSpec{Path: path, Source: ctrSrc}, nil, nil)
+		c, err := l.Spawn(SpawnSpec{Path: path, Source: ctrSrc, Layout: ctrLayout}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

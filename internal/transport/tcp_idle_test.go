@@ -27,7 +27,7 @@ func TestTCPDeadlineClearedAfterIdle(t *testing.T) {
 	}
 	defer tcpT.Close()
 	rec := &recorder{}
-	c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc}, rec, nil, nil, rec.onErr)
+	c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, Layout: ctrLayout}, rec, nil, nil, rec.onErr)
 	if err != nil {
 		t.Fatal(err)
 	}

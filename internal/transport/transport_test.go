@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -70,6 +71,17 @@ func (r *recorder) output() string {
 	return r.out.String()
 }
 
+// ctrLayout is the state layout of a spawned Ctr: what its clients'
+// state transfers fit and bill by.
+var ctrLayout = func() *elab.Layout {
+	st, _ := verilog.ParseSourceText(ctrSrc)
+	f, err := elab.Elaborate(st.Modules[0], "main.c", nil)
+	if err != nil {
+		panic(err)
+	}
+	return f.Layout()
+}()
+
 func elaborateCtr(t testing.TB, path string) *elab.Flat {
 	t.Helper()
 	st, errs := verilog.ParseSourceText(ctrSrc)
@@ -102,7 +114,7 @@ func drive(e engine.Engine, ticks int) (trace string, sig string) {
 			fmt.Fprintf(&sb, "%d:%s=%s;", i, ev.Var, ev.Val)
 		}
 	}
-	return sb.String(), e.GetState().Signature()
+	return sb.String(), fmt.Sprint(e.GetState())
 }
 
 func boolVec(v uint64) *bits.Vector { return bits.FromUint64(1, v) }
@@ -145,7 +157,7 @@ func TestTransportEquivalence(t *testing.T) {
 	}
 	defer tcpT.Close()
 	recTCP := &recorder{}
-	remote, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc}, recTCP, nil, nil, recTCP.onErr)
+	remote, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, Layout: ctrLayout}, recTCP, nil, nil, recTCP.onErr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +205,7 @@ func TestTCPInjectedDropsRetry(t *testing.T) {
 		}
 		defer tcpT.Close()
 		rec := &recorder{}
-		c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc}, rec, nil, nil, rec.onErr)
+		c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, Layout: ctrLayout}, rec, nil, nil, rec.onErr)
 		if err != nil {
 			t.Fatalf("spawn did not survive capped drops: %v", err)
 		}
@@ -225,7 +237,7 @@ func TestTCPUnreachableLatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &recorder{}
-	c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc}, rec, nil, nil, rec.onErr)
+	c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, Layout: ctrLayout}, rec, nil, nil, rec.onErr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +252,8 @@ func TestTCPUnreachableLatches(t *testing.T) {
 	if c.ThereAreEvals() || c.ThereAreUpdates() || engine.Collect(c) != nil {
 		t.Error("latched client is not inert")
 	}
-	if st := c.GetState(); st == nil || len(st.Scalars) != 0 {
-		t.Error("latched GetState should return an empty snapshot")
+	if st := c.GetState(); st == nil || len(st) != 0 {
+		t.Error("latched GetState should return an empty image")
 	}
 	if len(rec.errs) != 1 {
 		t.Errorf("error should be reported exactly once, got %d", len(rec.errs))
@@ -264,7 +276,7 @@ func TestHostSpawnRejectsBadSource(t *testing.T) {
 		t.Fatal("empty spawn source accepted")
 	}
 	// The transport survives: a good spawn still works.
-	if _, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc}, nil, nil, nil, nil); err != nil {
+	if _, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, Layout: ctrLayout}, nil, nil, nil, nil); err != nil {
 		t.Fatalf("transport did not survive a rejected spawn: %v", err)
 	}
 }
@@ -306,12 +318,12 @@ func TestHostSessions(t *testing.T) {
 
 	vnow := uint64(0)
 	rec := &recorder{}
-	c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, JIT: true, Session: a},
+	c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, Layout: ctrLayout, JIT: true, Session: a},
 		rec, nil, func() uint64 { return vnow }, rec.onErr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Spawn(tcpT, SpawnSpec{Path: "x", Source: ctrSrc, Session: 99}, nil, nil, nil, nil); !errors.Is(err, ErrUnknownSession) {
+	if _, err := Spawn(tcpT, SpawnSpec{Path: "x", Source: ctrSrc, Layout: ctrLayout, Session: 99}, nil, nil, nil, nil); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("spawn into unknown session: %v, want ErrUnknownSession", err)
 	}
 	vnow = 1 << 62
@@ -372,7 +384,7 @@ func TestHostJITPromotion(t *testing.T) {
 	defer tcpT.Close()
 	vnow := uint64(0)
 	rec := &recorder{}
-	c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, JIT: true}, rec,
+	c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, Layout: ctrLayout, JIT: true}, rec,
 		nil, func() uint64 { return vnow }, rec.onErr)
 	if err != nil {
 		t.Fatal(err)
@@ -403,5 +415,48 @@ func TestHostJITPromotion(t *testing.T) {
 	u := c.UsageDelta()
 	if u.Cycles == 0 {
 		t.Errorf("promoted engine billed no cycles: %+v", u)
+	}
+}
+
+// TestClientRefusesMisfitState: state crosses the wire as an image in
+// the engine's layout, and neither end installs one of another length.
+// A GetState reply that does not fit the client's layout latches as
+// ErrEngineLost (the daemon holds some other engine) and answers no
+// words; a SetState image the host's engine does not fit is refused
+// there, leaving that engine's state as it was.
+func TestClientRefusesMisfitState(t *testing.T) {
+	_, addr := loopbackHost(t, HostOptions{DisableJIT: true})
+	tcpT, err := DialTCP(addr, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcpT.Close()
+	wider := elab.NewLayout(append(slices.Clone(ctrLayout.Vars), &elab.Var{Name: "x", Index: len(ctrLayout.Vars), Width: 8}), nil)
+	rec := &recorder{}
+	c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, Layout: wider}, rec, nil, nil, rec.onErr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img := c.GetState(); len(img) != 0 || !errors.Is(c.Err(), ErrEngineLost) {
+		t.Fatalf("a misfit GetState reply answered %d words, error %v", len(img), c.Err())
+	}
+
+	ok, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, Layout: ctrLayout}, rec, nil, nil, rec.onErr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ok.GetState()
+	for _, img := range [][]uint64{want[:len(want)-1], append(slices.Clone(want), 7)} {
+		bad, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, Layout: ctrLayout}, rec, nil, nil, rec.onErr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad.SetState(img)
+		if !errors.Is(bad.Err(), ErrEngineLost) {
+			t.Fatalf("a %d-word image for a %d-word layout was not refused: %v", len(img), len(want), bad.Err())
+		}
+	}
+	if got := ok.GetState(); !slices.Equal(got, want) || ok.Err() != nil {
+		t.Fatalf("state moved: %v, want %v (%v)", got, want, ok.Err())
 	}
 }

@@ -1007,7 +1007,7 @@ func (r *Runtime) install(ctx context.Context, v *version, saved map[string][]ui
 			if err != nil {
 				return err
 			}
-			if st := saved[s.Path]; st != nil {
+			if st := saved[s.Path]; len(st) > 0 {
 				e.SetState(st)
 			}
 			r.stdEngines[s.Path] = e

@@ -73,7 +73,7 @@ func (r *Runtime) snapshotLocked() *Snapshot {
 //
 // Restore validates the whole snapshot — the front end over its source
 // (integrate), every state image against the layout of the subprogram
-// it names, its input kinds, the daemon connection — before touching
+// it names (an empty one fits any), its input kinds, the daemon connection — before touching
 // any runtime state, and rolls the runtime back to its fresh state if
 // the final engine build fails: a corrupt or rejected snapshot never
 // leaves state half-installed, so the caller can Restore another
@@ -85,8 +85,10 @@ func (r *Runtime) Restore(snap *Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("runtime: snapshot source: %w", err)
 	}
+	// An empty image is no state — what a hosted engine's failed read
+	// leaves — and its engine starts from its initial state (seed).
 	for path, img := range snap.States {
-		if l := v.layoutOf(path); l == nil || len(img) != l.Len() {
+		if l := v.layoutOf(path); l == nil || len(img) != 0 && len(img) != l.Len() {
 			return fmt.Errorf("runtime: snapshot state %s does not fit the program's layout", path)
 		}
 	}

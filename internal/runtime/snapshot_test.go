@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -339,7 +340,8 @@ func TestDecodeSnapshotErrors(t *testing.T) {
 // still name state that does not fit the program it carries — a section
 // cut short or grown, or one for a subprogram the program lacks. Restore
 // refuses each before it commits, and the runtime stays usable: the
-// snapshot as taken restores and runs on.
+// snapshot as taken restores and runs on. An emptied section is no state
+// (a hosted engine's failed read) and fits.
 func TestRestoreRefusesMisfitState(t *testing.T) {
 	a := newTestRuntime(t, Options{Features: Features{DisableJIT: true}})
 	a.MustEval("Memory#(4, 16) mem();\nreg [7:0] n = 0;\nalways @(posedge clk.val) n <= n + 1;\n" +
@@ -350,8 +352,10 @@ func TestRestoreRefusesMisfitState(t *testing.T) {
 	misfits := map[string]func(map[string][]uint64){
 		"unknown subprogram": func(s map[string][]uint64) { s["main.nowhere"] = []uint64{1} },
 	}
-	for path := range good.States {
-		misfits[path+" cut short"] = func(s map[string][]uint64) { s[path] = s[path][:len(s[path])-1] }
+	for path, img := range good.States {
+		if len(img) > 1 {
+			misfits[path+" cut short"] = func(s map[string][]uint64) { s[path] = s[path][:len(s[path])-1] }
+		}
 		misfits[path+" grown"] = func(s map[string][]uint64) { s[path] = append(s[path], 0) }
 	}
 	b := newTestRuntime(t, Options{Features: Features{DisableJIT: true}})
@@ -368,6 +372,14 @@ func TestRestoreRefusesMisfitState(t *testing.T) {
 		}
 		if err := b.Restore(snap); err == nil {
 			t.Fatalf("%s: Restore accepted state that does not fit", name)
+		}
+	}
+	for path := range good.States {
+		emptied := *good
+		emptied.States = maps.Clone(good.States)
+		emptied.States[path] = []uint64{}
+		if err := b.Restore(&emptied); err != nil {
+			t.Fatalf("%s emptied: %v", path, err)
 		}
 	}
 	if err := b.Restore(good); err != nil {

@@ -322,6 +322,76 @@ func TestSupervisedInitialOutputOnce(t *testing.T) {
 	}
 }
 
+// TestCheckpointOfLatchedEngineReopens: a hosted engine whose daemon is
+// gone latches, and until the breaker trips it limps with no state to
+// read, so a checkpoint taken then holds an empty image for it. The
+// directory still opens: that engine starts from its initial state, the
+// rest of the program from the checkpoint. A Snapshot taken in the same
+// window restores too.
+func TestCheckpointOfLatchedEngineReopens(t *testing.T) {
+	d := newTestDaemon(t, "", false)
+	dir := t.TempDir()
+	opts, _ := persistTestOptions(dir, 1, nil)
+	opts.Features.DisableJIT = true
+	opts.Remote = supRemoteOptions(d.addr)
+	opts.Supervise = &supervise.Options{ProbeIntervalPs: 10 * vclock.Us, FailThreshold: 1 << 20, ReopenPs: 1}
+	r, _, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.MustEval(DefaultPrelude)
+	r.MustEval(supCtrProg)
+	r.RunTicks(8)
+	d.kill()
+	r.RunTicks(2)
+	if st := r.Stats(); st.Supervise.Trips != 0 || hosted(st) == 0 {
+		t.Fatalf("want a latched hosted engine below the breaker threshold: %+v %+v", st.Supervise, st.Engines)
+	}
+	snap := r.Snapshot()
+	empty := 0
+	for _, img := range snap.States {
+		if len(img) == 0 {
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Fatal("the latched engine's state was read")
+	}
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ClosePersistence(); err != nil {
+		t.Fatal(err)
+	}
+	r.CloseRemote()
+
+	opts2, view2 := persistTestOptions(dir, 1, nil)
+	opts2.Features.DisableJIT = true
+	r2, info, err := Open(opts2)
+	if err != nil {
+		t.Fatalf("reopening a checkpoint of a latched engine: %v", err)
+	}
+	defer r2.ClosePersistence()
+	if !info.Recovered || r2.Steps() != snap.Steps {
+		t.Fatalf("recovered=%v at step %d, want step %d", info.Recovered, r2.Steps(), snap.Steps)
+	}
+	view3 := &BufView{Quiet: true}
+	r3 := newTestRuntime(t, Options{View: view3, Features: Features{DisableJIT: true}})
+	if err := r3.Restore(snap); err != nil {
+		t.Fatalf("restoring a snapshot of a latched engine: %v", err)
+	}
+	for _, run := range []struct {
+		r    *Runtime
+		view *BufView
+	}{{r2, view2}, {r3, view3}} {
+		run.r.RunTicks(4)
+		if out := run.view.Output(); !strings.HasPrefix(out, "n=0\n") {
+			t.Fatalf("the counter did not start over from its initial state:\n%s", out)
+		}
+		checkContinuousCounter(t, run.view.Output(), 3)
+	}
+}
+
 // TestSupervisedRehostHandoffFailure: the daemon comes back, the re-host
 // sweep hands the first of three failed-over engines over, and the second
 // one's state frame is lost mid-handoff. The sweep stops there: that

@@ -33,12 +33,18 @@ type version struct {
 	inlined              bool
 	clockVar             string // exec's root input fed by the stdlib clock ("" if none)
 
-	printed *printed // the program's source, printed when first asked for
+	printed *printed    // the program's source, printed when first asked for
+	std     *stdLayouts // its stdlib components' state layouts, built when first asked for
 }
 
 type printed struct {
 	once sync.Once
 	src  string
+}
+
+type stdLayouts struct {
+	once sync.Once
+	by   map[string]*elab.Layout // by flat path
 }
 
 // source renders the version's program as Verilog: module declarations in
@@ -66,7 +72,9 @@ func (v *version) source() string {
 
 // emptyVersion is the version of a fresh runtime, and the base of a
 // restore or a replay: no source yet.
-func emptyVersion() *version { return &version{prog: ir.NewProgram(), printed: &printed{}} }
+func emptyVersion() *version {
+	return &version{prog: ir.NewProgram(), printed: &printed{}, std: &stdLayouts{}}
+}
 
 // integrate runs the whole front end over base extended by src: parse,
 // declare, build the IR, elaborate (type-check) every subprogram and,
@@ -95,7 +103,7 @@ func integrate(base *version, src string, inline bool) (*version, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &version{prog: prog, mods: mods, items: items, flat: flat, exec: flat, printed: &printed{}}
+	v := &version{prog: prog, mods: mods, items: items, flat: flat, exec: flat, printed: &printed{}, std: &stdLayouts{}}
 	if v.flatElabs, err = elaborateUsers(flat, base.flat, base.flatElabs); err != nil {
 		return nil, err
 	}
@@ -181,10 +189,15 @@ func (v *version) layoutOf(path string) *elab.Layout {
 	if f := v.flatElabs[path]; f != nil {
 		return f.Layout()
 	}
-	if s := v.flat.Sub(path); s != nil && s.IsStd {
-		return stdlib.Layout(s.StdType, s.Params)
-	}
-	return nil
+	// A component's layout costs building one (a Memory allocates its
+	// words): a version builds each once, when a restore first asks.
+	v.std.once.Do(func() {
+		v.std.by = map[string]*elab.Layout{}
+		for _, s := range v.flat.StdSubs() {
+			v.std.by[s.Path] = stdlib.Layout(s.StdType, s.Params)
+		}
+	})
+	return v.std.by[path]
 }
 
 // mergePlan plans flat subprogram s's state into the merged root's.

@@ -786,3 +786,28 @@ func TestIntegrateKeepsNoChain(t *testing.T) {
 	}
 	goruntime.KeepAlive(v)
 }
+
+// TestStdLayoutsBuiltOncePerVersion: a component's layout costs building
+// the component, so a version builds each once and answers every later
+// ask (Restore's check, the merged root's seed) with the same layout.
+func TestStdLayoutsBuiltOncePerVersion(t *testing.T) {
+	v, err := integrate(emptyVersion(), DefaultPrelude+"Memory#(12, 32) mem();\nassign led.val = mem.rdata;\n", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := v.layoutOf("main.mem")
+	if l == nil || l.Len() < 1<<12 {
+		t.Fatalf("Memory#(12, 32) layout %v", l)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if v.layoutOf("main.mem") != l || v.layoutOf("main.clk") == nil {
+			t.Fatal("a layout changed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("asking again allocates %.0f times", allocs)
+	}
+	if v.layoutOf("main.nowhere") != nil || v.layoutOf(ir.RootPath) != v.flatElabs[ir.RootPath].Layout() {
+		t.Fatal("layoutOf answers a path the program lacks, or not a user subprogram's elaboration")
+	}
+}

@@ -212,7 +212,9 @@ func NewReset(path string, w *World) *Reset {
 }
 
 // EndStep samples the reset line.
-func (r *Reset) EndStep() { r.setOutU(0, r.world.input(InputReset, r.path)) }
+func (r *Reset) EndStep() {
+	r.setOutU(0, b2u(r.world.reset(r.path)))
+}
 
 // Led is a bank of N LEDs whose value is observable on the World.
 type Led struct {
@@ -234,14 +236,14 @@ func (l *Led) Read(ev engine.Event) {
 		return
 	}
 	if l.val.CopyFrom(ev.Val) {
-		l.world.drivePins(l.path, l.val, true)
+		l.world.setLed(l.path, l.val)
 	}
 }
 
 // SetState implements engine.Engine: the restored value is driven.
 func (l *Led) SetState(img []uint64) {
 	l.base.SetState(img)
-	l.world.drivePins(l.path, l.val, true)
+	l.world.setLed(l.path, l.val)
 }
 
 // GPIO is a general-purpose IO bank of N pins in each direction: the
@@ -267,18 +269,18 @@ func (g *GPIO) Read(ev engine.Event) {
 		return
 	}
 	if g.out.CopyFrom(ev.Val) {
-		g.world.drivePins(g.path, g.out, false)
+		g.world.setGPIO(g.path, g.out)
 	}
 }
 
 // EndStep samples the host-driven input pins.
-func (g *GPIO) EndStep() { g.setOutU(0, g.world.input(InputGPIO, g.path)) }
+func (g *GPIO) EndStep() { g.setOutU(0, g.world.gpioInVal(g.path)) }
 
 // SetState implements engine.Engine: the restored output pins are
 // driven.
 func (g *GPIO) SetState(img []uint64) {
 	g.base.SetState(img)
-	g.world.drivePins(g.path, g.out, false)
+	g.world.setGPIO(g.path, g.out)
 }
 
 // Memory is a simple synchronous-write, combinational-read RAM:

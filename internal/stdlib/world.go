@@ -22,8 +22,11 @@ import (
 // Keys are subprogram instance paths (e.g. "main.pad").
 type World struct {
 	mu      sync.Mutex
-	inputs  map[InputState]uint64   // host-driven pins: Kind and Path set, Value zero
-	outputs map[string]*bits.Vector // device-driven pins: LED banks and GPIO outputs
+	pads    map[string]uint64
+	leds    map[string]*bits.Vector
+	resets  map[string]bool
+	gpioIn  map[string]uint64       // host-driven GPIO input pins
+	gpioOut map[string]*bits.Vector // device-driven GPIO output pins
 	streams map[string]*Stream
 
 	// LedTrace records every LED value change when enabled (used by the
@@ -72,10 +75,19 @@ type InputState struct {
 func (w *World) InputStates() []InputState {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make([]InputState, 0, len(w.inputs))
-	for in, v := range w.inputs {
-		in.Value = v
-		out = append(out, in)
+	var out []InputState
+	for path, v := range w.pads {
+		out = append(out, InputState{Kind: InputPad, Path: path, Value: v})
+	}
+	for path, b := range w.resets {
+		v := uint64(0)
+		if b {
+			v = 1
+		}
+		out = append(out, InputState{Kind: InputReset, Path: path, Value: v})
+	}
+	for path, v := range w.gpioIn {
+		out = append(out, InputState{Kind: InputGPIO, Path: path, Value: v})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Kind != out[j].Kind {
@@ -90,82 +102,129 @@ func (w *World) InputStates() []InputState {
 // recovery uses it to replay journaled events and restore checkpointed
 // input state without re-journaling them.
 func (w *World) ApplyInput(kind, path string, value uint64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	switch kind {
-	case InputPad, InputGPIO:
+	case InputPad:
+		w.pads[path] = value
 	case InputReset:
-		value = b2u(value != 0)
+		w.resets[path] = value != 0
+	case InputGPIO:
+		w.gpioIn[path] = value
 	default:
 		return fmt.Errorf("stdlib: unknown input kind %q", kind)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.inputs[InputState{Kind: kind, Path: path}] = value
 	return nil
-}
-
-// drive sets one host-driven input, recorder first.
-func (w *World) drive(kind, path string, value uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.recorder != nil {
-		w.recorder(kind, path, value)
-	}
-	w.inputs[InputState{Kind: kind, Path: path}] = value
-}
-
-// input reads one host-driven input (zero if never driven).
-func (w *World) input(kind, path string) uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.inputs[InputState{Kind: kind, Path: path}]
 }
 
 // NewWorld returns an empty peripheral board.
 func NewWorld() *World {
-	return &World{inputs: map[InputState]uint64{}, outputs: map[string]*bits.Vector{}, streams: map[string]*Stream{}}
+	return &World{
+		pads:    map[string]uint64{},
+		leds:    map[string]*bits.Vector{},
+		resets:  map[string]bool{},
+		gpioIn:  map[string]uint64{},
+		gpioOut: map[string]*bits.Vector{},
+		streams: map[string]*Stream{},
+	}
 }
 
 // PressPad sets the buttons of the pad at path (bit i = button i down).
-func (w *World) PressPad(path string, value uint64) { w.drive(InputPad, path, value) }
-
-// Pad returns the current button state at path.
-func (w *World) Pad(path string) uint64 { return w.input(InputPad, path) }
-
-// SetReset asserts or deasserts the reset line at path.
-func (w *World) SetReset(path string, asserted bool) { w.drive(InputReset, path, b2u(asserted)) }
-
-// DriveGPIO sets the host-driven input pins of the GPIO bank at path.
-func (w *World) DriveGPIO(path string, value uint64) { w.drive(InputGPIO, path, value) }
-
-// Led returns the value currently driven onto the LED bank at path.
-func (w *World) Led(path string) uint64 { return w.output(path) }
-
-// GPIO returns the device-driven output pins of the GPIO bank at path.
-func (w *World) GPIO(path string) uint64 { return w.output(path) }
-
-func (w *World) output(path string) uint64 {
+func (w *World) PressPad(path string, value uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if v, ok := w.outputs[path]; ok {
+	if w.recorder != nil {
+		w.recorder(InputPad, path, value)
+	}
+	w.pads[path] = value
+}
+
+// Pad returns the current button state at path.
+func (w *World) Pad(path string) uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.pads[path]
+}
+
+// SetReset asserts or deasserts the reset line at path.
+func (w *World) SetReset(path string, asserted bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.recorder != nil {
+		v := uint64(0)
+		if asserted {
+			v = 1
+		}
+		w.recorder(InputReset, path, v)
+	}
+	w.resets[path] = asserted
+}
+
+func (w *World) reset(path string) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.resets[path]
+}
+
+// Led returns the value currently driven onto the LED bank at path.
+func (w *World) Led(path string) uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if v, ok := w.leds[path]; ok {
 		return v.Uint64()
 	}
 	return 0
 }
 
-// drivePins records the value the device drives onto the pins at path,
-// overwriting the vector already there when the width is unchanged (a
-// pin bank is driven every tick); led says they are an LED bank.
-func (w *World) drivePins(path string, v *bits.Vector, led bool) {
+func (w *World) setLed(path string, v *bits.Vector) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if cur, ok := w.outputs[path]; ok && cur.Width() == v.Width() {
-		cur.CopyFrom(v)
-	} else {
-		w.outputs[path] = v.Clone()
-	}
-	if led && w.TraceLeds {
+	keep(w.leds, path, v)
+	if w.TraceLeds {
 		w.LedTrace = append(w.LedTrace, v.Uint64())
 	}
+}
+
+// DriveGPIO sets the host-driven input pins of the GPIO bank at path.
+func (w *World) DriveGPIO(path string, value uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.recorder != nil {
+		w.recorder(InputGPIO, path, value)
+	}
+	w.gpioIn[path] = value
+}
+
+func (w *World) gpioInVal(path string) uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.gpioIn[path]
+}
+
+// GPIO returns the device-driven output pins of the GPIO bank at path.
+func (w *World) GPIO(path string) uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if v, ok := w.gpioOut[path]; ok {
+		return v.Uint64()
+	}
+	return 0
+}
+
+func (w *World) setGPIO(path string, v *bits.Vector) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	keep(w.gpioOut, path, v)
+}
+
+// keep records a driven value under path, overwriting the vector already
+// there when the width is unchanged (a pin bank is driven every tick).
+func keep(m map[string]*bits.Vector, path string, v *bits.Vector) {
+	if cur, ok := m[path]; ok && cur.Width() == v.Width() {
+		cur.CopyFrom(v)
+		return
+	}
+	m[path] = v.Clone()
 }
 
 // Stream returns the host-side endpoint of the FIFO at path, creating it

@@ -30,7 +30,8 @@ import (
 // longer holds the engine (ErrEngineLost). The engine goes inert — polls
 // answer false, drains answer nothing, GetState returns no words — and the
 // error is reported once through onErr; so is, as ErrEngineLost, a state
-// image that does not fit the engine's layout. This is
+// image that does not fit the engine's layout, and, as ErrNoLayout, a
+// state transfer on a client spawned without one. This is
 // deliberate degradation, mirroring the hardware fault path: the program
 // limps rather than the runtime crashing mid-step.
 type Client struct {
@@ -111,7 +112,8 @@ type SpawnSpec struct {
 	JIT     bool   // let the host promote to its own fabric
 	Session uint32 // owning daemon session (0: the legacy shared fabric)
 	// Layout is the engine's state layout, Source's elaboration's: what
-	// state transfers fit and bill by (none without it).
+	// state transfers fit and bill by. Without it the client only runs the
+	// engine; a state transfer latches ErrNoLayout.
 	Layout *elab.Layout
 }
 
@@ -279,7 +281,7 @@ func (c *Client) call(kind proto.Kind, build func(*proto.Request)) *proto.Reply 
 	// hardware engines' shadow-register access model.
 	c.pending.Msgs += 1 + cost.Retries
 	if kind == proto.KindGetState {
-		if c.layout == nil || len(c.rep.State) != c.layout.Len() {
+		if len(c.rep.State) != c.layout.Len() {
 			c.fail(lostError(c.name, fmt.Sprintf("state image of %d words does not fit the engine's layout", len(c.rep.State))))
 			return nil
 		}
@@ -383,10 +385,24 @@ func (c *Client) GetState() []uint64 {
 		c.fastRT++
 		return c.local.GetState()
 	}
-	if rep := c.call(proto.KindGetState, nil); rep != nil {
-		return rep.State
+	if c.hasLayout() {
+		if rep := c.call(proto.KindGetState, nil); rep != nil {
+			return rep.State
+		}
 	}
 	return []uint64{}
+}
+
+// hasLayout reports whether a hosted client can transfer state, latching
+// ErrNoLayout when it was spawned without a layout.
+func (c *Client) hasLayout() bool {
+	if c.layout != nil {
+		return true
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.fail(ErrNoLayout)
+	return false
 }
 
 // SetState implements engine.Engine, billed like GetState.
@@ -407,7 +423,7 @@ func (c *Client) SetStateBus(img []uint64, bus uint64) {
 		c.local.SetState(img)
 		return
 	}
-	if c.call(proto.KindSetState, func(req *proto.Request) { req.State = img }) != nil {
+	if c.hasLayout() && c.call(proto.KindSetState, func(req *proto.Request) { req.State = img }) != nil {
 		c.mu.Lock()
 		c.pending.Msgs += bus
 		c.mu.Unlock()

@@ -34,6 +34,10 @@ var ErrDaemonRestarted = errors.New("engine daemon restarted")
 // Always wrapped so errors.Is also matches ErrEngineUnavailable.
 var ErrEngineLost = errors.New("engine lost")
 
+// ErrNoLayout is latched by a state transfer on a hosted client spawned
+// without SpawnSpec.Layout, whose images it can neither check nor bill.
+var ErrNoLayout = errors.New("transport: state transfer on an engine spawned without a state layout")
+
 // lostError words a reply-level refusal about who as an ErrEngineLost.
 func lostError(who, refusal string) error {
 	return fmt.Errorf("transport: remote: %s: %s: %w: %w", who, refusal, ErrEngineLost, ErrEngineUnavailable)

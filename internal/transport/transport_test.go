@@ -459,4 +459,22 @@ func TestClientRefusesMisfitState(t *testing.T) {
 	if got := ok.GetState(); !slices.Equal(got, want) || ok.Err() != nil {
 		t.Fatalf("state moved: %v, want %v (%v)", got, want, ok.Err())
 	}
+
+	// A client spawned without a layout runs its engine, and a state
+	// transfer on it latches ErrNoLayout without a frame or a bill.
+	for name, transfer := range map[string]func(*Client){
+		"GetState": func(c *Client) { c.GetState() },
+		"SetState": func(c *Client) { c.SetState(want) },
+	} {
+		bare, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc}, rec, nil, nil, rec.onErr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare.EndStep()
+		trips, msgs := bare.Stats().RoundTrips, bare.UsageDelta().Msgs
+		transfer(bare)
+		if !errors.Is(bare.Err(), ErrNoLayout) || bare.Stats().RoundTrips != trips || bare.UsageDelta().Msgs != 0 || msgs == 0 {
+			t.Fatalf("%s without a layout: error %v, %d round trips after %d", name, bare.Err(), bare.Stats().RoundTrips, trips)
+		}
+	}
 }

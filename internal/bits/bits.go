@@ -91,7 +91,7 @@ func (b *Vector) Words() []uint64 { return b.words }
 
 // topMask returns the bits of the top storage word that lie in the width.
 func (b *Vector) topMask() uint64 {
-	return ^uint64(0) >> (WordBits - 1 - (b.width-1)%WordBits)
+	return ^uint64(0) >> (WordBits - 1 - uint(b.width-1)%WordBits)
 }
 
 // normalize zeroes the unused high bits of the top word and returns b.

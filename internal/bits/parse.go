@@ -2,6 +2,7 @@ package bits
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	mathbits "math/bits"
 	"strings"
@@ -16,6 +17,82 @@ const DefaultLiteralWidth = 32
 // DefaultLiteralWidth. Underscores are ignored. x and z digits are not
 // supported (two-state model).
 func ParseLiteral(s string) (*Vector, error) {
+	if v, ok := parseSmall(s); ok {
+		return v, nil
+	}
+	return parseBig(s)
+}
+
+// parseSmall parses, on uint64, a well-formed literal whose width and
+// value fit 64 bits: most literals. It reports false for any other,
+// malformed ones included, which parseBig then parses to the same value
+// or error as ever.
+func parseSmall(s string) (*Vector, bool) {
+	width, digits, base := DefaultLiteralWidth, s, uint64(10)
+	tick := strings.IndexByte(s, '\'')
+	if tick >= 0 {
+		if tick > 0 {
+			w, ok := parseDigits(s[:tick], 10)
+			if !ok || w < 1 || w > math.MaxInt64 {
+				return nil, false
+			}
+			width = int(w)
+		}
+		if tick+1 == len(s) {
+			return nil, false
+		}
+		switch s[tick+1] {
+		case 'h', 'H':
+			base = 16
+		case 'd', 'D':
+		case 'o', 'O':
+			base = 8
+		case 'b', 'B':
+			base = 2
+		default:
+			return nil, false
+		}
+		digits = s[tick+2:]
+	}
+	v, ok := parseDigits(digits, base)
+	if !ok {
+		return nil, false
+	}
+	if tick < 0 { // a plain decimal: as wide as its value needs
+		width = max(width, mathbits.Len64(v))
+	}
+	return FromUint64(width, v), true
+}
+
+// parseDigits reads digits in base, skipping underscores: false if there
+// is no digit, an invalid one, or more than 64 bits of value.
+func parseDigits(s string, base uint64) (v uint64, ok bool) {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		var d uint64
+		switch {
+		case c == '_':
+			continue
+		case '0' <= c && c <= '9':
+			d = uint64(c - '0')
+		case 'a' <= c && c <= 'f':
+			d = uint64(c-'a') + 10
+		case 'A' <= c && c <= 'F':
+			d = uint64(c-'A') + 10
+		default:
+			return 0, false
+		}
+		hi, lo := mathbits.Mul64(v, base)
+		if d >= base || hi != 0 || lo+d < lo {
+			return 0, false
+		}
+		v, ok = lo+d, true
+	}
+	return v, ok
+}
+
+// parseBig is ParseLiteral through math/big, for any literal.
+func parseBig(s string) (*Vector, error) {
 	s = strings.ReplaceAll(s, "_", "")
 	tick := strings.IndexByte(s, '\'')
 	if tick < 0 {

@@ -28,8 +28,9 @@ type Env interface {
 // equals e.Width(). The result is lent, not given: it is a constant, live
 // state of env, or one of env's Tmp vectors, so the caller reads it before
 // env changes or reclaims its scratch, copies it to keep it, and never
-// writes it. This function defines the reference semantics that the
-// compiled netlist evaluator must match (tested in internal/netlist).
+// writes it. This function defines the reference semantics that Compile
+// (tested in internal/sim) and the compiled netlist evaluator (tested in
+// internal/netlist) must match.
 func Eval(e Expr, env Env) *bits.Vector {
 	switch x := e.(type) {
 	case *Const:

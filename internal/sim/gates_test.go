@@ -31,13 +31,13 @@ func (d *design) tick(i int) {
 	d.tb.tick()
 }
 
-func minerDesign(t *testing.T) *design {
+func minerDesign(t testing.TB) *design {
 	cfg := pow.DefaultConfig()
 	cfg.Target = 0
 	return &design{tb: newBench(t, pow.Generate(cfg))}
 }
 
-func matcherDesign(t *testing.T) *design {
+func matcherDesign(t testing.TB) *design {
 	src, _, err := regexgen.Generate(`GET /[a-z]*\.html`)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func matcherDesign(t *testing.T) *design {
 // mixedDesign covers what the two workloads do not: memory reads and
 // writes, a concatenated lvalue, wildcard case labels, a dynamic bit
 // write and a wide datapath.
-func mixedDesign(t *testing.T) *design {
+func mixedDesign(t testing.TB) *design {
 	tb := newBench(t, `
 module M(input wire clk, input wire [7:0] x);
   reg [7:0] mem [0:7];

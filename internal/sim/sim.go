@@ -9,10 +9,19 @@
 // engines and, run standalone without the JIT, the "iVerilog" baseline of
 // the evaluation. Its state crosses engine boundaries as a word image in
 // the Flat's layout (GetState, SetState).
+//
+// Every unit (continuous assignment or always-block body) starts on the
+// tree walk, elab.Eval under exec, which is the reference semantics. A
+// unit that keeps running is compiled at its 8th execution, the paper's
+// tiering one level down: into closures over this simulator's own
+// vectors (elab.Compile for expressions), run from then on instead of the
+// walk, with the same writes, activations and counters. A simulator that
+// runs only briefly compiles nothing.
 package sim
 
 import (
 	"fmt"
+	mathbits "math/bits"
 	"strings"
 
 	"cascade/internal/bits"
@@ -46,16 +55,26 @@ type Simulator struct {
 	flat *elab.Flat
 	opts Options
 
-	vals   []*bits.Vector   // scalar values by Var.Index
-	arrays [][]*bits.Vector // memory words by Var.Index
+	// Values by Var.Index: scalars, and memory words. Compiled units hold
+	// these vectors, so every writer copies into them and none replaces
+	// one.
+	vals   []*bits.Vector
+	arrays [][]*bits.Vector
 
-	// Sensitivity maps: variable index -> dependent assign/proc indices.
-	assignDeps [][]int
-	procDeps   [][]int
+	// Watchers: a change of variable i may activate the units
+	// watch[watchAt[i]:watchAt[i+1]], each a unit index over its kind.
+	watch   []uint32
+	watchAt []int32
 
-	activeAssign []bool
-	activeProc   []bool
-	anyActive    bool
+	// Units are the continuous assignments, then the processes, in Flat
+	// order. active is the set of pending ones, a bit a unit; runs counts
+	// each unit's executions until it is hot, and code holds the hot ones
+	// compiled (allocated at the first compile).
+	active    []uint64
+	anyActive bool
+	runs      []uint8
+	code      []func()
+	threshold int
 
 	// scratch lends Eval its intermediates until the next process, assign
 	// or EndStep; queued owns the values of pending updates until Update.
@@ -64,7 +83,6 @@ type Simulator struct {
 	monitors        []*monitorState
 
 	finished bool
-	orderBuf []int
 	// Counters exposed for profiling and the performance model.
 	EvalOps   uint64 // process/assign executions
 	WriteOps  uint64 // variable writes that changed a value
@@ -125,15 +143,15 @@ type monitorState struct {
 // blocks run; combinational logic is activated so outputs settle on the
 // first Evaluate call.
 func New(f *elab.Flat, opts Options) *Simulator {
+	units := len(f.Assigns) + len(f.Procs)
 	s := &Simulator{
-		flat:         f,
-		opts:         opts,
-		vals:         make([]*bits.Vector, len(f.Vars)),
-		arrays:       make([][]*bits.Vector, len(f.Vars)),
-		assignDeps:   make([][]int, len(f.Vars)),
-		procDeps:     make([][]int, len(f.Vars)),
-		activeAssign: make([]bool, len(f.Assigns)),
-		activeProc:   make([]bool, len(f.Procs)),
+		flat:      f,
+		opts:      opts,
+		vals:      make([]*bits.Vector, len(f.Vars)),
+		arrays:    make([][]*bits.Vector, len(f.Vars)),
+		active:    make([]uint64, (units+63)/64),
+		runs:      make([]uint8, units),
+		threshold: compileThreshold,
 	}
 	for _, v := range f.Vars {
 		if v.IsArray() {
@@ -151,34 +169,8 @@ func New(f *elab.Flat, opts Options) *Simulator {
 			s.vals[v.Index] = bits.New(v.Width)
 		}
 	}
-
-	// Build sensitivity maps.
-	for i, a := range f.Assigns {
-		for _, v := range assignReads(a) {
-			s.assignDeps[v.Index] = append(s.assignDeps[v.Index], i)
-		}
-		s.activeAssign[i] = true
-		s.anyActive = true
-	}
-	for i, p := range f.Procs {
-		if p.Star || hasLevel(p) {
-			vars := p.Reads
-			if !p.Star {
-				vars = levelVars(p)
-			}
-			for _, v := range vars {
-				s.procDeps[v.Index] = append(s.procDeps[v.Index], i)
-			}
-			s.activeProc[i] = true
-			s.anyActive = true
-		} else {
-			// Edge-triggered: dependencies are checked against old/new
-			// values inside writeScalar, so register on the edge vars.
-			for _, e := range p.Edges {
-				s.procDeps[e.Var.Index] = append(s.procDeps[e.Var.Index], i)
-			}
-		}
-	}
+	s.buildWatchers()
+	s.activateCombinational()
 
 	// Initial blocks execute once at time zero.
 	for _, st := range f.Initials {
@@ -188,34 +180,79 @@ func New(f *elab.Flat, opts Options) *Simulator {
 	return s
 }
 
-func assignReads(a *elab.ContAssign) []*elab.Var {
-	seen := map[*elab.Var]bool{}
-	var out []*elab.Var
-	add := func(e elab.Expr) {
-		elab.WalkExpr(e, func(x elab.Expr) {
-			var v *elab.Var
-			switch t := x.(type) {
-			case *elab.VarRef:
-				v = t.V
-			case *elab.ArrayRef:
-				v = t.V
+// Watcher kinds: what a change of the watched variable must be to
+// activate the unit.
+const (
+	watchAny  = iota // any change: an assign, or a process's level event
+	watchPos         // its bit 0 rose
+	watchNeg         // its bit 0 fell
+	watchKind = 3    // the bits of an entry that hold its kind
+)
+
+// buildWatchers lists, for each variable, the units its change may
+// activate: an assign on what it reads (memory and bit indices
+// included), an @* process on its read set, any other process with a
+// level event on its level events only, and an edge-triggered process on
+// its edges.
+func (s *Simulator) buildWatchers() {
+	f, na := s.flat, len(s.flat.Assigns)
+	at := make([]int32, len(f.Vars)+1)
+	seen := make([]int32, len(f.Vars)) // the last assign that read each variable, plus one
+	each := func(add func(v *elab.Var, w uint32)) {
+		clear(seen)
+		for i, a := range f.Assigns {
+			read := func(e elab.Expr) {
+				var v *elab.Var
+				switch t := e.(type) {
+				case *elab.VarRef:
+					v = t.V
+				case *elab.ArrayRef:
+					v = t.V
+				}
+				if v != nil && seen[v.Index] != int32(i+1) {
+					seen[v.Index] = int32(i + 1)
+					add(v, uint32(i)<<2|watchAny)
+				}
 			}
-			if v != nil && !seen[v] {
-				seen[v] = true
-				out = append(out, v)
+			elab.WalkExpr(a.RHS, read)
+			for _, lv := range a.LHS {
+				elab.WalkExpr(lv.ArrIndex, read)
+				elab.WalkExpr(lv.DynBit, read)
 			}
-		})
-	}
-	add(a.RHS)
-	for _, lv := range a.LHS {
-		if lv.ArrIndex != nil {
-			add(lv.ArrIndex)
 		}
-		if lv.DynBit != nil {
-			add(lv.DynBit)
+		for i, p := range f.Procs {
+			u := uint32(na+i) << 2
+			switch {
+			case p.Star:
+				for _, v := range p.Reads {
+					add(v, u|watchAny)
+				}
+			case hasLevel(p):
+				for _, e := range p.Edges {
+					if e.Kind == elab.Level {
+						add(e.Var, u|watchAny)
+					}
+				}
+			default:
+				for _, e := range p.Edges {
+					if e.Kind == elab.Pos {
+						add(e.Var, u|watchPos)
+					} else {
+						add(e.Var, u|watchNeg)
+					}
+				}
+			}
 		}
 	}
-	return out
+	each(func(v *elab.Var, _ uint32) { at[v.Index+1]++ })
+	for i := 1; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	s.watch = make([]uint32, at[len(f.Vars)])
+	each(func(v *elab.Var, w uint32) { s.watch[at[v.Index]] = w; at[v.Index]++ })
+	copy(at[1:], at) // each entry now holds its successor's start
+	at[0] = 0
+	s.watchAt = at
 }
 
 func hasLevel(p *elab.Proc) bool {
@@ -225,16 +262,6 @@ func hasLevel(p *elab.Proc) bool {
 		}
 	}
 	return false
-}
-
-func levelVars(p *elab.Proc) []*elab.Var {
-	var out []*elab.Var
-	for _, e := range p.Edges {
-		if e.Kind == elab.Level {
-			out = append(out, e.Var)
-		}
-	}
-	return out
 }
 
 // Flat returns the subprogram this simulator executes.
@@ -297,27 +324,18 @@ func (s *Simulator) SetInputByName(name string, val *bits.Vector) bool {
 
 // fire activates everything sensitive to a change on v.
 func (s *Simulator) fire(v *elab.Var, oldLSB, newLSB uint) {
-	for _, ai := range s.assignDeps[v.Index] {
-		s.activeAssign[ai] = true
-		s.anyActive = true
-	}
-	for _, pi := range s.procDeps[v.Index] {
-		p := s.flat.Procs[pi]
-		if p.Star || hasLevel(p) {
-			s.activeProc[pi] = true
-			s.anyActive = true
-			continue
-		}
-		for _, e := range p.Edges {
-			if e.Var != v {
+	for _, w := range s.watch[s.watchAt[v.Index]:s.watchAt[v.Index+1]] {
+		switch w & watchKind {
+		case watchPos:
+			if oldLSB != 0 || newLSB != 1 {
 				continue
 			}
-			if (e.Kind == elab.Pos && oldLSB == 0 && newLSB == 1) ||
-				(e.Kind == elab.Neg && oldLSB == 1 && newLSB == 0) {
-				s.activeProc[pi] = true
-				s.anyActive = true
+		case watchNeg:
+			if oldLSB != 1 || newLSB != 0 {
+				continue
 			}
 		}
+		s.activate(int(w >> 2))
 	}
 }
 
@@ -332,40 +350,64 @@ func (s *Simulator) Evaluate() {
 	if s.opts.Eager && s.anyActive {
 		s.activateCombinational()
 	}
+	na := len(s.flat.Assigns)
 	for s.anyActive {
 		s.anyActive = false
-		for _, i := range s.order(len(s.activeAssign)) {
-			if !s.activeAssign[i] {
-				continue
-			}
-			s.activeAssign[i] = false
-			s.runAssign(s.flat.Assigns[i])
+		s.runPending(0, na)
+		s.runPending(na, len(s.runs))
+	}
+}
+
+// activate marks unit u pending.
+func (s *Simulator) activate(u int) {
+	s.active[u>>6] |= 1 << (u & 63)
+	s.anyActive = true
+}
+
+// runPending runs the pending units of [lo, hi) in one batch: in index
+// order, or in the order Options.Shuffle gives. A unit activated during
+// the batch runs in it if the batch has not passed it yet.
+func (s *Simulator) runPending(lo, hi int) {
+	if s.opts.Shuffle != nil {
+		for _, i := range s.opts.Shuffle(hi - lo) {
+			s.runIfActive(lo + i)
 		}
-		for _, i := range s.order(len(s.activeProc)) {
-			if !s.activeProc[i] {
-				continue
-			}
-			s.activeProc[i] = false
-			s.EvalOps++
-			s.scratch.rewind()
-			s.exec(s.flat.Procs[i].Body)
+		return
+	}
+	for u := lo; u < hi; u++ {
+		w := s.active[u>>6] >> (u & 63) // read again after every run
+		if w == 0 {
+			u |= 63 // on to the next word
+			continue
+		}
+		if u += mathbits.TrailingZeros64(w); u < hi {
+			s.runIfActive(u)
 		}
 	}
 }
 
-// order yields the event-processing order for a batch of n events:
-// index order by default, or a permutation from Options.Shuffle.
-func (s *Simulator) order(n int) []int {
-	if s.opts.Shuffle != nil {
-		return s.opts.Shuffle(n)
+// runIfActive executes unit u if it is pending.
+func (s *Simulator) runIfActive(u int) {
+	if s.active[u>>6]&(1<<(u&63)) == 0 {
+		return
 	}
-	if cap(s.orderBuf) < n {
-		s.orderBuf = make([]int, n)
-		for i := range s.orderBuf {
-			s.orderBuf[i] = i
-		}
+	s.active[u>>6] &^= 1 << (u & 63)
+	s.EvalOps++
+	s.scratch.rewind()
+	if s.code != nil && s.code[u] != nil {
+		s.code[u]()
+		return
 	}
-	return s.orderBuf[:n]
+	if s.runs[u]++; int(s.runs[u]) >= s.threshold {
+		s.compile(u)()
+		return
+	}
+	if na := len(s.flat.Assigns); u < na {
+		a := s.flat.Assigns[u]
+		s.writeTargets(a.LHS, elab.Eval(a.RHS, s), true)
+	} else {
+		s.exec(s.flat.Procs[u-na].Body)
+	}
 }
 
 // HasUpdates reports whether non-blocking updates are queued
@@ -394,13 +436,6 @@ func (s *Simulator) EndStep() {
 			s.display(cur + "\n")
 		}
 	}
-}
-
-func (s *Simulator) runAssign(a *elab.ContAssign) {
-	s.EvalOps++
-	s.scratch.rewind()
-	val := elab.Eval(a.RHS, s)
-	s.writeTargets(a.LHS, val, true)
 }
 
 // writeTargets distributes val across (possibly concatenated) lvalues,
@@ -444,9 +479,18 @@ func (s *Simulator) writeLValue(lv elab.LValue, val *bits.Vector, blocking bool)
 		s.applyWrite(lv.Var, word, hasRng, hi, lo, val)
 		return
 	}
-	// The value outlives this process: keep a copy the queue owns.
-	val = s.queued.tmp(lv.TargetWidth()).Set(val)
-	s.updates = append(s.updates, pendingUpdate{v: lv.Var, word: word, hasRng: hasRng, hi: hi, lo: lo, val: val})
+	s.enqueue(lv.Var, word, hasRng, hi, lo, val)
+}
+
+// enqueue queues a non-blocking write. The value outlives its process:
+// the queue keeps a copy it owns.
+func (s *Simulator) enqueue(v *elab.Var, word int, hasRng bool, hi, lo int, val *bits.Vector) {
+	w := v.Width
+	if hasRng {
+		w = hi - lo + 1
+	}
+	val = s.queued.tmp(w).Set(val)
+	s.updates = append(s.updates, pendingUpdate{v: v, word: word, hasRng: hasRng, hi: hi, lo: lo, val: val})
 }
 
 // applyWrite performs an immediate write and fires sensitivity on change.

@@ -13,7 +13,7 @@ import (
 )
 
 // build parses and elaborates a single module.
-func build(t *testing.T, src string) *elab.Flat {
+func build(t testing.TB, src string) *elab.Flat {
 	t.Helper()
 	st, errs := verilog.ParseSourceText(src)
 	if errs != nil {
@@ -33,7 +33,7 @@ type testbench struct {
 	out strings.Builder
 }
 
-func newBench(t *testing.T, src string) *testbench {
+func newBench(t testing.TB, src string) *testbench {
 	t.Helper()
 	f := build(t, src)
 	tb := &testbench{}

@@ -46,14 +46,13 @@ func (s *Simulator) SetState(img []uint64) {
 // activateCombinational marks every continuous assignment and
 // level-sensitive process active.
 func (s *Simulator) activateCombinational() {
-	for i := range s.activeAssign {
-		s.activeAssign[i] = true
-		s.anyActive = true
+	na := len(s.flat.Assigns)
+	for i := range na {
+		s.activate(i)
 	}
 	for i, p := range s.flat.Procs {
 		if p.Star || hasLevel(p) {
-			s.activeProc[i] = true
-			s.anyActive = true
+			s.activate(na + i)
 		}
 	}
 }

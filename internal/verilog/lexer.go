@@ -245,52 +245,52 @@ func (l *Lexer) lexOperator(pos Pos) Token {
 		l.advance()
 		return Token{Kind: kind, Text: text, Pos: pos}
 	}
-	one := func(kind TokenKind) Token {
-		c := l.advance()
-		return Token{Kind: kind, Text: string(c), Pos: pos}
+	one := func(kind TokenKind, text string) Token {
+		l.advance()
+		return Token{Kind: kind, Text: text, Pos: pos}
 	}
 
 	c, c1, c2 := l.peek(), l.peekAt(1), l.peekAt(2)
 	switch c {
 	case '(':
-		return one(LParen)
+		return one(LParen, "(")
 	case ')':
-		return one(RParen)
+		return one(RParen, ")")
 	case '[':
-		return one(LBrack)
+		return one(LBrack, "[")
 	case ']':
-		return one(RBrack)
+		return one(RBrack, "]")
 	case '{':
-		return one(LBrace)
+		return one(LBrace, "{")
 	case '}':
-		return one(RBrace)
+		return one(RBrace, "}")
 	case ';':
-		return one(Semi)
+		return one(Semi, ";")
 	case ':':
-		return one(Colon)
+		return one(Colon, ":")
 	case ',':
-		return one(Comma)
+		return one(Comma, ",")
 	case '.':
-		return one(Dot)
+		return one(Dot, ".")
 	case '@':
-		return one(At)
+		return one(At, "@")
 	case '#':
-		return one(Hash)
+		return one(Hash, "#")
 	case '?':
-		return one(Question)
+		return one(Question, "?")
 	case '+':
-		return one(PlusOp)
+		return one(PlusOp, "+")
 	case '-':
-		return one(MinusOp)
+		return one(MinusOp, "-")
 	case '/':
-		return one(SlashOp)
+		return one(SlashOp, "/")
 	case '%':
-		return one(PercentOp)
+		return one(PercentOp, "%")
 	case '*':
 		if c1 == '*' {
 			return two(PowerOp, "**")
 		}
-		return one(StarOp)
+		return one(StarOp, "*")
 	case '=':
 		if c1 == '=' && c2 == '=' {
 			return three(CaseEq, "===")
@@ -298,7 +298,7 @@ func (l *Lexer) lexOperator(pos Pos) Token {
 		if c1 == '=' {
 			return two(EqEq, "==")
 		}
-		return one(Eq)
+		return one(Eq, "=")
 	case '!':
 		if c1 == '=' && c2 == '=' {
 			return three(CaseNotEq, "!==")
@@ -306,7 +306,7 @@ func (l *Lexer) lexOperator(pos Pos) Token {
 		if c1 == '=' {
 			return two(NotEq, "!=")
 		}
-		return one(Bang)
+		return one(Bang, "!")
 	case '<':
 		if c1 == '<' && c2 == '<' {
 			return three(AShl, "<<<")
@@ -317,7 +317,7 @@ func (l *Lexer) lexOperator(pos Pos) Token {
 		if c1 == '=' {
 			return two(LtEq, "<=")
 		}
-		return one(Lt)
+		return one(Lt, "<")
 	case '>':
 		if c1 == '>' && c2 == '>' {
 			return three(AShr, ">>>")
@@ -328,22 +328,22 @@ func (l *Lexer) lexOperator(pos Pos) Token {
 		if c1 == '=' {
 			return two(GtEq, ">=")
 		}
-		return one(Gt)
+		return one(Gt, ">")
 	case '&':
 		if c1 == '&' {
 			return two(AndAnd, "&&")
 		}
-		return one(Amp)
+		return one(Amp, "&")
 	case '|':
 		if c1 == '|' {
 			return two(OrOr, "||")
 		}
-		return one(Pipe)
+		return one(Pipe, "|")
 	case '^':
 		if c1 == '~' {
 			return two(TildeXor, "^~")
 		}
-		return one(Caret)
+		return one(Caret, "^")
 	case '~':
 		if c1 == '&' {
 			return two(TildeAmp, "~&")
@@ -354,11 +354,14 @@ func (l *Lexer) lexOperator(pos Pos) Token {
 		if c1 == '^' {
 			return two(TildeXor, "~^")
 		}
-		return one(Tilde)
+		return one(Tilde, "~")
 	}
-	l.errorf(pos, "unexpected character %q", string(c))
+	// The byte itself, quoted: string(c) would read it as a rune, so a
+	// byte of a multi-byte character would print as some other character.
+	text := l.src[l.off : l.off+1]
+	l.errorf(pos, "unexpected character %q", text)
 	l.advance()
-	return Token{Kind: ILLEGAL, Text: string(c), Pos: pos}
+	return Token{Kind: ILLEGAL, Text: text, Pos: pos}
 }
 
 // LexAll tokenizes src completely, returning the tokens (ending with EOF)

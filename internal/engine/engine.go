@@ -102,7 +102,8 @@ type Engine interface {
 // VerifyQuiet is a test-only switch: with it set, the lock-step loops
 // (the runtime's rounds, the fabric model's forward group) re-issue every
 // poll and drain the quiet rule let them skip, and panic if one had work.
-// Only _test.go files may set it (scripts/check_scheduler_tables.sh).
+// Only _test.go files may set it (the scheduler/verify-quiet-test-only
+// row of internal/archtest).
 var VerifyQuiet bool
 
 // Usage is the work an engine performed since its last report, in the

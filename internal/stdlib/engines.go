@@ -213,7 +213,7 @@ func NewReset(path string, w *World) *Reset {
 
 // EndStep samples the reset line.
 func (r *Reset) EndStep() {
-	r.setOutU(0, b2u(r.world.reset(r.path)))
+	r.setOutU(0, r.world.input(InputReset, r.path))
 }
 
 // Led is a bank of N LEDs whose value is observable on the World.
@@ -236,14 +236,14 @@ func (l *Led) Read(ev engine.Event) {
 		return
 	}
 	if l.val.CopyFrom(ev.Val) {
-		l.world.setLed(l.path, l.val)
+		l.world.setPin(l.path, l.val, true)
 	}
 }
 
 // SetState implements engine.Engine: the restored value is driven.
 func (l *Led) SetState(img []uint64) {
 	l.base.SetState(img)
-	l.world.setLed(l.path, l.val)
+	l.world.setPin(l.path, l.val, true)
 }
 
 // GPIO is a general-purpose IO bank of N pins in each direction: the
@@ -269,18 +269,18 @@ func (g *GPIO) Read(ev engine.Event) {
 		return
 	}
 	if g.out.CopyFrom(ev.Val) {
-		g.world.setGPIO(g.path, g.out)
+		g.world.setPin(g.path, g.out, false)
 	}
 }
 
 // EndStep samples the host-driven input pins.
-func (g *GPIO) EndStep() { g.setOutU(0, g.world.gpioInVal(g.path)) }
+func (g *GPIO) EndStep() { g.setOutU(0, g.world.input(InputGPIO, g.path)) }
 
 // SetState implements engine.Engine: the restored output pins are
 // driven.
 func (g *GPIO) SetState(img []uint64) {
 	g.base.SetState(img)
-	g.world.setGPIO(g.path, g.out)
+	g.world.setPin(g.path, g.out, false)
 }
 
 // Memory is a simple synchronous-write, combinational-read RAM:

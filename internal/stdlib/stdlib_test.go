@@ -1,6 +1,7 @@
 package stdlib
 
 import (
+	"fmt"
 	"testing"
 
 	"cascade/internal/bits"
@@ -126,6 +127,39 @@ func TestResetLine(t *testing.T) {
 	step(r)
 	if v, changed := drainVal(t, r, "val"); !changed || v != 0 {
 		t.Fatalf("reset not deasserted: %d %v", v, changed)
+	}
+}
+
+// TestWorldInputs pins the board's input surface: the recorder sees
+// every host drive, ApplyInput bypasses it and refuses an unknown kind,
+// InputStates lists (Kind, Path) in order with a reset line as 0 or 1,
+// and a per-tick read allocates nothing.
+func TestWorldInputs(t *testing.T) {
+	w := NewWorld()
+	var seen []InputState
+	w.SetInputRecorder(func(kind, path string, v uint64) { seen = append(seen, InputState{kind, path, v}) })
+	w.DriveGPIO("main.gp", 0xa5)
+	w.PressPad("main.pad", 3)
+	w.SetReset("main.rst", true)
+	if err := w.ApplyInput(InputReset, "main.arst", 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.ApplyInput("bogus", "main.x", 1); err == nil {
+		t.Fatal("ApplyInput accepted an unknown kind")
+	}
+	want := []InputState{{InputGPIO, "main.gp", 0xa5}, {InputPad, "main.pad", 3}, {InputReset, "main.rst", 1}}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("recorded %v, want %v", seen, want)
+	}
+	all := []InputState{want[0], want[1], {InputReset, "main.arst", 1}, want[2]}
+	if got := w.InputStates(); fmt.Sprint(got) != fmt.Sprint(all) {
+		t.Fatalf("InputStates = %v, want %v", got, all)
+	}
+	if w.Pad("main.pad") != 3 || w.input(InputGPIO, "main.gp") != 0xa5 || w.input(InputReset, "main.arst") != 1 || w.Pad("main.gp") != 0 {
+		t.Fatal("inputs read back wrong")
+	}
+	if n := testing.AllocsPerRun(100, func() { w.Pad("main.pad"); w.input(InputReset, "main.rst") }); n != 0 {
+		t.Fatalf("input reads allocate %v times", n)
 	}
 }
 

@@ -22,11 +22,8 @@ import (
 // Keys are subprogram instance paths (e.g. "main.pad").
 type World struct {
 	mu      sync.Mutex
-	pads    map[string]uint64
-	leds    map[string]*bits.Vector
-	resets  map[string]bool
-	gpioIn  map[string]uint64       // host-driven GPIO input pins
-	gpioOut map[string]*bits.Vector // device-driven GPIO output pins
+	inputs  map[string]InputState   // host-driven: pads, reset lines, GPIO input pins
+	driven  map[string]*bits.Vector // device-driven: LED banks, GPIO output pins
 	streams map[string]*Stream
 
 	// LedTrace records every LED value change when enabled (used by the
@@ -76,18 +73,8 @@ func (w *World) InputStates() []InputState {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var out []InputState
-	for path, v := range w.pads {
-		out = append(out, InputState{Kind: InputPad, Path: path, Value: v})
-	}
-	for path, b := range w.resets {
-		v := uint64(0)
-		if b {
-			v = 1
-		}
-		out = append(out, InputState{Kind: InputReset, Path: path, Value: v})
-	}
-	for path, v := range w.gpioIn {
-		out = append(out, InputState{Kind: InputGPIO, Path: path, Value: v})
+	for _, in := range w.inputs {
+		out = append(out, in)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Kind != out[j].Kind {
@@ -104,127 +91,95 @@ func (w *World) InputStates() []InputState {
 func (w *World) ApplyInput(kind, path string, value uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.set(kind, path, value)
+}
+
+// set records one host-driven input (a reset line is asserted or not);
+// the caller holds w.mu.
+func (w *World) set(kind, path string, value uint64) error {
 	switch kind {
-	case InputPad:
-		w.pads[path] = value
+	case InputPad, InputGPIO:
 	case InputReset:
-		w.resets[path] = value != 0
-	case InputGPIO:
-		w.gpioIn[path] = value
+		value = min(value, 1)
 	default:
 		return fmt.Errorf("stdlib: unknown input kind %q", kind)
 	}
+	w.inputs[path] = InputState{Kind: kind, Path: path, Value: value}
 	return nil
+}
+
+// drive journals one host-driven input through the recorder, then sets it.
+func (w *World) drive(kind, path string, value uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.recorder != nil {
+		w.recorder(kind, path, value)
+	}
+	_ = w.set(kind, path, value) // the three setters pass known kinds
+}
+
+// input returns the host-driven input of the given kind at path.
+func (w *World) input(kind, path string) uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if in := w.inputs[path]; in.Kind == kind {
+		return in.Value
+	}
+	return 0
 }
 
 // NewWorld returns an empty peripheral board.
 func NewWorld() *World {
 	return &World{
-		pads:    map[string]uint64{},
-		leds:    map[string]*bits.Vector{},
-		resets:  map[string]bool{},
-		gpioIn:  map[string]uint64{},
-		gpioOut: map[string]*bits.Vector{},
+		inputs:  map[string]InputState{},
+		driven:  map[string]*bits.Vector{},
 		streams: map[string]*Stream{},
 	}
 }
 
 // PressPad sets the buttons of the pad at path (bit i = button i down).
-func (w *World) PressPad(path string, value uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.recorder != nil {
-		w.recorder(InputPad, path, value)
-	}
-	w.pads[path] = value
-}
+func (w *World) PressPad(path string, value uint64) { w.drive(InputPad, path, value) }
 
 // Pad returns the current button state at path.
-func (w *World) Pad(path string) uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.pads[path]
-}
+func (w *World) Pad(path string) uint64 { return w.input(InputPad, path) }
 
 // SetReset asserts or deasserts the reset line at path.
 func (w *World) SetReset(path string, asserted bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.recorder != nil {
-		v := uint64(0)
-		if asserted {
-			v = 1
-		}
-		w.recorder(InputReset, path, v)
-	}
-	w.resets[path] = asserted
-}
-
-func (w *World) reset(path string) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.resets[path]
-}
-
-// Led returns the value currently driven onto the LED bank at path.
-func (w *World) Led(path string) uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if v, ok := w.leds[path]; ok {
-		return v.Uint64()
-	}
-	return 0
-}
-
-func (w *World) setLed(path string, v *bits.Vector) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	keep(w.leds, path, v)
-	if w.TraceLeds {
-		w.LedTrace = append(w.LedTrace, v.Uint64())
-	}
+	w.drive(InputReset, path, b2u(asserted))
 }
 
 // DriveGPIO sets the host-driven input pins of the GPIO bank at path.
-func (w *World) DriveGPIO(path string, value uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.recorder != nil {
-		w.recorder(InputGPIO, path, value)
-	}
-	w.gpioIn[path] = value
-}
+func (w *World) DriveGPIO(path string, value uint64) { w.drive(InputGPIO, path, value) }
 
-func (w *World) gpioInVal(path string) uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.gpioIn[path]
-}
+// Led returns the value currently driven onto the LED bank at path.
+func (w *World) Led(path string) uint64 { return w.pin(path) }
 
 // GPIO returns the device-driven output pins of the GPIO bank at path.
-func (w *World) GPIO(path string) uint64 {
+func (w *World) GPIO(path string) uint64 { return w.pin(path) }
+
+func (w *World) pin(path string) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if v, ok := w.gpioOut[path]; ok {
+	if v, ok := w.driven[path]; ok {
 		return v.Uint64()
 	}
 	return 0
 }
 
-func (w *World) setGPIO(path string, v *bits.Vector) {
+// setPin records the value a device drives onto the pins at path,
+// overwriting the vector already there when the width is unchanged (a
+// pin bank is driven every tick); an LED bank's change is traced.
+func (w *World) setPin(path string, v *bits.Vector, led bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	keep(w.gpioOut, path, v)
-}
-
-// keep records a driven value under path, overwriting the vector already
-// there when the width is unchanged (a pin bank is driven every tick).
-func keep(m map[string]*bits.Vector, path string, v *bits.Vector) {
-	if cur, ok := m[path]; ok && cur.Width() == v.Width() {
+	if cur, ok := w.driven[path]; ok && cur.Width() == v.Width() {
 		cur.CopyFrom(v)
-		return
+	} else {
+		w.driven[path] = v.Clone()
 	}
-	m[path] = v.Clone()
+	if led && w.TraceLeds {
+		w.LedTrace = append(w.LedTrace, v.Uint64())
+	}
 }
 
 // Stream returns the host-side endpoint of the FIFO at path, creating it

@@ -12,7 +12,7 @@ bin=${1:?usage: native_smoke.sh <cascade-binary>}
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-ticks=30000
+ticks=300000
 go run ./scripts/genpow > "$work/pow.v"
 
 now_ms() { echo $(($(date +%s%N) / 1000000)); }
@@ -45,8 +45,11 @@ if ! diff -u "$work/interp.found" "$work/native.found"; then
   exit 1
 fi
 
-# The measured gap is ~3.5x; require a comfortable 1.25x so scheduler
-# jitter on a busy CI runner cannot flip the comparison.
+# Measured on a 2-core Xeon at 300 000 ticks: interpreter 1.4-1.8 s
+# against native 0.8-1.0 s, 1.4x-2.1x. Both rungs are compiled and the
+# scheduler's step is shared, so the gap is narrow; the tick count keeps
+# process start, parse and compile a small share, and the gate asks for
+# 1.25x so that jitter on a busy CI runner cannot flip the comparison.
 if [ $((native_ms * 5)) -ge $((interp_ms * 4)) ]; then
   echo "FAIL: native tier not faster: interpreter ${interp_ms}ms vs native ${native_ms}ms"
   exit 1

@@ -40,7 +40,8 @@ func stateHandoff(tb testing.TB) func() {
 }
 
 // BenchmarkStateHandoff is one interpreter -> native -> fabric state
-// hand-off of the pow miner (CI gates its allocations).
+// hand-off of the pow miner; TestStateHandoffAllocBudget pins what it
+// allocates.
 func BenchmarkStateHandoff(b *testing.B) {
 	round := stateHandoff(b)
 	b.ReportAllocs()

@@ -280,15 +280,11 @@ func drainCases() []drainCase {
 	fabric := func(native bool) func(t *testing.T) (engine.Engine, func() string, func(int, func(string, int, uint64))) {
 		return func(t *testing.T) (engine.Engine, func() string, func(int, func(string, int, uint64))) {
 			_, prog := mix(t)
-			dev := fpga.NewCycloneV()
-			e, err := hweng.New("main.m", prog, dev, 10, nil, native, nil)
+			e, err := hweng.New("main.m", prog, fpga.NewCycloneV(), 10, nil, native, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return e, func() string {
-				rd, wr := dev.BusTransactions()
-				return fmt.Sprintf("%+v bus reads=%d writes=%d", e.UsageDelta(), rd, wr)
-			}, pokeMix
+			return e, usage(e), pokeMix
 		}
 	}
 	cases := []drainCase{
@@ -412,10 +408,9 @@ func runDrainCase(t *testing.T, c drainCase, visit, scribble bool) (trace string
 // drains — the three user tiers (the fabric model wrapped and native) and
 // every stdlib component: a twin drained through VisitWrites reports the
 // same (name, value) sequence as one drained through DrainWrites, ends in
-// the same state and leaves the same bill (UsageDelta, and the device's
-// bus counters for the fabric model, which charges one bus read per
-// changed output either way), and the first drain broadcasts every
-// output.
+// the same state and leaves the same bill (UsageDelta: the fabric model
+// charges one bus read per changed output either way), and the first
+// drain broadcasts every output.
 //
 // The third twin checks the borrow contract of Engine.Read from the
 // lender's side: its inputs are overwritten the moment Read returns, so

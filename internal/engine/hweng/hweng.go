@@ -205,7 +205,6 @@ func (e *Engine) UsageDelta() engine.Usage {
 // schedule one shot at it).
 func (e *Engine) bill() {
 	e.msgs++
-	e.dev.CountWrite(1)
 	e.CheckBus()
 }
 
@@ -214,7 +213,6 @@ func (e *Engine) bill() {
 func (e *Engine) GetState() []uint64 {
 	words := e.Flat().Layout().Bus()
 	e.msgs += words
-	e.dev.CountRead(words)
 	return e.Core.GetState()
 }
 
@@ -222,7 +220,6 @@ func (e *Engine) GetState() []uint64 {
 func (e *Engine) SetState(img []uint64) {
 	words := e.Flat().Layout().Bus()
 	e.msgs += words
-	e.dev.CountWrite(words)
 	e.Core.SetState(img)
 	e.stale = true
 }
@@ -231,7 +228,6 @@ func (e *Engine) SetState(img []uint64) {
 func (e *Engine) Read(ev engine.Event) {
 	if e.Input(ev) {
 		e.msgs++
-		e.dev.CountWrite(1)
 	}
 }
 
@@ -239,7 +235,6 @@ func (e *Engine) Read(ev engine.Event) {
 func (e *Engine) VisitWrites(fn func(name string, val *bits.Vector)) {
 	if n := uint64(e.VisitChanged(fn)); n > 0 {
 		e.msgs += n
-		e.dev.CountRead(n)
 	}
 }
 

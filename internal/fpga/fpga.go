@@ -27,10 +27,6 @@ type Device struct {
 	// faults injects deterministic bus and region faults into the
 	// engines executing on this device (nil: fault-free).
 	faults *fault.Injector
-
-	// Bus transaction counters (reads + writes across the MMIO bridge).
-	busReads  uint64
-	busWrites uint64
 }
 
 // NewCycloneV returns a device with the paper's Cyclone V parameters:
@@ -111,25 +107,4 @@ func (d *Device) Release(name string) {
 		d.used -= les
 		delete(d.regions, name)
 	}
-}
-
-// CountRead records n MMIO read transactions.
-func (d *Device) CountRead(n uint64) {
-	d.mu.Lock()
-	d.busReads += n
-	d.mu.Unlock()
-}
-
-// CountWrite records n MMIO write transactions.
-func (d *Device) CountWrite(n uint64) {
-	d.mu.Lock()
-	d.busWrites += n
-	d.mu.Unlock()
-}
-
-// BusTransactions returns total (reads, writes) across the bridge.
-func (d *Device) BusTransactions() (uint64, uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.busReads, d.busWrites
 }

@@ -1,6 +1,9 @@
 package fpga
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestCycloneVParameters(t *testing.T) {
 	d := NewCycloneV()
@@ -43,33 +46,29 @@ func TestPlacementAccounting(t *testing.T) {
 	}
 }
 
-func TestBusCounters(t *testing.T) {
-	d := NewDevice(10, 1_000_000)
-	d.CountRead(3)
-	d.CountWrite(5)
-	r, w := d.BusTransactions()
-	if r != 3 || w != 5 {
-		t.Fatalf("bus counters %d/%d", r, w)
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	d := NewDevice(1_000_000, 1_000_000)
 	done := make(chan struct{})
 	for i := 0; i < 8; i++ {
 		go func(i int) {
 			defer func() { done <- struct{}{} }()
+			name := fmt.Sprintf("r%d", i)
 			for j := 0; j < 1000; j++ {
-				d.CountRead(1)
-				d.CountWrite(1)
+				if err := d.Place(name, 1+j%100); err != nil {
+					t.Error(err)
+					return
+				}
+				d.Release(name)
+			}
+			if err := d.Place(name, 100); err != nil {
+				t.Error(err)
 			}
 		}(i)
 	}
 	for i := 0; i < 8; i++ {
 		<-done
 	}
-	r, w := d.BusTransactions()
-	if r != 8000 || w != 8000 {
-		t.Fatalf("racy counters: %d/%d", r, w)
+	if d.Used() != 800 {
+		t.Fatalf("racy placement accounting: used=%d, want 800", d.Used())
 	}
 }

@@ -366,14 +366,3 @@ func (o *Observer) Trace(n int) []Event {
 	}
 	return out
 }
-
-// WriteTraceJSONL exports the buffered trace as JSON Lines, oldest
-// event first.
-func (o *Observer) WriteTraceJSONL(w io.Writer) {
-	if o == nil {
-		return
-	}
-	for _, ev := range o.Trace(0) {
-		ev.writeJSON(w)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -31,7 +32,9 @@ func TestNilObserverIsSafe(t *testing.T) {
 	if o.MetricsText() != "" {
 		t.Fatal("nil metrics text non-empty")
 	}
-	o.WriteTraceJSONL(io.Discard)
+	if o.Handler() != nil {
+		t.Fatal("nil observer has a handler")
+	}
 	if err := o.StartHTTP(); err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +122,9 @@ func TestRingWrapsAndCountsDrops(t *testing.T) {
 func TestTraceJSONL(t *testing.T) {
 	o := New(Options{TraceCap: 8, WallClock: func() time.Time { return time.Unix(0, 42) }})
 	o.EmitAt(7, EvCacheHit, "root.m", `key="a\b"`)
-	var sb strings.Builder
-	o.WriteTraceJSONL(&sb)
-	got := sb.String()
+	rec := httptest.NewRecorder()
+	o.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/trace", nil))
+	got := rec.Body.String()
 	want := `{"seq":1,"wall_ns":42,"vps":7,"kind":"cache-hit","path":"root.m","detail":"key=\"a\\b\""}` + "\n"
 	if got != want {
 		t.Fatalf("jsonl:\n got %q\nwant %q", got, want)

@@ -118,22 +118,12 @@ func EncodeRequest(dst []byte, req *Request) []byte {
 		dst = appendUvarint(dst, uint64(int64(f.FFs)))
 		dst = appendUvarint(dst, uint64(int64(f.MemBits)))
 		dst = appendUvarint(dst, uint64(int64(f.CritPath)))
-	case KindCompileStatus, KindCompileCancel, KindCacheFetch:
+	case KindCacheFetch, KindCachePut:
 		f := req.Farm
 		if f == nil {
 			f = &FarmJob{}
 		}
 		dst = appendString(dst, f.Key)
-	case KindCachePut:
-		f := req.Farm
-		if f == nil {
-			f = &FarmJob{}
-		}
-		dst = appendString(dst, f.Key)
-		dst = appendUvarint(dst, uint64(int64(f.AreaLEs)))
-		dst = appendUvarint(dst, uint64(int64(f.RawAreaLEs)))
-		dst = appendUvarint(dst, uint64(int64(f.CritPath)))
-		dst = appendBool(dst, f.Publish)
 	case KindRound:
 		dst = append(dst, byte(req.Phase))
 		dst = appendUvarint(dst, uint64(len(req.Inputs)))
@@ -425,16 +415,8 @@ func DecodeRequestInto(data []byte, req *Request) error {
 		f.MemBits = int(int64(r.uvarint()))
 		f.CritPath = int(int64(r.uvarint()))
 		req.Farm = f
-	case KindCompileStatus, KindCompileCancel, KindCacheFetch:
+	case KindCacheFetch, KindCachePut:
 		req.Farm = &FarmJob{Key: r.string()}
-	case KindCachePut:
-		f := &FarmJob{}
-		f.Key = r.string()
-		f.AreaLEs = int(int64(r.uvarint()))
-		f.RawAreaLEs = int(int64(r.uvarint()))
-		f.CritPath = int(int64(r.uvarint()))
-		f.Publish = r.bool()
-		req.Farm = f
 	case KindRound:
 		req.Phase = RoundPhase(r.u8())
 		if r.err == nil && (req.Phase == 0 || req.Phase >= roundPhaseMax) {
@@ -529,28 +511,20 @@ func DecodeReply(data []byte, rep *Reply) error {
 
 // framing ----------------------------------------------------------------
 
-// AppendFrame appends payload to dst as one length-prefixed frame
-// (little-endian u32 length, then the payload).
-func AppendFrame(dst, payload []byte) ([]byte, error) {
-	if len(payload) > MaxFrame {
-		return dst, ErrFrameTooLarge
+// AppendFrame appends msg to dst as one length-prefixed frame
+// (little-endian u32 length, then the payload). enc — EncodeRequest or
+// EncodeReply — encodes the payload in place behind the reserved
+// length, so it is never copied. A payload over MaxFrame fails with
+// ErrFrameTooLarge and leaves dst's length as it was.
+func AppendFrame[M any](dst []byte, enc func([]byte, M) []byte, msg M) ([]byte, error) {
+	start := len(dst)
+	dst = enc(append(dst, 0, 0, 0, 0), msg)
+	n := len(dst) - start - 4
+	if n > MaxFrame {
+		return dst[:start], ErrFrameTooLarge
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	return append(dst, payload...), nil
-}
-
-// WriteFrame writes payload to w as one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	binary.LittleEndian.PutUint32(dst[start:], uint32(n))
+	return dst, nil
 }
 
 // ReadFrame reads one length-prefixed frame from r, reusing buf when it

@@ -42,15 +42,17 @@ import (
 // Share request fields that let one daemon host independent tenants.
 // Version 3 added KindPing liveness probes for supervision and
 // half-open connection detection. Version 4 added the compile-farm
-// kinds (KindCompileSubmit/Status/Cancel, KindCacheFetch/CachePut) and
+// kinds (compile submit, status and cancel, cache fetch and put) and
 // the Farm request/reply payloads, letting a daemon host the back half
-// of compile flows and a replicated bitstream cache for remote clients.
+// of compile flows and a bitstream cache for remote clients.
 // Version 5 added KindRound, the per-round framing of the scheduler's
 // ABI calls; version 6 carries state as a word image, not named values.
-// As with every bump, a daemon resumption journal's records written under
-// an older version no longer decode and are skipped when the journal is
-// replayed (transport.Host.EnableJournal).
-const Version = 6
+// Version 7 dropped the farm kinds no client sent (compile status and
+// cancel) and cache-put's replicated outcome: a CachePut carries only
+// the key it publishes. As with every bump, a daemon resumption
+// journal's records written under an older version no longer decode and
+// are skipped when the journal is replayed (transport.Host.EnableJournal).
+const Version = 7
 
 // Kind identifies the ABI request a message carries.
 type Kind uint8
@@ -90,16 +92,11 @@ const (
 	// KindCompileSubmit runs the back half of one compile flow — cache
 	// consultation, the place-and-route model, durable storage — against
 	// the worker's shard-local cache tiers and returns the outcome.
-	// KindCompileStatus polls a key's cache state without compiling.
-	// KindCompileCancel is a no-op acknowledgement: like Job.Cancel, the
-	// flow still runs to completion so the bitstream reaches the cache —
-	// cancellation drops the subscription, never the artifact.
 	// KindCacheFetch asks the worker's bitstream cache for a key (the
-	// farm's peer-fetch tier); KindCachePut replicates a verified
-	// outcome onto the worker.
+	// farm's peer-fetch tier); KindCachePut publishes a key: the worker
+	// marks its bitstream delivered, so identical submissions hit
+	// outright on any clock.
 	KindCompileSubmit
-	KindCompileStatus
-	KindCompileCancel
 	KindCacheFetch
 	KindCachePut
 	// KindRound is one scheduler round for the engines a runtime hosts on
@@ -141,10 +138,6 @@ func (k Kind) String() string {
 		return "ping"
 	case KindCompileSubmit:
 		return "compile_submit"
-	case KindCompileStatus:
-		return "compile_status"
-	case KindCompileCancel:
-		return "compile_cancel"
 	case KindCacheFetch:
 		return "cache_fetch"
 	case KindCachePut:
@@ -265,8 +258,8 @@ type Request struct {
 // CompileSubmit ships the cache key plus the synthesized netlist's
 // summary — the toolchain's fit and timing models run from the summary
 // alone, so the worker never sees (or re-synthesizes) source, and the
-// client keeps the netlist for its own fabric. CacheFetch/Status/Cancel
-// use only Key; CachePut adds the verified outcome being replicated.
+// client keeps the netlist for its own fabric. CacheFetch and CachePut
+// use only Key.
 type FarmJob struct {
 	Key       string
 	Name      string
@@ -279,13 +272,6 @@ type FarmJob struct {
 	FFs      int
 	MemBits  int
 	CritPath int
-
-	// Verified outcome (CachePut). Publish marks the key's bitstream
-	// delivered instead of shipping a new outcome: the worker flips the
-	// entry so identical submissions hit outright on any clock.
-	AreaLEs    int
-	RawAreaLEs int
-	Publish    bool
 }
 
 // Reply is the response to one Request. Err is an engine-level failure

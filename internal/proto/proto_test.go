@@ -37,11 +37,8 @@ func TestRequestRoundTrip(t *testing.T) {
 			Key: "fp|wrapped=true", Name: "main.m", Wrapped: true,
 			SubmitPs: 1 << 44, BackoffPs: 5e12,
 			Cells: 1200, FFs: 340, MemBits: 4096, CritPath: 17}},
-		{Kind: KindCompileStatus, Farm: &FarmJob{Key: "fp|wrapped=false"}},
-		{Kind: KindCompileCancel, Farm: &FarmJob{Key: "fp|wrapped=false"}},
 		{Kind: KindCacheFetch, Farm: &FarmJob{Key: "tenant=a|fp"}},
-		{Kind: KindCachePut, Farm: &FarmJob{Key: "fp", AreaLEs: 900, RawAreaLEs: 840, CritPath: 12}},
-		{Kind: KindCachePut, Farm: &FarmJob{Key: "fp", Publish: true}},
+		{Kind: KindCachePut, Farm: &FarmJob{Key: "fp|wrapped=false"}},
 		{Kind: KindRound, Now: 5, VNow: 1 << 40, Phase: RoundEvals,
 			Inputs: []RoundInput{
 				{Engine: 2, Var: "clk", Val: bits.FromUint64(1, 1)},
@@ -209,12 +206,17 @@ func TestDecodeReusesRoundArrays(t *testing.T) {
 }
 
 func TestFraming(t *testing.T) {
-	payload := EncodeReply(nil, &Reply{Kind: KindEndStep, Engine: 8})
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, payload); err != nil {
+	rep := &Reply{Kind: KindEndStep, Engine: 8}
+	payload := EncodeReply(nil, rep)
+	// A frame appends after what dst already holds.
+	frame, err := AppendFrame([]byte("x"), EncodeReply, rep)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf, nil)
+	if frame[0] != 'x' {
+		t.Fatal("AppendFrame overwrote dst")
+	}
+	got, err := ReadFrame(bytes.NewReader(frame[1:]), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +229,12 @@ func TestFraming(t *testing.T) {
 	if _, err := ReadFrame(&hdr, nil); err != ErrFrameTooLarge {
 		t.Fatalf("oversized frame: got %v, want ErrFrameTooLarge", err)
 	}
-	if err := WriteFrame(&bytes.Buffer{}, make([]byte, MaxFrame+1)); err != ErrFrameTooLarge {
-		t.Fatalf("oversized write: got %v, want ErrFrameTooLarge", err)
+	pad := func(dst []byte, n int) []byte { return append(dst, make([]byte, n)...) }
+	if frame, err := AppendFrame([]byte("x"), pad, MaxFrame+1); err != ErrFrameTooLarge || string(frame) != "x" {
+		t.Fatalf("oversized append: got %v (%d bytes), want ErrFrameTooLarge and dst as it was", err, len(frame))
 	}
-	if _, err := AppendFrame(nil, make([]byte, MaxFrame+1)); err != ErrFrameTooLarge {
-		t.Fatalf("oversized append: got %v, want ErrFrameTooLarge", err)
+	if frame, err := AppendFrame(nil, pad, MaxFrame); err != nil || len(frame) != 4+MaxFrame {
+		t.Fatalf("a MaxFrame payload: got %v (%d bytes)", err, len(frame))
 	}
 }
 

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -56,7 +57,7 @@ Pow miner(.clk(clk.val), .hashes(hashes), .nonce(nonce),
           .found(found), .hash0(hash0), .solution(sol));
 `)
 	budget := uint64((wantNonce + 2)) * pow.CyclesPerHash * 2
-	if !r.RunUntilFinish(budget * 2) {
+	if fin, err := r.RunUntilFinishCtx(context.Background(), budget*2); !fin || err != nil {
 		t.Fatalf("miner never finished (budget %d steps)", budget*2)
 	}
 	if !strings.Contains(view.Output(), "FOUND nonce=") {

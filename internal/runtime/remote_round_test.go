@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -223,7 +224,7 @@ func TestSupervisedEngineLost(t *testing.T) {
 				t.Fatalf("daemon holds %d engines after losing one of 3", d.host.Engines())
 			}
 		}
-		if !r.RunUntilFinish(2000) {
+		if fin, err := r.RunUntilFinishCtx(context.Background(), 2000); !fin || err != nil {
 			t.Fatal("run never finished")
 		}
 		if got := d.live().Engines(); got != 3 {

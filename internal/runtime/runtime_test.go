@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -237,7 +238,7 @@ always @(posedge clk.val) begin
   n <= n + 1;
   if (n == 50) $finish;
 end`)
-	if !r.RunUntilFinish(100000) {
+	if fin, err := r.RunUntilFinishCtx(context.Background(), 100000); !fin || err != nil {
 		t.Fatal("program never finished")
 	}
 	if r.Ticks() > 120 {

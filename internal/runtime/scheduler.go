@@ -757,14 +757,9 @@ func (r *Runtime) RunTicksCtx(ctx context.Context, n uint64) error {
 	return nil
 }
 
-// RunUntilFinish steps until $finish or the step budget is exhausted; it
-// reports whether the program finished.
-func (r *Runtime) RunUntilFinish(maxSteps uint64) bool {
-	fin, _ := r.RunUntilFinishCtx(context.Background(), maxSteps)
-	return fin
-}
-
-// RunUntilFinishCtx is RunUntilFinish with cancellation between steps.
+// RunUntilFinishCtx steps until $finish or the step budget is exhausted,
+// with cancellation between steps; it reports whether the program
+// finished.
 func (r *Runtime) RunUntilFinishCtx(ctx context.Context, maxSteps uint64) (bool, error) {
 	start := r.steps
 	for !r.finished && r.steps-start < maxSteps {

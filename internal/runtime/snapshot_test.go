@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"maps"
 	"slices"
 	"strings"
@@ -119,7 +120,7 @@ assign led.val = sol[7:0];
 	if err := b.Restore(snap); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if !b.RunUntilFinish(uint64(wantNonce+4) * pow.CyclesPerHash * 4) {
+	if fin, err := b.RunUntilFinishCtx(context.Background(), uint64(wantNonce+4)*pow.CyclesPerHash*4); !fin || err != nil {
 		t.Fatal("migrated miner never finished")
 	}
 	if got := b.World().Led("main.led"); got != uint64(wantNonce&0xff) {

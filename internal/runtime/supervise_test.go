@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -425,7 +426,7 @@ func TestSupervisedRehostHandoffFailure(t *testing.T) {
 			}
 			d.restart()
 		}
-		if !r.RunUntilFinish(2000) {
+		if fin, err := r.RunUntilFinishCtx(context.Background(), 2000); !fin || err != nil {
 			t.Fatal("run never finished")
 		}
 		return view.Output(), r.Stats(), view.Infos(), d.live().Engines()

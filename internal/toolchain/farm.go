@@ -234,24 +234,17 @@ func (out ShardOutcome) meta(key string) BitMeta {
 
 // ShardLink is the farm's connection to one remote compile worker.
 // internal/transport implements it over the engine protocol's framing
-// (proto kinds compile-submit/status/cancel/cache-fetch/cache-put);
-// defining the interface here keeps the toolchain free of a transport
-// dependency.
+// (proto kinds compile-submit, cache-put and ping); defining the
+// interface here keeps the toolchain free of a transport dependency.
 type ShardLink interface {
 	// Submit runs the back half of a flow on the worker and returns its
 	// outcome. An error is a transport failure (the shard is dead), not
 	// a design verdict.
 	Submit(spec ShardSubmit) (ShardOutcome, error)
-	// Fetch asks the worker's cache for a key (the peer-fetch tier).
-	Fetch(key string) (BitMeta, bool, error)
-	// Put replicates a freshly built outcome onto the worker.
-	Put(meta BitMeta) error
 	// Publish marks a key delivered on the worker.
 	Publish(key string) error
 	// Ping is the breaker's liveness probe.
 	Ping() error
-	// Addr names the worker (metrics, REPL).
-	Addr() string
 	// Close releases the connection.
 	Close() error
 }

@@ -23,14 +23,8 @@ func TestTransientFaultRetriedWithBackoff(t *testing.T) {
 	f := flatFor(t, smallCounter)
 	j := tc.Submit(context.Background(), f, true, 0)
 	res := j.Result()
-	if res == nil || res.Err != nil {
+	if res == nil || res.Err != nil || j.Canceled() {
 		t.Fatalf("retried flow must succeed: %+v", res)
-	}
-	if j.Retries() != 2 {
-		t.Fatalf("retries = %d, want 2", j.Retries())
-	}
-	if j.State() != JobDone {
-		t.Fatalf("state = %v, want done", j.State())
 	}
 	// The two retries cost base + 2*base of backoff on top of the clean
 	// flow's duration.
@@ -78,9 +72,6 @@ func TestPermanentFaultFailsOnce(t *testing.T) {
 	if fault.IsTransient(res.Err) || !fault.IsFault(res.Err) {
 		t.Fatalf("error lost its classification: %v", res.Err)
 	}
-	if j.State() != JobFailed || j.Retries() != 0 {
-		t.Fatalf("state=%v retries=%d, want failed/0", j.State(), j.Retries())
-	}
 	st := tc.Stats()
 	if st.PermanentFaults != 1 || st.Retried != 0 {
 		t.Fatalf("stats wrong: %+v", st)
@@ -108,8 +99,8 @@ func TestRetriesExhaustedFailTransient(t *testing.T) {
 	if !fault.IsTransient(res.Err) {
 		t.Fatalf("exhausted transient faults must stay transient: %v", res.Err)
 	}
-	if j.Retries() != 2 {
-		t.Fatalf("retries = %d, want 2", j.Retries())
+	if st := tc.Stats(); st.Retried != 2 || st.TransientFaults != 3 {
+		t.Fatalf("stats wrong: %+v", st)
 	}
 }
 

@@ -47,7 +47,7 @@ func (p shardPath) publish(key string) { p.tc.Farm().Publish(key) }
 type workerPath struct{ w *Worker }
 
 func (p workerPath) compile(req ShardSubmit) ShardOutcome { return p.w.Compile(req) }
-func (p workerPath) publish(key string)                   { p.w.Put(BitMeta{Key: key}, true) }
+func (p workerPath) publish(key string)                   { p.w.Publish(key) }
 
 // TestBackHalfPathsAgree drives one scenario list through all three
 // routes and requires identical outcomes, field for field: they are one

@@ -13,40 +13,6 @@ import (
 	"cascade/internal/vclock"
 )
 
-// JobState is the lifecycle state of a background compilation.
-type JobState int
-
-// Job lifecycle states. A job that hits a transient fault moves to
-// JobRetrying while it backs off (in virtual time) before re-attempting
-// the flow; JobFailed covers both permanent faults and design errors
-// (no fit, failed timing closure).
-const (
-	JobQueued JobState = iota
-	JobRunning
-	JobRetrying
-	JobDone
-	JobFailed
-	JobCanceled
-)
-
-func (s JobState) String() string {
-	switch s {
-	case JobQueued:
-		return "queued"
-	case JobRunning:
-		return "running"
-	case JobRetrying:
-		return "retrying"
-	case JobDone:
-		return "done"
-	case JobFailed:
-		return "failed"
-	case JobCanceled:
-		return "canceled"
-	}
-	return fmt.Sprintf("state(%d)", int(s))
-}
-
 // Design is the front half of every flow over one elaborated design: its
 // netlist, fingerprint and synthesis error, computed by whichever flow
 // asks first and shared by the rest (the program is read-only once
@@ -123,8 +89,6 @@ type Job struct {
 	observed atomic.Bool
 
 	mu        sync.Mutex
-	state     JobState
-	retries   int
 	settled   bool // left the in-flight count (admission control)
 	tracked   bool // counted into Toolchain.inflight at submit
 	res       *Result
@@ -143,20 +107,6 @@ type Job struct {
 	// far the workers got.
 	flow   Stats
 	banked bool
-}
-
-// State returns the job's lifecycle state.
-func (j *Job) State() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-// Retries returns how many transient-fault retries this job has run.
-func (j *Job) Retries() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.retries
 }
 
 // count records one of the flow's counters (see Job.flow).
@@ -187,12 +137,6 @@ func (j *Job) bank() {
 	if !banked {
 		j.tn.bank(flow)
 	}
-}
-
-func (j *Job) setState(s JobState) {
-	j.mu.Lock()
-	j.state = s
-	j.mu.Unlock()
 }
 
 // run executes the flow: the front half under the job's tenant record,
@@ -251,7 +195,6 @@ func (j *Job) run(ctx context.Context, d *Design, wrapped bool) {
 		return
 	}
 	defer j.tn.release(tsem)
-	j.setState(JobRunning)
 
 	// Consult the fault schedule for this attempt. Transient faults are
 	// retried with capped exponential backoff accumulated in *virtual*
@@ -278,10 +221,6 @@ func (j *Job) run(ctx context.Context, d *Design, wrapped bool) {
 				s.Retried++
 				s.TransientFaults++
 			})
-			j.mu.Lock()
-			j.state = JobRetrying
-			j.retries++
-			j.mu.Unlock()
 			continue
 		}
 		transient := fault.IsTransient(err)
@@ -368,7 +307,7 @@ func (j *Job) synth(d *Design) (*netlist.Program, string, error) {
 	return d.synthesize(j.t)
 }
 
-// markCanceled moves the job to the cancelled state. The stats counter
+// markCanceled marks the job cancelled. The stats counter
 // increments exactly once per job, on the first transition — whether the
 // worker noticed the abort or the owner called Cancel first is a
 // wall-clock race, and racy accounting would make otherwise-identical
@@ -376,7 +315,6 @@ func (j *Job) synth(d *Design) (*netlist.Program, string, error) {
 func (j *Job) markCanceled() {
 	j.mu.Lock()
 	already, banked := j.canceled.Swap(true), j.banked
-	j.state = JobCanceled
 	j.mu.Unlock()
 	if already {
 		return
@@ -419,15 +357,6 @@ func (j *Job) complete(res *Result, pubKey string) {
 	j.res = res
 	j.readyAtPs = j.submitPs + res.DurationPs
 	j.pubKey = pubKey
-	switch {
-	case j.canceled.Load():
-		// A cancelled job's flow still completes (see Cancel), but the
-		// lifecycle state stays cancelled.
-	case res.Err != nil:
-		j.state = JobFailed
-	default:
-		j.state = JobDone
-	}
 	readyAt := j.readyAtPs
 	j.mu.Unlock()
 	if o := j.tn.snapshot().obs; o != nil {

@@ -27,15 +27,9 @@ import (
 type workerLink struct{ w *Worker }
 
 func (l workerLink) Submit(spec ShardSubmit) (ShardOutcome, error) { return l.w.Compile(spec), nil }
-func (l workerLink) Fetch(key string) (BitMeta, bool, error) {
-	meta, ok := l.w.Fetch(key)
-	return meta, ok, nil
-}
-func (l workerLink) Put(meta BitMeta) error   { l.w.Put(meta, false); return nil }
-func (l workerLink) Publish(key string) error { l.w.Put(BitMeta{Key: key}, true); return nil }
-func (l workerLink) Ping() error              { return nil }
-func (l workerLink) Addr() string             { return "in-process" }
-func (l workerLink) Close() error             { return nil }
+func (l workerLink) Publish(key string) error                      { l.w.Publish(key); return nil }
+func (l workerLink) Ping() error                                   { return nil }
+func (l workerLink) Close() error                                  { return nil }
 
 // overWorker returns a toolchain whose farm is one Worker behind a link.
 func overWorker(opts Options) *Toolchain {

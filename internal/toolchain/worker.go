@@ -25,33 +25,23 @@ func (w *Worker) disk() CacheTier { return w.cache.tiers[0] }
 
 // SetPeerTier installs a peer-fetch cache tier behind the disk store —
 // the worker consults sibling workers before paying for place-and-route.
-// store may be nil (fetch-only peers). Only Compile consults peers;
-// Fetch and Status answer from this shard's own state, so mutually
-// peered workers never chase a miss around the ring.
-func (w *Worker) SetPeerTier(lookup func(key string) (BitMeta, bool), store func(BitMeta)) {
-	w.cache.tiers = []CacheTier{w.disk(), &funcTier{name: HitPeer, lookup: lookup, store: store}}
+// Peers are fetch-only: a worker never writes through to them. Only
+// Compile consults peers; Fetch answers from this shard's own state, so
+// mutually peered workers never chase a miss around the ring.
+func (w *Worker) SetPeerTier(lookup func(key string) (BitMeta, bool)) {
+	w.cache.tiers = []CacheTier{w.disk(), &funcTier{lookup: lookup}}
 }
 
-// funcTier adapts callbacks to CacheTier (the transport wires peer
-// workers through it without the toolchain importing the transport).
+// funcTier adapts the peer lookup callback to a read-only CacheTier (the
+// transport wires peer workers through it without the toolchain
+// importing the transport).
 type funcTier struct {
-	name   string
 	lookup func(key string) (BitMeta, bool)
-	store  func(BitMeta)
 }
 
-func (f *funcTier) Name() string { return f.name }
-func (f *funcTier) Lookup(key string, _ *Stats) (BitMeta, bool) {
-	if f.lookup == nil {
-		return BitMeta{}, false
-	}
-	return f.lookup(key)
-}
-func (f *funcTier) Store(meta BitMeta, _ *Stats) {
-	if f.store != nil {
-		f.store(meta)
-	}
-}
+func (f *funcTier) Name() string                                { return HitPeer }
+func (f *funcTier) Lookup(key string, _ *Stats) (BitMeta, bool) { return f.lookup(key) }
+func (f *funcTier) Store(BitMeta, *Stats)                       {}
 
 // Compile serves one compile-submit: stack.serve on this shard's stack
 // against the worker's device — the call a local flow makes, over the
@@ -71,11 +61,13 @@ func (w *Worker) bank(flow Stats) {
 	w.t.tenant("").bank(flow)
 }
 
-// Status reports whether this worker itself holds a verified outcome
-// for key (memory or durable tier) without compiling anything — peers
-// are deliberately not consulted, so a status probe (or a sibling's
-// cache-fetch) never fans back out across the ring.
-func (w *Worker) Status(key string) (BitMeta, bool) {
+// Fetch serves a peer cache-fetch: whether this worker itself holds a
+// verified outcome for key (memory or durable tier), without running any
+// model. Peers are deliberately not consulted, so a sibling's
+// cache-fetch never fans back out across the ring; the asking shard
+// re-checks validity against its own synthesis, like every durable-tier
+// consumer.
+func (w *Worker) Fetch(key string) (BitMeta, bool) {
 	if entry := w.cache.entries.get(key); entry != nil && entry.out.FlowErr == "" {
 		return entry.out.meta(key), true
 	}
@@ -85,21 +77,6 @@ func (w *Worker) Status(key string) (BitMeta, bool) {
 	return meta, ok
 }
 
-// Fetch serves a peer cache-fetch: this worker's memory entries and
-// durable tiers, without running any model (the asking shard re-checks
-// validity against its own synthesis, like every durable-tier consumer).
-func (w *Worker) Fetch(key string) (BitMeta, bool) {
-	return w.Status(key)
-}
-
-// Put lands a replicated outcome in the worker's durable tier, or —
-// with publish set — marks the key's memory entry delivered.
-func (w *Worker) Put(meta BitMeta, publish bool) {
-	if publish {
-		w.cache.entries.publish(meta.Key)
-		return
-	}
-	var flow Stats
-	w.disk().Store(meta, &flow)
-	w.bank(flow)
-}
+// Publish marks the key's memory entry delivered, so identical
+// submissions hit outright on any clock.
+func (w *Worker) Publish(key string) { w.cache.entries.publish(key) }

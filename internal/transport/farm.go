@@ -78,7 +78,8 @@ func (l *FarmLink) Submit(spec toolchain.ShardSubmit) (toolchain.ShardOutcome, e
 	}, nil
 }
 
-// Fetch implements toolchain.ShardLink (the peer-fetch tier).
+// Fetch asks the worker's cache for a key: the peer-fetch tier a
+// worker's peerRing consults.
 func (l *FarmLink) Fetch(key string) (toolchain.BitMeta, bool, error) {
 	req := &proto.Request{Kind: proto.KindCacheFetch, Farm: &proto.FarmJob{Key: key}}
 	var rep proto.Reply
@@ -92,18 +93,9 @@ func (l *FarmLink) Fetch(key string) (toolchain.BitMeta, bool, error) {
 		RawAreaLEs: rep.Farm.RawAreaLEs, CritPath: rep.Farm.CritPath}, true, nil
 }
 
-// Put implements toolchain.ShardLink (replication).
-func (l *FarmLink) Put(meta toolchain.BitMeta) error {
-	req := &proto.Request{Kind: proto.KindCachePut, Farm: &proto.FarmJob{
-		Key: meta.Key, AreaLEs: meta.AreaLEs, RawAreaLEs: meta.RawAreaLEs, CritPath: meta.CritPath,
-	}}
-	var rep proto.Reply
-	return l.call(req, &rep)
-}
-
 // Publish implements toolchain.ShardLink.
 func (l *FarmLink) Publish(key string) error {
-	req := &proto.Request{Kind: proto.KindCachePut, Farm: &proto.FarmJob{Key: key, Publish: true}}
+	req := &proto.Request{Kind: proto.KindCachePut, Farm: &proto.FarmJob{Key: key}}
 	var rep proto.Reply
 	return l.call(req, &rep)
 }
@@ -114,9 +106,6 @@ func (l *FarmLink) Ping() error {
 	var rep proto.Reply
 	return l.call(req, &rep)
 }
-
-// Addr implements toolchain.ShardLink.
-func (l *FarmLink) Addr() string { return l.tcp.Addr() }
 
 // Close implements toolchain.ShardLink.
 func (l *FarmLink) Close() error { return l.tcp.Close() }

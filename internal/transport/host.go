@@ -189,10 +189,9 @@ func NewHost(opts HostOptions) *Host {
 	if opts.CompileWorker {
 		h.worker = toolchain.NewWorker(opts.Toolchain)
 		if len(opts.Peers) > 0 {
-			// Fetch-only: a worker never writes through to its peers
-			// (the submitting farm replicates explicitly), so the ring
-			// cannot loop.
-			h.worker.SetPeerTier(newPeerRing(opts.Peers, TCPOptions{}).Lookup, nil)
+			// Fetch-only: a worker never writes through to its peers, so
+			// the ring cannot loop.
+			h.worker.SetPeerTier(newPeerRing(opts.Peers, TCPOptions{}).Lookup)
 		}
 	}
 	return h
@@ -234,8 +233,7 @@ func (h *Host) Handle(req *proto.Request, rep *proto.Reply) {
 	case proto.KindSessionClose:
 		h.sessionClose(req, rep)
 		return
-	case proto.KindCompileSubmit, proto.KindCompileStatus, proto.KindCompileCancel,
-		proto.KindCacheFetch, proto.KindCachePut:
+	case proto.KindCompileSubmit, proto.KindCacheFetch, proto.KindCachePut:
 		h.handleFarm(req, rep)
 		return
 	case proto.KindRound:
@@ -578,23 +576,12 @@ func (h *Host) handleFarm(req *proto.Request, rep *proto.Reply) {
 			DurationPs: out.DurationPs, CacheHit: out.CacheHit, HitSource: out.HitSource,
 			FlowErr: out.FlowErr,
 		}
-	case proto.KindCompileStatus:
-		meta, ok := h.worker.Status(f.Key)
-		rep.Farm = &proto.FarmResult{Found: ok, AreaLEs: meta.AreaLEs,
-			RawAreaLEs: meta.RawAreaLEs, CritPath: meta.CritPath}
-	case proto.KindCompileCancel:
-		// Deliberate acknowledgement without action: like Job.Cancel, a
-		// cancelled flow still runs to completion so its bitstream
-		// reaches the cache — cancellation drops the subscription, never
-		// the artifact.
-		rep.Farm = &proto.FarmResult{}
 	case proto.KindCacheFetch:
 		meta, ok := h.worker.Fetch(f.Key)
 		rep.Farm = &proto.FarmResult{Found: ok, AreaLEs: meta.AreaLEs,
 			RawAreaLEs: meta.RawAreaLEs, CritPath: meta.CritPath}
 	case proto.KindCachePut:
-		h.worker.Put(toolchain.BitMeta{Key: f.Key, AreaLEs: f.AreaLEs,
-			RawAreaLEs: f.RawAreaLEs, CritPath: f.CritPath}, f.Publish)
+		h.worker.Publish(f.Key)
 		rep.Farm = &proto.FarmResult{}
 	}
 }
@@ -774,17 +761,9 @@ func (h *Host) ServeConn(conn net.Conn) {
 			return
 		}
 		h.Handle(&req, &rep)
-		wbuf = wbuf[:0]
-		wbuf = append(wbuf, 0, 0, 0, 0)
-		wbuf = proto.EncodeReply(wbuf, &rep)
-		n := len(wbuf) - 4
-		if n > proto.MaxFrame {
+		if wbuf, err = proto.AppendFrame(wbuf[:0], proto.EncodeReply, &rep); err != nil {
 			return
 		}
-		wbuf[0] = byte(n)
-		wbuf[1] = byte(n >> 8)
-		wbuf[2] = byte(n >> 16)
-		wbuf[3] = byte(n >> 24)
 		if _, err := conn.Write(wbuf); err != nil {
 			return
 		}

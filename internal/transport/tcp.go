@@ -266,17 +266,10 @@ func (t *TCP) probe(c net.Conn, vnow uint64, cost *Cost) error {
 
 // writeFrame encodes req and writes it as one length-prefixed frame.
 func (t *TCP) writeFrame(c net.Conn, req *proto.Request, cost *Cost) error {
-	t.wbuf = t.wbuf[:0]
-	t.wbuf = append(t.wbuf, 0, 0, 0, 0)
-	t.wbuf = proto.EncodeRequest(t.wbuf, req)
-	payload := len(t.wbuf) - 4
-	if payload > proto.MaxFrame {
-		return proto.ErrFrameTooLarge
+	var err error
+	if t.wbuf, err = proto.AppendFrame(t.wbuf[:0], proto.EncodeRequest, req); err != nil {
+		return err
 	}
-	t.wbuf[0] = byte(payload)
-	t.wbuf[1] = byte(payload >> 8)
-	t.wbuf[2] = byte(payload >> 16)
-	t.wbuf[3] = byte(payload >> 24)
 	if _, err := c.Write(t.wbuf); err != nil {
 		return err
 	}

@@ -27,6 +27,10 @@ func FuzzProtoRoundTrip(f *testing.F) {
 	f.Add(EncodeRequest(nil, &Request{Kind: KindRound, Now: 3, Phase: RoundEvals,
 		Inputs:  []RoundInput{{Engine: 1, Var: "clk", Val: bits.FromUint64(1, 1)}},
 		Members: []uint32{1, 2}}))
+	f.Add(EncodeRequest(nil, &Request{Kind: KindRound, Now: 4, Phase: RoundChained,
+		Members: []uint32{1, 2}}))
+	f.Add(EncodeReply(nil, &Reply{Kind: KindRound, Round: []RoundResult{
+		{}, {}, {Ran: true, Events: []engine.Event{{Var: "out", Val: bits.FromUint64(8, 4)}}}, {}}}))
 	f.Add(EncodeReply(nil, &Reply{Kind: KindRound, Round: []RoundResult{
 		{Ran: true, Events: []engine.Event{{Var: "out", Val: bits.FromUint64(8, 3)}},
 			IO: []IOEvent{{Kind: IODisplay, Text: "x", Newline: true}}},

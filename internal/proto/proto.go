@@ -49,10 +49,12 @@ import (
 // ABI calls; version 6 carries state as a word image, not named values.
 // Version 7 dropped the farm kinds no client sent (compile status and
 // cancel) and cache-put's replicated outcome: a CachePut carries only
-// the key it publishes. As with every bump, a daemon resumption
+// the key it publishes. Version 8 added RoundChained, an evals round
+// that runs the updates round in the same frame when it ran nobody, and
+// answers both. As with every bump, a daemon resumption
 // journal's records written under an older version no longer decode and
 // are skipped when the journal is replayed (transport.Host.EnableJournal).
-const Version = 7
+const Version = 8
 
 // Kind identifies the ABI request a message carries.
 type Kind uint8
@@ -167,6 +169,12 @@ const (
 	// RoundInputs delivers the inputs and runs nothing: the members are
 	// the receivers, named so the reply carries their metered work.
 	RoundInputs
+	// RoundChained is RoundEvals, then — when it ran no member —
+	// RoundUpdates for the same members: the round Figure 6 makes next
+	// whenever an evals round runs nothing. The reply holds one result
+	// per member for the evals phase, then, if no evals result ran, one
+	// per member for the updates phase.
+	RoundChained
 	roundPhaseMax
 )
 

@@ -46,6 +46,7 @@ func TestRequestRoundTrip(t *testing.T) {
 			Members: []uint32{2, 3, 300}},
 		{Kind: KindRound, Phase: RoundUpdates, Members: []uint32{1}},
 		{Kind: KindRound, Now: 6, Phase: RoundEndStep, Members: []uint32{1, 2}},
+		{Kind: KindRound, Now: 7, Phase: RoundChained, Members: []uint32{1, 2}},
 		{Kind: KindRound, Phase: RoundInputs,
 			Inputs:  []RoundInput{{Engine: 7, Var: "in", Val: bits.FromUint64(8, 0x5a)}},
 			Members: []uint32{7}},

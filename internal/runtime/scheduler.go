@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"cascade/internal/bits"
@@ -159,12 +160,20 @@ var roundABI = [...]struct {
 
 // round is one evaluate or update batch of Figure 6, and reports whether
 // anything ran. In schedule order the controller polls the in-process
-// slots (billing the control-plane traffic of asking) and, at the first
-// hosted slot's turn, has the daemon poll, run and drain every hosted
-// slot in one frame; the in-process members then run — across lanes when
-// two or more user subprograms are worth overlapping (a peripheral's turn
-// is a handful of instructions) — and the whole batch is drained, routed
-// and settled in schedule order. How a batch ran never reaches its bill.
+// slots (billing the control-plane traffic of asking), then has the
+// daemon poll, run and drain every hosted slot in one frame; the
+// in-process members then run — across lanes when two or more user
+// subprograms are worth overlapping (a peripheral's turn is a handful of
+// instructions) — and the whole batch is drained, routed and settled in
+// schedule order. How a batch ran never reaches its bill.
+//
+// The frame goes after every in-process poll, not at the first hosted
+// slot's turn: a poll is pure or billed per call, and the daemon reads
+// the clock those bills advance only at end-step, so the order cannot be
+// seen. It lets an evals round that runs nothing in-process send the
+// frame chained (proto.RoundChained): if the daemon's evals ran nobody
+// either, it runs the updates round Figure 6 makes next in the same
+// frame, and that round sends none.
 //
 // A poll is asked only when its answer can have changed (the quiet rule,
 // engine.Engine): a software engine or a peripheral that said "no" this
@@ -176,16 +185,12 @@ func (r *Runtime) round(ph proto.RoundPhase) bool {
 	abi := &roundABI[ph]
 	bit := uint8(1) << ph
 	r.batch = r.batch[:0]
-	local, users := 0, 0
-	var link *transport.Link
+	local, users, hosted := 0, 0, -1
 	for i := range r.slots {
 		s := &r.slots[i]
 		if s.c.Link() != nil {
-			if link == nil {
-				link, _ = r.frame(ph, i)
-			}
-			if s.c.Ran() {
-				r.batch = append(r.batch, i)
+			if hosted < 0 {
+				hosted = i
 			}
 			continue
 		}
@@ -213,6 +218,23 @@ func (r *Runtime) round(ph proto.RoundPhase) bool {
 		local++
 		if s.p != nil {
 			users++
+		}
+	}
+	var link *transport.Link
+	if hosted >= 0 {
+		fph := ph
+		if ph == proto.RoundEvals && local == 0 {
+			fph = proto.RoundChained
+		}
+		link, _ = r.frame(fph, hosted)
+		n := len(r.batch)
+		for i := hosted; i < len(r.slots); i++ {
+			if c := r.slots[i].c; c.Link() != nil && c.Ran() {
+				r.batch = append(r.batch, i)
+			}
+		}
+		if n > 0 && len(r.batch) > n {
+			slices.Sort(r.batch) // back in schedule order
 		}
 	}
 	if len(r.batch) == 0 {

@@ -126,9 +126,24 @@ type hosted struct {
 	collect func(name string, val *bits.Vector)
 }
 
-// keep is the engine's drain sink: the reply owns what it collects.
+// keep is the engine's drain sink. A drain reuses the slice and, where
+// the widths agree, the vectors of the drain before it, so the events a
+// reply carries are lent: they hold until that engine's next call or
+// frame, which the reply is encoded before.
 func (hd *hosted) keep(name string, val *bits.Vector) {
-	hd.out = append(hd.out, engine.Event{Var: name, Val: val.Clone()})
+	n := len(hd.out)
+	if n < cap(hd.out) {
+		hd.out = hd.out[:n+1]
+	} else {
+		hd.out = append(hd.out, engine.Event{})
+	}
+	ev := &hd.out[n]
+	ev.Var = name
+	if ev.Val != nil && ev.Val.Width() == val.Width() {
+		ev.Val.CopyFrom(val)
+	} else {
+		ev.Val = val.Clone()
+	}
 }
 
 // bufIO buffers an engine's IO events for piggybacking on replies.
@@ -216,7 +231,8 @@ func newEpoch() uint32 {
 // (and loopback tests) call it once per decoded frame; it never
 // panics on hostile input — unknown engines and bad spawns surface
 // through rep.Err. rep.Round's backing arrays are reused, so a serving
-// loop that hands Handle the same Reply stops allocating them.
+// loop that hands Handle the same Reply stops allocating them; the output
+// events a reply carries are lent, until that engine's next call or frame.
 func (h *Host) Handle(req *proto.Request, rep *proto.Reply) {
 	*rep = proto.Reply{Kind: req.Kind, Engine: req.Engine, Epoch: h.epoch, Round: rep.Round[:0]}
 	switch req.Kind {
@@ -304,7 +320,7 @@ func (h *Host) abi(hd *hosted, kind proto.Kind, in engine.Event, vnow uint64) (f
 	case proto.KindRead:
 		e.Read(in)
 	case proto.KindDrainWrites:
-		hd.out = nil
+		hd.out = hd.out[:0]
 		e.VisitWrites(hd.collect)
 		out = hd.out
 	case proto.KindThereAreEvals:
@@ -327,14 +343,11 @@ func (h *Host) abi(hd *hosted, kind proto.Kind, in engine.Event, vnow uint64) (f
 // round serves one KindRound frame: the inputs in order, then each
 // member in order — poll, run if pending, drain if run; or end-step and
 // drain whichever engine the JIT service left — each through abi under
-// the engine's own lock. A member or receiver the host does not hold
-// answers (or is skipped) on its own; the rest are served. An end-step
-// frame ends behind a member that had outputs to drain (an engine the
-// step boundary swapped announces all of them): they may be inputs of
-// the members after it, which must see them before their own end-step,
-// as they do when every call is its own frame.
+// the engine's own lock. A chained frame serves the members twice, evals
+// then updates, when its evals phase ran nobody. A member or receiver the
+// host does not hold answers (or is skipped) on its own; the rest are
+// served.
 func (h *Host) round(req *proto.Request, rep *proto.Reply) {
-	var none engine.Event
 	for i := range req.Inputs {
 		in := &req.Inputs[i]
 		if hd := h.lookup(in.Engine); hd != nil {
@@ -344,11 +357,27 @@ func (h *Host) round(req *proto.Request, rep *proto.Reply) {
 			hd.mu.Unlock()
 		}
 	}
+	if req.Phase != proto.RoundChained {
+		h.serve(req, rep, req.Phase)
+	} else if !h.serve(req, rep, proto.RoundEvals) {
+		h.serve(req, rep, proto.RoundUpdates)
+	}
+}
+
+// serve appends phase ph's result for each member of a round to
+// rep.Round, and reports whether it ran any. An end-step phase ends
+// behind a member that had outputs to drain (an engine the step boundary
+// swapped announces all of them): they may be inputs of the members after
+// it, which must see them before their own end-step, as they do when
+// every call is its own frame.
+func (h *Host) serve(req *proto.Request, rep *proto.Reply, ph proto.RoundPhase) (ran bool) {
+	var none engine.Event
 	poll, run := proto.KindThereAreEvals, proto.KindEvaluate
-	if req.Phase == proto.RoundUpdates {
+	if ph == proto.RoundUpdates {
 		poll, run = proto.KindThereAreUpdates, proto.KindUpdate
 	}
-	for k, id := range req.Members {
+	for _, id := range req.Members {
+		k := len(rep.Round)
 		if k < cap(rep.Round) {
 			rep.Round = rep.Round[:k+1]
 		} else {
@@ -363,11 +392,12 @@ func (h *Host) round(req *proto.Request, rep *proto.Reply) {
 		}
 		hd.mu.Lock()
 		hd.now.Store(req.Now)
-		switch req.Phase {
+		switch ph {
 		case proto.RoundEvals, proto.RoundUpdates:
 			if res.Ran, _, _ = h.abi(hd, poll, none, req.VNow); res.Ran {
 				h.abi(hd, run, none, req.VNow)
 				_, res.Events, _ = h.abi(hd, proto.KindDrainWrites, none, req.VNow)
+				ran = true
 			}
 		case proto.RoundEndStep:
 			h.abi(hd, proto.KindEndStep, none, req.VNow)
@@ -375,10 +405,11 @@ func (h *Host) round(req *proto.Request, rep *proto.Reply) {
 		}
 		res.Loc, res.Usage, res.IO = h.envelope(hd, hd.p.Engine())
 		hd.mu.Unlock()
-		if req.Phase == proto.RoundEndStep && len(res.Events) > 0 {
-			return
+		if ph == proto.RoundEndStep && len(res.Events) > 0 {
+			return ran
 		}
 	}
+	return ran
 }
 
 // envelope is what every answer about an engine carries: its location,

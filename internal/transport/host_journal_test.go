@@ -114,8 +114,8 @@ func TestHostJournalReplaySpawnAndState(t *testing.T) {
 
 // TestHostJournalReplaysStateImage: a SetState record journals the
 // request as the protocol encodes it — the image, under protocol
-// version 7 — and replays onto the respawned engine; a record an older
-// protocol wrote (version 6) no longer decodes and is skipped, the
+// version 8 — and replays onto the respawned engine; a record an older
+// protocol wrote (version 7) no longer decodes and is skipped, the
 // records after it still replayed.
 func TestHostJournalReplaysStateImage(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "sessions.journal")
@@ -137,12 +137,12 @@ func TestHostJournalReplaysStateImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last := recs[len(recs)-1].Data; proto.Version != 7 || last[0] != proto.Version || last[1] != byte(proto.KindSetState) {
-		t.Fatalf("the SetState record is not a version 7 SetState request: % x", last[:2])
+	if last := recs[len(recs)-1].Data; proto.Version != 8 || last[0] != proto.Version || last[1] != byte(proto.KindSetState) {
+		t.Fatalf("the SetState record is not a version 8 SetState request: % x", last[:2])
 	}
-	old := append([]byte{6}, recs[len(recs)-1].Data[1:]...)
+	old := append([]byte{7}, recs[len(recs)-1].Data[1:]...)
 	if _, err := proto.DecodeRequest(old); err == nil {
-		t.Fatal("a version 6 record decodes")
+		t.Fatal("a version 7 record decodes")
 	}
 	imagetest.Of(ctrLayout, img).Set("n", bits.FromUint64(8, 77))
 	again := proto.EncodeRequest(nil, &proto.Request{Kind: proto.KindSetState, Engine: id, State: img})

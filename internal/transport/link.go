@@ -17,6 +17,14 @@ import (
 // would have: IO replayed on the calling goroutine, location flip
 // traced, metered work into the client's pending usage.
 //
+// Chained rounds. Figure 6 follows an evals round that ran nothing with
+// an updates round. A proto.RoundChained frame asks the daemon for both:
+// evals, then, if its evals phase ran no member, updates for the same
+// members. The link keeps those updates results for the Round(RoundUpdates)
+// that must come next, over the same members and with nothing queued,
+// and that round sends no frame. The caller chains only when it knows
+// nothing else will run in the evals round.
+//
 // Ordering contract. Per engine, the daemon sees what it saw when every
 // call was its own frame: queued inputs travel at the head of the next
 // frame, and a lone call on any client of the link (GetState, SetState,
@@ -32,7 +40,10 @@ import (
 // the paper's unit; the frame is this transport's artefact — counted per
 // call carried: a poll 1, an evaluate or update 1 and its drain 1 when
 // the engine ran, an end-step 1 and its drain 1, a Read 1 when it is
-// queued, and 1 per retried frame. An inputs-only frame bills nothing.
+// queued, and 1 per retried frame. An inputs-only frame bills nothing. A
+// chained frame's results are billed under the phase each belongs to,
+// the updates ones when their round takes them, so a client is billed
+// what an evals frame and an updates frame would have billed it.
 // The frame's transport cost (one round trip, its bytes, drops, retries)
 // is booked to the clients it carried, so their counters still sum to
 // the connection's.
@@ -59,9 +70,13 @@ type Link struct {
 	inputs  []proto.RoundInput // queued Reads; values copied when queued
 	rcv     []*Client          // their distinct receivers, in first-queued order
 	carried []*Client          // the members of the frame in flight
-	req     proto.Request
-	rep     proto.Reply // a round's results, lent to its members until the next round
-	ack     proto.Reply // an inputs-only frame's, so a flush disturbs no lent drain
+	// held are the members of a chained frame whose evals phase ran
+	// nobody; the tail of rep holds their updates results, stamped vnow.
+	held []*Client
+	vnow uint64
+	req  proto.Request
+	rep  proto.Reply // a round's results, lent to its members until the next round
+	ack  proto.Reply // an inputs-only frame's, so a flush disturbs no lent drain
 }
 
 // NewLink returns a link to the daemon behind t. now feeds $time and vnow
@@ -84,7 +99,8 @@ func (c *Client) Link() *Link { return c.link }
 func (c *Client) Queued() bool { return c.queued }
 
 // Ran reports whether the link's last evals or updates round ran this
-// engine (its outputs then wait in VisitWrites).
+// engine (its outputs then wait in VisitWrites). A chained round counts
+// as its evals phase.
 func (c *Client) Ran() bool { return c.ran }
 
 // queue is Read on a hosted client. The value is only lent
@@ -152,13 +168,27 @@ func (l *Link) Flush() {
 // many leading members the frame is done with: all of them, except that
 // an end-step frame stops behind a member whose end-step left outputs
 // to drain (proto.RoundEndStep) — the caller routes those and sends the
-// rest their own frame.
+// rest their own frame. An updates round behind a chained frame that ran
+// nobody sends nothing: its members take the results the frame brought.
 func (l *Link) Round(ph proto.RoundPhase, members []*Client) (done int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, c := range members {
 		c.ran, c.drained = false, false
 	}
+	if held := l.held; ph == proto.RoundUpdates && len(held) > 0 {
+		l.held = held[:0]
+		res := l.rep.Round[len(l.rep.Round)-len(held):]
+		for k, c := range held {
+			c.mu.Lock()
+			if c.err == nil {
+				c.take(ph, &res[k], l.vnow)
+			}
+			c.mu.Unlock()
+		}
+		return len(members)
+	}
+	l.held = l.held[:0]
 	return l.send(ph, members, &l.rep)
 }
 
@@ -183,12 +213,17 @@ func (l *Link) send(ph proto.RoundPhase, members []*Client, rep *proto.Reply) (d
 	}
 
 	cost, err := l.t.Roundtrip(&l.req, rep)
-	served := l.carried
+	served, taken := l.carried, ph
+	if ph == proto.RoundChained {
+		taken = proto.RoundEvals
+	}
 	if err == nil {
 		switch got := len(rep.Round); {
 		case rep.Err != "":
 			err = lostError("round", rep.Err)
 		case got == len(served):
+		case got == 2*len(served) && ph == proto.RoundChained && !ranAny(rep.Round[:len(served)]):
+			l.held, l.vnow = append(l.held, served...), l.req.VNow // the updates phase ran too
 		case got > 0 && got < len(served) && ph == proto.RoundEndStep:
 			served = served[:got] // the frame stopped behind a member with outputs
 		default:
@@ -219,11 +254,21 @@ func (l *Link) send(ph proto.RoundPhase, members []*Client, rep *proto.Reply) (d
 			c.fail(err)
 		} else {
 			c.pending.Msgs += share.Retries
-			c.take(ph, &rep.Round[k], l.req.VNow)
+			c.take(taken, &rep.Round[k], l.req.VNow)
 		}
 		c.mu.Unlock()
 	}
 	return done
+}
+
+// ranAny reports whether any of a round's results ran its engine.
+func ranAny(res []proto.RoundResult) bool {
+	for i := range res {
+		if res[i].Ran {
+			return true
+		}
+	}
+	return false
 }
 
 // take is a member's share of a round reply. Callers hold c.mu.

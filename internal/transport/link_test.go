@@ -14,15 +14,23 @@ import (
 	"cascade/internal/toolchain"
 )
 
-// kindCount wraps a transport and counts the frames it carries by kind.
+// kindCount wraps a transport and counts the frames it carries by kind,
+// round frames also by phase, and the results of the last round reply.
 type kindCount struct {
 	Transport
-	frames map[proto.Kind]int
+	frames  map[proto.Kind]int
+	phases  map[proto.RoundPhase]int
+	results int
 }
 
 func (k *kindCount) Roundtrip(req *proto.Request, rep *proto.Reply) (Cost, error) {
 	k.frames[req.Kind]++
-	return k.Transport.Roundtrip(req, rep)
+	if req.Kind == proto.KindRound && k.phases != nil {
+		k.phases[req.Phase]++
+	}
+	cost, err := k.Transport.Roundtrip(req, rep)
+	k.results = len(rep.Round)
+	return cost, err
 }
 
 // driveSteps runs the scheduler's step of Figure 6 against one engine,
@@ -58,7 +66,8 @@ func driveSteps(e engine.Engine, ticks int) string {
 
 // driveRounds is driveSteps for the clients of one link, as the runtime
 // runs hosted engines: inputs queued, one frame per round for all of
-// them. It returns each client's trace.
+// them, an evals round chained to the updates round behind it. It
+// returns each client's trace.
 func driveRounds(l *Link, cs []*Client, ticks int) []string {
 	sbs := make([]strings.Builder, len(cs))
 	collect := func(i int) {
@@ -80,7 +89,7 @@ func driveRounds(l *Link, cs []*Client, ticks int) []string {
 			c.Read(engine.Event{Var: "clk", Val: boolVec(uint64(i % 2))})
 		}
 		for {
-			if l.Round(proto.RoundEvals, cs); ran() {
+			if l.Round(proto.RoundChained, cs); ran() {
 				collect(i)
 				continue
 			}
@@ -171,9 +180,11 @@ func TestLinkRoundsMatchCalls(t *testing.T) {
 			t.Errorf("%d %v frames on the wire", n, kind)
 		}
 	}
-	// A step of this counter is 5 rounds and an end-step, however many
-	// engines share them; call by call it was ~11 frames per engine.
-	if n := counted.frames[proto.KindRound]; n == 0 || n > 2*ticks*7 {
+	// A step of this counter is under four frames, its end-step included,
+	// however many engines share them (an evals round that runs nobody
+	// carries the updates round); call by call it was ~11 frames per
+	// engine.
+	if n := counted.frames[proto.KindRound]; n == 0 || n > 2*ticks*4 {
 		t.Errorf("%d round frames for %d steps", n, 2*ticks)
 	}
 	var sum Stats
@@ -182,6 +193,197 @@ func TestLinkRoundsMatchCalls(t *testing.T) {
 	}
 	if sum != tcpT.Stats() {
 		t.Errorf("clients' books %+v do not sum to the connection's %+v", sum, tcpT.Stats())
+	}
+}
+
+// linkArm spawns n counters on a link of their own, over its own
+// connection to the daemon at addr, and counts that link's frames.
+func linkArm(t *testing.T, addr string, n int) (*Link, *kindCount, []*Client, []*recorder) {
+	t.Helper()
+	tcpT, err := DialTCP(addr, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tcpT.Close() })
+	w := &kindCount{Transport: tcpT, frames: map[proto.Kind]int{}, phases: map[proto.RoundPhase]int{}}
+	l := NewLink(w, nil, nil)
+	var cs []*Client
+	var recs []*recorder
+	for i := 0; i < n; i++ {
+		rec := &recorder{}
+		c, err := l.Spawn(SpawnSpec{Path: fmt.Sprintf("main.c%d", i), Source: ctrSrc, Layout: ctrLayout}, rec, rec.onErr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, recs = append(cs, c), append(recs, rec)
+	}
+	return l, w, cs, recs
+}
+
+// TestLinkChainedFrameBillsBothPhases: two arms of counters step in
+// lock-step, one sending an evals frame and an updates frame, the other a
+// chained frame and no updates frame whenever its evals phase ran nobody.
+// After every round each client of the chained arm has run, drained and
+// been billed what its twin has — poll 1 at the evals round, poll 1 plus
+// 2 when the engine ran at the updates round — and its display output is
+// the same.
+func TestLinkChainedFrameBillsBothPhases(t *testing.T) {
+	_, addr := loopbackHost(t, HostOptions{DisableJIT: true})
+	sepL, _, sep, sepRecs := linkArm(t, addr, 2)
+	chL, chW, ch, chRecs := linkArm(t, addr, 2)
+	// check compares the twins after a round; the drains the round lent
+	// are compared where it made them (at end-step, or where it ran the
+	// engine), so no lone drain goes on the wire.
+	check := func(at string, endStep bool, msgs func(*Client) uint64) {
+		t.Helper()
+		for k := range sep {
+			a, b := sep[k], ch[k]
+			if a.Ran() != b.Ran() {
+				t.Errorf("%s: client %d ran %v by the chained frame, %v by its own", at, k, b.Ran(), a.Ran())
+			}
+			ua, ub := a.UsageDelta(), b.UsageDelta()
+			if ua != ub || msgs != nil && ub.Msgs != msgs(b) {
+				t.Errorf("%s: client %d billed %+v by the chained frame, %+v by its own", at, k, ub, ua)
+			}
+			if !endStep && !a.Ran() {
+				continue
+			}
+			if da, db := fmt.Sprint(engine.Collect(a)), fmt.Sprint(engine.Collect(b)); da != db {
+				t.Errorf("%s: client %d drained %s by the chained frame, %s by its own", at, k, db, da)
+			}
+		}
+	}
+	chained := 0
+	for i := 0; i < 12; i++ {
+		for k := range sep {
+			sep[k].Read(engine.Event{Var: "clk", Val: boolVec(uint64(i % 2))})
+			ch[k].Read(engine.Event{Var: "clk", Val: boolVec(uint64(i % 2))})
+		}
+		for {
+			sepL.Round(proto.RoundEvals, sep)
+			chL.Round(proto.RoundChained, ch)
+			frames, results := chW.frames[proto.KindRound], chW.results
+			check(fmt.Sprintf("step %d evals", i), false, nil)
+			if ch[0].Ran() {
+				continue
+			}
+			if results != 2*len(ch) {
+				t.Fatalf("step %d: a chained frame whose evals ran nobody answered %d results for %d members",
+					i, results, len(ch))
+			}
+			chained++
+			sepL.Round(proto.RoundUpdates, sep)
+			chL.Round(proto.RoundUpdates, ch)
+			if chW.frames[proto.KindRound] != frames {
+				t.Fatalf("step %d: the updates round behind a chained frame sent a frame", i)
+			}
+			check(fmt.Sprintf("step %d updates", i), false, func(c *Client) uint64 {
+				if c.Ran() {
+					return 1 + 2
+				}
+				return 1
+			})
+			if !ch[0].Ran() {
+				break
+			}
+		}
+		sepL.Round(proto.RoundEndStep, sep)
+		chL.Round(proto.RoundEndStep, ch)
+		check(fmt.Sprintf("step %d end-step", i), true, nil)
+	}
+	if chained < 12 || chW.phases[proto.RoundUpdates] != 0 {
+		t.Errorf("%d chained frames carried the updates round, %d updates frames sent", chained, chW.phases[proto.RoundUpdates])
+	}
+	for k := range sep {
+		if a, b := sepRecs[k].output(), chRecs[k].output(); a != b || a == "" {
+			t.Errorf("client %d printed %q by chained frames, %q by their own", k, b, a)
+		}
+	}
+}
+
+// TestLinkChainedFrameThatRanCarriesNoUpdates: a chained frame whose
+// evals phase ran a member is an evals frame, one result per member, and
+// an updates round after it sends its own frame.
+func TestLinkChainedFrameThatRanCarriesNoUpdates(t *testing.T) {
+	_, addr := loopbackHost(t, HostOptions{DisableJIT: true})
+	l, w, cs, _ := linkArm(t, addr, 2)
+	for _, c := range cs {
+		c.Read(engine.Event{Var: "clk", Val: boolVec(1)})
+	}
+	l.Round(proto.RoundChained, cs)
+	if !cs[0].Ran() || !cs[1].Ran() || w.results != len(cs) {
+		t.Fatalf("posedge chained frame: ran %v %v, %d results for %d members",
+			cs[0].Ran(), cs[1].Ran(), w.results, len(cs))
+	}
+	l.Round(proto.RoundUpdates, cs)
+	if w.phases[proto.RoundUpdates] != 1 || !cs[0].Ran() || !cs[1].Ran() {
+		t.Errorf("updates round: %d updates frames, ran %v %v", w.phases[proto.RoundUpdates], cs[0].Ran(), cs[1].Ran())
+	}
+	// The spawn, the Read, the evals poll, run and drain, the updates
+	// poll, run and drain.
+	for _, c := range cs {
+		if u := c.UsageDelta(); u.Msgs != 1+1+3+3 {
+			t.Errorf("%s billed %d messages, want 8", c.name, u.Msgs)
+		}
+	}
+}
+
+// TestLinkChainedFrameLatchesUnknownMemberAlone: a member the host does
+// not hold answers both phases of a chained frame with its own error, the
+// members around it are served both; on the link it latches, once, and
+// the others take their updates results without another frame.
+func TestLinkChainedFrameLatchesUnknownMemberAlone(t *testing.T) {
+	h, addr := loopbackHost(t, HostOptions{DisableJIT: true})
+	var ids []uint32
+	for i := 0; i < 2; i++ {
+		var rep proto.Reply
+		h.Handle(&proto.Request{Kind: proto.KindSpawn, Path: fmt.Sprintf("main.h%d", i), Source: ctrSrc}, &rep)
+		if rep.Err != "" {
+			t.Fatal(rep.Err)
+		}
+		ids = append(ids, rep.Engine)
+	}
+	clk := boolVec(1)
+	var rep proto.Reply
+	h.Handle(&proto.Request{Kind: proto.KindRound, Phase: proto.RoundEvals,
+		Inputs:  []proto.RoundInput{{Engine: ids[0], Var: "clk", Val: clk}, {Engine: ids[1], Var: "clk", Val: clk}},
+		Members: ids}, &rep)
+	h.Handle(&proto.Request{Kind: proto.KindRound, Phase: proto.RoundChained,
+		Members: []uint32{ids[0], 99, ids[1]}}, &rep)
+	if rep.Err != "" || len(rep.Round) != 6 {
+		t.Fatalf("chained reply: err %q, %d results", rep.Err, len(rep.Round))
+	}
+	for k, res := range rep.Round {
+		switch unknown := k%3 == 1; {
+		case unknown && (res.Err == "" || res.Ran):
+			t.Errorf("result %d: unknown member answered %+v", k, res)
+		case !unknown && (res.Err != "" || res.Ran != (k >= 3)):
+			t.Errorf("result %d: member around the unknown engine answered %+v", k, res)
+		}
+	}
+
+	l, w, cs, recs := linkArm(t, addr, 3)
+	for _, c := range cs {
+		c.Read(engine.Event{Var: "clk", Val: clk})
+	}
+	l.Round(proto.RoundEvals, cs)
+	h.Handle(&proto.Request{Kind: proto.KindEnd, Engine: cs[1].id}, &rep)
+	l.Round(proto.RoundChained, cs)
+	if w.results != 2*len(cs) {
+		t.Fatalf("chained frame answered %d results for %d members", w.results, len(cs))
+	}
+	frames := w.frames[proto.KindRound]
+	l.Round(proto.RoundUpdates, cs)
+	if w.frames[proto.KindRound] != frames {
+		t.Error("the updates round behind a chained frame sent a frame")
+	}
+	if !errors.Is(cs[1].Err(), ErrEngineLost) || len(recs[1].errs) != 1 || cs[1].Ran() {
+		t.Errorf("unknown member: latched %v, reported %d times, ran %v", cs[1].Err(), len(recs[1].errs), cs[1].Ran())
+	}
+	for _, k := range []int{0, 2} {
+		if cs[k].Err() != nil || len(recs[k].errs) != 0 || !cs[k].Ran() {
+			t.Errorf("%s: err %v, ran %v", cs[k].name, cs[k].Err(), cs[k].Ran())
+		}
 	}
 }
 

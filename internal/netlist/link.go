@@ -3,7 +3,6 @@ package netlist
 import (
 	mbits "math/bits"
 	"slices"
-	"strings"
 
 	"cascade/internal/bits"
 	"cascade/internal/elab"
@@ -27,11 +26,11 @@ func Compile(f *elab.Flat) (*Program, error) { return CompileFrom(nil, f) }
 // instead of compiled again; synthesis makes no reuse decision of its
 // own. The result is the program Compile(f) returns, field for field.
 // base is only read.
-func CompileFrom(base *Program, f *elab.Flat) (*Program, error) { return link(base, f, true) }
+func CompileFrom(base *Program, f *elab.Flat) (*Program, error) { return link(base, f, true, nil) }
 
 // CompileRaw synthesizes without the cleanup pass (the optimizer ablation
 // and the optimizer's own tests).
-func CompileRaw(f *elab.Flat) (*Program, error) { return link(nil, f, false) }
+func CompileRaw(f *elab.Flat) (*Program, error) { return link(nil, f, false, nil) }
 
 // Unit kinds, in the order partition lists them (combinational units
 // first) and their spans are laid out.
@@ -150,6 +149,13 @@ type linker struct {
 	bmem  []int           // base memory -> memory of that variable here (-1: none)
 	keep  []bool          // cleanup verdict per scratch instruction (nil: keep all)
 	tasks []*elab.SysTask // a relocated unit's tasks (scratch)
+
+	// The digests of the units compiled here: one hasher and one
+	// variable table for them all (nil until the first), and the bytes
+	// fed to the hash (nil: not counted; tests count them).
+	h   *hasher
+	pos []int32
+	fed *int
 }
 
 // src returns the program u's code is in.
@@ -160,14 +166,16 @@ func (l *linker) src(u *unit) *Program {
 	return l.scratch
 }
 
-func link(base *Program, f *elab.Flat, optimize bool) (*Program, error) {
+// link synthesizes f, relocating what it can from base (nil: none), and
+// adds the bytes its unit digests feed the hash to *fed (nil: none).
+func link(base *Program, f *elab.Flat, optimize bool, fed *int) (*Program, error) {
 	units, ncomb, nseq, err := partition(f)
 	if err != nil {
 		return nil, err
 	}
 	// Each unit's code comes from base when it can, else from a fresh
 	// compile into the scratch program.
-	l := &linker{f: f}
+	l := &linker{f: f, fed: fed}
 	if base != nil {
 		l.base, l.byID = base, newSpanTable(base.Spans)
 	}
@@ -259,16 +267,22 @@ func link(base *Program, f *elab.Flat, optimize bool) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.emit(units, order, uv, off, ncomb, nseq)
 
 	// Reset state: run a reference simulator once (executes initial
 	// blocks) and capture the resulting variable values — the FPGA
-	// bitstream's initial register contents.
-	ref := sim.New(f, sim.Options{})
-	ref.Evaluate()
-	p.Reset = ref.GetState()
-	p.byName = l.byName()
+	// bitstream's initial register contents. The run reads only f, so it
+	// goes beside the layout and the statistics and is joined last. It
+	// starts once levelize has accepted the design: a combinational loop
+	// levelize rejects need never settle.
+	reset := make(chan []uint64, 1)
+	go func() {
+		ref := sim.New(f, sim.Options{})
+		ref.Evaluate()
+		reset <- ref.GetState()
+	}()
+	l.emit(units, order, uv, off, ncomb, nseq)
 	p.Stats = computeStats(p)
+	p.Reset = <-reset
 	return p, nil
 }
 
@@ -530,14 +544,16 @@ func (l *linker) emit(units []unit, order []int32, uv []int32, off []int32, ncom
 		klo, khi := src.spanTasks(si)
 		entry := len(p.Code)
 		r := reloc{vend: int32(nvar), temps: int32(len(p.Slots) - tlo), tasks: int32(len(p.Tasks) - klo), lo: int32(lo)}
-		if u.base {
-			r.vslot, r.vend, r.mem = l.bslot, int32(src.varSlots()), l.bmem
-			p.Relocated++
-		}
-		p.Spans = append(p.Spans, Span{
+		sp := Span{
 			Unit: u.id, Ord: u.ord, Code: int32(entry), Temps: int32(len(p.Slots)),
 			Tasks: int32(len(p.Tasks)), Vars: int32(len(p.vars)),
-		})
+		}
+		if u.base {
+			r.vslot, r.vend, r.mem = l.bslot, int32(src.varSlots()), l.bmem
+			sp.Digest = src.Spans[si].Digest
+			p.Relocated++
+		}
+		p.Spans = append(p.Spans, sp)
 		p.Slots = append(p.Slots, src.Slots[tlo:thi]...)
 		p.vars = append(p.vars, uv[off[ui]:off[ui+1]]...)
 		if u.base && khi > klo {
@@ -565,6 +581,9 @@ func (l *linker) emit(units []unit, order []int32, uv []int32, off []int32, ncom
 			if kept(u, pc) {
 				r.op(p, src, &src.Code[pc])
 			}
+		}
+		if !u.base {
+			l.digest()
 		}
 
 		switch u.kind {
@@ -606,6 +625,18 @@ func (r *reloc) op(p, src *Program, op *Op) {
 	p.Code = append(p.Code, o)
 }
 
+// digest computes the digest of the result's last span, a unit compiled
+// here.
+func (l *linker) digest() {
+	if l.h == nil {
+		h := newHasher(unitBatch, l.fed)
+		l.h, l.pos = &h, make([]int32, len(l.f.Vars))
+	}
+	i := len(l.p.Spans) - 1
+	u := spanForm(l.p, i, l.pos)
+	l.h.digest(&u, &l.p.Spans[i].Digest)
+}
+
 // hasDst reports whether an instruction of kind k names a slot in Dst.
 func hasDst(k OpKind) bool {
 	switch k {
@@ -613,49 +644,4 @@ func hasDst(k OpKind) bool {
 		return false
 	}
 	return true
-}
-
-// byName returns f's variables ordered by name — the order Fingerprint
-// hashes reset state in — merging base's order with the names it lacks.
-func (l *linker) byName() []int32 {
-	vars := l.f.Vars
-	if l.base == nil || len(l.base.byName) != len(l.base.Flat.Vars) {
-		return sortByName(vars, nil)
-	}
-	kept := make([]int32, 0, len(vars))
-	seen := make([]bool, len(vars))
-	for _, bi := range l.base.byName {
-		if j := l.vmap[bi]; j >= 0 {
-			seen[j] = true
-			kept = append(kept, int32(j))
-		}
-	}
-	fresh := []int32{} // not nil: sortByName(vars, nil) sorts them all
-	for i := range vars {
-		if !seen[i] {
-			fresh = append(fresh, int32(i))
-		}
-	}
-	fresh = sortByName(vars, fresh)
-	out := make([]int32, 0, len(vars))
-	for len(kept) > 0 && len(fresh) > 0 {
-		if vars[kept[0]].Name < vars[fresh[0]].Name {
-			out, kept = append(out, kept[0]), kept[1:]
-		} else {
-			out, fresh = append(out, fresh[0]), fresh[1:]
-		}
-	}
-	return append(append(out, kept...), fresh...)
-}
-
-// sortByName sorts idx (nil: every variable) by the names of vars.
-func sortByName(vars []*elab.Var, idx []int32) []int32 {
-	if idx == nil {
-		idx = make([]int32, len(vars))
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-	}
-	slices.SortFunc(idx, func(a, b int32) int { return strings.Compare(vars[a].Name, vars[b].Name) })
-	return idx
 }

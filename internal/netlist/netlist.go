@@ -33,6 +33,7 @@
 package netlist
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"cascade/internal/bits"
@@ -179,8 +180,7 @@ type Program struct {
 	Spans     []Span
 	Relocated int
 
-	vars   []int32 // the variables each span reads and writes (Span.Vars)
-	byName []int32 // Flat.Vars indices ordered by name (Fingerprint)
+	vars []int32 // the variables each span reads and writes (Span.Vars)
 }
 
 // Srcs returns op's source slots, a span of p's source arena; op is one
@@ -208,6 +208,12 @@ type Span struct {
 	Ord  int32  // which $monitor of Unit, an initial block, it is
 
 	Code, Temps, Tasks, Vars int32
+
+	// Digest hashes the unit's code, temporaries and tasks in a form
+	// that does not depend on where the link placed it (unitForm): the
+	// link computes it when it compiles the unit and copies it when it
+	// relocates the unit, and Fingerprint hashes it in place of the code.
+	Digest [sha256.Size]byte
 }
 
 func (p *Program) spanCode(i int) (int, int) {

@@ -13,7 +13,8 @@ import "cascade/internal/bits"
 // Compile runs the same sweep on each unit it compiles, which is why
 // Optimize(CompileRaw(f)) and Compile(f) are the same program. Dead
 // instructions are dropped and jump targets, unit entry points and spans
-// are remapped onto the next live instruction.
+// are remapped onto the next live instruction, and the units' digests
+// taken again.
 func Optimize(p *Program) *Program {
 	n := len(p.Code)
 	keep := make([]bool, n)
@@ -78,6 +79,11 @@ func Optimize(p *Program) *Program {
 	for i, sp := range p.Spans {
 		sp.Code = int32(pcMap[sp.Code])
 		out.Spans[i] = sp
+	}
+	h, pos := newHasher(unitBatch, nil), make([]int32, len(p.Flat.Vars))
+	for i := range out.Spans { // the dead code is out of each unit's digest
+		u := spanForm(&out, i, pos)
+		h.digest(&u, &out.Spans[i].Digest)
 	}
 	out.Stats = computeStats(&out)
 	return &out

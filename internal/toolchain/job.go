@@ -423,11 +423,12 @@ func (j *Job) Result() *Result {
 
 // Ready reports whether the job has finished by virtual time nowPs. It
 // blocks until the flow's virtual duration is known — the design's one
-// synthesis and hash, a host cost proportional to the design that the
-// first Step after an eval waits out — so that readiness depends only on
-// virtual time —
-// the JIT timeline stays deterministic no matter how fast the host
-// steps. The first time a job is observed ready its bitstream is
+// synthesis and hash, which the first Step after an eval waits out — so
+// that readiness depends only on virtual time: the JIT timeline stays
+// deterministic no matter how fast the host steps. For an eval's design
+// synthesized from its predecessor's netlist that wait is mostly the
+// link's copy of the program: the hash reads each unit's cached digest,
+// not its code (netlist.Program.Fingerprint). The first time a job is observed ready its bitstream is
 // published: from then on identical submissions hit the cache outright,
 // on any clock (the mechanism behind restoring a Snapshot onto a
 // same-shape device without re-running place-and-route).

@@ -458,14 +458,17 @@ func rows() []row {
 
 	// 15. The compile farm is invisible: where a flow runs changes, what
 	// the program observes and is billed does not — routed plainly, stolen
-	// under queue pressure (seven depth-1 shards for at most six flows: pressure steals, never
-	// sheds), rerouted around seeded shard outages, and replayed.
+	// under queue pressure (six depth-1 shards for at most six flows:
+	// pressure steals, never sheds; the fewest that never shed, so two
+	// flows likeliest share a home — where a key homes is its hash's
+	// business, so the witness needs one session whose keys collide),
+	// rerouted around seeded shard outages, and replayed.
 	local, plain := arm{feats: flat}, arm{feats: flat, farm: toolchain.FarmOptions{Workers: 2}}
 	routed := func(_, b observed) bool { return b.Stats.Farm.Jobs >= 4 && b.Stats.Farm.Routed >= 4 }
 	add("15", "$S", "farm", local, plain, schedule{}, false, ledger, routed)
 	add("15", "$S", "parallel", lanes(local, 4), lanes(plain, 4), schedule{}, false, ledger, routed)
 	add("15", "$S", "replay", plain, plain, schedule{}, true, ledger, routed)
-	add("15", "$S", "steal", local, arm{feats: flat, farm: toolchain.FarmOptions{Workers: 7, QueueDepth: 1}}, schedule{}, false, ledger,
+	add("15", "$S", "steal", local, arm{feats: flat, farm: toolchain.FarmOptions{Workers: 6, QueueDepth: 1}}, schedule{}, false, ledger,
 		func(_, b observed) bool { return b.Stats.Farm.Stolen > 0 })
 	down, dark := arm{feats: flat, farm: toolchain.FarmOptions{Workers: 3}}, schedule{faults: fault.Config{Seed: 0xcab1e}, shardsDown: 2}
 	rerouted := func(_, b observed) bool { return b.Stats.Farm.Rerouted > 0 }

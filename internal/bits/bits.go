@@ -565,12 +565,33 @@ func (b *Vector) AppendBytesLE(dst []byte) []byte {
 // bytes (the inverse of AppendBytesLE). Missing bytes read as zero,
 // excess bytes and out-of-width bits are truncated, so any input yields
 // a normalized vector.
-func FromBytesLE(width int, data []byte) *Vector {
-	b := New(width)
-	for i := 0; i < min(b.ByteLen(), len(data)); i++ {
-		b.words[i/8] |= uint64(data[i]) << ((i % 8) * 8)
+func FromBytesLE(width int, data []byte) *Vector { return New(width).SetBytesLE(data) }
+
+// SetBytesLE overwrites z with little-endian bytes at z's width, as
+// FromBytesLE reads them, and returns z.
+func (z *Vector) SetBytesLE(data []byte) *Vector {
+	clear(z.words)
+	for i := 0; i < min(z.ByteLen(), len(data)); i++ {
+		z.words[i/8] |= uint64(data[i]) << ((i % 8) * 8)
 	}
-	return b.normalize()
+	return z.normalize()
+}
+
+// Reuse returns a zero vector of the given width: v itself, reshaped,
+// when its storage has the room (v may be nil), else a new one. A slot
+// that holds a vector from one value to the next reuses it across widths
+// this way, where CopyFrom needs the widths equal.
+func Reuse(v *Vector, width int) *Vector {
+	if width < 1 {
+		width = 1
+	}
+	n := WordsFor(width)
+	if v == nil || cap(v.words) < n {
+		return New(width)
+	}
+	v.width, v.words = width, v.words[:n]
+	clear(v.words)
+	return v
 }
 
 // String formats b as width'hXX... (Verilog sized hexadecimal).

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -203,6 +204,64 @@ func TestDecodeReusesRoundArrays(t *testing.T) {
 		if len(req.Inputs) != len(src.Inputs) || !reflect.DeepEqual(append([]uint32(nil), req.Members...), src.Members) {
 			t.Errorf("%v into a reused request: inputs %v members %v", src.Kind, req.Inputs, req.Members)
 		}
+	}
+}
+
+// TestDecodeReusesRoundVectors: a serving loop decoding same-shape round
+// frames into one Request, and a link decoding their replies into one
+// Reply, allocate nothing: each input's and each event's name and vector
+// are the ones decoded into its place before — a vector reshaped to
+// another width when it has the room — and still decode to the values
+// sent.
+func TestDecodeReusesRoundVectors(t *testing.T) {
+	wide := bits.FromUint64(100, 7).ShlUint(90)
+	req := EncodeRequest(nil, &Request{Kind: KindRound, Phase: RoundChained, Members: []uint32{1, 2},
+		Inputs: []RoundInput{{Engine: 1, Var: "clk", Val: bits.FromUint64(1, 1)}, {Engine: 2, Var: "d", Val: bits.FromUint64(8, 0xa5)},
+			{Engine: 2, Var: "w", Val: wide}}})
+	rep := EncodeReply(nil, &Reply{Kind: KindRound, Round: []RoundResult{
+		{Ran: true, Events: []engine.Event{{Var: "b", Val: bits.FromUint64(1, 1)}, {Var: "out", Val: bits.FromUint64(8, 3)}}},
+		{Ran: true, Events: []engine.Event{{Var: "w", Val: wide}}},
+	}})
+	// The same slots at other widths: 8 bits where 1 was and 1 where 8.
+	swapped := EncodeRequest(nil, &Request{Kind: KindRound, Phase: RoundChained, Members: []uint32{1, 2},
+		Inputs: []RoundInput{{Engine: 2, Var: "d", Val: bits.FromUint64(8, 0x5a)}, {Engine: 1, Var: "clk", Val: bits.FromUint64(1, 0)},
+			{Engine: 2, Var: "w", Val: wide}}})
+
+	var gotReq, wantReq Request
+	var gotRep, wantRep Reply
+	decode := func() {
+		if err := DecodeRequestInto(req, &gotReq); err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeReply(rep, &gotRep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if n := testing.AllocsPerRun(20, decode); n != 0 {
+		t.Errorf("decoding a same-shape round frame and reply again allocates %.0f times, want 0", n)
+	}
+	for _, data := range [][]byte{swapped, req} {
+		val := gotReq.Inputs[0].Val
+		if err := DecodeRequestInto(data, &gotReq); err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeRequestInto(data, &wantReq); err != nil {
+			t.Fatal(err)
+		}
+		if gotReq.Inputs[0].Val != val {
+			t.Error("an input's vector was not reused at another width")
+		}
+		if fmt.Sprint(gotReq.Inputs) != fmt.Sprint(wantReq.Inputs) {
+			t.Errorf("reused inputs decode to %v, want %v", gotReq.Inputs, wantReq.Inputs)
+		}
+		wantReq = Request{}
+	}
+	if err := DecodeReply(rep, &wantRep); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(gotRep.Round) != fmt.Sprint(wantRep.Round) {
+		t.Errorf("reused results decode to %v, want %v", gotRep.Round, wantRep.Round)
 	}
 }
 

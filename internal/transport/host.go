@@ -127,7 +127,7 @@ type hosted struct {
 }
 
 // keep is the engine's drain sink. A drain reuses the slice and, where
-// the widths agree, the vectors of the drain before it, so the events a
+// they have the room, the vectors of the drain before it, so the events a
 // reply carries are lent: they hold until that engine's next call or
 // frame, which the reply is encoded before.
 func (hd *hosted) keep(name string, val *bits.Vector) {
@@ -139,11 +139,8 @@ func (hd *hosted) keep(name string, val *bits.Vector) {
 	}
 	ev := &hd.out[n]
 	ev.Var = name
-	if ev.Val != nil && ev.Val.Width() == val.Width() {
-		ev.Val.CopyFrom(val)
-	} else {
-		ev.Val = val.Clone()
-	}
+	ev.Val = bits.Reuse(ev.Val, val.Width())
+	ev.Val.CopyFrom(val)
 }
 
 // bufIO buffers an engine's IO events for piggybacking on replies.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"cascade/internal/bits"
 	"cascade/internal/engine"
 	"cascade/internal/proto"
 )
@@ -105,7 +106,7 @@ func (c *Client) Ran() bool { return c.ran }
 
 // queue is Read on a hosted client. The value is only lent
 // (engine.Engine.Read), so it is copied, into the slot's previous vector
-// when the widths agree.
+// when that has the room (bits.Reuse).
 func (l *Link) queue(c *Client, ev engine.Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -130,11 +131,8 @@ func (l *Link) queue(c *Client, ev engine.Event) {
 	}
 	in := &l.inputs[n]
 	in.Engine, in.Var = c.id, ev.Var
-	if in.Val != nil && in.Val.Width() == ev.Val.Width() {
-		in.Val.CopyFrom(ev.Val)
-	} else {
-		in.Val = ev.Val.Clone()
-	}
+	in.Val = bits.Reuse(in.Val, ev.Val.Width())
+	in.Val.CopyFrom(ev.Val)
 }
 
 // owe records that engine id is still to be ended on the daemon.

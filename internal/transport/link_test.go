@@ -6,12 +6,15 @@ import (
 	"strings"
 	"testing"
 
+	"cascade/internal/bits"
+	"cascade/internal/elab"
 	"cascade/internal/engine"
 	"cascade/internal/engine/sweng"
 	"cascade/internal/fpga"
 	"cascade/internal/imagetest"
 	"cascade/internal/proto"
 	"cascade/internal/toolchain"
+	"cascade/internal/verilog"
 )
 
 // kindCount wraps a transport and counts the frames it carries by kind,
@@ -33,11 +36,16 @@ func (k *kindCount) Roundtrip(req *proto.Request, rep *proto.Reply) (Cost, error
 	return cost, err
 }
 
+// clkReads is a counter's inputs at half-tick i: its clock.
+func clkReads(i int) []engine.Event {
+	return []engine.Event{{Var: "clk", Val: boolVec(uint64(i % 2))}}
+}
+
 // driveSteps runs the scheduler's step of Figure 6 against one engine,
-// call by call — evaluate to a fixed point, one update batch, again until
-// neither has work, end the step; outputs drained after everything that
-// ran — and returns the drained data-plane trace.
-func driveSteps(e engine.Engine, ticks int) string {
+// call by call — reads(i) delivered, evaluate to a fixed point, one update
+// batch, again until neither has work, end the step; outputs drained
+// after everything that ran — and returns the drained data-plane trace.
+func driveSteps(e engine.Engine, ticks int, reads func(i int) []engine.Event) string {
 	var sb strings.Builder
 	for i := 0; i < 2*ticks; i++ {
 		collect := func() {
@@ -45,7 +53,9 @@ func driveSteps(e engine.Engine, ticks int) string {
 				fmt.Fprintf(&sb, "%d:%s=%s;", i, ev.Var, ev.Val)
 			}
 		}
-		e.Read(engine.Event{Var: "clk", Val: boolVec(uint64(i % 2))})
+		for _, ev := range reads(i) {
+			e.Read(ev)
+		}
 		for {
 			if e.ThereAreEvals() {
 				e.Evaluate()
@@ -68,7 +78,7 @@ func driveSteps(e engine.Engine, ticks int) string {
 // runs hosted engines: inputs queued, one frame per round for all of
 // them, an evals round chained to the updates round behind it. It
 // returns each client's trace.
-func driveRounds(l *Link, cs []*Client, ticks int) []string {
+func driveRounds(l *Link, cs []*Client, ticks int, reads func(i int) []engine.Event) []string {
 	sbs := make([]strings.Builder, len(cs))
 	collect := func(i int) {
 		for k, c := range cs {
@@ -86,7 +96,9 @@ func driveRounds(l *Link, cs []*Client, ticks int) []string {
 	}
 	for i := 0; i < 2*ticks; i++ {
 		for _, c := range cs {
-			c.Read(engine.Event{Var: "clk", Val: boolVec(uint64(i % 2))})
+			for _, ev := range reads(i) {
+				c.Read(ev)
+			}
 		}
 		for {
 			if l.Round(proto.RoundChained, cs); ran() {
@@ -121,7 +133,7 @@ func TestLinkRoundsMatchCalls(t *testing.T) {
 	const ticks = 25
 	recBare := &recorder{}
 	bare := sweng.New(elaborateCtr(t, "main.c"), recBare, nil, false)
-	traceBare := driveSteps(bare, ticks)
+	traceBare := driveSteps(bare, ticks, clkReads)
 	sigBare := fmt.Sprint(bare.GetState())
 
 	_, addr := loopbackHost(t, HostOptions{DisableJIT: true})
@@ -134,7 +146,7 @@ func TestLinkRoundsMatchCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := driveSteps(lone, ticks); got != traceBare {
+	if got := driveSteps(lone, ticks, clkReads); got != traceBare {
 		t.Fatalf("lone client trace diverges:\nbare %s\nlone %s", traceBare, got)
 	}
 	billLone := lone.UsageDelta()
@@ -155,7 +167,7 @@ func TestLinkRoundsMatchCalls(t *testing.T) {
 		}
 		cs = append(cs, c)
 	}
-	traces := driveRounds(l, cs, ticks)
+	traces := driveRounds(l, cs, ticks, clkReads)
 	for k, c := range cs {
 		if got := recs[k].output(); got != recBare.output() {
 			t.Errorf("client %d display output diverges:\n%q\n%q", k, got, recBare.output())
@@ -193,6 +205,86 @@ func TestLinkRoundsMatchCalls(t *testing.T) {
 	}
 	if sum != tcpT.Stats() {
 		t.Errorf("clients' books %+v do not sum to the connection's %+v", sum, tcpT.Stats())
+	}
+}
+
+// mixSrc has inputs of two widths and outputs of three, which change at
+// different steps: mixReads delivers the 8-bit input before the clock on
+// every third half-tick, so one queue slot of the link takes either width,
+// and a drain reports the 1-bit output first only when it changed, so one
+// drain slot of the host holds any of the three.
+const mixSrc = `module Mix(input wire clk, input wire [7:0] d, output wire b, output wire [99:0] w, output wire [7:0] out);
+  reg [7:0] n = 1;
+  always @(posedge clk) begin
+    n <= n + d + 8'd1;
+    $display("n=%d", n);
+  end
+  assign b = n[2];
+  assign w = {n[1], 91'd0, n};
+  assign out = n;
+endmodule`
+
+func mixReads(i int) []engine.Event {
+	if i%3 != 0 {
+		return clkReads(i)
+	}
+	return append([]engine.Event{{Var: "d", Val: bits.FromUint64(8, uint64(i*37))}}, clkReads(i)...)
+}
+
+// TestLinkRoundsMixedWidths: where a slot of the link's input queue or of
+// the host's drain takes vectors of other widths from one round to the
+// next — reusing the vector it held when that has the room — two engines
+// over one link stay the bare engine driven call by call: trace, display
+// output and final state.
+func TestLinkRoundsMixedWidths(t *testing.T) {
+	const ticks = 25
+	st, errs := verilog.ParseSourceText(mixSrc)
+	if errs != nil {
+		t.Fatal(errs)
+	}
+	f, err := elab.Elaborate(st.Modules[0], "main.m", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recBare := &recorder{}
+	bare := sweng.New(f, recBare, nil, false)
+	traceBare := driveSteps(bare, ticks, mixReads)
+	for _, w := range []string{"1'h", "8'h", "100'h"} {
+		if !strings.Contains(traceBare, w) {
+			t.Fatalf("no %s output in the trace: %s", w, traceBare)
+		}
+	}
+	_, addr := loopbackHost(t, HostOptions{DisableJIT: true})
+	tcpT, err := DialTCP(addr, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcpT.Close()
+	l := NewLink(tcpT, nil, nil)
+	recs := []*recorder{{}, {}}
+	var cs []*Client
+	for i, rec := range recs {
+		c, err := l.Spawn(SpawnSpec{Path: fmt.Sprintf("main.m%d", i), Source: mixSrc, Layout: f.Layout()}, rec, rec.onErr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, c)
+	}
+	traces := driveRounds(l, cs, ticks, mixReads)
+	sigBare := fmt.Sprint(bare.GetState())
+	for k, c := range cs {
+		if traces[k] != traceBare {
+			t.Errorf("client %d trace diverges:\nbare  %s\nround %s", k, traceBare, traces[k])
+		}
+		if got := recs[k].output(); got != recBare.output() {
+			t.Errorf("client %d display output diverges:\n%q\n%q", k, got, recBare.output())
+		}
+		if sig := fmt.Sprint(c.GetState()); sig != sigBare {
+			t.Errorf("client %d state diverges:\nbare  %s\nround %s", k, sigBare, sig)
+		}
+		if len(recs[k].errs) != 0 {
+			t.Errorf("client %d latched %v", k, recs[k].errs)
+		}
 	}
 }
 
@@ -566,7 +658,7 @@ func TestLostEngineLatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	end(a)
-	traces := driveRounds(l, []*Client{a, b}, 3)
+	traces := driveRounds(l, []*Client{a, b}, 3, clkReads)
 	check("round member", a, recA)
 	if traces[0] != "" {
 		t.Errorf("lost member produced outputs: %s", traces[0])
@@ -617,7 +709,7 @@ func TestLinkEndsOwedBeforeSpawn(t *testing.T) {
 	}
 	a, b := spawn("main.a"), spawn("main.b")
 	wire.down = true
-	driveRounds(l, []*Client{a, b}, 1)
+	driveRounds(l, []*Client{a, b}, 1, clkReads)
 	if a.Err() == nil || b.Err() == nil {
 		t.Fatal("a cut wire latched nothing")
 	}

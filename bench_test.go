@@ -364,7 +364,11 @@ func compileBothPaths(b *testing.B, src string) (*netlist.Program, *netlist.Prog
 	if err != nil {
 		b.Fatal(err)
 	}
-	return raw, netlist.Optimize(raw)
+	opt, err := netlist.Compile(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return raw, opt
 }
 
 // --- Parallel scheduler and compile cache (PR 1) ---------------------------

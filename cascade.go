@@ -42,7 +42,6 @@ import (
 
 	"cascade/internal/fault"
 	"cascade/internal/fpga"
-	"cascade/internal/hyper"
 	"cascade/internal/obsv"
 	"cascade/internal/repl"
 	"cascade/internal/runtime"
@@ -150,23 +149,6 @@ type (
 	// EngineHostOptions configures an EngineHost (device, toolchain,
 	// fault injector, JIT switch).
 	EngineHostOptions = transport.HostOptions
-	// Hypervisor virtualizes one shared Device and Toolchain across N
-	// tenant Sessions (internal/hyper): fabric spatially partitioned into
-	// per-tenant regions, tenants time-multiplexed when regions do not
-	// all fit, compile workers split by fair share. Build one with Serve.
-	Hypervisor = hyper.Hypervisor
-	// Session is one hypervisor tenant: the Eval/RunTicks/Stats/Snapshot
-	// surface of a Runtime over a private fabric partition, plus Close.
-	// Neighbours cost it wall time only — its virtual clock and output
-	// are byte-identical to running solo.
-	Session = hyper.Session
-	// SessionInfo is one live session's scheduling view (ID, phase,
-	// region, compile share, quanta).
-	SessionInfo = hyper.SessionInfo
-	// ServeOption configures a Hypervisor (cascade.Serve).
-	ServeOption = hyper.Option
-	// SessionOption configures a Session (Hypervisor.NewSession).
-	SessionOption = hyper.SessionOption
 	// FarmOptions configures the sharded compile farm
 	// (WithCompileFarm): worker count or remote links, per-shard queue
 	// depth, cache replication factor, and deterministic outage
@@ -255,66 +237,6 @@ const DefaultPrelude = runtime.DefaultPrelude
 // scheduler lane per CPU.
 func New(opts ...Option) *Runtime { return runtime.New(buildOptions(opts)) }
 
-// Serve boots a hypervisor: one shared device and toolchain,
-// virtualized across the tenant sessions opened with hv.NewSession.
-// Defaults: a fresh Cyclone V, the default toolchain model, 64-tick
-// scheduling quanta, quarter-fabric session quotas.
-//
-//	hv, _ := cascade.Serve()
-//	s, _ := hv.NewSession(cascade.SessionQuota(20_000))
-//	s.MustEval(cascade.DefaultPrelude)
-//	s.MustEval(`reg [7:0] cnt = 0; always @(posedge clk.val) cnt <= cnt + 1; assign led.val = cnt;`)
-//	s.RunTicks(1000)
-//	defer s.Close()
-func Serve(opts ...ServeOption) (*Hypervisor, error) { return hyper.New(opts...) }
-
-// Hypervisor options (cascade.Serve).
-var (
-	// ServeDevice serves the given shared fabric instead of a fresh
-	// Cyclone V.
-	ServeDevice = hyper.WithDevice
-	// ServeToolchain shares an existing compile service (and its
-	// bitstream cache) instead of building one over the device.
-	ServeToolchain = hyper.WithToolchain
-	// ServeToolchainOptions tunes the toolchain the hypervisor builds
-	// when none is supplied.
-	ServeToolchainOptions = hyper.WithToolchainOptions
-	// ServeQuantum sets the time-multiplexing quantum in virtual clock
-	// ticks (default 64).
-	ServeQuantum = hyper.WithQuantum
-	// ServeDefaultQuota sets the region size sessions get when they do
-	// not specify one (default: a quarter of the fabric).
-	ServeDefaultQuota = hyper.WithDefaultQuota
-	// ServeDefaultCompileShare sets the default per-session bound on
-	// concurrent compile workers (default 0: global pool only).
-	ServeDefaultCompileShare = hyper.WithDefaultCompileShare
-	// ServeObserver wires hypervisor-level metrics (active sessions,
-	// per-tenant residency and quanta) into an observability hub.
-	ServeObserver = hyper.WithObserver
-)
-
-// Session options (Hypervisor.NewSession).
-var (
-	// SessionID names the session's tenant ID (default "s1", "s2", ...).
-	SessionID = hyper.WithID
-	// SessionQuota sets the session's fabric region size in logic
-	// elements (default: the hypervisor's default quota).
-	SessionQuota = hyper.WithQuota
-	// SessionCompileShare bounds the session's concurrent compile
-	// workers (its fair share of the shared pool).
-	SessionCompileShare = hyper.WithCompileShare
-	// SessionView directs the session's program output to a View.
-	SessionView = hyper.WithView
-)
-
-// SessionRuntime seeds the session runtime's configuration from the
-// same functional options New accepts (view, features, observer,
-// injector, parallelism, ...). Device, Toolchain, and Tenant are owned
-// by the hypervisor and overwritten.
-func SessionRuntime(opts ...Option) SessionOption {
-	return hyper.WithRuntime(buildOptions(opts))
-}
-
 // Open creates a runtime with crash-safe persistence (configure it with
 // WithPersistence / WithPersistenceOptions) and recovers whatever state
 // a previous process left in the persistence directory: the newest
@@ -359,13 +281,4 @@ func IsFaultTransient(err error) bool { return fault.IsTransient(err) }
 // by opts; program output and status go to out.
 func NewREPL(out io.Writer, opts ...Option) (*REPL, error) {
 	return repl.New(buildOptions(opts), out)
-}
-
-// NewSessionREPL builds an interactive session as a tenant of hv: evals
-// and clock ticks route through the hypervisor's residency scheduler,
-// and the REPL's :sessions and :stats commands show the multi-tenant
-// view. Program output and status go to out. Closing the REPL closes
-// its session; the hypervisor and any other tenants keep running.
-func NewSessionREPL(hv *Hypervisor, out io.Writer, opts ...SessionOption) (*REPL, error) {
-	return repl.NewSession(hv, out, opts...)
 }

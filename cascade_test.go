@@ -155,68 +155,6 @@ func TestFacadeOptionPermutations(t *testing.T) {
 	}
 }
 
-// TestFacadeServe drives the session API end to end through the public
-// facade: a hypervisor over a shared fabric, two tenant sessions with
-// private views, both reaching hardware with tenant-scoped stats.
-func TestFacadeServe(t *testing.T) {
-	tco := DefaultToolchainOptions()
-	tco.Scale = 1e9
-	tco.BasePs = 1
-	hv, err := Serve(
-		ServeDevice(NewDevice(40_000, 50_000_000)),
-		ServeToolchainOptions(tco),
-		ServeQuantum(50),
-		ServeDefaultQuota(16_000),
-		ServeDefaultCompileShare(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hv.Close()
-
-	views := [2]*BufView{{Quiet: true}, {Quiet: true}}
-	for i, view := range views {
-		s, err := hv.NewSession(
-			SessionID(fmt.Sprintf("tenant%d", i)),
-			SessionRuntime(WithParallelism(2), WithOpenLoopTarget(10_000_000)),
-			SessionView(view),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.MustEval(DefaultPrelude)
-		s.MustEval(fmt.Sprintf(`
-            reg [7:0] cnt = %d;
-            always @(posedge clk.val) begin
-                cnt <= cnt + 1;
-                if (cnt == 8'd100) $display("tenant %d done");
-            end
-            assign led.val = cnt;
-        `, i+1, i))
-		s.RunTicks(400)
-	}
-	infos := hv.SessionInfos()
-	if len(infos) != 2 {
-		t.Fatalf("SessionInfos: %+v", infos)
-	}
-	for i, view := range views {
-		if !strings.Contains(view.Output(), fmt.Sprintf("tenant %d done", i)) {
-			t.Errorf("tenant %d output missing: %q", i, view.Output())
-		}
-	}
-	s0 := hv.Session("tenant0")
-	st := s0.Stats()
-	if st.Tenant != "tenant0" || st.RegionLEs != 16_000 {
-		t.Errorf("tenant stats: %q region=%d", st.Tenant, st.RegionLEs)
-	}
-	if err := s0.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if hv.SessionCount() != 1 {
-		t.Errorf("session count after close = %d", hv.SessionCount())
-	}
-}
-
 // TestFacadeFaultDegradation drives the fault injector through the
 // public API: a scripted transient compile failure plus one bus error.
 // The program must keep producing correct output through the retry, the

@@ -12,10 +12,10 @@
 // (cascade -session-quota / cascade.WithRemoteSession), each of which
 // carves a spatial region out of the daemon's fabric and gets its own
 // toolchain tenant — namespaced bitstream cache, fair-share compile
-// workers, scoped fault schedules. Sessionless clients keep the legacy
-// behavior of sharing the whole fabric. -session-quota sets the region
-// size granted when a session opens without asking for one (default: a
-// quarter of the fabric).
+// workers. Sessionless clients keep the legacy behavior of sharing the
+// whole fabric. -session-quota sets the region size granted when a
+// session opens without asking for one (default: a quarter of the
+// fabric).
 //
 // Usage:
 //
@@ -53,14 +53,20 @@
 // them. Execution progress since the last state install is NOT in the
 // journal; a supervised client detects the restart via the boot epoch
 // and re-seeds from its own committed state instead.
+//
+// SIGTERM (or an interrupt) stops the daemon cleanly: it stops
+// accepting connections, syncs and closes the journal, and exits 0.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"cascade/internal/fpga"
 	"cascade/internal/obsv"
@@ -131,8 +137,19 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("[cascade-engined] listening on %s\n", l.Addr())
-	if err := host.ServeListener(l); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-stop
+		l.Close()
+	}()
+	if err := host.ServeListener(l); !errors.Is(err, net.ErrClosed) {
 		fmt.Fprintf(os.Stderr, "cascade-engined: %v\n", err)
 		os.Exit(1)
 	}
+	if err := host.CloseJournal(); err != nil {
+		fmt.Fprintf(os.Stderr, "cascade-engined: journal: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Println("[cascade-engined] stopped")
 }

@@ -169,6 +169,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cascade: %v\n", err)
 		os.Exit(1)
 	}
+	// A daemon session keeps its fabric region until it is closed: close
+	// it (and the connection) on the way out, or the daemon runs out of
+	// room for later sessions.
+	defer func() {
+		if err := r.Runtime().CloseRemote(); err != nil {
+			fmt.Fprintf(os.Stderr, "cascade: closing the remote engine connection: %v\n", err)
+		}
+	}()
 	if *batch != "" {
 		if info != nil && info.Recovered {
 			// The program (and its progress) came back from the

@@ -154,7 +154,7 @@ var rules = []rule{
 	{name: "frontend/reuse-in-integrate", in: src("..."), allow: []string{"internal/runtime/version.go"},
 		why:   "only integrate hands ir.BuildFrom or elab.ElaborateFrom a predecessor (the base version is the memo); the rest build from scratch",
 		match: func(c *cursor, n ast.Node) bool { return c.ref(n, "ir.BuildFrom", "elab.ElaborateFrom") },
-		bad:   "internal/hyper/seeded.go\npackage hyper\nimport \"cascade/internal/ir\"\nfunc seeded() {\n\tir.BuildFrom(nil, nil) // want seeded\n}"},
+		bad:   "internal/repl/seeded.go\npackage repl\nimport \"cascade/internal/ir\"\nfunc seeded() {\n\tir.BuildFrom(nil, nil) // want seeded\n}"},
 	{name: "frontend/no-loose-fields", in: src("internal/runtime/runtime.go"),
 		why: "a program's identity is Runtime.ver, one immutable version record, not the eight loose Runtime fields it replaced",
 		match: func(c *cursor, n ast.Node) bool {

@@ -561,14 +561,10 @@ func (b *Vector) AppendBytesLE(dst []byte) []byte {
 	return dst
 }
 
-// FromBytesLE builds a vector of the given width from little-endian
-// bytes (the inverse of AppendBytesLE). Missing bytes read as zero,
+// SetBytesLE overwrites z with little-endian bytes at z's width (the
+// inverse of AppendBytesLE) and returns z. Missing bytes read as zero,
 // excess bytes and out-of-width bits are truncated, so any input yields
 // a normalized vector.
-func FromBytesLE(width int, data []byte) *Vector { return New(width).SetBytesLE(data) }
-
-// SetBytesLE overwrites z with little-endian bytes at z's width, as
-// FromBytesLE reads them, and returns z.
 func (z *Vector) SetBytesLE(data []byte) *Vector {
 	clear(z.words)
 	for i := 0; i < min(z.ByteLen(), len(data)); i++ {

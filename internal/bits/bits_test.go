@@ -298,7 +298,7 @@ func TestCmpAcrossWidths(t *testing.T) {
 }
 
 func TestFormatting(t *testing.T) {
-	v := MustParseLiteral("8'h80")
+	v := FromUint64(8, 0x80)
 	if v.String() != "8'h80" {
 		t.Fatalf("String: %s", v.String())
 	}
@@ -311,7 +311,7 @@ func TestFormatting(t *testing.T) {
 	if v.Oct() != "200" {
 		t.Fatalf("Oct: %s", v.Oct())
 	}
-	if MustParseLiteral("12'habc").Hex() != "abc" {
+	if FromUint64(12, 0xabc).Hex() != "abc" {
 		t.Fatal("hex digits wrong")
 	}
 	// Width not a multiple of 4 still formats the right digit count.

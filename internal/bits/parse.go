@@ -196,16 +196,6 @@ func ParseMaskedLiteral(s string) (val, mask *Vector, err error) {
 	return val, mask, nil
 }
 
-// MustParseLiteral is ParseLiteral for compile-time-constant inputs; it
-// panics on error.
-func MustParseLiteral(s string) *Vector {
-	v, err := ParseLiteral(s)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // MinWidthFor returns the minimum number of bits needed to represent v
 // (at least 1).
 func MinWidthFor(v uint64) int { return max(1, mathbits.Len64(v)) }

@@ -89,12 +89,6 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("fault: %s %s fault at %s (trial %d)", class, e.Op, e.Site, e.Attempt)
 }
 
-// IsFault reports whether err is (or wraps) an injected fault.
-func IsFault(err error) bool {
-	var fe *Error
-	return errors.As(err, &fe)
-}
-
 // IsTransient reports whether err is (or wraps) an injected fault that
 // is expected to succeed on retry.
 func IsTransient(err error) bool {

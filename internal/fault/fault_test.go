@@ -114,9 +114,6 @@ func TestClassification(t *testing.T) {
 		t.Fatalf("permanent fault classified transient: %v", err)
 	}
 	wrapped := fmt.Errorf("toolchain: %w", err)
-	if !IsFault(wrapped) {
-		t.Fatal("IsFault must see through wrapping")
-	}
 	var fe *Error
 	if !errors.As(wrapped, &fe) || fe.Op != OpCompile || fe.Site != "main" {
 		t.Fatalf("wrapped fault lost identity: %+v", fe)

@@ -10,11 +10,11 @@ import (
 )
 
 // Compile synthesizes f into a netlist program and runs the dead-code
-// cleanup pass (see Optimize). It fails on designs that cannot be lowered
-// to synchronous hardware: combinational cycles, or variables driven by
-// both combinational and sequential logic. Incomplete sensitivity lists
-// are accepted and treated as complete, matching what commercial
-// synthesis tools do.
+// cleanup pass on each unit (sweep). It fails on designs that cannot be
+// lowered to synchronous hardware: combinational cycles, or variables
+// driven by both combinational and sequential logic. Incomplete
+// sensitivity lists are accepted and treated as complete, matching what
+// commercial synthesis tools do.
 func Compile(f *elab.Flat) (*Program, error) { return CompileFrom(nil, f) }
 
 // CompileFrom is Compile for a design that extends the one base was
@@ -28,8 +28,8 @@ func Compile(f *elab.Flat) (*Program, error) { return CompileFrom(nil, f) }
 // base is only read.
 func CompileFrom(base *Program, f *elab.Flat) (*Program, error) { return link(base, f, true, nil) }
 
-// CompileRaw synthesizes without the cleanup pass (the optimizer ablation
-// and the optimizer's own tests).
+// CompileRaw synthesizes without the cleanup pass: the raw reference the
+// optimizer ablation and the cleanup's own tests compare Compile against.
 func CompileRaw(f *elab.Flat) (*Program, error) { return link(nil, f, false, nil) }
 
 // Unit kinds, in the order partition lists them (combinational units
@@ -263,7 +263,7 @@ func link(base *Program, f *elab.Flat, optimize bool, fed *int) (*Program, error
 			}
 		}
 	}
-	order, err := levelize(f, uv, off, ncomb, nseq)
+	order, err := levelize(f, units, uv, off, ncomb, nseq)
 	if err != nil {
 		return nil, err
 	}
@@ -405,10 +405,13 @@ func unitTasks(s elab.Stmt, out []*elab.SysTask) []*elab.SysTask {
 // combinational units, or by a combinational unit and a sequential
 // process — and orders the combinational units topologically: a unit
 // comes after every unit that writes a variable it reads, ties broken by
-// partition order; a cycle is a synthesis error (combinational loop).
-// uv[off[i]:off[i+1]] are unit i's variables (Span.Vars's encoding). It
-// returns the emission order of all units.
-func levelize(f *elab.Flat, uv []int32, off []int32, ncomb, nseq int) ([]int32, error) {
+// partition order; a cycle is a synthesis error (combinational loop). A
+// continuous assignment that reads its own target is the one-unit cycle:
+// the edge order skips u -> u, since a level-sensitive process may read
+// what it wrote earlier in the same pass. uv[off[i]:off[i+1]] are unit
+// i's variables (Span.Vars's encoding). It returns the emission order of
+// all units.
+func levelize(f *elab.Flat, units []unit, uv []int32, off []int32, ncomb, nseq int) ([]int32, error) {
 	writer := make([]int32, len(f.Vars)) // var -> comb unit writing it
 	for i := range writer {
 		writer[i] = -1
@@ -422,6 +425,16 @@ func levelize(f *elab.Flat, uv []int32, off []int32, ncomb, nseq int) ([]int32, 
 				return nil, errf("%s is driven by multiple combinational units", f.Vars[e>>1].Name)
 			}
 			writer[e>>1] = int32(ci)
+		}
+	}
+	for ci := 0; ci < ncomb; ci++ {
+		if units[ci].kind != unitAssign {
+			continue
+		}
+		for _, e := range uv[off[ci]:off[ci+1]] {
+			if e&1 == 0 && writer[e>>1] == int32(ci) {
+				return nil, errf("combinational loop detected (not synthesizable): the assignment to %s reads it", f.Vars[e>>1].Name)
+			}
 		}
 	}
 	for si := ncomb; si < ncomb+nseq; si++ {

@@ -39,23 +39,6 @@ func sameProgram(t *testing.T, what string, got, want *Program) {
 	}
 }
 
-// TestOptimizeIsCompilesCleanup: the cleanup Compile runs per unit is
-// Optimize's — the ablation pair differs only in the dead code.
-func TestOptimizeIsCompilesCleanup(t *testing.T) {
-	for seed := uint64(0); seed < 60; seed++ {
-		f := flatten(t, vgen.Module(seed).String())
-		raw, err := CompileRaw(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt, err := Compile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameProgram(t, vgen.Module(seed).String(), Optimize(raw), opt)
-	}
-}
-
 // parseModule parses one module declaration.
 func parseModule(t *testing.T, src string) *verilog.Module {
 	t.Helper()

@@ -1,7 +1,6 @@
 package netlist
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,13 +9,19 @@ import (
 	"cascade/internal/vgen"
 )
 
+// rawAndOpt synthesizes src without and with the per-unit cleanup.
 func rawAndOpt(t *testing.T, src string) (*Program, *Program) {
 	t.Helper()
-	raw, err := CompileRaw(flatten(t, src))
+	f := flatten(t, src)
+	raw, err := CompileRaw(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw, Optimize(raw)
+	opt, err := Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw, opt
 }
 
 func TestOptimizeRemovesDeadCompute(t *testing.T) {
@@ -45,11 +50,7 @@ func TestOptimizePreservesBehaviourOnRandomPrograms(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		src := vgen.Module(300 + uint64(trial)).String()
 		f := flatten(t, src)
-		raw, err := CompileRaw(f)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		opt := Optimize(raw)
+		raw, opt := rawAndOpt(t, src)
 		if len(opt.Code) > len(raw.Code) {
 			t.Fatal("optimizer grew code")
 		}
@@ -155,9 +156,10 @@ endmodule`)
 	}
 }
 
-func TestOptimizeRemovesSyntheticDeadChain(t *testing.T) {
-	// DCE proper: append a pure compute chain ending in an unread temp
-	// slot; Optimize must drop the whole chain and renumber jumps.
+func TestSweepRemovesSyntheticDeadChain(t *testing.T) {
+	// DCE proper: put a pure compute chain ending in an unread temp slot
+	// in front of a unit's code; sweep must mark the whole chain dead and
+	// every instruction of the unit itself live.
 	raw, _ := rawAndOpt(t, `
 module M(input wire clk, input wire [7:0] a, output reg [7:0] q);
   always @(posedge clk)
@@ -166,61 +168,30 @@ module M(input wire clk, input wire [7:0] a, output reg [7:0] q);
     else
       q <= a - 1;
 endmodule`)
-	// Splice dead ops in front of the first unit (entries shift by 3).
 	t1 := int32(len(raw.Slots))
 	raw.Slots = append(raw.Slots, SlotInfo{Width: 8}, SlotInfo{Width: 8}, SlotInfo{Width: 8})
 	at := int32(len(raw.Operands)) // the dead ops' sources go at the arena's end
 	raw.Operands = append(raw.Operands, t1, t1, t1+1, t1)
-	raw.Consts = append(raw.Consts, mustVec(8, 7))
+	raw.Consts = append(raw.Consts, bits.FromUint64(8, 7))
 	dead := []Op{
 		{Kind: OpConst, Dst: t1, Width: 8, Src: at, Const: int32(len(raw.Consts) - 1)},
 		{Kind: OpMul, Dst: t1 + 1, Src: at, NSrcs: 2, Width: 8, Const: -1},
 		{Kind: OpAdd, Dst: t1 + 2, Src: at + 2, NSrcs: 2, Width: 8, Const: -1},
 	}
-	shifted := append(dead, raw.Code...)
-	for i := len(dead); i < len(shifted); i++ {
-		switch shifted[i].Kind {
-		case OpJump, OpJz:
-			shifted[i].Target += int32(len(dead))
+	lo, hi := raw.spanCode(0)
+	code := append(append(slices.Clone(dead), raw.Code[lo:hi]...), raw.Code[hi:]...)
+	raw.Code = append(raw.Code[:lo:lo], code...)
+	hi += len(dead)
+	liveSlot := make([]bool, len(raw.Slots))
+	for i := 0; i < raw.varSlots(); i++ {
+		liveSlot[i] = true
+	}
+	keep := make([]bool, hi-lo)
+	sweep(raw, lo, hi, liveSlot, keep)
+	for i, k := range keep {
+		if k != (i >= len(dead)) {
+			t.Fatalf("op %d (%v) kept=%v: want the %d dead ops dropped and the unit's own %d kept",
+				i, raw.Code[lo+i].Kind, k, len(dead), hi-lo-len(dead))
 		}
-	}
-	raw.Code = shifted
-	for i := range raw.Comb {
-		raw.Comb[i].Entry += len(dead)
-	}
-	for i := range raw.Seq {
-		raw.Seq[i].Entry += len(dead)
-	}
-	for i := 1; i < len(raw.Spans); i++ { // the dead ops join the first unit
-		raw.Spans[i].Code += int32(len(dead))
-	}
-	before := len(raw.Code)
-	opt := Optimize(raw)
-	if len(opt.Code) != before-len(dead) {
-		t.Fatalf("dead chain not removed: %d -> %d ops", before, len(opt.Code))
-	}
-	// The machine still runs correctly after renumbering.
-	f := raw.Flat
-	m := NewMachine(opt)
-	clk, av := f.VarNamed("clk"), f.VarNamed("a")
-	settle := func() {
-		for m.HasActive() || m.HasUpdates() {
-			m.Evaluate()
-			if m.HasUpdates() {
-				m.Update()
-			}
-		}
-	}
-	settle()
-	m.SetInput(av, bits.FromUint64(8, 9))
-	settle()
-	m.SetInput(clk, bits.FromUint64(1, 1))
-	settle()
-	if got := m.PeekVar(f.VarNamed("q")).Clone().Uint64(); got != 10 {
-		t.Fatalf("q=%d after optimize, want 10", got)
 	}
 }
-
-func mustVec(w int, v uint64) *bits.Vector { return bits.FromUint64(w, v) }
-
-var _ = fmt.Sprintf

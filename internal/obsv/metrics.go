@@ -108,14 +108,14 @@ func (g *Gauge) writeProm(w io.Writer) {
 		g.name, g.help, g.name, g.name, g.v.Load())
 }
 
-// labeled renders one series of a labeled family: the HELP/TYPE header
-// carries the bare family name (a valid Prometheus metric name), the
-// sample line carries the label set. The registry deduplicates on
+// labeled renders one series of a labeled gauge family: the HELP/TYPE
+// header carries the bare family name (a valid Prometheus metric name),
+// the sample line carries the label set. The registry deduplicates on
 // name+labels, so one family fans out into one series per label set —
-// the per-tenant breakdowns the hypervisor exports.
+// the per-shard queue depths a compile farm exports.
 type labeled struct {
 	family, labels string // labels rendered `k="v",...`, sorted by key
-	inner          metric // the bare Counter or Gauge holding the value
+	g              *Gauge // the bare gauge holding the value
 }
 
 // LabelSet renders a label map in Prometheus sample syntax, keys sorted.
@@ -138,14 +138,8 @@ func LabelSet(labels map[string]string) string {
 func (l *labeled) metricName() string { return l.family + "{" + l.labels + "}" }
 
 func (l *labeled) writeProm(w io.Writer) {
-	switch m := l.inner.(type) {
-	case *Counter:
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s{%s} %d\n",
-			l.family, m.help, l.family, l.family, l.labels, m.v.Load())
-	case *Gauge:
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s{%s} %d\n",
-			l.family, m.help, l.family, l.family, l.labels, m.v.Load())
-	}
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s{%s} %d\n",
+		l.family, l.g.help, l.family, l.family, l.labels, l.g.v.Load())
 }
 
 // Histogram is a fixed-bucket cumulative histogram over uint64 samples.
@@ -281,29 +275,17 @@ func (o *Observer) NewGauge(name, help string) *Gauge {
 	return g
 }
 
-// NewLabeledCounter registers one series of a labeled counter family
-// (e.g. cascade_tenant_quanta_total{tenant="a"}). Series of one family
-// are distinct metrics sharing a name; registering the same name+labels
-// twice panics like any duplicate, so callers cache the returned
-// counter per label set. Returns nil on a nil Observer.
-func (o *Observer) NewLabeledCounter(name, help string, labels map[string]string) *Counter {
-	if o == nil {
-		return nil
-	}
-	c := &Counter{name: name, help: help}
-	o.reg.add(&labeled{family: name, labels: LabelSet(labels), inner: c})
-	return c
-}
-
 // NewLabeledGauge registers one series of a labeled gauge family (e.g.
-// cascade_tenant_resident{tenant="a"}). Same dedup/caching contract as
-// NewLabeledCounter. Returns nil on a nil Observer.
+// cascade_farm_queue_depth{shard="0"}). Series of one family are
+// distinct metrics sharing a name; registering the same name+labels twice
+// panics like any duplicate, so callers cache the returned gauge per
+// label set. Returns nil on a nil Observer.
 func (o *Observer) NewLabeledGauge(name, help string, labels map[string]string) *Gauge {
 	if o == nil {
 		return nil
 	}
 	g := &Gauge{name: name, help: help}
-	o.reg.add(&labeled{family: name, labels: LabelSet(labels), inner: g})
+	o.reg.add(&labeled{family: name, labels: LabelSet(labels), g: g})
 	return g
 }
 

@@ -301,14 +301,14 @@ func TestFraming(t *testing.T) {
 func TestVectorBytesRoundTrip(t *testing.T) {
 	for _, w := range []int{1, 7, 8, 9, 63, 64, 65, 128, 257} {
 		v := bits.FromUint64(w, 0x1234567890abcdef)
-		got := bits.FromBytesLE(w, v.AppendBytesLE(nil))
+		got := bits.New(w).SetBytesLE(v.AppendBytesLE(nil))
 		if !got.Equal(v) || got.Width() != w {
 			t.Errorf("width %d: bytes round trip mismatch: %v vs %v", w, got, v)
 		}
 	}
 	// Excess input bits beyond the width are truncated (normalization).
-	v := bits.FromBytesLE(4, []byte{0xff, 0xff})
+	v := bits.New(4).SetBytesLE([]byte{0xff, 0xff})
 	if v.Uint64() != 0xf {
-		t.Errorf("FromBytesLE did not normalize: %v", v)
+		t.Errorf("SetBytesLE did not normalize: %v", v)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"cascade/internal/hyper"
 	"cascade/internal/persist"
 	"cascade/internal/runtime"
 	"cascade/internal/vclock"
@@ -28,13 +27,6 @@ import (
 type REPL struct {
 	rt  *runtime.Runtime
 	out io.Writer
-
-	// Multi-tenant attachment (NewSession): evals and ticks route
-	// through sess so the hypervisor's residency scheduler stays in
-	// charge, and hv powers the :sessions view. Both nil for the classic
-	// single-tenant REPL.
-	hv   *hyper.Hypervisor
-	sess *hyper.Session
 
 	mu   sync.Mutex // guards rt
 	stop chan struct{}
@@ -75,30 +67,6 @@ func New(opts runtime.Options, out io.Writer) (*REPL, error) {
 	return &REPL{rt: rt, out: out, stop: make(chan struct{})}, nil
 }
 
-// NewSession builds a REPL over a tenant session of hv instead of a
-// private runtime: the hypervisor owns device and toolchain, the
-// session's program output is pointed at out, and every eval and tick
-// goes through the session so fabric residency is scheduled fairly
-// against the other tenants. The standard prelude is evaluated.
-// Closing the REPL closes the session.
-func NewSession(hv *hyper.Hypervisor, out io.Writer, opts ...hyper.SessionOption) (*REPL, error) {
-	out = &lockedWriter{w: out}
-	opts = append(opts, hyper.WithView(&view{out: out}))
-	sess, err := hv.NewSession(opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := sess.Eval(runtime.DefaultPrelude); err != nil {
-		sess.Close()
-		return nil, err
-	}
-	return &REPL{rt: sess.Runtime(), out: out, hv: hv, sess: sess, stop: make(chan struct{})}, nil
-}
-
-// Session returns the tenant session behind a NewSession REPL (nil for
-// single-tenant REPLs).
-func (r *REPL) Session() *hyper.Session { return r.sess }
-
 // NewRestored builds a REPL around a restored snapshot instead of the
 // standard prelude: the migrated program continues under interactive
 // control (the -restore flag of cmd/cascade).
@@ -137,25 +105,6 @@ func Open(opts runtime.Options, out io.Writer) (*REPL, *runtime.RecoveryInfo, er
 // Runtime exposes the underlying runtime (tests, commands).
 func (r *REPL) Runtime() *runtime.Runtime { return r.rt }
 
-// eval routes source through the session when one is attached (so a
-// closed session reports ErrClosed instead of mutating a dead tenant).
-// Callers hold r.mu.
-func (r *REPL) eval(ctx context.Context, src string) error {
-	if r.sess != nil {
-		return r.sess.EvalCtx(ctx, src)
-	}
-	return r.rt.EvalCtx(ctx, src)
-}
-
-// runTicks routes stepping through the session's residency scheduler
-// when one is attached. Callers hold r.mu.
-func (r *REPL) runTicks(ctx context.Context, n uint64) error {
-	if r.sess != nil {
-		return r.sess.RunTicksCtx(ctx, n)
-	}
-	return r.rt.RunTicksCtx(ctx, n)
-}
-
 // start launches the background scheduler: the program keeps running
 // while the user types.
 func (r *REPL) start() {
@@ -170,7 +119,7 @@ func (r *REPL) start() {
 			}
 			r.mu.Lock()
 			if !r.rt.Finished() {
-				r.runTicks(context.Background(), 1)
+				r.rt.RunTicksCtx(context.Background(), 1)
 			}
 			fin := r.rt.Finished()
 			r.mu.Unlock()
@@ -182,8 +131,7 @@ func (r *REPL) start() {
 	}()
 }
 
-// Close stops the background scheduler and, for a NewSession REPL,
-// closes the tenant session (releasing its fabric region).
+// Close stops the background scheduler.
 func (r *REPL) Close() {
 	select {
 	case <-r.stop:
@@ -191,9 +139,6 @@ func (r *REPL) Close() {
 		close(r.stop)
 	}
 	r.wg.Wait()
-	if r.sess != nil {
-		r.sess.Close()
-	}
 }
 
 // InputComplete reports whether src forms a complete eval unit: balanced
@@ -259,7 +204,7 @@ func (r *REPL) Interact(in io.Reader) error {
 			src := pending.String()
 			pending.Reset()
 			r.mu.Lock()
-			err := r.eval(context.Background(), src)
+			err := r.rt.EvalCtx(context.Background(), src)
 			r.mu.Unlock()
 			if err != nil {
 				fmt.Fprintf(r.out, "error: %v\n", err)
@@ -287,7 +232,6 @@ func (r *REPL) command(line string) bool {
   :pad <value>     press/release buttons (bit i = button i)
   :leds            show the LED bank
   :run <ticks>     run N clock ticks synchronously
-  :sessions        list the hypervisor's live tenant sessions
   :program         echo the program eval'd so far
   :save <path>     write a migratable snapshot of the running program
   :load <path>     replace the running program with a saved snapshot
@@ -302,18 +246,10 @@ func (r *REPL) command(line string) bool {
 	case ":stats":
 		r.mu.Lock()
 		st := r.rt.Stats()
-		var in hyper.SessionInfo
-		if r.sess != nil {
-			in = r.sess.Info() // reads the runtime's phase and ticks: under r.mu, like Stats
-		}
 		r.mu.Unlock()
 		fmt.Fprintln(r.out, st.Summary())
 		for _, e := range st.Engines {
 			fmt.Fprintf(r.out, "  engine %-12s %s\n", e.Path, e.Location)
-		}
-		if r.sess != nil {
-			fmt.Fprintf(r.out, "  session %s region=%dLEs share=%s resident=%v quanta=%d (of %d tenants)\n",
-				in.ID, in.QuotaLEs, shareLabel(in.CompileShare), in.Resident, in.Quanta, r.hv.SessionCount())
 		}
 	case ":health":
 		r.mu.Lock()
@@ -334,29 +270,6 @@ func (r *REPL) command(line string) bool {
 			if e.Transport == "tcp" {
 				fmt.Fprintf(r.out, "  engine %-12s remote (%s)\n", e.Path, e.Location)
 			}
-		}
-	case ":sessions":
-		if r.hv == nil {
-			fmt.Fprintln(r.out, "not serving a hypervisor (single-tenant runtime)")
-			break
-		}
-		r.mu.Lock() // SessionInfos reads this session's runtime counters
-		infos := r.hv.SessionInfos()
-		r.mu.Unlock()
-		if len(infos) == 0 {
-			fmt.Fprintln(r.out, "no live sessions")
-			break
-		}
-		fmt.Fprintf(r.out, "%-10s %-20s %10s %6s %9s %7s %8s\n",
-			"ID", "PHASE", "REGION", "SHARE", "RESIDENT", "QUANTA", "TICKS")
-		for _, in := range infos {
-			resident := "-"
-			if in.Resident {
-				resident = "yes"
-			}
-			fmt.Fprintf(r.out, "%-10s %-20s %8dLE %6s %9s %7d %8d\n",
-				in.ID, in.Phase, in.QuotaLEs, shareLabel(in.CompileShare),
-				resident, in.Quanta, in.Ticks)
 		}
 	case ":engines":
 		r.mu.Lock()
@@ -486,7 +399,7 @@ func (r *REPL) command(line string) bool {
 			fmt.Sscanf(fields[1], "%d", &n)
 		}
 		r.mu.Lock()
-		r.runTicks(context.Background(), n)
+		r.rt.RunTicksCtx(context.Background(), n)
 		ticks := r.rt.Ticks()
 		r.mu.Unlock()
 		fmt.Fprintf(r.out, "ticks=%d\n", ticks)
@@ -506,7 +419,7 @@ func (r *REPL) Batch(src string, maxTicks uint64) error {
 // BatchCtx is Batch with cancellation: a cancelled context stops the run
 // between ticks and aborts any in-flight background compilations.
 func (r *REPL) BatchCtx(ctx context.Context, src string, maxTicks uint64) error {
-	if err := r.eval(ctx, src); err != nil {
+	if err := r.rt.EvalCtx(ctx, src); err != nil {
 		return err
 	}
 	return r.runBudget(ctx, maxTicks)
@@ -523,18 +436,9 @@ func (r *REPL) Resume(maxTicks uint64) error {
 func (r *REPL) runBudget(ctx context.Context, maxTicks uint64) error {
 	start := r.rt.Ticks()
 	for !r.rt.Finished() && r.rt.Ticks()-start < maxTicks {
-		if err := r.runTicks(ctx, 1); err != nil {
+		if err := r.rt.RunTicksCtx(ctx, 1); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// shareLabel renders a compile-worker fair share ("pool" for the
-// unbounded default).
-func shareLabel(n int) string {
-	if n <= 0 {
-		return "pool"
-	}
-	return fmt.Sprintf("%d", n)
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"cascade/internal/fpga"
-	"cascade/internal/hyper"
 	"cascade/internal/runtime"
 	"cascade/internal/supervise"
 	"cascade/internal/toolchain"
@@ -162,86 +161,6 @@ func TestHealthCommand(t *testing.T) {
 	if !strings.Contains(out.String(),
 		"breaker=closed probes=0 failures=0 trips=0 failovers=0 rehosts=0") {
 		t.Fatalf(":health breaker line missing or drifted:\n%s", out.String())
-	}
-}
-
-// TestSessionREPLGolden attaches a REPL to a hypervisor session and pins
-// the :sessions table and the :stats per-tenant segment (the golden
-// companions to TestStatsSummaryGolden's tenant[] case).
-func TestSessionREPLGolden(t *testing.T) {
-	to := toolchain.DefaultOptions()
-	to.Scale = 1e9
-	to.BasePs = 1
-	hv, err := hyper.New(hyper.WithToolchainOptions(to))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hv.Close()
-
-	var out strings.Builder
-	r, err := NewSession(hv, &out,
-		hyper.WithID("alpha"), hyper.WithQuota(16_000), hyper.WithCompileShare(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A second, idle tenant so :sessions exercises the multi-row path
-	// (and the "pool" rendering of the unbounded default share).
-	beta, err := hv.NewSession(hyper.WithID("beta"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer beta.Close()
-
-	session := strings.NewReader(`
-reg [7:0] n = 0;
-always @(posedge clk.val) n <= n + 1;
-assign led.val = n;
-:run 32
-:sessions
-:stats
-:quit
-`)
-	if err := r.Interact(session); err != nil {
-		t.Fatal(err)
-	}
-	text := out.String()
-
-	// The :sessions table header, exactly as formatted.
-	const header = "ID         PHASE                    REGION  SHARE  RESIDENT  QUANTA    TICKS"
-	if !strings.Contains(text, header) {
-		t.Fatalf(":sessions header missing or drifted:\n%s", text)
-	}
-	// alpha's row (region quota, bounded share) and beta's row (idle
-	// tenant, "pool" rendering of the unbounded default share).
-	for _, want := range []string{"alpha", "16000LE", "beta", "pool"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf(":sessions table missing %q:\n%s", want, text)
-		}
-	}
-
-	// The :stats per-tenant segment.
-	if !strings.Contains(text, "session alpha region=16000LEs share=2") {
-		t.Fatalf(":stats session segment missing:\n%s", text)
-	}
-	if !strings.Contains(text, "(of 2 tenants)") {
-		t.Fatalf(":stats session segment should count live tenants:\n%s", text)
-	}
-	// And the runtime Summary line's tenant[] segment rides along.
-	if !strings.Contains(text, "tenant[alpha region=16000LEs]") {
-		t.Fatalf("Summary tenant segment missing:\n%s", text)
-	}
-}
-
-// TestSessionsCommandSingleTenant: a classic single-runtime REPL has no
-// hypervisor; :sessions must say so instead of fabricating a table.
-func TestSessionsCommandSingleTenant(t *testing.T) {
-	r, out := newTestREPL(t, runtime.Options{Features: runtime.Features{DisableJIT: true}})
-	if err := r.Interact(strings.NewReader(":sessions\n:quit\n")); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "not serving a hypervisor") {
-		t.Fatalf(":sessions should report single-tenant mode:\n%s", out.String())
 	}
 }
 

@@ -81,7 +81,7 @@ func TestMetricsReadTheBooks(t *testing.T) {
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, _, d, kills, stop, err := tc.a.start(t, tc.sched)
+			r, _, d, kills, stop, err := tc.a.start(t, tc.sched, nil)
 			defer stop()
 			if err == nil {
 				err = tc.a.drive(r, d, kills, tc.sched, tc.s, &observed{})

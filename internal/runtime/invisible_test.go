@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -42,25 +43,35 @@ type testDaemon struct {
 	addr    string
 	journal string // "" disables daemon-side session resumption
 	jit     bool
+	fabric  int                    // the daemon's fabric in LEs (0: roomy)
+	farm    *toolchain.FarmOptions // shards the daemon's compiles (nil: local backend)
 
 	mu      sync.Mutex
 	l       net.Listener
 	conns   []net.Conn
 	host    *transport.Host
-	resumed int // engines the current host resumed from the journal
+	tc      *toolchain.Toolchain // the current host's compile service
+	resumed int                  // engines the current host resumed from the journal
 }
 
 func newTestDaemon(t testing.TB, journal string, jit bool) *testDaemon {
-	d := &testDaemon{t: t, journal: journal, jit: jit}
+	return startTestDaemon(&testDaemon{t: t, journal: journal, jit: jit})
+}
+
+// startTestDaemon serves d, configured but not yet listening.
+func startTestDaemon(d *testDaemon) *testDaemon {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		d.t.Fatal(err)
 	}
 	d.addr = l.Addr().String()
 	d.serve(l)
-	t.Cleanup(d.kill)
+	d.t.Cleanup(d.kill)
 	return d
 }
+
+// sessionQuota is a daemon session's region: half of roomy.
+const sessionQuota = 1 << 21
 
 // roomy is the testbed's fabric at its clock with room for anything a
 // generator writes: a design that does not fit stays in software, and a
@@ -69,7 +80,14 @@ func roomy() *fpga.Device { return fpga.NewDevice(1<<22, 50_000_000) }
 
 func (d *testDaemon) serve(l net.Listener) {
 	dev := roomy()
-	host := transport.NewHost(transport.HostOptions{Device: dev, Toolchain: fastToolchain(dev), DisableJIT: !d.jit})
+	if d.fabric > 0 {
+		dev = fpga.NewDevice(d.fabric, dev.ClockHz())
+	}
+	tc := fastToolchain(dev)
+	if d.farm != nil {
+		tc.UseFarm(*d.farm)
+	}
+	host := transport.NewHost(transport.HostOptions{Device: dev, Toolchain: tc, DisableJIT: !d.jit})
 	resumed := 0
 	if d.journal != "" {
 		var err error
@@ -78,7 +96,7 @@ func (d *testDaemon) serve(l net.Listener) {
 		}
 	}
 	d.mu.Lock()
-	d.l, d.host, d.resumed = l, host, resumed
+	d.l, d.host, d.tc, d.resumed = l, host, tc, resumed
 	d.mu.Unlock()
 	go host.ServeListener(tracked{l, d})
 }
@@ -137,12 +155,13 @@ type arm struct {
 	feats Features
 	lanes int // 0 runs serially
 
-	hosted    bool // user engines live on a loopback daemon…
-	daemonJIT bool // …which promotes them onto its own fabric,
-	journal   bool // journals them for restarts,
-	session   bool // and serves them in a tenant session;
-	retries   int  // the transport's retry budget
-	supervise bool // breaker, failover and re-host around the daemon
+	hosted    bool   // user engines live on a loopback daemon…
+	daemonJIT bool   // …which promotes them onto its own fabric,
+	journal   bool   // journals them for restarts,
+	session   bool   // and serves them in a tenant session
+	tenant    string // of this name ("" names it "repl");
+	retries   int    // the transport's retry budget
+	supervise bool   // breaker, failover and re-host around the daemon
 
 	durable bool                  // Open over a directory: journal and checkpoints
 	farm    toolchain.FarmOptions // Workers > 0 shards compiles over a farm
@@ -188,8 +207,9 @@ type observed struct {
 var pinnedWall = time.Unix(1_700_000_000, 0)
 
 // start builds the runtime arm describes, disturbed as sch plans, with the
-// prelude evaluated; stop releases what it holds.
-func (a arm) start(t testing.TB, sch schedule) (r *Runtime, view *BufView, d *testDaemon, kills []fault.Window, stop func(), err error) {
+// prelude evaluated; stop releases what it holds. A hosted arm's engines
+// live on d, or on a daemon of the run's own when d is nil.
+func (a arm) start(t testing.TB, sch schedule, d *testDaemon) (r *Runtime, view *BufView, _ *testDaemon, kills []fault.Window, stop func(), err error) {
 	kills = sch.faults.Outages("daemon", 1, sch.outages, 100, 2, 5)
 	view = &BufView{Quiet: true}
 	dev := roomy()
@@ -211,15 +231,17 @@ func (a arm) start(t testing.TB, sch schedule) (r *Runtime, view *BufView, d *te
 	}
 	stop = func() {}
 	if a.hosted {
-		journal := ""
-		if a.journal {
-			journal = filepath.Join(t.TempDir(), "host.journal")
+		if d == nil {
+			journal := ""
+			if a.journal {
+				journal = filepath.Join(t.TempDir(), "host.journal")
+			}
+			d = newTestDaemon(t, journal, a.daemonJIT)
+			stop = d.kill
 		}
-		d = newTestDaemon(t, journal, a.daemonJIT)
-		stop = d.kill
 		opts.Remote = &RemoteOptions{Addr: d.addr, DialTimeout: time.Second, CallTimeout: time.Second, Retries: a.retries}
 		if a.session {
-			opts.Remote.SessionQuotaLEs, opts.Remote.SessionShare, opts.Remote.SessionName = dev.Capacity()/2, 1, "repl"
+			opts.Remote.SessionQuotaLEs, opts.Remote.SessionShare, opts.Remote.SessionName = sessionQuota, 1, cmp.Or(a.tenant, "repl")
 		}
 		if a.supervise {
 			opts.Supervise = supTestOptions()
@@ -291,7 +313,14 @@ func (a arm) drive(r *Runtime, d *testDaemon, kills []fault.Window, sch schedule
 // daemon-hosted run reports its daemon, books every frame of the shared
 // connection to the engines it carried, and leaves no session behind.
 func observe(t testing.TB, a arm, sch schedule, s vgen.Script) (o observed, err error) {
-	r, view, d, kills, stop, err := a.start(t, sch)
+	return observeOn(t, nil, a, sch, s)
+}
+
+// observeOn is observe with a hosted arm's engines on shared, a daemon
+// other runs use at the same time (nil: a daemon of the run's own, whose
+// session count is then checked too).
+func observeOn(t testing.TB, shared *testDaemon, a arm, sch schedule, s vgen.Script) (o observed, err error) {
+	r, view, d, kills, stop, err := a.start(t, sch, shared)
 	defer stop()
 	if err == nil {
 		err = a.drive(r, d, kills, sch, s, &o)
@@ -330,13 +359,14 @@ func observe(t testing.TB, a arm, sch schedule, s vgen.Script) (o observed, err 
 			return o, fmt.Errorf("tcp engines' books %+v do not sum to the connection's %+v", tcp, conn)
 		}
 	}
-	if a.session && d.live().Sessions() != 1 {
+	own := shared == nil
+	if a.session && own && d.live().Sessions() != 1 {
 		return o, fmt.Errorf("daemon sessions = %d, want 1", d.live().Sessions())
 	}
 	if err := r.CloseRemote(); err != nil {
 		return o, fmt.Errorf("close remote: %v", err)
 	}
-	if n := d.live().Sessions(); n != 0 {
+	if n := d.live().Sessions(); own && n != 0 {
 		return o, fmt.Errorf("%d sessions left on the daemon after CloseRemote", n)
 	}
 	return o, nil

@@ -187,10 +187,6 @@ func TestStatsSummaryGolden(t *testing.T) {
 		want   string
 	}{
 		{"base", func(*Stats) {}, baseLine},
-		{"tenant", func(s *Stats) {
-			s.Tenant = "a"
-			s.RegionLEs = 5000
-		}, baseLine + " tenant[a region=5000LEs]"},
 		{"faults", func(s *Stats) {
 			s.Faults = fault.Stats{Injected: 3, Transient: 2, Permanent: 1}
 			s.HWFaults = 2
@@ -229,8 +225,6 @@ func TestStatsSummaryGolden(t *testing.T) {
 			s.Persist = PersistStats{Enabled: true, Err: "disk full"}
 		}, baseLine + " persist[records=0 journal=0B ckpts=0 ckptBytes=0 ckptMs=0 replayed=0] persist-error=disk full"},
 		{"everything", func(s *Stats) {
-			s.Tenant = "a"
-			s.RegionLEs = 5000
 			s.Faults = fault.Stats{Injected: 3, Transient: 2, Permanent: 1}
 			s.HWFaults = 2
 			s.Evictions = 1
@@ -241,7 +235,6 @@ func TestStatsSummaryGolden(t *testing.T) {
 			s.Persist = PersistStats{Enabled: true, Records: 12, JournalBytes: 3456,
 				Checkpoints: 2, CheckpointBytes: 789, CheckpointNs: 5_000_000, ReplayedRecords: 3}
 		}, baseLine +
-			" tenant[a region=5000LEs]" +
 			" faults[injected=3 transient=2 permanent=1 hw=2 evictions=1]" +
 			" remote[127.0.0.1:9925 roundtrips=10 out=100B in=200B drops=1 retries=2]" +
 			" supervise[state=closed probes=50 fails=4 trips=1 failovers=1 rehosts=1]" +

@@ -245,21 +245,11 @@ type Options struct {
 	// across in-process shards (Workers) or remote compile-worker
 	// daemons (Links), with a replicated bitstream cache, bounded
 	// per-shard queues with job stealing, and deterministic outage
-	// schedules. On a shared toolchain that already carries a farm (the
-	// hypervisor arrangement, where every tenant runtime passes the same
-	// Options), the existing farm is kept — installation is idempotent.
+	// schedules. On a shared toolchain that already carries a farm
+	// (runtimes built over one Toolchain), the existing farm is kept —
+	// installation is idempotent.
 	// Nil (the default) keeps the in-process local backend.
 	Farm *toolchain.FarmOptions
-
-	// Tenant scopes this runtime on a *shared* Toolchain (the hypervisor
-	// arrangement, internal/hyper): compiles are submitted under this
-	// tenant ID, so they draw on the tenant's fair-share worker quota,
-	// consult only the tenant's fault injector and observer, close fit
-	// and timing against the tenant's Device (its fabric partition), and
-	// count into the tenant's stats mirror. "" — the default — is the
-	// classic single-tenant arrangement: the runtime owns its toolchain
-	// and wires injector and observer globally onto it.
-	Tenant string
 }
 
 // RemoteOptions configures the connection to a remote engine daemon.
@@ -413,28 +403,23 @@ func New(opts Options) *Runtime {
 	if opts.Injector != nil {
 		// One injector feeds all three fault surfaces: compile attempts
 		// (toolchain), placements and region integrity (device), and
-		// MMIO transactions (hardware engines, via the device). Under a
-		// tenant ID the toolchain wiring is tenant-scoped — the shared
-		// toolchain's global injector (another tenant's, or nobody's)
-		// must never see this runtime's compiles, and vice versa. The
-		// device is this runtime's own partition either way.
-		opts.Toolchain.SetTenantFaults(opts.Tenant, opts.Injector)
+		// MMIO transactions (hardware engines, via the device).
+		opts.Toolchain.SetFaults(opts.Injector)
 		opts.Device.SetFaults(opts.Injector)
 	}
 	if opts.Observer != nil {
 		// One observer sees the whole pipeline: the toolchain stamps
 		// compile events with job virtual times, the injector reports
 		// fault sites, and the runtime emits the controller-side
-		// lifecycle (phases, hot swaps, evictions, checkpoints). Scoped
-		// per tenant on a shared toolchain, like the injector.
-		opts.Toolchain.SetTenantObserver(opts.Tenant, opts.Observer)
+		// lifecycle (phases, hot swaps, evictions, checkpoints).
+		opts.Toolchain.SetObserver(opts.Observer)
 		if opts.Injector != nil {
 			opts.Injector.SetObserver(opts.Observer)
 		}
 	}
 	if opts.Farm != nil && opts.Toolchain.Farm() == nil {
-		// Idempotent on shared toolchains: the first tenant runtime
-		// installs the farm, later ones find it already in place.
+		// Idempotent on shared toolchains: the first runtime installs
+		// the farm, later ones find it already in place.
 		opts.Toolchain.UseFarm(*opts.Farm)
 	}
 	par := opts.Parallelism
@@ -483,9 +468,9 @@ func (r *Runtime) obs() *obsv.Observer { return r.opts.Observer }
 // compilation for the target tier — the fabric flow (Figure 9.2 -> 9.3),
 // or in parallel with it the native tier's closure-threaded Go, a cheap
 // artifact that replaces the interpreter within virtual milliseconds —
-// under this runtime's tenant scope (the default tenant when
-// Options.Tenant is ""), bound to the context the current program version
-// was eval'd under (install records it before it builds a placement). It
+// under the toolchain's default tenant, bound to the context the current
+// program version was eval'd under (install records it before it builds
+// a placement). It
 // declines every tier with the JIT off, the native tier unless the
 // feature is on, and the fabric while a daemon is configured: hosted
 // engines compile on the daemon's toolchain (the spawn request carries
@@ -496,7 +481,7 @@ func (r *Runtime) compile(d *toolchain.Design, t lifecycle.Tier, now uint64) *to
 	if f.DisableJIT || native && !f.NativeTier || t == lifecycle.Fabric && r.opts.Remote != nil {
 		return nil
 	}
-	return r.opts.Toolchain.SubmitDesign(r.evalCtx, r.opts.Tenant, d, !native && !f.Native, native, now)
+	return r.opts.Toolchain.SubmitDesign(r.evalCtx, "", d, !native && !f.Native, native, now)
 }
 
 // swapEngine is the placements' Swap callback. A hot swap between
@@ -885,9 +870,7 @@ func (r *Runtime) CloseRemote() error {
 // cancelled, fabric regions released, every engine Ended (for remote
 // engines that is a protocol round-trip freeing the daemon-side
 // instance), the daemon connection closed, and persistence synced and
-// closed. A hypervisor calls this when a session closes so the tenant's
-// region and daemon state are actually reclaimed; the runtime must not
-// be used afterwards.
+// closed. The runtime must not be used afterwards.
 func (r *Runtime) Shutdown() error {
 	r.mu.Lock()
 	r.resetFreshLocked()

@@ -86,15 +86,6 @@ type Stats struct {
 	// the toolchain (Features.CompileFarm / cascade.WithCompileFarm);
 	// Shards == 0 when compiles run on the local backend.
 	Farm toolchain.FarmStats
-
-	// Tenant is the runtime's tenant ID on a shared (hypervisor-owned)
-	// toolchain; "" for a classic single-tenant runtime. RegionLEs is
-	// the capacity of the runtime's fabric partition — its Device's
-	// capacity, meaningful when a hypervisor carved it out of a shared
-	// fabric. When Tenant is set, Compile is the tenant's own stats
-	// mirror, not the shared service's global counters.
-	Tenant    string
-	RegionLEs int
 }
 
 // Stats snapshots the runtime. It takes the runtime lock, so monitoring
@@ -111,7 +102,7 @@ func (r *Runtime) Stats() Stats {
 		AreaLEs:         r.AreaLEs(),
 		Parallelism:     r.par,
 		Finished:        r.finished,
-		Compile:         r.opts.Toolchain.StatsFor(r.opts.Tenant),
+		Compile:         r.opts.Toolchain.Stats(),
 		PendingCompiles: r.pending(lifecycle.Fabric),
 		PendingNative:   r.pending(lifecycle.Native),
 		Faults:          r.opts.Injector.Stats(),
@@ -133,10 +124,6 @@ func (r *Runtime) Stats() Stats {
 	}
 	if r.opts.Remote != nil {
 		st.Remote = r.opts.Remote.Addr
-	}
-	if r.opts.Tenant != "" {
-		st.Tenant = r.opts.Tenant
-		st.RegionLEs = r.opts.Device.Capacity()
 	}
 	for _, s := range r.slots {
 		es := EngineStat{
@@ -171,9 +158,6 @@ func (s Stats) Summary() string {
 		s.AreaLEs, s.Parallelism,
 		s.PendingCompiles, s.Compile.CacheHits, s.Compile.CacheMisses,
 		s.Compile.Joined, s.Compile.Canceled, s.Compile.Retried)
-	if s.Tenant != "" {
-		line += fmt.Sprintf(" tenant[%s region=%dLEs]", s.Tenant, s.RegionLEs)
-	}
 	if s.PendingNative > 0 || s.NativeFaults > 0 || s.Demotions > 0 {
 		line += fmt.Sprintf(" native[pending=%d faults=%d demotions=%d]",
 			s.PendingNative, s.NativeFaults, s.Demotions)

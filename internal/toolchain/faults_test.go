@@ -2,6 +2,7 @@ package toolchain
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -69,7 +70,8 @@ func TestPermanentFaultFailsOnce(t *testing.T) {
 	if res == nil || res.Err == nil {
 		t.Fatalf("permanent fault must fail the job: %+v", res)
 	}
-	if fault.IsTransient(res.Err) || !fault.IsFault(res.Err) {
+	var fe *fault.Error
+	if fault.IsTransient(res.Err) || !errors.As(res.Err, &fe) {
 		t.Fatalf("error lost its classification: %v", res.Err)
 	}
 	st := tc.Stats()

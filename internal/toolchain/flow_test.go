@@ -196,7 +196,9 @@ func TestDefaultTenantIsATenant(t *testing.T) {
 	srcs := append(farmPrograms(t, 4), smallCounter)
 	run := func(tenant string) (Stats, []uint64) {
 		tc := New(fpga.NewCycloneV(), diskCacheOptions(t.TempDir()))
-		tc.SetTenantFaults(tenant, fault.New(fault.Config{Seed: 11, CompileTransient: 0.4, MaxCompileFaults: 3}))
+		tc.mu.Lock() // SetFaults installs the default tenant's only
+		tc.tenantLocked(tenant).faults = fault.New(fault.Config{Seed: 11, CompileTransient: 0.4, MaxCompileFaults: 3})
+		tc.mu.Unlock()
 		var ready []uint64
 		now := uint64(0)
 		for round := 0; round < 2; round++ {

@@ -59,11 +59,10 @@ func NewDesignFrom(prev *Design, f *elab.Flat) *Design {
 }
 
 // synthesize returns the design's netlist and fingerprint, running
-// synthesis — counted on t, the toolchain whose flow got here first — the
-// first time it is asked. It takes no worker slot and no lock.
-func (d *Design) synthesize(t *Toolchain) (*netlist.Program, string, error) {
+// synthesis the first time it is asked. It takes no worker slot and no
+// lock.
+func (d *Design) synthesize() (*netlist.Program, string, error) {
 	d.once.Do(func() {
-		t.compiles.Add(1)
 		if d.prog, d.err = netlist.CompileFrom(d.base.Swap(nil), d.Flat); d.err == nil {
 			d.fingerprint = d.prog.Fingerprint()
 			d.done.Store(d.prog)
@@ -304,7 +303,7 @@ func (j *Job) traceOutcome(hitSource string) {
 // the design its record synthesizes for.
 func (j *Job) synth(d *Design) (*netlist.Program, string, error) {
 	j.count(func(s *Stats) { s.Synthesized++ })
-	return d.synthesize(j.t)
+	return d.synthesize()
 }
 
 // markCanceled marks the job cancelled. The stats counter

@@ -11,14 +11,14 @@ import (
 	"cascade/internal/obsv"
 )
 
-// Multi-tenant job service (the hypervisor direction): one Toolchain can
-// be shared by N runtimes, each registered as a tenant with its own
-// fair-share slice of the worker pool, its own device (its fabric
-// partition) for fit and timing checks, its own fault injector and
-// observer, and its own stats mirror. Tenancy is an isolation contract:
+// Multi-tenant job service (cascade-engined's sessions): one Toolchain
+// serves N tenants, each registered with its own fair-share slice of the
+// worker pool, its own device (its fabric partition) for fit and timing
+// checks, and its own stats mirror. Tenancy is an isolation contract:
 //
-//   - a tenant's jobs consult only that tenant's fault injector, so one
-//     tenant's seeded fault schedule never perturbs another's compiles;
+//   - only the default tenant's jobs consult the fault injector and the
+//     observer (SetFaults, SetObserver), so a fault schedule never
+//     perturbs a session's compiles;
 //   - cache keys are namespaced per tenant, so one tenant's earlier
 //     compile never turns another tenant's first compile into a cache
 //     hit — every tenant's JIT timeline is byte-identical to the same
@@ -196,32 +196,27 @@ func (t *Toolchain) UnregisterTenant(id string) {
 	t.mu.Unlock()
 }
 
-// SetTenantFaults installs a tenant-scoped fault injector: only jobs
-// submitted under id consult it — one tenant's fault schedule must not
-// perturb another's. Call before submitting work.
-func (t *Toolchain) SetTenantFaults(id string, in *fault.Injector) {
+// SetFaults installs the default tenant's fault injector: only jobs
+// submitted under "" consult it — a session tenant's compiles run
+// fault-free, so one client's fault schedule never perturbs another's.
+// Call before submitting work.
+func (t *Toolchain) SetFaults(in *fault.Injector) {
 	t.mu.Lock()
-	t.tenantLocked(id).faults = in
+	t.tenantLocked("").faults = in
 	t.mu.Unlock()
 }
 
-// SetFaults is SetTenantFaults for the default tenant.
-func (t *Toolchain) SetFaults(in *fault.Injector) { t.SetTenantFaults("", in) }
-
-// SetTenantObserver installs a tenant-scoped observability hub
-// (internal/obsv): the job service traces the tenant's compile
-// submissions, cache outcomes, and completions into it, and records each
-// flow's billed virtual latency. Jobs run on worker goroutines, so every
-// event is stamped with job virtual times via EmitAt — the workers never
-// touch a live virtual clock. Nil (the default) disables instrumentation.
-func (t *Toolchain) SetTenantObserver(id string, o *obsv.Observer) {
+// SetObserver installs the default tenant's observability hub
+// (internal/obsv): the job service traces its compile submissions, cache
+// outcomes, and completions into it, and records each flow's billed
+// virtual latency. Jobs run on worker goroutines, so every event is
+// stamped with job virtual times via EmitAt — the workers never touch a
+// live virtual clock. Nil (the default) disables instrumentation.
+func (t *Toolchain) SetObserver(o *obsv.Observer) {
 	t.mu.Lock()
-	t.tenantLocked(id).obs = o
+	t.tenantLocked("").obs = o
 	t.mu.Unlock()
 }
-
-// SetObserver is SetTenantObserver for the default tenant.
-func (t *Toolchain) SetObserver(o *obsv.Observer) { t.SetTenantObserver("", o) }
 
 // StatsFor snapshots one tenant's job-service counters. The counters
 // mirror exactly what a private toolchain's Stats would read for the
@@ -237,17 +232,6 @@ func (t *Toolchain) StatsFor(id string) Stats {
 
 // Stats is StatsFor the default tenant.
 func (t *Toolchain) Stats() Stats { return t.StatsFor("") }
-
-// TenantShare returns a tenant's registered fair-share worker bound (0
-// when unbounded or unknown).
-func (t *Toolchain) TenantShare(id string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if tn, ok := t.tenants[id]; ok {
-		return cap(tn.sem)
-	}
-	return 0
-}
 
 // Submit starts a background compilation of f for the default tenant at
 // virtual time nowPs (SubmitDesign, over a fresh record).

@@ -48,7 +48,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"cascade/internal/elab"
 	"cascade/internal/fpga"
@@ -211,8 +210,6 @@ type Toolchain struct {
 	opts  Options
 	cache *stack // the toolchain's own cache stack (local flows, every native flow)
 
-	compiles atomic.Int64 // real synthesis runs (Design.synthesize)
-
 	mu       sync.Mutex
 	farm     *FarmBackend // installed compile farm for fabric flows (nil: local)
 	sem      chan struct{}
@@ -284,11 +281,6 @@ func (t *Toolchain) backoffPs(attempt int) uint64 {
 
 // Device returns the targeted device.
 func (t *Toolchain) Device() *fpga.Device { return t.dev }
-
-// Compiles returns how many synthesis runs this toolchain has executed:
-// one per design, however many flows consumed its netlist
-// (Stats.Synthesized counts those).
-func (t *Toolchain) Compiles() int { return int(t.compiles.Load()) }
 
 // Result is the outcome of one compilation.
 type Result struct {
@@ -419,7 +411,7 @@ func (out ShardOutcome) result(prog *netlist.Program, req ShardSubmit) *Result {
 // callers decide when it "finishes" on their timeline.
 func (t *Toolchain) CompileSync(f *elab.Flat, wrapped bool) *Result {
 	t.tenant("").bank(Stats{Synthesized: 1})
-	prog, _, err := NewDesign(f).synthesize(t)
+	prog, _, err := NewDesign(f).synthesize()
 	if err != nil {
 		// Synthesis errors surface quickly (front-end rejects).
 		return &Result{Err: err, DurationPs: t.opts.BasePs / 4}

@@ -73,8 +73,8 @@ func TestWrappedCostsAreaAndLittleLatency(t *testing.T) {
 		t.Fatalf("wrapped latency should be a small constant over native: %d vs %d",
 			wrapped.DurationPs, native.DurationPs)
 	}
-	if tc.Compiles() != 2 {
-		t.Fatalf("compile count %d", tc.Compiles())
+	if st := tc.Stats(); st.Synthesized != 2 {
+		t.Fatalf("synthesized %d flows, want 2", st.Synthesized)
 	}
 }
 

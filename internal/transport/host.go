@@ -99,8 +99,8 @@ type Host struct {
 // host fabric for the session's lifetime, a private device of exactly
 // that size its engines promote onto, and a tenant registration on the
 // shared toolchain scoping compile stats, cache keys, and fair share.
-// Unlike the in-process hypervisor, daemon sessions are purely spatial:
-// opening one fails when the fabric has no room rather than queueing.
+// Sessions are purely spatial: opening one fails when the fabric has no
+// room rather than queueing for residency.
 type hostSession struct {
 	id     uint32
 	tenant string
@@ -661,6 +661,19 @@ func (h *Host) EnableJournal(path string) (sessions, engines int, err error) {
 	h.jseq = jr.LastSeq()
 	h.jmu.Unlock()
 	return h.Sessions(), h.Engines(), nil
+}
+
+// CloseJournal syncs and closes the journal EnableJournal opened (a no-op
+// without one); registry mutations after it are not journaled.
+func (h *Host) CloseJournal() error {
+	h.jmu.Lock()
+	defer h.jmu.Unlock()
+	if h.jr == nil {
+		return nil
+	}
+	err := h.jr.Close()
+	h.jr = nil
+	return err
 }
 
 // replayReq re-executes one journaled request against the fresh

@@ -57,6 +57,36 @@ func TestHostJournalReplaySessionOnly(t *testing.T) {
 	}
 }
 
+// TestHostCloseJournal: a host stopped cleanly closes its journal (the
+// daemon's SIGTERM path); the next host resumes what it recorded, and
+// mutations after the close are not journaled.
+func TestHostCloseJournal(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "sessions.journal")
+	h1 := NewHost(HostOptions{DisableJIT: true})
+	if err := h1.CloseJournal(); err != nil {
+		t.Fatalf("close without a journal: %v", err)
+	}
+	if _, _, err := h1.EnableJournal(jpath); err != nil {
+		t.Fatal(err)
+	}
+	var rep proto.Reply
+	h1.Handle(&proto.Request{Kind: proto.KindSessionOpen, Path: "alice", Quota: 5000}, &rep)
+	if rep.Err != "" {
+		t.Fatalf("session open: %s", rep.Err)
+	}
+	if err := h1.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	h1.Handle(&proto.Request{Kind: proto.KindSessionOpen, Path: "bob", Quota: 5000}, &rep)
+	if rep.Err != "" {
+		t.Fatalf("session open after close: %s", rep.Err)
+	}
+	h2 := NewHost(HostOptions{DisableJIT: true})
+	if sessions, _, err := h2.EnableJournal(jpath); err != nil || sessions != 1 {
+		t.Fatalf("resumed %d sessions (%v), want alice alone", sessions, err)
+	}
+}
+
 // TestHostJournalReplaySpawnAndState kills the daemon after a spawn
 // and a SetState: replay must re-create the engine under the same ID
 // with the journaled state installed, so the reconnecting client

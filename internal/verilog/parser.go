@@ -26,11 +26,7 @@ func NewParser(src string) *Parser {
 	return &Parser{toks: toks, errs: lexErrs}
 }
 
-// Errors returns all syntax errors found so far.
-func (p *Parser) Errors() []error { return p.errs }
-
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) peek() Token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+func (p *Parser) cur() Token { return p.toks[p.pos] }
 
 func (p *Parser) next() Token {
 	t := p.toks[p.pos]

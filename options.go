@@ -258,8 +258,8 @@ func Native() Option {
 // replicas; set Links (DialCompileFarm) to shard onto remote
 // cascade-engined -compile-worker daemons instead. The farm installs
 // on the runtime's Toolchain; on a shared toolchain that already
-// carries one (WithToolchain across runtimes, or a hypervisor) the
-// existing farm is kept. Default: no farm — the in-process local
+// carries one (WithToolchain across runtimes) the existing farm is
+// kept. Default: no farm — the in-process local
 // backend compiles everything. Works in every Features mode that
 // compiles (moot under DisableJIT); Features.NativeTier jobs always
 // compile locally — only fabric flows shard.

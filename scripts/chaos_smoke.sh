@@ -90,6 +90,7 @@ if ! wait "$client_pid"; then
     exit 1
 fi
 client_pid=
+stop_daemon
 
 strip_status "$work/client.log" "$work/client.out"
 assert_same_output "$work/local.out" "$work/client.out" \

@@ -89,6 +89,8 @@ strip_status "$work/cold.log" "$work/cold.out"
 assert_same_output "$work/local.out" "$work/cold.out" \
   "cold-restart output diverges from the local-backend baseline"
 assert_same_ticks "$work/local.log" "$work/cold.log" "cold restart vs local"
+stop_daemon "$w1_pid"
+stop_daemon "$w2_pid"
 
 echo "farm smoke ok: $(grep -c 'n=' "$work/local.out") display lines identical" \
   "through a worker kill, cold restart served from the peer cache, ticks=$(ticks_of "$work/local.log")"

@@ -1,5 +1,5 @@
 # scripts/lib.sh: shared plumbing for the CI smoke scripts — workdir +
-# cleanup trap, daemon start/SIGKILL, log polling, and the output-diff
+# cleanup trap, daemon start/stop/SIGKILL, log polling, and the output-diff
 # assertions every smoke ends with. POSIX sh; source it right after
 # parsing arguments:
 #
@@ -7,6 +7,7 @@
 #   smoke_init                  # $work + cleanup trap
 #   smoke_port 20000            # $port, offset by PID for parallel CI
 #   start_daemon "$work/daemon.log" -journal "$work/j"   # $daemon_pid
+#   stop_daemon                 # SIGTERM, and it must exit 0
 #
 # Helpers expect $engined to name the cascade-engined binary when
 # daemons are involved. Background processes registered with
@@ -90,6 +91,23 @@ kill_daemon() {
     kill -9 "$kd_pid" 2>/dev/null || true
     wait "$kd_pid" 2>/dev/null || true
     daemon_pid=
+}
+
+# stop_daemon [pid]: SIGTERM the daemon (default $daemon_pid), wait for
+# it, and fail unless it exited 0: a clean stop closes the daemon's
+# journal (and writes its coverage counters, in a -cover build).
+stop_daemon() {
+    st_pid=${1:-$daemon_pid}
+    kill "$st_pid" 2>/dev/null || true
+    st_status=0
+    wait "$st_pid" || st_status=$?
+    if [ "$st_status" -ne 0 ]; then
+        echo "FAIL: daemon $st_pid exited $st_status on SIGTERM"
+        exit 1
+    fi
+    if [ "$st_pid" = "${daemon_pid:-}" ]; then
+        daemon_pid=
+    fi
 }
 
 # strip_status <log> <out>: drop the runtime's [cascade] status lines,

@@ -26,11 +26,14 @@ pid=$!
 trap 'kill -9 "$pid" 2>/dev/null || true; rm -rf "$work"' EXIT
 
 # Wait for the endpoint to come up, then for the JIT to reach hardware
-# (the compile-latency histogram fills when the bitstream lands).
+# (the compile-latency histogram fills when the bitstream lands; the
+# promotion counter moves at the next step, which a slow build — -cover,
+# -race — leaves a scrape room to fall between).
 i=0
 while [ "$i" -lt 50 ]; do
   if curl -sf "http://$addr/metrics" >"$work/metrics.txt" 2>/dev/null &&
-     grep -q '^cascade_compile_latency_virtual_seconds_count [1-9]' "$work/metrics.txt"; then
+     grep -q '^cascade_compile_latency_virtual_seconds_count [1-9]' "$work/metrics.txt" &&
+     grep -q '^cascade_promotions_total [1-9]' "$work/metrics.txt"; then
     break
   fi
   if ! kill -0 "$pid" 2>/dev/null; then

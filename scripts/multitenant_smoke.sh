@@ -6,6 +6,8 @@
 # Sharing a daemon, losing fabric to neighbours, and absorbing injected
 # drops must all be invisible: every $display byte and the final tick
 # count must be identical per program.
+# A client closes its session on exit: afterwards the daemon has room for
+# a session that asks for most of its fabric.
 # Usage: multitenant_smoke.sh <path-to-cascade-binary> <path-to-engined-binary>
 set -eu
 
@@ -92,6 +94,15 @@ for t in t1 t2 t3; do
     "$t multi-tenant output diverges from its solo run"
   assert_same_ticks "$work/$t.solo.log" "$work/$t.multi.log" "$t solo vs multi"
 done
+# Every tenant closed its session on exit: a session that asks for most
+# of the daemon's fabric (100k of its 110k LEs) must find room now.
+if ! "$bin" -batch "$work/t1.v" -ticks 60000 -remote-engine "127.0.0.1:$port" \
+  -session-quota 100000 >"$work/t1.after.log" 2>&1; then
+  echo "FAIL: a session left its region on the daemon after its client exited"
+  cat "$work/t1.after.log"
+  exit 1
+fi
+stop_daemon
 
 lines=$(cat "$work"/t?.solo.out | wc -l)
 echo "multitenant smoke ok: 3 concurrent sessions (one fault-injected), $lines display lines identical to solo runs"

@@ -40,4 +40,5 @@ fi
 assert_same_output "$work/local.out" "$work/remote.out" \
   "remote program output diverges from local"
 assert_same_ticks "$work/local.log" "$work/remote.log" "remote vs local"
+stop_daemon
 echo "remote smoke ok: $(grep -c 'n=' "$work/local.out") display lines identical, ticks=$(ticks_of "$work/local.log")"

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // fastOptions returns options whose virtual toolchain compiles almost
@@ -152,6 +154,78 @@ func TestFacadeOptionPermutations(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("perm %v resolves differently:\n got %+v\nwant %+v", p, got, want)
 		}
+	}
+}
+
+// TestFacadeRemoteSession drives daemon sessions through the public
+// facade: an engine host over a shared fabric, two runtimes each in a
+// private session of its own on it, both promoted onto their regions,
+// and CloseRemote giving a session's region back.
+func TestFacadeRemoteSession(t *testing.T) {
+	dev := NewDevice(40_000, 50_000_000)
+	tco := DefaultToolchainOptions()
+	tco.Scale = 1e9
+	tco.BasePs = 1
+	host := NewEngineHost(EngineHostOptions{Device: dev, Toolchain: NewToolchain(dev, tco)})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go host.ServeListener(l)
+
+	hosted := func(rt *Runtime) (engines, onFabric int) {
+		for _, e := range rt.Stats().Engines {
+			if e.Transport == "tcp" {
+				engines++
+				if e.Location == "hardware" {
+					onFabric++
+				}
+			}
+		}
+		return engines, onFabric
+	}
+	views := [2]*BufView{{Quiet: true}, {Quiet: true}}
+	rts := make([]*Runtime, len(views))
+	for i, view := range views {
+		rt := New(WithView(view), WithParallelism(2),
+			WithRemoteEngine(l.Addr().String()), WithRemoteSession(16_000, 1))
+		rts[i] = rt
+		rt.MustEval(DefaultPrelude)
+		rt.MustEval(fmt.Sprintf(`
+            reg [7:0] cnt = %d;
+            always @(posedge clk.val) begin
+                cnt <= cnt + 1;
+                if (cnt == 8'd100) $display("tenant %d done");
+            end
+            assign led.val = cnt;
+        `, i+1, i))
+		for round := 0; round < 100; round++ {
+			if rt.RunTicks(200); strings.Contains(view.Output(), fmt.Sprintf("tenant %d done", i)) {
+				if n, hw := hosted(rt); n > 0 && n == hw {
+					break
+				}
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if !strings.Contains(view.Output(), fmt.Sprintf("tenant %d done", i)) {
+			t.Errorf("tenant %d output missing: %q", i, view.Output())
+		}
+		if n, hw := hosted(rt); n == 0 || hw != n {
+			t.Errorf("tenant %d: %d of %d daemon-hosted engines on the fabric", i, hw, n)
+		}
+	}
+	if n, used := host.Sessions(), dev.Used(); n != 2 || used != 32_000 {
+		t.Errorf("%d sessions holding %d LEs, want 2 holding 32000", n, used)
+	}
+	if err := rts[0].CloseRemote(); err != nil {
+		t.Fatal(err)
+	}
+	if n, used := host.Sessions(), dev.Used(); n != 1 || used != 16_000 {
+		t.Errorf("after one CloseRemote: %d sessions holding %d LEs, want 1 holding 16000", n, used)
+	}
+	if err := rts[1].CloseRemote(); err != nil {
+		t.Fatal(err)
 	}
 }
 

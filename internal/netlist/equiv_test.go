@@ -382,39 +382,43 @@ endmodule`,
 
 // TestCompileRefusesSelfReadingAssign: a continuous assignment that reads
 // its own target is a combinational loop of one unit, refused before the
-// reset run (which would oscillate forever); a level-sensitive process
-// that writes a variable and then reads it is not. A regression fails by
-// deadline rather than hanging the package.
+// reset run (which would oscillate forever), as a loop through two units
+// always was; a level-sensitive process that writes a variable and then
+// reads it is not a loop. A regression fails by deadline rather than
+// hanging the package.
 func TestCompileRefusesSelfReadingAssign(t *testing.T) {
-	compile := func(src string) error {
-		f := flatten(t, src)
-		done := make(chan error, 1)
-		go func() {
-			_, err := Compile(f)
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			return err
-		case <-time.After(10 * time.Second):
-			t.Fatalf("Compile did not return on\n%s", src)
-			return nil
-		}
-	}
-	for _, src := range []string{
-		"module M(input wire clk); wire a; assign a = ~a; endmodule",
-		"module M(input wire clk); wire [3:0] a; assign a = a + 4'd1; endmodule",
-	} {
-		if err := compile(src); err == nil || !strings.Contains(err.Error(), "combinational loop") {
-			t.Errorf("want a combinational-loop error, got %v, on\n%s", err, src)
-		}
-	}
-	const writeThenRead = `module M(input wire clk, input wire [3:0] x, output reg [3:0] y);
+	for _, tc := range []struct {
+		name, src string
+		loop      bool
+	}{
+		{"invert", "module M(input wire clk); wire a; assign a = ~a; endmodule", true},
+		{"increment", "module M(input wire clk); wire [3:0] a; assign a = a + 4'd1; endmodule", true},
+		{"two-assigns", "module M(input wire clk); wire a, b; assign a = ~b; assign b = a; endmodule", true},
+		{"write-then-read", `module M(input wire clk, input wire [3:0] x, output reg [3:0] y);
   reg [3:0] t;
   always @* begin t = x + 4'd1; y = t ^ 4'd5; end
-endmodule`
-	if err := compile(writeThenRead); err != nil {
-		t.Errorf("an always @* block that writes before it reads was refused: %v", err)
+endmodule`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := flatten(t, tc.src)
+			done := make(chan error, 1)
+			go func() {
+				_, err := Compile(f)
+				done <- err
+			}()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("Compile did not return on\n%s", tc.src)
+			}
+			switch {
+			case tc.loop && (err == nil || !strings.Contains(err.Error(), "combinational loop")):
+				t.Errorf("want a combinational-loop error, got %v, on\n%s", err, tc.src)
+			case !tc.loop && err != nil:
+				t.Errorf("refused: %v", err)
+			}
+		})
 	}
 }
 

@@ -99,13 +99,22 @@ func isolated(t *testing.T, n int, farm *toolchain.FarmOptions, crash bool) {
 	}
 }
 
-func TestSessionIsolation(t *testing.T) {
-	t.Run("spatial2", func(t *testing.T) { isolated(t, 2, nil, false) })
-	t.Run("spatial4", func(t *testing.T) { isolated(t, 4, nil, false) })
-	// A neighbour closing its session mid-run is invisible to the others.
-	t.Run("close", func(t *testing.T) { isolated(t, 3, nil, true) })
-	// The daemon sharding every tenant's fabric compiles over a farm is
-	// invisible too (invariant 15 composed with 12): each tenant still
-	// matches its run alone on the local backend.
-	t.Run("farm", func(t *testing.T) { isolated(t, 4, &toolchain.FarmOptions{Workers: 3}, false) })
+// TestIsolationSpatial: 2 and 4 tenants whose regions fit on the
+// daemon's fabric at once run concurrently, tenant 0 under seeded frame
+// drops; each matches its run alone byte for byte.
+func TestIsolationSpatial(t *testing.T) {
+	for _, n := range []int{2, 4} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) { isolated(t, n, nil, false) })
+	}
+}
+
+// TestIsolationAcrossClose: a neighbour closing its session mid-run is
+// invisible to the others.
+func TestIsolationAcrossClose(t *testing.T) { isolated(t, 3, nil, true) }
+
+// TestIsolationWithCompileFarm composes invariant 15 with 12: the daemon
+// sharding every tenant's fabric compiles over a farm is invisible too,
+// and each tenant still matches its run alone on the local backend.
+func TestIsolationWithCompileFarm(t *testing.T) {
+	isolated(t, 4, &toolchain.FarmOptions{Workers: 3}, false)
 }

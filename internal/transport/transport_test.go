@@ -282,23 +282,12 @@ func TestHostSpawnRejectsBadSource(t *testing.T) {
 }
 
 // TestHostSessions exercises the daemon session layer end to end over
-// loopback TCP: sessions carve fabric regions, engines spawned into a
-// session promote onto its region (not the shared fabric), compile
-// stats are tenant-scoped, and close ends owned engines and frees the
-// region.
+// loopback TCP: sessions carve fabric regions, and an engine spawned into
+// a session promotes onto its region, not the shared fabric.
+// host_session_test.go pins validation, stats scoping, close and
+// teardown races one property at a time.
 func TestHostSessions(t *testing.T) {
-	dev := fpga.NewDevice(10_000, 50_000_000)
-	o := toolchain.DefaultOptions()
-	o.Scale = 1e9
-	o.BasePs = 1
-	tc := toolchain.New(dev, o)
-	h, addr := loopbackHost(t, HostOptions{Device: dev, Toolchain: tc})
-	tcpT, err := DialTCP(addr, TCPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tcpT.Close()
-
+	_, dev, _, tcpT := sessionHost(t, 10_000, 0)
 	a, err := OpenSession(tcpT, "a", 4_000, 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -309,61 +298,13 @@ func TestHostSessions(t *testing.T) {
 	if used := dev.Used(); used != 8_000 {
 		t.Fatalf("two 4k regions should hold 8k LEs, got %d", used)
 	}
-	if _, err := OpenSession(tcpT, "a", 1_000, 0, 0); err == nil {
-		t.Error("duplicate session name accepted")
-	}
-	if _, err := OpenSession(tcpT, "c", 4_000, 0, 0); err == nil {
-		t.Error("session beyond fabric capacity accepted")
-	}
-
 	vnow := uint64(0)
-	rec := &recorder{}
-	c, err := Spawn(tcpT, SpawnSpec{Path: "main.c", Source: ctrSrc, Layout: ctrLayout, JIT: true, Session: a},
-		rec, nil, func() uint64 { return vnow }, rec.onErr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Spawn(tcpT, SpawnSpec{Path: "x", Source: ctrSrc, Layout: ctrLayout, Session: 99}, nil, nil, nil, nil); !errors.Is(err, ErrUnknownSession) {
-		t.Errorf("spawn into unknown session: %v, want ErrUnknownSession", err)
-	}
-	vnow = 1 << 62
-	promoted := false
-	for i := 0; i < 200; i++ {
-		drive(c, 1)
-		if c.Loc() == engine.Hardware {
-			promoted = true
-			break
-		}
-	}
-	if !promoted {
-		t.Fatal("session engine never promoted")
-	}
+	c := spawnCtr(t, tcpT, a, ctrSrc, &vnow)
+	promote(t, c, &vnow)
 	// The promotion landed on session a's private region device: the
 	// shared fabric still accounts exactly the two session regions.
 	if used := dev.Used(); used != 8_000 {
 		t.Errorf("promotion leaked onto the shared fabric: %d LEs used", used)
-	}
-	if got := tc.StatsFor("a").Submitted; got == 0 {
-		t.Error("tenant a's compile not scoped to its stats")
-	}
-	if got := tc.StatsFor("b").Submitted; got != 0 {
-		t.Errorf("tenant b inherited %d submissions", got)
-	}
-
-	if err := CloseSession(tcpT, a, vnow); err != nil {
-		t.Fatal(err)
-	}
-	if n := h.Engines(); n != 0 {
-		t.Errorf("session close left %d engines hosted", n)
-	}
-	if n := h.Sessions(); n != 1 {
-		t.Errorf("session count = %d, want 1", n)
-	}
-	if used := dev.Used(); used != 4_000 {
-		t.Errorf("closed session's region leaked: %d LEs used", used)
-	}
-	if err := CloseSession(tcpT, a, vnow); err == nil {
-		t.Error("double session close accepted")
 	}
 }
 

@@ -2,7 +2,6 @@ package bits
 
 import (
 	"fmt"
-	"math"
 	"math/big"
 	mathbits "math/bits"
 	"strings"
@@ -11,6 +10,10 @@ import (
 // DefaultLiteralWidth is the width assigned to unsized Verilog literals
 // (the standard specifies "at least 32 bits").
 const DefaultLiteralWidth = 32
+
+// MaxLiteralWidth bounds a literal's declared width, so a literal such as
+// 18446744073700'h1 is an error rather than a vector of that many bits.
+const MaxLiteralWidth = 1 << 20
 
 // ParseLiteral parses a Verilog number literal such as 8'h80, 4'b10_10,
 // 'd15, or a plain decimal like 42. Unsized literals get
@@ -23,23 +26,48 @@ func ParseLiteral(s string) (*Vector, error) {
 	return parseBig(s)
 }
 
-// parseSmall parses, on uint64, a well-formed literal whose width and
-// value fit 64 bits: most literals. It reports false for any other,
-// malformed ones included, which parseBig then parses to the same value
-// or error as ever.
+// parseSmall parses, on uint64, a well-formed literal whose value fits 64
+// bits: most literals. It reports false for any other, malformed ones
+// included, which parseBig then parses to the same value or error as
+// ever.
 func parseSmall(s string) (*Vector, bool) {
+	width, v, ok := literalUint64(s)
+	if !ok {
+		return nil, false
+	}
+	return FromUint64(width, v), true
+}
+
+// SmallLiteral reads a well-formed literal no wider than a word: most
+// literals. It returns the width ParseLiteral gives the literal and the
+// value truncated to it, the one word of ParseLiteral's vector, or false
+// for any other literal, malformed ones included.
+func SmallLiteral(s string) (width int, v uint64, ok bool) {
+	width, v, ok = literalUint64(s)
+	if !ok || width > WordBits {
+		return 0, 0, false
+	}
+	if width < WordBits {
+		v &= uint64(1)<<width - 1
+	}
+	return width, v, true
+}
+
+// literalUint64 reads a well-formed literal whose value fits 64 bits: its
+// width and its value, not yet truncated to the width.
+func literalUint64(s string) (width int, v uint64, ok bool) {
 	width, digits, base := DefaultLiteralWidth, s, uint64(10)
 	tick := strings.IndexByte(s, '\'')
 	if tick >= 0 {
 		if tick > 0 {
 			w, ok := parseDigits(s[:tick], 10)
-			if !ok || w < 1 || w > math.MaxInt64 {
-				return nil, false
+			if !ok || w < 1 || w > MaxLiteralWidth {
+				return 0, 0, false
 			}
 			width = int(w)
 		}
 		if tick+1 == len(s) {
-			return nil, false
+			return 0, 0, false
 		}
 		switch s[tick+1] {
 		case 'h', 'H':
@@ -50,18 +78,18 @@ func parseSmall(s string) (*Vector, bool) {
 		case 'b', 'B':
 			base = 2
 		default:
-			return nil, false
+			return 0, 0, false
 		}
 		digits = s[tick+2:]
 	}
-	v, ok := parseDigits(digits, base)
+	v, ok = parseDigits(digits, base)
 	if !ok {
-		return nil, false
+		return 0, 0, false
 	}
 	if tick < 0 { // a plain decimal: as wide as its value needs
 		width = max(width, mathbits.Len64(v))
 	}
-	return FromUint64(width, v), true
+	return width, v, true
 }
 
 // parseDigits reads digits in base, skipping underscores: false if there
@@ -114,6 +142,9 @@ func parseBig(s string) (*Vector, error) {
 		if !ok || !w.IsInt64() || w.Int64() < 1 {
 			return nil, fmt.Errorf("bits: malformed literal width in %q", s)
 		}
+		if w.Int64() > MaxLiteralWidth {
+			return nil, fmt.Errorf("bits: literal width in %q exceeds %d", s, MaxLiteralWidth)
+		}
 		width = int(w.Int64())
 	}
 	rest := s[tick+1:]
@@ -163,6 +194,9 @@ func ParseMaskedLiteral(s string) (val, mask *Vector, err error) {
 		w, ok := new(big.Int).SetString(clean[:tick], 10)
 		if !ok || !w.IsInt64() || w.Int64() < 1 {
 			return nil, nil, fmt.Errorf("bits: malformed literal width in %q", s)
+		}
+		if w.Int64() > MaxLiteralWidth {
+			return nil, nil, fmt.Errorf("bits: literal width in %q exceeds %d", s, MaxLiteralWidth)
 		}
 		width = int(w.Int64())
 	}

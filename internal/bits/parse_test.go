@@ -1,6 +1,7 @@
 package bits
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -58,5 +59,40 @@ func TestParseLiteralMatchesBig(t *testing.T) {
 	}
 	if fast < 10000 {
 		t.Fatalf("only %d of 20000 literals took the uint64 path", fast)
+	}
+}
+
+// TestSmallLiteral: SmallLiteral takes every well-formed literal of at
+// most 64 bits and returns the width and the one word of ParseLiteral's
+// vector, and refuses any other literal.
+func TestSmallLiteral(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	in := []string{"", "'", "8'h", "0'd1", "-1", "8'b1?", "1'b1", "3'b1111", "8'hfff", "42", "'hF", "'o17",
+		"64'hffff_ffff_ffff_ffff", "65'h1", "100'h1", "18446744073709551615", "18446744073709551616"}
+	for i := 0; i < 2000; i++ {
+		in = append(in, fmt.Sprintf("%d'h%x", 1+r.Intn(70), r.Uint64()), fmt.Sprint(r.Uint64()>>r.Intn(64)))
+	}
+	for _, s := range in {
+		width, word, ok := SmallLiteral(s)
+		v, err := ParseLiteral(s)
+		if want := err == nil && v.Width() <= WordBits; ok != want {
+			t.Fatalf("%q: SmallLiteral ok=%v, ParseLiteral %v", s, ok, err)
+		}
+		if ok && (width != v.Width() || len(v.Words()) != 1 || word != v.Words()[0]) {
+			t.Fatalf("%q: SmallLiteral %d'%x, ParseLiteral %d'h%s", s, width, word, v.Width(), v.Hex())
+		}
+	}
+}
+
+// TestLiteralWidthBound: a literal declared wider than MaxLiteralWidth
+// is an error, not a vector of that many bits.
+func TestLiteralWidthBound(t *testing.T) {
+	for _, s := range []string{"18446744073700'h1", "1048577'h1", "1048577'b1?"} {
+		if _, _, err := ParseMaskedLiteral(s); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("%q: error %v, want one saying the width exceeds the bound", s, err)
+		}
+	}
+	if v, err := ParseLiteral("1048576'h1"); err != nil || v.Width() != MaxLiteralWidth {
+		t.Errorf("a literal at the bound: %v", err)
 	}
 }

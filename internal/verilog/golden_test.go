@@ -75,6 +75,12 @@ func textLayerInputs(t testing.TB) []textLayerInput {
 		{"truncated", "module M(input wire clk); always @(posedge clk) begin if (x"},
 		{"too_many_errors", strings.Repeat("$ ", 250)},
 		{"too_many_lex_errors_late", "wire a; wire b;\n" + strings.Repeat("`d\n", 201)},
+		// Inputs on which Print once failed to be a fixpoint or to parse
+		// back to the same tree (FuzzParseFragment).
+		{"fuzz_string_bytes", "always @(posedge clk.val) begin $display(\"n=%\x01\r\xff\u00a0\", n); end"},
+		{"fuzz_power_left", "assign x = (a ** b) ** c ** d;"},
+		{"fuzz_literal_width", "wire [99:0] w = 18446744073700'h1_00 + 1048576'h1 + 1048577'b1?;"},
+		{"fuzz_unary_select", "assign x = (~a)[0] + (-b)[3:0] + {(~a)[1]{b}} + ~((~a)[0]);"},
 	}...)
 	return in
 }

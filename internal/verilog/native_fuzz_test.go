@@ -1,11 +1,17 @@
 package verilog
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // FuzzParseFragment is the native fuzz target the CI smoke-runs: no
 // input, however mangled, may panic the lexer or any parser entry
-// point, and printing whatever parsed must re-parse without a crash
-// (the REPL echoes programs back through Print).
+// point, and whatever ParseProgramFragment accepts must print to a
+// fixpoint that re-parses to the same tree: for every module and root
+// item, Print(parse(Print(x))) == Print(x) and parse(Print(x)) equals x
+// but for positions (the REPL echoes programs back through Print, and
+// snapshots, checkpoints and the engine daemon are fed with it).
 func FuzzParseFragment(f *testing.F) {
 	seeds := []string{
 		"",
@@ -22,22 +28,52 @@ func FuzzParseFragment(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	// The golden's inputs seed it too, but for the generated programs: the
+	// golden covers those whole, and a fuzzer that mutates tens of
+	// kilobytes spends its time minimizing them.
+	for _, in := range textLayerInputs(f) {
+		if len(in.src) <= 2048 {
+			f.Add(in.src)
+		}
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		LexAll(src)
 		ParseSourceText(src)
 		ParseItems(src)
+		ParseExpr(src)
 		mods, items, errs := ParseProgramFragment(src)
 		if len(errs) > 0 {
 			return
 		}
-		// Accepted input must survive a print/re-parse round trip.
 		for _, m := range mods {
-			if _, es := ParseSourceText(Print(m)); len(es) > 0 {
-				t.Errorf("printed module no longer parses:\n%s", Print(m))
+			printed := Print(m)
+			st, es := ParseSourceText(printed)
+			if len(es) > 0 || len(st.Modules) != 1 {
+				t.Fatalf("printed module does not parse back to one module: %v\n%s", es, printed)
 			}
+			requireRoundTrip(t, m, st.Modules[0], printed)
 		}
 		for _, it := range items {
-			ParseItems(Print(it))
+			printed := Print(it)
+			again, es := ParseItems(printed)
+			if len(es) > 0 || len(again) != 1 {
+				t.Fatalf("printed item does not parse back to one item: %v\n%s", es, printed)
+			}
+			requireRoundTrip(t, it, again[0], printed)
 		}
 	})
+}
+
+// requireRoundTrip fails unless reparsed, parsed from printed = Print(n),
+// prints to printed again and equals n but for positions.
+func requireRoundTrip(t *testing.T, n, reparsed Node, printed string) {
+	t.Helper()
+	if again := Print(reparsed); again != printed {
+		t.Fatalf("Print is no fixpoint:\n%s\nprints again as\n%s", printed, again)
+	}
+	stripPos(reflect.ValueOf(&n))
+	stripPos(reflect.ValueOf(&reparsed))
+	if !reflect.DeepEqual(n, reparsed) {
+		t.Fatalf("printed source parses to another tree:\n%s", printed)
+	}
 }

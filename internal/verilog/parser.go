@@ -3,43 +3,134 @@ package verilog
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"cascade/internal/bits"
 )
 
 // Parser is a recursive-descent parser for the supported Verilog subset.
-// It recovers from errors at item boundaries so a REPL can report several
-// problems per line.
+// It is LL(1) and never backtracks, so it reads its tokens straight from a
+// Lexer, one at a time. It recovers from errors at item boundaries so a
+// REPL can report several problems per line.
 type Parser struct {
-	toks []Token
-	pos  int
+	lex  Lexer
+	tok  Token // the current token
+	n    int   // tokens consumed, so a loop can tell it made progress
 	errs []error
+
+	// lexErrs is how many lexical errors the whole source has when an
+	// earlier pass counted them, else -1; see tooMany.
+	lexErrs int
+
+	// The most common nodes come from slabs.
+	idents   slab[Ident]
+	numbers  slab[smallNumber]
+	binaries slab[Binary]
+	ranges   slab[Range]
+	decls    slab[netDecl]
+	assigns  slab[ContAssign]
+	procs    slab[ProcAssign]
+	always   slab[alwaysBlock]
+}
+
+// slab hands out the nodes of one type from chunks allocated in bulk, so
+// a parse allocates a few chunks rather than an object per node. A chunk
+// holds an eighth of what the parse has taken of the type so far, at
+// most 64: a parse's nodes of a type carry at most an eighth more room
+// than they use, a small fragment's none.
+type slab[T any] struct {
+	free  []T
+	taken int
+}
+
+func (s *slab[T]) new() *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, min(64, s.taken/8+1))
+	}
+	t := &s.free[0]
+	s.free = s.free[1:]
+	s.taken++
+	return t
+}
+
+// netDecl is a NetDecl allocated with its first declarator.
+type netDecl struct {
+	d     NetDecl
+	name  DeclName
+	names [1]*DeclName
+}
+
+// alwaysBlock is an AlwaysBlock allocated with its first event.
+type alwaysBlock struct {
+	a      AlwaysBlock
+	events [1]Event
 }
 
 // parseError aborts the current item; the parser syncs and continues.
 type parseError struct{ err error }
 
-// NewParser returns a parser over src. Lexical errors are carried into the
-// parser's error list.
-func NewParser(src string) *Parser {
-	toks, lexErrs := LexAll(src)
-	return &Parser{toks: toks, errs: lexErrs}
+// maxErrors is how many errors a parse collects before it gives up.
+const maxErrors = 200
+
+// init starts p over src; lexErrs is as for the field.
+func (p *Parser) init(src string, lexErrs int) {
+	*p = Parser{lex: newLexer(src), lexErrs: lexErrs}
+	p.lex.scan(&p.tok)
 }
 
-func (p *Parser) cur() Token { return p.toks[p.pos] }
+// again reports whether the parse p just ran has to run once more, and
+// if so starts p over for it. The parse's give-up check (tooMany) counted
+// the lexical errors read so far; with this many errors the count over
+// the whole source can give up sooner, so the second run counts that.
+func (p *Parser) again() bool {
+	p.drain()
+	if p.lexErrs >= 0 || len(p.lex.errs)+len(p.errs) <= maxErrors {
+		return false
+	}
+	p.init(p.lex.src, len(p.lex.errs))
+	return true
+}
+
+// drain lexes what the parse left unread, for its lexical errors.
+func (p *Parser) drain() {
+	for p.tok.Kind != EOF {
+		p.lex.scan(&p.tok)
+	}
+}
+
+// diagnostics returns every lexical error of the whole source, in order,
+// then the parse errors: as if the source had been lexed before parsing.
+func (p *Parser) diagnostics() []error {
+	p.drain()
+	if len(p.errs) == 0 {
+		return p.lex.errs
+	}
+	return append(p.lex.errs, p.errs...)
+}
+
+// tooMany reports whether a parse should give up: more than maxErrors
+// lexical errors of the whole source and parse errors so far.
+func (p *Parser) tooMany() bool {
+	lexErrs := p.lexErrs
+	if lexErrs < 0 {
+		lexErrs = len(p.lex.errs)
+	}
+	return lexErrs+len(p.errs) > maxErrors
+}
 
 func (p *Parser) next() Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.Kind != EOF {
+		p.lex.scan(&p.tok)
+		p.n++
 	}
 	return t
 }
 
-func (p *Parser) at(k TokenKind) bool { return p.cur().Kind == k }
+func (p *Parser) at(k TokenKind) bool { return p.tok.Kind == k }
 
 func (p *Parser) accept(k TokenKind) bool {
-	if p.at(k) {
+	if p.tok.Kind == k {
 		p.next()
 		return true
 	}
@@ -47,14 +138,17 @@ func (p *Parser) accept(k TokenKind) bool {
 }
 
 func (p *Parser) expect(k TokenKind) Token {
-	if !p.at(k) {
-		p.fail("expected %s, found %s", k, p.cur())
+	if p.tok.Kind != k {
+		p.expected(k)
 	}
 	return p.next()
 }
 
+// expected fails the item at a token other than the k it needs.
+func (p *Parser) expected(k TokenKind) { p.fail("expected %s, found %s", k, p.tok) }
+
 func (p *Parser) fail(format string, args ...any) {
-	err := fmt.Errorf("%s: %s", p.cur().Pos, fmt.Sprintf(format, args...))
+	err := fmt.Errorf("%s: %s", p.tok.Pos, fmt.Sprintf(format, args...))
 	panic(parseError{err})
 }
 
@@ -62,18 +156,24 @@ func (p *Parser) fail(format string, args ...any) {
 // the token stream to the next likely item boundary.
 func (p *Parser) recoverItem() {
 	if r := recover(); r != nil {
-		pe, ok := r.(parseError)
-		if !ok {
-			panic(r)
-		}
-		p.errs = append(p.errs, pe.err)
+		p.record(r)
 		p.sync()
 	}
 }
 
+// record appends the error a parseError panic carries; any other panic
+// goes on.
+func (p *Parser) record(r any) {
+	pe, ok := r.(parseError)
+	if !ok {
+		panic(r)
+	}
+	p.errs = append(p.errs, pe.err)
+}
+
 func (p *Parser) sync() {
 	for {
-		switch p.cur().Kind {
+		switch p.tok.Kind {
 		case EOF, KwEndmodule, KwModule:
 			return
 		case Semi, KwEnd, KwEndcase:
@@ -84,55 +184,72 @@ func (p *Parser) sync() {
 	}
 }
 
+// giveUp records that a parse stopped at maxErrors.
+func (p *Parser) giveUp() {
+	p.errs = append(p.errs, errors.New("too many errors; giving up"))
+}
+
 // ParseSourceText parses a whole compilation unit.
 func ParseSourceText(src string) (*SourceText, []error) {
-	p := NewParser(src)
+	var p Parser
+	p.init(src, -1)
+	st := p.sourceText()
+	if p.again() {
+		st = p.sourceText()
+	}
+	return st, p.diagnostics()
+}
+
+func (p *Parser) sourceText() *SourceText {
 	st := &SourceText{}
 	for !p.at(EOF) {
-		before := p.pos
+		before := p.n
 		m := p.parseModuleRecover()
 		if m != nil {
 			st.Modules = append(st.Modules, m)
 		}
-		if p.pos == before {
+		if p.n == before {
 			// Error recovery stopped on a boundary token without
 			// consuming it; force progress.
 			p.next()
 		}
-		if len(p.errs) > 200 {
-			p.errs = append(p.errs, errors.New("too many errors; giving up"))
+		if p.tooMany() {
+			p.giveUp()
 			break
 		}
 	}
-	if len(p.errs) > 0 {
-		return st, p.errs
-	}
-	return st, nil
+	return st
 }
 
 // ParseItems parses a sequence of module items (REPL input that extends
 // the root module).
 func ParseItems(src string) ([]Item, []error) {
-	p := NewParser(src)
+	var p Parser
+	p.init(src, -1)
+	items := p.items()
+	if p.again() {
+		items = p.items()
+	}
+	return items, p.diagnostics()
+}
+
+func (p *Parser) items() []Item {
 	var items []Item
 	for !p.at(EOF) {
-		before := p.pos
+		before := p.n
 		it := p.parseItemRecover()
 		if it != nil {
 			items = append(items, it)
 		}
-		if p.pos == before {
+		if p.n == before {
 			p.next() // force progress past an unconsumed boundary token
 		}
-		if len(p.errs) > 200 {
-			p.errs = append(p.errs, errors.New("too many errors; giving up"))
+		if p.tooMany() {
+			p.giveUp()
 			break
 		}
 	}
-	if len(p.errs) > 0 {
-		return items, p.errs
-	}
-	return items, nil
+	return items
 }
 
 // ParseProgramFragment parses REPL or batch input that freely mixes
@@ -140,11 +257,18 @@ func ParseItems(src string) ([]Item, []error) {
 // (appended to the implicit root module), the two forms Cascade's eval
 // accepts (paper §3.1).
 func ParseProgramFragment(src string) ([]*Module, []Item, []error) {
-	p := NewParser(src)
-	var mods []*Module
-	var items []Item
+	var p Parser
+	p.init(src, -1)
+	mods, items := p.fragment()
+	if p.again() {
+		mods, items = p.fragment()
+	}
+	return mods, items, p.diagnostics()
+}
+
+func (p *Parser) fragment() (mods []*Module, items []Item) {
 	for !p.at(EOF) {
-		before := p.pos
+		before := p.n
 		if p.at(KwModule) {
 			if m := p.parseModuleRecover(); m != nil {
 				mods = append(mods, m)
@@ -152,44 +276,43 @@ func ParseProgramFragment(src string) ([]*Module, []Item, []error) {
 		} else if it := p.parseItemRecover(); it != nil {
 			items = append(items, it)
 		}
-		if p.pos == before {
+		if p.n == before {
 			p.next() // force progress past an unconsumed boundary token
 		}
-		if len(p.errs) > 200 {
-			p.errs = append(p.errs, errors.New("too many errors; giving up"))
+		if p.tooMany() {
+			p.giveUp()
 			break
 		}
 	}
-	return mods, items, p.errs
+	return mods, items
 }
 
 // ParseExpr parses a single expression (used by tests and the REPL's
 // immediate-expression mode).
-func ParseExpr(src string) (e Expr, errs []error) {
-	p := NewParser(src)
+func ParseExpr(src string) (Expr, []error) {
+	var p Parser
+	p.init(src, -1)
+	return p.expr(), p.diagnostics()
+}
+
+// expr parses the whole input as one expression, or returns nil.
+func (p *Parser) expr() (e Expr) {
 	defer func() {
 		if r := recover(); r != nil {
-			pe, ok := r.(parseError)
-			if !ok {
-				panic(r)
-			}
-			errs = append(p.errs, pe.err)
+			p.record(r)
 		}
 	}()
 	e = p.parseExpr()
 	if !p.at(EOF) {
-		p.errs = append(p.errs, fmt.Errorf("%s: trailing input after expression", p.cur().Pos))
+		p.errs = append(p.errs, fmt.Errorf("%s: trailing input after expression", p.tok.Pos))
 	}
-	if len(p.errs) > 0 {
-		return e, p.errs
-	}
-	return e, nil
+	return e
 }
 
 func (p *Parser) parseModuleRecover() *Module {
 	defer p.recoverItem()
 	if !p.at(KwModule) {
-		p.fail("expected module, found %s", p.cur())
+		p.fail("expected module, found %s", p.tok)
 	}
 	return p.parseModule()
 }
@@ -271,12 +394,12 @@ func (p *Parser) parseModule() *Module {
 	p.expect(Semi)
 
 	for !p.at(KwEndmodule) && !p.at(EOF) {
-		before := p.pos
+		before := p.n
 		it := p.parseItemRecover()
 		if it != nil {
 			m.Items = append(m.Items, it)
 		}
-		if p.pos == before {
+		if p.n == before {
 			p.next() // force progress past an unconsumed boundary token
 		}
 	}
@@ -297,12 +420,14 @@ func (p *Parser) parseRange() *Range {
 	p.expect(Colon)
 	lo := p.parseExpr()
 	p.expect(RBrack)
-	return &Range{Hi: hi, Lo: lo}
+	r := p.ranges.new()
+	*r = Range{Hi: hi, Lo: lo}
+	return r
 }
 
 // parseItem parses one module item.
 func (p *Parser) parseItem() Item {
-	switch p.cur().Kind {
+	switch p.tok.Kind {
 	case KwWire, KwReg, KwInteger:
 		return p.parseNetDecl()
 	case KwParameter, KwLocalparam:
@@ -320,13 +445,15 @@ func (p *Parser) parseItem() Item {
 		p.next()
 		return nil
 	}
-	p.fail("expected module item, found %s", p.cur())
+	p.fail("expected module item, found %s", p.tok)
 	return nil
 }
 
 func (p *Parser) parseNetDecl() *NetDecl {
 	tok := p.next()
-	d := &NetDecl{DeclPos: tok.Pos}
+	b := p.decls.new()
+	d := &b.d
+	d.DeclPos = tok.Pos
 	switch tok.Kind {
 	case KwWire:
 		d.Kind = Wire
@@ -338,9 +465,14 @@ func (p *Parser) parseNetDecl() *NetDecl {
 	if d.Kind != Integer && p.at(LBrack) {
 		d.Range = p.parseRange()
 	}
+	d.Names = b.names[:0:1]
 	for {
 		n := p.expect(IDENT)
-		dn := &DeclName{NamePos: n.Pos, Name: n.Text}
+		dn := &b.name
+		if len(d.Names) > 0 {
+			dn = &DeclName{}
+		}
+		dn.NamePos, dn.Name = n.Pos, n.Text
 		if p.at(LBrack) {
 			if d.Kind == Wire {
 				p.fail("wire %s cannot have an unpacked array dimension", n.Text)
@@ -379,12 +511,16 @@ func (p *Parser) parseContAssign() *ContAssign {
 	p.expect(Eq)
 	rhs := p.parseExpr()
 	p.expect(Semi)
-	return &ContAssign{AssignPos: tok.Pos, LHS: lhs, RHS: rhs}
+	a := p.assigns.new()
+	*a = ContAssign{AssignPos: tok.Pos, LHS: lhs, RHS: rhs}
+	return a
 }
 
 func (p *Parser) parseAlways() *AlwaysBlock {
 	tok := p.expect(KwAlways)
-	a := &AlwaysBlock{AlwaysPos: tok.Pos}
+	b := p.always.new()
+	a := &b.a
+	a.AlwaysPos = tok.Pos
 	p.expect(At)
 	if p.accept(StarOp) {
 		a.Star = true
@@ -393,6 +529,7 @@ func (p *Parser) parseAlways() *AlwaysBlock {
 		if p.accept(StarOp) {
 			a.Star = true
 		} else {
+			a.Events = b.events[:0:1]
 			for {
 				ev := Event{Edge: AnyEdge}
 				if p.accept(KwPosedge) {
@@ -442,7 +579,7 @@ func (p *Parser) parseInstance() *Instance {
 	p.expect(LParen)
 	if !p.at(RParen) {
 		for {
-			c := &PortConn{ConnPos: p.cur().Pos}
+			c := &PortConn{ConnPos: p.tok.Pos}
 			if p.accept(Dot) {
 				c.Name = p.expect(IDENT).Text
 				p.expect(LParen)
@@ -466,7 +603,7 @@ func (p *Parser) parseInstance() *Instance {
 
 // parseStmt parses one procedural statement.
 func (p *Parser) parseStmt() Stmt {
-	switch p.cur().Kind {
+	switch p.tok.Kind {
 	case KwBegin:
 		tok := p.next()
 		b := &Block{BeginPos: tok.Pos}
@@ -498,7 +635,7 @@ func (p *Parser) parseStmt() Stmt {
 	case IDENT, LBrace:
 		return p.parseProcAssign()
 	}
-	p.fail("expected statement, found %s", p.cur())
+	p.fail("expected statement, found %s", p.tok)
 	return nil
 }
 
@@ -509,7 +646,7 @@ func (p *Parser) parseCase() *Case {
 	c.Subject = p.parseExpr()
 	p.expect(RParen)
 	for !p.at(KwEndcase) && !p.at(EOF) {
-		it := &CaseItem{ItemPos: p.cur().Pos}
+		it := &CaseItem{ItemPos: p.tok.Pos}
 		if p.accept(KwDefault) {
 			p.accept(Colon)
 		} else {
@@ -571,18 +708,20 @@ func (p *Parser) parseSysTask() *SysTask {
 func (p *Parser) parseProcAssign() *ProcAssign {
 	lhs := p.parseLValue()
 	var blocking bool
-	switch p.cur().Kind {
+	switch p.tok.Kind {
 	case Eq:
 		blocking = true
 	case LtEq:
 		blocking = false
 	default:
-		p.fail("expected = or <= after lvalue, found %s", p.cur())
+		p.fail("expected = or <= after lvalue, found %s", p.tok)
 	}
 	tok := p.next()
 	rhs := p.parseExpr()
 	p.expect(Semi)
-	return &ProcAssign{AssignPos: tok.Pos, Blocking: blocking, LHS: lhs, RHS: rhs}
+	a := p.procs.new()
+	*a = ProcAssign{AssignPos: tok.Pos, Blocking: blocking, LHS: lhs, RHS: rhs}
+	return a
 }
 
 // parseLValue parses an assignment target: an identifier, hierarchical
@@ -625,12 +764,18 @@ func (p *Parser) parsePrimaryIdent() Expr {
 		}
 		return &HierIdent{IdentPos: n.Pos, Parts: parts}
 	}
-	return &Ident{IdentPos: n.Pos, Name: n.Text}
+	id := p.idents.new()
+	*id = Ident{IdentPos: n.Pos, Name: n.Text}
+	return id
 }
 
-// Operator precedence, lowest first. Level 0 is the ternary conditional,
-// handled separately in parseExpr.
-var binPrec = map[TokenKind]int{
+// numTokenKinds bounds the tables indexed by TokenKind.
+const numTokenKinds = int(AShr) + 1
+
+// Operator precedence, lowest first; 0 for a token that is no binary
+// operator. Level 0 is the ternary conditional, handled separately in
+// parseExpr.
+var binPrec = [numTokenKinds]int8{
 	OrOr:   1,
 	AndAnd: 2,
 	Pipe:   3,
@@ -644,7 +789,7 @@ var binPrec = map[TokenKind]int{
 	PowerOp: 11,
 }
 
-var binOps = map[TokenKind]BinaryOp{
+var binOps = [numTokenKinds]BinaryOp{
 	OrOr: BLogOr, AndAnd: BLogAnd, Pipe: BBitOr, Caret: BBitXor, TildeXor: BBitXnor,
 	Amp: BBitAnd, EqEq: BEq, NotEq: BNeq, CaseEq: BCaseEq, CaseNotEq: BCaseNeq,
 	Lt: BLt, LtEq: BLe, Gt: BGt, GtEq: BGe,
@@ -669,8 +814,8 @@ func (p *Parser) parseExpr() Expr {
 func (p *Parser) parseBinary(minPrec int) Expr {
 	lhs := p.parseUnary()
 	for {
-		prec, ok := binPrec[p.cur().Kind]
-		if !ok || prec < minPrec {
+		prec := int(binPrec[p.tok.Kind])
+		if prec == 0 || prec < minPrec {
 			return lhs
 		}
 		tok := p.next()
@@ -680,18 +825,21 @@ func (p *Parser) parseBinary(minPrec int) Expr {
 			nextMin = prec
 		}
 		rhs := p.parseBinary(nextMin)
-		lhs = &Binary{OpPos: tok.Pos, Op: binOps[tok.Kind], X: lhs, Y: rhs}
+		b := p.binaries.new()
+		*b = Binary{OpPos: tok.Pos, Op: binOps[tok.Kind], X: lhs, Y: rhs}
+		lhs = b
 	}
 }
 
-var unaryOps = map[TokenKind]UnaryOp{
+// unaryOps maps a token to the unary operator it spells, or 0.
+var unaryOps = [numTokenKinds]UnaryOp{
 	Bang: UNot, Tilde: UBitNot, MinusOp: UNeg, PlusOp: UPlus,
 	Amp: URedAnd, Pipe: URedOr, Caret: URedXor,
 	TildeAmp: URedNand, TildePipe: URedNor, TildeXor: URedXnor,
 }
 
 func (p *Parser) parseUnary() Expr {
-	if op, ok := unaryOps[p.cur().Kind]; ok {
+	if op := unaryOps[p.tok.Kind]; op != 0 {
 		tok := p.next()
 		return &Unary{OpPos: tok.Pos, Op: op, X: p.parseUnary()}
 	}
@@ -716,21 +864,9 @@ func (p *Parser) parsePostfix() Expr {
 }
 
 func (p *Parser) parsePrimary() Expr {
-	switch p.cur().Kind {
+	switch p.tok.Kind {
 	case NUMBER:
-		tok := p.next()
-		v, mask, err := bits.ParseMaskedLiteral(tok.Text)
-		if err != nil {
-			p.fail("%v", err)
-		}
-		sized := false
-		for _, c := range tok.Text {
-			if c == '\'' {
-				sized = true
-				break
-			}
-		}
-		return &Number{NumPos: tok.Pos, Literal: tok.Text, Val: v, Mask: mask, Sized: sized}
+		return p.parseNumber(p.next())
 	case STRING:
 		tok := p.next()
 		return &StringLit{StrPos: tok.Pos, Value: tok.Text}
@@ -774,6 +910,33 @@ func (p *Parser) parsePrimary() Expr {
 		p.expect(RBrace)
 		return c
 	}
-	p.fail("expected expression, found %s", p.cur())
+	p.fail("expected expression, found %s", p.tok)
 	return nil
+}
+
+// smallNumber is a Number whose value fits one word, allocated in one
+// piece with its vector.
+type smallNumber struct {
+	n   Number
+	val bits.Vector
+	w   [1]uint64
+}
+
+// parseNumber builds tok's literal: a literal of at most 64 bits on its
+// own word, any other through bits.ParseMaskedLiteral, to the same
+// vector and mask.
+func (p *Parser) parseNumber(tok Token) *Number {
+	sized := strings.IndexByte(tok.Text, '\'') >= 0
+	if width, v, ok := bits.SmallLiteral(tok.Text); ok {
+		s := p.numbers.new()
+		s.w[0] = v
+		s.val = bits.Wrap(width, s.w[:])
+		s.n = Number{NumPos: tok.Pos, Literal: tok.Text, Val: &s.val, Sized: sized}
+		return &s.n
+	}
+	v, mask, err := bits.ParseMaskedLiteral(tok.Text)
+	if err != nil {
+		p.fail("%v", err)
+	}
+	return &Number{NumPos: tok.Pos, Literal: tok.Text, Val: v, Mask: mask, Sized: sized}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"cascade/internal/fpga"
 	"cascade/internal/toolchain"
@@ -420,5 +421,40 @@ func TestDeviceCapacityExceeded(t *testing.T) {
 	}
 	if len(view.Errors()) == 0 {
 		t.Fatal("fit failure should be reported to the view")
+	}
+}
+
+// TestInterpreterLoopDoesNotHang: a zero-delay loop between two
+// assignments has no fixed point. The step that meets it ends once the
+// interpreter's evaluation bound is reached, a diagnostic names a
+// variable on the loop, and the runtime runs on.
+func TestInterpreterLoopDoesNotHang(t *testing.T) {
+	view := &BufView{Quiet: true}
+	r := newTestRuntime(t, Options{View: view})
+	done := make(chan error)
+	go func() {
+		err := r.Eval("wire a, b; assign a = ~b; assign b = a;")
+		if err == nil {
+			r.RunTicks(3)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		// No Shutdown: it would wait for the step that never ends.
+		t.Fatal("a zero-delay loop's eval and 3 ticks still running after 10 s")
+	}
+	defer r.Shutdown()
+	if got := r.Ticks(); got != 3 {
+		t.Errorf("ran %d ticks, want 3", got)
+	}
+	out := view.Output()
+	if !strings.Contains(out, "cascade: zero-delay loop through a did not settle") &&
+		!strings.Contains(out, "cascade: zero-delay loop through b did not settle") {
+		t.Errorf("output %q names no variable of the loop", out)
 	}
 }

@@ -346,16 +346,94 @@ func (s *Simulator) HasActive() bool { return s.anyActive }
 // Evaluate runs activated combinational logic and triggered processes to
 // a fixed point (the EvalAll batch of the Cascade scheduler). Non-blocking
 // assignments encountered along the way are queued, not applied.
+//
+// A zero-delay loop (assign a = ~b; assign b = a;) has no fixed point:
+// after evalBound unit executions Evaluate stops, drops what is pending
+// and displays which variable the loop runs through, so the step ends.
 func (s *Simulator) Evaluate() {
 	if s.opts.Eager && s.anyActive {
 		s.activateCombinational()
 	}
 	na := len(s.flat.Assigns)
+	start := s.EvalOps
 	for s.anyActive {
+		if s.EvalOps-start > s.evalBound() {
+			s.stopLoop(s.EvalOps - start)
+			return
+		}
 		s.anyActive = false
 		s.runPending(0, na)
 		s.runPending(na, len(s.runs))
 	}
+}
+
+// evalBound is how many unit executions one Evaluate may run: far more
+// than any design that settles needs (a self-loop converging in a
+// hundred passes runs a hundred), and few enough that a loop that never
+// settles is reported within a second.
+func (s *Simulator) evalBound() uint64 { return 1<<16 + 256*uint64(len(s.runs)) }
+
+// stopLoop ends an Evaluate that ran n executions without settling: it
+// drops the pending units and displays a variable on the loop.
+func (s *Simulator) stopLoop(n uint64) {
+	name := s.loopVar()
+	clear(s.active)
+	s.anyActive = false
+	s.display(fmt.Sprintf("cascade: zero-delay loop through %s did not settle after %d evaluations; evaluation stopped\n", name, n))
+}
+
+// loopVar names a variable on the zero-delay loop Evaluate is stuck in.
+// Some unit of the loop is pending after every pass, so it searches, from
+// each pending unit, the units its blocking writes may activate for a
+// way back to it, and names the variable the unit writes on that way.
+func (s *Simulator) loopVar() string {
+	na := len(s.flat.Assigns)
+	writes := make([][]*elab.Var, len(s.runs))
+	for u := range writes {
+		if u < na {
+			for _, lv := range s.flat.Assigns[u].LHS {
+				writes[u] = append(writes[u], lv.Var)
+			}
+			continue
+		}
+		elab.WalkStmt(s.flat.Procs[u-na].Body, func(st elab.Stmt) {
+			if a, ok := st.(*elab.Assign); ok && a.Blocking {
+				for _, lv := range a.LHS {
+					writes[u] = append(writes[u], lv.Var)
+				}
+			}
+		}, nil)
+	}
+	for start := range writes {
+		if s.active[start>>6]&(1<<(start&63)) == 0 {
+			continue
+		}
+		// Breadth-first from start; via[w] is the variable whose write
+		// first reached unit w, and from[w] the unit that wrote it.
+		via := make([]*elab.Var, len(writes))
+		from := make([]int, len(writes))
+		queue := []int{start}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, v := range writes[u] {
+				for _, w := range s.watch[s.watchAt[v.Index]:s.watchAt[v.Index+1]] {
+					next := int(w >> 2)
+					if next == start {
+						for u != start { // back to the variable start writes
+							v, u = via[u], from[u]
+						}
+						return v.Name
+					}
+					if via[next] == nil {
+						via[next], from[next] = v, u
+						queue = append(queue, next)
+					}
+				}
+			}
+		}
+	}
+	return "an unknown variable"
 }
 
 // activate marks unit u pending.

@@ -540,3 +540,31 @@ endmodule`)
 		t.Fatalf("carry lost: sum=%d, want 16", got)
 	}
 }
+
+// TestEvaluateBoundsZeroDelayLoops: a loop that converges (a self-loop
+// counting to 100 one pass at a time) settles untouched by the bound; one
+// that never settles, through assignments or an @* process and behind
+// logic that merely reads it, stops at the bound, displaying a variable
+// on the loop.
+func TestEvaluateBoundsZeroDelayLoops(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"module m(input wire clk); wire [7:0] x; assign x = (x < 100) ? x + 1 : x; endmodule", ""},
+		{"module m(input wire clk); wire a, b, c; assign c = a & b; assign a = ~b; assign b = a; endmodule",
+			"zero-delay loop through "},
+		{"module m(input wire clk); reg [3:0] q; wire [3:0] d; assign d = q + 1; always @* q = d; endmodule",
+			"zero-delay loop through "},
+	} {
+		tb := newBench(t, c.src)
+		tb.tick()
+		out := tb.out.String()
+		if c.want == "" {
+			if out != "" || tb.val(t, "x") != 100 {
+				t.Errorf("%s: x=%d, output %q", c.src, tb.val(t, "x"), out)
+			}
+			continue
+		}
+		if !strings.HasPrefix(out, "cascade: "+c.want) || strings.Contains(out, "through c ") {
+			t.Errorf("%s: output %q, want a diagnostic naming a variable on the loop", c.src, out)
+		}
+	}
+}

@@ -11,9 +11,9 @@ import (
 // (the standard specifies "at least 32 bits").
 const DefaultLiteralWidth = 32
 
-// MaxLiteralWidth bounds a literal's declared width, so a literal such as
+// maxLiteralWidth bounds a literal's declared width, so a literal such as
 // 18446744073700'h1 is an error rather than a vector of that many bits.
-const MaxLiteralWidth = 1 << 20
+const maxLiteralWidth = 1 << 20
 
 // ParseLiteral parses a Verilog number literal such as 8'h80, 4'b10_10,
 // 'd15, or a plain decimal like 42. Unsized literals get
@@ -61,7 +61,7 @@ func literalUint64(s string) (width int, v uint64, ok bool) {
 	if tick >= 0 {
 		if tick > 0 {
 			w, ok := parseDigits(s[:tick], 10)
-			if !ok || w < 1 || w > MaxLiteralWidth {
+			if !ok || w < 1 || w > maxLiteralWidth {
 				return 0, 0, false
 			}
 			width = int(w)
@@ -92,24 +92,31 @@ func literalUint64(s string) (width int, v uint64, ok bool) {
 	return width, v, true
 }
 
+// digitValue is each byte's value as a digit, 0xff for a byte that is none.
+var digitValue = func() (t [256]uint8) {
+	for c := range t {
+		switch {
+		case '0' <= c && c <= '9':
+			t[c] = uint8(c - '0')
+		case 'a' <= c && c <= 'f':
+			t[c] = uint8(c-'a') + 10
+		case 'A' <= c && c <= 'F':
+			t[c] = uint8(c-'A') + 10
+		default:
+			t[c] = 0xff
+		}
+	}
+	return t
+}()
+
 // parseDigits reads digits in base, skipping underscores: false if there
 // is no digit, an invalid one, or more than 64 bits of value.
 func parseDigits(s string, base uint64) (v uint64, ok bool) {
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		var d uint64
-		switch {
-		case c == '_':
+		if s[i] == '_' {
 			continue
-		case '0' <= c && c <= '9':
-			d = uint64(c - '0')
-		case 'a' <= c && c <= 'f':
-			d = uint64(c-'a') + 10
-		case 'A' <= c && c <= 'F':
-			d = uint64(c-'A') + 10
-		default:
-			return 0, false
 		}
+		d := uint64(digitValue[s[i]])
 		hi, lo := mathbits.Mul64(v, base)
 		if d >= base || hi != 0 || lo+d < lo {
 			return 0, false
@@ -142,8 +149,8 @@ func parseBig(s string) (*Vector, error) {
 		if !ok || !w.IsInt64() || w.Int64() < 1 {
 			return nil, fmt.Errorf("bits: malformed literal width in %q", s)
 		}
-		if w.Int64() > MaxLiteralWidth {
-			return nil, fmt.Errorf("bits: literal width in %q exceeds %d", s, MaxLiteralWidth)
+		if w.Int64() > maxLiteralWidth {
+			return nil, fmt.Errorf("bits: literal width in %q exceeds %d", s, maxLiteralWidth)
 		}
 		width = int(w.Int64())
 	}
@@ -195,8 +202,8 @@ func ParseMaskedLiteral(s string) (val, mask *Vector, err error) {
 		if !ok || !w.IsInt64() || w.Int64() < 1 {
 			return nil, nil, fmt.Errorf("bits: malformed literal width in %q", s)
 		}
-		if w.Int64() > MaxLiteralWidth {
-			return nil, nil, fmt.Errorf("bits: literal width in %q exceeds %d", s, MaxLiteralWidth)
+		if w.Int64() > maxLiteralWidth {
+			return nil, nil, fmt.Errorf("bits: literal width in %q exceeds %d", s, maxLiteralWidth)
 		}
 		width = int(w.Int64())
 	}

@@ -84,7 +84,7 @@ func TestSmallLiteral(t *testing.T) {
 	}
 }
 
-// TestLiteralWidthBound: a literal declared wider than MaxLiteralWidth
+// TestLiteralWidthBound: a literal declared wider than maxLiteralWidth
 // is an error, not a vector of that many bits.
 func TestLiteralWidthBound(t *testing.T) {
 	for _, s := range []string{"18446744073700'h1", "1048577'h1", "1048577'b1?"} {
@@ -92,7 +92,7 @@ func TestLiteralWidthBound(t *testing.T) {
 			t.Errorf("%q: error %v, want one saying the width exceeds the bound", s, err)
 		}
 	}
-	if v, err := ParseLiteral("1048576'h1"); err != nil || v.Width() != MaxLiteralWidth {
+	if v, err := ParseLiteral("1048576'h1"); err != nil || v.Width() != maxLiteralWidth {
 		t.Errorf("a literal at the bound: %v", err)
 	}
 }

@@ -355,9 +355,9 @@ func (s *Simulator) Evaluate() {
 		s.activateCombinational()
 	}
 	na := len(s.flat.Assigns)
-	start := s.EvalOps
+	start, bound := s.EvalOps, s.evalBound()
 	for s.anyActive {
-		if s.EvalOps-start > s.evalBound() {
+		if s.EvalOps-start > bound {
 			s.stopLoop(s.EvalOps - start)
 			return
 		}

@@ -49,18 +49,6 @@ func BenchmarkPrint(b *testing.B) {
 	}
 }
 
-func BenchmarkLexAll(b *testing.B) {
-	for _, in := range textBenchInputs() {
-		b.Run(in.name, func(b *testing.B) {
-			b.SetBytes(int64(len(in.src)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				LexAll(in.src)
-			}
-		})
-	}
-}
-
 // TestParseAllocBudget pins what the text layer allocates for the
 // edit_session program after 150 edits: ParseProgramFragment streams
 // its tokens and takes its most common nodes from slabs, Print appends

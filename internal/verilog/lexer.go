@@ -293,8 +293,8 @@ func (l *Lexer) lexNumber(t *Token) {
 	t.Kind, t.Text = NUMBER, src[start:l.off]
 }
 
-// lexString returns a string literal's contents: a substring of the
-// source unless an escape has to be decoded.
+// lexString lexes a string literal. Its text is the contents: a
+// substring of the source unless an escape has to be decoded.
 func (l *Lexer) lexString(t *Token) {
 	start := l.off + 1 // past the opening quote
 	for i := start; i < len(l.src); i++ {

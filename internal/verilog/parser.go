@@ -139,13 +139,10 @@ func (p *Parser) accept(k TokenKind) bool {
 
 func (p *Parser) expect(k TokenKind) Token {
 	if p.tok.Kind != k {
-		p.expected(k)
+		p.fail("expected %s, found %s", k, p.tok)
 	}
 	return p.next()
 }
-
-// expected fails the item at a token other than the k it needs.
-func (p *Parser) expected(k TokenKind) { p.fail("expected %s, found %s", k, p.tok) }
 
 func (p *Parser) fail(format string, args ...any) {
 	err := fmt.Errorf("%s: %s", p.tok.Pos, fmt.Sprintf(format, args...))

@@ -371,11 +371,11 @@ func compileBothPaths(b *testing.B, src string) (*netlist.Program, *netlist.Prog
 	return raw, opt
 }
 
-// --- Parallel scheduler and compile cache (PR 1) ---------------------------
+// --- Billed lanes and compile cache ----------------------------------------
 
 // multiMinerProg instantiates k independent proof-of-work miners; with
-// inlining disabled each is its own engine, so a step dispatches k+1
-// heavy EvalAll batches that the parallel scheduler can overlap.
+// inlining disabled each is its own engine, so a step's batches hold k+1
+// heavy members whose bill the lanes overlap.
 func multiMinerProg(k int) string {
 	cfg := pow.DefaultConfig()
 	cfg.Target = 0
@@ -391,10 +391,10 @@ Pow m%[1]d(.clk(clk.val), .hashes(h%[1]d), .nonce(n%[1]d),
 }
 
 // benchSchedulerLanes measures a multi-subprogram workload at a given
-// dispatch width. Compare Scheduler_Serial against Scheduler_Parallel:
-// the parallel scheduler bills compute as max-over-lanes, so virtualHz
-// rises with lanes on any host, and ns/op drops wherever the host has
-// real cores to back the worker pool.
+// billed width. Compare Scheduler_Serial against Scheduler_Parallel: a
+// batch is billed as its makespan over the lanes, so virtualHz rises
+// with lanes on any host, while ns/op stays that of the one serial loop
+// (every batch runs on the controller goroutine at any width).
 func benchSchedulerLanes(b *testing.B, par int) {
 	rt := newRT(b, runtime.Options{
 		Features:    runtime.Features{DisableJIT: true, DisableInline: true},

@@ -233,8 +233,8 @@ const DefaultPrelude = runtime.DefaultPrelude
 
 // New creates a runtime configured by functional options, with
 // paper-calibrated defaults for everything left unset: a Cyclone V-sized
-// device, the default toolchain model, the default time model, and one
-// scheduler lane per CPU.
+// device, the default toolchain model, the default time model, and
+// batches billed over one lane.
 func New(opts ...Option) *Runtime { return runtime.New(buildOptions(opts)) }
 
 // Open creates a runtime with crash-safe persistence (configure it with

@@ -57,7 +57,6 @@ func main() {
 	native := flag.Bool("native", false, "native mode: compile exactly as written (§4.5)")
 	nativeTier := flag.Bool("native-tier", false, "add the native-Go JIT rung: closure-threaded code within virtual ms, fabric later")
 	scale := flag.Float64("compile-scale", 600, "divide virtual compile latency (1 = paper-faithful)")
-	lanes := flag.Int("parallelism", 0, "scheduler dispatch lanes (0 = one per CPU, 1 = serial)")
 	ckptDir := flag.String("checkpoint-dir", "", "crash-safe persistence directory (checkpoints + journal); restarting over it resumes")
 	ckptEvery := flag.Uint64("checkpoint-every", 0, "checkpoint cadence in steps (0 = default)")
 	cacheDir := flag.String("cache-dir", "", "persist compiled bitstreams here across processes")
@@ -84,7 +83,6 @@ func main() {
 			Native:     *native,
 			NativeTier: *nativeTier,
 		},
-		Parallelism: *lanes,
 	}
 	if *remote != "" {
 		// SessionName stays empty: the daemon assigns a unique tenant

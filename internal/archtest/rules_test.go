@@ -124,10 +124,11 @@ var rules = []rule{
 			return ok && id(mt.Key) == "string" && c.ptr(mt.Value, "transport.Client") || id(n) == "routesFrom"
 		},
 		bad: "internal/runtime/seeded.go\npackage runtime\nfunc seeded(path, v string) string {\n\treturn path + \"\\x00\" + v // want seeded\n}"},
-	{name: "scheduler/goroutines-in-dispatch", in: src("internal/runtime"), allow: []string{"Runtime.dispatch"},
-		why:   "only the lane dispatcher starts goroutines in internal/runtime; a goroutine per engine per batch was the old loop's cost",
+	{name: "scheduler/one-goroutine", in: src("internal/runtime"),
+		why: "a Step, the Figure 6 loop of scheduler.go included, runs on the controller goroutine alone; lanes are billed, not run. " +
+			"Batches dispatched to lanes ran slower than serially on a 2-core Xeon (BenchmarkScheduler_* at 8 lanes 31.2-41.3 against 19.4-26.9 us/op, at 2 lanes 27.9-39.5 against 24.9-31.6)",
 		match: func(c *cursor, n ast.Node) bool { return is[*ast.GoStmt](n) },
-		bad:   "internal/runtime/seeded.go\npackage runtime\nfunc (r *Runtime) seeded() {\n\tgo r.settleFIFOs() // want Runtime.seeded\n}"},
+		bad:   "internal/runtime/scheduler.go\npackage runtime\nfunc (r *Runtime) round() {\n\tgo r.settleFIFOs() // want Runtime.round\n}"},
 	{name: "scheduler/verify-quiet-test-only", in: src("..."),
 		why: "engine.VerifyQuiet re-issues every poll and drain the quiet rule skips: a test switch, never an option",
 		match: func(c *cursor, n ast.Node) bool {

@@ -153,7 +153,7 @@ func (d *testDaemon) live() *transport.Host {
 // with the options the product already has.
 type arm struct {
 	feats Features
-	lanes int // 0 runs serially
+	lanes int // the lanes a batch is billed across (0: one)
 
 	hosted    bool   // user engines live on a loopback daemon…
 	daemonJIT bool   // …which promotes them onto its own fabric,
@@ -424,8 +424,9 @@ func rows() []row {
 	add("3", "$S", "inlined jit", apart, arm{feats: Features{DisableForwarding: true}}, schedule{}, false, seen, nil)
 	add("3", "$S", "forwarded", apart, arm{feats: lockstep}, schedule{}, false, seen, nil)
 
-	// 9. Parallel-schedule equivalence: serial ≡ 2, 3 and 8 lanes — below,
-	// at and above the batch size — without and with mid-run migration.
+	// 9. The billed width is invisible: one lane ≡ 2, 3 and 8 — below, at
+	// and above the batch size — without and with mid-run migration. Every
+	// width runs its batches on the controller; only the bill differs.
 	// 11. Transports are invisible: ≡ daemon-hosted, the daemon's JIT
 	// promoting engines mid-run and the client seeing only locations flip.
 	for _, jit := range []bool{false, true} {

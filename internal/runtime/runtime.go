@@ -5,12 +5,12 @@
 // hardware compilation, ABI forwarding, and open-loop scheduling.
 //
 // The runtime is driven by Step/Run calls from a single controller
-// goroutine; within a Step the evaluate and update batches of Figure 6
-// are dispatched to the scheduled engines in parallel (the batching
-// exists precisely so requests can be issued asynchronously), while
-// interrupt flushes, routing, and hot swaps stay on the controller.
-// Work is billed on a virtual clock (internal/vclock) so JIT behaviour
-// over time is deterministic and the evaluation's figures are
+// goroutine, which runs a whole Step: the evaluate and update batches
+// of Figure 6, interrupt flushes, routing and hot swaps. A batch is
+// billed as its makespan over Options.Parallelism lanes (the paper
+// batches requests so they can be issued asynchronously), however it
+// ran. Work is billed on a virtual clock (internal/vclock) so JIT
+// behaviour over time is deterministic and the evaluation's figures are
 // reproducible. Engine state is a word image in the engine's layout
 // (elab.Layout) everywhere; names meet it only where a program version
 // changes (version.go).
@@ -20,11 +20,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	goruntime "runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cascade/internal/bits"
@@ -78,10 +76,10 @@ func (p Phase) String() string {
 // View receives program output and runtime status (the V of Figure 5).
 //
 // Concurrency contract: the runtime invokes View methods only from the
-// controller goroutine (the one calling Eval/Step/Run), never from the
-// worker goroutines that execute engine batches — system-task output
-// produced inside a batch is buffered per engine and flushed in
-// deterministic schedule order once the batch has joined. A View
+// controller goroutine (the one calling Eval/Step/Run), never from
+// inside an engine — system-task output produced inside a batch is
+// buffered per engine and flushed in deterministic schedule order once
+// the batch has run. A View
 // therefore does not need to be safe against concurrent calls from the
 // runtime; it only needs internal locking if the application itself
 // reads it from other goroutines while the runtime runs (BufView locks
@@ -188,9 +186,11 @@ type Options struct {
 	// the full JIT.
 	Features Features
 
-	// Parallelism bounds how many engines an evaluate/update batch is
-	// dispatched to concurrently within a Step. 0 means one lane per
-	// CPU; 1 runs batches serially on the controller goroutine.
+	// Parallelism is the number of lanes an evaluate/update batch's
+	// compute is billed across: a batch costs its makespan over this many
+	// lanes (one lane: the sum of its members). It changes the bill
+	// only; every batch runs on the controller goroutine. 0 means 1, so
+	// no virtual figure depends on the host's core count.
 	Parallelism int
 
 	// Observer receives JIT lifecycle trace events and metrics
@@ -283,7 +283,7 @@ type Runtime struct {
 	mu sync.Mutex
 
 	opts Options
-	par  int // resolved Parallelism
+	par  int // resolved Parallelism: the lanes a batch is billed across
 	vclk vclock.Clock
 
 	// ver is the program version being executed (version.go): never nil,
@@ -303,8 +303,6 @@ type Runtime struct {
 	batch      []int
 	from       int                                 // slot whose outputs route is delivering
 	deliverFn  func(name string, val *bits.Vector) // r.deliver, bound once: a method value per route would allocate
-	cursor     atomic.Int64                        // next batch index a worker lane claims
-	lanes      sync.WaitGroup
 	stdEngines map[string]engine.Engine
 
 	// remoteT is the shared connection to the remote engine daemon (nil
@@ -422,16 +420,9 @@ func New(opts Options) *Runtime {
 		// the farm, later ones find it already in place.
 		opts.Toolchain.UseFarm(*opts.Farm)
 	}
-	par := opts.Parallelism
-	if par == 0 {
-		par = goruntime.NumCPU()
-	}
-	if par < 1 {
-		par = 1
-	}
 	r := &Runtime{
 		opts:       opts,
-		par:        par,
+		par:        max(opts.Parallelism, 1),
 		ver:        emptyVersion(),
 		stdEngines: map[string]engine.Engine{},
 		xstats:     map[string]transport.Stats{},
@@ -613,7 +604,8 @@ func (r *Runtime) AreaLEs() int {
 	return area
 }
 
-// Parallelism returns the resolved engine-dispatch width.
+// Parallelism returns the resolved billing width: the lanes a batch's
+// compute is billed across.
 func (r *Runtime) Parallelism() int { return r.par }
 
 // StartupPs returns the virtual time between the first Eval and the
@@ -624,27 +616,15 @@ func (r *Runtime) StartupPs() uint64 { return r.startupPs }
 // engine IO lanes --------------------------------------------------------
 
 // laneIO is the engine.IOHandler handed to each engine. System-task side
-// effects land in the engine's own lane — possibly from a worker lane
-// while a batch executes in parallel — and the controller drains lanes in
-// schedule order once the batch has joined, which keeps the interrupt
-// queue's ordering deterministic and identical to a serial schedule.
-//
-// Flush-ordering contract (TestLaneFlushOrdering): one lane is appended
-// to by at most one goroutine at a time — the worker lane its engine is
-// dispatched on during a batch, or the controller between batches.
-// Remote engines keep to this by construction: their $display/$finish
-// events ride back on protocol replies and the transport client replays
-// them on the goroutine that issued the frame (the controller, for a
-// round), so no transport or daemon goroutine touches a lane. The mutex
-// does not provide the ordering; it is the happens-before edge between a
-// worker's appends and the controller's drain (the dispatcher's join is
-// another, but drainLane must stay correct for an engine the current
-// batch did not dispatch). full is set under the mutex with every append
-// and read without it, so draining an empty lane — nearly every drain —
-// takes no lock.
+// effects land in the engine's own lane, and the controller drains lanes
+// in schedule order after each batch, which keeps the interrupt queue's
+// ordering deterministic. A lane is appended to and drained on the
+// controller only: in-process engines run there, and remote engines'
+// $display/$finish events ride back on protocol replies that the
+// transport client replays on the goroutine that issued the frame (the
+// controller, for a round), so no transport or daemon goroutine touches
+// a lane.
 type laneIO struct {
-	mu       sync.Mutex
-	full     atomic.Bool
 	displays []string
 	finished bool
 }
@@ -654,30 +634,16 @@ func (l *laneIO) Display(text string, newline bool) {
 	if newline {
 		text += "\n"
 	}
-	l.mu.Lock()
 	l.displays = append(l.displays, text)
-	l.full.Store(true)
-	l.mu.Unlock()
 }
 
 // Finish implements engine.IOHandler.
-func (l *laneIO) Finish(code int) {
-	l.mu.Lock()
-	l.finished = true
-	l.full.Store(true)
-	l.mu.Unlock()
-}
+func (l *laneIO) Finish(code int) { l.finished = true }
 
 // take removes and returns the lane's buffered output.
 func (l *laneIO) take() (displays []string, finished bool) {
-	if !l.full.Load() {
-		return nil, false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	displays, finished = l.displays, l.finished
 	l.displays, l.finished = nil, false
-	l.full.Store(false)
 	return displays, finished
 }
 

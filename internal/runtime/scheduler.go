@@ -81,16 +81,17 @@ func (r *Runtime) reschedule() {
 // be disturbed). In the open-loop phase a Step instead runs a burst of
 // iterations inside the hardware engine.
 //
-// Batches are the unit of parallelism (the paper batches requests so
-// they can be issued asynchronously) and of remote traffic: within a
-// round the controller polls engines serially in schedule order, runs
-// every engine with pending work — in-process ones across up to
-// Parallelism worker lanes, the ones a daemon hosts in a single frame
-// that polls, runs and drains them there — and then drains buffered IO
-// and routes outputs, again in schedule order. Engines only
-// exchange values through that routing, so a round is a Jacobi iteration
-// of the monotone fixpoint the serial Gauss-Seidel schedule computes,
-// and by event-order independence the observable states are identical.
+// Batches are the unit of billing (the paper batches requests so they
+// can be issued asynchronously: a batch costs its makespan over
+// Parallelism lanes) and of remote traffic. Within a round the
+// controller polls engines in schedule order, runs every engine with
+// pending work — in-process ones on its own goroutine, in schedule
+// order, the ones a daemon hosts in a single frame that polls, runs and
+// drains them there — and then drains buffered IO and routes outputs,
+// again in schedule order. Engines only exchange values through that
+// routing, so a round is a Jacobi iteration of the monotone fixpoint the
+// serial Gauss-Seidel schedule computes, and by event-order independence
+// the observable states are identical.
 func (r *Runtime) Step() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -162,10 +163,9 @@ var roundABI = [...]struct {
 // anything ran. In schedule order the controller polls the in-process
 // slots (billing the control-plane traffic of asking), then has the
 // daemon poll, run and drain every hosted slot in one frame; the
-// in-process members then run — across lanes when two or more user
-// subprograms are worth overlapping (a peripheral's turn is a handful of
-// instructions) — and the whole batch is drained, routed and settled in
-// schedule order. How a batch ran never reaches its bill.
+// in-process members then run on the controller, and the whole batch is
+// drained, routed and settled in schedule order. The bill is the batch's
+// makespan over Parallelism lanes (settleBatch), whatever ran it.
 //
 // The frame goes after every in-process poll, not at the first hosted
 // slot's turn: a poll is pure or billed per call, and the daemon reads
@@ -185,7 +185,7 @@ func (r *Runtime) round(ph proto.RoundPhase) bool {
 	abi := &roundABI[ph]
 	bit := uint8(1) << ph
 	r.batch = r.batch[:0]
-	local, users, hosted := 0, 0, -1
+	hosted := -1
 	for i := range r.slots {
 		s := &r.slots[i]
 		if s.c.Link() != nil {
@@ -215,15 +215,11 @@ func (r *Runtime) round(ph proto.RoundPhase) bool {
 		}
 		s.idle = 0 // the run is a call into it
 		r.batch = append(r.batch, i)
-		local++
-		if s.p != nil {
-			users++
-		}
 	}
 	var link *transport.Link
 	if hosted >= 0 {
 		fph := ph
-		if ph == proto.RoundEvals && local == 0 {
+		if ph == proto.RoundEvals && len(r.batch) == 0 { // nothing runs in-process
 			fph = proto.RoundChained
 		}
 		link, _ = r.frame(fph, hosted)
@@ -240,13 +236,9 @@ func (r *Runtime) round(ph proto.RoundPhase) bool {
 	if len(r.batch) == 0 {
 		return false
 	}
-	if r.par > 1 && users > 1 {
-		r.dispatch(min(r.par, local), abi.run)
-	} else {
-		for _, i := range r.batch {
-			if c := r.slots[i].c; c.Link() == nil {
-				abi.run(c)
-			}
+	for _, i := range r.batch {
+		if c := r.slots[i].c; c.Link() == nil {
+			abi.run(c)
 		}
 	}
 	for _, i := range r.batch {
@@ -269,7 +261,6 @@ func (r *Runtime) round(ph proto.RoundPhase) bool {
 // hosted slot from row `from` on, in schedule order, behind the inputs
 // queued since the last frame — and returns the link it went on (the
 // runtime has one daemon, so one) and the row the frame stopped before.
-// It runs on the controller: no lane waits on a socket.
 func (r *Runtime) frame(ph proto.RoundPhase, from int) (*transport.Link, int) {
 	r.hosted = r.hosted[:0]
 	for i := from; i < len(r.slots); i++ {
@@ -284,31 +275,6 @@ func (r *Runtime) frame(ph proto.RoundPhase, from int) (*transport.Link, int) {
 		}
 	}
 	return link, upto
-}
-
-// dispatch is the lane dispatcher: n lanes, the controller being lane 0,
-// claim batch members from a shared cursor until none are left and run
-// the in-process ones (the daemon already ran the hosted). Lanes only
-// read the table and the batch; the join orders their engines' effects
-// before the controller's drain.
-func (r *Runtime) dispatch(n int, run func(*transport.Client)) {
-	lane := func() {
-		for k := r.cursor.Add(1) - 1; int(k) < len(r.batch); k = r.cursor.Add(1) - 1 {
-			if c := r.slots[r.batch[k]].c; c.Link() == nil {
-				run(c)
-			}
-		}
-	}
-	r.cursor.Store(0)
-	for l := n - 1; l > 0; l-- {
-		r.lanes.Add(1)
-		go func() {
-			defer r.lanes.Done()
-			lane()
-		}()
-	}
-	lane()
-	r.lanes.Wait()
 }
 
 // verifyQuiet re-issues a poll the quiet rule skipped, to the engine
@@ -373,14 +339,15 @@ func (r *Runtime) settleEngine(c *transport.Client) uint64 {
 }
 
 // settleBatch converts the batch's engine work counters into virtual
-// time. With parallel lanes, compute is billed as the batch's makespan:
-// when the batch fits in the lanes (len ≤ Parallelism) that is the
-// slowest member, and when it does not, the lanes run multiple rounds
-// and the bill is at least ceil(sum/lanes) — billing bare max there
-// would pretend an unbounded number of lanes existed and under-charge
-// (the PR 1 bug). In serial mode (Parallelism 1) the engines run
-// back-to-back and the sum is the honest cost. Communication is always
-// summed: the memory-mapped bus serializes transfers.
+// time. Compute is billed as the batch's makespan over Parallelism
+// lanes, the width the modelled controller issues a batch across: when
+// the batch fits in the lanes (len ≤ Parallelism) that is the slowest
+// member, and when it does not, the lanes run multiple rounds and the
+// bill is at least ceil(sum/lanes) — billing bare max there would
+// pretend an unbounded number of lanes existed and under-charge. At
+// Parallelism 1 the engines run back-to-back and the sum is the honest
+// cost. Communication is always summed: the memory-mapped bus
+// serializes transfers.
 func (r *Runtime) settleBatch(batch []int) {
 	var maxCompute, sumCompute uint64
 	for _, i := range batch {
@@ -408,7 +375,7 @@ func (r *Runtime) settleFIFOs() {
 }
 
 // batchMakespanPs is the compute bill for a batch with the given summed
-// and maximum per-engine costs across `lanes` worker lanes: the
+// and maximum per-engine costs across `lanes` modelled lanes: the
 // longest-running lane under any work-conserving assignment is at least
 // max(maxCompute, ceil(sum/lanes)). One lane degenerates to the serial
 // sum.

@@ -34,46 +34,98 @@ func TestServicePassAllocFree(t *testing.T) {
 	}
 }
 
-// TestLockStepStepAllocFree: a whole lock-step Step runs on the resolved
-// schedule table — polls, dispatch, borrowed output visits, routing,
-// settling, the service passes — so with compiled evaluators and no
-// $display firing it must not allocate: on lock-step hardware, and on the
-// native rung while the fabric flow (real latencies) is still far away.
-// The interpreter allocates as it evaluates; its count is logged.
-func TestLockStepStepAllocFree(t *testing.T) {
-	hw := newTestRuntime(t, Options{Features: Features{DisableForwarding: true}})
-	hw.MustEval(figure3)
-	hw.RunTicks(200)
-	if hw.Phase() != PhaseHardware {
-		t.Fatalf("phase %v, want lock-step hardware", hw.Phase())
-	}
+// twoClocked is a design of two clocked subprograms and a root that reads
+// them: with inlining off, every posedge's evals batch holds two user
+// engines.
+const twoClocked = `
+module Ctr(input wire c, output wire [7:0] out);
+  reg [7:0] n = 1;
+  always @(posedge c) n <= n + 3;
+  assign out = n;
+endmodule
+Ctr c0(.c(clk.val)); Ctr c1(.c(clk.val));
+assign led.val = c0.out ^ c1.out;
+`
 
-	dev := fpga.NewCycloneV()
-	native := newTestRuntime(t, Options{
-		Device:    dev,
-		Toolchain: toolchain.New(dev, toolchain.DefaultOptions()),
-		Features:  Features{NativeTier: true},
-	})
-	native.MustEval(figure3)
-	native.Idle(1 * vclock.S)
-	if got := userTier(native.Stats()); got != "native" {
-		t.Fatalf("tier %q, want native", got)
+// TestLockStepStepAllocFree: a whole lock-step Step runs on the resolved
+// schedule table — polls, the batch's runs, borrowed output visits,
+// routing, settling, the service passes — so with compiled evaluators and
+// no $display firing it must not allocate: on lock-step hardware, and on
+// the native rung while the fabric flow (real latencies) is still far
+// away. Each rung also runs twoClocked apart at 8 billed lanes, where a
+// batch holds two user engines and still runs on the controller. The
+// interpreter allocates as it evaluates; its count is logged.
+func TestLockStepStepAllocFree(t *testing.T) {
+	hardware := func(feats Features, prog string, par int) *Runtime {
+		r := newTestRuntime(t, Options{Features: feats, Parallelism: par})
+		r.MustEval(prog)
+		r.RunTicks(200)
+		if r.Phase() != PhaseHardware {
+			t.Fatalf("phase %v, want lock-step hardware", r.Phase())
+		}
+		return r
 	}
+	native := func(feats Features, prog string, par int) *Runtime {
+		dev := fpga.NewCycloneV()
+		feats.NativeTier = true
+		r := newTestRuntime(t, Options{Device: dev, Toolchain: toolchain.New(dev, toolchain.DefaultOptions()),
+			Features: feats, Parallelism: par})
+		r.MustEval(prog)
+		r.Idle(1 * vclock.S)
+		for _, p := range r.placed {
+			if p.Tier() != lifecycle.Native {
+				t.Fatalf("%s on tier %v, want native", p.Path, p.Tier())
+			}
+		}
+		return r
+	}
+	apart := Features{DisableInline: true}
 
 	sw := newTestRuntime(t, Options{Features: Features{DisableJIT: true}})
 	sw.MustEval(figure3)
 
 	for _, c := range []struct {
-		name string
-		r    *Runtime
-		free bool
-	}{{"hardware", hw, true}, {"native", native, true}, {"software", sw, false}} {
+		name   string
+		r      *Runtime
+		placed int
+		free   bool
+	}{
+		{"hardware", hardware(Features{DisableForwarding: true}, figure3, 0), 1, true},
+		{"native", native(Features{}, figure3, 0), 1, true},
+		{"hardware apart", hardware(apart, twoClocked, 8), 3, true},
+		{"native apart", native(apart, twoClocked, 8), 3, true},
+		{"software", sw, 1, false},
+	} {
+		if len(c.r.placed) != c.placed {
+			t.Fatalf("%s: %d user engines, want %d", c.name, len(c.r.placed), c.placed)
+		}
 		c.r.RunTicks(8)
 		n := testing.AllocsPerRun(200, c.r.Step)
 		t.Logf("%s: %.1f allocations per lock-step Step", c.name, n)
 		if c.free && n != 0 {
 			t.Errorf("%s: lock-step Step allocates %.1f times", c.name, n)
 		}
+	}
+}
+
+// TestDefaultParallelismBillsOneLane: Parallelism 0 bills a batch over
+// one lane on any host, so a default runtime's virtual clock does not
+// depend on the core count. The program batches two user engines per
+// posedge, where the width shows.
+func TestDefaultParallelismBillsOneLane(t *testing.T) {
+	now := func(par int) (uint64, int) {
+		r := newTestRuntime(t, Options{Features: Features{DisableJIT: true, DisableInline: true}, Parallelism: par})
+		r.MustEval(twoClocked)
+		r.RunTicks(50)
+		return r.VirtualNow(), r.Parallelism()
+	}
+	def, lanes := now(0)
+	one, _ := now(1)
+	if eight, _ := now(8); eight == one {
+		t.Fatalf("8 lanes billed %d ps, as one lane did: the width does not show", eight)
+	}
+	if lanes != 1 || def != one {
+		t.Errorf("Parallelism 0: %d lanes, %d ps; want 1 lane and one lane's %d ps", lanes, def, one)
 	}
 }
 

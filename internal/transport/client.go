@@ -52,10 +52,9 @@ type Client struct {
 	// only between steps, on the controller goroutine (SwapLocal), which is
 	// also when loc follows it: no engine kind changes location during its
 	// life, so a local client's Loc is a field read. fastRT counts the
-	// calls for Stats, as the engine's own counters do: by whichever
-	// goroutine drives the engine — the controller, or the worker lane a
-	// batch dispatched it on, joined before the controller goes on — and
-	// read between steps, so a plain increment, not a locked one, per call.
+	// calls for Stats, as the engine's own counters do: by the goroutine
+	// that drives the engine (the runtime's controller) and read between
+	// steps, so a plain increment, not a locked one, per call.
 	local  engine.Engine
 	fastRT uint64 // fast-path round-trips (for Stats)
 

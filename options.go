@@ -68,10 +68,11 @@ func WithFeatures(f Features) Option {
 	return func(o *Options) { o.Features = f }
 }
 
-// WithParallelism bounds how many engines a scheduler batch dispatches
-// to concurrently. Default 0: one lane per CPU; 1 runs batches
-// serially. Moot once Features.Native or inlining collapses the
-// program to a single engine.
+// WithParallelism sets how many lanes a scheduler batch's compute is
+// billed across: a batch costs its makespan over n lanes. It changes
+// the virtual bill only; every batch runs on the controller goroutine.
+// Default 0, which means 1: the sum of the batch's members. Moot once
+// Features.Native or inlining collapses the program to a single engine.
 func WithParallelism(n int) Option {
 	return func(o *Options) { o.Parallelism = n }
 }

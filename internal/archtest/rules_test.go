@@ -182,6 +182,10 @@ var rules = []rule{
 				imports(n, "cascade/internal/verilog") && oneOf(c.name, "internal/netlist/link.go", "internal/netlist/netlist.go")
 		},
 		bad: "internal/netlist/seeded.go\npackage netlist\nfunc seeded(u *elab.Unit) {\n\t_ = u.Params // want seeded\n}"},
+	{name: "elab/names-enter-frame", in: src("internal/elab"), allow: []string{"elaborator.intern", "relocation.variable"},
+		why:   "a unit's frame must hold every variable it resolved, a name a fold dropped or a loop variable unrolled away included: that is what makes relocation's shape check sound with no opaque-unit rule",
+		match: func(c *cursor, n ast.Node) bool { return sel(n) == "VarNamed" },
+		bad:   "internal/elab/expr.go\npackage elab\nimport \"cascade/internal/verilog\"\nfunc (e *elaborator) index(id *verilog.Ident) {\n\tv := e.flat.VarNamed(id.Name) // want elaborator.index\n\t_ = v\n}"},
 	{name: "frontend/env-by-extends", in: src("...").but("internal/elab/..."),
 		why: "a parameter environment stands for another by elab.Extends only",
 		match: func(c *cursor, n ast.Node) bool {

@@ -7,7 +7,7 @@ import (
 	"cascade/internal/verilog"
 )
 
-// Compile returns e as a function that computes what Eval(e, env) would,
+// Compile returns e as a function that computes what Eval(e, fr, env) would,
 // without walking e again: the node switch runs once, here, and each
 // node's closure calls the bits destination form Eval calls, into a
 // result vector sized once from the node's static width.
@@ -19,32 +19,32 @@ import (
 // value for as long: its owner copies into it and never replaces it.
 // ArrayWord and Now are called at every run. Each result is lent until the
 // next run; a run never writes a vector VarValue returned.
-func Compile(e Expr, env Env) func() *bits.Vector {
+func Compile(e Expr, fr []*Var, env Env) func() *bits.Vector {
 	switch x := e.(type) {
 	case *Const:
 		v := x.V
 		return func() *bits.Vector { return v }
 	case *VarRef:
-		v := env.VarValue(x.V)
+		v := env.VarValue(fr[x.Var])
 		return func() *bits.Vector { return v }
 	case *ArrayRef:
-		v, idx := x.V, Compile(x.Index, env)
+		v, idx := fr[x.Var], Compile(x.Index, fr, env)
 		return func() *bits.Vector { return env.ArrayWord(v, idx().Index(v.ArrayLen)) }
 	case *BitSel:
-		xv, idx, w, z := Compile(x.X, env), Compile(x.Idx, env), x.X.Width(), env.Tmp(1)
+		xv, idx, w, z := Compile(x.X, fr, env), Compile(x.Idx, fr, env), x.X.Width(), env.Tmp(1)
 		return func() *bits.Vector {
 			v := xv()
 			return z.SetBool(v.Bit(idx().Index(w)) != 0)
 		}
 	case *Slice:
-		xv, lo, z := Compile(x.X, env), x.Lo, env.Tmp(x.Width())
+		xv, lo, z := Compile(x.X, fr, env), x.Lo, env.Tmp(x.Width())
 		return func() *bits.Vector { return z.SetShr(xv(), lo) }
 	case *Unary:
-		return compileUnary(x, env)
+		return compileUnary(x, fr, env)
 	case *Binary:
-		return compileBinary(x, env)
+		return compileBinary(x, fr, env)
 	case *Ternary:
-		c, t, f, z := Compile(x.Cond, env), Compile(x.Then, env), Compile(x.Else, env), env.Tmp(x.W)
+		c, t, f, z := Compile(x.Cond, fr, env), Compile(x.Then, fr, env), Compile(x.Else, fr, env), env.Tmp(x.W)
 		return func() *bits.Vector {
 			if c().Bool() {
 				return z.Set(t())
@@ -59,7 +59,7 @@ func Compile(e Expr, env Env) func() *bits.Vector {
 		parts, lo := make([]part, len(x.Parts)), x.W
 		for i, p := range x.Parts {
 			lo -= p.Width()
-			parts[i] = part{Compile(p, env), lo + p.Width() - 1, lo}
+			parts[i] = part{Compile(p, fr, env), lo + p.Width() - 1, lo}
 		}
 		z := env.Tmp(x.W) // the parts cover it: each run overwrites every bit
 		return func() *bits.Vector {
@@ -69,7 +69,7 @@ func Compile(e Expr, env Env) func() *bits.Vector {
 			return z
 		}
 	case *Repl:
-		xv, z := Compile(x.X, env), env.Tmp(x.W)
+		xv, z := Compile(x.X, fr, env), env.Tmp(x.W)
 		return func() *bits.Vector { return z.SetRepl(xv()) }
 	case *TimeRef:
 		z := env.Tmp(64)
@@ -81,8 +81,8 @@ func Compile(e Expr, env Env) func() *bits.Vector {
 	panic(fmt.Sprintf("elab: unknown expression %T", e))
 }
 
-func compileUnary(x *Unary, env Env) func() *bits.Vector {
-	xv, z := Compile(x.X, env), env.Tmp(x.W)
+func compileUnary(x *Unary, fr []*Var, env Env) func() *bits.Vector {
+	xv, z := Compile(x.X, fr, env), env.Tmp(x.W)
 	switch x.Op {
 	case verilog.UPlus:
 		return func() *bits.Vector { return z.Set(xv()) }
@@ -106,8 +106,8 @@ func compileUnary(x *Unary, env Env) func() *bits.Vector {
 	panic(fmt.Sprintf("elab: unknown unary op %d", x.Op))
 }
 
-func compileBinary(x *Binary, env Env) func() *bits.Vector {
-	a, b, w, z := Compile(x.X, env), Compile(x.Y, env), x.W, env.Tmp(x.W)
+func compileBinary(x *Binary, fr []*Var, env Env) func() *bits.Vector {
+	a, b, w, z := Compile(x.X, fr, env), Compile(x.Y, fr, env), x.W, env.Tmp(x.W)
 	switch x.Op {
 	case verilog.BLogAnd: // short-circuits, as Eval does
 		return func() *bits.Vector { return z.SetBool(a().Bool() && b().Bool()) }

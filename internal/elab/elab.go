@@ -21,16 +21,19 @@ func Elaborate(mod *verilog.Module, instName string, params map[string]*bits.Vec
 // ElaborateFrom is Elaborate for a module that shares item objects with
 // the one base was elaborated from (nil: none; base is only read). While
 // every parameter base bound has the same value (Extends), a unit whose
-// source item is the same object as one of base's, every variable of which
-// it names has the same name, width, reg-ness, array bounds and direction
-// here, elaborates to what it did in base — the AST is immutable — so its
-// elaboration is copied out of base instead (relocated; Flat.Relocated
-// counts them), and the rest is elaborated. The copy gets this flat's
-// variables: Var.Index is a position, and an edit moves most of them. A
-// relocated assign, process or initial block keeps base's unit identity,
-// an elaborated one gets a new one: this is the one decision of what an
-// eval left unchanged, and synthesis (netlist.CompileFrom) follows it. The
-// result is the Flat Elaborate returns, error or not, up to identities.
+// source item is the same object as one of base's, and every variable of
+// whose frame has a variable of the same name, width, reg-ness, array
+// bounds and direction here, elaborates to what it did in base — the AST
+// is immutable, and the frame holds every name the unit resolved, a name
+// a fold dropped or a loop variable unrolled away included — so it is
+// relocated (Flat.Relocated counts them): it shares base's trees by
+// pointer, with a frame of this flat's variables, and the rest is
+// elaborated. Var.Index stays a position in this flat, which an edit
+// moves; the trees do not name it. A relocated assign, process or
+// initial block keeps base's unit identity, an elaborated one gets a new
+// one: this is the one decision of what an eval left unchanged, and
+// synthesis (netlist.CompileFrom) follows it. The result is the Flat
+// Elaborate returns, error or not, up to identities.
 func ElaborateFrom(base *Flat, mod *verilog.Module, instName string, params map[string]*bits.Vector) (*Flat, error) {
 	consts := map[string]*bits.Vector{} // the parameters: the flat's record of them is the elaborator's scope
 	nvars, nassigns, nprocs := len(mod.Ports), 0, 0
@@ -38,6 +41,11 @@ func ElaborateFrom(base *Flat, mod *verilog.Module, instName string, params map[
 		switch x := it.(type) {
 		case *verilog.NetDecl:
 			nvars += len(x.Names)
+			for _, dn := range x.Names {
+				if dn.Init != nil && x.Kind == verilog.Wire {
+					nassigns++ // a net declaration assignment
+				}
+			}
 		case *verilog.ContAssign:
 			nassigns++
 		case *verilog.AlwaysBlock:
@@ -57,8 +65,14 @@ func ElaborateFrom(base *Flat, mod *verilog.Module, instName string, params map[
 		},
 		consts:   consts,
 		loopVars: map[string]*bits.Vector{},
-		vars:     make([]Var, nvars),
-		base:     base,
+		frame:    make([]*Var, 0, 16),
+		module: &module{
+			vars:    make([]Var, nvars),
+			inFrame: make([]int32, nvars),
+			assigns: make([]ContAssign, nassigns),
+			procs:   make([]Proc, nprocs),
+			base:    base,
+		},
 	}
 	if err := e.run(mod, params); err != nil {
 		return nil, err
@@ -71,17 +85,27 @@ type elaborator struct {
 	flat     *Flat
 	consts   map[string]*bits.Vector // parameters and localparams
 	loopVars map[string]*bits.Vector // active for-loop bindings
-	vars     []Var                   // declare's supply, one per port and declared name
-	driven   []bool                  // by Var.Index: has a continuous driver
 	widths   map[*verilog.Range]int  // rangeWidth's results (one scope per elaboration)
+	frame    []*Var                  // the frame of the unit being elaborated (intern)
+	*module                          // nil in a constant scope (constScope), which names no variable
+}
+
+// module is what elaborating a module's items takes beyond a constant
+// scope.
+type module struct {
+	vars    []Var   // declare's supply, one per port and declared name
+	driven  []bool  // by Var.Index: has a continuous driver
+	inFrame []int32 // by Var.Index: 1 + its index in frame, 0 if absent
+
+	// The flat's units and their frames are cut from these slabs;
+	// frameSlab is the length of the last frames slab.
+	assigns   []ContAssign
+	procs     []Proc
+	frames    []*Var
+	frameSlab int
 
 	base  *Flat       // what ElaborateFrom relocates from (nil: none)
 	reloc *relocation // set once the parameters are known to extend base's
-
-	// naming counts the variables the unit being elaborated names
-	// (lookup): see settle.
-	naming  bool
-	lookups int
 
 	netInitAssigns []netInit // wire x = expr desugarings
 }
@@ -114,6 +138,7 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 	}
 	if e.base != nil && Extends(e.base.Params, e.consts) {
 		e.reloc = newRelocation(e.base, e.flat)
+		e.frames = make([]*Var, e.reloc.frameLen)
 	}
 
 	// Ports become variables first, in header order.
@@ -159,6 +184,7 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 		}
 	}
 	e.driven = make([]bool, len(e.flat.Vars))
+	e.clearFrame() // what a declaration's constant expressions named
 
 	// Net declaration assignments collected by the first pass.
 	for _, ni := range e.netInitAssigns {
@@ -195,16 +221,12 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 			if e.relocateInitial(x) {
 				continue
 			}
-			e.begin()
 			body, err := e.stmt(x.Body)
 			if err != nil {
 				return err
 			}
-			e.settle(x, refsInStmt(body))
-			if body != nil {
-				e.flat.Initials = append(e.flat.Initials, body)
-				e.flat.InitialItems = append(e.flat.InitialItems, x)
-				e.flat.InitialUnits = append(e.flat.InitialUnits, newUnit())
+			if fr := e.frameDone(); body != nil {
+				e.addInitial(body, x, newUnit(), fr)
 			}
 		case *verilog.Instance:
 			return e.errf(x.InstPos, "internal: instance %s survived IR flattening", x.Name)
@@ -265,40 +287,86 @@ func (e *elaborator) params(mod *verilog.Module, overrides map[string]*bits.Vect
 	return nil
 }
 
-// begin starts counting the variables the next unit names.
-func (e *elaborator) begin() { e.naming, e.lookups = true, 0 }
-
-// settle ends the unit elaborated from src, whose elaboration refers to
-// variables refs times. Each reference is one name the unit resolved
-// (lookup), so if some name left no reference — folded away, a loop
-// variable unrolled into constants — the unit is opaque: its elaboration
-// does not show every variable whose shape it depends on, and relocation,
-// which checks the variables it shows, leaves it alone.
-func (e *elaborator) settle(src verilog.Item, refs int) {
-	e.naming = false
-	if refs != e.lookups {
-		if e.flat.opaque == nil {
-			e.flat.opaque = map[verilog.Item]bool{}
-		}
-		e.flat.opaque[src] = true
-	}
-}
-
-// lookup resolves a name to a variable of this module (nil: none),
-// counting it as one the unit being elaborated names.
-func (e *elaborator) lookup(name string) *Var {
+// intern resolves a name to a variable of this module (nil: none) and
+// its index in the frame of the unit being elaborated, entering it there
+// on its first resolution. Every name a unit resolves goes through here,
+// whether or not its tree keeps a node for it (a fold may drop one, a
+// loop variable unrolls into constants), so the frame holds every
+// variable whose shape the unit's elaboration depends on — what
+// relocation checks.
+func (e *elaborator) intern(name string) (*Var, int32) {
 	v := e.flat.VarNamed(name)
-	if v != nil {
-		e.note()
+	if v == nil {
+		return nil, -1
 	}
-	return v
+	if at := e.inFrame[v.Index]; at > 0 {
+		return v, at - 1
+	}
+	e.frame = append(e.frame, v)
+	e.inFrame[v.Index] = int32(len(e.frame))
+	return v, int32(len(e.frame) - 1)
 }
 
-// note counts a variable the unit being elaborated names.
-func (e *elaborator) note() {
-	if e.naming {
-		e.lookups++
+// frameDone ends the unit being elaborated and returns its frame, cut
+// from the flat's slab.
+func (e *elaborator) frameDone() []*Var {
+	fr := e.newFrame(len(e.frame))
+	copy(fr, e.frame)
+	e.clearFrame()
+	return fr
+}
+
+// clearFrame empties the frame being built.
+func (e *elaborator) clearFrame() {
+	for _, v := range e.frame {
+		e.inFrame[v.Index] = 0
 	}
+	e.frame = e.frame[:0]
+}
+
+// newFrame cuts a frame of n variables from the flat's slab (nil: none).
+// A slab that runs out is replaced by one twice as long as the last, from
+// 8 entries up to 512: a subprogram of a few units wastes little, a large
+// elaboration takes few slabs.
+func (e *elaborator) newFrame(n int) []*Var {
+	if n == 0 {
+		return nil
+	}
+	if len(e.frames) < n {
+		e.frameSlab = min(max(2*e.frameSlab, 8), 512)
+		e.frames = make([]*Var, max(n, e.frameSlab))
+	}
+	fr := e.frames[:n:n]
+	e.frames = e.frames[n:]
+	return fr
+}
+
+// addAssign adds a to the flat, cut from the assigns' slab.
+func (e *elaborator) addAssign(a ContAssign) {
+	p := &alloc(&e.assigns, 1)[0]
+	*p = a
+	e.flat.Assigns = append(e.flat.Assigns, p)
+}
+
+// addInitial adds an initial block's elaboration to the flat.
+func (e *elaborator) addInitial(body Stmt, src verilog.Item, unit uint64, fr []*Var) {
+	f := e.flat
+	f.Initials = append(f.Initials, body)
+	f.InitialItems = append(f.InitialItems, src)
+	f.InitialUnits = append(f.InitialUnits, unit)
+	f.InitialFrames = append(f.InitialFrames, fr)
+}
+
+// alloc cuts n zeroed elements off *pool, refilling it a chunk at a time.
+// Every element cut from a pool belongs to the same Flat, so none
+// outlives its neighbours.
+func alloc[T any](pool *[]T, n int) []T {
+	if len(*pool) < n {
+		*pool = make([]T, max(n, 64))
+	}
+	out := (*pool)[:n:n]
+	*pool = (*pool)[n:]
+	return out
 }
 
 func (e *elaborator) declare(name string, width int, isReg bool, arrLen, arrLo int, init *bits.Vector, pos verilog.Pos) (*Var, error) {
@@ -323,7 +391,7 @@ func (e *elaborator) declare(name string, width int, isReg bool, arrLen, arrLo i
 	return v, nil
 }
 
-// finishPorts records input/output lists after all declarations exist.
+// refreshPortLists records input/output lists after all declarations exist.
 func (f *Flat) refreshPortLists() {
 	f.Inputs = f.Inputs[:0]
 	f.Outputs = f.Outputs[:0]
@@ -423,31 +491,30 @@ func (e *elaborator) netDecl(d *verilog.NetDecl) error {
 }
 
 func (e *elaborator) contAssign(a *verilog.ContAssign, src verilog.Item, ord int) error {
-	e.begin()
 	lhs, err := e.lvalue(a.LHS)
 	if err != nil {
 		return err
 	}
 	total := 0
 	for _, lv := range lhs {
-		if lv.Var.IsReg {
-			return e.errf(a.AssignPos, "continuous assignment to reg %s (use an always block)", lv.Var.Name)
+		v := e.frame[lv.Var]
+		if v.IsReg {
+			return e.errf(a.AssignPos, "continuous assignment to reg %s (use an always block)", v.Name)
 		}
-		if lv.Var.IsInput {
-			return e.errf(a.AssignPos, "continuous assignment to input port %s", lv.Var.Name)
+		if v.IsInput {
+			return e.errf(a.AssignPos, "continuous assignment to input port %s", v.Name)
 		}
-		if err := e.checkAssignOverlap(lv, a.AssignPos); err != nil {
+		if err := e.checkAssignOverlap(v, a.AssignPos); err != nil {
 			return err
 		}
-		total += lv.TargetWidth()
+		total += lv.TargetWidth(e.frame)
 	}
 	rhs, err := e.expr(a.RHS)
 	if err != nil {
 		return err
 	}
 	widenContext(rhs, total)
-	e.flat.Assigns = append(e.flat.Assigns, &ContAssign{LHS: lhs, RHS: rhs, Src: src, Ord: ord, Unit: newUnit()})
-	e.settle(src, refsInLValues(lhs)+refsIn(rhs))
+	e.addAssign(ContAssign{LHS: lhs, RHS: rhs, Frame: e.frameDone(), Src: src, Ord: ord, Unit: newUnit()})
 	return nil
 }
 
@@ -455,24 +522,24 @@ func (e *elaborator) contAssign(a *verilog.ContAssign, src verilog.Item, ord int
 // Multiple drivers would race, and the synthesizer requires a single
 // combinational writer per variable, so the rule is enforced here where
 // the REPL's trial build can report it before integration.
-func (e *elaborator) checkAssignOverlap(lv LValue, pos verilog.Pos) error {
-	if e.driven[lv.Var.Index] {
-		return e.errf(pos, "%s is driven by more than one continuous assignment", lv.Var.Name)
+func (e *elaborator) checkAssignOverlap(v *Var, pos verilog.Pos) error {
+	if e.driven[v.Index] {
+		return e.errf(pos, "%s is driven by more than one continuous assignment", v.Name)
 	}
-	e.driven[lv.Var.Index] = true
+	e.driven[v.Index] = true
 	return nil
 }
 
 func (e *elaborator) always(a *verilog.AlwaysBlock) error {
-	e.begin()
-	p := &Proc{Star: a.Star, Src: a, Unit: newUnit()}
+	p := &alloc(&e.procs, 1)[0]
+	*p = Proc{Star: a.Star, Src: a, Unit: newUnit()}
 	for _, ev := range a.Events {
 		x, err := e.expr(ev.Expr)
 		if err != nil {
 			return err
 		}
 		v := rootVar(x)
-		if v == nil {
+		if v < 0 {
 			return e.errf(a.AlwaysPos, "sensitivity-list entries must be simple signals")
 		}
 		kind := Level
@@ -489,42 +556,44 @@ func (e *elaborator) always(a *verilog.AlwaysBlock) error {
 		return err
 	}
 	p.Body = body
-	p.Reads = readSet(body)
-	e.settle(a, len(p.Edges)+refsInStmt(body))
+	p.Reads = readSet(body, len(e.frame))
+	p.Frame = e.frameDone()
 	// Validate driver classes: edge-triggered procs write regs (checked at
 	// assignment resolution); here only note the proc drives its targets.
 	e.flat.Procs = append(e.flat.Procs, p)
 	return nil
 }
 
-// rootVar extracts the underlying variable of a simple signal expression.
-func rootVar(x Expr) *Var {
+// rootVar extracts the frame index of the underlying variable of a
+// simple signal expression (-1: none).
+func rootVar(x Expr) int32 {
 	switch t := x.(type) {
 	case *VarRef:
-		return t.V
+		return t.Var
 	case *Slice:
 		return rootVar(t.X)
 	case *BitSel:
 		return rootVar(t.X)
 	}
-	return nil
+	return -1
 }
 
-// readSet collects the distinct variables read anywhere in s.
-func readSet(s Stmt) []*Var {
-	seen := map[*Var]bool{}
-	var out []*Var
+// readSet collects the distinct variables read anywhere in s, whose
+// unit's frame has n entries, in order of first read.
+func readSet(s Stmt, n int) []int32 {
+	seen := make([]bool, n)
+	var out []int32
 	WalkStmt(s, nil, func(x Expr) {
-		var v *Var
+		i := int32(-1)
 		switch t := x.(type) {
 		case *VarRef:
-			v = t.V
+			i = t.Var
 		case *ArrayRef:
-			v = t.V
+			i = t.Var
 		}
-		if v != nil && !seen[v] {
-			seen[v] = true
-			out = append(out, v)
+		if i >= 0 && !seen[i] {
+			seen[i] = true
+			out = append(out, i)
 		}
 	})
 	return out
@@ -697,10 +766,10 @@ func (e *elaborator) procAssign(x *verilog.ProcAssign) (Stmt, error) {
 	}
 	total := 0
 	for _, lv := range lhs {
-		if !lv.Var.IsReg {
-			return nil, e.errf(x.AssignPos, "procedural assignment to wire %s (use assign)", lv.Var.Name)
+		if v := e.frame[lv.Var]; !v.IsReg {
+			return nil, e.errf(x.AssignPos, "procedural assignment to wire %s (use assign)", v.Name)
 		}
-		total += lv.TargetWidth()
+		total += lv.TargetWidth(e.frame)
 	}
 	rhs, err := e.expr(x.RHS)
 	if err != nil {
@@ -716,7 +785,7 @@ func (e *elaborator) unrollFor(x *verilog.For) (Stmt, error) {
 		return nil, e.errf(x.ForPos, "for-loop variable must be a simple identifier")
 	}
 	name := ident.Name
-	lv := e.lookup(name)
+	lv, _ := e.intern(name)
 	if lv == nil {
 		return nil, e.errf(x.ForPos, "for-loop variable %s is not declared", name)
 	}
@@ -817,20 +886,20 @@ func (e *elaborator) lvalue(x verilog.Expr) ([]LValue, error) {
 		}
 		return out, nil
 	case *verilog.Ident:
-		v := e.lookup(t.Name)
+		v, i := e.intern(t.Name)
 		if v == nil {
 			return nil, e.errf(t.IdentPos, "assignment to undeclared variable %s", t.Name)
 		}
 		if v.IsArray() {
 			return nil, e.errf(t.IdentPos, "memory %s must be assigned one word at a time", t.Name)
 		}
-		return []LValue{{Var: v}}, nil
+		return []LValue{{Var: i}}, nil
 	case *verilog.Index:
 		base, ok := t.X.(*verilog.Ident)
 		if !ok {
 			return nil, e.errf(t.LPos, "assignment target must be a simple variable select")
 		}
-		v := e.lookup(base.Name)
+		v, i := e.intern(base.Name)
 		if v == nil {
 			return nil, e.errf(t.LPos, "assignment to undeclared variable %s", base.Name)
 		}
@@ -839,19 +908,19 @@ func (e *elaborator) lvalue(x verilog.Expr) ([]LValue, error) {
 			return nil, err
 		}
 		if v.IsArray() {
-			return []LValue{{Var: v, ArrIndex: e.adjustArrayIndex(v, idx)}}, nil
+			return []LValue{{Var: i, ArrIndex: e.adjustArrayIndex(v, idx)}}, nil
 		}
 		if c, ok := idx.(*Const); ok {
 			bit := int(c.V.Uint64())
-			return []LValue{{Var: v, HasRange: true, Hi: bit, Lo: bit}}, nil
+			return []LValue{{Var: i, HasRange: true, Hi: bit, Lo: bit}}, nil
 		}
-		return []LValue{{Var: v, DynBit: idx}}, nil
+		return []LValue{{Var: i, DynBit: idx}}, nil
 	case *verilog.RangeSel:
 		base, ok := t.X.(*verilog.Ident)
 		if !ok {
 			return nil, e.errf(t.LPos, "assignment target must be a simple variable select")
 		}
-		v := e.lookup(base.Name)
+		v, i := e.intern(base.Name)
 		if v == nil {
 			return nil, e.errf(t.LPos, "assignment to undeclared variable %s", base.Name)
 		}
@@ -870,7 +939,7 @@ func (e *elaborator) lvalue(x verilog.Expr) ([]LValue, error) {
 		if h < l || h >= v.Width {
 			return nil, e.errf(t.LPos, "part select [%d:%d] out of range for %s[%d:0]", h, l, v.Name, v.Width-1)
 		}
-		return []LValue{{Var: v, HasRange: true, Hi: h, Lo: l}}, nil
+		return []LValue{{Var: i, HasRange: true, Hi: h, Lo: l}}, nil
 	case *verilog.HierIdent:
 		return nil, e.errf(t.IdentPos, "internal: hierarchical target %v survived IR promotion", t.Parts)
 	}

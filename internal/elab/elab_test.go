@@ -225,8 +225,9 @@ module M(input wire clk);
   reg [3:0] hi, lo;
   always @(posedge clk) {hi, lo} <= 8'hab;
 endmodule`, nil)
-	a := f.Procs[0].Body.(*Assign)
-	if len(a.LHS) != 2 || a.LHS[0].Var.Name != "hi" || a.LHS[1].Var.Name != "lo" {
+	p := f.Procs[0]
+	a := p.Body.(*Assign)
+	if len(a.LHS) != 2 || p.Frame[a.LHS[0].Var].Name != "hi" || p.Frame[a.LHS[1].Var].Name != "lo" {
 		t.Fatalf("concat lvalue wrong: %+v", a.LHS)
 	}
 }
@@ -271,8 +272,8 @@ endmodule`, nil)
 		t.Fatal("should be star-sensitive")
 	}
 	names := map[string]bool{}
-	for _, v := range p.Reads {
-		names[v.Name] = true
+	for _, r := range p.Reads {
+		names[p.Frame[r].Name] = true
 	}
 	if !names["s"] || !names["a"] || !names["b"] || names["o"] {
 		t.Fatalf("read set wrong: %v", names)

@@ -24,46 +24,47 @@ type Env interface {
 	Tmp(width int) *bits.Vector
 }
 
-// Eval evaluates a resolved expression under env. The result width always
-// equals e.Width(). The result is lent, not given: it is a constant, live
+// Eval evaluates a resolved expression of a unit with frame fr under env.
+// The result width always equals e.Width(). The result is lent, not given: it is a constant, live
 // state of env, or one of env's Tmp vectors, so the caller reads it before
 // env changes or reclaims its scratch, copies it to keep it, and never
 // writes it. This function defines the reference semantics that Compile
 // (tested in internal/sim) and the compiled netlist evaluator (tested in
 // internal/netlist) must match.
-func Eval(e Expr, env Env) *bits.Vector {
+func Eval(e Expr, fr []*Var, env Env) *bits.Vector {
 	switch x := e.(type) {
 	case *Const:
 		return x.V
 	case *VarRef:
-		return env.VarValue(x.V)
+		return env.VarValue(fr[x.Var])
 	case *ArrayRef:
-		return env.ArrayWord(x.V, Eval(x.Index, env).Index(x.V.ArrayLen))
+		v := fr[x.Var]
+		return env.ArrayWord(v, Eval(x.Index, fr, env).Index(v.ArrayLen))
 	case *BitSel:
-		v := Eval(x.X, env)
-		i := Eval(x.Idx, env).Index(v.Width()) // -1 reads as 0, like any bit out of range
+		v := Eval(x.X, fr, env)
+		i := Eval(x.Idx, fr, env).Index(v.Width()) // -1 reads as 0, like any bit out of range
 		return env.Tmp(1).SetBool(v.Bit(i) != 0)
 	case *Slice:
-		return env.Tmp(x.Width()).SetShr(Eval(x.X, env), x.Lo)
+		return env.Tmp(x.Width()).SetShr(Eval(x.X, fr, env), x.Lo)
 	case *Unary:
-		return evalUnary(x, env)
+		return evalUnary(x, fr, env)
 	case *Binary:
-		return evalBinary(x, env)
+		return evalBinary(x, fr, env)
 	case *Ternary:
-		if Eval(x.Cond, env).Bool() {
-			return env.Tmp(x.W).Set(Eval(x.Then, env))
+		if Eval(x.Cond, fr, env).Bool() {
+			return env.Tmp(x.W).Set(Eval(x.Then, fr, env))
 		}
-		return env.Tmp(x.W).Set(Eval(x.Else, env))
+		return env.Tmp(x.W).Set(Eval(x.Else, fr, env))
 	case *Concat:
 		out, lo := env.Tmp(x.W), x.W
 		for _, p := range x.Parts {
-			v := Eval(p, env)
+			v := Eval(p, fr, env)
 			lo -= v.Width()
 			out.SetSlice(lo+v.Width()-1, lo, v)
 		}
 		return out
 	case *Repl:
-		return env.Tmp(x.W).SetRepl(Eval(x.X, env))
+		return env.Tmp(x.W).SetRepl(Eval(x.X, fr, env))
 	case *TimeRef:
 		t := env.Tmp(64)
 		t.SetUint64(env.Now())
@@ -72,8 +73,8 @@ func Eval(e Expr, env Env) *bits.Vector {
 	panic(fmt.Sprintf("elab: unknown expression %T", e))
 }
 
-func evalUnary(x *Unary, env Env) *bits.Vector {
-	v, z := Eval(x.X, env), env.Tmp(x.W)
+func evalUnary(x *Unary, fr []*Var, env Env) *bits.Vector {
+	v, z := Eval(x.X, fr, env), env.Tmp(x.W)
 	switch x.Op {
 	case verilog.UPlus:
 		return z.Set(v)
@@ -97,17 +98,17 @@ func evalUnary(x *Unary, env Env) *bits.Vector {
 	panic(fmt.Sprintf("elab: unknown unary op %d", x.Op))
 }
 
-func evalBinary(x *Binary, env Env) *bits.Vector {
+func evalBinary(x *Binary, fr []*Var, env Env) *bits.Vector {
 	z := env.Tmp(x.W)
 	// Logical operators short-circuit.
 	switch x.Op {
 	case verilog.BLogAnd:
-		return z.SetBool(Eval(x.X, env).Bool() && Eval(x.Y, env).Bool())
+		return z.SetBool(Eval(x.X, fr, env).Bool() && Eval(x.Y, fr, env).Bool())
 	case verilog.BLogOr:
-		return z.SetBool(Eval(x.X, env).Bool() || Eval(x.Y, env).Bool())
+		return z.SetBool(Eval(x.X, fr, env).Bool() || Eval(x.Y, fr, env).Bool())
 	}
-	a := Eval(x.X, env)
-	b := Eval(x.Y, env)
+	a := Eval(x.X, fr, env)
+	b := Eval(x.Y, fr, env)
 	switch x.Op {
 	case verilog.BAdd:
 		return z.SetAdd(a, b)
@@ -160,8 +161,9 @@ func (constEnv) ArrayWord(v *Var, i int) *bits.Vector { panic(errNotConst) }
 func (constEnv) Now() uint64                          { panic(errNotConst) }
 func (constEnv) Tmp(width int) *bits.Vector           { return bits.New(width) }
 
-// EvalConst evaluates e if it is a compile-time constant.
-func EvalConst(e Expr) (v *bits.Vector, err error) {
+// EvalConst evaluates e, of a unit with frame fr, if it is a compile-time
+// constant.
+func EvalConst(e Expr, fr []*Var) (v *bits.Vector, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if rerr, ok := r.(error); ok && errors.Is(rerr, errNotConst) {
@@ -171,7 +173,7 @@ func EvalConst(e Expr) (v *bits.Vector, err error) {
 			panic(r)
 		}
 	}()
-	return Eval(e, constEnv{}), nil
+	return Eval(e, fr, constEnv{}), nil
 }
 
 // constExpr resolves an AST expression and requires it to fold to a
@@ -194,7 +196,7 @@ func (e *elaborator) constExprIn(x verilog.Expr, width int) (*bits.Vector, error
 	if width > 0 {
 		widenContext(r, width)
 	}
-	v, err := EvalConst(r)
+	v, err := EvalConst(r, e.frame)
 	if err != nil {
 		return nil, e.errf(x.Pos(), "expected constant expression")
 	}

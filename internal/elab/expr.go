@@ -40,14 +40,14 @@ func (e *elaborator) exprRaw(x verilog.Expr) (Expr, error) {
 		if cv, ok := e.consts[t.Name]; ok {
 			return &Const{V: cv}, nil
 		}
-		v := e.lookup(t.Name)
+		v, i := e.intern(t.Name)
 		if v == nil {
 			return nil, e.errf(t.IdentPos, "undeclared identifier %s", t.Name)
 		}
 		if v.IsArray() {
 			return nil, e.errf(t.IdentPos, "memory %s must be indexed", t.Name)
 		}
-		return &VarRef{V: v}, nil
+		return &VarRef{Var: i, W: int32(v.Width)}, nil
 	case *verilog.HierIdent:
 		return nil, e.errf(t.IdentPos, "internal: hierarchical reference %v survived IR promotion", t.Parts)
 	case *verilog.Unary:
@@ -155,17 +155,16 @@ func (e *elaborator) index(t *verilog.Index) (Expr, error) {
 	if id, ok := t.X.(*verilog.Ident); ok {
 		if _, isLoop := e.loopVars[id.Name]; !isLoop {
 			if _, isConst := e.consts[id.Name]; !isConst {
-				v := e.flat.VarNamed(id.Name) // a scalar is named below, by e.expr
+				v, i := e.intern(id.Name)
 				if v == nil {
 					return nil, e.errf(id.IdentPos, "undeclared identifier %s", id.Name)
 				}
 				if v.IsArray() {
-					e.note()
 					idx, err := e.expr(t.Idx)
 					if err != nil {
 						return nil, err
 					}
-					return &ArrayRef{V: v, Index: e.adjustArrayIndex(v, idx)}, nil
+					return &ArrayRef{Var: i, W: int32(v.Width), Index: e.adjustArrayIndex(v, idx)}, nil
 				}
 			}
 		}

@@ -121,9 +121,10 @@ func foldedBinarySafe(x *Binary) bool {
 }
 
 // foldToConst evaluates a constant subtree; on any failure the original
-// expression is returned unchanged.
+// expression is returned unchanged. Its operands are constants, so it
+// names no variable: it needs no frame.
 func foldToConst(e Expr) Expr {
-	v, err := EvalConst(e)
+	v, err := EvalConst(e, nil)
 	if err != nil {
 		return e
 	}

@@ -2,23 +2,30 @@
 // Cascade's IR pass has already split the hierarchy into peer subprograms)
 // into a resolved intermediate representation: parameters are bound,
 // widths are computed, for loops are unrolled, part selects are constant-
-// folded, and every reference points at a concrete variable slot.
+// folded, and every reference names a concrete variable.
 //
 // Both execution backends consume this IR: the event-driven interpreter in
 // internal/sim (software engines) and the synthesizer in internal/netlist
 // (hardware engines). Sharing one IR is what makes the cross-engine
 // equivalence property testable.
 //
+// A unit — continuous assignment (a net initializer included), always or
+// initial block — names its variables through its frame: the variables
+// it resolved, in order of first resolution, with a tree node naming one
+// by its index there. The trees hold no variable and are never changed
+// once their unit is elaborated, so two versions of a module may share
+// one.
+//
 // An eval appends to a module the controller has elaborated before, so
 // ElaborateFrom elaborates a module given the Flat of its previous
-// version: each unit — net declaration, continuous assignment, always or
-// initial block — whose source item is the same object, under the same
-// parameter values, with every variable it names of the same shape, is
-// copied out of that Flat onto the new one's variables (relocated) instead
-// of elaborated again; the result is the Flat Elaborate returns. A
-// relocated behaviour unit keeps its identity (ContAssign.Unit, Proc.Unit,
-// Flat.InitialUnits), and that is how synthesis (netlist.CompileFrom)
-// knows which of its units it may relocate too.
+// version: each unit whose source item is the same object, under the same
+// parameter values, with every variable of its frame of the same name and
+// shape here, is relocated — it shares its base's trees by pointer and
+// gets a frame of this version's variables — instead of elaborated again;
+// the result is the Flat Elaborate returns. A relocated behaviour unit
+// keeps its identity (ContAssign.Unit, Proc.Unit, Flat.InitialUnits), and
+// that is how synthesis (netlist.CompileFrom) knows which of its units it
+// may relocate too.
 package elab
 
 import (
@@ -42,7 +49,7 @@ type Var struct {
 	IsOutput bool
 }
 
-// Elem reports whether v is a memory.
+// IsArray reports whether v is a memory.
 func (v *Var) IsArray() bool { return v.ArrayLen > 0 }
 
 // Flat is an elaborated subprogram: one module instance, self-contained.
@@ -58,17 +65,17 @@ type Flat struct {
 	Procs    []*Proc
 	Initials []Stmt
 	// InitialItems[i] is the initial block Initials[i] was elaborated
-	// from, and InitialUnits[i] its identity.
-	InitialItems []verilog.Item
-	InitialUnits []uint64
-	Source       *verilog.Module
-	// Relocated counts the units ElaborateFrom copied out of its base: net
+	// from, InitialUnits[i] its identity and InitialFrames[i] its frame.
+	InitialItems  []verilog.Item
+	InitialUnits  []uint64
+	InitialFrames [][]*Var
+	Source        *verilog.Module
+	// Relocated counts the units ElaborateFrom took from its base: net
 	// declarations, continuous assignments (a declaration's initializers
 	// included), always and initial blocks.
 	Relocated int
 
-	opaque map[verilog.Item]bool // units relocation leaves alone (elaborator.settle)
-	layout *Layout               // Layout's result, set once elaboration is done
+	layout *Layout // Layout's result, set once elaboration is done
 }
 
 // lastUnit is the last unit identity handed out: one counter per
@@ -80,9 +87,9 @@ var lastUnit atomic.Uint64
 // newUnit mints the identity of a unit being elaborated. A relocated unit
 // keeps its base's identity instead, and relocation checks each link of a
 // chain of versions — the same item, parameters that extend the base's,
-// variables of the same shapes, not opaque — so units of any two versions
-// that share an identity elaborated to the same thing, up to the
-// positions of the variables it names (which keep their names and shapes).
+// every variable of its frame of the same name and shape — so units of
+// any two versions that share an identity share their trees, with frames
+// of variables of the same names and shapes.
 func newUnit() uint64 { return lastUnit.Add(1) }
 
 // VarNamed returns the variable with the given name, or nil.
@@ -95,8 +102,9 @@ func (f *Flat) VarNamed(name string) *Var {
 
 // ContAssign is a resolved continuous assignment.
 type ContAssign struct {
-	LHS []LValue // concat targets expand to several lvalues, MSB first
-	RHS Expr
+	LHS   []LValue // concat targets expand to several lvalues, MSB first
+	RHS   Expr
+	Frame []*Var // the variables LHS and RHS name, by index
 	// Src is the module item it was elaborated from: an assign, or the
 	// net declaration whose Ord-th name carries an initializer.
 	Src  verilog.Item
@@ -117,37 +125,39 @@ const (
 // Edge is one sensitivity-list entry, resolved to a variable.
 type Edge struct {
 	Kind EdgeKind
-	Var  *Var
+	Var  int32 // frame index
 }
 
-// Proc is a resolved always or initial process.
+// Proc is a resolved always process.
 type Proc struct {
 	Edges []Edge // empty for @* (use Reads)
 	Star  bool
 	Body  Stmt
-	Reads []*Var       // read set of Body (sensitivity closure for @*)
+	Reads []int32      // read set of Body, frame indices (sensitivity closure for @*)
+	Frame []*Var       // the variables Edges and Body name, by index
 	Src   verilog.Item // the always block it was elaborated from
 	Unit  uint64       // its identity (newUnit)
 }
 
 // LValue is a resolved assignment target.
 type LValue struct {
-	Var      *Var
-	ArrIndex Expr // non-nil for memory word writes
-	HasRange bool // constant part select v[hi:lo]
+	Var      int32 // frame index
+	ArrIndex Expr  // non-nil for memory word writes
+	HasRange bool  // constant part select v[hi:lo]
 	Hi, Lo   int
 	DynBit   Expr // dynamic single-bit select v[i] on a scalar
 }
 
-// TargetWidth returns the number of bits this lvalue writes.
-func (lv LValue) TargetWidth() int {
+// TargetWidth returns the number of bits this lvalue of a unit with
+// frame fr writes.
+func (lv LValue) TargetWidth(fr []*Var) int {
 	switch {
 	case lv.DynBit != nil:
 		return 1
 	case lv.HasRange:
 		return lv.Hi - lv.Lo + 1
 	default:
-		return lv.Var.Width
+		return fr[lv.Var].Width
 	}
 }
 
@@ -159,14 +169,14 @@ type Expr interface {
 // Const is a constant value.
 type Const struct{ V *bits.Vector }
 
-// VarRef reads a scalar variable.
-type VarRef struct{ V *Var }
+// VarRef reads a scalar variable of width W.
+type VarRef struct{ Var, W int32 } // Var: frame index
 
-// ArrayRef reads one word of a memory; Index is zero-based after ArrayLo
-// adjustment at elaboration time.
+// ArrayRef reads one word, of width W, of a memory; Index is zero-based
+// after ArrayLo adjustment at elaboration time.
 type ArrayRef struct {
-	V     *Var
-	Index Expr
+	Var, W int32 // Var: frame index
+	Index  Expr
 }
 
 // BitSel is a dynamic single-bit select on a scalar expression.
@@ -219,8 +229,8 @@ type TimeRef struct{}
 
 // Width implementations.
 func (e *Const) Width() int    { return e.V.Width() }
-func (e *VarRef) Width() int   { return e.V.Width }
-func (e *ArrayRef) Width() int { return e.V.Width }
+func (e *VarRef) Width() int   { return int(e.W) }
+func (e *ArrayRef) Width() int { return int(e.W) }
 func (e *BitSel) Width() int   { return 1 }
 func (e *Slice) Width() int    { return e.Hi - e.Lo + 1 }
 func (e *Unary) Width() int    { return e.W }

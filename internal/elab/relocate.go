@@ -5,12 +5,13 @@ import (
 	"cascade/internal/verilog"
 )
 
-// relocation copies units' elaborations out of a base Flat into the one
-// being elaborated (ElaborateFrom). It exists only while every parameter
-// base bound has the same value (Extends): what a unit elaborates to is
-// then decided by its source item — the same object, the AST is
-// immutable — and by the shapes of the variables it names, which its
-// elaboration shows (unless it is opaque: elaborator.settle).
+// relocation takes units out of a base Flat into the one being
+// elaborated (ElaborateFrom). It exists only while every parameter base
+// bound has the same value (Extends): what a unit elaborates to is then
+// decided by its source item — the same object, the AST is immutable —
+// and by the shapes of the variables it resolved, which its frame holds
+// (elaborator.intern). A relocated unit shares base's trees by pointer;
+// only its frame is new.
 //
 // A unit is found in base by a cursor per kind: units come in the order
 // of the items they were elaborated from, and a module's items are its
@@ -21,12 +22,10 @@ import (
 type relocation struct {
 	base, here *Flat
 	vmap       []*Var // base variable index -> here's of that name (nil: not looked up yet)
-	ok         bool   // every variable the copy so far names has its counterpart
+	frameLen   int    // the length of base's frames together
 
 	decl, declVar              int // an index into base's items, and the first variable of the declarations from it on
 	netInit, assign, proc, ini int // indexes into base's Assigns, Procs, Initials
-
-	pools pools
 }
 
 // window bounds how many of base's units of a kind seek passes over: an
@@ -47,12 +46,15 @@ func newRelocation(base, here *Flat) *relocation {
 		}
 		r.assign++
 	}
-	// Most units are relocated, and most are an assign to one target or a
-	// process with one assignment: one allocation of each kind of node.
-	r.pools.assigns = make([]ContAssign, len(base.Assigns))
-	r.pools.procs = make([]Proc, len(base.Procs))
-	r.pools.lvalues = make([]LValue, len(base.Assigns)+len(base.Procs))
-	r.pools.refs = make([]VarRef, len(base.Assigns)+2*len(base.Procs))
+	for _, a := range base.Assigns {
+		r.frameLen += len(a.Frame)
+	}
+	for _, p := range base.Procs {
+		r.frameLen += len(p.Frame)
+	}
+	for _, fr := range base.InitialFrames {
+		r.frameLen += len(fr)
+	}
 	return r
 }
 
@@ -142,7 +144,7 @@ func (e *elaborator) relocateDecl(d *verilog.NetDecl) (bool, error) {
 }
 
 // baseAssign finds base's continuous assignment from src (a net
-// declaration: its ord-th name's initializer), unless it is opaque.
+// declaration: its ord-th name's initializer).
 func (r *relocation) baseAssign(src verilog.Item, ord int) *ContAssign {
 	as := r.base.Assigns
 	var i int
@@ -151,13 +153,13 @@ func (r *relocation) baseAssign(src verilog.Item, ord int) *ContAssign {
 	} else {
 		i = seek(len(as), &r.assign, func(i int) bool { return as[i].Src == src })
 	}
-	if i < 0 || r.base.opaque[src] {
+	if i < 0 {
 		return nil
 	}
 	return as[i]
 }
 
-// relocateAssign copies base's continuous assignment from src (ord: see
+// relocateAssign takes base's continuous assignment from src (ord: see
 // baseAssign) when its key holds. Its targets still claim their drivers
 // here: a second driver is refused at pos, as contAssign refuses it.
 func (e *elaborator) relocateAssign(src verilog.Item, ord int, pos verilog.Pos) (bool, error) {
@@ -169,25 +171,22 @@ func (e *elaborator) relocateAssign(src verilog.Item, ord int, pos verilog.Pos) 
 	if ba == nil {
 		return false, nil
 	}
-	r.ok = true
-	lhs, rhs := r.lvalues(ba.LHS), r.expr(ba.RHS)
-	if !r.ok {
+	fr, ok := e.frameFrom(ba.Frame)
+	if !ok {
 		return false, nil
 	}
-	for _, lv := range lhs {
-		if err := e.checkAssignOverlap(lv, pos); err != nil {
+	for _, lv := range ba.LHS {
+		if err := e.checkAssignOverlap(fr[lv.Var], pos); err != nil {
 			return false, err
 		}
 	}
-	a := &alloc(&r.pools.assigns, 1)[0]
-	*a = ContAssign{LHS: lhs, RHS: rhs, Src: src, Ord: ord, Unit: ba.Unit}
-	e.flat.Assigns = append(e.flat.Assigns, a)
+	e.addAssign(ContAssign{LHS: ba.LHS, RHS: ba.RHS, Frame: fr, Src: src, Ord: ord, Unit: ba.Unit})
 	e.flat.Relocated++
 	return true, nil
 }
 
-// relocateProc copies base's process from the always block x when its
-// key holds.
+// relocateProc takes base's process from the always block x when its key
+// holds.
 func (e *elaborator) relocateProc(x *verilog.AlwaysBlock) bool {
 	r := e.reloc
 	if r == nil {
@@ -195,30 +194,22 @@ func (e *elaborator) relocateProc(x *verilog.AlwaysBlock) bool {
 	}
 	ps := r.base.Procs
 	i := seek(len(ps), &r.proc, func(i int) bool { return ps[i].Src == x })
-	if i < 0 || r.base.opaque[x] {
+	if i < 0 {
 		return false
 	}
 	bp := ps[i]
-	r.ok = true
-	var edges []Edge
-	if bp.Edges != nil {
-		edges = alloc(&r.pools.edges, len(bp.Edges))
-		for j, ed := range bp.Edges {
-			edges[j] = Edge{Kind: ed.Kind, Var: r.variable(ed.Var)}
-		}
-	}
-	body := r.stmt(bp.Body)
-	if !r.ok {
+	fr, ok := e.frameFrom(bp.Frame)
+	if !ok {
 		return false
 	}
-	p := &alloc(&r.pools.procs, 1)[0]
-	*p = Proc{Edges: edges, Star: bp.Star, Body: body, Reads: r.varList(bp.Reads), Src: x, Unit: bp.Unit}
+	p := &alloc(&e.procs, 1)[0]
+	*p = Proc{Edges: bp.Edges, Star: bp.Star, Body: bp.Body, Reads: bp.Reads, Frame: fr, Src: x, Unit: bp.Unit}
 	e.flat.Procs = append(e.flat.Procs, p)
 	e.flat.Relocated++
 	return true
 }
 
-// relocateInitial copies base's elaboration of the initial block x when
+// relocateInitial takes base's elaboration of the initial block x when
 // its key holds.
 func (e *elaborator) relocateInitial(x *verilog.InitialBlock) bool {
 	r := e.reloc
@@ -227,24 +218,32 @@ func (e *elaborator) relocateInitial(x *verilog.InitialBlock) bool {
 	}
 	items := r.base.InitialItems
 	i := seek(len(items), &r.ini, func(i int) bool { return items[i] == x })
-	if i < 0 || r.base.opaque[x] {
+	if i < 0 {
 		return false
 	}
-	r.ok = true
-	body := r.stmt(r.base.Initials[i])
-	if !r.ok {
+	fr, ok := e.frameFrom(r.base.InitialFrames[i])
+	if !ok {
 		return false
 	}
-	e.flat.Initials = append(e.flat.Initials, body)
-	e.flat.InitialItems = append(e.flat.InitialItems, x)
-	e.flat.InitialUnits = append(e.flat.InitialUnits, r.base.InitialUnits[i])
+	e.addInitial(r.base.Initials[i], x, r.base.InitialUnits[i], fr)
 	e.flat.Relocated++
 	return true
 }
 
+// frameFrom is the frame of a relocated unit whose frame in base is bfr:
+// each variable's counterpart here, or false if one has none.
+func (e *elaborator) frameFrom(bfr []*Var) ([]*Var, bool) {
+	fr := e.newFrame(len(bfr))
+	for i, v := range bfr {
+		if fr[i] = e.reloc.variable(v); fr[i] == nil {
+			return nil, false
+		}
+	}
+	return fr, true
+}
+
 // variable is here's counterpart of a variable a base unit names: the
-// variable of the same name, if it has the same shape. If not, the copy
-// in progress is void (r.ok), and v stands in.
+// variable of the same name, if it has the same shape (nil: none).
 func (r *relocation) variable(v *Var) *Var {
 	nv := r.vmap[v.Index]
 	if nv == nil {
@@ -255,166 +254,7 @@ func (r *relocation) variable(v *Var) *Var {
 		r.vmap[v.Index] = nv
 	}
 	if nv == unusable {
-		r.ok = false
-		return v
+		return nil
 	}
 	return nv
-}
-
-// The copies below map variables through variable.
-
-func (r *relocation) varList(vs []*Var) []*Var {
-	if vs == nil {
-		return nil
-	}
-	out := alloc(&r.pools.vars, len(vs))
-	for i, v := range vs {
-		out[i] = r.variable(v)
-	}
-	return out
-}
-
-func (r *relocation) lvalues(lvs []LValue) []LValue {
-	out := alloc(&r.pools.lvalues, len(lvs))
-	for i, lv := range lvs {
-		out[i] = LValue{Var: r.variable(lv.Var), ArrIndex: r.expr(lv.ArrIndex), HasRange: lv.HasRange, Hi: lv.Hi, Lo: lv.Lo, DynBit: r.expr(lv.DynBit)}
-	}
-	return out
-}
-
-// expr copies x onto here's variables; constants are shared.
-func (r *relocation) expr(x Expr) Expr {
-	switch t := x.(type) {
-	case nil:
-		return nil
-	case *Const, *TimeRef:
-		return x
-	case *VarRef:
-		n := &alloc(&r.pools.refs, 1)[0]
-		n.V = r.variable(t.V)
-		return n
-	case *ArrayRef:
-		return &ArrayRef{V: r.variable(t.V), Index: r.expr(t.Index)}
-	case *BitSel:
-		return &BitSel{X: r.expr(t.X), Idx: r.expr(t.Idx)}
-	case *Slice:
-		n := &alloc(&r.pools.slices, 1)[0]
-		*n = Slice{X: r.expr(t.X), Hi: t.Hi, Lo: t.Lo}
-		return n
-	case *Unary:
-		return &Unary{Op: t.Op, X: r.expr(t.X), W: t.W}
-	case *Binary:
-		n := &alloc(&r.pools.binaries, 1)[0]
-		*n = Binary{Op: t.Op, X: r.expr(t.X), Y: r.expr(t.Y), W: t.W}
-		return n
-	case *Ternary:
-		return &Ternary{Cond: r.expr(t.Cond), Then: r.expr(t.Then), Else: r.expr(t.Else), W: t.W}
-	case *Concat:
-		return &Concat{Parts: r.exprs(t.Parts), W: t.W}
-	case *Repl:
-		return &Repl{N: t.N, X: r.expr(t.X), W: t.W}
-	}
-	panic("elab: relocating an unknown expression")
-}
-
-func (r *relocation) exprs(xs []Expr) []Expr {
-	if xs == nil {
-		return nil
-	}
-	out := make([]Expr, len(xs))
-	for i, x := range xs {
-		out[i] = r.expr(x)
-	}
-	return out
-}
-
-// stmt copies s onto here's variables.
-func (r *relocation) stmt(s Stmt) Stmt {
-	switch t := s.(type) {
-	case nil:
-		return nil
-	case *Block:
-		out := &Block{Stmts: make([]Stmt, len(t.Stmts))}
-		for i, st := range t.Stmts {
-			out.Stmts[i] = r.stmt(st)
-		}
-		return out
-	case *If:
-		return &If{Cond: r.expr(t.Cond), Then: r.stmt(t.Then), Else: r.stmt(t.Else)}
-	case *Case:
-		out := &Case{Subject: r.expr(t.Subject), Items: make([]*CaseItem, len(t.Items))}
-		for i, it := range t.Items {
-			out.Items[i] = &CaseItem{Labels: r.exprs(it.Labels), Masks: it.Masks, Body: r.stmt(it.Body)}
-		}
-		return out
-	case *Assign:
-		n := &alloc(&r.pools.stmts, 1)[0]
-		*n = Assign{Blocking: t.Blocking, LHS: r.lvalues(t.LHS), RHS: r.expr(t.RHS)}
-		return n
-	case *SysTask:
-		return &SysTask{Kind: t.Kind, Format: t.Format, Args: r.exprs(t.Args)}
-	}
-	panic("elab: relocating an unknown statement")
-}
-
-// pools hold the nodes one elaboration makes most of, so that many small
-// nodes cost one allocation. Every node cut from them belongs to the
-// same Flat, so none outlives its neighbours.
-type pools struct {
-	assigns  []ContAssign
-	procs    []Proc
-	edges    []Edge
-	vars     []*Var
-	lvalues  []LValue
-	refs     []VarRef
-	slices   []Slice
-	binaries []Binary
-	stmts    []Assign
-}
-
-// alloc cuts n zeroed elements off *pool, refilling it a chunk at a time.
-func alloc[T any](pool *[]T, n int) []T {
-	if len(*pool) < n {
-		*pool = make([]T, max(n, 64))
-	}
-	out := (*pool)[:n:n]
-	*pool = (*pool)[n:]
-	return out
-}
-
-// refsIn counts the variable references in an elaborated expression.
-func refsIn(x Expr) int {
-	n := 0
-	WalkExpr(x, func(x Expr) {
-		switch x.(type) {
-		case *VarRef, *ArrayRef:
-			n++
-		}
-	})
-	return n
-}
-
-func refsInLValues(lvs []LValue) int {
-	n := len(lvs)
-	for _, lv := range lvs {
-		n += refsIn(lv.ArrIndex) + refsIn(lv.DynBit)
-	}
-	return n
-}
-
-// refsInStmt counts the variable references in an elaborated statement,
-// assignment targets included.
-func refsInStmt(s Stmt) int {
-	n := 0
-	WalkStmt(s, func(s Stmt) {
-		if a, ok := s.(*Assign); ok {
-			n += len(a.LHS)
-		}
-	}, func(x Expr) {
-		switch x.(type) {
-		case *VarRef, *ArrayRef:
-			n++
-		}
-	})
-	return n
 }

@@ -18,6 +18,8 @@ type compiler struct {
 	// args stacks the sources of the instructions being compiled that
 	// take a list (concatenations, display tasks), nested ones on top.
 	args []int
+	// fr is the frame of the unit being compiled.
+	fr []*elab.Var
 }
 
 // unit compiles u into a new span of c.prog.
@@ -29,11 +31,16 @@ func (c *compiler) unit(u *unit, f *elab.Flat) {
 	})
 	switch u.kind {
 	case unitMonitor:
+		c.fr = f.InitialFrames[u.at]
 		c.display(u.monitorIn(f), true)
 	case unitAssign:
-		c.compileContAssign(f.Assigns[u.at])
+		a := f.Assigns[u.at]
+		c.fr = a.Frame
+		c.compileContAssign(a)
 	default:
-		c.compileStmt(f.Procs[u.at].Body)
+		p := f.Procs[u.at]
+		c.fr = p.Frame
+		c.compileStmt(p.Body)
 	}
 	c.emit(Op{Kind: OpHalt})
 }
@@ -111,7 +118,7 @@ func (c *compiler) compileContAssign(a *elab.ContAssign) {
 func (c *compiler) distribute(lhs []elab.LValue, rhs int, rhsWidth int, blocking bool) {
 	total := 0
 	for _, lv := range lhs {
-		total += lv.TargetWidth()
+		total += lv.TargetWidth(c.fr)
 	}
 	src := rhs
 	if rhsWidth != total {
@@ -120,7 +127,7 @@ func (c *compiler) distribute(lhs []elab.LValue, rhs int, rhsWidth int, blocking
 	}
 	offset := total
 	for _, lv := range lhs {
-		w := lv.TargetWidth()
+		w := lv.TargetWidth(c.fr)
 		offset -= w
 		part := src
 		if len(lhs) > 1 {
@@ -132,17 +139,18 @@ func (c *compiler) distribute(lhs []elab.LValue, rhs int, rhsWidth int, blocking
 }
 
 func (c *compiler) writeLValue(lv elab.LValue, src int, blocking bool) {
-	c.touch(lv.Var, true)
+	v := c.fr[lv.Var]
+	c.touch(v, true)
 	if lv.ArrIndex != nil {
 		addr := c.compileExpr(lv.ArrIndex)
 		kind := OpMemWrite
 		if !blocking {
 			kind = OpMemWriteNB
 		}
-		c.emit(Op{Kind: kind, Aux: int32(c.prog.MemOf[lv.Var.Index]), Width: int32(lv.Var.Width)}, src, addr)
+		c.emit(Op{Kind: kind, Aux: int32(c.prog.MemOf[v.Index]), Width: int32(v.Width)}, src, addr)
 		return
 	}
-	dst := int32(c.prog.VarSlot[lv.Var.Index])
+	dst := int32(c.prog.VarSlot[v.Index])
 	switch {
 	case lv.DynBit != nil:
 		idx := c.compileExpr(lv.DynBit)
@@ -162,7 +170,7 @@ func (c *compiler) writeLValue(lv elab.LValue, src int, blocking bool) {
 		if !blocking {
 			kind = OpWriteNB
 		}
-		c.emit(Op{Kind: kind, Dst: dst, Width: int32(lv.Var.Width)}, src)
+		c.emit(Op{Kind: kind, Dst: dst, Width: int32(v.Width)}, src)
 	}
 }
 
@@ -291,13 +299,15 @@ func (c *compiler) compileExpr(e elab.Expr) int {
 		c.constant(dst, x.V)
 		return dst
 	case *elab.VarRef:
-		c.touch(x.V, false)
-		return c.prog.VarSlot[x.V.Index]
+		v := c.fr[x.Var]
+		c.touch(v, false)
+		return c.prog.VarSlot[v.Index]
 	case *elab.ArrayRef:
-		c.touch(x.V, false)
+		v := c.fr[x.Var]
+		c.touch(v, false)
 		addr := c.compileExpr(x.Index)
-		dst := c.newSlot(x.V.Width, nil)
-		c.emit(Op{Kind: OpMemRead, Dst: int32(dst), Aux: int32(c.prog.MemOf[x.V.Index]), Width: int32(x.V.Width)}, addr)
+		dst := c.newSlot(v.Width, nil)
+		c.emit(Op{Kind: OpMemRead, Dst: int32(dst), Aux: int32(c.prog.MemOf[v.Index]), Width: int32(v.Width)}, addr)
 		return dst
 	case *elab.BitSel:
 		v := c.compileExpr(x.X)

@@ -117,7 +117,7 @@ func (p *Program) fingerprint(fed *int) string {
 		h.put(len(sp.Edges))
 		for _, e := range sp.Edges {
 			h.put(int(e.Kind))
-			h.put(e.Var.Index)
+			h.put(sp.Frame[e.Var].Index)
 		}
 	}
 

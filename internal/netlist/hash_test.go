@@ -181,7 +181,7 @@ func oldFingerprint(p *Program) string {
 	for _, sp := range p.Seq {
 		wi(sp.Entry, len(sp.Edges))
 		for _, e := range sp.Edges {
-			wi(int(e.Kind), e.Var.Index)
+			wi(int(e.Kind), sp.Frame[e.Var].Index)
 		}
 	}
 	wi(len(p.Monitors))
@@ -365,10 +365,10 @@ func BenchmarkFingerprintSession(b *testing.B) {
 	}
 }
 
-// lastEdit is the last eval of a 150-stage session (vgen.InlinedChain):
-// the program of the 149 stages before it, and the design with the last
-// stage added, elaborated from theirs as an eval elaborates it.
-func lastEdit(t testing.TB) (base *Program, f *elab.Flat) {
+// lastEditSource is the last eval of a 150-stage session
+// (vgen.InlinedChain): the design of the 149 stages before it,
+// elaborated, and the module with the last stage added.
+func lastEditSource(t testing.TB) (fb *elab.Flat, m *verilog.Module) {
 	t.Helper()
 	parse := func(src string) *verilog.Module {
 		st, errs := verilog.ParseSourceText(src)
@@ -384,7 +384,17 @@ func lastEdit(t testing.TB) (base *Program, f *elab.Flat) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, err = elab.ElaborateFrom(fb, m, "dut", nil); err != nil {
+	return fb, m
+}
+
+// lastEdit is lastEditSource's eval: the program of the 149 stages, and
+// the design with the last stage added, elaborated from theirs as an
+// eval elaborates it.
+func lastEdit(t testing.TB) (base *Program, f *elab.Flat) {
+	t.Helper()
+	fb, m := lastEditSource(t)
+	f, err := elab.ElaborateFrom(fb, m, "dut", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if base, err = Compile(fb); err != nil {
@@ -465,6 +475,33 @@ func TestCompileFromAllocBudget(t *testing.T) {
 const (
 	compileFromBytes  = 463_000 // 420 744 B measured
 	compileFromAllocs = 3_046   // 2 769 measured
+)
+
+// TestElaborateFromAllocBudget: an eval's elaboration allocates the new
+// version's variables, its units and their frames, and little besides: a
+// relocated unit shares its base's trees. It was 255 392 B in 69
+// allocations at this size when relocation copied every tree it kept;
+// the budgets are what it takes now plus a tenth.
+func TestElaborateFromAllocBudget(t *testing.T) {
+	fb, m := lastEditSource(t)
+	f, err := elab.ElaborateFrom(fb, m, "dut", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if units := len(f.Assigns) + len(f.Procs) + len(f.Initials); f.Relocated*10 < units*9 {
+		t.Fatalf("relocated %d of %d units", f.Relocated, units)
+	}
+	bytes, allocs := allocsPerCall(func() { elab.ElaborateFrom(fb, m, "dut", nil) })
+	t.Logf("ElaborateFrom: %d variables, %d units: %d B and %d allocs per call", len(f.Vars), len(f.Assigns)+len(f.Procs)+len(f.Initials), bytes, allocs)
+	if bytes > elaborateFromBytes || allocs > elaborateFromAllocs {
+		t.Fatalf("ElaborateFrom allocates %d B in %d allocs per call, budget %d B in %d", bytes, allocs, elaborateFromBytes, elaborateFromAllocs)
+	}
+}
+
+// ElaborateFrom's budget at the last of 150 edits.
+const (
+	elaborateFromBytes  = 221_500 // 201 364 B measured
+	elaborateFromAllocs = 57      // 52 measured
 )
 
 // allocsPerCall is the bytes and allocations fn makes per call.

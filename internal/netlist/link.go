@@ -603,7 +603,8 @@ func (l *linker) emit(units []unit, order []int32, uv []int32, off []int32, ncom
 		case unitAssign, unitComb:
 			p.Comb = append(p.Comb, CombUnit{Entry: entry})
 		case unitSeq:
-			p.Seq = append(p.Seq, SeqProc{Edges: l.f.Procs[u.at].Edges, Entry: entry})
+			pr := l.f.Procs[u.at]
+			p.Seq = append(p.Seq, SeqProc{Edges: pr.Edges, Frame: pr.Frame, Entry: entry})
 		default:
 			p.Monitors = append(p.Monitors, MonitorUnit{Entry: entry})
 		}

@@ -53,13 +53,15 @@ func parseModule(t *testing.T, src string) *verilog.Module {
 // edit left unchanged, and synthesis follows it. Each row elaborates the
 // very same item objects — a clocked process naming d, K and m that
 // $displays, an assign naming e8, a $monitor initial block, a process a
-// fold leaves without y and one whose loop variable unrolls away (both
-// opaque) — from their elaboration against the base declarations, after
-// one edit of those declarations. The units that name what the edit
-// changed, and the opaque two, are elaborated again under new identities;
-// the rest keep their base's; synthesis from the base's program relocates
-// exactly the units that kept theirs; and either way the elaboration and
-// the program are the ones built from scratch.
+// fold leaves without y and one whose loop variable i unrolls away (once
+// called opaque: their trees do not show every name they resolved, their
+// frames do) — from
+// their elaboration against the base declarations, after one edit of
+// those declarations. The units whose frames hold what the edit changed
+// are elaborated again under new identities; the rest keep their base's
+// and share its trees by pointer; synthesis from the base's program
+// relocates exactly the units that kept theirs; and either way the
+// elaboration and the program are the ones built from scratch.
 func TestRelocationKeyMutations(t *testing.T) {
 	const decls = `module M(input wire clk, output reg [15:0] q, output wire [7:0] w, input wire [7:0] d);
   localparam K = 3;
@@ -85,14 +87,14 @@ endmodule`
 		edit        []string // old, new pairs over decls
 		elab, synth int      // units relocated by ElaborateFrom and by CompileFrom
 	}{
-		{"a declaration changes width", []string{"[7:0] d", "[11:0] d"}, 2, 2},
-		{"a variable flips from reg to wire", []string{"reg [7:0] e8", "wire [7:0] e8"}, 2, 2},
-		{"a port changes direction", []string{"input wire [7:0] d", "output wire [7:0] d"}, 2, 2},
-		{"a memory's bounds move", []string{"m [0:3]", "m [2:5]"}, 2, 2},
+		{"a declaration changes width", []string{"[7:0] d", "[11:0] d"}, 4, 4},
+		{"a variable flips from reg to wire", []string{"reg [7:0] e8", "wire [7:0] e8"}, 4, 4},
+		{"a port changes direction", []string{"input wire [7:0] d", "output wire [7:0] d"}, 4, 4},
+		{"a memory's bounds move", []string{"m [0:3]", "m [2:5]"}, 4, 4},
 		{"what only opaque units name changes", []string{"reg [7:0] y", "reg [15:0] y", "n [0:3]", "n [2:5]"}, 3, 3},
 		{"a parameter changes value", []string{"K = 3", "K = 4"}, 0, 0},
-		{"a parameter is added", []string{"K = 3;", "K = 3;\n  localparam J = 1;"}, 3, 3},
-		{"nothing changes", nil, 3, 3},
+		{"a parameter is added", []string{"K = 3;", "K = 3;\n  localparam J = 1;"}, 5, 5},
+		{"nothing changes", nil, 5, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := parseModule(t, decls+shared)
@@ -132,6 +134,7 @@ endmodule`
 			if len(kept) != tc.elab {
 				t.Fatalf("%d units kept their base's identity, want %d", len(kept), tc.elab)
 			}
+			sharesTrees(t, fa, fb)
 
 			pa, err := Compile(fa)
 			if err != nil {
@@ -174,6 +177,36 @@ func unitsOf(f *elab.Flat) map[verilog.Item]uint64 {
 		ids[it] = f.InitialUnits[i]
 	}
 	return ids
+}
+
+// sharesTrees fails unless every unit of f that kept the identity of a
+// unit of base holds base's tree by pointer (elab.ElaborateFrom).
+func sharesTrees(t *testing.T, base, f *elab.Flat) {
+	t.Helper()
+	trees := map[uint64]any{}
+	for _, a := range base.Assigns {
+		trees[a.Unit] = a.RHS
+	}
+	for _, p := range base.Procs {
+		trees[p.Unit] = p.Body
+	}
+	for i, st := range base.Initials {
+		trees[base.InitialUnits[i]] = st
+	}
+	check := func(unit uint64, tree any) {
+		if bt, kept := trees[unit]; kept && bt != tree {
+			t.Fatalf("unit %d kept its base's identity but not its tree", unit)
+		}
+	}
+	for _, a := range f.Assigns {
+		check(a.Unit, a.RHS)
+	}
+	for _, p := range f.Procs {
+		check(p.Unit, p.Body)
+	}
+	for i, st := range f.Initials {
+		check(f.InitialUnits[i], st)
+	}
 }
 
 // anonymous returns f without what relocation sets apart: its units'

@@ -108,7 +108,7 @@ func NewMachine(p *Program) *Machine {
 	}
 	for pi, sp := range p.Seq {
 		for _, e := range sp.Edges {
-			slot := p.VarSlot[e.Var.Index]
+			slot := p.VarSlot[sp.Frame[e.Var].Index]
 			m.edgeList[slot] = append(m.edgeList[slot], edgeHook{proc: pi, kind: e.Kind})
 		}
 	}

@@ -133,7 +133,8 @@ type MemInfo struct {
 // SeqProc is a compiled edge-triggered process.
 type SeqProc struct {
 	Edges []elab.Edge
-	Entry int // pc into Code
+	Frame []*elab.Var // its process's frame: what Edges name
+	Entry int         // pc into Code
 }
 
 // CombUnit is one levelized combinational unit.

@@ -301,7 +301,7 @@ func (c *compiler) relations(nstores int) {
 	for range 2 {
 		for pi, sp := range p.Seq {
 			for _, ed := range sp.Edges {
-				if row := 2 * p.VarSlot[ed.Var.Index]; ed.Kind == elab.Pos {
+				if row := 2 * p.VarSlot[sp.Frame[ed.Var].Index]; ed.Kind == elab.Pos {
 					e.edges.put(row+1, int32(pi))
 				} else if ed.Kind == elab.Neg {
 					e.edges.put(row, int32(pi))

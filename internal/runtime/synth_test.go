@@ -88,8 +88,8 @@ func checkOwnedBy(t *testing.T, what string, p *netlist.Program, f *elab.Flat) {
 	}
 	for _, sp := range p.Seq {
 		for _, e := range sp.Edges {
-			if !vars[e.Var] {
-				t.Fatalf("%s: sensitivity to %s of another design", what, e.Var.Name)
+			if v := sp.Frame[e.Var]; !vars[v] {
+				t.Fatalf("%s: sensitivity to %s of another design", what, v.Name)
 			}
 		}
 	}
@@ -209,10 +209,10 @@ func TestSynthesisRecompilesRebuiltSubprograms(t *testing.T) {
 // TestSynthesisFollowsElaboration: synthesis relocates exactly the units
 // elaboration relocated (elab.ElaborateFrom keeps their identity). A
 // root fragment that adds a localparam leaves every parameter the base
-// bound its value, so both relocate every unit of the root but the
-// opaque one — a process a fold leaves without the y it names, which
-// elaboration never relocates and synthesis so compiles again on every
-// eval. Either way the program is the one synthesized from scratch.
+// bound its value, so both relocate every unit of the root — a process a
+// fold leaves without the y it names included, since its frame still
+// holds y — and each relocated unit shares its base's tree. Either way
+// the program is the one synthesized from scratch.
 func TestSynthesisFollowsElaboration(t *testing.T) {
 	const base = `reg [7:0] cnt = 0;
 always @(posedge clk.val) cnt <= cnt + 1;
@@ -246,9 +246,10 @@ assign led.val = dbl ^ z;`
 				t.Fatal(err)
 			}
 			p := linkedEqualsScratch(t, tc.name, bp, v.execElabs[ir.RootPath])
-			if p.Relocated != len(p.Spans)-1 {
-				t.Fatalf("relocated %d of %d units, want all but the opaque one", p.Relocated, len(p.Spans))
+			if p.Relocated != len(p.Spans) {
+				t.Fatalf("relocated %d of %d units, want all", p.Relocated, len(p.Spans))
 			}
+			sharesTrees(t, v0.execElabs[ir.RootPath], v.execElabs[ir.RootPath])
 		})
 	}
 }

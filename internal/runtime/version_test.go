@@ -214,14 +214,23 @@ func describeVersion(v *version) string {
 
 // describeBehaviour prints f's elaborated assigns, processes and initial
 // blocks in order, each with the source item it came from (its index in
-// the module), every variable as name#index:width — what relocation
-// (elab.ElaborateFrom) copies and remaps.
+// the module) and its frame, every variable as name#index:width, read
+// through the frame — what relocation (elab.ElaborateFrom) shares and
+// binds anew.
 func describeBehaviour(sb *strings.Builder, f *elab.Flat) {
 	at := map[verilog.Item]int{}
 	for i, it := range f.Source.Items {
 		at[it] = i
 	}
+	var fr []*elab.Var // the frame of the unit being printed
 	v := func(x *elab.Var) string { return fmt.Sprintf("%s#%d:%d", x.Name, x.Index, x.Width) }
+	frame := func() string {
+		parts := make([]string, len(fr))
+		for i, x := range fr {
+			parts[i] = v(x)
+		}
+		return strings.Join(parts, ",")
+	}
 	var expr func(x elab.Expr) string
 	expr = func(x elab.Expr) string {
 		switch t := x.(type) {
@@ -230,9 +239,9 @@ func describeBehaviour(sb *strings.Builder, f *elab.Flat) {
 		case *elab.Const:
 			return t.V.String()
 		case *elab.VarRef:
-			return v(t.V)
+			return fmt.Sprintf("%s:%d", v(fr[t.Var]), t.W)
 		case *elab.ArrayRef:
-			return fmt.Sprintf("%s[%s]", v(t.V), expr(t.Index))
+			return fmt.Sprintf("%s[%s]:%d", v(fr[t.Var]), expr(t.Index), t.W)
 		case *elab.BitSel:
 			return fmt.Sprintf("%s[%s]", expr(t.X), expr(t.Idx))
 		case *elab.Slice:
@@ -259,7 +268,7 @@ func describeBehaviour(sb *strings.Builder, f *elab.Flat) {
 	lvalues := func(lvs []elab.LValue) string {
 		parts := make([]string, len(lvs))
 		for i, lv := range lvs {
-			parts[i] = fmt.Sprintf("%s[%s|%v %d:%d|%s]", v(lv.Var), expr(lv.ArrIndex), lv.HasRange, lv.Hi, lv.Lo, expr(lv.DynBit))
+			parts[i] = fmt.Sprintf("%s[%s|%v %d:%d|%s]", v(fr[lv.Var]), expr(lv.ArrIndex), lv.HasRange, lv.Hi, lv.Lo, expr(lv.DynBit))
 		}
 		return strings.Join(parts, ",")
 	}
@@ -300,22 +309,25 @@ func describeBehaviour(sb *strings.Builder, f *elab.Flat) {
 		}
 	}
 	for _, a := range f.Assigns {
-		fmt.Fprintf(sb, "assign@%d/%d %s = %s\n", at[a.Src], a.Ord, lvalues(a.LHS), expr(a.RHS))
+		fr = a.Frame
+		fmt.Fprintf(sb, "assign@%d/%d frame[%s] %s = %s\n", at[a.Src], a.Ord, frame(), lvalues(a.LHS), expr(a.RHS))
 	}
 	for _, p := range f.Procs {
+		fr = p.Frame
 		edges := make([]string, len(p.Edges))
 		for i, e := range p.Edges {
-			edges[i] = fmt.Sprintf("%d:%s", e.Kind, v(e.Var))
+			edges[i] = fmt.Sprintf("%d:%s", e.Kind, v(fr[e.Var]))
 		}
 		reads := make([]string, len(p.Reads))
 		for i, r := range p.Reads {
-			reads[i] = v(r)
+			reads[i] = v(fr[r])
 		}
-		fmt.Fprintf(sb, "proc@%d star=%v edges[%s] reads[%s]\n", at[p.Src], p.Star, strings.Join(edges, ","), strings.Join(reads, ","))
+		fmt.Fprintf(sb, "proc@%d star=%v frame[%s] edges[%s] reads[%s]\n", at[p.Src], p.Star, frame(), strings.Join(edges, ","), strings.Join(reads, ","))
 		stmt(p.Body, "  ")
 	}
 	for i, st := range f.Initials {
-		fmt.Fprintf(sb, "initial@%d\n", at[f.InitialItems[i]])
+		fr = f.InitialFrames[i]
+		fmt.Fprintf(sb, "initial@%d frame[%s]\n", at[f.InitialItems[i]], frame())
 		stmt(st, "  ")
 	}
 	fmt.Fprintf(sb, "inputs=%d outputs=%d\n", len(f.Inputs), len(f.Outputs))
@@ -384,8 +396,19 @@ func checkIncremental(t *testing.T, frags []string, from int, inline bool) {
 		t.Fatalf("from scratch over %d fragments: %v", from, err)
 	}
 	for k := from; k < len(frags); k++ {
+		base := v
 		if v, err = integrate(v, frags[k], inline); err != nil {
 			t.Fatalf("fragment %d: %v", k, err)
+		}
+		for path, f := range v.flatElabs {
+			if b := base.flatElabs[path]; b != nil {
+				sharesTrees(t, b, f)
+			}
+		}
+		for path, f := range v.execElabs {
+			if b := base.execElabs[path]; b != nil {
+				sharesTrees(t, b, f)
+			}
 		}
 		whole, err := integrate(emptyVersion(), strings.Join(frags[:k+1], "\n"), inline)
 		if err != nil {
@@ -417,6 +440,36 @@ func checkIncremental(t *testing.T, frags []string, from int, inline bool) {
 		if fmt.Sprint(gerr) != fmt.Sprint(werr) || (gerr == nil && got.Fingerprint() != want.Fingerprint()) {
 			t.Fatalf("inline=%v: after fragment %d the incremental root synthesizes differently (errors %v / %v)", inline, k, gerr, werr)
 		}
+	}
+}
+
+// sharesTrees fails unless every unit of f that kept the identity of a
+// unit of base holds base's tree by pointer (elab.ElaborateFrom).
+func sharesTrees(t *testing.T, base, f *elab.Flat) {
+	t.Helper()
+	trees := map[uint64]any{}
+	for _, a := range base.Assigns {
+		trees[a.Unit] = a.RHS
+	}
+	for _, p := range base.Procs {
+		trees[p.Unit] = p.Body
+	}
+	for i, st := range base.Initials {
+		trees[base.InitialUnits[i]] = st
+	}
+	check := func(unit uint64, tree any) {
+		if bt, kept := trees[unit]; kept && bt != tree {
+			t.Fatalf("%s: unit %d kept its base's identity but not its tree", f.Name, unit)
+		}
+	}
+	for _, a := range f.Assigns {
+		check(a.Unit, a.RHS)
+	}
+	for _, p := range f.Procs {
+		check(p.Unit, p.Body)
+	}
+	for i, st := range f.Initials {
+		check(f.InitialUnits[i], st)
 	}
 }
 

@@ -24,14 +24,16 @@ func (s *Simulator) compile(u int) func() {
 		s.code = make([]func(), len(s.runs))
 	}
 	var body elab.Stmt
+	var fr []*elab.Var
 	if na := len(s.flat.Assigns); u < na {
 		a := s.flat.Assigns[u]
-		body = &elab.Assign{Blocking: true, LHS: a.LHS, RHS: a.RHS}
+		body, fr = &elab.Assign{Blocking: true, LHS: a.LHS, RHS: a.RHS}, a.Frame
 	} else {
-		body = s.flat.Procs[u-na].Body
+		p := s.flat.Procs[u-na]
+		body, fr = p.Body, p.Frame
 	}
 	b := binder{Simulator: s, slab: slabFor(body)}
-	s.code[u] = b.stmt(body)
+	s.code[u] = b.stmt(body, fr)
 	unitsCompiled.Add(1)
 	return s.code[u]
 }
@@ -77,16 +79,16 @@ func slabFor(body elab.Stmt) *arena {
 
 var nop = func() {}
 
-// stmt compiles a statement: blocks, ifs, cases and assignments become
-// closures, anything else runs on the tree walk.
-func (b binder) stmt(st elab.Stmt) func() {
+// stmt compiles a statement of a unit with frame fr: blocks, ifs, cases
+// and assignments become closures, anything else runs on the tree walk.
+func (b binder) stmt(st elab.Stmt, fr []*elab.Var) func() {
 	switch x := st.(type) {
 	case nil:
 		return nop
 	case *elab.Block:
 		steps := make([]func(), len(x.Stmts))
 		for i, sub := range x.Stmts {
-			steps[i] = b.stmt(sub)
+			steps[i] = b.stmt(sub, fr)
 		}
 		if len(steps) == 1 {
 			return steps[0]
@@ -97,7 +99,7 @@ func (b binder) stmt(st elab.Stmt) func() {
 			}
 		}
 	case *elab.If:
-		cond, then := elab.Compile(x.Cond, b), b.stmt(x.Then)
+		cond, then := elab.Compile(x.Cond, fr, b), b.stmt(x.Then, fr)
 		if x.Else == nil {
 			return func() {
 				if cond().Bool() {
@@ -105,7 +107,7 @@ func (b binder) stmt(st elab.Stmt) func() {
 				}
 			}
 		}
-		els := b.stmt(x.Else)
+		els := b.stmt(x.Else, fr)
 		return func() {
 			if cond().Bool() {
 				then()
@@ -114,28 +116,28 @@ func (b binder) stmt(st elab.Stmt) func() {
 			}
 		}
 	case *elab.Case:
-		return b.caseStmt(x)
+		return b.caseStmt(x, fr)
 	case *elab.Assign:
-		return b.assign(x)
+		return b.assign(x, fr)
 	}
 	s := b.Simulator
-	return func() { s.exec(st) }
+	return func() { s.exec(st, fr) }
 }
 
 // caseStmt compiles a case: its labels in order, each with the body of
 // its item, and the (last) default. A narrow subject under constant
 // labels indexes a table of bodies instead.
-func (b binder) caseStmt(x *elab.Case) func() {
-	subj, deflt := elab.Compile(x.Subject, b), nop
+func (b binder) caseStmt(x *elab.Case, fr []*elab.Var) func() {
+	subj, deflt := elab.Compile(x.Subject, fr, b), nop
 	var labels []caseLabel
 	for _, it := range x.Items {
-		body := b.stmt(it.Body)
+		body := b.stmt(it.Body, fr)
 		if it.Labels == nil {
 			deflt = body
 			continue
 		}
 		for li, l := range it.Labels {
-			c := caseLabel{val: elab.Compile(l, b), mask: it.Masks[li], body: body}
+			c := caseLabel{val: elab.Compile(l, fr, b), mask: it.Masks[li], body: body}
 			if c.mask != nil {
 				c.diff = b.Tmp(max(x.Subject.Width(), l.Width(), c.mask.Width()))
 			}
@@ -206,15 +208,15 @@ func caseTable(x *elab.Case, labels []caseLabel, deflt func()) []func() {
 // assign compiles an assignment, with a lone whole-variable or
 // constant-range target written directly; other targets go through
 // writeTargets.
-func (b binder) assign(x *elab.Assign) func() {
-	s, rhs := b.Simulator, elab.Compile(x.RHS, b)
+func (b binder) assign(x *elab.Assign, fr []*elab.Var) func() {
+	s, rhs := b.Simulator, elab.Compile(x.RHS, fr, b)
 	if lv := x.LHS[0]; len(x.LHS) == 1 && lv.ArrIndex == nil && lv.DynBit == nil {
-		v, hasRng, hi, lo := lv.Var, lv.HasRange, lv.Hi, lv.Lo
+		v, hasRng, hi, lo := fr[lv.Var], lv.HasRange, lv.Hi, lv.Lo
 		if x.Blocking {
 			return func() { s.applyWrite(v, -1, hasRng, hi, lo, rhs()) }
 		}
 		return func() { s.enqueue(v, -1, hasRng, hi, lo, rhs()) }
 	}
 	lhs, blocking := x.LHS, x.Blocking
-	return func() { s.writeTargets(lhs, rhs(), blocking) }
+	return func() { s.writeTargets(lhs, fr, rhs(), blocking) }
 }

@@ -171,17 +171,18 @@ func TestCompileMatchesEval(t *testing.T) {
 	for seed := uint64(0); seed < 60; seed++ {
 		s := New(build(t, vgen.Module(seed).String()), Options{})
 		var exprs []elab.Expr
-		add := func(e elab.Expr) { exprs = append(exprs, e) }
+		var frames [][]*elab.Var // each expression's unit's frame
+		add := func(e elab.Expr, fr []*elab.Var) { exprs, frames = append(exprs, e), append(frames, fr) }
 		for _, a := range s.flat.Assigns {
-			add(a.RHS)
+			add(a.RHS, a.Frame)
 		}
 		for _, p := range s.flat.Procs {
-			elab.WalkStmt(p.Body, nil, func(e elab.Expr) { add(e) })
+			elab.WalkStmt(p.Body, nil, func(e elab.Expr) { add(e, p.Frame) })
 		}
 		b := binder{Simulator: s, slab: &arena{}}
 		compiled := make([]func() *bits.Vector, len(exprs))
 		for i, e := range exprs {
-			compiled[i] = elab.Compile(e, b)
+			compiled[i] = elab.Compile(e, frames[i], b)
 		}
 		for tick := uint64(0); tick < 8; tick++ {
 			s.SetInputByName("a", bits.FromUint64(8, seed*131+tick*7))
@@ -190,7 +191,7 @@ func TestCompileMatchesEval(t *testing.T) {
 			settleSim(s)
 			for i, e := range exprs {
 				s.scratch.rewind()
-				if got, want := compiled[i]().Hex(), elab.Eval(e, s).Hex(); got != want {
+				if got, want := compiled[i]().Hex(), elab.Eval(e, frames[i], s).Hex(); got != want {
 					t.Fatalf("seed %d tick %d: %s compiled, %s walked, for %T of width %d",
 						seed, tick, got, want, e, e.Width())
 				}

@@ -11,7 +11,8 @@
 // the Flat's layout (GetState, SetState).
 //
 // Every unit (continuous assignment or always-block body) starts on the
-// tree walk, elab.Eval under exec, which is the reference semantics. A
+// tree walk, elab.Eval under exec, which is the reference semantics; it
+// reads and writes variables through the unit's frame. A
 // unit that keeps running is compiled at its 8th execution, the paper's
 // tiering one level down: into closures over this simulator's own
 // vectors (elab.Compile for expressions), run from then on instead of the
@@ -136,6 +137,7 @@ func (a *arena) rewind() {
 
 type monitorState struct {
 	task *elab.SysTask
+	fr   []*elab.Var // its initial block's frame
 	last []string
 }
 
@@ -173,9 +175,9 @@ func New(f *elab.Flat, opts Options) *Simulator {
 	s.activateCombinational()
 
 	// Initial blocks execute once at time zero.
-	for _, st := range f.Initials {
+	for i, st := range f.Initials {
 		s.scratch.rewind()
-		s.exec(st)
+		s.exec(st, f.InitialFrames[i])
 	}
 	return s
 }
@@ -205,9 +207,9 @@ func (s *Simulator) buildWatchers() {
 				var v *elab.Var
 				switch t := e.(type) {
 				case *elab.VarRef:
-					v = t.V
+					v = a.Frame[t.Var]
 				case *elab.ArrayRef:
-					v = t.V
+					v = a.Frame[t.Var]
 				}
 				if v != nil && seen[v.Index] != int32(i+1) {
 					seen[v.Index] = int32(i + 1)
@@ -224,21 +226,21 @@ func (s *Simulator) buildWatchers() {
 			u := uint32(na+i) << 2
 			switch {
 			case p.Star:
-				for _, v := range p.Reads {
-					add(v, u|watchAny)
+				for _, r := range p.Reads {
+					add(p.Frame[r], u|watchAny)
 				}
 			case hasLevel(p):
 				for _, e := range p.Edges {
 					if e.Kind == elab.Level {
-						add(e.Var, u|watchAny)
+						add(p.Frame[e.Var], u|watchAny)
 					}
 				}
 			default:
 				for _, e := range p.Edges {
 					if e.Kind == elab.Pos {
-						add(e.Var, u|watchPos)
+						add(p.Frame[e.Var], u|watchPos)
 					} else {
-						add(e.Var, u|watchNeg)
+						add(p.Frame[e.Var], u|watchNeg)
 					}
 				}
 			}
@@ -391,15 +393,17 @@ func (s *Simulator) loopVar() string {
 	writes := make([][]*elab.Var, len(s.runs))
 	for u := range writes {
 		if u < na {
-			for _, lv := range s.flat.Assigns[u].LHS {
-				writes[u] = append(writes[u], lv.Var)
+			a := s.flat.Assigns[u]
+			for _, lv := range a.LHS {
+				writes[u] = append(writes[u], a.Frame[lv.Var])
 			}
 			continue
 		}
-		elab.WalkStmt(s.flat.Procs[u-na].Body, func(st elab.Stmt) {
+		p := s.flat.Procs[u-na]
+		elab.WalkStmt(p.Body, func(st elab.Stmt) {
 			if a, ok := st.(*elab.Assign); ok && a.Blocking {
 				for _, lv := range a.LHS {
-					writes[u] = append(writes[u], lv.Var)
+					writes[u] = append(writes[u], p.Frame[lv.Var])
 				}
 			}
 		}, nil)
@@ -482,9 +486,10 @@ func (s *Simulator) runIfActive(u int) {
 	}
 	if na := len(s.flat.Assigns); u < na {
 		a := s.flat.Assigns[u]
-		s.writeTargets(a.LHS, elab.Eval(a.RHS, s), true)
+		s.writeTargets(a.LHS, a.Frame, elab.Eval(a.RHS, a.Frame, s), true)
 	} else {
-		s.exec(s.flat.Procs[u-na].Body)
+		p := s.flat.Procs[u-na]
+		s.exec(p.Body, p.Frame)
 	}
 }
 
@@ -508,7 +513,7 @@ func (s *Simulator) Update() {
 func (s *Simulator) EndStep() {
 	s.scratch.rewind()
 	for _, m := range s.monitors {
-		cur := s.formatTask(m.task)
+		cur := s.formatTask(m.task, m.fr)
 		if len(m.last) == 0 || m.last[0] != cur {
 			m.last = []string{cur}
 			s.display(cur + "\n")
@@ -516,48 +521,49 @@ func (s *Simulator) EndStep() {
 	}
 }
 
-// writeTargets distributes val across (possibly concatenated) lvalues,
-// MSB first. blocking selects immediate write vs update queue. A lone
+// writeTargets distributes val across (possibly concatenated) lvalues of
+// a unit with frame fr, MSB first. blocking selects immediate write vs
+// update queue. A lone
 // lvalue takes val as it is (every write truncates or extends to its
 // target); several take part selects of a scratch copy, since val may be
 // live state that the first write changes.
-func (s *Simulator) writeTargets(lhs []elab.LValue, val *bits.Vector, blocking bool) {
+func (s *Simulator) writeTargets(lhs []elab.LValue, fr []*elab.Var, val *bits.Vector, blocking bool) {
 	if len(lhs) == 1 {
-		s.writeLValue(lhs[0], val, blocking)
+		s.writeLValue(lhs[0], fr, val, blocking)
 		return
 	}
 	offset := 0
 	for _, lv := range lhs {
-		offset += lv.TargetWidth()
+		offset += lv.TargetWidth(fr)
 	}
 	val = s.Tmp(offset).Set(val)
 	for _, lv := range lhs {
-		w := lv.TargetWidth()
+		w := lv.TargetWidth(fr)
 		offset -= w
-		s.writeLValue(lv, s.Tmp(w).SetShr(val, offset), blocking)
+		s.writeLValue(lv, fr, s.Tmp(w).SetShr(val, offset), blocking)
 	}
 }
 
-func (s *Simulator) writeLValue(lv elab.LValue, val *bits.Vector, blocking bool) {
-	word := -1
+func (s *Simulator) writeLValue(lv elab.LValue, fr []*elab.Var, val *bits.Vector, blocking bool) {
+	v, word := fr[lv.Var], -1
 	if lv.ArrIndex != nil {
-		if word = elab.Eval(lv.ArrIndex, s).Index(lv.Var.ArrayLen); word < 0 {
+		if word = elab.Eval(lv.ArrIndex, fr, s).Index(v.ArrayLen); word < 0 {
 			return // out-of-range memory write is dropped
 		}
 	}
 	hasRng, hi, lo := lv.HasRange, lv.Hi, lv.Lo
 	if lv.DynBit != nil {
-		b := elab.Eval(lv.DynBit, s).Index(lv.Var.Width)
+		b := elab.Eval(lv.DynBit, fr, s).Index(v.Width)
 		if b < 0 {
 			return
 		}
 		hasRng, hi, lo = true, b, b
 	}
 	if blocking {
-		s.applyWrite(lv.Var, word, hasRng, hi, lo, val)
+		s.applyWrite(v, word, hasRng, hi, lo, val)
 		return
 	}
-	s.enqueue(lv.Var, word, hasRng, hi, lo, val)
+	s.enqueue(v, word, hasRng, hi, lo, val)
 }
 
 // enqueue queues a non-blocking write. The value outlives its process:
@@ -594,22 +600,22 @@ func (s *Simulator) applyWrite(v *elab.Var, word int, hasRng bool, hi, lo int, v
 	s.fire(v, oldLSB, target.Bit(0))
 }
 
-// exec interprets a resolved statement.
-func (s *Simulator) exec(st elab.Stmt) {
+// exec interprets a resolved statement of a unit with frame fr.
+func (s *Simulator) exec(st elab.Stmt, fr []*elab.Var) {
 	switch x := st.(type) {
 	case nil:
 	case *elab.Block:
 		for _, sub := range x.Stmts {
-			s.exec(sub)
+			s.exec(sub, fr)
 		}
 	case *elab.If:
-		if elab.Eval(x.Cond, s).Bool() {
-			s.exec(x.Then)
+		if elab.Eval(x.Cond, fr, s).Bool() {
+			s.exec(x.Then, fr)
 		} else {
-			s.exec(x.Else)
+			s.exec(x.Else, fr)
 		}
 	case *elab.Case:
-		subj := elab.Eval(x.Subject, s)
+		subj := elab.Eval(x.Subject, fr, s)
 		var deflt elab.Stmt
 		for _, item := range x.Items {
 			if item.Labels == nil {
@@ -617,42 +623,42 @@ func (s *Simulator) exec(st elab.Stmt) {
 				continue
 			}
 			for li, l := range item.Labels {
-				lv := elab.Eval(l, s)
+				lv := elab.Eval(l, fr, s)
 				if m := item.Masks[li]; m != nil {
 					diff := s.Tmp(max(subj.Width(), lv.Width(), m.Width()))
 					if diff.SetXor(subj, lv).SetAnd(diff, m).IsZero() {
-						s.exec(item.Body)
+						s.exec(item.Body, fr)
 						return
 					}
 					continue
 				}
 				if lv.Equal(subj) {
-					s.exec(item.Body)
+					s.exec(item.Body, fr)
 					return
 				}
 			}
 		}
-		s.exec(deflt)
+		s.exec(deflt, fr)
 	case *elab.Assign:
-		val := elab.Eval(x.RHS, s)
-		s.writeTargets(x.LHS, val, x.Blocking)
+		val := elab.Eval(x.RHS, fr, s)
+		s.writeTargets(x.LHS, fr, val, x.Blocking)
 	case *elab.SysTask:
-		s.sysTask(x)
+		s.sysTask(x, fr)
 	default:
 		panic(fmt.Sprintf("sim: unknown statement %T", st))
 	}
 }
 
-func (s *Simulator) sysTask(t *elab.SysTask) {
+func (s *Simulator) sysTask(t *elab.SysTask, fr []*elab.Var) {
 	switch t.Kind {
 	case elab.TaskDisplay:
-		s.display(s.formatTask(t) + "\n")
+		s.display(s.formatTask(t, fr) + "\n")
 	case elab.TaskWrite:
-		s.display(s.formatTask(t))
+		s.display(s.formatTask(t, fr))
 	case elab.TaskMonitor:
-		m := &monitorState{task: t}
+		m := &monitorState{task: t, fr: fr}
 		s.monitors = append(s.monitors, m)
-		cur := s.formatTask(t)
+		cur := s.formatTask(t, fr)
 		m.last = []string{cur}
 		s.display(cur + "\n")
 	case elab.TaskFinish:
@@ -673,10 +679,10 @@ func (s *Simulator) display(text string) {
 // string. Supported verbs: %d %h %x %b %o %c %s %m %% with an optional 0
 // flag and field width for %d (e.g. %08d). Without a format string,
 // arguments print space-separated in decimal (standard behaviour).
-func (s *Simulator) formatTask(t *elab.SysTask) string {
+func (s *Simulator) formatTask(t *elab.SysTask, fr []*elab.Var) string {
 	vals := make([]*bits.Vector, len(t.Args))
 	for i, a := range t.Args {
-		vals[i] = elab.Eval(a, s)
+		vals[i] = elab.Eval(a, fr, s)
 	}
 	if t.Format == "" {
 		parts := make([]string, len(vals))

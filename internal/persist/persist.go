@@ -19,9 +19,11 @@
 package persist
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -33,6 +35,16 @@ import (
 type Section struct {
 	Name string
 	Data []byte
+
+	crc    uint32 // Data's CRC-32, when sealed
+	sealed bool
+}
+
+// SealedSection returns a section checksummed now, once: a payload written
+// into many containers (a program version's source, into each checkpoint)
+// is not checksummed again by each.
+func SealedSection(name string, data []byte) Section {
+	return Section{Name: name, Data: data, crc: crc32.ChecksumIEEE(data), sealed: true}
 }
 
 // Container framing: a text header line carrying the magic and format
@@ -48,6 +60,51 @@ type Section struct {
 //	...
 //	#end sections=<k> crc=<crc32-hex>
 
+// Container is a container's contents. Its WriteTo is the one encoder:
+// a checkpoint streams it into its file, EncodeContainer into a buffer.
+type Container struct {
+	Magic    string
+	Version  int
+	Sections []Section
+}
+
+// WriteTo writes the container to w, copying no payload: the framing
+// goes through a small buffer and each payload straight to w.
+func (c Container) WriteTo(w io.Writer) (int64, error) {
+	bw := bufio.NewWriterSize(w, 512)
+	var n int64
+	put := func(b []byte) {
+		k, _ := bw.Write(b) // the error is sticky: Flush returns it
+		n += int64(k)
+	}
+	line := append(append(append(make([]byte, 0, 128), '#'), c.Magic...), " v"...)
+	put(append(strconv.AppendInt(line, int64(c.Version), 10), '\n'))
+	seal := crc32.NewIEEE()
+	for _, s := range c.Sections {
+		crc := s.crc
+		if !s.sealed {
+			crc = crc32.ChecksumIEEE(s.Data)
+		}
+		line = append(append(append(line[:0], "#section "...), s.Name...), " len="...)
+		line = append(appendHex(append(strconv.AppendInt(line, int64(len(s.Data)), 10), " crc="...), crc), '\n')
+		put(line)
+		put(s.Data)
+		put(line[len(line)-1:]) // a newline
+		seal.Write(append(appendHex(append(append(line[:0], s.Name...), ':'), crc), ';'))
+	}
+	line = strconv.AppendInt(append(line[:0], "#end sections="...), int64(len(c.Sections)), 10)
+	put(append(appendHex(append(line, " crc="...), seal.Sum32()), '\n'))
+	return n, bw.Flush()
+}
+
+// appendHex appends x as eight lowercase hex digits.
+func appendHex(b []byte, x uint32) []byte {
+	for shift := 28; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[x>>shift&0xf])
+	}
+	return b
+}
+
 // EncodeContainer renders sections into a checksummed container.
 func EncodeContainer(magic string, version int, secs []Section) []byte {
 	n := 64 + len(magic) // the header and trailer lines, each section's header line
@@ -55,16 +112,7 @@ func EncodeContainer(magic string, version int, secs []Section) []byte {
 		n += len(s.Name) + len(s.Data) + 50
 	}
 	buf := bytes.NewBuffer(make([]byte, 0, n))
-	fmt.Fprintf(buf, "#%s v%d\n", magic, version)
-	seal := crc32.NewIEEE()
-	for _, s := range secs {
-		crc := crc32.ChecksumIEEE(s.Data)
-		fmt.Fprintf(buf, "#section %s len=%d crc=%08x\n", s.Name, len(s.Data), crc)
-		buf.Write(s.Data)
-		buf.WriteByte('\n')
-		fmt.Fprintf(seal, "%s:%08x;", s.Name, crc)
-	}
-	fmt.Fprintf(buf, "#end sections=%d crc=%08x\n", len(secs), seal.Sum32())
+	Container{magic, version, secs}.WriteTo(buf) // a buffer takes every write
 	return buf.Bytes()
 }
 
@@ -136,37 +184,39 @@ func FindSection(secs []Section, name string) ([]byte, bool) {
 	return nil, false
 }
 
-// WriteFileAtomic writes data to path via a temp file in the same
-// directory, fsyncs it, renames it over path, and fsyncs the directory.
-// A crash at any point leaves either the previous file or the new one —
-// never a torn mixture — and the temp file is cleaned up on error.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+// WriteFileAtomic writes what src writes to path via a temp file in the
+// same directory, fsyncs it, renames it over path, and fsyncs the
+// directory, returning the file's size. A crash at any point leaves
+// either the previous file or the new one — never a torn mixture — and
+// the temp file is cleaned up on error.
+func WriteFileAtomic(path string, src io.WriterTo, perm os.FileMode) (int64, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
+	n, err := src.WriteTo(tmp)
+	if err != nil {
 		tmp.Close()
-		return err
+		return 0, err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return err
+		return 0, err
 	}
 	if err := tmp.Chmod(perm); err != nil {
 		tmp.Close()
-		return err
+		return 0, err
 	}
 	if err := tmp.Close(); err != nil {
-		return err
+		return 0, err
 	}
 	if err := os.Rename(tmpName, path); err != nil {
-		return err
+		return 0, err
 	}
-	return syncDir(dir)
+	return n, syncDir(dir)
 }
 
 // syncDir fsyncs a directory so a rename is durable. Some platforms

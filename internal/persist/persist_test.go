@@ -37,6 +37,30 @@ func TestContainerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestContainerBytes: the encoder's output is pinned byte for byte (the
+// record was written by the fmt-based encoder it replaced), whether it
+// renders into a buffer or streams into a file, and whether a section
+// was checksummed ahead (SealedSection) or as it is written.
+func TestContainerBytes(t *testing.T) {
+	const want = "#cascade-test v7\n#section meta len=9 crc=47655017\nsteps=42\n\n" +
+		"#section state:main.led len=5 crc=aaf74311\n\x00\x01\x02\n\xff\n#section empty len=0 crc=00000000\n\n" +
+		"#section source len=24 crc=241af5aa\nwire x;\n#end sections=1\n\n#end sections=4 crc=8497c070\n"
+	secs := []Section{
+		{Name: "meta", Data: []byte("steps=42\n")},
+		{Name: "state:main.led", Data: []byte{0, 1, 2, '\n', 0xff}},
+		{Name: "empty", Data: nil},
+		SealedSection("source", []byte("wire x;\n#end sections=1\n")),
+	}
+	if got := EncodeContainer("cascade-test", 7, secs); string(got) != want {
+		t.Fatalf("encoded:\n%q\nwant:\n%q", got, want)
+	}
+	path := filepath.Join(t.TempDir(), "c")
+	n, err := WriteFileAtomic(path, Container{"cascade-test", 7, secs}, 0o644)
+	if got, _ := os.ReadFile(path); err != nil || n != int64(len(want)) || string(got) != want {
+		t.Fatalf("streamed %d B (%v):\n%q\nwant:\n%q", n, err, got, want)
+	}
+}
+
 func TestContainerDetectsCorruption(t *testing.T) {
 	blob := EncodeContainer("cascade-test", 1, []Section{
 		{Name: "a", Data: []byte("payload-a")},
@@ -66,10 +90,10 @@ func TestContainerDetectsCorruption(t *testing.T) {
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "file.dat")
-	if err := WriteFileAtomic(path, []byte("first"), 0o644); err != nil {
+	if _, err := WriteFileAtomic(path, strings.NewReader("first"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(path, []byte("second"), 0o644); err != nil {
+	if _, err := WriteFileAtomic(path, strings.NewReader("second"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -208,11 +232,11 @@ func TestStoreCheckpointRotationAndRecovery(t *testing.T) {
 		}
 	}
 	appendN(4)
-	if _, err := s.WriteCheckpoint(ckptPayload(seq), 2); err != nil {
+	if _, err := s.WriteCheckpoint(bytes.NewReader(ckptPayload(seq)), 2); err != nil {
 		t.Fatal(err)
 	}
 	appendN(3)
-	if _, err := s.WriteCheckpoint(ckptPayload(seq), 2); err != nil {
+	if _, err := s.WriteCheckpoint(bytes.NewReader(ckptPayload(seq)), 2); err != nil {
 		t.Fatal(err)
 	}
 	appendN(2)
@@ -264,7 +288,7 @@ func TestStoreRetentionPrunesOldSegments(t *testing.T) {
 			seq++
 			s.Append(seq, 1, []byte("r"))
 		}
-		if _, err := s.WriteCheckpoint(ckptPayload(seq), 2); err != nil {
+		if _, err := s.WriteCheckpoint(bytes.NewReader(ckptPayload(seq)), 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -303,7 +327,7 @@ func TestStoreCrashBetweenCheckpointAndRotation(t *testing.T) {
 	s.Close()
 	// Hand-write the checkpoint file exactly as WriteCheckpoint would,
 	// without rotating.
-	if err := WriteFileAtomic(filepath.Join(dir, "ckpt-000001.ckpt"), ckptPayload(4), 0o644); err != nil {
+	if _, err := WriteFileAtomic(filepath.Join(dir, "ckpt-000001.ckpt"), bytes.NewReader(ckptPayload(4)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, st, err := Open(dir, storeDecoder)

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -181,11 +182,12 @@ func (s *Store) Sync() error { return s.active.Sync() }
 // JournalBytes returns the size of the active segment's records.
 func (s *Store) JournalBytes() int64 { return s.active.bytes }
 
-// WriteCheckpoint seals the active segment (synced and closed), writes
-// the next checkpoint atomically, opens a fresh segment and prunes the
-// checkpoints (and the segments only they needed) older than keep. After
-// an error the store takes no more appends.
-func (s *Store) WriteCheckpoint(payload []byte, keep int) (int, error) {
+// WriteCheckpoint seals the active segment (synced and closed), streams
+// the next checkpoint into its file atomically, opens a fresh segment and
+// prunes the checkpoints (and the segments only they needed) older than
+// keep. It returns the checkpoint's size. After an error the store takes
+// no more appends.
+func (s *Store) WriteCheckpoint(ckpt io.WriterTo, keep int) (int64, error) {
 	if keep < 1 {
 		keep = 1
 	}
@@ -195,7 +197,8 @@ func (s *Store) WriteCheckpoint(payload []byte, keep int) (int, error) {
 		return 0, err
 	}
 	n := s.ckptIndex + 1
-	if err := WriteFileAtomic(s.ckptPath(n), payload, 0o644); err != nil {
+	size, err := WriteFileAtomic(s.ckptPath(n), ckpt, 0o644)
+	if err != nil {
 		return 0, err
 	}
 	active, _, err := OpenJournal(s.walPath(n))
@@ -214,7 +217,7 @@ func (s *Store) WriteCheckpoint(payload []byte, keep int) (int, error) {
 	horizon := n - keep + 1
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return n, nil // pruning is best-effort
+		return size, nil // pruning is best-effort
 	}
 	for _, e := range entries {
 		if i, ok := parseIndexedName(e.Name(), ckptPrefix, ckptSuffix); ok && i < horizon {
@@ -225,7 +228,7 @@ func (s *Store) WriteCheckpoint(payload []byte, keep int) (int, error) {
 		}
 	}
 	syncDir(s.dir)
-	return n, nil
+	return size, nil
 }
 
 // Close syncs and closes the active segment.

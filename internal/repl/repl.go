@@ -324,7 +324,7 @@ func (r *REPL) command(line string) bool {
 		r.mu.Unlock()
 		// Atomic write: a crash mid-save leaves either the previous
 		// file or the new one, never a torn snapshot.
-		if err := persist.WriteFileAtomic(fields[1], []byte(blob), 0o644); err != nil {
+		if _, err := persist.WriteFileAtomic(fields[1], strings.NewReader(blob), 0o644); err != nil {
 			fmt.Fprintf(r.out, "save failed: %v\n", err)
 			break
 		}

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"io"
 	"math"
 	goruntime "runtime"
 	"strings"
@@ -10,7 +11,6 @@ import (
 
 	"cascade/internal/golden"
 	"cascade/internal/obsv"
-	"cascade/internal/persist"
 	"cascade/internal/stdlib"
 	"cascade/internal/vclock"
 	"cascade/internal/workloads/regexgen"
@@ -84,6 +84,9 @@ func TestStreamTickCounters(t *testing.T) {
 		}
 		fmt.Fprintf(&rec, "%-18s %5d steps in %4d Step calls: %3d objects %6d B, %.3f B per step\n",
 			c.name, steps, calls, objs, bytes, float64(bytes)/float64(steps))
+		if bytes != 0 {
+			t.Errorf("%s: the stream's steps allocate %d B", c.name, bytes)
+		}
 		r.Shutdown()
 	}
 	golden.Check(t, "counters", rec.String())
@@ -128,8 +131,7 @@ func TestDurableStepCounters(t *testing.T) {
 		eobjs, encoded[i] = heapWork(8, func(int) {
 			r.mu.Lock()
 			defer r.mu.Unlock()
-			journal := persist.Section{Name: "journal", Data: appendField(appendField(nil, "lastseq", '=', 0), "outbytes", '=', r.outBytes)}
-			persist.EncodeContainer(snapshotMagic, snapshotVersion, append(snapshotSections(r.snapshotLocked()), journal))
+			r.checkpointContainer(0).WriteTo(io.Discard)
 		})
 		t.Logf("%s: a checkpoint allocates %d objects, %d B; building and encoding it %d objects, %d B",
 			c.name, objs, bytes, eobjs, encoded[i])
@@ -138,5 +140,8 @@ func TestDurableStepCounters(t *testing.T) {
 		r.ClosePersistence()
 	}
 	fmt.Fprintf(&rec, "the unused modules add %d B to building and encoding a checkpoint\n", int64(encoded[1]-encoded[0]))
+	if encoded[1] != encoded[0] {
+		t.Errorf("a checkpoint's bytes grow with its program's source: %d B against %d", encoded[1], encoded[0])
+	}
 	golden.Check(t, "counters", rec.String())
 }

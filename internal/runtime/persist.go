@@ -370,13 +370,7 @@ func (r *Runtime) checkpointLocked() error {
 	// offset accounts for every line the program has produced up to
 	// this step (the queue itself is not checkpointed).
 	r.flushDisplays()
-	snap := r.snapshotLocked()
-	secs := snapshotSections(snap)
-	secs = append(secs, persist.Section{
-		Name: "journal",
-		Data: appendField(appendField(nil, "lastseq", '=', seqAt), "outbytes", '=', r.outBytes),
-	})
-	payload := persist.EncodeContainer(snapshotMagic, snapshotVersion, secs)
+	ckpt := r.checkpointContainer(seqAt)
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -384,23 +378,35 @@ func (r *Runtime) checkpointLocked() error {
 		return p.err
 	}
 	// Two are kept, so a corrupted newest checkpoint always has a fallback.
-	if _, err := p.store.WriteCheckpoint(payload, 2); err != nil {
+	size, err := p.store.WriteCheckpoint(ckpt, 2)
+	if err != nil {
 		p.err = err
 		return err
 	}
 	p.lastCkptSteps = r.steps
 	p.checkpoints.Inc()
-	p.checkpointBytes = int64(len(payload))
+	p.checkpointBytes = size
 	wallNs := r.obs().WallNow().Sub(start).Nanoseconds()
 	if wallNs < 0 {
 		wallNs = 0 // a pinned/frozen test clock may not advance
 	}
 	p.checkpointNs += wallNs
 	if o := r.opts.Observer; o != nil {
-		o.Emit(obsv.EvCheckpoint, "", fmt.Sprintf("seq=%d bytes=%d", seqAt, len(payload)))
+		o.Emit(obsv.EvCheckpoint, "", fmt.Sprintf("seq=%d bytes=%d", seqAt, size))
 		o.CheckpointWall.Observe(uint64(wallNs))
 	}
 	return nil
+}
+
+// checkpointContainer is a checkpoint of the runtime as it is, covering
+// the journal up to seq: the snapshot's sections, with the version's
+// source section made once, then the journal position. Callers hold r.mu.
+func (r *Runtime) checkpointContainer(seq uint64) persist.Container {
+	secs := append(snapshotSections(r.snapshotLocked(), r.ver.sourceSection()), persist.Section{
+		Name: "journal",
+		Data: appendField(appendField(nil, "lastseq", '=', seq), "outbytes", '=', r.outBytes),
+	})
+	return persist.Container{Magic: snapshotMagic, Version: snapshotVersion, Sections: secs}
 }
 
 // persistEval journals a validated source fragment ahead of its commit.

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -636,5 +637,44 @@ func TestJournalDiskFullIsSticky(t *testing.T) {
 func TestOpenRequiresPersistDir(t *testing.T) {
 	if _, _, err := Open(Options{}); err == nil {
 		t.Fatal("Open without Persist.Dir should fail")
+	}
+}
+
+// TestStreamedCheckpointBytes: a checkpoint streamed into its file, its
+// version's source section made once, is byte for byte the container
+// EncodeContainer renders from the same snapshot's sections and journal
+// position — for the version's first checkpoint and for a later one.
+func TestStreamedCheckpointBytes(t *testing.T) {
+	dir := t.TempDir()
+	opts, _ := persistTestOptions(dir, 1, nil)
+	opts.Persist.EverySteps = 1 << 40
+	r, _, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.ClosePersistence()
+	r.MustEval(DefaultPrelude)
+	r.MustEval(persistProgA)
+	r.World().PressPad("main.pad", 5)
+	for i := range 2 {
+		r.RunTicks(40)
+		if err := r.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		snap := r.Snapshot()
+		journal := persist.Section{Name: "journal", Data: appendField(appendField(nil, "lastseq", '=', r.pers.seq), "outbytes", '=', r.outBytes)}
+		want := persist.EncodeContainer(snapshotMagic, snapshotVersion,
+			append(snapshotSections(snap, persist.Section{Name: "source", Data: []byte(snap.Source)}), journal))
+		ckpts, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.ckpt"))
+		got, err := os.ReadFile(ckpts[len(ckpts)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("checkpoint %d: the streamed file (%d B) is not the encoded container (%d B)", i+1, len(got), len(want))
+		}
+		if n := r.Stats().Persist.CheckpointBytes; n != int64(len(want)) {
+			t.Fatalf("checkpoint %d: %d B counted, %d written", i+1, n, len(want))
+		}
 	}
 }

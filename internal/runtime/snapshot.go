@@ -158,42 +158,45 @@ const (
 // blob (persist container v3): a torn or bit-flipped file is detected
 // by DecodeSnapshot instead of half-restoring.
 func EncodeSnapshot(snap *Snapshot) string {
-	return string(persist.EncodeContainer(snapshotMagic, snapshotVersion, snapshotSections(snap)))
+	source := persist.Section{Name: "source", Data: []byte(snap.Source)}
+	return string(persist.EncodeContainer(snapshotMagic, snapshotVersion, snapshotSections(snap, source)))
 }
 
 // snapshotSections renders the container sections shared by
-// EncodeSnapshot and the checkpoint writer (which appends its own
-// journal-position section).
-func snapshotSections(snap *Snapshot) []persist.Section {
-	meta := appendField(nil, "steps", '=', snap.Steps)
+// EncodeSnapshot and the checkpoint writer, source being snap.Source's
+// (the checkpoint writer passes its version's, made once, and appends
+// its own journal-position section).
+func snapshotSections(snap *Snapshot, source persist.Section) []persist.Section {
+	meta := appendField(make([]byte, 0, 192), "steps", '=', snap.Steps)
 	meta = appendField(meta, "vnow", '=', snap.VTime.NowPs)
 	meta = appendField(meta, "vcompute", '=', snap.VTime.ComputePs)
 	meta = appendField(meta, "vcomm", '=', snap.VTime.CommPs)
 	meta = appendField(meta, "voverhead", '=', snap.VTime.OverheadPs)
 	meta = appendField(meta, "vmessages", '=', snap.VTime.Messages)
-	secs := []persist.Section{{Name: "meta", Data: meta}}
+	secs := make([]persist.Section, 2, len(snap.States)+4) // and the caller's journal section
+	secs[0] = persist.Section{Name: "meta", Data: meta}
 
 	var world []byte
 	for _, in := range snap.Inputs {
 		world = appendField(world, in.Kind+" "+in.Path, ' ', in.Value)
 	}
-	secs = append(secs, persist.Section{Name: "world", Data: world})
+	secs[1] = persist.Section{Name: "world", Data: world}
 
-	var paths []string
-	for p := range snap.States {
+	paths, words := make([]string, 0, len(snap.States)), 0
+	for p, img := range snap.States {
 		paths = append(paths, p)
+		words += len(img)
 	}
 	sort.Strings(paths)
+	data := make([]byte, 0, 8*words) // every image, one after another
 	for _, p := range paths {
-		img := snap.States[p]
-		data := make([]byte, 0, 8*len(img))
-		for _, w := range img {
+		from := len(data)
+		for _, w := range snap.States[p] {
 			data = binary.LittleEndian.AppendUint64(data, w)
 		}
-		secs = append(secs, persist.Section{Name: "state:" + p, Data: data})
+		secs = append(secs, persist.Section{Name: "state:" + p, Data: data[from:]})
 	}
-	secs = append(secs, persist.Section{Name: "source", Data: []byte(snap.Source)})
-	return secs
+	return append(secs, source)
 }
 
 // appendField appends the section line "<key><sep><n>\n".

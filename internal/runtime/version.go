@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"cascade/internal/elab"
 	"cascade/internal/ir"
 	"cascade/internal/lifecycle"
+	"cascade/internal/persist"
 	"cascade/internal/stdlib"
 	"cascade/internal/verilog"
 )
@@ -40,6 +42,9 @@ type version struct {
 type printed struct {
 	once sync.Once
 	src  string
+
+	secOnce sync.Once
+	sec     persist.Section // src's bytes as a checkpoint's source section, checksummed
 }
 
 type stdLayouts struct {
@@ -68,6 +73,17 @@ func (v *version) source() string {
 		v.printed.src = sb.String()
 	})
 	return v.printed.src
+}
+
+// sourceSection is the version's source as the container section every
+// checkpoint of it carries, checksummed once per version. Its payload is
+// the printed string's own bytes, not a copy: a section is only read.
+func (v *version) sourceSection() persist.Section {
+	v.printed.secOnce.Do(func() {
+		src := v.source()
+		v.printed.sec = persist.SealedSection("source", unsafe.Slice(unsafe.StringData(src), len(src)))
+	})
+	return v.printed.sec
 }
 
 // emptyVersion is the version of a fresh runtime, and the base of a

@@ -407,7 +407,8 @@ func (m *Memory) SetState(img []uint64) {
 type FIFO struct {
 	base
 	width, depth int
-	q            []uint64 // host words are at most 64 bits wide
+	ring         []uint64 // max(depth, 1) words, host words being at most 64 bits wide
+	head, n      int      // the queue is n words from ring[head], wrapping
 	rreq, wreq   bool
 	wdata        *bits.Vector
 	phase        uint64
@@ -432,7 +433,7 @@ const (
 // then depth words), the clock-phase parity, and any in-flight sampled
 // pop or push, making between-step migrations exact.
 func NewFIFO(path string, width, depth int, w *World) *FIFO {
-	f := &FIFO{base: newBase(path), width: width, depth: depth,
+	f := &FIFO{base: newBase(path), width: width, depth: depth, ring: make([]uint64, max(depth, 1)),
 		wdata: bits.New(width), pushData: bits.New(width), stream: w.Stream(path)}
 	f.addOut("rdata", width)
 	f.addOut("empty", 1)
@@ -469,7 +470,7 @@ func (f *FIFO) ThereAreUpdates() bool {
 		return false
 	}
 	if f.phase%2 == 0 {
-		return (f.rreq && len(f.q) > 0) || f.wreq
+		return (f.rreq && f.n > 0) || f.wreq
 	}
 	return f.popSampled || f.pushed
 }
@@ -481,7 +482,7 @@ func (f *FIFO) Update() {
 	}
 	f.latched = true
 	if f.phase%2 == 0 {
-		f.popSampled = f.rreq && len(f.q) > 0
+		f.popSampled = f.rreq && f.n > 0
 		if f.wreq {
 			// wreq is a level: one word per tick while held high.
 			f.pushed = true
@@ -489,8 +490,9 @@ func (f *FIFO) Update() {
 		}
 		return
 	}
-	if f.popSampled && len(f.q) > 0 {
-		f.q = f.q[1:]
+	if f.popSampled && f.n > 0 {
+		f.head = (f.head + 1) % len(f.ring)
+		f.n--
 		f.popSampled = false
 	}
 	if f.pushed {
@@ -507,24 +509,29 @@ func (f *FIFO) Update() {
 func (f *FIFO) EndStep() {
 	f.phase ^= 1
 	f.latched = false
-	if room := f.depth - len(f.q); room > 0 {
-		had := len(f.q)
-		f.q = f.stream.take(f.q, room)
-		f.transfers += uint64(len(f.q) - had)
+	// The free run after the tail, then (wrapped) the one before the head.
+	for f.n < f.depth {
+		tail := (f.head + f.n) % len(f.ring)
+		got := f.stream.take(f.ring[tail:min(len(f.ring), tail+f.depth-f.n)])
+		if got == 0 {
+			break
+		}
+		f.n += got
+		f.transfers += uint64(got)
 	}
 	f.refreshOutputs()
 }
 
 func (f *FIFO) refreshOutputs() {
-	if len(f.q) > 0 {
-		f.setOutU(fifoRdata, f.q[0])
+	if f.n > 0 {
+		f.setOutU(fifoRdata, f.ring[f.head])
 	}
-	f.setOutU(fifoEmpty, b2u(len(f.q) == 0))
-	f.setOutU(fifoFull, b2u(len(f.q) >= f.depth))
+	f.setOutU(fifoEmpty, b2u(f.n == 0))
+	f.setOutU(fifoFull, b2u(f.n >= f.depth))
 }
 
 // Depth returns the device-side queue length (tests).
-func (f *FIFO) Depth() int { return len(f.q) }
+func (f *FIFO) Depth() int { return f.n }
 
 // TransfersDelta returns host-boundary word transfers since the last
 // call; the runtime bills them as bus transactions (each word crosses
@@ -535,13 +542,13 @@ func (f *FIFO) TransfersDelta() uint64 {
 	return d
 }
 
-// GetState implements engine.Engine, adding the queue.
+// GetState implements engine.Engine, adding the queue in queue order.
 func (f *FIFO) GetState() []uint64 {
 	img := f.base.GetState()
 	q, n := f.layout.Of(img, fifoQ), bits.WordsFor(f.width)
-	f.layout.Of(img, fifoQ-1)[0] = uint64(len(f.q))
-	for i, w := range f.q {
-		q[i*n] = w
+	f.layout.Of(img, fifoQ-1)[0] = uint64(f.n)
+	for i := range f.n {
+		q[i*n] = f.ring[(f.head+i)%len(f.ring)]
 	}
 	return img
 }
@@ -550,9 +557,9 @@ func (f *FIFO) GetState() []uint64 {
 func (f *FIFO) SetState(img []uint64) {
 	f.base.SetState(img)
 	q, n := f.layout.Of(img, fifoQ), bits.WordsFor(f.width)
-	f.q = f.q[:0]
-	for i := range min(f.layout.Of(img, fifoQ-1)[0], uint64(f.depth)) {
-		f.q = append(f.q, q[int(i)*n])
+	f.head, f.n = 0, int(min(f.layout.Of(img, fifoQ-1)[0], uint64(f.depth)))
+	for i := range f.n {
+		f.ring[i] = q[i*n]
 	}
 	f.refreshOutputs()
 }

@@ -12,6 +12,7 @@ package stdlib
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -196,30 +197,39 @@ func (w *World) Stream(path string) *Stream {
 }
 
 // Stream is the host side of a FIFO: an unbounded buffer in each
-// direction. The device-side FIFO engine drains In (respecting its
-// depth, which provides back pressure) and fills Out.
+// direction. The device-side FIFO engine drains the inbound queue
+// (respecting its depth, which provides back pressure) and fills the
+// outbound buffer. Inbound data is held as it was pushed, one chunk per
+// call, and each chunk is dropped as soon as the device has taken all
+// of it.
 type Stream struct {
-	mu  sync.Mutex
-	in  []uint64
-	out []uint64
+	mu      sync.Mutex
+	in      []chunk // oldest first; in[0] is trimmed as it is taken
+	pending int     // words queued in in
+	out     []uint64
 
 	// Consumed counts words delivered into the device-side FIFO.
 	Consumed uint64
 }
 
-// Push queues host-to-device words.
-func (s *Stream) Push(words ...uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.in = append(s.in, words...)
+// chunk is one Push's words or one PushBytes's bytes, each byte a word.
+type chunk struct {
+	words []uint64
+	bytes []byte
 }
 
-// PushBytes queues host-to-device bytes.
-func (s *Stream) PushBytes(b []byte) {
+// Push queues host-to-device words.
+func (s *Stream) Push(words ...uint64) { s.queue(chunk{words: slices.Clone(words)}, len(words)) }
+
+// PushBytes queues host-to-device bytes, one word each.
+func (s *Stream) PushBytes(b []byte) { s.queue(chunk{bytes: slices.Clone(b)}, len(b)) }
+
+func (s *Stream) queue(c chunk, n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, x := range b {
-		s.in = append(s.in, uint64(x))
+	if n > 0 {
+		s.in = append(s.in, c)
+		s.pending += n
 	}
 }
 
@@ -227,20 +237,35 @@ func (s *Stream) PushBytes(b []byte) {
 func (s *Stream) PendingIn() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.in)
+	return s.pending
 }
 
-// take moves up to n words from the host-to-device queue onto q.
-func (s *Stream) take(q []uint64, n int) []uint64 {
+// take moves up to len(dst) queued words into dst, in order, and returns
+// how many it moved.
+func (s *Stream) take(dst []uint64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n > len(s.in) {
-		n = len(s.in)
+	n := 0
+	for n < len(dst) && len(s.in) > 0 {
+		c := &s.in[0]
+		k := copy(dst[n:], c.words)
+		c.words = c.words[k:]
+		if c.bytes != nil {
+			k = min(len(dst)-n, len(c.bytes))
+			for i, b := range c.bytes[:k] {
+				dst[n+i] = uint64(b)
+			}
+			c.bytes = c.bytes[k:]
+		}
+		n += k
+		if len(c.words)+len(c.bytes) == 0 {
+			s.in[0] = chunk{} // nothing keeps a taken chunk reachable
+			s.in = s.in[1:]
+		}
 	}
-	q = append(q, s.in[:n]...)
-	s.in = s.in[n:]
+	s.pending -= n
 	s.Consumed += uint64(n)
-	return q
+	return n
 }
 
 // put appends device-to-host words.

@@ -1,6 +1,7 @@
 package toolchain
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -84,7 +85,7 @@ func (d diskTier) Store(meta BitMeta, flow *Stats) {
 	blob := persist.EncodeContainer(bitsMagic, bitsVersion, []persist.Section{
 		{Name: "meta", Data: []byte(text)},
 	})
-	if err := persist.WriteFileAtomic(d.path(meta.Key), blob, 0o644); err != nil {
+	if _, err := persist.WriteFileAtomic(d.path(meta.Key), bytes.NewReader(blob), 0o644); err != nil {
 		return
 	}
 	flow.DiskWrites++

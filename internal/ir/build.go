@@ -149,7 +149,9 @@ type instSplit struct {
 // connSplit is one connection of an instance: the port the parent gains
 // for it (named inst__port after the child's port), of the width the
 // child's port has, its portDecl (the root's), the assignment that
-// drives or reads it, and the memo of that assignment.
+// drives or reads it, and the memo of that assignment. It lives as long
+// as the instance's resolution: a split that keeps the resolution keeps
+// it, one that resolves the instance anew connects it afresh.
 type connSplit struct {
 	port  *verilog.Port // its kind as first promoted
 	decl  *verilog.NetDecl
@@ -255,8 +257,7 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 	}
 
 	// Resolve instances. An instance resolved as it was keeps its
-	// connections; one resolved anew is connected again below, handing out
-	// again the assignments it had (prev), where they are the same.
+	// connections; one resolved anew is connected below.
 	ninst := 0
 	for _, it := range mod.Items {
 		if _, ok := it.(*verilog.Instance); ok {
@@ -268,8 +269,7 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 	childOrder := make([]*childInst, 0, ninst)
 	cis := make([]childInst, ninst)
 	var insts []*instSplit
-	var anew []bool              // per instance: connect it
-	var prevConns [][]*connSplit // per instance connected anew: its previous connections
+	var anew []bool // per instance: connect it
 	for i, it := range mod.Items {
 		old := memo.partOf(mod, i)
 		inst, ok := it.(*verilog.Instance)
@@ -296,16 +296,12 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 		if prev != nil && prev.res == res {
 			kept++
 			next.parts[i] = old
-			insts, anew, prevConns = append(insts, prev), append(anew, false), append(prevConns, nil)
+			insts, anew = append(insts, prev), append(anew, false)
 			continue
 		}
 		is := &instSplit{res: res, path: path + "." + inst.Name}
 		next.parts[i] = &itemSplit{inst: is}
-		var pc []*connSplit
-		if prev != nil {
-			pc = prev.conns
-		}
-		insts, anew, prevConns = append(insts, is), append(anew, true), append(prevConns, pc)
+		insts, anew = append(insts, is), append(anew, true)
 	}
 
 	// The promotion plan: new ports on this module, in order, by name.
@@ -331,7 +327,7 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 	var added []*connSplit
 	for k, is := range insts {
 		if anew[k] {
-			if is.conns, err = b.connect(childOrder[k], prevConns[k], rename); err != nil {
+			if is.conns, err = b.connect(childOrder[k], rename); err != nil {
 				return err
 			}
 		}
@@ -477,24 +473,16 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 	return nil
 }
 
-// connect splits the connections of the instance c: one promoted port and
-// assignment per connection (the wire follows from them). Where prev —
-// the connections the same instance item had in the previous split —
-// holds the same assignment, that object is handed out again, so the root
-// items an eval only appended to stay what they were. rename is the
-// root's renamer (nil: not the root).
-func (b *builder) connect(c *childInst, prev []*connSplit, rename exprRewriter) ([]*connSplit, error) {
-	conns, err := b.namedConns(c)
+// connect splits the connections of the instance c, resolved anew: one
+// promoted port and assignment per connection (the wire follows from
+// them). An instance whose resolution the split kept keeps its
+// connections instead (instSplit), so the root items an eval only
+// appended to stay what they were. rename is the root's renamer (nil: not
+// the root).
+func (b *builder) connect(c *childInst, rename exprRewriter) ([]*connSplit, error) {
+	conns, err := c.namedConns()
 	if err != nil {
 		return nil, err
-	}
-	assign := func(pos verilog.Pos, lhs, rhs verilog.Expr) *verilog.ContAssign {
-		for _, pc := range prev {
-			if sameConnAssign(pc.asn, lhs, rhs) {
-				return pc.asn
-			}
-		}
-		return &verilog.ContAssign{AssignPos: pos, LHS: lhs, RHS: rhs}
 	}
 	name := c.inst.Name
 	out := make([]*connSplit, 0, len(conns))
@@ -502,7 +490,7 @@ func (b *builder) connect(c *childInst, prev []*connSplit, rename exprRewriter) 
 		if pc.Expr == nil {
 			continue // explicitly unconnected
 		}
-		dir, width, kind, err := b.childPortInfo(c, pc.Name, pc.ConnPos)
+		dir, width, kind, err := c.portInfo(pc.Name, pc.ConnPos)
 		if err != nil {
 			return nil, err
 		}
@@ -513,14 +501,14 @@ func (b *builder) connect(c *childInst, prev []*connSplit, rename exprRewriter) 
 		case verilog.Input:
 			// Parent drives the child input: output port + assign.
 			port.Dir, port.Kind = verilog.Output, verilog.Wire
-			cs.asn = assign(pc.ConnPos, ident, pc.Expr)
+			cs.asn = &verilog.ContAssign{AssignPos: pc.ConnPos, LHS: ident, RHS: pc.Expr}
 		case verilog.Output:
 			// Child drives a parent lvalue: input port + assign.
 			if !isLValueForm(pc.Expr) {
 				return nil, errf(pc.ConnPos, "connection to output port %s.%s must be an assignable expression", name, pc.Name)
 			}
 			port.Dir, port.Kind = verilog.Input, kind
-			cs.asn = assign(pc.ConnPos, pc.Expr, ident)
+			cs.asn = &verilog.ContAssign{AssignPos: pc.ConnPos, LHS: pc.Expr, RHS: ident}
 		default:
 			return nil, errf(pc.ConnPos, "inout ports are not supported")
 		}
@@ -547,7 +535,7 @@ func (b *builder) promoteRef(ref hierRef, path string, children map[string]*chil
 	}
 	mangled := ref.inst + "__" + ref.varName
 	if ref.write {
-		dir, width, _, err := b.childPortInfo(ci, ref.varName, ref.pos)
+		dir, width, _, err := ci.portInfo(ref.varName, ref.pos)
 		if err != nil {
 			return err
 		}
@@ -570,7 +558,7 @@ func (b *builder) promoteRef(ref hierRef, path string, children map[string]*chil
 	// Read: promote the child variable to an output if necessary.
 	// (The child keeps any initializer; the parent-side input port
 	// receives the value on the first data-plane broadcast.)
-	width, _, err := b.childVarInfo(ci, ref.varName, ref.pos)
+	width, err := ci.varWidth(ref.varName, ref.pos)
 	if err != nil {
 		return err
 	}
@@ -591,21 +579,6 @@ func (b *builder) promoteRef(ref hierRef, path string, children map[string]*chil
 		ci.extraOutputs[ref.varName] = true
 	}
 	return nil
-}
-
-// sameConnAssign reports whether a is the connection assignment lhs = rhs,
-// where one side is the connection's own expression and the other the
-// promoted port's name.
-func sameConnAssign(a *verilog.ContAssign, lhs, rhs verilog.Expr) bool {
-	same := func(x, y verilog.Expr) bool {
-		if x == y {
-			return true
-		}
-		xi, ok1 := x.(*verilog.Ident)
-		yi, ok2 := y.(*verilog.Ident)
-		return ok1 && ok2 && xi.Name == yi.Name
-	}
-	return same(a.LHS, lhs) && same(a.RHS, rhs)
 }
 
 // paramEnv evaluates a module's parameters (with overrides) and
@@ -635,22 +608,8 @@ func (b *builder) resolveInstance(inst *verilog.Instance, parentEnv map[string]*
 		for _, sp := range spec.Params {
 			ci.params[sp.Name] = sp.Default
 		}
-		for i, pa := range inst.Params {
-			v, err := elab.ConstExpr(pa.Expr, parentEnv)
-			if err != nil {
-				return nil, err
-			}
-			name := pa.Name
-			if name == "" {
-				if i >= len(spec.Params) {
-					return nil, errf(inst.InstPos, "too many parameters for %s", inst.ModName)
-				}
-				name = spec.Params[i].Name
-			}
-			if _, known := ci.params[name]; !known {
-				return nil, errf(inst.InstPos, "%s has no parameter %s", inst.ModName, name)
-			}
-			ci.params[name] = v
+		if err := bindParams(inst, spec.Params, func(p StdParam) string { return p.Name }, parentEnv, ci.params); err != nil {
+			return nil, err
 		}
 		ci.header = ci.params
 		if prev != nil && prev.std == spec && len(prev.params) == len(ci.params) && elab.Extends(prev.params, ci.params) {
@@ -667,29 +626,8 @@ func (b *builder) resolveInstance(inst *verilog.Instance, parentEnv map[string]*
 	}
 	ci.mod = mod
 	ci.header = map[string]*bits.Vector{}
-	for i, pa := range inst.Params {
-		v, err := elab.ConstExpr(pa.Expr, parentEnv)
-		if err != nil {
-			return nil, err
-		}
-		name := pa.Name
-		if name == "" {
-			if i >= len(mod.Params) {
-				return nil, errf(inst.InstPos, "too many parameters for %s", inst.ModName)
-			}
-			name = mod.Params[i].Name
-		}
-		found := false
-		for _, pd := range mod.Params {
-			if pd.Name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, errf(inst.InstPos, "%s has no parameter %s", inst.ModName, name)
-		}
-		ci.header[name] = v
+	if err := bindParams(inst, mod.Params, func(p *verilog.ParamDecl) string { return p.Name }, parentEnv, ci.header); err != nil {
+		return nil, err
 	}
 	if prev != nil && prev.mod == mod && len(prev.header) == len(ci.header) && elab.Extends(prev.header, ci.header) {
 		return prev, nil
@@ -702,27 +640,88 @@ func (b *builder) resolveInstance(inst *verilog.Instance, parentEnv map[string]*
 	return ci, nil
 }
 
-// namedConns normalizes an instance's connections to named form.
-func (b *builder) namedConns(ci *childInst) ([]*verilog.PortConn, error) {
-	var portNames []string
-	if ci.std != nil {
-		for _, p := range ci.std.Ports {
-			portNames = append(portNames, p.Name)
+// bindParams evaluates inst's parameter overrides in env and binds each
+// to the child's declared parameter it names (name of each), a positional
+// one to the declared parameter in its place.
+func bindParams[P any](inst *verilog.Instance, declared []P, name func(P) string, env, bind map[string]*bits.Vector) error {
+	for i, pa := range inst.Params {
+		v, err := elab.ConstExpr(pa.Expr, env)
+		if err != nil {
+			return err
 		}
-	} else {
-		for _, p := range ci.mod.Ports {
-			portNames = append(portNames, p.Name)
+		n := pa.Name
+		if n == "" {
+			if i >= len(declared) {
+				return errf(inst.InstPos, "too many parameters for %s", inst.ModName)
+			}
+			n = name(declared[i])
+		}
+		if !slices.ContainsFunc(declared, func(p P) bool { return name(p) == n }) {
+			return errf(inst.InstPos, "%s has no parameter %s", inst.ModName, n)
+		}
+		bind[n] = v
+	}
+	return nil
+}
+
+// port returns the name, direction and kind of the child's i-th port, a
+// stdlib spec's or its module's; ok is false past the last.
+func (r *instRes) port(i int) (name string, dir verilog.PortDir, kind verilog.NetKind, ok bool) {
+	if r.std != nil {
+		if i >= len(r.std.Ports) {
+			return "", 0, 0, false
+		}
+		return r.std.Ports[i].Name, r.std.Ports[i].Dir, verilog.Wire, true
+	}
+	if i >= len(r.mod.Ports) {
+		return "", 0, 0, false
+	}
+	p := r.mod.Ports[i]
+	return p.Name, p.Dir, p.Kind, true
+}
+
+// portNamed returns the index, direction and kind of the child's port
+// name; the index is -1 if it has none.
+func (r *instRes) portNamed(name string) (int, verilog.PortDir, verilog.NetKind) {
+	for i := 0; ; i++ {
+		n, dir, kind, ok := r.port(i)
+		if !ok {
+			return -1, 0, 0
+		}
+		if n == name {
+			return i, dir, kind
 		}
 	}
-	out := make([]*verilog.PortConn, 0, len(ci.inst.Conns))
+}
+
+// portWidth returns the width of the child's i-th port under its
+// parameters.
+func (r *instRes) portWidth(i int) (int, error) {
+	if r.std != nil {
+		return r.std.Ports[i].Width(r.params), nil
+	}
+	return rangeWidth(r.mod.Ports[i].Range, r.params)
+}
+
+// rangeWidth is the width a declaration's range gives (1 without one).
+func rangeWidth(rng *verilog.Range, env map[string]*bits.Vector) (int, error) {
+	if rng == nil {
+		return 1, nil
+	}
+	return elab.RangeWidth(rng, env)
+}
+
+// namedConns normalizes an instance's connections to named form.
+func (r *instRes) namedConns() ([]*verilog.PortConn, error) {
+	out := make([]*verilog.PortConn, 0, len(r.inst.Conns))
 	seen := map[string]bool{}
-	for i, c := range ci.inst.Conns {
+	for i, c := range r.inst.Conns {
 		name := c.Name
 		if name == "" {
-			if i >= len(portNames) {
-				return nil, errf(c.ConnPos, "too many connections for %s", ci.inst.ModName)
+			var ok bool
+			if name, _, _, ok = r.port(i); !ok {
+				return nil, errf(c.ConnPos, "too many connections for %s", r.inst.ModName)
 			}
-			name = portNames[i]
 		}
 		if seen[name] {
 			return nil, errf(c.ConnPos, "port %s connected twice", name)
@@ -733,87 +732,51 @@ func (b *builder) namedConns(ci *childInst) ([]*verilog.PortConn, error) {
 	return out, nil
 }
 
-// childPortInfo returns direction, width, and kind of a child's port.
-func (b *builder) childPortInfo(ci *childInst, port string, pos verilog.Pos) (verilog.PortDir, int, verilog.NetKind, error) {
-	if ci.std != nil {
-		sp := ci.std.Port(port)
-		if sp == nil {
-			return 0, 0, 0, errf(pos, "%s has no port %s", ci.std.Name, port)
-		}
-		return sp.Dir, sp.Width(ci.params), verilog.Wire, nil
+// portInfo returns direction, width, and kind of a child's port.
+func (r *instRes) portInfo(port string, pos verilog.Pos) (verilog.PortDir, int, verilog.NetKind, error) {
+	i, dir, kind := r.portNamed(port)
+	if i < 0 {
+		return 0, 0, 0, errf(pos, "%s has no port %s", r.inst.ModName, port)
 	}
-	for _, p := range ci.mod.Ports {
-		if p.Name != port {
-			continue
-		}
-		w := 1
-		if p.Range != nil {
-			var err error
-			w, err = elab.RangeWidth(p.Range, ci.params)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-		}
-		return p.Dir, w, p.Kind, nil
-	}
-	return 0, 0, 0, errf(pos, "%s has no port %s", ci.inst.ModName, port)
+	w, err := r.portWidth(i)
+	return dir, w, kind, err
 }
 
-// childVarInfo returns the width and initializer of any child variable
-// readable through a hierarchical reference.
-func (b *builder) childVarInfo(ci *childInst, name string, pos verilog.Pos) (int, verilog.Expr, error) {
-	if ci.std != nil {
-		sp := ci.std.Port(name)
-		if sp == nil {
-			return 0, nil, errf(pos, "%s has no variable %s", ci.std.Name, name)
-		}
-		if sp.Dir == verilog.Input {
-			return 0, nil, errf(pos, "cannot read input %s.%s hierarchically", ci.inst.Name, name)
-		}
-		return sp.Width(ci.params), nil, nil
-	}
-	for _, p := range ci.mod.Ports {
-		if p.Name == name {
-			if p.Dir == verilog.Input {
-				return 0, nil, errf(pos, "cannot read input port %s.%s hierarchically", ci.inst.Name, name)
+// varWidth returns the width of a child variable readable through a
+// hierarchical reference: a port the child drives or, in a user module, a
+// declared variable that is not a memory.
+func (r *instRes) varWidth(name string, pos verilog.Pos) (int, error) {
+	if i, dir, _ := r.portNamed(name); i >= 0 {
+		if dir == verilog.Input {
+			what := "input port"
+			if r.std != nil {
+				what = "input"
 			}
-			w := 1
-			if p.Range != nil {
-				var err error
-				w, err = elab.RangeWidth(p.Range, ci.params)
-				if err != nil {
-					return 0, nil, err
-				}
-			}
-			return w, nil, nil
+			return 0, errf(pos, "cannot read %s %s.%s hierarchically", what, r.inst.Name, name)
 		}
+		return r.portWidth(i)
 	}
-	for _, it := range ci.mod.Items {
-		nd, ok := it.(*verilog.NetDecl)
-		if !ok {
-			continue
-		}
-		for _, dn := range nd.Names {
-			if dn.Name != name {
+	if r.mod != nil {
+		for _, it := range r.mod.Items {
+			nd, ok := it.(*verilog.NetDecl)
+			if !ok {
 				continue
 			}
-			if dn.Array != nil {
-				return 0, nil, errf(pos, "cannot read memory %s.%s hierarchically", ci.inst.Name, name)
-			}
-			w := 1
-			if nd.Kind == verilog.Integer {
-				w = 32
-			} else if nd.Range != nil {
-				var err error
-				w, err = elab.RangeWidth(nd.Range, ci.params)
-				if err != nil {
-					return 0, nil, err
+			for _, dn := range nd.Names {
+				if dn.Name != name {
+					continue
 				}
+				if dn.Array != nil {
+					return 0, errf(pos, "cannot read memory %s.%s hierarchically", r.inst.Name, name)
+				}
+				if nd.Kind == verilog.Integer {
+					return 32, nil
+				}
+				return rangeWidth(nd.Range, r.params)
 			}
-			return w, dn.Init, nil
 		}
 	}
-	return 0, nil, errf(pos, "%s has no variable %s", ci.inst.ModName, name)
+	return 0, errf(pos, "%s has no variable %s", r.inst.ModName, name)
 }
 
 // hierRef is one hierarchical reference occurrence.
@@ -826,12 +789,13 @@ type hierRef struct {
 }
 
 // collectHierRefs finds all hierarchical references in items, classifying
-// reads vs writes.
+// reads vs writes, in the order the items and their statements hold them
+// (which orders the promoted ports).
 func collectHierRefs(items []verilog.Item) ([]hierRef, error) {
 	var refs []hierRef
 	var firstErr error
 	record := func(e verilog.Expr, write, procedural bool) {
-		h, ok := lvalueRoot(e).(*verilog.HierIdent)
+		h, ok := verilog.LValueRoot(e).(*verilog.HierIdent)
 		if !ok {
 			return
 		}
@@ -843,47 +807,23 @@ func collectHierRefs(items []verilog.Item) ([]hierRef, error) {
 		}
 		refs = append(refs, hierRef{inst: h.Parts[0], varName: h.Parts[1], pos: h.IdentPos, write: write, procedural: procedural})
 	}
-	readsIn := func(e verilog.Expr) {
-		verilog.WalkExprs(e, func(x verilog.Expr) {
-			if h, ok := x.(*verilog.HierIdent); ok {
-				record(h, false, false)
-			}
-		})
-	}
-	var scanStmt func(s verilog.Stmt)
-	scanStmt = func(s verilog.Stmt) {
-		switch x := s.(type) {
-		case nil:
-		case *verilog.Block:
-			for _, st := range x.Stmts {
-				scanStmt(st)
-			}
-		case *verilog.If:
-			readsIn(x.Cond)
-			scanStmt(x.Then)
-			scanStmt(x.Else)
-		case *verilog.Case:
-			readsIn(x.Subject)
-			for _, it := range x.Items {
-				for _, e := range it.Exprs {
-					readsIn(e)
-				}
-				scanStmt(it.Body)
-			}
-		case *verilog.ProcAssign:
-			record(x.LHS, true, true)
-			readsInLValueIndices(x.LHS, readsIn)
-			readsIn(x.RHS)
-		case *verilog.For:
-			scanStmt(x.Init)
-			readsIn(x.Cond)
-			scanStmt(x.Post)
-			scanStmt(x.Body)
-		case *verilog.SysTask:
-			for _, a := range x.Args {
-				readsIn(a)
-			}
+	read := func(x verilog.Expr) {
+		if h, ok := x.(*verilog.HierIdent); ok {
+			record(h, false, false)
 		}
+	}
+	readsIn := func(e verilog.Expr) { verilog.WalkExprs(e, read) }
+	assign := func(lhs, rhs verilog.Expr, procedural bool) {
+		record(lhs, true, procedural)
+		readsInLValueIndices(lhs, readsIn)
+		readsIn(rhs)
+	}
+	stmt := func(s verilog.Stmt) bool {
+		if x, ok := s.(*verilog.ProcAssign); ok {
+			assign(x.LHS, x.RHS, true)
+			return false
+		}
+		return true
 	}
 	for _, it := range items {
 		switch x := it.(type) {
@@ -894,33 +834,17 @@ func collectHierRefs(items []verilog.Item) ([]hierRef, error) {
 		case *verilog.ParamDecl:
 			readsIn(x.Value)
 		case *verilog.ContAssign:
-			record(x.LHS, true, false)
-			readsInLValueIndices(x.LHS, readsIn)
-			readsIn(x.RHS)
+			assign(x.LHS, x.RHS, false)
 		case *verilog.AlwaysBlock:
 			for _, ev := range x.Events {
 				readsIn(ev.Expr)
 			}
-			scanStmt(x.Body)
+			verilog.WalkStmt(x.Body, stmt, read)
 		case *verilog.InitialBlock:
-			scanStmt(x.Body)
+			verilog.WalkStmt(x.Body, stmt, read)
 		}
 	}
 	return refs, firstErr
-}
-
-// lvalueRoot returns the base identifier form of an lvalue expression.
-func lvalueRoot(e verilog.Expr) verilog.Expr {
-	for {
-		switch x := e.(type) {
-		case *verilog.Index:
-			e = x.X
-		case *verilog.RangeSel:
-			e = x.X
-		default:
-			return e
-		}
-	}
 }
 
 // readsInLValueIndices feeds the index sub-expressions of an lvalue to

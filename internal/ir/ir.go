@@ -92,16 +92,6 @@ type StdSpec struct {
 	Ports  []StdPort
 }
 
-// Port returns the named port spec, or nil.
-func (s *StdSpec) Port(name string) *StdPort {
-	for i := range s.Ports {
-		if s.Ports[i].Name == name {
-			return &s.Ports[i]
-		}
-	}
-	return nil
-}
-
 // Registry maps standard-library module names to their specs.
 type Registry map[string]*StdSpec
 

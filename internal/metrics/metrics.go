@@ -48,30 +48,19 @@ func (r *Report) countItem(it verilog.Item) {
 	switch x := it.(type) {
 	case *verilog.AlwaysBlock:
 		r.AlwaysBlocks++
-		r.countStmt(x.Body)
+		verilog.WalkStmt(x.Body, r.countStmt, nil)
 	case *verilog.InitialBlock:
-		r.countStmt(x.Body)
+		verilog.WalkStmt(x.Body, r.countStmt, nil)
 	}
 }
 
-func (r *Report) countStmt(s verilog.Stmt) {
+func (r *Report) countStmt(s verilog.Stmt) bool {
 	switch x := s.(type) {
-	case nil:
-	case *verilog.Block:
-		for _, st := range x.Stmts {
-			r.countStmt(st)
-		}
-	case *verilog.If:
-		r.countStmt(x.Then)
-		r.countStmt(x.Else)
-	case *verilog.Case:
-		for _, item := range x.Items {
-			r.countStmt(item.Body)
-		}
 	case *verilog.For:
 		// The loop header's init/post are not counted (they are control,
 		// not dataflow, in the paper's accounting).
-		r.countStmt(x.Body)
+		verilog.WalkStmt(x.Body, r.countStmt, nil)
+		return false
 	case *verilog.ProcAssign:
 		if x.Blocking {
 			r.BlockingAssigns++
@@ -84,6 +73,7 @@ func (r *Report) countStmt(s verilog.Stmt) {
 			r.DisplayStmts++
 		}
 	}
+	return true
 }
 
 // Aggregate summarizes many reports as Table 1 does: mean, min, max.

@@ -1,6 +1,11 @@
 package verilog
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // Warning is a non-fatal style or correctness diagnostic.
 type Warning struct {
@@ -15,13 +20,17 @@ func (w Warning) String() string { return fmt.Sprintf("%s: warning: %s", w.Pos, 
 // "fixes", diverging from simulation), blocking assignments inside
 // clocked blocks, non-blocking assignments inside combinational blocks,
 // and declared-but-never-used variables. The REPL surfaces these when
-// code is eval'd; none of them block integration.
+// code is eval'd; none of them block integration. Warnings come in
+// source order: by line, then column, then message.
 func Lint(mods []*Module, items []Item) []Warning {
 	var out []Warning
 	for _, m := range mods {
 		out = append(out, lintItems(m.Items, m.Name)...)
 	}
 	out = append(out, lintItems(items, "the root module")...)
+	slices.SortFunc(out, func(a, b Warning) int {
+		return cmp.Or(cmp.Compare(a.Pos.Line, b.Pos.Line), cmp.Compare(a.Pos.Col, b.Pos.Col), strings.Compare(a.Msg, b.Msg))
+	})
 	return out
 }
 
@@ -30,50 +39,12 @@ func lintItems(items []Item, scope string) []Warning {
 
 	declared := map[string]Pos{}
 	used := map[string]bool{}
-	noteUse := func(e Expr) {
-		WalkExprs(e, func(x Expr) {
-			switch t := x.(type) {
-			case *Ident:
-				used[t.Name] = true
-			case *HierIdent:
-				used[t.Parts[0]] = true
-			}
-		})
-	}
-	var noteStmtUses func(s Stmt)
-	noteStmtUses = func(s Stmt) {
-		switch x := s.(type) {
-		case nil:
-		case *Block:
-			for _, st := range x.Stmts {
-				noteStmtUses(st)
-			}
-		case *If:
-			noteUse(x.Cond)
-			noteStmtUses(x.Then)
-			noteStmtUses(x.Else)
-		case *Case:
-			noteUse(x.Subject)
-			for _, it := range x.Items {
-				for _, e := range it.Exprs {
-					noteUse(e)
-				}
-				noteStmtUses(it.Body)
-			}
-		case *ProcAssign:
-			noteUse(x.LHS)
-			noteUse(x.RHS)
-		case *For:
-			noteStmtUses(x.Init)
-			noteUse(x.Cond)
-			noteStmtUses(x.Post)
-			noteStmtUses(x.Body)
-		case *SysTask:
-			for _, a := range x.Args {
-				noteUse(a)
-			}
+	use := func(x Expr) {
+		if name, ok := rootName(x); ok {
+			used[name] = true
 		}
 	}
+	noteUse := func(e Expr) { WalkExprs(e, use) }
 
 	for _, it := range items {
 		switch x := it.(type) {
@@ -94,13 +65,13 @@ func lintItems(items []Item, scope string) []Warning {
 				noteUse(p.Expr)
 			}
 		case *AlwaysBlock:
-			noteStmtUses(x.Body)
+			WalkStmt(x.Body, nil, use)
 			for _, ev := range x.Events {
 				noteUse(ev.Expr)
 			}
 			out = append(out, lintAlways(x, scope)...)
 		case *InitialBlock:
-			noteStmtUses(x.Body)
+			WalkStmt(x.Body, nil, use)
 		}
 	}
 
@@ -122,47 +93,30 @@ func lintAlways(a *AlwaysBlock, scope string) []Warning {
 		if ev.Edge != AnyEdge {
 			edgeTriggered = true
 			pureLevel = false
-		} else if id, ok := rootIdentOf(ev.Expr); ok {
+		} else if id, ok := rootName(ev.Expr); ok {
 			levelList[id] = true
 		}
 	}
 
-	// Classify assignments and collect reads in the body.
+	// Classify assignments and collect reads in the body: an assignment's
+	// LHS is written, not read, and a loop's init and post are its
+	// control, not the block's.
 	reads := map[string]Pos{}
 	writes := map[string]bool{}
 	var blockingPos, nonblockingPos []Pos
-	var scan func(s Stmt)
-	noteReads := func(e Expr) {
-		WalkExprs(e, func(x Expr) {
-			if id, ok := x.(*Ident); ok {
-				if _, seen := reads[id.Name]; !seen {
-					reads[id.Name] = id.IdentPos
-				}
+	read := func(x Expr) {
+		if id, ok := x.(*Ident); ok {
+			if _, seen := reads[id.Name]; !seen {
+				reads[id.Name] = id.IdentPos
 			}
-		})
+		}
 	}
-	scan = func(s Stmt) {
+	var stmt func(s Stmt) bool
+	stmt = func(s Stmt) bool {
 		switch x := s.(type) {
-		case nil:
-		case *Block:
-			for _, st := range x.Stmts {
-				scan(st)
-			}
-		case *If:
-			noteReads(x.Cond)
-			scan(x.Then)
-			scan(x.Else)
-		case *Case:
-			noteReads(x.Subject)
-			for _, it := range x.Items {
-				for _, e := range it.Exprs {
-					noteReads(e)
-				}
-				scan(it.Body)
-			}
 		case *ProcAssign:
-			noteReads(x.RHS)
-			if id, ok := rootIdentOf(x.LHS); ok {
+			WalkExprs(x.RHS, read)
+			if id, ok := rootName(x.LHS); ok {
 				writes[id] = true
 			}
 			if x.Blocking {
@@ -170,16 +124,15 @@ func lintAlways(a *AlwaysBlock, scope string) []Warning {
 			} else {
 				nonblockingPos = append(nonblockingPos, x.AssignPos)
 			}
+			return false
 		case *For:
-			noteReads(x.Cond)
-			scan(x.Body)
-		case *SysTask:
-			for _, e := range x.Args {
-				noteReads(e)
-			}
+			WalkExprs(x.Cond, read)
+			WalkStmt(x.Body, stmt, read)
+			return false
 		}
+		return true
 	}
-	scan(a.Body)
+	WalkStmt(a.Body, stmt, read)
 
 	if edgeTriggered && len(blockingPos) > 0 {
 		out = append(out, Warning{Pos: blockingPos[0], Msg: fmt.Sprintf(
@@ -200,17 +153,15 @@ func lintAlways(a *AlwaysBlock, scope string) []Warning {
 	return out
 }
 
-// rootIdentOf returns the base identifier name of an expression.
-func rootIdentOf(e Expr) (string, bool) {
-	switch x := e.(type) {
+// rootName names the variable an expression selects from: an
+// identifier, the instance of a hierarchical name, or either under index
+// and range selections.
+func rootName(e Expr) (string, bool) {
+	switch x := LValueRoot(e).(type) {
 	case *Ident:
 		return x.Name, true
 	case *HierIdent:
 		return x.Parts[0], true
-	case *Index:
-		return rootIdentOf(x.X)
-	case *RangeSel:
-		return rootIdentOf(x.X)
 	}
 	return "", false
 }

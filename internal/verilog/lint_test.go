@@ -100,3 +100,30 @@ assign led.val = cnt;`)
 		t.Fatalf("clean program warned: %v", ws)
 	}
 }
+
+// TestLintSourceOrder: one eval's warnings print in source order, the
+// same on every call (they were built by ranging over maps).
+func TestLintSourceOrder(t *testing.T) {
+	mods, items, errs := ParseProgramFragment(`wire a; wire b; wire c; wire d; wire e;
+reg [3:0] x = 0;
+always @(a) x = b + c + d;`)
+	if errs != nil {
+		t.Fatal(errs)
+	}
+	want := []string{
+		"1:38: warning: e is declared but never used in the root module",
+		"3:17: warning: b is read but missing from the sensitivity list in the root module (simulation and hardware may diverge; use @*)",
+		"3:21: warning: c is read but missing from the sensitivity list in the root module (simulation and hardware may diverge; use @*)",
+		"3:25: warning: d is read but missing from the sensitivity list in the root module (simulation and hardware may diverge; use @*)",
+	}
+	for i := 0; i < 200; i++ {
+		ws := Lint(mods, items)
+		got := make([]string, len(ws))
+		for j, w := range ws {
+			got[j] = w.String()
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("call %d:\n%s\nwant:\n%s", i, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}

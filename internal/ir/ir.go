@@ -14,6 +14,8 @@ package ir
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"cascade/internal/bits"
 	"cascade/internal/verilog"
@@ -57,13 +59,7 @@ func (p *Program) AddRootItems(items ...verilog.Item) {
 // mutated after parse, so sharing is safe). Used for trial builds: the
 // REPL integrates an eval only if the extended program still builds.
 func (p *Program) Clone() *Program {
-	c := NewProgram()
-	for _, name := range p.order {
-		c.Modules[name] = p.Modules[name]
-		c.order = append(c.order, name)
-	}
-	c.RootItems = append([]verilog.Item{}, p.RootItems...)
-	return c
+	return &Program{Modules: maps.Clone(p.Modules), order: slices.Clone(p.order), RootItems: slices.Clone(p.RootItems)}
 }
 
 // ModuleNames returns declared module names in declaration order.

@@ -192,6 +192,16 @@ var rules = []rule{
 			return is[*ast.FuncDecl](n) && oneOf(n.(*ast.FuncDecl).Name.Name, "extendsEnv", "sameEnv")
 		},
 		bad: "internal/netlist/seeded.go\npackage netlist\nfunc sameEnv(a, b map[string]uint64) bool { return false } // want sameEnv"},
+	{name: "frontend/one-source-walker", in: src("..."),
+		allow: []string{"internal/verilog/walk.go", "internal/verilog/printer.go", "internal/ir/rewrite.go", "internal/elab/elab.go elaborator.stmt"},
+		why:   "verilog.WalkStmt is the one read-only walk of source statements; four readers each spelled the grammar, and a new statement kind had four places to be missed",
+		match: func(c *cursor, n ast.Node) bool {
+			e, ok := n.(ast.Expr)
+			return ok && is[*ast.CaseClause](c.parent()) && (c.ptr(e, "verilog.Block") || strings.HasPrefix(c.name, "internal/verilog/") && star(e) == "Block")
+		},
+		bad: "internal/metrics/metrics.go\npackage metrics\nimport \"cascade/internal/verilog\"\n" +
+			"func (r *Report) countStmt(s verilog.Stmt) {\n\tswitch x := s.(type) {\n\tcase *verilog.Block: // want Report.countStmt\n" +
+			"\t\tfor _, st := range x.Stmts {\n\t\t\tr.countStmt(st)\n\t\t}\n\tcase *verilog.If:\n\t\tr.countStmt(x.Then)\n\t\tr.countStmt(x.Else)\n\t}\n}"},
 	{name: "fault/no-chaos", in: scope{test: true, src: true, in: []string{"..."}},
 		why:   "internal/chaos is gone: every seeded outage is planned by fault.Config.Outages",
 		match: func(c *cursor, n ast.Node) bool { return imports(n, "cascade/internal/chaos") },

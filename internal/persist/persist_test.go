@@ -338,3 +338,42 @@ func TestStoreCrashBetweenCheckpointAndRotation(t *testing.T) {
 		t.Fatalf("recovered ckptSeq=%d records=%+v", st.CheckpointSeq, st.Records)
 	}
 }
+
+// TestStorePrunesCrashLeftovers: a crash after a checkpoint and its
+// rotation but before pruning leaves files below the retention horizon;
+// the first checkpoint after reopening removes them.
+func TestStorePrunesCrashLeftovers(t *testing.T) {
+	dir := t.TempDir()
+	for i := 1; i <= 4; i++ {
+		if _, err := WriteFileAtomic(filepath.Join(dir, fmt.Sprintf("ckpt-%06d.ckpt", i)), bytes.NewReader(ckptPayload(uint64(2*i))), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i <= 4; i++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%06d.wal", i)), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, st, err := Open(dir, storeDecoder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CheckpointSeq != 8 {
+		t.Fatalf("recovered ckptSeq=%d, want 8", st.CheckpointSeq)
+	}
+	s.Append(9, 1, []byte("r"))
+	if _, err := s.WriteCheckpoint(bytes.NewReader(ckptPayload(9)), 2); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	ckpts, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.ckpt"))
+	wals, _ := filepath.Glob(filepath.Join(dir, "wal-*.wal"))
+	var names []string
+	for _, f := range append(ckpts, wals...) {
+		names = append(names, filepath.Base(f))
+	}
+	want := "ckpt-000004.ckpt ckpt-000005.ckpt wal-000003.wal wal-000004.wal wal-000005.wal"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("after the first checkpoint: %s, want %s", got, want)
+	}
+}

@@ -37,6 +37,10 @@ type Store struct {
 	// ckptIndex is the index of the newest on-disk checkpoint (0 when
 	// none); the active segment always carries the same index.
 	ckptIndex int
+	// low is the lowest index i whose checkpoint, or segment i-1, may
+	// still be on disk: pruning removes files by index from here, without
+	// listing the directory.
+	low int
 }
 
 const (
@@ -116,6 +120,13 @@ func Open(dir string, decode CheckpointDecoder) (*Store, *RecoveredState, error)
 	if len(ckpts) > 0 {
 		maxIndex = ckpts[len(ckpts)-1]
 	}
+	s.low = maxIndex + 1 // the active segment's successor
+	if len(ckpts) > 0 {
+		s.low = min(s.low, ckpts[0])
+	}
+	if len(wals) > 0 {
+		s.low = min(s.low, wals[0]+1)
+	}
 	for i := len(ckpts) - 1; i >= 0; i-- {
 		path := s.ckptPath(ckpts[i])
 		payload, err := os.ReadFile(path)
@@ -185,8 +196,9 @@ func (s *Store) JournalBytes() int64 { return s.active.bytes }
 // WriteCheckpoint seals the active segment (synced and closed), streams
 // the next checkpoint into its file atomically, opens a fresh segment and
 // prunes the checkpoints (and the segments only they needed) older than
-// keep. It returns the checkpoint's size. After an error the store takes
-// no more appends.
+// keep, by index: files a crash left below the horizon go with the first
+// checkpoint after Open. It returns the checkpoint's size. After an error
+// the store takes no more appends.
 func (s *Store) WriteCheckpoint(ckpt io.WriterTo, keep int) (int64, error) {
 	if keep < 1 {
 		keep = 1
@@ -214,18 +226,11 @@ func (s *Store) WriteCheckpoint(ckpt io.WriterTo, keep int) (int64, error) {
 	// plus one extra segment, because a record appended concurrently
 	// with a checkpoint write can land just before the rotation, in the
 	// segment below the checkpoint's index.
+	// Pruning is best-effort: a file it fails to remove stays.
 	horizon := n - keep + 1
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return size, nil // pruning is best-effort
-	}
-	for _, e := range entries {
-		if i, ok := parseIndexedName(e.Name(), ckptPrefix, ckptSuffix); ok && i < horizon {
-			os.Remove(filepath.Join(s.dir, e.Name()))
-		}
-		if i, ok := parseIndexedName(e.Name(), walPrefix, walSuffix); ok && i < horizon-1 {
-			os.Remove(filepath.Join(s.dir, e.Name()))
-		}
+	for ; s.low < horizon; s.low++ {
+		os.Remove(s.ckptPath(s.low))
+		os.Remove(s.walPath(s.low - 1))
 	}
 	syncDir(s.dir)
 	return size, nil

@@ -37,6 +37,7 @@ type version struct {
 
 	printed *printed    // the program's source, printed when first asked for
 	std     *stdLayouts // its stdlib components' state layouts, built when first asked for
+	plans   *mergePlans // flat's state planned into the merged root's, built when first asked for
 }
 
 type printed struct {
@@ -50,6 +51,11 @@ type printed struct {
 type stdLayouts struct {
 	once sync.Once
 	by   map[string]*elab.Layout // by flat path
+}
+
+type mergePlans struct {
+	once sync.Once
+	by   []*elab.Plan // by index in flat.Subs
 }
 
 // source renders the version's program as Verilog: module declarations in
@@ -89,7 +95,7 @@ func (v *version) sourceSection() persist.Section {
 // emptyVersion is the version of a fresh runtime, and the base of a
 // restore or a replay: no source yet.
 func emptyVersion() *version {
-	return &version{prog: ir.NewProgram(), printed: &printed{}, std: &stdLayouts{}}
+	return &version{prog: ir.NewProgram(), printed: &printed{}, std: &stdLayouts{}, plans: &mergePlans{}}
 }
 
 // integrate runs the whole front end over base extended by src: parse,
@@ -119,7 +125,7 @@ func integrate(base *version, src string, inline bool) (*version, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &version{prog: prog, mods: mods, items: items, flat: flat, exec: flat, printed: &printed{}, std: &stdLayouts{}}
+	v := &version{prog: prog, mods: mods, items: items, flat: flat, exec: flat, printed: &printed{}, std: &stdLayouts{}, plans: &mergePlans{}}
 	if v.flatElabs, err = elaborateUsers(flat, base.flat, base.flatElabs); err != nil {
 		return nil, err
 	}
@@ -216,32 +222,40 @@ func (v *version) layoutOf(path string) *elab.Layout {
 	return v.std.by[path]
 }
 
-// mergePlan plans flat subprogram s's state into the merged root's.
-func (v *version) mergePlan(s *ir.SubProgram) *elab.Plan {
-	l, root := v.layoutOf(s.Path), v.execElabs[ir.RootPath].Layout()
-	if s.IsStd {
-		prefix := ir.PrefixOf(s.Path)
-		return elab.NewPlan(l, root, func(name string) string { return prefix + name })
-	}
-	names := s.MergedNames()
-	return elab.NewPlan(l, root, func(name string) string {
-		if names != nil {
-			return names[l.Index(name)]
+// mergePlans plans each flat subprogram's state into the merged root's,
+// by its index in flat.Subs: a version builds them once, when a snapshot
+// or a restore first asks.
+func (v *version) mergePlans() []*elab.Plan {
+	v.plans.once.Do(func() {
+		root := v.execElabs[ir.RootPath].Layout()
+		v.plans.by = make([]*elab.Plan, len(v.flat.Subs))
+		for i, s := range v.flat.Subs {
+			l := v.layoutOf(s.Path)
+			var rename func(string) string
+			if prefix := ir.PrefixOf(s.Path); s.IsStd {
+				rename = func(name string) string { return prefix + name }
+			} else if names := s.MergedNames(); names != nil {
+				rename = func(name string) string { return names[l.Index(name)] }
+			}
+			v.plans.by[i] = elab.NewPlan(l, root, rename)
 		}
-		return name
 	})
+	return v.plans.by
 }
 
 // split un-inlines the merged root's state into one image per flat user
 // subprogram (an empty image into empty ones).
 func (v *version) split(merged []uint64) map[string][]uint64 {
-	users := v.flat.UserSubs()
-	out := make(map[string][]uint64, len(users))
-	for _, s := range users {
+	out := make(map[string][]uint64, len(v.flat.Subs))
+	for i, s := range v.flat.Subs {
+		if s.IsStd {
+			continue
+		}
 		img := []uint64{}
 		if len(merged) > 0 {
-			img = make([]uint64, v.layoutOf(s.Path).Len())
-			v.mergePlan(s).Back(img, merged)
+			p := v.mergePlans()[i]
+			img = make([]uint64, p.From.Len())
+			p.Back(img, merged)
 		}
 		out[s.Path] = img
 	}
@@ -278,12 +292,13 @@ func (v *version) seed(saved map[string][]uint64, from *version, path string) li
 func (v *version) mergeSeed(saved map[string][]uint64) lifecycle.Seed {
 	return func(dst []uint64) (bus uint64) {
 		bills := make([]uint64, len(v.execElabs[ir.RootPath].Vars))
-		for _, s := range v.flat.Subs {
+		plans := v.mergePlans()
+		for i, s := range v.flat.Subs {
 			img := saved[s.Path]
 			if len(img) == 0 {
 				continue
 			}
-			p := v.mergePlan(s)
+			p := plans[i]
 			p.Copy(dst, img)
 			var named uint64
 			for _, pr := range p.Pairs {

@@ -444,7 +444,7 @@ func (e *Repl) Pos() Pos      { return e.LPos }
 func (e *SysCall) Pos() Pos   { return e.CallPos }
 
 // WalkExprs calls f for every sub-expression of e (including e itself) in
-// pre-order. Statements and items have analogous helpers in walk.go.
+// pre-order. WalkStmt (walk.go) walks statements.
 func WalkExprs(e Expr, f func(Expr)) {
 	if e == nil {
 		return

@@ -15,7 +15,6 @@ package ir
 import (
 	"fmt"
 	"maps"
-	"slices"
 
 	"cascade/internal/bits"
 	"cascade/internal/verilog"
@@ -56,10 +55,17 @@ func (p *Program) AddRootItems(items ...verilog.Item) {
 }
 
 // Clone returns a shallow copy sharing AST nodes (the AST is never
-// mutated after parse, so sharing is safe). Used for trial builds: the
-// REPL integrates an eval only if the extended program still builds.
-func (p *Program) Clone() *Program {
-	return &Program{Modules: maps.Clone(p.Modules), order: slices.Clone(p.order), RootItems: slices.Clone(p.RootItems)}
+// mutated after parse, so sharing is safe), with room for mods more
+// module declarations and items more root items. Used for trial builds:
+// the REPL integrates an eval only if the extended program still builds.
+func (p *Program) Clone(mods, items int) *Program {
+	c := &Program{
+		Modules:   make(map[string]*verilog.Module, len(p.Modules)+mods),
+		order:     append(make([]string, 0, len(p.order)+mods), p.order...),
+		RootItems: append(make([]verilog.Item, 0, len(p.RootItems)+items), p.RootItems...),
+	}
+	maps.Copy(c.Modules, p.Modules)
+	return c
 }
 
 // ModuleNames returns declared module names in declaration order.

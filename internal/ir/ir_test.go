@@ -309,7 +309,7 @@ func TestProgramAppendOnly(t *testing.T) {
 	if err := p.DeclareModule(st.Modules[0]); err == nil {
 		t.Fatal("redefinition should fail (append-only REPL semantics)")
 	}
-	c := p.Clone()
+	c := p.Clone(0, 1)
 	items, _ := verilog.ParseItems(`wire x;`)
 	c.AddRootItems(items...)
 	if len(p.RootItems) != 0 {

@@ -114,7 +114,7 @@ func integrate(base *version, src string, inline bool) (*version, error) {
 	if len(errs) > 0 {
 		return nil, fmt.Errorf("parse: %v", errs[0])
 	}
-	prog := base.prog.Clone()
+	prog := base.prog.Clone(len(mods), len(items))
 	for _, m := range mods {
 		if err := prog.DeclareModule(m); err != nil {
 			return nil, err
@@ -232,9 +232,11 @@ func (v *version) mergePlans() []*elab.Plan {
 		for i, s := range v.flat.Subs {
 			l := v.layoutOf(s.Path)
 			var rename func(string) string
-			if prefix := ir.PrefixOf(s.Path); s.IsStd {
+			switch names := s.MergedNames(); {
+			case s.IsStd:
+				prefix := ir.PrefixOf(s.Path)
 				rename = func(name string) string { return prefix + name }
-			} else if names := s.MergedNames(); names != nil {
+			case names != nil:
 				rename = func(name string) string { return names[l.Index(name)] }
 			}
 			v.plans.by[i] = elab.NewPlan(l, root, rename)

@@ -377,3 +377,45 @@ func TestStorePrunesCrashLeftovers(t *testing.T) {
 		t.Fatalf("after the first checkpoint: %s, want %s", got, want)
 	}
 }
+
+// TestStorePruneSkipsIndexGaps: pruning goes by the indices Open found,
+// so a stray file with a far higher index does not make it walk the gap.
+func TestStorePruneSkipsIndexGaps(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(dir, storeDecoder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Append(1, 1, []byte("r"))
+	if _, err := s.WriteCheckpoint(bytes.NewReader(ckptPayload(1)), 2); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if err := os.WriteFile(filepath.Join(dir, "ckpt-900000000000.ckpt"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, st, err := Open(dir, storeDecoder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CheckpointSeq != 1 {
+		t.Fatalf("recovered ckptSeq=%d, want 1", st.CheckpointSeq)
+	}
+	for seq := uint64(2); seq <= 4; seq++ {
+		s.Append(seq, 1, []byte("r"))
+		if _, err := s.WriteCheckpoint(bytes.NewReader(ckptPayload(seq)), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	ckpts, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.ckpt"))
+	wals, _ := filepath.Glob(filepath.Join(dir, "wal-*.wal"))
+	var names []string
+	for _, f := range append(ckpts, wals...) {
+		names = append(names, filepath.Base(f))
+	}
+	want := "ckpt-900000000002.ckpt ckpt-900000000003.ckpt wal-900000000001.wal wal-900000000002.wal wal-900000000003.wal"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("after three checkpoints: %s, want %s", got, want)
+	}
+}

@@ -37,10 +37,12 @@ type Store struct {
 	// ckptIndex is the index of the newest on-disk checkpoint (0 when
 	// none); the active segment always carries the same index.
 	ckptIndex int
-	// low is the lowest index i whose checkpoint, or segment i-1, may
-	// still be on disk: pruning removes files by index from here, without
-	// listing the directory.
-	low int
+	// Pruning removes checkpoint i and segment i-1 together, by index,
+	// without listing the directory: first the indices of the files Open
+	// found (found, ascending), then every index from low, the first one
+	// no file Open found has.
+	found []int
+	low   int
 }
 
 const (
@@ -120,13 +122,14 @@ func Open(dir string, decode CheckpointDecoder) (*Store, *RecoveredState, error)
 	if len(ckpts) > 0 {
 		maxIndex = ckpts[len(ckpts)-1]
 	}
-	s.low = maxIndex + 1 // the active segment's successor
-	if len(ckpts) > 0 {
-		s.low = min(s.low, ckpts[0])
+	s.found = append(s.found, ckpts...)
+	for _, n := range wals {
+		if n < maxIndex { // the active segment's index is low's
+			s.found = append(s.found, n+1)
+		}
 	}
-	if len(wals) > 0 {
-		s.low = min(s.low, wals[0]+1)
-	}
+	sort.Ints(s.found)
+	s.low = maxIndex + 1
 	for i := len(ckpts) - 1; i >= 0; i-- {
 		path := s.ckptPath(ckpts[i])
 		payload, err := os.ReadFile(path)
@@ -228,12 +231,21 @@ func (s *Store) WriteCheckpoint(ckpt io.WriterTo, keep int) (int64, error) {
 	// segment below the checkpoint's index.
 	// Pruning is best-effort: a file it fails to remove stays.
 	horizon := n - keep + 1
+	for len(s.found) > 0 && s.found[0] < horizon {
+		s.prune(s.found[0])
+		s.found = s.found[1:]
+	}
 	for ; s.low < horizon; s.low++ {
-		os.Remove(s.ckptPath(s.low))
-		os.Remove(s.walPath(s.low - 1))
+		s.prune(s.low)
 	}
 	syncDir(s.dir)
 	return size, nil
+}
+
+// prune removes checkpoint i and segment i-1, where they exist.
+func (s *Store) prune(i int) {
+	os.Remove(s.ckptPath(i))
+	os.Remove(s.walPath(i - 1))
 }
 
 // Close syncs and closes the active segment.

@@ -124,7 +124,7 @@ func Open(dir string, decode CheckpointDecoder) (*Store, *RecoveredState, error)
 	}
 	s.found = append(s.found, ckpts...)
 	for _, n := range wals {
-		if n < maxIndex { // the active segment's index is low's
+		if n < maxIndex { // segment maxIndex, the active one, goes with index low
 			s.found = append(s.found, n+1)
 		}
 	}

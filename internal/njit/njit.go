@@ -195,12 +195,24 @@ type compiler struct {
 	// copies them into the two exactly sized arrays the procs share.
 	steps []func() int
 	bn    []uint64
+
+	n *shape // what the compile built (nil: not counted)
 }
+
+// shape counts what a compile built: processes, their blocks (one step
+// closure each), the straight-line closures in the blocks, how many of
+// those are fused runs, and the closures that fall back to
+// Machine.ExecOp. Tests count it (export_test.go); nothing counts at tick
+// time.
+type shape struct{ procs, blocks, closures, runs, fallbacks int }
 
 // Compile builds the native evaluator for m's program, sharing m's
 // packed state. The machine stays fully usable; reference path and native
 // tier may even interleave (the engine fallback path relies on it).
-func Compile(m *netlist.Machine) *Eval {
+func Compile(m *netlist.Machine) *Eval { return compile(m, nil) }
+
+// compile is Compile, counting what it builds into *n (nil: not counted).
+func compile(m *netlist.Machine, n *shape) *Eval {
 	p := m.Prog()
 	h := m.Hooks()
 	e := &Eval{
@@ -221,6 +233,7 @@ func Compile(m *netlist.Machine) *Eval {
 		seen:      make([]bool, len(p.Code)+1),
 		leader:    make([]bool, len(p.Code)+1),
 		block:     make([]int32, len(p.Code)+1),
+		n:         n,
 	}
 	c.b.c = c
 	nfused, nstores := 0, 0
@@ -272,6 +285,9 @@ func Compile(m *netlist.Machine) *Eval {
 		lo = hi
 	}
 	e.comb, e.seq = procs[:len(p.Comb):len(p.Comb)], procs[len(p.Comb):]
+	if n != nil {
+		n.procs, n.blocks = len(procs), len(steps)
+	}
 	return e
 }
 
@@ -547,6 +563,9 @@ func (b *builder) finalize() {
 		blk := &b.blocks[i]
 		term, to := blk.next, blk.to
 		c.bn = append(c.bn, blk.n)
+		if c.n != nil {
+			c.n.closures += len(blk.ops)
+		}
 		var step func() int
 		switch n := len(blk.ops); {
 		case term == nil && n == 0:
@@ -789,6 +808,9 @@ func (b *builder) flush() {
 	}
 	run := b.fused[b.runAt:n:n]
 	b.runAt = n
+	if b.c.n != nil {
+		b.c.n.runs++
+	}
 	switch f := run[0]; {
 	case len(run) == 1 && b.shape == 1:
 		b.ops = append(b.ops, func() { *f.d = *f.a & f.ma; *f.b |= f.mb })
@@ -1039,6 +1061,9 @@ func (e *Eval) fuseJz(cmp *netlist.Op, t, f int) func() int {
 func (b *builder) jz(op *netlist.Op, t, f int) func() int {
 	if op.Wide {
 		m := b.c.e.m
+		if b.c.n != nil {
+			b.c.n.fallbacks++
+		}
 		return func() int {
 			if m.ExecOp(op) {
 				return t
@@ -1064,7 +1089,7 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 	e := c.e
 	m := e.m
 	if op.Wide {
-		return func() { m.ExecOp(op) }
+		return c.fallback(op)
 	}
 	u := e.u64
 	slots := e.prog.Slots
@@ -1297,6 +1322,15 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 		return func() { m.PendMemWriteNB(aux, int(u[s1]), u[s0]) }
 	default:
 		// OpDisplay, OpFinish, and anything new: the reference path.
-		return func() { m.ExecOp(op) }
+		return c.fallback(op)
 	}
+}
+
+// fallback runs op on the reference path, Machine.ExecOp.
+func (c *compiler) fallback(op *netlist.Op) func() {
+	if c.n != nil {
+		c.n.fallbacks++
+	}
+	m := c.e.m
+	return func() { m.ExecOp(op) }
 }

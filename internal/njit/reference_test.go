@@ -3,9 +3,13 @@ package njit
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"cascade/internal/bits"
+	"cascade/internal/elab"
+	"cascade/internal/golden"
 	"cascade/internal/netlist"
 	"cascade/internal/vgen"
 	"cascade/internal/workloads/pow"
@@ -52,36 +56,69 @@ func FuzzNativeAgainstReference(f *testing.F) {
 
 // TestNativeTickAllocFree: once settled, a clock tick through the
 // compiled evaluator allocates nothing — no growing commit buffer, no
-// boxed marks — on the miner and on the stream matcher.
+// boxed marks — on the stream matcher (the miner's is TestPowTickCounters).
 func TestNativeTickAllocFree(t *testing.T) {
-	for _, c := range []struct {
-		name, src string
-	}{{"pow", pow.Generate(pow.DefaultConfig())}, {"regexstream", regexStreamSrc(t)}} {
-		prog, f := compileProg(t, c.src)
-		m := netlist.NewMachine(prog)
-		ev := Compile(m)
-		clk := f.VarNamed("clk")
-		hi, lo := bits.FromUint64(1, 1), bits.FromUint64(1, 0)
-		settle := func() {
-			for ev.HasActive() || ev.HasUpdates() {
-				ev.Evaluate()
-				if ev.HasUpdates() {
-					ev.Update()
-				}
-			}
-			m.DrainEvents()
-		}
-		tick := func() {
-			m.SetInput(clk, hi)
-			settle()
-			m.SetInput(clk, lo)
-			settle()
-		}
-		for i := 0; i < 16; i++ {
-			tick()
-		}
-		if n := testing.AllocsPerRun(200, tick); n != 0 {
-			t.Errorf("%s: a settled native tick allocates %v times", c.name, n)
-		}
+	prog, f := compileProg(t, regexStreamSrc(t))
+	m := netlist.NewMachine(prog)
+	tick := nativeTicker(m, Compile(m), f.VarNamed("clk"))
+	for i := 0; i < 16; i++ {
+		tick()
 	}
+	if n := testing.AllocsPerRun(200, tick); n != 0 {
+		t.Errorf("regexstream: a settled native tick allocates %v times", n)
+	}
+}
+
+// nativeTicker returns a clock tick of ev over m: clk up, settle, clk
+// down, settle.
+func nativeTicker(m *netlist.Machine, ev *Eval, clk *elab.Var) func() {
+	hi, lo := bits.FromUint64(1, 1), bits.FromUint64(1, 0)
+	settle := func() {
+		for ev.HasActive() || ev.HasUpdates() {
+			ev.Evaluate()
+			if ev.HasUpdates() {
+				ev.Update()
+			}
+		}
+		m.DrainEvents()
+	}
+	return func() {
+		m.SetInput(clk, hi)
+		settle()
+		m.SetInput(clk, lo)
+		settle()
+	}
+}
+
+// TestPowTickCounters is the host work of the miner's native tick (the
+// pow_ladder workload's hot loop): the heap objects and bytes of a window
+// of settled clock ticks, which are none, the instructions the native
+// tier bills per tick, and what the compiled form is made of, counted as
+// Compile builds it — nothing counts at tick time.
+func TestPowTickCounters(t *testing.T) {
+	const window = 256
+	prog, f := compileProg(t, pow.Generate(pow.DefaultConfig()))
+	m := netlist.NewMachine(prog)
+	ev, n := compileCounted(m)
+	tick := nativeTicker(m, ev, f.VarNamed("clk"))
+	for i := 0; i < 16; i++ {
+		tick()
+	}
+	ev.NativeOpsDelta()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < window; i++ {
+		tick()
+	}
+	runtime.ReadMemStats(&after)
+	billed := ev.NativeOpsDelta()
+	objs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	var rec strings.Builder
+	fmt.Fprintf(&rec, "compiled: %d processes, %d blocks (one step closure each), %d closures in the blocks, %d of them fused runs; %d closures fall back to Machine.ExecOp\n",
+		n.procs, n.blocks, n.closures, n.runs, n.fallbacks)
+	fmt.Fprintf(&rec, "%d settled ticks: %d objects %d B; %.2f instructions billed per tick\n", window, objs, bytes, float64(billed)/window)
+	if objs != 0 || bytes != 0 {
+		t.Errorf("pow: %d settled native ticks allocate %d objects, %d B", window, objs, bytes)
+	}
+	golden.Check(t, "counters", rec.String())
 }

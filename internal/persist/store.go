@@ -1,11 +1,11 @@
 package persist
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 )
 
 // Store manages a persistence directory: numbered checkpoint files and
@@ -52,12 +52,19 @@ const (
 	walSuffix  = ".wal"
 )
 
-func (s *Store) ckptPath(n int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s%06d%s", ckptPrefix, n, ckptSuffix))
-}
+func (s *Store) ckptPath(n int) string { return s.path(ckptPrefix, n, ckptSuffix) }
 
-func (s *Store) walPath(n int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s%06d%s", walPrefix, n, walSuffix))
+func (s *Store) walPath(n int) string { return s.path(walPrefix, n, walSuffix) }
+
+// path names file n of a kind: its index zero-padded to six digits
+// between the kind's prefix and suffix. It is built with strconv, not
+// fmt, whose printer pool the race detector drains at random.
+func (s *Store) path(prefix string, n int, suffix string) string {
+	d := strconv.Itoa(n)
+	if len(d) < 6 {
+		d = "000000"[len(d):] + d
+	}
+	return filepath.Join(s.dir, prefix+d+suffix)
 }
 
 // RecoveredState is what Open found on disk: the newest checkpoint that

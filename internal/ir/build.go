@@ -44,7 +44,7 @@ func BuildFrom(prev *Design, p *Program, reg Registry) (*Design, error) {
 	if err := b.split(root, RootPath, nil, nil); err != nil {
 		return nil, err
 	}
-	return b.design, nil
+	return b.design.seal(), nil
 }
 
 type builder struct {

@@ -208,7 +208,7 @@ func Inline(d *Design) (*Design, error) {
 		}
 		return out.Wires[i].From.Port < out.Wires[j].From.Port
 	})
-	return out, nil
+	return out.seal(), nil
 }
 
 // samePrefixed reports whether pa+a == pb+b, without building either.

@@ -161,6 +161,8 @@ type Wire struct {
 type Design struct {
 	Subs  []*SubProgram
 	Wires []Wire
+
+	users []*SubProgram // the non-stdlib Subs, in order, listed once Subs is final (seal)
 }
 
 // Sub returns the subprogram at path, or nil.
@@ -173,15 +175,25 @@ func (d *Design) Sub(path string) *SubProgram {
 	return nil
 }
 
-// UserSubs returns the non-stdlib subprograms.
-func (d *Design) UserSubs() []*SubProgram {
-	var out []*SubProgram
+// UserSubs returns the non-stdlib subprograms, in Subs order: a list
+// the design keeps, so a call allocates nothing. It is only read.
+func (d *Design) UserSubs() []*SubProgram { return d.users }
+
+// seal lists d's user subprograms once its Subs are final, and returns d.
+func (d *Design) seal() *Design {
+	n := 0
 	for _, s := range d.Subs {
 		if !s.IsStd {
-			out = append(out, s)
+			n++
 		}
 	}
-	return out
+	d.users = make([]*SubProgram, 0, n)
+	for _, s := range d.Subs {
+		if !s.IsStd {
+			d.users = append(d.users, s)
+		}
+	}
+	return d
 }
 
 // StdSubs returns the stdlib subprograms.

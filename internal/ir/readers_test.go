@@ -165,6 +165,7 @@ var malformedInputs = [][2]string{
 	{"below-direct-child", "A a(.x(1));\nwire w = a.b.c;"},
 	{"not-an-instance", "wire w = q.x;"},
 	{"duplicate-instance", "A a(.x(1));\nA a(.x(0));"},
+	{"promoted-both-sides", "module C(input wire b__c);\nendmodule\nmodule D(output wire c);\nendmodule\nC a(.b__c(1));\nD a__b(.c(w));\nwire w;"},
 }
 
 // TestSourceReadersGolden pins what every reader of parsed source makes

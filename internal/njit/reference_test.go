@@ -2,6 +2,7 @@ package njit
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -104,15 +105,23 @@ func TestPowTickCounters(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		tick()
 	}
-	ev.NativeOpsDelta()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < window; i++ {
-		tick()
+	// The least over three windows: a goroutine another test left
+	// running can only add to one. The bill is the first window's.
+	var billed uint64
+	objs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for rep := range 3 {
+		var before, after runtime.MemStats
+		ev.NativeOpsDelta()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < window; i++ {
+			tick()
+		}
+		runtime.ReadMemStats(&after)
+		if rep == 0 {
+			billed = ev.NativeOpsDelta()
+		}
+		objs, bytes = min(objs, after.Mallocs-before.Mallocs), min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	runtime.ReadMemStats(&after)
-	billed := ev.NativeOpsDelta()
-	objs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 	var rec strings.Builder
 	fmt.Fprintf(&rec, "compiled: %d processes, %d blocks (one step closure each), %d closures in the blocks, %d of them fused runs; %d closures fall back to Machine.ExecOp\n",
 		n.procs, n.blocks, n.closures, n.runs, n.fallbacks)

@@ -65,6 +65,11 @@ type dual struct {
 func newDualNative(tb testing.TB, src string) *dual {
 	tb.Helper()
 	prog, f := compileProg(tb, src)
+	return newDual(prog, f)
+}
+
+// newDual drives prog, synthesized from f, on both.
+func newDual(prog *netlist.Program, f *elab.Flat) *dual {
 	d := &dual{prog: prog, f: f, m: netlist.NewMachine(prog)}
 	d.e = New("dut", prog, &d.eOut, nil, nil)
 	d.settle()
@@ -422,7 +427,7 @@ func TestCompiledFormRetainedBudget(t *testing.T) {
 	ev := Compile(m)
 	retained := int64(heap()) - int64(before)
 	runtime.KeepAlive(ev)
-	t.Logf("njit.Compile retains %d bytes for %d ops over %d slots", retained, len(prog.Code), len(prog.Slots))
+	t.Logf("njit.Compile retains %d bytes for %d ops over %d slots", retained, prog.Stats.CodeOps, len(prog.Slots))
 	if retained > 64<<10 {
 		t.Fatalf("compiled form retains %d bytes, budget 64 KB", retained)
 	}
@@ -458,7 +463,7 @@ func TestNativeCompileAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	bytes, allocs := (after.TotalAlloc-before.TotalAlloc)/runs, (after.Mallocs-before.Mallocs)/runs
-	t.Logf("njit.Compile: %d ops, %d slots: %d B and %d allocs per call", len(prog.Code), len(prog.Slots), bytes, allocs)
+	t.Logf("njit.Compile: %d ops, %d slots: %d B and %d allocs per call", prog.Stats.CodeOps, len(prog.Slots), bytes, allocs)
 	if bytes > nativeCompileBytes || allocs > nativeCompileAllocs {
 		t.Fatalf("Compile allocates %d B in %d allocs per call, budget %d B in %d", bytes, allocs, nativeCompileBytes, nativeCompileAllocs)
 	}

@@ -12,6 +12,7 @@ import (
 	"cascade/internal/elab"
 	"cascade/internal/golden"
 	"cascade/internal/netlist"
+	"cascade/internal/verilog"
 	"cascade/internal/vgen"
 	"cascade/internal/workloads/pow"
 )
@@ -20,8 +21,11 @@ import (
 // evaluator and on the reference machine, stepped here, under inputs the
 // fuzzer picks, two bytes a tick: state image and display text agree
 // tick by tick, and keep agreeing after both install the same altered
-// state image mid-run. The seed corpus is the drive of
-// TestNativeDifferentialRandomPrograms, program by program.
+// state image mid-run. It runs the module's program twice: compiled from
+// scratch, and linked (netlist.CompileFrom) from the program of a prefix
+// of the module the first byte picks, whose units the link relocates —
+// their code under the new program's binding. The seed corpus is the
+// drive of TestNativeDifferentialRandomPrograms, program by program.
 func FuzzNativeAgainstReference(f *testing.F) {
 	r := rand.New(rand.NewSource(17))
 	for seed := uint64(0); seed < 40; seed++ {
@@ -33,26 +37,75 @@ func FuzzNativeAgainstReference(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, in []byte) {
 		src := vgen.Module(seed).String()
-		d := newDualNative(t, src)
-		n := min(len(in)/2, 32)
-		for i := 0; i < n; i++ {
-			d.setInput("a", bits.FromUint64(8, uint64(in[2*i])))
-			d.setInput("b", bits.FromUint64(8, uint64(in[2*i+1])))
-			d.settle()
-			d.tick()
-			d.check(t, fmt.Sprintf("vgen seed %d tick %d on\n%s", seed, i, src))
-			if i == n/2 {
-				img := d.m.GetState()
-				for k := range img {
-					img[k] ^= uint64(in[k%len(in)]) * 0x0101010101010101
-				}
-				d.m.SetState(img)
-				d.e.SetState(img)
-				d.settle()
-				d.check(t, fmt.Sprintf("vgen seed %d after a state install at tick %d on\n%s", seed, i, src))
-			}
-		}
+		drive(t, newDualNative(t, src), in, fmt.Sprintf("vgen seed %d", seed), src)
+		prog, fl, cut := linkedFromPrefix(t, src, in)
+		drive(t, newDual(prog, fl), in, fmt.Sprintf("vgen seed %d linked from its first %d items", seed, cut), src)
 	})
+}
+
+// drive runs d under the inputs in picks, two bytes a tick, checking the
+// two sides agree after each tick and after a state install halfway.
+func drive(t *testing.T, d *dual, in []byte, what, src string) {
+	t.Helper()
+	n := min(len(in)/2, 32)
+	for i := 0; i < n; i++ {
+		d.setInput("a", bits.FromUint64(8, uint64(in[2*i])))
+		d.setInput("b", bits.FromUint64(8, uint64(in[2*i+1])))
+		d.settle()
+		d.tick()
+		d.check(t, fmt.Sprintf("%s tick %d on\n%s", what, i, src))
+		if i == n/2 {
+			img := d.m.GetState()
+			for k := range img {
+				img[k] ^= uint64(in[k%len(in)]) * 0x0101010101010101
+			}
+			d.m.SetState(img)
+			d.e.SetState(img)
+			d.settle()
+			d.check(t, fmt.Sprintf("%s after a state install at tick %d on\n%s", what, i, src))
+		}
+	}
+}
+
+// linkedFromPrefix synthesizes the module src declares as an eval does
+// after the one declaring its first items: elaborated from the prefix's
+// elaboration and linked from its program. The prefix is the longest, at
+// most the share of the items in's first byte picks, that synthesizes.
+func linkedFromPrefix(t *testing.T, src string, in []byte) (*netlist.Program, *elab.Flat, int) {
+	t.Helper()
+	st, errs := verilog.ParseSourceText(src)
+	if errs != nil {
+		t.Fatalf("parse: %v", errs)
+	}
+	m := st.Modules[0]
+	cut := 0
+	if len(in) > 0 {
+		cut = len(m.Items) * int(in[0]) / 256
+	}
+	for ; ; cut-- {
+		if cut < 0 {
+			t.Fatal("no prefix of the module synthesizes")
+		}
+		pm := *m
+		pm.Items = m.Items[:cut]
+		fb, err := elab.Elaborate(&pm, "dut", nil)
+		if err != nil {
+			continue // a prefix may read what a later item declares
+		}
+		base, err := netlist.Compile(fb)
+		if err != nil {
+			continue
+		}
+		f, err := elab.ElaborateFrom(fb, m, "dut", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := netlist.CompileFrom(base, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, f, cut
+	}
 }
 
 // TestNativeTickAllocFree: once settled, a clock tick through the

@@ -6,29 +6,40 @@ import (
 	"cascade/internal/verilog"
 )
 
-// compiler lowers units of one design into a scratch program, each into
-// a span of its own: code ending in OpHalt, fresh temporaries, its tasks,
-// and the variables it reads and writes (see Span). The linker then
-// places those spans; see link.
+// compiler lowers units of one design into unit form (Op), one after
+// another into the same arrays: code ending in OpHalt, temporaries'
+// widths, tasks, and the variables each unit reads and writes
+// (Span.Vars's encoding); at says where each unit starts. Sources and
+// constants are numbered in those arrays; the linker copies each unit's
+// code out into a record of its own (see link).
 type compiler struct {
-	prog *Program
-	// mark[v.Index<<1|w] is 1 + the span that last recorded variable v as
-	// read (w = 0) or written (w = 1).
-	mark []int32
+	f        *elab.Flat
+	code     []Op
+	operands []int32
+	consts   []*bits.Vector
+	temps    []int32 // widths
+	tasks    []Task
+	vars     []int32
+	at       []start
+	// mark[v.Index<<1|w] is 1 + the unit that last recorded variable v
+	// as read (w = 0) or written (w = 1); first[v.Index] is then 1 + v's
+	// first entry in that unit's list.
+	mark, first []int32
 	// args stacks the sources of the instructions being compiled that
 	// take a list (concatenations, display tasks), nested ones on top.
 	args []int
-	// fr is the frame of the unit being compiled.
-	fr []*elab.Var
+	// fr is the frame of the unit being compiled, cur where it starts.
+	fr  []*elab.Var
+	cur start
 }
 
-// unit compiles u into a new span of c.prog.
+// start is where a unit compiled here starts in the compiler's arrays.
+type start struct{ code, temps, tasks, vars int32 }
+
+// unit compiles u after the units compiled so far.
 func (c *compiler) unit(u *unit, f *elab.Flat) {
-	c.prog.Spans = append(c.prog.Spans, Span{
-		Unit: u.id, Ord: u.ord,
-		Code: int32(len(c.prog.Code)), Temps: int32(len(c.prog.Slots)),
-		Tasks: int32(len(c.prog.Tasks)), Vars: int32(len(c.prog.vars)),
-	})
+	c.cur = start{int32(len(c.code)), int32(len(c.temps)), int32(len(c.tasks)), int32(len(c.vars))}
+	c.at = append(c.at, c.cur)
 	switch u.kind {
 	case unitMonitor:
 		c.fr = f.InitialFrames[u.at]
@@ -48,16 +59,21 @@ func (c *compiler) unit(u *unit, f *elab.Flat) {
 // touch records that the current unit reads (or writes) v: the read and
 // write sets the driver-class check and levelization are computed from.
 // Every variable an expression or lvalue names is recorded here, whether
-// or not an instruction ends up reading its slot.
-func (c *compiler) touch(v *elab.Var, write bool) {
+// or not an instruction ends up reading its slot. It returns v's
+// reference in unit form.
+func (c *compiler) touch(v *elab.Var, write bool) int {
 	k := v.Index << 1
 	if write {
 		k |= 1
 	}
-	if stamp := int32(len(c.prog.Spans)); c.mark[k] != stamp {
+	if stamp := int32(len(c.at)); c.mark[k] != stamp {
+		if c.mark[k^1] != stamp {
+			c.first[v.Index] = int32(len(c.vars)) - c.cur.vars + 1
+		}
 		c.mark[k] = stamp
-		c.prog.vars = append(c.prog.vars, int32(k))
+		c.vars = append(c.vars, int32(k))
 	}
+	return -int(c.first[v.Index])
 }
 
 func hasLevelEdge(p *elab.Proc) bool {
@@ -78,36 +94,43 @@ func hasTrueEdge(p *elab.Proc) bool {
 	return false
 }
 
-func (c *compiler) newSlot(width int, v *elab.Var) int {
-	idx := len(c.prog.Slots)
-	c.prog.Slots = append(c.prog.Slots, SlotInfo{Width: width, Wide: width > 64, Var: v})
-	return idx
+// temp adds a temporary of the current unit.
+func (c *compiler) temp(width int) int {
+	c.temps = append(c.temps, int32(width))
+	return len(c.temps) - 1 - int(c.cur.temps)
+}
+
+// width returns the width of the current unit's slot reference s.
+func (c *compiler) width(s int) int {
+	if s < 0 {
+		return c.f.Vars[c.vars[int(c.cur.vars)-1-s]>>1].Width
+	}
+	return int(c.temps[int(c.cur.temps)+s])
 }
 
 // emit appends op reading srcs, which go to the source arena, and
 // returns its pc. An op runs on the wide path if its result or any
 // source is wide.
 func (c *compiler) emit(op Op, srcs ...int) int {
-	slots := c.prog.Slots
-	op.Wide = op.Width > 64 || (op.Dst >= 0 && int(op.Dst) < len(slots) && slots[op.Dst].Wide)
-	op.Src, op.NSrcs, op.Const = int32(len(c.prog.Operands)), int32(len(srcs)), -1
+	op.Wide = op.Width > 64 || hasDst(op.Kind) && c.width(int(op.Dst)) > 64
+	op.Src, op.NSrcs, op.Const = int32(len(c.operands)), int32(len(srcs)), -1
 	for _, s := range srcs {
-		op.Wide = op.Wide || (s >= 0 && s < len(slots) && slots[s].Wide)
-		c.prog.Operands = append(c.prog.Operands, int32(s))
+		op.Wide = op.Wide || c.width(s) > 64
+		c.operands = append(c.operands, int32(s))
 	}
-	c.prog.Code = append(c.prog.Code, op)
-	return len(c.prog.Code) - 1
+	c.code = append(c.code, op)
+	return len(c.code) - 1
 }
 
 // constant emits dst = v.
 func (c *compiler) constant(dst int, v *bits.Vector) {
 	pc := c.emit(Op{Kind: OpConst, Dst: int32(dst), Width: int32(v.Width())})
-	c.prog.Code[pc].Const = int32(len(c.prog.Consts))
-	c.prog.Consts = append(c.prog.Consts, v)
+	c.code[pc].Const = int32(len(c.consts))
+	c.consts = append(c.consts, v)
 }
 
 // target points the jump at pc to the next instruction emitted.
-func (c *compiler) target(pc int) { c.prog.Code[pc].Target = int32(len(c.prog.Code)) }
+func (c *compiler) target(pc int) { c.code[pc].Target = int32(len(c.code)) - c.cur.code }
 
 func (c *compiler) compileContAssign(a *elab.ContAssign) {
 	rhs := c.compileExpr(a.RHS)
@@ -122,7 +145,7 @@ func (c *compiler) distribute(lhs []elab.LValue, rhs int, rhsWidth int, blocking
 	}
 	src := rhs
 	if rhsWidth != total {
-		src = c.newSlot(total, nil)
+		src = c.temp(total)
 		c.emit(Op{Kind: OpMove, Dst: int32(src), Width: int32(total)}, rhs)
 	}
 	offset := total
@@ -131,7 +154,7 @@ func (c *compiler) distribute(lhs []elab.LValue, rhs int, rhsWidth int, blocking
 		offset -= w
 		part := src
 		if len(lhs) > 1 {
-			part = c.newSlot(w, nil)
+			part = c.temp(w)
 			c.emit(Op{Kind: OpSlice, Dst: int32(part), Width: int32(w), Hi: int32(offset + w - 1), Lo: int32(offset)}, src)
 		}
 		c.writeLValue(lv, part, blocking)
@@ -140,17 +163,16 @@ func (c *compiler) distribute(lhs []elab.LValue, rhs int, rhsWidth int, blocking
 
 func (c *compiler) writeLValue(lv elab.LValue, src int, blocking bool) {
 	v := c.fr[lv.Var]
-	c.touch(v, true)
+	dst := int32(c.touch(v, true))
 	if lv.ArrIndex != nil {
 		addr := c.compileExpr(lv.ArrIndex)
 		kind := OpMemWrite
 		if !blocking {
 			kind = OpMemWriteNB
 		}
-		c.emit(Op{Kind: kind, Aux: int32(c.prog.MemOf[v.Index]), Width: int32(v.Width)}, src, addr)
+		c.emit(Op{Kind: kind, Aux: dst, Width: int32(v.Width)}, src, addr)
 		return
 	}
-	dst := int32(c.prog.VarSlot[v.Index])
 	switch {
 	case lv.DynBit != nil:
 		idx := c.compileExpr(lv.DynBit)
@@ -227,19 +249,19 @@ func (c *compiler) compileCase(x *elab.Case) {
 				if l.Width() > w {
 					w = l.Width()
 				}
-				diff := c.newSlot(w, nil)
+				diff := c.temp(w)
 				c.emit(Op{Kind: OpXor, Dst: int32(diff), Width: int32(w)}, subj, ls)
-				mk := c.newSlot(m.Width(), nil)
+				mk := c.temp(m.Width())
 				c.constant(mk, m)
-				masked := c.newSlot(w, nil)
+				masked := c.temp(w)
 				c.emit(Op{Kind: OpAnd, Dst: int32(masked), Width: int32(w)}, diff, mk)
 				a.jsrc = append(a.jsrc, c.emit(Op{Kind: OpJz}, masked))
 				continue
 			}
-			eq := c.newSlot(1, nil)
+			eq := c.temp(1)
 			c.emit(Op{Kind: OpEq, Dst: int32(eq), Width: 1}, subj, ls)
 			// Jump to the arm body when equal: invert and Jz.
-			inv := c.newSlot(1, nil)
+			inv := c.temp(1)
 			c.emit(Op{Kind: OpLogNot, Dst: int32(inv), Width: 1}, eq)
 			a.jsrc = append(a.jsrc, c.emit(Op{Kind: OpJz}, inv))
 		}
@@ -276,9 +298,9 @@ func (c *compiler) compileTask(t *elab.SysTask) {
 // the $monitor of an initial block, run at the end of each time step.
 func (c *compiler) display(t *elab.SysTask, monitor bool) {
 	srcs := c.compileList(t.Args)
-	c.emit(Op{Kind: OpDisplay, Aux: int32(len(c.prog.Tasks))}, srcs...)
+	c.emit(Op{Kind: OpDisplay, Aux: int32(len(c.tasks)) - c.cur.tasks}, srcs...)
 	c.args = c.args[:len(c.args)-len(srcs)]
-	c.prog.Tasks = append(c.prog.Tasks, Task{Src: t, Monitor: monitor})
+	c.tasks = append(c.tasks, Task{Src: t, Monitor: monitor})
 }
 
 // compileList lowers es and returns the slots holding their values, on
@@ -295,29 +317,27 @@ func (c *compiler) compileList(es []elab.Expr) []int {
 func (c *compiler) compileExpr(e elab.Expr) int {
 	switch x := e.(type) {
 	case *elab.Const:
-		dst := c.newSlot(x.V.Width(), nil)
+		dst := c.temp(x.V.Width())
 		c.constant(dst, x.V)
 		return dst
 	case *elab.VarRef:
-		v := c.fr[x.Var]
-		c.touch(v, false)
-		return c.prog.VarSlot[v.Index]
+		return c.touch(c.fr[x.Var], false)
 	case *elab.ArrayRef:
 		v := c.fr[x.Var]
-		c.touch(v, false)
+		mem := c.touch(v, false)
 		addr := c.compileExpr(x.Index)
-		dst := c.newSlot(v.Width, nil)
-		c.emit(Op{Kind: OpMemRead, Dst: int32(dst), Aux: int32(c.prog.MemOf[v.Index]), Width: int32(v.Width)}, addr)
+		dst := c.temp(v.Width)
+		c.emit(Op{Kind: OpMemRead, Dst: int32(dst), Aux: int32(mem), Width: int32(v.Width)}, addr)
 		return dst
 	case *elab.BitSel:
 		v := c.compileExpr(x.X)
 		idx := c.compileExpr(x.Idx)
-		dst := c.newSlot(1, nil)
+		dst := c.temp(1)
 		c.emit(Op{Kind: OpBitSel, Dst: int32(dst), Width: 1}, v, idx)
 		return dst
 	case *elab.Slice:
 		v := c.compileExpr(x.X)
-		dst := c.newSlot(x.Width(), nil)
+		dst := c.temp(x.Width())
 		c.emit(Op{Kind: OpSlice, Dst: int32(dst), Width: int32(x.Width()), Hi: int32(x.Hi), Lo: int32(x.Lo)}, v)
 		return dst
 	case *elab.Unary:
@@ -328,22 +348,22 @@ func (c *compiler) compileExpr(e elab.Expr) int {
 		cond := c.compileExpr(x.Cond)
 		a := c.compileExpr(x.Then)
 		b := c.compileExpr(x.Else)
-		dst := c.newSlot(x.W, nil)
+		dst := c.temp(x.W)
 		c.emit(Op{Kind: OpMux, Dst: int32(dst), Width: int32(x.W)}, cond, a, b)
 		return dst
 	case *elab.Concat:
 		srcs := c.compileList(x.Parts)
-		dst := c.newSlot(x.W, nil)
+		dst := c.temp(x.W)
 		c.emit(Op{Kind: OpConcat, Dst: int32(dst), Width: int32(x.W)}, srcs...)
 		c.args = c.args[:len(c.args)-len(srcs)]
 		return dst
 	case *elab.Repl:
 		v := c.compileExpr(x.X)
-		dst := c.newSlot(x.W, nil)
+		dst := c.temp(x.W)
 		c.emit(Op{Kind: OpRepl, Dst: int32(dst), Width: int32(x.W), N: int32(x.N)}, v)
 		return dst
 	case *elab.TimeRef:
-		dst := c.newSlot(64, nil)
+		dst := c.temp(64)
 		c.emit(Op{Kind: OpTime, Dst: int32(dst), Width: 64})
 		return dst
 	}
@@ -359,14 +379,14 @@ var unaryKinds = map[verilog.UnaryOp]OpKind{
 func (c *compiler) compileUnary(x *elab.Unary) int {
 	v := c.compileExpr(x.X)
 	if x.Op == verilog.UPlus {
-		if x.W == c.prog.Slots[v].Width {
+		if x.W == c.width(v) {
 			return v
 		}
-		dst := c.newSlot(x.W, nil)
+		dst := c.temp(x.W)
 		c.emit(Op{Kind: OpMove, Dst: int32(dst), Width: int32(x.W)}, v)
 		return dst
 	}
-	dst := c.newSlot(x.W, nil)
+	dst := c.temp(x.W)
 	c.emit(Op{Kind: unaryKinds[x.Op], Dst: int32(dst), Width: int32(x.W)}, v)
 	return dst
 }
@@ -384,7 +404,7 @@ var binaryKinds = map[verilog.BinaryOp]OpKind{
 func (c *compiler) compileBinary(x *elab.Binary) int {
 	a := c.compileExpr(x.X)
 	b := c.compileExpr(x.Y)
-	dst := c.newSlot(x.W, nil)
+	dst := c.temp(x.W)
 	c.emit(Op{Kind: binaryKinds[x.Op], Dst: int32(dst), Width: int32(x.W)}, a, b)
 	return dst
 }

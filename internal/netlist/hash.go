@@ -20,8 +20,8 @@ import (
 // is wired, not what the netlist computes or costs — so a consumer keeps
 // the program it synthesized rather than taking one from a key match.
 //
-// The code enters the hash as its units' digests (Span.Digest), each
-// beside the unit's binding: the variable list its digest's variable
+// The code enters the hash as its units' digests (UnitCode.Digest), each
+// beside the unit's binding: the variable list its code's variable
 // references index. With the variables' declarations, slots and reset
 // image and the schedule's entries and edges, that is every field the
 // program executes, in O(units + variables): an edit's program shares
@@ -38,12 +38,15 @@ func (p *Program) fingerprint(fed *int) string {
 	// on-disk bitstream stores are keyed by it.
 	h := newHasher(hashBatch, fed)
 	h.str(p.Flat.Name) // %m output is part of observable behaviour
-	h.ints(len(p.Code), len(p.Slots), len(p.Tasks), len(p.Spans))
-	if len(p.Spans) == 0 && len(p.Code) > 0 { // code outside any unit: a program not built by synthesis
-		u := unitForm{p: p, codeEnd: len(p.Code), temps: len(p.Slots), tempsEnd: len(p.Slots), tasksEnd: len(p.Tasks)}
+	ops := len(p.Code)
+	for i := range p.Spans {
+		ops += len(p.Spans[i].Ops)
+	}
+	h.ints(ops, len(p.Slots), len(p.Tasks), len(p.Spans))
+	if len(p.Spans) == 0 && len(p.Code) > 0 { // a program built by hand: its code is one unit
 		var d [sha256.Size]byte
 		uh := newHasher(unitBatch, fed)
-		uh.digest(&u, &d)
+		uh.digest(p.Unit(0).UnitCode, p.Tasks, &d)
 		h.buf = append(h.buf, d[:]...)
 	}
 	for i := range p.Spans {
@@ -101,12 +104,12 @@ func (p *Program) fingerprint(fed *int) string {
 		}
 	}
 
-	// The schedule: each unit's entry is its span's first instruction,
-	// which the digests' lengths give, unless a program says otherwise.
+	// The schedule: each unit's entry is its span, unless a program says
+	// otherwise.
 	h.ints(len(p.Comb), len(p.Seq), len(p.Monitors))
 	entries := len(p.Comb)+len(p.Seq)+len(p.Monitors) == len(p.Spans)
 	for i := 0; entries && i < len(p.Spans); i++ {
-		entries = p.entry(i) == int(p.Spans[i].Code)
+		entries = p.entry(i) == i
 	}
 	h.ints(int(B2U(entries)))
 	for i := 0; !entries && i < len(p.Comb)+len(p.Seq)+len(p.Monitors); i++ {
@@ -145,117 +148,47 @@ func (p *Program) entry(i int) int {
 	return p.Monitors[i-len(p.Comb)-len(p.Seq)].Entry
 }
 
-// unitForm renumbers one unit's references into the form its digest
-// hashes, which does not depend on where the link placed the unit:
-// temporaries, jump targets and tasks count from the unit's own first,
-// and a variable or memory is named by its first entry in the unit's
-// variable list.
-type unitForm struct {
-	p               *Program
-	vars            []int32 // the unit's variable list (Span.Vars)
-	pos             []int32 // Var.Index -> 1 + its first entry in vars (0: none); zero again after digest
-	code, codeEnd   int     // the unit's instructions
-	temps, tempsEnd int     // its temporary slots
-	tasks, tasksEnd int     // its tasks
-}
-
-// spanForm returns span i of p in unit form, pos a zeroed scratch table
-// of one entry per variable of p.
-func spanForm(p *Program, i int, pos []int32) unitForm {
-	u := unitForm{p: p, pos: pos}
-	lo, hi := p.spanVars(i)
-	u.vars = p.vars[lo:hi]
-	u.code, u.codeEnd = p.spanCode(i)
-	u.temps, u.tempsEnd = p.spanTemps(i)
-	u.tasks, u.tasksEnd = p.spanTasks(i)
-	return u
-}
-
-// outside numbers a reference the unit cannot name relatively — none
-// in a program synthesis built — absolutely, apart from every relative
-// number.
-const outside = -1 << 40
-
-// slot returns slot s in unit form: a temporary of the unit from 0 up, a
-// variable of its list from -1 down.
-func (u *unitForm) slot(s int32) int {
-	switch {
-	case int(s) >= u.temps && int(s) < u.tempsEnd:
-		return int(s) - u.temps
-	case s >= 0 && int(s) < len(u.p.Slots):
-		if v := u.p.Slots[s].Var; v != nil && v.Index < len(u.pos) && u.pos[v.Index] > 0 {
-			return -int(u.pos[v.Index])
-		}
-	}
-	return outside - int(s)
-}
-
-// mem returns memory m in unit form, as slot does a variable.
-func (u *unitForm) mem(m int32) int {
-	if m >= 0 && int(m) < len(u.p.Mems) {
-		if i := u.p.Mems[m].Var.Index; i < len(u.pos) && u.pos[i] > 0 {
-			return -int(u.pos[i])
-		}
-	}
-	return outside - int(m)
-}
-
 // unitBatch is how many encoded bytes a unit's digest gathers between
 // writes: a unit is a few dozen instructions.
 const unitBatch = 256
 
-// digest hashes unit u in its unit form into out, reusing h.
-func (h *hasher) digest(u *unitForm, out *[sha256.Size]byte) {
-	p := u.p
-	for j := len(u.vars) - 1; j >= 0; j-- {
-		u.pos[u.vars[j]>>1] = int32(j + 1)
-	}
+// digest hashes unit code c with its tasks into out, reusing h. Unit
+// form does not depend on where a link placed the unit, so neither does
+// the digest.
+func (h *hasher) digest(c *UnitCode, tasks []Task, out *[sha256.Size]byte) {
 	h.sum.Reset()
-	h.ints(u.codeEnd - u.code)
-	for pc := u.code; pc < u.codeEnd; pc++ {
-		op := &p.Code[pc]
-		dst, target, aux := int(op.Dst), int(op.Target), int(op.Aux)
-		if hasDst(op.Kind) {
-			dst = u.slot(op.Dst)
-		}
-		switch op.Kind {
-		case OpJump, OpJz:
-			target -= u.code
-		case OpMemRead, OpMemWrite, OpMemWriteNB:
-			aux = u.mem(op.Aux)
-		case OpDisplay:
-			aux -= u.tasks
-		}
+	h.ints(len(c.Ops))
+	for i := range c.Ops {
+		op := &c.Ops[i]
 		h.room()
 		h.put(int(op.Kind))
-		h.put(dst)
+		h.put(int(op.Dst))
 		h.put(int(op.Width))
 		h.put(int(op.Hi))
 		h.put(int(op.Lo))
 		h.put(int(op.N))
-		h.put(target)
-		h.put(aux)
+		h.put(int(op.Target))
+		h.put(int(op.Aux))
 		h.put(int(B2U(op.Wide)))
-		srcs := p.Srcs(op)
-		h.put(len(srcs))
-		for _, s := range srcs {
-			h.put(u.slot(s))
+		h.put(int(op.NSrcs))
+		for _, s := range c.Operands[op.Src : op.Src+op.NSrcs] {
+			h.put(int(s))
 		}
-		h.vec(p.Const(op))
-	}
-	h.ints(u.tempsEnd - u.temps)
-	for _, s := range p.Slots[u.temps:u.tempsEnd] {
-		h.room()
-		h.put(s.Width)
-		h.put(int(B2U(s.Wide)))
-		if s.Var != nil {
-			h.str(s.Var.Name)
+		if op.Const >= 0 {
+			h.vec(c.Consts[op.Const])
 		} else {
-			h.put(-1)
+			h.vec(nil)
 		}
 	}
-	h.ints(u.tasksEnd - u.tasks)
-	for _, t := range p.Tasks[u.tasks:u.tasksEnd] {
+	h.ints(len(c.TempWidths))
+	for _, w := range c.TempWidths {
+		h.room()
+		h.put(int(w))
+		h.put(int(B2U(w > 64)))
+		h.put(-1) // a temporary backs no variable
+	}
+	h.ints(len(tasks))
+	for _, t := range tasks {
 		h.room()
 		h.put(int(t.Src.Kind))
 		h.put(int(B2U(t.Monitor)))
@@ -263,9 +196,6 @@ func (h *hasher) digest(u *unitForm, out *[sha256.Size]byte) {
 	}
 	h.flush()
 	h.sum.Sum(out[:0])
-	for _, e := range u.vars {
-		u.pos[e>>1] = 0
-	}
 }
 
 // hashBatch is how many encoded bytes Fingerprint gathers between writes.

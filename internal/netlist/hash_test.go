@@ -142,17 +142,32 @@ func oldFingerprint(p *Program) string {
 		ws(fmt.Sprintf("%d'h%s", v.Width(), v.Hex()))
 	}
 	ws(p.Flat.Name)
-	wi(len(p.Code))
-	for i := range p.Code {
-		op := &p.Code[i]
+	// The code as it was laid out before it moved into unit records: one
+	// array, every span's bound instructions after the last's, with jump
+	// targets and tasks numbered across the program.
+	var code []Instr
+	pcs := make([]int, len(p.Spans))
+	for i, bound := range boundCode(p) {
+		pcs[i] = len(code)
+		for _, in := range bound {
+			switch in.Kind {
+			case OpJump, OpJz:
+				in.Target += int32(pcs[i])
+			case OpDisplay:
+				in.Aux += p.Spans[i].Tasks
+			}
+			code = append(code, in)
+		}
+	}
+	wi(len(code))
+	for _, op := range code {
 		wi(int(op.Kind), int(op.Dst), int(op.Width), int(op.Hi), int(op.Lo), int(op.N), int(op.Target), int(op.Aux))
-		srcs := p.Srcs(op)
-		wi(len(srcs))
-		for _, s := range srcs {
+		wi(len(op.Srcs))
+		for _, s := range op.Srcs {
 			wi(int(s))
 		}
 		wb(op.Wide)
-		wvec(p.Const(op))
+		wvec(op.Value)
 	}
 	wi(len(p.Slots))
 	for _, s := range p.Slots {
@@ -175,18 +190,18 @@ func oldFingerprint(p *Program) string {
 	}
 	wi(len(p.Comb))
 	for _, c := range p.Comb {
-		wi(c.Entry)
+		wi(pcs[c.Entry])
 	}
 	wi(len(p.Seq))
 	for _, sp := range p.Seq {
-		wi(sp.Entry, len(sp.Edges))
+		wi(pcs[sp.Entry], len(sp.Edges))
 		for _, e := range sp.Edges {
 			wi(int(e.Kind), sp.Frame[e.Var].Index)
 		}
 	}
 	wi(len(p.Monitors))
 	for _, m := range p.Monitors {
-		wi(m.Entry)
+		wi(pcs[m.Entry])
 	}
 	wi(len(p.Tasks))
 	for _, t := range p.Tasks {
@@ -451,9 +466,11 @@ func BenchmarkCompileFromEdit(b *testing.B) {
 
 // TestCompileFromAllocBudget: an eval's synthesis allocates what the
 // program keeps and little scaffolding besides — no per-slot lists, no
-// map of the base's spans, no append growth, no cloned reset state. It
-// was 810 KB in 4 324 allocations at this size before the op lost its
-// pointers and the link its scratch; the budgets are what it takes now
+// map of the base's spans, no append growth, no cloned reset state, no
+// copy of a relocated unit's code. It was 810 KB in 4 324 allocations at
+// this size before the op lost its pointers and the link its scratch,
+// and 401 KB in 1 560 before the link bound relocated units' code
+// records instead of copying them; the budgets are what it takes now
 // plus a tenth.
 func TestCompileFromAllocBudget(t *testing.T) {
 	base, f := lastEdit(t)
@@ -465,7 +482,7 @@ func TestCompileFromAllocBudget(t *testing.T) {
 		t.Fatalf("relocated %d of %d units", p.Relocated, len(p.Spans))
 	}
 	bytes, allocs := allocsPerCall(func() { CompileFrom(base, f) })
-	t.Logf("CompileFrom: %d ops, %d slots: %d B and %d allocs per call", len(p.Code), len(p.Slots), bytes, allocs)
+	t.Logf("CompileFrom: %d ops, %d slots: %d B and %d allocs per call", p.Stats.CodeOps, len(p.Slots), bytes, allocs)
 	if bytes > compileFromBytes || allocs > compileFromAllocs {
 		t.Fatalf("CompileFrom allocates %d B in %d allocs per call, budget %d B in %d", bytes, allocs, compileFromBytes, compileFromAllocs)
 	}
@@ -473,8 +490,8 @@ func TestCompileFromAllocBudget(t *testing.T) {
 
 // CompileFrom's budget at the last of 150 edits.
 const (
-	compileFromBytes  = 463_000 // 420 744 B measured
-	compileFromAllocs = 3_046   // 2 769 measured
+	compileFromBytes  = 269_000 // 244 544 B measured
+	compileFromAllocs = 1_716   // 1 560 measured
 )
 
 // TestElaborateFromAllocBudget: an eval's elaboration allocates the new

@@ -24,8 +24,8 @@ func Compile(f *elab.Flat) (*Program, error) { return CompileFrom(nil, f) }
 // through any chain of versions since, so it is the same elaboration on
 // variables of the same names and shapes — is relocated out of base
 // instead of compiled again; synthesis makes no reuse decision of its
-// own. The result is the program Compile(f) returns, field for field.
-// base is only read.
+// own: the unit's span binds base's code record, by pointer. The result
+// is the program Compile(f) returns, field for field. base is only read.
 func CompileFrom(base *Program, f *elab.Flat) (*Program, error) { return link(base, f, true, nil) }
 
 // CompileRaw synthesizes without the cleanup pass: the raw reference the
@@ -48,9 +48,9 @@ type unit struct {
 	id   uint64 // its elaboration's identity (0: none, never relocated)
 	ord  int32  // which $monitor of its initial block it is
 	at   int32  // its index in f.Assigns, f.Procs or f.Initials, by kind
-	span int32  // its span in the program its code is in
+	span int32  // its span in base, else its index among the units compiled here
 	kind uint8
-	base bool // its code is in the base program, else the scratch compile's
+	base bool // its code is base's, else compiled here
 }
 
 // monitorIn returns the $monitor task u is in f.
@@ -63,17 +63,6 @@ func (u *unit) monitorIn(f *elab.Flat) (mon *elab.SysTask) {
 		ord--
 	})
 	return mon
-}
-
-// tasks appends u's display tasks to out in the order its code numbers them.
-func (u *unit) tasks(f *elab.Flat, out []*elab.SysTask) []*elab.SysTask {
-	switch u.kind {
-	case unitMonitor:
-		return append(out, u.monitorIn(f))
-	case unitAssign:
-		return out
-	}
-	return unitTasks(f.Procs[u.at].Body, out)
 }
 
 // monitors calls fn for each $monitor of initial block st, in order.
@@ -138,32 +127,29 @@ func partition(f *elab.Flat) (units []unit, ncomb, nseq int, err error) {
 // linker synthesizes one design: the one loop over units behind Compile,
 // CompileFrom and CompileRaw.
 type linker struct {
-	f       *elab.Flat
-	p       *Program // the result
-	base    *Program // nil: nothing to relocate from
-	scratch *Program // the units compiled here
+	f    *elab.Flat
+	p    *Program // the result
+	base *Program // nil: nothing to relocate from
+	c    compiler // the units compiled here
 
-	byID  spanTable       // base's spans by identity
-	vmap  []int           // base variable index -> f's variable of that name (-1: none)
-	bslot []int           // base variable slot -> slot of that variable here (-1: none)
-	bmem  []int           // base memory -> memory of that variable here (-1: none)
-	keep  []bool          // cleanup verdict per scratch instruction (nil: keep all)
-	tasks []*elab.SysTask // a relocated unit's tasks (scratch)
+	byID spanTable // base's spans by identity
+	vmap []int     // base variable index -> f's variable of that name (-1: none)
+	keep []bool    // cleanup verdict per instruction compiled here (nil: keep all)
 
-	// The digests of the units compiled here: one hasher and one
-	// variable table for them all (nil until the first), and the bytes
-	// fed to the hash (nil: not counted; tests count them).
+	// The records of the units compiled here, and the arrays they share,
+	// exactly sized (emit).
+	recs   []UnitCode
+	ops    []Op
+	srcs   []int32
+	consts []*bits.Vector
+	widths []int32
+	pcs    []int32 // a unit's pc -> its record's, for jump targets
+
+	// The digests of the units compiled here: one hasher for them all
+	// (nil until the first), and the bytes fed to the hash (nil: not
+	// counted; tests count them).
 	h   *hasher
-	pos []int32
 	fed *int
-}
-
-// src returns the program u's code is in.
-func (l *linker) src(u *unit) *Program {
-	if u.base {
-		return l.base
-	}
-	return l.scratch
 }
 
 // link synthesizes f, relocating what it can from base (nil: none), and
@@ -173,11 +159,11 @@ func link(base *Program, f *elab.Flat, optimize bool, fed *int) (*Program, error
 	if err != nil {
 		return nil, err
 	}
-	// Each unit's code comes from base when it can, else from a fresh
-	// compile into the scratch program.
+	// Each unit's code is base's when it can be, else compiled here.
 	l := &linker{f: f, fed: fed}
 	if base != nil {
 		l.base, l.byID = base, newSpanTable(base.Spans)
+		l.mapVars()
 	}
 	fresh := 0
 	for i := range units {
@@ -186,16 +172,13 @@ func link(base *Program, f *elab.Flat, optimize bool, fed *int) (*Program, error
 		}
 	}
 
-	// Slot 0..n-1: one slot per scalar variable, then temporaries. The
-	// variables' slot table is the scratch program's, presized for a
-	// typical unit's temporaries, and the result copies it once.
+	// Slot 0..n-1: one slot per scalar variable, then temporaries.
 	nmem := 0
 	for _, v := range f.Vars {
 		if v.IsArray() {
 			nmem++
 		}
 	}
-	nvar := len(f.Vars) - nmem
 	p := &Program{
 		Flat:    f,
 		VarSlot: make([]int, len(f.Vars)),
@@ -203,64 +186,60 @@ func link(base *Program, f *elab.Flat, optimize bool, fed *int) (*Program, error
 		Mems:    make([]MemInfo, 0, nmem),
 	}
 	l.p = p
-	l.scratch = &Program{
-		Flat: f, VarSlot: p.VarSlot, MemOf: p.MemOf,
-		Code:     make([]Op, 0, opsPerUnit*fresh),
-		Operands: make([]int32, 0, 2*opsPerUnit*fresh),
-		Slots:    make([]SlotInfo, 0, nvar+opsPerUnit*fresh),
-		Spans:    make([]Span, 0, fresh),
-	}
+	nvar := 0
 	for _, v := range f.Vars {
 		p.VarSlot[v.Index], p.MemOf[v.Index] = -1, -1
 		if v.IsArray() {
 			p.MemOf[v.Index] = len(p.Mems)
 			p.Mems = append(p.Mems, MemInfo{Var: v, Words: v.ArrayLen, Width: v.Width, Wide: v.Width > 64})
-			continue
+		} else {
+			p.VarSlot[v.Index], nvar = nvar, nvar+1
 		}
-		p.VarSlot[v.Index] = len(l.scratch.Slots)
-		l.scratch.Slots = append(l.scratch.Slots, SlotInfo{Width: v.Width, Wide: v.Width > 64, Var: v})
-	}
-	l.scratch.Mems = p.Mems
-	if base != nil {
-		l.mapVars()
 	}
 
-	c := &compiler{prog: l.scratch, mark: make([]int32, 2*len(f.Vars))}
+	c := &l.c
+	*c = compiler{
+		f:        f,
+		code:     make([]Op, 0, opsPerUnit*fresh),
+		operands: make([]int32, 0, 2*opsPerUnit*fresh),
+		temps:    make([]int32, 0, opsPerUnit*fresh),
+		at:       make([]start, 0, fresh+1),
+		mark:     make([]int32, 3*len(f.Vars)), // and first
+	}
+	c.mark, c.first = c.mark[:2*len(f.Vars)], c.mark[2*len(f.Vars):]
 	for i := range units {
 		if u := &units[i]; !u.base {
-			u.span = int32(len(l.scratch.Spans))
+			u.span = int32(len(c.at))
 			c.unit(u, f)
 		}
 	}
+	c.at = append(c.at, start{int32(len(c.code)), int32(len(c.temps)), int32(len(c.tasks)), int32(len(c.vars))}) // where the last ends
 	if optimize {
-		l.keep = make([]bool, len(l.scratch.Code))
-		liveSlot := make([]bool, len(l.scratch.Slots))
-		for i := 0; i < nvar; i++ {
-			liveSlot[i] = true
-		}
-		for i := range l.scratch.Spans {
-			lo, hi := l.scratch.spanCode(i)
-			sweep(l.scratch, lo, hi, liveSlot, l.keep[lo:hi])
+		l.keep = make([]bool, len(c.code))
+		live := make([]bool, len(c.temps))
+		for i := 0; i+1 < len(c.at); i++ {
+			lo, hi := c.at[i], c.at[i+1]
+			sweep(c.code[lo.code:hi.code], c.operands, live[lo.temps:hi.temps], l.keep[lo.code:hi.code])
 		}
 	}
 
 	// Every unit's variables, in f's numbering and partition order.
 	off := make([]int32, len(units)+1)
 	for i := range units {
-		lo, hi := l.src(&units[i]).spanVars(int(units[i].span))
+		lo, hi := l.vars(&units[i])
 		off[i+1] = off[i] + int32(hi-lo)
 	}
 	uv := make([]int32, off[len(units)])
 	for i := range units {
 		u := &units[i]
-		src := l.src(u)
-		lo, hi := src.spanVars(int(u.span))
+		lo, hi := l.vars(u)
 		out := uv[off[i]:off[i+1]]
-		copy(out, src.vars[lo:hi])
-		if u.base {
-			for j, e := range out {
-				out[j] = int32(l.vmap[e>>1]<<1) | e&1
-			}
+		if !u.base {
+			copy(out, c.vars[lo:hi])
+			continue
+		}
+		for j, e := range l.base.vars[lo:hi] {
+			out[j] = int32(l.vmap[e>>1]<<1) | e&1
 		}
 	}
 	order, err := levelize(f, units, uv, off, ncomb, nseq)
@@ -280,39 +259,43 @@ func link(base *Program, f *elab.Flat, optimize bool, fed *int) (*Program, error
 		ref.Evaluate()
 		reset <- ref.GetState()
 	}()
-	l.emit(units, order, uv, off, ncomb, nseq)
+	l.emit(units, order, uv, off, ncomb, nseq, nvar)
 	p.Stats = computeStats(p)
 	p.Reset = <-reset
 	return p, nil
+}
+
+// vars returns where u's variables lie: in base's list for a relocated
+// unit, else in the compiler's.
+func (l *linker) vars(u *unit) (int, int) {
+	if u.base {
+		return l.base.spanVars(int(u.span))
+	}
+	return int(l.c.at[u.span].vars), int(l.c.at[u.span+1].vars)
+}
+
+// tasks returns u's tasks: base's for a relocated unit, else the
+// compiler's.
+func (l *linker) tasks(u *unit) []Task {
+	if u.base {
+		lo, hi := l.base.spanTasks(int(u.span))
+		return l.base.Tasks[lo:hi]
+	}
+	return l.c.tasks[l.c.at[u.span].tasks:l.c.at[u.span+1].tasks]
 }
 
 // opsPerUnit is about how many instructions a unit compiles to (8 on the
 // benchmark's chained stages, 5–12 on generated modules).
 const opsPerUnit = 10
 
-// mapVars maps the base's variables, slots and memories to l.f's of
-// the same names, for relocation from it.
+// mapVars maps the base's variables to l.f's of the same names, for
+// relocation from it.
 func (l *linker) mapVars() {
-	base := l.base
-	l.vmap = make([]int, len(base.Flat.Vars))
-	for i, v := range base.Flat.Vars {
+	l.vmap = make([]int, len(l.base.Flat.Vars))
+	for i, v := range l.base.Flat.Vars {
 		l.vmap[i] = -1
 		if j, ok := l.f.VarIndex[v.Name]; ok {
 			l.vmap[i] = j
-		}
-	}
-	l.bslot = make([]int, base.varSlots())
-	for s := range l.bslot {
-		l.bslot[s] = -1
-		if j := l.vmap[base.Slots[s].Var.Index]; j >= 0 {
-			l.bslot[s] = l.p.VarSlot[j]
-		}
-	}
-	l.bmem = make([]int, len(base.Mems))
-	for m, mi := range base.Mems {
-		l.bmem[m] = -1
-		if j := l.vmap[mi.Var.Index]; j >= 0 {
-			l.bmem[m] = l.p.MemOf[j]
 		}
 	}
 }
@@ -369,36 +352,6 @@ func (l *linker) relocate(u *unit) bool {
 		u.base, u.span = true, i
 	}
 	return ok
-}
-
-// unitTasks appends the display tasks of s in the order compileStmt
-// numbers them.
-func unitTasks(s elab.Stmt, out []*elab.SysTask) []*elab.SysTask {
-	switch x := s.(type) {
-	case *elab.Block:
-		for _, st := range x.Stmts {
-			out = unitTasks(st, out)
-		}
-	case *elab.If:
-		out = unitTasks(x.Else, unitTasks(x.Then, out))
-	case *elab.Case:
-		var deflt *elab.CaseItem
-		for _, it := range x.Items {
-			if it.Labels == nil {
-				deflt = it
-				continue
-			}
-			out = unitTasks(it.Body, out)
-		}
-		if deflt != nil {
-			out = unitTasks(deflt.Body, out)
-		}
-	case *elab.SysTask:
-		if x.Kind != elab.TaskFinish {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // levelize checks driver classes — no variable may be written by two
@@ -494,111 +447,65 @@ func levelize(f *elab.Flat, units []unit, uv []int32, off []int32, ncomb, nseq i
 	return order, nil
 }
 
-// reloc renumbers one span's instructions on their way into the result.
-type reloc struct {
-	vslot []int   // source variable slot -> slot here (nil: the same)
-	vend  int32   // the source's first temporary slot
-	temps int32   // temporary slot shift
-	mem   []int   // source memory -> memory here (nil: the same)
-	tasks int32   // task index shift
-	pc    []int32 // source pc - lo -> pc here, for jump targets
-	lo    int32
-}
-
-func (r *reloc) slot(s int32) int32 {
-	if s >= r.vend {
-		return s + r.temps
-	}
-	if r.vslot != nil {
-		return int32(r.vslot[s])
-	}
-	return s
-}
-
-// emit lays the units out in order into exactly sized arrays: code, its
-// source arena and constant table, slots, tasks, spans and their
-// variables.
-func (l *linker) emit(units []unit, order []int32, uv []int32, off []int32, ncomb, nseq int) {
-	p, nvar := l.p, len(l.f.Vars)-len(l.p.Mems)
-	kept := func(u *unit, pc int) bool { return u.base || l.keep == nil || l.keep[pc] }
+// emit lays the units out in order into exactly sized arrays: spans,
+// slots, tasks and the spans' variables. A relocated unit's span binds
+// its base's record; the units compiled here get records of their own
+// (record).
+func (l *linker) emit(units []unit, order []int32, uv []int32, off []int32, ncomb, nseq, nvar int) {
+	p, c := l.p, &l.c
 	var nops, nsrcs, nconsts, ntemps, ntasks int
 	for i := range units {
 		u := &units[i]
-		src := l.src(u)
-		lo, hi := src.spanCode(int(u.span))
-		for pc := lo; pc < hi; pc++ {
-			if op := &src.Code[pc]; kept(u, pc) {
-				nops, nsrcs = nops+1, nsrcs+int(op.NSrcs)
-				if op.Const >= 0 {
-					nconsts++
+		if u.base {
+			ntemps += len(l.base.Spans[u.span].TempWidths)
+		} else {
+			lo, hi := c.at[u.span], c.at[u.span+1]
+			for pc := lo.code; pc < hi.code; pc++ {
+				if op := &c.code[pc]; l.kept(pc) {
+					nops, nsrcs = nops+1, nsrcs+int(op.NSrcs)
+					if op.Const >= 0 {
+						nconsts++
+					}
 				}
 			}
+			ntemps += int(hi.temps - lo.temps)
 		}
-		tlo, thi := src.spanTemps(int(u.span))
-		klo, khi := src.spanTasks(int(u.span))
-		ntemps, ntasks = ntemps+thi-tlo, ntasks+khi-klo
+		ntasks += len(l.tasks(u))
 	}
-	p.Code = make([]Op, 0, nops)
-	p.Operands = make([]int32, 0, nsrcs)
-	p.Consts = make([]*bits.Vector, 0, nconsts)
-	p.Slots = append(make([]SlotInfo, 0, nvar+ntemps), l.scratch.Slots[:nvar]...)
+	l.recs, l.widths = make([]UnitCode, 0, len(c.at)-1), slices.Clone(c.temps)
+	l.ops, l.srcs, l.consts = make([]Op, 0, nops), make([]int32, 0, nsrcs), make([]*bits.Vector, 0, nconsts)
+	p.Slots = make([]SlotInfo, nvar, nvar+ntemps)
+	for _, v := range l.f.Vars {
+		if s := p.VarSlot[v.Index]; s >= 0 {
+			p.Slots[s] = SlotInfo{Width: v.Width, Wide: v.Width > 64, Var: v}
+		}
+	}
 	p.Tasks = make([]Task, 0, ntasks)
 	p.Spans = make([]Span, 0, len(units))
 	p.vars = make([]int32, 0, len(uv))
 	p.Comb = make([]CombUnit, 0, ncomb)
 	p.Seq = make([]SeqProc, 0, nseq)
 	p.Monitors = make([]MonitorUnit, 0, len(units)-ncomb-nseq)
-	var pcs []int32
 	for _, ui := range order {
 		u := &units[ui]
-		src, si := l.src(u), int(u.span)
-		lo, hi := src.spanCode(si)
-		tlo, thi := src.spanTemps(si)
-		klo, khi := src.spanTasks(si)
-		entry := len(p.Code)
-		r := reloc{vend: int32(nvar), temps: int32(len(p.Slots) - tlo), tasks: int32(len(p.Tasks) - klo), lo: int32(lo)}
 		sp := Span{
-			Unit: u.id, Ord: u.ord, Code: int32(entry), Temps: int32(len(p.Slots)),
+			Unit: u.id, Ord: u.ord, Temps: int32(len(p.Slots)),
 			Tasks: int32(len(p.Tasks)), Vars: int32(len(p.vars)),
 		}
-		if u.base {
-			r.vslot, r.vend, r.mem = l.bslot, int32(src.varSlots()), l.bmem
-			sp.Digest = src.Spans[si].Digest
-			p.Relocated++
-		}
-		p.Spans = append(p.Spans, sp)
-		p.Slots = append(p.Slots, src.Slots[tlo:thi]...)
 		p.vars = append(p.vars, uv[off[ui]:off[ui+1]]...)
-		if u.base && khi > klo {
-			l.tasks = u.tasks(l.f, l.tasks[:0])
-			for i, t := range l.tasks {
-				p.Tasks = append(p.Tasks, Task{Src: t, Monitor: src.Tasks[klo+i].Monitor})
-			}
+		p.Tasks = append(p.Tasks, l.tasks(u)...)
+		if u.base {
+			sp.UnitCode = l.base.Spans[u.span].UnitCode
+			p.Relocated++
 		} else {
-			p.Tasks = append(p.Tasks, src.Tasks[klo:khi]...)
+			sp.UnitCode = l.record(u)
+			l.digest(sp.UnitCode, p.Tasks[sp.Tasks:])
 		}
-
-		// Jump targets land on the next kept instruction (the unit's
-		// OpHalt is always kept).
-		pcs = slices.Grow(pcs[:0], hi-lo+1)[:hi-lo+1]
-		next := int32(entry)
-		for pc := lo; pc < hi; pc++ {
-			pcs[pc-lo] = next
-			if kept(u, pc) {
-				next++
-			}
+		for _, w := range sp.TempWidths {
+			p.Slots = append(p.Slots, SlotInfo{Width: int(w), Wide: w > 64})
 		}
-		pcs[hi-lo] = next
-		r.pc = pcs
-		for pc := lo; pc < hi; pc++ {
-			if kept(u, pc) {
-				r.op(p, src, &src.Code[pc])
-			}
-		}
-		if !u.base {
-			l.digest()
-		}
-
+		entry := len(p.Spans)
+		p.Spans = append(p.Spans, sp)
 		switch u.kind {
 		case unitAssign, unitComb:
 			p.Comb = append(p.Comb, CombUnit{Entry: entry})
@@ -611,44 +518,58 @@ func (l *linker) emit(units []unit, order []int32, uv []int32, off []int32, ncom
 	}
 }
 
-// op appends the renumbered copy of src's instruction op to p, its
-// sources to p's arena and its constant to p's table.
-func (r *reloc) op(p, src *Program, op *Op) {
-	o := *op
-	switch o.Kind {
-	case OpJump, OpJz:
-		o.Target = r.pc[o.Target-r.lo]
-	case OpMemRead, OpMemWrite, OpMemWriteNB:
-		if r.mem != nil {
-			o.Aux = int32(r.mem[o.Aux])
+// kept reports whether the instruction compiled here at pc survived the
+// cleanup.
+func (l *linker) kept(pc int32) bool { return l.keep == nil || l.keep[pc] }
+
+// record copies the code of u, a unit compiled here, into a record of its
+// own at the end of l's record arrays, leaving the instructions the
+// cleanup dropped behind, and returns it.
+func (l *linker) record(u *unit) *UnitCode {
+	c := &l.c
+	lo, hi := c.at[u.span], c.at[u.span+1]
+	// Jump targets land on the next kept instruction (the unit's OpHalt
+	// is always kept).
+	l.pcs = slices.Grow(l.pcs[:0], int(hi.code-lo.code)+1)[:hi.code-lo.code+1]
+	next := int32(0)
+	for pc := lo.code; pc < hi.code; pc++ {
+		l.pcs[pc-lo.code] = next
+		if l.kept(pc) {
+			next++
 		}
-	case OpDisplay:
-		o.Aux += r.tasks
 	}
-	if hasDst(o.Kind) {
-		o.Dst = r.slot(o.Dst)
+	l.pcs[hi.code-lo.code] = next
+	o0, s0, k0 := len(l.ops), len(l.srcs), len(l.consts)
+	for pc := lo.code; pc < hi.code; pc++ {
+		if !l.kept(pc) {
+			continue
+		}
+		o := c.code[pc]
+		if o.Kind == OpJump || o.Kind == OpJz {
+			o.Target = l.pcs[o.Target]
+		}
+		l.srcs = append(l.srcs, c.operands[o.Src:o.Src+o.NSrcs]...)
+		o.Src = int32(len(l.srcs)-s0) - o.NSrcs
+		if o.Const >= 0 {
+			l.consts = append(l.consts, c.consts[o.Const])
+			o.Const = int32(len(l.consts) - k0 - 1)
+		}
+		l.ops = append(l.ops, o)
 	}
-	o.Src = int32(len(p.Operands))
-	for _, s := range src.Srcs(op) {
-		p.Operands = append(p.Operands, r.slot(s))
-	}
-	if o.Const >= 0 {
-		o.Const = int32(len(p.Consts))
-		p.Consts = append(p.Consts, src.Consts[op.Const])
-	}
-	p.Code = append(p.Code, o)
+	l.recs = append(l.recs, UnitCode{
+		Ops: l.ops[o0:len(l.ops):len(l.ops)], Operands: l.srcs[s0:len(l.srcs):len(l.srcs)],
+		Consts: l.consts[k0:len(l.consts):len(l.consts)], TempWidths: l.widths[lo.temps:hi.temps:hi.temps],
+	})
+	return &l.recs[len(l.recs)-1]
 }
 
-// digest computes the digest of the result's last span, a unit compiled
-// here.
-func (l *linker) digest() {
+// digest computes the digest of rec, a unit compiled here with tasks.
+func (l *linker) digest(rec *UnitCode, tasks []Task) {
 	if l.h == nil {
 		h := newHasher(unitBatch, l.fed)
-		l.h, l.pos = &h, make([]int32, len(l.f.Vars))
+		l.h = &h
 	}
-	i := len(l.p.Spans) - 1
-	u := spanForm(l.p, i, l.pos)
-	l.h.digest(&u, &l.p.Spans[i].Digest)
+	l.h.digest(rec, tasks, &rec.Digest)
 }
 
 // hasDst reports whether an instruction of kind k names a slot in Dst.

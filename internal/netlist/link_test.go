@@ -19,9 +19,7 @@ func sameProgram(t *testing.T, what string, got, want *Program) {
 		got, want any
 	}{
 		{"Fingerprint", got.Fingerprint(), want.Fingerprint()},
-		{"Code", got.Code, want.Code},
-		{"Operands", got.Operands, want.Operands},
-		{"Consts", got.Consts, want.Consts},
+		{"Code", boundCode(got), boundCode(want)}, // with its operands, constants and tasks
 		{"Slots", got.Slots, want.Slots},
 		{"VarSlot", got.VarSlot, want.VarSlot},
 		{"MemOf", got.MemOf, want.MemOf},
@@ -37,6 +35,21 @@ func sameProgram(t *testing.T, what string, got, want *Program) {
 			t.Fatalf("%s: programs differ in %s", what, fd.name)
 		}
 	}
+}
+
+// boundCode is p's code bound to p, span by span: every instruction with
+// its slots, memories, sources, constant and task resolved, as its
+// engines execute it.
+func boundCode(p *Program) [][]Instr {
+	code := make([][]Instr, len(p.Spans))
+	for i := range p.Spans {
+		sp := &p.Spans[i]
+		ops, srcs := p.Bind(sp, nil, nil)
+		for j := range ops {
+			code[i] = append(code[i], p.Instr(sp, &ops[j], srcs))
+		}
+	}
+	return code
 }
 
 // parseModule parses one module declaration.
@@ -258,5 +271,66 @@ func TestCompileFromChain(t *testing.T) {
 	}
 	if relocated == 0 {
 		t.Fatal("no unit was ever relocated")
+	}
+}
+
+// TestRelocatedCodeShared: along the 150 edits of an inlined session
+// (vgen.InlinedChain, the benchmark's chain after inlining), each
+// synthesized from the program before it as an eval does, every
+// relocated unit's span holds its base's code record itself, by pointer,
+// and every unit compiled again holds a record of its own: the link
+// binds relocated code and copies none of it.
+func TestRelocatedCodeShared(t *testing.T) {
+	const stages = 150
+	items := func(n int) int { return len(parseModule(t, vgen.InlinedChain(n)).Items) }
+	head, per := items(0), items(1)-items(0)
+	m := parseModule(t, vgen.InlinedChain(stages))
+	type id struct {
+		unit uint64
+		ord  int32
+	}
+	var f *elab.Flat
+	var base *Program
+	for n := 1; n <= stages; n++ {
+		cut := *m
+		cut.Items = m.Items[:head+n*per]
+		var err error
+		if f, err = elab.ElaborateFrom(f, &cut, "dut", nil); err != nil {
+			t.Fatalf("stage %d: %v", n, err)
+		}
+		p, err := CompileFrom(base, f)
+		if err != nil {
+			t.Fatalf("stage %d: %v", n, err)
+		}
+		had, held := map[id]*UnitCode{}, map[*UnitCode]bool{}
+		if base != nil {
+			for _, sp := range base.Spans {
+				if sp.Unit != 0 {
+					had[id{sp.Unit, sp.Ord}] = sp.UnitCode
+				}
+				held[sp.UnitCode] = true
+			}
+		}
+		shared := 0
+		for _, sp := range p.Spans {
+			rec, ok := had[id{sp.Unit, sp.Ord}]
+			switch {
+			case ok && sp.UnitCode != rec:
+				t.Fatalf("stage %d: relocated unit %d holds a copy of its base's code, not the record", n, sp.Unit)
+			case ok:
+				shared++
+			case held[sp.UnitCode]:
+				t.Fatalf("stage %d: unit %d, compiled again, holds a record of its base", n, sp.Unit)
+			default:
+				held[sp.UnitCode] = true // and no other fresh unit's
+			}
+		}
+		if shared != p.Relocated {
+			t.Fatalf("stage %d: %d spans share their base's record, %d units were relocated", n, shared, p.Relocated)
+		}
+		if n == stages && shared*10 < len(p.Spans)*9 {
+			t.Fatalf("the last edit shares %d of %d units' code", shared, len(p.Spans))
+		}
+		base = p
 	}
 }

@@ -43,6 +43,10 @@ type Machine struct {
 	// scratch holds one lazily-allocated vector per narrow slot so
 	// slotVec can materialize transient reads without allocating.
 	scratch []*bv.Vector
+	// op, srcs and in are the instruction exec is at, bound.
+	op   Op
+	srcs []int32
+	in   Instr
 
 	// NowFn supplies $time.
 	NowFn func() uint64
@@ -399,17 +403,19 @@ func (m *Machine) settleAfterLoad() {
 	m.combDirty = true
 }
 
-// exec runs compiled code starting at pc until OpHalt, one ExecOp per
-// instruction.
-func (m *Machine) exec(pc int) {
-	code := m.prog.Code
-	for {
-		op := &code[pc]
+// exec runs the unit schedule entry e names until OpHalt, one ExecOp
+// per instruction, each bound as it comes.
+func (m *Machine) exec(e int) {
+	sp := m.prog.Unit(e)
+	for pc := 0; ; {
 		m.Ops++
+		m.op = sp.Ops[pc]
+		m.srcs = m.prog.bind(sp, &m.op, m.srcs[:0])
+		m.in = m.prog.Instr(sp, &m.op, m.srcs)
 		switch {
-		case m.ExecOp(op):
-			pc = int(op.Target)
-		case op.Kind == OpHalt:
+		case m.ExecOp(&m.in):
+			pc = int(m.in.Target)
+		case m.in.Kind == OpHalt:
 			return
 		default:
 			pc++
@@ -417,15 +423,17 @@ func (m *Machine) exec(pc int) {
 	}
 }
 
-// ExecOp executes one instruction and reports whether it was a taken
-// jump. It is the reference meaning of every OpKind: bit-vector
+// ExecOp executes one instruction, bound to the machine's program
+// (Program.Instr), and reports whether it was a taken jump; a taken
+// jump's Target is its unit's pc. It is the reference meaning of every
+// OpKind: bit-vector
 // arithmetic over narrow and wide operands alike, display/finish side
 // effects, non-blocking write capture. The machine's own loop steps
 // nothing else, and a compiled backend uses it as the body of any op it
 // does not fuse. It does not advance the Ops counter; backends account
 // for their own work.
-func (m *Machine) ExecOp(op *Op) bool {
-	srcs := m.prog.Srcs(op)
+func (m *Machine) ExecOp(op *Instr) bool {
+	srcs := op.Srcs
 	get := func(i int) *bv.Vector { return m.slotVec(int(srcs[i])) }
 	dst, width := int(op.Dst), int(op.Width)
 	switch op.Kind {
@@ -436,7 +444,7 @@ func (m *Machine) ExecOp(op *Op) bool {
 	case OpJz:
 		return get(0).IsZero()
 	case OpConst:
-		m.setSlotRaw(dst, m.prog.Consts[op.Const])
+		m.setSlotRaw(dst, op.Value)
 	case OpMove:
 		m.setSlotRaw(dst, get(0).Resize(width))
 	case OpAdd:
@@ -587,9 +595,8 @@ func (m *Machine) ExecOp(op *Op) bool {
 	return false
 }
 
-func (m *Machine) display(op *Op) {
-	task := m.prog.Tasks[op.Aux]
-	srcs := m.prog.Srcs(op)
+func (m *Machine) display(op *Instr) {
+	task, srcs := op.Task, op.Srcs
 	vals := make([]*bv.Vector, len(srcs))
 	for i, s := range srcs {
 		vals[i] = m.slotVecOwned(int(s))

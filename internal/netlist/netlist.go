@@ -6,26 +6,29 @@
 // Compilation levelizes combinational logic (continuous assignments, @*
 // and level-sensitive processes) into a feed-forward instruction schedule
 // and lowers every process body to a small register machine with jump
-// instructions. A program is linked from units, each a Span recording
-// the identity of the elaborated unit it came from and where its code,
-// temporaries and tasks lie; CompileFrom copies a unit whose elaboration
-// was relocated (elab.ElaborateFrom keeps its identity) out of the
-// previous version's program instead of compiling it again, so a REPL
-// eval pays for what it added, and the result is the program Compile
-// would build from scratch.
+// instructions. A program is linked from units. Each unit's code is an
+// immutable record in unit form (UnitCode): its temporaries count from
+// 0, its jumps and tasks from its own first, and a variable or memory is
+// named by its place in the unit's variable list, so the record does not
+// depend on where a program places it. A Span binds one record to one
+// program: the variable list in the program's numbering, and where the
+// unit's temporaries and tasks start. CompileFrom hands a unit whose
+// elaboration was relocated (elab.ElaborateFrom keeps its identity) its
+// base program's record by pointer instead of compiling it again, so a
+// REPL eval pays for what it added — the rest it binds — and the result
+// is the program Compile would build from scratch.
 //
-// An eval still links the whole program, so the link builds straight
-// into exactly sized final arrays, and what it keeps is compact: an
-// instruction (Op) holds no pointer — its sources are a span of the
-// program's source arena, its constant an index into the program's
+// An instruction (Op) holds no pointer — its sources are a span of its
+// record's source arena, its constant an index into the record's
 // constant table — and the reset state is a word image Machine.Reset
 // copies. Values at or below 64 bits are stored in uint64 lanes, wider
-// ones as bits.Vector; Machine.ExecOp computes on either as bit vectors,
-// and the fast execution of a program is internal/njit's compiled form
-// over the same storage. The package also derives the area and
-// critical-path statistics that the blackbox toolchain model
-// (internal/toolchain) uses for compile-latency, fit, and timing-closure
-// decisions.
+// ones as bits.Vector. Operands resolve through the binding (Bind) as
+// code is run or compiled: Machine.ExecOp computes on the bound form as
+// bit vectors, and the fast execution of a program is internal/njit's
+// compiled form over the same storage, resolved once as it compiles.
+// The package also derives the area and critical-path statistics that
+// the blackbox toolchain model (internal/toolchain) uses for
+// compile-latency, fit, and timing-closure decisions.
 //
 // Observable-state equivalence between the Machine and the reference
 // event-driven interpreter (internal/sim) is the load-bearing invariant of
@@ -98,10 +101,14 @@ const (
 	OpHalt // end of a compiled body; stays last (njit's TestOpSemanticsAgree ranges up to it)
 )
 
-// Op is one netlist instruction. Fields are interpreted per kind. It
-// holds no pointer, so a program's code is one block the collector never
-// scans: its sources are a span of the program's source arena (Srcs) and
-// its constant an index into the program's constant table (Const).
+// Op is one netlist instruction, in unit form. Fields are interpreted
+// per kind. It holds no pointer, so a unit's code is one block the
+// collector never scans: its sources are a span of its record's source
+// arena (Operands) and its constant an index into the record's constant
+// table (Consts). A slot reference (Dst, a source) >= 0 is a temporary
+// of the unit, < 0 is the variable of its list entry -1-s; a memory
+// reference (Aux) is a variable the same way; Target and a display's Aux
+// count from the unit's first instruction and task.
 type Op struct {
 	Kind   OpKind
 	Wide   bool  // any operand or result wider than 64 bits
@@ -111,9 +118,9 @@ type Op struct {
 	N      int32 // replication count
 	Target int32 // jump target pc
 	Aux    int32 // task index (display), mem index (mem ops)
-	Src    int32 // first source: Program.Operands[Src : Src+NSrcs]
+	Src    int32 // first source: Operands[Src : Src+NSrcs]
 	NSrcs  int32
-	Const  int32 // Program.Consts index of an OpConst's value; -1 for every other kind
+	Const  int32 // Consts index of an OpConst's value; -1 for every other kind
 }
 
 // Task is a system task compiled into the netlist.
@@ -134,29 +141,32 @@ type MemInfo struct {
 type SeqProc struct {
 	Edges []elab.Edge
 	Frame []*elab.Var // its process's frame: what Edges name
-	Entry int         // pc into Code
+	Entry int         // its span (Program.Unit)
 }
 
 // CombUnit is one levelized combinational unit.
 type CombUnit struct {
-	Entry int // pc into Code
+	Entry int // its span (Program.Unit)
 }
 
 // MonitorUnit is a compiled $monitor: a code unit that captures the
 // monitored values, run at the end of each time step.
 type MonitorUnit struct {
-	Entry int // pc into Code
+	Entry int // its span (Program.Unit)
 }
 
-// Program is a synthesized netlist: shared code array, slot metadata, and
+// Program is a synthesized netlist: its units' spans, slot metadata, and
 // the schedule.
 type Program struct {
 	Flat *elab.Flat
 
-	Code     []Op
-	Operands []int32        // the source arena: every instruction's sources, in code order
-	Consts   []*bits.Vector // every OpConst's value, in code order
-	Slots    []SlotInfo
+	// Spans is the program's code, one span per unit in emission order:
+	// Comb, then Seq, then Monitors. Relocated counts the units
+	// CompileFrom bound to their base's records instead of compiling.
+	Spans     []Span
+	Relocated int
+
+	Slots []SlotInfo // the variables', then each span's temporaries in span order
 
 	VarSlot []int // Var.Index -> slot (scalars; -1 for memories)
 	Mems    []MemInfo
@@ -165,7 +175,7 @@ type Program struct {
 	Comb     []CombUnit // in topological order
 	Seq      []SeqProc
 	Monitors []MonitorUnit
-	Tasks    []Task
+	Tasks    []Task // every span's tasks, in span order
 
 	// Reset is the post-initial-block state captured at synthesis time
 	// (FPGA bitstreams carry initial register contents), as a word image:
@@ -175,54 +185,113 @@ type Program struct {
 
 	Stats Stats
 
-	// Spans is the program's unit index, one entry per unit in code
-	// order: Comb, then Seq, then Monitors. Relocated counts the units
-	// CompileFrom copied out of its base instead of compiling.
-	Spans     []Span
-	Relocated int
+	// Code, Operands and Consts are the code of a program built by hand
+	// rather than linked: one unit, without a span, whose references are
+	// the program's own slots, memories and tasks (Unit).
+	Code     []Op
+	Operands []int32
+	Consts   []*bits.Vector
 
 	vars []int32 // the variables each span reads and writes (Span.Vars)
 }
 
-// Srcs returns op's source slots, a span of p's source arena; op is one
-// of p's instructions.
-func (p *Program) Srcs(op *Op) []int32 { return p.Operands[op.Src : op.Src+op.NSrcs] }
+// UnitCode is one unit's compiled code in unit form (Op): immutable once
+// linked, and shared by pointer by every program that binds it.
+type UnitCode struct {
+	Ops        []Op
+	Operands   []int32        // the source arena: every instruction's sources, in code order
+	Consts     []*bits.Vector // every OpConst's value, in code order
+	TempWidths []int32        // its temporaries'
 
-// Const returns the value an OpConst instruction of p loads (nil for any
-// other kind).
-func (p *Program) Const(op *Op) *bits.Vector {
-	if op.Const < 0 {
-		return nil
-	}
-	return p.Consts[op.Const]
+	// Digest hashes the code, the temporaries and the unit's tasks (the
+	// binding's Program.Tasks): Fingerprint hashes it in place of them.
+	Digest [sha256.Size]byte
 }
 
-// Span is where one unit lies in a Program, and what it was synthesized
-// from. Its code, temporary slots, tasks and variables each start where
-// the field says and end where the next span's start (the end of the
-// array for the last span): units never share temporaries, and their
-// jumps stay inside them. Vars entries are Var.Index<<1, | 1 for a write;
-// they are the unit's read and write sets, recorded as its code was
-// generated.
+// Span binds a unit's code to a program, and says what it was
+// synthesized from. Its temporary slots, tasks and variables each start
+// where the field says and end where the next span's start (the end of
+// the array for the last span): units never share temporaries. Vars
+// entries are Var.Index<<1, | 1 for a write; they are the unit's read and
+// write sets, recorded as its code was generated, and its code names a
+// variable by its first entry.
 type Span struct {
 	Unit uint64 // the identity of the elaborated unit it was compiled from (0: none)
 	Ord  int32  // which $monitor of Unit, an initial block, it is
 
-	Code, Temps, Tasks, Vars int32
+	Temps, Tasks, Vars int32
 
-	// Digest hashes the unit's code, temporaries and tasks in a form
-	// that does not depend on where the link placed it (unitForm): the
-	// link computes it when it compiles the unit and copies it when it
-	// relocates the unit, and Fingerprint hashes it in place of the code.
-	Digest [sha256.Size]byte
+	*UnitCode
 }
 
-func (p *Program) spanCode(i int) (int, int) {
-	return p.bounds(i, len(p.Code), func(s *Span) int32 { return s.Code })
+// Unit returns the span schedule entry e (an Entry of Comb, Seq or
+// Monitors) runs. A program built by hand has no spans: its code is
+// one unit at entry 0.
+func (p *Program) Unit(e int) *Span {
+	if p.Spans == nil {
+		return &Span{UnitCode: &UnitCode{Ops: p.Code, Operands: p.Operands, Consts: p.Consts}}
+	}
+	return &p.Spans[e]
 }
 
-func (p *Program) spanTemps(i int) (int, int) {
-	return p.bounds(i, len(p.Slots), func(s *Span) int32 { return s.Temps })
+// Instr is an instruction bound to a program (Bind), in the form
+// Machine.ExecOp executes: its sources, an OpConst's constant (Value) and
+// an OpDisplay's task at hand.
+type Instr struct {
+	Op
+	Srcs  []int32
+	Value *bits.Vector
+	Task  *Task
+}
+
+// Bind appends the instructions of span sp, bound to p, to code and
+// their sources to srcs, and returns both: Dst, the sources and a memory
+// op's Aux are p's slots and memories, and Src indexes srcs. Jump
+// targets, constants and a display's task stay the unit's (Instr).
+func (p *Program) Bind(sp *Span, code []Op, srcs []int32) ([]Op, []int32) {
+	for i := range sp.Ops {
+		code = append(code, sp.Ops[i])
+		srcs = p.bind(sp, &code[len(code)-1], srcs)
+	}
+	return code, srcs
+}
+
+// bind binds op, a copy of an instruction of span sp, in place, appending
+// its sources to srcs.
+func (p *Program) bind(sp *Span, op *Op, srcs []int32) []int32 {
+	at := int32(len(srcs))
+	for _, s := range sp.Operands[op.Src : op.Src+op.NSrcs] {
+		srcs = append(srcs, p.slot(sp, s))
+	}
+	op.Src = at
+	if hasDst(op.Kind) {
+		op.Dst = p.slot(sp, op.Dst)
+	}
+	if op.Aux < 0 && (op.Kind == OpMemRead || op.Kind == OpMemWrite || op.Kind == OpMemWriteNB) {
+		op.Aux = int32(p.MemOf[p.vars[sp.Vars-1-op.Aux]>>1]) // else a program built by hand names its memory
+	}
+	return srcs
+}
+
+// Instr returns op, an instruction of span sp bound with its sources in
+// srcs, as Machine.ExecOp executes it.
+func (p *Program) Instr(sp *Span, op *Op, srcs []int32) Instr {
+	in := Instr{Op: *op, Srcs: srcs[op.Src : op.Src+op.NSrcs : op.Src+op.NSrcs]}
+	if op.Const >= 0 {
+		in.Value = sp.Consts[op.Const]
+	}
+	if op.Kind == OpDisplay {
+		in.Task = &p.Tasks[sp.Tasks+op.Aux]
+	}
+	return in
+}
+
+// slot returns the slot of p unit-form reference s of span sp names.
+func (p *Program) slot(sp *Span, s int32) int32 {
+	if s >= 0 {
+		return sp.Temps + s
+	}
+	return int32(p.VarSlot[p.vars[sp.Vars-1-s]>>1])
 }
 
 func (p *Program) spanTasks(i int) (int, int) {

@@ -9,28 +9,25 @@ package netlist
 // unit by unit as it links; CompileRaw skips it (the ablation's raw
 // reference).
 //
-// It marks the live instructions of one unit's code, p.Code[lo:hi],
-// in keep (indexed from lo), a fixpoint over (live slots, live ops):
-// side-effecting instructions (writes, memory ops, tasks, control flow)
-// are always live; an instruction becomes live when its destination is;
-// a slot becomes live when a live instruction reads it. liveSlot starts
-// with every variable-backed slot live and is shared by the units of one
-// program — each temporary belongs to one unit.
-func sweep(p *Program, lo, hi int, liveSlot, keep []bool) {
+// It marks the live instructions of one unit's code in keep, a fixpoint
+// over (live temporaries, live ops): side-effecting instructions (writes,
+// memory ops, tasks, control flow) are always live; an instruction
+// becomes live when its destination is — a variable always is; a
+// temporary becomes live when a live instruction reads it. live has a
+// false entry per temporary of the unit; operands is the arena code's
+// sources are in.
+func sweep(code []Op, operands []int32, live, keep []bool) {
 	for changed := true; changed; {
 		changed = false
-		for i := hi - 1; i >= lo; i-- {
-			op := &p.Code[i]
-			if keep[i-lo] {
+		for i := len(code) - 1; i >= 0; i-- {
+			op := &code[i]
+			if keep[i] || !sideEffect(op.Kind) && op.Dst >= 0 && !live[op.Dst] {
 				continue
 			}
-			if sideEffect(op.Kind) || (op.Dst >= 0 && int(op.Dst) < len(liveSlot) && liveSlot[op.Dst]) {
-				keep[i-lo] = true
-				changed = true
-				for _, s := range p.Srcs(op) {
-					if s >= 0 && int(s) < len(liveSlot) {
-						liveSlot[s] = true
-					}
+			keep[i], changed = true, true
+			for _, s := range operands[op.Src : op.Src+op.NSrcs] {
+				if s >= 0 {
+					live[s] = true
 				}
 			}
 		}

@@ -35,13 +35,15 @@ module M(input wire clk, input wire [7:0] a, output reg [7:0] q);
     q <= a + 1;
   end
 endmodule`)
-	if len(opt.Code) > len(raw.Code) {
-		t.Fatalf("optimizer grew code: %d -> %d", len(raw.Code), len(opt.Code))
+	if opt.Stats.CodeOps > raw.Stats.CodeOps {
+		t.Fatalf("optimizer grew code: %d -> %d", raw.Stats.CodeOps, opt.Stats.CodeOps)
 	}
 	// The optimized program outlives the flow in the bitstream cache: no
-	// append slack on its ~100-byte instructions.
-	if cap(opt.Code) != len(opt.Code) {
-		t.Fatalf("optimized code holds %d instructions in room for %d", len(opt.Code), cap(opt.Code))
+	// append slack on its instructions.
+	for _, sp := range opt.Spans {
+		if cap(sp.Ops) != len(sp.Ops) {
+			t.Fatalf("optimized code holds %d instructions in room for %d", len(sp.Ops), cap(sp.Ops))
+		}
 	}
 }
 
@@ -51,7 +53,7 @@ func TestOptimizePreservesBehaviourOnRandomPrograms(t *testing.T) {
 		src := vgen.Module(300 + uint64(trial)).String()
 		f := flatten(t, src)
 		raw, opt := rawAndOpt(t, src)
-		if len(opt.Code) > len(raw.Code) {
+		if opt.Stats.CodeOps > raw.Stats.CodeOps {
 			t.Fatal("optimizer grew code")
 		}
 		mr, mo := NewMachine(raw), NewMachine(opt)
@@ -168,30 +170,22 @@ module M(input wire clk, input wire [7:0] a, output reg [7:0] q);
     else
       q <= a - 1;
 endmodule`)
-	t1 := int32(len(raw.Slots))
-	raw.Slots = append(raw.Slots, SlotInfo{Width: 8}, SlotInfo{Width: 8}, SlotInfo{Width: 8})
-	at := int32(len(raw.Operands)) // the dead ops' sources go at the arena's end
-	raw.Operands = append(raw.Operands, t1, t1, t1+1, t1)
-	raw.Consts = append(raw.Consts, bits.FromUint64(8, 7))
+	sp := raw.Spans[0]
+	t1 := int32(len(sp.TempWidths))
+	at := int32(len(sp.Operands)) // the dead ops' sources go at the arena's end
+	operands := append(slices.Clone(sp.Operands), t1, t1, t1+1, t1)
 	dead := []Op{
-		{Kind: OpConst, Dst: t1, Width: 8, Src: at, Const: int32(len(raw.Consts) - 1)},
+		{Kind: OpConst, Dst: t1, Width: 8, Src: at, Const: 0},
 		{Kind: OpMul, Dst: t1 + 1, Src: at, NSrcs: 2, Width: 8, Const: -1},
 		{Kind: OpAdd, Dst: t1 + 2, Src: at + 2, NSrcs: 2, Width: 8, Const: -1},
 	}
-	lo, hi := raw.spanCode(0)
-	code := append(append(slices.Clone(dead), raw.Code[lo:hi]...), raw.Code[hi:]...)
-	raw.Code = append(raw.Code[:lo:lo], code...)
-	hi += len(dead)
-	liveSlot := make([]bool, len(raw.Slots))
-	for i := 0; i < raw.varSlots(); i++ {
-		liveSlot[i] = true
-	}
-	keep := make([]bool, hi-lo)
-	sweep(raw, lo, hi, liveSlot, keep)
+	code := append(slices.Clone(dead), sp.Ops...)
+	keep := make([]bool, len(code))
+	sweep(code, operands, make([]bool, t1+3), keep)
 	for i, k := range keep {
 		if k != (i >= len(dead)) {
 			t.Fatalf("op %d (%v) kept=%v: want the %d dead ops dropped and the unit's own %d kept",
-				i, raw.Code[lo+i].Kind, k, len(dead), hi-lo-len(dead))
+				i, code[i].Kind, k, len(dead), len(sp.Ops))
 		}
 	}
 }

@@ -126,10 +126,10 @@ func delayCost(op *Op) int {
 
 // computeStats derives resource and timing estimates for a compiled
 // program. Critical path is approximated per slot: depth(dst) =
-// max(depth(srcs)) + delay(op), taken over the whole schedule.
+// max(depth(srcs)) + delay(op), taken over the whole schedule, span by
+// span in emission order.
 func computeStats(p *Program) Stats {
 	st := Stats{
-		CodeOps:   len(p.Code),
 		SeqProcs:  len(p.Seq),
 		CombUnits: len(p.Comb),
 	}
@@ -144,33 +144,39 @@ func computeStats(p *Program) Stats {
 	}
 	depth := make([]int32, len(p.Slots))
 	var maxDepth int32
-	for i := range p.Code {
-		op := &p.Code[i]
-		srcs := p.Srcs(op)
-		st.Cells += cellCost(op, srcs, p.Slots)
-		var d int32
-		for _, s := range srcs {
-			if s >= 0 && int(s) < len(depth) && depth[s] > d {
-				d = depth[s]
+	var op Op
+	var srcs []int32
+	for i := range p.Spans {
+		sp := &p.Spans[i]
+		st.CodeOps += len(sp.Ops)
+		for pc := range sp.Ops {
+			op = sp.Ops[pc]
+			srcs = p.bind(sp, &op, srcs[:0])
+			st.Cells += cellCost(&op, srcs, p.Slots)
+			var d int32
+			for _, s := range srcs {
+				if s >= 0 && int(s) < len(depth) && depth[s] > d {
+					d = depth[s]
+				}
 			}
-		}
-		d += int32(delayCost(op))
-		if d > maxDepth {
-			maxDepth = d
-		}
-		if op.Dst < 0 || int(op.Dst) >= len(depth) {
-			continue
-		}
-		// A flip-flop output starts a fresh timing path: non-blocking
-		// writes latch into registers, so depth does not propagate
-		// through them. Blocking writes (combinational always blocks and
-		// sequential temporaries) conservatively propagate.
-		switch op.Kind {
-		case OpWriteNB, OpWriteRngNB, OpWriteBitNB:
-			continue
-		}
-		if d > depth[op.Dst] {
-			depth[op.Dst] = d
+			d += int32(delayCost(&op))
+			if d > maxDepth {
+				maxDepth = d
+			}
+			if op.Dst < 0 || int(op.Dst) >= len(depth) {
+				continue
+			}
+			// A flip-flop output starts a fresh timing path: non-blocking
+			// writes latch into registers, so depth does not propagate
+			// through them. Blocking writes (combinational always blocks
+			// and sequential temporaries) conservatively propagate.
+			switch op.Kind {
+			case OpWriteNB, OpWriteRngNB, OpWriteBitNB:
+				continue
+			}
+			if d > depth[op.Dst] {
+				depth[op.Dst] = d
+			}
 		}
 	}
 	st.CritPath = int(maxDepth)

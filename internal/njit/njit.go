@@ -168,6 +168,14 @@ type compiler struct {
 	e *Eval
 	b builder // compiles every process in turn, its slices reused
 
+	// The unit being compiled (sp), bound (load), and its sources.
+	sp   *netlist.Span
+	code []netlist.Op
+	srcs []int32
+	// The slots and memories (past the slots) the reachable code of each
+	// comb unit reads, in order: unit i's are rows[rowAt[i]:rowAt[i+1]].
+	rows, rowAt []int32
+
 	// nb is 1 + a slot's word in the fast non-blocking buffer, 0 for a
 	// slot the buffer does not hold.
 	nb []int32
@@ -230,36 +238,60 @@ func compile(m *netlist.Machine, n *shape) *Eval {
 		writes:    make([]int32, len(p.Slots)),
 		reads:     make([]int32, len(p.Slots)),
 		constSlot: make([]bool, len(p.Slots)),
-		seen:      make([]bool, len(p.Code)+1),
-		leader:    make([]bool, len(p.Code)+1),
-		block:     make([]int32, len(p.Code)+1),
 		n:         n,
 	}
 	c.b.c = c
 	nfused, nstores := 0, 0
-	for i := range p.Code {
-		op := &p.Code[i]
-		switch d := op.Dst; op.Kind {
-		case netlist.OpMove, netlist.OpSlice:
-			nfused++
-		case netlist.OpWriteNB:
-			nfused++
-			if op.Wide { // as every write to a wide slot is
+	count := func(entry int, comb bool) {
+		c.load(entry)
+		for i := range c.code {
+			op := &c.code[i]
+			switch d := op.Dst; op.Kind {
+			case netlist.OpMove, netlist.OpSlice:
+				nfused++
+			case netlist.OpWriteNB:
+				nfused++
+				if op.Wide { // as every write to a wide slot is
+					c.nb[d] = -1
+				} else if c.nb[d] == 0 {
+					c.nb[d] = 1
+				}
+			case netlist.OpWriteRngNB, netlist.OpWriteBitNB:
 				c.nb[d] = -1
-			} else if c.nb[d] == 0 {
-				c.nb[d] = 1
+			case netlist.OpWrite, netlist.OpWriteRng, netlist.OpWriteBit, netlist.OpMemWrite:
+				nstores++
 			}
-		case netlist.OpWriteRngNB, netlist.OpWriteBitNB:
-			c.nb[d] = -1
-		case netlist.OpWrite, netlist.OpWriteRng, netlist.OpWriteBit, netlist.OpMemWrite:
-			nstores++
+			for _, s := range c.srcsOf(op) {
+				c.reads[s]++
+			}
+			if opWritesDst(op.Kind) {
+				c.writes[op.Dst]++
+			}
 		}
-		for _, s := range p.Srcs(op) {
-			c.reads[s]++
+		if comb { // what its reachable code reads, for the relations
+			c.reach(func(_ int, op *netlist.Op) {
+				c.rows = append(c.rows, c.srcsOf(op)...)
+				if op.Kind == netlist.OpMemRead {
+					c.rows = append(c.rows, int32(len(p.Slots))+op.Aux)
+				}
+			})
+			c.rowAt = append(c.rowAt, int32(len(c.rows)))
 		}
-		if opWritesDst(op.Kind) {
-			c.writes[op.Dst]++
-		}
+	}
+	nrows := 0
+	for _, cu := range p.Comb {
+		sp := p.Unit(cu.Entry)
+		nrows += len(sp.Operands) + len(sp.Ops)
+	}
+	c.rows, c.rowAt = make([]int32, 0, nrows), make([]int32, 1, len(p.Comb)+1)
+	for _, cu := range p.Comb {
+		count(cu.Entry, true)
+	}
+	for _, sp := range p.Seq {
+		count(sp.Entry, false)
+	}
+	for _, mu := range p.Monitors {
+		count(mu.Entry, false)
 	}
 	c.b.fused = make([]fused, 0, nfused)
 	c.relations(nstores)
@@ -289,6 +321,19 @@ func compile(m *netlist.Machine, n *shape) *Eval {
 		n.procs, n.blocks = len(procs), len(steps)
 	}
 	return e
+}
+
+// load binds the unit schedule entry e names into c.code: every slot,
+// memory and source the compile reads is p's from here on, its pcs the
+// unit's own.
+func (c *compiler) load(e int) {
+	p := c.e.prog
+	c.sp = p.Unit(e)
+	c.code, c.srcs = p.Bind(c.sp, c.code[:0], c.srcs[:0])
+	if n := len(c.code) + 1; len(c.seen) < n { // the per-pc scratch, clear between units
+		n = max(n, 2*len(c.seen))
+		c.seen, c.leader, c.block = make([]bool, n), make([]bool, n), make([]int32, n)
+	}
 }
 
 // relations builds the compiled form's two relations in two passes
@@ -324,16 +369,11 @@ func (c *compiler) relations(nstores int) {
 				}
 			}
 		}
-		for ui, cu := range p.Comb {
+		for ui := range p.Comb {
 			bit = unitBits{int32(ui >> 6), 1 << (ui & 63)}
-			c.reach(cu.Entry, func(_ int, op *netlist.Op) {
-				for _, src := range p.Srcs(op) {
-					read(int(src))
-				}
-				if op.Kind == netlist.OpMemRead {
-					read(len(p.Slots) + int(op.Aux))
-				}
-			})
+			for _, x := range c.rows[c.rowAt[ui]:c.rowAt[ui+1]] {
+				read(int(x))
+			}
 		}
 		e.edges.pass()
 		e.sens.pass()
@@ -496,7 +536,7 @@ func (e *Eval) NativeOpsDelta() uint64 {
 // compiles every process of a program in turn, reusing its slices.
 type builder struct {
 	c      *compiler
-	code   []netlist.Op
+	code   []netlist.Op // the loaded unit's
 	blocks []block
 	metas  []eqMeta
 	refs   []int // references to each block as a successor (or the entry)
@@ -532,14 +572,15 @@ type eqMeta struct {
 	eqT, neT int // successor block on equal / not-equal
 }
 
-// compileProc compiles the process at entry and appends its finalized
-// blocks to c.steps and c.bn.
-func (c *compiler) compileProc(entry int) {
+// compileProc compiles the process schedule entry e names and appends its
+// finalized blocks to c.steps and c.bn.
+func (c *compiler) compileProc(e int) {
 	b := &c.b
-	b.code = c.e.prog.Code
+	c.load(e)
+	b.code = c.code
 	b.blocks, b.metas, b.refs, b.todo, b.ops = b.blocks[:0], b.metas[:0], b.refs[:0], b.todo[:0], b.ops[:0]
-	b.scanLeaders(entry)
-	b.blockAt(entry)
+	b.scanLeaders()
+	b.blockAt(0)
 	for len(b.todo) > 0 {
 		pc := b.todo[len(b.todo)-1]
 		b.todo = b.todo[:len(b.todo)-1]
@@ -602,10 +643,11 @@ func (b *builder) finalize() {
 	}
 }
 
-// reach visits every instruction reachable from entry, once each.
-func (c *compiler) reach(entry int, visit func(pc int, op *netlist.Op)) {
-	code := c.e.prog.Code
-	stack := append(c.stack[:0], entry)
+// reach visits every instruction of the loaded unit reachable from its
+// entry, once each.
+func (c *compiler) reach(visit func(pc int, op *netlist.Op)) {
+	code := c.code
+	stack := append(c.stack[:0], 0)
 	for len(stack) > 0 {
 		pc := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -634,9 +676,9 @@ func (c *compiler) reach(entry int, visit func(pc int, op *netlist.Op)) {
 }
 
 // scanLeaders marks every jump target (and Jz fallthrough) reachable
-// from entry as a block leader, so a later branch into the middle of a
-// straight-line run splits it correctly.
-func (b *builder) scanLeaders(entry int) {
+// in the loaded unit as a block leader, so a later branch into the middle
+// of a straight-line run splits it correctly.
+func (b *builder) scanLeaders() {
 	c := b.c
 	mark := func(pc int) {
 		if !c.leader[pc] {
@@ -644,7 +686,7 @@ func (b *builder) scanLeaders(entry int) {
 			c.blocks = append(c.blocks, pc)
 		}
 	}
-	c.reach(entry, func(pc int, op *netlist.Op) {
+	c.reach(func(pc int, op *netlist.Op) {
 		switch op.Kind {
 		case netlist.OpJump:
 			mark(int(op.Target))
@@ -698,7 +740,7 @@ func (b *builder) fill(pc int) {
 				// the sense: fold all three by swapping the targets.
 				if prev.Kind == netlist.OpLogNot && prev2 != nil &&
 					b.c.canFuseCmpInto(prev2, prev) {
-					if next = b.c.e.fuseJz(prev2, ff, tt); next != nil {
+					if next = b.c.e.fuseJz(prev2, b.c.srcsOf(prev2), ff, tt); next != nil {
 						b.ops = b.ops[:len(b.ops)-2]
 						if prev2.Kind == netlist.OpEq {
 							b.metas[bi] = eqMeta{valid: true, a: b.c.src(prev2, 0), b: b.c.src(prev2, 1), eqT: tt, neT: ff}
@@ -706,7 +748,7 @@ func (b *builder) fill(pc int) {
 					}
 				}
 				if next == nil {
-					if next = b.c.e.fuseJz(prev, tt, ff); next != nil {
+					if next = b.c.e.fuseJz(prev, b.c.srcsOf(prev), tt, ff); next != nil {
 						b.ops = b.ops[:len(b.ops)-1]
 						if prev.Kind == netlist.OpEq {
 							b.metas[bi] = eqMeta{valid: true, a: b.c.src(prev, 0), b: b.c.src(prev, 1), eqT: ff, neT: tt}
@@ -943,8 +985,12 @@ func opWritesDst(k netlist.OpKind) bool {
 	return false
 }
 
+// srcsOf returns the source slots of op, an instruction of the loaded
+// unit.
+func (c *compiler) srcsOf(op *netlist.Op) []int32 { return c.srcs[op.Src : op.Src+op.NSrcs] }
+
 // src returns op's i-th source slot.
-func (c *compiler) src(op *netlist.Op, i int) int { return int(c.e.prog.Srcs(op)[i]) }
+func (c *compiler) src(op *netlist.Op, i int) int { return int(c.srcs[int(op.Src)+i]) }
 
 // canFuseJz reports whether prev is a narrow comparison whose only
 // consumer is the Jz that immediately follows it, so the pair can
@@ -973,9 +1019,8 @@ func (c *compiler) canFuseCmpInto(cmp, next *netlist.Op) bool {
 
 // fuseJz compiles compare-and-branch: Jz jumps to t when the comparison
 // yields zero, falls through to f otherwise.
-func (e *Eval) fuseJz(cmp *netlist.Op, t, f int) func() int {
+func (e *Eval) fuseJz(cmp *netlist.Op, srcs []int32, t, f int) func() int {
 	u := e.u64
-	srcs := e.prog.Srcs(cmp)
 	a := srcs[0]
 	var b int32
 	if len(srcs) > 1 {
@@ -1060,12 +1105,9 @@ func (e *Eval) fuseJz(cmp *netlist.Op, t, f int) func() int {
 // indices resolved at compile time.
 func (b *builder) jz(op *netlist.Op, t, f int) func() int {
 	if op.Wide {
-		m := b.c.e.m
-		if b.c.n != nil {
-			b.c.n.fallbacks++
-		}
+		m, in := b.c.e.m, b.c.own(op)
 		return func() int {
-			if m.ExecOp(op) {
+			if m.ExecOp(in) {
 				return t
 			}
 			return f
@@ -1095,7 +1137,7 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 	slots := e.prog.Slots
 	d := int(op.Dst)
 	mk := netlist.Mask(int(op.Width))
-	srcs := e.prog.Srcs(op)
+	srcs := c.srcsOf(op)
 	var s0, s1 int
 	if len(srcs) > 0 {
 		s0 = int(srcs[0])
@@ -1105,7 +1147,7 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 	}
 	switch op.Kind {
 	case netlist.OpConst:
-		cv := e.prog.Const(op).Uint64() & mk
+		cv := c.sp.Consts[op.Const].Uint64() & mk
 		if c.writes[d] == 1 && slots[d].Var == nil {
 			// Single-writer constant temp: materialize once now; the
 			// lane can never hold anything else at runtime.
@@ -1222,6 +1264,7 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 			wb, ma, mb := ws[1], ms[0], ms[1]
 			return func() { u[d] = ((u[a]&ma)<<wb | u[bb]&mb) & mk }
 		}
+		srcs := slices.Clone(srcs) // c.srcs is the next unit's
 		return func() {
 			var acc uint64
 			for i, s := range srcs {
@@ -1328,9 +1371,18 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 
 // fallback runs op on the reference path, Machine.ExecOp.
 func (c *compiler) fallback(op *netlist.Op) func() {
+	m, in := c.e.m, c.own(op)
+	return func() { m.ExecOp(in) }
+}
+
+// own returns op, an instruction of the loaded unit, as Machine.ExecOp
+// executes it, for a closure that falls back to the reference path to
+// keep: c.code and c.srcs are the next unit's.
+func (c *compiler) own(op *netlist.Op) *netlist.Instr {
 	if c.n != nil {
 		c.n.fallbacks++
 	}
-	m := c.e.m
-	return func() { m.ExecOp(op) }
+	in := c.e.prog.Instr(c.sp, op, c.srcs)
+	in.Srcs = slices.Clone(in.Srcs)
+	return &in
 }

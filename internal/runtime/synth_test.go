@@ -31,9 +31,7 @@ func linkedEqualsScratch(t *testing.T, what string, base *netlist.Program, f *el
 		got, want any
 	}{
 		{"Fingerprint", got.Fingerprint(), want.Fingerprint()},
-		{"Code", got.Code, want.Code},
-		{"Operands", got.Operands, want.Operands},
-		{"Consts", got.Consts, want.Consts},
+		{"Code", boundCode(got), boundCode(want)}, // with its operands, constants and tasks
 		{"Slots", got.Slots, want.Slots},
 		{"VarSlot", got.VarSlot, want.VarSlot},
 		{"MemOf", got.MemOf, want.MemOf},
@@ -54,6 +52,21 @@ func linkedEqualsScratch(t *testing.T, what string, base *netlist.Program, f *el
 	}
 	checkOwnedBy(t, what, got, f)
 	return got
+}
+
+// boundCode is p's code bound to p, span by span: every instruction with
+// its slots, memories, sources, constant and task resolved, as its
+// engines execute it.
+func boundCode(p *netlist.Program) [][]netlist.Instr {
+	code := make([][]netlist.Instr, len(p.Spans))
+	for i := range p.Spans {
+		sp := &p.Spans[i]
+		ops, srcs := p.Bind(sp, nil, nil)
+		for j := range ops {
+			code[i] = append(code[i], p.Instr(sp, &ops[j], srcs))
+		}
+	}
+	return code
 }
 
 // checkOwnedBy walks every design pointer of p: slot and memory

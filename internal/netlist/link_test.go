@@ -44,9 +44,9 @@ func boundCode(p *Program) [][]Instr {
 	code := make([][]Instr, len(p.Spans))
 	for i := range p.Spans {
 		sp := &p.Spans[i]
-		ops, srcs := p.Bind(sp, nil, nil)
-		for j := range ops {
-			code[i] = append(code[i], p.Instr(sp, &ops[j], srcs))
+		srcs := p.Sources(sp, nil)
+		for j := range sp.Ops {
+			code[i] = append(code[i], p.Instr(sp, &sp.Ops[j], srcs))
 		}
 	}
 	return code

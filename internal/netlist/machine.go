@@ -43,8 +43,7 @@ type Machine struct {
 	// scratch holds one lazily-allocated vector per narrow slot so
 	// slotVec can materialize transient reads without allocating.
 	scratch []*bv.Vector
-	// op, srcs and in are the instruction exec is at, bound.
-	op   Op
+	// srcs and in are the unit exec runs and its instruction, bound.
 	srcs []int32
 	in   Instr
 
@@ -407,11 +406,10 @@ func (m *Machine) settleAfterLoad() {
 // per instruction, each bound as it comes.
 func (m *Machine) exec(e int) {
 	sp := m.prog.Unit(e)
+	m.srcs = m.prog.Sources(sp, m.srcs[:0])
 	for pc := 0; ; {
 		m.Ops++
-		m.op = sp.Ops[pc]
-		m.srcs = m.prog.bind(sp, &m.op, m.srcs[:0])
-		m.in = m.prog.Instr(sp, &m.op, m.srcs)
+		m.in = m.prog.Instr(sp, &sp.Ops[pc], m.srcs)
 		switch {
 		case m.ExecOp(&m.in):
 			pc = int(m.in.Target)

@@ -22,8 +22,8 @@
 // record's source arena, its constant an index into the record's
 // constant table — and the reset state is a word image Machine.Reset
 // copies. Values at or below 64 bits are stored in uint64 lanes, wider
-// ones as bits.Vector. Operands resolve through the binding (Bind) as
-// code is run or compiled: Machine.ExecOp computes on the bound form as
+// ones as bits.Vector. Operands resolve through the binding (Slot, Mem,
+// Sources, Instr) as code is run or compiled: Machine.ExecOp computes on the bound form as
 // bit vectors, and the fast execution of a program is internal/njit's
 // compiled form over the same storage, resolved once as it compiles.
 // The package also derives the area and critical-path statistics that
@@ -234,9 +234,10 @@ func (p *Program) Unit(e int) *Span {
 	return &p.Spans[e]
 }
 
-// Instr is an instruction bound to a program (Bind), in the form
-// Machine.ExecOp executes: its sources, an OpConst's constant (Value) and
-// an OpDisplay's task at hand.
+// Instr is an instruction bound to a program, in the form
+// Machine.ExecOp executes: Dst, Srcs and a memory op's Aux are the
+// program's slots and memory, Value is an OpConst's constant and Task an
+// OpDisplay's task; Target stays the unit's.
 type Instr struct {
 	Op
 	Srcs  []int32
@@ -244,54 +245,51 @@ type Instr struct {
 	Task  *Task
 }
 
-// Bind appends the instructions of span sp, bound to p, to code and
-// their sources to srcs, and returns both: Dst, the sources and a memory
-// op's Aux are p's slots and memories, and Src indexes srcs. Jump
-// targets, constants and a display's task stay the unit's (Instr).
-func (p *Program) Bind(sp *Span, code []Op, srcs []int32) ([]Op, []int32) {
-	for i := range sp.Ops {
-		code = append(code, sp.Ops[i])
-		srcs = p.bind(sp, &code[len(code)-1], srcs)
-	}
-	return code, srcs
-}
-
-// bind binds op, a copy of an instruction of span sp, in place, appending
-// its sources to srcs.
-func (p *Program) bind(sp *Span, op *Op, srcs []int32) []int32 {
-	at := int32(len(srcs))
-	for _, s := range sp.Operands[op.Src : op.Src+op.NSrcs] {
-		srcs = append(srcs, p.slot(sp, s))
-	}
-	op.Src = at
-	if hasDst(op.Kind) {
-		op.Dst = p.slot(sp, op.Dst)
-	}
-	if op.Aux < 0 && (op.Kind == OpMemRead || op.Kind == OpMemWrite || op.Kind == OpMemWriteNB) {
-		op.Aux = int32(p.MemOf[p.vars[sp.Vars-1-op.Aux]>>1]) // else a program built by hand names its memory
+// Sources appends to srcs the slots of p the entries of span sp's source
+// arena name and returns it: an instruction's sources, bound, are the
+// appended run's [Src, Src+NSrcs).
+func (p *Program) Sources(sp *Span, srcs []int32) []int32 {
+	for _, s := range sp.Operands {
+		srcs = append(srcs, p.Slot(sp, s))
 	}
 	return srcs
 }
 
-// Instr returns op, an instruction of span sp bound with its sources in
-// srcs, as Machine.ExecOp executes it.
-func (p *Program) Instr(sp *Span, op *Op, srcs []int32) Instr {
-	in := Instr{Op: *op, Srcs: srcs[op.Src : op.Src+op.NSrcs : op.Src+op.NSrcs]}
-	if op.Const >= 0 {
-		in.Value = sp.Consts[op.Const]
-	}
-	if op.Kind == OpDisplay {
-		in.Task = &p.Tasks[sp.Tasks+op.Aux]
-	}
-	return in
-}
-
-// slot returns the slot of p unit-form reference s of span sp names.
-func (p *Program) slot(sp *Span, s int32) int32 {
+// Slot returns the slot of p that span sp's slot reference s (an Op's
+// Dst or source) names.
+func (p *Program) Slot(sp *Span, s int32) int32 {
 	if s >= 0 {
 		return sp.Temps + s
 	}
 	return int32(p.VarSlot[p.vars[sp.Vars-1-s]>>1])
+}
+
+// Mem returns the memory of p that op, a memory instruction of span sp,
+// names.
+func (p *Program) Mem(sp *Span, op *Op) int32 {
+	if op.Aux >= 0 { // a program built by hand names its own
+		return op.Aux
+	}
+	return int32(p.MemOf[p.vars[sp.Vars-1-op.Aux]>>1])
+}
+
+// Instr returns op, an instruction of span sp, bound to p, its sources
+// read from srcs (Sources' run for sp), as Machine.ExecOp executes it.
+func (p *Program) Instr(sp *Span, op *Op, srcs []int32) Instr {
+	in := Instr{Op: *op, Srcs: srcs[op.Src : op.Src+op.NSrcs : op.Src+op.NSrcs]}
+	if hasDst(op.Kind) {
+		in.Dst = p.Slot(sp, op.Dst)
+	}
+	switch op.Kind {
+	case OpMemRead, OpMemWrite, OpMemWriteNB:
+		in.Aux = p.Mem(sp, op)
+	case OpDisplay:
+		in.Task = &p.Tasks[sp.Tasks+op.Aux]
+	}
+	if op.Const >= 0 {
+		in.Value = sp.Consts[op.Const]
+	}
+	return in
 }
 
 func (p *Program) spanTasks(i int) (int, int) {

@@ -144,26 +144,30 @@ func computeStats(p *Program) Stats {
 	}
 	depth := make([]int32, len(p.Slots))
 	var maxDepth int32
-	var op Op
 	var srcs []int32
 	for i := range p.Spans {
 		sp := &p.Spans[i]
 		st.CodeOps += len(sp.Ops)
+		srcs = p.Sources(sp, srcs[:0])
 		for pc := range sp.Ops {
-			op = sp.Ops[pc]
-			srcs = p.bind(sp, &op, srcs[:0])
-			st.Cells += cellCost(&op, srcs, p.Slots)
+			op := &sp.Ops[pc]
+			ss := srcs[op.Src : op.Src+op.NSrcs]
+			st.Cells += cellCost(op, ss, p.Slots)
 			var d int32
-			for _, s := range srcs {
+			for _, s := range ss {
 				if s >= 0 && int(s) < len(depth) && depth[s] > d {
 					d = depth[s]
 				}
 			}
-			d += int32(delayCost(&op))
+			d += int32(delayCost(op))
 			if d > maxDepth {
 				maxDepth = d
 			}
-			if op.Dst < 0 || int(op.Dst) >= len(depth) {
+			dst := op.Dst // a kind without one names slot 0, as the statistics always read it
+			if hasDst(op.Kind) {
+				dst = p.Slot(sp, dst)
+			}
+			if dst < 0 || int(dst) >= len(depth) {
 				continue
 			}
 			// A flip-flop output starts a fresh timing path: non-blocking
@@ -174,8 +178,8 @@ func computeStats(p *Program) Stats {
 			case OpWriteNB, OpWriteRngNB, OpWriteBitNB:
 				continue
 			}
-			if d > depth[op.Dst] {
-				depth[op.Dst] = d
+			if d > depth[dst] {
+				depth[dst] = d
 			}
 		}
 	}

@@ -168,7 +168,8 @@ type compiler struct {
 	e *Eval
 	b builder // compiles every process in turn, its slices reused
 
-	// The unit being compiled (sp), bound (load), and its sources.
+	// The unit being compiled (sp), its code (its record's, only read)
+	// and its sources, bound (load).
 	sp   *netlist.Span
 	code []netlist.Op
 	srcs []int32
@@ -246,18 +247,18 @@ func compile(m *netlist.Machine, n *shape) *Eval {
 		c.load(entry)
 		for i := range c.code {
 			op := &c.code[i]
-			switch d := op.Dst; op.Kind {
+			switch op.Kind {
 			case netlist.OpMove, netlist.OpSlice:
 				nfused++
 			case netlist.OpWriteNB:
 				nfused++
-				if op.Wide { // as every write to a wide slot is
+				if d := c.dst(op); op.Wide { // as every write to a wide slot is
 					c.nb[d] = -1
 				} else if c.nb[d] == 0 {
 					c.nb[d] = 1
 				}
 			case netlist.OpWriteRngNB, netlist.OpWriteBitNB:
-				c.nb[d] = -1
+				c.nb[c.dst(op)] = -1
 			case netlist.OpWrite, netlist.OpWriteRng, netlist.OpWriteBit, netlist.OpMemWrite:
 				nstores++
 			}
@@ -265,34 +266,44 @@ func compile(m *netlist.Machine, n *shape) *Eval {
 				c.reads[s]++
 			}
 			if opWritesDst(op.Kind) {
-				c.writes[op.Dst]++
+				c.writes[c.dst(op)]++
 			}
 		}
 		if comb { // what its reachable code reads, for the relations
 			c.reach(func(_ int, op *netlist.Op) {
 				c.rows = append(c.rows, c.srcsOf(op)...)
 				if op.Kind == netlist.OpMemRead {
-					c.rows = append(c.rows, int32(len(p.Slots))+op.Aux)
+					c.rows = append(c.rows, int32(len(p.Slots))+c.mem(op))
 				}
 			})
 			c.rowAt = append(c.rowAt, int32(len(c.rows)))
 		}
 	}
-	nrows := 0
-	for _, cu := range p.Comb {
-		sp := p.Unit(cu.Entry)
-		nrows += len(sp.Operands) + len(sp.Ops)
+	// Every unit the schedule runs, once each; the scratch is sized to
+	// the largest.
+	units := func(fn func(e int, comb bool)) {
+		for _, cu := range p.Comb {
+			fn(cu.Entry, true)
+		}
+		for _, sp := range p.Seq {
+			fn(sp.Entry, false)
+		}
+		for _, mu := range p.Monitors {
+			fn(mu.Entry, false)
+		}
 	}
-	c.rows, c.rowAt = make([]int32, 0, nrows), make([]int32, 1, len(p.Comb)+1)
-	for _, cu := range p.Comb {
-		count(cu.Entry, true)
-	}
-	for _, sp := range p.Seq {
-		count(sp.Entry, false)
-	}
-	for _, mu := range p.Monitors {
-		count(mu.Entry, false)
-	}
+	most, srcs, rows := 0, 0, 0
+	units(func(e int, comb bool) {
+		sp := p.Unit(e)
+		most, srcs = max(most, len(sp.Ops)), max(srcs, len(sp.Operands))
+		if comb {
+			rows += len(sp.Operands) + len(sp.Ops)
+		}
+	})
+	c.srcs = make([]int32, 0, srcs)
+	c.seen, c.leader, c.block = make([]bool, most+1), make([]bool, most+1), make([]int32, most+1)
+	c.rows, c.rowAt = make([]int32, 0, rows), make([]int32, 1, len(p.Comb)+1)
+	units(count)
 	c.b.fused = make([]fused, 0, nfused)
 	c.relations(nstores)
 	e.InvalidateAll()
@@ -323,18 +334,21 @@ func compile(m *netlist.Machine, n *shape) *Eval {
 	return e
 }
 
-// load binds the unit schedule entry e names into c.code: every slot,
-// memory and source the compile reads is p's from here on, its pcs the
-// unit's own.
+// load makes the unit schedule entry e names the one compiled: its code
+// is read in place, its pcs its own, and every slot, memory and source
+// it names resolves to p's through its binding (dst, mem, srcs).
 func (c *compiler) load(e int) {
 	p := c.e.prog
 	c.sp = p.Unit(e)
-	c.code, c.srcs = p.Bind(c.sp, c.code[:0], c.srcs[:0])
-	if n := len(c.code) + 1; len(c.seen) < n { // the per-pc scratch, clear between units
-		n = max(n, 2*len(c.seen))
-		c.seen, c.leader, c.block = make([]bool, n), make([]bool, n), make([]int32, n)
-	}
+	c.code, c.srcs = c.sp.Ops, p.Sources(c.sp, c.srcs[:0])
 }
+
+// dst returns the slot op, an instruction of the loaded unit, writes.
+func (c *compiler) dst(op *netlist.Op) int32 { return c.e.prog.Slot(c.sp, op.Dst) }
+
+// mem returns the memory op, a memory instruction of the loaded unit,
+// names.
+func (c *compiler) mem(op *netlist.Op) int32 { return c.e.prog.Mem(c.sp, op) }
 
 // relations builds the compiled form's two relations in two passes
 // over their values — the sequential processes watching each slot for
@@ -808,28 +822,32 @@ func (b *builder) fuse(pc int) int {
 	f, k := fused{ma: netlist.Mask(int(op.Width))}, 1
 	switch op.Kind {
 	case netlist.OpWriteNB:
-		w := c.nb[op.Dst] - 1
+		d := c.dst(op)
+		w := c.nb[d] - 1
 		if w < 0 {
 			return 0
 		}
 		f.d, f.b, f.mb = &c.e.nbVal[w], &c.e.nbSet[w>>6], 1<<(w&63)
-		f.a, f.ma = &u[c.src(op, 0)], netlist.Mask(c.e.prog.Slots[op.Dst].Width)
+		f.a, f.ma = &u[c.src(op, 0)], netlist.Mask(c.e.prog.Slots[d].Width)
 	case netlist.OpMove:
-		f.d, f.a, f.b = &u[op.Dst], &u[c.src(op, 0)], &c.e.nbNone
+		f.d, f.a, f.b = &u[c.dst(op)], &u[c.src(op, 0)], &c.e.nbNone
 	case netlist.OpSlice:
 		if pc+2 >= len(b.code) || c.leader[pc+1] || c.leader[pc+2] {
 			return 0
 		}
 		hi, cat := &b.code[pc+1], &b.code[pc+2]
-		if hi.Kind != netlist.OpSlice || hi.Wide || cat.Kind != netlist.OpConcat || cat.Wide || cat.NSrcs != 2 ||
-			c.src(cat, 0) != int(op.Dst) || c.src(cat, 1) != int(hi.Dst) || !c.temp(op.Dst) || !c.temp(hi.Dst) ||
+		if hi.Kind != netlist.OpSlice || hi.Wide || cat.Kind != netlist.OpConcat || cat.Wide || cat.NSrcs != 2 {
+			return 0
+		}
+		lo, hd := c.dst(op), c.dst(hi)
+		if c.src(cat, 0) != int(lo) || c.src(cat, 1) != int(hd) || !c.temp(lo) || !c.temp(hd) ||
 			uint32(op.Lo) >= 64 || uint32(hi.Lo) >= 64 {
 			return 0
 		}
 		slots, mk := c.e.prog.Slots, netlist.Mask(int(cat.Width))
-		wb := slots[hi.Dst].Width
-		f.d, f.a, f.b = &u[cat.Dst], &u[c.src(op, 0)], &u[c.src(hi, 0)]
-		f.ma &= netlist.Mask(slots[op.Dst].Width) & (mk >> wb)
+		wb := slots[hd].Width
+		f.d, f.a, f.b = &u[c.dst(cat)], &u[c.src(op, 0)], &u[c.src(hi, 0)]
+		f.ma &= netlist.Mask(slots[lo].Width) & (mk >> wb)
 		f.mb = netlist.Mask(int(hi.Width)) & netlist.Mask(wb) & mk
 		f.la, f.lb, f.wb, k = uint8(op.Lo), uint8(hi.Lo), uint8(wb), 3
 	default:
@@ -1002,10 +1020,7 @@ func (c *compiler) canFuseJz(prev, jz *netlist.Op) bool {
 // canFuseCmpInto reports whether cmp is a narrow comparison consumed
 // only by the instruction that immediately follows it.
 func (c *compiler) canFuseCmpInto(cmp, next *netlist.Op) bool {
-	if cmp.Wide || c.src(next, 0) != int(cmp.Dst) {
-		return false
-	}
-	if c.reads[cmp.Dst] != 1 || c.writes[cmp.Dst] != 1 {
+	if d := c.dst(cmp); cmp.Wide || c.src(next, 0) != int(d) || c.reads[d] != 1 || c.writes[d] != 1 {
 		return false
 	}
 	switch cmp.Kind {
@@ -1135,7 +1150,7 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 	}
 	u := e.u64
 	slots := e.prog.Slots
-	d := int(op.Dst)
+	d := int(c.dst(op))
 	mk := netlist.Mask(int(op.Width))
 	srcs := c.srcsOf(op)
 	var s0, s1 int
@@ -1302,8 +1317,9 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 			}
 		}
 	case netlist.OpMemRead:
-		arr := e.m.Hooks().Mem64[op.Aux]
-		bound := uint64(e.prog.Mems[op.Aux].Words)
+		mem := c.mem(op)
+		arr := e.m.Hooks().Mem64[mem]
+		bound := uint64(e.prog.Mems[mem].Words)
 		return func() {
 			if addr := u[s0]; addr >= bound {
 				u[d] = 0
@@ -1338,10 +1354,11 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 			}
 		}
 	case netlist.OpMemWrite:
-		arr := e.m.Hooks().Mem64[op.Aux]
-		bound := uint64(e.prog.Mems[op.Aux].Words)
-		memMask := netlist.Mask(e.prog.Mems[op.Aux].Width)
-		s := c.sink(len(slots) + int(op.Aux))
+		mem := c.mem(op)
+		arr := e.m.Hooks().Mem64[mem]
+		bound := uint64(e.prog.Mems[mem].Words)
+		memMask := netlist.Mask(e.prog.Mems[mem].Width)
+		s := c.sink(len(slots) + int(mem))
 		return func() {
 			if addr := u[s1]; addr < bound && arr[addr] != u[s0]&memMask {
 				arr[addr] = u[s0] & memMask
@@ -1361,7 +1378,7 @@ func (c *compiler) compileOp(op *netlist.Op) func() {
 			}
 		}
 	case netlist.OpMemWriteNB:
-		aux := int(op.Aux)
+		aux := int(c.mem(op))
 		return func() { m.PendMemWriteNB(aux, int(u[s1]), u[s0]) }
 	default:
 		// OpDisplay, OpFinish, and anything new: the reference path.

@@ -471,8 +471,8 @@ func TestNativeCompileAllocBudget(t *testing.T) {
 
 // njit.Compile's budget at the last of 150 edits.
 const (
-	nativeCompileBytes  = 316_100 // 287 360 B measured, 282 972 B since the fused runs, 280 769 B since units are bound one at a time
-	nativeCompileAllocs = 2_392   // 2 174 measured, 2 014 since the fused runs, 2 029 since units are bound one at a time
+	nativeCompileBytes  = 316_100 // 287 360 B measured, 282 972 B since the fused runs, 279 968 B since units are read in place
+	nativeCompileAllocs = 2_392   // 2 174 measured, 2 014 since the fused runs, 2 017 since units are read in place
 )
 
 // --- Workload benchmarks (the >=2x gate runs in scripts/native_smoke.sh) ---

@@ -61,9 +61,9 @@ func boundCode(p *netlist.Program) [][]netlist.Instr {
 	code := make([][]netlist.Instr, len(p.Spans))
 	for i := range p.Spans {
 		sp := &p.Spans[i]
-		ops, srcs := p.Bind(sp, nil, nil)
-		for j := range ops {
-			code[i] = append(code[i], p.Instr(sp, &ops[j], srcs))
+		srcs := p.Sources(sp, nil)
+		for j := range sp.Ops {
+			code[i] = append(code[i], p.Instr(sp, &sp.Ops[j], srcs))
 		}
 	}
 	return code

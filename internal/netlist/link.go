@@ -136,14 +136,7 @@ type linker struct {
 	vmap []int     // base variable index -> f's variable of that name (-1: none)
 	keep []bool    // cleanup verdict per instruction compiled here (nil: keep all)
 
-	// The records of the units compiled here, and the arrays they share,
-	// exactly sized (emit).
-	recs   []UnitCode
-	ops    []Op
-	srcs   []int32
-	consts []*bits.Vector
-	widths []int32
-	pcs    []int32 // a unit's pc -> its record's, for jump targets
+	pcs []int32 // a unit's pc -> its record's, for jump targets (record)
 
 	// The digests of the units compiled here: one hasher for them all
 	// (nil until the first), and the bytes fed to the hash (nil: not
@@ -453,27 +446,16 @@ func levelize(f *elab.Flat, units []unit, uv []int32, off []int32, ncomb, nseq i
 // (record).
 func (l *linker) emit(units []unit, order []int32, uv []int32, off []int32, ncomb, nseq, nvar int) {
 	p, c := l.p, &l.c
-	var nops, nsrcs, nconsts, ntemps, ntasks int
+	var ntemps, ntasks int
 	for i := range units {
 		u := &units[i]
 		if u.base {
 			ntemps += len(l.base.Spans[u.span].TempWidths)
 		} else {
-			lo, hi := c.at[u.span], c.at[u.span+1]
-			for pc := lo.code; pc < hi.code; pc++ {
-				if op := &c.code[pc]; l.kept(pc) {
-					nops, nsrcs = nops+1, nsrcs+int(op.NSrcs)
-					if op.Const >= 0 {
-						nconsts++
-					}
-				}
-			}
-			ntemps += int(hi.temps - lo.temps)
+			ntemps += int(c.at[u.span+1].temps - c.at[u.span].temps)
 		}
 		ntasks += len(l.tasks(u))
 	}
-	l.recs, l.widths = make([]UnitCode, 0, len(c.at)-1), slices.Clone(c.temps)
-	l.ops, l.srcs, l.consts = make([]Op, 0, nops), make([]int32, 0, nsrcs), make([]*bits.Vector, 0, nconsts)
 	p.Slots = make([]SlotInfo, nvar, nvar+ntemps)
 	for _, v := range l.f.Vars {
 		if s := p.VarSlot[v.Index]; s >= 0 {
@@ -523,23 +505,33 @@ func (l *linker) emit(units []unit, order []int32, uv []int32, off []int32, ncom
 func (l *linker) kept(pc int32) bool { return l.keep == nil || l.keep[pc] }
 
 // record copies the code of u, a unit compiled here, into a record of its
-// own at the end of l's record arrays, leaving the instructions the
-// cleanup dropped behind, and returns it.
+// own, leaving the instructions the cleanup dropped behind, and returns
+// it. The record and its arrays are exactly sized and allocated for it
+// alone: a later version that relocates the unit keeps nothing of the
+// units compiled beside it alive.
 func (l *linker) record(u *unit) *UnitCode {
 	c := &l.c
 	lo, hi := c.at[u.span], c.at[u.span+1]
 	// Jump targets land on the next kept instruction (the unit's OpHalt
 	// is always kept).
 	l.pcs = slices.Grow(l.pcs[:0], int(hi.code-lo.code)+1)[:hi.code-lo.code+1]
-	next := int32(0)
+	var nops, nsrcs, nconsts int32
 	for pc := lo.code; pc < hi.code; pc++ {
-		l.pcs[pc-lo.code] = next
-		if l.kept(pc) {
-			next++
+		l.pcs[pc-lo.code] = nops
+		if op := &c.code[pc]; l.kept(pc) {
+			nops, nsrcs = nops+1, nsrcs+op.NSrcs
+			if op.Const >= 0 {
+				nconsts++
+			}
 		}
 	}
-	l.pcs[hi.code-lo.code] = next
-	o0, s0, k0 := len(l.ops), len(l.srcs), len(l.consts)
+	l.pcs[hi.code-lo.code] = nops
+	rec := &UnitCode{Ops: make([]Op, 0, nops)}
+	if nconsts > 0 {
+		rec.Consts = make([]*bits.Vector, 0, nconsts)
+	}
+	// The sources and the temporaries' widths share one allocation.
+	ints := make([]int32, 0, nsrcs+hi.temps-lo.temps)
 	for pc := lo.code; pc < hi.code; pc++ {
 		if !l.kept(pc) {
 			continue
@@ -548,19 +540,16 @@ func (l *linker) record(u *unit) *UnitCode {
 		if o.Kind == OpJump || o.Kind == OpJz {
 			o.Target = l.pcs[o.Target]
 		}
-		l.srcs = append(l.srcs, c.operands[o.Src:o.Src+o.NSrcs]...)
-		o.Src = int32(len(l.srcs)-s0) - o.NSrcs
+		ints = append(ints, c.operands[o.Src:o.Src+o.NSrcs]...)
+		o.Src = int32(len(ints)) - o.NSrcs
 		if o.Const >= 0 {
-			l.consts = append(l.consts, c.consts[o.Const])
-			o.Const = int32(len(l.consts) - k0 - 1)
+			rec.Consts = append(rec.Consts, c.consts[o.Const])
+			o.Const = int32(len(rec.Consts) - 1)
 		}
-		l.ops = append(l.ops, o)
+		rec.Ops = append(rec.Ops, o)
 	}
-	l.recs = append(l.recs, UnitCode{
-		Ops: l.ops[o0:len(l.ops):len(l.ops)], Operands: l.srcs[s0:len(l.srcs):len(l.srcs)],
-		Consts: l.consts[k0:len(l.consts):len(l.consts)], TempWidths: l.widths[lo.temps:hi.temps:hi.temps],
-	})
-	return &l.recs[len(l.recs)-1]
+	rec.Operands, rec.TempWidths = ints[:nsrcs:nsrcs], append(ints[nsrcs:], c.temps[lo.temps:hi.temps]...)
+	return rec
 }
 
 // digest computes the digest of rec, a unit compiled here with tasks.

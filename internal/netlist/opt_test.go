@@ -39,10 +39,13 @@ endmodule`)
 		t.Fatalf("optimizer grew code: %d -> %d", raw.Stats.CodeOps, opt.Stats.CodeOps)
 	}
 	// The optimized program outlives the flow in the bitstream cache: no
-	// append slack on its instructions.
+	// append slack in its records. Each array below is an allocation of
+	// its own, but for the sources, which share theirs with the
+	// temporaries' widths, so those widths end where the allocation does.
 	for _, sp := range opt.Spans {
-		if cap(sp.Ops) != len(sp.Ops) {
-			t.Fatalf("optimized code holds %d instructions in room for %d", len(sp.Ops), cap(sp.Ops))
+		if cap(sp.Ops) != len(sp.Ops) || cap(sp.Consts) != len(sp.Consts) || cap(sp.TempWidths) != len(sp.TempWidths) {
+			t.Fatalf("a unit's record holds %d instructions, %d constants and %d temporaries in room for %d, %d and %d",
+				len(sp.Ops), len(sp.Consts), len(sp.TempWidths), cap(sp.Ops), cap(sp.Consts), cap(sp.TempWidths))
 		}
 	}
 }

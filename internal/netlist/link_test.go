@@ -402,3 +402,19 @@ func TestRelocatedRecordsKeepNoSiblings(t *testing.T) {
 		t.Fatalf("the last program keeps %d B alive, %d B compiled from scratch", chained-dropped, alone)
 	}
 }
+
+// TestHandBuiltProgramIsOneUnit: a program built by hand, without spans,
+// runs its code as the one unit at entry 0; a schedule naming another
+// entry is refused rather than run as entry 0.
+func TestHandBuiltProgramIsOneUnit(t *testing.T) {
+	p := &Program{Code: []Op{{Kind: OpHalt, Const: -1}}}
+	if sp := p.Unit(0); len(sp.Ops) != 1 || sp.Ops[0].Kind != OpHalt {
+		t.Fatalf("entry 0 runs %v, want the program's code", sp.Ops)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("entry 1 of a one-unit program ran")
+		}
+	}()
+	p.Unit(1)
+}

@@ -226,9 +226,12 @@ type Span struct {
 
 // Unit returns the span schedule entry e (an Entry of Comb, Seq or
 // Monitors) runs. A program built by hand has no spans: its code is
-// one unit at entry 0.
+// one unit at entry 0, and a schedule naming any other is refused.
 func (p *Program) Unit(e int) *Span {
 	if p.Spans == nil {
+		if e != 0 {
+			panic("netlist: a program built by hand is one unit, at entry 0")
+		}
 		return &Span{UnitCode: &UnitCode{Ops: p.Code, Operands: p.Operands, Consts: p.Consts}}
 	}
 	return &p.Spans[e]

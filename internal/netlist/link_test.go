@@ -276,6 +276,79 @@ func TestCompileFromChain(t *testing.T) {
 	}
 }
 
+// TestWideFlagIsTheUnits: an instruction runs on the wide path exactly
+// when its result or a slot it names is wider than 64 bits, whatever the
+// rest of the program holds. A jump, memory write or halt names no
+// destination; it once took the width of slot 0, the design's first
+// variable, so a narrow process's branches ran on the reference path in
+// a design that declares a 65-bit register first, and a relocated
+// process's flags differed from the same process compiled there.
+func TestWideFlagIsTheUnits(t *testing.T) {
+	narrow := parseModule(t, `
+module M;
+  reg clk;
+  reg [7:0] a, q;
+  reg [7:0] mem [0:3];
+  always @(posedge clk) begin
+    if (a[0]) q <= a;
+    else q <= a + 1;
+    mem[a[1:0]] <= q;
+  end
+endmodule`)
+	wideFirst := *narrow // the same items, after a 65-bit register
+	wideFirst.Items = append(parseModule(t, "module M; reg [64:0] big; endmodule").Items, narrow.Items...)
+	check := func(what string, p *Program) {
+		t.Helper()
+		for i, code := range boundCode(p) {
+			for _, in := range code {
+				wide := in.Width > 64 || hasDst(in.Kind) && p.Slots[in.Dst].Width > 64
+				for _, s := range in.Srcs {
+					wide = wide || p.Slots[s].Width > 64
+				}
+				if in.Wide != wide {
+					t.Fatalf("%s: unit %d: %v is flagged Wide=%v, its own slots say %v", what, i, in.Kind, in.Wide, wide)
+				}
+			}
+		}
+	}
+	f1, err := elab.Elaborate(narrow, "dut", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := Compile(f1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, err := elab.ElaborateFrom(f1, &wideFirst, "dut", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Compile(f2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Slots[0].Width != 65 {
+		t.Fatalf("slot 0 is %d bits wide, want the 65-bit register", want.Slots[0].Width)
+	}
+	got, err := CompileFrom(base, f2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Relocated != 1 {
+		t.Fatalf("relocated %d units, want the process", got.Relocated)
+	}
+	check("narrow", base)
+	check("after a 65-bit register", want)
+	sameProgram(t, "slot 0 widened", got, want)
+	for seed := uint64(0); seed < 20; seed++ {
+		p, err := Compile(flatten(t, vgen.Module(seed).String()))
+		if err != nil {
+			continue
+		}
+		check(fmt.Sprintf("vgen.Module(%d)", seed), p)
+	}
+}
+
 // TestRelocatedCodeShared: along the 150 edits of an inlined session
 // (vgen.InlinedChain, the benchmark's chain after inlining), each
 // synthesized from the program before it as an eval does, every

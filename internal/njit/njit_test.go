@@ -193,6 +193,29 @@ endmodule`)
 	d.check(t, "wide fallback")
 }
 
+// TestNarrowUnitBesideWideSlotZero: a narrow process compiles to native
+// closures only, though the design's first variable, slot 0, is 65 bits
+// wide: its branches and memory write name no destination, and take no
+// width but their own operands'.
+func TestNarrowUnitBesideWideSlotZero(t *testing.T) {
+	prog, _ := compileProg(t, `
+module M(input wire [64:0] big, input wire clk, input wire [7:0] a);
+  reg [7:0] q;
+  reg [7:0] mem [0:3];
+  always @(posedge clk) begin
+    if (a[0]) q <= a;
+    else q <= a + 1;
+    mem[a[1:0]] <= q;
+  end
+endmodule`)
+	if prog.Slots[0].Width != 65 {
+		t.Fatalf("slot 0 is %d bits wide, want big", prog.Slots[0].Width)
+	}
+	if _, n := compileCounted(netlist.NewMachine(prog)); n.fallbacks != 0 {
+		t.Fatalf("%d closures fall back to Machine.ExecOp, want none", n.fallbacks)
+	}
+}
+
 func TestNativeDisplayAndFinish(t *testing.T) {
 	d := newDualNative(t, `
 module M(input wire clk);

@@ -490,8 +490,8 @@ func TestCompileFromAllocBudget(t *testing.T) {
 
 // CompileFrom's budget at the last of 150 edits.
 const (
-	compileFromBytes  = 269_000 // 244 544 B measured
-	compileFromAllocs = 1_716   // 1 560 measured
+	compileFromBytes  = 269_000 // 244 495 B measured
+	compileFromAllocs = 1_716   // 1 573 measured
 )
 
 // TestElaborateFromAllocBudget: an eval's elaboration allocates the new

@@ -63,6 +63,13 @@ var rules = []rule{
 		why:   "engines over a netlist are built on the one core: outside internal/netlist only njit.NewCore makes a netlist.Machine",
 		match: func(c *cursor, n ast.Node) bool { return c.ref(n, "netlist.NewMachine") },
 		bad:   "internal/engine/hweng/seeded.go\npackage hweng\nimport x \"cascade/internal/netlist\"\nfunc seeded() { _ = x.NewMachine } // want seeded"},
+	{name: "netlist/programs-linked", in: src("..."), allow: []string{"internal/netlist/link.go"}, need: []string{"Program"}, once: "internal/netlist/link.go",
+		why: "a netlist.Program is what link makes of a design: spans in schedule order over unit-form records; a program composed elsewhere is a second form every reader must handle",
+		match: func(c *cursor, n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			return ok && (c.ref(lit.Type, "netlist.Program") || id(lit.Type) == "Program" && strings.HasPrefix(c.name, "internal/netlist/"))
+		},
+		bad: "internal/engine/hweng/seeded.go\npackage hweng\nimport \"cascade/internal/netlist\"\nfunc seeded() *netlist.Program {\n\treturn &netlist.Program{} // want seeded\n}"},
 	{name: "toolchain/no-backend-assert", in: src("internal/toolchain"),
 		why: "the farm is a field read at submit (Toolchain.farm), not an implementation behind an interface",
 		match: func(c *cursor, n ast.Node) bool {

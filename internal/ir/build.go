@@ -170,16 +170,23 @@ func (c *connSplit) wire(path string, is *instSplit) Wire {
 	return Wire{From: child, To: Endpoint{Sub: path, Port: c.port.Name}}
 }
 
-// promo is a port a split adds to its module; port is the declaration
-// made for it, if any, its kind as first promoted, and decl its portDecl.
+// promo is a port a split adds to its module for a child endpoint,
+// named inst__end after port or variable end of instance inst, and cut
+// is len(inst): name[:cut] and name[cut+2:] are the endpoint. port is
+// the declaration made for it, if any, its kind as first promoted, and
+// decl its portDecl.
 type promo struct {
-	name  string
-	dir   verilog.PortDir
-	kind  verilog.NetKind
-	width int
-	port  *verilog.Port
-	decl  *verilog.NetDecl
+	name       string
+	cut, width int32
+	dir        verilog.PortDir
+	kind       verilog.NetKind
+	port       *verilog.Port
+	decl       *verilog.NetDecl
 }
+
+// endpoint names the endpoint of a promotion named name, cut at cut, as
+// a hierarchical reference.
+func endpoint(name string, cut int32) string { return name[:cut] + "." + name[cut+2:] }
 
 // inlinedItems is the root's inlinedItems, out of the memo: its body
 // items, then its connections' assignments, renamed.
@@ -305,21 +312,34 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 	}
 
 	// The promotion plan: new ports on this module, in order, by name.
+	// Two endpoints can mangle to one name (a.b__c and a__b.c): a name is
+	// planned again only for the endpoint it was planned for (planned).
 	promos := make(map[string]int, 3*len(childOrder))
 	plan := make([]promo, 0, 3*len(childOrder))
-	addPromo := func(pos verilog.Pos, name string, pr promo) error {
-		if i, dup := promos[name]; dup {
-			if plan[i].dir != pr.dir {
-				return errf(pos, "%s is driven from both sides of the module boundary", name)
-			}
-			if pr.kind == verilog.Reg {
-				plan[i].kind = verilog.Reg
-			}
-			return nil
+	planned := func(pos verilog.Pos, name string, cut int32) (int, error) {
+		i, dup := promos[name]
+		switch {
+		case !dup:
+			return -1, nil
+		case plan[i].cut != cut:
+			return -1, errf(pos, "%s and %s would both be promoted to %s", endpoint(name, plan[i].cut), endpoint(name, cut), name)
 		}
-		promos[name] = len(plan)
-		pr.name = name
-		plan = append(plan, pr)
+		return i, nil
+	}
+	addPromo := func(pos verilog.Pos, pr promo) error {
+		if i, dup := promos[pr.name]; dup && plan[i].dir != pr.dir {
+			return errf(pos, "%s is driven from both sides of the module boundary", pr.name)
+		}
+		i, err := planned(pos, pr.name, pr.cut)
+		switch {
+		case err != nil:
+			return err
+		case i < 0:
+			promos[pr.name] = len(plan)
+			plan = append(plan, pr)
+		case pr.kind == verilog.Reg:
+			plan[i].kind = verilog.Reg
+		}
 		return nil
 	}
 
@@ -332,7 +352,8 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 			}
 		}
 		for _, cs := range is.conns {
-			if err := addPromo(cs.asn.AssignPos, cs.port.Name, promo{dir: cs.port.Dir, kind: cs.port.Kind, width: cs.width, port: cs.port, decl: cs.decl}); err != nil {
+			pr := promo{name: cs.port.Name, cut: int32(len(is.res.inst.Name)), width: int32(cs.width), dir: cs.port.Dir, kind: cs.port.Kind, port: cs.port, decl: cs.decl}
+			if err := addPromo(cs.asn.AssignPos, pr); err != nil {
 				return err
 			}
 			b.design.Wires = append(b.design.Wires, cs.wire(path, is))
@@ -356,7 +377,7 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 	}
 	scan := func(refs []hierRef) error {
 		for _, ref := range refs {
-			if err := b.promoteRef(ref, path, children, promos, addPromo); err != nil {
+			if err := b.promoteRef(ref, path, children, planned, addPromo); err != nil {
 				return err
 			}
 		}
@@ -416,7 +437,7 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 		}
 		pt, decl := pr.port, pr.decl
 		if pt == nil || pt.Kind != pr.kind {
-			pt = &verilog.Port{Dir: pr.dir, Kind: pr.kind, Range: b.widthRange(pr.width), Name: pr.name}
+			pt = &verilog.Port{Dir: pr.dir, Kind: pr.kind, Range: b.widthRange(int(pr.width)), Name: pr.name}
 			decl = nil
 		}
 		pm.Ports = append(pm.Ports, pt)
@@ -528,7 +549,7 @@ func (b *builder) connect(c *childInst, rename exprRewriter) ([]*connSplit, erro
 // to a port of the module at path: an output the parent drives (a write)
 // or an input the child drives, the child variable promoted to one of its
 // outputs if need be (a read).
-func (b *builder) promoteRef(ref hierRef, path string, children map[string]*childInst, promos map[string]int, addPromo func(verilog.Pos, string, promo) error) error {
+func (b *builder) promoteRef(ref hierRef, path string, children map[string]*childInst, planned func(pos verilog.Pos, name string, cut int32) (int, error), addPromo func(verilog.Pos, promo) error) error {
 	ci, ok := children[ref.inst]
 	if !ok {
 		return errf(ref.pos, "%s.%s: %s is not an instance in this scope", ref.inst, ref.varName, ref.inst)
@@ -546,7 +567,7 @@ func (b *builder) promoteRef(ref hierRef, path string, children map[string]*chil
 		if ref.procedural {
 			kind = verilog.Reg
 		}
-		if err := addPromo(ref.pos, mangled, promo{dir: verilog.Output, kind: kind, width: width}); err != nil {
+		if err := addPromo(ref.pos, promo{name: mangled, cut: int32(len(ref.inst)), width: int32(width), dir: verilog.Output, kind: kind}); err != nil {
 			return err
 		}
 		b.design.Wires = append(b.design.Wires, Wire{
@@ -562,10 +583,10 @@ func (b *builder) promoteRef(ref hierRef, path string, children map[string]*chil
 	if err != nil {
 		return err
 	}
-	if _, dup := promos[mangled]; dup {
-		return nil
+	if i, err := planned(ref.pos, mangled, int32(len(ref.inst))); err != nil || i >= 0 {
+		return err // a port of the endpoint: the read reads it, whichever side drives it
 	}
-	if err := addPromo(ref.pos, mangled, promo{dir: verilog.Input, kind: verilog.Wire, width: width}); err != nil {
+	if err := addPromo(ref.pos, promo{name: mangled, cut: int32(len(ref.inst)), width: int32(width), dir: verilog.Input, kind: verilog.Wire}); err != nil {
 		return err
 	}
 	b.design.Wires = append(b.design.Wires, Wire{

@@ -166,6 +166,8 @@ var malformedInputs = [][2]string{
 	{"not-an-instance", "wire w = q.x;"},
 	{"duplicate-instance", "A a(.x(1));\nA a(.x(0));"},
 	{"promoted-both-sides", "module C(input wire b__c);\nendmodule\nmodule D(output wire c);\nendmodule\nC a(.b__c(1));\nD a__b(.c(w));\nwire w;"},
+	{"promoted-twice", "module C(input wire b__c);\nendmodule\nmodule D(input wire c);\nendmodule\nC a(.b__c(1));\nD a__b(.c(0));"},
+	{"promoted-twice-read", "module C(output wire b__c);\nendmodule\nmodule E;\n  reg c = 1;\nendmodule\nwire w;\nC a(.b__c(w));\nE a__b();\nwire v = a__b.c;"},
 }
 
 // TestSourceReadersGolden pins what every reader of parsed source makes

@@ -23,7 +23,7 @@ import (
 // The code enters the hash as its units' digests (UnitCode.Digest), each
 // beside the unit's binding: the variable list its code's variable
 // references index. With the variables' declarations, slots and reset
-// image and the schedule's entries and edges, that is every field the
+// image and the schedule's counts and edges, that is every field the
 // program executes, in O(units + variables): an edit's program shares
 // all but its new units' digests with its base's, and no instruction is
 // hashed again.
@@ -38,23 +38,17 @@ func (p *Program) fingerprint(fed *int) string {
 	// on-disk bitstream stores are keyed by it.
 	h := newHasher(hashBatch, fed)
 	h.str(p.Flat.Name) // %m output is part of observable behaviour
-	ops := len(p.Code)
+	ops := 0
 	for i := range p.Spans {
 		ops += len(p.Spans[i].Ops)
 	}
 	h.ints(ops, len(p.Slots), len(p.Tasks), len(p.Spans))
-	if len(p.Spans) == 0 && len(p.Code) > 0 { // a program built by hand: its code is one unit
-		var d [sha256.Size]byte
-		uh := newHasher(unitBatch, fed)
-		uh.digest(p.Unit(0).UnitCode, p.Tasks, &d)
-		h.buf = append(h.buf, d[:]...)
-	}
 	for i := range p.Spans {
 		lo, hi := p.spanVars(i)
 		h.room()
 		h.buf = append(h.buf, p.Spans[i].Digest[:]...)
 		h.put(hi - lo)
-		for _, e := range p.vars[lo:hi] {
+		for _, e := range p.Vars[lo:hi] {
 			h.put(int(e))
 		}
 	}
@@ -104,17 +98,11 @@ func (p *Program) fingerprint(fed *int) string {
 		}
 	}
 
-	// The schedule: each unit's entry is its span, unless a program says
-	// otherwise.
-	h.ints(len(p.Comb), len(p.Seq), len(p.Monitors))
-	entries := len(p.Comb)+len(p.Seq)+len(p.Monitors) == len(p.Spans)
-	for i := 0; entries && i < len(p.Spans); i++ {
-		entries = p.entry(i) == i
-	}
-	h.ints(int(B2U(entries)))
-	for i := 0; !entries && i < len(p.Comb)+len(p.Seq)+len(p.Monitors); i++ {
-		h.ints(p.entry(i))
-	}
+	// The schedule is span order: its three counts, then a constant 1
+	// where an older encoding flagged that order, so that bitstream
+	// stores keyed by the digest stay valid.
+	nseq := len(p.Seq)
+	h.ints(p.Comb, nseq, len(p.Spans)-p.Comb-nseq, 1)
 	for _, sp := range p.Seq {
 		h.room()
 		h.put(len(sp.Edges))
@@ -134,18 +122,6 @@ func (p *Program) fingerprint(fed *int) string {
 	h.flush()
 	var digest [sha256.Size]byte
 	return hex.EncodeToString(h.sum.Sum(digest[:0]))
-}
-
-// entry returns the entry of the i-th unit of the schedule, counting
-// Comb, then Seq, then Monitors.
-func (p *Program) entry(i int) int {
-	switch {
-	case i < len(p.Comb):
-		return p.Comb[i].Entry
-	case i < len(p.Comb)+len(p.Seq):
-		return p.Seq[i-len(p.Comb)].Entry
-	}
-	return p.Monitors[i-len(p.Comb)-len(p.Seq)].Entry
 }
 
 // unitBatch is how many encoded bytes a unit's digest gathers between

@@ -188,20 +188,21 @@ func oldFingerprint(p *Program) string {
 		ws(m.Var.Name)
 		wi(m.Words, m.Width)
 	}
-	wi(len(p.Comb))
-	for _, c := range p.Comb {
-		wi(pcs[c.Entry])
+	wi(p.Comb)
+	for i := range p.Comb {
+		wi(pcs[i])
 	}
 	wi(len(p.Seq))
-	for _, sp := range p.Seq {
-		wi(pcs[sp.Entry], len(sp.Edges))
+	for i, sp := range p.Seq {
+		wi(pcs[p.Comb+i], len(sp.Edges))
 		for _, e := range sp.Edges {
 			wi(int(e.Kind), sp.Frame[e.Var].Index)
 		}
 	}
-	wi(len(p.Monitors))
-	for _, m := range p.Monitors {
-		wi(pcs[m.Entry])
+	mons := pcs[p.Comb+len(p.Seq):]
+	wi(len(mons))
+	for _, pc := range mons {
+		wi(pc)
 	}
 	wi(len(p.Tasks))
 	for _, t := range p.Tasks {

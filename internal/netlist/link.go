@@ -231,7 +231,7 @@ func link(base *Program, f *elab.Flat, optimize bool, fed *int) (*Program, error
 			copy(out, c.vars[lo:hi])
 			continue
 		}
-		for j, e := range l.base.vars[lo:hi] {
+		for j, e := range l.base.Vars[lo:hi] {
 			out[j] = int32(l.vmap[e>>1]<<1) | e&1
 		}
 	}
@@ -355,7 +355,7 @@ func (l *linker) relocate(u *unit) bool {
 // continuous assignment that reads its own target is the one-unit cycle:
 // the edge order skips u -> u, since a level-sensitive process may read
 // what it wrote earlier in the same pass. uv[off[i]:off[i+1]] are unit
-// i's variables (Span.Vars's encoding). It returns the emission order of
+// i's variables (Span.Vars's encoding). It returns the schedule order of
 // all units.
 func levelize(f *elab.Flat, units []unit, uv []int32, off []int32, ncomb, nseq int) ([]int32, error) {
 	writer := make([]int32, len(f.Vars)) // var -> comb unit writing it
@@ -464,17 +464,15 @@ func (l *linker) emit(units []unit, order []int32, uv []int32, off []int32, ncom
 	}
 	p.Tasks = make([]Task, 0, ntasks)
 	p.Spans = make([]Span, 0, len(units))
-	p.vars = make([]int32, 0, len(uv))
-	p.Comb = make([]CombUnit, 0, ncomb)
-	p.Seq = make([]SeqProc, 0, nseq)
-	p.Monitors = make([]MonitorUnit, 0, len(units)-ncomb-nseq)
+	p.Vars = make([]int32, 0, len(uv))
+	p.Comb, p.Seq = ncomb, make([]SeqProc, 0, nseq)
 	for _, ui := range order {
 		u := &units[ui]
 		sp := Span{
 			Unit: u.id, Ord: u.ord, Temps: int32(len(p.Slots)),
-			Tasks: int32(len(p.Tasks)), Vars: int32(len(p.vars)),
+			Tasks: int32(len(p.Tasks)), Vars: int32(len(p.Vars)),
 		}
-		p.vars = append(p.vars, uv[off[ui]:off[ui+1]]...)
+		p.Vars = append(p.Vars, uv[off[ui]:off[ui+1]]...)
 		p.Tasks = append(p.Tasks, l.tasks(u)...)
 		if u.base {
 			sp.UnitCode = l.base.Spans[u.span].UnitCode
@@ -486,16 +484,10 @@ func (l *linker) emit(units []unit, order []int32, uv []int32, off []int32, ncom
 		for _, w := range sp.TempWidths {
 			p.Slots = append(p.Slots, SlotInfo{Width: int(w), Wide: w > 64})
 		}
-		entry := len(p.Spans)
 		p.Spans = append(p.Spans, sp)
-		switch u.kind {
-		case unitAssign, unitComb:
-			p.Comb = append(p.Comb, CombUnit{Entry: entry})
-		case unitSeq:
+		if u.kind == unitSeq {
 			pr := l.f.Procs[u.at]
-			p.Seq = append(p.Seq, SeqProc{Edges: pr.Edges, Frame: pr.Frame, Entry: entry})
-		default:
-			p.Monitors = append(p.Monitors, MonitorUnit{Entry: entry})
+			p.Seq = append(p.Seq, SeqProc{Edges: pr.Edges, Frame: pr.Frame})
 		}
 	}
 }

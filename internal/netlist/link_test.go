@@ -10,6 +10,7 @@ import (
 	"cascade/internal/elab"
 	"cascade/internal/verilog"
 	"cascade/internal/vgen"
+	"cascade/internal/workloads/pow"
 )
 
 // sameProgram fails unless got and want are the same netlist field for
@@ -27,7 +28,6 @@ func sameProgram(t *testing.T, what string, got, want *Program) {
 		{"MemOf", got.MemOf, want.MemOf},
 		{"Comb", got.Comb, want.Comb},
 		{"Seq", got.Seq, want.Seq},
-		{"Monitors", got.Monitors, want.Monitors},
 		{"Tasks", got.Tasks, want.Tasks},
 		{"Reset", got.Reset, want.Reset},
 		{"Stats", got.Stats, want.Stats},
@@ -476,18 +476,72 @@ func TestRelocatedRecordsKeepNoSiblings(t *testing.T) {
 	}
 }
 
-// TestHandBuiltProgramIsOneUnit: a program built by hand, without spans,
-// runs its code as the one unit at entry 0; a schedule naming another
-// entry is refused rather than run as entry 0.
-func TestHandBuiltProgramIsOneUnit(t *testing.T) {
-	p := &Program{Code: []Op{{Kind: OpHalt, Const: -1}}}
-	if sp := p.Unit(0); len(sp.Ops) != 1 || sp.Ops[0].Kind != OpHalt {
-		t.Fatalf("entry 0 runs %v, want the program's code", sp.Ops)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("entry 1 of a one-unit program ran")
+// TestCombSpansLevelized: span order is schedule order, so the leading
+// Comb spans must come in topological order — a combinational span that
+// reads a variable another one writes comes after the writer. The
+// reference machine and the compiled evaluator sweep the combinational
+// spans until nothing changes, so either order converges to the same
+// state and no equivalence test sees an order levelize got wrong; this
+// test does, on generated modules, goldenSrc, the miner, and every
+// program of the 150-edit inlined chain linked from the one before it.
+func TestCombSpansLevelized(t *testing.T) {
+	edges := 0
+	check := func(what string, p *Program) {
+		t.Helper()
+		writer := map[int32]int{} // variable -> the combinational span writing it
+		for i := range p.Comb {
+			lo, hi := p.spanVars(i)
+			for _, e := range p.Vars[lo:hi] {
+				if e&1 == 1 {
+					writer[e>>1] = i
+				}
+			}
 		}
-	}()
-	p.Unit(1)
+		for i := range p.Comb {
+			lo, hi := p.spanVars(i)
+			for _, e := range p.Vars[lo:hi] {
+				w, ok := writer[e>>1]
+				switch {
+				case !ok || e&1 == 1 || w == i:
+				case w > i:
+					t.Fatalf("%s: combinational span %d reads %s, which span %d after it writes", what, i, p.Flat.Vars[e>>1].Name, w)
+				default:
+					edges++
+				}
+			}
+		}
+	}
+	srcs := map[string]string{"goldenSrc": goldenSrc, "pow": pow.Generate(pow.DefaultConfig())}
+	for seed := uint64(0); seed < 100; seed++ {
+		srcs[fmt.Sprintf("vgen.Module(%d)", seed)] = vgen.Module(seed).String()
+	}
+	for what, src := range srcs {
+		p, err := Compile(flatten(t, src))
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		check(what, p)
+	}
+	const stages = 150
+	items := func(n int) int { return len(parseModule(t, vgen.InlinedChain(n)).Items) }
+	head, per := items(0), items(1)-items(0)
+	m := parseModule(t, vgen.InlinedChain(stages))
+	var f *elab.Flat
+	var base *Program
+	for n := 1; n <= stages; n++ {
+		cut := *m
+		cut.Items = m.Items[:head+n*per]
+		var err error
+		if f, err = elab.ElaborateFrom(f, &cut, "dut", nil); err != nil {
+			t.Fatalf("stage %d: %v", n, err)
+		}
+		if base, err = CompileFrom(base, f); err != nil {
+			t.Fatalf("stage %d: %v", n, err)
+		}
+		check(fmt.Sprintf("chain stage %d", n), base)
+	}
+	if edges == 0 {
+		t.Fatal("no combinational span reads what another writes")
+	}
+	t.Logf("%d reads of another combinational span's variable, each after its writer", edges)
 }

@@ -88,7 +88,7 @@ func NewMachine(p *Program) *Machine {
 		wide:     make([]*bv.Vector, len(p.Slots)),
 		seqTrig:  make([]bool, len(p.Seq)),
 		edgeList: make([][]edgeHook, len(p.Slots)),
-		monLast:  make([]string, len(p.Monitors)),
+		monLast:  make([]string, len(p.Spans)-p.Comb-len(p.Seq)),
 		scratch:  make([]*bv.Vector, len(p.Slots)),
 	}
 	for i, s := range p.Slots {
@@ -252,14 +252,14 @@ func (m *Machine) Evaluate() {
 			for i := range m.seqTrig {
 				if m.seqTrig[i] {
 					m.seqTrig[i] = false
-					m.exec(m.prog.Seq[i].Entry)
+					m.exec(m.prog.Comb + i)
 				}
 			}
 		}
 		if m.combDirty {
 			m.combDirty = false
-			for _, u := range m.prog.Comb {
-				m.exec(u.Entry)
+			for e := range m.prog.Comb {
+				m.exec(e)
 			}
 		}
 	}
@@ -319,8 +319,9 @@ func (m *Machine) onMemChange(mem int) {
 
 // EndStep re-evaluates $monitor units and emits changed lines.
 func (m *Machine) EndStep() {
-	for i, mon := range m.prog.Monitors {
-		m.exec(mon.Entry)
+	first := m.prog.Comb + len(m.prog.Seq)
+	for i := range m.monLast {
+		m.exec(first + i)
 		// The unit's OpDisplay appended an event; convert the trailing
 		// event into a monitor line only when it changed.
 		if len(m.events) == 0 {
@@ -402,10 +403,10 @@ func (m *Machine) settleAfterLoad() {
 	m.combDirty = true
 }
 
-// exec runs the unit schedule entry e names until OpHalt, one ExecOp
-// per instruction, each bound as it comes.
+// exec runs span e until OpHalt, one ExecOp per instruction, each bound
+// as it comes.
 func (m *Machine) exec(e int) {
-	sp := m.prog.Unit(e)
+	sp := &m.prog.Spans[e]
 	m.srcs = m.prog.Sources(sp, m.srcs[:0])
 	for pc := 0; ; {
 		m.Ops++

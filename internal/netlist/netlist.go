@@ -101,14 +101,15 @@ const (
 	OpHalt // end of a compiled body; stays last (njit's TestOpSemanticsAgree ranges up to it)
 )
 
-// Op is one netlist instruction, in unit form. Fields are interpreted
-// per kind. It holds no pointer, so a unit's code is one block the
-// collector never scans: its sources are a span of its record's source
-// arena (Operands) and its constant an index into the record's constant
-// table (Consts). A slot reference (Dst, a source) >= 0 is a temporary
-// of the unit, < 0 is the variable of its list entry -1-s; a memory
-// reference (Aux) is a variable the same way; Target and a display's Aux
-// count from the unit's first instruction and task.
+// Op is one netlist instruction, in unit form, the one form code takes:
+// every program's code is its linked units' records. Fields are
+// interpreted per kind. It holds no pointer, so a unit's code is one
+// block the collector never scans: its sources are a span of its
+// record's source arena (Operands) and its constant an index into the
+// record's constant table (Consts). A slot reference (Dst, a source) >= 0
+// is a temporary of the unit, < 0 is the variable of its list entry -1-s;
+// a memory reference (Aux) is a variable the same way; Target and a
+// display's Aux count from the unit's first instruction and task.
 type Op struct {
 	Kind   OpKind
 	Wide   bool  // any operand or result wider than 64 bits
@@ -137,32 +138,24 @@ type MemInfo struct {
 	Wide  bool
 }
 
-// SeqProc is a compiled edge-triggered process.
+// SeqProc is what triggers a compiled edge-triggered process: Seq[i]
+// runs span Comb+i.
 type SeqProc struct {
 	Edges []elab.Edge
 	Frame []*elab.Var // its process's frame: what Edges name
-	Entry int         // its span (Program.Unit)
-}
-
-// CombUnit is one levelized combinational unit.
-type CombUnit struct {
-	Entry int // its span (Program.Unit)
-}
-
-// MonitorUnit is a compiled $monitor: a code unit that captures the
-// monitored values, run at the end of each time step.
-type MonitorUnit struct {
-	Entry int // its span (Program.Unit)
 }
 
 // Program is a synthesized netlist: its units' spans, slot metadata, and
-// the schedule.
+// the schedule. Span order is schedule order: the first Comb spans are
+// the combinational units in topological order, the next len(Seq) the
+// edge-triggered processes, and the rest the $monitors, code units that
+// capture the monitored values at the end of each time step.
 type Program struct {
 	Flat *elab.Flat
 
-	// Spans is the program's code, one span per unit in emission order:
-	// Comb, then Seq, then Monitors. Relocated counts the units
-	// CompileFrom bound to their base's records instead of compiling.
+	// Spans is the program's code, one span per unit in schedule order.
+	// Relocated counts the units CompileFrom bound to their base's
+	// records instead of compiling.
 	Spans     []Span
 	Relocated int
 
@@ -172,10 +165,9 @@ type Program struct {
 	Mems    []MemInfo
 	MemOf   []int // Var.Index -> mem index or -1
 
-	Comb     []CombUnit // in topological order
-	Seq      []SeqProc
-	Monitors []MonitorUnit
-	Tasks    []Task // every span's tasks, in span order
+	Comb  int // how many leading spans are combinational
+	Seq   []SeqProc
+	Tasks []Task // every span's tasks, in span order
 
 	// Reset is the post-initial-block state captured at synthesis time
 	// (FPGA bitstreams carry initial register contents), as a word image:
@@ -185,14 +177,7 @@ type Program struct {
 
 	Stats Stats
 
-	// Code, Operands and Consts are the code of a program built by hand
-	// rather than linked: one unit, without a span, whose references are
-	// the program's own slots, memories and tasks (Unit).
-	Code     []Op
-	Operands []int32
-	Consts   []*bits.Vector
-
-	vars []int32 // the variables each span reads and writes (Span.Vars)
+	Vars []int32 // the variables each span reads and writes, in span order (Span.Vars)
 }
 
 // UnitCode is one unit's compiled code in unit form (Op): immutable once
@@ -224,19 +209,6 @@ type Span struct {
 	*UnitCode
 }
 
-// Unit returns the span schedule entry e (an Entry of Comb, Seq or
-// Monitors) runs. A program built by hand has no spans: its code is
-// one unit at entry 0, and a schedule naming any other is refused.
-func (p *Program) Unit(e int) *Span {
-	if p.Spans == nil {
-		if e != 0 {
-			panic("netlist: a program built by hand is one unit, at entry 0")
-		}
-		return &Span{UnitCode: &UnitCode{Ops: p.Code, Operands: p.Operands, Consts: p.Consts}}
-	}
-	return &p.Spans[e]
-}
-
 // Instr is an instruction bound to a program, in the form
 // Machine.ExecOp executes: Dst, Srcs and a memory op's Aux are the
 // program's slots and memory, Value is an OpConst's constant and Task an
@@ -264,16 +236,13 @@ func (p *Program) Slot(sp *Span, s int32) int32 {
 	if s >= 0 {
 		return sp.Temps + s
 	}
-	return int32(p.VarSlot[p.vars[sp.Vars-1-s]>>1])
+	return int32(p.VarSlot[p.Vars[sp.Vars-1-s]>>1])
 }
 
 // Mem returns the memory of p that op, a memory instruction of span sp,
 // names.
 func (p *Program) Mem(sp *Span, op *Op) int32 {
-	if op.Aux >= 0 { // a program built by hand names its own
-		return op.Aux
-	}
-	return int32(p.MemOf[p.vars[sp.Vars-1-op.Aux]>>1])
+	return int32(p.MemOf[p.Vars[sp.Vars-1-op.Aux]>>1])
 }
 
 // Instr returns op, an instruction of span sp, bound to p, its sources
@@ -300,7 +269,7 @@ func (p *Program) spanTasks(i int) (int, int) {
 }
 
 func (p *Program) spanVars(i int) (int, int) {
-	return p.bounds(i, len(p.vars), func(s *Span) int32 { return s.Vars })
+	return p.bounds(i, len(p.Vars), func(s *Span) int32 { return s.Vars })
 }
 
 // bounds returns span i's [start, end) in an array of n entries.

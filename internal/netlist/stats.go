@@ -127,11 +127,11 @@ func delayCost(op *Op) int {
 // computeStats derives resource and timing estimates for a compiled
 // program. Critical path is approximated per slot: depth(dst) =
 // max(depth(srcs)) + delay(op), taken over the whole schedule, span by
-// span in emission order.
+// span in schedule order.
 func computeStats(p *Program) Stats {
 	st := Stats{
 		SeqProcs:  len(p.Seq),
-		CombUnits: len(p.Comb),
+		CombUnits: p.Comb,
 	}
 	for _, v := range p.Flat.Vars {
 		if v.IsArray() {

@@ -231,7 +231,7 @@ func compile(m *netlist.Machine, n *shape) *Eval {
 		seqTrig:    h.SeqTrig,
 		combDirty:  h.CombDirty,
 		seqPending: h.SeqPending,
-		dirty:      make([]uint64, (len(p.Comb)+63)/64),
+		dirty:      make([]uint64, (p.Comb+63)/64),
 	}
 	c := &compiler{
 		e:         e,
@@ -243,10 +243,23 @@ func compile(m *netlist.Machine, n *shape) *Eval {
 	}
 	c.b.c = c
 	nfused, nstores := 0, 0
-	count := func(entry int, comb bool) {
-		c.load(entry)
-		for i := range c.code {
-			op := &c.code[i]
+	// Every span the schedule runs, once each; the scratch is sized to the
+	// largest.
+	most, srcs, rows := 0, 0, 0
+	for i := range p.Spans {
+		sp := &p.Spans[i]
+		most, srcs = max(most, len(sp.Ops)), max(srcs, len(sp.Operands))
+		if i < p.Comb {
+			rows += len(sp.Operands) + len(sp.Ops)
+		}
+	}
+	c.srcs = make([]int32, 0, srcs)
+	c.seen, c.leader, c.block = make([]bool, most+1), make([]bool, most+1), make([]int32, most+1)
+	c.rows, c.rowAt = make([]int32, 0, rows), make([]int32, 1, p.Comb+1)
+	for i := range p.Spans {
+		c.load(i)
+		for pc := range c.code {
+			op := &c.code[pc]
 			switch op.Kind {
 			case netlist.OpMove, netlist.OpSlice:
 				nfused++
@@ -269,7 +282,7 @@ func compile(m *netlist.Machine, n *shape) *Eval {
 				c.writes[c.dst(op)]++
 			}
 		}
-		if comb { // what its reachable code reads, for the relations
+		if i < p.Comb { // what its reachable code reads, for the relations
 			c.reach(func(_ int, op *netlist.Op) {
 				c.rows = append(c.rows, c.srcsOf(op)...)
 				if op.Kind == netlist.OpMemRead {
@@ -279,31 +292,6 @@ func compile(m *netlist.Machine, n *shape) *Eval {
 			c.rowAt = append(c.rowAt, int32(len(c.rows)))
 		}
 	}
-	// Every unit the schedule runs, once each; the scratch is sized to
-	// the largest.
-	units := func(fn func(e int, comb bool)) {
-		for _, cu := range p.Comb {
-			fn(cu.Entry, true)
-		}
-		for _, sp := range p.Seq {
-			fn(sp.Entry, false)
-		}
-		for _, mu := range p.Monitors {
-			fn(mu.Entry, false)
-		}
-	}
-	most, srcs, rows := 0, 0, 0
-	units(func(e int, comb bool) {
-		sp := p.Unit(e)
-		most, srcs = max(most, len(sp.Ops)), max(srcs, len(sp.Operands))
-		if comb {
-			rows += len(sp.Operands) + len(sp.Ops)
-		}
-	})
-	c.srcs = make([]int32, 0, srcs)
-	c.seen, c.leader, c.block = make([]bool, most+1), make([]bool, most+1), make([]int32, most+1)
-	c.rows, c.rowAt = make([]int32, 0, rows), make([]int32, 1, len(p.Comb)+1)
-	units(count)
 	c.b.fused = make([]fused, 0, nfused)
 	c.relations(nstores)
 	e.InvalidateAll()
@@ -311,14 +299,10 @@ func compile(m *netlist.Machine, n *shape) *Eval {
 	// Every process's blocks are gathered in c.steps and c.bn, then move
 	// into arrays of their own, exactly sized: the compiled form outlives
 	// the scratch they were gathered in.
-	ends := make([]int, 0, len(p.Comb)+len(p.Seq))
-	for _, cu := range p.Comb {
-		c.compileProc(cu.Entry)
-		ends = append(ends, len(c.steps))
-	}
-	for _, sp := range p.Seq {
-		c.compileProc(sp.Entry)
-		ends = append(ends, len(c.steps))
+	ends := make([]int, p.Comb+len(p.Seq))
+	for i := range ends {
+		c.compileProc(i)
+		ends[i] = len(c.steps)
 	}
 	steps, bn := slices.Clone(c.steps), slices.Clone(c.bn)
 	procs := make([]proc, len(ends))
@@ -327,19 +311,19 @@ func compile(m *netlist.Machine, n *shape) *Eval {
 		procs[i] = proc{steps: steps[lo:hi:hi], bn: bn[lo:hi:hi]}
 		lo = hi
 	}
-	e.comb, e.seq = procs[:len(p.Comb):len(p.Comb)], procs[len(p.Comb):]
+	e.comb, e.seq = procs[:p.Comb:p.Comb], procs[p.Comb:]
 	if n != nil {
 		n.procs, n.blocks = len(procs), len(steps)
 	}
 	return e
 }
 
-// load makes the unit schedule entry e names the one compiled: its code
-// is read in place, its pcs its own, and every slot, memory and source
-// it names resolves to p's through its binding (dst, mem, srcs).
+// load makes span e the one compiled: its code is read in place, its pcs
+// its own, and every slot, memory and source it names resolves to p's
+// through its binding (dst, mem, srcs).
 func (c *compiler) load(e int) {
 	p := c.e.prog
-	c.sp = p.Unit(e)
+	c.sp = &p.Spans[e]
 	c.code, c.srcs = c.sp.Ops, p.Sources(c.sp, c.srcs[:0])
 }
 
@@ -586,8 +570,8 @@ type eqMeta struct {
 	eqT, neT int // successor block on equal / not-equal
 }
 
-// compileProc compiles the process schedule entry e names and appends its
-// finalized blocks to c.steps and c.bn.
+// compileProc compiles the process of span e and appends its finalized
+// blocks to c.steps and c.bn.
 func (c *compiler) compileProc(e int) {
 	b := &c.b
 	c.load(e)

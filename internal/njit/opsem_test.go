@@ -17,91 +17,145 @@ import (
 // (netlist.Machine.ExecOp, the oracle of every equivalence test and the
 // compiled form's per-instruction fallback) and njit's compiled
 // closure. TestOpSemanticsAgree holds them together kind by kind, on
-// hand-built single-instruction programs shaped the way netlist.Compile
-// emits them, over random and boundary operands.
+// one-unit programs around the instruction, laid out the way
+// netlist.Compile links them (opProg), over random and boundary
+// operands.
 
 // opWidths are the slot widths operands are drawn from: the lane
 // boundaries (1, 63, 64), the first wide width, and a wide width that
 // spans two words with a partial top word.
 var opWidths = []int{1, 2, 8, 63, 64, 65, 100}
 
-// opProg builds a one-unit program around the instruction under test.
+// opProg builds a one-unit program around the instruction under test,
+// in the form netlist.Compile links one: a combinational span whose code
+// numbers its temporaries from 0 and names a variable or memory by -1
+// minus its place in the span's variable list, over a program whose
+// variables' slots come first and its temporaries after them. The
+// builder hands out references in that form (temp, vslot, mem); link
+// lays the program out.
 type opProg struct {
 	p    netlist.Program
-	fill map[int]*bits.Vector // slot -> value loaded before evaluation
-	// watch lists the slots compared afterwards; nil compares all. A
-	// comparison the compiler fuses into its branch leaves the temporary
-	// unwritten, so branch forms watch only the result.
-	watch []int
+	code netlist.UnitCode
+	vars []int32 // the span's variable list (Program.Vars's encoding)
+	flat elab.Flat
+	// fill maps a reference to the value loaded before evaluation.
+	fill map[int32]*bits.Vector
+	// watch lists the references compared afterwards; nil compares every
+	// slot. A comparison the compiler fuses into its branch leaves the
+	// temporary unwritten, so branch forms watch only the result.
+	watch []int32
 	note  string
 }
 
 func newOpProg() *opProg {
-	return &opProg{
-		p:    netlist.Program{Flat: &elab.Flat{Name: "dut"}, Comb: []netlist.CombUnit{{Entry: 0}}},
-		fill: map[int]*bits.Vector{},
+	return &opProg{flat: elab.Flat{Name: "dut"}, fill: map[int32]*bits.Vector{}}
+}
+
+// temp adds a temporary, vslot a scalar variable and mem a memory.
+func (b *opProg) temp(w int) int32 {
+	b.code.TempWidths = append(b.code.TempWidths, int32(w))
+	return int32(len(b.code.TempWidths) - 1)
+}
+
+func (b *opProg) vslot(w int) int32 { return b.variable(w, 0) }
+
+func (b *opProg) mem(words, w int) int32 { return b.variable(w, words) }
+
+func (b *opProg) variable(w, words int) int32 {
+	v := &elab.Var{Name: fmt.Sprintf("v%d", len(b.flat.Vars)), Index: len(b.flat.Vars), Width: w, ArrayLen: words}
+	b.flat.Vars = append(b.flat.Vars, v)
+	b.vars = append(b.vars, int32(v.Index<<1))
+	return int32(-len(b.vars))
+}
+
+// width returns the width of reference s.
+func (b *opProg) width(s int32) int {
+	if s < 0 {
+		return b.flat.Vars[b.vars[-1-s]>>1].Width
 	}
-}
-
-// temp adds a temporary slot, vslot a variable-backed one.
-func (b *opProg) temp(w int) int {
-	b.p.Slots = append(b.p.Slots, netlist.SlotInfo{Width: w, Wide: w > 64})
-	return len(b.p.Slots) - 1
-}
-
-func (b *opProg) vslot(w int) int {
-	i := b.temp(w)
-	b.p.Slots[i].Var = &elab.Var{Name: fmt.Sprintf("v%d", i), Width: w}
-	return i
+	return int(b.code.TempWidths[s])
 }
 
 // src adds a temporary holding v.
-func (b *opProg) src(v *bits.Vector) int {
+func (b *opProg) src(v *bits.Vector) int32 {
 	i := b.temp(v.Width())
 	b.fill[i] = v
 	return i
 }
 
-func (b *opProg) mem(words, w int) int {
-	b.p.Mems = append(b.p.Mems, netlist.MemInfo{Words: words, Width: w, Wide: w > 64})
-	return len(b.p.Mems) - 1
-}
-
 // emit appends op reading srcs, flagged Wide by the synthesizer's rule:
-// its result or any operand is wider than 64 bits.
-func (b *opProg) emit(op netlist.Op, srcs ...int) int {
-	wide := func(s int) bool { return s >= 0 && s < len(b.p.Slots) && b.p.Slots[s].Wide }
-	op.Wide = op.Width > 64 || wide(int(op.Dst))
-	op.Src, op.NSrcs, op.Const = int32(len(b.p.Operands)), int32(len(srcs)), -1
-	for _, s := range srcs {
-		op.Wide = op.Wide || wide(s)
-		b.p.Operands = append(b.p.Operands, int32(s))
+// its result or any operand is wider than 64 bits. A write records its
+// variable's entry as written.
+func (b *opProg) emit(op netlist.Op, srcs ...int32) int {
+	op.Wide = op.Width > 64
+	switch op.Kind {
+	case netlist.OpJump, netlist.OpJz, netlist.OpDisplay, netlist.OpFinish, netlist.OpHalt:
+	case netlist.OpMemWrite, netlist.OpMemWriteNB:
+		b.vars[-1-op.Aux] |= 1
+	default:
+		op.Wide = op.Wide || b.width(op.Dst) > 64
+		if op.Dst < 0 {
+			b.vars[-1-op.Dst] |= 1
+		}
 	}
-	b.p.Code = append(b.p.Code, op)
-	return len(b.p.Code) - 1
+	op.Src, op.NSrcs, op.Const = int32(len(b.code.Operands)), int32(len(srcs)), -1
+	for _, s := range srcs {
+		op.Wide = op.Wide || b.width(s) > 64
+		b.code.Operands = append(b.code.Operands, s)
+	}
+	b.code.Ops = append(b.code.Ops, op)
+	return len(b.code.Ops) - 1
 }
 
 // constant appends d = v.
-func (b *opProg) constant(d int, v *bits.Vector) {
-	pc := b.emit(netlist.Op{Kind: netlist.OpConst, Dst: int32(d), Width: int32(v.Width())})
-	b.p.Code[pc].Const = int32(len(b.p.Consts))
-	b.p.Consts = append(b.p.Consts, v)
+func (b *opProg) constant(d int32, v *bits.Vector) {
+	pc := b.emit(netlist.Op{Kind: netlist.OpConst, Dst: d, Width: int32(v.Width())})
+	b.code.Ops[pc].Const = int32(len(b.code.Consts))
+	b.code.Consts = append(b.code.Consts, v)
 }
 
 func (b *opProg) halt() { b.emit(netlist.Op{Kind: netlist.OpHalt}) }
 
 // branch appends "if cond is zero the result is 2, else 1" and watches
 // only the result.
-func (b *opProg) branch(cond int) {
+func (b *opProg) branch(cond int32) {
 	d := b.temp(8)
 	jz := b.emit(netlist.Op{Kind: netlist.OpJz}, cond)
 	b.constant(d, bits.FromUint64(8, 1))
 	b.halt()
-	b.p.Code[jz].Target = int32(len(b.p.Code))
+	b.code.Ops[jz].Target = int32(len(b.code.Ops))
 	b.constant(d, bits.FromUint64(8, 2))
 	b.halt()
-	b.watch = []int{d}
+	b.watch = []int32{d}
 }
+
+// link lays out the program the builder's unit is the one combinational
+// span of: each variable's slot or memory in list order, then the
+// temporaries, and a zero reset image.
+func (b *opProg) link() *netlist.Program {
+	p := &b.p
+	p.Flat, p.Vars, p.Comb = &b.flat, b.vars, 1
+	p.VarSlot, p.MemOf = make([]int, len(b.flat.Vars)), make([]int, len(b.flat.Vars))
+	for i, v := range b.flat.Vars {
+		p.VarSlot[i], p.MemOf[i] = -1, -1
+		if v.IsArray() {
+			p.MemOf[i] = len(p.Mems)
+			p.Mems = append(p.Mems, netlist.MemInfo{Var: v, Words: v.ArrayLen, Width: v.Width, Wide: v.Width > 64})
+		} else {
+			p.VarSlot[i] = len(p.Slots)
+			p.Slots = append(p.Slots, netlist.SlotInfo{Width: v.Width, Wide: v.Width > 64, Var: v})
+		}
+	}
+	p.Spans = []netlist.Span{{Temps: int32(len(p.Slots)), UnitCode: &b.code}}
+	for _, w := range b.code.TempWidths {
+		p.Slots = append(p.Slots, netlist.SlotInfo{Width: int(w), Wide: w > 64})
+	}
+	p.Reset = make([]uint64, b.flat.Layout().Len())
+	return p
+}
+
+// slot returns the program slot of reference s.
+func (b *opProg) slot(s int32) int { return int(b.p.Slot(&b.p.Spans[0], s)) }
 
 // opGen draws operands.
 type opGen struct{ r *rand.Rand }
@@ -181,9 +235,25 @@ var opForms = map[netlist.OpKind]func(g opGen, k netlist.OpKind) *opProg{
 	netlist.OpSlice: func(g opGen, k netlist.OpKind) *opProg {
 		b := newOpProg()
 		v := g.val(g.width())
-		lo := g.r.Intn(v.Width() + 2) // at and past the top bit: reads zeros
-		w := 1 + g.r.Intn(v.Width())
-		b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(w)), Width: int32(w), Hi: int32(lo + w - 1), Lo: int32(lo)}, b.src(v))
+		slice := func() int32 {
+			lo := g.r.Intn(v.Width() + 2) // at and past the top bit: reads zeros
+			w := 1 + g.r.Intn(v.Width())
+			d := b.temp(w)
+			b.emit(netlist.Op{Kind: k, Dst: d, Width: int32(w), Hi: int32(lo + w - 1), Lo: int32(lo)}, b.src(v))
+			return d
+		}
+		hi := slice()
+		if g.r.Intn(3) == 0 {
+			// Two slices into temporaries the concat reading them is the
+			// one reader of: the rotate the compiler fuses into one step,
+			// leaving the temporaries unwritten, so it watches the result.
+			b.note = "into a concat"
+			lo := slice()
+			w := b.width(hi) + b.width(lo)
+			d := b.temp(w)
+			b.emit(netlist.Op{Kind: netlist.OpConcat, Dst: d, Width: int32(w)}, hi, lo)
+			b.watch = []int32{d}
+		}
 		b.halt()
 		return b
 	},
@@ -191,20 +261,20 @@ var opForms = map[netlist.OpKind]func(g opGen, k netlist.OpKind) *opProg{
 		b := newOpProg()
 		v := g.val(g.width())
 		idx := g.index(g.width(), v.Width())
-		b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(1)), Width: 1}, b.src(v), b.src(idx))
+		b.emit(netlist.Op{Kind: k, Dst: b.temp(1), Width: 1}, b.src(v), b.src(idx))
 		b.halt()
 		return b
 	},
 	netlist.OpConcat: func(g opGen, k netlist.OpKind) *opProg {
 		b := newOpProg()
-		var srcs []int
+		var srcs []int32
 		total := 0
 		for i, n := 0, 1+g.r.Intn(4); i < n; i++ {
 			v := g.val(g.width())
 			srcs = append(srcs, b.src(v))
 			total += v.Width()
 		}
-		b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(total)), Width: int32(total)}, srcs...)
+		b.emit(netlist.Op{Kind: k, Dst: b.temp(total), Width: int32(total)}, srcs...)
 		b.halt()
 		return b
 	},
@@ -212,21 +282,21 @@ var opForms = map[netlist.OpKind]func(g opGen, k netlist.OpKind) *opProg{
 		b := newOpProg()
 		v := g.val(g.width())
 		n := 1 + g.r.Intn(4)
-		b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(v.Width() * n)), Width: int32(v.Width() * n), N: int32(n)}, b.src(v))
+		b.emit(netlist.Op{Kind: k, Dst: b.temp(v.Width() * n), Width: int32(v.Width() * n), N: int32(n)}, b.src(v))
 		b.halt()
 		return b
 	},
 	netlist.OpMux: func(g opGen, k netlist.OpKind) *opProg {
 		b := newOpProg()
 		w := g.width()
-		srcs := []int{b.src(g.val(g.width())), b.src(g.val(g.widthUpTo(w))), b.src(g.val(g.widthUpTo(w)))}
-		b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(w)), Width: int32(w)}, srcs...)
+		srcs := []int32{b.src(g.val(g.width())), b.src(g.val(g.widthUpTo(w))), b.src(g.val(g.widthUpTo(w)))}
+		b.emit(netlist.Op{Kind: k, Dst: b.temp(w), Width: int32(w)}, srcs...)
 		b.halt()
 		return b
 	},
 	netlist.OpTime: func(g opGen, k netlist.OpKind) *opProg {
 		b := newOpProg()
-		b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(64)), Width: 64})
+		b.emit(netlist.Op{Kind: k, Dst: b.temp(64), Width: 64})
 		b.halt()
 		return b
 	},
@@ -234,15 +304,15 @@ var opForms = map[netlist.OpKind]func(g opGen, k netlist.OpKind) *opProg{
 		b := newOpProg()
 		w, words := g.width(), 1+g.r.Intn(5)
 		addr := g.index(g.width(), words)
-		b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(w)), Aux: int32(b.mem(words, w)), Width: int32(w)}, b.src(addr))
+		b.emit(netlist.Op{Kind: k, Dst: b.temp(w), Aux: b.mem(words, w), Width: int32(w)}, b.src(addr))
 		b.halt()
 		return b
 	},
 	netlist.OpJump: func(g opGen, k netlist.OpKind) *opProg {
 		b := newOpProg()
 		b.branch(b.src(g.val(g.width())))
-		b.p.Code[0].Kind = k // the Jz becomes unconditional
-		b.p.Code[0].NSrcs = 0
+		b.code.Ops[0].Kind = k // the Jz becomes unconditional
+		b.code.Ops[0].NSrcs = 0
 		return b
 	},
 	netlist.OpJz: func(g opGen, k netlist.OpKind) *opProg {
@@ -260,7 +330,7 @@ var opForms = map[netlist.OpKind]func(g opGen, k netlist.OpKind) *opProg{
 	netlist.OpDisplay: func(g opGen, k netlist.OpKind) *opProg {
 		b := newOpProg()
 		task := &elab.SysTask{Kind: elab.TaskDisplay}
-		srcs := []int{b.src(g.val(g.width())), b.src(g.val(g.width()))}
+		srcs := []int32{b.src(g.val(g.width())), b.src(g.val(g.width()))}
 		if g.r.Intn(2) == 0 {
 			task.Format = "a=%d b=%h"
 		}
@@ -288,7 +358,7 @@ func unaryForm(g opGen, k netlist.OpKind) *opProg {
 	b := newOpProg()
 	w := g.width()
 	a := g.val(g.width())
-	b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(w)), Width: int32(w)}, b.src(a))
+	b.emit(netlist.Op{Kind: k, Dst: b.temp(w), Width: int32(w)}, b.src(a))
 	b.halt()
 	return b
 }
@@ -299,7 +369,7 @@ func binaryForm(g opGen, k netlist.OpKind) *opProg {
 	b := newOpProg()
 	w := g.width()
 	x, y := g.val(g.widthUpTo(w)), g.val(g.widthUpTo(w))
-	b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(w)), Width: int32(w)}, b.src(x), b.src(y))
+	b.emit(netlist.Op{Kind: k, Dst: b.temp(w), Width: int32(w)}, b.src(x), b.src(y))
 	b.halt()
 	return b
 }
@@ -310,19 +380,21 @@ func shiftForm(g opGen, k netlist.OpKind) *opProg {
 	b := newOpProg()
 	w := g.width()
 	x, y := g.val(g.widthUpTo(w)), g.index(g.width(), w)
-	b.emit(netlist.Op{Kind: k, Dst: int32(b.temp(w)), Width: int32(w)}, b.src(x), b.src(y))
+	b.emit(netlist.Op{Kind: k, Dst: b.temp(w), Width: int32(w)}, b.src(x), b.src(y))
 	b.halt()
 	return b
 }
 
 // testForm covers the one-bit results (comparisons, logical operators,
-// reductions) over operands of any two widths, in three shapes: the
-// value alone, the value feeding the branch that follows it, and the
-// value inverted into that branch — the shapes the compiler fuses.
+// reductions) over operands of any two widths, in four shapes: the value
+// alone, the value feeding the branch that follows it, the value
+// inverted into that branch — the shapes the compiler fuses — and the
+// value reduced into that branch, which no fusion takes: its block runs
+// both instructions' closures before the branch.
 func testForm(g opGen, k netlist.OpKind) *opProg {
 	b := newOpProg()
 	x := g.val(g.width())
-	srcs := []int{b.src(x)}
+	srcs := []int32{b.src(x)}
 	if k >= netlist.OpEq && k <= netlist.OpLogOr {
 		y := g.val(g.width())
 		if g.r.Intn(3) == 0 {
@@ -331,8 +403,8 @@ func testForm(g opGen, k netlist.OpKind) *opProg {
 		srcs = append(srcs, b.src(y))
 	}
 	t := b.temp(1)
-	b.emit(netlist.Op{Kind: k, Dst: int32(t), Width: 1}, srcs...)
-	switch g.r.Intn(3) {
+	b.emit(netlist.Op{Kind: k, Dst: t, Width: 1}, srcs...)
+	switch g.r.Intn(4) {
 	case 0:
 		b.halt()
 	case 1:
@@ -341,8 +413,13 @@ func testForm(g opGen, k netlist.OpKind) *opProg {
 	case 2:
 		b.note = "inverted into a branch"
 		inv := b.temp(1)
-		b.emit(netlist.Op{Kind: netlist.OpLogNot, Dst: int32(inv), Width: 1}, t)
+		b.emit(netlist.Op{Kind: netlist.OpLogNot, Dst: inv, Width: 1}, t)
 		b.branch(inv)
+	case 3:
+		b.note = "reduced into a branch"
+		red := b.temp(1)
+		b.emit(netlist.Op{Kind: netlist.OpRedXor, Dst: red, Width: 1}, t)
+		b.branch(red)
 	}
 	return b
 }
@@ -356,8 +433,8 @@ func writeForm(g opGen, k netlist.OpKind) *opProg {
 	d := b.vslot(wd)
 	b.fill[d] = g.val(wd)
 	v := g.val(g.width())
-	op := netlist.Op{Kind: k, Dst: int32(d), Width: int32(wd)}
-	srcs := []int{b.src(v)}
+	op := netlist.Op{Kind: k, Dst: d, Width: int32(wd)}
+	srcs := []int32{b.src(v)}
 	switch k {
 	case netlist.OpWriteRng, netlist.OpWriteRngNB:
 		lo := g.r.Intn(wd)
@@ -376,7 +453,7 @@ func memWriteForm(g opGen, k netlist.OpKind) *opProg {
 	b := newOpProg()
 	w, words := g.width(), 1+g.r.Intn(5)
 	addr := g.index(g.width(), words)
-	b.emit(netlist.Op{Kind: k, Aux: int32(b.mem(words, w)), Width: int32(w)}, b.src(g.val(w)), b.src(addr))
+	b.emit(netlist.Op{Kind: k, Aux: b.mem(words, w), Width: int32(w)}, b.src(g.val(w)), b.src(addr))
 	b.halt()
 	return b
 }
@@ -394,8 +471,8 @@ type opSide struct {
 // a word-dependent pattern.
 func (s opSide) load(b *opProg) {
 	h := s.m.Hooks()
-	for slot, v := range b.fill {
-		if h.Wide[slot] != nil {
+	for ref, v := range b.fill {
+		if slot := b.slot(ref); h.Wide[slot] != nil {
 			h.Wide[slot].CopyFrom(v)
 		} else {
 			h.U64[slot] = v.Uint64()
@@ -431,7 +508,10 @@ func (s opSide) step() {
 func (s opSide) observe(b *opProg) string {
 	var sb strings.Builder
 	h := s.m.Hooks()
-	slots := b.watch
+	var slots []int
+	for _, ref := range b.watch {
+		slots = append(slots, b.slot(ref))
+	}
 	if slots == nil {
 		for i := range b.p.Slots {
 			slots = append(slots, i)
@@ -470,10 +550,11 @@ func TestOpSemanticsAgree(t *testing.T) {
 		g := opGen{rand.New(rand.NewSource(int64(k) + 1))}
 		for trial := 0; trial < 400; trial++ {
 			b := form(g, k)
-			rm := netlist.NewMachine(&b.p)
+			p := b.link()
+			rm := netlist.NewMachine(p)
 			rm.NowFn = opNow
 			ref := opSide{rm, rm.HasActive, rm.Evaluate, rm.HasUpdates, rm.Update}
-			cm := netlist.NewMachine(&b.p)
+			cm := netlist.NewMachine(p)
 			cm.NowFn = opNow
 			ev := Compile(cm)
 			comp := opSide{cm, ev.HasActive, ev.Evaluate, ev.HasUpdates, ev.Update}
@@ -483,7 +564,7 @@ func TestOpSemanticsAgree(t *testing.T) {
 			comp.step()
 			if want, got := ref.observe(b), comp.observe(b); want != got {
 				t.Errorf("op kind %d %s trial %d: %s\nprogram:   %+v\noperands:  %v\nreference: %s\ncompiled:  %s",
-					k, b.note, trial, describeSlots(b), b.p.Code, b.fill, want, got)
+					k, b.note, trial, describeSlots(b), b.code.Ops, b.fill, want, got)
 				break
 			}
 		}

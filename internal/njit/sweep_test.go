@@ -66,8 +66,8 @@ func TestNativeSweepOrderGolden(t *testing.T) {
 		{"levelized", func() *netlist.Program { return prog }},
 		{"reversed", func() *netlist.Program {
 			p := *prog
-			p.Comb = slices.Clone(prog.Comb)
-			slices.Reverse(p.Comb)
+			p.Spans = slices.Clone(prog.Spans)
+			slices.Reverse(p.Spans[:p.Comb])
 			return &p
 		}},
 	} {

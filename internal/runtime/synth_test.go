@@ -38,7 +38,6 @@ func linkedEqualsScratch(t *testing.T, what string, base *netlist.Program, f *el
 		{"Mems", got.Mems, want.Mems},
 		{"Comb", got.Comb, want.Comb},
 		{"Seq", got.Seq, want.Seq},
-		{"Monitors", got.Monitors, want.Monitors},
 		{"Tasks", got.Tasks, want.Tasks},
 		{"Reset", got.Reset, want.Reset},
 		{"Stats", got.Stats, want.Stats},

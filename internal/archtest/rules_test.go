@@ -63,6 +63,13 @@ var rules = []rule{
 		why:   "engines over a netlist are built on the one core: outside internal/netlist only njit.NewCore makes a netlist.Machine",
 		match: func(c *cursor, n ast.Node) bool { return c.ref(n, "netlist.NewMachine") },
 		bad:   "internal/engine/hweng/seeded.go\npackage hweng\nimport x \"cascade/internal/netlist\"\nfunc seeded() { _ = x.NewMachine } // want seeded"},
+	{name: "netlist/reference-in-place", in: src("internal/netlist"),
+		why: "the reference machine computes into its destinations with bits' destination forms; a value-returning operator allocates a vector per instruction, and it is the production body of every op njit does not fuse",
+		match: func(c *cursor, n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			return ok && oneOf(sel(call.Fun), "Resize", "Slice", "And", "Xor", "RedAnd")
+		},
+		bad: "internal/netlist/seeded.go\npackage netlist\nfunc seeded(m *Machine, i int) {\n\t_ = m.slotVec(i).Resize(8) // want seeded\n}"},
 	{name: "netlist/programs-linked", in: src("..."), allow: []string{"internal/netlist/link.go"}, need: []string{"Program"}, once: "internal/netlist/link.go",
 		why: "a netlist.Program is what link makes of a design: spans in schedule order over unit-form records; a program composed elsewhere is a second form every reader must handle",
 		match: func(c *cursor, n ast.Node) bool {

@@ -10,14 +10,15 @@
 // A Vector's unused high bits are always kept zero (the normalization
 // invariant), so word-level comparisons and hashing are well defined.
 //
-// Every operator has two spellings and one body. The destination form,
-// z.SetAdd(x, y) in the style of math/big, writes into z's existing words
-// at z's width and reads its operands zero-extended or truncated to it: it
+// Every operator has one spelling, the destination form, z.SetAdd(x, y)
+// in the style of math/big: it writes into z's existing words at z's
+// width and reads its operands zero-extended or truncated to it; it
 // allocates nothing, needs no operand resized to a context width, and z
-// may alias an operand. The value-returning form, x.Add(y), is New at the
-// operator's natural width plus the destination form. elab.Eval uses the
-// first over scratch its caller owns; folding, the netlist reference
-// machine and the standard library use the second.
+// may alias an operand. elab.Eval computes with it over scratch its
+// caller owns, the netlist reference machine into its slots' vectors.
+// Five value-returning forms stay for elaboration's constant folding —
+// Resize, Slice, And, Xor and RedAnd — each New at its natural width plus
+// the destination form; the standard library never used any.
 package bits
 
 import (
@@ -78,9 +79,6 @@ func (z *Vector) setBig(v *big.Int) *Vector {
 	}
 	return z.normalize()
 }
-
-// FromBool returns a 1-bit vector holding 1 if v is true.
-func FromBool(v bool) *Vector { return New(1).SetBool(v) }
 
 // Width reports the vector's width in bits.
 func (b *Vector) Width() int { return b.width }
@@ -466,63 +464,14 @@ func (b *Vector) SetSlice(hi, lo int, v *Vector) bool {
 	return changed
 }
 
-// Add returns a+o at the max operand width (carry out is truncated).
-func (b *Vector) Add(o *Vector) *Vector { return New(max(b.width, o.width)).SetAdd(b, o) }
-
-// Sub returns a-o (two's complement) at the max operand width.
-func (b *Vector) Sub(o *Vector) *Vector { return New(max(b.width, o.width)).SetSub(b, o) }
-
-// Neg returns the two's complement negation of b at b's width.
-func (b *Vector) Neg() *Vector { return New(b.width).SetNeg(b) }
-
-// Mul returns a*o truncated to the max operand width.
-func (b *Vector) Mul(o *Vector) *Vector { return New(max(b.width, o.width)).SetMul(b, o) }
-
-// Div returns a/o (unsigned) at the max operand width, zero when o is zero.
-func (b *Vector) Div(o *Vector) *Vector { return New(max(b.width, o.width)).SetDiv(b, o) }
-
-// Mod returns a%o (unsigned) at the max operand width, zero when o is zero.
-func (b *Vector) Mod(o *Vector) *Vector { return New(max(b.width, o.width)).SetMod(b, o) }
-
-// Pow returns a**o truncated to a's width.
-func (b *Vector) Pow(o *Vector) *Vector { return New(b.width).SetPow(b, o) }
-
 // And returns the bitwise AND at the max operand width.
 func (b *Vector) And(o *Vector) *Vector { return New(max(b.width, o.width)).SetAnd(b, o) }
-
-// Or returns the bitwise OR at the max operand width.
-func (b *Vector) Or(o *Vector) *Vector { return New(max(b.width, o.width)).SetOr(b, o) }
 
 // Xor returns the bitwise XOR at the max operand width.
 func (b *Vector) Xor(o *Vector) *Vector { return New(max(b.width, o.width)).SetXor(b, o) }
 
-// Xnor returns the bitwise XNOR at the max operand width.
-func (b *Vector) Xnor(o *Vector) *Vector { return New(max(b.width, o.width)).SetXnor(b, o) }
-
-// Not returns the bitwise complement of b at b's width.
-func (b *Vector) Not() *Vector { return New(b.width).SetNot(b) }
-
 // RedAnd returns the 1-bit AND reduction of b.
 func (b *Vector) RedAnd() *Vector { return New(1).SetRedAnd(b) }
-
-// RedOr returns the 1-bit OR reduction of b.
-func (b *Vector) RedOr() *Vector { return New(1).SetRedOr(b) }
-
-// RedXor returns the 1-bit XOR reduction (parity) of b.
-func (b *Vector) RedXor() *Vector { return New(1).SetRedXor(b) }
-
-// Shl returns b shifted left by the value of o (as an unsigned integer),
-// truncated to b's width. Shifts at or beyond the width yield zero.
-func (b *Vector) Shl(o *Vector) *Vector { return b.ShlUint(o.Index(b.width)) }
-
-// Shr returns b logically shifted right by the value of o, at b's width.
-func (b *Vector) Shr(o *Vector) *Vector { return b.ShrUint(o.Index(b.width)) }
-
-// ShlUint returns b shifted left by n bits, truncated to b's width.
-func (b *Vector) ShlUint(n int) *Vector { return New(b.width).SetShl(b, n) }
-
-// ShrUint returns b logically shifted right by n bits, at b's width.
-func (b *Vector) ShrUint(n int) *Vector { return New(b.width).SetShr(b, n) }
 
 // Slice returns bits [hi:lo] of b as a new vector of width hi-lo+1.
 // Out-of-range bits read as zero; an inverted range yields a 1-bit zero.
@@ -531,21 +480,6 @@ func (b *Vector) Slice(hi, lo int) *Vector {
 		return New(1)
 	}
 	return New(hi-lo+1).SetShr(b, lo)
-}
-
-// Concat returns {b, o}: b occupies the high bits, o the low bits.
-func (b *Vector) Concat(o *Vector) *Vector {
-	r := New(b.width + o.width).Set(o)
-	r.SetSlice(r.width-1, o.width, b)
-	return r
-}
-
-// Repl returns b replicated n times ({n{b}}). n below 1 yields a 1-bit zero.
-func (b *Vector) Repl(n int) *Vector {
-	if n < 1 {
-		return New(1)
-	}
-	return New(b.width * n).SetRepl(b)
 }
 
 // ByteLen returns the number of bytes needed to hold b's width.

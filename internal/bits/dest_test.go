@@ -242,7 +242,7 @@ func TestIndex(t *testing.T) {
 		{FromUint64(64, 1<<63), 1 << 20, -1},
 		{FromUint64(64, ^uint64(0)), 1 << 20, -1},
 		{FromUint64(80, 2), 4, 2},
-		{FromUint64(80, 2).ShlUint(64), 4, -1},
+		{New(80).SetShl(FromUint64(80, 2), 64), 4, -1},
 		{New(200), 1, 0},
 	} {
 		if got := c.v.Index(c.limit); got != c.want {
@@ -256,7 +256,7 @@ func TestIndex(t *testing.T) {
 func TestWrapSharesWords(t *testing.T) {
 	words := make([]uint64, 2)
 	z := Wrap(100, words)
-	x, y := FromUint64(100, 7), FromUint64(100, 5).ShlUint(64)
+	x, y := FromUint64(100, 7), New(100).SetShl(FromUint64(100, 5), 64)
 	if n := testing.AllocsPerRun(100, func() { z.SetAdd(x, y) }); n != 0 {
 		t.Fatalf("SetAdd into a wrapped vector allocates %.0f times", n)
 	}

@@ -64,7 +64,7 @@ module M(output wire [39:0] o);
   assign o = 32'd0 - 32'd1;
 endmodule`, nil)
 	v := Eval(f.Assigns[0].RHS, nil, constEnvForTest{})
-	want := bits.New(40).Not() // all-ones at 40 bits
+	want := bits.New(40).SetNot(bits.New(1)) // all-ones at 40 bits
 	if !v.Resize(40).Equal(want) {
 		t.Fatalf("borrow lost: got %v, want %v", v.Resize(40), want)
 	}
@@ -100,7 +100,7 @@ func TestFoldBitNotStaysUnfolded(t *testing.T) {
 	}
 	f := elaborate(t, `module M(output wire [39:0] o); assign o = ~32'd0; endmodule`, nil)
 	v := Eval(f.Assigns[0].RHS, nil, constEnvForTest{})
-	if !v.Resize(40).Equal(bits.New(40).Not()) {
+	if !v.Resize(40).Equal(bits.New(40).SetNot(bits.New(1))) {
 		t.Fatalf("~0 at widened width wrong: %v", v)
 	}
 }

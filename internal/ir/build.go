@@ -327,9 +327,6 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 		return i, nil
 	}
 	addPromo := func(pos verilog.Pos, pr promo) error {
-		if i, dup := promos[pr.name]; dup && plan[i].dir != pr.dir {
-			return errf(pos, "%s is driven from both sides of the module boundary", pr.name)
-		}
 		i, err := planned(pos, pr.name, pr.cut)
 		switch {
 		case err != nil:
@@ -337,6 +334,8 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 		case i < 0:
 			promos[pr.name] = len(plan)
 			plan = append(plan, pr)
+		case plan[i].dir != pr.dir:
+			return errf(pos, "%s is driven from both sides of the module boundary", pr.name)
 		case pr.kind == verilog.Reg:
 			plan[i].kind = verilog.Reg
 		}

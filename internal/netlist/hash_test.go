@@ -522,6 +522,30 @@ const (
 	elaborateFromAllocs = 57      // 52 measured
 )
 
+// TestNewMachineAllocBudget: loading a program allocates its state and
+// one table besides — every native and fabric landing loads one while the
+// program keeps running. It was 68 400 B in 157 allocations at this size
+// when each slot kept its own list of edge watchers and a second array of
+// vectors; the budgets are what it takes now plus a tenth.
+func TestNewMachineAllocBudget(t *testing.T) {
+	base, f := lastEdit(t)
+	p, err := CompileFrom(base, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes, allocs := allocsPerCall(func() { NewMachine(p) })
+	t.Logf("NewMachine: %d slots, %d sequential processes: %d B and %d allocs per call", len(p.Slots), len(p.Seq), bytes, allocs)
+	if bytes > newMachineBytes || allocs > newMachineAllocs {
+		t.Fatalf("NewMachine allocates %d B in %d allocs per call, budget %d B in %d", bytes, allocs, newMachineBytes, newMachineAllocs)
+	}
+}
+
+// NewMachine's budget at the last of 150 edits.
+const (
+	newMachineBytes  = 32_100 // 29 152 B measured
+	newMachineAllocs = 7      // 6 measured
+)
+
 // allocsPerCall is the bytes and allocations fn makes per call.
 func allocsPerCall(fn func()) (bytes, allocs uint64) {
 	const runs = 20

@@ -1,6 +1,8 @@
 package netlist
 
 import (
+	"slices"
+
 	bv "cascade/internal/bits"
 	"cascade/internal/elab"
 	"cascade/internal/sim"
@@ -25,24 +27,34 @@ type DisplayEvent struct {
 type Machine struct {
 	prog *Program
 
-	u64   []uint64     // narrow slot values
-	wide  []*bv.Vector // wide slot values (nil for narrow slots)
+	u64 []uint64 // narrow slot values
+	// vec holds a vector per slot, made when first needed (slotVec): a
+	// wide slot's value, and a narrow slot's scratch, which holds the
+	// lane's value while an instruction reads or computes it.
+	vec   []*bv.Vector
 	mem64 [][]uint64
 	memW  [][]*bv.Vector
 
 	combDirty  bool
 	seqTrig    []bool
 	seqPending bool
-	edgeList   [][]edgeHook // slot -> interested seq procs
+	// The edge-watcher table: the sequential processes watching slot i
+	// for an edge are edges[edgeAt[i]:edgeAt[i+1]], each entry a process
+	// index<<1, | 1 for a posedge. A compiled backend reads it (Hooks).
+	edgeAt []uint32
+	edges  []int32
 
+	// pending is the non-blocking write queue; Update empties it but
+	// keeps its entries, and their vectors, for the next batch.
 	pending  []mPending
 	events   []DisplayEvent
 	monLast  []string
 	finished bool
 
-	// scratch holds one lazily-allocated vector per narrow slot so
-	// slotVec can materialize transient reads without allocating.
-	scratch []*bv.Vector
+	// spare holds a result whose instruction cannot compute into its
+	// destination (out); args lends a display its operands.
+	spare *bv.Vector
+	args  []*bv.Vector
 	// srcs and in are the unit exec runs and its instruction, bound.
 	srcs []int32
 	in   Instr
@@ -62,42 +74,33 @@ type Machine struct {
 	Ops    uint64
 }
 
-type edgeHook struct {
-	proc int
-	kind elab.EdgeKind
-}
-
 type mPending struct {
 	slot   int // -1 for memory writes
 	mem    int
 	word   int
 	hasRng bool
 	hi, lo int
-	// The value: w when the reference path queued the write, else the
-	// word u a compiled backend queued through the Pend* calls.
-	u uint64
-	w *bv.Vector
+	// The value: w when vec is set (the reference path queued the
+	// write), else the word u a compiled backend queued through the
+	// Pend* calls. w stays with the entry from batch to batch, for the
+	// next value queued there to reuse.
+	u   uint64
+	w   *bv.Vector
+	vec bool
 }
 
 // NewMachine loads a program into a fresh machine and sets its state to
 // the program's reset image (initial register contents from the bitstream).
 func NewMachine(p *Program) *Machine {
 	m := &Machine{
-		prog:     p,
-		u64:      make([]uint64, len(p.Slots)),
-		wide:     make([]*bv.Vector, len(p.Slots)),
-		seqTrig:  make([]bool, len(p.Seq)),
-		edgeList: make([][]edgeHook, len(p.Slots)),
-		monLast:  make([]string, len(p.Spans)-p.Comb-len(p.Seq)),
-		scratch:  make([]*bv.Vector, len(p.Slots)),
+		prog:    p,
+		u64:     make([]uint64, len(p.Slots)),
+		vec:     make([]*bv.Vector, len(p.Slots)),
+		seqTrig: make([]bool, len(p.Seq)),
+		monLast: make([]string, len(p.Spans)-p.Comb-len(p.Seq)),
+		mem64:   make([][]uint64, len(p.Mems)),
+		memW:    make([][]*bv.Vector, len(p.Mems)),
 	}
-	for i, s := range p.Slots {
-		if s.Wide {
-			m.wide[i] = bv.New(s.Width)
-		}
-	}
-	m.mem64 = make([][]uint64, len(p.Mems))
-	m.memW = make([][]*bv.Vector, len(p.Mems))
 	for i, mi := range p.Mems {
 		if mi.Wide {
 			ws := make([]*bv.Vector, mi.Words)
@@ -109,14 +112,40 @@ func NewMachine(p *Program) *Machine {
 			m.mem64[i] = make([]uint64, mi.Words)
 		}
 	}
-	for pi, sp := range p.Seq {
-		for _, e := range sp.Edges {
-			slot := p.VarSlot[sp.Frame[e.Var].Index]
-			m.edgeList[slot] = append(m.edgeList[slot], edgeHook{proc: pi, kind: e.Kind})
-		}
-	}
+	m.watch()
 	m.SetState(p.Reset)
 	return m
+}
+
+// watch builds the edge-watcher table in two passes over the sequential
+// processes' edges: the first counts each slot's watchers and sums the
+// counts into where each slot's row ends, the second places each watcher
+// at the end of its row, moving the end down to where the row starts.
+func (m *Machine) watch() {
+	p := m.prog
+	m.edgeAt = make([]uint32, len(p.Slots)+1)
+	for pass := range 2 {
+		for pi, sp := range p.Seq {
+			for _, e := range sp.Edges {
+				if e.Kind != elab.Pos && e.Kind != elab.Neg {
+					continue
+				}
+				slot := p.VarSlot[sp.Frame[e.Var].Index]
+				if pass == 0 {
+					m.edgeAt[slot]++
+				} else {
+					m.edgeAt[slot]--
+					m.edges[m.edgeAt[slot]] = int32(pi<<1) | int32(B2U(e.Kind == elab.Pos))
+				}
+			}
+		}
+		if pass == 0 {
+			for i := 1; i < len(m.edgeAt); i++ {
+				m.edgeAt[i] += m.edgeAt[i-1]
+			}
+			m.edges = make([]int32, m.edgeAt[len(p.Slots)])
+		}
+	}
 }
 
 // Prog returns the loaded program.
@@ -143,69 +172,57 @@ func Mask(w int) uint64 {
 	return (uint64(1) << w) - 1
 }
 
-// slotVec materializes a slot as a bit vector. The result is borrowed:
-// wide slots return the live backing vector, narrow slots return a
-// per-slot scratch vector that stays valid only until the next read of
-// the same slot. Callers that retain the value must Clone it (or use
-// slotVecOwned).
+// slotVec materializes a slot as a bit vector, borrowed: a wide slot's
+// live value, or a narrow slot's scratch, made the first time, loaded
+// from its lane, which stays valid only until the slot is next read or
+// written. Callers that retain the value must Clone it.
 func (m *Machine) slotVec(i int) *bv.Vector {
-	if m.wide[i] != nil {
-		return m.wide[i]
+	v := m.vec[i]
+	if v == nil {
+		v = bv.New(m.prog.Slots[i].Width)
+		m.vec[i] = v
 	}
-	s := m.scratch[i]
-	if s == nil {
-		s = bv.New(m.prog.Slots[i].Width)
-		m.scratch[i] = s
+	if !m.prog.Slots[i].Wide {
+		v.SetUint64(m.u64[i])
 	}
-	s.SetUint64(m.u64[i])
-	return s
+	return v
 }
 
-// slotVecOwned materializes a slot as a freshly-allocated vector the
-// caller may retain and mutate.
-func (m *Machine) slotVecOwned(i int) *bv.Vector {
-	if m.wide[i] != nil {
-		return m.wide[i].Clone()
-	}
-	return bv.FromUint64(m.prog.Slots[i].Width, m.u64[i])
-}
-
-// setSlotRaw stores a value without change detection (temporaries).
-func (m *Machine) setSlotRaw(i int, v *bv.Vector) {
-	if m.wide[i] != nil {
-		m.wide[i].CopyFrom(v)
+// writeVar stores v, truncated or zero-extended, into variable slot i
+// with change detection: a change marks combinational logic dirty and
+// fires the edge triggers of the slot's watchers.
+func (m *Machine) writeVar(i int, v *bv.Vector) {
+	if !m.prog.Slots[i].Wide {
+		m.writeWord(i, v.Uint64())
 		return
 	}
-	m.u64[i] = v.Uint64() & Mask(m.prog.Slots[i].Width)
+	z := m.slotVec(i)
+	if old := z.Bit(0); z.CopyFrom(v) {
+		m.onVarChange(i, old, z.Bit(0))
+	}
 }
 
-// writeVarSlot stores into a variable-backed slot with change detection,
-// marking combinational logic dirty and firing edge triggers. The value
-// is newW when that is non-nil, else the word newU; either is truncated
-// or zero-extended to the slot.
-func (m *Machine) writeVarSlot(i int, newU uint64, newW *bv.Vector) bool {
-	if m.wide[i] != nil {
-		if newW == nil {
-			newW = bv.FromUint64(64, newU)
-		}
-		oldLSB := m.wide[i].Bit(0)
-		if !m.wide[i].CopyFrom(newW) {
-			return false
-		}
-		m.onVarChange(i, oldLSB, m.wide[i].Bit(0))
-		return true
+// writeWord is writeVar for a narrow slot and a word value.
+func (m *Machine) writeWord(i int, u uint64) {
+	u &= Mask(m.prog.Slots[i].Width)
+	if old := m.u64[i]; old != u {
+		m.u64[i] = u
+		m.onVarChange(i, uint(old&1), uint(u&1))
 	}
-	if newW != nil {
-		newU = newW.Uint64()
+}
+
+// writeRng sets bits [hi:lo] of variable slot i to v, truncated or
+// zero-extended, in place, with writeVar's change detection.
+func (m *Machine) writeRng(i, hi, lo int, v *bv.Vector) {
+	z := m.slotVec(i)
+	old := z.Bit(0)
+	if !z.SetSlice(hi, lo, v) {
+		return
 	}
-	newU &= Mask(m.prog.Slots[i].Width)
-	old := m.u64[i]
-	if old == newU {
-		return false
+	if !m.prog.Slots[i].Wide {
+		m.u64[i] = z.Uint64()
 	}
-	m.u64[i] = newU
-	m.onVarChange(i, uint(old&1), uint(newU&1))
-	return true
+	m.onVarChange(i, old, z.Bit(0))
 }
 
 func (m *Machine) onVarChange(slot int, oldLSB, newLSB uint) {
@@ -213,10 +230,12 @@ func (m *Machine) onVarChange(slot int, oldLSB, newLSB uint) {
 	if m.ChangeHook != nil {
 		m.ChangeHook(slot)
 	}
-	for _, h := range m.edgeList[slot] {
-		if (h.kind == elab.Pos && oldLSB == 0 && newLSB == 1) ||
-			(h.kind == elab.Neg && oldLSB == 1 && newLSB == 0) {
-			m.seqTrig[h.proc] = true
+	if oldLSB == newLSB {
+		return
+	}
+	for _, w := range m.edges[m.edgeAt[slot]:m.edgeAt[slot+1]] {
+		if uint(w&1) == newLSB {
+			m.seqTrig[w>>1] = true
 			m.seqPending = true
 		}
 	}
@@ -224,7 +243,7 @@ func (m *Machine) onVarChange(slot int, oldLSB, newLSB uint) {
 
 // SetInput drives an input variable (engine ABI read).
 func (m *Machine) SetInput(v *elab.Var, val *bv.Vector) {
-	m.writeVarSlot(m.prog.VarSlot[v.Index], 0, val)
+	m.writeVar(m.prog.VarSlot[v.Index], val)
 }
 
 // PeekVar returns the current value of a scalar variable, borrowed
@@ -270,31 +289,42 @@ func (m *Machine) Evaluate() {
 
 // Update commits queued non-blocking writes (the update batch).
 func (m *Machine) Update() {
-	pend := m.pending
-	m.pending = nil
-	for _, p := range pend {
-		switch {
+	for i := range m.pending {
+		switch p := &m.pending[i]; {
 		case p.slot < 0:
 			m.commitMem(p)
-		case p.hasRng:
-			val := p.w
-			if val == nil {
-				val = bv.FromUint64(p.hi-p.lo+1, p.u)
-			}
-			cur := m.slotVecOwned(p.slot)
-			if cur.SetSlice(p.hi, p.lo, val) {
-				m.writeVarSlot(p.slot, 0, cur)
-			}
+		case p.hasRng && p.vec:
+			m.writeRng(p.slot, p.hi, p.lo, p.w)
+		case p.hasRng: // the word at the range's width, in the entry's vector
+			p.w = bv.Reuse(p.w, p.hi-p.lo+1)
+			p.w.SetUint64(p.u)
+			m.writeRng(p.slot, p.hi, p.lo, p.w)
+		case p.vec:
+			m.writeVar(p.slot, p.w)
 		default:
-			m.writeVarSlot(p.slot, p.u, p.w)
+			m.writeWord(p.slot, p.u)
 		}
 	}
+	m.pending = m.pending[:0]
+}
+
+// pend queues a non-blocking write for the next Update: its value the
+// word p.u, or a copy of v when v is non-nil, in an entry, and a vector,
+// an earlier batch left.
+func (m *Machine) pend(p mPending, v *bv.Vector) {
+	if n := len(m.pending); n < cap(m.pending) {
+		p.w = m.pending[:n+1][n].w
+	}
+	if p.vec = v != nil; p.vec {
+		p.w = bv.Reuse(p.w, v.Width()).Set(v)
+	}
+	m.pending = append(m.pending, p)
 }
 
 // commitMem stores a queued memory word. The value's form follows the
 // queuing path, not the memory: the reference path queues a vector even
 // for a memory of 64 bits or less (a wide address flags the op Wide).
-func (m *Machine) commitMem(p mPending) {
+func (m *Machine) commitMem(p *mPending) {
 	mi := m.prog.Mems[p.mem]
 	if p.word < 0 || p.word >= mi.Words {
 		return
@@ -302,7 +332,7 @@ func (m *Machine) commitMem(p mPending) {
 	switch {
 	case mi.Wide:
 		m.memW[p.mem][p.word].CopyFrom(p.w)
-	case p.w != nil:
+	case p.vec:
 		m.mem64[p.mem][p.word] = p.w.Uint64() & Mask(mi.Width)
 	default:
 		m.mem64[p.mem][p.word] = p.u & Mask(mi.Width)
@@ -344,8 +374,8 @@ func (m *Machine) GetState() []uint64 {
 	for _, v := range p.Flat.Vars {
 		w := l.Of(img, v.Index)
 		if !v.IsArray() {
-			if slot := p.VarSlot[v.Index]; m.wide[slot] != nil {
-				copy(w, m.wide[slot].Words())
+			if slot := p.VarSlot[v.Index]; p.Slots[slot].Wide {
+				copy(w, m.slotVec(slot).Words())
 			} else {
 				w[0] = m.u64[slot]
 			}
@@ -370,9 +400,9 @@ func (m *Machine) SetState(img []uint64) {
 	for _, v := range p.Flat.Vars {
 		w, n := l.Of(img, v.Index), bv.WordsFor(v.Width)
 		if !v.IsArray() {
-			if slot := p.VarSlot[v.Index]; m.wide[slot] != nil {
+			if slot := p.VarSlot[v.Index]; p.Slots[slot].Wide {
 				src := bv.Wrap(v.Width, w)
-				m.wide[slot].CopyFrom(&src)
+				m.slotVec(slot).CopyFrom(&src)
 			} else {
 				m.u64[slot] = w[0] & Mask(v.Width)
 			}
@@ -425,16 +455,19 @@ func (m *Machine) exec(e int) {
 // ExecOp executes one instruction, bound to the machine's program
 // (Program.Instr), and reports whether it was a taken jump; a taken
 // jump's Target is its unit's pc. It is the reference meaning of every
-// OpKind: bit-vector
-// arithmetic over narrow and wide operands alike, display/finish side
-// effects, non-blocking write capture. The machine's own loop steps
-// nothing else, and a compiled backend uses it as the body of any op it
-// does not fuse. It does not advance the Ops counter; backends account
-// for their own work.
+// OpKind: bit-vector arithmetic over narrow and wide operands alike,
+// computed in place, display/finish side effects, non-blocking write
+// capture. The machine's own loop steps nothing else, and a compiled
+// backend uses it as the body of any op it does not fuse. It does not
+// advance the Ops counter; backends account for their own work.
 func (m *Machine) ExecOp(op *Instr) bool {
+	if op.Kind <= OpMemRead {
+		m.compute(op)
+		return false
+	}
 	srcs := op.Srcs
 	get := func(i int) *bv.Vector { return m.slotVec(int(srcs[i])) }
-	dst, width := int(op.Dst), int(op.Width)
+	dst := int(op.Dst)
 	switch op.Kind {
 	case OpHalt:
 		return false
@@ -442,118 +475,13 @@ func (m *Machine) ExecOp(op *Instr) bool {
 		return true
 	case OpJz:
 		return get(0).IsZero()
-	case OpConst:
-		m.setSlotRaw(dst, op.Value)
-	case OpMove:
-		m.setSlotRaw(dst, get(0).Resize(width))
-	case OpAdd:
-		m.setSlotRaw(dst, get(0).Resize(width).Add(get(1).Resize(width)))
-	case OpSub:
-		m.setSlotRaw(dst, get(0).Resize(width).Sub(get(1).Resize(width)))
-	case OpMul:
-		m.setSlotRaw(dst, get(0).Resize(width).Mul(get(1).Resize(width)))
-	case OpDiv:
-		m.setSlotRaw(dst, get(0).Resize(width).Div(get(1).Resize(width)))
-	case OpMod:
-		m.setSlotRaw(dst, get(0).Resize(width).Mod(get(1).Resize(width)))
-	case OpPow:
-		m.setSlotRaw(dst, get(0).Resize(width).Pow(get(1)))
-	case OpAnd:
-		m.setSlotRaw(dst, get(0).Resize(width).And(get(1).Resize(width)))
-	case OpOr:
-		m.setSlotRaw(dst, get(0).Resize(width).Or(get(1).Resize(width)))
-	case OpXor:
-		m.setSlotRaw(dst, get(0).Resize(width).Xor(get(1).Resize(width)))
-	case OpXnor:
-		m.setSlotRaw(dst, get(0).Resize(width).Xnor(get(1).Resize(width)))
-	case OpNot:
-		m.setSlotRaw(dst, get(0).Resize(width).Not())
-	case OpNeg:
-		m.setSlotRaw(dst, get(0).Resize(width).Neg())
-	case OpLogNot:
-		m.setSlotRaw(dst, bv.FromBool(get(0).IsZero()))
-	case OpRedAnd:
-		m.setSlotRaw(dst, get(0).RedAnd())
-	case OpRedOr:
-		m.setSlotRaw(dst, get(0).RedOr())
-	case OpRedXor:
-		m.setSlotRaw(dst, get(0).RedXor())
-	case OpRedNand:
-		m.setSlotRaw(dst, bv.FromBool(!get(0).RedAnd().Bool()))
-	case OpRedNor:
-		m.setSlotRaw(dst, bv.FromBool(get(0).IsZero()))
-	case OpRedXnor:
-		m.setSlotRaw(dst, bv.FromBool(!get(0).RedXor().Bool()))
-	case OpEq:
-		m.setSlotRaw(dst, bv.FromBool(get(0).Equal(get(1))))
-	case OpNe:
-		m.setSlotRaw(dst, bv.FromBool(!get(0).Equal(get(1))))
-	case OpLt:
-		m.setSlotRaw(dst, bv.FromBool(get(0).Cmp(get(1)) < 0))
-	case OpLe:
-		m.setSlotRaw(dst, bv.FromBool(get(0).Cmp(get(1)) <= 0))
-	case OpGt:
-		m.setSlotRaw(dst, bv.FromBool(get(0).Cmp(get(1)) > 0))
-	case OpGe:
-		m.setSlotRaw(dst, bv.FromBool(get(0).Cmp(get(1)) >= 0))
-	case OpLogAnd:
-		m.setSlotRaw(dst, bv.FromBool(get(0).Bool() && get(1).Bool()))
-	case OpLogOr:
-		m.setSlotRaw(dst, bv.FromBool(get(0).Bool() || get(1).Bool()))
-	case OpShl:
-		m.setSlotRaw(dst, get(0).Resize(width).Shl(get(1)))
-	case OpShr:
-		m.setSlotRaw(dst, get(0).Resize(width).Shr(get(1)))
-	case OpSlice:
-		m.setSlotRaw(dst, get(0).Slice(int(op.Hi), int(op.Lo)))
-	case OpBitSel:
-		v := get(0)
-		i := get(1).Index(v.Width()) // -1 reads as 0, like any bit out of range
-		m.setSlotRaw(dst, bv.FromUint64(1, uint64(v.Bit(i))))
-	case OpConcat:
-		acc := get(0).Clone()
-		for i := 1; i < len(srcs); i++ {
-			acc = acc.Concat(get(i))
-		}
-		m.setSlotRaw(dst, acc)
-	case OpRepl:
-		m.setSlotRaw(dst, get(0).Repl(int(op.N)))
-	case OpMux:
-		if get(0).Bool() {
-			m.setSlotRaw(dst, get(1).Resize(width))
-		} else {
-			m.setSlotRaw(dst, get(2).Resize(width))
-		}
-	case OpTime:
-		if m.NowFn != nil {
-			m.setSlotRaw(dst, bv.FromUint64(64, m.NowFn()))
-		} else {
-			m.setSlotRaw(dst, bv.New(64))
-		}
-	case OpMemRead:
-		mi := m.prog.Mems[op.Aux]
-		addr := get(0).Index(mi.Words)
-		switch {
-		case addr < 0:
-			m.setSlotRaw(dst, bv.New(mi.Width))
-		case mi.Wide:
-			m.setSlotRaw(dst, m.memW[op.Aux][addr])
-		default:
-			m.setSlotRaw(dst, bv.FromUint64(mi.Width, m.mem64[op.Aux][addr]))
-		}
 	case OpWrite:
-		m.writeVarSlot(dst, 0, get(0))
+		m.writeVar(dst, get(0))
 	case OpWriteRng:
-		cur := m.slotVecOwned(dst)
-		if cur.SetSlice(int(op.Hi), int(op.Lo), get(0)) {
-			m.writeVarSlot(dst, 0, cur)
-		}
+		m.writeRng(dst, int(op.Hi), int(op.Lo), get(0))
 	case OpWriteBit:
 		if i := get(1).Index(m.prog.Slots[dst].Width); i >= 0 {
-			cur := m.slotVecOwned(dst)
-			if cur.SetSlice(i, i, get(0)) {
-				m.writeVarSlot(dst, 0, cur)
-			}
+			m.writeRng(dst, i, i, get(0))
 		}
 	case OpMemWrite:
 		mi := m.prog.Mems[op.Aux]
@@ -569,18 +497,18 @@ func (m *Machine) ExecOp(op *Instr) bool {
 			}
 		}
 	case OpWriteNB:
-		m.pending = append(m.pending, mPending{slot: dst, w: get(0).Clone()})
+		m.pend(mPending{slot: dst}, get(0))
 	case OpWriteRngNB:
-		m.pending = append(m.pending, mPending{slot: dst, hasRng: true, hi: int(op.Hi), lo: int(op.Lo), w: get(0).Clone()})
+		m.pend(mPending{slot: dst, hasRng: true, hi: int(op.Hi), lo: int(op.Lo)}, get(0))
 	case OpWriteBitNB:
 		if i := get(1).Index(m.prog.Slots[dst].Width); i >= 0 {
-			m.pending = append(m.pending, mPending{slot: dst, hasRng: true, hi: i, lo: i, w: get(0).Clone()})
+			m.pend(mPending{slot: dst, hasRng: true, hi: i, lo: i}, get(0))
 		}
 	case OpMemWriteNB:
 		// An out-of-range address still queues (word -1, dropped at
 		// commit), as PendMemWriteNB does: the update batch it causes is
 		// billed.
-		m.pending = append(m.pending, mPending{slot: -1, mem: int(op.Aux), word: get(1).Index(m.prog.Mems[op.Aux].Words), w: get(0).Clone()})
+		m.pend(mPending{slot: -1, mem: int(op.Aux), word: get(1).Index(m.prog.Mems[op.Aux].Words)}, get(0))
 	case OpDisplay:
 		m.display(op)
 	case OpFinish:
@@ -594,22 +522,153 @@ func (m *Machine) ExecOp(op *Instr) bool {
 	return false
 }
 
+// compute executes an instruction with a result, OpConst to OpMemRead:
+// it computes at the op's width into out's vector, reading each operand
+// zero-extended or truncated to that width (a shift amount, exponent or
+// index whole), and stores the result in the destination slot.
+func (m *Machine) compute(op *Instr) {
+	srcs := op.Srcs
+	get := func(i int) *bv.Vector { return m.slotVec(int(srcs[i])) }
+	d, width := int(op.Dst), int(op.Width)
+	z := m.out(op)
+	switch op.Kind {
+	case OpConst:
+		z.Set(op.Value)
+	case OpMove:
+		z.Set(get(0))
+	case OpAdd:
+		z.SetAdd(get(0), get(1))
+	case OpSub:
+		z.SetSub(get(0), get(1))
+	case OpMul:
+		z.SetMul(get(0), get(1))
+	case OpDiv:
+		z.SetDiv(get(0), get(1))
+	case OpMod:
+		z.SetMod(get(0), get(1))
+	case OpPow:
+		z.SetPow(get(0), get(1))
+	case OpAnd:
+		z.SetAnd(get(0), get(1))
+	case OpOr:
+		z.SetOr(get(0), get(1))
+	case OpXor:
+		z.SetXor(get(0), get(1))
+	case OpXnor:
+		z.SetXnor(get(0), get(1))
+	case OpNot:
+		z.SetNot(get(0))
+	case OpNeg:
+		z.SetNeg(get(0))
+	case OpLogNot, OpRedNor:
+		z.SetBool(get(0).IsZero())
+	case OpRedAnd:
+		z.SetRedAnd(get(0))
+	case OpRedOr:
+		z.SetRedOr(get(0))
+	case OpRedXor:
+		z.SetRedXor(get(0))
+	case OpRedNand:
+		z.SetBool(z.SetRedAnd(get(0)).IsZero())
+	case OpRedXnor:
+		z.SetBool(z.SetRedXor(get(0)).IsZero())
+	case OpEq:
+		z.SetBool(get(0).Equal(get(1)))
+	case OpNe:
+		z.SetBool(!get(0).Equal(get(1)))
+	case OpLt:
+		z.SetBool(get(0).Cmp(get(1)) < 0)
+	case OpLe:
+		z.SetBool(get(0).Cmp(get(1)) <= 0)
+	case OpGt:
+		z.SetBool(get(0).Cmp(get(1)) > 0)
+	case OpGe:
+		z.SetBool(get(0).Cmp(get(1)) >= 0)
+	case OpLogAnd:
+		z.SetBool(get(0).Bool() && get(1).Bool())
+	case OpLogOr:
+		z.SetBool(get(0).Bool() || get(1).Bool())
+	case OpShl:
+		z.SetShl(get(0), get(1).Index(width))
+	case OpShr: // the operand is truncated to the op's width before it shifts
+		n := get(1).Index(width)
+		z.Set(get(0)).SetShr(z, n)
+	case OpSlice:
+		z.SetShr(get(0), int(op.Lo))
+	case OpBitSel:
+		v := get(0)
+		i := get(1).Index(v.Width()) // -1 reads as 0, like any bit out of range
+		z.SetBool(v.Bit(i) == 1)
+	case OpConcat: // the last source lowest
+		z.SetUint64(0)
+		for i, lo := len(srcs)-1, 0; i >= 0; i-- {
+			v := get(i)
+			z.SetSlice(lo+v.Width()-1, lo, v)
+			lo += v.Width()
+		}
+	case OpRepl:
+		z.SetRepl(get(0))
+	case OpMux:
+		if get(0).Bool() {
+			z.Set(get(1))
+		} else {
+			z.Set(get(2))
+		}
+	case OpTime:
+		if z.SetUint64(0); m.NowFn != nil {
+			z.SetUint64(m.NowFn())
+		}
+	case OpMemRead:
+		mi := m.prog.Mems[op.Aux]
+		switch addr := get(0).Index(mi.Words); {
+		case addr < 0:
+			z.SetUint64(0)
+		case mi.Wide:
+			z.Set(m.memW[op.Aux][addr])
+		default:
+			z.SetUint64(m.mem64[op.Aux][addr])
+		}
+	}
+	if s := m.prog.Slots[d]; s.Wide {
+		m.slotVec(d).CopyFrom(z) // nothing to copy when z is the slot's own
+	} else {
+		m.u64[d] = z.Uint64() & Mask(s.Width)
+	}
+}
+
+// out returns the vector op computes its result into: its destination
+// slot's own (a wide slot's value, a narrow slot's scratch) when that
+// has the op's width, as a compiled instruction's always has, and when
+// the op is no concat reading its destination (a concat builds in
+// place from its low end up); else the machine's spare, which compute
+// then copies into the destination, truncated or zero-extended.
+func (m *Machine) out(op *Instr) *bv.Vector {
+	d := int(op.Dst)
+	if m.prog.Slots[d].Width == int(op.Width) && (op.Kind != OpConcat || !slices.Contains(op.Srcs, op.Dst)) {
+		return m.slotVec(d)
+	}
+	m.spare = bv.Reuse(m.spare, int(op.Width))
+	return m.spare
+}
+
+// display formats a display task's operands, lent (slotVec), into an
+// event.
 func (m *Machine) display(op *Instr) {
-	task, srcs := op.Task, op.Srcs
-	vals := make([]*bv.Vector, len(srcs))
-	for i, s := range srcs {
-		vals[i] = m.slotVecOwned(int(s))
+	task := op.Task
+	m.args = m.args[:0]
+	for _, s := range op.Srcs {
+		m.args = append(m.args, m.slotVec(int(s)))
 	}
 	var text string
 	if task.Src.Format == "" {
-		for i, v := range vals {
+		for i, v := range m.args {
 			if i > 0 {
 				text += " "
 			}
 			text += v.Dec()
 		}
 	} else {
-		text = sim.FormatDisplay(task.Src.Format, vals, m.prog.Flat.Name)
+		text = sim.FormatDisplay(task.Src.Format, m.args, m.prog.Flat.Name)
 	}
 	m.events = append(m.events, DisplayEvent{
 		Text:    text,

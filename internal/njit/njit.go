@@ -15,8 +15,9 @@
 // it.
 //
 // Every eval regenerates a program's native code, so Compile builds
-// straight into the compiled form: the edge-watcher and reader relations
-// are CSR tables filled in two passes over their values, one builder
+// straight into the compiled form: the reader relation is a CSR table
+// filled in two passes over its values (the edge watchers are the
+// machine's own table, netlist.Hooks), one builder
 // compiles every process with its slices reused, fused runs share one
 // operand array and the processes' blocks two exactly sized arrays. What
 // a compile allocates beyond what the engine keeps is a few arrays sized
@@ -27,7 +28,6 @@ import (
 	mbits "math/bits"
 	"slices"
 
-	"cascade/internal/elab"
 	"cascade/internal/netlist"
 )
 
@@ -76,11 +76,11 @@ type Eval struct {
 	combDirty  *bool
 	seqPending *bool
 
-	// edges lists the sequential processes watching each slot for an
-	// edge, in the order the machine triggers them, from the program's
-	// sensitivity lists: row 2*slot+1 holds the posedge watchers, row
-	// 2*slot the negedge ones.
-	edges rel[int32]
+	// The machine's edge-watcher table (netlist.Hooks): the processes
+	// watching slot i are edges[edgeAt[i]:edgeAt[i+1]], each a process
+	// index<<1, | 1 for a posedge.
+	edgeAt []uint32
+	edges  []int32
 
 	// Sensitivity as bit sets: dirty has a bit per comb unit left to
 	// run, in index order; row i of sens holds the dirty-set words and
@@ -231,6 +231,8 @@ func compile(m *netlist.Machine, n *shape) *Eval {
 		seqTrig:    h.SeqTrig,
 		combDirty:  h.CombDirty,
 		seqPending: h.SeqPending,
+		edgeAt:     h.EdgeAt,
+		edges:      h.Edges,
 		dirty:      make([]uint64, (p.Comb+63)/64),
 	}
 	c := &compiler{
@@ -334,16 +336,14 @@ func (c *compiler) dst(op *netlist.Op) int32 { return c.e.prog.Slot(c.sp, op.Dst
 // names.
 func (c *compiler) mem(op *netlist.Op) int32 { return c.e.prog.Mem(c.sp, op) }
 
-// relations builds the compiled form's two relations in two passes
-// over their values — the sequential processes watching each slot for
-// an edge (row 2*slot+1 posedge, 2*slot negedge, in trigger order), and
-// the dirty-set bits of the comb units whose reachable code reads each
-// slot and each memory — then numbers the fast buffer's slots and
-// resolves their sinks, in an array with room for nstores more.
+// relations builds the compiled form's relation in two passes over its
+// values — the dirty-set bits of the comb units whose reachable code
+// reads each slot and each memory — then numbers the fast buffer's slots
+// and resolves their sinks, in an array with room for nstores more.
 func (c *compiler) relations(nstores int) {
 	e, p := c.e, c.e.prog
 	rows := len(p.Slots) + len(p.Mems)
-	e.edges.off, e.sens.off = make([]uint32, 2*len(p.Slots)+1), make([]uint32, rows+1)
+	e.sens.off = make([]uint32, rows+1)
 	// A unit reads a slot or memory once however often its code does,
 	// and the units of one dirty-set word share an entry: last[x] is 1 +
 	// the word of row x's latest entry.
@@ -358,22 +358,12 @@ func (c *compiler) relations(nstores int) {
 		last[x] = bit.w + 1
 	}
 	for range 2 {
-		for pi, sp := range p.Seq {
-			for _, ed := range sp.Edges {
-				if row := 2 * p.VarSlot[sp.Frame[ed.Var].Index]; ed.Kind == elab.Pos {
-					e.edges.put(row+1, int32(pi))
-				} else if ed.Kind == elab.Neg {
-					e.edges.put(row, int32(pi))
-				}
-			}
-		}
 		for ui := range p.Comb {
 			bit = unitBits{int32(ui >> 6), 1 << (ui & 63)}
 			for _, x := range c.rows[c.rowAt[ui]:c.rowAt[ui+1]] {
 				read(int(x))
 			}
 		}
-		e.edges.pass()
 		e.sens.pass()
 		clear(last)
 	}
@@ -402,7 +392,7 @@ func (c *compiler) sink(i int) *sink {
 	} else if len(bs) > 1 {
 		s.w = int32(-1 - i)
 	}
-	s.edge = i < len(c.e.prog.Slots) && c.e.edges.off[2*i] != c.e.edges.off[2*i+2]
+	s.edge = i < len(c.e.prog.Slots) && c.e.edgeAt[i] != c.e.edgeAt[i+1]
 	c.e.sinks = append(c.e.sinks, s)
 	return &c.e.sinks[len(c.e.sinks)-1]
 }
@@ -441,9 +431,11 @@ func (e *Eval) store(s *sink, nv uint64) {
 	e.u64[s.row] = nv
 	e.touch(s.w, s.m)
 	if s.edge && (old^nv)&1 != 0 {
-		for _, p := range e.edges.row(2*int(s.row) + int(nv&1)) {
-			e.seqTrig[p] = true
-			*e.seqPending = true
+		for _, w := range e.edges[e.edgeAt[s.row]:e.edgeAt[s.row+1]] {
+			if uint64(w&1) == nv&1 {
+				e.seqTrig[w>>1] = true
+				*e.seqPending = true
+			}
 		}
 	}
 }

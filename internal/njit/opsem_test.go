@@ -32,12 +32,15 @@ var opWidths = []int{1, 2, 8, 63, 64, 65, 100}
 // minus its place in the span's variable list, over a program whose
 // variables' slots come first and its temporaries after them. The
 // builder hands out references in that form (temp, vslot, mem); link
-// lays the program out.
+// lays the program out, its reset image holding the operands.
 type opProg struct {
 	p    netlist.Program
 	code netlist.UnitCode
 	vars []int32 // the span's variable list (Program.Vars's encoding)
 	flat elab.Flat
+	// nvars is how many of flat's variables the program declares; link
+	// adds one past them for each temporary.
+	nvars int
 	// fill maps a reference to the value loaded before evaluation.
 	fill map[int32]*bits.Vector
 	// watch lists the references compared afterwards; nil compares every
@@ -131,31 +134,56 @@ func (b *opProg) branch(cond int32) {
 
 // link lays out the program the builder's unit is the one combinational
 // span of: each variable's slot or memory in list order, then the
-// temporaries, and a zero reset image.
+// temporaries. A variable of the Flat outside the span's list names each
+// temporary's slot, so that a state image holds every slot: the reset
+// image seeds the operands and fills every memory with a word-dependent
+// pattern, and observe reads the machine's image.
 func (b *opProg) link() *netlist.Program {
 	p := &b.p
 	p.Flat, p.Vars, p.Comb = &b.flat, b.vars, 1
+	b.nvars = len(b.flat.Vars)
+	for i, w := range b.code.TempWidths {
+		b.flat.Vars = append(b.flat.Vars, &elab.Var{Name: fmt.Sprintf("t%d", i), Index: b.nvars + i, Width: int(w)})
+	}
 	p.VarSlot, p.MemOf = make([]int, len(b.flat.Vars)), make([]int, len(b.flat.Vars))
 	for i, v := range b.flat.Vars {
 		p.VarSlot[i], p.MemOf[i] = -1, -1
 		if v.IsArray() {
 			p.MemOf[i] = len(p.Mems)
 			p.Mems = append(p.Mems, netlist.MemInfo{Var: v, Words: v.ArrayLen, Width: v.Width, Wide: v.Width > 64})
-		} else {
-			p.VarSlot[i] = len(p.Slots)
-			p.Slots = append(p.Slots, netlist.SlotInfo{Width: v.Width, Wide: v.Width > 64, Var: v})
+			continue
+		}
+		slot := netlist.SlotInfo{Width: v.Width, Wide: v.Width > 64}
+		if i < b.nvars {
+			slot.Var = v
+		}
+		p.VarSlot[i] = len(p.Slots)
+		p.Slots = append(p.Slots, slot)
+	}
+	p.Spans = []netlist.Span{{Temps: int32(len(p.Slots) - len(b.code.TempWidths)), UnitCode: &b.code}}
+	l := b.flat.Layout()
+	p.Reset = make([]uint64, l.Len())
+	for ref, v := range b.fill {
+		copy(l.Of(p.Reset, b.varOf(ref)), v.Words())
+	}
+	for _, info := range p.Mems {
+		words, n := l.Of(p.Reset, info.Var.Index), bits.WordsFor(info.Width)
+		for j := 0; j < info.Words; j++ {
+			pat := bits.New(info.Width)
+			pat.SetShr(ones(info.Width), j)
+			copy(words[j*n:], pat.Words())
 		}
 	}
-	p.Spans = []netlist.Span{{Temps: int32(len(p.Slots)), UnitCode: &b.code}}
-	for _, w := range b.code.TempWidths {
-		p.Slots = append(p.Slots, netlist.SlotInfo{Width: int(w), Wide: w > 64})
-	}
-	p.Reset = make([]uint64, b.flat.Layout().Len())
 	return p
 }
 
-// slot returns the program slot of reference s.
-func (b *opProg) slot(s int32) int { return int(b.p.Slot(&b.p.Spans[0], s)) }
+// varOf returns the Flat variable that names reference s's slot.
+func (b *opProg) varOf(s int32) int {
+	if s < 0 {
+		return int(b.vars[-1-s] >> 1)
+	}
+	return b.nvars + int(s)
+}
 
 // opGen draws operands.
 type opGen struct{ r *rand.Rand }
@@ -172,7 +200,7 @@ func (g opGen) widthUpTo(w int) int {
 	}
 }
 
-func ones(w int) *bits.Vector { return bits.New(w).Not() }
+func ones(w int) *bits.Vector { return bits.New(w).SetNot(bits.New(1)) }
 
 // val draws a value of width w: zero, one, all ones, the top bit alone,
 // or random bits.
@@ -185,7 +213,9 @@ func (g opGen) val(w int) *bits.Vector {
 	case 2:
 		return ones(w)
 	case 3:
-		return bits.FromUint64(w, 1).ShlUint(w - 1)
+		v := bits.New(w)
+		v.SetBit(w-1, 1)
+		return v
 	}
 	v := bits.New(w)
 	for i := 0; i < w; i++ {
@@ -467,29 +497,6 @@ type opSide struct {
 	update func()
 }
 
-// load installs the program's operand values and fills every memory with
-// a word-dependent pattern.
-func (s opSide) load(b *opProg) {
-	h := s.m.Hooks()
-	for ref, v := range b.fill {
-		if slot := b.slot(ref); h.Wide[slot] != nil {
-			h.Wide[slot].CopyFrom(v)
-		} else {
-			h.U64[slot] = v.Uint64()
-		}
-	}
-	for mi, info := range b.p.Mems {
-		for j := 0; j < info.Words; j++ {
-			pat := ones(info.Width).ShrUint(j)
-			if info.Wide {
-				h.MemW[mi][j].CopyFrom(pat)
-			} else {
-				h.Mem64[mi][j] = pat.Uint64()
-			}
-		}
-	}
-}
-
 // step runs one evaluation batch, commits what it queued and evaluates
 // again. Not a fixpoint: the unit is combinational, and the reference
 // re-runs it (and re-queues its non-blocking write) after every commit
@@ -504,34 +511,19 @@ func (s opSide) step() {
 	}
 }
 
-// observe renders everything the instruction could have touched.
+// observe renders everything the instruction could have touched, from
+// the machine's state image: the watched slots, or every slot and memory.
 func (s opSide) observe(b *opProg) string {
 	var sb strings.Builder
-	h := s.m.Hooks()
-	var slots []int
+	l, img := b.flat.Layout(), s.m.GetState()
+	show := func(i int) { fmt.Fprintf(&sb, "%s=%x ", l.Vars[i].Name, l.Of(img, i)) }
+	if b.watch == nil {
+		for i := range l.Vars {
+			show(i)
+		}
+	}
 	for _, ref := range b.watch {
-		slots = append(slots, b.slot(ref))
-	}
-	if slots == nil {
-		for i := range b.p.Slots {
-			slots = append(slots, i)
-		}
-	}
-	for _, i := range slots {
-		if h.Wide[i] != nil {
-			fmt.Fprintf(&sb, "s%d=%s ", i, h.Wide[i])
-		} else {
-			fmt.Fprintf(&sb, "s%d=%d'h%x ", i, b.p.Slots[i].Width, h.U64[i])
-		}
-	}
-	for mi, info := range b.p.Mems {
-		for j := 0; j < info.Words; j++ {
-			if info.Wide {
-				fmt.Fprintf(&sb, "m%d[%d]=%s ", mi, j, h.MemW[mi][j])
-			} else {
-				fmt.Fprintf(&sb, "m%d[%d]=%x ", mi, j, h.Mem64[mi][j])
-			}
-		}
+		show(b.varOf(ref))
 	}
 	for _, ev := range s.m.DrainEvents() {
 		fmt.Fprintf(&sb, "event{%q nl=%v finish=%v} ", ev.Text, ev.Newline, ev.Finish)
@@ -558,8 +550,6 @@ func TestOpSemanticsAgree(t *testing.T) {
 			cm.NowFn = opNow
 			ev := Compile(cm)
 			comp := opSide{cm, ev.HasActive, ev.Evaluate, ev.HasUpdates, ev.Update}
-			ref.load(b)
-			comp.load(b)
 			ref.step()
 			comp.step()
 			if want, got := ref.observe(b), comp.observe(b); want != got {

@@ -110,18 +110,49 @@ func linkedFromPrefix(t *testing.T, src string, in []byte) (*netlist.Program, *e
 
 // TestNativeTickAllocFree: once settled, a clock tick through the
 // compiled evaluator allocates nothing — no growing commit buffer, no
-// boxed marks — on the stream matcher (the miner's is TestPowTickCounters).
+// boxed marks, no wide value built per instruction — on the stream
+// matcher (the miner's is TestPowTickCounters) and on wideTickSrc, whose
+// every wide instruction runs on the reference path, Machine.ExecOp.
 func TestNativeTickAllocFree(t *testing.T) {
-	prog, f := compileProg(t, regexStreamSrc(t))
-	m := netlist.NewMachine(prog)
-	tick := nativeTicker(m, Compile(m), f.VarNamed("clk"))
-	for i := 0; i < 16; i++ {
-		tick()
-	}
-	if n := testing.AllocsPerRun(200, tick); n != 0 {
-		t.Errorf("regexstream: a settled native tick allocates %v times", n)
+	for _, c := range []struct{ name, src string }{
+		{"regexstream", regexStreamSrc(t)},
+		{"wide", wideTickSrc},
+	} {
+		prog, f := compileProg(t, c.src)
+		m := netlist.NewMachine(prog)
+		tick := nativeTicker(m, Compile(m), f.VarNamed("clk"))
+		for i := 0; i < 16; i++ {
+			tick()
+		}
+		if n := testing.AllocsPerRun(200, tick); n != 0 {
+			t.Errorf("%s: a settled native tick allocates %v times", c.name, n)
+		}
 	}
 }
+
+// wideTickSrc keeps 100- and 128-bit registers through wide instructions
+// that need no math/big (a multiply, divide, modulus or power would):
+// an add, a xor, a rotate, a wide compare, a shifted concat, a ranged
+// non-blocking write into a 70-bit register and a subtract.
+const wideTickSrc = `
+module M(input wire clk, input wire [7:0] a);
+  reg [99:0] x = 100'h1;
+  reg [127:0] y = 128'h3;
+  reg [99:0] r = 0;
+  reg [127:0] s = 0;
+  reg [127:0] d = 0;
+  reg [69:0] z = 0;
+  reg flag = 0;
+  always @(posedge clk) begin
+    x <= x + {92'd0, a};
+    y <= y ^ {x, 28'd5};
+    r <= {r[98:0], r[99]} ^ x;
+    flag <= y > {28'd0, x};
+    s <= {y[63:0], y[127:64]} >> a[2:0];
+    z[69:6] <= x[63:0];
+    d <= y - {28'd0, x};
+  end
+endmodule`
 
 // nativeTicker returns a clock tick of ev over m: clk up, settle, clk
 // down, settle.

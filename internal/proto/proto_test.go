@@ -18,7 +18,9 @@ func testState() []uint64 {
 
 // bigVec is a 97-bit value.
 func bigVec() *bits.Vector {
-	return bits.FromUint64(97, 1).ShlUint(96).Or(bits.FromUint64(97, 0xdeadbeef))
+	v := bits.FromUint64(97, 0xdeadbeef)
+	v.SetBit(96, 1)
+	return v
 }
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -214,7 +216,7 @@ func TestDecodeReusesRoundArrays(t *testing.T) {
 // another width when it has the room — and still decode to the values
 // sent.
 func TestDecodeReusesRoundVectors(t *testing.T) {
-	wide := bits.FromUint64(100, 7).ShlUint(90)
+	wide := bits.New(100).SetShl(bits.FromUint64(100, 7), 90)
 	req := EncodeRequest(nil, &Request{Kind: KindRound, Phase: RoundChained, Members: []uint32{1, 2},
 		Inputs: []RoundInput{{Engine: 1, Var: "clk", Val: bits.FromUint64(1, 1)}, {Engine: 2, Var: "d", Val: bits.FromUint64(8, 0xa5)},
 			{Engine: 2, Var: "w", Val: wide}}})

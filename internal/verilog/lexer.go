@@ -6,7 +6,7 @@ import (
 )
 
 // Lexer converts Verilog source text into a token stream, one token per
-// Next. It handles // line comments, /* */ block comments, sized number
+// scan. It handles // line comments, /* */ block comments, sized number
 // literals (the size, tick, base, and digits are assembled into a single
 // NUMBER token), string literals with the escapes $display supports, and
 // all operators in the supported subset. Every token's text other than an
@@ -17,12 +17,6 @@ type Lexer struct {
 	line      int
 	lineStart int // offset of the current line's first byte
 	errs      []error
-}
-
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer {
-	l := newLexer(src)
-	return &l
 }
 
 func newLexer(src string) Lexer { return Lexer{src: src, line: 1} }
@@ -125,15 +119,7 @@ func (l *Lexer) skipSpaceAndComments() {
 	l.off = off
 }
 
-// Next returns the next token in the stream. At end of input it returns
-// EOF forever.
-func (l *Lexer) Next() Token {
-	var t Token
-	l.scan(&t)
-	return t
-}
-
-// scan sets *t to the next token.
+// scan sets *t to the next token; at end of input, EOF forever.
 func (l *Lexer) scan(t *Token) {
 	for {
 		l.skipSpaceAndComments()
@@ -466,9 +452,9 @@ func (l *Lexer) lexOperator(t *Token) {
 }
 
 // LexAll tokenizes src completely, returning the tokens (ending with EOF)
-// and any lexical errors. The parser streams tokens from a Lexer instead;
-// LexAll serves callers that scan a whole input, such as the REPL's
-// completeness check.
+// and any lexical errors: the one exported way to lex. The parser scans
+// its own lexer token by token instead; LexAll serves callers that scan
+// a whole input, such as the REPL's completeness check.
 func LexAll(src string) ([]Token, []error) {
 	l := newLexer(src)
 	// Sized from the source, so the slice rarely grows: REPL input runs

@@ -284,28 +284,6 @@ func (p *Parser) fragment() (mods []*Module, items []Item) {
 	return mods, items
 }
 
-// ParseExpr parses a single expression (used by tests and the REPL's
-// immediate-expression mode).
-func ParseExpr(src string) (Expr, []error) {
-	var p Parser
-	p.init(src, -1)
-	return p.expr(), p.diagnostics()
-}
-
-// expr parses the whole input as one expression, or returns nil.
-func (p *Parser) expr() (e Expr) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.record(r)
-		}
-	}()
-	e = p.parseExpr()
-	if !p.at(EOF) {
-		p.errs = append(p.errs, fmt.Errorf("%s: trailing input after expression", p.tok.Pos))
-	}
-	return e
-}
-
 func (p *Parser) parseModuleRecover() *Module {
 	defer p.recoverItem()
 	if !p.at(KwModule) {

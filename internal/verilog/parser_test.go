@@ -1,9 +1,33 @@
 package verilog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// ParseExpr parses a single expression: how the parser, printer, golden
+// and fuzz tests drive the expression grammar alone. Production parses
+// expressions only inside items (ParseProgramFragment).
+func ParseExpr(src string) (Expr, []error) {
+	var p Parser
+	p.init(src, -1)
+	return p.expr(), p.diagnostics()
+}
+
+// expr parses the whole input as one expression, or returns nil.
+func (p *Parser) expr() (e Expr) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.record(r)
+		}
+	}()
+	e = p.parseExpr()
+	if !p.at(EOF) {
+		p.errs = append(p.errs, fmt.Errorf("%s: trailing input after expression", p.tok.Pos))
+	}
+	return e
+}
 
 // runningExample is the paper's Figure 1 program.
 const runningExample = `

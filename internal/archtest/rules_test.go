@@ -200,6 +200,10 @@ var rules = []rule{
 		why:   "a unit's frame must hold every variable it resolved, a name a fold dropped or a loop variable unrolled away included: that is what makes relocation's shape check sound with no opaque-unit rule",
 		match: func(c *cursor, n ast.Node) bool { return sel(n) == "VarNamed" },
 		bad:   "internal/elab/expr.go\npackage elab\nimport \"cascade/internal/verilog\"\nfunc (e *elaborator) index(id *verilog.Ident) {\n\tv := e.flat.VarNamed(id.Name) // want elaborator.index\n\t_ = v\n}"},
+	{name: "elab/vars-set-once", in: src("..."), allow: []string{"elaborator.declare"},
+		why:   "a Var is built whole by elaborator.declare and never written after: versions share their base's variables by pointer (elab.ElaborateFrom), so a write changes every version that holds the variable",
+		match: func(c *cursor, n ast.Node) bool { return c.varWrite(n) },
+		bad:   "internal/runtime/seeded.go\npackage runtime\nimport \"cascade/internal/elab\"\nfunc seeded(f *elab.Flat) {\n\tfor _, v := range f.Vars {\n\t\tv.IsInput = true // want seeded\n\t}\n}"},
 	{name: "frontend/env-by-extends", in: src("...").but("internal/elab/..."),
 		why: "a parameter environment stands for another by elab.Extends only",
 		match: func(c *cursor, n ast.Node) bool {
@@ -274,8 +278,9 @@ type file struct {
 	src      []byte
 	fset     *token.FileSet
 	ast      *ast.File
-	imports  map[string]string // local name -> import path
-	machines map[string]bool   // names bound to a *netlist.Machine, once asked
+	imports  map[string]string            // local name -> import path
+	machines map[string]bool              // names bound to a *netlist.Machine, once asked
+	vars     map[ast.Node]map[string]bool // by top-level declaration, its names bound to an elab.Var, once asked
 }
 
 func parse(t *testing.T, fset *token.FileSet, name string, src []byte) *file {
@@ -463,6 +468,82 @@ func (c *cursor) machine(e ast.Expr) bool {
 	}
 	p, ok := e.(*ast.ParenExpr)
 	return ok && c.ptr(p.X, "netlist.Machine") || c.machines[tail(e)]
+}
+
+// varWrite reports whether n assigns to a field of an elab.Var, or to a
+// whole one through a pointer: a target that selects one of Var's fields
+// from an element of a variable list (a Flat's Vars, Inputs or Outputs, a
+// unit's frame) or from a name the declaration binds to a Var — one
+// declared as a Var or *Var, or assigned or ranged over from something
+// that yields one.
+func (c *cursor) varWrite(n ast.Node) bool {
+	var lhs []ast.Expr
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		lhs = n.Lhs
+	case *ast.IncDecStmt:
+		lhs = []ast.Expr{n.X}
+	}
+	lists := []string{"Vars", "Inputs", "Outputs", "Frame", "frame", "fr", "bfr"}
+	typed := func(e ast.Expr) bool {
+		if s, ok := e.(*ast.StarExpr); ok {
+			e = s.X
+		}
+		return c.ref(e, "elab.Var") || strings.HasPrefix(c.name, "internal/elab/") && id(e) == "Var"
+	}
+	var yields func(e ast.Expr) bool
+	yields = func(e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.UnaryExpr:
+			return yields(e.X)
+		case *ast.CompositeLit:
+			return typed(e.Type)
+		case *ast.CallExpr:
+			return oneOf(tail(e.Fun), "VarNamed", "declare", "intern", "variable") || id(e.Fun) == "new" && typed(e.Args[0])
+		case *ast.IndexExpr:
+			return oneOf(tail(e.X), lists...)
+		}
+		return false
+	}
+	if c.vars == nil {
+		c.vars = map[ast.Node]map[string]bool{}
+	}
+	bound := c.vars[c.stack[0]]
+	if bound == nil {
+		bound = map[string]bool{}
+		c.vars[c.stack[0]] = bound
+		ast.Inspect(c.stack[0], func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Field:
+				for _, name := range n.Names {
+					bound[name.Name] = bound[name.Name] || typed(n.Type)
+				}
+			case *ast.ValueSpec:
+				for _, name := range n.Names {
+					bound[name.Name] = bound[name.Name] || n.Type != nil && typed(n.Type) || slices.ContainsFunc(n.Values, yields)
+				}
+			case *ast.AssignStmt:
+				if len(n.Rhs) == 1 && yields(n.Rhs[0]) {
+					bound[tail(n.Lhs[0])] = true
+				}
+			case *ast.RangeStmt:
+				if n.Value != nil && oneOf(tail(n.X), lists...) {
+					bound[tail(n.Value)] = true
+				}
+			}
+			return true
+		})
+	}
+	return slices.ContainsFunc(lhs, func(e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.StarExpr:
+			return bound[id(e.X)]
+		case *ast.SelectorExpr:
+			field := oneOf(e.Sel.Name, "Name", "Index", "Width", "ArrayLen", "ArrayLo", "Init", "IsReg", "IsInput", "IsOutput")
+			return field && (bound[id(e.X)] || yields(e.X))
+		}
+		return false
+	})
 }
 
 // observed reports whether n selects one of names from an observer: o,

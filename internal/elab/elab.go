@@ -34,6 +34,14 @@ func Elaborate(mod *verilog.Module, instName string, params map[string]*bits.Vec
 // one: this is the one decision of what an eval left unchanged, and
 // synthesis (netlist.CompileFrom) follows it. The result is the Flat
 // Elaborate returns, error or not, up to identities.
+//
+// What is unchanged is shared, not copied: the variables up to the first
+// that is not base's at the same position (the shared prefix: all of
+// base's, when an edit appends) are base's records, a relocated unit
+// whose frame names only those is base's record, frame and all, and the
+// name index is base's map plus the names after the prefix. What a later
+// version may share in turn gets an allocation of its own (alone), so
+// that it keeps nothing of the rest of this one alive.
 func ElaborateFrom(base *Flat, mod *verilog.Module, instName string, params map[string]*bits.Vector) (*Flat, error) {
 	consts := map[string]*bits.Vector{} // the parameters: the flat's record of them is the elaborator's scope
 	nvars, nassigns, nprocs := len(mod.Ports), 0, 0
@@ -54,29 +62,22 @@ func ElaborateFrom(base *Flat, mod *verilog.Module, instName string, params map[
 	}
 	e := &elaborator{
 		flat: &Flat{
-			Name:     instName,
-			ModName:  mod.Name,
-			Params:   consts,
-			Vars:     make([]*Var, 0, nvars),
-			VarIndex: make(map[string]int, nvars),
-			Assigns:  make([]*ContAssign, 0, nassigns),
-			Procs:    make([]*Proc, 0, nprocs),
-			Source:   mod,
+			Name:    instName,
+			ModName: mod.Name,
+			Params:  consts,
+			Vars:    make([]*Var, 0, nvars),
+			Assigns: make([]*ContAssign, 0, nassigns),
+			Procs:   make([]*Proc, 0, nprocs),
+			Source:  mod,
 		},
-		consts:   consts,
-		loopVars: map[string]*bits.Vector{},
-		frame:    make([]*Var, 0, 16),
-		module: &module{
-			vars:    make([]Var, nvars),
-			inFrame: make([]int32, nvars),
-			assigns: make([]ContAssign, nassigns),
-			procs:   make([]Proc, nprocs),
-			base:    base,
-		},
+		consts: consts,
+		frame:  make([]*Var, 0, 16),
+		module: &module{inFrame: make([]int32, nvars), base: base},
 	}
 	if err := e.run(mod, params); err != nil {
 		return nil, err
 	}
+	e.flat.names.flatten(e.flat.Vars)
 	e.flat.Layout()
 	return e.flat, nil
 }
@@ -84,7 +85,7 @@ func ElaborateFrom(base *Flat, mod *verilog.Module, instName string, params map[
 type elaborator struct {
 	flat     *Flat
 	consts   map[string]*bits.Vector // parameters and localparams
-	loopVars map[string]*bits.Vector // active for-loop bindings
+	loopVars map[string]*bits.Vector // active for-loop bindings (nil: none yet)
 	widths   map[*verilog.Range]int  // rangeWidth's results (one scope per elaboration)
 	frame    []*Var                  // the frame of the unit being elaborated (intern)
 	*module                          // nil in a constant scope (constScope), which names no variable
@@ -93,16 +94,14 @@ type elaborator struct {
 // module is what elaborating a module's items takes beyond a constant
 // scope.
 type module struct {
-	vars    []Var   // declare's supply, one per port and declared name
 	driven  []bool  // by Var.Index: has a continuous driver
 	inFrame []int32 // by Var.Index: 1 + its index in frame, 0 if absent
 
-	// The flat's units and their frames are cut from these slabs;
-	// frameSlab is the length of the last frames slab.
-	assigns   []ContAssign
-	procs     []Proc
-	frames    []*Var
-	frameSlab int
+	// What is not owned is cut from these slabs.
+	vars    []Var
+	assigns []ContAssign
+	procs   []Proc
+	frames  []*Var
 
 	base  *Flat       // what ElaborateFrom relocates from (nil: none)
 	reloc *relocation // set once the parameters are known to extend base's
@@ -138,7 +137,7 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 	}
 	if e.base != nil && Extends(e.base.Params, e.consts) {
 		e.reloc = newRelocation(e.base, e.flat)
-		e.frames = make([]*Var, e.reloc.frameLen)
+		e.flat.names.m = e.base.names.m
 	}
 
 	// Ports become variables first, in header order.
@@ -161,14 +160,9 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 				return err
 			}
 		}
-		v, err := e.declare(pt.Name, w, pt.Kind == verilog.Reg, 0, 0, init, pt.PortPos)
-		if err != nil {
+		in := pt.Dir == verilog.Input
+		if _, err := e.declare(Var{Name: pt.Name, Width: w, IsReg: pt.Kind == verilog.Reg, Init: init, IsInput: in, IsOutput: !in}, pt.PortPos); err != nil {
 			return err
-		}
-		if pt.Dir == verilog.Input {
-			v.IsInput = true
-		} else {
-			v.IsOutput = true
 		}
 	}
 
@@ -185,6 +179,13 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 	}
 	e.driven = make([]bool, len(e.flat.Vars))
 	e.clearFrame() // what a declaration's constant expressions named
+	e.flat.slab = min(alone, len(e.flat.Vars))
+	if r := e.reloc; r != nil {
+		e.flat.slab = min(r.shared+alone, len(e.flat.Vars))
+		if r.shared > r.base.slab {
+			e.flat.slab = r.base.slab // base's slab, shared whole
+		}
+	}
 
 	// Net declaration assignments collected by the first pass.
 	for _, ni := range e.netInitAssigns {
@@ -234,7 +235,6 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 			return e.errf(it.Pos(), "unsupported module item %T", it)
 		}
 	}
-	e.flat.refreshPortLists()
 	return nil
 }
 
@@ -307,11 +307,9 @@ func (e *elaborator) intern(name string) (*Var, int32) {
 	return v, int32(len(e.frame) - 1)
 }
 
-// frameDone ends the unit being elaborated and returns its frame, cut
-// from the flat's slab.
+// frameDone ends the unit being elaborated and returns its frame.
 func (e *elaborator) frameDone() []*Var {
-	fr := e.newFrame(len(e.frame))
-	copy(fr, e.frame)
+	fr := e.newFrame(e.frame)
 	e.clearFrame()
 	return fr
 }
@@ -324,28 +322,64 @@ func (e *elaborator) clearFrame() {
 	e.frame = e.frame[:0]
 }
 
-// newFrame cuts a frame of n variables from the flat's slab (nil: none).
-// A slab that runs out is replaced by one twice as long as the last, from
-// 8 entries up to 512: a subprogram of a few units wastes little, a large
-// elaboration takes few slabs.
-func (e *elaborator) newFrame(n int) []*Var {
-	if n == 0 {
-		return nil
+// alone is how many variables past the shared prefix get allocations of
+// their own, and so do the frames and unit records that name no later
+// one: what a later version's shared prefix may take, when its edit
+// inserts a few variables after this one's. The rest is cut from slabs,
+// which no later version shares but one that shares the whole of this
+// one (relocation.appends): a shared record never keeps a dead sibling
+// alive.
+const alone = 64
+
+// owned reports whether what names no variable from end on gets an
+// allocation of its own (alone).
+func (e *elaborator) owned(end int) bool {
+	if r := e.reloc; r != nil {
+		end -= r.shared
 	}
-	if len(e.frames) < n {
-		e.frameSlab = min(max(2*e.frameSlab, 8), 512)
-		e.frames = make([]*Var, max(n, e.frameSlab))
-	}
-	fr := e.frames[:n:n]
-	e.frames = e.frames[n:]
-	return fr
+	return end <= alone
 }
 
-// addAssign adds a to the flat, cut from the assigns' slab.
-func (e *elaborator) addAssign(a ContAssign) {
-	p := &alloc(&e.assigns, 1)[0]
-	*p = a
-	e.flat.Assigns = append(e.flat.Assigns, p)
+// end is 1 + the largest index of fr's variables (0: none).
+func end(fr []*Var) int {
+	n := 0
+	for _, v := range fr {
+		n = max(n, v.Index+1)
+	}
+	return n
+}
+
+// cut returns n zeroed elements for what names no variable from end on:
+// owned, or cut from *slab, which runs out into one of refill elements.
+func cut[T any](e *elaborator, slab *[]T, n, end, refill int) []T {
+	if e.owned(end) {
+		return make([]T, n)
+	}
+	if len(*slab) < n {
+		*slab = make([]T, max(n, refill))
+	}
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
+// newFrame copies fr into a frame of exactly its length (nil: empty).
+func (e *elaborator) newFrame(fr []*Var) []*Var {
+	if len(fr) == 0 {
+		return nil
+	}
+	out := cut(e, &e.frames, len(fr), end(fr), 256)
+	copy(out, fr)
+	return out
+}
+
+// record returns a record holding x, which names no variable from end
+// on, cut from *slab unless owned; a slab holds as many as are left to
+// add to list.
+func record[T, E any](e *elaborator, slab *[]T, x T, end int, list []E) *T {
+	p := &cut(e, slab, 1, end, cap(list)-len(list))[0]
+	*p = x
+	return p
 }
 
 // addInitial adds an initial block's elaboration to the flat.
@@ -357,67 +391,64 @@ func (e *elaborator) addInitial(body Stmt, src verilog.Item, unit uint64, fr []*
 	f.InitialFrames = append(f.InitialFrames, fr)
 }
 
-// alloc cuts n zeroed elements off *pool, refilling it a chunk at a time.
-// Every element cut from a pool belongs to the same Flat, so none
-// outlives its neighbours.
-func alloc[T any](pool *[]T, n int) []T {
-	if len(*pool) < n {
-		*pool = make([]T, max(n, 64))
+// declare adds the variable v describes, at the next position, to the
+// flat: base's record while every variable before it is base's and base's
+// at this position equals v (relocation.shares), else a record of its
+// own. The name index keeps base's map while the shared prefix lies below
+// where the map holds, and enters every other name in the tail; a shared
+// name is base's, so no earlier variable's.
+func (e *elaborator) declare(v Var, pos verilog.Pos) (*Var, error) {
+	f, r := e.flat, e.reloc
+	v.Index = len(f.Vars)
+	shared := r.shares(v)
+	if shared && v.Index < r.base.names.lim {
+		f.names.lim++
+	} else if i, ok := f.names.m[v.Name]; ok && i < f.names.lim || !f.names.add(v.Name, v.Index, f.Vars, cap(f.Vars)) {
+		return nil, e.errf(pos, "duplicate declaration of %s", v.Name)
 	}
-	out := (*pool)[:n:n]
-	*pool = (*pool)[n:]
-	return out
+	if _, dup := e.consts[v.Name]; dup {
+		return nil, e.errf(pos, "%s is already declared as a parameter", v.Name)
+	}
+	if v.Width < 1 {
+		return nil, e.errf(pos, "%s has non-positive width %d", v.Name, v.Width)
+	}
+	var p *Var
+	if shared {
+		p, r.shared = r.base.Vars[v.Index], r.shared+1
+	} else {
+		p = record(e, &e.vars, v, v.Index+1, f.Vars)
+	}
+	f.Vars = append(f.Vars, p)
+	if v.IsInput {
+		f.Inputs = append(f.Inputs, p)
+	}
+	if v.IsOutput {
+		f.Outputs = append(f.Outputs, p)
+	}
+	return p, nil
 }
 
-func (e *elaborator) declare(name string, width int, isReg bool, arrLen, arrLo int, init *bits.Vector, pos verilog.Pos) (*Var, error) {
-	// One hash: a refused declaration fails the whole elaboration, so the
-	// entry a duplicate overwrites is never read.
-	n := len(e.flat.VarIndex)
-	if e.flat.VarIndex[name] = len(e.flat.Vars); len(e.flat.VarIndex) == n {
-		return nil, e.errf(pos, "duplicate declaration of %s", name)
+// bounds evaluates a range's constant bounds.
+func (e *elaborator) bounds(hi, lo verilog.Expr) (int, int, error) {
+	h, err := e.constExpr(hi)
+	if err != nil {
+		return 0, 0, err
 	}
-	if _, dup := e.consts[name]; dup {
-		return nil, e.errf(pos, "%s is already declared as a parameter", name)
+	l, err := e.constExpr(lo)
+	if err != nil {
+		return 0, 0, err
 	}
-	if width < 1 {
-		return nil, e.errf(pos, "%s has non-positive width %d", name, width)
-	}
-	v := &alloc(&e.vars, 1)[0]
-	*v = Var{
-		Name: name, Index: len(e.flat.Vars), Width: width, IsReg: isReg,
-		ArrayLen: arrLen, ArrayLo: arrLo, Init: init,
-	}
-	e.flat.Vars = append(e.flat.Vars, v)
-	return v, nil
-}
-
-// refreshPortLists records input/output lists after all declarations exist.
-func (f *Flat) refreshPortLists() {
-	f.Inputs = f.Inputs[:0]
-	f.Outputs = f.Outputs[:0]
-	for _, v := range f.Vars {
-		if v.IsInput {
-			f.Inputs = append(f.Inputs, v)
-		}
-		if v.IsOutput {
-			f.Outputs = append(f.Outputs, v)
-		}
-	}
+	return int(h.Uint64()), int(l.Uint64()), nil
 }
 
 func (e *elaborator) rangeWidth(r *verilog.Range, pos verilog.Pos) (int, error) {
 	if w, ok := e.widths[r]; ok {
 		return w, nil
 	}
-	hi, err := e.constExpr(r.Hi)
+	h, l, err := e.bounds(r.Hi, r.Lo)
 	if err != nil {
 		return 0, err
 	}
-	lo, err := e.constExpr(r.Lo)
-	if err != nil {
-		return 0, err
-	}
-	h, l := int(hi.Uint64()), int(lo.Uint64())
 	if l != 0 {
 		return 0, e.errf(pos, "packed ranges must be [N:0], got [%d:%d]", h, l)
 	}
@@ -449,15 +480,10 @@ func (e *elaborator) netDecl(d *verilog.NetDecl) error {
 	for ord, dn := range d.Names {
 		arrLen, arrLo := 0, 0
 		if dn.Array != nil {
-			hi, err := e.constExpr(dn.Array.Hi)
+			h, l, err := e.bounds(dn.Array.Hi, dn.Array.Lo)
 			if err != nil {
 				return err
 			}
-			lo, err := e.constExpr(dn.Array.Lo)
-			if err != nil {
-				return err
-			}
-			h, l := int(hi.Uint64()), int(lo.Uint64())
 			if h < l {
 				h, l = l, h
 			}
@@ -478,7 +504,7 @@ func (e *elaborator) netDecl(d *verilog.NetDecl) error {
 				}
 			}
 		}
-		if _, err := e.declare(dn.Name, width, isReg, arrLen, arrLo, init, dn.NamePos); err != nil {
+		if _, err := e.declare(Var{Name: dn.Name, Width: width, IsReg: isReg, ArrayLen: arrLen, ArrayLo: arrLo, Init: init}, dn.NamePos); err != nil {
 			return err
 		}
 		if dn.Init != nil && !isReg {
@@ -514,7 +540,8 @@ func (e *elaborator) contAssign(a *verilog.ContAssign, src verilog.Item, ord int
 		return err
 	}
 	widenContext(rhs, total)
-	e.addAssign(ContAssign{LHS: lhs, RHS: rhs, Frame: e.frameDone(), Src: src, Ord: ord, Unit: newUnit()})
+	fr := e.frameDone()
+	e.flat.Assigns = append(e.flat.Assigns, record(e, &e.assigns, ContAssign{LHS: lhs, RHS: rhs, Frame: fr, Src: src, Ord: ord, Unit: newUnit()}, end(fr), e.flat.Assigns))
 	return nil
 }
 
@@ -531,8 +558,7 @@ func (e *elaborator) checkAssignOverlap(v *Var, pos verilog.Pos) error {
 }
 
 func (e *elaborator) always(a *verilog.AlwaysBlock) error {
-	p := &alloc(&e.procs, 1)[0]
-	*p = Proc{Star: a.Star, Src: a, Unit: newUnit()}
+	p := Proc{Star: a.Star, Src: a, Unit: newUnit()}
 	for _, ev := range a.Events {
 		x, err := e.expr(ev.Expr)
 		if err != nil {
@@ -558,9 +584,7 @@ func (e *elaborator) always(a *verilog.AlwaysBlock) error {
 	p.Body = body
 	p.Reads = readSet(body, len(e.frame))
 	p.Frame = e.frameDone()
-	// Validate driver classes: edge-triggered procs write regs (checked at
-	// assignment resolution); here only note the proc drives its targets.
-	e.flat.Procs = append(e.flat.Procs, p)
+	e.flat.Procs = append(e.flat.Procs, record(e, &e.procs, p, end(p.Frame), e.flat.Procs))
 	return nil
 }
 
@@ -797,6 +821,10 @@ func (e *elaborator) unrollFor(x *verilog.For) (Stmt, error) {
 		return nil, e.errf(x.ForPos, "for-loop bounds must be constant: %v", err)
 	}
 	v = v.Resize(lv.Width)
+	if e.loopVars == nil {
+		e.loopVars = map[string]*bits.Vector{}
+	}
+	defer delete(e.loopVars, name)
 	b := &Block{}
 	for iter := 0; ; iter++ {
 		if iter > maxUnroll {
@@ -805,7 +833,6 @@ func (e *elaborator) unrollFor(x *verilog.For) (Stmt, error) {
 		e.loopVars[name] = v
 		cond, err := e.constExpr(x.Cond)
 		if err != nil {
-			delete(e.loopVars, name)
 			return nil, e.errf(x.ForPos, "for-loop condition must be constant: %v", err)
 		}
 		if !cond.Bool() {
@@ -813,7 +840,6 @@ func (e *elaborator) unrollFor(x *verilog.For) (Stmt, error) {
 		}
 		body, err := e.stmt(x.Body)
 		if err != nil {
-			delete(e.loopVars, name)
 			return nil, err
 		}
 		if body != nil {
@@ -821,16 +847,13 @@ func (e *elaborator) unrollFor(x *verilog.For) (Stmt, error) {
 		}
 		next, err := e.constExpr(x.Post.RHS)
 		if err != nil {
-			delete(e.loopVars, name)
 			return nil, e.errf(x.ForPos, "for-loop step must be constant: %v", err)
 		}
 		if postIdent, ok := x.Post.LHS.(*verilog.Ident); !ok || postIdent.Name != name {
-			delete(e.loopVars, name)
 			return nil, e.errf(x.ForPos, "for-loop step must assign to %s", name)
 		}
 		v = next.Resize(lv.Width)
 	}
-	delete(e.loopVars, name)
 	if len(b.Stmts) == 0 {
 		return nil, nil
 	}
@@ -927,15 +950,10 @@ func (e *elaborator) lvalue(x verilog.Expr) ([]LValue, error) {
 		if v.IsArray() {
 			return nil, e.errf(t.LPos, "part select on memory %s is not supported", v.Name)
 		}
-		hi, err := e.constExpr(t.Hi)
+		h, l, err := e.bounds(t.Hi, t.Lo)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := e.constExpr(t.Lo)
-		if err != nil {
-			return nil, err
-		}
-		h, l := int(hi.Uint64()), int(lo.Uint64())
 		if h < l || h >= v.Width {
 			return nil, e.errf(t.LPos, "part select [%d:%d] out of range for %s[%d:0]", h, l, v.Name, v.Width-1)
 		}

@@ -1,6 +1,8 @@
 package elab
 
 import (
+	"slices"
+
 	"cascade/internal/bits"
 	"cascade/internal/verilog"
 )
@@ -11,7 +13,8 @@ import (
 // decided by its source item — the same object, the AST is immutable —
 // and by the shapes of the variables it resolved, which its frame holds
 // (elaborator.intern). A relocated unit shares base's trees by pointer;
-// only its frame is new.
+// only its frame is new, unless every variable of it is one of the shared
+// prefix (elaborator.declare): then the unit is base's record.
 //
 // A unit is found in base by a cursor per kind: units come in the order
 // of the items they were elaborated from, and a module's items are its
@@ -21,8 +24,9 @@ import (
 // cursor or a little further on (seek).
 type relocation struct {
 	base, here *Flat
-	vmap       []*Var // base variable index -> here's of that name (nil: not looked up yet)
-	frameLen   int    // the length of base's frames together
+	appends    bool   // here's module is base's with items appended
+	shared     int    // how many of base's leading variables are here's too
+	deltas     [2]int // here's index - base's, of the last two counterpart variables looked up
 
 	decl, declVar              int // an index into base's items, and the first variable of the declarations from it on
 	netInit, assign, proc, ini int // indexes into base's Assigns, Procs, Initials
@@ -34,28 +38,26 @@ type relocation struct {
 // once.
 const window = 64
 
-// unusable marks, in vmap, a base variable with no variable of the same
-// name and shape here.
-var unusable = &Var{}
-
 func newRelocation(base, here *Flat) *relocation {
-	r := &relocation{base: base, here: here, vmap: make([]*Var, len(base.Vars)), declVar: len(base.Source.Ports)}
+	r := &relocation{base: base, here: here, declVar: len(base.Source.Ports)}
+	items := here.Source.Items
+	r.appends = slices.Equal(here.Source.Ports, base.Source.Ports) && len(items) >= len(base.Source.Items) &&
+		slices.Equal(items[:len(base.Source.Items)], base.Source.Items)
 	for r.assign < len(base.Assigns) {
 		if _, net := base.Assigns[r.assign].Src.(*verilog.NetDecl); !net {
 			break
 		}
 		r.assign++
 	}
-	for _, a := range base.Assigns {
-		r.frameLen += len(a.Frame)
-	}
-	for _, p := range base.Procs {
-		r.frameLen += len(p.Frame)
-	}
-	for _, fr := range base.InitialFrames {
-		r.frameLen += len(fr)
-	}
 	return r
+}
+
+// shares reports whether v, declared next, is base's variable at its
+// position, every variable before it is base's (r nil: none is), and it
+// is below base's slab, unless here shares the whole of base (appends).
+func (r *relocation) shares(v Var) bool {
+	return r != nil && r.shared == v.Index && v.Index < len(r.base.Vars) && (v.Index < r.base.slab || r.appends) &&
+		*r.base.Vars[v.Index] == v
 }
 
 // seek looks for the unit that is(i) among base's n units of a kind from
@@ -130,11 +132,9 @@ func (e *elaborator) relocateDecl(d *verilog.NetDecl) (bool, error) {
 	}
 	for ord, dn := range d.Names {
 		bv := r.base.Vars[first+ord]
-		v, err := e.declare(dn.Name, bv.Width, bv.IsReg, bv.ArrayLen, bv.ArrayLo, bv.Init, dn.NamePos)
-		if err != nil {
+		if _, err := e.declare(*bv, dn.NamePos); err != nil {
 			return false, err
 		}
-		r.vmap[bv.Index] = v
 		if dn.Init != nil && !bv.IsReg {
 			e.netInitAssigns = append(e.netInitAssigns, netInit{src: d, ord: ord})
 		}
@@ -167,20 +167,23 @@ func (e *elaborator) relocateAssign(src verilog.Item, ord int, pos verilog.Pos) 
 	if r == nil {
 		return false, nil
 	}
-	ba := r.baseAssign(src, ord)
-	if ba == nil {
+	a := r.baseAssign(src, ord)
+	if a == nil {
 		return false, nil
 	}
-	fr, ok := e.frameFrom(ba.Frame)
+	fr, ok := e.frameFrom(a.Frame)
 	if !ok {
 		return false, nil
 	}
-	for _, lv := range ba.LHS {
+	for _, lv := range a.LHS {
 		if err := e.checkAssignOverlap(fr[lv.Var], pos); err != nil {
 			return false, err
 		}
 	}
-	e.addAssign(ContAssign{LHS: ba.LHS, RHS: ba.RHS, Frame: fr, Src: src, Ord: ord, Unit: ba.Unit})
+	if len(fr) > 0 && &fr[0] != &a.Frame[0] { // a frame of its own, so a record of its own
+		a = record(e, &e.assigns, ContAssign{LHS: a.LHS, RHS: a.RHS, Frame: fr, Src: src, Ord: ord, Unit: a.Unit}, end(fr), e.flat.Assigns)
+	}
+	e.flat.Assigns = append(e.flat.Assigns, a)
 	e.flat.Relocated++
 	return true, nil
 }
@@ -197,13 +200,14 @@ func (e *elaborator) relocateProc(x *verilog.AlwaysBlock) bool {
 	if i < 0 {
 		return false
 	}
-	bp := ps[i]
-	fr, ok := e.frameFrom(bp.Frame)
+	p := ps[i]
+	fr, ok := e.frameFrom(p.Frame)
 	if !ok {
 		return false
 	}
-	p := &alloc(&e.procs, 1)[0]
-	*p = Proc{Edges: bp.Edges, Star: bp.Star, Body: bp.Body, Reads: bp.Reads, Frame: fr, Src: x, Unit: bp.Unit}
+	if len(fr) > 0 && &fr[0] != &p.Frame[0] { // a frame of its own, so a record of its own
+		p = record(e, &e.procs, Proc{Edges: p.Edges, Star: p.Star, Body: p.Body, Reads: p.Reads, Frame: fr, Src: x, Unit: p.Unit}, end(fr), e.flat.Procs)
+	}
 	e.flat.Procs = append(e.flat.Procs, p)
 	e.flat.Relocated++
 	return true
@@ -231,30 +235,51 @@ func (e *elaborator) relocateInitial(x *verilog.InitialBlock) bool {
 }
 
 // frameFrom is the frame of a relocated unit whose frame in base is bfr:
-// each variable's counterpart here, or false if one has none.
-func (e *elaborator) frameFrom(bfr []*Var) ([]*Var, bool) {
-	fr := e.newFrame(len(bfr))
-	for i, v := range bfr {
-		if fr[i] = e.reloc.variable(v); fr[i] == nil {
+// bfr itself if it names only shared variables — the unit is then base's
+// record too —, else each variable's counterpart here, or false if one
+// has none. It is built where the frame of the unit being elaborated is,
+// between units.
+func (e *elaborator) frameFrom(bfr []*Var) (fr []*Var, ok bool) {
+	if end(bfr) <= e.reloc.shared {
+		return bfr, true
+	}
+	for _, v := range bfr {
+		nv := e.reloc.variable(v)
+		if nv == nil {
+			e.frame = e.frame[:0]
 			return nil, false
 		}
+		e.frame = append(e.frame, nv)
 	}
+	fr, e.frame = e.newFrame(e.frame), e.frame[:0]
 	return fr, true
 }
 
-// variable is here's counterpart of a variable a base unit names: the
-// variable of the same name, if it has the same shape (nil: none).
+// variable is here's counterpart of a variable a base unit names: itself
+// if it is shared, else the variable of the same name, if it has the same
+// shape (nil: none). An edit moves the variables past the prefix by one
+// offset over long runs — two runs, where a unit names variables on both
+// sides of an insertion —, so the offsets of the last two counterparts
+// found are tried before the name index's tail, which holds every name
+// past the prefix.
 func (r *relocation) variable(v *Var) *Var {
-	nv := r.vmap[v.Index]
-	if nv == nil {
-		nv = unusable
-		if w := r.here.VarNamed(v.Name); w != nil && sameShape(v, w) {
-			nv = w
-		}
-		r.vmap[v.Index] = nv
+	if v.Index < r.shared {
+		return v
 	}
-	if nv == unusable {
+	i, ok := 0, false
+	for _, d := range r.deltas {
+		if i = v.Index + d; i >= 0 && i < len(r.here.Vars) && r.here.Vars[i].Name == v.Name {
+			ok = true
+			break
+		}
+	}
+	if !ok {
+		if i, ok = r.here.names.tail[v.Name]; ok {
+			r.deltas = [2]int{i - v.Index, r.deltas[0]}
+		}
+	}
+	if !ok || !sameShape(v, r.here.Vars[i]) {
 		return nil
 	}
-	return nv
+	return r.here.Vars[i]
 }

@@ -342,9 +342,9 @@ func TestFingerprintBindsRelocatedUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := mustCompile(t, swapped+"  always @(posedge clk) q <= q + 8'd1;\nendmodule")
-	p := fb.VarIndex["p"]
-	if edit.Relocated != 1 || edit.VarSlot[p] == base.VarSlot[fa.VarIndex["p"]] {
-		t.Fatalf("relocated %d units, p's slot %d -> %d: the edit did not move a relocated unit", edit.Relocated, base.VarSlot[fa.VarIndex["p"]], edit.VarSlot[p])
+	p, pa := fb.VarNamed("p").Index, fa.VarNamed("p").Index
+	if edit.Relocated != 1 || edit.VarSlot[p] == base.VarSlot[pa] {
+		t.Fatalf("relocated %d units, p's slot %d -> %d: the edit did not move a relocated unit", edit.Relocated, base.VarSlot[pa], edit.VarSlot[p])
 	}
 	if edit.Spans[0].Digest != base.Spans[0].Digest || edit.Spans[0].Digest != other.Spans[0].Digest {
 		t.Fatal("the relocated unit, its base and the unit on q differ in digest")
@@ -386,6 +386,12 @@ func BenchmarkFingerprintSession(b *testing.B) {
 // elaborated, and the module with the last stage added.
 func lastEditSource(t testing.TB) (fb *elab.Flat, m *verilog.Module) {
 	t.Helper()
+	return editSource(t, 150)
+}
+
+// editSource is lastEditSource for a session of n stages.
+func editSource(t testing.TB, n int) (fb *elab.Flat, m *verilog.Module) {
+	t.Helper()
 	parse := func(src string) *verilog.Module {
 		st, errs := verilog.ParseSourceText(src)
 		if errs != nil {
@@ -393,7 +399,7 @@ func lastEditSource(t testing.TB) (fb *elab.Flat, m *verilog.Module) {
 		}
 		return st.Modules[0]
 	}
-	m, before := parse(vgen.InlinedChain(150)), len(parse(vgen.InlinedChain(149)).Items)
+	m, before := parse(vgen.InlinedChain(n)), len(parse(vgen.InlinedChain(n-1)).Items)
 	cut := *m
 	cut.Items = m.Items[:before]
 	fb, err := elab.Elaborate(&cut, "dut", nil)
@@ -497,9 +503,11 @@ const (
 
 // TestElaborateFromAllocBudget: an eval's elaboration allocates the new
 // version's variables, its units and their frames, and little besides: a
-// relocated unit shares its base's trees. It was 255 392 B in 69
-// allocations at this size when relocation copied every tree it kept;
-// the budgets are what it takes now plus a tenth.
+// relocated unit shares its base's trees, and the variables, unit records
+// and frames the edit left where they were are its base's. It was 255 392
+// B in 69 allocations at this size when relocation copied every tree it
+// kept, and 201 364 B in 52 when it re-created every variable, record and
+// frame; the byte budget is what it takes now plus a tenth.
 func TestElaborateFromAllocBudget(t *testing.T) {
 	fb, m := lastEditSource(t)
 	f, err := elab.ElaborateFrom(fb, m, "dut", nil)
@@ -518,9 +526,28 @@ func TestElaborateFromAllocBudget(t *testing.T) {
 
 // ElaborateFrom's budget at the last of 150 edits.
 const (
-	elaborateFromBytes  = 221_500 // 201 364 B measured
-	elaborateFromAllocs = 57      // 52 measured
+	elaborateFromBytes  = 24_300 // 22 096 B measured
+	elaborateFromAllocs = 57     // 57 measured
 )
+
+// TestElaborateFromGrowth: an eval's elaboration allocates less than in
+// proportion to the program — ElaborateFrom's bytes for the last edit of
+// a session of 50, 100 and 150 stages, where 150 stages may take less
+// than three times what 50 take. What is left growing is each version's
+// own lists and tables of its variables and units: pointers and indexes,
+// no records.
+func TestElaborateFromGrowth(t *testing.T) {
+	var bytes []uint64
+	for _, n := range []int{50, 100, 150} {
+		fb, m := editSource(t, n)
+		b, _ := allocsPerCall(func() { elab.ElaborateFrom(fb, m, "dut", nil) })
+		t.Logf("%d stages: %d B per edit", n, b)
+		bytes = append(bytes, b)
+	}
+	if bytes[2] >= 3*bytes[0] {
+		t.Fatalf("ElaborateFrom allocates %d B per edit at 150 stages, %d B at 50: it grows as the program does", bytes[2], bytes[0])
+	}
+}
 
 // TestNewMachineAllocBudget: loading a program allocates its state and
 // one table besides — every native and fabric landing loads one while the

@@ -36,12 +36,11 @@ func Elaborate(mod *verilog.Module, instName string, params map[string]*bits.Vec
 // Elaborate returns, error or not, up to identities.
 //
 // What is unchanged is shared, not copied: the variables up to the first
-// that is not base's at the same position (the shared prefix: all of
-// base's, when an edit appends) are base's records, a relocated unit
-// whose frame names only those is base's record, frame and all, and the
-// name index is base's map plus the names after the prefix. What a later
-// version may share in turn gets an allocation of its own (alone), so
-// that it keeps nothing of the rest of this one alive.
+// that is not base's at the same position (the shared prefix) are base's
+// records, and a relocated unit whose frame names only those is base's
+// record, frame and all. What a later version may share in turn gets an
+// allocation of its own (alone), so that it keeps nothing of the rest of
+// this one alive.
 func ElaborateFrom(base *Flat, mod *verilog.Module, instName string, params map[string]*bits.Vector) (*Flat, error) {
 	consts := map[string]*bits.Vector{} // the parameters: the flat's record of them is the elaborator's scope
 	nvars, nassigns, nprocs := len(mod.Ports), 0, 0
@@ -62,22 +61,23 @@ func ElaborateFrom(base *Flat, mod *verilog.Module, instName string, params map[
 	}
 	e := &elaborator{
 		flat: &Flat{
-			Name:    instName,
-			ModName: mod.Name,
-			Params:  consts,
-			Vars:    make([]*Var, 0, nvars),
-			Assigns: make([]*ContAssign, 0, nassigns),
-			Procs:   make([]*Proc, 0, nprocs),
-			Source:  mod,
+			Name:     instName,
+			ModName:  mod.Name,
+			Params:   consts,
+			Vars:     make([]*Var, 0, nvars),
+			VarIndex: make(map[string]int, nvars),
+			Assigns:  make([]*ContAssign, 0, nassigns),
+			Procs:    make([]*Proc, 0, nprocs),
+			Source:   mod,
 		},
-		consts: consts,
-		frame:  make([]*Var, 0, 16),
-		module: &module{inFrame: make([]int32, nvars), base: base},
+		consts:   consts,
+		loopVars: map[string]*bits.Vector{},
+		frame:    make([]*Var, 0, 16),
+		module:   &module{inFrame: make([]int32, nvars), base: base},
 	}
 	if err := e.run(mod, params); err != nil {
 		return nil, err
 	}
-	e.flat.names.flatten(e.flat.Vars)
 	e.flat.Layout()
 	return e.flat, nil
 }
@@ -85,7 +85,7 @@ func ElaborateFrom(base *Flat, mod *verilog.Module, instName string, params map[
 type elaborator struct {
 	flat     *Flat
 	consts   map[string]*bits.Vector // parameters and localparams
-	loopVars map[string]*bits.Vector // active for-loop bindings (nil: none yet)
+	loopVars map[string]*bits.Vector // active for-loop bindings
 	widths   map[*verilog.Range]int  // rangeWidth's results (one scope per elaboration)
 	frame    []*Var                  // the frame of the unit being elaborated (intern)
 	*module                          // nil in a constant scope (constScope), which names no variable
@@ -137,7 +137,6 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 	}
 	if e.base != nil && Extends(e.base.Params, e.consts) {
 		e.reloc = newRelocation(e.base, e.flat)
-		e.flat.names.m = e.base.names.m
 	}
 
 	// Ports become variables first, in header order.
@@ -182,9 +181,6 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 	e.flat.slab = min(alone, len(e.flat.Vars))
 	if r := e.reloc; r != nil {
 		e.flat.slab = min(r.shared+alone, len(e.flat.Vars))
-		if r.shared > r.base.slab {
-			e.flat.slab = r.base.slab // base's slab, shared whole
-		}
 	}
 
 	// Net declaration assignments collected by the first pass.
@@ -326,9 +322,8 @@ func (e *elaborator) clearFrame() {
 // their own, and so do the frames and unit records that name no later
 // one: what a later version's shared prefix may take, when its edit
 // inserts a few variables after this one's. The rest is cut from slabs,
-// which no later version shares but one that shares the whole of this
-// one (relocation.appends): a shared record never keeps a dead sibling
-// alive.
+// which no later version shares (relocation.shares): a shared record
+// never keeps a dead sibling alive.
 const alone = 64
 
 // owned reports whether what names no variable from end on gets an
@@ -394,16 +389,14 @@ func (e *elaborator) addInitial(body Stmt, src verilog.Item, unit uint64, fr []*
 // declare adds the variable v describes, at the next position, to the
 // flat: base's record while every variable before it is base's and base's
 // at this position equals v (relocation.shares), else a record of its
-// own. The name index keeps base's map while the shared prefix lies below
-// where the map holds, and enters every other name in the tail; a shared
-// name is base's, so no earlier variable's.
+// own.
 func (e *elaborator) declare(v Var, pos verilog.Pos) (*Var, error) {
 	f, r := e.flat, e.reloc
 	v.Index = len(f.Vars)
-	shared := r.shares(v)
-	if shared && v.Index < r.base.names.lim {
-		f.names.lim++
-	} else if i, ok := f.names.m[v.Name]; ok && i < f.names.lim || !f.names.add(v.Name, v.Index, f.Vars, cap(f.Vars)) {
+	// One hash: a refused declaration fails the whole elaboration, so the
+	// entry a duplicate overwrites is never read.
+	n := len(f.VarIndex)
+	if f.VarIndex[v.Name] = v.Index; len(f.VarIndex) == n {
 		return nil, e.errf(pos, "duplicate declaration of %s", v.Name)
 	}
 	if _, dup := e.consts[v.Name]; dup {
@@ -413,7 +406,7 @@ func (e *elaborator) declare(v Var, pos verilog.Pos) (*Var, error) {
 		return nil, e.errf(pos, "%s has non-positive width %d", v.Name, v.Width)
 	}
 	var p *Var
-	if shared {
+	if r.shares(v) {
 		p, r.shared = r.base.Vars[v.Index], r.shared+1
 	} else {
 		p = record(e, &e.vars, v, v.Index+1, f.Vars)
@@ -428,27 +421,19 @@ func (e *elaborator) declare(v Var, pos verilog.Pos) (*Var, error) {
 	return p, nil
 }
 
-// bounds evaluates a range's constant bounds.
-func (e *elaborator) bounds(hi, lo verilog.Expr) (int, int, error) {
-	h, err := e.constExpr(hi)
-	if err != nil {
-		return 0, 0, err
-	}
-	l, err := e.constExpr(lo)
-	if err != nil {
-		return 0, 0, err
-	}
-	return int(h.Uint64()), int(l.Uint64()), nil
-}
-
 func (e *elaborator) rangeWidth(r *verilog.Range, pos verilog.Pos) (int, error) {
 	if w, ok := e.widths[r]; ok {
 		return w, nil
 	}
-	h, l, err := e.bounds(r.Hi, r.Lo)
+	hi, err := e.constExpr(r.Hi)
 	if err != nil {
 		return 0, err
 	}
+	lo, err := e.constExpr(r.Lo)
+	if err != nil {
+		return 0, err
+	}
+	h, l := int(hi.Uint64()), int(lo.Uint64())
 	if l != 0 {
 		return 0, e.errf(pos, "packed ranges must be [N:0], got [%d:%d]", h, l)
 	}
@@ -480,10 +465,15 @@ func (e *elaborator) netDecl(d *verilog.NetDecl) error {
 	for ord, dn := range d.Names {
 		arrLen, arrLo := 0, 0
 		if dn.Array != nil {
-			h, l, err := e.bounds(dn.Array.Hi, dn.Array.Lo)
+			hi, err := e.constExpr(dn.Array.Hi)
 			if err != nil {
 				return err
 			}
+			lo, err := e.constExpr(dn.Array.Lo)
+			if err != nil {
+				return err
+			}
+			h, l := int(hi.Uint64()), int(lo.Uint64())
 			if h < l {
 				h, l = l, h
 			}
@@ -584,6 +574,8 @@ func (e *elaborator) always(a *verilog.AlwaysBlock) error {
 	p.Body = body
 	p.Reads = readSet(body, len(e.frame))
 	p.Frame = e.frameDone()
+	// Validate driver classes: edge-triggered procs write regs (checked at
+	// assignment resolution); here only note the proc drives its targets.
 	e.flat.Procs = append(e.flat.Procs, record(e, &e.procs, p, end(p.Frame), e.flat.Procs))
 	return nil
 }
@@ -821,10 +813,6 @@ func (e *elaborator) unrollFor(x *verilog.For) (Stmt, error) {
 		return nil, e.errf(x.ForPos, "for-loop bounds must be constant: %v", err)
 	}
 	v = v.Resize(lv.Width)
-	if e.loopVars == nil {
-		e.loopVars = map[string]*bits.Vector{}
-	}
-	defer delete(e.loopVars, name)
 	b := &Block{}
 	for iter := 0; ; iter++ {
 		if iter > maxUnroll {
@@ -833,6 +821,7 @@ func (e *elaborator) unrollFor(x *verilog.For) (Stmt, error) {
 		e.loopVars[name] = v
 		cond, err := e.constExpr(x.Cond)
 		if err != nil {
+			delete(e.loopVars, name)
 			return nil, e.errf(x.ForPos, "for-loop condition must be constant: %v", err)
 		}
 		if !cond.Bool() {
@@ -840,6 +829,7 @@ func (e *elaborator) unrollFor(x *verilog.For) (Stmt, error) {
 		}
 		body, err := e.stmt(x.Body)
 		if err != nil {
+			delete(e.loopVars, name)
 			return nil, err
 		}
 		if body != nil {
@@ -847,13 +837,16 @@ func (e *elaborator) unrollFor(x *verilog.For) (Stmt, error) {
 		}
 		next, err := e.constExpr(x.Post.RHS)
 		if err != nil {
+			delete(e.loopVars, name)
 			return nil, e.errf(x.ForPos, "for-loop step must be constant: %v", err)
 		}
 		if postIdent, ok := x.Post.LHS.(*verilog.Ident); !ok || postIdent.Name != name {
+			delete(e.loopVars, name)
 			return nil, e.errf(x.ForPos, "for-loop step must assign to %s", name)
 		}
 		v = next.Resize(lv.Width)
 	}
+	delete(e.loopVars, name)
 	if len(b.Stmts) == 0 {
 		return nil, nil
 	}
@@ -950,10 +943,15 @@ func (e *elaborator) lvalue(x verilog.Expr) ([]LValue, error) {
 		if v.IsArray() {
 			return nil, e.errf(t.LPos, "part select on memory %s is not supported", v.Name)
 		}
-		h, l, err := e.bounds(t.Hi, t.Lo)
+		hi, err := e.constExpr(t.Hi)
 		if err != nil {
 			return nil, err
 		}
+		lo, err := e.constExpr(t.Lo)
+		if err != nil {
+			return nil, err
+		}
+		h, l := int(hi.Uint64()), int(lo.Uint64())
 		if h < l || h >= v.Width {
 			return nil, e.errf(t.LPos, "part select [%d:%d] out of range for %s[%d:0]", h, l, v.Name, v.Width-1)
 		}

@@ -192,10 +192,15 @@ func (e *elaborator) rangeSel(t *verilog.RangeSel) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, l, err := e.bounds(t.Hi, t.Lo)
+	hi, err := e.constExpr(t.Hi)
 	if err != nil {
 		return nil, err
 	}
+	lo, err := e.constExpr(t.Lo)
+	if err != nil {
+		return nil, err
+	}
+	h, l := int(hi.Uint64()), int(lo.Uint64())
 	if h < l || h >= xx.Width() {
 		return nil, e.errf(t.LPos, "part select [%d:%d] out of range (width %d)", h, l, xx.Width())
 	}

@@ -29,9 +29,8 @@
 //
 // A version is its base plus what changed: it shares its base's
 // variables, as the same records, up to the first one whose position or
-// shape differs, a relocated unit whose frame names only those is its
-// base's record, and the name index is its base's map plus the names
-// after them. So nothing a Flat holds is ever written once ElaborateFrom
+// shape differs, and a relocated unit whose frame names only those is its
+// base's record. So nothing a Flat holds is ever written once ElaborateFrom
 // returns it: a Var, a unit record, a frame, a tree may belong to several
 // versions.
 package elab
@@ -68,6 +67,7 @@ type Flat struct {
 	ModName  string // source module name
 	Params   map[string]*bits.Vector
 	Vars     []*Var
+	VarIndex map[string]int
 	Inputs   []*Var
 	Outputs  []*Var
 	Assigns  []*ContAssign
@@ -84,61 +84,8 @@ type Flat struct {
 	// included), always and initial blocks.
 	Relocated int
 
-	names  index   // VarNamed's
-	slab   int     // what names no variable from slab on is owned, or base's (elaborator.owned)
+	slab   int     // what names no variable from slab on is owned (elaborator.owned)
 	layout *Layout // Layout's result, set once elaboration is done
-}
-
-// index finds variables by name: m, a map of positions that may be shared
-// with the versions it was built for and holds only for the positions
-// below lim, and tail, the names of the variables from lim on. A version
-// elaborated from a base keeps the base's map and builds the tail alone,
-// until the tail outgrows a quarter of the map (flatten).
-type index struct {
-	m    map[string]int
-	lim  int
-	tail map[string]int
-}
-
-// find returns the position of the variable named name, or -1.
-func (x *index) find(name string) int {
-	if i, ok := x.m[name]; ok && i < x.lim {
-		return i
-	}
-	if i, ok := x.tail[name]; ok {
-		return i
-	}
-	return -1
-}
-
-// add enters name at position i in the tail, of the n names x is to
-// hold, vars being the variables before it, and reports whether the tail
-// did not hold it yet. The tail holds every name from lim on, so its
-// first entry knows whether it will outgrow a quarter of the map: then it
-// starts as the map of all n, the names below lim entered first, and m
-// is dropped.
-func (x *index) add(name string, i int, vars []*Var, n int) bool {
-	if x.tail == nil {
-		if x.lim > 0 && (n-x.lim)*4 <= len(x.m) {
-			x.tail = make(map[string]int, n-x.lim)
-		} else {
-			x.tail = make(map[string]int, n)
-			for j, v := range vars[:x.lim] {
-				x.tail[v.Name] = j
-			}
-			x.m, x.lim = nil, 0
-		}
-	}
-	k := len(x.tail)
-	x.tail[name] = i
-	return len(x.tail) > k
-}
-
-// flatten makes x one map of vars' names if its tail is all of them.
-func (x *index) flatten(vars []*Var) {
-	if x.lim == 0 {
-		x.m, x.lim, x.tail = x.tail, len(vars), nil
-	}
 }
 
 // lastUnit is the last unit identity handed out: one counter per
@@ -157,7 +104,7 @@ func newUnit() uint64 { return lastUnit.Add(1) }
 
 // VarNamed returns the variable with the given name, or nil.
 func (f *Flat) VarNamed(name string) *Var {
-	if i := f.names.find(name); i >= 0 {
+	if i, ok := f.VarIndex[name]; ok {
 		return f.Vars[i]
 	}
 	return nil

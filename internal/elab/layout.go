@@ -10,17 +10,17 @@ type Layout struct {
 	Vars  []*Var
 	at    []int32 // at[i] is where Vars[i] starts; at[len(Vars)] is the image length
 	bus   uint64
-	names index
+	index map[string]int
 }
 
 // NewLayout lays out vars in order (Var.Index is each one's position);
-// names maps their names to positions, or is nil to be built here.
-func NewLayout(vars []*Var, names map[string]int) *Layout {
-	l := &Layout{Vars: vars, at: make([]int32, len(vars)+1), names: index{m: names, lim: len(vars)}}
-	if names == nil {
-		l.names.m = make(map[string]int, len(vars))
+// index maps their names to positions, or is nil to be built here.
+func NewLayout(vars []*Var, index map[string]int) *Layout {
+	l := &Layout{Vars: vars, at: make([]int32, len(vars)+1), index: index}
+	if index == nil {
+		l.index = make(map[string]int, len(vars))
 		for i, v := range vars {
-			l.names.m[v.Name] = i
+			l.index[v.Name] = i
 		}
 	}
 	for i, v := range vars {
@@ -37,7 +37,12 @@ func (l *Layout) Len() int { return int(l.at[len(l.Vars)]) }
 func (l *Layout) Of(img []uint64, i int) []uint64 { return img[l.at[i]:l.at[i+1]] }
 
 // Index returns the position of the variable named name, or -1.
-func (l *Layout) Index(name string) int { return l.names.find(name) }
+func (l *Layout) Index(name string) int {
+	if i, ok := l.index[name]; ok {
+		return i
+	}
+	return -1
+}
 
 // Bus is the 32-bit bus words an image in the layout occupies: what
 // moving one across the memory-mapped bus costs (the ABI's
@@ -53,8 +58,7 @@ func (l *Layout) VarBus(i int) uint64 {
 // Layout returns the layout of f's state images.
 func (f *Flat) Layout() *Layout {
 	if f.layout == nil {
-		f.layout = NewLayout(f.Vars, f.names.m)
-		f.layout.names = f.names // the map holds below lim, the tail the rest
+		f.layout = NewLayout(f.Vars, f.VarIndex)
 	}
 	return f.layout
 }

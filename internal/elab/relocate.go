@@ -1,8 +1,6 @@
 package elab
 
 import (
-	"slices"
-
 	"cascade/internal/bits"
 	"cascade/internal/verilog"
 )
@@ -24,9 +22,8 @@ import (
 // cursor or a little further on (seek).
 type relocation struct {
 	base, here *Flat
-	appends    bool   // here's module is base's with items appended
 	shared     int    // how many of base's leading variables are here's too
-	deltas     [2]int // here's index - base's, of the last two counterpart variables looked up
+	vmap       []*Var // base variable index -> here's of that name (nil: not looked up yet; made on first use)
 
 	decl, declVar              int // an index into base's items, and the first variable of the declarations from it on
 	netInit, assign, proc, ini int // indexes into base's Assigns, Procs, Initials
@@ -38,11 +35,12 @@ type relocation struct {
 // once.
 const window = 64
 
+// unusable marks, in vmap, a base variable with no variable of the same
+// name and shape here.
+var unusable = &Var{}
+
 func newRelocation(base, here *Flat) *relocation {
 	r := &relocation{base: base, here: here, declVar: len(base.Source.Ports)}
-	items := here.Source.Items
-	r.appends = slices.Equal(here.Source.Ports, base.Source.Ports) && len(items) >= len(base.Source.Items) &&
-		slices.Equal(items[:len(base.Source.Items)], base.Source.Items)
 	for r.assign < len(base.Assigns) {
 		if _, net := base.Assigns[r.assign].Src.(*verilog.NetDecl); !net {
 			break
@@ -54,10 +52,15 @@ func newRelocation(base, here *Flat) *relocation {
 
 // shares reports whether v, declared next, is base's variable at its
 // position, every variable before it is base's (r nil: none is), and it
-// is below base's slab, unless here shares the whole of base (appends).
+// is below base's slab. An initial value is compared by value: a port's
+// is computed afresh by each elaboration.
 func (r *relocation) shares(v Var) bool {
-	return r != nil && r.shared == v.Index && v.Index < len(r.base.Vars) && (v.Index < r.base.slab || r.appends) &&
-		*r.base.Vars[v.Index] == v
+	if r == nil || r.shared != v.Index || v.Index >= r.base.slab {
+		return false
+	}
+	b := r.base.Vars[v.Index]
+	return b.Name == v.Name && sameShape(b, &v) &&
+		(b.Init == v.Init || b.Init != nil && v.Init != nil && b.Init.Width() == v.Init.Width() && b.Init.Equal(v.Init))
 }
 
 // seek looks for the unit that is(i) among base's n units of a kind from
@@ -257,29 +260,24 @@ func (e *elaborator) frameFrom(bfr []*Var) (fr []*Var, ok bool) {
 
 // variable is here's counterpart of a variable a base unit names: itself
 // if it is shared, else the variable of the same name, if it has the same
-// shape (nil: none). An edit moves the variables past the prefix by one
-// offset over long runs — two runs, where a unit names variables on both
-// sides of an insertion —, so the offsets of the last two counterparts
-// found are tried before the name index's tail, which holds every name
-// past the prefix.
+// shape (nil: none).
 func (r *relocation) variable(v *Var) *Var {
 	if v.Index < r.shared {
 		return v
 	}
-	i, ok := 0, false
-	for _, d := range r.deltas {
-		if i = v.Index + d; i >= 0 && i < len(r.here.Vars) && r.here.Vars[i].Name == v.Name {
-			ok = true
-			break
-		}
+	if r.vmap == nil {
+		r.vmap = make([]*Var, len(r.base.Vars))
 	}
-	if !ok {
-		if i, ok = r.here.names.tail[v.Name]; ok {
-			r.deltas = [2]int{i - v.Index, r.deltas[0]}
+	nv := r.vmap[v.Index]
+	if nv == nil {
+		nv = unusable
+		if w := r.here.VarNamed(v.Name); w != nil && sameShape(v, w) {
+			nv = w
 		}
+		r.vmap[v.Index] = nv
 	}
-	if !ok || !sameShape(v, r.here.Vars[i]) {
+	if nv == unusable {
 		return nil
 	}
-	return r.here.Vars[i]
+	return nv
 }

@@ -71,3 +71,38 @@ func TestSharedRecordsKeepNoSiblings(t *testing.T) {
 		t.Fatalf("the last Flat keeps %d B alive, %d B elaborated from scratch", chained-dropped, alone)
 	}
 }
+
+// TestInitializedPortShared: a port's initial value is computed afresh by
+// each elaboration, so a port is its base's variable when the values are
+// equal, and the variables and units after it are shared too. A port
+// whose value changed ends the shared prefix.
+func TestInitializedPortShared(t *testing.T) {
+	const ports = "module M(input wire clk, output reg [7:0] q = 8'd%d);\n"
+	const items = "  reg [7:0] r = 1;\n  always @(posedge clk) q <= q + r;\n  wire [7:0] w;\n  assign w = q;\nendmodule\n"
+	m := parseOne(t, fmt.Sprintf(ports, 3)+items)
+	cut := *m
+	cut.Items = m.Items[:2]
+	base, err := Elaborate(&cut, "dut", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ElaborateFrom(base, m, "dut", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range base.Vars {
+		if f.Vars[i] != v {
+			t.Errorf("%s is not its base's variable", v.Name)
+		}
+	}
+	if f.Procs[0] != base.Procs[0] {
+		t.Error("the process naming only shared variables is not its base's record")
+	}
+	g, err := ElaborateFrom(base, parseOne(t, fmt.Sprintf(ports, 4)+items), "dut", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := g.VarNamed("q"); q == base.Vars[1] || q.Init.Uint64() != 4 || g.Vars[2] == base.Vars[2] {
+		t.Error("a port whose initial value changed, or a variable after it, is its base's")
+	}
+}

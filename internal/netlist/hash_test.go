@@ -342,9 +342,9 @@ func TestFingerprintBindsRelocatedUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := mustCompile(t, swapped+"  always @(posedge clk) q <= q + 8'd1;\nendmodule")
-	p, pa := fb.VarNamed("p").Index, fa.VarNamed("p").Index
-	if edit.Relocated != 1 || edit.VarSlot[p] == base.VarSlot[pa] {
-		t.Fatalf("relocated %d units, p's slot %d -> %d: the edit did not move a relocated unit", edit.Relocated, base.VarSlot[pa], edit.VarSlot[p])
+	p := fb.VarIndex["p"]
+	if edit.Relocated != 1 || edit.VarSlot[p] == base.VarSlot[fa.VarIndex["p"]] {
+		t.Fatalf("relocated %d units, p's slot %d -> %d: the edit did not move a relocated unit", edit.Relocated, base.VarSlot[fa.VarIndex["p"]], edit.VarSlot[p])
 	}
 	if edit.Spans[0].Digest != base.Spans[0].Digest || edit.Spans[0].Digest != other.Spans[0].Digest {
 		t.Fatal("the relocated unit, its base and the unit on q differ in digest")
@@ -386,25 +386,42 @@ func BenchmarkFingerprintSession(b *testing.B) {
 // elaborated, and the module with the last stage added.
 func lastEditSource(t testing.TB) (fb *elab.Flat, m *verilog.Module) {
 	t.Helper()
-	return editSource(t, 150)
-}
-
-// editSource is lastEditSource for a session of n stages.
-func editSource(t testing.TB, n int) (fb *elab.Flat, m *verilog.Module) {
-	t.Helper()
-	parse := func(src string) *verilog.Module {
-		st, errs := verilog.ParseSourceText(src)
-		if errs != nil {
-			t.Fatalf("parse: %v", errs)
-		}
-		return st.Modules[0]
-	}
-	m, before := parse(vgen.InlinedChain(n)), len(parse(vgen.InlinedChain(n-1)).Items)
+	m, before := parseChain(t, 150), len(parseChain(t, 149).Items)
 	cut := *m
 	cut.Items = m.Items[:before]
 	fb, err := elab.Elaborate(&cut, "dut", nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return fb, m
+}
+
+// parseChain parses vgen.InlinedChain(n).
+func parseChain(t testing.TB, n int) *verilog.Module {
+	t.Helper()
+	st, errs := verilog.ParseSourceText(vgen.InlinedChain(n))
+	if errs != nil {
+		t.Fatalf("parse: %v", errs)
+	}
+	return st.Modules[0]
+}
+
+// chainEditSource is the last eval of an n-stage session as the session
+// reaches it: the design of the n-1 stages before it, each stage
+// elaborated from the version before it as an eval elaborates it, and the
+// module with the last stage added.
+func chainEditSource(t testing.TB, n int) (fb *elab.Flat, m *verilog.Module) {
+	t.Helper()
+	m = parseChain(t, n)
+	head := len(parseChain(t, 0).Items)
+	per := len(parseChain(t, 1).Items) - head
+	for k := 1; k < n; k++ {
+		cut := *m
+		cut.Items = m.Items[:head+k*per]
+		var err error
+		if fb, err = elab.ElaborateFrom(fb, &cut, "dut", nil); err != nil {
+			t.Fatalf("stage %d: %v", k, err)
+		}
 	}
 	return fb, m
 }
@@ -504,12 +521,15 @@ const (
 // TestElaborateFromAllocBudget: an eval's elaboration allocates the new
 // version's variables, its units and their frames, and little besides: a
 // relocated unit shares its base's trees, and the variables, unit records
-// and frames the edit left where they were are its base's. It was 255 392
-// B in 69 allocations at this size when relocation copied every tree it
-// kept, and 201 364 B in 52 when it re-created every variable, record and
-// frame; the byte budget is what it takes now plus a tenth.
+// and frames the edit left where they were are its base's. The base is
+// the version before, made along the session as an eval makes it: a base
+// elaborated from scratch shares only its first variables (alone). It
+// was 255 392 B in 69 allocations at this size when relocation copied
+// every tree it kept, and 201 364 B in 52 when it re-created every
+// variable, record and frame; the budgets are what it takes now plus a
+// tenth.
 func TestElaborateFromAllocBudget(t *testing.T) {
-	fb, m := lastEditSource(t)
+	fb, m := chainEditSource(t, 150)
 	f, err := elab.ElaborateFrom(fb, m, "dut", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -526,20 +546,20 @@ func TestElaborateFromAllocBudget(t *testing.T) {
 
 // ElaborateFrom's budget at the last of 150 edits.
 const (
-	elaborateFromBytes  = 24_300 // 22 096 B measured
-	elaborateFromAllocs = 57     // 57 measured
+	elaborateFromBytes  = 54_200 // 49 226 B measured
+	elaborateFromAllocs = 66     // 60 measured
 )
 
 // TestElaborateFromGrowth: an eval's elaboration allocates less than in
 // proportion to the program — ElaborateFrom's bytes for the last edit of
-// a session of 50, 100 and 150 stages, where 150 stages may take less
-// than three times what 50 take. What is left growing is each version's
-// own lists and tables of its variables and units: pointers and indexes,
-// no records.
+// a session of 50, 100 and 150 stages, each base made along its session
+// (chainEditSource), where 150 stages may take less than three times what
+// 50 take. What is left growing is each version's own lists and tables of
+// its variables and units: pointers and indexes, no records.
 func TestElaborateFromGrowth(t *testing.T) {
 	var bytes []uint64
 	for _, n := range []int{50, 100, 150} {
-		fb, m := editSource(t, n)
+		fb, m := chainEditSource(t, n)
 		b, _ := allocsPerCall(func() { elab.ElaborateFrom(fb, m, "dut", nil) })
 		t.Logf("%d stages: %d B per edit", n, b)
 		bytes = append(bytes, b)

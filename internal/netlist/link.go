@@ -287,8 +287,8 @@ func (l *linker) mapVars() {
 	l.vmap = make([]int, len(l.base.Flat.Vars))
 	for i, v := range l.base.Flat.Vars {
 		l.vmap[i] = -1
-		if w := l.f.VarNamed(v.Name); w != nil {
-			l.vmap[i] = w.Index
+		if j, ok := l.f.VarIndex[v.Name]; ok {
+			l.vmap[i] = j
 		}
 	}
 }

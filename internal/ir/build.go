@@ -85,10 +85,13 @@ type instRes struct {
 }
 
 // childInst is a resolved instantiation in one split, with the child
-// variables this split promotes to outputs (hierarchical reads).
+// variables this split promotes to outputs (hierarchical reads), and its
+// split, taken from the previous one or to be connected (anew).
 type childInst struct {
 	*instRes
 	extraOutputs map[string]bool
+	is           *instSplit
+	anew         bool
 }
 
 // splitMemo is what split derived from each item of a module that does
@@ -148,13 +151,12 @@ type instSplit struct {
 
 // connSplit is one connection of an instance: the port the parent gains
 // for it (named inst__port after the child's port), of the width the
-// child's port has, its portDecl (the root's), the assignment that
-// drives or reads it, and the memo of that assignment. It lives as long
+// child's port has, the assignment that drives or reads it, and the memo
+// of that assignment. It lives as long
 // as the instance's resolution: a split that keeps the resolution keeps
 // it, one that resolves the instance anew connects it afresh.
 type connSplit struct {
 	port  *verilog.Port // its kind as first promoted
-	decl  *verilog.NetDecl
 	width int
 	asn   *verilog.ContAssign
 	item  *itemSplit
@@ -173,40 +175,36 @@ func (c *connSplit) wire(path string, is *instSplit) Wire {
 // promo is a port a split adds to its module for a child endpoint,
 // named inst__end after port or variable end of instance inst, and cut
 // is len(inst): name[:cut] and name[cut+2:] are the endpoint. port is
-// the declaration made for it, if any, its kind as first promoted, and
-// decl its portDecl.
+// the declaration made for it, if any, its kind as first promoted.
 type promo struct {
 	name       string
 	cut, width int32
 	dir        verilog.PortDir
 	kind       verilog.NetKind
 	port       *verilog.Port
-	decl       *verilog.NetDecl
 }
 
 // endpoint names the endpoint of a promotion named name, cut at cut, as
 // a hierarchical reference.
 func endpoint(name string, cut int32) string { return name[:cut] + "." + name[cut+2:] }
 
-// inlinedItems is the root's inlinedItems, out of the memo: its body
-// items, then its connections' assignments, renamed.
-func (m *splitMemo) inlinedItems() []verilog.Item {
-	out := make([]verilog.Item, 0, len(m.items))
+// eachInlined is the root's eachInlined, out of the memo: its body items,
+// then its connections' assignments, renamed.
+func (m *splitMemo) eachInlined(fn func(verilog.Item)) {
 	for i, it := range m.items {
 		if m.parts[i].inst == nil {
 			if r := m.parts[i].inlinedOf(it); r != nil {
-				out = append(out, r)
+				fn(r)
 			}
 		}
 	}
 	for _, p := range m.parts {
 		if p.inst != nil {
 			for _, cs := range p.inst.conns {
-				out = append(out, cs.item.inlinedOf(cs.asn))
+				fn(cs.item.inlinedOf(cs.asn))
 			}
 		}
 	}
-	return out
 }
 
 // partOf returns the memo's part for mod's i-th item, if the memo has it.
@@ -273,17 +271,20 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 	}
 	kept := 0
 	children := make(map[string]*childInst, ninst)
-	childOrder := make([]*childInst, 0, ninst)
-	cis := make([]childInst, ninst)
-	var insts []*instSplit
-	var anew []bool // per instance: connect it
+	cis := make([]childInst, 0, ninst) // in order
+	kids := make([]int32, 0, ninst)
+	var ndecl int32 // the declarations so far that keep a name (promoteVarsToOutputs)
 	for i, it := range mod.Items {
 		old := memo.partOf(mod, i)
 		inst, ok := it.(*verilog.Instance)
 		if !ok {
+			if nd, isDecl := it.(*verilog.NetDecl); isDecl && slices.ContainsFunc(nd.Names, func(dn *verilog.DeclName) bool { return !extraOutputs[dn.Name] }) {
+				ndecl++
+			}
 			next.parts[i] = old // derived below if new
 			continue
 		}
+		kids = append(kids, ndecl)
 		var prev *instSplit
 		var prevRes *instRes
 		if old != nil {
@@ -296,26 +297,23 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 		if _, dup := children[inst.Name]; dup {
 			return errf(inst.InstPos, "duplicate instance name %s", inst.Name)
 		}
-		ci := &cis[len(childOrder)]
-		ci.instRes = res
+		cis = append(cis, childInst{instRes: res, is: prev})
+		ci := &cis[len(cis)-1]
 		children[inst.Name] = ci
-		childOrder = append(childOrder, ci)
 		if prev != nil && prev.res == res {
 			kept++
 			next.parts[i] = old
-			insts, anew = append(insts, prev), append(anew, false)
 			continue
 		}
-		is := &instSplit{res: res, path: path + "." + inst.Name}
-		next.parts[i] = &itemSplit{inst: is}
-		insts, anew = append(insts, is), append(anew, true)
+		ci.is, ci.anew = &instSplit{res: res, path: path + "." + inst.Name}, true
+		next.parts[i] = &itemSplit{inst: ci.is}
 	}
 
 	// The promotion plan: new ports on this module, in order, by name.
 	// Two endpoints can mangle to one name (a.b__c and a__b.c): a name is
 	// planned again only for the endpoint it was planned for (planned).
-	promos := make(map[string]int, 3*len(childOrder))
-	plan := make([]promo, 0, 3*len(childOrder))
+	promos := make(map[string]int, 3*len(cis))
+	plan := make([]promo, 0, 3*len(cis))
 	planned := func(pos verilog.Pos, name string, cut int32) (int, error) {
 		i, dup := promos[name]
 		switch {
@@ -344,18 +342,19 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 
 	// Connections become promoted ports plus assignments (Figure 4).
 	var added []*connSplit
-	for k, is := range insts {
-		if anew[k] {
-			if is.conns, err = b.connect(childOrder[k], rename); err != nil {
+	for k := range cis {
+		ci := &cis[k]
+		if ci.anew {
+			if ci.is.conns, err = b.connect(ci, rename); err != nil {
 				return err
 			}
 		}
-		for _, cs := range is.conns {
-			pr := promo{name: cs.port.Name, cut: int32(len(is.res.inst.Name)), width: int32(cs.width), dir: cs.port.Dir, kind: cs.port.Kind, port: cs.port, decl: cs.decl}
+		for _, cs := range ci.is.conns {
+			pr := promo{name: cs.port.Name, cut: int32(len(ci.inst.Name)), width: int32(cs.width), dir: cs.port.Dir, kind: cs.port.Kind, port: cs.port}
 			if err := addPromo(cs.asn.AssignPos, pr); err != nil {
 				return err
 			}
-			b.design.Wires = append(b.design.Wires, cs.wire(path, is))
+			b.design.Wires = append(b.design.Wires, cs.wire(path, ci.is))
 			added = append(added, cs)
 		}
 	}
@@ -426,23 +425,15 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 			}
 		}
 	}
-	var decls []*verilog.NetDecl // the root's portDecls, those it had
-	if path == RootPath {
-		decls = make([]*verilog.NetDecl, len(pm.Ports), cap(pm.Ports))
-	}
 	for _, pr := range plan {
 		if declared[pr.name] {
 			return errf(mod.NamePos, "promoted port %s collides with an existing declaration in %s", pr.name, mod.Name)
 		}
-		pt, decl := pr.port, pr.decl
+		pt := pr.port
 		if pt == nil || pt.Kind != pr.kind {
 			pt = &verilog.Port{Dir: pr.dir, Kind: pr.kind, Range: b.widthRange(int(pr.width)), Name: pr.name}
-			decl = nil
 		}
 		pm.Ports = append(pm.Ports, pt)
-		if decls != nil {
-			decls = append(decls, decl)
-		}
 	}
 
 	// Promote extra outputs requested by the parent: move item
@@ -455,7 +446,8 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 		pm = pm2
 	}
 
-	sub := &SubProgram{Path: path, Params: headerEnv, Module: pm, env: env, src: mod, extra: extraOutputs, prefix: PrefixOf(path), decls: decls, Kept: kept}
+	sub := &SubProgram{Path: path, Params: headerEnv, Module: pm, env: env, src: mod, extra: extraOutputs, prefix: PrefixOf(path), Kept: kept,
+		kids: kids, promoted: [2]int{len(mod.Ports), len(mod.Ports) + len(plan)}}
 	sub.names = mergedNames(pm, sub.prefix)
 	if path == RootPath {
 		next.ranges = b.ranges
@@ -465,15 +457,15 @@ func (b *builder) split(mod *verilog.Module, path string, overrides map[string]*
 	first := len(b.design.Subs)
 
 	// Recurse into children (stdlib children become leaf subprograms).
-	for k, c := range childOrder {
-		childPath := insts[k].path
+	for k := range cis {
+		c := &cis[k]
+		childPath := c.is.path
 		if c.std != nil {
 			b.design.Subs = append(b.design.Subs, &SubProgram{
 				Path:    childPath,
 				IsStd:   true,
 				StdType: c.std.Name,
 				Params:  c.params,
-				prefix:  PrefixOf(childPath),
 			})
 			continue
 		}
@@ -533,9 +525,6 @@ func (b *builder) connect(c *childInst, rename exprRewriter) ([]*connSplit, erro
 			return nil, errf(pc.ConnPos, "inout ports are not supported")
 		}
 		cs.port = port
-		if rename != nil { // the root's
-			cs.decl = declOf(port)
-		}
 		if cs.item, err = body(cs.asn, rename); err != nil {
 			return nil, err
 		}

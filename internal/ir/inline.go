@@ -31,15 +31,16 @@ func (sub *SubProgram) renamer() exprRewriter {
 	})
 }
 
-// inlinedItems is the subprogram's contribution to the merged module's
-// body: its items renamed, param decls dropped (substituted). The root's
-// are renamed item by item as it is split, out of the previous root's
-// (splitMemo). Any other's depend on the subprogram alone, so they are
-// computed the first time it is inlined and kept on it — a subprogram
-// BuildFrom hands out again is not renamed again — and never modified.
-func (sub *SubProgram) inlinedItems() []verilog.Item {
+// eachInlined calls fn with each item the subprogram adds to the merged
+// module, in order: its items renamed, param decls dropped (substituted).
+// The root's are renamed item by item as it is split, out of the previous
+// root's (splitMemo); any other's when it is first inlined, kept on it —
+// a subprogram BuildFrom hands out again is not renamed again — and never
+// modified.
+func (sub *SubProgram) eachInlined(fn func(verilog.Item)) {
 	if sub.memo != nil {
-		return sub.memo.inlinedItems()
+		sub.memo.eachInlined(fn)
+		return
 	}
 	if sub.inlined == nil {
 		rename := sub.renamer()
@@ -50,7 +51,9 @@ func (sub *SubProgram) inlinedItems() []verilog.Item {
 			}
 		}
 	}
-	return sub.inlined
+	for _, it := range sub.inlined {
+		fn(it)
+	}
 }
 
 // inlinedPort is the subprogram's i-th port renamed: the port itself if
@@ -69,26 +72,18 @@ func (sub *SubProgram) inlinedPort(i int) *verilog.Port {
 
 // portDecl is the declaration the subprogram's i-th port becomes in the
 // merged module when user logic is on both of its ends. Like
-// inlinedItems it is made once — the root's as it is split, out of the
-// previous root's — so that the merged module's elaboration relocates it.
+// eachInlined's items it is made once, so that the merged module's
+// elaboration relocates it.
 func (sub *SubProgram) portDecl(i int) *verilog.NetDecl {
 	if sub.decls == nil {
 		sub.decls = make([]*verilog.NetDecl, len(sub.Module.Ports))
 	}
 	if sub.decls[i] == nil {
-		sub.decls[i] = declOf(sub.inlinedPort(i))
+		p := sub.inlinedPort(i)
+		sub.decls[i] = &verilog.NetDecl{DeclPos: p.PortPos, Kind: p.Kind, Range: p.Range,
+			Names: []*verilog.DeclName{{NamePos: p.PortPos, Name: p.Name, Init: p.Init}}}
 	}
 	return sub.decls[i]
-}
-
-// declOf declares what p declares, as a module item.
-func declOf(p *verilog.Port) *verilog.NetDecl {
-	return &verilog.NetDecl{
-		DeclPos: p.PortPos,
-		Kind:    p.Kind,
-		Range:   p.Range,
-		Names:   []*verilog.DeclName{{NamePos: p.PortPos, Name: p.Name, Init: p.Init}},
-	}
 }
 
 // Inline merges every user subprogram into a single flat module rooted at
@@ -105,91 +100,46 @@ func Inline(d *Design) (*Design, error) {
 	if len(users) == 0 {
 		return d, nil
 	}
-
-	byPath := make(map[string]*SubProgram, len(d.Subs))
-	for _, s := range d.Subs {
-		byPath[s.Path] = s
+	std := map[string]bool{}
+	for _, s := range d.StdSubs() {
+		std[s.Path] = true
 	}
-
-	// Classify wires. A user-side endpoint renames to prefix+port.
-	renameEnd := func(e Endpoint) Endpoint {
-		return Endpoint{Sub: RootPath, Port: byPath[e.Sub].prefix + e.Port}
-	}
-	// stdFacing marks merged names that keep port status, with direction.
-	stdFacing := map[string]verilog.PortDir{}
+	// A wire to a stdlib component keeps its user end as a port of the
+	// merged module (stdFacing), of the direction split gave it. The two
+	// ends of a wire between user subprograms collapse onto one variable:
+	// an instance declares it (inliner.ports), and a name its parent's end
+	// does not share would be undeclared where the parent uses it.
+	stdFacing := map[string]bool{}
 	var newWires []Wire
 	for _, w := range d.Wires {
-		from, to := byPath[w.From.Sub], byPath[w.To.Sub]
 		switch {
-		case from.IsStd && to.IsStd:
-			newWires = append(newWires, w)
-		case from.IsStd:
-			nt := renameEnd(w.To)
-			stdFacing[nt.Port] = verilog.Input
-			newWires = append(newWires, Wire{From: w.From, To: nt})
-		case to.IsStd:
-			nf := renameEnd(w.From)
-			stdFacing[nf.Port] = verilog.Output
-			newWires = append(newWires, Wire{From: nf, To: w.To})
+		case std[w.From.Sub] && std[w.To.Sub]:
+		case std[w.From.Sub]:
+			w.To = Endpoint{Sub: RootPath, Port: PrefixOf(w.To.Sub) + w.To.Port}
+			stdFacing[w.To.Port] = true
+		case std[w.To.Sub]:
+			w.From = Endpoint{Sub: RootPath, Port: PrefixOf(w.From.Sub) + w.From.Port}
+			stdFacing[w.From.Port] = true
 		default:
-			// user-to-user: both endpoints collapse onto one variable.
-			if !samePrefixed(from.prefix, w.From.Port, to.prefix, w.To.Port) {
-				nf, nt := renameEnd(w.From), renameEnd(w.To)
-				return nil, errf(verilog.Pos{}, "internal: inlined wire endpoints disagree: %s vs %s", nf.Port, nt.Port)
-			}
-		}
-	}
-
-	items := make([][]verilog.Item, len(users))
-	n, ports := 0, 0
-	for i, sub := range users {
-		items[i] = sub.inlinedItems()
-		n += len(items[i])
-		ports += len(sub.Module.Ports)
-	}
-	merged := &verilog.Module{Name: RootPath, Items: make([]verilog.Item, 0, n+ports)}
-
-	// Track declarations for former ports: name -> chosen port decl.
-	type exPort struct {
-		sub *SubProgram
-		i   int // port index
-	}
-	exPorts := make(map[string]int, ports) // index into exPortOrder
-	var exPortOrder []exPort
-
-	for k, sub := range users {
-		merged.Items = append(merged.Items, items[k]...)
-		// Ports become either merged-module ports (stdlib-facing) or
-		// internal declarations.
-		for i, p := range sub.Module.Ports {
-			name := sub.portName(i)
-			if j, dup := exPorts[name]; dup {
-				// Both sides of an internal wire declared it; prefer the
-				// driver's (reg beats wire: the reg side holds state).
-				if p.Kind == verilog.Reg {
-					exPortOrder[j] = exPort{sub, i}
-				}
-				continue
-			}
-			exPorts[name] = len(exPortOrder)
-			exPortOrder = append(exPortOrder, exPort{sub, i})
-		}
-	}
-
-	// Emit ports and declarations.
-	for _, xp := range exPortOrder {
-		if dir, keep := stdFacing[xp.sub.portName(xp.i)]; keep {
-			pd := xp.sub.inlinedPort(xp.i)
-			if pd.Dir != dir {
-				cp := *pd
-				cp.Dir = dir
-				pd = &cp
-			}
-			merged.Ports = append(merged.Ports, pd)
 			continue
 		}
-		// Former cross-module port, now an internal variable.
-		merged.Items = append(merged.Items, xp.sub.portDecl(xp.i))
+		newWires = append(newWires, w)
+	}
+
+	n := 0 // at most the merged module's items: each subprogram's, and its ports but those promoted for its instances
+	for _, sub := range users {
+		n += len(sub.Module.Items) + len(sub.Module.Ports) - (sub.promoted[1] - sub.promoted[0])
+	}
+	merged := &verilog.Module{Name: RootPath, Items: make([]verilog.Item, 0, n)}
+	in := inliner{subs: d.Subs, next: 1, std: stdFacing, regs: map[string]*verilog.NetDecl{}, merged: merged} // past the root, Subs[0]
+	in.walk(users[0])
+	// Then the behaviour, in design order.
+	for _, sub := range users {
+		sub.eachInlined(func(it verilog.Item) {
+			if _, decl := it.(*verilog.NetDecl); !decl {
+				merged.Items = append(merged.Items, it)
+			}
+		})
 	}
 
 	out := &Design{Wires: newWires}
@@ -199,9 +149,7 @@ func Inline(d *Design) (*Design, error) {
 		Module: merged,
 		env:    map[string]*bits.Vector{},
 	})
-	for _, s := range d.StdSubs() {
-		out.Subs = append(out.Subs, s)
-	}
+	out.Subs = append(out.Subs, d.StdSubs()...)
 	sort.SliceStable(out.Wires, func(i, j int) bool {
 		if out.Wires[i].From.Sub != out.Wires[j].From.Sub {
 			return out.Wires[i].From.Sub < out.Wires[j].From.Sub
@@ -211,15 +159,67 @@ func Inline(d *Design) (*Design, error) {
 	return out.seal(), nil
 }
 
-// samePrefixed reports whether pa+a == pb+b, without building either.
-func samePrefixed(pa, a, pb, b string) bool {
-	if len(pa)+len(a) != len(pb)+len(b) {
-		return false
+// inliner lays out the merged module's declarations in source order, each
+// instance's where the instance is in its parent — its ports but those it
+// promoted for its own instances, then its declarations with each of its
+// instances' in its place — so that an eval, which appends to the root,
+// appends to them too (elab.ElaborateFrom shares what comes before).
+type inliner struct {
+	subs   []*SubProgram // the design's, in order: a subprogram, then those below it
+	next   int           // the next of subs to walk
+	std    map[string]bool
+	regs   map[string]*verilog.NetDecl // a reg a parent promoted for an instance's input, by merged name
+	merged *verilog.Module
+}
+
+// walk lays out the variables of s and of every subprogram below it.
+func (in *inliner) walk(s *SubProgram) {
+	in.ports(s)
+	k, nd := 0, int32(0)
+	s.eachInlined(func(it verilog.Item) {
+		d, ok := it.(*verilog.NetDecl)
+		if !ok {
+			return
+		}
+		for ; k < len(s.kids) && s.kids[k] == nd; k++ {
+			in.child()
+		}
+		in.merged.Items = append(in.merged.Items, d)
+		nd++
+	})
+	for ; k < len(s.kids); k++ {
+		in.child()
 	}
-	if len(pa) > len(pb) {
-		pa, a, pb, b = pb, b, pa, a
+}
+
+// child walks the next instance: a standard-library component has no
+// variables here.
+func (in *inliner) child() {
+	c := in.subs[in.next]
+	in.next++
+	if !c.IsStd {
+		in.walk(c)
 	}
-	// pa is the shorter prefix: pb = pa + pb[len(pa):], and a must be
-	// pb[len(pa):] + b.
-	return strings.HasPrefix(pb, pa) && strings.HasPrefix(a, pb[len(pa):]) && a[len(pb)-len(pa):] == b
+}
+
+// ports adds s's ports: stdlib-facing ones stay ports of the merged
+// module, the rest become declarations. A port s promoted for an instance
+// and the instance's port it is wired to collapse onto one variable,
+// declared where the instance is, as the reg side declares it (the reg
+// holds state) or else as the instance does.
+func (in *inliner) ports(s *SubProgram) {
+	for i, p := range s.Module.Ports {
+		switch name := s.portName(i); {
+		case in.std[name]:
+			in.merged.Ports = append(in.merged.Ports, s.inlinedPort(i))
+		case i >= s.promoted[0] && i < s.promoted[1]:
+			if p.Kind == verilog.Reg {
+				in.regs[name] = s.portDecl(i)
+			}
+		case p.Kind != verilog.Reg && in.regs[name] != nil:
+			in.merged.Items = append(in.merged.Items, in.regs[name])
+		default:
+			in.merged.Items = append(in.merged.Items, s.portDecl(i))
+		}
+	}
 }

@@ -15,6 +15,7 @@ package ir
 import (
 	"fmt"
 	"maps"
+	"slices"
 
 	"cascade/internal/bits"
 	"cascade/internal/verilog"
@@ -122,9 +123,16 @@ type SubProgram struct {
 
 	memo *splitMemo // the root's: what the split derived per item, for the next split
 
+	// Where Inline lays out the variables of the instances below it: the
+	// i-th instance of its source comes after kids[i] of its declarations,
+	// and Module.Ports[promoted[0]:promoted[1]] are the ports split
+	// promoted for them, each one end of a wire to one of them.
+	kids     []int32
+	promoted [2]int
+
 	prefix  string             // PrefixOf(Path)
 	names   []string           // MergedNames
-	inlined []verilog.Item     // inlinedItems' (not the root's)
+	inlined []verilog.Item     // eachInlined's (not the root's)
 	decls   []*verilog.NetDecl // portDecl's, by port
 }
 
@@ -181,18 +189,7 @@ func (d *Design) UserSubs() []*SubProgram { return d.users }
 
 // seal lists d's user subprograms once its Subs are final, and returns d.
 func (d *Design) seal() *Design {
-	n := 0
-	for _, s := range d.Subs {
-		if !s.IsStd {
-			n++
-		}
-	}
-	d.users = make([]*SubProgram, 0, n)
-	for _, s := range d.Subs {
-		if !s.IsStd {
-			d.users = append(d.users, s)
-		}
-	}
+	d.users = slices.DeleteFunc(slices.Clone(d.Subs), func(s *SubProgram) bool { return s.IsStd })
 	return d
 }
 

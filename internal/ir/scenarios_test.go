@@ -230,3 +230,28 @@ W#(K * 2) w(.o(o));`)
 		t.Fatalf("o=%06b", got)
 	}
 }
+
+// TestHierReadOfInitializedWire: a wire with an initializer that the root
+// reads hierarchically becomes an output port of its instance, and the
+// merged module declares the one variable as the instance does,
+// initializer and all: the root's end of the wire has none, and declaring
+// it from there left the wire undriven.
+func TestHierReadOfInitializedWire(t *testing.T) {
+	p := buildProgram(t, `
+module C(input wire [7:0] a, output wire [7:0] y);
+  wire [7:0] w = 8'd5;
+  assign y = a;
+endmodule`, `
+wire [7:0] ya;
+C c(.a(8'd1), .y(ya));
+wire [7:0] z = c.w;`)
+	d, err := Build(p, testRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := runMerged(t, d)
+	settle(s)
+	if got := s.Value("z").Uint64(); got != 5 {
+		t.Fatalf("z=%d, want c.w's 5", got)
+	}
+}

@@ -56,7 +56,9 @@ func TestRejectedInlineLeavesProgramRunning(t *testing.T) {
 		if err == nil {
 			t.Fatal("colliding fragment accepted")
 		}
-		if msg := err.Error(); !strings.Contains(msg, "3:13: duplicate declaration of a__x") || strings.Contains(msg, "module") {
+		// The merged root declares a's variables where a is, so the
+		// refused declaration is the later one: the fragment's.
+		if msg := err.Error(); !strings.Contains(msg, "1:11: duplicate declaration of a__x") || strings.Contains(msg, "module") {
 			t.Fatalf("error should name the declaration and its position, not print the merged module: %v", err)
 		}
 		if got := r.Stats(); len(got.Engines) != len(st.Engines) || got.Persist.Records != st.Persist.Records {
@@ -761,10 +763,11 @@ assign led.val = sum;`
 		// names it, is elaborated again — and refused, as from scratch.
 		{name: "a procedural hierarchical write turns a port to reg", frag: "always @(posedge clk.val) e.x <= 8'd1;", refused: true},
 		// e is split again (ir.BuildFrom) and its items renamed afresh: in
-		// the merged root its process, its assign and its now promoted acc
-		// are elaborated again, with the fragment's declaration and
-		// initializer, which are all the flat root elaborates.
-		{name: "a late hierarchical read promotes e.acc", frag: "wire [7:0] peek = e.acc;", flat: 11, merged: 19, kept: 5},
+		// the merged root its process, its assign, its now promoted acc and
+		// its ports, which e declares (ir.Inline), are elaborated again,
+		// with the fragment's declaration and initializer, which are all
+		// the flat root elaborates.
+		{name: "a late hierarchical read promotes e.acc", frag: "wire [7:0] peek = e.acc;", flat: 11, merged: 16, kept: 5},
 		// The root gains a parameter, which a new instance's override
 		// names. Every parameter the base bound keeps its value, so no
 		// item of the base can tell: only the fragment's declaration and

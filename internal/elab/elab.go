@@ -22,25 +22,23 @@ func Elaborate(mod *verilog.Module, instName string, params map[string]*bits.Vec
 // the one base was elaborated from (nil: none; base is only read). While
 // every parameter base bound has the same value (Extends), a unit whose
 // source item is the same object as one of base's, and every variable of
-// whose frame has a variable of the same name, width, reg-ness, array
-// bounds and direction here, elaborates to what it did in base — the AST
-// is immutable, and the frame holds every name the unit resolved, a name
-// a fold dropped or a loop variable unrolled away included — so it is
-// relocated (Flat.Relocated counts them): it shares base's trees by
-// pointer, with a frame of this flat's variables, and the rest is
-// elaborated. Var.Index stays a position in this flat, which an edit
-// moves; the trees do not name it. A relocated assign, process or
-// initial block keeps base's unit identity, an elaborated one gets a new
-// one: this is the one decision of what an eval left unchanged, and
-// synthesis (netlist.CompileFrom) follows it. The result is the Flat
-// Elaborate returns, error or not, up to identities.
+// whose frame has a variable of the same name and shape here, elaborates
+// to what it did in base — the AST is immutable, and the frame holds every
+// name the unit resolved (elaborator.intern) — so it is relocated
+// (Flat.Relocated counts them): it shares base's trees by pointer, with a
+// frame of this flat's variables, and keeps base's unit identity; the
+// rest is elaborated, with new identities. This is the one decision of
+// what an eval left unchanged, and synthesis (netlist.CompileFrom)
+// follows it. Var.Index stays a position in this flat; the trees do not
+// name it. The result is the Flat Elaborate returns, error or not, up to
+// identities.
 //
 // What is unchanged is shared, not copied: the variables up to the first
 // that is not base's at the same position (the shared prefix) are base's
 // records, and a relocated unit whose frame names only those is base's
-// record, frame and all. What a later version may share in turn gets an
-// allocation of its own (alone), so that it keeps nothing of the rest of
-// this one alive.
+// record, frame and all. What a later version may share of a prefix that
+// ends early gets an allocation of its own (alone); the rest only a
+// version whose prefix is every variable of this one shares.
 func ElaborateFrom(base *Flat, mod *verilog.Module, instName string, params map[string]*bits.Vector) (*Flat, error) {
 	consts := map[string]*bits.Vector{} // the parameters: the flat's record of them is the elaborator's scope
 	nvars, nassigns, nprocs := len(mod.Ports), 0, 0
@@ -160,15 +158,13 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 			}
 		}
 		in := pt.Dir == verilog.Input
-		if _, err := e.declare(Var{Name: pt.Name, Width: w, IsReg: pt.Kind == verilog.Reg, Init: init, IsInput: in, IsOutput: !in}, pt.PortPos); err != nil {
+		if err := e.declare(Var{Name: pt.Name, Width: w, IsReg: pt.Kind == verilog.Reg, Init: init, IsInput: in, IsOutput: !in}, pt.PortPos); err != nil {
 			return err
 		}
 	}
 
-	// First pass: declarations (so later items can reference later decls
-	// is NOT allowed in our model — Verilog requires declaration before
-	// use for implicit clarity; we do a decl pre-pass to be permissive,
-	// matching common tool behaviour).
+	// First pass: declarations, so that an item may name a variable
+	// declared after it, as common tools allow.
 	for _, it := range mod.Items {
 		if x, ok := it.(*verilog.NetDecl); ok {
 			if err := e.netDecl(x); err != nil {
@@ -180,7 +176,27 @@ func (e *elaborator) run(mod *verilog.Module, overrides map[string]*bits.Vector)
 	e.clearFrame() // what a declaration's constant expressions named
 	e.flat.slab = min(alone, len(e.flat.Vars))
 	if r := e.reloc; r != nil {
+		if lo, hi := r.base.slab, r.shared; hi > lo && hi < len(r.base.Vars) {
+			// The prefix ends before base's does: from base's slab on its
+			// variables get records of their own, or they would keep base's
+			// other slab-cut variables alive.
+			r.shared = lo
+			for i := lo; i < hi; i++ {
+				p := &cut(e, &e.vars, 1, i+1, hi-i)[0]
+				*p, e.flat.Vars[i] = *e.flat.Vars[i], p
+			}
+		}
 		e.flat.slab = min(r.shared+alone, len(e.flat.Vars))
+		if r.shared > r.base.slab { // all of base's, slab-cut ones included
+			e.flat.slab = r.base.slab
+		}
+	}
+	for _, v := range e.flat.Vars[:len(mod.Ports)] {
+		if v.IsInput {
+			e.flat.Inputs = append(e.flat.Inputs, v)
+		} else {
+			e.flat.Outputs = append(e.flat.Outputs, v)
+		}
 	}
 
 	// Net declaration assignments collected by the first pass.
@@ -322,8 +338,9 @@ func (e *elaborator) clearFrame() {
 // their own, and so do the frames and unit records that name no later
 // one: what a later version's shared prefix may take, when its edit
 // inserts a few variables after this one's. The rest is cut from slabs,
-// which no later version shares (relocation.shares): a shared record
-// never keeps a dead sibling alive.
+// which a later version shares only whole, with every variable of this
+// one (relocation.shares): a shared record never keeps a dead sibling
+// alive.
 const alone = 64
 
 // owned reports whether what names no variable from end on gets an
@@ -390,35 +407,27 @@ func (e *elaborator) addInitial(body Stmt, src verilog.Item, unit uint64, fr []*
 // flat: base's record while every variable before it is base's and base's
 // at this position equals v (relocation.shares), else a record of its
 // own.
-func (e *elaborator) declare(v Var, pos verilog.Pos) (*Var, error) {
+func (e *elaborator) declare(v Var, pos verilog.Pos) error {
 	f, r := e.flat, e.reloc
 	v.Index = len(f.Vars)
 	// One hash: a refused declaration fails the whole elaboration, so the
 	// entry a duplicate overwrites is never read.
 	n := len(f.VarIndex)
 	if f.VarIndex[v.Name] = v.Index; len(f.VarIndex) == n {
-		return nil, e.errf(pos, "duplicate declaration of %s", v.Name)
+		return e.errf(pos, "duplicate declaration of %s", v.Name)
 	}
 	if _, dup := e.consts[v.Name]; dup {
-		return nil, e.errf(pos, "%s is already declared as a parameter", v.Name)
+		return e.errf(pos, "%s is already declared as a parameter", v.Name)
 	}
 	if v.Width < 1 {
-		return nil, e.errf(pos, "%s has non-positive width %d", v.Name, v.Width)
+		return e.errf(pos, "%s has non-positive width %d", v.Name, v.Width)
 	}
-	var p *Var
 	if r.shares(v) {
-		p, r.shared = r.base.Vars[v.Index], r.shared+1
+		f.Vars, r.shared = append(f.Vars, r.base.Vars[v.Index]), r.shared+1
 	} else {
-		p = record(e, &e.vars, v, v.Index+1, f.Vars)
+		f.Vars = append(f.Vars, record(e, &e.vars, v, v.Index+1, f.Vars))
 	}
-	f.Vars = append(f.Vars, p)
-	if v.IsInput {
-		f.Inputs = append(f.Inputs, p)
-	}
-	if v.IsOutput {
-		f.Outputs = append(f.Outputs, p)
-	}
-	return p, nil
+	return nil
 }
 
 func (e *elaborator) rangeWidth(r *verilog.Range, pos verilog.Pos) (int, error) {
@@ -494,7 +503,7 @@ func (e *elaborator) netDecl(d *verilog.NetDecl) error {
 				}
 			}
 		}
-		if _, err := e.declare(Var{Name: dn.Name, Width: width, IsReg: isReg, ArrayLen: arrLen, ArrayLo: arrLo, Init: init}, dn.NamePos); err != nil {
+		if err := e.declare(Var{Name: dn.Name, Width: width, IsReg: isReg, ArrayLen: arrLen, ArrayLo: arrLo, Init: init}, dn.NamePos); err != nil {
 			return err
 		}
 		if dn.Init != nil && !isReg {

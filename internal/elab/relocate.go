@@ -17,9 +17,10 @@ import (
 // A unit is found in base by a cursor per kind: units come in the order
 // of the items they were elaborated from, and a module's items are its
 // base's in the same order, some removed and some inserted — an edit
-// appends to the root, and the merged root is made of the subprograms'
-// items in the design's order — so the unit sought is the one at the
-// cursor or a little further on (seek).
+// appends to the root, and the merged root declares each instance's
+// variables where the instance is, then holds the subprograms' other items
+// in the design's order — so the unit sought is the one at the cursor or
+// a little further on (seek).
 type relocation struct {
 	base, here *Flat
 	shared     int    // how many of base's leading variables are here's too
@@ -51,11 +52,12 @@ func newRelocation(base, here *Flat) *relocation {
 }
 
 // shares reports whether v, declared next, is base's variable at its
-// position, every variable before it is base's (r nil: none is), and it
-// is below base's slab. An initial value is compared by value: a port's
-// is computed afresh by each elaboration.
+// position and every variable before it is base's (r nil: none is). An
+// initial value is compared by value: a port's is computed afresh by each
+// elaboration. A prefix that ends past base's slab but before its last
+// variable is cut back to the slab once all are declared (run).
 func (r *relocation) shares(v Var) bool {
-	if r == nil || r.shared != v.Index || v.Index >= r.base.slab {
+	if r == nil || r.shared != v.Index || v.Index >= len(r.base.Vars) {
 		return false
 	}
 	b := r.base.Vars[v.Index]
@@ -135,7 +137,7 @@ func (e *elaborator) relocateDecl(d *verilog.NetDecl) (bool, error) {
 	}
 	for ord, dn := range d.Names {
 		bv := r.base.Vars[first+ord]
-		if _, err := e.declare(*bv, dn.NamePos); err != nil {
+		if err := e.declare(*bv, dn.NamePos); err != nil {
 			return false, err
 		}
 		if dn.Init != nil && !bv.IsReg {

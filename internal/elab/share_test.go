@@ -27,13 +27,6 @@ func TestSharedRecordsKeepNoSiblings(t *testing.T) {
 	}
 	stages.WriteString("endmodule\n")
 	sm := parseOne(t, stages.String())
-	heap := func() int64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
 	var last *verilog.Module // the last version's module, alive throughout
 	var chained int64        // the live heap with the last Flat
 	func() {
@@ -69,6 +62,92 @@ func TestSharedRecordsKeepNoSiblings(t *testing.T) {
 	t.Logf("the last Flat keeps %d B alive, elaborated from scratch %d B", chained-dropped, alone)
 	if chained-dropped > alone+alone/4 {
 		t.Fatalf("the last Flat keeps %d B alive, %d B elaborated from scratch", chained-dropped, alone)
+	}
+}
+
+// heap is the live heap, collected.
+func heap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestSharedWholePastSlab: a version whose prefix is every variable of
+// its base shares the base's slab-cut variables too, so the evals after
+// an elaboration from scratch share all of it. One whose prefix ends
+// inside them gets records of its own from the base's slab on, ports
+// included, and keeps no more alive than the same module elaborated from
+// scratch, plus a quarter: the base's slab-cut variables it does not
+// declare stay dead.
+func TestSharedWholePastSlab(t *testing.T) {
+	const ports, regs = 70, 2000
+	var src strings.Builder
+	src.WriteString("module M(")
+	for i := 0; i < ports; i++ {
+		fmt.Fprintf(&src, "input wire [7:0] p%d, ", i)
+	}
+	src.WriteString("output reg [7:0] q);\n")
+	for i := 0; i < regs; i++ {
+		fmt.Fprintf(&src, "  reg [7:0] r%d = %d;\n", i, i%251)
+	}
+	src.WriteString("endmodule\n")
+	m := parseOne(t, src.String())
+	extra := parseOne(t, "module M(); reg [7:0] b = 1; reg [7:0] c = 2; endmodule\n").Items
+	with := func(items ...[]verilog.Item) *verilog.Module {
+		cut := *m
+		cut.Items = nil
+		for _, it := range items {
+			cut.Items = append(cut.Items, it...)
+		}
+		return &cut
+	}
+	var last *verilog.Module // the last version's module, alive throughout
+	var chained int64        // the live heap with the last Flat
+	func() {
+		a, err := Elaborate(m, "dut", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ElaborateFrom(a, with(m.Items, extra[:1]), "dut", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range a.Vars {
+			if b.Vars[i] != v {
+				t.Fatalf("an appending version re-created %s, variable %d of its base's %d", v.Name, i, len(a.Vars))
+			}
+		}
+		// Inserted after r9: the prefix ends at p0..p69, q, r0..r9.
+		last = with(m.Items[:10], extra[1:], m.Items[10:], extra[:1])
+		c, err := ElaborateFrom(b, last, "dut", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range c.Vars[:ports+1+10] {
+			if shared := v == b.Vars[i]; shared != (i < alone) || v.Name != b.Vars[i].Name {
+				t.Fatalf("%s shared=%v: a prefix that ends past its base's slab shares it up to the slab, %d", v.Name, shared, alone)
+			}
+		}
+		for _, v := range append(c.Inputs, c.Outputs...) {
+			if c.Vars[v.Index] != v {
+				t.Fatalf("port %s is not the version's variable", v.Name)
+			}
+		}
+		chained = heap()
+		runtime.KeepAlive(c)
+	}()
+	dropped := heap()
+	scratch, err := Elaborate(last, "dut", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := heap() - dropped
+	runtime.KeepAlive(scratch)
+	t.Logf("the last Flat keeps %d B alive, elaborated from scratch %d B", chained-dropped, fresh)
+	if chained-dropped > fresh+fresh/4 {
+		t.Fatalf("the last Flat keeps %d B alive, %d B elaborated from scratch", chained-dropped, fresh)
 	}
 }
 

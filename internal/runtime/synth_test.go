@@ -265,3 +265,83 @@ assign led.val = dbl ^ z;`
 		})
 	}
 }
+
+// TestRelocatedSpansKeepSlots: along a 150-edit session, each version's
+// merged root elaborated and linked from the one before as an eval does,
+// a version shares every variable of its base (elab.ElaborateFrom), and
+// every span that binds its base's code record keeps every variable slot
+// and memory its base's span bound: an eval appends the variables it
+// declares (ir.Inline), so what was there stays where it was. That is
+// what reusing a unit's native code needs (ROADMAP item 23). Temporaries
+// still move with the variables' count: how many spans keep theirs is
+// logged.
+func TestRelocatedSpansKeepSlots(t *testing.T) {
+	type id struct {
+		unit uint64
+		ord  int32
+	}
+	varsOf := func(p *netlist.Program, i int) []int32 {
+		if i+1 < len(p.Spans) {
+			return p.Vars[p.Spans[i].Vars:p.Spans[i+1].Vars]
+		}
+		return p.Vars[p.Spans[i].Vars:]
+	}
+	var (
+		v                   = emptyVersion()
+		base                *netlist.Program
+		vars, sharedVars    int
+		shared, kept, temps int
+	)
+	for k, frag := range fragmentsOf(editChain(150)) {
+		prev := v
+		var err error
+		if v, err = integrate(v, frag, true); err != nil {
+			t.Fatalf("fragment %d: %v", k, err)
+		}
+		f := v.execElabs[ir.RootPath]
+		p, err := netlist.CompileFrom(base, f)
+		if err != nil {
+			t.Fatalf("fragment %d: %v", k, err)
+		}
+		if base != nil {
+			bf := prev.execElabs[ir.RootPath]
+			vars += len(bf.Vars)
+			for i, bv := range bf.Vars {
+				if i < len(f.Vars) && f.Vars[i] == bv {
+					sharedVars++
+				}
+			}
+			at := make(map[id]int, len(base.Spans))
+			for i, sp := range base.Spans {
+				at[id{sp.Unit, sp.Ord}] = i
+			}
+			for i := range p.Spans {
+				sp := &p.Spans[i]
+				j, ok := at[id{sp.Unit, sp.Ord}]
+				if !ok || sp.UnitCode != base.Spans[j].UnitCode {
+					continue
+				}
+				shared++
+				same := true
+				for n, e := range varsOf(p, i) {
+					be := varsOf(base, j)[n]
+					same = same && p.VarSlot[e>>1] == base.VarSlot[be>>1] && p.MemOf[e>>1] == base.MemOf[be>>1]
+				}
+				if same {
+					kept++
+				}
+				if sp.Temps == base.Spans[j].Temps {
+					temps++
+				}
+			}
+		}
+		base = p
+	}
+	t.Logf("versions share %d of their bases' %d variables; %d spans bind their base's code, %d keep every variable slot, %d their temporaries", sharedVars, vars, shared, kept, temps)
+	if sharedVars != vars {
+		t.Errorf("versions share %d of their bases' %d variables, want all", sharedVars, vars)
+	}
+	if kept != shared {
+		t.Errorf("%d of the %d spans that bind their base's code keep every variable slot, want all", kept, shared)
+	}
+}

@@ -152,9 +152,9 @@ type instSplit struct {
 // connSplit is one connection of an instance: the port the parent gains
 // for it (named inst__port after the child's port), of the width the
 // child's port has, the assignment that drives or reads it, and the memo
-// of that assignment. It lives as long
-// as the instance's resolution: a split that keeps the resolution keeps
-// it, one that resolves the instance anew connects it afresh.
+// of that assignment. It lives as long as the instance's resolution: a
+// split that keeps the resolution keeps it, one that resolves the
+// instance anew connects it afresh.
 type connSplit struct {
 	port  *verilog.Port // its kind as first promoted
 	width int
